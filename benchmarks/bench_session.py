@@ -18,11 +18,11 @@ backend:
    worker-measured chase costs (the cost model has observations) and still
    produces the identical cover.
 
-4. **Multiprocess never loses** — the fused-superstep protocol is the
-   reason multiprocess stops losing to serial at this scale, so the gate
-   is hard: ``multiprocess elapsed ≤ 1.05 × serial elapsed``, and the
-   fused pipeline must issue ≥ 5× fewer supersteps than the historical
-   per-op protocol (``fuse_ops=False``).
+4. **Multiprocess never loses** — the per-level superstep protocol is
+   the reason multiprocess stops losing to serial at this scale, so the
+   gate is hard: ``multiprocess elapsed ≤ 1.05 × serial elapsed``, and
+   the serial pipeline's superstep count stays under an absolute ceiling
+   (supersteps are bounded per level, not per pattern).
 
 5. **Tracing is free when off, cheap when on** — the same pipeline run
    with a live :class:`repro.Tracer` must produce byte-identical results,
@@ -52,7 +52,6 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -84,11 +83,13 @@ MP_MAX_RATIO = 1.05
 #: On smaller hosts (a 1-core CI container cannot overlap 2 worker
 #: processes at all) wall-clock parity is physically impossible and the
 #: measurement is contention-noise; only guard the *protocol* health —
-#: a ratio past this means the fused IPC path itself regressed.
+#: a ratio past this means the IPC path itself regressed.
 MP_DEGRADED_RATIO = 3.0
 
-#: The fused protocol must cut supersteps by at least this factor.
-FUSION_MIN_REDUCTION = 5.0
+#: Ceiling on the serial yago2 pipeline's superstep count (the value
+#: measured today): rounds are per level, so more patterns must not
+#: mean more supersteps.
+MAX_SERIAL_SUPERSTEPS = 24
 
 #: Live tracing may cost at most this factor over the untraced pipeline.
 TRACE_MAX_RATIO = 1.05
@@ -250,24 +251,15 @@ def run(check: bool = False, max_rules: int = None):
             json.dumps(view.as_dict(), indent=2, sort_keys=True) + "\n"
         )
 
-    # the historical per-op protocol, serial, as the superstep baseline
-    unfused = _pipeline(
-        dataset("yago2").copy(), replace(config, fuse_ops=False), "serial"
-    )
-    unfused_steps = unfused["metrics"].cluster.supersteps
-    fused_steps = metrics["serial"]["supersteps"]
-    reduction = unfused_steps / max(1, fused_steps)
-    metrics["unfused_supersteps"] = unfused_steps
-    metrics["superstep_reduction"] = round(reduction, 2)
+    serial_steps = metrics["serial"]["supersteps"]
     lines.append(
-        f"fusion: {fused_steps} supersteps vs {unfused_steps} unfused "
-        f"({reduction:.1f}x reduction)"
+        f"supersteps: {serial_steps} serial (ceiling {MAX_SERIAL_SUPERSTEPS})"
     )
     if check:
-        assert reduction >= FUSION_MIN_REDUCTION, (
-            f"fused supersteps reduced only {reduction:.1f}x "
-            f"(need >= {FUSION_MIN_REDUCTION}x): {fused_steps} vs "
-            f"{unfused_steps}"
+        assert serial_steps <= MAX_SERIAL_SUPERSTEPS, (
+            f"the serial pipeline took {serial_steps} supersteps "
+            f"(ceiling {MAX_SERIAL_SUPERSTEPS}): rounds must stay "
+            "per-level, not per-pattern"
         )
 
     # -- 5: tracing overhead + byte-identity ---------------------------

@@ -99,8 +99,12 @@ class _GCFDSequential(SequentialDiscovery):
 class _GCFDParallel(ParallelDiscovery):
     """``ParCGFD``: ParDis restricted to path patterns."""
 
-    def _spawn_extensions(self, parent: TreeNode) -> List[Extension]:
-        return _filter_path_extensions(parent, super()._spawn_extensions(parent))
+    def _extensions_from_tallies(
+        self, parent: TreeNode, parts: List
+    ) -> List[Extension]:
+        return _filter_path_extensions(
+            parent, super()._extensions_from_tallies(parent, parts)
+        )
 
 
 def discover_gcfd(

@@ -51,28 +51,27 @@ class FaultConfig:
     """Supervision policy of the multiprocess execution backend.
 
     With a :class:`FaultConfig` attached (``DiscoveryConfig.fault`` /
-    ``EnforcementConfig.fault``), every op submitted to a worker process is
-    *supervised*: a deadline detects hung workers, ``BrokenProcessPool``
-    detects dead ones, and a failed op is retried with exponential backoff
-    after the worker is respawned and its **install log** replayed (the
+    ``EnforcementConfig.fault``), every worker submission is *supervised*:
+    a deadline detects hung workers, ``BrokenProcessPool`` detects dead
+    ones, and a failed submission is retried with exponential backoff after
+    the worker is respawned and its **install log** replayed (the
     per-worker journal of state-mutating ops — installs, parked joins,
     lattice masks, Σ, enforcement tables — every op is a deterministic
     function of the index snapshot and that state, so replay reconstructs
-    the worker exactly).  ``None`` (the default) keeps the unsupervised
-    fast path byte-identical to earlier releases.
+    the worker exactly).  ``None`` (the default) runs unsupervised.
 
-    Supervised backends disable worker-to-worker staging
-    (``supports_staging``): staging segments are unlinked right after
-    their superstep, so a journal could not replay them — rebalancing
-    automatically takes the fetch-through-master route instead, which is
-    fully replayable.  Results are identical either way.
+    A supervised backend reports ``supports_staging = False`` (a staging
+    segment is unlinked right after its superstep, so the journal could
+    not replay it); skew rebalancing then fetches the parked rows through
+    the master, which is fully replayable.  Results are identical.
 
     Attributes:
-        op_timeout_s: per-op deadline in seconds; a worker that exceeds it
+        op_timeout_s: per-op deadline in seconds — a submission carrying
+            ``m`` ops gets ``m × op_timeout_s``; a worker that exceeds it
             is declared hung, killed and respawned (``None`` = no deadline,
             only crash detection).
-        max_retries: attempts per op after the first failure; each retry
-            waits ``backoff_base * 2**attempt`` seconds.
+        max_retries: attempts per submission after the first failure; each
+            retry waits ``backoff_base * 2**attempt`` seconds.
         backoff_base: first retry delay in seconds.
         max_respawns: worker respawns tolerated per worker slot before the
             degradation ladder ends (see ``degrade_to_serial``).
@@ -200,15 +199,6 @@ class DiscoveryConfig:
             ``multiprocessing.shared_memory`` (attach-once, zero-copy numpy
             views).  Disabling — or running on a platform without shared
             memory — falls back to pickling the buffers into each worker.
-        direct_shipping: when a skewed join triggers rebalancing on the
-            multiprocess backend, move whole pivot groups worker-to-worker
-            through a shared-memory staging segment: the master plans the
-            moves from per-group row *counts* and exchanges only manifests
-            (pivot ids, offsets), never match rows.  Disabling — or running
-            without shared memory — falls back to round-tripping the
-            rebalanced shards through the master (the historical path).
-            Either way the discovered set is identical; only the transfer
-            route changes (``backend.transfers`` proves which route ran).
         sketch_support_prefilter: use an HLL-style distinct-pivot sketch as
             a cheap upper bound before exact support counting in the
             ``HSpawn`` alphabet prefilter.  Exact counting remains the
@@ -222,15 +212,6 @@ class DiscoveryConfig:
             the prefilter (``"hll"`` — the default — or ``"exact"``; compact
             alternatives like UltraLogLog register via
             :func:`~repro.core.sketch.register_sketch`).
-        fuse_ops: fuse the engines' per-pattern supersteps into per-level
-            batches (all parents tally in one round, all novel children
-            join and install in one round each, all verified patterns scan
-            / advance their LHS lattices / probe negatives jointly) and let
-            the backend ship each worker's whole batch as a single fused
-            submission — one pickle round trip per worker per superstep
-            instead of one per op.  Results are byte-identical with the
-            flag off (the differential harness pins fused ≡ unfused);
-            ``False`` restores the historical per-pattern rounds.
         planner_mp_min_size: the ``"auto"`` planner's crossover floor —
             with no multiprocess timings observed yet for a phase, inputs
             below this many items stay serial (the round-trip constant
@@ -268,11 +249,9 @@ class DiscoveryConfig:
     parallel_backend: str = field(default_factory=_default_backend)
     num_workers: Optional[int] = None
     shared_memory: bool = True
-    direct_shipping: bool = True
     sketch_support_prefilter: bool = False
     sketch_precision: int = 12
     sketch_backend: str = "hll"
-    fuse_ops: bool = True
     planner_mp_min_size: int = 50_000
     fault: Optional[FaultConfig] = field(default_factory=_default_fault)
 
@@ -324,16 +303,6 @@ class EnforcementConfig:
             Disabling falls back to the dict-graph reference tables;
             results are identical.  The multiprocess backend requires the
             index.
-        persistent_tables: keep each pattern group's match shard (and its
-            per-rule violation masks) *resident in the workers* across
-            validation passes.  A full pass installs the shards once; an
-            incremental :meth:`~repro.enforce.engine.EnforcementEngine.
-            refresh` then ships only the affected-pivot ball (node ids) and
-            each shard's slice of the re-derived matches — kept rows and
-            their cached masks never travel again, and a clean refresh
-            ships nothing at all (``backend.transfers`` proves it).
-            Disabling reverts to install/evaluate/drop every pass (the
-            PR 3 behavior); reports are identical either way.
         max_delta_fraction: on :meth:`~repro.enforce.engine.
             EnforcementEngine.refresh`, fall back to full revalidation when
             more than this fraction of the graph's nodes was touched since
@@ -372,7 +341,6 @@ class EnforcementConfig:
     num_workers: Optional[int] = None
     shared_memory: bool = True
     use_index: bool = True
-    persistent_tables: bool = True
     max_delta_fraction: float = 0.25
     max_violations_per_rule: Optional[int] = None
     max_violation_samples: Optional[int] = 10

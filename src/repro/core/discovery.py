@@ -122,9 +122,9 @@ class SequentialDiscovery:
         """``HSpawn`` over one level's verified patterns.
 
         The sequential engine mines them one by one; the parallel engine
-        overrides this to validate all of a level's patterns in fused
-        supersteps (``config.fuse_ops``) — emissions land in ``_found`` in
-        the same per-node order either way.
+        overrides this to validate all of a level's patterns in joint
+        supersteps — emissions land in ``_found`` in the same per-node
+        order either way.
         """
         for node in nodes:
             self._mine_node(node)

@@ -16,9 +16,9 @@ to one live graph and serves two entry points:
   exceeds ``EnforcementConfig.max_delta_fraction`` of the graph the engine
   falls back to :meth:`validate`.
 
-With ``EnforcementConfig.persistent_tables`` (the default) the match
-shards — and the per-rule violation masks computed over them — stay
-*resident in the workers* between passes: a full pass installs them once,
+The match shards — and the per-rule violation masks computed over them —
+stay *resident in the workers* between passes: a full pass installs them
+once,
 a dirty incremental pass ships only ``(affected-pivot ball, fresh rows)``
 per dirty group, and a clean pass ships nothing at all (the backend's
 :class:`~repro.parallel.backend.TransferLedger` makes the zero-row claim
@@ -144,9 +144,9 @@ class EnforcementEngine:
     graph, and caches per-group canonical match arrays between passes so
     :meth:`refresh` can splice localized re-matches instead of re-matching
     the world.  The evaluation backend (``config.backend``) is long-lived:
-    with ``config.persistent_tables`` its workers keep each group's match
-    shard and cached violation masks across passes, so repeated refreshes
-    against a mutating graph exchange deltas and scalars only.  Call
+    its workers keep each group's match shard and cached violation masks
+    across passes, so repeated refreshes against a mutating graph exchange
+    deltas and scalars only.  Call
     :meth:`close` (or use as a context manager) to detach the log and
     release backend resources (worker processes, shared memory).
 
@@ -400,38 +400,20 @@ class EnforcementEngine:
     def _ensure_backend(self, index: Optional[GraphIndex]) -> ExecutionBackend:
         """The evaluation backend for this snapshot.
 
-        With ``config.persistent_tables`` (the default), an existing
-        backend is *re-pointed* at a new index snapshot via
-        :meth:`~repro.parallel.backend.ExecutionBackend.refresh_index` —
-        free on the serial backend, one shared-memory index export on the
-        multiprocess backend — so the worker-resident match shards and
-        cached violation masks survive graph mutations.  An *owned*
-        backend without persistent tables is instead rebuilt from scratch
-        on every snapshot change (its workers hold no state worth
-        preserving); a *borrowed* backend is never rebuilt — the session
-        that lent it keeps exactly one pool set alive, so snapshot changes
-        always go through ``refresh_index``.
+        An existing backend — owned or borrowed — is *re-pointed* at a new
+        index snapshot via :meth:`~repro.parallel.backend.ExecutionBackend.
+        refresh_index` (free on the serial backend, one shared-memory index
+        export on the multiprocess backend), so the worker-resident match
+        shards and cached violation masks survive graph mutations.
         """
-        if self._backend is not None and self._backend_index is index:
-            return self._backend
         if self._backend is not None:
-            if self._backend.source_token == (id(self.graph), id(index)):
-                # the backend already holds this snapshot (e.g. the owning
-                # session re-pointed it) — adopt without re-shipping
+            if self._backend_index is not index:
+                # a backend already holding this snapshot (e.g. the owning
+                # session re-pointed it) is adopted without re-shipping
+                if self._backend.source_token != (id(self.graph), id(index)):
+                    self._backend.refresh_index(index)
                 self._backend_index = index
-                return self._backend
-            keep = not self._owns_backend or (
-                self.config.persistent_tables
-                and index is not None
-                and self._backend_index is not None
-            )
-            if keep:
-                self._backend.refresh_index(index)
-                self._backend_index = index
-                return self._backend
-            self._backend.shutdown()
-            self._backend = None
-            self._resident.clear()
+            return self._backend
         self._backend = make_backend(
             self.config.backend,
             self.num_workers,
@@ -469,11 +451,10 @@ class EnforcementEngine:
         pattern groups; every other rule reuses its previous report entry —
         none of its matches contained a touched node, so nothing changed.
         ``updates`` maps a dirty position to its ``(ball, fresh)`` delta:
-        with ``config.persistent_tables``, a group already resident in the
-        workers receives only that delta (``enforce_update``) — the kept
-        rows and their cached violation masks never re-cross the process
-        boundary — while first-time (or non-persistent) groups receive a
-        full shard install.
+        a group already resident in the workers receives only that delta
+        (``enforce_update``) — the kept rows and their cached violation
+        masks never re-cross the process boundary — while first-time
+        groups receive a full shard install.
 
         ``version`` is the graph version captured at pass start; the report
         is stamped with it (not with ``graph.version`` at finish time) so a
@@ -493,19 +474,15 @@ class EnforcementEngine:
             backend = self._ensure_backend(index)
             shards = backend.num_workers
             backend_name = backend.name
-            persistent = self.config.persistent_tables
             gamma = list(self.plan.attributes())
             cap = self.config.max_violations_per_rule
             requests: List[Tuple[int, str, int, Dict[str, Any]]] = []
-            drops: List[Tuple[int, str, int, Dict[str, Any]]] = []
             for position in evaluate:
                 group = self.plan.groups[position]
                 key = self._group_keys[position]
                 update = (
                     updates.get(position)
-                    if persistent
-                    and updates is not None
-                    and position in self._resident
+                    if updates is not None and position in self._resident
                     else None
                 )
                 if update is not None:
@@ -546,16 +523,8 @@ class EnforcementEngine:
                                 },
                             )
                         )
-                    if persistent:
-                        self._resident.add(position)
-                if not persistent:
-                    drops.extend(
-                        (worker, "enforce_drop", key, {})
-                        for worker in range(shards)
-                    )
+                    self._resident.add(position)
             outcomes = backend.run_unmetered(requests)
-            if drops:
-                backend.run_unmetered(drops, wait=False)
             cursor = 0
             for position in evaluate:
                 group = self.plan.groups[position]

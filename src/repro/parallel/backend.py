@@ -35,24 +35,21 @@ asserts no segment survives a shutdown.
 
 Bulk data stays worker-resident by design: join results are *parked*
 worker-side, rebalanced pivot groups ship worker-to-worker through a
-shared-memory staging segment (:meth:`MultiprocessBackend.create_stage` +
-the ``stage_out``/``stage_in`` ops), and enforcement match tables persist in
+shared-memory staging segment where :attr:`ExecutionBackend.
+supports_staging` says so (:meth:`MultiprocessBackend.create_stage` + the
+``stage_out``/``stage_in`` ops; otherwise they are fetched through the
+master), and enforcement match tables persist in
 the workers across :meth:`~repro.enforce.engine.EnforcementEngine.refresh`
 calls.  The :class:`TransferLedger` on every backend counts exactly which
 match rows cross the master boundary, so tests and benchmarks can *prove*
 that only manifests and scalars travel.
 
-Round-trip amortization (the *op fusion* layer): with ``fuse_ops`` (the
-default) the multiprocess backend transparently groups a superstep's
-requests by worker and submits each worker's whole op sequence as **one**
-``_mp_execute_fused`` round trip — one pickle each way per worker instead
-of one per op — then charges, accounts and journals per fused *element*,
-so metering, the transfer ledger and crash recovery are byte-identical to
-per-op submission.  Large array payloads (install matches, enforcement
-balls/deltas) additionally route through a per-superstep shared-memory
-segment instead of the pickle channel.  Fusion is a pure transport
-optimization; the engines separately *batch* more work into each superstep
-(``DiscoveryConfig.fuse_ops``), which is what reduces the superstep count.
+One transport: a batch's requests are grouped by worker and each worker's
+whole op sequence travels as **one** ``_mp_execute_fused`` submission — one
+pickle each way per worker — while charging, ledger accounting and
+journaling stay per op.  Large array payloads (install matches, enforcement
+balls/deltas) route through a per-batch shared-memory segment instead of
+the pickle channel.
 """
 
 from __future__ import annotations
@@ -256,7 +253,7 @@ def _result_rows(op: str, result: Any) -> int:
         return sum(_rows_in(part[0]) for part in result)
     if op == "fetch_join":
         return _rows_in(result)
-    if op in ("enforce", "enforce_install", "enforce_update"):
+    if op in ("enforce_install", "enforce_update"):
         return sum(_rows_in(part[2]) for part in result)
     return 0
 
@@ -640,10 +637,6 @@ class ShardWorker:
         self.enforce_state[key] = state
         return self._enforce_results(state)
 
-    def op_enforce(self, key: int, payload: Dict[str, Any]) -> List[Tuple]:
-        """Re-derive one resident group's rule results (no data shipped)."""
-        return self._enforce_results(self.enforce_state[key])
-
     def op_enforce_update(self, key: int, payload: Dict[str, Any]) -> List[Tuple]:
         """Splice a delta into a resident group and re-evaluate its rules.
 
@@ -784,12 +777,6 @@ class ExecutionBackend:
     #: Whether workers can exchange rows through a shared staging segment
     #: (worker-to-worker shipping without a master round-trip).
     supports_staging: bool = False
-    #: Whether a superstep's requests are fused into one submission per
-    #: worker (one pickle round trip carrying the worker's whole op
-    #: sequence).  Purely a transport optimization: results, metering and
-    #: ledger accounting are per-op either way.  In-process backends fuse
-    #: trivially (there is no transport), so the flag is structural there.
-    fuse_ops: bool = True
     #: Identity of the graph snapshot the workers were built around; an
     #: engine refuses to run on a backend holding a different snapshot.
     source_token: Tuple = ()
@@ -861,11 +848,9 @@ class SerialBackend(ExecutionBackend):
         graph: Optional[Graph],
         index: Optional[GraphIndex],
         gamma: Sequence[str],
-        fuse_ops: bool = True,
         tracer: Any = NULL_TRACER,
     ) -> None:
         self.num_workers = num_workers
-        self.fuse_ops = bool(fuse_ops)
         self.tracer = tracer
         self.source_token = (id(graph), id(index))
         self.transfers = TransferLedger()
@@ -1265,33 +1250,16 @@ def _mp_attach_delta(
     return True
 
 
-def _mp_execute(op: str, key: int, payload: Dict[str, Any]) -> Tuple[Any, float]:
-    """Run one op in the worker process, returning (result, compute secs)."""
-    if _FAULTS is not None:
-        # injected faults fire *before* the op runs, so a chaos kill never
-        # half-applies worker state (replay + retry apply it exactly once)
-        _FAULTS.apply(op)
-    cache: Dict[str, Any] = {}
-    try:
-        started = time.perf_counter()
-        result = _WORKER.execute(op, key, _resolve_payload(payload, cache))
-        return result, time.perf_counter() - started
-    finally:
-        for segment in cache.values():
-            segment.close()
-
-
 def _mp_execute_fused(
     elements: Sequence[Tuple[str, int, Dict[str, Any]]]
 ) -> List[Tuple[Any, float]]:
-    """Run one worker's whole superstep slice in a single round trip.
+    """Run one worker's slice of a batch in a single round trip.
 
-    Elements execute in order, each producing the same ``(result, compute
-    seconds)`` pair :func:`_mp_execute` would — the master charges,
-    accounts and journals per element, so fused submission is invisible to
-    metering, the transfer ledger and crash recovery.  Injected faults
-    fire per element (the chaos counters see the same op sequence as
-    unfused execution).
+    Elements execute in order, each producing a ``(result, compute
+    seconds)`` pair — the master charges, accounts and journals per
+    element.  Injected faults fire per element, *before* the op runs, so a
+    chaos kill never half-applies worker state (replay + retry apply it
+    exactly once).
     """
     outcomes: List[Tuple[Any, float]] = []
     cache: Dict[str, Any] = {}
@@ -1338,11 +1306,9 @@ class MultiprocessBackend(ExecutionBackend):
         gamma: Sequence[str],
         use_shared_memory: bool = True,
         fault: Optional[FaultConfig] = None,
-        fuse_ops: bool = True,
         tracer: Any = NULL_TRACER,
     ) -> None:
         self.num_workers = num_workers
-        self.fuse_ops = bool(fuse_ops)
         self.tracer = tracer
         # pin the snapshot: the token is id()-based, so the objects must
         # stay alive for the backend's lifetime or a recycled id could
@@ -1638,14 +1604,14 @@ class MultiprocessBackend(ExecutionBackend):
             pass
 
     # ------------------------------------------------------------------
-    # supervision: journal, submit/collect, recovery, degradation
+    # supervision: journal, recovery, degradation
     # ------------------------------------------------------------------
     #: State-mutating ops recorded in the per-worker install log.  Replay
     #: of this journal (against the current index snapshot) reconstructs a
     #: respawned worker's resident state exactly: every op is a
     #: deterministic function of (index, installed state, payload).
-    #: Read-only ops (tally, join_groups, enforce, implication_batch,
-    #: cover_probe) and un-parked joins are never journaled; staging ops
+    #: Read-only ops (tally, join_groups, implication_batch, cover_probe)
+    #: and un-parked joins are never journaled; staging ops
     #: cannot appear (supervised backends disable staging).
     _JOURNALED_OPS = frozenset(
         {
@@ -1671,7 +1637,10 @@ class MultiprocessBackend(ExecutionBackend):
         non-idempotent ops (an op that died mid-flight was never recorded,
         so its retry applies it once on the replayed state).  ``reset``
         clears the log; released Σ/enforcement keys compact away.
+        Unsupervised backends never replay, so they keep no log.
         """
+        if self._fault is None:
+            return
         journal = self._journals[worker]
         if op == "reset":
             journal.clear()
@@ -1707,61 +1676,10 @@ class MultiprocessBackend(ExecutionBackend):
         result = self._local[worker].execute(op, key, payload)
         return result, time.perf_counter() - started
 
-    def _submit(self, worker: int, op: str, key: int,
-                payload: Dict[str, Any]):
-        """Dispatch one supervised op; returns a handle for _collect.
-
-        Demoted slots execute inline immediately — every earlier op of a
-        demoted worker already ran inline, so in-order semantics hold.
-        """
-        if worker in self._local:
-            return ("local", self._run_local(worker, op, key, payload))
-        return (
-            self._generation[worker],
-            self._pools[worker].submit(_mp_execute, op, key, payload),
-        )
-
-    def _collect(self, worker: int, op: str, key: int,
-                 payload: Dict[str, Any], handle) -> Tuple[Any, float]:
-        """Await one supervised op, recovering and retrying on failure."""
-        tag, future = handle
-        if tag == "local":
-            return future
-        generation = tag
-        attempts = 0
-        while True:
-            try:
-                return future.result(timeout=self._fault.op_timeout_s)
-            except Exception as error:
-                if not self._is_transport_failure(error):
-                    raise  # a real op error: supervision must not mask bugs
-                if isinstance(error, _FuturesTimeout):
-                    self.lifecycle.timeouts += 1
-                    if self.tracer.enabled:
-                        self.tracer.event("timeout", worker=worker, op=op)
-                if worker not in self._local and (
-                    generation == self._generation[worker]
-                ):
-                    # first failure of this pool generation: replace the
-                    # worker and replay its log.  A stale generation means
-                    # a sibling request already recovered this worker — the
-                    # retry below just re-submits to the healthy pool.
-                    self._recover(worker)
-                if worker in self._local:
-                    return self._run_local(worker, op, key, payload)
-                attempts += 1
-                if attempts > self._fault.max_retries:
-                    raise
-                self.lifecycle.retries += 1
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        "retry", worker=worker, op=op, attempt=attempts
-                    )
-                time.sleep(self._fault.backoff_base * (2 ** (attempts - 1)))
-                generation = self._generation[worker]
-                future = self._pools[worker].submit(
-                    _mp_execute, op, key, payload
-                )
+    def _deadline(self, ops: int) -> Optional[float]:
+        """The supervised wait for a submission of ``ops`` ops."""
+        timeout = self._fault.op_timeout_s
+        return None if timeout is None else timeout * max(1, ops)
 
     def _recover(self, worker: int) -> None:
         """Respawn one worker and replay its install log (or degrade).
@@ -1796,13 +1714,12 @@ class MultiprocessBackend(ExecutionBackend):
                     self._degrade(worker)
                     return
                 pool = self._spawn_pool(worker, respawn=True)
+                journal = self._journals[worker]
                 try:
-                    pool.submit(_mp_ready).result(
-                        timeout=self._fault.op_timeout_s
-                    )
-                    for op, key, payload in self._journals[worker]:
-                        pool.submit(_mp_execute, op, key, payload).result(
-                            timeout=self._fault.op_timeout_s
+                    pool.submit(_mp_ready).result(timeout=self._deadline(1))
+                    if journal:
+                        pool.submit(_mp_execute_fused, journal).result(
+                            timeout=self._deadline(len(journal))
                         )
                 except Exception as error:
                     pool.shutdown(wait=False)
@@ -1843,7 +1760,7 @@ class MultiprocessBackend(ExecutionBackend):
             )
 
     # ------------------------------------------------------------------
-    # fused submission: one round trip per worker per batch
+    # dispatch: one round trip per worker per batch
     # ------------------------------------------------------------------
     @staticmethod
     def _worker_groups(requests: Sequence[Request]) -> Dict[int, List[int]]:
@@ -1855,7 +1772,11 @@ class MultiprocessBackend(ExecutionBackend):
 
     def _submit_fused(self, worker: int,
                       elements: List[Tuple[str, int, Dict[str, Any]]]):
-        """Dispatch one worker's fused element list (supervised path)."""
+        """Dispatch one worker's element list; returns a handle to collect.
+
+        Demoted slots execute inline immediately — every earlier op of a
+        demoted worker already ran inline, so in-order semantics hold.
+        """
         if worker in self._local:
             return (
                 "local",
@@ -1872,19 +1793,21 @@ class MultiprocessBackend(ExecutionBackend):
     def _collect_fused(self, worker: int,
                        elements: List[Tuple[str, int, Dict[str, Any]]],
                        handle) -> List[Tuple[Any, float]]:
-        """Await one fused batch, recovering and retrying on failure.
+        """Await one worker's batch; supervised, recover and retry on failure.
 
         The whole batch is the retry unit: a worker that died mid-batch
         discarded every partial effect with its process, and nothing of the
         batch was journaled yet, so respawn + log replay + full-batch retry
         applies each element exactly once.  The deadline scales with the
-        element count (per-op deadlines, fused transport).
+        element count.  Unsupervised, any failure propagates.
         """
         tag, future = handle
         if tag == "local":
             return future
+        if self._fault is None:
+            return future.result()
         generation = tag
-        deadline = self._fault.op_timeout_s * max(1, len(elements))
+        deadline = self._deadline(len(elements))
         attempts = 0
         while True:
             try:
@@ -1924,159 +1847,28 @@ class MultiprocessBackend(ExecutionBackend):
                     _mp_execute_fused, elements
                 )
 
-    def _stage(self, requests: Sequence[Request]):
-        """Payload staging when the segment transport is usable."""
-        if self._use_shared_memory and self._fault is None:
-            # supervised backends skip it: a journal replay could not
-            # reconstruct an unlinked payload segment (same rationale as
-            # staging); pickled payloads are fully replayable
-            return _stage_payloads(requests)
-        return list(requests), None
-
     # ------------------------------------------------------------------
-    def run_superstep(self, step, requests: Sequence[Request]) -> List[Any]:
-        requests = list(requests)
-        if self._fault is None:
-            staged, pack = self._stage(requests)
-            try:
-                if self.fuse_ops and len(requests) > 1:
-                    groups = self._worker_groups(requests)
-                    futures = {
-                        worker: self._pools[worker].submit(
-                            _mp_execute_fused,
-                            [staged[p][1:] for p in positions],
-                        )
-                        for worker, positions in groups.items()
-                    }
-                    results: List[Any] = [None] * len(requests)
-                    for worker, positions in groups.items():
-                        outcomes = futures[worker].result()
-                        for position, (result, seconds) in zip(
-                            positions, outcomes
-                        ):
-                            _, op, _key, payload = requests[position]
-                            step.charge(worker, seconds, op)
-                            _account(self, op, payload, result)
-                            results[position] = result
-                    return results
-                futures = [
-                    (
-                        worker,
-                        self._pools[worker].submit(
-                            _mp_execute, op, key, payload
-                        ),
-                    )
-                    for worker, op, key, payload in staged
-                ]
-                results = []
-                for (worker, future), (_, op, _key, payload) in zip(
-                    futures, requests
-                ):
-                    result, seconds = future.result()
-                    step.charge(worker, seconds, op)
-                    _account(self, op, payload, result)
-                    results.append(result)
-                return results
-            finally:
-                if pack is not None:
-                    pack.close()
-        if self.fuse_ops and len(requests) > 1:
-            groups = self._worker_groups(requests)
-            elements = {
-                worker: [requests[p][1:] for p in positions]
-                for worker, positions in groups.items()
-            }
-            handles = {
-                worker: self._submit_fused(worker, elements[worker])
-                for worker in groups
-            }
-            before = self.recovery_seconds
-            results = [None] * len(requests)
-            for worker, positions in groups.items():
-                outcomes = self._collect_fused(
-                    worker, elements[worker], handles[worker]
-                )
-                for position, (result, seconds) in zip(positions, outcomes):
-                    _, op, key, payload = requests[position]
-                    step.charge(worker, seconds, op)
-                    _account(self, op, payload, result)
-                    self._journal(worker, op, key, payload)
-                    results[position] = result
-            if self.recovery_seconds > before:
-                step.recover(self.recovery_seconds - before)
-            return results
-        handles = [
-            (worker, op, key, payload, self._submit(worker, op, key, payload))
-            for worker, op, key, payload in requests
-        ]
-        before = self.recovery_seconds
-        results = []
-        for worker, op, key, payload, handle in handles:
-            result, seconds = self._collect(worker, op, key, payload, handle)
-            step.charge(worker, seconds, op)
-            _account(self, op, payload, result)
-            self._journal(worker, op, key, payload)
-            results.append(result)
-        if self.recovery_seconds > before:
-            step.recover(self.recovery_seconds - before)
-        return results
-
-    def run_unmetered(
-        self, requests: Sequence[Request], wait: bool = True
+    def _dispatch(
+        self, step, requests: Sequence[Request], wait: bool = True
     ) -> List[Any]:
+        """Run one batch: stage, submit per worker, collect, settle per op.
+
+        Each collected op is charged to ``step`` (metered) or traced
+        (``step=None``), then accounted into the ledger and journaled.
+        """
         requests = list(requests)
-        if self._fault is None:
-            # fire-and-forget batches (drops) carry no arrays — stage only
-            # when the master will wait, so a payload segment is never
-            # released while a worker might still be resolving it
-            staged, pack = self._stage(requests) if wait else (requests, None)
-            try:
-                if self.fuse_ops and len(requests) > 1:
-                    groups = self._worker_groups(requests)
-                    futures = {
-                        worker: self._pools[worker].submit(
-                            _mp_execute_fused,
-                            [staged[p][1:] for p in positions],
-                        )
-                        for worker, positions in groups.items()
-                    }
-                    if not wait:
-                        return []
-                    results: List[Any] = [None] * len(requests)
-                    for worker, positions in groups.items():
-                        outcomes = futures[worker].result()
-                        for position, (result, seconds) in zip(
-                            positions, outcomes
-                        ):
-                            _, op, _key, payload = requests[position]
-                            if self.tracer.enabled:
-                                self.tracer.worker_op(worker, op, seconds)
-                            _account(self, op, payload, result)
-                            results[position] = result
-                    return results
-                futures = [
-                    self._pools[worker].submit(_mp_execute, op, key, payload)
-                    for worker, op, key, payload in staged
-                ]
-                if not wait:
-                    return []
-                results = []
-                for future, (worker, op, _key, payload) in zip(
-                    futures, requests
-                ):
-                    result, seconds = future.result()
-                    if self.tracer.enabled:
-                        self.tracer.worker_op(worker, op, seconds)
-                    _account(self, op, payload, result)
-                    results.append(result)
-                return results
-            finally:
-                if pack is not None:
-                    pack.close()
-        if self.fuse_ops and len(requests) > 1:
+        staged, pack = requests, None
+        if wait and self._use_shared_memory and self._fault is None:
+            # large arrays ride a payload segment.  Not fire-and-forget
+            # batches (drops carry no arrays, and the segment must outlive
+            # the worker's resolve); not supervised ones (a journal replay
+            # could not reconstruct an unlinked segment — same rationale
+            # as staging — while pickled payloads are fully replayable)
+            staged, pack = _stage_payloads(requests)
+        try:
             groups = self._worker_groups(requests)
             elements = {
-                worker: [requests[p][1:] for p in positions]
+                worker: [staged[p][1:] for p in positions]
                 for worker, positions in groups.items()
             }
             handles = {
@@ -2086,43 +1878,41 @@ class MultiprocessBackend(ExecutionBackend):
             if not wait:
                 # fire-and-forget is only used for idempotent releases
                 # (drops); journaling at submit time is safe for those, and
-                # replay keeps the submit order
+                # replay keeps the submit order, so a lost drop is
+                # re-applied on recovery
                 for worker, op, key, payload in requests:
                     self._journal(worker, op, key, payload)
                 return []
-            results = [None] * len(requests)
+            results: List[Any] = [None] * len(requests)
             for worker, positions in groups.items():
                 outcomes = self._collect_fused(
                     worker, elements[worker], handles[worker]
                 )
                 for position, (result, seconds) in zip(positions, outcomes):
                     _, op, key, payload = requests[position]
-                    if self.tracer.enabled:
+                    if step is not None:
+                        step.charge(worker, seconds, op)
+                    elif self.tracer.enabled:
                         self.tracer.worker_op(worker, op, seconds)
                     _account(self, op, payload, result)
                     self._journal(worker, op, key, payload)
                     results[position] = result
             return results
-        handles = [
-            (worker, op, key, payload, self._submit(worker, op, key, payload))
-            for worker, op, key, payload in requests
-        ]
-        if not wait:
-            # fire-and-forget is only used for idempotent releases (drops);
-            # journaling at submit time is safe for those, and replay keeps
-            # the submit order, so a lost drop is re-applied on recovery
-            for worker, op, key, payload, _handle in handles:
-                self._journal(worker, op, key, payload)
-            return []
-        results = []
-        for worker, op, key, payload, handle in handles:
-            result, seconds = self._collect(worker, op, key, payload, handle)
-            if self.tracer.enabled:
-                self.tracer.worker_op(worker, op, seconds)
-            _account(self, op, payload, result)
-            self._journal(worker, op, key, payload)
-            results.append(result)
+        finally:
+            if pack is not None:
+                pack.close()
+
+    def run_superstep(self, step, requests: Sequence[Request]) -> List[Any]:
+        before = self.recovery_seconds
+        results = self._dispatch(step, requests)
+        if self.recovery_seconds > before:
+            step.recover(self.recovery_seconds - before)
         return results
+
+    def run_unmetered(
+        self, requests: Sequence[Request], wait: bool = True
+    ) -> List[Any]:
+        return self._dispatch(None, requests, wait)
 
     def shutdown(self) -> None:
         """Release pools, journals and shared memory (fully idempotent).
@@ -2159,7 +1949,6 @@ def make_backend(
     gamma: Sequence[str],
     use_shared_memory: bool = True,
     fault: Any = "auto",
-    fuse_ops: bool = True,
     tracer: Any = NULL_TRACER,
 ) -> ExecutionBackend:
     """Instantiate a backend by config name (``serial`` | ``multiprocess``).
@@ -2175,11 +1964,6 @@ def make_backend(
     never mention faults.  The serial backend ignores it (in-process
     execution cannot lose a worker).
 
-    ``fuse_ops`` enables the fused transport: one submission per worker
-    per batch instead of one per op (see the module docstring).  Results
-    are identical either way; ``False`` restores per-op submission (the
-    differential suites pin the equivalence).
-
     ``tracer`` wires a :class:`repro.obs.Tracer` into the backend (and
     should match the cluster's): construction/supervision emit typed
     events and unmetered batches emit worker-lane op spans.  The default
@@ -2188,8 +1972,7 @@ def make_backend(
     if fault == "auto":
         fault = _default_fault()
     if name == "serial":
-        return SerialBackend(num_workers, graph, index, gamma,
-                             fuse_ops=fuse_ops, tracer=tracer)
+        return SerialBackend(num_workers, graph, index, gamma, tracer=tracer)
     if name == "multiprocess":
         return MultiprocessBackend(
             num_workers,
@@ -2197,7 +1980,6 @@ def make_backend(
             gamma,
             use_shared_memory=use_shared_memory,
             fault=fault,
-            fuse_ops=fuse_ops,
             tracer=tracer,
         )
     raise ValueError(

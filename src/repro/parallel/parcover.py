@@ -141,42 +141,23 @@ class _CoverSession:
     def num_workers(self) -> int:
         return self.cluster.num_workers
 
-    def broadcast_sigma(self, sigma: Sequence[GFD]) -> None:
-        """Ship ``Σ`` to every worker once (the only bulk transfer)."""
+    def run_with_sigma(self, sigma: Sequence[GFD], requests: List) -> List:
+        """Ship ``Σ`` and run the cover work units in one superstep.
+
+        The Σ broadcast (the only bulk transfer) rides the same BSP round —
+        and, per worker, the same submission — as the work ops.  Op order
+        per worker is preserved, so Σ lands before the unit batch.
+        """
+        sigma_requests = [
+            (worker, "sigma", self.key, {"sigma": list(sigma)})
+            for worker in range(self.num_workers)
+        ]
         with self.cluster.superstep() as step:
             step.broadcast(len(sigma))
-            self.backend.run_superstep(
-                step,
-                [
-                    (worker, "sigma", self.key, {"sigma": list(sigma)})
-                    for worker in range(self.num_workers)
-                ],
+            results = self.backend.run_superstep(
+                step, sigma_requests + requests
             )
-
-    def run_with_sigma(self, sigma: Sequence[GFD], requests: List) -> List:
-        """Ship ``Σ`` and run the cover work units.
-
-        On a fusing backend the Σ broadcast rides the same superstep (and,
-        per worker, the same fused submission) as the work ops — one BSP
-        round and one pickle round trip per worker instead of two.  Op
-        order per worker is preserved (Σ lands before the unit batch), and
-        the per-element ledger accounting (``sigma_rules``) is unchanged.
-        A non-fusing backend keeps the historical two supersteps.
-        """
-        if getattr(self.backend, "fuse_ops", False):
-            sigma_requests = [
-                (worker, "sigma", self.key, {"sigma": list(sigma)})
-                for worker in range(self.num_workers)
-            ]
-            with self.cluster.superstep() as step:
-                step.broadcast(len(sigma))
-                results = self.backend.run_superstep(
-                    step, sigma_requests + requests
-                )
-            return results[len(sigma_requests):]
-        self.broadcast_sigma(sigma)
-        with self.cluster.superstep() as step:
-            return self.backend.run_superstep(step, requests)
+        return results[len(sigma_requests):]
 
     def __enter__(self) -> "_CoverSession":
         return self

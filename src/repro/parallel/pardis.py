@@ -9,11 +9,12 @@ mirroring Figure 3:
 1. **Parallel pattern verification** — the master spawns extensions (from
    merged per-worker tallies, so the spawned patterns equal ``SeqDis``'s);
    workers join their local match shards with the shipped extension edges
-   for *all* of a parent's extensions in one round; skewed shards are
+   of *every* parent of the tree level in one round; skewed shards are
    re-distributed (``ParGFDnb`` disables this);
 2. **Parallel GFD validation** — the master grows the LHS lattices of all
-   RHS literals level-by-level; each lattice level is validated as one
-   batch ``ΣC_{ij}`` in a single superstep: workers intersect boolean row
+   RHS literals level-by-level; each lattice level — of all the tree
+   level's patterns jointly — is validated as one batch ``ΣC_{ij}`` in a
+   single superstep: workers intersect boolean row
    masks on their shards, the master aggregates counts and (exactly)
    unions pivot-support sets.
 
@@ -97,13 +98,12 @@ class _Task:
 
 
 class _NodeMining:
-    """Master-side ``HSpawn`` state for one pattern mined in a fused batch.
+    """Master-side ``HSpawn`` state for one pattern of a level's batch.
 
     Emissions are *buffered* (``emits``) instead of landing in ``_found``
-    directly: a fused batch advances several patterns' lattices jointly, so
-    live emission would interleave them — replaying the buffers in node
-    order afterwards restores the exact per-node insertion order the
-    unfused path produces.
+    directly: a level's patterns advance their lattices jointly, so live
+    emission would interleave them — replaying the buffers in node order
+    afterwards gives ``SeqDis``'s per-node insertion order.
     """
 
     __slots__ = (
@@ -224,7 +224,6 @@ class ParallelDiscovery(SequentialDiscovery):
                 self.gamma,
                 use_shared_memory=self.config.shared_memory,
                 fault=self.config.fault,
-                fuse_ops=self.config.fuse_ops,
                 tracer=self.cluster.tracer,
             )
         else:
@@ -268,24 +267,14 @@ class ParallelDiscovery(SequentialDiscovery):
         with self.cluster.tracer.span(
             f"vspawn level {level}", "level", level=level
         ):
-            if self.config.fuse_ops:
-                return self._vspawn_parallel_fused(tree, level)
-            return self._vspawn_parallel(tree, level)
-
-    def _mine_node(self, node: TreeNode) -> None:
-        self._mine_nodes_batch([node])
+            return self._vspawn_level(tree, level)
 
     def _mine_nodes(self, nodes) -> None:
-        """``HSpawn`` one level: jointly when fused, node-by-node otherwise."""
         nodes = list(nodes)
         with self.cluster.tracer.span(
             f"hspawn {len(nodes)} nodes", "level", nodes=len(nodes)
         ):
-            if self.config.fuse_ops:
-                self._mine_nodes_batch(nodes)
-            else:
-                for node in nodes:
-                    self._mine_node(node)
+            self._mine_nodes_batch(nodes)
 
     # ------------------------------------------------------------------
     # seeding and vertical spawning
@@ -315,7 +304,7 @@ class ParallelDiscovery(SequentialDiscovery):
                 for v in self.graph.nodes_with_label(label):
                     shards[v % n].append((v,))
             node.support = count
-            self._install_shards(node, shards)
+            self._install_shards_many([(node, shards, False, None)])
             self.stats.patterns_spawned += 1
             self.stats.patterns_frequent += 1
 
@@ -345,25 +334,15 @@ class ParallelDiscovery(SequentialDiscovery):
             index=self.index,
         )
 
-    def _install_shards(
-        self,
-        node: TreeNode,
-        shards: Optional[List],
-        truncated: bool = False,
-        adopt: Optional[Tuple[int, int]] = None,
-    ) -> None:
-        """Install one pattern's shards in its own superstep (unfused path)."""
-        self._install_shards_many([(node, shards, truncated, adopt)])
-
     def _install_shards_many(
         self,
         batch: List[Tuple[TreeNode, Optional[List], bool, Optional[Tuple[int, int]]]],
     ) -> None:
         """Install per-worker match tables + column statistics in one superstep.
 
-        ``batch`` holds ``(node, shards, truncated, adopt)`` entries — the
-        fused ``VSpawn`` installs a whole level's children in one round,
-        the unfused path one child at a time.  The column statistics feed
+        ``batch`` holds ``(node, shards, truncated, adopt)`` entries —
+        ``VSpawn`` installs a whole level's children in one round, seeding
+        one label at a time.  The column statistics feed
         the master's alphabet generation, saving a dedicated round per
         pattern.  ``shards`` carries the per-worker matches; on a remote
         backend ``adopt`` instead names the join slot the matches were
@@ -438,27 +417,15 @@ class ParallelDiscovery(SequentialDiscovery):
         self._shard_rows.pop(parent_key, None)
         self._column_stats.pop(parent_key, None)
 
-    def _spawn_extensions(self, parent: TreeNode) -> List[Extension]:
-        """Master-side extension generation from merged worker tallies.
+    def _extensions_from_tallies(
+        self, parent: TreeNode, parts: List
+    ) -> List[Extension]:
+        """Master-side extension generation from one parent's merged tallies.
 
         Workers tally their shard and collapse pivot sets into counts;
         pivot-disjoint sharding makes the master's aggregation a plain sum,
         so only small count dictionaries are shipped.
         """
-        key = self._keys[id(parent)]
-        can_add = parent.pattern.num_nodes < self.config.k
-        requests = [
-            (worker, "tally", key, {"can_add": can_add})
-            for worker in range(self.num_workers)
-        ]
-        with self.cluster.superstep() as step:
-            parts = self._backend.run_superstep(step, requests)
-        return self._extensions_from_tallies(parent, parts)
-
-    def _extensions_from_tallies(
-        self, parent: TreeNode, parts: List
-    ) -> List[Extension]:
-        """Master-side extension generation from one parent's merged tallies."""
         with self.cluster.master():
             merged = merge_extension_counts(parts)
             self.cluster.ship_to_master(
@@ -581,175 +548,17 @@ class ParallelDiscovery(SequentialDiscovery):
         finally:
             self._backend.release_stage(segment)
 
-    def _vspawn_parallel(self, tree: GenerationTree, level: int) -> List[TreeNode]:
-        """``VSpawn(level)``: distributed tallying + batched incremental joins."""
-        created_nodes: List[TreeNode] = []
-        parents = list(tree.level(level - 1))
-        edge_label_counts = self.graph_stats.edge_label_counts
-        total_edges = self.graph.num_edges
-        n = self.num_workers
-        cap = self.config.max_matches_per_pattern
-        for parent in parents:
-            parent_key = self._keys.get(id(parent))
-            if parent_key is None:
-                continue  # never installed (e.g. truncated leaf)
-            if (
-                self.config.prune and parent.support < self.config.sigma
-            ) or parent.support == 0:
-                # a leaf (infrequent or zero-support): its HSpawn already
-                # ran last level, so its worker-side shards are dead weight
-                self._drop_parent(parent, parent_key)
-                continue
-            extensions = self._spawn_extensions(parent)
-            # master-side dedup first, so workers only join novel patterns
-            novel: List[Tuple[TreeNode, Extension]] = []
-            with self.cluster.master():
-                for extension in extensions:
-                    pattern = apply_extension(parent.pattern, extension)
-                    if pattern.num_nodes > self.config.k:
-                        continue
-                    node, created = tree.add(pattern, level, parent)
-                    if not created:
-                        continue
-                    self.stats.patterns_spawned += 1
-                    novel.append((node, extension))
-                    if (
-                        self.config.max_patterns_per_level is not None
-                        and len(created_nodes) + len(novel)
-                        >= self.config.max_patterns_per_level
-                    ):
-                        break
-            if novel:
-                # one superstep: every worker joins its shard with ALL new
-                # extension edges of this parent (the (Q, e) work units).
-                # Remote workers park the joined rows locally (the upcoming
-                # install adopts them in place) and ship scalars only.
-                remote = self._backend.remote
-                requests = [
-                    (
-                        worker,
-                        "join",
-                        parent_key,
-                        {
-                            "extensions": [
-                                (extension, node.pattern.pivot)
-                                for node, extension in novel
-                            ],
-                            "cap": cap,
-                            "park": remote,
-                        },
-                    )
-                    for worker in range(n)
-                ]
-                with self.cluster.superstep() as step:
-                    for worker in range(n):
-                        for _, extension in novel:
-                            label = extension.edge_label
-                            label_edges = (
-                                total_edges
-                                if label == WILDCARD
-                                else edge_label_counts.get(label, 0)
-                            )
-                            step.ship(worker, label_edges - label_edges // n)
-                    joined = self._backend.run_superstep(step, requests)
-                for position, (node, extension) in enumerate(novel):
-                    per_worker = [joined[worker][position] for worker in range(n)]
-                    new_shards = [part[0] for part in per_worker]
-                    sizes = [part[2] for part in per_worker]
-                    truncated = cap is not None and (
-                        any(part[3] for part in per_worker)
-                        or sum(sizes) >= cap
-                    )
-                    with self.cluster.master():
-                        # pivot-disjoint shards: global support is a plain sum
-                        node.support = sum(part[1] for part in per_worker)
-                        self.cluster.ship_to_master(n)
-                    adopt: Optional[Tuple[int, int]] = (
-                        (parent_key, position) if remote else None
-                    )
-                    if not truncated and self.balance and is_skewed(sizes):
-                        # matches move in whole pivot groups, preserving the
-                        # pivot-disjointness that makes supports summable
-                        staged = (
-                            remote
-                            and self.config.direct_shipping
-                            and self._backend.supports_staging
-                        )
-                        if staged:
-                            # worker-to-worker: groups move through a shared
-                            # staging segment, the master sees only the
-                            # (pivot, count) manifests; rows stay parked for
-                            # the install to adopt
-                            self._rebalance_direct(parent_key, position, node)
-                        elif remote:
-                            # pull the parked shards in for redistribution —
-                            # the fallback case the rows must visit the master
-                            fetch = [
-                                (
-                                    worker,
-                                    "fetch_join",
-                                    parent_key,
-                                    {"position": position},
-                                )
-                                for worker in range(n)
-                            ]
-                            with self.cluster.superstep() as step:
-                                new_shards = self._backend.run_superstep(
-                                    step, fetch
-                                )
-                            adopt = None
-                        if not staged:
-                            if self.index is not None:
-                                new_shards, moved = rebalance_pivot_group_arrays(
-                                    new_shards, node.pattern.pivot
-                                )
-                            else:
-                                new_shards, moved = rebalance_pivot_groups(
-                                    new_shards, node.pattern.pivot
-                                )
-                            with self.cluster.superstep() as step:
-                                for worker, received in moved.items():
-                                    step.ship(
-                                        worker, received * node.pattern.num_nodes
-                                    )
-                    self._install_shards(
-                        node, new_shards, truncated=truncated, adopt=adopt
-                    )
-                    if node.support >= self.config.sigma:
-                        self.stats.patterns_frequent += 1
-                    if node.support == 0:
-                        self.stats.patterns_zero_support += 1
-                        if (
-                            self.config.mine_negative
-                            and parent.support >= self.config.sigma
-                        ):
-                            negative = GFD(node.pattern, frozenset(), FALSE)
-                            self._emit(negative, parent.support)
-                    created_nodes.append(node)
-            # the parent's children are joined: free its worker-side state
-            self._drop_parent(parent, parent_key)
-            if (
-                self.config.max_patterns_per_level is not None
-                and len(created_nodes) >= self.config.max_patterns_per_level
-            ):
-                return created_nodes
-        return created_nodes
-
-    def _vspawn_parallel_fused(
+    def _vspawn_level(
         self, tree: GenerationTree, level: int
     ) -> List[TreeNode]:
-        """``VSpawn(level)`` with per-level fused supersteps.
+        """``VSpawn(level)``: three supersteps for the whole level.
 
-        Three rounds for the whole level instead of roughly three per
-        parent/child: every surviving parent tallies in one superstep,
-        every novel child joins in one superstep, every non-truncated
-        child installs in one superstep (rare skew rebalances keep their
-        own rounds in between).  Master-side dedup, support aggregation
-        and the zero-support negative emissions run in exactly the
-        per-parent, per-child order of :meth:`_vspawn_parallel`, so the
-        discovered set and the transfer ledger are byte-identical — the
-        differential suite pins fused ≡ unfused.  One deliberate
-        read-only difference: parents past a binding
+        Every surviving parent tallies in one superstep, every novel child
+        joins in one superstep, every non-truncated child installs in one
+        superstep (rare skew rebalances keep their own rounds in between).
+        Master-side dedup, support aggregation and the zero-support
+        negative emissions run in ``SeqDis``'s per-parent, per-child order,
+        so the discovered set is identical.  Parents past a binding
         ``max_patterns_per_level`` cap are still tallied (the joint round
         was already submitted) but never extended, joined or dropped —
         tallies ship no ledger-visible rows.
@@ -821,7 +630,10 @@ class ParallelDiscovery(SequentialDiscovery):
             if level_cap is not None and spawned >= level_cap:
                 break
 
-        # round 2 — every parent's incremental joins in one superstep
+        # round 2 — every parent's incremental joins in one superstep: each
+        # worker joins its shard with ALL new extension edges (the (Q, e)
+        # work units).  Remote workers park the joined rows locally (the
+        # upcoming install adopts them in place) and ship scalars only.
         join_parents = [entry for entry in novel_by_parent if entry[2]]
         joined_all: List = []
         if join_parents:
@@ -877,14 +689,17 @@ class ParallelDiscovery(SequentialDiscovery):
                     (parent_key, position) if remote else None
                 )
                 if not truncated and self.balance and is_skewed(sizes):
-                    staged = (
-                        remote
-                        and self.config.direct_shipping
-                        and self._backend.supports_staging
-                    )
+                    # matches move in whole pivot groups, preserving the
+                    # pivot-disjointness that makes supports summable
+                    staged = remote and self._backend.supports_staging
                     if staged:
+                        # worker-to-worker through a staging segment: the
+                        # master sees only (pivot, count) manifests and the
+                        # rows stay parked for the install to adopt
                         self._rebalance_direct(parent_key, position, node)
                     elif remote:
+                        # no staging (supervised, or no shared memory):
+                        # the parked rows visit the master to be re-dealt
                         fetch = [
                             (
                                 worker,
@@ -945,7 +760,7 @@ class ParallelDiscovery(SequentialDiscovery):
         """The candidate alphabet from merged per-worker column statistics.
 
         The per-worker statistics were collected in the table-building
-        superstep (:meth:`_install_shards`).
+        superstep (:meth:`_install_shards_many`).
         """
         want_variable = (
             self.config.variable_literals and node.pattern.num_nodes > 1
@@ -975,24 +790,22 @@ class ParallelDiscovery(SequentialDiscovery):
         return literals
 
     def _mine_nodes_batch(self, nodes: List[TreeNode]) -> None:
-        """``HSpawn`` for a batch of verified patterns in fused supersteps.
+        """``HSpawn`` for one level's verified patterns, jointly.
 
         One ``scan`` superstep opens every pattern's mask store; the LHS
         lattices then advance *jointly* — one ``eval`` superstep per
         lattice depth carries every still-active pattern's candidate batch
-        (the ``ΣC_{ij}`` rounds of Figure 3, now summed over patterns too)
-        — and one ``probe`` superstep resolves all NHSpawn bases.  With a
-        single-node batch this is superstep-for-superstep the historical
-        per-pattern path, which is exactly how ``config.fuse_ops=False``
-        runs it.
+        (the ``ΣC_{ij}`` rounds of Figure 3, summed over patterns too) —
+        and one ``probe`` superstep resolves all NHSpawn bases.  The
+        superstep count per level is therefore bounded by
+        ``2 + max_lhs_size``, independent of the number of patterns.
 
         Emissions are buffered per node and replayed in node order at the
         end, so ``_found``'s insertion order — which downstream cover
-        ordering observes — is identical whether a level is mined jointly
-        or node by node.  (Only the abort *point* of a binding
-        ``max_candidates`` budget can shift: candidates are charged in
-        lattice-depth-major order across the batch instead of node-major;
-        the totals agree.)
+        ordering observes — equals ``SeqDis``'s node-by-node order.  (Only
+        the abort *point* of a binding ``max_candidates`` budget differs:
+        candidates are charged in lattice-depth-major order across the
+        batch instead of node-major; the totals agree.)
         """
         n = self.num_workers
         miners: List[_NodeMining] = []
@@ -1177,8 +990,7 @@ class ParallelDiscovery(SequentialDiscovery):
             ],
             wait=False,
         )
-        # replay the buffered emissions in node order — byte-identical to
-        # mining the nodes one at a time
+        # replay the buffered emissions in node order (SeqDis's order)
         for miner in miners:
             for gfd, support in miner.emits:
                 self._emit(gfd, support)

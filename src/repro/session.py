@@ -481,7 +481,6 @@ class Session:
                 self._gamma,
                 use_shared_memory=self.config.shared_memory,
                 fault=self.config.fault,
-                fuse_ops=self.config.fuse_ops,
                 tracer=self.tracer,
             )
             self._backends[name] = backend

@@ -133,6 +133,27 @@ class TestSurfaceSnapshot:
         ):
             assert name in parallel.__all__, name
 
+    def test_config_field_counts_are_pinned(self):
+        """58 knobs in all: adding, deleting or resurrecting one is a
+        decision this test makes visible (update the README table too)."""
+        import dataclasses
+
+        from repro.core import DiscoveryConfig, EnforcementConfig, FaultConfig
+        from repro.serve import ServeConfig
+
+        counts = {
+            cls.__name__: len(dataclasses.fields(cls))
+            for cls in (
+                DiscoveryConfig, EnforcementConfig, ServeConfig, FaultConfig
+            )
+        }
+        assert counts == {
+            "DiscoveryConfig": 30,
+            "EnforcementConfig": 11,
+            "ServeConfig": 11,
+            "FaultConfig": 6,
+        }
+
     def test_sketch_surface(self):
         from repro.core import make_sketch, register_sketch, sketch_names
 

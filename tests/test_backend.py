@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import DiscoveryConfig, discover, gfd_identity
+from repro.core import DiscoveryConfig, FaultConfig, discover, gfd_identity
 from repro.graph import Graph
 from repro.graph.index import GraphIndex
 from repro.parallel import (
@@ -332,34 +332,32 @@ class TestWorkerToWorkerStaging:
                     homes[pivot] = {dst}
             assert all(len(workers) == 1 for workers in homes.values())
 
-    def test_direct_shipping_keeps_rows_off_the_master(self):
-        """With staging on, the skewed-join rebalance moves rows through
-        shared memory: the ledger shows staged rows and zero fetches."""
+    def test_staging_keeps_rows_off_the_master(self):
+        """The rebalance route follows ``backend.supports_staging``:
+        unsupervised, skewed joins move through shared memory (staged rows,
+        nothing via the master); supervised, they are fetched through the
+        master.  Same discovered set either way."""
         graph = self._skewed_graph()
         config = small_config(
             k=3, sigma=3, active_attributes=["kind", "year"]
         )
         results = {}
         ledgers = {}
-        for direct in (True, False):
-            run_config = replace(config, direct_shipping=direct)
-            runner = ParallelDiscovery(
-                graph, run_config, num_workers=3, backend="multiprocess"
-            )
+        for staged, fault in ((True, None), (False, FaultConfig())):
             backend = make_backend(
-                "multiprocess", 3, graph, graph.index(), runner.gamma
+                "multiprocess", 3, graph, graph.index(),
+                config.active_attributes, fault=fault,
             )
             try:
-                runner = ParallelDiscovery(
-                    graph, run_config, backend=backend
-                )
+                assert backend.supports_staging is staged
+                runner = ParallelDiscovery(graph, config, backend=backend)
                 result = runner.run()
-                results[direct] = {gfd_identity(g) for g in result.gfds}
-                ledgers[direct] = backend.transfers.snapshot()
+                results[staged] = {gfd_identity(g) for g in result.gfds}
+                ledgers[staged] = backend.transfers.snapshot()
                 staged_metric = sum(
                     w.items_staged for w in runner.cluster.workers
                 )
-                if direct:
+                if staged:
                     assert backend.transfers.rows_staged > 0
                     assert staged_metric > 0
                 else:
@@ -367,10 +365,10 @@ class TestWorkerToWorkerStaging:
             finally:
                 backend.shutdown()
         assert results[True] == results[False]
-        # the fallback route fetches rows to the master; staging must not
+        # the fetch route pulls rows to the master; staging must not
         assert ledgers[False].rows_to_master > ledgers[True].rows_to_master
         assert ledgers[True].rows_to_master == 0
-        # both routes ship the cold-start seeds; the fallback additionally
+        # both routes ship the cold-start seeds; the fetch route additionally
         # re-ships every fetched row back out, the staging route none
         assert (
             ledgers[False].rows_to_workers - ledgers[True].rows_to_workers
@@ -433,8 +431,13 @@ class TestGraphFreeAndIndexRefresh:
             assert backend.shm_name != first_segment
             with pytest.raises(FileNotFoundError):
                 _probe_segment(first_segment)
-            # resident state survived the swap
-            after = backend.run_unmetered([(0, "enforce", 7, {})])
+            # resident state survived the swap: an empty delta re-derives
+            # the rule results from the resident rows and cached masks
+            empty = {
+                "ball": np.empty(0, dtype=np.int64),
+                "fresh": np.empty((0, 2), dtype=np.int64),
+            }
+            after = backend.run_unmetered([(0, "enforce_update", 7, empty)])
             assert after[0][0][0] == before
         finally:
             backend.shutdown()

@@ -227,7 +227,9 @@ class TestParCoverDifferential:
         sigma = self._sigma(0)
         backend = make_backend("multiprocess", 3, None, None, [])
         try:
-            result, _ = parallel_cover(sigma, backend=backend)
+            result, cluster = parallel_cover(sigma, backend=backend)
+            # Σ rides the work units' superstep: one metered round in all
+            assert cluster.metrics.supersteps == 1
             assert backend.transfers.sigma_rules == 3 * len(sigma)
             assert backend.transfers.rows_to_workers == 0
             assert backend.transfers.rows_to_master == 0
@@ -235,81 +237,6 @@ class TestParCoverDifferential:
             assert result.cover == reference.cover
         finally:
             backend.shutdown()
-
-
-class TestFusionDifferential:
-    """Fused supersteps (``fuse_ops``) change *time*, never results.
-
-    With ``fuse_ops=True`` (the default) a whole VSpawn/HSpawn round is
-    submitted as one request per worker per superstep and the engines
-    batch sibling patterns into joint rounds; ``fuse_ops=False`` is the
-    historical one-op-per-request, one-pattern-per-round protocol.  The
-    discovered set, the supports and the cover must be byte-identical
-    either way, on both backends — and the fused engine must issue far
-    fewer supersteps, which is the whole point.
-    """
-
-    @pytest.mark.parametrize("seed", [0, 5, 7, 13, 19, 26])
-    def test_fused_equals_unfused_serial(self, seed):
-        from dataclasses import replace
-
-        graph = _random_graph(seed)
-        config = _config(seed)
-        unfused, unfused_cluster = discover_parallel(
-            graph,
-            replace(config, fuse_ops=False),
-            num_workers=2 + seed % 3,
-            backend="serial",
-        )
-        fused, fused_cluster = discover_parallel(
-            graph,
-            replace(config, fuse_ops=True),
-            num_workers=2 + seed % 3,
-            backend="serial",
-        )
-        assert _fingerprint(fused) == _fingerprint(unfused)
-        assert (
-            fused_cluster.metrics.supersteps
-            < unfused_cluster.metrics.supersteps
-        ), "fusion must reduce the superstep count"
-
-    @pytest.mark.parametrize("seed", [0, 19])
-    def test_fused_equals_unfused_multiprocess(self, seed):
-        from dataclasses import replace
-
-        graph = _random_graph(seed)
-        config = _config(seed)
-        reference = _fingerprint(discover(graph, config))
-        for fuse in (False, True):
-            result, _ = discover_parallel(
-                graph,
-                replace(config, fuse_ops=fuse),
-                num_workers=3,
-                backend="multiprocess",
-            )
-            assert _fingerprint(result) == reference, (
-                f"ParDis(multiprocess, fuse_ops={fuse}) diverged"
-            )
-
-    def test_fused_cover_identical_and_fewer_supersteps(self):
-        from repro.parallel.backend import make_backend
-
-        sigma = discover(_random_graph(7), _config(7)).gfds
-        outcomes = {}
-        for fuse in (False, True):
-            backend = make_backend("serial", 3, None, None, [], fuse_ops=fuse)
-            try:
-                result, cluster = parallel_cover(sigma, backend=backend)
-            finally:
-                backend.shutdown()
-            outcomes[fuse] = (result, cluster.metrics.supersteps)
-        fused_result, fused_steps = outcomes[True]
-        unfused_result, unfused_steps = outcomes[False]
-        assert fused_result.cover == unfused_result.cover
-        assert fused_result.removed == unfused_result.removed
-        assert fused_result.implication_tests == unfused_result.implication_tests
-        # the fused cover folds the Σ broadcast into the work superstep
-        assert fused_steps < unfused_steps
 
 
 class TestSketchMergeSemantics:

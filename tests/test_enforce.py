@@ -441,10 +441,10 @@ class TestReportSurface:
 
 
 class TestWorkerResidency:
-    """Persistent enforcement tables: match rows stay in the workers.
+    """Resident enforcement tables: match rows stay in the workers.
 
-    With ``EnforcementConfig.persistent_tables`` (the default), a full pass
-    installs each group's match shard once; afterwards only deltas travel —
+    A full pass installs each group's match shard once; afterwards only
+    deltas travel —
     a clean :meth:`refresh` ships **zero** match rows in either direction,
     and a dirty one ships exactly the re-derived rows plus the violating
     rows of the report.  The backend's ``TransferLedger`` proves it.
@@ -514,31 +514,30 @@ class TestWorkerResidency:
             assert engine._backend is resident_backend
 
     def test_persistent_equals_rebuilt_reports(self):
-        """persistent_tables on/off and both backends: identical reports."""
+        """Resident-table refresh on both backends ≡ a rebuilt engine."""
         rng = random.Random(2)
         reports = []
         for backend in ("serial", "multiprocess"):
-            for persistent in (True, False):
-                graph = _random_graph(2)
-                sigma = _random_sigma(rng.__class__(7), graph, 10)
-                config = _uncapped(
-                    backend=backend,
-                    num_workers=3,
-                    persistent_tables=persistent,
-                )
-                with EnforcementEngine(graph, sigma, config) as engine:
-                    engine.validate()
-                    mutated = sorted(graph.nodes())[:3]
-                    for node in mutated:
-                        graph.set_attr(node, "year", 2002)
-                    refreshed = engine.refresh()
-                    reports.append(
-                        (
-                            refreshed.total_violations,
-                            _engine_sets(refreshed),
-                            [r.violation_count for r in refreshed.rules],
-                        )
+            graph = _random_graph(2)
+            sigma = _random_sigma(rng.__class__(7), graph, 10)
+            config = _uncapped(backend=backend, num_workers=3)
+            with EnforcementEngine(graph, sigma, config) as engine:
+                engine.validate()
+                mutated = sorted(graph.nodes())[:3]
+                for node in mutated:
+                    graph.set_attr(node, "year", 2002)
+                refreshed = engine.refresh()
+                assert refreshed.mode == "incremental"
+                with EnforcementEngine(graph, sigma, config) as scratch:
+                    rebuilt = scratch.validate()
+            for report in (refreshed, rebuilt):
+                reports.append(
+                    (
+                        report.total_violations,
+                        _engine_sets(report),
+                        [r.violation_count for r in report.rules],
                     )
+                )
         assert all(report == reports[0] for report in reports[1:])
 
     def test_incremental_report_equals_full_revalidation(self):

@@ -383,22 +383,6 @@ class TestChaosDifferential:
             assert metrics.recovery_seconds > 0.0
         assert _fingerprint(result) == reference
 
-    def test_kill_mid_discovery_unfused(self, film_graph, film_config):
-        """The historical one-op-per-request protocol stays supervised:
-        a worker kill under ``fuse_ops=False`` recovers to byte-identical
-        results too (the fused default is covered by the tests above)."""
-        reference = _fingerprint(discover(film_graph, film_config))
-        fault = FaultConfig(
-            fault_plan=_plan(kill_on={"op": "eval", "nth": 1}, workers=[0])
-        )
-        config = replace(film_config, fault=fault, fuse_ops=False)
-        with Session(
-            film_graph, config, backend="multiprocess", num_workers=2
-        ) as session:
-            result = session.discover()
-            assert session.metrics().lifecycle.respawns >= 1
-        assert _fingerprint(result) == reference
-
     def test_kill_survives_pickle_fallback(self, film_graph, film_config):
         """The no-shared-memory path runs the same supervision code."""
         reference = _fingerprint(discover(film_graph, film_config))

@@ -51,3 +51,38 @@ def test_readme_mentions_the_cli_surface():
         "--no-shared-memory",
     ):
         assert needle in text, f"README lost its {needle!r} documentation"
+
+
+def test_readme_knob_table_names_real_config_fields():
+    """A knob the table places in a config dataclass is a field of it.
+
+    Per row of "Knobs that matter": every back-ticked identifier in the
+    first column (CLI flags and environment variables aside) must be a
+    ``dataclasses.fields()`` member of one of the config classes the
+    second column names — so a deleted or renamed knob cannot linger.
+    """
+    import dataclasses
+
+    from repro.core import DiscoveryConfig, EnforcementConfig, FaultConfig
+    from repro.serve import ServeConfig
+
+    configs = {
+        cls.__name__: {field.name for field in dataclasses.fields(cls)}
+        for cls in (DiscoveryConfig, EnforcementConfig, FaultConfig, ServeConfig)
+    }
+    table = README.read_text().split("## Knobs that matter")[1].split("\n## ")[0]
+    checked = 0
+    for row in table.splitlines():
+        cells = [cell.strip() for cell in row.strip().strip("|").split("|")]
+        if len(cells) < 3 or set(cells[0]) <= set("-"):
+            continue
+        classes = [c for c in re.findall(r"`(\w+)`", cells[1]) if c in configs]
+        if not classes:
+            continue  # a Session(...)/CLI-only knob, not a config field
+        fields = set().union(*(configs[c] for c in classes))
+        for name in re.findall(r"`([a-z_][a-z0-9_]*)`", cells[0]):
+            assert name in fields, (
+                f"README knob {name!r} is not a field of {' / '.join(classes)}"
+            )
+            checked += 1
+    assert checked >= 10, "README knob table went missing or unparseable"

@@ -63,7 +63,16 @@ class TestOneBackendLifecycle:
                 "enforce": 1,
                 "refresh": 1,
             }
-            assert metrics.cluster.supersteps > 0
+            # supersteps are bounded per level, whatever the pattern count:
+            # one install per seeded label (2 here), then per level at most
+            # tally + join + install and scan + one eval per lattice depth
+            # + probe; the cover adds one (Σ rides the work units' round).
+            # No join is skewed on this graph, so no rebalance rounds.
+            levels = film_config.edge_budget
+            hspawn = 2 + film_config.max_lhs_size
+            assert 0 < metrics.cluster.supersteps <= (
+                2 + hspawn + levels * (3 + hspawn) + 1
+            )
             assert metrics.sigma_size == len(cover.cover)
         # after close the pools are gone
         assert session.metrics().lifecycle.shutdowns == 1
@@ -515,32 +524,7 @@ class TestAutoBackendPlanner:
 
 
 class TestFusedSession:
-    """``fuse_ops`` at the session level: fewer supersteps, same bytes."""
-
-    def test_fusion_reduces_pipeline_supersteps(self, film_graph, film_config):
-        from dataclasses import replace
-
-        steps = {}
-        sigmas = {}
-        for fuse in (False, True):
-            config = replace(film_config, fuse_ops=fuse)
-            with Session(
-                film_graph, config, backend="serial", num_workers=2
-            ) as session:
-                result = session.discover()
-                cover = session.cover()
-                steps[fuse] = session.metrics().cluster.supersteps
-                sigmas[fuse] = (
-                    [str(g) for g in result.gfds],
-                    [str(g) for g in cover.cover],
-                )
-        assert sigmas[True] == sigmas[False]
-        # at least halved even on this tiny graph; the bench gate
-        # (benchmarks/bench_session.py --check) pins the ≥ 5× reduction
-        # at scale, where sibling patterns amortize the per-level rounds
-        assert steps[True] * 2 <= steps[False], (
-            f"fused {steps[True]} vs unfused {steps[False]} supersteps"
-        )
+    """Index snapshots reach live multiprocess workers as array deltas."""
 
     @pytest.mark.skipif(
         not shared_memory_available(),
