@@ -130,15 +130,6 @@ class MatchTable:
         self._pivots_list: Optional[List[int]] = None
         # lazily-computed row sets per literal: the lattice search reduces to
         # numpy boolean-mask operations instead of per-row Python loops.
-        if num_rows > 1:
-            boundary = np.empty(num_rows, dtype=bool)
-            boundary[0] = True
-            boundary[1:] = self._pivot_array[1:] != self._pivot_array[:-1]
-            self._pivot_run_starts = np.flatnonzero(boundary)
-        else:
-            self._pivot_run_starts = np.zeros(
-                1 if num_rows else 0, dtype=np.int64
-            )
         self._full_mask = np.ones(num_rows, dtype=bool)
         self._literal_masks: Dict[Literal, np.ndarray] = {}
         self._literal_rows: Dict[Literal, frozenset] = {}
@@ -205,10 +196,6 @@ class MatchTable:
             cached = self.index.decode_values(self._codes[(variable, attr)])
             self._columns[(variable, attr)] = cached
         return cached
-
-    def pivot_of(self, row: int) -> int:
-        """The pivot's graph node at ``row``."""
-        return int(self._pivot_array[row])
 
     def distinct_pivots(self, rows: Iterable[int]) -> Set[int]:
         """``{h(z) | row ∈ rows}`` — the support set of a row subset."""
@@ -310,14 +297,6 @@ class MatchTable:
             return 0
         return int(np.count_nonzero(codes[1:] != codes[:-1])) + 1
 
-    def mask_pivot_values(self, mask: np.ndarray) -> np.ndarray:
-        """The (non-distinct) pivot nodes of the selected rows.
-
-        Feeds sketch-based distinct estimation without exposing the
-        table's internal pivot layout to callers.
-        """
-        return self._pivot_array[mask]
-
     def sketch_support_bound(
         self,
         mask: np.ndarray,
@@ -338,23 +317,24 @@ class MatchTable:
             self._pivot_array[mask], precision, z, kind=kind
         )
 
-    def stack_supports(self, stack: np.ndarray) -> np.ndarray:
-        """Distinct-pivot counts per row of a 2-D boolean mask stack.
+    def stack_supports(self, block: np.ndarray, *, rows: np.ndarray) -> np.ndarray:
+        """Distinct-pivot counts per column of a ``(rows × candidates)`` bool block.
 
-        Vectorized over the whole stack: rows are pivot-sorted, so a pivot
-        contributes when any of its run's positions is selected —
-        ``reduceat`` over the precomputed run starts.
+        ``rows`` are the ascending table row ids the block's rows stand
+        for.  Table rows are pivot-sorted, so a pivot counts for a
+        candidate when any row of its run is set: one
+        ``logical_or.reduceat`` down the contiguous axis, over the run
+        starts, covers every candidate at once.
         """
-        if stack.shape[1] == 0 or self._pivot_run_starts.size == 0:
-            return np.zeros(stack.shape[0], dtype=np.int64)
-        group_any = np.add.reduceat(stack, self._pivot_run_starts, axis=1) > 0
-        return group_any.sum(axis=1)
-
-    def mask_pivot_set(self, mask: np.ndarray) -> frozenset:
-        """The distinct pivot node ids over the selected rows."""
-        if not mask.any():
-            return frozenset()
-        return frozenset(np.unique(self._pivot_array[mask]).tolist())
+        if rows.size == 0:
+            return np.zeros(block.shape[1], dtype=np.int64)
+        pivots = self._pivot_array[rows]
+        boundary = np.ones(rows.size, dtype=bool)
+        np.not_equal(pivots[1:], pivots[:-1], out=boundary[1:])
+        return np.count_nonzero(
+            np.logical_or.reduceat(block, np.flatnonzero(boundary), axis=0),
+            axis=0,
+        )
 
     def literal_rows(self, literal: Literal) -> frozenset:
         """All rows satisfying ``literal`` (cached)."""

@@ -49,7 +49,7 @@ from ..graph.graph import Graph
 from ..graph.index import GraphIndex
 from ..obs.tracer import NULL_TRACER
 from ..parallel.backend import ExecutionBackend, make_backend, next_node_key
-from ..pattern.matcher import Match, find_matches
+from ..pattern.matcher import Match, find_matches, match_array
 from ..pattern.pattern import Pattern
 from .delta import DeltaLog, affected_nodes
 from .plan import CompiledRule, EnforcementPlan, PatternGroup, compile_plan
@@ -387,14 +387,11 @@ class EnforcementEngine:
         seeds: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Matches of a canonical pattern as an ``(N, vars)`` int64 array."""
-        width = pattern.num_nodes
-        if seeds is not None and seeds.size == 0:
-            return np.empty((0, width), dtype=np.int64)
-        rows = list(
-            find_matches(self.graph, pattern, seeds=seeds, index=index)
-        )
+        if index is not None:
+            return match_array(index, pattern, seeds)
+        rows = list(find_matches(self.graph, pattern, seeds=seeds))
         if not rows:
-            return np.empty((0, width), dtype=np.int64)
+            return np.empty((0, pattern.num_nodes), dtype=np.int64)
         return np.asarray(rows, dtype=np.int64)
 
     def _ensure_backend(self, index: Optional[GraphIndex]) -> ExecutionBackend:

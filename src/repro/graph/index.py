@@ -489,6 +489,21 @@ class GraphIndex:
         position[position == table.size] = table.size - 1
         return table[position] == keys
 
+    def edge_label_counts(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Vectorized parallel-edge count: distinct labels per ``(src[i], dst[i])``.
+
+        One pair's edges occupy one contiguous run of the sorted edge keys,
+        so the count is the distance between two ``np.searchsorted``s.
+        """
+        num_labels = max(1, len(self.edge_label_values))
+        first = (
+            np.asarray(src, dtype=np.int64) * self.num_nodes
+            + np.asarray(dst, dtype=np.int64)
+        ) * num_labels
+        return np.searchsorted(
+            self._edge_keys, first + num_labels
+        ) - np.searchsorted(self._edge_keys, first)
+
     def has_edge(self, src: int, dst: int, label: Optional[str] = None) -> bool:
         """Scalar edge-existence test (label ``None`` = any label)."""
         if label is None:

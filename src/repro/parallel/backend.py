@@ -308,6 +308,9 @@ class ShardWorker:
         self.gamma = list(gamma)
         self.tables: Dict[int, MatchTable] = {}
         self.stores: Dict[int, Dict[int, np.ndarray]] = {}
+        # HSpawn: key -> ((rows × literals) bool block, literal -> column),
+        # opened by scan beside the mask store and freed with it
+        self.blocks: Dict[int, Tuple[np.ndarray, Dict[Any, int]]] = {}
         # join results parked worker-side, keyed (parent key, extension
         # position), until an install adopts them — matches never cross the
         # process boundary unless the master orders a rebalance
@@ -491,64 +494,68 @@ class ShardWorker:
         """Per-literal row counts and local distinct-pivot supports.
 
         Also opens this pattern's mask store (id 0 = the full mask) and
-        warms the table's literal-mask cache for the lattice levels.
+        lays the alphabet's literal masks side by side in one C-contiguous
+        ``(rows × literals)`` block: the lattice levels evaluate a whole
+        candidate group with one row gather from it.
         """
         table = self.tables[key]
         self.stores[key] = {0: table.full_mask()}
+        literals = payload["literals"]
+        block = np.empty((table.num_rows, len(literals)), dtype=bool)
         counts: List[int] = []
         supports: List[int] = []
-        for literal in payload["literals"]:
+        for column, literal in enumerate(literals):
             mask = table.literal_mask(literal)
+            block[:, column] = mask
             counts.append(table.mask_count(mask))
             supports.append(table.mask_support(mask))
+        self.blocks[key] = (
+            block,
+            {literal: column for column, literal in enumerate(literals)},
+        )
         return counts, supports
 
     def op_eval(self, key: int, payload: Dict[str, Any]) -> Tuple:
         """Evaluate one lattice level's candidate batch on this shard.
 
         ``specs`` entries are ``(parent mask id, lhs literal, rhs literal,
-        new mask id)``; candidates sharing a parent mask are stacked into
-        one numpy operation.  New LHS masks stay in the store for the next
-        level; ``drop`` lists mask ids the master retired last level.
+        new mask id)``.  Candidates sharing ``(parent, lhs)`` share their
+        LHS rows: those rows are gathered from the literal block once, and
+        one pass over the gather counts every RHS literal at a time.  The
+        group's new mask ids all alias that one LHS mask (masks are never
+        mutated) and stay in the store for the next level; ``drop`` lists
+        mask ids the master retired last level.
         """
         table = self.tables[key]
         store = self.stores[key]
+        block, column_of = self.blocks[key]
         for dead in payload.get("drop", ()):
             store.pop(dead, None)
         specs = payload["specs"]
-        groups: Dict[int, List[int]] = {}
+        groups: Dict[Tuple[int, Any], List[int]] = {}
         for position, spec in enumerate(specs):
-            groups.setdefault(spec[0], []).append(position)
+            groups.setdefault((spec[0], spec[1]), []).append(position)
         count_lhs_arr = np.zeros(len(specs), dtype=np.int64)
         count_both_arr = np.zeros(len(specs), dtype=np.int64)
         support_arr = np.zeros(len(specs), dtype=np.int64)
-        for rows_id, positions in sorted(groups.items()):
-            parent = store[rows_id]
-            lhs_stack = np.stack(
-                [table.literal_mask(specs[p][1]) for p in positions]
-            )
-            lhs_stack &= parent
-            rhs_stack = np.stack(
-                [table.literal_mask(specs[p][2]) for p in positions]
-            )
-            rhs_stack &= lhs_stack
-            count_lhs = lhs_stack.sum(axis=1)
-            count_both = rhs_stack.sum(axis=1)
-            active = np.flatnonzero(count_both)
-            if active.size:
-                supports = table.stack_supports(rhs_stack[active])
-                for where, offset in enumerate(active):
-                    support_arr[positions[offset]] = supports[where]
-            for offset, p in enumerate(positions):
-                store[specs[p][3]] = lhs_stack[offset]
-                count_lhs_arr[p] = count_lhs[offset]
-                count_both_arr[p] = count_both[offset]
+        for (rows_id, lhs), positions in groups.items():
+            mask = store[rows_id] & table.literal_mask(lhs)
+            rows = np.flatnonzero(mask)
+            satisfied = block[rows]
+            count_both = np.count_nonzero(satisfied, axis=0)
+            supports = table.stack_supports(satisfied, rows=rows)
+            columns = [column_of[specs[p][2]] for p in positions]
+            count_lhs_arr[positions] = rows.size
+            count_both_arr[positions] = count_both[columns]
+            support_arr[positions] = supports[columns]
+            for p in positions:
+                store[specs[p][3]] = mask
         return count_lhs_arr, count_both_arr, support_arr
 
     def op_probe(self, key: int, payload: Dict[str, Any]) -> List[bool]:
         """``NHSpawn`` batch: does any shard row satisfy ``X ∪ {l''}``?"""
-        table = self.tables[key]
         store = self.stores[key]
+        block, column_of = self.blocks[key]
         for dead in payload.get("drop", ()):
             store.pop(dead, None)
         specs = payload["specs"]
@@ -556,15 +563,10 @@ class ShardWorker:
         for position, spec in enumerate(specs):
             groups.setdefault(spec[0], []).append(position)
         overlaps: List[bool] = [False] * len(specs)
-        for rows_id, positions in sorted(groups.items()):
-            parent = store[rows_id]
-            stack = np.stack(
-                [table.literal_mask(specs[p][1]) for p in positions]
-            )
-            stack &= parent
-            hits = stack.any(axis=1)
-            for offset, p in enumerate(positions):
-                overlaps[p] = bool(hits[offset])
+        for rows_id, positions in groups.items():
+            hits = block[np.flatnonzero(store[rows_id])].any(axis=0)
+            for p in positions:
+                overlaps[p] = bool(hits[column_of[specs[p][1]]])
         return overlaps
 
     # -- enforcement (repro.enforce) ------------------------------------
@@ -742,12 +744,14 @@ class ShardWorker:
     def op_drop_store(self, key: int, payload: Dict[str, Any]) -> None:
         """Free the mask store once a pattern's ``HSpawn`` completes."""
         self.stores.pop(key, None)
+        self.blocks.pop(key, None)
         return None
 
     def op_drop(self, key: int, payload: Dict[str, Any]) -> None:
         """Free all state of a pattern (after its children are joined)."""
         self.tables.pop(key, None)
         self.stores.pop(key, None)
+        self.blocks.pop(key, None)
         for slot in [slot for slot in self.joins if slot[0] == key]:
             del self.joins[slot]  # un-adopted parks (e.g. truncated children)
         return None
@@ -756,6 +760,7 @@ class ShardWorker:
         """Clear every shard (an external backend being reused)."""
         self.tables.clear()
         self.stores.clear()
+        self.blocks.clear()
         self.joins.clear()
         self.sigmas.clear()
         self.checkers.clear()

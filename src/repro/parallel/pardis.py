@@ -879,8 +879,8 @@ class ParallelDiscovery(SequentialDiscovery):
                     miner.tasks.append(_Task(rhs, position))
 
         # the joint lattice: one superstep per depth carries every still-
-        # active pattern's candidate batch; workers stack candidates
-        # sharing a parent mask into one numpy op, per pattern
+        # active pattern's candidate batch; workers evaluate candidates
+        # sharing a parent mask and LHS literal in one numpy pass
         for _ in range(self.config.max_lhs_size):
             round_specs: List[Tuple[_NodeMining, List, List]] = []
             for miner in miners:

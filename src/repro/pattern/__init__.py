@@ -8,6 +8,7 @@ from .matcher import (
     count_matches,
     find_matches,
     has_match,
+    match_array,
     match_exists_at_pivot,
     pivot_image,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "label_matches",
     "variable_name",
     "find_matches",
+    "match_array",
     "count_matches",
     "pivot_image",
     "has_match",

@@ -17,8 +17,7 @@ import numpy as np
 
 from ..graph.graph import Graph
 from ..graph.index import GraphIndex
-from .matcher import Match
-from .pattern import WILDCARD, Pattern
+from .pattern import WILDCARD, Match, Pattern
 
 __all__ = ["Extension", "apply_extension", "extend_match", "extend_matches"]
 

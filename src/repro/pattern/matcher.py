@@ -11,16 +11,15 @@ mapping ``h`` from pattern variables to graph nodes such that
 Matches are the non-induced kind: extra graph edges among matched nodes are
 allowed (the match subgraph consists of exactly the images of pattern edges).
 
-The matcher is a VF2-style backtracking search with a connectivity-driven
-search plan and label-index candidate seeding.  It is the hot loop of the
-whole library; keep it allocation-light.
-
-Two data-access backends exist: the mutable graph's dict adjacency, and —
-when a frozen :class:`~repro.graph.index.GraphIndex` is passed — flat CSR
-arrays, where candidate pools are vectorized label masks over CSR slices
-and *all* back-edge consistency checks for a pool happen as one batched
-``np.searchsorted`` over the sorted edge keys instead of per-candidate dict
-probes.  Both backends enumerate the same match set.
+Two matchers share one connectivity-driven search plan.  With a frozen
+:class:`~repro.graph.index.GraphIndex`, matching is a sequence of joins on
+the index (:func:`match_array`): the pivot's label pool is the first
+column, each further variable is one vectorized fan-out of the whole batch
+along a pattern edge, and every other edge back to a mapped variable is one
+batched ``np.searchsorted`` over the sorted edge keys — no Python frame per
+assignment.  Without an index, a VF2-style backtracking search over the
+mutable graph's dict adjacency enumerates the same match multiset; it is
+the layer's reference oracle, and the path for graphs under edit.
 """
 
 from __future__ import annotations
@@ -31,19 +30,22 @@ import numpy as np
 
 from ..graph.graph import Graph
 from ..graph.index import GraphIndex
-from .pattern import WILDCARD, Pattern, label_matches
+from .incremental import Extension, _extend_matches_indexed
+from .pattern import WILDCARD, Match, Pattern
 
 __all__ = [
     "Match",
     "find_matches",
+    "match_array",
     "count_matches",
     "pivot_image",
     "has_match",
     "match_exists_at_pivot",
 ]
 
-#: A match: graph node per pattern variable, indexed by variable.
-Match = Tuple[int, ...]
+#: Root-pool nodes joined per block by the index path: bounds the joins'
+#: intermediates and lets ``max_matches`` / :func:`has_match` stop early.
+_ROOT_BLOCK = 4096
 
 
 def _search_order(pattern: Pattern, root: int) -> List[int]:
@@ -104,8 +106,37 @@ def _parallel_edges_ok(
     return len(graph_labels) - len(concrete) >= wildcards
 
 
+def _search_plan(pattern: Pattern, anchor: int):
+    """The search plan both backends follow from ``anchor``.
+
+    Returns ``(order, position_of, back_edges, parallel_groups)``:
+    ``back_edges[p]`` lists, for the variable at plan position ``p``, its
+    edges to already-mapped variables as ``(mapped_var, label,
+    is_out_from_new)``; ``parallel_groups`` maps each ``(src, dst)`` pair
+    carrying several pattern edges to their labels (the pairs needing the
+    injective label-assignment check).
+    """
+    order = _search_order(pattern, anchor)
+    adjacency = pattern.adjacency()
+    position_of = {variable: position for position, variable in enumerate(order)}
+    back_edges: List[List[Tuple[int, str, bool]]] = [[] for _ in order]
+    for position, variable in enumerate(order):
+        for other, _, label, is_out in adjacency[variable]:
+            if position_of[other] < position:
+                back_edges[position].append((other, label, is_out))
+    parallel: Dict[Tuple[int, int], List[str]] = {}
+    for edge in pattern.edges:
+        parallel.setdefault((edge.src, edge.dst), []).append(edge.label)
+    parallel_groups = {
+        pair: edge_labels
+        for pair, edge_labels in parallel.items()
+        if len(edge_labels) > 1
+    }
+    return order, position_of, back_edges, parallel_groups
+
+
 def find_matches(
-    graph: Graph,
+    graph: Optional[Graph],
     pattern: Pattern,
     seeds: Optional[Iterable[int]] = None,
     max_matches: Optional[int] = None,
@@ -115,55 +146,31 @@ def find_matches(
     """Enumerate matches of ``pattern`` in ``graph``.
 
     Args:
-        graph: the data graph.
+        graph: the data graph (unused, and may be ``None``, with ``index``).
         pattern: a connected pattern.
         seeds: restrict the *root* variable (default: the pivot) to these
             graph nodes — used for pivot-local matching.
         max_matches: stop after this many matches (None = all).
         root: which variable anchors the search (default: the pivot).
-        index: optional frozen index of ``graph``; switches candidate
-            generation and back-edge checks to the vectorized CSR backend.
+        index: optional frozen index of ``graph``; matches then come from
+            :func:`match_array`'s joins, one root block at a time, in join
+            order instead of depth-first order.
 
     Yields match tuples (graph node per variable, in variable order).
     """
     anchor = pattern.pivot if root is None else root
-    order = _search_order(pattern, anchor)
-    adjacency = pattern.adjacency()
-    labels = pattern.labels
-
-    # Pre-compute, for each plan position > 0, the edges back to already
-    # mapped variables: (mapped_var, label, is_out_from_new).
-    position_of = {variable: position for position, variable in enumerate(order)}
-    back_edges: List[List[Tuple[int, str, bool]]] = [[] for _ in order]
-    for position, variable in enumerate(order):
-        for other, _, label, is_out in adjacency[variable]:
-            if position_of[other] < position:
-                back_edges[position].append((other, label, is_out))
-
-    # Parallel-edge groups (same unordered endpoints, same direction) needing
-    # the injective label assignment check.
-    parallel: Dict[Tuple[int, int], List[str]] = {}
-    for edge in pattern.edges:
-        parallel.setdefault((edge.src, edge.dst), []).append(edge.label)
-    parallel_groups = {
-        pair: edge_labels
-        for pair, edge_labels in parallel.items()
-        if len(edge_labels) > 1
-    }
-
     if index is not None:
-        yield from _find_matches_indexed(
-            index,
-            pattern,
-            order,
-            back_edges,
-            parallel_groups,
-            position_of,
-            seeds,
-            max_matches,
-        )
+        emitted = 0
+        for block in _match_blocks(index, pattern, seeds, anchor):
+            for row in block.tolist():
+                emitted += 1
+                yield tuple(row)
+                if max_matches is not None and emitted >= max_matches:
+                    return
         return
 
+    order, position_of, back_edges, parallel_groups = _search_plan(pattern, anchor)
+    labels = pattern.labels
     assignment: List[int] = [-1] * pattern.num_nodes
     used: Set[int] = set()
     emitted = 0
@@ -252,138 +259,114 @@ def find_matches(
     yield from backtrack(0)
 
 
-def _find_matches_indexed(
+def _match_blocks(
     index: GraphIndex,
     pattern: Pattern,
-    order: List[int],
-    back_edges: List[List[Tuple[int, str, bool]]],
-    parallel_groups: Dict[Tuple[int, int], List[str]],
-    position_of: Dict[int, int],
     seeds: Optional[Iterable[int]],
-    max_matches: Optional[int],
-) -> Iterator[Match]:
-    """CSR-backed backtracking: vectorized pools + batched edge checks.
+    anchor: int,
+) -> Iterator[np.ndarray]:
+    """Join-based matching: one ``(n, vars)`` match array per root block.
 
-    Per plan position, the cheapest back edge drives a CSR-slice candidate
-    pool; the *remaining* back edges are then applied to the whole pool as
-    batched ``searchsorted`` existence masks, and the label requirement as
-    one integer-compare mask — the per-candidate ``edges_consistent`` loop
-    of the dict backend collapses into a handful of array ops.
+    The root pool is joined ``_ROOT_BLOCK`` nodes at a time.  Per block and
+    in search order, each new variable is one fan-out of the whole batch
+    along one back edge (``Q'(G) = Q(G) ⋈ e``, with label and injectivity
+    filters); every remaining back edge is a closing filter — one batched
+    ``searchsorted`` over the sorted edge keys.  Columns follow the search
+    order while joining and are permuted back to variable order at the end.
     """
+    order, position_of, back_edges, parallel_groups = _search_plan(pattern, anchor)
     labels = pattern.labels
-    node_codes = index.node_label_codes
-    empty_pool = np.empty(0, dtype=np.int64)
 
-    # back edges with pre-resolved edge-label codes; an absent concrete
-    # label means the position can never be satisfied (code None)
-    back_info: List[List[Tuple[int, Optional[int], bool]]] = []
-    for position_edges in back_edges:
-        infos: List[Tuple[int, Optional[int], bool]] = []
-        for mapped_var, edge_label, is_out in position_edges:
-            if edge_label == WILDCARD:
-                code: Optional[int] = -1
-            else:
-                resolved = index.edge_label_code(edge_label)
-                code = resolved if resolved >= 0 else None
-            infos.append((mapped_var, code, is_out))
-        back_info.append(infos)
+    # per plan position > 0: the driving fan-out plus the closing filters as
+    # (src column, dst column, edge-label code); an absent concrete edge
+    # label means the pattern can never match
+    steps: List[Tuple[Extension, List[Tuple[int, int, int]]]] = []
+    for position in range(1, len(order)):
+        edges = back_edges[position]
+        # drive by a concrete label where there is one: the smaller fan-out
+        driver = next(
+            (which for which, edge in enumerate(edges) if edge[1] != WILDCARD), 0
+        )
+        mapped_var, edge_label, is_out = edges[driver]
+        extension = Extension(
+            position_of[mapped_var],
+            position,
+            edge_label,
+            labels[order[position]],
+            outward=not is_out,
+        )
+        closing: List[Tuple[int, int, int]] = []
+        for which, (mapped_var, edge_label, is_out) in enumerate(edges):
+            if which == driver:
+                continue
+            code = -1
+            if edge_label != WILDCARD:
+                code = index.edge_label_code(edge_label)
+                if code < 0:
+                    return
+            mapped = position_of[mapped_var]
+            closing.append(
+                (position, mapped, code) if is_out else (mapped, position, code)
+            )
+        steps.append((extension, closing))
+    # parallel pattern edges on one node pair map to distinct graph edges:
+    # checked where the pair's later endpoint is joined
+    distinct_labels: Dict[int, List[Tuple[int, int, int]]] = {}
+    for (src, dst), group_labels in parallel_groups.items():
+        distinct_labels.setdefault(
+            max(position_of[src], position_of[dst]), []
+        ).append((position_of[src], position_of[dst], len(group_labels)))
 
-    def label_filter(pool: np.ndarray, required_label: str) -> np.ndarray:
-        if required_label == WILDCARD or pool.size == 0:
-            return pool
-        code = index.node_label_code(required_label)
-        if code < 0:
-            return empty_pool
-        return pool[node_codes[pool] == code]
-
-    root_var = order[0]
+    root_label = labels[order[0]]
     if seeds is not None:
-        seed_pool = (
+        pool = (
             seeds
             if isinstance(seeds, np.ndarray)
             else np.asarray(list(seeds), dtype=np.int64)
         )
-        root_pool = label_filter(seed_pool, labels[root_var])
-    elif labels[root_var] == WILDCARD:
-        root_pool = np.arange(index.num_nodes, dtype=np.int64)
+        if root_label != WILDCARD and pool.size:
+            code = index.node_label_code(root_label)
+            pool = pool[index.node_label_codes[pool] == code]
+    elif root_label == WILDCARD:
+        pool = np.arange(index.num_nodes, dtype=np.int64)
     else:
-        root_pool = index.nodes_with_label(labels[root_var])
+        pool = index.nodes_with_label(root_label)
 
-    assignment: List[int] = [-1] * pattern.num_nodes
-    used: Set[int] = set()
-    emitted = 0
+    variable_order = [position_of[variable] for variable in pattern.variables()]
+    for lo in range(0, pool.size, _ROOT_BLOCK):
+        array = pool[lo:lo + _ROOT_BLOCK].reshape(-1, 1)
+        for position, (extension, closing) in enumerate(steps, start=1):
+            array = _extend_matches_indexed(index, array, extension, None)
+            for src, dst, code in closing:
+                array = array[index.edges_exist(array[:, src], array[:, dst], code)]
+            for src, dst, needed in distinct_labels.get(position, ()):
+                # _parallel_edges_ok, batched: the concrete labels passed
+                # the filters above, so the injective assignment exists iff
+                # the pair carries at least as many labels as pattern edges
+                carried = index.edge_label_counts(array[:, src], array[:, dst])
+                array = array[carried >= needed]
+            if not array.shape[0]:
+                break
+        if array.shape[0]:
+            yield array[:, variable_order]
 
-    def candidates_for(position: int) -> np.ndarray:
-        infos = back_info[position]
-        chosen = None
-        chosen_pool = None
-        for which, (mapped_var, code, is_out) in enumerate(infos):
-            if code is None:
-                return empty_pool
-            # pattern edge candidate -> mapped (is_out): candidates are the
-            # in-neighbors of the mapped node, and vice versa
-            pool = index.neighbors(
-                int(assignment[mapped_var]), not is_out, code
-            )
-            if chosen_pool is None or len(pool) < len(chosen_pool):
-                chosen, chosen_pool = which, pool
-                if len(pool) == 0:
-                    return empty_pool
-        assert chosen_pool is not None
-        pool = chosen_pool
-        for which, (mapped_var, code, is_out) in enumerate(infos):
-            if which == chosen or pool.size == 0:
-                continue
-            mapped_node = int(assignment[mapped_var])
-            if is_out:
-                mask = index.edges_exist(pool, mapped_node, code)
-            else:
-                mask = index.edges_exist(
-                    np.full(pool.size, mapped_node, dtype=np.int64), pool, code
-                )
-            pool = pool[mask]
-        return label_filter(pool, labels[order[position]])
 
-    def parallel_ok(position: int, node: int) -> bool:
-        variable = order[position]
-        for (src, dst), group_labels in parallel_groups.items():
-            if position_of[src] <= position and position_of[dst] <= position:
-                s_node = node if src == variable else assignment[src]
-                d_node = node if dst == variable else assignment[dst]
-                if s_node == -1 or d_node == -1:
-                    continue
-                if not _parallel_edges_ok(
-                    group_labels, index.edge_labels(int(s_node), int(d_node))
-                ):
-                    return False
-        return True
+def match_array(
+    index: GraphIndex,
+    pattern: Pattern,
+    seeds: Optional[Iterable[int]] = None,
+) -> np.ndarray:
+    """All matches of ``pattern`` as one ``(N, vars)`` int64 array.
 
-    check_parallel = bool(parallel_groups)
-
-    def backtrack(position: int) -> Iterator[Match]:
-        nonlocal emitted
-        if position == len(order):
-            emitted += 1
-            yield tuple(assignment)
-            return
-        variable = order[position]
-        pool = root_pool if position == 0 else candidates_for(position)
-        # tolist() makes the iteration yield plain ints (faster than numpy
-        # scalar iteration, and keeps emitted matches numpy-free)
-        for node in pool.tolist():
-            if node in used:
-                continue
-            if check_parallel and position > 0 and not parallel_ok(position, node):
-                continue
-            assignment[variable] = node
-            used.add(node)
-            yield from backtrack(position + 1)
-            used.discard(node)
-            assignment[variable] = -1
-            if max_matches is not None and emitted >= max_matches:
-                return
-
-    yield from backtrack(0)
+    The whole-pattern counterpart of :func:`~repro.pattern.incremental.
+    extend_matches`: the same vectorized joins, started from the pivot's
+    label pool (or from ``seeds``, label-filtered) instead of from a parent
+    pattern's stored matches.  Same match multiset as the dict backtracker.
+    """
+    blocks = list(_match_blocks(index, pattern, seeds, pattern.pivot))
+    if not blocks:
+        return np.empty((0, pattern.num_nodes), dtype=np.int64)
+    return np.concatenate(blocks)
 
 
 def count_matches(

@@ -15,6 +15,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 __all__ = [
     "WILDCARD",
+    "Match",
     "PatternEdge",
     "Pattern",
     "label_matches",
@@ -23,6 +24,9 @@ __all__ = [
 
 #: The wildcard label ``'_'``: matches any label in the alphabet.
 WILDCARD = "_"
+
+#: A match: graph node per pattern variable, indexed by variable.
+Match = Tuple[int, ...]
 
 #: Human-readable variable names for display, in pattern-variable order.
 _VARIABLE_NAMES = "xyzuvwabcdefghijklmnopqrst"

@@ -75,11 +75,18 @@ class TestMatchTable:
         a, b = graph.add_node("t"), graph.add_node("t")
         # two matches share pivot a, one has pivot b
         pattern = Pattern(["t", "t"], [(0, 1, "e")], pivot=0)
-        graph.add_edge(a, b, "e")
-        graph.add_edge(b, a, "e")
-        table = MatchTable(graph, pattern, [(a, b), (b, a)], [])
-        stack = np.array([[True, True], [True, False], [False, False]])
-        assert list(table.stack_supports(stack)) == [2, 1, 0]
+        table = MatchTable(graph, pattern, [(a, b), (a, a), (b, a)], [])
+        # one column per candidate, one row per table row
+        block = np.array(
+            [[True, True, False, False],
+             [True, False, False, True],
+             [True, False, False, False]]
+        )
+        rows = np.arange(3)
+        assert list(table.stack_supports(block, rows=rows)) == [2, 1, 0, 1]
+        # a row subset: the block's rows stand for table rows 1 and 2
+        assert list(table.stack_supports(block[1:], rows=rows[1:])) == [2, 0, 0, 1]
+        assert list(table.stack_supports(block[:0], rows=rows[:0])) == [0, 0, 0, 0]
 
     def test_rows_satisfying_variable_literal(self):
         graph = Graph()
@@ -109,6 +116,146 @@ class TestMatchTable:
         graph, _ = table_fixture()
         table = MatchTable(graph, Pattern(["thing"]), [(0,)], [], truncated=True)
         assert table.truncated
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random pivot-sorted table, its literal alphabet and a parent mask."""
+    value = st.sampled_from([None, "u", "v"])
+    attrs = draw(st.lists(st.tuples(value, value), min_size=1, max_size=6))
+    graph = Graph()
+    for a, b in attrs:
+        graph.add_node(
+            "t", {k: v for k, v in (("a", a), ("b", b)) if v is not None}
+        )
+    nodes = st.integers(0, len(attrs) - 1)
+    shape = draw(st.sampled_from(["random", "row_per_pivot", "one_pivot"]))
+    if shape == "row_per_pivot":
+        pivots = list(range(len(attrs)))
+    else:
+        pivots = draw(st.lists(nodes, max_size=24))
+        if shape == "one_pivot":
+            pivots = [0] * len(pivots)
+    matches = [(pivot, draw(nodes)) for pivot in pivots]
+    literals = [
+        ConstantLiteral(var, attr, val)
+        for var in (0, 1)
+        for attr in "ab"
+        for val in "uv"
+    ] + [make_variable_literal(0, "a", 1, "a"), make_variable_literal(0, "b", 1, "b")]
+    literals = draw(
+        st.lists(st.sampled_from(literals), min_size=2, max_size=6, unique=True)
+    )
+    parent = draw(
+        st.one_of(
+            st.just([False] * len(matches)),
+            st.just([True] * len(matches)),
+            st.lists(st.booleans(), min_size=len(matches), max_size=len(matches)),
+        )
+    )
+    return graph, matches, literals, np.array(parent, dtype=bool), draw(st.booleans())
+
+
+class TestHSpawnKernel:
+    """``ShardWorker.op_eval`` / ``op_probe`` against per-candidate masks."""
+
+    PATTERN = Pattern(["t", "t"], [(0, 1, "e")])
+
+    @staticmethod
+    def check_eval(worker, table, specs, masks, drop=()):
+        lhs, both, supp = worker.op_eval(1, {"specs": specs, "drop": list(drop)})
+        for position, (parent, lhs_literal, rhs_literal, new) in enumerate(specs):
+            masks[new] = masks[parent] & table.literal_mask(lhs_literal)
+            joint = masks[new] & table.literal_mask(rhs_literal)
+            assert lhs[position] == table.mask_count(masks[new])
+            assert both[position] == table.mask_count(joint)
+            assert supp[position] == table.mask_support(joint)
+
+    @given(kernel_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_eval_and_probe_match_per_candidate_masks(self, case):
+        from repro.parallel.backend import ShardWorker
+
+        graph, matches, literals, parent, use_index = case
+        index = graph.index() if use_index else None
+        worker = ShardWorker(graph, index, ["a", "b"])
+        worker.op_install(
+            1, {"pattern": self.PATTERN, "matches": matches, "mined": False}
+        )
+        table = worker.tables[1]
+        counts, supports = worker.op_scan(1, {"literals": literals})
+        for literal, count, support in zip(literals, counts, supports):
+            assert count == table.literal_count(literal)
+            assert support == table.mask_support(table.literal_mask(literal))
+        # parent ids: 0 is the scan's full mask, 1 an arbitrary earlier level
+        worker.stores[1][1] = parent
+        masks = {0: table.full_mask(), 1: parent}
+        ids = iter(range(2, 10**6))
+        pairs = [(l, r) for l in literals for r in literals if l != r]
+        level1 = [(p, l, r, next(ids)) for p in (0, 1) for l, r in pairs]
+        self.check_eval(worker, table, level1, masks)
+        # next level: parents are level-1 ids, while the master retires
+        # every other one — ids that alias the *same* stored LHS mask
+        kept = [spec[3] for spec in level1[::2]]
+        retired = [spec[3] for spec in level1[1::2]]
+        level2 = [(p, l, r, next(ids)) for p in kept[:6] for l, r in pairs[:4]]
+        self.check_eval(worker, table, level2, masks, drop=retired)
+        assert not set(retired) & set(worker.stores[1])
+        level3 = [(spec[3], l, r, next(ids)) for spec in level2[:4] for l, r in pairs[:2]]
+        self.check_eval(worker, table, level3, masks)
+        probes = [(p, l) for p in [0, 1] + kept[:6] for l in literals]
+        hits = worker.op_probe(1, {"specs": probes, "drop": []})
+        for (p, literal), hit in zip(probes, hits):
+            assert hit == bool((masks[p] & table.literal_mask(literal)).any())
+        worker.op_drop_store(1, {})
+        assert 1 not in worker.blocks and 1 not in worker.stores
+
+    def test_eval_peak_memory_is_linear_in_the_alphabet(self):
+        """One ``rows × literals`` block, not a mask row per candidate.
+
+        With ``L`` literals a level has ``L·(L−1)`` candidates; stacking a
+        mask row for each (twice) peaked near ``2·N·L²`` bytes.  Now the
+        block, the table's mask cache and the level's ``L`` stored LHS masks
+        are ``N·L`` each, and one group's gather plus its per-pivot
+        reduction at most ``≈ 3·N·L`` more (``a1 = 0`` holds on every row).
+        """
+        import tracemalloc
+
+        from repro.parallel.backend import ShardWorker
+
+        num_rows, attrs, values = 20_000, 6, 4
+        graph = Graph()
+        for node in range(num_rows):
+            graph.add_node(
+                "t", {f"a{k}": (node * (k + 3)) % values for k in range(attrs)}
+            )
+        gamma = [f"a{k}" for k in range(attrs)]
+        literals = [
+            ConstantLiteral(0, attr, value) for attr in gamma for value in range(values)
+        ]
+        worker = ShardWorker(graph, graph.index(), gamma)
+        worker.op_install(
+            1,
+            {
+                "pattern": Pattern(["t"]),
+                "matches": np.arange(num_rows).reshape(-1, 1),
+                "mined": False,
+            },
+        )
+        specs = [
+            (0, lhs, rhs, mask_id)
+            for mask_id, (lhs, rhs) in enumerate(
+                ((l, r) for l in literals for r in literals if l != r), start=1
+            )
+        ]
+        tracemalloc.start()
+        try:
+            worker.op_scan(1, {"literals": literals})
+            worker.op_eval(1, {"specs": specs})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * num_rows * len(literals)
 
 
 class TestSupport:

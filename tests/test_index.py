@@ -17,10 +17,20 @@ from repro.core.match_table import MISSING, MatchTable
 from repro.core.reduction import gfd_identity
 from repro.core.spawning import extension_statistics
 from repro.core.support import DistinctPivotSketch, sketch_distinct_upper_bound
+from repro.datasets import KB_ATTRIBUTES, dbpedia_like, imdb_like, yago2_like
 from repro.datasets.synthetic import SYNTHETIC_ATTRIBUTES, synthetic_graph
+from repro.enforce.delta import affected_nodes
+from repro.graph.graph import Graph
 from repro.graph.index import GraphIndex
 from repro.pattern.incremental import Extension, extend_matches
-from repro.pattern.matcher import count_matches, find_matches, pivot_image
+from repro.pattern import matcher
+from repro.pattern.matcher import (
+    count_matches,
+    find_matches,
+    has_match,
+    match_array,
+    pivot_image,
+)
 from repro.pattern.pattern import WILDCARD, Pattern
 
 
@@ -77,6 +87,150 @@ class TestMatcherEquivalence:
         assert set(find_matches(graph, pattern, seeds=seeds)) == set(
             find_matches(graph, pattern, seeds=seeds, index=index)
         )
+
+
+def assert_same_matches(graph, pattern, seeds=None):
+    """``match_array`` ≡ the dict backtracker, as multisets of rows."""
+    expected = sorted(find_matches(graph, pattern, seeds=seeds))
+    array = match_array(graph.index(), pattern, seeds)
+    assert array.dtype == np.int64 and array.shape[1:] == (pattern.num_nodes,)
+    assert sorted(map(tuple, array.tolist())) == expected
+    assert len(set(expected)) == len(expected)
+    return expected
+
+
+class TestJoinMatcher:
+    """The join-based index matcher against the dict reference oracle."""
+
+    @pytest.mark.parametrize(
+        "factory, sigma",
+        [(yago2_like, 20), (dbpedia_like, 25), (imdb_like, 20)],
+    )
+    def test_mined_patterns_unseeded_and_ball_seeded(self, factory, sigma):
+        graph = factory(scale=0.3, seed=3)
+        config = DiscoveryConfig(
+            k=3, sigma=sigma, max_lhs_size=1, active_attributes=list(KB_ATTRIBUTES)
+        )
+        patterns = {gfd.pattern for gfd in discover(graph, config).gfds}
+        assert any(
+            pattern.num_edges > pattern.num_nodes - 1 for pattern in patterns
+        )  # closing edges are exercised, not only trees
+        touched = range(0, graph.num_nodes, 37)
+        matched = 0
+        for pattern in patterns:
+            matched += len(assert_same_matches(graph, pattern))
+            ball = affected_nodes(
+                graph, touched, pattern.radius_at_pivot(), index=graph.index()
+            )
+            assert_same_matches(graph, pattern, seeds=ball)
+        assert matched
+
+    @staticmethod
+    def adversarial_graph():
+        graph = Graph()
+        a = [graph.add_node("A") for _ in range(4)]
+        b = [graph.add_node("B") for _ in range(3)]
+        c = graph.add_node("C")
+        for src, dst, label in [
+            (a[0], b[0], "p"), (a[0], b[0], "q"), (a[0], b[0], "r"),
+            (a[1], b[0], "p"), (a[1], b[0], "q"),
+            (a[2], b[1], "p"),
+            (a[3], b[1], "q"), (a[3], b[1], "r"),
+            # 2-cycles, one with parallel back edges
+            (b[0], a[0], "p"), (b[1], a[2], "q"), (b[1], a[2], "r"),
+            # triangles through every a[i] -> b[j] -> c -> a[i]
+            (b[0], c, "t"), (b[1], c, "t"), (c, a[0], "t"), (c, a[2], "t"),
+            (a[0], a[1], "s"), (a[1], a[0], "s"), (a[2], a[2], "s"),
+        ]:
+            graph.add_edge(src, dst, label)
+        return graph
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            # parallel edges: one or two concrete labels plus a wildcard
+            Pattern(["A", "B"], [(0, 1, "p"), (0, 1, WILDCARD)]),
+            Pattern(["A", "B"], [(0, 1, WILDCARD), (0, 1, "q")], pivot=1),
+            Pattern(["A", "B"], [(0, 1, "p"), (0, 1, "q"), (0, 1, WILDCARD)]),
+            Pattern(["A", "B"], [(0, 1, "p"), (0, 1, "r")]),
+            # wildcard node labels
+            Pattern([WILDCARD, WILDCARD], [(0, 1, "p")]),
+            Pattern([WILDCARD, "B", WILDCARD], [(0, 1, WILDCARD), (1, 2, "t")]),
+            # 2-cycles
+            Pattern(["A", "B"], [(0, 1, "p"), (1, 0, "p")]),
+            Pattern(["A", "A"], [(0, 1, "s"), (1, 0, "s")]),
+            Pattern(["A", "B"], [(0, 1, WILDCARD), (1, 0, WILDCARD)], pivot=1),
+            # triangles closing on the pivot
+            Pattern(["A", "B", "C"], [(0, 1, "p"), (1, 2, "t"), (2, 0, "t")]),
+            Pattern(
+                ["A", "B", "C"],
+                [(0, 1, WILDCARD), (1, 2, WILDCARD), (2, 0, WILDCARD)],
+                pivot=2,
+            ),
+            Pattern([WILDCARD] * 3, [(0, 1, WILDCARD), (1, 2, "t"), (2, 0, "t")]),
+            # injectivity: both A's must differ
+            Pattern(["A", "B", "A"], [(0, 1, "p"), (2, 1, WILDCARD)], pivot=1),
+            # absent edge / node labels, on the fan-out and on a closing edge
+            Pattern(["A", "B"], [(0, 1, "absent")]),
+            Pattern(["A", "B"], [(0, 1, "p"), (1, 0, "absent")]),
+            Pattern(["A", "Z"], [(0, 1, "p")]),
+            Pattern(["Z"]),
+            Pattern([WILDCARD]),
+        ],
+    )
+    def test_adversarial_shapes(self, pattern):
+        graph = self.adversarial_graph()
+        assert_same_matches(graph, pattern)
+        assert_same_matches(graph, pattern, seeds=[])
+        # seeds of the wrong label are filtered, not matched
+        assert_same_matches(graph, pattern, seeds=list(range(graph.num_nodes)))
+        assert_same_matches(graph, pattern, seeds=[0, 5, 7])
+        index = graph.index()
+        assert has_match(graph, pattern, index=index) == has_match(graph, pattern)
+        assert pivot_image(graph, pattern, index=index) == pivot_image(graph, pattern)
+
+    def test_parallel_wildcards_need_distinct_graph_edges(self):
+        graph = self.adversarial_graph()
+        two = Pattern(["A", "B"], [(0, 1, "p"), (0, 1, WILDCARD)])
+        three = Pattern(["A", "B"], [(0, 1, "p"), (0, 1, "q"), (0, 1, WILDCARD)])
+        assert assert_same_matches(graph, two) == [(0, 4), (1, 4)]
+        assert assert_same_matches(graph, three) == [(0, 4)]
+
+    def test_root_pool_spanning_blocks_and_early_exit(self, monkeypatch):
+        graph = small_graph(5)
+        index = graph.index()
+        pattern = Pattern(["L0", "L1", "L2"], [(0, 1, "e0"), (1, 2, "e1")])
+        whole = assert_same_matches(graph, pattern)
+        monkeypatch.setattr(matcher, "_ROOT_BLOCK", 7)
+        assert len(index.nodes_with_label("L0")) > 3 * 7
+        assert assert_same_matches(graph, pattern) == whole
+        assert_same_matches(graph, pattern, seeds=np.arange(0, graph.num_nodes, 2))
+        # max_matches smaller than one block: a prefix, and later blocks
+        # are never joined
+        blocks = []
+        joined = matcher._match_blocks
+
+        def counting(*args):
+            for block in joined(*args):
+                blocks.append(block.shape[0])
+                yield block
+
+        monkeypatch.setattr(matcher, "_match_blocks", counting)
+        first = list(find_matches(graph, pattern, max_matches=2, index=index))
+        assert len(first) == 2 and set(first) <= set(whole)
+        assert len(blocks) == 1
+        assert count_matches(graph, pattern, limit=5, index=index) == 5
+        assert has_match(graph, pattern, index=index)
+
+    def test_detached_index_needs_no_graph(self):
+        graph = small_graph(6)
+        meta, arrays = graph.index().export_buffers()
+        detached = GraphIndex.from_buffers(meta, arrays)
+        assert detached.graph is None
+        for pattern in PATTERNS:
+            expected = sorted(find_matches(graph, pattern))
+            assert sorted(find_matches(None, pattern, index=detached)) == expected
+            assert match_array(detached, pattern).shape[0] == len(expected)
 
 
 class TestIncrementalEquivalence:
