@@ -17,11 +17,11 @@ results are exactly the per-rule reference results.
 **Delta maintenance** (:mod:`~repro.enforce.delta`).  A :class:`~repro.
 enforce.delta.DeltaLog` attached to the graph records the node ids every
 mutation touches.  On :meth:`~repro.enforce.engine.EnforcementEngine.
-refresh`, matches whose pivot lies outside the radius-``d_Q`` ball around
-the touched nodes are reused verbatim; the ball is re-matched from scratch
-(pivot-seeded), and mask evaluation reruns over the spliced tables.  A
-delta wider than ``EnforcementConfig.max_delta_fraction`` of the graph
-falls back to full revalidation.
+refresh`, stored matches containing no touched node are reused verbatim;
+the matches that do contain one are dropped and re-derived by one join per
+pattern variable anchored at the touched nodes, and mask evaluation reruns
+over the spliced tables.  A delta wider than ``EnforcementConfig.
+max_delta_fraction`` of the graph falls back to full revalidation.
 
 **Backend selection** (:mod:`~repro.enforce.engine`).  Evaluation shards
 match tables over the PR 2 :class:`~repro.parallel.backend.ShardWorker` op
@@ -38,14 +38,13 @@ Entry points: :class:`~repro.enforce.engine.EnforcementEngine` (library),
 detect_gfd_violations` (the Exp-5 metrics path, rewired onto the engine).
 """
 
-from .delta import DeltaLog, affected_nodes
+from .delta import DeltaLog
 from .engine import EnforcementEngine, EnforcementReport, RuleReport
 from .monitor import RuleSketchMonitor
 from .plan import CompiledRule, EnforcementPlan, PatternGroup, compile_plan
 
 __all__ = [
     "DeltaLog",
-    "affected_nodes",
     "EnforcementEngine",
     "EnforcementReport",
     "RuleReport",

@@ -1,39 +1,22 @@
-"""Delta maintenance: mutation capture and affected-neighborhood localization.
+"""Delta maintenance: mutation capture for incremental enforcement.
 
 Validating ``Σ`` from scratch after every edit wastes the structure of the
-problem: a match of a pattern ``Q`` can appear, disappear, or change its
-violation status only if it *contains* a touched node, and every such match
-maps the pivot within graph distance ``d_Q`` (the pattern's pivot
-eccentricity, Section 4.1's ``d_Q``-neighborhood locality) of some touched
-node.  So incremental enforcement is two steps:
-
-1. a :class:`DeltaLog` attached to the mutable :class:`~repro.graph.graph.
-   Graph` records the node ids every mutation touches (both endpoints of an
-   edge insert/delete, the node of an attribute or label change);
-2. on refresh, :func:`affected_nodes` expands the touched set to the
-   radius-``d_Q`` ball — pivots outside the ball keep their stored matches,
-   pivots inside are re-matched from scratch (pivot-seeded matching).
-
-Why the ball over the *post-delta* graph suffices even for deletions: take
-an old match ``h`` containing touched node ``t = h(u)`` with pivot
-``p = h(z)``, and walk the pattern path ``z → u`` (length ``≤ d_Q``) through
-``h``'s images.  If every walked edge survived, ``p`` is within ``d_Q`` of
-``t`` in the new graph.  Otherwise the *first* deleted edge on the walk has
-touched endpoints, and the prefix up to it consists of surviving edges — so
-``p`` is within ``d_Q`` of *that* touched node.  Either way ``p`` lands in
-the ball.
+problem.  The invariant incremental enforcement rests on: every mutator
+reports each node it changes (both ends of an edge insert/delete, the node
+of an attribute or label change), and a literal reads only the match's own
+nodes — so a match of a pattern ``Q`` is gained, lost or re-judged only if
+it *contains* a touched node.  A :class:`DeltaLog` attached to the mutable
+:class:`~repro.graph.graph.Graph` records those node ids; on refresh the
+engine drops exactly the stored matches with a touched node in some column
+and re-derives exactly the matches that map some variable to a touched
+node (one anchored join per pattern variable).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set
+from typing import Iterable, Set
 
-import numpy as np
-
-from ..graph.graph import Graph
-from ..graph.index import GraphIndex
-
-__all__ = ["DeltaLog", "affected_nodes"]
+__all__ = ["DeltaLog"]
 
 
 class DeltaLog:
@@ -42,8 +25,8 @@ class DeltaLog:
     Attach with :meth:`Graph.attach_delta_log`; the graph calls
     :meth:`record` from every mutator.  The log is deliberately coarse — a
     set of node ids plus an op counter — because localization only needs
-    *where* the graph changed, not *what* changed: the ball re-match
-    re-derives the exact effect.
+    *where* the graph changed, not *what* changed: re-matching at the
+    touched nodes re-derives the exact effect.
     """
 
     __slots__ = ("_touched", "num_ops")
@@ -90,42 +73,3 @@ class DeltaLog:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DeltaLog(touched={len(self._touched)}, ops={self.num_ops})"
-
-
-def affected_nodes(
-    graph: Graph,
-    touched: Iterable[int],
-    radius: int,
-    index: Optional[GraphIndex] = None,
-) -> np.ndarray:
-    """The undirected radius-``radius`` ball around ``touched``, sorted.
-
-    Every pivot of a match gained, lost, or re-judged by the delta lies in
-    this ball (see the module docstring).  With ``index`` the expansion is
-    one ragged CSR gather per direction per level; otherwise dict adjacency.
-    Touched ids beyond the current node range (impossible today — nodes are
-    never deleted) would be ignored by the CSR gather and must not occur.
-    """
-    ball: Set[int] = set(int(node) for node in touched)
-    frontier = np.fromiter(sorted(ball), dtype=np.int64, count=len(ball))
-    for _ in range(radius):
-        if frontier.size == 0:
-            break
-        if index is not None:
-            pools = []
-            for outward in (True, False):
-                _, pool, _ = index.gather_neighborhoods(frontier, outward)
-                if pool.size:
-                    pools.append(pool)
-            candidates = (
-                np.unique(np.concatenate(pools)).tolist() if pools else []
-            )
-        else:
-            candidates = []
-            for node in frontier.tolist():
-                candidates.extend(graph.out_neighbors(node))
-                candidates.extend(graph.in_neighbors(node))
-        fresh = [node for node in candidates if node not in ball]
-        ball.update(fresh)
-        frontier = np.fromiter(sorted(set(fresh)), dtype=np.int64)
-    return np.fromiter(sorted(ball), dtype=np.int64, count=len(ball))

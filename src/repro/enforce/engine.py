@@ -9,17 +9,17 @@ to one live graph and serves two entry points:
   :class:`~repro.parallel.backend.ShardWorker` backend (serial in-process
   shards, or real worker processes attaching the index via shared memory);
 * :meth:`EnforcementEngine.refresh` — delta-aware revalidation: consume the
-  attached :class:`~repro.enforce.delta.DeltaLog`, re-match only the
-  radius-``d_Q`` neighborhood of touched nodes per pattern group
-  (:func:`~repro.enforce.delta.affected_nodes`), splice the re-derived rows
-  into the stored match arrays, and re-evaluate the masks.  When the delta
-  exceeds ``EnforcementConfig.max_delta_fraction`` of the graph the engine
-  falls back to :meth:`validate`.
+  attached :class:`~repro.enforce.delta.DeltaLog`, drop the stored matches
+  that contain a touched node, re-derive the matches that do by one join
+  per pattern variable anchored at the touched nodes, splice them into the
+  stored match arrays, and re-evaluate the masks.  When the delta exceeds
+  ``EnforcementConfig.max_delta_fraction`` of the graph the engine falls
+  back to :meth:`validate`.
 
 The match shards — and the per-rule violation masks computed over them —
 stay *resident in the workers* between passes: a full pass installs them
 once,
-a dirty incremental pass ships only ``(affected-pivot ball, fresh rows)``
+a dirty incremental pass ships only ``(touched nodes, fresh rows)``
 per dirty group, and a clean pass ships nothing at all (the backend's
 :class:`~repro.parallel.backend.TransferLedger` makes the zero-row claim
 testable).  Graph mutations re-point the backend at the new index snapshot
@@ -48,10 +48,15 @@ from ..gfd.satisfaction import Violation
 from ..graph.graph import Graph
 from ..graph.index import GraphIndex
 from ..obs.tracer import NULL_TRACER
-from ..parallel.backend import ExecutionBackend, make_backend, next_node_key
+from ..parallel.backend import (
+    ExecutionBackend,
+    make_backend,
+    next_node_key,
+    rows_containing,
+)
 from ..pattern.matcher import Match, find_matches, match_array
-from ..pattern.pattern import Pattern
-from .delta import DeltaLog, affected_nodes
+from ..pattern.pattern import WILDCARD, Pattern
+from .delta import DeltaLog
 from .plan import CompiledRule, EnforcementPlan, PatternGroup, compile_plan
 
 __all__ = ["RuleReport", "EnforcementReport", "EnforcementEngine"]
@@ -70,6 +75,7 @@ class RuleReport:
     (``sample_truncated``).  ``distinct_pivots`` is the number of distinct
     graph nodes the pivot takes over violating matches — exact by default,
     a sketch upper bound under ``EnforcementConfig.sketch_cardinality``.
+    ``text`` is ``format_gfd(gfd)``, rendered once per compiled plan.
     """
 
     gfd: GFD
@@ -78,6 +84,7 @@ class RuleReport:
     sample: Tuple[Match, ...]
     sample_truncated: bool
     distinct_pivots: int
+    text: str
     witnesses_truncated: bool = False
 
     def violations(self) -> List[Violation]:
@@ -323,9 +330,7 @@ class EnforcementEngine:
         if self.graph.version == self._validated_version and not self.delta:
             return self._report
         # version + delta are taken atomically at pass start: mutations
-        # recorded after the drain belong to the *next* pass (the old
-        # clear-at-the-end wiped them unprocessed when a writer raced the
-        # ball re-match)
+        # recorded after the drain belong to the *next* pass
         version = self.graph.version
         touched = self.delta.drain()
         limit = self.config.max_delta_fraction * max(1, self.graph.num_nodes)
@@ -338,31 +343,23 @@ class EnforcementEngine:
         ):
             started = time.perf_counter()
             index = self.graph.index() if self.config.use_index else None
-            balls: Dict[int, np.ndarray] = {}
+            nodes = np.fromiter(sorted(touched), dtype=np.int64)
+            labels = {self.graph.node_label(node) for node in touched}
             dirty: List[int] = []
-            updates: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+            updates: Dict[int, np.ndarray] = {}
             for position, group in enumerate(self.plan.groups):
-                radius = group.radius
-                ball = balls.get(radius)
-                if ball is None:
-                    ball = affected_nodes(
-                        self.graph, touched, radius, index=index
-                    )
-                    balls[radius] = ball
                 stored = self._arrays[position]
-                dropped = 0
-                kept = stored
-                if stored.shape[0]:
-                    in_ball = np.isin(stored[:, 0], ball)
-                    dropped = int(np.count_nonzero(in_ball))
-                    if dropped:
-                        kept = stored[~in_ball]
-                fresh = self._match_array(group.pattern, index, seeds=ball)
+                hit = rows_containing(stored, nodes)
+                dropped = hit.any()
+                kept = stored[~hit] if dropped else stored
+                fresh = self._touched_matches(
+                    group.pattern, index, nodes, labels
+                )
                 if dropped or fresh.shape[0]:
-                    # only these groups can have gained, lost, or re-judged
-                    # matches: every affected match has its pivot in the ball
+                    # a match is gained, lost or re-judged only if it
+                    # contains a touched node: no other group changed
                     dirty.append(position)
-                    updates[position] = (ball, fresh)
+                    updates[position] = fresh
                     self._arrays[position] = (
                         np.concatenate([kept, fresh])
                         if fresh.shape[0]
@@ -374,6 +371,7 @@ class EnforcementEngine:
                 started,
                 positions=dirty,
                 updates=updates,
+                touched=nodes,
                 version=version,
             )
 
@@ -385,14 +383,49 @@ class EnforcementEngine:
         pattern: Pattern,
         index: Optional[GraphIndex],
         seeds: Optional[np.ndarray] = None,
+        root: Optional[int] = None,
     ) -> np.ndarray:
         """Matches of a canonical pattern as an ``(N, vars)`` int64 array."""
         if index is not None:
-            return match_array(index, pattern, seeds)
-        rows = list(find_matches(self.graph, pattern, seeds=seeds))
+            return match_array(index, pattern, seeds, root)
+        rows = list(
+            find_matches(
+                self.graph,
+                pattern,
+                seeds=None if seeds is None else seeds.tolist(),
+                root=root,
+            )
+        )
         if not rows:
             return np.empty((0, pattern.num_nodes), dtype=np.int64)
         return np.asarray(rows, dtype=np.int64)
+
+    def _touched_matches(
+        self,
+        pattern: Pattern,
+        index: Optional[GraphIndex],
+        touched: np.ndarray,
+        touched_labels: Set[str],
+    ) -> np.ndarray:
+        """Every match of ``pattern`` containing a touched node, once.
+
+        One join per pattern variable, anchored at the touched nodes; a
+        match with several touched nodes is kept from the anchor of its
+        first touched variable only.
+        """
+        blocks: List[np.ndarray] = []
+        for variable in pattern.variables():
+            label = pattern.labels[variable]
+            if label != WILDCARD and label not in touched_labels:
+                continue
+            rows = self._match_array(pattern, index, touched, variable)
+            if variable and rows.shape[0]:
+                rows = rows[~rows_containing(rows[:, :variable], touched)]
+            if rows.shape[0]:
+                blocks.append(rows)
+        if not blocks:
+            return np.empty((0, pattern.num_nodes), dtype=np.int64)
+        return np.concatenate(blocks)
 
     def _ensure_backend(self, index: Optional[GraphIndex]) -> ExecutionBackend:
         """The evaluation backend for this snapshot.
@@ -439,7 +472,8 @@ class EnforcementEngine:
         mode: str,
         started: float,
         positions: Optional[List[int]] = None,
-        updates: Optional[Dict[int, Tuple[np.ndarray, np.ndarray]]] = None,
+        updates: Optional[Dict[int, np.ndarray]] = None,
+        touched: Optional[np.ndarray] = None,
         version: Optional[int] = None,
     ) -> EnforcementReport:
         """Sharded mask evaluation over the stored match arrays + report.
@@ -447,9 +481,9 @@ class EnforcementEngine:
         ``positions`` (incremental mode) restricts evaluation to the dirty
         pattern groups; every other rule reuses its previous report entry —
         none of its matches contained a touched node, so nothing changed.
-        ``updates`` maps a dirty position to its ``(ball, fresh)`` delta:
-        a group already resident in the workers receives only that delta
-        (``enforce_update``) — the kept rows and their cached violation
+        ``updates`` maps a dirty position to its re-derived rows: a group
+        already resident in the workers receives only those and the
+        ``touched`` node ids (``enforce_update``) — the kept rows and their cached violation
         masks never re-cross the process boundary — while first-time
         groups receive a full shard install.
 
@@ -477,13 +511,12 @@ class EnforcementEngine:
             for position in evaluate:
                 group = self.plan.groups[position]
                 key = self._group_keys[position]
-                update = (
+                fresh = (
                     updates.get(position)
                     if updates is not None and position in self._resident
                     else None
                 )
-                if update is not None:
-                    ball, fresh = update
+                if fresh is not None:
                     for worker, chunk in enumerate(
                         np.array_split(fresh, shards)
                     ):
@@ -493,7 +526,7 @@ class EnforcementEngine:
                                 "enforce_update",
                                 key,
                                 {
-                                    "ball": ball,
+                                    "touched": touched,
                                     "fresh": self._shard_matches(chunk, index),
                                 },
                             )
@@ -620,5 +653,6 @@ class EnforcementEngine:
             sample=sample,
             sample_truncated=truncated,
             distinct_pivots=distinct_pivots,
+            text=rule.text,
             witnesses_truncated=witnesses_truncated,
         )

@@ -22,12 +22,14 @@ canonical`) and groups rules by that representative:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..gfd.gfd import GFD
 from ..gfd.literals import FalseLiteral, Literal, rename_literal
+from ..gfd.parser import format_gfd
 from ..pattern.canonical import canonical_ordering, canonicalize
 from ..pattern.pattern import Pattern
 
@@ -60,6 +62,15 @@ class CompiledRule:
         """Whether the compiled rule has the negative form ``X → false``."""
         return self.rhs is None
 
+    @cached_property
+    def text(self) -> str:
+        """The original rule in ``format_gfd`` syntax, rendered once.
+
+        Every report entry of the rule carries this string, so serving a
+        report formats no rule again.
+        """
+        return format_gfd(self.gfd)
+
 
 @dataclass
 class PatternGroup:
@@ -67,11 +78,6 @@ class PatternGroup:
 
     pattern: Pattern
     rules: List[CompiledRule] = field(default_factory=list)
-
-    @property
-    def radius(self) -> int:
-        """``d_Q`` of the canonical pattern (delta-localization radius)."""
-        return self.pattern.radius_at_pivot()
 
     def attributes(self) -> Tuple[str, ...]:
         """Sorted union of attribute names the grouped rules mention."""

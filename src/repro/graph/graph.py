@@ -28,6 +28,10 @@ __all__ = ["Graph", "Edge"]
 #: An edge as exposed by iteration APIs: (source, destination, label).
 Edge = Tuple[int, int, str]
 
+#: :meth:`Graph.index` patches the cached snapshot while at most one node in
+#: this many is stale, and rebuilds it in one full scan beyond that.
+_PATCH_CUTOVER = 8
+
 
 class Graph:
     """A directed, node- and edge-labeled property graph.
@@ -53,6 +57,7 @@ class Graph:
         "_num_edges",
         "_version",
         "_index_cache",
+        "_stale_nodes",
         "_delta_logs",
     )
 
@@ -67,20 +72,31 @@ class Graph:
         self._num_edges = 0
         self._version = 0
         self._index_cache = None
+        # nodes touched since ``_index_cache`` was frozen (empty without one)
+        self._stale_nodes: Set[int] = set()
         self._delta_logs: Tuple = ()
 
     # ------------------------------------------------------------------
-    # mutation tracking (frozen-index invalidation)
+    # mutation tracking (frozen-index maintenance)
     # ------------------------------------------------------------------
     @property
     def version(self) -> int:
         """Monotone mutation counter; any structural/attribute change bumps it."""
         return self._version
 
-    def _touch(self) -> None:
-        """Record a mutation: bump the version and drop the cached index."""
+    def _touch(self, *nodes: int) -> None:
+        """Record a mutation touching ``nodes`` (both ends of an edge).
+
+        Bumps the version, marks the nodes stale against the cached index —
+        :meth:`index` re-reads exactly those — and reports them to the
+        attached delta logs.  Without a cached index nothing is marked, so
+        bulk construction pays nothing.
+        """
         self._version += 1
-        self._index_cache = None
+        if self._index_cache is not None:
+            self._stale_nodes.update(nodes)
+        for log in self._delta_logs:
+            log.record(nodes)
 
     def attach_delta_log(self, log) -> None:
         """Subscribe a :class:`~repro.enforce.delta.DeltaLog`-like observer.
@@ -96,40 +112,54 @@ class Graph:
         """Unsubscribe a previously attached delta observer (idempotent)."""
         self._delta_logs = tuple(l for l in self._delta_logs if l is not log)
 
-    def _record_delta(self, *nodes: int) -> None:
-        for log in self._delta_logs:
-            log.record(nodes)
-
     def index(self):
         """The frozen :class:`~repro.graph.index.GraphIndex` of this graph.
 
-        Cached per mutation version: the first call after any mutation
-        rebuilds, later calls reuse the snapshot.  Hot paths (matching,
-        spawning, match tables) consume this index; the mutable dict
-        structure stays authoritative for construction and editing.
+        Cached per mutation version.  The first call after a mutation
+        returns a *new* snapshot (holders of the old one keep it intact):
+        the cached one patched at the nodes touched since
+        (:meth:`GraphIndex.patched`) while those are few against the
+        graph, a full :meth:`GraphIndex.build` otherwise.  Hot paths
+        (matching, spawning, match tables) consume this index; the mutable
+        dict structure stays authoritative for construction and editing.
         """
         cached = self._index_cache
-        if cached is None or cached.version != self._version:
-            from .index import GraphIndex
+        if cached is not None and cached.version == self._version:
+            return cached
+        from .index import GraphIndex
 
+        stale = self._stale_nodes
+        if cached is not None and len(stale) * _PATCH_CUTOVER <= self.num_nodes:
+            cached = cached.patched(self, stale)
+        else:
             cached = GraphIndex.build(self)
-            self._index_cache = cached
+        self._index_cache = cached
+        self._stale_nodes = set()
         return cached
+
+    def _adopt_index(self, index) -> None:
+        """Make a snapshot attached from disk this graph's cached index."""
+        self._index_cache = index
+        self._stale_nodes = set()
+
+    def _forget_index(self, index) -> None:
+        """Stop handing ``index`` out (its store mapping was released)."""
+        if self._index_cache is index:
+            self._index_cache = None
+            self._stale_nodes = set()
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def add_node(self, label: str, attrs: Optional[Dict[str, Any]] = None) -> int:
         """Add a node with the given label and attribute dict; return its id."""
-        self._touch()
         node = len(self._labels)
+        self._touch(node)
         self._labels.append(label)
         self._attrs.append(dict(attrs) if attrs else {})
         self._out.append({})
         self._in.append({})
         self._label_index.setdefault(label, []).append(node)
-        if self._delta_logs:
-            self._record_delta(node)
         return node
 
     def add_edge(self, src: int, dst: int, label: str) -> bool:
@@ -139,13 +169,11 @@ class Graph:
         out_labels = self._out[src].setdefault(dst, set())
         if label in out_labels:
             return False
-        self._touch()
+        self._touch(src, dst)
         out_labels.add(label)
         self._in[dst].setdefault(src, set()).add(label)
         self._edge_label_count[label] = self._edge_label_count.get(label, 0) + 1
         self._num_edges += 1
-        if self._delta_logs:
-            self._record_delta(src, dst)
         return True
 
     def remove_edge(self, src: int, dst: int, label: str) -> bool:
@@ -153,7 +181,7 @@ class Graph:
         labels = self._out[src].get(dst)
         if labels is None or label not in labels:
             return False
-        self._touch()
+        self._touch(src, dst)
         labels.discard(label)
         if not labels:
             del self._out[src][dst]
@@ -165,25 +193,19 @@ class Graph:
         if not self._edge_label_count[label]:
             del self._edge_label_count[label]
         self._num_edges -= 1
-        if self._delta_logs:
-            self._record_delta(src, dst)
         return True
 
     def set_attr(self, node: int, attr: str, value: Any) -> None:
         """Set attribute ``attr`` of ``node`` to ``value``."""
         self._check_node(node)
-        self._touch()
+        self._touch(node)
         self._attrs[node][attr] = value
-        if self._delta_logs:
-            self._record_delta(node)
 
     def remove_attr(self, node: int, attr: str) -> None:
         """Delete attribute ``attr`` from ``node`` if present."""
         if attr in self._attrs[node]:
-            self._touch()
+            self._touch(node)
             del self._attrs[node][attr]
-            if self._delta_logs:
-                self._record_delta(node)
 
     def relabel_node(self, node: int, label: str) -> None:
         """Change the label of ``node`` (updates the label index)."""
@@ -191,15 +213,13 @@ class Graph:
         old = self._labels[node]
         if old == label:
             return
-        self._touch()
+        self._touch(node)
         bucket = self._label_index[old]
         bucket.remove(node)
         if not bucket:
             del self._label_index[old]
         self._labels[node] = label
         self._label_index.setdefault(label, []).append(node)
-        if self._delta_logs:
-            self._record_delta(node)
 
     def relabel_edge(self, src: int, dst: int, old: str, new: str) -> bool:
         """Replace the label of an existing edge; return False if absent."""

@@ -23,10 +23,20 @@ against those arrays:
   match-table columns become a single fancy-indexing gather instead of a
   per-row ``get_attr`` loop.
 
-The index is a *snapshot*: it records the graph's mutation version at build
-time and :meth:`GraphIndex.is_fresh` reports staleness.  The cached accessor
-:meth:`Graph.index` rebuilds automatically after any mutation; code holding
-an index across mutations must re-fetch it.
+The index is an immutable *snapshot*: it records the graph's mutation
+version and :meth:`GraphIndex.is_fresh` reports staleness.  A write costs
+what it touches: after a mutation the cached accessor :meth:`Graph.index`
+answers with :meth:`GraphIndex.patched` — a **new** snapshot that re-reads
+only the touched nodes (their label, attribute dict and CSR rows; every
+mutator reports both ends of an edge) and copies the rest array-at-a-time —
+and falls back to a full :meth:`GraphIndex.build` only when the touched
+share of the graph is large or the interning tables have outgrown what is
+live.  Interning is append-only across patches, so a patched index may
+number labels and values differently from a fresh build (and keep codes no
+node uses any more); every *decoded* accessor and :meth:`statistics` agree
+with a fresh build, and nothing outside this package may depend on the
+numbering.  Code holding an index across mutations must re-fetch it; the
+old object stays valid for whoever still reads it (MVCC snapshots).
 
 For multiprocess execution (:mod:`repro.parallel.backend`) the index is the
 zero-copy payload: :meth:`GraphIndex.export_buffers` splits a *fresh* index
@@ -42,7 +52,7 @@ operation (matching, joins, tallies, match tables, statistics); only
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -73,11 +83,38 @@ def sort_unique(values: np.ndarray) -> np.ndarray:
     return ordered[distinct]
 
 
+def _label_slices(codes: np.ndarray, num_labels: int) -> List[np.ndarray]:
+    """Per label code, the ascending node ids carrying it."""
+    order = np.argsort(codes, kind="stable")
+    counts = np.bincount(codes, minlength=num_labels)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    return [order[bounds[i]: bounds[i + 1]] for i in range(num_labels)]
+
+
+def _intern(code_of: Dict[Any, int], values: List[Any], key: Any) -> int:
+    """The code of ``key`` in an append-only interning table."""
+    code = code_of.get(key)
+    if code is None:
+        code = len(values)
+        code_of[key] = code
+        values.append(key)
+    return code
+
+
+#: :meth:`GraphIndex.patched` interns append-only, so a long-lived process
+#: that keeps writing fresh labels or values accumulates codes no node
+#: carries.  Once the tables hold this many times what the last full build
+#: interned (never fewer than the floor), the patch is a full build instead.
+_TABLE_GROWTH_LIMIT = 2
+_TABLE_GROWTH_FLOOR = 1024
+
+
 class GraphIndex:
     """An immutable, integer-coded view of one graph snapshot.
 
     Build with :meth:`build` (or the cached :meth:`Graph.index`).  All arrays
-    are read-only by convention; the index never mutates after construction.
+    are read-only by convention; the index never mutates after construction
+    — :meth:`patched` returns a new one.
     """
 
     __slots__ = (
@@ -112,6 +149,8 @@ class GraphIndex:
         "_triple_keys",
         "_triple_counts",
         "_statistics",
+        # interned codes at the last full build (bounds append-only growth)
+        "_built_codes",
         # on-disk persistence (see repro.graph.store)
         "store_path",
         "store_mapping",
@@ -139,24 +178,13 @@ class GraphIndex:
         node_label_values: List[str] = []
         node_codes = np.empty(n, dtype=np.int64)
         for node in range(n):
-            label = graph.node_label(node)
-            code = node_label_code_of.get(label)
-            if code is None:
-                code = len(node_label_values)
-                node_label_code_of[label] = code
-                node_label_values.append(label)
-            node_codes[node] = code
+            node_codes[node] = _intern(
+                node_label_code_of, node_label_values, graph.node_label(node)
+            )
         self.node_label_codes = node_codes
         self.node_label_values = node_label_values
         self.node_label_code_of = node_label_code_of
-
-        # per-label sorted node arrays (stable argsort keeps ids ascending)
-        order = np.argsort(node_codes, kind="stable")
-        counts = np.bincount(node_codes, minlength=len(node_label_values))
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        self._nodes_by_label = [
-            order[bounds[i]: bounds[i + 1]] for i in range(len(node_label_values))
-        ]
+        self._nodes_by_label = _label_slices(node_codes, len(node_label_values))
 
         # -- attributes (columnar value codes; 0 = missing) -------------
         code_of_value: Dict[Any, int] = {}
@@ -168,12 +196,7 @@ class GraphIndex:
                 if column is None:
                     column = np.zeros(n, dtype=np.int64)
                     attr_codes[attr] = column
-                code = code_of_value.get(value)
-                if code is None:
-                    code = len(value_of_code)
-                    code_of_value[value] = code
-                    value_of_code.append(value)
-                column[node] = code
+                column[node] = _intern(code_of_value, value_of_code, value)
         self._attr_codes = attr_codes
         self.attr_names = sorted(attr_codes)
         self.code_of_value = code_of_value
@@ -186,21 +209,15 @@ class GraphIndex:
         dst_list: List[int] = []
         lab_list: List[int] = []
         for src, dst, label in graph.edges():
-            code = edge_label_code_of.get(label)
-            if code is None:
-                code = len(edge_label_values)
-                edge_label_code_of[label] = code
-                edge_label_values.append(label)
             src_list.append(src)
             dst_list.append(dst)
-            lab_list.append(code)
+            lab_list.append(_intern(edge_label_code_of, edge_label_values, label))
         self.edge_label_values = edge_label_values
         self.edge_label_code_of = edge_label_code_of
         src_arr = np.asarray(src_list, dtype=np.int64)
         dst_arr = np.asarray(dst_list, dtype=np.int64)
         lab_arr = np.asarray(lab_list, dtype=np.int64)
         self.num_edges = len(src_arr)
-        num_labels = max(1, len(edge_label_values))
 
         def csr(major: np.ndarray, minor: np.ndarray, labels: np.ndarray):
             order = np.lexsort((labels, minor, major))
@@ -215,29 +232,196 @@ class GraphIndex:
             dst_arr, src_arr, lab_arr
         )
 
-        # global sorted existence keys (labeled and any-label)
-        pair = src_arr * n + dst_arr
-        self._edge_keys = np.sort(pair * num_labels + lab_arr)
-        self._pair_keys = np.unique(pair)
-
-        # label-triple counts: one vectorized group-by over all edges
-        num_node_labels = max(1, len(node_label_values))
-        if self.num_edges:
-            tkey = (
-                node_codes[src_arr] * num_labels + lab_arr
-            ) * num_node_labels + node_codes[dst_arr]
-            self._triple_keys, self._triple_counts = np.unique(
-                tkey, return_counts=True
-            )
-        else:
-            self._triple_keys = np.empty(0, dtype=np.int64)
-            self._triple_counts = np.empty(0, dtype=np.int64)
+        self._key_edges()
         self._statistics: Optional[GraphStatistics] = None
+        self._built_codes = self._interned_codes()
+
+    def _key_edges(self) -> None:
+        """Existence keys and label-triple counts, read off the out-CSR.
+
+        The out-CSR is ``(src, dst, label)``-sorted, so the labeled keys
+        ``(src·N + dst)·L + label`` and the any-label pair keys come out in
+        key order without a sort; the triple counts are one group-by.
+        """
+        n = self.num_nodes
+        num_labels = max(1, len(self.edge_label_values))
+        num_node_labels = max(1, len(self.node_label_values))
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.out_indptr))
+        dst, labels = self.out_neighbors, self.out_edge_labels
+        pair = src * n + dst
+        self._edge_keys = pair * num_labels + labels
+        distinct = np.ones(pair.size, dtype=bool)
+        np.not_equal(pair[1:], pair[:-1], out=distinct[1:])
+        self._pair_keys = pair[distinct]
+        codes = self.node_label_codes
+        self._triple_keys, self._triple_counts = np.unique(
+            (codes[src] * num_labels + labels) * num_node_labels + codes[dst],
+            return_counts=True,
+        )
+
+    def _interned_codes(self) -> int:
+        """Entries across the three interning tables."""
+        return (
+            len(self.node_label_values)
+            + len(self.edge_label_values)
+            + len(self.value_of_code)
+        )
 
     @classmethod
     def build(cls, graph: Graph) -> "GraphIndex":
         """Freeze ``graph`` into a new index (one full scan)."""
         return cls(graph)
+
+    def patched(self, graph: Graph, touched: Iterable[int]) -> "GraphIndex":
+        """A new snapshot of ``graph``, re-reading only the ``touched`` nodes.
+
+        ``self`` must be a snapshot of an earlier state of ``graph`` and
+        ``touched`` must cover every node mutated since (both ends of every
+        added or removed edge) — what :meth:`Graph.index` tracks.  Nodes
+        added since are re-read whether listed or not.  The label, the
+        attribute dict and the out- and in-rows of each touched node are
+        re-read from the graph; everything else is carried over by array
+        copies, so the cost is O(touched) Python plus O(E) in numpy.
+
+        ``self`` is left untouched and the result owns its arrays: attribute
+        columns and per-label node arrays no touched node changed are shared
+        with ``self`` only when ``self`` is not backed by a store mapping,
+        and the result is never bound to a store file.
+        """
+        old_n, n = self.num_nodes, graph.num_nodes
+        nodes = sorted({t for t in touched if t < old_n}.union(range(old_n, n)))
+        at = np.asarray(nodes, dtype=np.int64)
+        owned = self.store_mapping is None
+
+        new = GraphIndex.__new__(GraphIndex)
+        new.graph = graph
+        new.version = graph.version
+        new.num_nodes = n
+        new.num_edges = graph.num_edges
+        new.store_path = None
+        new.store_mapping = None
+        new._statistics = None
+        new._built_codes = self._built_codes
+
+        # -- node labels (append-only codes) -----------------------------
+        new.node_label_values = list(self.node_label_values)
+        new.node_label_code_of = dict(self.node_label_code_of)
+        label_codes = np.empty(n, dtype=np.int64)
+        label_codes[:old_n] = self.node_label_codes
+        before = label_codes[at]
+        before[at >= old_n] = -1
+        for node in nodes:
+            label_codes[node] = _intern(
+                new.node_label_code_of,
+                new.node_label_values,
+                graph.node_label(node),
+            )
+        new.node_label_codes = label_codes
+        after = label_codes[at]
+        moved = before != after
+        if owned:
+            slices = list(self._nodes_by_label)
+            slices += [None] * (len(new.node_label_values) - len(slices))
+            for code in set(before[moved].tolist() + after[moved].tolist()):
+                if code >= 0:
+                    slices[code] = np.flatnonzero(label_codes == code)
+            new._nodes_by_label = slices
+        else:
+            new._nodes_by_label = _label_slices(
+                label_codes, len(new.node_label_values)
+            )
+
+        # -- attributes (copy-on-write columns, append-only value codes) --
+        values, code_of = self.value_of_code, self.code_of_value
+        reread: Dict[str, np.ndarray] = {}
+        for position, node in enumerate(nodes):
+            for attr, value in graph.node_attrs(node).items():
+                code = code_of.get(value)
+                if code is None:
+                    if values is self.value_of_code:
+                        values, code_of = list(values), dict(code_of)
+                    code = _intern(code_of, values, value)
+                codes = reread.get(attr)
+                if codes is None:
+                    codes = reread[attr] = np.zeros(len(nodes), dtype=np.int64)
+                codes[position] = code
+        new.value_of_code, new.code_of_value = values, code_of
+        columns: Dict[str, np.ndarray] = {}
+        absent = np.zeros(len(nodes), dtype=np.int64)
+        for attr in list(self._attr_codes) + [
+            attr for attr in reread if attr not in self._attr_codes
+        ]:
+            column = self._attr_codes.get(attr)
+            codes = reread.get(attr, absent)
+            if column is None:
+                column = np.zeros(n, dtype=np.int64)
+                column[at] = codes
+            elif not (
+                owned and n == old_n and np.array_equal(column[at], codes)
+            ):
+                grown = np.zeros(n, dtype=np.int64)
+                grown[:old_n] = column
+                grown[at] = codes
+                column = grown
+            if column is self._attr_codes.get(attr) or column.any():
+                columns[attr] = column  # an attribute nobody holds is gone
+        new._attr_codes = columns
+        new.attr_names = sorted(columns)
+
+        # -- CSR rows of the touched nodes, both directions ---------------
+        new.edge_label_values = list(self.edge_label_values)
+        new.edge_label_code_of = dict(self.edge_label_code_of)
+
+        def rows(adjacency) -> List[Tuple[int, int]]:
+            return sorted(
+                (
+                    other,
+                    _intern(new.edge_label_code_of, new.edge_label_values, label),
+                )
+                for other, labels in adjacency.items()
+                for label in labels
+            )
+
+        def patch_csr(indptr, neighbors, edge_labels, adjacency_of):
+            degrees = np.zeros(n, dtype=np.int64)
+            degrees[:old_n] = np.diff(indptr)
+            keep = np.ones(neighbors.size, dtype=bool)
+            reread_rows: List[Tuple[int, int]] = []
+            for node in nodes:
+                if node < old_n:
+                    keep[indptr[node]: indptr[node + 1]] = False
+                fresh = rows(adjacency_of(node))
+                degrees[node] = len(fresh)
+                reread_rows.extend(fresh)
+            new_indptr = np.concatenate(([0], np.cumsum(degrees)))
+            is_reread = np.zeros(int(new_indptr[-1]), dtype=bool)
+            for node in nodes:
+                is_reread[new_indptr[node]: new_indptr[node + 1]] = True
+            fresh = np.asarray(reread_rows, dtype=np.int64).reshape(-1, 2)
+            # kept and re-read rows are each in major-node order already
+            new_neighbors = np.empty(is_reread.size, dtype=np.int64)
+            new_neighbors[is_reread] = fresh[:, 0]
+            new_neighbors[~is_reread] = neighbors[keep]
+            new_labels = np.empty(is_reread.size, dtype=np.int64)
+            new_labels[is_reread] = fresh[:, 1]
+            new_labels[~is_reread] = edge_labels[keep]
+            return new_indptr, new_neighbors, new_labels
+
+        new.out_indptr, new.out_neighbors, new.out_edge_labels = patch_csr(
+            self.out_indptr, self.out_neighbors, self.out_edge_labels,
+            graph.out_neighbors,
+        )
+        new.in_indptr, new.in_neighbors, new.in_edge_labels = patch_csr(
+            self.in_indptr, self.in_neighbors, self.in_edge_labels,
+            graph.in_neighbors,
+        )
+        new._key_edges()
+
+        if new._interned_codes() > _TABLE_GROWTH_LIMIT * max(
+            self._built_codes, _TABLE_GROWTH_FLOOR
+        ):
+            return GraphIndex.build(graph)
+        return new
 
     def is_fresh(self) -> bool:
         """Whether the underlying graph is unmutated since the build.
@@ -342,16 +526,14 @@ class GraphIndex:
             label: code for code, label in enumerate(self.edge_label_values)
         }
         if nodes_order is None or nodes_bounds is None:
-            codes = self.node_label_codes
-            nodes_order = np.argsort(codes, kind="stable")
-            counts = np.bincount(
-                codes, minlength=len(self.node_label_values)
+            self._nodes_by_label = _label_slices(
+                self.node_label_codes, len(self.node_label_values)
             )
-            nodes_bounds = np.concatenate(([0], np.cumsum(counts)))
-        self._nodes_by_label = [
-            nodes_order[nodes_bounds[i]: nodes_bounds[i + 1]]
-            for i in range(len(self.node_label_values))
-        ]
+        else:
+            self._nodes_by_label = [
+                nodes_order[nodes_bounds[i]: nodes_bounds[i + 1]]
+                for i in range(len(self.node_label_values))
+            ]
         self.value_of_code = [MISSING] + list(meta["values"])
         self.code_of_value = {
             value: code + 1 for code, value in enumerate(meta["values"])
@@ -363,6 +545,7 @@ class GraphIndex:
         }
         self.attr_names = list(meta["attr_names"])
         self._statistics = None
+        self._built_codes = self._interned_codes()
         return self
 
     # ------------------------------------------------------------------
@@ -616,6 +799,7 @@ class GraphIndex:
         stats.node_label_counts = {
             label: int(label_counts[code])
             for label, code in self.node_label_code_of.items()
+            if label_counts[code]  # a patched index keeps vanished labels' codes
         }
         # one CSR pass instead of graph.edge_label_counts(): works detached
         edge_tallies = np.bincount(

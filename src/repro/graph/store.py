@@ -411,8 +411,9 @@ def load_index(
     same construction sequence with different values collide — so the
     bind also spot-checks a deterministic node sample (labels, attribute
     values, out-neighbors) against the snapshot and raises
-    :class:`IndexStoreStale` on any mismatch.  Without a graph the
-    index comes back *detached* (like :meth:`GraphIndex.from_buffers`):
+    :class:`IndexStoreStale` on any mismatch.  A bound snapshot becomes
+    the graph's cached index (what ``graph.index()`` returns).  Without a
+    graph the index comes back *detached* (like :meth:`GraphIndex.from_buffers`):
     every array-backed operation works, graph-touching accessors don't.
     """
     path = Path(path)
@@ -479,6 +480,10 @@ def load_index(
         index.version = graph.version
     index.store_path = str(path)
     index.store_mapping = mapping
+    if graph is not None:
+        # graph.index() now answers with the attached snapshot, and the
+        # first one after a write patches it instead of rebuilding
+        graph._adopt_index(index)
     return index
 
 
@@ -490,12 +495,16 @@ def release_index(index: GraphIndex) -> bool:
     version's index lets go of its ``mmap`` handle here instead of waiting
     for process teardown.  Returns ``True`` when a live mapping was
     closed; an index with no store attachment (built in memory, or
-    eager-loaded) is a no-op ``False``.  The store *file* is never
-    touched — it outlives every attachment by design.
+    eager-loaded) is a no-op ``False``.  A graph still caching the index
+    forgets it, so ``graph.index()`` never hands out (or patches from) a
+    released mapping.  The store *file* is never touched — it outlives
+    every attachment by design.
     """
     mapping = getattr(index, "store_mapping", None)
     if mapping is None or mapping.closed:
         return False
+    if index.graph is not None:
+        index.graph._forget_index(index)
     mapping.close()
     index.store_mapping = None
     return True

@@ -48,7 +48,7 @@ One transport: a batch's requests are grouped by worker and each worker's
 whole op sequence travels as **one** ``_mp_execute_fused`` submission — one
 pickle each way per worker — while charging, ledger accounting and
 journaling stay per op.  Large array payloads (install matches, enforcement
-balls/deltas) route through a per-batch shared-memory segment instead of
+deltas) route through a per-batch shared-memory segment instead of
 the pickle channel.
 """
 
@@ -93,6 +93,7 @@ __all__ = [
     "LifecycleCounters",
     "make_backend",
     "next_node_key",
+    "rows_containing",
     "shared_memory_available",
     "warn_standalone_entry_point",
 ]
@@ -223,6 +224,22 @@ class LifecycleCounters:
     retries: int = 0
     respawns: int = 0
     degraded_workers: int = 0
+
+
+def rows_containing(rows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Which match ``rows`` hold any of ``nodes`` in some column (bool mask).
+
+    The drop rule of incremental enforcement, shared by the master's stored
+    arrays and the workers' resident shards.  One lookup-table gather per
+    column — an order of magnitude under ``np.isin`` on a 10⁵-row array.
+    """
+    hit = np.zeros(rows.shape[0], dtype=bool)
+    if hit.size and nodes.size:
+        table = np.zeros(int(max(rows.max(), nodes.max())) + 1, dtype=bool)
+        table[nodes] = True
+        for column in range(rows.shape[1]):
+            hit |= table[rows[:, column]]
+    return hit
 
 
 def _rows_in(matches: Any) -> int:
@@ -642,21 +659,20 @@ class ShardWorker:
     def op_enforce_update(self, key: int, payload: Dict[str, Any]) -> List[Tuple]:
         """Splice a delta into a resident group and re-evaluate its rules.
 
-        ``payload["ball"]`` is the affected-pivot node set (the radius-
-        ``d_Q`` ball around the touched nodes): resident rows whose pivot —
-        canonical variable 0 — lies in the ball are dropped.  ``payload
-        ["fresh"]`` carries this shard's slice of the re-derived matches;
-        only those rows cross the process boundary.  Cached violation masks
-        of the *kept* rows are reused verbatim — a kept row contains no
-        touched node (else its pivot were in the ball, per the deletion
-        soundness argument in :mod:`repro.enforce.delta`), so its per-rule
-        verdicts cannot have changed — and masks are computed fresh only
-        for the incoming rows, against the worker's current index.
+        ``payload["touched"]`` holds the node ids the delta touched:
+        resident rows with a touched node in any column are dropped.
+        ``payload["fresh"]`` carries this shard's slice of the re-derived
+        matches; only those rows cross the process boundary.  Cached
+        violation masks of the *kept* rows are reused verbatim — a kept row
+        contains no touched node and a literal reads only the match's own
+        nodes, so its per-rule verdicts cannot have changed — and masks are
+        computed fresh only for the incoming rows, against the worker's
+        current index.
         """
         state = self.enforce_state[key]
         rows = state["rows"]
         if rows.shape[0]:
-            keep = ~np.isin(rows[:, 0], payload["ball"])
+            keep = ~rows_containing(rows, payload["touched"])
             kept_rows = rows[keep]
         else:
             keep = None
@@ -1037,7 +1053,7 @@ def _views_from_layout(
 _SHM_PAYLOAD_KEYS = {
     "install": ("matches",),
     "enforce_install": ("matches",),
-    "enforce_update": ("ball", "fresh"),
+    "enforce_update": ("touched", "fresh"),
 }
 
 #: Arrays below this size pickle faster than a segment round trip.

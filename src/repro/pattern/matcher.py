@@ -355,15 +355,18 @@ def match_array(
     index: GraphIndex,
     pattern: Pattern,
     seeds: Optional[Iterable[int]] = None,
+    root: Optional[int] = None,
 ) -> np.ndarray:
     """All matches of ``pattern`` as one ``(N, vars)`` int64 array.
 
     The whole-pattern counterpart of :func:`~repro.pattern.incremental.
-    extend_matches`: the same vectorized joins, started from the pivot's
-    label pool (or from ``seeds``, label-filtered) instead of from a parent
-    pattern's stored matches.  Same match multiset as the dict backtracker.
+    extend_matches`: the same vectorized joins, started from the label pool
+    of ``root`` (default: the pivot) — or from ``seeds``, label-filtered —
+    instead of from a parent pattern's stored matches.  Same match multiset
+    as the dict backtracker under the same ``seeds`` and ``root``.
     """
-    blocks = list(_match_blocks(index, pattern, seeds, pattern.pivot))
+    anchor = pattern.pivot if root is None else root
+    blocks = list(_match_blocks(index, pattern, seeds, anchor))
     if not blocks:
         return np.empty((0, pattern.num_nodes), dtype=np.int64)
     return np.concatenate(blocks)

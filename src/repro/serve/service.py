@@ -127,7 +127,7 @@ def report_payload(
         total += rule.violation_count
         entry: Dict[str, Any] = {
             "position": int(position),
-            "gfd": format_gfd(rule.gfd),
+            "gfd": rule.text,
             "violations": rule.violation_count,
             "distinct_pivots": rule.distinct_pivots,
             "witnesses_truncated": rule.witnesses_truncated,

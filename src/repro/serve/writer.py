@@ -1,17 +1,17 @@
 """Group-commit writes: batch mutations, refresh once, publish once.
 
-Applying each client mutation as its own enforcement pass would pay the
-radius-``d_Q`` ball re-match per edit.  The :class:`GroupCommitWriter`
+Applying each client mutation as its own enforcement pass would pay an
+index patch, a re-match and a publish per edit.  The :class:`GroupCommitWriter`
 instead accumulates a batch of :class:`MutationOp`\\ s and commits them
 together:
 
 1. apply every op through the graph's mutators — each one feeds the
    session's :class:`~repro.enforce.delta.DeltaLog` and bumps
    ``graph.version`` exactly as an interactive edit would;
-2. run one delta-aware :meth:`Session.refresh` — the session re-snapshots
-   the index and re-points the live backend via the existing
-   ``refresh_index`` (worker pools survive), and the engine re-matches
-   only the union ball of the whole batch;
+2. run one delta-aware :meth:`Session.refresh` — the session patches the
+   index snapshot at the touched nodes and re-points the live backend via
+   the existing ``refresh_index`` (worker pools survive), and the engine
+   re-derives only the matches containing a node the batch touched;
 3. publish the resulting report + index as the next
    :class:`~repro.serve.snapshots.Snapshot` on the chain.
 

@@ -7,7 +7,7 @@ own graph index, spun up its own worker pools and tore everything down on
 return — four pool lifecycles for one pipeline.  A ``Session`` owns those
 resources once:
 
-* the **frozen graph index** snapshot (re-snapshotted automatically when
+* the **frozen graph index** snapshot (patched at the touched nodes when
   the graph mutates — live backends are re-pointed via ``refresh_index``,
   never rebuilt);
 * one lazily-started **execution backend** (serial or multiprocess) shared
@@ -63,7 +63,7 @@ from .gfd.gfd import GFD
 from .gfd.parser import dumps_sigma, loads_sigma
 from .graph.graph import Graph
 from .graph.index import GraphIndex
-from .graph.statistics import compute_statistics
+from .graph.statistics import GraphStatistics, compute_statistics
 from .graph.store import IndexStoreStale
 from .obs.metrics import MetricsRegistry, registry_from_metrics
 from .obs.tracer import NULL_TRACER
@@ -239,16 +239,17 @@ class Session:
             fingerprint matches the graph attaches via ``mmap`` with
             *zero* index rebuild — and the multiprocess backend ships the
             same file to every worker instead of allocating a
-            shared-memory copy.  A missing or stale file is rebuilt from
-            the graph and re-persisted (atomic replace); a *corrupt* file
-            raises :class:`~repro.graph.store.IndexStoreError` rather
-            than being silently overwritten.  Ignored when
+            shared-memory copy.  A missing file is built from the graph
+            and one gone stale under writes is replaced by the patched
+            snapshot (atomic replace, see ``index_autosave``); a *corrupt*
+            file raises :class:`~repro.graph.store.IndexStoreError`
+            rather than being silently overwritten.  Ignored when
             ``config.use_index`` is off.
         index_mmap: attach mode for ``index_path`` — ``True`` (default)
             maps the file read-only; ``False`` loads it eagerly into
             process memory (checksums verified).
         index_autosave: with ``index_path`` set, whether a stale-or-missing
-            store file is re-persisted after the in-memory rebuild
+            store file is re-persisted from the in-memory snapshot
             (default ``True`` — the path always holds the current
             snapshot).  A serving process that commits many small write
             batches turns this off: re-serializing the store on every
@@ -339,15 +340,11 @@ class Session:
         self._index: Optional[GraphIndex] = (
             self._snapshot_index() if self.config.use_index else None
         )
-        self._stats = (
-            self._index.statistics()
-            if self._index is not None
-            else compute_statistics(graph)
-        )
+        self._stats: Optional[GraphStatistics] = None
         if self.config.active_attributes is not None:
             self._gamma = list(self.config.active_attributes)
         else:
-            self._gamma = self._stats.top_attributes(
+            self._gamma = self._statistics().top_attributes(
                 self.config.max_active_attributes
             )
         self.cluster = SimulatedCluster(num_workers, tracer=self.tracer)
@@ -514,10 +511,12 @@ class Session:
         """The frozen snapshot, via the on-disk store when ``index_path`` set.
 
         A valid persisted snapshot mmap-attaches (or eager-loads) with
-        zero rebuild; a missing or *stale* file — the graph mutated since
-        the save — is rebuilt from the graph and re-persisted, so the
-        path always holds the current snapshot afterwards.  Corruption is
-        never papered over: a damaged file raises ``IndexStoreError``.
+        zero rebuild and becomes the graph's cached index; for a missing
+        or *stale* file — the graph mutated since the save —
+        ``graph.index()`` answers (a patch of the attached snapshot after
+        writes) and is re-persisted, so the path always holds the current
+        snapshot afterwards.  Corruption is never papered over: a damaged
+        file raises ``IndexStoreError``.
         """
         if self._index_path is None:
             return self.graph.index()
@@ -547,15 +546,30 @@ class Session:
                 self.tracer.event("index_saved", path=str(self._index_path))
         return index
 
+    def _statistics(self) -> GraphStatistics:
+        """Statistics of the current snapshot, computed where first read.
+
+        Only discovery (and Γ without ``active_attributes``) reads them, so
+        a session that serves writes and refreshes never pays the scan.
+        """
+        if self._stats is None:
+            self._stats = (
+                self._index.statistics()
+                if self._index is not None
+                else compute_statistics(self.graph)
+            )
+        return self._stats
+
     def _refresh_snapshot(self) -> None:
-        """Re-snapshot the index, statistics and Γ after graph mutations.
+        """Re-snapshot the index and Γ after graph mutations.
 
         ``graph.index()`` is version-cached, so this is free while the
-        graph is unchanged; after a mutation the new snapshot is exported
-        to the live backend exactly once (``refresh_index`` — worker pools
-        survive).  On the dict reference path (``use_index=False``) the
-        statistics are rescanned on version change, so a post-mutation
-        discovery sees the same label counts a fresh session would.
+        graph is unchanged; after a mutation it patches the previous
+        snapshot at the touched nodes and the new one is exported to the
+        live backend exactly once (``refresh_index`` — worker pools
+        survive).  The statistics are dropped with the old snapshot, so a
+        post-mutation discovery sees the same label counts a fresh session
+        would.
         """
         if self.graph.version == self._snapshot_version:
             return
@@ -565,11 +579,9 @@ class Session:
             if index is self._index:
                 return
             self._index = index
-            self._stats = index.statistics()
-        else:
-            self._stats = compute_statistics(self.graph)
+        self._stats = None
         if self.config.active_attributes is None:
-            self._gamma = self._stats.top_attributes(
+            self._gamma = self._statistics().top_attributes(
                 self.config.max_active_attributes
             )
         if self.config.use_index:
@@ -603,7 +615,7 @@ class Session:
             self.graph,
             self.config,
             cluster=self.cluster,
-            stats=self._stats,
+            stats=self._statistics(),
             index=self._index,
             backend=self._backend_for(backend_name),
         )
@@ -787,9 +799,9 @@ class Session:
     def refresh(self) -> EnforcementReport:
         """Incremental revalidation after graph mutations.
 
-        Consumes the session's delta log: only the radius-``d_Q`` ball
-        around touched nodes is re-matched, resident shards receive just
-        the delta, and a clean refresh ships zero match rows (the transfer
+        Consumes the session's delta log: only matches containing a touched
+        node are dropped and re-derived, resident shards receive just that
+        delta, and a clean refresh ships zero match rows (the transfer
         ledger in :meth:`metrics` proves it).  Falls back to a full
         :meth:`enforce` pass on the first call or on a too-wide delta.
         """

@@ -434,7 +434,7 @@ class TestGraphFreeAndIndexRefresh:
             # resident state survived the swap: an empty delta re-derives
             # the rule results from the resident rows and cached masks
             empty = {
-                "ball": np.empty(0, dtype=np.int64),
+                "touched": np.empty(0, dtype=np.int64),
                 "fresh": np.empty((0, 2), dtype=np.int64),
             }
             after = backend.run_unmetered([(0, "enforce_update", 7, empty)])

@@ -22,6 +22,7 @@ from repro.gfd.gfd import GFD
 from repro.gfd.literals import FALSE, ConstantLiteral, make_variable_literal
 from repro.gfd.satisfaction import find_violations
 from repro.graph import Graph
+from repro.pattern.matcher import find_matches
 from repro.pattern.pattern import WILDCARD, Pattern
 from repro.quality.detector import detect_gfd_violations, nodes_in_violations
 
@@ -207,6 +208,126 @@ class TestDifferentialEquivalence:
             report = engine.refresh()
             assert report.mode == "full"
             assert _engine_sets(report) == _reference_sets(graph, sigma)
+
+
+class TestRefreshDifferential:
+    """``refresh()`` re-derives exactly the matches containing a touched node.
+
+    After every step the incremental report must equal a fresh engine's
+    ``validate()`` and the per-rule reference ``find_violations`` — as row
+    *multisets*, so a match with several touched nodes re-derived once per
+    touched variable would show — and the engine's stored match arrays
+    must equal a from-scratch match of every group pattern.
+    """
+
+    CONFIGS = {
+        "serial": dict(num_workers=2),
+        "multiprocess": dict(backend="multiprocess", num_workers=2),
+        "dict": dict(use_index=False),
+    }
+
+    @staticmethod
+    def _setup():
+        """people -create-> films -win-> awards, plus a city per person."""
+        graph = Graph()
+        people = [
+            graph.add_node("person", {"kind": "a", "year": 2000 + i % 2})
+            for i in range(12)
+        ]
+        films = [graph.add_node("film", {"kind": "b"}) for _ in range(6)]
+        awards = [graph.add_node("award", {"grade": "x"}) for _ in range(3)]
+        cities = [graph.add_node("city", {"kind": "c"}) for _ in range(4)]
+        for i, person in enumerate(people):
+            graph.add_edge(person, films[i % 6], "create")
+            graph.add_edge(person, cities[i % 4], "live_in")
+        for i, film in enumerate(films):
+            graph.add_edge(film, awards[i % 3], "win")
+        graph.add_edge(people[0], films[1], "like")
+        chain = Pattern(
+            ["person", "film", "award"], [(0, 1, "create"), (1, 2, "win")]
+        )
+        fork = Pattern(
+            ["film", "person", "person"], [(1, 0, "create"), (2, 0, "create")]
+        )
+        any_node = Pattern(["person", WILDCARD], [(0, 1, "create")])
+        any_edge = Pattern(["person", "film"], [(0, 1, WILDCARD)])
+        sigma = [
+            GFD(chain, frozenset({ConstantLiteral(0, "kind", "a")}),
+                ConstantLiteral(2, "grade", "x")),
+            GFD(chain, frozenset(), make_variable_literal(0, "kind", 1, "kind")),
+            GFD(fork, frozenset(), make_variable_literal(1, "year", 2, "year")),
+            GFD(any_node, frozenset(), ConstantLiteral(1, "kind", "b")),
+            GFD(any_edge, frozenset({ConstantLiteral(1, "kind", "b")}), FALSE),
+        ]
+        return graph, people, films, awards, sigma
+
+    @staticmethod
+    def _check(engine, graph, sigma, mode="incremental"):
+        report = engine.refresh()
+        assert report.mode == mode
+        with EnforcementEngine(graph, sigma, _uncapped()) as scratch:
+            full = scratch.validate()
+        for gfd, got, want in zip(sigma, report.rules, full.rules):
+            reference = sorted(v.match for v in find_violations(graph, gfd))
+            assert sorted(got.sample) == sorted(want.sample) == reference
+            assert got.violation_count == len(reference)
+            assert got.nodes == want.nodes
+        for stored, group in zip(engine._arrays, engine.plan.groups):
+            assert sorted(map(tuple, stored.tolist())) == sorted(
+                find_matches(graph, group.pattern)
+            )
+        return report
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_refresh_equals_full_and_reference(self, name):
+        graph, people, films, awards, sigma = self._setup()
+        config = _uncapped(max_delta_fraction=0.5, **self.CONFIGS[name])
+        with EnforcementEngine(graph, sigma, config) as engine:
+            engine.validate()
+            check = lambda mode="incremental": self._check(
+                engine, graph, sigma, mode
+            )
+            # a deletion two hops from the pivot disconnects stored matches
+            # whose pivot is neither touched nor adjacent to a touched node
+            graph.remove_edge(films[0], awards[0], "win")
+            check()
+            # one match with two, then all three, of its nodes touched
+            graph.set_attr(people[1], "kind", "b")
+            graph.set_attr(films[1], "kind", "a")
+            check()
+            graph.set_attr(people[2], "year", 1999)
+            graph.set_attr(films[2], "kind", "z")
+            graph.set_attr(awards[2], "grade", "y")
+            check()
+            # both persons of one fork match touched (variables 1 and 2)
+            graph.set_attr(people[3], "year", 7)
+            graph.set_attr(people[9], "year", 7)
+            check()
+            # a new node wired into existing matches
+            trophy = graph.add_node("award", {"grade": "y"})
+            graph.add_edge(films[0], trophy, "win")
+            graph.add_edge(films[3], trophy, "win")
+            check()
+            # relabel out of, and into, a pattern label
+            graph.relabel_node(films[4], "draft")
+            check()
+            graph.relabel_node(films[4], "film")
+            graph.relabel_node(awards[1], "film")
+            check()
+            # a parallel edge only the wildcard-edge pattern sees
+            graph.add_edge(people[5], films[5], "like")
+            check()
+            # nothing changed: the cached report, no pass
+            before = engine.refresh()
+            assert engine.refresh() is before
+            # over max_delta_fraction: one full pass, same answers
+            for person in people:
+                graph.set_attr(person, "year", 2000)
+            for film in films:
+                graph.set_attr(film, "kind", "b")
+            check("full")
+            graph.set_attr(people[0], "kind", "q")
+            check()
 
 
 class TestNegativeAndMissingSemantics:

@@ -8,8 +8,20 @@ randomized synthetic graphs, that every index-backed operation produces
 lifecycle and the HLL distinct-pivot sketch.
 """
 
+import shutil
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.core.config import DiscoveryConfig
 from repro.core.discovery import discover
@@ -19,7 +31,6 @@ from repro.core.spawning import extension_statistics
 from repro.core.support import DistinctPivotSketch, sketch_distinct_upper_bound
 from repro.datasets import KB_ATTRIBUTES, dbpedia_like, imdb_like, yago2_like
 from repro.datasets.synthetic import SYNTHETIC_ATTRIBUTES, synthetic_graph
-from repro.enforce.delta import affected_nodes
 from repro.graph.graph import Graph
 from repro.graph.index import GraphIndex
 from repro.pattern.incremental import Extension, extend_matches
@@ -89,10 +100,10 @@ class TestMatcherEquivalence:
         )
 
 
-def assert_same_matches(graph, pattern, seeds=None):
+def assert_same_matches(graph, pattern, seeds=None, root=None):
     """``match_array`` ≡ the dict backtracker, as multisets of rows."""
-    expected = sorted(find_matches(graph, pattern, seeds=seeds))
-    array = match_array(graph.index(), pattern, seeds)
+    expected = sorted(find_matches(graph, pattern, seeds=seeds, root=root))
+    array = match_array(graph.index(), pattern, seeds, root)
     assert array.dtype == np.int64 and array.shape[1:] == (pattern.num_nodes,)
     assert sorted(map(tuple, array.tolist())) == expected
     assert len(set(expected)) == len(expected)
@@ -115,14 +126,13 @@ class TestJoinMatcher:
         assert any(
             pattern.num_edges > pattern.num_nodes - 1 for pattern in patterns
         )  # closing edges are exercised, not only trees
-        touched = range(0, graph.num_nodes, 37)
+        seeds = np.arange(0, graph.num_nodes, 7)
         matched = 0
         for pattern in patterns:
             matched += len(assert_same_matches(graph, pattern))
-            ball = affected_nodes(
-                graph, touched, pattern.radius_at_pivot(), index=graph.index()
-            )
-            assert_same_matches(graph, pattern, seeds=ball)
+            # the anchored joins of an incremental refresh: any root variable
+            for root in pattern.variables():
+                assert_same_matches(graph, pattern, seeds=seeds, root=root)
         assert matched
 
     @staticmethod
@@ -482,6 +492,247 @@ class TestDiscoveryEquivalence:
         assert fast.attr_counts == slow.attr_counts
         assert fast.attr_value_counts == slow.attr_value_counts
         assert fast.max_degree == slow.max_degree
+
+
+# ----------------------------------------------------------------------
+# patched ≡ built
+# ----------------------------------------------------------------------
+def decoded_view(index):
+    """Everything an index says about its graph, free of code numbering."""
+    labels = [index.node_label_values[c] for c in index.node_label_codes.tolist()]
+    attrs = [{} for _ in range(index.num_nodes)]
+    for attr in index.attr_names:
+        for node, value in enumerate(
+            index.decode_values(index.attr_code_array(attr))
+        ):
+            if value is not MISSING:
+                attrs[node][attr] = value
+    rows = []
+    for outward in (True, False):
+        for node in range(index.num_nodes):
+            neighbors, codes = index.csr_slice(node, outward)
+            rows.append(
+                [
+                    (other, index.edge_label_values[code])
+                    for other, code in zip(neighbors.tolist(), codes.tolist())
+                ]
+            )
+    by_label = {
+        label: index.nodes_with_label(label).tolist() for label in set(labels)
+    }
+    return labels, attrs, rows, by_label, index.triple_counts()
+
+
+def assert_patched_equals_built(patched, graph):
+    """``patched`` answers every decoded accessor like a fresh build."""
+    built = GraphIndex.build(graph)
+    assert patched.is_fresh() and patched.graph is graph
+    assert (patched.num_nodes, patched.num_edges) == (
+        built.num_nodes, built.num_edges
+    )
+    got, want = decoded_view(patched), decoded_view(built)
+    # rows are (neighbor, label code)-sorted and codes may be numbered
+    # differently, so parallel edges may come in another order
+    assert [sorted(row) for row in got[2]] == [sorted(row) for row in want[2]]
+    assert got[:2] + got[3:] == want[:2] + want[3:]
+    assert patched.attr_names == built.attr_names
+    assert patched.statistics() == built.statistics()
+    assert np.all(np.diff(patched._edge_keys) > 0)
+    assert np.all(np.diff(patched._pair_keys) > 0)
+    nodes = np.arange(graph.num_nodes, dtype=np.int64)
+    src, dst = np.repeat(nodes, nodes.size), np.tile(nodes, nodes.size)
+    assert np.array_equal(
+        patched.edge_label_counts(src, dst), built.edge_label_counts(src, dst)
+    )
+    for label in [None, "never-used"] + sorted(graph.edge_label_counts()):
+        code = -1 if label is None else patched.edge_label_code(label)
+        expected = np.fromiter(
+            (graph.has_edge(s, d, label) for s, d in zip(src.tolist(), dst.tolist())),
+            dtype=bool, count=src.size,
+        )
+        if label is None or code >= 0:
+            assert np.array_equal(patched.edges_exist(src, dst, code), expected)
+        else:
+            assert not expected.any()
+        assert patched.has_edge(0, graph.num_nodes - 1, label) == bool(expected[graph.num_nodes - 1])
+    for pattern in PATTERNS:
+        for root in (None, pattern.num_nodes - 1):
+            assert sorted(
+                map(tuple, match_array(patched, pattern, root=root).tolist())
+            ) == sorted(map(tuple, match_array(built, pattern, root=root).tolist()))
+
+
+def index_arrays(index):
+    arrays = [getattr(index, name) for name in GraphIndex._BUFFER_FIELDS]
+    return arrays + list(index._attr_codes.values()) + list(index._nodes_by_label)
+
+
+class TestPatchedIndex:
+    """``Graph.index()`` after a write patches the snapshot it has."""
+
+    def test_scripted_edge_cases(self):
+        graph = synthetic_graph(
+            40, 120, num_labels=4, num_values=5, regularity=0.7, seed=5
+        )
+        graph.index()
+        builds = GraphIndex.builds_performed
+        steps = [
+            # a node label nobody had, then the label vanishing again
+            lambda: graph.relabel_node(3, "Lnew"),
+            lambda: graph.relabel_node(3, "L0"),
+            # the only holder of an attribute loses it
+            lambda: graph.set_attr(7, "solo", "x"),
+            lambda: graph.remove_attr(7, "solo"),
+            # first and last edge of an edge label, over a parallel edge
+            lambda: graph.add_edge(*next(iter(graph.edges()))[:2], "enew"),
+            lambda: graph.remove_edge(*next(iter(graph.edges()))[:2], "enew"),
+            # a new node of a new label with a self loop, then relabelled
+            lambda: graph.add_edge(graph.add_node("Lsolo", {"a0": None}), 40, "e0"),
+            lambda: graph.relabel_node(40, "L1"),
+            # a batch: add and remove the same edge, set and unset a value
+            lambda: (graph.add_edge(1, 2, "tmp"), graph.remove_edge(1, 2, "tmp"),
+                     graph.set_attr(5, "a0", 1.5), graph.remove_attr(5, "a0")),
+        ]
+        for step in steps:
+            before = graph.index()
+            view = decoded_view(before)
+            step()
+            patched = graph.index()
+            assert patched is not before and not before.is_fresh()
+            assert decoded_view(before) == view  # the old snapshot is intact
+            assert_patched_equals_built(patched, graph)
+        # assert_patched_equals_built builds the oracle: one per step, and
+        # graph.index() added none
+        assert GraphIndex.builds_performed == builds + len(steps)
+
+    def test_wide_batch_rebuilds_once(self):
+        graph = small_graph(2)
+        graph.index()
+        builds = GraphIndex.builds_performed
+        for node in range(graph.num_nodes // 8):
+            graph.set_attr(node, "a0", "w")
+        graph.index()
+        assert GraphIndex.builds_performed == builds  # at the cut-over: patched
+        for node in range(graph.num_nodes // 8 + 1):
+            graph.set_attr(node, "a0", "x")
+        index = graph.index()
+        assert GraphIndex.builds_performed == builds + 1
+        assert graph.index() is index
+
+    def test_code_tables_stay_bounded_under_value_churn(self):
+        """A long-lived writer of ever-new values cannot grow the tables."""
+        graph = small_graph(1)
+        live = graph.index()._interned_codes()
+        builds = GraphIndex.builds_performed
+        for commit in range(3000):
+            graph.set_attr(commit % graph.num_nodes, "a0", f"unique-{commit}")
+            index = graph.index()
+            assert index._interned_codes() <= 2 * max(live, 1024) + 2
+        rebuilt = GraphIndex.builds_performed - builds
+        assert 1 <= rebuilt <= 3
+        assert_patched_equals_built(index, graph)
+
+
+NODE_LABEL_POOL = ["L0", "L1", "L2", "L3", "Lrare"]
+EDGE_LABEL_POOL = ["e0", "e1", "e2", "e3", "erare"]
+ATTR_POOL = ["a0", "a1", "solo"]
+VALUE_POOL = ["v0", "v1", "v2", "fresh", 7, None]
+ANY_NODE = st.integers(0, 10**6)
+
+
+class PatchedIndexMachine(RuleBasedStateMachine):
+    """Any interleaving of the six mutators, ``index()`` and save/load.
+
+    After every step, patching the graph's current base snapshot at the
+    nodes marked stale since equals a fresh build; ``index()`` and the
+    store round trips move the base, so patches stack on patches, on
+    mmap-attached and on eager-loaded snapshots.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.graph = synthetic_graph(
+            24, 60, num_labels=4, num_values=5, regularity=0.7, seed=11
+        )
+        self.graph.index()
+        self.directory = Path(tempfile.mkdtemp(prefix="patched-index-"))
+        self.mappings = []
+        self.held = []  # (snapshot, its decoded view when taken)
+
+    def teardown(self):
+        for mapping in self.mappings:
+            mapping.close()
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+    def node(self, pick):
+        return pick % self.graph.num_nodes
+
+    @rule(label=st.sampled_from(NODE_LABEL_POOL), value=st.sampled_from(VALUE_POOL))
+    def add_node(self, label, value):
+        self.graph.add_node(label, {"a0": value})
+
+    @rule(src=ANY_NODE, dst=ANY_NODE, label=st.sampled_from(EDGE_LABEL_POOL))
+    def add_edge(self, src, dst, label):
+        self.graph.add_edge(self.node(src), self.node(dst), label)
+
+    @precondition(lambda self: self.graph.num_edges)
+    @rule(pick=ANY_NODE)
+    def remove_edge(self, pick):
+        edges = sorted(self.graph.edges())
+        self.graph.remove_edge(*edges[pick % len(edges)])
+
+    @rule(node=ANY_NODE, attr=st.sampled_from(ATTR_POOL),
+          value=st.sampled_from(VALUE_POOL))
+    def set_attr(self, node, attr, value):
+        self.graph.set_attr(self.node(node), attr, value)
+
+    @rule(node=ANY_NODE, attr=st.sampled_from(ATTR_POOL))
+    def remove_attr(self, node, attr):
+        self.graph.remove_attr(self.node(node), attr)
+
+    @rule(node=ANY_NODE, label=st.sampled_from(NODE_LABEL_POOL))
+    def relabel_node(self, node, label):
+        self.graph.relabel_node(self.node(node), label)
+
+    @rule()
+    def index(self):
+        index = self.graph.index()
+        self.held = self.held[-2:] + [(index, decoded_view(index))]
+
+    @rule(mmap=st.booleans())
+    def save_and_load(self, mmap):
+        path = self.directory / "snapshot.rgix"
+        self.graph.index().save(path)
+        loaded = GraphIndex.load(path, graph=self.graph, mmap=mmap)
+        assert self.graph.index() is loaded
+        if loaded.store_mapping is not None:
+            self.mappings.append(loaded.store_mapping)
+
+    @invariant()
+    def patched_equals_built(self):
+        base = self.graph._index_cache
+        if base.is_fresh():
+            patched = base
+        else:
+            patched = base.patched(self.graph, self.graph._stale_nodes)
+            assert patched.store_path is None and patched.store_mapping is None
+            for mapping in self.mappings:
+                if mapping.closed:
+                    continue
+                mapped = np.frombuffer(mapping.buf, dtype=np.uint8)
+                assert not any(
+                    np.shares_memory(array, mapped)
+                    for array in index_arrays(patched)
+                )
+        assert_patched_equals_built(patched, self.graph)
+        for snapshot, view in self.held:
+            assert decoded_view(snapshot) == view  # MVCC: never written to
+
+
+TestPatchedIndexStateful = PatchedIndexMachine.TestCase
+TestPatchedIndexStateful.settings = settings(
+    max_examples=20, stateful_step_count=25, deadline=None
+)
 
 
 class TestDistinctPivotSketch:

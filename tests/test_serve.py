@@ -227,6 +227,38 @@ class TestGroupCommitWriter:
             assert chain.current_version == 2
             chain.close()
 
+    def test_fifty_commits_never_rebuild_the_index(self, film_graph):
+        """Every published version's index is a patch of the previous one."""
+        rng = random.Random(3)
+        base = film_graph.copy()
+        with Session(film_graph) as session:
+            session.set_sigma(film_rules())
+            chain = SnapshotChain()
+            writer = GroupCommitWriter(session, chain)
+            writer.bootstrap()
+            builds = GraphIndex.builds_performed
+            for commit in range(50):
+                node = rng.randrange(film_graph.num_nodes)
+                ops = [
+                    MutationOp("set_attr", {
+                        "node": node, "attr": "type",
+                        "value": rng.choice(["actor", "producer", "film"])}),
+                    MutationOp("add_edge", {
+                        "src": node, "dst": rng.randrange(120),
+                        "label": rng.choice(["parent", "create"])}),
+                    MutationOp("add_node", {
+                        "label": "person", "attrs": {"name": f"n{commit}"}}),
+                ]
+                snapshot = writer.commit(ops)
+                assert snapshot.index is session.index
+                assert snapshot.report.mode == "incremental"
+            assert GraphIndex.builds_performed == builds
+            served = report_payload(snapshot.report)
+            chain.close()
+        for batch in writer.commit_log:
+            apply_ops(base, batch)
+        assert served == report_payload(_report(base, film_rules()))
+
     def test_failed_op_poisons_batch_next_commit_absorbs_prefix(self, film_graph):
         with Session(film_graph) as session:
             session.set_sigma(film_rules())

@@ -14,6 +14,7 @@ backends, and the janitor regression: a live mmap attachment must survive
 from __future__ import annotations
 
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -25,7 +26,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DiscoveryConfig, Session, format_gfd
+from repro import (
+    DiscoveryConfig,
+    EnforcementEngine,
+    Session,
+    format_gfd,
+    parse_gfd,
+)
 from repro.datasets import scale_graph
 from repro.graph import (
     Graph,
@@ -37,7 +44,7 @@ from repro.graph import (
     save_index,
 )
 from repro.graph.index import GraphIndex
-from repro.graph.store import _PREAMBLE, SCHEMA_VERSION
+from repro.graph.store import _PREAMBLE, SCHEMA_VERSION, release_index
 from repro.parallel import janitor, shared_memory_available
 from repro.pattern import Pattern
 from repro.pattern.matcher import count_matches
@@ -129,6 +136,25 @@ class TestRoundTrip:
         assert count_matches(graph, pattern, index=loaded) == count_matches(
             graph, pattern, index=graph.index()
         )
+
+    def test_bound_load_seeds_the_graph_cache_until_released(self, tmp_path):
+        graph = store_graph()
+        path = save_index(GraphIndex.build(graph), tmp_path / "g.rgix")
+        builds = GraphIndex.builds_performed
+        attached = load_index(path, graph=graph, mmap=True)
+        assert graph.index() is attached
+        assert GraphIndex.builds_performed == builds
+        # a released mapping is never handed out (or patched from) again
+        assert release_index(attached)
+        rebuilt = graph.index()
+        assert rebuilt is not attached and rebuilt.store_mapping is None
+        assert GraphIndex.builds_performed == builds + 1
+        # a failed bind leaves the cache alone
+        graph.add_node("person", {"kind": "z"})
+        with pytest.raises(IndexStoreStale):
+            load_index(path, graph=graph)
+        assert graph.index().num_nodes == graph.num_nodes
+        assert GraphIndex.builds_performed == builds + 1  # patched
 
     def test_inspect_reports_layout(self, tmp_path):
         graph = store_graph()
@@ -270,6 +296,59 @@ class TestSessionIndexPath:
                      index_path=path) as session:
             session.discover()
         assert GraphIndex.builds_performed == before
+
+    def test_attach_enforce_refresh_never_rebuilds(self, film_graph, tmp_path):
+        """Writes beside reads on an attached snapshot: zero full builds."""
+        path = save_index(
+            GraphIndex.build(film_graph.copy()), tmp_path / "film.rgix"
+        )
+        sigma = [
+            parse_gfd(
+                'Q[x, y] { (x:person)-[create]->(y:product) } '
+                '(y.type="film" -> x.type="producer")'
+            ),
+            parse_gfd(
+                "Q[x, y] { (x:person)-[parent]->(y:person), "
+                "(y)-[parent]->(x) } ( -> false)"
+            ),
+        ]
+        rng = random.Random(5)
+        edges = sorted(film_graph.edges())
+        builds = GraphIndex.builds_performed
+        with Session(film_graph, index_path=path,
+                     index_autosave=False) as session:
+            session.set_sigma(sigma)
+            assert session.index.store_mapping is not None
+            assert film_graph.index() is session.index  # attach seeds the cache
+            session.enforce()
+            for _ in range(6):
+                for _ in range(2):
+                    node = rng.randrange(film_graph.num_nodes)
+                    film_graph.set_attr(node, "type", rng.choice(["film", "actor"]))
+                    film_graph.add_edge(node, rng.randrange(120), "parent")
+                    film_graph.remove_edge(*edges.pop(rng.randrange(len(edges))))
+                    fresh = film_graph.add_node("person", {"type": "actor"})
+                    film_graph.add_edge(fresh, 130, "create")
+                report = session.refresh()
+                assert report.mode == "incremental"
+                assert session.index.store_mapping is None  # patched: owns its arrays
+            assert GraphIndex.builds_performed == builds
+            assert session.metrics().lifecycle.index_attaches == 1
+            with EnforcementEngine(film_graph.copy(), sigma) as engine:
+                expected = engine.validate()
+            assert [(r.violation_count, r.nodes) for r in report.rules] == [
+                (r.violation_count, r.nodes) for r in expected.rules
+            ]
+            assert report.total_violations
+            # a batch past the cut-over is one full build, then patches again
+            builds = GraphIndex.builds_performed
+            for node in range(film_graph.num_nodes // 8 + 1):
+                film_graph.set_attr(node, "name", "wide")
+            assert session.refresh().mode == "incremental"
+            assert GraphIndex.builds_performed == builds + 1
+            film_graph.set_attr(0, "name", "narrow")
+            session.refresh()
+            assert GraphIndex.builds_performed == builds + 1
 
     def test_stale_file_rebuilds_and_resaves(self, tmp_path):
         path = save_index(
