@@ -5,7 +5,8 @@ Measures, on one synthetic graph, the four operations the frozen
 
 * ``find_matches``          — full enumeration of a 3-variable pattern,
 * ``extend_matches``        — one-edge incremental join over a match batch,
-* ``extension_statistics``  — the ``VSpawn`` tally scan,
+* ``extension_statistics``  — the ``VSpawn`` tally scan (dict pivot sets vs
+  indexed ``extension_counts``, compared as counts),
 * ``MatchTable``            — columnar table construction.
 
 Run as a script for a throughput table (``--check`` adds an equivalence
@@ -28,7 +29,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.match_table import MatchTable  # noqa: E402
-from repro.core.spawning import extension_statistics  # noqa: E402
+from repro.core.spawning import (  # noqa: E402
+    counts_from_statistics,
+    extension_counts,
+    extension_statistics,
+)
 from repro.datasets.synthetic import SYNTHETIC_ATTRIBUTES, synthetic_graph  # noqa: E402
 from repro.graph.index import GraphIndex  # noqa: E402
 from repro.pattern.incremental import Extension, extend_matches  # noqa: E402
@@ -92,17 +97,19 @@ def run(check: bool = False):
     )
     matches = list(find_matches(graph, PATTERN))
 
-    def stats_key(stats):
+    def counts_key(counts):
         return (
-            {k: set(map(int, v)) for k, v in stats.new_node.items()},
-            {k: set(map(int, v)) for k, v in stats.closing.items()},
+            counts.new_node,
+            counts.closing,
+            counts.prefix_pivots,
+            counts.prefix_labels,
         )
 
     compare(
         "extension_statistics",
         lambda: extension_statistics(graph, PATTERN, matches, True),
-        lambda: extension_statistics(graph, PATTERN, matches, True, index=index),
-        lambda a, b: stats_key(a) == stats_key(b),
+        lambda: extension_counts(graph, PATTERN, matches, True, index=index),
+        lambda a, b: counts_key(counts_from_statistics(a)) == counts_key(b),
     )
     attributes = list(SYNTHETIC_ATTRIBUTES[:3])
     compare(

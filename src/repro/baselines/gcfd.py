@@ -100,10 +100,10 @@ class _GCFDParallel(ParallelDiscovery):
     """``ParCGFD``: ParDis restricted to path patterns."""
 
     def _extensions_from_tallies(
-        self, parent: TreeNode, parts: List
+        self, parent: TreeNode, merged
     ) -> List[Extension]:
         return _filter_path_extensions(
-            parent, super()._extensions_from_tallies(parent, parts)
+            parent, super()._extensions_from_tallies(parent, merged)
         )
 
 

@@ -39,10 +39,10 @@ from .match_table import MatchTable
 from .reduction import gfd_identity, minimal_cover_by_reduction
 from .results import DiscoveryResult, MiningStats
 from .spawning import (
-    extension_statistics,
-    extensions_from_statistics,
+    extension_counts,
+    extensions_from_counts,
     speculative_closing_extensions,
-    wildcard_extensions_from_statistics,
+    wildcard_extensions_from_counts,
 )
 
 __all__ = ["SequentialDiscovery", "discover"]
@@ -276,7 +276,7 @@ class SequentialDiscovery:
         growth); the parallel algorithm replaces it with distributed
         tallying.
         """
-        tallies = extension_statistics(
+        tallies = extension_counts(
             self.graph,
             parent.pattern,
             parent.table.match_array
@@ -285,8 +285,8 @@ class SequentialDiscovery:
             can_add_node=parent.pattern.num_nodes < self.config.k,
             index=self.index,
         )
-        extensions = extensions_from_statistics(parent.pattern, tallies, self.config)
-        extensions += wildcard_extensions_from_statistics(
+        extensions = extensions_from_counts(parent.pattern, tallies, self.config)
+        extensions += wildcard_extensions_from_counts(
             parent.pattern, tallies, self.config
         )
         if self.config.mine_negative and self.config.speculative_closing_edges:

@@ -30,7 +30,12 @@ DependencyPair = Tuple[FrozenSet[Literal], Literal]
 
 @dataclass
 class TreeNode:
-    """One pattern in the generation tree."""
+    """One pattern in the generation tree.
+
+    ``table`` holds the verified matches under ``SeqDis`` only; ``ParDis``
+    keeps the rows in the workers' shards and leaves it ``None`` on every
+    node, on every backend.
+    """
 
     pattern: Pattern
     key: CanonicalKey

@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 from ..gfd.gfd import GFD
 from ..gfd.literals import FalseLiteral, Literal, rename_literal
 from ..pattern.canonical import canonical_key, canonical_ordering
-from ..pattern.embedding import cached_embeddings
+from ..pattern.embedding import DistinctPatterns, cached_embeddings
 from ..pattern.pattern import WILDCARD, Pattern
 
 __all__ = ["gfd_reduces", "normalize_gfd", "gfd_identity", "minimal_cover_by_reduction"]
@@ -117,30 +117,6 @@ def _literal_signature(literal: Literal) -> Tuple:
     return ("var", tuple(sorted((literal.attr1, literal.attr2))))
 
 
-def _reduction_signature(gfd: GFD) -> Tuple:
-    """Cheap invariants for the necessary conditions of ``φ' ≪ φ``.
-
-    ``smaller ≪ larger`` requires: no more nodes/edges, the LHS literal
-    signatures a sub-multiset, the same RHS signature, and every concrete
-    (non-wildcard) label of ``smaller`` present in ``larger``.
-    """
-    lhs_sigs = tuple(sorted(_literal_signature(l) for l in gfd.lhs))
-    concrete_nodes = tuple(
-        sorted(l for l in gfd.pattern.labels if l != WILDCARD)
-    )
-    concrete_edges = tuple(
-        sorted(e.label for e in gfd.pattern.edges if e.label != WILDCARD)
-    )
-    return (
-        gfd.pattern.num_nodes,
-        gfd.pattern.num_edges,
-        lhs_sigs,
-        _literal_signature(gfd.rhs),
-        concrete_nodes,
-        concrete_edges,
-    )
-
-
 def _multiset_leq(smaller: Tuple, larger: Tuple) -> bool:
     """Whether the sorted tuple ``smaller`` is a sub-multiset of ``larger``."""
     position = 0
@@ -153,48 +129,44 @@ def _multiset_leq(smaller: Tuple, larger: Tuple) -> bool:
     return True
 
 
-def _may_reduce(small_sig: Tuple, large_sig: Tuple) -> bool:
-    """Necessary conditions for ``≪`` between two signatures."""
-    if small_sig[0] > large_sig[0] or small_sig[1] > large_sig[1]:
-        return False
-    if small_sig[3] != large_sig[3]:
-        return False
-    if not _multiset_leq(small_sig[2], large_sig[2]):
-        return False
-    if not _multiset_leq(small_sig[4], large_sig[4]):
-        return False
-    return _multiset_leq(small_sig[5], large_sig[5])
-
-
 def minimal_cover_by_reduction(gfds: Sequence[GFD]) -> List[GFD]:
     """Drop duplicates and every GFD with a ``≪``-smaller sibling in the set.
 
     This enforces *minimality in the set* (reduced GFDs, Section 4.1); note
     it is distinct from the implication-based cover of Section 5.2, which
-    runs afterwards.  Signature prefilters skip the embedding test for the
-    vast majority of incomparable pairs.
+    runs afterwards.  Prefilters skip the embedding test for the vast
+    majority of incomparable pairs.  ``smaller ≪ larger`` needs an embedding
+    of the patterns, and whether one can exist is decided once per distinct
+    pattern (:class:`~repro.pattern.embedding.DistinctPatterns`), not per
+    rule; the per-rule half compares renaming-invariant literal signatures
+    (the same RHS signature, the LHS signatures a sub-multiset).
     """
     unique: Dict[Tuple, GFD] = {}
     for gfd in gfds:
         unique.setdefault(gfd_identity(gfd), gfd)
     items = list(unique.values())
-    signatures = [_reduction_signature(gfd) for gfd in items]
-    # only same-RHS-signature pairs can be ≪-comparable: bucket up front so
-    # the quadratic scan runs per bucket instead of over the full set
-    by_rhs: Dict[Tuple, List[int]] = {}
-    for index, signature in enumerate(signatures):
-        by_rhs.setdefault(signature[3], []).append(index)
-    survivors: List[GFD] = []
-    for index, gfd in enumerate(items):
-        dominated = False
-        for other_index in by_rhs[signatures[index][3]]:
-            if other_index == index:
-                continue
-            if not _may_reduce(signatures[other_index], signatures[index]):
-                continue
-            if gfd_reduces(items[other_index], gfd):
-                dominated = True
-                break
-        if not dominated:
-            survivors.append(gfd)
-    return survivors
+    patterns = DistinctPatterns(gfd.pattern for gfd in items)
+    lhs_sigs = [
+        tuple(sorted(_literal_signature(l) for l in gfd.lhs)) for gfd in items
+    ]
+    rhs_sigs = [_literal_signature(gfd.rhs) for gfd in items]
+    # only same-RHS-signature pairs can be ≪-comparable: bucket each
+    # pattern's rules by it up front
+    by_rhs: List[Dict[Tuple, List[int]]] = []
+    for members in patterns.members:
+        buckets: Dict[Tuple, List[int]] = {}
+        for index in members:
+            buckets.setdefault(rhs_sigs[index], []).append(index)
+        by_rhs.append(buckets)
+    dominated = [False] * len(items)
+    for large, members in enumerate(patterns.members):
+        smaller = list(patterns.may_embed_into(patterns.patterns[large]))
+        for index in members:
+            dominated[index] = any(
+                other != index
+                and _multiset_leq(lhs_sigs[other], lhs_sigs[index])
+                and gfd_reduces(items[other], items[index])
+                for small in smaller
+                for other in by_rhs[small].get(rhs_sigs[index], ())
+            )
+    return [gfd for index, gfd in enumerate(items) if not dominated[index]]

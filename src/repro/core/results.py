@@ -38,7 +38,9 @@ class DiscoveryResult:
             base support, Section 4.2).
         stats: run counters.
         tree: the generation tree (kept for ``ParCover`` grouping and for
-            inspection; ``None`` when the caller dropped it).
+            inspection; ``None`` when the caller dropped it).  Only the
+            sequential engine's nodes carry match tables — a ``ParDis``
+            tree has patterns, supports and parent links, no rows.
     """
 
     gfds: List[GFD] = field(default_factory=list)

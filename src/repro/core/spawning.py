@@ -13,9 +13,21 @@ candidate sources are used:
   negative GFDs of the form ``Q'[x̄](∅ → false)`` such as the paper's
   mutual-parent pattern ``φ3`` (Example 8).
 
-The statistics collection is factored so that ``ParDis`` workers can run it
-on their local match shards and the master can merge the partial results —
-the distributed runs then spawn *exactly* the same patterns as ``SeqDis``.
+The tally is a distinct *count* per extension key, and that is all it ever
+holds: :func:`extension_counts` produces :class:`ExtensionCounts` from one
+sort of ``(key, pivot)`` pairs and a run-length pass — no per-key pivot set.
+Under ``ParDis``'s pivot-disjoint sharding the per-shard counts add up
+(:func:`merge_extension_counts`), so the distributed runs spawn *exactly*
+the same patterns as ``SeqDis``.  The per-match dict scan
+(:func:`extension_statistics`, pivot *sets*) is the layer's oracle, bridged
+by :func:`counts_from_statistics`.
+
+A closing tally is more than a spawn filter: pivot ``p`` is recorded under
+``(s, d, l)`` iff some match ``h`` of ``Q`` with ``h(z) = p`` has the graph
+edge ``h(s) -[l]-> h(d)``.  ``Q + (s, d, l)`` has the same variables, so its
+matches are exactly those ``h`` — ``closing[(s, d, l)]`` *is* the child's
+distinct-pivot support (absent key = 0), which ``ParDis`` uses to make an
+infrequent closing child a leaf without joining it.
 """
 
 from __future__ import annotations
@@ -38,15 +50,11 @@ __all__ = [
     "ExtensionStatistics",
     "ExtensionCounts",
     "extension_statistics",
-    "merge_extension_statistics",
+    "extension_counts",
     "counts_from_statistics",
     "merge_extension_counts",
-    "extensions_from_statistics",
     "extensions_from_counts",
-    "wildcard_extensions_from_statistics",
     "wildcard_extensions_from_counts",
-    "data_driven_extensions",
-    "wildcard_extensions",
     "speculative_closing_extensions",
 ]
 
@@ -57,22 +65,16 @@ ClosingKey = Tuple[int, int, str]
 
 
 class ExtensionStatistics:
-    """Pivot-support tallies for candidate one-edge extensions.
+    """Pivot-*set* tallies for candidate one-edge extensions (the oracle form).
 
-    ``new_node[key]`` and ``closing[key]`` hold the sets of *pivots* whose
-    matches witness the extension — mergeable across match shards.
+    ``new_node[key]`` and ``closing[key]`` hold the sets of pivots whose
+    matches witness the extension; the engines only ever need their sizes
+    (:class:`ExtensionCounts`).
     """
 
     def __init__(self) -> None:
         self.new_node: Dict[NewNodeKey, Set[int]] = defaultdict(set)
         self.closing: Dict[ClosingKey, Set[int]] = defaultdict(set)
-
-    def merge(self, other: "ExtensionStatistics") -> None:
-        """Union ``other``'s tallies into this one (master-side combine)."""
-        for key, pivots in other.new_node.items():
-            self.new_node[key] |= pivots
-        for key, pivots in other.closing.items():
-            self.closing[key] |= pivots
 
 
 def extension_statistics(
@@ -80,21 +82,15 @@ def extension_statistics(
     pattern: Pattern,
     matches: Iterable[Match],
     can_add_node: bool,
-    index: Optional[GraphIndex] = None,
 ) -> ExtensionStatistics:
     """Collect extension tallies from a batch of matches of ``pattern``.
 
-    This is the per-worker scan of ``VSpawn``: for every match, every
-    incident graph edge either closes a pair of matched variables (candidate
-    closing edge, if not already a pattern edge) or reaches an unmatched
-    endpoint (candidate new-node extension).
-
-    With ``index`` the whole batch is tallied by one ragged CSR gather per
-    (variable, direction) and an integer group-by, producing the *identical*
-    :class:`ExtensionStatistics` (same keys, same pivot sets) at array speed.
+    The per-match dict scan of ``VSpawn``: for every match, every incident
+    graph edge either closes a pair of matched variables (candidate closing
+    edge, if not already a pattern edge) or reaches an unmatched endpoint
+    (candidate new-node extension).  The index path's
+    :func:`extension_counts` is differential-tested against this.
     """
-    if index is not None:
-        return _extension_statistics_indexed(index, pattern, matches, can_add_node)
     stats = ExtensionStatistics()
     pattern_edges = pattern.edge_set()
     pivot_var = pattern.pivot
@@ -124,42 +120,79 @@ def extension_statistics(
     return stats
 
 
-def _group_pivot_sets(
-    keys: np.ndarray, pivots: np.ndarray, num_nodes: int
-) -> Iterable[Tuple[int, Set[int]]]:
-    """Group ``(key, pivot)`` pairs into per-key distinct-pivot sets.
+class ExtensionCounts:
+    """Distinct-pivot counts per candidate extension.
 
-    One sort-based ``np.unique`` over the combined integer replaces the
-    per-row set insertion of the dict path.
+    When every pivot lives on exactly one worker (``ParDis``'s sharding
+    invariant), per-key distinct-pivot counts add up across workers, so only
+    integers need shipping.  ``prefix_*`` aggregates feed the wildcard
+    upgrade decision.
     """
-    if keys.size == 0:
-        return
-    combined = sort_unique(keys * num_nodes + pivots)
-    unique_keys = combined // num_nodes
-    unique_pivots = combined % num_nodes
-    boundaries = np.flatnonzero(
-        np.concatenate(([True], unique_keys[1:] != unique_keys[:-1]))
-    )
-    ends = np.concatenate((boundaries[1:], [combined.size]))
-    for start, end in zip(boundaries.tolist(), ends.tolist()):
-        yield int(unique_keys[start]), set(unique_pivots[start:end].tolist())
+
+    __slots__ = ("new_node", "closing", "prefix_pivots", "prefix_labels")
+
+    def __init__(self) -> None:
+        self.new_node: Dict[NewNodeKey, int] = {}
+        self.closing: Dict[ClosingKey, int] = {}
+        self.prefix_pivots: Dict[Tuple[int, bool, str], int] = {}
+        self.prefix_labels: Dict[Tuple[int, bool, str], Set[str]] = {}
 
 
-def _extension_statistics_indexed(
-    index: GraphIndex,
+def counts_from_statistics(stats: ExtensionStatistics) -> ExtensionCounts:
+    """Collapse the oracle's pivot sets into counts."""
+    counts = ExtensionCounts()
+    prefix_sets: Dict[Tuple[int, bool, str], Set[int]] = defaultdict(set)
+    for key, pivots in stats.new_node.items():
+        counts.new_node[key] = len(pivots)
+        prefix = (key[0], key[1], key[2])
+        prefix_sets[prefix] |= pivots
+        counts.prefix_labels.setdefault(prefix, set()).add(key[3])
+    for key, pivots in stats.closing.items():
+        counts.closing[key] = len(pivots)
+    counts.prefix_pivots = {
+        prefix: len(pivots) for prefix, pivots in prefix_sets.items()
+    }
+    return counts
+
+
+def _pivots_per_key(
+    pairs: np.ndarray, num_nodes: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(distinct keys, distinct pivots per key)`` of sorted distinct
+    ``key · |V| + pivot`` pairs — the counts are run lengths."""
+    keys = pairs // num_nodes
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return keys[starts], np.diff(np.append(starts, keys.size))
+
+
+def extension_counts(
+    graph: Optional[Graph],
     pattern: Pattern,
     matches: Iterable[Match],
     can_add_node: bool,
-) -> ExtensionStatistics:
-    """Array-speed twin of the per-match ``extension_statistics`` scan."""
-    stats = ExtensionStatistics()
+    index: Optional[GraphIndex] = None,
+) -> ExtensionCounts:
+    """The ``VSpawn`` tally of one match batch (the per-worker scan).
+
+    With ``index`` the whole batch is tallied by one ragged CSR gather per
+    (variable, direction) and an integer group-by over ``key · |V| + pivot``;
+    without it the dict oracle :func:`extension_statistics` runs and its
+    sets are collapsed — the results are identical.
+    """
+    if index is None:
+        return counts_from_statistics(
+            extension_statistics(graph, pattern, matches, can_add_node)
+        )
+    counts = ExtensionCounts()
     num_vars = pattern.num_nodes
     array = _as_match_array(
         matches if isinstance(matches, (np.ndarray, list)) else list(matches),
         num_vars,
     )
     if array.shape[0] == 0:
-        return stats
+        return counts
     num_nodes = index.num_nodes
     num_edge_labels = max(1, len(index.edge_label_values))
     num_node_labels = max(1, len(index.node_label_values))
@@ -219,69 +252,44 @@ def _extension_statistics_indexed(
             new_key_parts.append(keys)
             new_pivot_parts.append(pivots[row[free]])
 
+    edge_labels = index.edge_label_values
+
+    def prefix_of(code: int) -> Tuple[int, bool, str]:
+        return (
+            code // num_edge_labels // 2,
+            bool(code // num_edge_labels % 2),
+            edge_labels[code % num_edge_labels],
+        )
+
     if closing_key_parts:
-        keys = np.concatenate(closing_key_parts)
-        pivs = np.concatenate(closing_pivot_parts)
-        for key, pivot_set in _group_pivot_sets(keys, pivs, num_nodes):
-            label = index.edge_label_values[key % num_edge_labels]
+        pairs = sort_unique(
+            np.concatenate(closing_key_parts) * num_nodes
+            + np.concatenate(closing_pivot_parts)
+        )
+        keys, sizes = _pivots_per_key(pairs, num_nodes)
+        for key, size in zip(keys.tolist(), sizes.tolist()):
             pair = key // num_edge_labels
-            stats.closing[(pair // num_vars, pair % num_vars, label)] = pivot_set
+            label = edge_labels[key % num_edge_labels]
+            counts.closing[(pair // num_vars, pair % num_vars, label)] = size
     if new_key_parts:
-        keys = np.concatenate(new_key_parts)
-        pivs = np.concatenate(new_pivot_parts)
-        for key, pivot_set in _group_pivot_sets(keys, pivs, num_nodes):
+        pairs = sort_unique(
+            np.concatenate(new_key_parts) * num_nodes
+            + np.concatenate(new_pivot_parts)
+        )
+        keys, sizes = _pivots_per_key(pairs, num_nodes)
+        for key, size in zip(keys.tolist(), sizes.tolist()):
+            prefix = prefix_of(key // num_node_labels)
             endpoint = index.node_label_values[key % num_node_labels]
-            rest = key // num_node_labels
-            label = index.edge_label_values[rest % num_edge_labels]
-            prefix = rest // num_edge_labels
-            stats.new_node[
-                (prefix // 2, bool(prefix % 2), label, endpoint)
-            ] = pivot_set
-    return stats
-
-
-def merge_extension_statistics(
-    parts: Sequence[ExtensionStatistics],
-) -> ExtensionStatistics:
-    """Combine per-shard tallies (the master's aggregation step)."""
-    merged = ExtensionStatistics()
-    for part in parts:
-        merged.merge(part)
-    return merged
-
-
-class ExtensionCounts:
-    """Scalar extension tallies for *pivot-disjoint* match shards.
-
-    When every pivot lives on exactly one worker (``ParDis``'s sharding
-    invariant), per-key distinct-pivot counts add up across workers, so only
-    integers need shipping.  ``prefix_*`` aggregates feed the wildcard
-    upgrade decision.
-    """
-
-    __slots__ = ("new_node", "closing", "prefix_pivots", "prefix_labels")
-
-    def __init__(self) -> None:
-        self.new_node: Dict[NewNodeKey, int] = {}
-        self.closing: Dict[ClosingKey, int] = {}
-        self.prefix_pivots: Dict[Tuple[int, bool, str], int] = {}
-        self.prefix_labels: Dict[Tuple[int, bool, str], Set[str]] = {}
-
-
-def counts_from_statistics(stats: ExtensionStatistics) -> ExtensionCounts:
-    """Collapse one shard's pivot sets into counts (worker-side)."""
-    counts = ExtensionCounts()
-    prefix_sets: Dict[Tuple[int, bool, str], Set[int]] = defaultdict(set)
-    for key, pivots in stats.new_node.items():
-        counts.new_node[key] = len(pivots)
-        prefix = (key[0], key[1], key[2])
-        prefix_sets[prefix] |= pivots
-        counts.prefix_labels.setdefault(prefix, set()).add(key[3])
-    for key, pivots in stats.closing.items():
-        counts.closing[key] = len(pivots)
-    counts.prefix_pivots = {
-        prefix: len(pivots) for prefix, pivots in prefix_sets.items()
-    }
+            counts.new_node[prefix + (endpoint,)] = size
+            counts.prefix_labels.setdefault(prefix, set()).add(endpoint)
+        # the same pivot may reach one prefix under several endpoint labels
+        prefix_pairs = sort_unique(
+            pairs // (num_node_labels * num_nodes) * num_nodes
+            + pairs % num_nodes
+        )
+        prefixes, sizes = _pivots_per_key(prefix_pairs, num_nodes)
+        for code, size in zip(prefixes.tolist(), sizes.tolist()):
+            counts.prefix_pivots[prefix_of(code)] = size
     return counts
 
 
@@ -305,7 +313,7 @@ def merge_extension_counts(parts: Sequence[ExtensionCounts]) -> ExtensionCounts:
 def extensions_from_counts(
     pattern: Pattern, counts: ExtensionCounts, config: DiscoveryConfig
 ) -> List[Extension]:
-    """Count-based twin of :func:`extensions_from_statistics` (same order)."""
+    """Extensions whose witnessing-pivot count reaches ``σ``, ordered by count."""
     extensions: List[Extension] = []
     for (variable, outward, label, endpoint), count in sorted(
         counts.new_node.items(), key=lambda kv: (-kv[1], kv[0])
@@ -331,7 +339,13 @@ def extensions_from_counts(
 def wildcard_extensions_from_counts(
     pattern: Pattern, counts: ExtensionCounts, config: DiscoveryConfig
 ) -> List[Extension]:
-    """Count-based twin of :func:`wildcard_extensions_from_statistics`."""
+    """Wildcard-endpoint extensions (the paper's label upgrading).
+
+    When the matches of a pattern reach, along one ``(anchor, direction,
+    edge label)``, endpoints of at least ``wildcard_min_labels`` distinct
+    labels, spawn one extension with a wildcard ``'_'`` endpoint — the
+    generalized pattern subsumes the per-label ones (``Q2`` of Example 1).
+    """
     if not config.enable_wildcards or pattern.num_nodes >= config.k:
         return []
     extensions: List[Extension] = []
@@ -351,109 +365,6 @@ def wildcard_extensions_from_counts(
                 )
             )
     return extensions
-
-
-def extensions_from_statistics(
-    pattern: Pattern, stats: ExtensionStatistics, config: DiscoveryConfig
-) -> List[Extension]:
-    """Extensions whose witnessing-pivot count reaches ``σ``, ordered by count."""
-    extensions: List[Extension] = []
-    for (variable, outward, label, endpoint), pivots in sorted(
-        stats.new_node.items(), key=lambda kv: (-len(kv[1]), kv[0])
-    ):
-        if len(pivots) >= config.sigma:
-            extensions.append(
-                Extension(
-                    src=variable,
-                    dst=pattern.num_nodes,
-                    edge_label=label,
-                    new_node_label=endpoint,
-                    outward=outward,
-                )
-            )
-    for (src, dst, label), pivots in sorted(
-        stats.closing.items(), key=lambda kv: (-len(kv[1]), kv[0])
-    ):
-        if len(pivots) >= config.sigma:
-            extensions.append(Extension(src=src, dst=dst, edge_label=label))
-    return extensions
-
-
-def wildcard_extensions_from_statistics(
-    pattern: Pattern, stats: ExtensionStatistics, config: DiscoveryConfig
-) -> List[Extension]:
-    """Wildcard-endpoint extensions (the paper's label upgrading).
-
-    When the matches of a pattern reach, along one ``(anchor, direction,
-    edge label)``, endpoints of at least ``wildcard_min_labels`` distinct
-    labels, spawn one extension with a wildcard ``'_'`` endpoint — the
-    generalized pattern subsumes the per-label ones (``Q2`` of Example 1).
-    """
-    if not config.enable_wildcards or pattern.num_nodes >= config.k:
-        return []
-    diversity: Dict[Tuple[int, bool, str], Set[str]] = defaultdict(set)
-    pivots_by_prefix: Dict[Tuple[int, bool, str], Set[int]] = defaultdict(set)
-    for (variable, outward, label, endpoint), pivots in stats.new_node.items():
-        prefix = (variable, outward, label)
-        diversity[prefix].add(endpoint)
-        pivots_by_prefix[prefix] |= pivots
-    extensions: List[Extension] = []
-    for prefix in sorted(diversity):
-        variable, outward, label = prefix
-        if (
-            len(diversity[prefix]) >= config.wildcard_min_labels
-            and len(pivots_by_prefix[prefix]) >= config.sigma
-        ):
-            extensions.append(
-                Extension(
-                    src=variable,
-                    dst=pattern.num_nodes,
-                    edge_label=label,
-                    new_node_label=WILDCARD,
-                    outward=outward,
-                )
-            )
-    return extensions
-
-
-def data_driven_extensions(
-    graph: Graph,
-    node: TreeNode,
-    config: DiscoveryConfig,
-    index: Optional[GraphIndex] = None,
-) -> List[Extension]:
-    """Sequential convenience: tally the node's whole table and filter."""
-    if node.table is None:
-        return []
-    stats = extension_statistics(
-        graph,
-        node.pattern,
-        node.table.match_array if index is not None else node.table.matches,
-        can_add_node=node.pattern.num_nodes < config.k,
-        index=index,
-    )
-    return extensions_from_statistics(node.pattern, stats, config)
-
-
-def wildcard_extensions(
-    graph: Graph,
-    node: TreeNode,
-    config: DiscoveryConfig,
-    index: Optional[GraphIndex] = None,
-) -> List[Extension]:
-    """Sequential convenience for wildcard upgrades over the node's table."""
-    if not config.enable_wildcards or node.table is None:
-        return []
-    if node.pattern.num_nodes >= config.k:
-        return []
-    stats = extension_statistics(
-        graph,
-        node.pattern,
-        node.table.match_array if index is not None else node.table.matches,
-        can_add_node=True,
-        index=index,
-    )
-    return wildcard_extensions_from_statistics(node.pattern, stats, config)
 
 
 def speculative_closing_extensions(

@@ -19,7 +19,7 @@ from typing import (
     Union,
 )
 
-from ..pattern.embedding import may_embed
+from ..pattern.embedding import DistinctPatterns
 from ..pattern.pattern import Pattern
 from .closure import chase, embedded_rules
 from .gfd import GFD
@@ -58,14 +58,18 @@ class ImplicationChecker:
 
     Cover computation tests ``Σ \\ {φ} ⊨ φ`` for many ``φ`` with the same
     ``Σ``; this caches the embedded-rule instantiation per target pattern so
-    repeated chases over one pattern skip embedding enumeration.  Rules
-    originating from a GFD are tagged so the "leave one out" variant can
-    exclude them without re-instantiating.
+    repeated chases over one pattern skip embedding enumeration, and decides
+    which of ``Σ`` can embed at all once per *distinct* rule pattern — only
+    ``Σ̄_Q`` takes part in a derivation over ``Q`` (Lemma 6), and membership
+    depends on the rule's pattern alone.  Rules originating from a GFD are
+    tagged so the "leave one out" variant can exclude them without
+    re-instantiating.
     """
 
     def __init__(self, sigma: Sequence[GFD]) -> None:
         self._sigma = list(sigma)
-        # pattern identity -> list of (source index, lhs, rhs)
+        self._patterns = DistinctPatterns(gfd.pattern for gfd in self._sigma)
+        # pattern identity -> list of (source index, lhs, rhs), in Σ order
         self._cache: dict = {}
 
     @property
@@ -74,22 +78,26 @@ class ImplicationChecker:
         return list(self._sigma)
 
     def _rules_for(self, pattern: Pattern) -> List[Tuple[int, frozenset, Literal]]:
-        key = pattern
-        rules = self._cache.get(key)
+        rules = self._cache.get(pattern)
         if rules is None:
-            rules = []
-            for index, gfd in enumerate(self._sigma):
-                if not may_embed(gfd.pattern, pattern):
-                    continue  # label-multiset prefilter: no embedding exists
-                for lhs, rhs in embedded_rules([gfd], pattern):
-                    rules.append((index, lhs, rhs))
-            self._cache[key] = rules
+            candidates = sorted(
+                index
+                for slot in self._patterns.may_embed_into(pattern)
+                for index in self._patterns.members[slot]
+            )
+            rules = [
+                (index, lhs, rhs)
+                for index in candidates
+                for lhs, rhs in embedded_rules([self._sigma[index]], pattern)
+            ]
+            self._cache[pattern] = rules
         return rules
 
     def implies(
         self,
         gfd: GFD,
         exclude: Union[None, int, AbstractSet[int]] = None,
+        allowed: Optional[AbstractSet[int]] = None,
     ) -> bool:
         """``(Σ minus the GFDs at the ``exclude`` indices) ⊨ gfd``.
 
@@ -97,6 +105,8 @@ class ImplicationChecker:
         checker was built over; excluded GFDs contribute no chase rules.
         The set form is what group-wise cover elimination uses: one checker
         (and its embedded-rule cache) serves every leave-``k``-out test.
+        ``allowed`` restricts the context the other way round: only GFDs at
+        those indices contribute (a ``ParCover`` unit's ``Σ̄_Q``).
         """
         if exclude is None:
             excluded: AbstractSet[int] = frozenset()
@@ -106,7 +116,9 @@ class ImplicationChecker:
             excluded = exclude
         tagged = self._rules_for(gfd.pattern)
         rules = [
-            (lhs, rhs) for index, lhs, rhs in tagged if index not in excluded
+            (lhs, rhs)
+            for index, lhs, rhs in tagged
+            if index not in excluded and (allowed is None or index in allowed)
         ]
         closure = chase(gfd.pattern, [], gfd.lhs, rules=rules)
         if closure.conflicting:
@@ -135,10 +147,10 @@ def greedy_group_elimination(
     general rules — the same tie-break as ``SeqCover``.
 
     ``checker`` optionally supplies a shared :class:`ImplicationChecker`
-    over the *full* ``Σ``; restriction to the embedded context is implicit
-    (a GFD whose pattern does not embed into the target's contributes no
-    chase rules), so one checker's embedded-rule cache serves every unit of
-    a worker's batch.  Results are identical either way.
+    over the *full* ``Σ``; the unit's ``embedded`` set is passed as the
+    ``allowed`` context of each test, so one checker's embedded-rule cache
+    serves every unit of a worker's batch.  Results are identical either
+    way.
     """
     if checker is None:
         checker = ImplicationChecker(sigma)
@@ -152,8 +164,10 @@ def greedy_group_elimination(
         ),
     )
     embedded_set = frozenset(embedded)
-    outside = frozenset(range(len(sigma))) - embedded_set
     for index in ordered:
-        if checker.implies(sigma[index], exclude=outside | removed | {index}):
-            removed.add(index)
+        removed.add(index)  # leave-one-out: a member never derives itself
+        if not checker.implies(
+            sigma[index], exclude=removed, allowed=embedded_set
+        ):
+            removed.discard(index)
     return sorted(removed)

@@ -68,7 +68,7 @@ import numpy as np
 
 from ..core.config import FaultConfig, _default_fault
 from ..core.match_table import MatchTable
-from ..core.spawning import counts_from_statistics, extension_statistics
+from ..core.spawning import extension_counts
 from ..gfd.implication import ImplicationChecker, greedy_group_elimination
 from ..graph.graph import Graph
 from ..graph.index import GraphIndex
@@ -380,16 +380,14 @@ class ShardWorker:
         return table.num_rows, values, agreements
 
     def op_tally(self, key: int, payload: Dict[str, Any]):
-        """Collapse this shard's extension tallies into shippable counts."""
+        """This shard's extension tallies as shippable counts."""
         table = self.tables[key]
-        return counts_from_statistics(
-            extension_statistics(
-                self.graph,
-                table.pattern,
-                self._parent_matches(table),
-                payload["can_add"],
-                index=self.index,
-            )
+        return extension_counts(
+            self.graph,
+            table.pattern,
+            self._parent_matches(table),
+            payload["can_add"],
+            index=self.index,
         )
 
     def op_join(self, key: int, payload: Dict[str, Any]) -> List[Tuple]:

@@ -39,7 +39,7 @@ from ..core.cover import CoverResult, _scan_order
 from ..gfd.gfd import GFD
 from ..gfd.implication import ImplicationChecker, greedy_group_elimination
 from ..pattern.canonical import canonical_key
-from ..pattern.embedding import is_embedded
+from ..pattern.embedding import DistinctPatterns, is_embedded
 from ..pattern.pattern import Pattern
 from .backend import (
     BACKEND_NAMES,
@@ -73,22 +73,21 @@ def _group_sigma(sigma: Sequence[GFD]) -> Dict[Tuple, List[int]]:
 
 
 def _embedded_indices(
-    sigma: Sequence[GFD], representative: Pattern, group: List[int]
+    patterns: DistinctPatterns, representative: Pattern, group: List[int]
 ) -> List[int]:
     """Indices of GFDs whose pattern embeds into ``representative``.
 
     This is ``Σ̄_Q`` of Lemma 6 — the only GFDs that can participate in a
-    derivation over ``representative``'s pattern.
+    derivation over ``representative``'s pattern.  Embedding is decided per
+    distinct pattern of ``Σ`` and expanded to the rules carrying it.
     """
-    embedded: List[int] = []
-    group_set = set(group)
-    for index, gfd in enumerate(sigma):
-        if index in group_set:
-            embedded.append(index)
-            continue
-        if is_embedded(gfd.pattern, representative, pivot_preserving=False):
-            embedded.append(index)
-    return embedded
+    embedded = set(group)
+    for slot in patterns.may_embed_into(representative):
+        if is_embedded(
+            patterns.patterns[slot], representative, pivot_preserving=False
+        ):
+            embedded.update(patterns.members[slot])
+    return sorted(embedded)
 
 
 def _check_group(
@@ -223,11 +222,12 @@ def parallel_cover(
         with cluster.master():
             groups = _group_sigma(sigma)
             ordered_keys = sorted(groups)
+            patterns = DistinctPatterns(gfd.pattern for gfd in sigma)
             units: List[Tuple[List[int], List[int]]] = []
             for group_key in ordered_keys:
                 group = groups[group_key]
                 representative = sigma[group[0]].pattern
-                embedded = _embedded_indices(sigma, representative, group)
+                embedded = _embedded_indices(patterns, representative, group)
                 units.append((group, embedded))
             if cost_model is not None:
                 weights = [

@@ -7,10 +7,11 @@ the incremental joins ``Q'(F_s) = Q(F_s) ⋈ e(F_t)``).  Per superstep,
 mirroring Figure 3:
 
 1. **Parallel pattern verification** — the master spawns extensions (from
-   merged per-worker tallies, so the spawned patterns equal ``SeqDis``'s);
-   workers join their local match shards with the shipped extension edges
-   of *every* parent of the tree level in one round; skewed shards are
-   re-distributed (``ParGFDnb`` disables this);
+   merged per-worker tally counts, so the spawned patterns equal
+   ``SeqDis``'s); workers join their local match shards with the shipped
+   extension edges of *every* parent of the tree level in one round — a
+   closing child whose tally count already makes it a leaf is not joined
+   at all; skewed shards are re-distributed (``ParGFDnb`` disables this);
 2. **Parallel GFD validation** — the master grows the LHS lattices of all
    RHS literals level-by-level; each lattice level — of all the tree
    level's patterns jointly — is validated as one batch ``ΣC_{ij}`` in a
@@ -44,7 +45,6 @@ from ..core.config import DiscoveryConfig
 from ..core.discovery import SequentialDiscovery
 from ..core.generation_tree import GenerationTree, TreeNode
 from ..core.match_table import (
-    MatchTable,
     constant_literals_from_counts,
     merge_agreement_counts,
     merge_value_counts,
@@ -52,6 +52,7 @@ from ..core.match_table import (
 )
 from ..core.results import DiscoveryResult
 from ..core.spawning import (
+    ExtensionCounts,
     extensions_from_counts,
     merge_extension_counts,
     speculative_closing_extensions,
@@ -61,7 +62,6 @@ from ..gfd.gfd import GFD
 from ..gfd.literals import FALSE, Literal
 from ..graph.graph import Graph
 from ..pattern.incremental import Extension, apply_extension
-from ..pattern.matcher import Match
 from ..pattern.pattern import WILDCARD, Pattern
 from .backend import (
     BACKEND_NAMES,
@@ -308,32 +308,6 @@ class ParallelDiscovery(SequentialDiscovery):
             self.stats.patterns_spawned += 1
             self.stats.patterns_frequent += 1
 
-    def _union_table(
-        self, node: TreeNode, shards: List, truncated: bool = False
-    ) -> MatchTable:
-        """A lightweight master-side union view of the shard matches."""
-        if self.index is not None:
-            width = node.pattern.num_nodes
-            parts = [
-                np.asarray(shard, dtype=np.int64).reshape(-1, width)
-                for shard in shards
-            ]
-            matches: Union[List[Match], np.ndarray] = (
-                np.concatenate(parts)
-                if parts
-                else np.empty((0, width), dtype=np.int64)
-            )
-        else:
-            matches = [match for shard in shards for match in shard]
-        return MatchTable(
-            self.graph,
-            node.pattern,
-            matches,
-            [],
-            truncated=truncated,
-            index=self.index,
-        )
-
     def _install_shards_many(
         self,
         batch: List[Tuple[TreeNode, Optional[List], bool, Optional[Tuple[int, int]]]],
@@ -350,14 +324,13 @@ class ParallelDiscovery(SequentialDiscovery):
         Truncated patterns are leaves: no worker state is installed, so
         they are skipped by both spawning directions (matching the
         sequential engine's refusal to certify anything from a capped
-        table).
+        table).  The workers hold the only copy of the rows — the master
+        keeps no match table (``TreeNode.table`` stays ``None``).
         """
         pending: List[Tuple[TreeNode, int, bool, Optional[List], Optional[Tuple[int, int]]]] = []
         for node, shards, truncated, adopt in batch:
             if truncated:
                 self.stats.truncated_patterns += 1
-                if not self._backend.remote:
-                    node.table = self._union_table(node, shards, truncated=True)
                 continue
             key = next_node_key()
             self._keys[id(node)] = key
@@ -398,11 +371,6 @@ class ParallelDiscovery(SequentialDiscovery):
                     [part[1] for part in parts],
                     [part[2] for part in parts],
                 )
-            if not self._backend.remote:
-                # keep a union view for code that only reads matches (workers
-                # hold the authoritative shards; skipped on real processes
-                # where it would double the master's memory)
-                node.table = self._union_table(node, shards)
 
     def _drop_parent(self, parent: TreeNode, parent_key: int) -> None:
         """Free a finished pattern's worker-side state and master bookkeeping."""
@@ -418,30 +386,45 @@ class ParallelDiscovery(SequentialDiscovery):
         self._column_stats.pop(parent_key, None)
 
     def _extensions_from_tallies(
-        self, parent: TreeNode, parts: List
+        self, parent: TreeNode, merged: ExtensionCounts
     ) -> List[Extension]:
-        """Master-side extension generation from one parent's merged tallies.
-
-        Workers tally their shard and collapse pivot sets into counts;
-        pivot-disjoint sharding makes the master's aggregation a plain sum,
-        so only small count dictionaries are shipped.
-        """
-        with self.cluster.master():
-            merged = merge_extension_counts(parts)
-            self.cluster.ship_to_master(
-                sum(len(p.new_node) + len(p.closing) for p in parts)
+        """Master-side extension generation from one parent's merged tally."""
+        extensions = extensions_from_counts(parent.pattern, merged, self.config)
+        extensions += wildcard_extensions_from_counts(
+            parent.pattern, merged, self.config
+        )
+        if self.config.mine_negative and self.config.speculative_closing_edges:
+            extensions += speculative_closing_extensions(
+                self.graph_stats, parent, self.config
             )
-            extensions = extensions_from_counts(
-                parent.pattern, merged, self.config
-            )
-            extensions += wildcard_extensions_from_counts(
-                parent.pattern, merged, self.config
-            )
-            if self.config.mine_negative and self.config.speculative_closing_edges:
-                extensions += speculative_closing_extensions(
-                    self.graph_stats, parent, self.config
-                )
         return extensions
+
+    def _leaf_support(
+        self, merged: ExtensionCounts, extension: Extension
+    ) -> Optional[int]:
+        """The support of a closing child the parent's tally already makes a leaf.
+
+        The closing tally records pivot ``p`` under ``(s, d, l)`` iff some
+        match ``h`` of the parent with ``h(z) = p`` has the graph edge
+        ``h(s) -[l]-> h(d)``; the child ``Q + (s, d, l)`` has the same
+        variables, so its matches are exactly those ``h`` and its
+        distinct-pivot support is that count (absent key = 0).  Parents
+        with truncated tables are never extended, so the tally saw every
+        row; and the child's rows are a subset of an untruncated parent's,
+        so the child can never hit ``max_matches_per_pattern`` either.
+
+        Returns ``None`` when the child must be joined: a new-node or
+        wildcard extension (no such key in the tally) or a child that will
+        be mined or extended.
+        """
+        if not extension.is_closing or extension.edge_label == WILDCARD:
+            return None
+        count = merged.closing.get(
+            (extension.src, extension.dst, extension.edge_label), 0
+        )
+        if count == 0 or (self.config.prune and count < self.config.sigma):
+            return count
+        return None
 
     def _rebalance_direct(
         self, parent_key: int, position: int, node: TreeNode
@@ -554,14 +537,17 @@ class ParallelDiscovery(SequentialDiscovery):
         """``VSpawn(level)``: three supersteps for the whole level.
 
         Every surviving parent tallies in one superstep, every novel child
-        joins in one superstep, every non-truncated child installs in one
-        superstep (rare skew rebalances keep their own rounds in between).
-        Master-side dedup, support aggregation and the zero-support
-        negative emissions run in ``SeqDis``'s per-parent, per-child order,
-        so the discovered set is identical.  Parents past a binding
-        ``max_patterns_per_level`` cap are still tallied (the joint round
-        was already submitted) but never extended, joined or dropped —
-        tallies ship no ledger-visible rows.
+        that will be mined or extended joins in one superstep, every
+        non-truncated joined child installs in one superstep (rare skew
+        rebalances keep their own rounds in between).  A closing child the
+        tally already fixes as a leaf (:meth:`_leaf_support`) takes its
+        support from the tally: no join, no install, no worker key — it
+        only keeps its slot in the per-child bookkeeping.  Master-side
+        dedup, support aggregation and the zero-support negative emissions
+        run in ``SeqDis``'s per-parent, per-child order, so the discovered
+        set is identical.  Parents past a binding ``max_patterns_per_level``
+        cap are still tallied (the joint round was already submitted) but
+        never extended or joined.
         """
         created_nodes: List[TreeNode] = []
         parents = list(tree.level(level - 1))
@@ -603,15 +589,23 @@ class ParallelDiscovery(SequentialDiscovery):
             parts_all = self._backend.run_superstep(step, requests)
 
         # master-side extension generation + dedup, in parent order (the
-        # dedup against earlier parents' children is order-sensitive)
-        novel_by_parent: List[Tuple[TreeNode, int, List[Tuple[TreeNode, Extension]]]] = []
+        # dedup against earlier parents' children is order-sensitive); a
+        # child the tally makes a leaf carries ``None`` for its extension
+        novel_by_parent: List[
+            Tuple[TreeNode, int, List[Tuple[TreeNode, Optional[Extension]]]]
+        ] = []
         spawned = 0
         for index, (parent, parent_key) in enumerate(eligible):
             parts = parts_all[index * n:(index + 1) * n]
-            extensions = self._extensions_from_tallies(parent, parts)
-            novel: List[Tuple[TreeNode, Extension]] = []
+            novel: List[Tuple[TreeNode, Optional[Extension]]] = []
             with self.cluster.master():
-                for extension in extensions:
+                # pivot-disjoint sharding makes the aggregation a plain sum,
+                # so only small count dictionaries are shipped
+                merged = merge_extension_counts(parts)
+                self.cluster.ship_to_master(
+                    sum(len(p.new_node) + len(p.closing) for p in parts)
+                )
+                for extension in self._extensions_from_tallies(parent, merged):
                     pattern = apply_extension(parent.pattern, extension)
                     if pattern.num_nodes > self.config.k:
                         continue
@@ -619,7 +613,12 @@ class ParallelDiscovery(SequentialDiscovery):
                     if not created:
                         continue
                     self.stats.patterns_spawned += 1
-                    novel.append((node, extension))
+                    leaf_support = self._leaf_support(merged, extension)
+                    if leaf_support is None:
+                        novel.append((node, extension))
+                    else:
+                        node.support = leaf_support
+                        novel.append((node, None))
                     if (
                         level_cap is not None
                         and spawned + len(novel) >= level_cap
@@ -631,11 +630,16 @@ class ParallelDiscovery(SequentialDiscovery):
                 break
 
         # round 2 — every parent's incremental joins in one superstep: each
-        # worker joins its shard with ALL new extension edges (the (Q, e)
-        # work units).  Remote workers park the joined rows locally (the
-        # upcoming install adopts them in place) and ship scalars only.
-        join_parents = [entry for entry in novel_by_parent if entry[2]]
-        joined_all: List = []
+        # worker joins its shard with ALL extension edges still to verify
+        # (the (Q, e) work units); positions index the extensions sent.
+        # Remote workers park the joined rows locally (the upcoming install
+        # adopts them in place) and ship scalars only.
+        join_parents: List[Tuple[int, List[Tuple[TreeNode, Extension]]]] = []
+        for _, parent_key, novel in novel_by_parent:
+            sent = [(node, ext) for node, ext in novel if ext is not None]
+            if sent:
+                join_parents.append((parent_key, sent))
+        joined_by_parent: Dict[int, List] = {}
         if join_parents:
             requests = [
                 (
@@ -645,19 +649,19 @@ class ParallelDiscovery(SequentialDiscovery):
                     {
                         "extensions": [
                             (extension, node.pattern.pivot)
-                            for node, extension in novel
+                            for node, extension in sent
                         ],
                         "cap": cap,
                         "park": remote,
                     },
                 )
-                for parent, parent_key, novel in join_parents
+                for parent_key, sent in join_parents
                 for worker in range(n)
             ]
             with self.cluster.superstep() as step:
-                for parent, parent_key, novel in join_parents:
+                for parent_key, sent in join_parents:
                     for worker in range(n):
-                        for _, extension in novel:
+                        for _, extension in sent:
                             label = extension.edge_label
                             label_edges = (
                                 total_edges
@@ -666,14 +670,23 @@ class ParallelDiscovery(SequentialDiscovery):
                             )
                             step.ship(worker, label_edges - label_edges // n)
                 joined_all = self._backend.run_superstep(step, requests)
+            for offset, (parent_key, _) in enumerate(join_parents):
+                joined_by_parent[parent_key] = joined_all[
+                    offset * n:(offset + 1) * n
+                ]
 
         # per-child support aggregation and (rare) skew rebalancing, in
-        # (parent, position) order; installs collect into one batch
+        # (parent, child) order; installs collect into one batch
         install_batch: List[Tuple[TreeNode, Optional[List], bool, Optional[Tuple[int, int]]]] = []
         child_meta: List[Tuple[TreeNode, TreeNode]] = []
-        for offset, (parent, parent_key, novel) in enumerate(join_parents):
-            joined = joined_all[offset * n:(offset + 1) * n]
-            for position, (node, extension) in enumerate(novel):
+        for parent, parent_key, novel in novel_by_parent:
+            joined = joined_by_parent.get(parent_key)
+            position = -1
+            for node, extension in novel:
+                child_meta.append((parent, node))
+                if extension is None:
+                    continue  # a leaf by the tally: support already set
+                position += 1
                 per_worker = [joined[worker][position] for worker in range(n)]
                 new_shards = [part[0] for part in per_worker]
                 sizes = [part[2] for part in per_worker]
@@ -729,9 +742,8 @@ class ParallelDiscovery(SequentialDiscovery):
                                     worker, received * node.pattern.num_nodes
                                 )
                 install_batch.append((node, new_shards, truncated, adopt))
-                child_meta.append((parent, node))
 
-        # round 3 — every child's install in one superstep
+        # round 3 — every joined child's install in one superstep
         self._install_shards_many(install_batch)
 
         for parent, node in child_meta:
@@ -747,9 +759,10 @@ class ParallelDiscovery(SequentialDiscovery):
                     self._emit(negative, parent.support)
             created_nodes.append(node)
 
-        # every processed parent's children are joined (installs adopted
-        # the parked rows above): free the worker-side state
-        for parent, parent_key, novel in novel_by_parent:
+        # the level's children are joined (installs adopted the parked rows
+        # above) and no parent of this level is visited again: free the
+        # worker-side state, also of parents the level cap left unextended
+        for parent, parent_key in eligible:
             self._drop_parent(parent, parent_key)
         return created_nodes
 

@@ -15,7 +15,7 @@ outer pattern only satisfies a wildcard requirement.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .pattern import WILDCARD, Pattern, label_matches
 
@@ -23,6 +23,7 @@ __all__ = [
     "embeddings",
     "cached_embeddings",
     "may_embed",
+    "DistinctPatterns",
     "is_embedded",
     "embeds_strictly",
 ]
@@ -143,6 +144,28 @@ def _label_multisets(pattern: Pattern) -> Tuple[Dict[str, int], Dict[str, int]]:
     return nodes, edges
 
 
+#: What the embedding prefilter reads of a pattern: node count, edge count,
+#: concrete node-label counts, concrete edge-label counts.
+_Profile = Tuple[int, int, Dict[str, int], Dict[str, int]]
+
+
+def _profile(pattern: Pattern) -> _Profile:
+    return (pattern.num_nodes, pattern.num_edges) + _label_multisets(pattern)
+
+
+def _profile_fits(inner: _Profile, outer: _Profile) -> bool:
+    """:func:`may_embed` on precomputed profiles."""
+    if inner[0] > outer[0] or inner[1] > outer[1]:
+        return False
+    for label, count in inner[2].items():
+        if outer[2].get(label, 0) < count:
+            return False
+    for label, count in inner[3].items():
+        if outer[3].get(label, 0) < count:
+            return False
+    return True
+
+
 def may_embed(inner: Pattern, outer: Pattern) -> bool:
     """Cheap necessary conditions for any embedding of inner into outer.
 
@@ -151,17 +174,58 @@ def may_embed(inner: Pattern, outer: Pattern) -> bool:
     Rejects the overwhelming majority of incomparable pattern pairs before
     the backtracking search allocates anything.
     """
-    if inner.num_nodes > outer.num_nodes or inner.num_edges > outer.num_edges:
-        return False
-    inner_nodes, inner_edges = _label_multisets(inner)
-    outer_nodes, outer_edges = _label_multisets(outer)
-    for label, count in inner_nodes.items():
-        if outer_nodes.get(label, 0) < count:
-            return False
-    for label, count in inner_edges.items():
-        if outer_edges.get(label, 0) < count:
-            return False
-    return True
+    return _profile_fits(_profile(inner), _profile(outer))
+
+
+class DistinctPatterns:
+    """The distinct patterns of a rule set, with a label-bitmask prefilter.
+
+    ``Σ`` has far fewer patterns than rules, and whether a rule can take
+    part in a derivation over ``Q`` depends on its pattern alone — so
+    embedding questions are asked once per distinct pattern and expanded to
+    the rules (``members[slot]``: positions in the input, ascending)
+    afterwards.  Each pattern carries a bitmask of its concrete node/edge
+    labels: a pattern with a label ``Q`` lacks cannot embed into ``Q``,
+    which one integer AND decides before the sizes and label multisets are
+    compared (:func:`may_embed`, on profiles read once per pattern).
+    """
+
+    def __init__(self, patterns: Iterable[Pattern]) -> None:
+        members: Dict[Pattern, List[int]] = {}
+        for position, pattern in enumerate(patterns):
+            members.setdefault(pattern, []).append(position)
+        self.patterns: List[Pattern] = list(members)
+        self.members: List[List[int]] = list(members.values())
+        self._bits: Dict[Tuple[bool, str], int] = {}
+        self._masks: List[int] = [
+            self._label_mask(pattern, intern=True) for pattern in self.patterns
+        ]
+        self._profiles: List[_Profile] = [
+            _profile(pattern) for pattern in self.patterns
+        ]
+
+    def _label_mask(self, pattern: Pattern, intern: bool) -> int:
+        """Bitmask of ``pattern``'s concrete labels (unknown ones skipped
+        unless ``intern``: no stored pattern can require them)."""
+        nodes, edges = _label_multisets(pattern)
+        mask = 0
+        for is_edge, labels in ((False, nodes), (True, edges)):
+            for label in labels:
+                bit = self._bits.get((is_edge, label))
+                if bit is None:
+                    if not intern:
+                        continue
+                    bit = self._bits[(is_edge, label)] = 1 << len(self._bits)
+                mask |= bit
+        return mask
+
+    def may_embed_into(self, outer: Pattern) -> Iterator[int]:
+        """Slots of the patterns that pass the prefilters against ``outer``."""
+        lacking = ~self._label_mask(outer, intern=False)
+        profile = _profile(outer)
+        for slot, mask in enumerate(self._masks):
+            if not mask & lacking and _profile_fits(self._profiles[slot], profile):
+                yield slot
 
 
 @lru_cache(maxsize=131072)

@@ -337,6 +337,8 @@ class Session:
         self._index_mmap = bool(index_mmap)
         self._index_autosave = bool(index_autosave)
         self._monitor = monitor
+        #: (mtime_ns, size) of the store file last found stale
+        self._stale_index_stamp: Optional[Tuple[int, int]] = None
         self._index: Optional[GraphIndex] = (
             self._snapshot_index() if self.config.use_index else None
         )
@@ -520,7 +522,14 @@ class Session:
         """
         if self._index_path is None:
             return self.graph.index()
-        if self._index_path.exists():
+        try:
+            stat = self._index_path.stat()
+            stamp: Optional[Tuple[int, int]] = (stat.st_mtime_ns, stat.st_size)
+        except FileNotFoundError:
+            stamp = None
+        # a file already found stale stays stale until somebody rewrites it
+        # (graph versions only grow), so only a changed file is re-opened
+        if stamp is not None and stamp != self._stale_index_stamp:
             try:
                 index = GraphIndex.load(
                     self._index_path,
@@ -535,6 +544,7 @@ class Session:
                     )
                 return index
             except IndexStoreStale:
+                self._stale_index_stamp = stamp
                 if self.tracer.enabled:
                     self.tracer.event(
                         "index_stale_rebuild", path=str(self._index_path)

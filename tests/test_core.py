@@ -415,6 +415,24 @@ class TestReduction:
         duplicate = GFD(PHI1.pattern, PHI1.lhs, PHI1.rhs)
         assert len(minimal_cover_by_reduction([PHI1, duplicate])) == 1
 
+    def test_minimal_cover_prefilters_equal_brute_force(self, yago_small, yago_config):
+        """The per-pattern prefilters drop nothing ``gfd_reduces`` would keep."""
+        from dataclasses import replace
+
+        raw = discover(
+            yago_small, replace(yago_config, max_lhs_size=1, minimality_filter=False)
+        ).gfds
+        unique = list({gfd_identity(gfd): gfd for gfd in raw}.values())
+        expected = [
+            gfd
+            for gfd in unique
+            if not any(
+                other is not gfd and gfd_reduces(other, gfd) for other in unique
+            )
+        ]
+        assert len(expected) < len(unique)
+        assert minimal_cover_by_reduction(raw) == expected
+
 
 class TestDiscovery:
     def test_finds_planted_rules(self, film_graph, film_config):

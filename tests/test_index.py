@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -27,7 +27,11 @@ from repro.core.config import DiscoveryConfig
 from repro.core.discovery import discover
 from repro.core.match_table import MISSING, MatchTable
 from repro.core.reduction import gfd_identity
-from repro.core.spawning import extension_statistics
+from repro.core.spawning import (
+    counts_from_statistics,
+    extension_counts,
+    extension_statistics,
+)
 from repro.core.support import DistinctPivotSketch, sketch_distinct_upper_bound
 from repro.datasets import KB_ATTRIBUTES, dbpedia_like, imdb_like, yago2_like
 from repro.datasets.synthetic import SYNTHETIC_ATTRIBUTES, synthetic_graph
@@ -62,11 +66,28 @@ PATTERNS = [
 ]
 
 
-def normalize_stats(stats):
+def counts_as_dicts(counts):
     return (
-        {key: set(map(int, pivots)) for key, pivots in stats.new_node.items()},
-        {key: set(map(int, pivots)) for key, pivots in stats.closing.items()},
+        counts.new_node,
+        counts.closing,
+        counts.prefix_pivots,
+        counts.prefix_labels,
     )
+
+
+def assert_tally_matches_oracle(graph, pattern, can_add_node):
+    """Indexed ``extension_counts`` ≡ the dict scan's pivot sets, collapsed."""
+    matches = list(find_matches(graph, pattern))
+    oracle = counts_from_statistics(
+        extension_statistics(graph, pattern, matches, can_add_node)
+    )
+    counted = extension_counts(
+        graph, pattern, matches, can_add_node, index=graph.index()
+    )
+    assert counts_as_dicts(counted) == counts_as_dicts(oracle)
+    for value in list(counted.new_node.values()) + list(counted.closing.values()):
+        assert type(value) is int and value > 0
+    return counted
 
 
 class TestMatcherEquivalence:
@@ -322,14 +343,57 @@ class TestSpawningEquivalence:
     @pytest.mark.parametrize("can_add_node", [True, False])
     def test_extension_statistics_identical(self, seed, can_add_node):
         graph = small_graph(seed)
-        index = graph.index()
         for pattern in PATTERNS[:4]:
-            matches = list(find_matches(graph, pattern))
-            dict_stats = extension_statistics(graph, pattern, matches, can_add_node)
-            index_stats = extension_statistics(
-                graph, pattern, matches, can_add_node, index=index
+            assert_tally_matches_oracle(graph, pattern, can_add_node)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_extension_counts_random_graphs(self, data):
+        """Counts ≡ collapsed oracle sets on hostile little graphs: parallel
+        and antiparallel edges, wildcard node labels, 2-node 2-edge patterns
+        and patterns with no match at all (empty tables)."""
+        num_nodes = data.draw(st.integers(2, 7), label="nodes")
+        graph = Graph()
+        for _ in range(num_nodes):
+            graph.add_node(data.draw(st.sampled_from(["A", "B"])))
+        node_ids = st.integers(0, num_nodes - 1)
+        edges = data.draw(
+            st.lists(
+                st.tuples(node_ids, node_ids, st.sampled_from(["p", "q"])),
+                max_size=20,
+            ),
+            label="edges",
+        )
+        for src, dst, label in edges:
+            if src != dst:
+                graph.add_edge(src, dst, label)
+        label = st.sampled_from(["A", "B", WILDCARD])
+        shape = data.draw(st.sampled_from(["node", "edge", "pair", "path"]))
+        if shape == "node":
+            pattern = Pattern([data.draw(label)])
+        elif shape == "edge":
+            pattern = Pattern([data.draw(label), data.draw(label)], [(0, 1, "p")])
+        elif shape == "pair":  # 2 nodes, 2 edges: parallel or antiparallel
+            second = data.draw(st.sampled_from([(0, 1, "q"), (1, 0, "p"), (1, 0, "q")]))
+            pattern = Pattern(
+                [data.draw(label), data.draw(label)], [(0, 1, "p"), second]
             )
-            assert normalize_stats(dict_stats) == normalize_stats(index_stats)
+        else:
+            pattern = Pattern(
+                [data.draw(label), data.draw(label), data.draw(label)],
+                [(0, 1, "p"), (2, 1, data.draw(st.sampled_from(["p", "q"])))],
+                pivot=data.draw(st.integers(0, 2)),
+            )
+        for can_add_node in (True, False):
+            assert_tally_matches_oracle(graph, pattern, can_add_node)
+
+    def test_empty_table_tallies_nothing(self):
+        graph = small_graph(0)
+        counted = extension_counts(
+            graph, PATTERNS[2], np.empty((0, 3), dtype=np.int64), True,
+            index=graph.index(),
+        )
+        assert counts_as_dicts(counted) == ({}, {}, {}, {})
 
 
 class TestMatchTableEquivalence:

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DiscoveryConfig, discover, gfd_identity, sequential_cover
-from repro.gfd import GFD, ConstantLiteral, implies
+from repro.core.generation_tree import GenerationTree
+from repro.datasets import dbpedia_like, imdb_like, yago2_like
+from repro.gfd import GFD, ConstantLiteral, implication, implies
+from repro.gfd.implication import ImplicationChecker
 from repro.parallel import (
     ParallelDiscovery,
     SimulatedCluster,
@@ -19,7 +27,12 @@ from repro.parallel import (
     rebalance_pivot_groups,
     rebalance_shards,
 )
-from repro.pattern import Pattern
+from repro.parallel.backend import make_backend
+from repro.parallel.parcover import _group_sigma
+from repro.pattern import Pattern, embedding
+from repro.pattern.embedding import is_embedded
+from repro.pattern.incremental import extend_matches
+from repro.pattern.matcher import match_array
 
 
 class TestCluster:
@@ -260,3 +273,243 @@ class TestParCover:
     def test_empty_sigma(self):
         result, _ = parallel_cover([], num_workers=2)
         assert result.cover == []
+
+
+# ----------------------------------------------------------------------
+# VSpawn: a closing child the tally fixes as a leaf is never joined
+# ----------------------------------------------------------------------
+def _kb_fixture(name):
+    if name == "yago":
+        return yago2_like(scale=0.35, seed=7), 25
+    if name == "dbpedia":
+        return dbpedia_like(scale=0.3, seed=7), 40
+    return imdb_like(scale=0.3, seed=7), 40
+
+
+KB_FIXTURES = ["yago", "dbpedia", "imdb"]
+
+
+class _RecordingDiscovery(ParallelDiscovery):
+    """Records every child ``_leaf_support`` lets skip the join."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.skipped = []
+        self._current_parent = None
+
+    def _extensions_from_tallies(self, parent, merged):
+        self._current_parent = parent
+        return super()._extensions_from_tallies(parent, merged)
+
+    def _leaf_support(self, merged, extension):
+        support = super()._leaf_support(merged, extension)
+        if support is not None:
+            self.skipped.append((self._current_parent.pattern, extension, support))
+        return support
+
+
+class _CountingBackend:
+    """Counts the ops a borrowed serial backend is asked to run."""
+
+    def __init__(self, graph, config, num_workers):
+        index = graph.index()
+        gamma = index.statistics().top_attributes(config.max_active_attributes)
+        self.backend = make_backend("serial", num_workers, graph, index, gamma)
+        self.ops = {}
+        inner = self.backend.run_superstep
+
+        def run_superstep(step, requests):
+            for _, op, _, _ in requests:
+                self.ops[op] = self.ops.get(op, 0) + 1
+            return inner(step, requests)
+
+        self.backend.run_superstep = run_superstep
+
+
+class TestTallyFixedLeaves:
+    @pytest.mark.parametrize("backend", ["serial", "multiprocess"])
+    @pytest.mark.parametrize("name", KB_FIXTURES)
+    def test_tally_support_equals_join_support(self, name, backend):
+        """Every skipped child's tally support is what the join would count."""
+        graph, sigma = _kb_fixture(name)
+        config = DiscoveryConfig(k=3, sigma=sigma, max_lhs_size=1)
+        engine = _RecordingDiscovery(
+            graph, config, num_workers=2, backend=backend
+        )
+        result = engine.run()
+        assert engine.skipped, "the fixture must exercise the shortcut"
+        assert any(support > 0 for _, _, support in engine.skipped)
+        index = graph.index()
+        for parent, extension, support in engine.skipped:
+            joined = extend_matches(
+                graph, match_array(index, parent), extension,
+                index=index, as_array=True,
+            )
+            assert support == np.unique(joined[:, parent.pivot]).size
+            assert support < sigma
+        # and the parallel engine still agrees with the sequential oracle
+        sequential = discover(graph, config)
+        assert {gfd_identity(g): result.supports[g] for g in result.gfds} == {
+            gfd_identity(g): sequential.supports[g] for g in sequential.gfds
+        }
+        assert result.stats.patterns_zero_support == (
+            sequential.stats.patterns_zero_support
+        )
+
+    @pytest.mark.parametrize("name", KB_FIXTURES)
+    def test_only_mined_patterns_are_installed(self, name):
+        """No join/install for an unmined child; no master-side table."""
+        graph, sigma = _kb_fixture(name)
+        config = DiscoveryConfig(k=3, sigma=sigma, max_lhs_size=1)
+        counting = _CountingBackend(graph, config, num_workers=2)
+        engine = _RecordingDiscovery(graph, config, backend=counting.backend)
+        result = engine.run()
+        nodes = result.tree.all_nodes()
+        mined = [node for node in nodes if node.support >= sigma]
+        assert len(mined) < len(nodes)
+        assert counting.ops["install"] == len(mined) * 2
+        assert all(node.table is None for node in nodes)
+        # the skipped children are exactly the nodes that were never joined
+        assert len(engine.skipped) == len(nodes) - len(mined)
+
+    def test_unpruned_run_skips_only_zero_support_children(self, film_graph, film_config):
+        """Without pruning an infrequent child is still mined, so joined."""
+        config = replace(film_config, prune=False, sigma=70)
+        engine = _RecordingDiscovery(film_graph, config, num_workers=2)
+        result = engine.run()
+        assert all(support == 0 for _, _, support in engine.skipped)
+        sequential = discover(film_graph, config)
+        assert {gfd_identity(g) for g in result.gfds} == {
+            gfd_identity(g) for g in sequential.gfds
+        }
+
+    def test_capped_level_drops_every_parent_shard(self, yago_small, yago_config):
+        """Parents a binding level cap leaves unextended are dropped too."""
+        config = replace(yago_config, max_patterns_per_level=1)
+        counting = _CountingBackend(yago_small, config, num_workers=2)
+        engine = ParallelDiscovery(yago_small, config, backend=counting.backend)
+        engine._start_backend()
+        tree = GenerationTree()
+        engine._seed_level(tree)
+        assert len(tree.level(0)) > 1  # the cap will leave parents unextended
+        children = engine._extend_level(tree, 1)
+        assert len(children) == 1
+        child_keys = {engine._keys[id(node)] for node in children}
+        for worker in counting.backend.workers:
+            assert set(worker.tables) == child_keys
+        for node in children:
+            engine._drop_parent(node, engine._keys[id(node)])
+        for worker in counting.backend.workers:
+            assert worker.tables == {}
+        counting.backend.shutdown()
+
+
+# ----------------------------------------------------------------------
+# ParCover: Σ̄_Q is decided per distinct pattern, not per rule
+# ----------------------------------------------------------------------
+def _reference_removed(sigma):
+    """``ParCover``'s removed indices the slow way: per-rule embedding
+    tests and the functional ``implies`` over explicitly reduced lists."""
+    removed_all = set()
+    groups = _group_sigma(sigma)
+    for key in sorted(groups):
+        group = groups[key]
+        representative = sigma[group[0]].pattern
+        embedded = [
+            index
+            for index, gfd in enumerate(sigma)
+            if index in group
+            or is_embedded(gfd.pattern, representative, pivot_preserving=False)
+        ]
+        removed = set()
+        ordered = sorted(
+            group,
+            key=lambda index: (
+                -sigma[index].pattern.num_edges,
+                -len(sigma[index].lhs),
+                str(sigma[index]),
+            ),
+        )
+        for index in ordered:
+            context = [
+                sigma[other]
+                for other in embedded
+                if other != index and other not in removed
+            ]
+            if implies(context, sigma[index]):
+                removed.add(index)
+        removed_all |= removed
+    return removed_all
+
+
+class TestParCoverPerPattern:
+    #: (|Σ|, |removed|, sha1 of the removed Σ-indices) as computed by the
+    #: per-rule filter this replaced
+    PINNED = {
+        "yago": (527, 404, "137ab67823e9"),
+        "dbpedia": (777, 546, "8a0a79c8cdf2"),
+        "imdb": (163, 84, "4cad96d64d3e"),
+    }
+
+    @staticmethod
+    def _sigma(name):
+        graph, sigma = _kb_fixture(name)
+        return discover(
+            graph, DiscoveryConfig(k=3, sigma=sigma, max_lhs_size=1)
+        ).gfds
+
+    @pytest.mark.parametrize("name", KB_FIXTURES)
+    def test_cover_differential(self, name):
+        sigma = self._sigma(name)
+        result, _ = parallel_cover(sigma, num_workers=2)
+        position = {id(gfd): index for index, gfd in enumerate(sigma)}
+        removed = sorted(position[id(gfd)] for gfd in result.removed)
+        assert set(removed) == _reference_removed(sigma)
+        digest = hashlib.sha1(repr(removed).encode()).hexdigest()[:12]
+        assert (len(sigma), len(removed), digest) == self.PINNED[name]
+        assert result.implication_tests == len(sigma)
+        # SeqCover scans globally instead of per group, so tie-breaks may
+        # differ — but both covers must be equivalent to Σ
+        sequential = sequential_cover(sigma)
+        for gfd in sequential.removed:
+            assert implies(result.cover, gfd)
+        for gfd in result.removed:
+            assert implies(sequential.cover, gfd)
+
+    @pytest.mark.parametrize("name", KB_FIXTURES)
+    def test_checker_exclude_equals_functional_implies(self, name):
+        sigma = self._sigma(name)[:160]
+        checker = ImplicationChecker(sigma)
+        rng = random.Random(5)
+        for _ in range(60):
+            index = rng.randrange(len(sigma))
+            exclude = set(rng.sample(range(len(sigma)), rng.randint(0, 40)))
+            exclude.add(index)
+            reduced = [g for i, g in enumerate(sigma) if i not in exclude]
+            expected = implies(reduced, sigma[index])
+            assert checker.implies(sigma[index], exclude=exclude) == expected
+            allowed = frozenset(range(len(sigma))) - exclude
+            assert checker.implies(sigma[index], allowed=allowed) == expected
+
+    def test_prefilter_runs_per_distinct_pattern(self, monkeypatch):
+        sigma = self._sigma("dbpedia")
+        calls = []
+
+        def counted(function):
+            def counting(inner, outer):
+                calls.append(1)
+                return function(inner, outer)
+            return counting
+
+        # every prefilter evaluation goes through ``_profile_fits``; the
+        # per-rule filter this replaced called ``may_embed`` from implication
+        monkeypatch.setattr(
+            embedding, "_profile_fits", counted(embedding._profile_fits)
+        )
+        monkeypatch.setattr(
+            implication, "may_embed", counted(embedding.may_embed), raising=False
+        )
+        parallel_cover(sigma, num_workers=2)
+        distinct = len({gfd.pattern for gfd in sigma})
+        assert distinct < len(sigma)
+        assert 0 < len(calls) <= distinct * distinct

@@ -350,6 +350,39 @@ class TestSessionIndexPath:
             session.refresh()
             assert GraphIndex.builds_performed == builds + 1
 
+    def test_stale_verdict_is_remembered_until_the_file_changes(
+        self, film_graph, tmp_path, monkeypatch
+    ):
+        """A store file found stale is not re-opened on every refresh — but
+        a rewritten one is picked up again."""
+        from repro.graph import store
+
+        path = save_index(
+            GraphIndex.build(film_graph.copy()), tmp_path / "film.rgix"
+        )
+        opened = []
+        real = store.load_index
+
+        def counting(*args, **kwargs):
+            opened.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(store, "load_index", counting)
+        with Session(film_graph, index_path=path,
+                     index_autosave=False) as session:
+            assert len(opened) == 1 and session.index.store_mapping is not None
+            film_graph.set_attr(0, "name", "first")
+            session.refresh()  # the file is stale now: opened, rejected
+            assert len(opened) == 2 and session.index.store_mapping is None
+            for round in range(3):
+                film_graph.set_attr(0, "name", f"again{round}")
+                session.refresh()
+            assert len(opened) == 2  # same (mtime, size): verdict remembered
+            film_graph.set_attr(0, "name", "rewritten")
+            film_graph.index().save(path)
+            session.refresh()
+            assert len(opened) == 3 and session.index.store_mapping is not None
+
     def test_stale_file_rebuilds_and_resaves(self, tmp_path):
         path = save_index(
             GraphIndex.build(store_graph(num_people=12)),
