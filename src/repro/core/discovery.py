@@ -30,7 +30,7 @@ from ..graph.index import GraphIndex
 from ..graph.statistics import GraphStatistics, compute_statistics
 from ..gfd.closure import LiteralClosure
 from ..gfd.gfd import GFD
-from ..gfd.literals import FALSE, Literal
+from ..gfd.literals import FALSE, ConstantLiteral, Literal, VariableLiteral
 from ..pattern.incremental import Extension, apply_extension, extend_matches
 from ..pattern.pattern import Pattern
 from .config import CandidateBudgetExceeded, DiscoveryConfig
@@ -546,12 +546,10 @@ class SequentialDiscovery:
         ``rhs`` beyond direct membership require a variable-literal chain —
         absent variable literals, direct checks suffice.
         """
-        from ..gfd.literals import ConstantLiteral as _Const
-
         constants: Dict[Tuple[int, str], object] = {}
         has_variable_literal = False
         for literal in lhs:
-            if isinstance(literal, _Const):
+            if isinstance(literal, ConstantLiteral):
                 term = (literal.var, literal.attr)
                 previous = constants.get(term)
                 if previous is not None and previous != literal.value:
@@ -559,12 +557,10 @@ class SequentialDiscovery:
                 constants[term] = literal.value
             else:
                 has_variable_literal = True
-        from ..gfd.literals import VariableLiteral as _Var
-
-        if isinstance(rhs, _Const):
+        if isinstance(rhs, ConstantLiteral):
             if constants.get((rhs.var, rhs.attr)) == rhs.value:
                 return True  # l follows from X directly
-        elif isinstance(rhs, _Var):
+        elif isinstance(rhs, VariableLiteral):
             left = constants.get((rhs.var1, rhs.attr1))
             right = constants.get((rhs.var2, rhs.attr2))
             if left is not None and left == right:

@@ -12,11 +12,21 @@ exactly that relation, restricted to the *active attributes* ``Γ``
 * distinct-pivot counting (the support ``|Q(G, Xl, z)|``), and
 * candidate-literal generation (frequent constants per column, compatible
   column pairs for variable literals).
+
+Row sets have two faces.  The numpy one (``literal_mask`` / ``mask_count`` /
+``mask_support``: a bool array per literal) serves ``SeqDis`` — the
+lattice's reference oracle — and enforcement's ``violation_mask``.  The
+bitset one (``literal_bits`` / ``full_bits`` / ``bits_support`` /
+``stack_supports``) is the ``ParDis`` worker kernel's: a row set is one
+Python int with row ``i`` at bit ``i``, an intersection is ``&``, a count
+is ``int.bit_count`` and the distinct-pivot support is one multi-word
+carry-add (see :meth:`MatchTable.bits_support`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import groupby
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -134,6 +144,8 @@ class MatchTable:
         self._literal_masks: Dict[Literal, np.ndarray] = {}
         self._literal_rows: Dict[Literal, frozenset] = {}
         self._literal_pivots: Dict[Literal, frozenset] = {}
+        # (HI, LO) bitsets of the pivot runs, built by the first bits_support
+        self._run_bits: Optional[Tuple[int, int]] = None
         #: literal-mask cache audit: (hits, misses) over the table lifetime.
         self.mask_cache_hits = 0
         self.mask_cache_misses = 0
@@ -317,24 +329,77 @@ class MatchTable:
             self._pivot_array[mask], precision, z, kind=kind
         )
 
-    def stack_supports(self, block: np.ndarray, *, rows: np.ndarray) -> np.ndarray:
-        """Distinct-pivot counts per column of a ``(rows × candidates)`` bool block.
+    # -- row-bitset interface (the ParDis worker kernel) ---------------
+    def literal_bits(self, literals: Sequence[Literal]) -> np.ndarray:
+        """The literals' row sets as a packed ``(literals × ⌈N/8⌉)`` uint8 stack.
 
-        ``rows`` are the ascending table row ids the block's rows stand
-        for.  Table rows are pivot-sorted, so a pivot counts for a
-        candidate when any row of its run is set: one
-        ``logical_or.reduceat`` down the contiguous axis, over the run
-        starts, covers every candidate at once.
+        Row ``i`` of the table is bit ``i`` (little-endian) of a literal's
+        packed row; semantics are :meth:`literal_mask`'s.  Consecutive
+        constants of one ``(variable, attr)`` column — how an alphabet
+        lists them — are compared against the column in one broadcast.
+        Nothing is cached: the caller keeps what it needs.
         """
-        if rows.size == 0:
-            return np.zeros(block.shape[1], dtype=np.int64)
-        pivots = self._pivot_array[rows]
-        boundary = np.ones(rows.size, dtype=bool)
-        np.not_equal(pivots[1:], pivots[:-1], out=boundary[1:])
-        return np.count_nonzero(
-            np.logical_or.reduceat(block, np.flatnonzero(boundary), axis=0),
-            axis=0,
-        )
+        stack = np.empty((len(literals), self._num_rows), dtype=bool)
+        start = 0
+        for column, run in groupby(
+            literals,
+            key=lambda l: (l.var, l.attr) if isinstance(l, ConstantLiteral) else None,
+        ):
+            if column is None:
+                for literal in run:
+                    assert isinstance(literal, VariableLiteral)
+                    codes1 = self._codes[(literal.var1, literal.attr1)]
+                    codes2 = self._codes[(literal.var2, literal.attr2)]
+                    np.equal(codes1, codes2, out=stack[start])
+                    stack[start] &= codes1 != 0
+                    start += 1
+                continue
+            wanted = np.array(
+                [self._value_codes.get(l.value, -1) for l in run], dtype=np.int64
+            )
+            stop = start + wanted.size
+            np.equal(wanted[:, None], self._codes[column][None, :],
+                     out=stack[start:stop])
+            start = stop
+        return np.packbits(stack, axis=1, bitorder="little")
+
+    @staticmethod
+    def as_bitsets(packed: np.ndarray) -> List[int]:
+        """Each row of a packed uint8 stack as one Python-int row bitset."""
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+    def full_bits(self) -> int:
+        """The row bitset selecting every row."""
+        return (1 << self._num_rows) - 1
+
+    def bits_support(self, mask: int) -> int:
+        """Distinct pivots over a row bitset (``|Q(G, ·, z)|``).
+
+        Rows are pivot-sorted, so pivot run ``r`` occupies bits
+        ``[a_r, b_r]``.  With ``HI = Σ 2^{b_r}`` (each run's last row) and
+        ``LO = full ^ HI``::
+
+            support(m) = popcount((((m & LO) + LO) | m) & HI)
+
+        Inside a run of width ``w`` the low ``w−1`` bits ``x`` of ``m``
+        become ``x + (2^{w−1} − 1)``: bit ``w−1`` of that sum is set iff
+        ``x ≠ 0``, and the sum is at most ``2^w − 2``, so it never carries
+        into the next run.  ``| m`` adds the run's own top bit and ``& HI``
+        keeps one bit per run.  Python ints carry across machine words in
+        C, which is what fixed-width numpy words cannot do.
+        """
+        if self._run_bits is None:
+            last = np.ones(self._num_rows, dtype=bool)
+            np.not_equal(self._pivot_array[1:], self._pivot_array[:-1], out=last[:-1])
+            packed = np.packbits(last, bitorder="little")
+            high = int.from_bytes(packed.tobytes(), "little")
+            self._run_bits = (high, self.full_bits() ^ high)
+        high, low = self._run_bits
+        return ((((mask & low) + low) | mask) & high).bit_count()
+
+    def stack_supports(self, packed: np.ndarray) -> List[int]:
+        """:meth:`bits_support` of every row of a packed ``(masks × bytes)`` stack."""
+        return [self.bits_support(mask) for mask in self.as_bitsets(packed)]
 
     def literal_rows(self, literal: Literal) -> frozenset:
         """All rows satisfying ``literal`` (cached)."""

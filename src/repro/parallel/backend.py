@@ -301,9 +301,13 @@ class ShardWorker:
     """One worker's shard state plus the op implementations over it.
 
     State per verified pattern (keyed by the master's node key): the shard
-    :class:`MatchTable` and, during ``HSpawn``, the lattice mask store
-    ``{mask id: boolean row mask}``.  The serial backend keeps ``n`` of
-    these in-process; the multiprocess backend keeps one per worker process,
+    :class:`MatchTable` and, during ``HSpawn``, the alphabet's row bitsets
+    ``{literal: int}`` plus the lattice mask store ``{mask id: int}`` — a
+    row set is one Python int (row ``i`` = bit ``i``), so an intersection
+    is ``&``, a count is ``bit_count()`` and the distinct-pivot support is
+    :meth:`MatchTable.bits_support`'s carry-add.  Bitsets never leave the
+    worker; results are counts.  The serial backend keeps ``n`` of these
+    in-process; the multiprocess backend keeps one per worker process,
     built around the attached (detached) graph index.
 
     Two further state families live here so *their* bulk data also stays
@@ -324,10 +328,10 @@ class ShardWorker:
         self.index = index
         self.gamma = list(gamma)
         self.tables: Dict[int, MatchTable] = {}
-        self.stores: Dict[int, Dict[int, np.ndarray]] = {}
-        # HSpawn: key -> ((rows × literals) bool block, literal -> column),
-        # opened by scan beside the mask store and freed with it
-        self.blocks: Dict[int, Tuple[np.ndarray, Dict[Any, int]]] = {}
+        self.stores: Dict[int, Dict[int, int]] = {}
+        # HSpawn: key -> {literal: row bitset}, opened by scan beside the
+        # mask store and freed with it
+        self.bits: Dict[int, Dict[Any, int]] = {}
         # join results parked worker-side, keyed (parent key, extension
         # position), until an install adopts them — matches never cross the
         # process boundary unless the master orders a rebalance
@@ -508,81 +512,67 @@ class ShardWorker:
     def op_scan(self, key: int, payload: Dict[str, Any]) -> Tuple[List[int], List[int]]:
         """Per-literal row counts and local distinct-pivot supports.
 
-        Also opens this pattern's mask store (id 0 = the full mask) and
-        lays the alphabet's literal masks side by side in one C-contiguous
-        ``(rows × literals)`` block: the lattice levels evaluate a whole
-        candidate group with one row gather from it.
+        Also opens this pattern's mask store (id 0 = every row) and keeps
+        the alphabet's row bitsets for the lattice levels; the packed stack
+        they are read from is dropped on return.
         """
         table = self.tables[key]
-        self.stores[key] = {0: table.full_mask()}
         literals = payload["literals"]
-        block = np.empty((table.num_rows, len(literals)), dtype=bool)
-        counts: List[int] = []
-        supports: List[int] = []
-        for column, literal in enumerate(literals):
-            mask = table.literal_mask(literal)
-            block[:, column] = mask
-            counts.append(table.mask_count(mask))
-            supports.append(table.mask_support(mask))
-        self.blocks[key] = (
-            block,
-            {literal: column for column, literal in enumerate(literals)},
-        )
-        return counts, supports
+        packed = table.literal_bits(literals)
+        masks = table.as_bitsets(packed)
+        self.stores[key] = {0: table.full_bits()}
+        self.bits[key] = dict(zip(literals, masks))
+        # the supports of the whole stack in one call: it is the span
+        # benchmarks/e2e's traced pass puts around MatchTable.stack_supports
+        return [mask.bit_count() for mask in masks], table.stack_supports(packed)
 
     def op_eval(self, key: int, payload: Dict[str, Any]) -> Tuple:
         """Evaluate one lattice level's candidate batch on this shard.
 
         ``specs`` entries are ``(parent mask id, lhs literal, rhs literal,
         new mask id)``.  Candidates sharing ``(parent, lhs)`` share their
-        LHS rows: those rows are gathered from the literal block once, and
-        one pass over the gather counts every RHS literal at a time.  The
-        group's new mask ids all alias that one LHS mask (masks are never
-        mutated) and stay in the store for the next level; ``drop`` lists
-        mask ids the master retired last level.
+        LHS rows: that bitset and its popcount are computed once and every
+        new mask id of the group aliases the one (immutable) int, which
+        stays in the store for the next level.  Per candidate the RHS is
+        one ``&``, one popcount and one carry-add.  ``drop`` lists mask ids
+        the master retired last level.
         """
-        table = self.tables[key]
+        support_of = self.tables[key].bits_support
         store = self.stores[key]
-        block, column_of = self.blocks[key]
+        bits = self.bits[key]
         for dead in payload.get("drop", ()):
             store.pop(dead, None)
         specs = payload["specs"]
-        groups: Dict[Tuple[int, Any], List[int]] = {}
-        for position, spec in enumerate(specs):
-            groups.setdefault((spec[0], spec[1]), []).append(position)
-        count_lhs_arr = np.zeros(len(specs), dtype=np.int64)
-        count_both_arr = np.zeros(len(specs), dtype=np.int64)
-        support_arr = np.zeros(len(specs), dtype=np.int64)
-        for (rows_id, lhs), positions in groups.items():
-            mask = store[rows_id] & table.literal_mask(lhs)
-            rows = np.flatnonzero(mask)
-            satisfied = block[rows]
-            count_both = np.count_nonzero(satisfied, axis=0)
-            supports = table.stack_supports(satisfied, rows=rows)
-            columns = [column_of[specs[p][2]] for p in positions]
-            count_lhs_arr[positions] = rows.size
-            count_both_arr[positions] = count_both[columns]
-            support_arr[positions] = supports[columns]
-            for p in positions:
-                store[specs[p][3]] = mask
-        return count_lhs_arr, count_both_arr, support_arr
+        lhs_rows: Dict[Tuple[int, Any], Tuple[int, int]] = {}
+        count_lhs: List[int] = []
+        count_both: List[int] = []
+        supports: List[int] = []
+        for parent, lhs, rhs, new in specs:
+            group = lhs_rows.get((parent, lhs))
+            if group is None:
+                mask = store[parent] & bits[lhs]
+                group = lhs_rows[(parent, lhs)] = (mask, mask.bit_count())
+            mask, count = group
+            store[new] = mask
+            both = mask & bits[rhs]
+            count_lhs.append(count)
+            count_both.append(both.bit_count())
+            supports.append(support_of(both))
+        return tuple(
+            np.array(column, dtype=np.int64)
+            for column in (count_lhs, count_both, supports)
+        )
 
     def op_probe(self, key: int, payload: Dict[str, Any]) -> List[bool]:
         """``NHSpawn`` batch: does any shard row satisfy ``X ∪ {l''}``?"""
         store = self.stores[key]
-        block, column_of = self.blocks[key]
+        bits = self.bits[key]
         for dead in payload.get("drop", ()):
             store.pop(dead, None)
-        specs = payload["specs"]
-        groups: Dict[int, List[int]] = {}
-        for position, spec in enumerate(specs):
-            groups.setdefault(spec[0], []).append(position)
-        overlaps: List[bool] = [False] * len(specs)
-        for rows_id, positions in groups.items():
-            hits = block[np.flatnonzero(store[rows_id])].any(axis=0)
-            for p in positions:
-                overlaps[p] = bool(hits[column_of[specs[p][1]]])
-        return overlaps
+        return [
+            store[rows_id] & bits[literal] != 0
+            for rows_id, literal in payload["specs"]
+        ]
 
     # -- enforcement (repro.enforce) ------------------------------------
     def _enforce_results(self, state: Dict[str, Any]) -> List[Tuple]:
@@ -758,14 +748,14 @@ class ShardWorker:
     def op_drop_store(self, key: int, payload: Dict[str, Any]) -> None:
         """Free the mask store once a pattern's ``HSpawn`` completes."""
         self.stores.pop(key, None)
-        self.blocks.pop(key, None)
+        self.bits.pop(key, None)
         return None
 
     def op_drop(self, key: int, payload: Dict[str, Any]) -> None:
         """Free all state of a pattern (after its children are joined)."""
         self.tables.pop(key, None)
         self.stores.pop(key, None)
-        self.blocks.pop(key, None)
+        self.bits.pop(key, None)
         for slot in [slot for slot in self.joins if slot[0] == key]:
             del self.joins[slot]  # un-adopted parks (e.g. truncated children)
         return None
@@ -774,7 +764,7 @@ class ShardWorker:
         """Clear every shard (an external backend being reused)."""
         self.tables.clear()
         self.stores.clear()
-        self.blocks.clear()
+        self.bits.clear()
         self.joins.clear()
         self.sigmas.clear()
         self.checkers.clear()

@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.cover import CoverResult, _scan_order
 from ..gfd.gfd import GFD
-from ..gfd.implication import ImplicationChecker, greedy_group_elimination
+from ..gfd.implication import ImplicationChecker
 from ..pattern.canonical import canonical_key
 from ..pattern.embedding import DistinctPatterns, is_embedded
 from ..pattern.pattern import Pattern
@@ -88,13 +88,6 @@ def _embedded_indices(
         ):
             embedded.update(patterns.members[slot])
     return sorted(embedded)
-
-
-def _check_group(
-    sigma: Sequence[GFD], group: List[int], embedded: List[int]
-) -> List[int]:
-    """``ParImp`` on one unit (kept as the serial reference entry point)."""
-    return greedy_group_elimination(sigma, group, embedded)
 
 
 class _CoverSession:

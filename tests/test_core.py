@@ -47,6 +47,22 @@ def table_fixture():
     return graph, MatchTable(graph, Pattern(["thing"]), matches, ["color"])
 
 
+def to_bits(mask) -> int:
+    """A bool row mask as the kernel's row bitset (row ``i`` = bit ``i``)."""
+    packed = np.packbits(np.asarray(mask, dtype=bool), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def assert_bits_equal_masks(table, literals):
+    """``literal_bits`` row by row against the per-literal numpy oracle."""
+    packed = table.literal_bits(literals)
+    assert packed.dtype == np.uint8
+    assert packed.shape == (len(literals), (table.num_rows + 7) // 8)
+    rows = np.unpackbits(packed, axis=1, count=table.num_rows, bitorder="little")
+    for row, literal in zip(rows, literals):
+        assert row.astype(bool).tolist() == table.literal_mask(literal).tolist()
+
+
 class TestMatchTable:
     def test_columns_and_missing(self):
         graph, table = table_fixture()
@@ -76,17 +92,54 @@ class TestMatchTable:
         # two matches share pivot a, one has pivot b
         pattern = Pattern(["t", "t"], [(0, 1, "e")], pivot=0)
         table = MatchTable(graph, pattern, [(a, b), (a, a), (b, a)], [])
-        # one column per candidate, one row per table row
-        block = np.array(
-            [[True, True, False, False],
-             [True, False, False, True],
-             [True, False, False, False]]
+        # one packed row per candidate, one bit per table row (row i = bit i)
+        masks = np.array(
+            [[True, True, True],
+             [True, False, False],
+             [False, False, False],
+             [False, True, False]]
         )
-        rows = np.arange(3)
-        assert list(table.stack_supports(block, rows=rows)) == [2, 1, 0, 1]
-        # a row subset: the block's rows stand for table rows 1 and 2
-        assert list(table.stack_supports(block[1:], rows=rows[1:])) == [2, 0, 0, 1]
-        assert list(table.stack_supports(block[:0], rows=rows[:0])) == [0, 0, 0, 0]
+        packed = np.packbits(masks, axis=1, bitorder="little")
+        assert packed.shape == (4, 1)
+        assert table.stack_supports(packed) == [2, 1, 0, 1]
+        # without table row 0 the first candidate still sees both pivots
+        masks[:, 0] = False
+        packed = np.packbits(masks, axis=1, bitorder="little")
+        assert table.stack_supports(packed) == [2, 0, 0, 1]
+        assert table.stack_supports(packed[:0]) == []
+
+    @pytest.mark.parametrize("use_index", [False, True])
+    def test_literal_bits_equal_literal_masks(self, use_index):
+        """Constants of several columns (listed contiguously and not),
+        variable literals, an absent value, an attribute no row has."""
+        graph = Graph()
+        for a, b in [("u", "u"), ("v", None), (None, "v"), ("u", "v"), ("v", "v")] * 3:
+            graph.add_node(
+                "t", {k: v for k, v in (("a", a), ("b", b)) if v is not None}
+            )
+        matches = [(p, (p * 7 + 3) % 15) for p in range(15) for _ in range(p % 3 + 1)]
+        table = MatchTable(
+            graph, Pattern(["t", "t"], [(0, 1, "e")]), matches, ["a", "b", "c"],
+            index=graph.index() if use_index else None,
+        )
+        assert table.num_rows % 8  # the last packed byte is partial
+        literals = [
+            ConstantLiteral(0, "a", "u"),
+            ConstantLiteral(0, "a", "v"),
+            ConstantLiteral(0, "a", "absent"),
+            make_variable_literal(0, "a", 1, "a"),
+            ConstantLiteral(1, "b", "v"),
+            ConstantLiteral(0, "c", "u"),
+            make_variable_literal(0, "c", 1, "c"),
+            make_variable_literal(0, "b", 1, "b"),
+            ConstantLiteral(1, "b", "u"),
+            ConstantLiteral(0, "a", "u"),
+        ]
+        assert table.literal_bits(literals[:3]).any()
+        assert table.mask_cache_misses == 0  # the bitset face caches nothing
+        assert_bits_equal_masks(table, literals)
+        assert_bits_equal_masks(table, literals[::-1])
+        assert_bits_equal_masks(table, [])
 
     def test_rows_satisfying_variable_literal(self):
         graph = Graph()
@@ -142,7 +195,14 @@ def kernel_cases(draw):
         for var in (0, 1)
         for attr in "ab"
         for val in "uv"
-    ] + [make_variable_literal(0, "a", 1, "a"), make_variable_literal(0, "b", 1, "b")]
+    ] + [
+        make_variable_literal(0, "a", 1, "a"),
+        make_variable_literal(0, "b", 1, "b"),
+        # a value no row has, and an attribute (in Γ) no node has
+        ConstantLiteral(0, "a", "absent"),
+        ConstantLiteral(1, "c", "u"),
+        make_variable_literal(0, "c", 1, "c"),
+    ]
     literals = draw(
         st.lists(st.sampled_from(literals), min_size=2, max_size=6, unique=True)
     )
@@ -156,20 +216,99 @@ def kernel_cases(draw):
     return graph, matches, literals, np.array(parent, dtype=bool), draw(st.booleans())
 
 
+#: Rows where CPython's 30-bit int digits and 64-bit words begin.
+DIGIT_AND_WORD_EDGES = (29, 30, 31, 59, 60, 61, 63, 64, 65)
+
+
+@st.composite
+def pivot_run_cases(draw):
+    """Pivot-run widths of a table (rows are runs of equal pivots) and a mask."""
+    layout = draw(
+        st.sampled_from(
+            ["random", "row_per_pivot", "one_pivot", "edges", "wide", "empty"]
+        )
+    )
+    if layout == "empty":
+        widths = []
+    elif layout == "row_per_pivot":
+        widths = [1] * draw(st.integers(1, 130))
+    elif layout == "one_pivot":
+        widths = [draw(st.integers(1, 200))]
+    elif layout == "edges":
+        # a new run starts exactly at each drawn edge row
+        starts = sorted(draw(st.sets(st.sampled_from(DIGIT_AND_WORD_EDGES), min_size=1)))
+        bounds = [0] + starts + [starts[-1] + draw(st.integers(1, 70))]
+        widths = [stop - start for start, stop in zip(bounds, bounds[1:])]
+    elif layout == "wide":
+        widths = draw(st.lists(st.integers(65, 200), min_size=1, max_size=3))
+        widths += draw(st.lists(st.integers(1, 3), max_size=3))
+        widths = draw(st.permutations(widths))
+    else:
+        widths = draw(st.lists(st.integers(1, 9), max_size=20))
+    full = (1 << sum(widths)) - 1
+    mask = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+    return widths, mask, draw(st.booleans()), draw(st.booleans())
+
+
+def bare_graph(num_nodes):
+    graph = Graph()
+    for _ in range(num_nodes):
+        graph.add_node("t")
+    return graph
+
+
+class TestRowBitsets:
+    """The bitset face of ``MatchTable`` against its numpy oracle."""
+
+    PATTERN = Pattern(["t", "t"], [(0, 1, "e")])
+    GRAPH = bare_graph(130)
+
+    @given(pivot_run_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_bits_support_and_count_equal_mask_support_and_count(self, case):
+        widths, bits, use_index, reverse = case
+        matches = [
+            (pivot, (pivot + row) % 130)
+            for pivot, width in enumerate(widths)
+            for row in range(width)
+        ]
+        num_rows = len(matches)
+        table = MatchTable(
+            self.GRAPH, self.PATTERN, matches[::-1] if reverse else matches, [],
+            index=self.GRAPH.index() if use_index else None,
+        )
+        mask = np.array([bits >> row & 1 for row in range(num_rows)], dtype=bool)
+        assert to_bits(mask) == bits
+        assert table.full_bits() == to_bits(table.full_mask())
+        assert bits.bit_count() == table.mask_count(mask)
+        assert table.bits_support(bits) == table.mask_support(mask)
+        assert table.bits_support(table.full_bits()) == len(widths)
+        packed = np.packbits(mask, bitorder="little")[None, :]
+        assert table.stack_supports(packed) == [table.mask_support(mask)]
+
+
 class TestHSpawnKernel:
-    """``ShardWorker.op_eval`` / ``op_probe`` against per-candidate masks."""
+    """``ShardWorker.op_eval`` / ``op_probe`` against per-candidate masks.
+
+    The worker holds row bitsets (Python ints); the oracle side of every
+    check is the numpy ``literal_mask`` / ``mask_count`` / ``mask_support``.
+    """
 
     PATTERN = Pattern(["t", "t"], [(0, 1, "e")])
 
     @staticmethod
     def check_eval(worker, table, specs, masks, drop=()):
         lhs, both, supp = worker.op_eval(1, {"specs": specs, "drop": list(drop)})
+        for result in (lhs, both, supp):
+            assert result.dtype == np.int64 and result.shape == (len(specs),)
+        store = worker.stores[1]
         for position, (parent, lhs_literal, rhs_literal, new) in enumerate(specs):
             masks[new] = masks[parent] & table.literal_mask(lhs_literal)
             joint = masks[new] & table.literal_mask(rhs_literal)
             assert lhs[position] == table.mask_count(masks[new])
             assert both[position] == table.mask_count(joint)
             assert supp[position] == table.mask_support(joint)
+            assert type(store[new]) is int and store[new] == to_bits(masks[new])
 
     @given(kernel_cases())
     @settings(max_examples=120, deadline=None)
@@ -178,7 +317,7 @@ class TestHSpawnKernel:
 
         graph, matches, literals, parent, use_index = case
         index = graph.index() if use_index else None
-        worker = ShardWorker(graph, index, ["a", "b"])
+        worker = ShardWorker(graph, index, ["a", "b", "c"])
         worker.op_install(
             1, {"pattern": self.PATTERN, "matches": matches, "mined": False}
         )
@@ -187,15 +326,17 @@ class TestHSpawnKernel:
         for literal, count, support in zip(literals, counts, supports):
             assert count == table.literal_count(literal)
             assert support == table.mask_support(table.literal_mask(literal))
-        # parent ids: 0 is the scan's full mask, 1 an arbitrary earlier level
-        worker.stores[1][1] = parent
+            assert worker.bits[1][literal] == to_bits(table.literal_mask(literal))
+        # parent ids: 0 is the scan's full set, 1 an arbitrary earlier level
+        assert worker.stores[1] == {0: to_bits(table.full_mask())}
+        worker.stores[1][1] = to_bits(parent)
         masks = {0: table.full_mask(), 1: parent}
         ids = iter(range(2, 10**6))
         pairs = [(l, r) for l in literals for r in literals if l != r]
         level1 = [(p, l, r, next(ids)) for p in (0, 1) for l, r in pairs]
         self.check_eval(worker, table, level1, masks)
         # next level: parents are level-1 ids, while the master retires
-        # every other one — ids that alias the *same* stored LHS mask
+        # every other one — ids that alias the *same* stored LHS bitset
         kept = [spec[3] for spec in level1[::2]]
         retired = [spec[3] for spec in level1[1::2]]
         level2 = [(p, l, r, next(ids)) for p in kept[:6] for l, r in pairs[:4]]
@@ -204,20 +345,26 @@ class TestHSpawnKernel:
         level3 = [(spec[3], l, r, next(ids)) for spec in level2[:4] for l, r in pairs[:2]]
         self.check_eval(worker, table, level3, masks)
         probes = [(p, l) for p in [0, 1] + kept[:6] for l in literals]
-        hits = worker.op_probe(1, {"specs": probes, "drop": []})
+        hits = worker.op_probe(1, {"specs": probes, "drop": kept[6:8]})
+        assert not set(kept[6:8]) & set(worker.stores[1])
+        assert [type(hit) for hit in hits] == [bool] * len(probes)
         for (p, literal), hit in zip(probes, hits):
             assert hit == bool((masks[p] & table.literal_mask(literal)).any())
+        # every stored id still reads the rows the oracle derived for it
+        for mask_id, bits in worker.stores[1].items():
+            assert bits == to_bits(masks[mask_id])
         worker.op_drop_store(1, {})
-        assert 1 not in worker.blocks and 1 not in worker.stores
+        assert 1 not in worker.bits and 1 not in worker.stores
 
     def test_eval_peak_memory_is_linear_in_the_alphabet(self):
-        """One ``rows × literals`` block, not a mask row per candidate.
+        """One transient ``literals × rows`` bool array, then only bitsets.
 
-        With ``L`` literals a level has ``L·(L−1)`` candidates; stacking a
-        mask row for each (twice) peaked near ``2·N·L²`` bytes.  Now the
-        block, the table's mask cache and the level's ``L`` stored LHS masks
-        are ``N·L`` each, and one group's gather plus its per-pivot
-        reduction at most ``≈ 3·N·L`` more (``a1 = 0`` holds on every row).
+        With ``L`` literals a level has ``L·(L−1)`` candidates.  The scan's
+        unpacked literal stack is ``N·L`` bytes and freed once packed; what
+        stays resident — the alphabet's bitsets and the level's ``L``
+        stored LHS bitsets — is ``N·L/8`` each, and nothing is cached on
+        the table.  (A bool mask per literal plus a ``rows × literals``
+        block and its gathers peaked at ``6·N·L``.)
         """
         import tracemalloc
 
@@ -255,7 +402,7 @@ class TestHSpawnKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * num_rows * len(literals)
+        assert peak < 2 * num_rows * len(literals)
 
 
 class TestSupport:

@@ -11,10 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DiscoveryConfig, discover, gfd_identity, sequential_cover
+from repro.core import (
+    DiscoveryConfig,
+    MatchTable,
+    discover,
+    gfd_identity,
+    sequential_cover,
+)
 from repro.core.generation_tree import GenerationTree
 from repro.datasets import dbpedia_like, imdb_like, yago2_like
-from repro.gfd import GFD, ConstantLiteral, implication, implies
+from repro.gfd import FALSE, GFD, ConstantLiteral, implication, implies
 from repro.gfd.implication import ImplicationChecker
 from repro.parallel import (
     ParallelDiscovery,
@@ -27,7 +33,7 @@ from repro.parallel import (
     rebalance_pivot_groups,
     rebalance_shards,
 )
-from repro.parallel.backend import make_backend
+from repro.parallel.backend import ShardWorker, make_backend
 from repro.parallel.parcover import _group_sigma
 from repro.pattern import Pattern, embedding
 from repro.pattern.embedding import is_embedded
@@ -402,6 +408,59 @@ class TestTallyFixedLeaves:
         for worker in counting.backend.workers:
             assert worker.tables == {}
         counting.backend.shutdown()
+
+
+# ----------------------------------------------------------------------
+# HSpawn: the worker lattice runs on row bitsets, never on numpy masks
+# ----------------------------------------------------------------------
+class TestHSpawnOnBitsets:
+    @pytest.mark.parametrize("name", KB_FIXTURES)
+    def test_worker_lattice_builds_no_numpy_mask(self, name, monkeypatch):
+        """``scan`` / ``eval`` / ``probe`` never call ``literal_mask``.
+
+        Exact counts over a whole serial-backend ``ParDis`` run: zero
+        ``MatchTable.literal_mask`` calls and untouched mask-cache counters
+        on every worker table the three ops read — while Σ and the supports
+        still equal ``SeqDis``'s, whose lattice *is* those numpy masks.
+        """
+        graph, sigma = _kb_fixture(name)
+        config = DiscoveryConfig(k=2, sigma=sigma)  # two lattice depths, negatives
+        mask_calls, ops, touched = [], {}, {}
+
+        def recording(op):
+            original = getattr(ShardWorker, op)
+
+            def run(worker, key, payload):
+                table = worker.tables[key]
+                touched[id(table)] = table
+                ops[op] = ops.get(op, 0) + 1
+                return original(worker, key, payload)
+
+            return run
+
+        original_mask = MatchTable.literal_mask
+
+        def literal_mask(table, literal):
+            mask_calls.append(literal)
+            return original_mask(table, literal)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MatchTable, "literal_mask", literal_mask)
+            for op in ("op_scan", "op_eval", "op_probe"):
+                patch.setattr(ShardWorker, op, recording(op))
+            result = ParallelDiscovery(
+                graph, config, num_workers=2, backend="serial"
+            ).run()
+        assert set(ops) == {"op_scan", "op_eval", "op_probe"}
+        assert mask_calls == []
+        assert touched
+        for table in touched.values():
+            assert (table.mask_cache_misses, table.mask_cache_hits) == (0, 0)
+        sequential = discover(graph, config)
+        assert sequential.gfds and any(g.rhs is FALSE for g in sequential.gfds)
+        assert {gfd_identity(g): result.supports[g] for g in result.gfds} == {
+            gfd_identity(g): sequential.supports[g] for g in sequential.gfds
+        }
 
 
 # ----------------------------------------------------------------------
