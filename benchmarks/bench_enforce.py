@@ -16,10 +16,12 @@ PR 3's differential+performance gate.  On the knowledge-base dataset
 
 ``--check`` asserts the PR 3 acceptance criteria: identical violation sets,
 ≥ 3× full-Σ speedup over the reference path, and incremental refresh
-beating full revalidation — the CI perf-smoke gate next to
-``bench_matcher_micro.py --check``.  Machine-readable numbers land in
-``benchmarks/results/BENCH_enforce.json`` so future PRs can track the
-enforcement hot path.
+beating full revalidation — plus the exact join counts of the shared plan
+trie (a full pass runs no more joins than the trie has nodes and fewer than
+the per-pattern plans hold; the small delta refreshes incrementally) — the
+CI perf-smoke gate next to ``bench_matcher_micro.py --check``.
+Machine-readable numbers land in ``benchmarks/results/BENCH_enforce.json``
+so future PRs can track the enforcement hot path.
 
 Usage::
 
@@ -86,6 +88,7 @@ def run(check: bool = False, max_rules: int = None, workers: int = 2):
     config = EnforcementConfig(backend="serial", max_violation_samples=None)
     engine = EnforcementEngine(dirty, sigma, config)
     full_s, report = _timed(engine.validate)
+    full_pass, plan_steps = dict(engine.last_pass), engine.plan.full_trie.steps
     if check:
         got = [frozenset(rule.sample) for rule in report.rules]
         assert got == reference, "engine violation sets diverge from reference"
@@ -107,7 +110,7 @@ def run(check: bool = False, max_rules: int = None, workers: int = 2):
     for node in rng.sample(range(dirty.num_nodes), DELTA_NODES):
         dirty.set_attr(node, "type", "__bench_delta__")
     incremental_s, inc_report = _timed(engine.refresh)
-    assert inc_report.mode == "incremental"
+    refresh_pass = dict(engine.last_pass)
     full_after_s, full_report = _timed(engine.validate)
     if check:
         got = [frozenset(rule.sample) for rule in inc_report.rules]
@@ -134,6 +137,15 @@ def run(check: bool = False, max_rules: int = None, workers: int = 2):
         "full_after_delta_s": round(full_after_s, 4),
         "incremental_speedup": round(full_after_s / incremental_s, 2),
         "groups_revalidated": inc_report.groups_revalidated,
+        # exact matching work (EnforcementEngine.last_pass): host noise
+        # cannot move these
+        "plan_steps": plan_steps,
+        "full_trie_nodes": full_pass["trie_nodes"],
+        "full_joins": full_pass["joins"],
+        "refresh_plans": refresh_pass["plans"],
+        "refresh_trie_nodes": refresh_pass["trie_nodes"],
+        "refresh_joins": refresh_pass["joins"],
+        "non_incremental_refreshes": int(inc_report.mode != "incremental"),
     }
     lines = [
         f"graph\tnodes={dirty.num_nodes}\tedges={dirty.num_edges}",
@@ -155,6 +167,10 @@ def run(check: bool = False, max_rules: int = None, workers: int = 2):
         f" {inc_report.groups_revalidated}/{report.patterns_matched}"
         f" groups revalidated, {DELTA_NODES} nodes touched)",
         f"full_after_delta\t{full_after_s:.4f}",
+        f"joins\tfull {full_pass['joins']} of {plan_steps} plan steps"
+        f" ({full_pass['trie_nodes']} trie nodes)\trefresh"
+        f" {refresh_pass['joins']} ({refresh_pass['plans']} anchored plans,"
+        f" {refresh_pass['trie_nodes']} trie nodes)",
     ]
     write_bench("enforce", metrics)
     return lines, metrics
@@ -166,7 +182,8 @@ def main(argv=None) -> int:
         "--check",
         action="store_true",
         help="assert engine/reference equivalence, the >= 3x full-pass "
-             "speedup, and the incremental-beats-full criterion",
+             "speedup, the incremental-beats-full criterion and the exact "
+             "join counts of the plan trie",
     )
     parser.add_argument(
         "--max-rules", type=int, default=None,
@@ -194,6 +211,17 @@ def main(argv=None) -> int:
                 f"({metrics['incremental_s']}s vs "
                 f"{metrics['full_after_delta_s']}s)"
             )
+        if not (
+            metrics["full_joins"] <= metrics["full_trie_nodes"]
+            and metrics["full_joins"] < metrics["plan_steps"]
+        ):
+            failures.append(
+                f"a full pass ran {metrics['full_joins']} joins: not under "
+                f"the {metrics['full_trie_nodes']} trie nodes and the "
+                f"{metrics['plan_steps']} per-pattern plan steps"
+            )
+        if metrics["non_incremental_refreshes"]:
+            failures.append("the small-delta refresh fell back to a full pass")
         if elapsed > args.budget:
             failures.append(f"{elapsed:.1f}s > budget {args.budget:.1f}s")
         if failures:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Set
 
 from ..gfd.gfd import GFD
 from ..gfd.implication import ImplicationChecker
@@ -58,23 +58,19 @@ def sequential_cover(sigma: Sequence[GFD]) -> CoverResult:
     """
     started = time.perf_counter()
     sigma = list(sigma)
-    alive = [True] * len(sigma)
-    tests = 0
+    # one checker over Σ serves every leave-one-out test: the dead rules and
+    # the tested one are excluded per call, the rest chase in Σ order
+    checker = ImplicationChecker(sigma)
+    dead: Set[int] = set()
     removed: List[GFD] = []
     for index in _scan_order(sigma):
-        remainder = [
-            gfd for position, gfd in enumerate(sigma)
-            if alive[position] and position != index
-        ]
-        checker = ImplicationChecker(remainder)
-        tests += 1
-        if checker.implies(sigma[index]):
-            alive[index] = False
+        if checker.implies(sigma[index], exclude=dead | {index}):
+            dead.add(index)
             removed.append(sigma[index])
-    cover = [gfd for position, gfd in enumerate(sigma) if alive[position]]
+    cover = [gfd for index, gfd in enumerate(sigma) if index not in dead]
     return CoverResult(
         cover=cover,
         removed=removed,
-        implication_tests=tests,
+        implication_tests=len(sigma),
         elapsed_seconds=time.perf_counter() - started,
     )

@@ -18,9 +18,9 @@ results are exactly the per-rule reference results.
 enforce.delta.DeltaLog` attached to the graph records the node ids every
 mutation touches.  On :meth:`~repro.enforce.engine.EnforcementEngine.
 refresh`, stored matches containing no touched node are reused verbatim;
-the matches that do contain one are dropped and re-derived by one join per
-pattern variable anchored at the touched nodes, and mask evaluation reruns
-over the spliced tables.  A delta wider than ``EnforcementConfig.
+the matches that do contain one are dropped and re-derived by one walk of
+the plan's anchored join trie seeded with the touched nodes, and mask
+evaluation reruns over the spliced tables.  A delta wider than ``EnforcementConfig.
 max_delta_fraction`` of the graph falls back to full revalidation.
 
 **Backend selection** (:mod:`~repro.enforce.engine`).  Evaluation shards

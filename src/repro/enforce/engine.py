@@ -4,22 +4,22 @@
 to one live graph and serves two entry points:
 
 * :meth:`EnforcementEngine.validate` — full validation: match every group
-  pattern once against the current graph snapshot (CSR index by default)
-  and evaluate all grouped rules as columnar masks, sharded over the PR 2
-  :class:`~repro.parallel.backend.ShardWorker` backend (serial in-process
+  pattern against the current graph snapshot in one walk of the plan's
+  join trie (a stem shared by several patterns is joined once; CSR index
+  by default) and evaluate all grouped rules as columnar masks, sharded
+  over the :class:`~repro.parallel.backend.ShardWorker` backend (in-process
   shards, or real worker processes attaching the index via shared memory);
 * :meth:`EnforcementEngine.refresh` — delta-aware revalidation: consume the
   attached :class:`~repro.enforce.delta.DeltaLog`, drop the stored matches
-  that contain a touched node, re-derive the matches that do by one join
-  per pattern variable anchored at the touched nodes, splice them into the
-  stored match arrays, and re-evaluate the masks.  When the delta exceeds
-  ``EnforcementConfig.max_delta_fraction`` of the graph the engine falls
-  back to :meth:`validate`.
+  that contain a touched node, re-derive the matches that do by one walk
+  of the anchored trie (every group × variable) seeded with the touched
+  nodes, splice them into the stored match arrays, and re-evaluate the
+  masks.  When the delta exceeds ``EnforcementConfig.max_delta_fraction``
+  of the graph the engine falls back to :meth:`validate`.
 
 The match shards — and the per-rule violation masks computed over them —
 stay *resident in the workers* between passes: a full pass installs them
-once,
-a dirty incremental pass ships only ``(touched nodes, fresh rows)``
+once, a dirty incremental pass ships only ``(touched nodes, fresh rows)``
 per dirty group, and a clean pass ships nothing at all (the backend's
 :class:`~repro.parallel.backend.TransferLedger` makes the zero-row claim
 testable).  Graph mutations re-point the backend at the new index snapshot
@@ -37,6 +37,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -54,8 +55,7 @@ from ..parallel.backend import (
     next_node_key,
     rows_containing,
 )
-from ..pattern.matcher import Match, find_matches, match_array
-from ..pattern.pattern import WILDCARD, Pattern
+from ..pattern.matcher import Match, find_matches
 from .delta import DeltaLog
 from .plan import CompiledRule, EnforcementPlan, PatternGroup, compile_plan
 
@@ -218,6 +218,10 @@ class EnforcementEngine:
             graph.attach_delta_log(self.delta)
         self._arrays: List[Optional[np.ndarray]] = [None] * len(self.plan.groups)
         self._report: Optional[EnforcementReport] = None
+        #: Exact matching work of the latest pass: search ``plans`` asked
+        #: for, ``trie_nodes`` they compile to, ``joins`` (fan-outs) run
+        #: after pruning — 0 on the dict path, which walks no trie.
+        self.last_pass: Dict[str, int] = {}
         self._validated_version: Optional[int] = None
         self._owns_backend = backend is None
         self._backend: Optional[ExecutionBackend] = backend
@@ -312,10 +316,7 @@ class EnforcementEngine:
             version = self.graph.version
             self.delta.drain()
             index = self.graph.index() if self.config.use_index else None
-            for position, group in enumerate(self.plan.groups):
-                self._arrays[position] = self._match_array(
-                    group.pattern, index
-                )
+            self._arrays = self._group_matches(index)
             return self._finish(index, "full", started, version=version)
 
     def refresh(self) -> EnforcementReport:
@@ -344,7 +345,7 @@ class EnforcementEngine:
             started = time.perf_counter()
             index = self.graph.index() if self.config.use_index else None
             nodes = np.fromiter(sorted(touched), dtype=np.int64)
-            labels = {self.graph.node_label(node) for node in touched}
+            fresh_of = self._group_matches(index, nodes)
             dirty: List[int] = []
             updates: Dict[int, np.ndarray] = {}
             for position, group in enumerate(self.plan.groups):
@@ -352,9 +353,7 @@ class EnforcementEngine:
                 hit = rows_containing(stored, nodes)
                 dropped = hit.any()
                 kept = stored[~hit] if dropped else stored
-                fresh = self._touched_matches(
-                    group.pattern, index, nodes, labels
-                )
+                fresh = fresh_of[position]
                 if dropped or fresh.shape[0]:
                     # a match is gained, lost or re-judged only if it
                     # contains a touched node: no other group changed
@@ -378,54 +377,52 @@ class EnforcementEngine:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _match_array(
-        self,
-        pattern: Pattern,
-        index: Optional[GraphIndex],
-        seeds: Optional[np.ndarray] = None,
-        root: Optional[int] = None,
-    ) -> np.ndarray:
-        """Matches of a canonical pattern as an ``(N, vars)`` int64 array."""
-        if index is not None:
-            return match_array(index, pattern, seeds, root)
-        rows = list(
-            find_matches(
-                self.graph,
-                pattern,
-                seeds=None if seeds is None else seeds.tolist(),
-                root=root,
-            )
-        )
-        if not rows:
-            return np.empty((0, pattern.num_nodes), dtype=np.int64)
-        return np.asarray(rows, dtype=np.int64)
+    def _group_matches(
+        self, index: Optional[GraphIndex], touched: Optional[np.ndarray] = None
+    ) -> List[np.ndarray]:
+        """Per pattern group, its canonical matches as an ``(N, vars)`` array.
 
-    def _touched_matches(
-        self,
-        pattern: Pattern,
-        index: Optional[GraphIndex],
-        touched: np.ndarray,
-        touched_labels: Set[str],
-    ) -> np.ndarray:
-        """Every match of ``pattern`` containing a touched node, once.
-
-        One join per pattern variable, anchored at the touched nodes; a
-        match with several touched nodes is kept from the anchor of its
-        first touched variable only.
+        All of them — or, with ``touched``, every match containing a touched
+        node, once: anchored at each variable in turn and kept from the
+        anchor of its first touched variable only.  One walk of the plan's
+        join trie on the index path; without an index, the dict backtracker
+        plan by plan — the layer's oracle.
         """
-        blocks: List[np.ndarray] = []
-        for variable in pattern.variables():
-            label = pattern.labels[variable]
-            if label != WILDCARD and label not in touched_labels:
-                continue
-            rows = self._match_array(pattern, index, touched, variable)
-            if variable and rows.shape[0]:
-                rows = rows[~rows_containing(rows[:, :variable], touched)]
-            if rows.shape[0]:
-                blocks.append(rows)
-        if not blocks:
-            return np.empty((0, pattern.num_nodes), dtype=np.int64)
-        return np.concatenate(blocks)
+        anchored = touched is not None
+        trie = self.plan.anchored_trie if anchored else self.plan.full_trie
+        if index is not None:
+            blocks = trie.match(index, touched)
+        else:
+            seeds = touched.tolist() if anchored else None
+            blocks = (
+                (
+                    plan_id,
+                    np.asarray(
+                        list(find_matches(self.graph, pattern, seeds, root=anchor)),
+                        dtype=np.int64,
+                    ).reshape(-1, pattern.num_nodes),
+                )
+                for plan_id, pattern, anchor in self.plan.search_plans(anchored)
+            )
+        # per group ``(anchor, rows)`` blocks; the empty head types the
+        # result of a group that matched nothing
+        found: List[List[Tuple[int, np.ndarray]]] = [
+            [(-1, np.empty((0, group.pattern.num_nodes), dtype=np.int64))]
+            for group in self.plan.groups
+        ]
+        for (position, anchor), rows in blocks:
+            if anchored and anchor:
+                rows = rows[~rows_containing(rows[:, :anchor], touched)]
+            found[position].append((anchor, rows))
+        self.last_pass = {
+            "plans": trie.plans,
+            "trie_nodes": trie.nodes,
+            "joins": trie.joins if index is not None else 0,
+        }
+        return [
+            np.concatenate([rows for _, rows in sorted(group, key=itemgetter(0))])
+            for group in found
+        ]
 
     def _ensure_backend(self, index: Optional[GraphIndex]) -> ExecutionBackend:
         """The evaluation backend for this snapshot.
@@ -591,6 +588,7 @@ class EnforcementEngine:
                 backend=backend_name,
                 groups_revalidated=len(evaluate),
                 graph_version=version,
+                **self.last_pass,
             )
         return report
 

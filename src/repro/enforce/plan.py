@@ -9,7 +9,12 @@ pattern's pivot-preserving isomorphism class (:mod:`repro.pattern.
 canonical`) and groups rules by that representative:
 
 * each distinct pattern is **matched once** per validation, however many
-  rules share it;
+  rules share it — and patterns that share a stem share its joins: the
+  groups' search plans are compiled, in label strings and against no index,
+  into two prefix tries (:func:`repro.pattern.matcher.compile_plans`), one
+  with every group at its pivot (a full pass is one walk of it) and one
+  with every group × variable as anchor (a refresh walks it from the
+  touched nodes);
 * all grouped rules evaluate as columnar boolean masks over one
   :class:`~repro.core.match_table.MatchTable` (``MatchTable.
   violation_mask``) — C-speed vector compares instead of per-match
@@ -31,6 +36,7 @@ from ..gfd.gfd import GFD
 from ..gfd.literals import FalseLiteral, Literal, rename_literal
 from ..gfd.parser import format_gfd
 from ..pattern.canonical import canonical_ordering, canonicalize
+from ..pattern.matcher import PlanTrie, compile_plans
 from ..pattern.pattern import Pattern
 
 __all__ = ["CompiledRule", "PatternGroup", "EnforcementPlan", "compile_plan"]
@@ -94,6 +100,13 @@ class EnforcementPlan:
     groups: List[PatternGroup]
     num_rules: int
 
+    def __post_init__(self) -> None:
+        #: every group's search plan from its pivot: a full pass walks it
+        self.full_trie: PlanTrie = compile_plans(self.search_plans(False))
+        #: every group × variable as anchor: a refresh walks it from the
+        #: touched nodes
+        self.anchored_trie: PlanTrie = compile_plans(self.search_plans(True))
+
     def attributes(self) -> Tuple[str, ...]:
         """Sorted union of attributes across the whole plan (the workers'
         active-attribute set ``Γ`` — every shard table carries these
@@ -102,6 +115,17 @@ class EnforcementPlan:
         for group in self.groups:
             names.update(group.attributes())
         return tuple(sorted(names))
+
+    def search_plans(self, anchored: bool) -> List[Tuple[Tuple[int, int], Pattern, int]]:
+        """``((group position, anchor), pattern, anchor)``: every group at
+        its pivot, or — ``anchored`` — at each of its variables."""
+        return [
+            ((position, anchor), group.pattern, anchor)
+            for position, group in enumerate(self.groups)
+            for anchor in (
+                group.pattern.variables() if anchored else (group.pattern.pivot,)
+            )
+        ]
 
     def __len__(self) -> int:
         return self.num_rules

@@ -11,20 +11,27 @@ mapping ``h`` from pattern variables to graph nodes such that
 Matches are the non-induced kind: extra graph edges among matched nodes are
 allowed (the match subgraph consists of exactly the images of pattern edges).
 
-Two matchers share one connectivity-driven search plan.  With a frozen
-:class:`~repro.graph.index.GraphIndex`, matching is a sequence of joins on
-the index (:func:`match_array`): the pivot's label pool is the first
-column, each further variable is one vectorized fan-out of the whole batch
-along a pattern edge, and every other edge back to a mapped variable is one
-batched ``np.searchsorted`` over the sorted edge keys — no Python frame per
-assignment.  Without an index, a VF2-style backtracking search over the
-mutable graph's dict adjacency enumerates the same match multiset; it is
-the layer's reference oracle, and the path for graphs under edit.
+Two matchers share one connectivity-driven search plan (:func:`_search_plan`).
+With a frozen :class:`~repro.graph.index.GraphIndex`, a plan is compiled to
+a sequence of ops over plan positions — root label, then per further
+variable one fan-out of the whole batch along a pattern edge (``Q'(G) =
+Q(G) ⋈ e``), one batched ``np.searchsorted`` filter per other edge back to a
+mapped variable, one label-count filter per parallel-edge pair — and any
+number of plans are inserted into one prefix trie (:func:`compile_plans`).
+:meth:`PlanTrie.match` walks it depth-first one block of the root pool at a
+time: an op shared by many plans runs once on the rows its prefix produced,
+an empty result prunes everything below it, and no Python frame is spent
+per assignment.  :func:`match_array` / :func:`find_matches` ``(index=…)`` are
+the one-plan case of that walk; enforcement inserts all of ``Σ``.  Plans hold
+label strings, never codes, so a trie outlives index patches and snapshots.
+Without an index, a VF2-style backtracking search over the mutable graph's
+dict adjacency enumerates the same match multiset; it is the layer's
+reference oracle, and the path for graphs under edit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -37,6 +44,8 @@ __all__ = [
     "Match",
     "find_matches",
     "match_array",
+    "PlanTrie",
+    "compile_plans",
     "count_matches",
     "pivot_image",
     "has_match",
@@ -259,96 +268,147 @@ def find_matches(
     yield from backtrack(0)
 
 
-def _match_blocks(
-    index: GraphIndex,
-    pattern: Pattern,
-    seeds: Optional[Iterable[int]],
-    anchor: int,
-) -> Iterator[np.ndarray]:
-    """Join-based matching: one ``(n, vars)`` match array per root block.
+class _TrieNode:
+    """One shared plan prefix: the plans ending here, the ops leading on."""
 
-    The root pool is joined ``_ROOT_BLOCK`` nodes at a time.  Per block and
-    in search order, each new variable is one fan-out of the whole batch
-    along one back edge (``Q'(G) = Q(G) ⋈ e``, with label and injectivity
-    filters); every remaining back edge is a closing filter — one batched
-    ``searchsorted`` over the sorted edge keys.  Columns follow the search
-    order while joining and are permuted back to variable order at the end.
+    __slots__ = ("plans", "children")
+
+    def __init__(self) -> None:
+        #: ``(plan id, column of each pattern variable)`` per plan ending here
+        self.plans: List[Tuple[Any, List[int]]] = []
+        #: op -> child; an op is an :class:`Extension` over plan positions
+        #: (new node = fan-out, closing = filter) or ``(src, dst, needed)``
+        self.children: Dict[Any, "_TrieNode"] = {}
+
+
+class PlanTrie:
+    """Search plans as op sequences, stored once per shared prefix.
+
+    A plan is its root label, then per plan position the driving fan-out,
+    the closing filters and the parallel-edge multiplicities — all written
+    in label *strings*, so a trie compiled once outlives every index patch,
+    snapshot and store re-attach.  ``plans`` counts the plans inserted,
+    ``steps`` the fan-outs they hold one by one, ``nodes`` the trie nodes
+    that store them, ``joins`` the fan-outs the latest :meth:`match` ran.
     """
-    order, position_of, back_edges, parallel_groups = _search_plan(pattern, anchor)
-    labels = pattern.labels
 
-    # per plan position > 0: the driving fan-out plus the closing filters as
-    # (src column, dst column, edge-label code); an absent concrete edge
-    # label means the pattern can never match
-    steps: List[Tuple[Extension, List[Tuple[int, int, int]]]] = []
-    for position in range(1, len(order)):
-        edges = back_edges[position]
-        # drive by a concrete label where there is one: the smaller fan-out
-        driver = next(
-            (which for which, edge in enumerate(edges) if edge[1] != WILDCARD), 0
+    def __init__(self) -> None:
+        self.roots: Dict[str, _TrieNode] = {}
+        self.plans = self.steps = self.nodes = self.joins = 0
+
+    def insert(self, plan_id: Any, pattern: Pattern, anchor: int) -> None:
+        """Add the search plan of ``pattern`` from ``anchor`` under ``plan_id``."""
+        order, position_of, back_edges, parallel_groups = _search_plan(
+            pattern, anchor
         )
-        mapped_var, edge_label, is_out = edges[driver]
-        extension = Extension(
-            position_of[mapped_var],
-            position,
-            edge_label,
-            labels[order[position]],
-            outward=not is_out,
-        )
-        closing: List[Tuple[int, int, int]] = []
-        for which, (mapped_var, edge_label, is_out) in enumerate(edges):
-            if which == driver:
-                continue
-            code = -1
-            if edge_label != WILDCARD:
-                code = index.edge_label_code(edge_label)
-                if code < 0:
-                    return
-            mapped = position_of[mapped_var]
-            closing.append(
-                (position, mapped, code) if is_out else (mapped, position, code)
+        ops: List[Any] = []
+        for position in range(1, len(order)):
+            edges = back_edges[position]
+            # drive by a concrete label where there is one: the smaller fan-out
+            driver = next(
+                (which for which, edge in enumerate(edges) if edge[1] != WILDCARD), 0
             )
-        steps.append((extension, closing))
-    # parallel pattern edges on one node pair map to distinct graph edges:
-    # checked where the pair's later endpoint is joined
-    distinct_labels: Dict[int, List[Tuple[int, int, int]]] = {}
-    for (src, dst), group_labels in parallel_groups.items():
-        distinct_labels.setdefault(
-            max(position_of[src], position_of[dst]), []
-        ).append((position_of[src], position_of[dst], len(group_labels)))
-
-    root_label = labels[order[0]]
-    if seeds is not None:
-        pool = (
-            seeds
-            if isinstance(seeds, np.ndarray)
-            else np.asarray(list(seeds), dtype=np.int64)
+            mapped_var, edge_label, is_out = edges[driver]
+            ops.append(
+                Extension(
+                    position_of[mapped_var],
+                    position,
+                    edge_label,
+                    pattern.labels[order[position]],
+                    outward=not is_out,
+                )
+            )
+            # every other back edge is a closing filter
+            for which, (mapped_var, edge_label, is_out) in enumerate(edges):
+                if which != driver:
+                    pair = (position, position_of[mapped_var])
+                    ops.append(
+                        Extension(*(pair if is_out else pair[::-1]), edge_label)
+                    )
+            # parallel pattern edges on one node pair map to distinct graph
+            # edges: checked where the pair's later endpoint is joined
+            for (src, dst), group_labels in parallel_groups.items():
+                if max(position_of[src], position_of[dst]) == position:
+                    ops.append((position_of[src], position_of[dst], len(group_labels)))
+        children = self.roots
+        for op in [pattern.labels[order[0]], *ops]:
+            if op not in children:
+                children[op] = _TrieNode()
+                self.nodes += 1
+            node = children[op]
+            children = node.children
+        node.plans.append(
+            (plan_id, [position_of[variable] for variable in pattern.variables()])
         )
-        if root_label != WILDCARD and pool.size:
-            code = index.node_label_code(root_label)
-            pool = pool[index.node_label_codes[pool] == code]
-    elif root_label == WILDCARD:
-        pool = np.arange(index.num_nodes, dtype=np.int64)
-    else:
-        pool = index.nodes_with_label(root_label)
+        self.plans += 1
+        self.steps += len(order) - 1
 
-    variable_order = [position_of[variable] for variable in pattern.variables()]
-    for lo in range(0, pool.size, _ROOT_BLOCK):
-        array = pool[lo:lo + _ROOT_BLOCK].reshape(-1, 1)
-        for position, (extension, closing) in enumerate(steps, start=1):
-            array = _extend_matches_indexed(index, array, extension, None)
-            for src, dst, code in closing:
-                array = array[index.edges_exist(array[:, src], array[:, dst], code)]
-            for src, dst, needed in distinct_labels.get(position, ()):
+    def match(
+        self, index: GraphIndex, seeds: Optional[Iterable[int]] = None
+    ) -> Iterator[Tuple[Any, np.ndarray]]:
+        """Yield ``(plan id, (n, vars) rows in variable order)``, block by block.
+
+        Each root's pool — its label's nodes, or the ``seeds`` carrying that
+        label — is joined ``_ROOT_BLOCK`` nodes at a time, depth-first: every
+        trie edge runs once per block on the rows its prefix produced
+        (``Q'(G) = Q(G) ⋈ e``), and an empty result prunes the subtree.  A
+        plan's rows arrive in the order a walk of that plan alone gives.
+        """
+        self.joins = 0
+        if seeds is not None:
+            if not isinstance(seeds, np.ndarray):
+                seeds = np.asarray(list(seeds), dtype=np.int64)
+            seed_codes = index.node_label_codes[seeds]
+        for label, root in self.roots.items():
+            if label == WILDCARD:
+                pool = (
+                    np.arange(index.num_nodes, dtype=np.int64)
+                    if seeds is None
+                    else seeds
+                )
+            elif seeds is None:
+                pool = index.nodes_with_label(label)
+            else:
+                pool = seeds[seed_codes == index.node_label_code(label)]
+            for lo in range(0, pool.size, _ROOT_BLOCK):
+                yield from self._walk(
+                    index, root, pool[lo:lo + _ROOT_BLOCK].reshape(-1, 1)
+                )
+
+    def _walk(
+        self, index: GraphIndex, node: _TrieNode, array: np.ndarray
+    ) -> Iterator[Tuple[Any, np.ndarray]]:
+        for plan_id, columns in node.plans:
+            yield plan_id, array[:, columns]
+        for op, child in node.children.items():
+            if isinstance(op, Extension):
+                self.joins += not op.is_closing
+                rows = _extend_matches_indexed(index, array, op, None)
+            else:
                 # _parallel_edges_ok, batched: the concrete labels passed
                 # the filters above, so the injective assignment exists iff
                 # the pair carries at least as many labels as pattern edges
+                src, dst, needed = op
                 carried = index.edge_label_counts(array[:, src], array[:, dst])
-                array = array[carried >= needed]
-            if not array.shape[0]:
-                break
-        if array.shape[0]:
-            yield array[:, variable_order]
+                rows = array[carried >= needed]
+            if rows.shape[0]:
+                yield from self._walk(index, child, rows)
+
+
+def compile_plans(plans: Iterable[Tuple[Any, Pattern, int]]) -> PlanTrie:
+    """One :class:`PlanTrie` over ``(plan id, pattern, anchor variable)``s."""
+    trie = PlanTrie()
+    for plan_id, pattern, anchor in plans:
+        trie.insert(plan_id, pattern, anchor)
+    return trie
+
+
+def _match_blocks(
+    index: GraphIndex, pattern: Pattern, seeds: Optional[Iterable[int]], anchor: int
+) -> Iterator[np.ndarray]:
+    """One pattern's matches per root block: a one-plan :class:`PlanTrie`."""
+    for _, rows in compile_plans([(None, pattern, anchor)]).match(index, seeds):
+        yield rows
 
 
 def match_array(

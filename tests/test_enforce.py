@@ -11,17 +11,23 @@ literals, wildcard labels, and isomorphic-pattern sharing.
 
 from __future__ import annotations
 
+import functools
 import random
 
 import numpy as np
 import pytest
 
-from repro.core.config import EnforcementConfig
+from repro import Tracer
+from repro.core import discover, sequential_cover
+from repro.core.config import DiscoveryConfig, EnforcementConfig
+from repro.datasets import KB_ATTRIBUTES, dbpedia_like, imdb_like, yago2_like
+from repro.datasets.noise import inject_noise
 from repro.enforce import DeltaLog, EnforcementEngine, compile_plan
 from repro.gfd.gfd import GFD
 from repro.gfd.literals import FALSE, ConstantLiteral, make_variable_literal
 from repro.gfd.satisfaction import find_violations
 from repro.graph import Graph
+from repro.pattern.incremental import Extension, extend_matches
 from repro.pattern.matcher import find_matches
 from repro.pattern.pattern import WILDCARD, Pattern
 from repro.quality.detector import detect_gfd_violations, nodes_in_violations
@@ -674,3 +680,140 @@ class TestWorkerResidency:
                     full = scratch.validate()
                 assert incremental.total_violations == full.total_violations
                 assert _engine_sets(incremental) == _engine_sets(full)
+
+
+# ----------------------------------------------------------------------
+# the join trie of Σ: one walk per full pass, one seeded walk per refresh
+# ----------------------------------------------------------------------
+KB_FIXTURES = {
+    "yago": (yago2_like, 0.35, 25),
+    "dbpedia": (dbpedia_like, 0.3, 40),
+    "imdb": (imdb_like, 0.3, 40),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _kb_case(name):
+    """A noised KB fixture and (a slice of) the cover mined from it clean."""
+    factory, scale, sigma = KB_FIXTURES[name]
+    clean = factory(scale=scale, seed=7)
+    config = DiscoveryConfig(
+        k=3, sigma=sigma, max_lhs_size=1, active_attributes=list(KB_ATTRIBUTES)
+    )
+    cover = sequential_cover(discover(clean, config).gfds).cover
+    dirty, _ = inject_noise(
+        clean, alpha=0.05, beta=0.5, attributes=list(KB_ATTRIBUTES), seed=7
+    )
+    return dirty, cover[:60]
+
+
+class TestJoinTrie:
+    @staticmethod
+    def _agree(report, graph, sigma, reference=False):
+        """``report`` ≡ a fresh engine's full pass (≡ ``find_violations``)."""
+        with EnforcementEngine(graph, sigma, _uncapped()) as scratch:
+            full = scratch.validate()
+        assert _engine_sets(report) == _engine_sets(full)
+        assert [r.violation_count for r in report.rules] == [
+            r.violation_count for r in full.rules
+        ]
+        assert [r.nodes for r in report.rules] == [r.nodes for r in full.rules]
+        if reference:
+            assert _engine_sets(report) == _reference_sets(graph, sigma)
+
+    @pytest.mark.parametrize("backend", ["serial", "multiprocess"])
+    @pytest.mark.parametrize("name", sorted(KB_FIXTURES))
+    def test_fixture_passes_equal_fresh_engine_and_reference(self, name, backend):
+        dirty, sigma = _kb_case(name)
+        graph = dirty.copy()
+        rng = random.Random(5)
+        config = _uncapped(backend=backend, num_workers=2)
+        with EnforcementEngine(graph, sigma, config) as engine:
+            report = engine.validate()
+            assert report.total_violations > 0
+            self._agree(report, graph, sigma, reference=backend == "serial")
+            labels = sorted(graph.node_labels())
+            for step in range(3):
+                edges = list(graph.edges())
+                src, dst, label = rng.choice(edges)
+                graph.relabel_node(src, rng.choice(labels))
+                graph.remove_edge(*rng.choice(edges))
+                fresh = graph.add_node(graph.node_label(dst), {"type": "x"})
+                graph.add_edge(fresh, dst, label)
+                graph.add_edge(rng.choice(edges)[0], fresh, label)
+                graph.set_attr(rng.choice(edges)[1], "type", "y")
+                report = engine.refresh()
+                assert report.mode == "incremental"
+                assert 0 < engine.last_pass["joins"]
+                self._agree(report, graph, sigma, reference=step == 2)
+
+    def test_pass_counts_are_exact(self):
+        dirty, sigma = _kb_case("dbpedia")
+        sigma = [g for g in sigma if WILDCARD not in g.pattern.labels]
+        graph = dirty.copy()
+        tracer = Tracer()
+        with EnforcementEngine(graph, sigma, _uncapped(), tracer=tracer) as engine:
+            engine.validate()
+            plan, index = engine.plan, graph.index()
+            trie = plan.full_trie
+            assert engine.last_pass == {
+                "plans": len(plan.groups),
+                "trie_nodes": trie.nodes,
+                "joins": self._reached_fanouts(trie, index),
+            }
+            # sharing: fewer joins than the plans hold one by one, and (every
+            # label pool here fits one root block) than the trie has nodes
+            assert engine.last_pass["joins"] <= trie.nodes - len(trie.roots)
+            assert engine.last_pass["joins"] < trie.steps == sum(
+                group.pattern.num_nodes - 1 for group in plan.groups
+            )
+            assert tracer.events[-1]["type"] == "enforce_pass"
+            assert {
+                key: tracer.events[-1][key] for key in engine.last_pass
+            } == engine.last_pass
+            # a delta none of whose nodes carries a label of Σ: every root
+            # of the anchored trie is skipped
+            bystander = graph.add_node("bystander", {"type": "x"})
+            graph.set_attr(bystander, "type", "y")
+            report = engine.refresh()
+            assert report.mode == "incremental" and report.groups_revalidated == 0
+            assert engine.last_pass == {
+                "plans": sum(g.pattern.num_nodes for g in plan.groups),
+                "trie_nodes": plan.anchored_trie.nodes,
+                "joins": 0,
+            }
+            assert tracer.events[-1]["joins"] == 0
+            # a real delta: only subtrees under a touched label run
+            graph.set_attr(next(iter(graph.edges()))[0], "type", "z")
+            engine.refresh()
+            assert 0 < engine.last_pass["joins"] < plan.anchored_trie.steps
+        with EnforcementEngine(
+            graph, sigma, _uncapped(use_index=False)
+        ) as oracle:
+            oracle.validate()
+            assert oracle.last_pass == {
+                "plans": len(plan.groups), "trie_nodes": trie.nodes, "joins": 0
+            }
+
+    @staticmethod
+    def _reached_fanouts(trie, index):
+        """Fan-out edges of ``trie`` whose input rows are non-empty."""
+        def below(node, rows):
+            reached = 0
+            for op, child in node.children.items():
+                if isinstance(op, Extension):
+                    reached += not op.is_closing
+                    out = extend_matches(None, rows, op, index=index, as_array=True)
+                else:
+                    src, dst, needed = op
+                    counts = index.edge_label_counts(rows[:, src], rows[:, dst])
+                    out = rows[counts >= needed]
+                if out.shape[0]:
+                    reached += below(child, out)
+            return reached
+
+        return sum(
+            below(root, index.nodes_with_label(label).reshape(-1, 1))
+            for label, root in trie.roots.items()
+            if index.nodes_with_label(label).size
+        )

@@ -40,6 +40,7 @@ from repro.graph.index import GraphIndex
 from repro.pattern.incremental import Extension, extend_matches
 from repro.pattern import matcher
 from repro.pattern.matcher import (
+    compile_plans,
     count_matches,
     find_matches,
     has_match,
@@ -262,6 +263,178 @@ class TestJoinMatcher:
             expected = sorted(find_matches(graph, pattern))
             assert sorted(find_matches(None, pattern, index=detached)) == expected
             assert match_array(detached, pattern).shape[0] == len(expected)
+
+
+def permuted(pattern, order, pivot):
+    """``pattern`` respelled with variable ``order[i]`` renamed to ``i``."""
+    rename = {old: new for new, old in enumerate(order)}
+    return Pattern(
+        [pattern.labels[old] for old in order],
+        [(rename[e.src], rename[e.dst], e.label) for e in pattern.edges],
+        pivot=rename[pivot],
+    )
+
+
+class TestPlanTrie:
+    """One trie walk over a *set* of plans ≡ each plan matched on its own."""
+
+    @staticmethod
+    def walk(index, plans, seeds=None):
+        """``(trie, {plan id: rows})`` of one walk, blocks in arrival order."""
+        trie = compile_plans(plans)
+        blocks = {}
+        for plan_id, rows in trie.match(index, seeds):
+            assert rows.shape[0]  # pruned subtrees yield nothing
+            blocks.setdefault(plan_id, []).append(rows)
+        return trie, {key: np.concatenate(value) for key, value in blocks.items()}
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_trie_equals_per_pattern_matching(self, data):
+        """Hostile little graphs (parallel / antiparallel edges, self-loops)
+        × sets of 1–3-edge patterns sharing a stem, differing in the last
+        edge only, respelled under another variable order and pivot, or
+        plain duplicates; wildcard node and edge labels; every variable as
+        anchor; with and without seeds; root pools spanning blocks."""
+        num_nodes = data.draw(st.integers(2, 16), label="nodes")
+        graph = Graph()
+        for _ in range(num_nodes):
+            graph.add_node(data.draw(st.sampled_from(["A", "A", "B"])))
+        node_ids = st.integers(0, num_nodes - 1)
+        for src, dst, label in data.draw(
+            st.lists(
+                st.tuples(node_ids, node_ids, st.sampled_from(["p", "q"])),
+                max_size=40,
+            ),
+            label="edges",
+        ):
+            graph.add_edge(src, dst, label)
+        node_label = st.sampled_from(["A", "B", WILDCARD])
+        edge_label = st.sampled_from(["p", "q", WILDCARD])
+        stem = Pattern(
+            [data.draw(node_label), data.draw(node_label)],
+            [(0, 1, data.draw(edge_label))],
+        )
+        patterns = [stem]
+        for _ in range(data.draw(st.integers(1, 6), label="children")):
+            parent = data.draw(st.sampled_from(patterns))
+            if parent.num_edges == 3:
+                continue
+            src = data.draw(st.integers(0, parent.num_nodes - 1))
+            if data.draw(st.booleans()):
+                child = parent.with_new_node(
+                    data.draw(node_label), src, data.draw(st.booleans()),
+                    data.draw(edge_label),
+                )
+            else:
+                dst = data.draw(st.integers(0, parent.num_nodes - 1))
+                try:
+                    child = parent.with_edge(src, dst, data.draw(edge_label))
+                except ValueError:  # a duplicate edge
+                    continue
+                if src == dst:
+                    continue
+            patterns.append(child)
+        twin = data.draw(st.sampled_from(patterns))
+        patterns.append(twin)  # a duplicate
+        patterns.append(
+            permuted(
+                twin,
+                data.draw(st.permutations(list(twin.variables()))),
+                data.draw(st.integers(0, twin.num_nodes - 1)),
+            )
+        )
+        plans = [
+            ((number, anchor), pattern, anchor)
+            for number, pattern in enumerate(patterns)
+            for anchor in pattern.variables()
+        ]
+        seeds = np.asarray(
+            data.draw(st.lists(node_ids, unique=True), label="seeds"),
+            dtype=np.int64,
+        )
+        index = graph.index()
+        saved = matcher._ROOT_BLOCK
+        matcher._ROOT_BLOCK = 7
+        try:
+            for seeded in (None, seeds):
+                trie, found = self.walk(index, plans, seeded)
+                assert trie.plans == len(plans)
+                assert trie.steps == sum(p.num_nodes - 1 for _, p, _ in plans)
+                for plan_id, pattern, anchor in plans:
+                    alone = match_array(index, pattern, seeded, anchor)
+                    rows = found.get(plan_id, alone[:0])
+                    assert np.array_equal(rows, alone)  # row for row
+                    assert sorted(map(tuple, rows.tolist())) == sorted(
+                        find_matches(
+                            graph,
+                            pattern,
+                            seeds=None if seeded is None else seeded.tolist(),
+                            root=anchor,
+                        )
+                    )
+        finally:
+            matcher._ROOT_BLOCK = saved
+
+    def test_shared_stem_is_joined_once_and_empty_prefixes_prune(self):
+        graph = small_graph(5)
+        index = graph.index()
+        stem = Pattern(["L0", "L1"], [(0, 1, "e0")])
+        children = [
+            stem.with_new_node("L2", 1, True, "e1"),
+            stem.with_new_node("L3", 1, True, "e1"),
+            stem.with_new_node("L2", 0, True, "e1"),
+            stem.with_new_node("L2", 1, True, "absent"),
+        ]
+        plans = [(i, p, 0) for i, p in enumerate([stem] + children)]
+        trie, found = self.walk(index, plans)
+        # root + the stem's fan-out + one fan-out per child, not 1 + 2 * 4
+        assert (trie.plans, trie.steps, trie.nodes) == (5, 9, 6)
+        assert len(index.nodes_with_label("L0")) <= matcher._ROOT_BLOCK
+        assert trie.joins == 5 and 0 in found and 4 not in found
+        for plan_id, pattern, _ in plans:
+            alone = match_array(index, pattern)
+            assert np.array_equal(found.get(plan_id, alone[:0]), alone)
+        # nothing below an empty prefix runs: no seed carries the root label
+        list(trie.match(index, index.nodes_with_label("L1")))
+        assert trie.joins == 0
+        dead = compile_plans(
+            [(0, Pattern(["L0", "L1", "L2"], [(0, 1, "absent"), (1, 2, "e1")]), 0)]
+        )
+        assert list(dead.match(index)) == [] and dead.joins == 1
+
+    def test_one_plan_trie_runs_the_per_block_joins(self, monkeypatch):
+        """``match_array``'s walk: per root block, one fan-out per plan
+        position until the block's rows run out — what ``_match_blocks``
+        always ran."""
+        graph = small_graph(5)
+        index = graph.index()
+        stem = Pattern(["L0", "L1"], [(0, 1, "e0")])
+        pattern = stem.with_new_node("L2", 1, True, "e1")
+        monkeypatch.setattr(matcher, "_ROOT_BLOCK", 7)
+        pool = index.nodes_with_label("L0")
+        expected = sum(
+            1 + bool(match_array(index, stem, pool[lo:lo + 7]).shape[0])
+            for lo in range(0, pool.size, 7)
+        )
+        trie = compile_plans([(None, pattern, 0)])
+        rows = [rows for _, rows in trie.match(index)]
+        assert trie.joins == expected > -(-pool.size // 7)
+        assert np.array_equal(np.concatenate(rows), match_array(index, pattern))
+
+    def test_plans_hold_labels_not_codes(self):
+        """A trie compiled before the first snapshot survives patches that
+        intern new labels, and a snapshot re-attached from a store file."""
+        graph = small_graph(2)
+        pattern = Pattern(["L0", "fresh"], [(0, 1, "brand-new")])
+        trie = compile_plans([("p", pattern, 0), ("q", PATTERNS[2], 0)])
+        assert not any(plan == "p" for plan, _ in trie.match(graph.index()))
+        target = graph.add_node("fresh")
+        graph.add_edge(int(graph.nodes_with_label("L0")[0]), target, "brand-new")
+        for index in (graph.index(), GraphIndex.build(graph)):
+            found = dict(trie.match(index))
+            assert found["p"].tolist() == [[graph.nodes_with_label("L0")[0], target]]
+            assert np.array_equal(found["q"], match_array(index, PATTERNS[2]))
 
 
 class TestIncrementalEquivalence:
