@@ -34,11 +34,9 @@ backend:
 
 ``--check`` asserts all five; numbers land in
 ``benchmarks/results/BENCH_session.json``, the full metrics view in
-``benchmarks/results/session_metrics_bench.json``, a Chrome-trace
+``benchmarks/results/session_metrics_bench.json``, and a Chrome-trace
 timeline of the traced pipeline in
-``benchmarks/results/session_trace.json``, and the serial-vs-
-multiprocess crossover curve (node-count sweep) in
-``benchmarks/results/backend_crossover.json``.  Usage::
+``benchmarks/results/session_trace.json``.  Usage::
 
     PYTHONPATH=src python benchmarks/bench_session.py
     PYTHONPATH=src python benchmarks/bench_session.py --check
@@ -101,9 +99,6 @@ TRACE_ABS_SLACK_S = 0.25
 #: The disabled (null-tracer) path may account for at most this percent
 #: of the untraced pipeline's wall clock.
 NULL_OVERHEAD_PCT = 2.0
-
-#: yago2 scale factors for the serial-vs-multiprocess crossover sweep.
-CROSSOVER_SCALES = (0.4, 0.8, 1.6)
 
 
 def _null_hook_cost_s(iterations: int = 50_000) -> float:
@@ -243,8 +238,7 @@ def run(check: bool = False, max_rules: int = None):
             assert same_report, "Session enforcement must equal the engine"
             assert outcome["refreshed"].mode == "incremental"
 
-        # the same documented schema v2 the CLI's --metrics writes: the
-        # "backend" key is already the run's concrete backend name
+        # the same documented schema v3 the CLI's --metrics writes
         full_view = RESULTS_DIR / "session_metrics_bench.json"
         RESULTS_DIR.mkdir(exist_ok=True)
         full_view.write_text(
@@ -364,52 +358,6 @@ def run(check: bool = False, max_rules: int = None):
     return lines, metrics
 
 
-def crossover_curve():
-    """Serial vs multiprocess discovery wall-clock over graph size.
-
-    The curve behind the ``"auto"`` planner's crossover floor: one full
-    session discovery per (scale, backend), written to
-    ``benchmarks/results/backend_crossover.json``.  Record-only — the
-    winner flips with host load, so the artifact informs the default
-    ``planner_mp_min_size`` rather than gating CI.
-    """
-    points = []
-    lines = []
-    for scale in CROSSOVER_SCALES:
-        row = {"scale": scale}
-        for backend in ("serial", "multiprocess"):
-            if backend == "multiprocess" and not shared_memory_available():
-                continue
-            graph = dataset("yago2", scale).copy()
-            row["nodes"] = graph.num_nodes
-            config = discovery_config("yago2")
-            started = time.perf_counter()
-            with Session(
-                graph, config, backend=backend, num_workers=WORKERS
-            ) as session:
-                session.discover()
-            row[backend] = round(time.perf_counter() - started, 3)
-        if "multiprocess" in row:
-            row["winner"] = (
-                "multiprocess"
-                if row["multiprocess"] < row["serial"]
-                else "serial"
-            )
-        points.append(row)
-        lines.append(
-            f"scale {scale} ({row.get('nodes', '?')} nodes): " + ", ".join(
-                f"{name} {row[name]}s"
-                for name in ("serial", "multiprocess")
-                if name in row
-            )
-        )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "backend_crossover.json").write_text(
-        json.dumps({"workers": WORKERS, "points": points}, indent=2) + "\n"
-    )
-    return lines, points
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
@@ -433,9 +381,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     lines, _ = run(check=args.check, max_rules=args.max_rules)
-    curve_lines, _ = crossover_curve()
-    lines += ["crossover curve (results/backend_crossover.json):"]
-    lines += curve_lines
     for line in lines:
         print(line)
     record("bench_session", lines)

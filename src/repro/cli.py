@@ -626,10 +626,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "unset with --backend multiprocess uses the "
                            "config default of 4)")
     disc.add_argument("--backend",
-                      choices=["serial", "multiprocess", "auto"],
+                      choices=["serial", "multiprocess"],
                       default=None,
-                      help="ParDis execution backend (auto: cost-based "
-                           "per-phase choice; default: serial, or "
+                      help="ParDis execution backend (default: serial, or "
                            "$REPRO_PARALLEL_BACKEND)")
     disc.add_argument("--no-shared-memory", action="store_true",
                       help="ship graph buffers to multiprocess workers by "
@@ -664,10 +663,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="session workers (default: 1 serial / "
                            "4 multiprocess)")
     pipe.add_argument("--backend",
-                      choices=["serial", "multiprocess", "auto"],
+                      choices=["serial", "multiprocess"],
                       default=None,
-                      help="session execution backend (auto: cost-based "
-                           "per-phase choice; default: serial, or "
+                      help="session execution backend (default: serial, or "
                            "$REPRO_PARALLEL_BACKEND)")
     pipe.add_argument("--no-shared-memory", action="store_true",
                       help="ship graph buffers to multiprocess workers by "
@@ -772,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="backend workers (default: 1 serial / "
                           "4 multiprocess)")
     srv.add_argument("--backend",
-                     choices=["serial", "multiprocess", "auto"],
+                     choices=["serial", "multiprocess"],
                      default=None,
                      help="execution backend of the single lane "
                           "(default: serial, or $REPRO_PARALLEL_BACKEND)")

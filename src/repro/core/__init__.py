@@ -12,15 +12,8 @@ from .reduction import (
     normalize_gfd,
 )
 from .results import DiscoveryResult, MiningStats
-from .sketch import (
-    CardinalitySketch,
-    ExactCardinalitySketch,
-    make_sketch,
-    register_sketch,
-    sketch_names,
-)
+from .sketch import DistinctPivotSketch, ExactCardinalitySketch
 from .support import (
-    DistinctPivotSketch,
     correlation,
     gfd_support,
     gfd_support_any,
@@ -52,10 +45,6 @@ __all__ = [
     "gfd_support_any",
     "correlation",
     "negative_base_support",
-    "CardinalitySketch",
     "DistinctPivotSketch",
     "ExactCardinalitySketch",
-    "make_sketch",
-    "register_sketch",
-    "sketch_names",
 ]

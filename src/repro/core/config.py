@@ -187,36 +187,15 @@ class DiscoveryConfig:
             runs the worker ops inline under the simulated cluster (exact
             historical semantics, no extra processes), ``"multiprocess"``
             runs them in real per-worker processes over shared-memory graph
-            buffers, and ``"auto"`` lets the
-            :class:`~repro.parallel.costs.PhaseCostPlanner` pick between
-            them per phase from measured latencies (never slower than
-            serial by construction).  Results are identical by construction
-            (the differential harness asserts it).  Default ``"serial"``,
-            or the ``REPRO_PARALLEL_BACKEND`` environment variable.
+            buffers.  Results are identical by construction (the
+            differential harness asserts it).  Default ``"serial"``, or the
+            ``REPRO_PARALLEL_BACKEND`` environment variable.
         num_workers: default worker count ``n`` for parallel runs when the
             engine call does not pass one (``None`` = the engine default, 4).
         shared_memory: ship the frozen index to multiprocess workers via
             ``multiprocessing.shared_memory`` (attach-once, zero-copy numpy
             views).  Disabling — or running on a platform without shared
             memory — falls back to pickling the buffers into each worker.
-        sketch_support_prefilter: use an HLL-style distinct-pivot sketch as
-            a cheap upper bound before exact support counting in the
-            ``HSpawn`` alphabet prefilter.  Exact counting remains the
-            source of truth for every emitted GFD; the sketch only skips
-            exact counts for literals whose upper bound is already below
-            ``σ``, so with the (default-off) flag enabled, results can
-            differ only by the sketch's bounded overcount direction.
-        sketch_precision: HLL precision ``p`` (``2^p`` registers).
-        sketch_backend: name of the registered
-            :class:`~repro.core.sketch.CardinalitySketch` estimator used by
-            the prefilter (``"hll"`` — the default — or ``"exact"``; compact
-            alternatives like UltraLogLog register via
-            :func:`~repro.core.sketch.register_sketch`).
-        planner_mp_min_size: the ``"auto"`` planner's crossover floor —
-            with no multiprocess timings observed yet for a phase, inputs
-            below this many items stay serial (the round-trip constant
-            factor is known to dominate there); see
-            :class:`~repro.parallel.costs.PhaseCostPlanner`.
         fault: supervision policy of the multiprocess backend (timeouts,
             retry/respawn budgets, the degradation ladder) — see
             :class:`FaultConfig`.  ``None`` (the default) disables
@@ -249,10 +228,6 @@ class DiscoveryConfig:
     parallel_backend: str = field(default_factory=_default_backend)
     num_workers: Optional[int] = None
     shared_memory: bool = True
-    sketch_support_prefilter: bool = False
-    sketch_precision: int = 12
-    sketch_backend: str = "hll"
-    planner_mp_min_size: int = 50_000
     fault: Optional[FaultConfig] = field(default_factory=_default_fault)
 
     def __post_init__(self) -> None:
@@ -262,13 +237,11 @@ class DiscoveryConfig:
             raise ValueError("sigma must be >= 1")
         if self.max_lhs_size < 0:
             raise ValueError("max_lhs_size must be >= 0")
-        if self.parallel_backend not in ("serial", "multiprocess", "auto"):
+        if self.parallel_backend not in ("serial", "multiprocess"):
             raise ValueError(
-                "parallel_backend must be 'serial', 'multiprocess' or "
-                f"'auto', got {self.parallel_backend!r}"
+                "parallel_backend must be 'serial' or 'multiprocess', "
+                f"got {self.parallel_backend!r}"
             )
-        if self.planner_mp_min_size < 0:
-            raise ValueError("planner_mp_min_size must be >= 0")
         if self.num_workers is not None and self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
 
@@ -327,12 +300,6 @@ class EnforcementConfig:
             sorted violation set — deterministic and independent of match
             enumeration order, worker count and backend.
         sample_seed: RNG seed of that capped sample.
-        sketch_cardinality: report each rule's distinct violating pivots
-            as a sketch *upper bound* (cf. the support prefilter)
-            instead of the exact distinct count — O(1) memory per rule on
-            huge violation sets; counts and node sets stay exact.
-        sketch_backend: registered cardinality estimator used when
-            ``sketch_cardinality`` is on (default ``"hll"``).
         fault: supervision policy of the multiprocess backend (see
             :class:`FaultConfig`); ``None`` disables supervision.
     """
@@ -345,8 +312,6 @@ class EnforcementConfig:
     max_violations_per_rule: Optional[int] = None
     max_violation_samples: Optional[int] = 10
     sample_seed: int = 0
-    sketch_cardinality: bool = False
-    sketch_backend: str = "hll"
     fault: Optional[FaultConfig] = field(default_factory=_default_fault)
 
     def __post_init__(self) -> None:

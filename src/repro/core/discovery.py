@@ -380,25 +380,8 @@ class SequentialDiscovery:
         self.stats.validation_seconds += time.perf_counter() - validation_started
 
     def _literal_support_reaches_sigma(self, table: MatchTable, literal) -> bool:
-        """Whether a literal's distinct-pivot support reaches ``σ``.
-
-        With ``config.sketch_support_prefilter``, an HLL sketch first gives
-        a probable *upper bound* on the distinct-pivot count; only literals
-        whose bound reaches ``σ`` get the exact run count (the source of
-        truth).  The sketch can only skip clearly-infrequent literals.
-        """
+        """Whether a literal's exact distinct-pivot support reaches ``σ``."""
         mask = table.literal_mask(literal)
-        if self.config.sketch_support_prefilter:
-            if table.mask_count(mask) < self.config.sigma:
-                return False
-            bound = table.sketch_support_bound(
-                mask,
-                self.config.sketch_precision,
-                kind=self.config.sketch_backend,
-            )
-            if bound < self.config.sigma:
-                self.stats.sketch_pruned_literals += 1
-                return False
         return table.mask_support(mask) >= self.config.sigma
 
     def _mine_rhs(

@@ -1,83 +1,117 @@
-"""Pluggable cardinality estimation — one protocol, a registry of sketches.
+"""The distinct-count estimators behind the streaming violation monitor.
 
-Every probabilistic distinct-count in the system (the ``HSpawn`` support
-prefilter, enforcement's ``sketch_cardinality`` pivot bounds) goes through
-the :class:`CardinalitySketch` protocol instead of hard-coding one
-estimator.  The built-in implementations are
+Every distinct count the system *reports* — supports, a rule report's
+``distinct_pivots`` — is exact.  The one estimate is the serving monitor's
+"distinct pivots ever in violation" gauge (:mod:`repro.enforce.monitor`),
+which keeps one of two estimators per rule:
 
-* ``"hll"`` — the vectorized HyperLogLog of
-  :class:`~repro.core.support.DistinctPivotSketch` (the default; registered
-  by :mod:`repro.core.support` on import);
-* ``"exact"`` — :class:`ExactCardinalitySketch`, a reference estimator that
-  keeps the distinct set (no error, O(distinct) memory; the oracle the
-  sketch tests compare against).
+* :class:`DistinctPivotSketch` — a vectorized HyperLogLog, ``2^p``
+  one-byte registers per rule (the monitor's ``"hll"`` default);
+* :class:`ExactCardinalitySketch` — keeps the distinct set: no error,
+  O(distinct) memory (``"exact"``; the reference the HLL tests compare
+  against).
 
-Alternative estimators — e.g. an UltraLogLog (Ertl 2023) with its ~28 %
-smaller memory footprint at equal error — slot in by calling
-:func:`register_sketch` with a factory taking the precision parameter; the
-``sketch_backend`` knobs on :class:`~repro.core.config.DiscoveryConfig` and
-:class:`~repro.core.config.EnforcementConfig` then select them by name.
-
-The protocol's contract (what the discovery shards rely on):
-
-* ``add_array`` absorbs int64 id arrays, duplicates free;
-* ``merge`` unions two sketches of equal precision — the result must bound
-  the union of the inputs (register-wise max for HLL) so per-shard sketches
-  combine into a global one;
-* ``estimate``/``upper_bound`` — ``upper_bound`` must hold with high
-  probability, because callers use it to *skip* exact counting only when
-  the bound is already below a threshold (exact counting stays the source
-  of truth for everything the sketch does not prune).
+Both absorb int64 id arrays with ``add_array`` (duplicates free) and answer
+``estimate``; :func:`dump_sketch_state` / :func:`load_sketch_state` persist
+them beside Σ.
 """
 
 from __future__ import annotations
 
 import base64
-from typing import Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
+import math
+from typing import Any, Callable, Optional
 
 import numpy as np
 
 __all__ = [
-    "CardinalitySketch",
+    "DistinctPivotSketch",
     "ExactCardinalitySketch",
-    "register_sketch",
-    "make_sketch",
-    "sketch_names",
     "dump_sketch_state",
     "load_sketch_state",
 ]
 
 
-@runtime_checkable
-class CardinalitySketch(Protocol):
-    """The estimator interface behind the ``sketch_backend`` knobs."""
+class DistinctPivotSketch:
+    """HLL-style sketch of a distinct-pivot count ``|Q(G, ·, z)|``.
 
-    precision: int
+    A vectorized HyperLogLog over int64 pivot ids: ``2^p`` one-byte
+    registers, a splitmix64-style avalanche hash, and the standard raw /
+    linear-counting estimators.  :meth:`upper_bound` inflates the estimate
+    by ``z`` standard errors (``σ ≈ 1.04/√m``), a *probable* upper bound.
 
-    def add_array(self, values: np.ndarray) -> "CardinalitySketch":
-        """Absorb an array of int64 ids (duplicates are free); returns self."""
-        ...
+    Sketches over disjoint (or overlapping) pivot populations merge by
+    register-wise max into the sketch of their union.
+    """
 
-    def merge(self, other: "CardinalitySketch") -> "CardinalitySketch":
-        """Union with another sketch of the same precision; returns self."""
-        ...
+    __slots__ = ("precision", "registers")
+
+    def __init__(self, precision: int = 12) -> None:
+        if not 4 <= precision <= 18:
+            raise ValueError("precision must be in [4, 18]")
+        self.precision = precision
+        self.registers = np.zeros(1 << precision, dtype=np.uint8)
+
+    @staticmethod
+    def _hash(values: np.ndarray) -> np.ndarray:
+        """Splitmix64 finalizer: avalanche int64 ids into uniform uint64."""
+        h = values.astype(np.uint64, copy=True)
+        h += np.uint64(0x9E3779B97F4A7C15)
+        h ^= h >> np.uint64(30)
+        h *= np.uint64(0xBF58476D1CE4E5B9)
+        h ^= h >> np.uint64(27)
+        h *= np.uint64(0x94D049BB133111EB)
+        h ^= h >> np.uint64(31)
+        return h
+
+    def add_array(self, values: np.ndarray) -> "DistinctPivotSketch":
+        """Absorb an array of pivot ids (duplicates are free)."""
+        if values.size == 0:
+            return self
+        p = self.precision
+        tail_bits = 64 - p
+        h = self._hash(np.asarray(values, dtype=np.int64))
+        buckets = (h >> np.uint64(tail_bits)).astype(np.int64)
+        tail = h & np.uint64((1 << tail_bits) - 1)
+        # rank = leading zeros of the tail within tail_bits, plus one;
+        # tail < 2^52 for p >= 12 is exactly representable, and frexp's
+        # exponent gives floor(log2)+1 directly (0 for a zero tail)
+        exponent = np.frexp(tail.astype(np.float64))[1]
+        rank = (tail_bits + 1 - exponent).astype(np.uint8)
+        np.maximum.at(self.registers, buckets, rank)
+        return self
+
+    def merge(self, other: "DistinctPivotSketch") -> "DistinctPivotSketch":
+        """Union with another sketch (register-wise max)."""
+        if other.precision != self.precision:
+            raise ValueError("cannot merge sketches of different precision")
+        np.maximum(self.registers, other.registers, out=self.registers)
+        return self
 
     def estimate(self) -> float:
-        """The cardinality estimate."""
-        ...
+        """The HLL cardinality estimate with linear-counting correction."""
+        m = self.registers.size
+        alpha = 0.7213 / (1.0 + 1.079 / m)
+        harmonic = float(np.sum(np.ldexp(1.0, -self.registers.astype(np.int64))))
+        raw = alpha * m * m / harmonic
+        zeros = int(np.count_nonzero(self.registers == 0))
+        if raw <= 2.5 * m and zeros:
+            return m * math.log(m / zeros)
+        return raw
 
     def upper_bound(self, z: float = 3.0) -> int:
-        """A probable upper bound (``z`` standard errors above the estimate)."""
-        ...
+        """Estimate inflated by ``z`` standard errors (probable upper bound)."""
+        m = self.registers.size
+        return int(math.ceil(self.estimate() * (1.0 + z * 1.04 / math.sqrt(m))))
 
 
 class ExactCardinalitySketch:
     """The trivial exact "sketch": keeps the distinct set.
 
-    Zero error and O(distinct) memory — the reference point the
-    probabilistic estimators are tested against, and a sensible choice for
-    small populations where sketch memory buys nothing.  ``precision`` is
-    accepted for interface parity and ignored.
+    Zero error and O(distinct) memory — the reference point the HLL sketch
+    is tested against, and a sensible choice for small populations where
+    sketch memory buys nothing.  ``precision`` is accepted for interface
+    parity and ignored.
     """
 
     __slots__ = ("precision", "_values")
@@ -91,71 +125,18 @@ class ExactCardinalitySketch:
             self._values.update(np.unique(np.asarray(values)).tolist())
         return self
 
-    def merge(self, other: "ExactCardinalitySketch") -> "ExactCardinalitySketch":
-        self._values.update(other._values)
-        return self
-
     def estimate(self) -> float:
         return float(len(self._values))
-
-    def upper_bound(self, z: float = 3.0) -> int:
-        return len(self._values)
-
-
-_REGISTRY: Dict[str, Callable[[int], CardinalitySketch]] = {
-    "exact": ExactCardinalitySketch,
-}
-
-
-def register_sketch(
-    name: str, factory: Callable[[int], CardinalitySketch]
-) -> None:
-    """Register a cardinality estimator under ``name``.
-
-    ``factory`` takes the precision parameter (``2^p`` registers for
-    HLL-family sketches; estimators free to interpret or ignore it) and
-    returns a fresh sketch.  Re-registering a name replaces the factory —
-    deliberate, so tests can shadow an estimator.
-    """
-    if not name:
-        raise ValueError("sketch name must be non-empty")
-    _REGISTRY[name] = factory
-
-
-def sketch_names() -> Tuple[str, ...]:
-    """The registered estimator names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def make_sketch(name: str = "hll", precision: int = 12) -> CardinalitySketch:
-    """Instantiate a registered estimator by name."""
-    if name not in _REGISTRY and name == "hll":
-        # the HLL default lives in repro.core.support (it predates the
-        # registry); make sure its registration ran even when this module
-        # was imported directly
-        from . import support  # noqa: F401  (imported for its side effect)
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown sketch backend {name!r} "
-            f"(registered: {', '.join(sketch_names())})"
-        ) from None
-    return factory(precision)
 
 
 # ----------------------------------------------------------------------
 # state (de)serialization — so sketches can persist beside Σ
 # ----------------------------------------------------------------------
-def dump_sketch_state(sketch: CardinalitySketch) -> Optional[dict]:
+def dump_sketch_state(sketch: Any) -> Optional[dict]:
     """A JSON-safe state dict for a sketch, or ``None`` if not supported.
 
-    Covers the two built-in shapes by duck typing: register-array sketches
-    (``registers`` as a uint8 numpy array — the HLL family) serialize the
-    registers base64-encoded; exact sketches (``_values`` set) serialize the
-    sorted value list.  Third-party estimators that expose neither are
-    skipped (``None``) — persistence is best-effort by design, a missing
-    sketch merely cold-starts its rule's gauge.
+    Register sketches (the HLL) serialize their registers base64-encoded;
+    exact sketches serialize the sorted value list.
     """
     registers = getattr(sketch, "registers", None)
     if isinstance(registers, np.ndarray):
@@ -176,17 +157,19 @@ def dump_sketch_state(sketch: CardinalitySketch) -> Optional[dict]:
     return None
 
 
-def load_sketch_state(state: dict, backend: str) -> Optional[CardinalitySketch]:
+def load_sketch_state(
+    state: dict, factory: Callable[[int], Any]
+) -> Optional[Any]:
     """Rebuild a sketch from :func:`dump_sketch_state` output.
 
-    ``backend`` names the registry factory to instantiate; the state must
+    ``factory`` is the estimator class to instantiate; the state must
     structurally match it (register blob for register sketches, value list
     for exact ones) or the load is refused (``None``) rather than producing
     an estimator with silently-wrong state.
     """
     kind = state.get("kind")
     precision = int(state.get("precision", 12))
-    sketch = make_sketch(backend, precision)
+    sketch = factory(precision)
     if kind == "registers":
         registers = getattr(sketch, "registers", None)
         if not isinstance(registers, np.ndarray):

@@ -16,10 +16,7 @@ property-based tests.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, List, Optional, Set
-
-import numpy as np
+from typing import Set
 
 from ..graph.graph import Graph
 from ..gfd.gfd import GFD
@@ -27,7 +24,6 @@ from ..gfd.literals import FalseLiteral
 from ..gfd.satisfaction import satisfies_all, satisfies_literal
 from ..pattern.matcher import find_matches, pivot_image
 from ..pattern.pattern import Pattern
-from .sketch import make_sketch, register_sketch
 
 __all__ = [
     "pattern_support",
@@ -36,104 +32,7 @@ __all__ = [
     "correlation",
     "negative_base_support",
     "gfd_support_any",
-    "DistinctPivotSketch",
-    "sketch_distinct_upper_bound",
 ]
-
-
-class DistinctPivotSketch:
-    """HLL-style sketch of a distinct-pivot count ``|Q(G, ·, z)|``.
-
-    A vectorized HyperLogLog over int64 pivot ids: ``2^p`` one-byte
-    registers, a splitmix64-style avalanche hash, and the standard raw /
-    linear-counting estimators.  :meth:`upper_bound` inflates the estimate
-    by ``z`` standard errors (``σ ≈ 1.04/√m``), giving a cheap *probable*
-    upper bound used to skip exact distinct counting when a support is far
-    below the frequency threshold.  Exact counting stays the source of
-    truth for everything the sketch does not prune.
-
-    Sketches over disjoint (or overlapping) pivot populations merge by
-    register-wise max — the same property ``ParDis`` shards need.
-    """
-
-    __slots__ = ("precision", "registers")
-
-    def __init__(self, precision: int = 12) -> None:
-        if not 4 <= precision <= 18:
-            raise ValueError("precision must be in [4, 18]")
-        self.precision = precision
-        self.registers = np.zeros(1 << precision, dtype=np.uint8)
-
-    @staticmethod
-    def _hash(values: np.ndarray) -> np.ndarray:
-        """Splitmix64 finalizer: avalanche int64 ids into uniform uint64."""
-        h = values.astype(np.uint64, copy=True)
-        h += np.uint64(0x9E3779B97F4A7C15)
-        h ^= h >> np.uint64(30)
-        h *= np.uint64(0xBF58476D1CE4E5B9)
-        h ^= h >> np.uint64(27)
-        h *= np.uint64(0x94D049BB133111EB)
-        h ^= h >> np.uint64(31)
-        return h
-
-    def add_array(self, values: np.ndarray) -> "DistinctPivotSketch":
-        """Absorb an array of pivot ids (duplicates are free)."""
-        if values.size == 0:
-            return self
-        p = self.precision
-        tail_bits = 64 - p
-        h = self._hash(np.asarray(values, dtype=np.int64))
-        buckets = (h >> np.uint64(tail_bits)).astype(np.int64)
-        tail = h & np.uint64((1 << tail_bits) - 1)
-        # rank = leading zeros of the tail within tail_bits, plus one;
-        # tail < 2^52 for p >= 12 is exactly representable, and frexp's
-        # exponent gives floor(log2)+1 directly (0 for a zero tail)
-        exponent = np.frexp(tail.astype(np.float64))[1]
-        rank = (tail_bits + 1 - exponent).astype(np.uint8)
-        np.maximum.at(self.registers, buckets, rank)
-        return self
-
-    def merge(self, other: "DistinctPivotSketch") -> "DistinctPivotSketch":
-        """Union with another sketch (register-wise max)."""
-        if other.precision != self.precision:
-            raise ValueError("cannot merge sketches of different precision")
-        np.maximum(self.registers, other.registers, out=self.registers)
-        return self
-
-    def estimate(self) -> float:
-        """The HLL cardinality estimate with linear-counting correction."""
-        m = self.registers.size
-        alpha = 0.7213 / (1.0 + 1.079 / m)
-        harmonic = float(np.sum(np.ldexp(1.0, -self.registers.astype(np.int64))))
-        raw = alpha * m * m / harmonic
-        zeros = int(np.count_nonzero(self.registers == 0))
-        if raw <= 2.5 * m and zeros:
-            return m * math.log(m / zeros)
-        return raw
-
-    def upper_bound(self, z: float = 3.0) -> int:
-        """Estimate inflated by ``z`` standard errors (probable upper bound)."""
-        m = self.registers.size
-        return int(math.ceil(self.estimate() * (1.0 + z * 1.04 / math.sqrt(m))))
-
-
-# The HLL sketch is the default implementation of the pluggable
-# CardinalitySketch protocol (see repro.core.sketch).
-register_sketch("hll", DistinctPivotSketch)
-
-
-def sketch_distinct_upper_bound(
-    values: np.ndarray,
-    precision: int = 12,
-    z: float = 3.0,
-    kind: str = "hll",
-) -> int:
-    """One-shot probable upper bound on ``|set(values)|``.
-
-    ``kind`` names a registered :class:`~repro.core.sketch.CardinalitySketch`
-    backend (default: the HLL sketch above).
-    """
-    return make_sketch(kind, precision).add_array(values).upper_bound(z)
 
 
 def pattern_support(graph: Graph, pattern: Pattern) -> int:

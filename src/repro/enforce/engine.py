@@ -43,7 +43,6 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..core.config import EnforcementConfig
-from ..core.support import sketch_distinct_upper_bound
 from ..gfd.gfd import GFD
 from ..gfd.satisfaction import Violation
 from ..graph.graph import Graph
@@ -72,9 +71,8 @@ class RuleReport:
     and the node set, ``sample`` and ``distinct_pivots`` cover only the
     retained violating rows (the graceful-degradation mode for adversarial
     rules).  ``sample`` is additionally capped by ``max_violation_samples``
-    (``sample_truncated``).  ``distinct_pivots`` is the number of distinct
-    graph nodes the pivot takes over violating matches — exact by default,
-    a sketch upper bound under ``EnforcementConfig.sketch_cardinality``.
+    (``sample_truncated``).  ``distinct_pivots`` is the exact number of
+    distinct graph nodes the pivot takes over (retained) violating matches.
     ``text`` is ``format_gfd(gfd)``, rendered once per compiled plan.
     """
 
@@ -616,14 +614,9 @@ class EnforcementEngine:
             # sketch is a monotone union, so clean groups' pivots (absorbed
             # on earlier passes) stay counted
             self.monitor.absorb(rule.gfd, canonical[:, 0])
-        if self.config.sketch_cardinality and canonical.shape[0]:
-            distinct_pivots = sketch_distinct_upper_bound(
-                canonical[:, 0], kind=self.config.sketch_backend
-            )
-        else:
-            distinct_pivots = (
-                int(np.unique(canonical[:, 0]).size) if canonical.shape[0] else 0
-            )
+        distinct_pivots = (
+            int(np.unique(canonical[:, 0]).size) if canonical.shape[0] else 0
+        )
         # back to the rule's original variable order, then a lexicographic
         # sort: the retained sample must not depend on shard boundaries,
         # backend, or match enumeration order (under the per-rule violation

@@ -3,8 +3,8 @@
 Between full validations, a serving process wants to answer "how many
 distinct nodes has rule ``φ`` *ever* pivoted a violation on?" without
 keeping the (unbounded) union of every pass's flagged-node sets.  The
-:class:`RuleSketchMonitor` maintains one registry-pluggable
-:class:`~repro.core.sketch.CardinalitySketch` per rule, fed continuously by
+:class:`RuleSketchMonitor` maintains one distinct-count estimator
+(:mod:`repro.core.sketch`) per rule, fed continuously by
 the :class:`~repro.enforce.engine.EnforcementEngine` as passes consume the
 :class:`~repro.enforce.delta.DeltaLog`: every evaluated rule streams its
 violating pivot-id column into its sketch.
@@ -33,7 +33,12 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..core.sketch import dump_sketch_state, load_sketch_state, make_sketch
+from ..core.sketch import (
+    DistinctPivotSketch,
+    ExactCardinalitySketch,
+    dump_sketch_state,
+    load_sketch_state,
+)
 from ..gfd.gfd import GFD
 from ..gfd.parser import format_gfd
 
@@ -41,6 +46,9 @@ __all__ = ["RuleSketchMonitor"]
 
 #: Monitor state-dict schema version (bump on layout change).
 MONITOR_STATE_VERSION = 1
+
+#: The estimator behind each ``backend`` name.
+_SKETCHES = {"hll": DistinctPivotSketch, "exact": ExactCardinalitySketch}
 
 
 class RuleSketchMonitor:
@@ -51,14 +59,24 @@ class RuleSketchMonitor:
     makes the persisted state re-attachable to a freshly loaded Σ.
 
     Args:
-        backend: registry name of the estimator
-            (:func:`~repro.core.sketch.make_sketch`); ``"exact"`` keeps the
-            true distinct sets, ``"hll"`` (the default) bounds memory at
-            ``2^precision`` bytes per rule.
+        backend: the estimator — ``"exact"`` keeps the true distinct sets,
+            ``"hll"`` (the default) bounds memory at ``2^precision`` bytes
+            per rule.
         precision: the estimator's precision parameter.
+
+    Raises:
+        ValueError: on an unknown ``backend`` or a ``precision`` the
+            estimator rejects — at construction, not on the first absorb.
     """
 
     def __init__(self, backend: str = "hll", precision: int = 12) -> None:
+        if backend not in _SKETCHES:
+            raise ValueError(
+                f"unknown monitor backend {backend!r} "
+                f"(expected one of {sorted(_SKETCHES)})"
+            )
+        self._factory = _SKETCHES[backend]
+        self._factory(precision)  # the estimator validates its precision
         self.backend = backend
         self.precision = precision
         #: Total absorb calls (pass-level feed rate, exported as a counter).
@@ -81,7 +99,7 @@ class RuleSketchMonitor:
         with self._lock:
             sketch = self._sketches.get(key)
             if sketch is None:
-                sketch = make_sketch(self.backend, self.precision)
+                sketch = self._factory(self.precision)
                 self._sketches[key] = sketch
             sketch.add_array(pivots)
             self.absorbed += 1
@@ -151,8 +169,9 @@ class RuleSketchMonitor:
     def from_state(cls, state: Dict[str, Any]) -> "RuleSketchMonitor":
         """Rebuild a monitor from :meth:`as_state` output.
 
-        Unknown estimator backends or structurally mismatched sketch
-        states are skipped, not fatal — those rules cold-start.
+        An unknown backend or precision raises ``ValueError`` (see
+        :class:`RuleSketchMonitor`); a structurally mismatched per-rule
+        sketch state is skipped, not fatal — that rule cold-starts.
         """
         monitor = cls(
             backend=str(state.get("backend", "hll")),
@@ -161,7 +180,7 @@ class RuleSketchMonitor:
         monitor.absorbed = int(state.get("absorbed", 0))
         for key, sketch_state in state.get("rules", {}).items():
             try:
-                sketch = load_sketch_state(sketch_state, monitor.backend)
+                sketch = load_sketch_state(sketch_state, monitor._factory)
             except (ValueError, KeyError):
                 sketch = None
             if sketch is not None:

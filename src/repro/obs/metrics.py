@@ -2,7 +2,7 @@
 
 The registry unifies the accounting that previously lived in four
 unrelated structures — ``TransferLedger``, ``LifecycleCounters``,
-``ClusterMetrics``, and the planner/fault counters — behind one name +
+``ClusterMetrics``, and the fault counters — behind one name +
 label model with a Prometheus-style text exposition
 (:meth:`MetricsRegistry.to_prometheus`) for the future serving layer.
 
@@ -251,9 +251,8 @@ def _render(value: float) -> str:
 def registry_from_metrics(payload: Mapping[str, Any]) -> MetricsRegistry:
     """Bridge a ``SessionMetrics.as_dict()`` payload into a registry.
 
-    Counts become ``repro_*_total`` counters, wall-clock figures become
-    gauges under their ``timings`` names, and planner EWMA rates become
-    per-``(phase, backend)`` labelled gauges.
+    Counts become ``repro_*_total`` counters and wall-clock figures become
+    gauges under their ``timings`` names.
     """
     registry = MetricsRegistry()
     registry.gauge("repro_num_workers").set(payload.get("num_workers", 0))
@@ -273,14 +272,5 @@ def registry_from_metrics(payload: Mapping[str, Any]) -> MetricsRegistry:
     registry.gauge("repro_sigma_size").set(payload.get("sigma_size", 0))
     timings = payload.get("timings") or {}
     for name, value in timings.items():
-        if name == "planner":
-            for phase, rates in value.items():
-                for backend, rate in rates.items():
-                    registry.gauge(
-                        "repro_planner_seconds_per_item",
-                        phase=phase,
-                        backend=backend,
-                    ).set(rate)
-        elif isinstance(value, (int, float)):
-            registry.gauge(f"repro_{name}").set(value)
+        registry.gauge(f"repro_{name}").set(value)
     return registry

@@ -18,9 +18,9 @@ records two kinds of telemetry:
   end-to-end from the superstep's start on that worker's lane, mirroring
   how :class:`~repro.parallel.cluster.SimulatedCluster` models makespan.
 
-* **Events** — instantaneous typed records (planner decisions, timeouts,
-  retries, respawns, degradations, janitor sweeps, fault-plan arming)
-  appended via :meth:`Tracer.event`.
+* **Events** — instantaneous typed records (enforcement passes, index
+  loads and refreshes, timeouts, retries, respawns, degradations, janitor
+  sweeps, fault-plan arming) appended via :meth:`Tracer.event`.
 
 All timestamps are seconds relative to the tracer's construction
 (``time.perf_counter`` based, monotonic); ``origin_wall`` keeps the

@@ -20,7 +20,7 @@ from .balancer import (
     rebalance_shards,
 )
 from .cluster import ClusterMetrics, SimulatedCluster, WorkerMetrics
-from .costs import ChaseCostModel, PhaseCostPlanner
+from .costs import ChaseCostModel
 from .faults import FaultPlan
 from .janitor import live_segments, sweep_orphans
 from .parcover import parallel_cover, parallel_cover_ungrouped
@@ -35,7 +35,6 @@ __all__ = [
     "TransferLedger",
     "LifecycleCounters",
     "ChaseCostModel",
-    "PhaseCostPlanner",
     "FaultPlan",
     "live_segments",
     "sweep_orphans",

@@ -25,11 +25,9 @@ observations yet the model degrades to exactly the paper's static weights.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Hashable, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Optional
 
-from ..obs.tracer import NULL_TRACER
-
-__all__ = ["ChaseCostModel", "PhaseCostPlanner"]
+__all__ = ["ChaseCostModel"]
 
 
 class ChaseCostModel:
@@ -147,132 +145,5 @@ class ChaseCostModel:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ChaseCostModel(classes={len(self._seconds)}, "
-            f"observations={self.observations})"
-        )
-
-
-class PhaseCostPlanner:
-    """Cost-based serial-vs-multiprocess choice, one decision per phase.
-
-    The same measured-seconds idea as :class:`ChaseCostModel`, generalized
-    from cover units to whole session phases (``discover``, ``cover``,
-    ``enforce``, ``refresh``).  Each observation is *(phase, backend, input
-    size, wall seconds)*; the planner keeps a per-``(phase, backend)`` EWMA
-    of seconds-per-item plus a fixed-overhead estimate (the intercept the
-    multiprocess backend pays for pool spin-up and shared-memory attach),
-    and :meth:`choose` picks the backend with the lower predicted wall time.
-
-    The decision policy is deliberately asymmetric so multiprocess is never
-    slower than serial *by construction*:
-
-    * with no multiprocess observations for a phase, serial wins unless the
-      input exceeds ``mp_min_size`` (the crossover floor below which the
-      round-trip constant factor is known to dominate);
-    * once both backends have been measured, multiprocess must beat serial
-      by ``margin`` (default: merely tie) to be chosen — ties break serial.
-    """
-
-    #: Phases the session consults the planner for.
-    PHASES = ("discover", "cover", "enforce", "refresh")
-
-    #: The session tracer; :meth:`choose` emits one ``planner_decision``
-    #: typed event per consultation when tracing is on.
-    tracer: Any = NULL_TRACER
-
-    def __init__(
-        self,
-        alpha: float = 0.5,
-        mp_min_size: int = 50_000,
-        margin: float = 1.0,
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if mp_min_size < 0:
-            raise ValueError("mp_min_size must be >= 0")
-        if margin <= 0.0:
-            raise ValueError("margin must be > 0")
-        self.alpha = alpha
-        self.mp_min_size = mp_min_size
-        self.margin = margin
-        #: Number of phase timings absorbed (:meth:`observe` calls).
-        self.observations = 0
-        # (phase, backend) -> EWMA seconds-per-item
-        self._rates: Dict[Tuple[str, str], float] = {}
-
-    def observe(
-        self, phase: str, backend: str, size: int, seconds: float
-    ) -> None:
-        """Absorb one phase run: ``size`` input items took ``seconds``."""
-        seconds = max(0.0, float(seconds))
-        rate = seconds / max(1, size)
-        key = (phase, backend)
-        previous = self._rates.get(key)
-        if previous is None:
-            self._rates[key] = rate
-        else:
-            self._rates[key] = (
-                self.alpha * rate + (1.0 - self.alpha) * previous
-            )
-        self.observations += 1
-
-    def estimate(
-        self, phase: str, backend: str, size: int
-    ) -> Optional[float]:
-        """Predicted wall seconds, or ``None`` with no observations yet."""
-        rate = self._rates.get((phase, backend))
-        if rate is None:
-            return None
-        return rate * max(1, size)
-
-    def choose(
-        self,
-        phase: str,
-        size: int,
-        backends: Sequence[str] = ("serial", "multiprocess"),
-    ) -> str:
-        """The backend predicted fastest for ``size`` input items."""
-        serial = backends[0]
-        best = serial
-        best_cost = self.estimate(phase, serial, size)
-        for backend in backends[1:]:
-            cost = self.estimate(phase, backend, size)
-            if cost is None:
-                # unmeasured parallel backend: worth the gamble on inputs
-                # past the crossover floor, measured serial or not — the
-                # one gamble produces the timing that settles every later
-                # choice (otherwise a measured-serial phase could starve
-                # multiprocess of a measurement forever)
-                if size >= self.mp_min_size:
-                    best, best_cost = backend, cost
-                continue
-            if best_cost is None:
-                if size < self.mp_min_size:
-                    continue  # keep unmeasured serial on small inputs
-                best, best_cost = backend, cost
-            elif cost * self.margin < best_cost:
-                best, best_cost = backend, cost
-        if self.tracer.enabled:
-            self.tracer.event(
-                "planner_decision",
-                phase=phase,
-                size=size,
-                chosen=best,
-                estimates={
-                    backend: self.estimate(phase, backend, size)
-                    for backend in backends
-                },
-            )
-        return best
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """Observed rates per phase/backend (for metrics surfaces)."""
-        report: Dict[str, Dict[str, float]] = {}
-        for (phase, backend), rate in sorted(self._rates.items()):
-            report.setdefault(phase, {})[backend] = rate
-        return report
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PhaseCostPlanner(pairs={len(self._rates)}, "
             f"observations={self.observations})"
         )

@@ -98,8 +98,9 @@ class ServeConfig:
     #: node lists by default (requests can override per call).
     include_samples: bool = False
     include_nodes: bool = False
-    #: The streaming violation monitor's estimator (satellite: live
-    #: per-rule distinct-pivot gauges); ``None`` disables the monitor.
+    #: The streaming violation monitor's estimator (``"hll"`` or
+    #: ``"exact"``; live per-rule distinct-pivot gauges); ``None`` disables
+    #: the monitor.  Checked when the service is constructed.
     monitor_backend: Optional[str] = "hll"
     monitor_precision: int = 12
 

@@ -48,8 +48,7 @@ Session path (``tests/test_api.py``); new code should hold a session.
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -75,7 +74,7 @@ from .parallel.backend import (
     make_backend,
 )
 from .parallel.cluster import ClusterMetrics, SimulatedCluster
-from .parallel.costs import ChaseCostModel, PhaseCostPlanner
+from .parallel.costs import ChaseCostModel
 from .parallel.parcover import parallel_cover
 from .parallel.pardis import ParallelDiscovery
 
@@ -95,18 +94,19 @@ class SessionMetrics:
     after a full discover → cover → enforce → refresh pipeline,
     ``backend_starts == 1`` and ``lifecycle.index_attaches == 1``.
 
-    :meth:`as_dict` renders the documented **schema v2** (see there) and
+    :meth:`as_dict` renders the documented **schema v3** (see there) and
     :meth:`registry` lifts the same snapshot into a
     :class:`~repro.obs.metrics.MetricsRegistry` for Prometheus-style
     exposition.
     """
 
     #: Version of the :meth:`as_dict` layout.  Bump on any key change.
-    SCHEMA_VERSION = 2
+    SCHEMA_VERSION = 3
 
     backend_name: str
     num_workers: int
-    #: Backends the session constructed — 1 for any number of phases.
+    #: Backends the session constructed — 1 for any number of phases
+    #: (0 before the first phase).
     backend_starts: int
     lifecycle: LifecycleCounters
     transfers: TransferLedger
@@ -121,32 +121,25 @@ class SessionMetrics:
     #: Wall-clock seconds the backend spent recovering failed workers
     #: (respawn + install-log replay); 0.0 on fault-free runs.
     recovery_seconds: float = 0.0
-    #: Observed seconds-per-item rates of the ``"auto"`` planner, per
-    #: phase and backend (empty until phases have run).
-    planner: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: The concrete backend the planner resolved per phase on its most
-    #: recent run (equals ``backend_name`` on non-``"auto"`` sessions).
-    phase_backends: Dict[str, str] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
         """A JSON-serializable rendering (CI artifacts, ``--metrics``).
 
-        **Schema v2.**  Every top-level key except ``timings`` holds only
+        **Schema v3.**  Every top-level key except ``timings`` holds only
         deterministic values — names, worker counts, event counts — so two
         runs over the same input diff cleanly.  All wall-clock derived
-        floats (phase seconds, recovery seconds, planner rates) are
-        isolated under the single ``timings`` key; a consumer comparing
-        artifacts drops that one key and compares the rest byte-for-byte
+        floats (phase seconds, recovery seconds) are isolated under the
+        single ``timings`` key; a consumer comparing artifacts drops that
+        one key and compares the rest byte-for-byte
         (``benchmarks/bench_session.py --check`` does exactly this).
 
         Keys: ``schema_version``, ``repro_version``, ``backend``,
         ``num_workers``, ``backend_starts``, ``lifecycle`` (6 lifecycle
         counts), ``faults`` (4 fault counts), ``transfers`` (4 row/rule
-        counts), ``cluster`` (``supersteps``), ``phases``,
-        ``phase_backends``, ``sigma_size``, ``cover_cost_observations``,
-        ``timings`` (``parallel_seconds``, ``master_seconds``,
-        ``total_work_seconds``, ``recovery_seconds``,
-        ``cluster_recovery_seconds``, ``planner`` rate map).
+        counts), ``cluster`` (``supersteps``), ``phases``, ``sigma_size``,
+        ``cover_cost_observations``, ``timings`` (``parallel_seconds``,
+        ``master_seconds``, ``total_work_seconds``, ``recovery_seconds``,
+        ``cluster_recovery_seconds``).
         """
         from repro import __version__
 
@@ -180,7 +173,6 @@ class SessionMetrics:
                 "supersteps": self.cluster.supersteps,
             },
             "phases": dict(self.phases),
-            "phase_backends": dict(self.phase_backends),
             "sigma_size": self.sigma_size,
             "cover_cost_observations": self.cover_cost_observations,
             "timings": {
@@ -189,10 +181,6 @@ class SessionMetrics:
                 "total_work_seconds": self.cluster.total_work_seconds,
                 "recovery_seconds": self.recovery_seconds,
                 "cluster_recovery_seconds": self.cluster.recovery_seconds,
-                "planner": {
-                    phase: dict(rates)
-                    for phase, rates in self.planner.items()
-                },
             },
         }
 
@@ -227,13 +215,8 @@ class Session:
             default: ``config.num_workers``, else 1 for the serial backend
             and 4 for multiprocess).
         backend: backend name overriding ``config.parallel_backend``
-            (``"serial"``, ``"multiprocess"`` or ``"auto"``).  With
-            ``"auto"`` each phase picks serial or multiprocess through a
-            :class:`~repro.parallel.costs.PhaseCostPlanner`: serial until
-            a phase's input is large enough (``config.
-            planner_mp_min_size``) or multiprocess has measured faster on
-            that phase — multiprocess must *never lose to serial* by more
-            than the planner's margin.
+            (``"serial"`` or ``"multiprocess"``).  Every phase runs on
+            this one backend.
         index_path: optional path of a persisted index snapshot (the
             ``repro.graph.store`` format).  A valid store file whose
             fingerprint matches the graph attaches via ``mmap`` with
@@ -263,8 +246,8 @@ class Session:
         tracer: an optional :class:`~repro.obs.tracer.Tracer`.  When
             given, the session opens a root ``session`` span, wraps every
             phase in a ``phase`` span, and threads the tracer through the
-            cluster, the planner, every backend it starts and the
-            enforcement engine — one trace covers the whole pipeline.
+            cluster, the backend and the enforcement engine — one trace
+            covers the whole pipeline.
             Default: the shared no-op ``NULL_TRACER`` (tracing off; every
             hook is a constant-time no-op and results are byte-identical
             either way).
@@ -292,10 +275,10 @@ class Session:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.config = config if config is not None else DiscoveryConfig()
         self._backend_name = backend or self.config.parallel_backend
-        if self._backend_name not in BACKEND_NAMES + ("auto",):
+        if self._backend_name not in BACKEND_NAMES:
             raise ValueError(
                 f"unknown parallel backend {self._backend_name!r} "
-                f"(expected one of {BACKEND_NAMES + ('auto',)})"
+                f"(expected one of {BACKEND_NAMES})"
             )
         if self._backend_name == "multiprocess" and not self.config.use_index:
             raise ValueError(
@@ -308,25 +291,12 @@ class Session:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self._num_workers = num_workers
-        #: Per-phase serial-vs-multiprocess planner; only consulted when
-        #: the session backend is ``"auto"``, but always fed observations
-        #: so :meth:`metrics` can report measured phase rates.
-        self.planner = PhaseCostPlanner(
-            mp_min_size=self.config.planner_mp_min_size
-        )
-        self.planner.tracer = self.tracer
-        #: The concrete backend each phase last resolved to.
-        self._phase_backends: Dict[str, str] = {}
         base = enforcement if enforcement is not None else EnforcementConfig()
         #: The enforcement config actually used: session-owned execution
-        #: knobs, caller-owned policies.  An ``"auto"`` session pins the
-        #: name per engine build (:meth:`_ensure_engine`).
+        #: knobs, caller-owned policies.
         self.enforcement = replace(
             base,
-            backend=(
-                "serial" if self._backend_name == "auto"
-                else self._backend_name
-            ),
+            backend=self._backend_name,
             num_workers=num_workers,
             shared_memory=self.config.shared_memory,
             use_index=self.config.use_index,
@@ -354,13 +324,7 @@ class Session:
         self._delta = DeltaLog()
         graph.attach_delta_log(self._delta)
         self._backend: Optional[ExecutionBackend] = None
-        #: Every backend the session has started, keyed by name.  Concrete
-        #: sessions hold at most one; an ``"auto"`` session may hold both
-        #: when the planner's per-phase choices differ.
-        self._backends: Dict[str, ExecutionBackend] = {}
-        self._backend_starts = 0
         self._engine: Optional[EnforcementEngine] = None
-        self._engine_backend: Optional[str] = None
         self._sigma: List[GFD] = []
         self._supports: Dict[GFD, int] = {}
         self._phases: Dict[str, int] = {}
@@ -431,49 +395,17 @@ class Session:
         self._check_open()
         self._set_sigma(list(rules), supports)
 
-    def _resolve(self, phase: str, size: int) -> str:
-        """The concrete backend name *phase* runs on for *size* items.
+    def backend(self) -> ExecutionBackend:
+        """The session's execution backend, started on first use.
 
-        Concrete sessions always answer their configured name.  An
-        ``"auto"`` session asks the :class:`~repro.parallel.costs.
-        PhaseCostPlanner` — serial until the phase is large enough or
-        multiprocess has measured faster — except that without the frozen
-        index (``use_index=False``) multiprocess cannot run at all, so
-        serial is forced.
-        """
-        if self._backend_name != "auto":
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "planner_decision",
-                    phase=phase,
-                    size=size,
-                    chosen=self._backend_name,
-                    mode="pinned",
-                )
-            return self._backend_name
-        if not self.config.use_index:
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "planner_decision",
-                    phase=phase,
-                    size=size,
-                    chosen="serial",
-                    mode="forced_serial",
-                )
-            return "serial"
-        return self.planner.choose(phase, size)
-
-    def _backend_for(self, name: str) -> ExecutionBackend:
-        """The session's backend *name*, started on first use and cached.
-
-        Also records it as the session's current backend (what
-        :meth:`backend` answers between phases).
+        Every phase runs on this one instance, and :meth:`metrics` proves
+        the single lifecycle (``backend_starts``,
+        ``lifecycle.pools_started``).
         """
         self._check_open()
-        backend = self._backends.get(name)
-        if backend is None:
-            backend = make_backend(
-                name,
+        if self._backend is None:
+            self._backend = make_backend(
+                self._backend_name,
                 self._num_workers,
                 self.graph,
                 self._index,
@@ -482,28 +414,7 @@ class Session:
                 fault=self.config.fault,
                 tracer=self.tracer,
             )
-            self._backends[name] = backend
-            self._backend_starts += 1
-        self._backend = backend
-        return backend
-
-    def backend(self) -> ExecutionBackend:
-        """The session's execution backend, started on first use.
-
-        Every phase runs on this one instance (concrete sessions) and
-        :meth:`metrics` proves the single lifecycle (``backend_starts``,
-        ``lifecycle.pools_started``).  On an ``"auto"`` session this is
-        the most recently used backend (resolved for discovery when no
-        phase has run yet); individual phases may resolve differently.
-        """
-        self._check_open()
-        if self._backend_name != "auto":
-            return self._backend_for(self._backend_name)
-        if self._backend is not None:
-            return self._backend
-        return self._backend_for(
-            self._resolve("discover", self.graph.num_nodes)
-        )
+        return self._backend
 
     def _check_open(self) -> None:
         if self._closed:
@@ -594,9 +505,8 @@ class Session:
             self._gamma = self._statistics().top_attributes(
                 self.config.max_active_attributes
             )
-        if self.config.use_index:
-            for backend in self._backends.values():
-                backend.refresh_index(self._index)
+        if self.config.use_index and self._backend is not None:
+            self._backend.refresh_index(self._index)
 
     def _count(self, phase: str) -> None:
         self._phases[phase] = self._phases.get(phase, 0) + 1
@@ -620,14 +530,14 @@ class Session:
     # ------------------------------------------------------------------
     # pipeline phases
     # ------------------------------------------------------------------
-    def _discovery_engine(self, backend_name: str) -> ParallelDiscovery:
+    def _discovery_engine(self) -> ParallelDiscovery:
         return ParallelDiscovery(
             self.graph,
             self.config,
             cluster=self.cluster,
             stats=self._statistics(),
             index=self._index,
-            backend=self._backend_for(backend_name),
+            backend=self.backend(),
         )
 
     def _after_discovery(self) -> None:
@@ -645,19 +555,17 @@ class Session:
         self._check_open()
         self._refresh_snapshot()
         self._count("discover")
-        size = self.graph.num_nodes
-        name = self._resolve("discover", size)
-        self._phase_backends["discover"] = name
-        with self.tracer.span("discover", "phase", backend=name, size=size):
-            engine = self._discovery_engine(name)
-            start = time.perf_counter()
+        with self.tracer.span(
+            "discover",
+            "phase",
+            backend=self._backend_name,
+            size=self.graph.num_nodes,
+        ):
+            engine = self._discovery_engine()
             try:
                 result = engine.run()
             finally:
                 self._after_discovery()
-        self.planner.observe(
-            "discover", name, size, time.perf_counter() - start
-        )
         self._set_sigma(result.gfds, result.supports)
         return result
 
@@ -686,22 +594,21 @@ class Session:
         self._check_open()
         self._refresh_snapshot()
         self._count("discover_iter")
-        size = self.graph.num_nodes
-        name = self._resolve("discover", size)
-        self._phase_backends["discover"] = name
         # a generator cannot hold a ``with`` open across yields safely
         # when abandoned, so the phase span is closed from the finally
         span = (
             self.tracer.begin(
-                "discover_iter", "phase", backend=name, size=size
+                "discover_iter",
+                "phase",
+                backend=self._backend_name,
+                size=self.graph.num_nodes,
             )
             if self.tracer.enabled
             else None
         )
-        engine = self._discovery_engine(name)
+        engine = self._discovery_engine()
         emitted: List[Tuple[GFD, int]] = []
         budget_hit = False
-        start = time.perf_counter()
         levels = engine.run_iter()
         try:
             for level, batch in levels:
@@ -720,9 +627,6 @@ class Session:
             self._after_discovery()
             if span is not None:
                 self.tracer.end(span)
-            self.planner.observe(
-                "discover", name, size, time.perf_counter() - start
-            )
             if update_sigma:
                 self._set_sigma(
                     [gfd for gfd, _ in emitted],
@@ -741,21 +645,15 @@ class Session:
         self._check_open()
         self._count("cover")
         rules = list(sigma) if sigma is not None else list(self._sigma)
-        name = self._resolve("cover", len(rules))
-        self._phase_backends["cover"] = name
-        start = time.perf_counter()
         with self.tracer.span(
-            "cover", "phase", backend=name, size=len(rules)
+            "cover", "phase", backend=self._backend_name, size=len(rules)
         ):
             result, _ = parallel_cover(
                 rules,
                 cluster=self.cluster,
-                backend=self._backend_for(name),
+                backend=self.backend(),
                 cost_model=self.cover_costs,
             )
-        self.planner.observe(
-            "cover", name, len(rules), time.perf_counter() - start
-        )
         self._set_sigma(result.cover, self._supports)
         return result
 
@@ -765,15 +663,11 @@ class Session:
         if self._engine is not None:
             self._engine.close()
             self._engine = None
-        # The engine pins its backend: resident shard tables live in that
-        # backend's workers, so refresh() must keep hitting the same one.
-        name = self._resolve("enforce", self.graph.num_nodes)
-        self._engine_backend = name
         self._engine = EnforcementEngine(
             self.graph,
             rules,
-            replace(self.enforcement, backend=name),
-            backend=self._backend_for(name),
+            self.enforcement,
+            backend=self.backend(),
             delta=self._delta,
             tracer=self.tracer,
             monitor=self._monitor,
@@ -795,16 +689,8 @@ class Session:
         self._refresh_snapshot()
         self._count("enforce")
         rules = list(sigma) if sigma is not None else list(self._sigma)
-        size = self.graph.num_nodes
-        start = time.perf_counter()
-        with self.tracer.span("enforce", "phase", size=size):
-            report = self._ensure_engine(rules).validate()
-        name = self._engine_backend or self._backend_name
-        self._phase_backends["enforce"] = name
-        self.planner.observe(
-            "enforce", name, size, time.perf_counter() - start
-        )
-        return report
+        with self.tracer.span("enforce", "phase", size=self.graph.num_nodes):
+            return self._ensure_engine(rules).validate()
 
     def refresh(self) -> EnforcementReport:
         """Incremental revalidation after graph mutations.
@@ -818,22 +704,13 @@ class Session:
         self._check_open()
         self._refresh_snapshot()
         self._count("refresh")
-        size = self.graph.num_nodes
-        start = time.perf_counter()
-        with self.tracer.span("refresh", "phase", size=size):
+        with self.tracer.span("refresh", "phase", size=self.graph.num_nodes):
             if self._engine is not None:
                 # continue whatever Σ the engine is serving (an
                 # enforce(sigma) override included) — its resident tables
                 # are the state the delta splices into
-                report = self._engine.refresh()
-            else:
-                report = self._ensure_engine(list(self._sigma)).refresh()
-        name = self._engine_backend or self._backend_name
-        self._phase_backends["refresh"] = name
-        self.planner.observe(
-            "refresh", name, size, time.perf_counter() - start
-        )
-        return report
+                return self._engine.refresh()
+            return self._ensure_engine(list(self._sigma)).refresh()
 
     # ------------------------------------------------------------------
     # Σ persistence
@@ -873,21 +750,29 @@ class Session:
         ``"state"`` section written by :meth:`save_sigma` warm-starts the
         session: the chase-cost model is restored, and persisted sketches
         (re)attach a :class:`~repro.enforce.monitor.RuleSketchMonitor`.
+        Persisted sketches with an unknown backend or precision raise
+        ``ValueError`` before the session changes.
         """
         self._check_open()
         text = Path(path).read_text(encoding="utf-8")
         rules, supports = loads_sigma(text)
-        self._set_sigma(rules, supports)
         state = json.loads(text).get("state")
-        if isinstance(state, dict):
-            costs = state.get("chase_costs")
-            if isinstance(costs, dict):
-                self.cover_costs = ChaseCostModel.from_state(costs)
-            sketches = state.get("sketches")
-            if isinstance(sketches, dict):
-                self._monitor = RuleSketchMonitor.from_state(sketches)
-                if self._engine is not None:
-                    self._engine.monitor = self._monitor
+        if not isinstance(state, dict):
+            state = {}
+        sketches = state.get("sketches")
+        monitor = (
+            RuleSketchMonitor.from_state(sketches)
+            if isinstance(sketches, dict)
+            else None
+        )
+        self._set_sigma(rules, supports)
+        costs = state.get("chase_costs")
+        if isinstance(costs, dict):
+            self.cover_costs = ChaseCostModel.from_state(costs)
+        if monitor is not None:
+            self._monitor = monitor
+            if self._engine is not None:
+                self._engine.monitor = monitor
         return list(rules)
 
     # ------------------------------------------------------------------
@@ -908,31 +793,19 @@ class Session:
         Every field is a snapshot — two calls can be diffed for
         before/after deltas without aliasing the live counters.
         """
-        lifecycle = LifecycleCounters()
-        transfers = TransferLedger()
-        recovery = 0.0
-        # Sum over every backend the session started — 1 for concrete
-        # sessions, possibly 2 for "auto" (each field is an event count).
-        for backend in self._backends.values():
-            for spec in fields(LifecycleCounters):
-                setattr(
-                    lifecycle,
-                    spec.name,
-                    getattr(lifecycle, spec.name)
-                    + getattr(backend.lifecycle, spec.name),
-                )
-            snap = backend.transfers.snapshot()
-            for spec in fields(TransferLedger):
-                setattr(
-                    transfers,
-                    spec.name,
-                    getattr(transfers, spec.name) + getattr(snap, spec.name),
-                )
-            recovery += backend.recovery_seconds
+        backend = self._backend
+        if backend is None:
+            lifecycle, transfers, recovery = (
+                LifecycleCounters(), TransferLedger(), 0.0
+            )
+        else:
+            lifecycle = replace(backend.lifecycle)
+            transfers = backend.transfers.snapshot()
+            recovery = backend.recovery_seconds
         return SessionMetrics(
             backend_name=self._backend_name,
             num_workers=self._num_workers,
-            backend_starts=self._backend_starts,
+            backend_starts=int(backend is not None),
             lifecycle=lifecycle,
             transfers=transfers,
             cluster=replace(self.cluster.metrics),
@@ -940,8 +813,6 @@ class Session:
             sigma_size=len(self._sigma),
             cover_cost_observations=self.cover_costs.observations,
             recovery_seconds=recovery,
-            planner=self.planner.as_dict(),
-            phase_backends=dict(self._phase_backends),
         )
 
     # ------------------------------------------------------------------
@@ -960,11 +831,11 @@ class Session:
         if self._engine is not None:
             self._engine.close()
             self._engine = None
-        for backend in self._backends.values():
-            # shut down but keep the references: metrics() stays readable
-            # (shutdowns == 1 per backend is part of the lifecycle story)
-            # and _check_open prevents any reuse
-            backend.shutdown()
+        if self._backend is not None:
+            # shut down but keep the reference: metrics() stays readable
+            # (shutdowns == 1 is part of the lifecycle story) and
+            # _check_open prevents any reuse
+            self._backend.shutdown()
         self.graph.detach_delta_log(self._delta)
         if self._root_span is not None:
             self.tracer.end(self._root_span)

@@ -134,7 +134,7 @@ class TestSurfaceSnapshot:
             assert name in parallel.__all__, name
 
     def test_config_field_counts_are_pinned(self):
-        """58 knobs in all: adding, deleting or resurrecting one is a
+        """52 knobs in all: adding, deleting or resurrecting one is a
         decision this test makes visible (update the README table too)."""
         import dataclasses
 
@@ -148,18 +148,21 @@ class TestSurfaceSnapshot:
             )
         }
         assert counts == {
-            "DiscoveryConfig": 30,
-            "EnforcementConfig": 11,
+            "DiscoveryConfig": 26,
+            "EnforcementConfig": 9,
             "ServeConfig": 11,
             "FaultConfig": 6,
         }
 
     def test_sketch_surface(self):
-        from repro.core import make_sketch, register_sketch, sketch_names
+        """Two concrete estimators, no plug-in registry."""
+        from repro import core
+        from repro.core.sketch import DistinctPivotSketch
 
-        assert {"exact", "hll"} <= set(sketch_names())
-        assert callable(register_sketch)
-        assert make_sketch("hll", 10).precision == 10
+        assert {
+            name for name in core.__all__ if "Sketch" in name
+        } == {"DistinctPivotSketch", "ExactCardinalitySketch"}
+        assert DistinctPivotSketch(10).precision == 10
 
 
 def _identity_set(gfds):

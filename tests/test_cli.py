@@ -145,9 +145,7 @@ class TestCLI:
         instants = [
             e for e in document["traceEvents"] if e["ph"] == "i"
         ]
-        assert any(
-            e["name"] == "planner_decision" for e in instants
-        )
+        assert any(e["name"] == "enforce_pass" for e in instants)
         # a .jsonl path selects the typed-event log instead
         assert main(args + ["--trace", str(events_file)]) == 0
         capsys.readouterr()

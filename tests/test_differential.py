@@ -14,8 +14,7 @@ agree exactly on every one:
 
 Agreement is checked on the canonical-keyed GFD sets, the per-rule support
 counts, and the minimal covers.  A companion class locks down the
-``DistinctPivotSketch`` merge semantics the multi-worker tally aggregation
-relies on.
+``DistinctPivotSketch`` merge semantics over sharded pivot populations.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core import DiscoveryConfig, discover, gfd_identity, sequential_cover
-from repro.core.support import DistinctPivotSketch, sketch_distinct_upper_bound
+from repro.core.sketch import DistinctPivotSketch
 from repro.gfd import implies
 from repro.graph import Graph
 from repro.parallel import (
@@ -249,10 +248,10 @@ class TestParCoverDifferential:
 
 
 class TestSketchMergeSemantics:
-    """``DistinctPivotSketch`` under multi-worker tally aggregation.
+    """``DistinctPivotSketch`` merged over per-worker shards.
 
-    ``ParDis`` shards are pivot-disjoint, but merge correctness must not
-    depend on that: the union bound has to hold for arbitrary overlap.
+    Shards may be pivot-disjoint, but merge correctness must not depend on
+    that: the union bound has to hold for arbitrary overlap.
     """
 
     def _shard(self, values: np.ndarray, num_workers: int):
@@ -295,28 +294,14 @@ class TestSketchMergeSemantics:
     def test_prefilter_never_drops_true_support(self, seed):
         """The sketch bound dominates the exact count on shard unions.
 
-        This is the property the ``HSpawn`` prefilter depends on: a pattern
-        whose exact distinct-pivot support reaches ``σ`` must never be
-        skipped because its (merged) sketch bound fell below ``σ``.
+        A threshold test on the (merged) upper bound therefore never drops
+        a population whose exact distinct count reaches the threshold.
         """
         rng = np.random.default_rng(100 + seed)
         values = rng.integers(0, 2_000, size=rng.integers(50, 5_000))
         exact = len(set(values.tolist()))
-        assert sketch_distinct_upper_bound(values) >= exact
+        assert DistinctPivotSketch().add_array(values).upper_bound() >= exact
         merged = DistinctPivotSketch()
         for shard in self._shard(values, 3):
             merged.merge(DistinctPivotSketch().add_array(shard))
         assert merged.upper_bound() >= exact
-
-    def test_sketch_prefilter_preserves_discovery_results(self):
-        """End to end: mining with the sketch prefilter on == off."""
-        from dataclasses import replace
-
-        for seed in (0, 7, 19):
-            graph = _random_graph(seed)
-            config = _config(seed)
-            baseline = _fingerprint(discover(graph, config))
-            sketched = _fingerprint(
-                discover(graph, replace(config, sketch_support_prefilter=True))
-            )
-            assert sketched == baseline

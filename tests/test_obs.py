@@ -108,10 +108,10 @@ class TestTracer:
 
     def test_events_record_type_and_fields(self):
         tracer = Tracer()
-        tracer.event("planner_decision", phase="cover", chosen="serial")
+        tracer.event("enforce_pass", mode="full", backend="serial")
         (record,) = tracer.events
-        assert record["type"] == "planner_decision"
-        assert record["chosen"] == "serial"
+        assert record["type"] == "enforce_pass"
+        assert record["backend"] == "serial"
         assert "ts" in record
 
     def test_null_tracer_records_nothing(self):
@@ -208,15 +208,6 @@ class TestSessionTracing:
         assert tracer is NULL_TRACER
         assert list(tracer.spans) == []
         assert list(tracer.events) == []
-
-    def test_planner_events_on_pinned_backend(self, film_graph, film_config):
-        tracer = Tracer()
-        _pipeline(film_graph, film_config, tracer)
-        decisions = [
-            e for e in tracer.events if e["type"] == "planner_decision"
-        ]
-        assert len(decisions) >= 3  # discover, cover, enforce
-        assert all(e["mode"] == "pinned" for e in decisions)
 
     def test_abandoned_discover_iter_closes_its_span(
         self, film_graph, film_config
@@ -354,9 +345,9 @@ class TestExports:
         assert "repro_build_info" in text
         assert "repro_phase_runs_total" in text
 
-    def test_metrics_schema_v2(self, traced):
+    def test_metrics_schema(self, traced):
         _, metrics = traced
-        assert metrics["schema_version"] == 2
+        assert metrics["schema_version"] == 3
         assert metrics["repro_version"]
         # every wall-clock float is quarantined under "timings"
         def no_floats(value):
@@ -368,3 +359,6 @@ class TestExports:
             {k: v for k, v in metrics.items() if k != "timings"}
         )
         assert "recovery_seconds" in metrics["timings"]
+        # v3: one backend per session, so no per-phase backend or planner
+        assert "phase_backends" not in metrics
+        assert "planner" not in metrics["timings"]

@@ -747,6 +747,23 @@ class TestRuleSketchMonitor:
         assert truth == 200.0
         assert abs(hll.estimate(rule) - truth) / truth < 0.15
 
+    @pytest.mark.parametrize(
+        "bad", [{"backend": "ull"}, {"backend": "hll", "precision": 30}]
+    )
+    def test_bad_state_fails_at_load_not_at_absorb(self, bad):
+        state = RuleSketchMonitor(backend="hll").as_state()
+        state.update(bad)
+        with pytest.raises(ValueError):
+            RuleSketchMonitor.from_state(state)
+
+    def test_bad_serve_monitor_backend_fails_at_construction(self, film_graph):
+        with pytest.raises(ValueError, match="unknown monitor backend"):
+            EnforcementService(
+                film_graph,
+                sigma=film_rules(),
+                serve=ServeConfig(monitor_backend="bogus"),
+            )
+
 
 class TestEngineVersionCapture:
     """Satellite 3: the engine stamps the version it captured at pass
@@ -827,6 +844,25 @@ class TestSigmaWarmStartPersistence:
             assert fresh.cover_costs.as_state() == saved_costs
             assert fresh.monitor is not None
             assert fresh.monitor.estimates() == saved_estimates
+
+    def test_bad_sketch_state_fails_load_sigma_early(
+        self, film_graph, tmp_path
+    ):
+        path = tmp_path / "sigma.json"
+        rules = film_rules()
+        with Session(film_graph, monitor=RuleSketchMonitor()) as session:
+            session.set_sigma(rules)
+            film_graph.set_attr(0, "type", "actor")
+            session.refresh()
+            session.save_sigma(path)
+        payload = json.loads(path.read_text())
+        payload["state"]["sketches"]["backend"] = "ull"
+        path.write_text(json.dumps(payload))
+        with Session(film_graph.copy()) as fresh:
+            with pytest.raises(ValueError, match="unknown monitor backend"):
+                fresh.load_sigma(path)
+            # the failed load left the session untouched
+            assert fresh.sigma == [] and fresh.monitor is None
 
     def test_sigma_files_without_state_still_load(self, film_graph, tmp_path):
         path = tmp_path / "plain.json"

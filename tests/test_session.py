@@ -8,7 +8,6 @@ the graph index exactly once — read off ``session.metrics()``, not assumed.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -18,7 +17,8 @@ from repro import (
     discover,
     parse_gfd,
 )
-from repro.core import gfd_identity, make_sketch, register_sketch
+from repro.core import gfd_identity
+from repro.enforce import RuleSketchMonitor
 from repro.parallel import ChaseCostModel, shared_memory_available
 from repro.quality.detector import detect_gfd_violations
 
@@ -263,62 +263,54 @@ class TestChaseCostModel:
             ChaseCostModel(alpha=0.0)
 
 
+class TestChaseCostModelZeroWeight:
+    """Regression: an empty leave-out group must not crash the feedback."""
+
+    def test_zero_static_weight_observation_does_not_raise(self):
+        model = ChaseCostModel()
+        model.observe("empty-class", group_size=0, embedded_size=4,
+                      seconds=0.05)
+        assert model.observations == 1
+        # the per-class EWMA still absorbed the timing
+        assert model.weight("empty-class", 0, 4) == pytest.approx(0.05)
+
+    def test_zero_weight_never_calibrates_the_global_rate(self):
+        model = ChaseCostModel()
+        model.observe("empty-class", group_size=0, embedded_size=4,
+                      seconds=123.0)
+        # an unseen class falls back to the *static* weight — the garbage
+        # timing above must not have poisoned the seconds-per-weight rate
+        assert model.weight("unseen", 3, 2) == ChaseCostModel.static_weight(
+            3, 2
+        )
+
+    def test_mixed_observations_keep_rate_from_real_weights(self):
+        model = ChaseCostModel(alpha=1.0)
+        model.observe("real", group_size=2, embedded_size=5, seconds=1.0)
+        model.observe("empty", group_size=0, embedded_size=9, seconds=50.0)
+        # rate == 1.0 s / (2*5) from the real unit only
+        assert model.weight("unseen", 4, 5) == pytest.approx(
+            ChaseCostModel.static_weight(4, 5) * 0.1
+        )
+
+
 class TestSketchPluggability:
+    """The monitor's two estimators; every reported count is exact."""
+
     def test_exact_backend_reports_exact_pivots(self, film_graph):
         sigma = [parse_gfd("Q[x] { (x:person) } ( -> false)")]
-        with Session(
-            film_graph,
-            enforcement=EnforcementConfig(
-                sketch_cardinality=True, sketch_backend="exact"
-            ),
-        ) as session:
+        monitor = RuleSketchMonitor(backend="exact")
+        with Session(film_graph, monitor=monitor) as session:
             report = session.enforce(sigma)
         assert report.rules[0].distinct_pivots == 120  # no estimation error
+        assert monitor.estimate(sigma[0]) == 120.0
 
-    def test_hll_backend_bounds_from_above(self, film_graph):
-        sigma = [parse_gfd("Q[x] { (x:person) } ( -> false)")]
-        with Session(
-            film_graph,
-            enforcement=EnforcementConfig(
-                sketch_cardinality=True, sketch_backend="hll"
-            ),
-        ) as session:
-            report = session.enforce(sigma)
-        assert report.rules[0].distinct_pivots >= 120
-
-    def test_custom_estimator_registers(self):
-        class Constant:
-            def __init__(self, precision: int = 12) -> None:
-                self.precision = precision
-
-            def add_array(self, values):
-                return self
-
-            def merge(self, other):
-                return self
-
-            def estimate(self):
-                return 42.0
-
-            def upper_bound(self, z: float = 3.0) -> int:
-                return 42
-
-        register_sketch("constant-test", Constant)
-        sketch = make_sketch("constant-test", 8)
-        assert sketch.add_array(np.arange(5)).upper_bound() == 42
-        with pytest.raises(ValueError, match="unknown sketch backend"):
-            make_sketch("no-such-estimator")
-
-    def test_unknown_backend_is_a_clear_error(self, film_graph):
-        sigma = [parse_gfd("Q[x] { (x:person) } ( -> false)")]
-        with Session(
-            film_graph,
-            enforcement=EnforcementConfig(
-                sketch_cardinality=True, sketch_backend="bogus"
-            ),
-        ) as session:
-            with pytest.raises(ValueError, match="unknown sketch backend"):
-                session.enforce(sigma)
+    def test_unknown_backend_is_a_clear_error(self):
+        """A bad estimator fails when the monitor is built, not mid-pass."""
+        with pytest.raises(ValueError, match="unknown monitor backend"):
+            RuleSketchMonitor(backend="bogus")
+        with pytest.raises(ValueError, match="precision"):
+            RuleSketchMonitor(backend="hll", precision=30)
 
 
 class TestPostMutationParity:
@@ -435,92 +427,14 @@ class TestDetectorSessionReuse:
 
 
 class TestAutoBackendPlanner:
-    """``backend="auto"``: the cost planner picks serial or multiprocess
-    per phase, so multiprocess is never chosen where it would lose."""
-
-    def test_small_graph_resolves_every_phase_serial(
-        self, film_graph, film_config
-    ):
-        with Session(
-            film_graph, film_config, backend="auto", num_workers=2
-        ) as session:
-            session.discover()
-            session.cover()
-            session.enforce()
-            film_graph.set_attr(0, "type", "gardener")
-            session.refresh()
-            metrics = session.metrics()
-        # well below the crossover floor: serial everywhere, one backend
-        assert metrics.backend_name == "auto"
-        assert metrics.phase_backends == {
-            "discover": "serial",
-            "cover": "serial",
-            "enforce": "serial",
-            "refresh": "serial",
-        }
-        assert metrics.backend_starts == 1
-        # every phase fed the planner a measured rate
-        assert set(metrics.planner) == {
-            "discover", "cover", "enforce", "refresh"
-        }
-        assert all(
-            "serial" in rates for rates in metrics.planner.values()
-        )
-
-    @pytest.mark.skipif(
-        not shared_memory_available(),
-        reason="multiprocessing.shared_memory unavailable",
-    )
-    def test_zero_floor_resolves_multiprocess(self, film_graph, film_config):
-        from dataclasses import replace
-
-        config = replace(film_config, planner_mp_min_size=0)
-        reference = discover(film_graph, film_config)
-        with Session(
-            film_graph, config, backend="auto", num_workers=2
-        ) as session:
-            result = session.discover()
-            metrics = session.metrics()
-            assert metrics.phase_backends["discover"] == "multiprocess"
-            assert "multiprocess" in metrics.planner["discover"]
-        assert {gfd_identity(g) for g in result.gfds} == {
-            gfd_identity(g) for g in reference.gfds
-        }
-
-    def test_without_index_auto_forces_serial(self, film_graph, film_config):
-        from dataclasses import replace
-
-        config = replace(
-            film_config, use_index=False, planner_mp_min_size=0
-        )
-        with Session(
-            film_graph, config, backend="auto", num_workers=2
-        ) as session:
-            session.discover()
-            assert session.metrics().phase_backends["discover"] == "serial"
+    """There is no ``"auto"`` backend: a session runs on exactly one."""
 
     def test_unknown_backend_still_rejected(self, film_graph, film_config):
-        with pytest.raises(ValueError, match="unknown parallel backend"):
-            Session(film_graph, film_config, backend="bogus")
-
-    def test_engine_backend_is_pinned_for_refresh(
-        self, film_graph, film_config
-    ):
-        """Resident enforcement tables live in one backend's workers;
-        refresh must keep hitting it even as planner rates evolve."""
-        with Session(
-            film_graph, film_config, backend="auto", num_workers=2
-        ) as session:
-            session.discover()
-            session.enforce()
-            film_graph.set_attr(0, "type", "gardener")
-            refreshed = session.refresh()
-            assert refreshed.mode == "incremental"
-            metrics = session.metrics()
-            assert (
-                metrics.phase_backends["refresh"]
-                == metrics.phase_backends["enforce"]
-            )
+        for name in ("bogus", "auto"):
+            with pytest.raises(ValueError, match="unknown parallel backend"):
+                Session(film_graph, film_config, backend=name)
+        with pytest.raises(ValueError, match="parallel_backend"):
+            DiscoveryConfig(parallel_backend="auto")
 
 
 class TestFusedSession:
