@@ -25,7 +25,15 @@ of the serving subsystem:
    commit fewer batches than mutations (the linger window actually
    groups), and every committed version must be covered by the log.
 
-``--check`` asserts all four; numbers land in
+5. **One answer per state** (exact counts, no timing) — one enforcement
+   engine build per run (the ``engine_build`` tracer events: read-only
+   covers keep the engine), one cover computation per served Σ, memo
+   hits + misses equal to the requests of each kind, and every
+   ``discover`` / ``cover`` answer identical to a fresh single-client
+   ``Session`` at the replayed version (``discover_iter`` with the
+   clamped budget, ``update_sigma=False``; the cover of Σ).
+
+``--check`` asserts all five; numbers land in
 ``benchmarks/results/BENCH_serve.json`` (p50/p99 latency per request
 kind, throughput, commit/batching counters, per-backend).  Usage::
 
@@ -48,7 +56,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _harness import record, write_bench  # noqa: E402
 
-from repro import DiscoveryConfig, Session  # noqa: E402
+from repro import DiscoveryConfig, Session, Tracer, format_gfd  # noqa: E402
 from repro.datasets import KB_ATTRIBUTES, imdb_like  # noqa: E402
 from repro.parallel import shared_memory_available  # noqa: E402
 from repro.parallel.janitor import live_mappings, live_segments  # noqa: E402
@@ -84,15 +92,52 @@ def build_workload():
     return base, config, sigma
 
 
-def replay_payload(base, sigma, commit_log, version: int) -> Dict[str, Any]:
-    """The single-client ground truth for pinned version ``version``."""
+def replayed_graph(base, commit_log, version: int):
     graph = base.copy()
     for batch in commit_log[:version]:
         apply_ops(graph, batch)
-    with Session(graph) as session:
+    return graph
+
+
+def replay_payload(base, sigma, commit_log, version: int) -> Dict[str, Any]:
+    """The single-client ground truth for pinned version ``version``."""
+    with Session(replayed_graph(base, commit_log, version)) as session:
         session.set_sigma(sigma)
         report = session.enforce()
         return report_payload(report, include_nodes=True, include_samples=True)
+
+
+def check_answer_replay(
+    base, config, sigma, commit_log, discover_responses, cover_responses
+) -> Dict[str, Any]:
+    """Compare every discover / cover answer to a fresh single-client
+    ``Session`` (discover at the replayed version; cover of Σ)."""
+    truth: Dict[Any, List[str]] = {}
+    mismatches = 0
+    for response in discover_responses:
+        key = (response["version"], response["max_rules"], response["max_levels"])
+        if key not in truth:
+            graph = replayed_graph(base, commit_log, key[0])
+            with Session(graph, config) as session:
+                truth[key] = [
+                    format_gfd(gfd)
+                    for gfd in session.discover_iter(
+                        max_rules=key[1], max_levels=key[2], update_sigma=False
+                    )
+                ]
+        mismatches += response["rules"] != truth[key]
+    with Session(base.copy(), config) as session:
+        cover = [format_gfd(gfd) for gfd in session.cover(sigma).cover]
+    for response in cover_responses:
+        mismatches += (
+            response["rules"] != cover or response["input_size"] != len(sigma)
+        )
+    return {
+        "discover_checked": len(discover_responses),
+        "discover_states_replayed": len(truth),
+        "cover_checked": len(cover_responses),
+        "mismatches": mismatches,
+    }
 
 
 def check_replay_identity(
@@ -123,6 +168,7 @@ def check_replay_identity(
 
 async def drive(base, config, sigma, backend: str) -> Dict[str, Any]:
     """One full load run against one backend; returns the run facts."""
+    tracer = Tracer()
     service = EnforcementService(
         base.copy(),
         sigma=sigma,
@@ -130,6 +176,7 @@ async def drive(base, config, sigma, backend: str) -> Dict[str, Any]:
         serve=ServeConfig(commit_linger_s=0.01),
         backend=backend,
         num_workers=2 if backend == "multiprocess" else None,
+        tracer=tracer,
     )
     await service.start()
     try:
@@ -146,10 +193,16 @@ async def drive(base, config, sigma, backend: str) -> Dict[str, Any]:
         mutations = service.writer.mutations
         final_version = service.chain.current_version
         chain = service.chain.stats()
+        answer_memo = service.stats()["answer_memo"]
+        cover_computations = service.session.metrics().phases.get("cover", 0)
     finally:
         await service.close()
     replay = check_replay_identity(
         base, sigma, commit_log, load.validate_responses
+    )
+    answer_replay = check_answer_replay(
+        base, config, sigma, commit_log,
+        load.discover_responses, load.cover_responses,
     )
     return {
         "backend": backend,
@@ -159,6 +212,12 @@ async def drive(base, config, sigma, backend: str) -> Dict[str, Any]:
         "final_version": final_version,
         "chain": chain,
         "replay": replay,
+        "answer_replay": answer_replay,
+        "answer_memo": answer_memo,
+        "engine_builds": sum(
+            event["type"] == "engine_build" for event in tracer.events
+        ),
+        "cover_computations": cover_computations,
         "leaked_leases": service.leaked_leases,
         "leaked_segments": len(live_segments()),
         "leaked_mappings": len(live_mappings()),
@@ -224,6 +283,30 @@ def check(metrics: Dict[str, Any]) -> List[str]:
                 f"{tag} commit log covers {run['commits']} versions but "
                 f"chain is at {run['final_version']}"
             )
+        if run["engine_builds"] != 1:
+            failures.append(
+                f"{tag} {run['engine_builds']} enforcement engine builds "
+                f"(expected 1: Σ never changes while serving)"
+            )
+        covers = load["completed"].get("cover", 0)
+        if run["cover_computations"] != min(1, covers):
+            failures.append(
+                f"{tag} {run['cover_computations']} cover computations for "
+                f"one served Σ ({covers} cover requests)"
+            )
+        for kind, outcomes in run["answer_memo"].items():
+            answered = load["completed"].get(kind, 0)
+            if sum(outcomes.values()) != answered:
+                failures.append(
+                    f"{tag} {kind} memo hits + misses {outcomes} != "
+                    f"{answered} requests"
+                )
+        answers = run["answer_replay"]
+        if answers["mismatches"]:
+            failures.append(
+                f"{tag} {answers['mismatches']} discover/cover answers diverge "
+                f"from single-client replay"
+            )
     return failures
 
 
@@ -263,7 +346,13 @@ def main() -> int:
             f"p99 {mutate.get('p99', 0) * 1e3:.2f}ms | "
             f"{run['commits']} commits / {run['mutations']} mutations | "
             f"{run['replay']['responses_checked']} replay-checked over "
-            f"{run['replay']['versions_replayed']} versions"
+            f"{run['replay']['versions_replayed']} versions | "
+            f"engine builds {run['engine_builds']}, "
+            f"cover computations {run['cover_computations']}, memo hits "
+            + ", ".join(
+                f"{kind} {outcomes['hit']}/{sum(outcomes.values())}"
+                for kind, outcomes in sorted(run["answer_memo"].items())
+            )
         )
     record("serve_load", lines)
     path = write_bench("serve", metrics)

@@ -10,7 +10,8 @@ a concurrent service without giving up its one-backend resource model:
   mutations through the :class:`~repro.enforce.delta.DeltaLog`, one
   delta-aware refresh, one published version;
 * :mod:`~repro.serve.service` — the asyncio request layer (admission
-  control, deadlines, per-request budgets, metrics);
+  control, deadlines, per-request budgets, metrics, and one computed
+  answer per state for validate / cover / discover);
 * :mod:`~repro.serve.http` — a stdlib-only HTTP front with a
   ``/metrics`` Prometheus endpoint;
 * :mod:`~repro.serve.loadgen` — the mixed-traffic load generator behind

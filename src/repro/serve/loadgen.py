@@ -66,10 +66,25 @@ class LoadResult:
     latencies: Dict[str, List[float]] = field(default_factory=dict)
     #: Per-kind completed-request counts.
     completed: Dict[str, int] = field(default_factory=dict)
-    #: Every validate response (for replay-identity verification).
+    #: Every validate / discover / cover response (for replay-identity
+    #: verification; kept out of ``repr`` and :meth:`as_dict`).
     validate_responses: List[Dict[str, Any]] = field(default_factory=list)
+    discover_responses: List[Dict[str, Any]] = field(default_factory=list)
+    cover_responses: List[Dict[str, Any]] = field(default_factory=list)
     #: Every mutate response's published version.
     mutate_versions: List[int] = field(default_factory=list)
+
+    def __repr__(self) -> str:
+        # bounded: ``asyncio.run`` can repr its main task's result on exit
+        # (through ``signal.getsignal``), and a full repr of every response
+        # costs seconds and tens of MiB on a long run
+        return (
+            f"LoadResult(requests={self.requests}, errors={self.errors}, "
+            f"rejected_overload={self.rejected_overload}, "
+            f"rejected_deadline={self.rejected_deadline}, "
+            f"elapsed_seconds={self.elapsed_seconds:.3f}, "
+            f"completed={dict(sorted(self.completed.items()))})"
+        )
 
     @property
     def throughput(self) -> float:
@@ -146,7 +161,11 @@ async def run_load(
             result.latencies.setdefault(kind, []).append(seconds)
             if kind == "validate":
                 result.validate_responses.append(payload)
-            elif kind == "mutate":
+            elif kind == "discover":
+                result.discover_responses.append(payload)
+            elif kind == "cover":
+                result.cover_responses.append(payload)
+            else:
                 result.mutate_versions.append(payload["version"])
 
     async def client(client_id: int) -> None:

@@ -32,6 +32,14 @@ Per-request budgets reuse the engines' native early-stop seams:
 ``discover_max_levels`` (the :meth:`~repro.session.Session.discover_iter`
 budgets), and validation reports inherit the session's
 ``max_violations_per_rule`` / ``max_violation_samples`` caps.
+
+Every read answer is computed once per state it reads, with one stored
+answer per kind: the ``validate`` payload per published snapshot and
+render flags (on the :class:`~repro.serve.snapshots.Snapshot`, dropped
+when it retires), the cover per served Σ (commits do not retire it), and
+the budgeted discovery per ``(graph.version, max_rules, max_levels)``.
+Hits and misses are the ``repro_serve_answer_memo_total{kind,outcome}``
+counters and ``stats()["answer_memo"]``.
 """
 
 from __future__ import annotations
@@ -119,6 +127,10 @@ def report_payload(
     *byte-identical* to a single-client Session replaying that version
     (the acceptance property the concurrency harness asserts).
     ``rules`` optionally restricts to those Σ positions.
+
+    The service renders the whole-Σ payload once per published version
+    and render flags and hands every reader a shallow copy of it, so the
+    nested ``rules`` entries are shared: treat them as read-only.
     """
     positions = range(len(report.rules)) if rules is None else rules
     entries: List[Dict[str, Any]] = []
@@ -144,6 +156,29 @@ def report_payload(
         "clean": total == 0,
         "rules": entries,
     }
+
+
+class _OneAnswer:
+    """A one-entry memo: the latest answer and the exact state it read.
+
+    Lane-only (the lane is the one thread that computes these answers and
+    the one that changes the state they are keyed on).
+    """
+
+    __slots__ = ("key", "answer")
+
+    def __init__(self) -> None:
+        self.key: Any = None
+        self.answer: Optional[Dict[str, Any]] = None
+
+    def get(self, key: Any, compute) -> Tuple[Dict[str, Any], bool]:
+        """``(answer, hit)``: the stored answer if ``key`` matches, else
+        ``compute()``, which replaces it."""
+        if self.answer is not None and self.key == key:
+            return self.answer, True
+        answer = compute()
+        self.key, self.answer = key, answer
+        return answer, False
 
 
 class _LaneItem:
@@ -226,6 +261,10 @@ class EnforcementService:
         self._pending_ops = 0
         self._flush_task: Optional[asyncio.Task] = None
         self._flush_now: Optional[asyncio.Event] = None
+        #: Keyed by the served Σ (a cover never reads the graph).
+        self._cover_memo = _OneAnswer()
+        #: Keyed by ``(graph.version, max_rules, max_levels)``.
+        self._discover_memo = _OneAnswer()
         self._started = False
         self._closed = False
 
@@ -349,6 +388,14 @@ class EnforcementService:
             "repro_serve_requests_total", kind=kind, outcome=outcome
         ).inc()
 
+    def _memo_counter(self, kind: str, outcome: str):
+        return self.registry.counter(
+            "repro_serve_answer_memo_total", kind=kind, outcome=outcome
+        )
+
+    def _count_memo(self, kind: str, hit: bool) -> None:
+        self._memo_counter(kind, "hit" if hit else "miss").inc()
+
     def _observe(self, kind: str, seconds: float) -> None:
         self.registry.histogram(
             "repro_serve_request_seconds", kind=kind
@@ -376,7 +423,11 @@ class EnforcementService:
 
         Pure read: served from the snapshot's stored report, never
         touching the execution lane — a validate at version ``N`` costs
-        the same whether or not a commit is publishing ``N+1``.
+        the same whether or not a commit is publishing ``N+1``.  The
+        whole-Σ payload is rendered once per version and flag pair; each
+        response is a shallow copy carrying its own ``kind`` /
+        ``version`` / ``graph_version``, and its nested entries are shared
+        and read-only.  A ``rules`` subset is rendered per request.
         """
         started = time.perf_counter()
         if self._closed or not self._started:
@@ -387,26 +438,34 @@ class EnforcementService:
         except LookupError:
             self._count("validate", "rejected_version")
             raise
+        nodes = bool(
+            self.serve.include_nodes if include_nodes is None else include_nodes
+        )
+        samples = bool(
+            self.serve.include_samples if include_samples is None else include_samples
+        )
         try:
-            payload = report_payload(
-                lease.snapshot.report,
-                include_nodes=(
-                    self.serve.include_nodes
-                    if include_nodes is None
-                    else include_nodes
-                ),
-                include_samples=(
-                    self.serve.include_samples
-                    if include_samples is None
-                    else include_samples
-                ),
-                rules=rules,
-            )
+            snapshot = lease.snapshot
+
+            def render() -> Dict[str, Any]:
+                return report_payload(
+                    snapshot.report,
+                    include_nodes=nodes,
+                    include_samples=samples,
+                    rules=rules,
+                )
+
+            if rules is None:
+                shared, hit = snapshot.payload((nodes, samples), render)
+                payload = dict(shared)
+            else:
+                payload, hit = render(), False
             payload["kind"] = "validate"
             payload["version"] = lease.version
-            payload["graph_version"] = lease.snapshot.graph_version
+            payload["graph_version"] = snapshot.graph_version
         finally:
             lease.release()
+        self._count_memo("validate", hit)
         self._count("validate", "ok")
         self._observe("validate", time.perf_counter() - started)
         return payload
@@ -425,7 +484,11 @@ class EnforcementService:
         The request budgets clamp to the service caps; the served Σ is
         *not* replaced (``update_sigma=False``) — discovery here is a
         read-only analytics op whose answer is tagged with the version it
-        ran against.
+        ran against.  The answer is a function of the graph state and the
+        clamped budgets alone, so it is computed once per
+        ``(graph.version, max_rules, max_levels)``; the graph version, not
+        the published one, because after a failed batch the graph runs
+        ahead of the chain.  The ``rules`` list is shared and read-only.
         """
         started = time.perf_counter()
         self._admit("discover")
@@ -436,25 +499,26 @@ class EnforcementService:
             cap_levels if max_levels is None else min(max_levels, cap_levels)
         )
 
-        def work() -> Dict[str, Any]:
-            version = self.chain.current_version
-            found = list(
-                self.session.discover_iter(
-                    max_rules=budget_rules,
-                    max_levels=budget_levels,
-                    update_sigma=False,
-                )
+        def compute() -> Dict[str, Any]:
+            found = self.session.discover_iter(
+                max_rules=budget_rules,
+                max_levels=budget_levels,
+                update_sigma=False,
             )
             return {
-                "kind": "discover",
-                "version": version,
                 "max_rules": budget_rules,
                 "max_levels": budget_levels,
                 "rules": [format_gfd(gfd) for gfd in found],
             }
 
+        def work() -> Tuple[Dict[str, Any], bool]:
+            version = self.chain.current_version
+            key = (self.session.graph.version, budget_rules, budget_levels)
+            answer, hit = self._discover_memo.get(key, compute)
+            return {"kind": "discover", "version": version, **answer}, hit
+
         try:
-            payload = await self._run_on_lane(
+            payload, hit = await self._run_on_lane(
                 "discover", work, self._deadline(deadline_s)
             )
         except DeadlineExceeded:
@@ -463,6 +527,7 @@ class EnforcementService:
         except Exception:
             self._count("discover", "error")
             raise
+        self._count_memo("discover", hit)
         self._count("discover", "ok")
         self._observe("discover", time.perf_counter() - started)
         return payload
@@ -473,31 +538,34 @@ class EnforcementService:
         """The minimal cover of the served Σ (read-only analytics).
 
         Runs ``ParCover`` over the session's chase-cost model (warm-started
-        covers balance by measured unit costs) and *restores* the served Σ
-        afterwards — minimizing what the service enforces is an operator
-        decision, not a request side effect.
+        covers balance by measured unit costs) with ``update_sigma=False``:
+        the served Σ and its compiled enforcement engine stay as they are —
+        minimizing what the service enforces is an operator decision, not
+        a request side effect.  A cover is decided by implication over Σ
+        alone (the chase never reads the graph), so it is computed once
+        per served Σ and commits do not retire it.  The ``rules`` list is
+        shared and read-only.
         """
         started = time.perf_counter()
         self._admit("cover")
 
-        def work() -> Dict[str, Any]:
+        def work() -> Tuple[Dict[str, Any], bool]:
             version = self.chain.current_version
-            keep_rules = self.session.sigma
-            keep_supports = self.session.supports
-            try:
-                result = self.session.cover()
-            finally:
-                self.session.set_sigma(keep_rules, keep_supports)
-            return {
-                "kind": "cover",
-                "version": version,
-                "input_size": len(keep_rules),
-                "cover_size": len(result.cover),
-                "rules": [format_gfd(gfd) for gfd in result.cover],
-            }
+            sigma = tuple(self.session.sigma)
+
+            def compute() -> Dict[str, Any]:
+                result = self.session.cover(list(sigma), update_sigma=False)
+                return {
+                    "input_size": len(sigma),
+                    "cover_size": len(result.cover),
+                    "rules": [format_gfd(gfd) for gfd in result.cover],
+                }
+
+            answer, hit = self._cover_memo.get(sigma, compute)
+            return {"kind": "cover", "version": version, **answer}, hit
 
         try:
-            payload = await self._run_on_lane(
+            payload, hit = await self._run_on_lane(
                 "cover", work, self._deadline(deadline_s)
             )
         except DeadlineExceeded:
@@ -506,6 +574,7 @@ class EnforcementService:
         except Exception:
             self._count("cover", "error")
             raise
+        self._count_memo("cover", hit)
         self._count("cover", "ok")
         self._observe("cover", time.perf_counter() - started)
         return payload
@@ -668,6 +737,14 @@ class EnforcementService:
             "sigma_size": (
                 len(self.session.sigma) if self.session is not None else 0
             ),
+            # per kind, hit + miss == the requests answered
+            "answer_memo": {
+                kind: {
+                    outcome: int(self._memo_counter(kind, outcome).value)
+                    for outcome in ("hit", "miss")
+                }
+                for kind in ("validate", "discover", "cover")
+            },
         }
         if self.writer is not None:
             payload["commits"] = self.writer.commits

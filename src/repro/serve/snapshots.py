@@ -12,15 +12,16 @@ it) while the group-commit writer publishes versions 8 and 9.  The
   GraphIndex` of that state, and the full
   :class:`~repro.enforce.engine.EnforcementReport` computed by the
   commit's delta-aware refresh.  The report *is* the read surface:
-  ``validate`` requests at a pinned version are served from it in O(1)
-  without touching the engine, which is what lets reads proceed while a
-  commit runs;
+  ``validate`` requests at a pinned version are served from it without
+  touching the engine, which is what lets reads proceed while a commit
+  runs.  The whole-Σ payload is rendered once per version and render
+  flags (:meth:`Snapshot.payload`); every later read is a shallow copy;
 * readers :meth:`~SnapshotChain.pin` the version for the life of their
   request and get a :class:`SnapshotLease`; the chain refcounts leases
   per version;
 * publishing version ``N+1`` retires every *older, unpinned* version:
-  its report and index references drop, and an index attached through the
-  PR 9 on-disk store releases its ``mmap`` handle through
+  its index reference and rendered payloads drop, and an index attached
+  through the on-disk store releases its ``mmap`` handle through
   :func:`~repro.graph.store.release_index` (which unregisters from the
   janitor).  A version still pinned survives until its last lease goes —
   then the release runs from :meth:`~SnapshotChain.release`.
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..enforce.engine import EnforcementReport
 from ..graph.index import GraphIndex
@@ -64,6 +65,27 @@ class Snapshot:
     #: Mutation ops this commit applied (what a replay needs); empty for
     #: the startup snapshot.
     ops: List[Any] = field(default_factory=list)
+    #: Rendered whole-Σ ``validate`` payloads, keyed by the render flags
+    #: (``(include_nodes, include_samples)``); shared read-only by every
+    #: response at this version and dropped when the version retires.
+    payloads: Dict[Tuple[bool, bool], Dict[str, Any]] = field(
+        default_factory=dict
+    )
+
+    def payload(
+        self, key: Tuple[bool, bool], render: Callable[[], Dict[str, Any]]
+    ) -> Tuple[Dict[str, Any], bool]:
+        """The payload rendered under ``key``, rendering it on first use.
+
+        Returns ``(payload, hit)``.  The returned dict is shared: callers
+        copy it before adding per-response keys and never mutate it.
+        """
+        payloads = self.payloads  # retirement swaps in a fresh dict
+        cached = payloads.get(key)
+        if cached is not None:
+            return cached, True
+        cached = payloads[key] = render()
+        return cached, False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -169,6 +191,7 @@ class SnapshotChain:
             if release_index(index):
                 self.mappings_released += 1
         snapshot.index = None
+        snapshot.payloads = {}
 
     # ------------------------------------------------------------------
     # reader side

@@ -108,6 +108,9 @@ class GroupCommitWriter:
         #: the batch that published version ``v``) — the replay record the
         #: identity harness and bench gate verify against.
         self.commit_log: List[List[MutationOp]] = []
+        #: Ops applied to the graph but not yet in a published version —
+        #: the prefix a failed batch left behind.
+        self._unpublished: List[MutationOp] = []
 
     def bootstrap(self) -> Snapshot:
         """Publish version 0: one full validation of the startup state."""
@@ -130,26 +133,27 @@ class GroupCommitWriter:
         already-applied prefix still in the graph *and in the delta log* —
         the next successful commit's refresh absorbs it, so the chain
         never publishes a version whose report is out of sync with the
-        graph.  The failed batch is not recorded in the commit log; the
-        service layer maps the error to every waiter in the batch.
+        graph.  The failed batch is not recorded in the commit log; its
+        applied prefix is, at the head of the next successful commit's
+        ``Snapshot.ops`` and log entry, so replaying the log reproduces
+        every published version.  The service layer maps the error to
+        every waiter in the failed batch.
         """
-        applied = 0
-        try:
-            for op in ops:
-                op.apply(self.session.graph)
-                applied += 1
-        finally:
-            self.mutations += applied
+        graph = self.session.graph
+        for op in ops:
+            op.apply(graph)
+            self._unpublished.append(op)
+            self.mutations += 1
         report = self.session.refresh()
-        version = self.chain.current_version + 1
+        batch, self._unpublished = self._unpublished, []
         snapshot = Snapshot(
-            version=version,
-            graph_version=self.session.graph.version,
+            version=self.chain.current_version + 1,
+            graph_version=graph.version,
             index=self.session.index,
             report=report,
-            ops=list(ops),
+            ops=batch,
         )
-        self.commit_log.append(list(ops))
+        self.commit_log.append(list(batch))
         self.commits += 1
         self.chain.publish(snapshot)
         return snapshot

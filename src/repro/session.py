@@ -325,6 +325,7 @@ class Session:
         graph.attach_delta_log(self._delta)
         self._backend: Optional[ExecutionBackend] = None
         self._engine: Optional[EnforcementEngine] = None
+        self._engine_built = False
         self._sigma: List[GFD] = []
         self._supports: Dict[GFD, int] = {}
         self._phases: Dict[str, int] = {}
@@ -633,14 +634,23 @@ class Session:
                     {gfd: support for gfd, support in emitted},
                 )
 
-    def cover(self, sigma: Optional[List[GFD]] = None) -> CoverResult:
+    def cover(
+        self, sigma: Optional[List[GFD]] = None, update_sigma: bool = True
+    ) -> CoverResult:
         """Reduce Σ to a minimal cover (``ParCover`` on the session pools).
 
         Uses the session's :class:`~repro.parallel.costs.ChaseCostModel`:
         the first cover balances by the static proxy weights, later covers
         by the measured per-unit chase costs fed back from the workers.
-        ``sigma`` overrides the input set (default: the session's Σ);
-        either way the session's Σ becomes the computed cover.
+        ``sigma`` overrides the input set (default: the session's Σ).  The
+        session's Σ becomes the computed cover unless ``update_sigma`` is
+        off, which leaves Σ, its supports and the compiled enforcement
+        engine untouched — the read-only mode a serving layer uses to
+        answer cover requests without retiring the plan it enforces.
+
+        The cover is decided by implication over the rules alone (the
+        chase never reads the graph), so the same input always gives the
+        same cover; the cost model only moves work between workers.
         """
         self._check_open()
         self._count("cover")
@@ -654,7 +664,8 @@ class Session:
                 backend=self.backend(),
                 cost_model=self.cover_costs,
             )
-        self._set_sigma(result.cover, self._supports)
+        if update_sigma:
+            self._set_sigma(result.cover, self._supports)
         return result
 
     def _ensure_engine(self, rules: List[GFD]) -> EnforcementEngine:
@@ -663,6 +674,15 @@ class Session:
         if self._engine is not None:
             self._engine.close()
             self._engine = None
+        if self.tracer.enabled:
+            # an engine goes away only when Σ changes (or the session
+            # closes), so every build after the first is a Σ change
+            self.tracer.event(
+                "engine_build",
+                reason="sigma_changed" if self._engine_built else "first_use",
+                sigma_size=len(rules),
+            )
+        self._engine_built = True
         self._engine = EnforcementEngine(
             self.graph,
             rules,

@@ -14,9 +14,13 @@ Four guarantee families:
 4. **Replay identity under concurrency** (the satellite-4 harness) —
    randomized concurrent read/write traffic, on the serial and
    multiprocess backends and under a seeded worker-kill fault plan,
-   where every response served at pinned version ``V`` must be
-   byte-identical to a single-client :class:`repro.Session` replaying
-   the commit log up to ``V``.
+   where every validate / discover / cover response served at pinned
+   version ``V`` must equal a single-client :class:`repro.Session`
+   replaying the commit log up to ``V``.
+
+Plus the answer memos: each read answer is computed once per state it
+reads (validate per snapshot, cover per served Σ, discover per graph
+version and budget), with one engine build while covers are served.
 
 Plus the satellite units: the streaming per-rule sketch monitor, the
 engine's start-of-pass version capture (readers on version ``N`` never
@@ -33,7 +37,7 @@ import random
 import numpy as np
 import pytest
 
-from repro import DiscoveryConfig, Session, format_gfd, parse_gfd
+from repro import DiscoveryConfig, Session, Tracer, format_gfd, parse_gfd
 from repro.core import FaultConfig
 from repro.enforce import RuleSketchMonitor
 from repro.graph import load_index, save_index
@@ -44,12 +48,14 @@ from repro.serve import (
     DeadlineExceeded,
     EnforcementService,
     GroupCommitWriter,
+    LoadResult,
     MutationOp,
     ServeConfig,
     ServiceClosed,
     ServiceOverloaded,
     Snapshot,
     SnapshotChain,
+    TrafficMix,
     apply_ops,
     report_payload,
     run_load,
@@ -283,6 +289,36 @@ class TestGroupCommitWriter:
             assert snapshot.report.total_violations > 0  # sees node 0's edit
             chain.close()
 
+    def test_failed_batch_prefix_is_in_the_replay_record(self, film_graph):
+        """Replaying ``commit_log[:1]`` reproduces version 1, including the
+        prefix the failed batch applied before it raised."""
+        base = film_graph.copy()
+        with Session(film_graph) as session:
+            session.set_sigma(film_rules())
+            chain = SnapshotChain()
+            writer = GroupCommitWriter(session, chain)
+            writer.bootstrap()
+            prefix = MutationOp(
+                "set_attr", {"node": 0, "attr": "type", "value": "actor"}
+            )
+            with pytest.raises(Exception):
+                writer.commit([
+                    prefix,
+                    MutationOp("set_attr",
+                               {"node": 10**6, "attr": "type", "value": "x"}),
+                ])
+            good = MutationOp(
+                "set_attr", {"node": 1, "attr": "name", "value": "z"}
+            )
+            snapshot = writer.commit([good])
+            served = report_payload(snapshot.report)
+            chain.close()
+        assert snapshot.ops == [prefix, good]
+        assert writer.commit_log == [[prefix, good]]
+        apply_ops(base, writer.commit_log[0])
+        assert served == report_payload(_report(base, film_rules()))
+        assert served["total_violations"] > 0
+
 
 # ---------------------------------------------------------------------------
 # 3. Service semantics
@@ -474,6 +510,145 @@ class TestServiceSemantics:
         assert {id(m) for m in live_mappings()} <= mappings_before
 
 
+def _set_attr(node, attr="type", value="actor"):
+    return [{"op": "set_attr", "node": node, "attr": attr, "value": value}]
+
+
+class TestAnswerMemo:
+    """Each read answer is computed once per exact state it reads."""
+
+    @staticmethod
+    def _memo(service, kind):
+        return service.stats()["answer_memo"][kind]
+
+    def test_commit_retires_discover_memo_not_cover_memo(
+        self, film_graph, film_config
+    ):
+        async def scenario():
+            async with _service(
+                film_graph.copy(), config=film_config
+            ) as service:
+                first = await service.discover(max_rules=2)
+                again = await service.discover(max_rules=2)
+                assert again == first and again is not first
+                assert again["rules"] is first["rules"]
+                await service.discover(max_rules=1)  # another budget: a miss
+                cover = await service.cover()
+                await service.mutate(_set_attr(0))
+                # the stored budget again, at a new graph version: a miss
+                after = await service.discover(max_rules=1)
+                assert after["version"] == 1
+                covered = await service.cover()
+                assert covered["version"] == 1
+                assert covered["rules"] is cover["rules"]
+                assert self._memo(service, "discover") == {"hit": 1, "miss": 3}
+                assert self._memo(service, "cover") == {"hit": 1, "miss": 1}
+                assert service.session.metrics().phases["cover"] == 1
+
+        asyncio.run(scenario())
+
+    def test_sigma_change_retires_cover_memo(self, film_graph):
+        async def scenario():
+            async with _service(film_graph.copy()) as service:
+                full = await service.cover()
+                await service._loop.run_in_executor(
+                    service._pool, service.session.set_sigma, film_rules()[:2]
+                )
+                smaller = await service.cover()
+                assert (full["input_size"], smaller["input_size"]) == (3, 2)
+                assert self._memo(service, "cover") == {"hit": 0, "miss": 2}
+
+        asyncio.run(scenario())
+
+    def test_retired_snapshot_holds_no_payloads(self, film_graph):
+        async def scenario():
+            async with _service(film_graph.copy()) as service:
+                lease = service.pin()
+                v0 = lease.snapshot
+                await service.validate()
+                await service.validate(include_nodes=True)
+                assert len(v0.payloads) == 2
+                await service.mutate(_set_attr(0))
+                assert v0.payloads  # pinned: still live
+                lease.release()  # the last lease retires version 0
+                assert v0.payloads == {}
+                await service.validate()
+                return service.chain.current
+        current = asyncio.run(scenario())
+        assert current.payloads == {}  # close retires every version
+
+    def test_validate_responses_share_one_render(self, film_graph):
+        async def scenario():
+            async with _service(film_graph.copy()) as service:
+                await service.mutate(_set_attr(0))
+                flags = dict(include_nodes=True, include_samples=True)
+                a = await service.validate(**flags)
+                b = await service.validate(**flags)
+                assert a == b and a is not b and a["rules"] is b["rules"]
+                assert a["total_violations"] > 0
+                subset = await service.validate(rules=[0], **flags)
+                assert _strip_envelope(subset) == report_payload(
+                    service.chain.current.report, rules=[0]
+                )
+                assert self._memo(service, "validate") == {"hit": 1, "miss": 2}
+
+        asyncio.run(scenario())
+
+    def test_covers_between_commits_build_one_engine(self, film_graph):
+        tracer = Tracer()
+
+        async def scenario():
+            async with _service(film_graph.copy(), tracer=tracer) as service:
+                for node in range(5):
+                    await service.cover()
+                    await service.mutate(_set_attr(node, "name", "w"))
+                    await service.validate()
+                return service.session.metrics().phases
+
+        phases = asyncio.run(scenario())
+        builds = [e for e in tracer.events if e["type"] == "engine_build"]
+        assert [e["reason"] for e in builds] == ["first_use"]
+        assert phases["cover"] == 1
+
+    def test_hits_plus_misses_equal_requests(self, film_graph):
+        async def scenario():
+            async with _service(
+                film_graph.copy(), serve=ServeConfig(commit_linger_s=0.01)
+            ) as service:
+                load = await run_load(
+                    service, clients=3, requests_per_client=20, seed=9,
+                    mix=TrafficMix(0.55, 0.15, 0.15, 0.15),
+                    mutation_attrs=["name"], discover_budget=3,
+                )
+                return load, service.stats(), service.metrics_text()
+
+        load, stats, text = asyncio.run(scenario())
+        assert load.errors == 0
+        memo = stats["answer_memo"]
+        for kind in ("validate", "discover", "cover"):
+            assert sum(memo[kind].values()) == load.completed.get(kind, 0)
+        assert memo["cover"]["miss"] == 1
+        assert (
+            'repro_serve_answer_memo_total{kind="cover",outcome="miss"} 1'
+            in text
+        )
+
+
+class TestLoadResult:
+    def test_repr_is_bounded(self):
+        response = {"total_violations": 1, "clean": False,
+                    "rules": [{"gfd": "x" * 80, "nodes": list(range(64))}]}
+        result = LoadResult(requests=10_000, completed={"validate": 10_000})
+        result.validate_responses = [dict(response) for _ in range(10_000)]
+        result.cover_responses = [response] * 100
+        result.discover_responses = [response] * 100
+        text = repr(result)
+        assert "requests=10000" in text and len(text) < 300
+        assert not {
+            "validate_responses", "discover_responses", "cover_responses"
+        } & set(result.as_dict())
+
+
 # ---------------------------------------------------------------------------
 # 4. HTTP front + CLI verb
 # ---------------------------------------------------------------------------
@@ -579,11 +754,15 @@ def _strip_envelope(response):
     }
 
 
-def _replay(base, sigma, commit_log, version):
+def _replayed_graph(base, commit_log, version):
     graph = base.copy()
     for batch in commit_log[:version]:
         apply_ops(graph, batch)
-    with Session(graph) as session:
+    return graph
+
+
+def _replay(base, sigma, commit_log, version):
+    with Session(_replayed_graph(base, commit_log, version)) as session:
         session.set_sigma(sigma)
         return json.dumps(
             report_payload(
@@ -593,15 +772,41 @@ def _replay(base, sigma, commit_log, version):
         )
 
 
-def _assert_replay_identity(base, sigma, commit_log, responses):
-    assert responses, "load run issued no validate requests"
+def _replay_discover(base, commit_log, version, max_rules, max_levels):
+    with Session(_replayed_graph(base, commit_log, version)) as session:
+        return [
+            format_gfd(gfd)
+            for gfd in session.discover_iter(
+                max_rules=max_rules, max_levels=max_levels, update_sigma=False
+            )
+        ]
+
+
+def _assert_replay_identity(base, sigma, commit_log, load):
+    """Every validate / discover / cover answer equals a fresh
+    single-client ``Session`` at the replayed version."""
+    assert load.validate_responses, "load run issued no validate requests"
+    assert load.discover_responses, "load run issued no discover requests"
+    assert load.cover_responses, "load run issued no cover requests"
     truth = {}
-    for response in responses:
+    for response in load.validate_responses:
         version = response["version"]
         if version not in truth:
             truth[version] = _replay(base, sigma, commit_log, version)
         served = json.dumps(_strip_envelope(response), sort_keys=True)
         assert served == truth[version], f"divergence at version {version}"
+    discovered = {}
+    for response in load.discover_responses:
+        key = (response["version"], response["max_rules"], response["max_levels"])
+        if key not in discovered:
+            discovered[key] = _replay_discover(base, commit_log, *key)
+        assert response["rules"] == discovered[key], f"discover diverges at {key}"
+    with Session(base.copy()) as session:
+        cover = [format_gfd(gfd) for gfd in session.cover(sigma).cover]
+    for response in load.cover_responses:
+        assert response["rules"] == cover
+        assert response["input_size"] == len(sigma)
+        assert response["cover_size"] == len(cover)
     return len(truth)
 
 
@@ -639,9 +844,7 @@ class TestConcurrentReplayIdentity:
             return load, commit_log
 
         load, commit_log = asyncio.run(scenario())
-        versions = _assert_replay_identity(
-            base, sigma, commit_log, load.validate_responses
-        )
+        versions = _assert_replay_identity(base, sigma, commit_log, load)
         assert versions >= 1
         assert set(live_segments()) <= segments_before
         assert {id(m) for m in live_mappings()} <= mappings_before
@@ -675,13 +878,20 @@ class TestConcurrentReplayIdentity:
             )
             await service.start()
             try:
+                # a discover resets the shared backend, and with it the
+                # resident shards whose update the plan kills: the chaos
+                # load issues none, and one budgeted discover follows it
                 load = await run_load(
                     service,
                     clients=3,
                     requests_per_client=8,
+                    mix=TrafficMix(validate=0.7, discover=0.0, cover=0.1,
+                                   mutate=0.2),
                     seed=5,
                     mutation_attrs=["type"],
-                    discover_budget=3,
+                )
+                load.discover_responses.append(
+                    await service.discover(max_rules=3)
                 )
                 commit_log = [list(b) for b in service.writer.commit_log]
                 respawns = service.session.metrics().lifecycle.respawns
@@ -694,7 +904,7 @@ class TestConcurrentReplayIdentity:
         assert load.errors == 0
         if commit_log:  # a commit ran the killed op: the chaos actually hit
             assert respawns >= 1
-        _assert_replay_identity(base, sigma, commit_log, load.validate_responses)
+        _assert_replay_identity(base, sigma, commit_log, load)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from repro import (
     DiscoveryConfig,
     EnforcementConfig,
     Session,
+    Tracer,
     discover,
     parse_gfd,
 )
@@ -151,6 +152,39 @@ class TestStreamingDiscovery:
             iterator.close()  # abandon mid-level
             assert [str(g) for g in session.sigma] == [str(first)]
             assert session.discover().gfds  # full run still works
+
+
+class TestReadOnlyCover:
+    def test_read_only_cover_keeps_sigma_supports_and_engine(
+        self, film_graph, film_config
+    ):
+        tracer = Tracer()
+        with Session(film_graph, film_config, tracer=tracer) as session:
+            session.discover()
+            session.enforce()
+            sigma, supports = session.sigma, session.supports
+            read_only = session.cover(update_sigma=False)
+            assert session.sigma == sigma
+            assert session.supports == supports
+            session.enforce()
+            builds = [e for e in tracer.events if e["type"] == "engine_build"]
+            assert [e["reason"] for e in builds] == ["first_use"]
+            # the same answer the Σ-replacing mode gives
+            assert session.cover().cover == read_only.cover
+            assert session.sigma == read_only.cover
+
+    def test_engine_build_reasons(self, film_graph, film_config):
+        tracer = Tracer()
+        with Session(film_graph, film_config, tracer=tracer) as session:
+            session.discover()
+            session.enforce()
+            session.enforce(sigma=session.sigma[:1])
+            session.refresh()  # continues the override: no build
+        builds = [e for e in tracer.events if e["type"] == "engine_build"]
+        assert [(e["reason"], e["sigma_size"]) for e in builds] == [
+            ("first_use", len(session.sigma)),
+            ("sigma_changed", 1),
+        ]
 
 
 class TestSigmaPersistence:
