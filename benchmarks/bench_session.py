@@ -238,7 +238,7 @@ def run(check: bool = False, max_rules: int = None):
             assert same_report, "Session enforcement must equal the engine"
             assert outcome["refreshed"].mode == "incremental"
 
-        # the same documented schema v3 the CLI's --metrics writes
+        # the same documented schema v4 the CLI's --metrics writes
         full_view = RESULTS_DIR / "session_metrics_bench.json"
         RESULTS_DIR.mkdir(exist_ok=True)
         full_view.write_text(

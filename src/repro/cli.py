@@ -275,7 +275,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         sigma=args.sigma,
         max_lhs_size=args.max_lhs,
         mine_negative=not args.no_negative,
-        shared_memory=not args.no_shared_memory,
     )
     fault = _fault_from_args(args)
     if fault != "auto":
@@ -340,7 +339,7 @@ def _cmd_enforce(args: argparse.Namespace) -> int:
         sample_seed=args.seed,
         max_violations_per_rule=args.max_violations_per_rule,
     )
-    base = DiscoveryConfig(shared_memory=not args.no_shared_memory)
+    base = DiscoveryConfig()
     fault = _fault_from_args(args)
     if fault != "auto":
         base.fault = fault
@@ -406,7 +405,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         sigma=args.sigma,
         max_lhs_size=args.max_lhs,
         mine_negative=not args.no_negative,
-        shared_memory=not args.no_shared_memory,
     )
     fault = _fault_from_args(args)
     if fault != "auto":
@@ -504,7 +502,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     sigma = load_rules(args.rules) if args.rules else None
     config = DiscoveryConfig(
         k=args.k, sigma=args.sigma, max_lhs_size=args.max_lhs,
-        shared_memory=not args.no_shared_memory,
     )
     fault = _fault_from_args(args)
     if fault != "auto":
@@ -576,10 +573,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="GFD discovery (SIGMOD'18 reproduction)",
         epilog="Parallel verbs (discover, enforce, cover) take --backend "
                "serial|multiprocess — multiprocess runs real worker "
-               "processes attaching the frozen graph index via shared "
-               "memory; --no-shared-memory falls back to pickling the "
-               "buffers into each worker.  $REPRO_PARALLEL_BACKEND sets "
-               "the default backend.",
+               "processes attaching the frozen graph index zero-copy (its "
+               "--index store file via mmap, else one shared-memory "
+               "segment).  $REPRO_PARALLEL_BACKEND sets the default "
+               "backend.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -614,8 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
         "discover",
         help="mine GFDs from a graph",
         epilog="--backend multiprocess shards the mining over real worker "
-               "processes (shared-memory graph buffers; --no-shared-memory "
-               "selects the pickle transport).",
+               "processes over the zero-copy graph index (mmap store file "
+               "or shared memory).",
     )
     disc.add_argument("graph", help="graph file (.json or .tsv)")
     disc.add_argument("--k", type=int, default=3, help="pattern-variable bound")
@@ -630,9 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
                       default=None,
                       help="ParDis execution backend (default: serial, or "
                            "$REPRO_PARALLEL_BACKEND)")
-    disc.add_argument("--no-shared-memory", action="store_true",
-                      help="ship graph buffers to multiprocess workers by "
-                           "pickle instead of shared memory")
     disc.add_argument("--no-negative", action="store_true",
                       help="skip negative GFDs")
     disc.add_argument("--cover", action="store_true",
@@ -667,9 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
                       default=None,
                       help="session execution backend (default: serial, or "
                            "$REPRO_PARALLEL_BACKEND)")
-    pipe.add_argument("--no-shared-memory", action="store_true",
-                      help="ship graph buffers to multiprocess workers by "
-                           "pickle instead of shared memory")
     pipe.add_argument("--no-negative", action="store_true",
                       help="skip negative GFDs")
     pipe.add_argument("--output", help="write the cover to this file "
@@ -685,9 +676,9 @@ def build_parser() -> argparse.ArgumentParser:
         "enforce",
         help="validate a rule set with the compiled enforcement engine",
         epilog="--backend multiprocess evaluates the compiled plan on real "
-               "worker processes over the shared-memory graph index "
-               "(--no-shared-memory selects the pickle transport); match "
-               "shards stay resident in the workers across passes.",
+               "worker processes over the zero-copy graph index (mmap "
+               "store file or shared memory); match shards stay resident "
+               "in the workers across passes.",
     )
     enf.add_argument("graph", help="graph file (.json or .tsv)")
     enf.add_argument("rules", help="rule file (text lines or Σ .json)")
@@ -698,9 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     enf.add_argument("--workers", type=int, default=None,
                      help="evaluation shards (default: 1 serial / "
                           "4 multiprocess)")
-    enf.add_argument("--no-shared-memory", action="store_true",
-                     help="ship graph buffers to multiprocess workers by "
-                          "pickle instead of shared memory")
     enf.add_argument("--samples", type=int, default=5,
                      help="violating matches printed per rule (seeded "
                           "sample when the cap binds)")
@@ -774,9 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default=None,
                      help="execution backend of the single lane "
                           "(default: serial, or $REPRO_PARALLEL_BACKEND)")
-    srv.add_argument("--no-shared-memory", action="store_true",
-                     help="ship graph buffers to multiprocess workers by "
-                          "pickle instead of shared memory")
     srv.add_argument("--k", type=int, default=2,
                      help="startup-discovery pattern-variable bound")
     srv.add_argument("--sigma", type=int, default=10,

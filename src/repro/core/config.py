@@ -60,10 +60,11 @@ class FaultConfig:
     function of the index snapshot and that state, so replay reconstructs
     the worker exactly).  ``None`` (the default) runs unsupervised.
 
-    A supervised backend reports ``supports_staging = False`` (a staging
-    segment is unlinked right after its superstep, so the journal could
-    not replay it); skew rebalancing then fetches the parked rows through
-    the master, which is fully replayable.  Results are identical.
+    A supervised backend keeps everything a respawn must replay: large op
+    payloads travel in the journaled pickle channel instead of short-lived
+    shared segments, and an index refresh re-ships the whole snapshot
+    instead of a delta.  Skew rebalancing needs no special case — its
+    ``fetch_join`` is journaled like any other op.  Results are identical.
 
     Attributes:
         op_timeout_s: per-op deadline in seconds — a submission carrying
@@ -186,16 +187,13 @@ class DiscoveryConfig:
         parallel_backend: execution backend of ``ParDis`` — ``"serial"``
             runs the worker ops inline under the simulated cluster (exact
             historical semantics, no extra processes), ``"multiprocess"``
-            runs them in real per-worker processes over shared-memory graph
-            buffers.  Results are identical by construction (the
+            runs them in real per-worker processes that attach the frozen
+            index zero-copy (its mmap store file, else one shared-memory
+            segment).  Results are identical by construction (the
             differential harness asserts it).  Default ``"serial"``, or the
             ``REPRO_PARALLEL_BACKEND`` environment variable.
         num_workers: default worker count ``n`` for parallel runs when the
             engine call does not pass one (``None`` = the engine default, 4).
-        shared_memory: ship the frozen index to multiprocess workers via
-            ``multiprocessing.shared_memory`` (attach-once, zero-copy numpy
-            views).  Disabling — or running on a platform without shared
-            memory — falls back to pickling the buffers into each worker.
         fault: supervision policy of the multiprocess backend (timeouts,
             retry/respawn budgets, the degradation ladder) — see
             :class:`FaultConfig`.  ``None`` (the default) disables
@@ -227,7 +225,6 @@ class DiscoveryConfig:
     use_index: bool = True
     parallel_backend: str = field(default_factory=_default_backend)
     num_workers: Optional[int] = None
-    shared_memory: bool = True
     fault: Optional[FaultConfig] = field(default_factory=_default_fault)
 
     def __post_init__(self) -> None:
@@ -257,21 +254,20 @@ class EnforcementConfig:
 
     Enforcement is the consumer side of discovery: a fixed rule set ``Σ``
     is validated against a live graph, repeatedly.  The knobs mirror the
-    discovery ones where the machinery is shared (backend, workers, shared
-    memory, index) and add the delta-maintenance and reporting policies.
+    discovery ones where the machinery is shared (backend, workers, index)
+    and add the delta-maintenance and reporting policies.
 
     Attributes:
         backend: evaluation backend — ``"serial"`` evaluates the compiled
             plan inline on ``num_workers`` in-process shards,
             ``"multiprocess"`` on real per-worker processes attaching the
-            frozen graph index via shared memory (PR 2 machinery).  The
+            frozen graph index zero-copy (mmap store file or shared
+            memory), like discovery's.  The
             ``REPRO_PARALLEL_BACKEND`` environment variable sets the
             default, exactly as for discovery.
         num_workers: evaluation shards (``None`` = 1 for serial, 4 for
             multiprocess — serial sharding exists for differential testing,
             not speed).
-        shared_memory: ship the index to multiprocess workers via
-            ``multiprocessing.shared_memory`` (else pickle).
         use_index: evaluate against the frozen CSR index (the fast path).
             Disabling falls back to the dict-graph reference tables;
             results are identical.  The multiprocess backend requires the
@@ -306,7 +302,6 @@ class EnforcementConfig:
 
     backend: str = field(default_factory=_default_backend)
     num_workers: Optional[int] = None
-    shared_memory: bool = True
     use_index: bool = True
     max_delta_fraction: float = 0.25
     max_violations_per_rule: Optional[int] = None

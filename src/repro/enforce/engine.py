@@ -445,7 +445,6 @@ class EnforcementEngine:
             self.graph,
             index,
             self.plan.attributes(),
-            use_shared_memory=self.config.shared_memory,
             fault=self.config.fault,
             tracer=self.tracer,
         )

@@ -14,7 +14,6 @@ from .backend import (
 from .balancer import (
     assign_units_lpt,
     is_skewed,
-    plan_pivot_group_moves,
     rebalance_pivot_group_arrays,
     rebalance_pivot_groups,
     rebalance_shards,
@@ -49,7 +48,6 @@ __all__ = [
     "parallel_cover_ungrouped",
     "assign_units_lpt",
     "is_skewed",
-    "plan_pivot_group_moves",
     "rebalance_shards",
     "rebalance_pivot_groups",
     "rebalance_pivot_group_arrays",

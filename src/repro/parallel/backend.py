@@ -15,13 +15,14 @@ and its cover-phase rule set — and delegates execution to a backend:
 * :class:`MultiprocessBackend` runs each worker as a dedicated
   single-process :class:`~concurrent.futures.ProcessPoolExecutor` (one pool
   per worker gives task→worker affinity, which the shard state requires).
-  The frozen :class:`~repro.graph.index.GraphIndex` is shipped **once** via
-  ``multiprocessing.shared_memory`` — workers attach the flat numpy buffers
-  zero-copy — with a pickle fallback for platforms (or configs) without
-  shared memory.  Per-op compute seconds are measured worker-side and
-  charged back into the simulated-cluster ledger so the modeled BSP metrics
-  stay comparable across backends; real wall-clock lives in
-  ``DiscoveryResult.stats.elapsed_seconds``.
+  The frozen :class:`~repro.graph.index.GraphIndex` is shipped **once**:
+  workers mmap-attach its store file when a valid one exists, otherwise
+  attach one ``multiprocessing.shared_memory`` segment of its flat numpy
+  buffers — zero-copy either way.  A platform without shared memory cannot
+  run this backend (construction raises).  Per-op compute seconds are
+  measured worker-side and charged back into the simulated-cluster ledger
+  so the modeled BSP metrics stay comparable across backends; real
+  wall-clock lives in ``DiscoveryResult.stats.elapsed_seconds``.
 
 Both backends execute the same op implementations, so the discovered GFD
 sets are identical by construction — the randomized differential harness
@@ -34,15 +35,13 @@ shutdown` joins the pools, closes and unlinks.  ``tests/test_backend.py``
 asserts no segment survives a shutdown.
 
 Bulk data stays worker-resident by design: join results are *parked*
-worker-side, rebalanced pivot groups ship worker-to-worker through a
-shared-memory staging segment where :attr:`ExecutionBackend.
-supports_staging` says so (:meth:`MultiprocessBackend.create_stage` + the
-``stage_out``/``stage_in`` ops; otherwise they are fetched through the
-master), and enforcement match tables persist in
-the workers across :meth:`~repro.enforce.engine.EnforcementEngine.refresh`
-calls.  The :class:`TransferLedger` on every backend counts exactly which
-match rows cross the master boundary, so tests and benchmarks can *prove*
-that only manifests and scalars travel.
+worker-side (only a skewed join is fetched through the master, re-dealt in
+whole pivot groups and shipped back out), and enforcement match tables
+persist in the workers across
+:meth:`~repro.enforce.engine.EnforcementEngine.refresh` calls.  The
+:class:`TransferLedger` on every backend counts exactly which match rows
+cross the master boundary, so tests and benchmarks can *prove* that only
+manifests and scalars travel.
 
 One transport: a batch's requests are grouped by worker and each worker's
 whole op sequence travels as **one** ``_mp_execute_fused`` submission — one
@@ -58,7 +57,7 @@ import itertools
 import pickle
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -159,24 +158,18 @@ class TransferLedger:
         rows_to_master: match rows returned worker → master in op results
             (un-parked joins, fetched joins, violating rows of enforcement
             reports).
-        rows_staged: match rows moved worker ↔ worker through a shared
-            staging segment — they never visit the master.
         sigma_rules: GFDs broadcast to workers for the cover phase
             (manifests, not match rows; tracked for completeness).
     """
 
     rows_to_workers: int = 0
     rows_to_master: int = 0
-    rows_staged: int = 0
     sigma_rules: int = 0
 
     def snapshot(self) -> "TransferLedger":
         """An immutable copy (for before/after deltas in tests)."""
         return TransferLedger(
-            self.rows_to_workers,
-            self.rows_to_master,
-            self.rows_staged,
-            self.sigma_rules,
+            self.rows_to_workers, self.rows_to_master, self.sigma_rules
         )
 
 
@@ -286,11 +279,6 @@ def _account(backend: "ExecutionBackend", op: str, payload: Dict[str, Any],
     if op == "sigma":
         ledger.sigma_rules += len(payload.get("sigma", ()))
         return
-    if op == "stage_out":
-        ledger.rows_staged += sum(result)
-        return
-    if op == "stage_in":
-        return  # the same rows were already counted at stage_out
     ledger.rows_to_master += _result_rows(op, result)
 
 
@@ -438,75 +426,6 @@ class ShardWorker:
     def op_fetch_join(self, key: int, payload: Dict[str, Any]):
         """Surrender one parked join result to the master (for rebalancing)."""
         return self.joins.pop((key, payload["position"]))
-
-    def op_join_groups(self, key: int, payload: Dict[str, Any]):
-        """Pivot-group manifest of one parked join: ``(pivots, counts)``.
-
-        The master plans rebalancing moves from these summaries alone
-        (:func:`~repro.parallel.balancer.plan_pivot_group_moves`) — pivot
-        node ids and row counts are scalars, so skew detection and move
-        planning never ship a match row.
-        """
-        matches = self.joins[(key, payload["position"])]
-        pivots = matches[:, payload["pivot"]]
-        uniques, counts = np.unique(pivots, return_counts=True)
-        return uniques, counts
-
-    def op_stage_out(self, key: int, payload: Dict[str, Any]) -> List[int]:
-        """Write outbound pivot groups of a parked join into a staging segment.
-
-        ``sends`` entries are ``(byte offset, pivot id array)``; the rows of
-        each listed pivot group are copied contiguously into the shared
-        segment at the given offset and removed from the parked join.  Only
-        the per-send row counts return to the master (sanity scalars) — the
-        rows go worker-to-worker through the segment.
-        """
-        slot = (key, payload["position"])
-        matches = self.joins[slot]
-        segment = _attach_segment(payload["segment"])
-        written: List[int] = []
-        try:
-            pivot_column = matches[:, payload["pivot"]]
-            removed = np.zeros(matches.shape[0], dtype=bool)
-            for offset, pivots in payload["sends"]:
-                mask = np.isin(pivot_column, pivots)
-                rows = matches[mask]
-                removed |= mask
-                view = np.ndarray(
-                    rows.shape, dtype=np.int64,
-                    buffer=segment.buf, offset=offset,
-                )
-                view[...] = rows
-                written.append(int(rows.shape[0]))
-            self.joins[slot] = matches[~removed]
-        finally:
-            segment.close()
-        return written
-
-    def op_stage_in(self, key: int, payload: Dict[str, Any]) -> int:
-        """Append staged pivot groups to this worker's parked join.
-
-        ``spans`` entries are ``(byte offset, row count)`` into the staging
-        segment; rows are *copied* out (the master unlinks the segment right
-        after the superstep).  Returns the received row count.
-        """
-        slot = (key, payload["position"])
-        width = payload["width"]
-        segment = _attach_segment(payload["segment"])
-        try:
-            parts = [self.joins[slot]]
-            received = 0
-            for offset, count in payload["spans"]:
-                view = np.ndarray(
-                    (count, width), dtype=np.int64,
-                    buffer=segment.buf, offset=offset,
-                )
-                parts.append(np.array(view, copy=True))
-                received += count
-            self.joins[slot] = np.concatenate(parts)
-        finally:
-            segment.close()
-        return received
 
     # -- HSpawn ---------------------------------------------------------
     def op_scan(self, key: int, payload: Dict[str, Any]) -> Tuple[List[int], List[int]]:
@@ -783,9 +702,6 @@ class ExecutionBackend:
     #: Whether workers live in other processes (payloads cross a pickle
     #: boundary, so bulk data should stay worker-resident when possible).
     remote: bool = False
-    #: Whether workers can exchange rows through a shared staging segment
-    #: (worker-to-worker shipping without a master round-trip).
-    supports_staging: bool = False
     #: Identity of the graph snapshot the workers were built around; an
     #: engine refuses to run on a backend holding a different snapshot.
     source_token: Tuple = ()
@@ -829,16 +745,6 @@ class ExecutionBackend:
         discovery-phase tables across a swap; those cache columns of the
         old snapshot.
         """
-        raise NotImplementedError
-
-    def create_stage(self, nbytes: int):
-        """Create a worker-to-worker staging segment (master-owned)."""
-        raise NotImplementedError(
-            f"the {self.name} backend does not support staging"
-        )
-
-    def release_stage(self, segment) -> None:
-        """Close and unlink a staging segment after its superstep."""
         raise NotImplementedError
 
     def shutdown(self) -> None:
@@ -941,8 +847,6 @@ class _SharedArrayPack:
     """
 
     def __init__(self, arrays: Dict[str, np.ndarray]) -> None:
-        if _shared_memory is None:  # pragma: no cover - platform dependent
-            raise RuntimeError("multiprocessing.shared_memory is unavailable")
         layout: Dict[str, Tuple[str, Tuple[int, ...], int]] = {}
         contiguous: Dict[str, np.ndarray] = {}
         offset = 0
@@ -1129,89 +1033,63 @@ _MAPPING: Optional[Any] = None
 _FAULTS: Optional[FaultPlan] = None
 
 
-def _attach_store_index(path: str) -> "GraphIndex":
-    """Worker-side mmap attach of a persisted index snapshot.
+def _index_from_spec(spec: Dict[str, Any], segment_name: Optional[str]):
+    """``(index, segment chain)`` of one shipped snapshot.
 
-    The store's own loader does everything: header verification, zero-copy
-    views, janitor mapping registration in *this* process.  Tracks the
-    mapping in ``_MAPPING`` so a later full re-attach can release it.
+    The spec names an mmap store file (``mmap_path``; the store's loader
+    verifies the header and registers the mapping with this process's
+    janitor) or carries the ``meta`` + ``layout`` of the shared segment
+    ``segment_name``; a spec with neither is graph-free (the cover phase
+    works on ``Σ`` alone and needs no index) and yields ``None``.
     """
-    global _MAPPING
-    from ..graph.store import load_index
+    if spec.get("mmap_path") is not None:
+        from ..graph.store import load_index
 
-    index = load_index(path, mmap=True)
-    _MAPPING = index.store_mapping
-    return index
+        return load_index(spec["mmap_path"], mmap=True), []
+    if spec.get("meta") is None:
+        return None, []
+    segment = _attach_segment(segment_name)
+    arrays = _views_from_layout(spec["layout"], segment.buf)
+    return GraphIndex.from_buffers(spec["meta"], arrays), [segment]
 
 
 def _mp_initialize(
     spec_blob: bytes,
     segment_name: Optional[str],
-    arrays_blob: Optional[bytes],
     worker_id: int = 0,
     fault_blob: Optional[bytes] = None,
 ) -> None:
-    """Pool initializer: attach the index buffers and build the worker.
+    """Pool initializer: attach the index and build the worker.
 
-    A spec without ``meta`` builds a graph-free worker (the cover phase
-    works on ``Σ`` alone and needs no index).  ``fault_blob`` arms a
-    pickled :class:`~repro.parallel.faults.FaultPlan` in this process —
-    the chaos hook; respawned workers normally receive ``None``.
+    ``fault_blob`` arms a pickled :class:`~repro.parallel.faults.FaultPlan`
+    in this process — the chaos hook; respawned workers normally receive
+    ``None``.
     """
-    global _WORKER, _SEGMENTS, _FAULTS
+    global _WORKER, _SEGMENTS, _MAPPING, _FAULTS
     plan = pickle.loads(fault_blob) if fault_blob is not None else None
     _FAULTS = plan if plan is not None and plan.applies_to(worker_id) else None
     spec = pickle.loads(spec_blob)
-    if spec.get("mmap_path") is not None:
-        index = _attach_store_index(spec["mmap_path"])
-        _WORKER = ShardWorker(None, index, spec["gamma"])
-        return
-    if spec.get("meta") is None:
-        _WORKER = ShardWorker(None, None, spec["gamma"])
-        return
-    if segment_name is not None:
-        segment = _attach_segment(segment_name)
-        _SEGMENTS = [segment]
-        arrays = _views_from_layout(spec["layout"], segment.buf)
-    else:
-        arrays = pickle.loads(arrays_blob)
-    index = GraphIndex.from_buffers(spec["meta"], arrays)
+    index, _SEGMENTS = _index_from_spec(spec, segment_name)
+    _MAPPING = getattr(index, "store_mapping", None)
     _WORKER = ShardWorker(None, index, spec["gamma"])
 
 
-def _mp_attach_index(
-    spec_blob: bytes, segment_name: Optional[str], arrays_blob: Optional[bytes]
-) -> bool:
+def _mp_attach_index(spec_blob: bytes, segment_name: Optional[str]) -> bool:
     """Swap the worker process onto a new full index snapshot.
 
     Builds the new detached :class:`GraphIndex` first, then closes the old
-    segment chain — worker-resident state (parked joins, enforcement rows
-    and masks) survives untouched; only the index views are replaced.
+    segment chain and mapping — worker-resident state (parked joins,
+    enforcement rows and masks) survives untouched; only the index views
+    are replaced.
     """
     global _WORKER, _SEGMENTS, _MAPPING
-    spec = pickle.loads(spec_blob)
-    if spec.get("mmap_path") is not None:
-        old_mapping = _MAPPING
-        _WORKER.index = _attach_store_index(spec["mmap_path"])
-        old, _SEGMENTS = _SEGMENTS, []
-        for segment in old:
-            segment.close()
-        if old_mapping is not None and old_mapping is not _MAPPING:
-            old_mapping.close()
-        return True
-    if segment_name is not None:
-        segment = _attach_segment(segment_name)
-        chain = [segment]
-        arrays = _views_from_layout(spec["layout"], segment.buf)
-    else:
-        chain = []
-        arrays = pickle.loads(arrays_blob)
-    _WORKER.index = GraphIndex.from_buffers(spec["meta"], arrays)
+    index, chain = _index_from_spec(pickle.loads(spec_blob), segment_name)
+    _WORKER.index = index
     old, _SEGMENTS = _SEGMENTS, chain
-    old_mapping, _MAPPING = _MAPPING, None
+    old_mapping, _MAPPING = _MAPPING, index.store_mapping
     for segment in old:
         segment.close()
-    if old_mapping is not None:
+    if old_mapping is not None and old_mapping is not _MAPPING:
         old_mapping.close()
     return True
 
@@ -1230,26 +1108,21 @@ def _index_arrays(index: GraphIndex) -> Dict[str, np.ndarray]:
     return arrays
 
 
-def _mp_attach_delta(
-    spec_blob: bytes, segment_name: Optional[str], arrays_blob: Optional[bytes]
-) -> bool:
+def _mp_attach_delta(spec_blob: bytes, segment_name: str) -> bool:
     """Merge a changed-array delta into the worker's current index.
 
     ``spec["names"]`` lists every array of the *new* snapshot; changed ones
-    arrive in the delta segment (or pickled), unchanged ones are taken from
-    the live index — byte-identical to what a full re-export would ship,
-    since unchanged means bytewise-equal under the new meta.  The delta
-    segment joins the attachment chain (its views live as long as the
-    index); dropped arrays simply stop being referenced.
+    arrive in the delta segment, unchanged ones are taken from the live
+    index — byte-identical to what a full re-export would ship, since
+    unchanged means bytewise-equal under the new meta.  The delta segment
+    joins the attachment chain (its views live as long as the index);
+    dropped arrays simply stop being referenced.
     """
     global _WORKER, _SEGMENTS
     spec = pickle.loads(spec_blob)
-    if segment_name is not None:
-        segment = _attach_segment(segment_name)
-        changed = _views_from_layout(spec["layout"], segment.buf)
-        _SEGMENTS.append(segment)
-    else:
-        changed = pickle.loads(arrays_blob)
+    segment = _attach_segment(segment_name)
+    changed = _views_from_layout(spec["layout"], segment.buf)
+    _SEGMENTS.append(segment)
     current = _index_arrays(_WORKER.index)
     merged = {
         name: changed[name] if name in changed else current[name]
@@ -1297,7 +1170,8 @@ class MultiprocessBackend(ExecutionBackend):
     One single-process :class:`ProcessPoolExecutor` per worker pins shard
     state to its process (plain pools cannot route tasks).  Construction
     blocks until every worker has attached, so export/attach errors surface
-    in the master, not as broken futures mid-run.
+    in the master, not as broken futures mid-run; a platform without
+    ``multiprocessing.shared_memory`` fails before any pool starts.
 
     ``index=None`` builds *graph-free* workers: the cover phase
     (:func:`~repro.parallel.parcover.parallel_cover`) operates on ``Σ``
@@ -1313,10 +1187,14 @@ class MultiprocessBackend(ExecutionBackend):
         num_workers: int,
         index: Optional[GraphIndex],
         gamma: Sequence[str],
-        use_shared_memory: bool = True,
         fault: Optional[FaultConfig] = None,
         tracer: Any = NULL_TRACER,
     ) -> None:
+        if not shared_memory_available():
+            raise RuntimeError(
+                "the multiprocess backend needs multiprocessing.shared_memory, "
+                "which this platform lacks; use the serial backend"
+            )
         self.num_workers = num_workers
         self.tracer = tracer
         # pin the snapshot: the token is id()-based, so the objects must
@@ -1324,21 +1202,10 @@ class MultiprocessBackend(ExecutionBackend):
         # falsely validate a different graph
         self._index = index
         self._gamma = list(gamma)
-        self._use_shared_memory = bool(
-            use_shared_memory and shared_memory_available()
-        )
         self._fault = fault
         self._plan = (
             FaultPlan.from_json(fault.fault_plan) if fault is not None else None
         )
-        # staging honors the same opt-out as the index transport: with
-        # shared memory disabled (or absent), rebalancing falls back to
-        # the fetch-through-master route instead of allocating segments.
-        # Supervision disables it too: staging segments are unlinked right
-        # after their superstep, so an install-log replay could not
-        # reconstruct them — the fetch-through-master fallback is fully
-        # replayable and produces identical results.
-        self.supports_staging = self._use_shared_memory and fault is None
         self.transfers = TransferLedger()
         self.lifecycle = LifecycleCounters(
             pools_started=num_workers,
@@ -1365,8 +1232,8 @@ class MultiprocessBackend(ExecutionBackend):
         self.recovery_seconds = 0.0
         self.buffers: Optional[SharedIndexBuffers] = None
         #: How the index snapshot reaches the workers: ``mmap`` (persisted
-        #: store file), ``shm`` (shared-memory segment), ``pickle``
-        #: (fallback channel) or ``none`` (graph-free pool).
+        #: store file), ``shm`` (shared-memory segment) or ``none``
+        #: (graph-free pool).
         self.index_transport = "none"
         self._base_initargs, self.buffers = self._index_initargs(index)
         if tracer.enabled and index is not None:
@@ -1416,20 +1283,19 @@ class MultiprocessBackend(ExecutionBackend):
     ) -> Tuple[Tuple, Optional[SharedIndexBuffers]]:
         """``(initializer args, owned buffers)`` for shipping one snapshot.
 
-        Transport ladder, best first: a *persisted* snapshot
-        (``index.store_path`` naming a store file whose fingerprint still
-        matches) ships as just the path — every worker mmap-attaches the
-        file and the master allocates nothing; otherwise the arrays are
-        packed into one shared-memory segment; without shared memory they
-        fall back to the pickle channel.  The chosen route is recorded in
-        :attr:`index_transport`.  All three routes are replayable from
-        ``_base_initargs`` by a supervised respawn (the store file must
-        simply outlive the backend, like the segment does).
+        A *persisted* snapshot (``index.store_path`` naming a store file
+        whose fingerprint still matches) ships as just the path — every
+        worker mmap-attaches the file and the master allocates nothing;
+        otherwise the arrays are packed into one shared-memory segment.
+        The chosen route is recorded in :attr:`index_transport`.  Both
+        routes are replayable from ``_base_initargs`` by a supervised
+        respawn (the store file must simply outlive the backend, like the
+        segment does).
         """
         if index is None:
             self.index_transport = "none"
             spec = {"meta": None, "gamma": self._gamma}
-            return (pickle.dumps(spec), None, None), None
+            return (pickle.dumps(spec), None), None
         store_path = getattr(index, "store_path", None)
         if store_path is not None:
             from ..graph.store import snapshot_matches
@@ -1443,24 +1309,20 @@ class MultiprocessBackend(ExecutionBackend):
                     "mmap_path": str(store_path),
                     "gamma": self._gamma,
                 }
-                return (pickle.dumps(spec), None, None), None
-        if self._use_shared_memory:
-            self.index_transport = "shm"
-            buffers = SharedIndexBuffers(index)
-            spec = {
-                "meta": buffers.meta,
-                "layout": buffers.layout,
-                "gamma": self._gamma,
-            }
-            return (pickle.dumps(spec), buffers.name, None), buffers
-        self.index_transport = "pickle"
-        meta, arrays = index.export_buffers()
-        spec = {"meta": meta, "gamma": self._gamma}
-        return (pickle.dumps(spec), None, pickle.dumps(arrays)), None
+                return (pickle.dumps(spec), None), None
+        self.index_transport = "shm"
+        buffers = SharedIndexBuffers(index)
+        spec = {
+            "meta": buffers.meta,
+            "layout": buffers.layout,
+            "gamma": self._gamma,
+        }
+        return (pickle.dumps(spec), buffers.name), buffers
 
     @property
     def shm_name(self) -> Optional[str]:
-        """The shared segment's name (None on the pickle-fallback path)."""
+        """The index segment's name (``None`` on the mmap or graph-free
+        transport)."""
         return self.buffers.name if self.buffers is not None else None
 
     def refresh_index(self, index: GraphIndex) -> None:
@@ -1480,8 +1342,8 @@ class MultiprocessBackend(ExecutionBackend):
         if self._fault is None and self._last_export is not None:
             export = index.export_buffers()
             changed = self._changed_arrays(export)
-            if changed is not None and self._refresh_delta(index, export,
-                                                           changed):
+            if changed is not None:
+                self._refresh_delta(index, export, changed)
                 return
         initargs, new_buffers = self._index_initargs(index)
         try:
@@ -1547,7 +1409,7 @@ class MultiprocessBackend(ExecutionBackend):
 
     def _refresh_delta(
         self, index: GraphIndex, export, changed: Dict[str, np.ndarray]
-    ) -> bool:
+    ) -> None:
         """Ship only the changed arrays; workers merge with their views.
 
         The delta segment is released (unlinked) as soon as every worker
@@ -1558,31 +1420,24 @@ class MultiprocessBackend(ExecutionBackend):
         reconstruct.
         """
         meta, arrays = export
-        spec: Dict[str, Any] = {
-            "meta": meta,
-            "gamma": self._gamma,
-            "names": sorted(arrays),
-        }
-        pack: Optional[_SharedArrayPack] = None
-        if self._use_shared_memory:
-            pack = _SharedArrayPack(changed)
-            spec["layout"] = pack.layout
-            initargs = (pickle.dumps(spec), pack.name, None)
-        else:
-            initargs = (pickle.dumps(spec), None, pickle.dumps(changed))
+        pack = _SharedArrayPack(changed)
+        spec_blob = pickle.dumps(
+            {
+                "meta": meta,
+                "gamma": self._gamma,
+                "names": sorted(arrays),
+                "layout": pack.layout,
+            }
+        )
         try:
             futures = [
-                pool.submit(_mp_attach_delta, *initargs)
+                pool.submit(_mp_attach_delta, spec_blob, pack.name)
                 for worker, pool in enumerate(self._pools)
                 if worker not in self._local
             ]
             for future in futures:
                 future.result()
-        except Exception:
-            if pack is not None:
-                pack.close()
-            raise
-        if pack is not None:
+        finally:
             pack.close()
         self._index = index
         for shard in self._local.values():  # pragma: no cover - fault-only
@@ -1595,22 +1450,6 @@ class MultiprocessBackend(ExecutionBackend):
             self.tracer.event(
                 "index_refresh", mode="delta", changed_arrays=len(changed)
             )
-        return True
-
-    def create_stage(self, nbytes: int):
-        """A fresh staging segment for one worker-to-worker exchange."""
-        if not self.supports_staging:  # pragma: no cover - platform dependent
-            raise RuntimeError("shared memory is unavailable")
-        return janitor.create_segment(nbytes)
-
-    def release_stage(self, segment) -> None:
-        """Unlink a staging segment once both sides of the exchange ran."""
-        janitor.unregister(segment)
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
 
     # ------------------------------------------------------------------
     # supervision: journal, recovery, degradation
@@ -1619,9 +1458,8 @@ class MultiprocessBackend(ExecutionBackend):
     #: of this journal (against the current index snapshot) reconstructs a
     #: respawned worker's resident state exactly: every op is a
     #: deterministic function of (index, installed state, payload).
-    #: Read-only ops (tally, join_groups, implication_batch, cover_probe)
-    #: and un-parked joins are never journaled; staging ops
-    #: cannot appear (supervised backends disable staging).
+    #: Read-only ops (tally, implication_batch, cover_probe) and un-parked
+    #: joins are never journaled.
     _JOURNALED_OPS = frozenset(
         {
             "install",
@@ -1784,7 +1622,10 @@ class MultiprocessBackend(ExecutionBackend):
         """Dispatch one worker's element list; returns a handle to collect.
 
         Demoted slots execute inline immediately — every earlier op of a
-        demoted worker already ran inline, so in-order semantics hold.
+        demoted worker already ran inline, so in-order semantics hold.  A
+        supervised pool found broken at submit (its worker died during an
+        uncollected fire-and-forget batch) yields a failed handle, so
+        :meth:`_collect_fused` recovers it like any other crash.
         """
         if worker in self._local:
             return (
@@ -1794,10 +1635,14 @@ class MultiprocessBackend(ExecutionBackend):
                     for op, key, payload in elements
                 ],
             )
-        return (
-            self._generation[worker],
-            self._pools[worker].submit(_mp_execute_fused, elements),
-        )
+        try:
+            future = self._pools[worker].submit(_mp_execute_fused, elements)
+        except BrokenProcessPool as error:
+            if self._fault is None:
+                raise
+            future = Future()
+            future.set_exception(error)
+        return self._generation[worker], future
 
     def _collect_fused(self, worker: int,
                        elements: List[Tuple[str, int, Dict[str, Any]]],
@@ -1867,12 +1712,12 @@ class MultiprocessBackend(ExecutionBackend):
         """
         requests = list(requests)
         staged, pack = requests, None
-        if wait and self._use_shared_memory and self._fault is None:
+        if wait and self._fault is None:
             # large arrays ride a payload segment.  Not fire-and-forget
             # batches (drops carry no arrays, and the segment must outlive
             # the worker's resolve); not supervised ones (a journal replay
-            # could not reconstruct an unlinked segment — same rationale
-            # as staging — while pickled payloads are fully replayable)
+            # could not reconstruct an unlinked segment, while pickled
+            # payloads are fully replayable)
             staged, pack = _stage_payloads(requests)
         try:
             groups = self._worker_groups(requests)
@@ -1956,7 +1801,6 @@ def make_backend(
     graph: Optional[Graph],
     index: Optional[GraphIndex],
     gamma: Sequence[str],
-    use_shared_memory: bool = True,
     fault: Any = "auto",
     tracer: Any = NULL_TRACER,
 ) -> ExecutionBackend:
@@ -1987,7 +1831,6 @@ def make_backend(
             num_workers,
             index,
             gamma,
-            use_shared_memory=use_shared_memory,
             fault=fault,
             tracer=tracer,
         )

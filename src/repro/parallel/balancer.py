@@ -24,7 +24,6 @@ __all__ = [
     "rebalance_shards",
     "rebalance_pivot_groups",
     "rebalance_pivot_group_arrays",
-    "plan_pivot_group_moves",
     "assign_units_lpt",
 ]
 
@@ -175,65 +174,6 @@ def rebalance_pivot_group_arrays(
         new_shards[worker] = np.concatenate((new_shards[worker], group))
         moved[worker] = moved.get(worker, 0) + int(group.shape[0])
     return new_shards, moved
-
-
-def plan_pivot_group_moves(
-    summaries: Sequence[Tuple[np.ndarray, np.ndarray]],
-) -> Tuple[Dict[Tuple[int, int], Tuple[List[int], int]], Dict[int, int]]:
-    """Plan pivot-group moves from per-worker group *summaries* alone.
-
-    The summary-driven twin of :func:`rebalance_pivot_group_arrays`: where
-    that function moves rows the master is already holding, this one plans
-    the same greedy migration — overloaded shards keep groups in ascending
-    pivot order until the mean load, surplus groups go largest-first to the
-    least-loaded shards — from ``(pivot ids, row counts)`` pairs, so the
-    master never needs the rows.  Workers then exchange exactly the planned
-    groups through a shared staging segment (worker-to-worker shipping).
-
-    Args:
-        summaries: per worker, ``(pivots, counts)`` arrays as returned by
-            the ``join_groups`` op — pivot node ids ascending with their
-            per-group row counts.
-
-    Returns ``(moves, received)`` where ``moves[(src, dst)] = (pivot ids,
-    total rows)`` — a ``src == dst`` entry means the group stays put (no
-    transfer needed) — and ``received[worker] = rows received`` for
-    communication charging (receivers pay, as in
-    :func:`rebalance_pivot_groups`).
-    """
-    num_shards = len(summaries)
-    loads = [int(counts.sum()) for _, counts in summaries]
-    total = sum(loads)
-    target = total / num_shards if num_shards else 0.0
-
-    surplus: List[Tuple[int, int, int]] = []  # (src, pivot, rows)
-    new_loads: List[int] = []
-    for worker, (pivots, counts) in enumerate(summaries):
-        if loads[worker] <= target or loads[worker] == 0:
-            new_loads.append(loads[worker])
-            continue
-        kept = 0
-        kept_any = False
-        for pivot, count in zip(pivots.tolist(), counts.tolist()):
-            if kept + count <= target or not kept_any:
-                kept += count
-                kept_any = True
-            else:
-                surplus.append((worker, pivot, count))
-        new_loads.append(kept)
-
-    moves: Dict[Tuple[int, int], Tuple[List[int], int]] = {}
-    received: Dict[int, int] = {}
-    surplus.sort(key=lambda item: item[2], reverse=True)  # stable, like rows
-    for src, pivot, count in surplus:
-        dst = min(range(num_shards), key=lambda w: (new_loads[w], w))
-        new_loads[dst] += count
-        pivot_ids, rows = moves.get((src, dst), ([], 0))
-        pivot_ids.append(pivot)
-        moves[(src, dst)] = (pivot_ids, rows + count)
-        if src != dst:
-            received[dst] = received.get(dst, 0) + count
-    return moves, received
 
 
 def assign_units_lpt(

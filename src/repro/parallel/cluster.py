@@ -45,9 +45,6 @@ class WorkerMetrics:
     comm_seconds: float = 0.0
     units_executed: int = 0
     items_received: int = 0
-    #: Items received worker-to-worker through a staging segment (a subset
-    #: of the communication charge that never transits the master).
-    items_staged: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -208,16 +205,6 @@ class _Superstep:
         metrics = self._cluster.workers[worker]
         metrics.comm_seconds += cost
         metrics.items_received += items
-
-    def stage(self, worker: int, items: int) -> None:
-        """Charge ``worker`` for items received worker-to-worker.
-
-        Same linear cost model as :meth:`ship` (the receiver pays), but
-        tracked separately: staged items cross a shared-memory segment
-        between workers instead of transiting the master.
-        """
-        self.ship(worker, items)
-        self._cluster.workers[worker].items_staged += items
 
     def broadcast(self, items: int, exclude: Optional[int] = None) -> None:
         """Charge every worker (except ``exclude``) for a broadcast."""

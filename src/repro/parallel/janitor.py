@@ -2,8 +2,8 @@
 
 ``multiprocessing.shared_memory`` segments are kernel objects: a crashed
 master leaves them behind in ``/dev/shm`` until a reboot.  Every segment
-this package creates (index buffers, worker-to-worker staging) is therefore
-routed through this module:
+this package creates (index buffers, index deltas, large op payloads) is
+therefore routed through this module:
 
 * :func:`create_segment` allocates a segment under a recognizable name
   (``repro_shm_<pid>_<seq>``) and registers it;

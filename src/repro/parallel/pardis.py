@@ -72,7 +72,6 @@ from .backend import (
 )
 from .balancer import (
     is_skewed,
-    plan_pivot_group_moves,
     rebalance_pivot_group_arrays,
     rebalance_pivot_groups,
 )
@@ -137,8 +136,7 @@ class ParallelDiscovery(SequentialDiscovery):
     Args:
         graph: the data graph.
         config: discovery parameters (shared with the sequential algorithm);
-            ``config.parallel_backend`` selects the execution backend and
-            ``config.shared_memory`` its buffer transport.
+            ``config.parallel_backend`` selects the execution backend.
         num_workers: the number ``n`` of workers (``None`` falls back to
             ``config.num_workers``, then 4).
         balance: enable match re-distribution on skew (Section 6.2's load
@@ -222,7 +220,6 @@ class ParallelDiscovery(SequentialDiscovery):
                 self.graph,
                 self.index,
                 self.gamma,
-                use_shared_memory=self.config.shared_memory,
                 fault=self.config.fault,
                 tracer=self.cluster.tracer,
             )
@@ -426,111 +423,6 @@ class ParallelDiscovery(SequentialDiscovery):
             return count
         return None
 
-    def _rebalance_direct(
-        self, parent_key: int, position: int, node: TreeNode
-    ) -> None:
-        """Rebalance a skewed parked join worker-to-worker.
-
-        Three manifest-only rounds replace the fetch-to-master round-trip:
-
-        1. every worker summarizes its parked join as ``(pivot ids, row
-           counts)`` (``join_groups``) — scalars;
-        2. the master plans whole-pivot-group moves from the summaries
-           (:func:`~repro.parallel.balancer.plan_pivot_group_moves` — the
-           same greedy as the master-side rebalance) and lays out one
-           shared staging segment with a contiguous span per ``(src,
-           dst)`` transfer;
-        3. senders copy the planned groups into their spans
-           (``stage_out``), receivers splice them into their parked joins
-           (``stage_in``) — the rows go worker-to-worker through shared
-           memory and never visit the master, which the backend's
-           :class:`~repro.parallel.backend.TransferLedger` makes provable.
-
-        The join result stays parked under ``(parent_key, position)``, so
-        the upcoming install adopts it as usual.
-        """
-        n = self.num_workers
-        pivot = node.pattern.pivot
-        width = node.pattern.num_nodes
-        requests = [
-            (
-                worker,
-                "join_groups",
-                parent_key,
-                {"position": position, "pivot": pivot},
-            )
-            for worker in range(n)
-        ]
-        with self.cluster.superstep() as step:
-            summaries = self._backend.run_superstep(step, requests)
-        self.cluster.ship_to_master(
-            sum(2 * len(pivots) for pivots, _ in summaries)
-        )
-        with self.cluster.master():
-            moves, _received = plan_pivot_group_moves(summaries)
-            # src == dst means "keep the group" — no transfer needed
-            transfers = {
-                key: value
-                for key, value in moves.items()
-                if key[0] != key[1] and value[1] > 0
-            }
-        if not transfers:
-            return
-        offsets: Dict[Tuple[int, int], int] = {}
-        cursor = 0
-        for key in sorted(transfers):
-            offsets[key] = cursor
-            cursor += transfers[key][1] * width * 8
-        segment = self._backend.create_stage(cursor)
-        try:
-            sends: Dict[int, List[Tuple[int, np.ndarray]]] = {}
-            spans: Dict[int, List[Tuple[int, int]]] = {}
-            for (src, dst), (pivots, rows) in sorted(transfers.items()):
-                sends.setdefault(src, []).append(
-                    (offsets[(src, dst)], np.asarray(pivots, dtype=np.int64))
-                )
-                spans.setdefault(dst, []).append((offsets[(src, dst)], rows))
-            out_requests = [
-                (
-                    src,
-                    "stage_out",
-                    parent_key,
-                    {
-                        "position": position,
-                        "pivot": pivot,
-                        "segment": segment.name,
-                        "sends": send_list,
-                    },
-                )
-                for src, send_list in sorted(sends.items())
-            ]
-            # two supersteps: every sender must have written its spans
-            # before any receiver reads (the BSP barrier provides this)
-            with self.cluster.superstep() as step:
-                self._backend.run_superstep(step, out_requests)
-            in_requests = [
-                (
-                    dst,
-                    "stage_in",
-                    parent_key,
-                    {
-                        "position": position,
-                        "width": width,
-                        "segment": segment.name,
-                        "spans": span_list,
-                    },
-                )
-                for dst, span_list in sorted(spans.items())
-            ]
-            with self.cluster.superstep() as step:
-                for dst, span_list in sorted(spans.items()):
-                    step.stage(
-                        dst, sum(rows for _, rows in span_list) * width
-                    )
-                self._backend.run_superstep(step, in_requests)
-        finally:
-            self._backend.release_stage(segment)
-
     def _vspawn_level(
         self, tree: GenerationTree, level: int
     ) -> List[TreeNode]:
@@ -704,14 +596,7 @@ class ParallelDiscovery(SequentialDiscovery):
                 if not truncated and self.balance and is_skewed(sizes):
                     # matches move in whole pivot groups, preserving the
                     # pivot-disjointness that makes supports summable
-                    staged = remote and self._backend.supports_staging
-                    if staged:
-                        # worker-to-worker through a staging segment: the
-                        # master sees only (pivot, count) manifests and the
-                        # rows stay parked for the install to adopt
-                        self._rebalance_direct(parent_key, position, node)
-                    elif remote:
-                        # no staging (supervised, or no shared memory):
+                    if remote:
                         # the parked rows visit the master to be re-dealt
                         fetch = [
                             (
@@ -727,20 +612,19 @@ class ParallelDiscovery(SequentialDiscovery):
                                 step, fetch
                             )
                         adopt = None
-                    if not staged:
-                        if self.index is not None:
-                            new_shards, moved = rebalance_pivot_group_arrays(
-                                new_shards, node.pattern.pivot
+                    if self.index is not None:
+                        new_shards, moved = rebalance_pivot_group_arrays(
+                            new_shards, node.pattern.pivot
+                        )
+                    else:
+                        new_shards, moved = rebalance_pivot_groups(
+                            new_shards, node.pattern.pivot
+                        )
+                    with self.cluster.superstep() as step:
+                        for worker, received in moved.items():
+                            step.ship(
+                                worker, received * node.pattern.num_nodes
                             )
-                        else:
-                            new_shards, moved = rebalance_pivot_groups(
-                                new_shards, node.pattern.pivot
-                            )
-                        with self.cluster.superstep() as step:
-                            for worker, received in moved.items():
-                                step.ship(
-                                    worker, received * node.pattern.num_nodes
-                                )
                 install_batch.append((node, new_shards, truncated, adopt))
 
         # round 3 — every joined child's install in one superstep

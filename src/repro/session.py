@@ -94,14 +94,14 @@ class SessionMetrics:
     after a full discover → cover → enforce → refresh pipeline,
     ``backend_starts == 1`` and ``lifecycle.index_attaches == 1``.
 
-    :meth:`as_dict` renders the documented **schema v3** (see there) and
+    :meth:`as_dict` renders the documented **schema v4** (see there) and
     :meth:`registry` lifts the same snapshot into a
     :class:`~repro.obs.metrics.MetricsRegistry` for Prometheus-style
     exposition.
     """
 
     #: Version of the :meth:`as_dict` layout.  Bump on any key change.
-    SCHEMA_VERSION = 3
+    SCHEMA_VERSION = 4
 
     backend_name: str
     num_workers: int
@@ -125,7 +125,7 @@ class SessionMetrics:
     def as_dict(self) -> Dict[str, Any]:
         """A JSON-serializable rendering (CI artifacts, ``--metrics``).
 
-        **Schema v3.**  Every top-level key except ``timings`` holds only
+        **Schema v4.**  Every top-level key except ``timings`` holds only
         deterministic values — names, worker counts, event counts — so two
         runs over the same input diff cleanly.  All wall-clock derived
         floats (phase seconds, recovery seconds) are isolated under the
@@ -135,7 +135,7 @@ class SessionMetrics:
 
         Keys: ``schema_version``, ``repro_version``, ``backend``,
         ``num_workers``, ``backend_starts``, ``lifecycle`` (6 lifecycle
-        counts), ``faults`` (4 fault counts), ``transfers`` (4 row/rule
+        counts), ``faults`` (4 fault counts), ``transfers`` (3 row/rule
         counts), ``cluster`` (``supersteps``), ``phases``, ``sigma_size``,
         ``cover_cost_observations``, ``timings`` (``parallel_seconds``,
         ``master_seconds``, ``total_work_seconds``, ``recovery_seconds``,
@@ -166,7 +166,6 @@ class SessionMetrics:
             "transfers": {
                 "rows_to_workers": self.transfers.rows_to_workers,
                 "rows_to_master": self.transfers.rows_to_master,
-                "rows_staged": self.transfers.rows_staged,
                 "sigma_rules": self.transfers.sigma_rules,
             },
             "cluster": {
@@ -204,13 +203,13 @@ class Session:
             backend instead of rebuilding it.
         config: the :class:`~repro.core.config.DiscoveryConfig` driving
             discovery *and* the session's execution substrate
-            (``parallel_backend``, ``num_workers``, ``shared_memory``,
-            ``use_index``); ``None`` uses the defaults.
+            (``parallel_backend``, ``num_workers``, ``use_index``);
+            ``None`` uses the defaults.
         enforcement: enforcement policies (delta thresholds, sample caps,
             the per-rule violation cap, persistent tables).  The execution
-            knobs (``backend``, ``num_workers``, ``shared_memory``,
-            ``use_index``) are overridden by the session's — one backend
-            serves every phase.  ``None`` uses the defaults.
+            knobs (``backend``, ``num_workers``, ``use_index``, ``fault``)
+            are overridden by the session's — one backend serves every
+            phase.  ``None`` uses the defaults.
         num_workers: worker count ``n`` (overrides ``config.num_workers``;
             default: ``config.num_workers``, else 1 for the serial backend
             and 4 for multiprocess).
@@ -298,7 +297,6 @@ class Session:
             base,
             backend=self._backend_name,
             num_workers=num_workers,
-            shared_memory=self.config.shared_memory,
             use_index=self.config.use_index,
             fault=self.config.fault,
         )
@@ -411,7 +409,6 @@ class Session:
                 self.graph,
                 self._index,
                 self._gamma,
-                use_shared_memory=self.config.shared_memory,
                 fault=self.config.fault,
                 tracer=self.tracer,
             )

@@ -1,21 +1,20 @@
-"""Execution-backend tests: shared-memory lifecycle, fallbacks, the cap.
+"""Execution-backend tests: shared-memory lifecycle, skew rebalancing, the cap.
 
 Covers the multiprocess plumbing the differential harness treats as a black
 box: buffer export/attach round trips, stale-index export refusal, segment
 cleanup after shutdown (name probing — an unlinked segment must not be
-re-attachable), the pickle fallback transport, and the per-shard
-``max_matches_per_pattern`` enforcement that keeps both engines in
-agreement when the cap binds.
+re-attachable), the typed failure on a platform without shared memory, the
+one skew-rebalance route (fetch through the master) with its exact ledger,
+and the per-shard ``max_matches_per_pattern`` enforcement that keeps both
+engines in agreement when the cap binds.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from repro.core import DiscoveryConfig, FaultConfig, discover, gfd_identity
+from repro.core import DiscoveryConfig, discover, gfd_identity
 from repro.graph import Graph
 from repro.graph.index import GraphIndex
 from repro.parallel import (
@@ -148,17 +147,32 @@ class TestBackendLifecycle:
         with pytest.raises(FileNotFoundError):
             _probe_segment(tracked["name"])
 
-    def test_pickle_fallback_path(self):
+    def test_missing_shared_memory_fails_before_any_pool(self, monkeypatch):
+        """No ``multiprocessing.shared_memory``: a typed error at
+        construction — no worker pool, no segment, no silent fallback."""
+        from repro.parallel import backend as backend_module
+        from repro.parallel import janitor
+
         graph = small_graph()
-        config = small_config()
-        reference = {gfd_identity(g) for g in discover(graph, config).gfds}
-        fallback_config = replace(
-            config, parallel_backend="multiprocess", shared_memory=False
+        index = graph.index()
+        pools = []
+        original_pool = backend_module.ProcessPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            pools.append(1)
+            return original_pool(*args, **kwargs)
+
+        monkeypatch.setattr(backend_module, "_shared_memory", None)
+        monkeypatch.setattr(
+            backend_module, "ProcessPoolExecutor", counting_pool
         )
-        engine = ParallelDiscovery(graph, fallback_config, num_workers=2)
-        assert engine.backend_name == "multiprocess"
-        result = engine.run()
-        assert {gfd_identity(g) for g in result.gfds} == reference
+        segments_before = janitor.live_segments()
+        mappings_before = len(janitor.live_mappings())
+        with pytest.raises(RuntimeError, match="multiprocessing.shared_memory"):
+            make_backend("multiprocess", 2, graph, index, ["kind", "year"])
+        assert pools == []
+        assert janitor.live_segments() == segments_before
+        assert len(janitor.live_mappings()) == mappings_before
 
     def test_external_backend_reused_across_runs(self):
         graph = small_graph()
@@ -265,125 +279,100 @@ class TestMatchCapAgreement:
             assert not any(id(parent) in truncated for parent in node.parents)
 
 
+def skewed_graph(num_workers: int = 3) -> Graph:
+    """Hub pivots colocated on worker 0 so rebalancing must move groups."""
+    graph = Graph()
+    nodes = []
+    for i in range(3 * num_workers):
+        if i % num_workers == 0:
+            nodes.append(graph.add_node("hub", {"kind": "h"}))
+        else:
+            nodes.append(graph.add_node("person", {"kind": "a", "year": 2000}))
+    hubs = [n for n in nodes if graph.node_label(n) == "hub"]
+    people = [
+        graph.add_node("person", {"kind": "ab"[i % 2], "year": 2000 + i % 3})
+        for i in range(60)
+    ]
+    for i, person in enumerate(people):
+        graph.add_edge(person, hubs[i % len(hubs)], "link")
+        if i % 2:
+            graph.add_edge(person, people[(i * 7 + 1) % 60], "like")
+    return graph
+
+
 class TestWorkerToWorkerStaging:
-    """Rebalanced pivot groups ship worker-to-worker, not through the master."""
-
-    def _skewed_graph(self, num_workers: int = 3) -> Graph:
-        """Hub pivots colocated on worker 0 so rebalancing must move groups."""
-        graph = Graph()
-        nodes = []
-        for i in range(3 * num_workers):
-            if i % num_workers == 0:
-                nodes.append(graph.add_node("hub", {"kind": "h"}))
-            else:
-                nodes.append(
-                    graph.add_node("person", {"kind": "a", "year": 2000})
-                )
-        hubs = [n for n in nodes if graph.node_label(n) == "hub"]
-        people = [
-            graph.add_node("person", {"kind": "ab"[i % 2], "year": 2000 + i % 3})
-            for i in range(60)
-        ]
-        for i, person in enumerate(people):
-            graph.add_edge(person, hubs[i % len(hubs)], "link")
-            if i % 2:
-                graph.add_edge(person, people[(i * 7 + 1) % 60], "like")
-        return graph
-
-    def test_plan_matches_array_rebalance_loads(self):
-        """The summary-based plan lands the same loads and group homes as
-        the master-side array rebalance it replaces."""
-        from repro.parallel.balancer import (
-            plan_pivot_group_moves,
-            rebalance_pivot_group_arrays,
-        )
-
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            num_shards = int(rng.integers(2, 5))
-            shards = []
-            for worker in range(num_shards):
-                rows = int(rng.integers(0, 40))
-                pivots = rng.integers(0, 9, size=rows)
-                shards.append(
-                    np.stack([pivots, rng.integers(0, 100, size=rows)], axis=1)
-                    if rows
-                    else np.empty((0, 2), dtype=np.int64)
-                )
-            summaries = [
-                np.unique(shard[:, 0], return_counts=True) for shard in shards
-            ]
-            moves, received = plan_pivot_group_moves(summaries)
-            planned_loads = [int(s[1].sum()) for s in summaries]
-            for (src, dst), (pivots, rows) in moves.items():
-                planned_loads[src] -= rows
-                planned_loads[dst] += rows
-            rebalanced, _ = rebalance_pivot_group_arrays(shards, 0)
-            actual_loads = [int(shard.shape[0]) for shard in rebalanced]
-            assert planned_loads == actual_loads
-            # pivot-disjointness: after applying the plan no pivot lives on
-            # two shards
-            homes = {}
-            for worker, (pivots, counts) in enumerate(summaries):
-                for pivot in pivots.tolist():
-                    homes[pivot] = {worker}
-            for (src, dst), (pivots, rows) in moves.items():
-                for pivot in pivots:
-                    homes[pivot] = {dst}
-            assert all(len(workers) == 1 for workers in homes.values())
-
-    def test_staging_keeps_rows_off_the_master(self):
-        """The rebalance route follows ``backend.supports_staging``:
-        unsupervised, skewed joins move through shared memory (staged rows,
-        nothing via the master); supervised, they are fetched through the
-        master.  Same discovered set either way."""
-        graph = self._skewed_graph()
-        config = small_config(
-            k=3, sigma=3, active_attributes=["kind", "year"]
-        )
-        results = {}
-        ledgers = {}
-        for staged, fault in ((True, None), (False, FaultConfig())):
-            backend = make_backend(
-                "multiprocess", 3, graph, graph.index(),
-                config.active_attributes, fault=fault,
-            )
-            try:
-                assert backend.supports_staging is staged
-                runner = ParallelDiscovery(graph, config, backend=backend)
-                result = runner.run()
-                results[staged] = {gfd_identity(g) for g in result.gfds}
-                ledgers[staged] = backend.transfers.snapshot()
-                staged_metric = sum(
-                    w.items_staged for w in runner.cluster.workers
-                )
-                if staged:
-                    assert backend.transfers.rows_staged > 0
-                    assert staged_metric > 0
-                else:
-                    assert backend.transfers.rows_staged == 0
-            finally:
-                backend.shutdown()
-        assert results[True] == results[False]
-        # the fetch route pulls rows to the master; staging must not
-        assert ledgers[False].rows_to_master > ledgers[True].rows_to_master
-        assert ledgers[True].rows_to_master == 0
-        # both routes ship the cold-start seeds; the fetch route additionally
-        # re-ships every fetched row back out, the staging route none
-        assert (
-            ledgers[False].rows_to_workers - ledgers[True].rows_to_workers
-            == ledgers[False].rows_to_master
-        )
+    """Rebalanced pivot groups used to be staged worker-to-worker; they now
+    go through the master, and an owned backend still leaves nothing behind."""
 
     def test_no_segment_leak_after_staged_run(self):
-        graph = self._skewed_graph()
+        from repro.parallel import janitor
+
+        segments_before = janitor.live_segments()
+        graph = skewed_graph()
         config = small_config(k=3, sigma=3, active_attributes=["kind", "year"])
         runner = ParallelDiscovery(
             graph, config, num_workers=3, backend="multiprocess"
         )
         runner.run()  # owned backend: shutdown inside run()
-        # the index segment is gone; staging segments were per-exchange
+        # the index segment and every per-batch payload segment are gone
         assert runner._backend is None
+        assert janitor.live_segments() == segments_before
+
+
+class TestSkewRebalance:
+    """A skewed join is fetched through the master and re-dealt in whole
+    pivot groups — the one rebalance route, on every backend."""
+
+    @staticmethod
+    def _run(graph, config, backend_name, balance=True):
+        """``(rules → supports, transfer ledger)`` of one unsupervised run."""
+        backend = make_backend(
+            backend_name, 3, graph, graph.index(),
+            config.active_attributes, fault=None,
+        )
+        try:
+            runner = ParallelDiscovery(
+                graph, config, balance=balance, backend=backend
+            )
+            result = runner.run()
+            ledger = backend.transfers.snapshot()
+        finally:
+            backend.shutdown()
+        supports = {gfd_identity(g): result.supports[g] for g in result.gfds}
+        return supports, ledger
+
+    def test_rebalance_through_master_matches_serial(self):
+        """Same Σ and supports as the serial backend and ``SeqDis``; the
+        rebalance fires, and the ledger counts exactly its round trip."""
+        from repro.parallel import janitor
+
+        segments_before = janitor.live_segments()
+        graph = skewed_graph()
+        config = small_config(
+            k=3, sigma=3, active_attributes=["kind", "year"], fault=None
+        )
+        reference = discover(graph, config)
+        expected = {
+            gfd_identity(g): reference.supports[g] for g in reference.gfds
+        }
+        serial, _ = self._run(graph, config, "serial")
+        balanced, ledger = self._run(graph, config, "multiprocess")
+        assert serial == expected
+        assert balanced == expected
+        unbalanced, plain = self._run(
+            graph, config, "multiprocess", balance=False
+        )
+        assert unbalanced == expected
+        # only the rebalance pulls parked rows to the master, and every
+        # fetched row is shipped back out exactly once
+        assert ledger.rows_to_master > 0
+        assert plain.rows_to_master == 0
+        assert (
+            ledger.rows_to_workers - plain.rows_to_workers
+            == ledger.rows_to_master
+        )
+        # every index and payload segment of the three runs is unlinked
+        assert janitor.live_segments() == segments_before
 
 
 class TestGraphFreeAndIndexRefresh:

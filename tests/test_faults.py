@@ -331,15 +331,6 @@ class TestSupervisionPlumbing:
             backend.shutdown()
             assert backend.lifecycle.shutdowns == 1
 
-    def test_supervised_backend_disables_staging(self):
-        backend = make_backend(
-            "multiprocess", 2, None, None, [], fault=FaultConfig()
-        )
-        try:
-            assert backend.supports_staging is False
-        finally:
-            backend.shutdown()
-
     def test_journal_compacts_released_sigma(self):
         backend = make_backend(
             "multiprocess", 1, None, None, [], fault=FaultConfig()
@@ -350,6 +341,33 @@ class TestSupervisionPlumbing:
             assert ("sigma", key, {"sigma": []}) in backend._journals[0]
             backend.run_unmetered([(0, "drop_sigma", key, {})])
             assert backend._journals[0] == []
+        finally:
+            backend.shutdown()
+
+    def test_worker_dead_after_fire_and_forget_batch_recovers(self):
+        """A kill inside an uncollected (``wait=False``) batch leaves a
+        broken pool behind; the next submit recovers it instead of raising
+        ``BrokenProcessPool`` out of the superstep."""
+        import time
+
+        fault = FaultConfig(
+            fault_plan=_plan(kill_on={"op": "drop", "nth": 1}, workers=[0])
+        )
+        backend = make_backend("multiprocess", 1, None, None, [], fault=fault)
+        try:
+            key = next_node_key()
+            backend.run_unmetered([(0, "sigma", key, {"sigma": []})])
+            pool = backend._pools[0]
+            backend.run_unmetered([(0, "drop", key, {})], wait=False)
+            deadline = time.monotonic() + 30
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool._broken  # the next submit meets a broken pool
+            assert backend.run_unmetered(
+                [(0, "sigma", next_node_key(), {"sigma": []})]
+            ) == [0]
+            assert backend.lifecycle.respawns == 1
+            assert backend.lifecycle.retries == 1
         finally:
             backend.shutdown()
 
@@ -381,20 +399,6 @@ class TestChaosDifferential:
             metrics = session.metrics()
             assert metrics.lifecycle.respawns >= 1
             assert metrics.recovery_seconds > 0.0
-        assert _fingerprint(result) == reference
-
-    def test_kill_survives_pickle_fallback(self, film_graph, film_config):
-        """The no-shared-memory path runs the same supervision code."""
-        reference = _fingerprint(discover(film_graph, film_config))
-        fault = FaultConfig(
-            fault_plan=_plan(kill_on={"op": "install", "nth": 1}, workers=[0])
-        )
-        config = replace(film_config, fault=fault, shared_memory=False)
-        with Session(
-            film_graph, config, backend="multiprocess", num_workers=2
-        ) as session:
-            result = session.discover()
-            assert session.metrics().lifecycle.respawns >= 1
         assert _fingerprint(result) == reference
 
     def test_kill_mid_parcover_batch(self, film_graph, film_config):

@@ -347,7 +347,7 @@ class TestExports:
 
     def test_metrics_schema(self, traced):
         _, metrics = traced
-        assert metrics["schema_version"] == 3
+        assert metrics["schema_version"] == 4
         assert metrics["repro_version"]
         # every wall-clock float is quarantined under "timings"
         def no_floats(value):
@@ -362,3 +362,7 @@ class TestExports:
         # v3: one backend per session, so no per-phase backend or planner
         assert "phase_backends" not in metrics
         assert "planner" not in metrics["timings"]
+        # v4: one rebalance route, so no worker-to-worker staged rows
+        assert set(metrics["transfers"]) == {
+            "rows_to_workers", "rows_to_master", "sigma_rules"
+        }

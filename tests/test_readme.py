@@ -48,7 +48,7 @@ def test_readme_mentions_the_cli_surface():
         "repro-gfd enforce",
         "repro-gfd cover",
         "--backend",
-        "--no-shared-memory",
+        "--index",
     ):
         assert needle in text, f"README lost its {needle!r} documentation"
 

@@ -8,6 +8,8 @@ the graph index exactly once — read off ``session.metrics()``, not assumed.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import (
@@ -109,8 +111,6 @@ class TestStreamingDiscovery:
     def test_full_stream_equals_unfiltered_discover(
         self, film_graph, film_config
     ):
-        from dataclasses import replace
-
         with Session(film_graph, film_config) as session:
             streamed = list(session.discover_iter())
             assert {gfd_identity(g) for g in streamed} == {
@@ -481,9 +481,12 @@ class TestFusedSession:
     def test_mutation_ships_a_delta_refresh(self, film_graph, film_config):
         """A small post-mutation snapshot goes through the delta path:
         only the changed arrays cross into shared memory, counted by
-        ``lifecycle.delta_refreshes``."""
+        ``lifecycle.delta_refreshes``.  Pinned unsupervised: a supervised
+        backend re-ships the whole snapshot (a respawn could not replay a
+        delta chain), so a chaos-env fault plan must not leak in."""
+        config = replace(film_config, fault=None)
         with Session(
-            film_graph, film_config, backend="multiprocess", num_workers=2
+            film_graph, config, backend="multiprocess", num_workers=2
         ) as session:
             session.discover()
             before = session.metrics().lifecycle
