@@ -3,12 +3,15 @@
 Every benchmark regenerates one table or figure of the paper's Section 7 at
 reproduction scale: it runs the same algorithms over the scale-model
 datasets, prints the series the paper plots, and appends them to
-``benchmarks/results/`` so EXPERIMENTS.md can cite measured numbers.
+``benchmarks/results/`` so docs and reviews cite measured numbers rather
+than remembered ones.
 
 Scale notes: the paper's graphs have 10⁶–10⁷ nodes and run on 20 EC2
 instances for minutes to hours; the reproduction uses ~10³-node scale models
 so the whole suite finishes in minutes.  Shapes (who wins, monotonicity,
-crossovers) are the reproduction target, not absolute times — see DESIGN.md.
+crossovers) are the reproduction target, not absolute times: a one-host
+run of the same work units meters per-worker compute exactly (see
+``repro.parallel.cluster``), but not the paper's hardware or network.
 """
 
 from __future__ import annotations

@@ -176,14 +176,6 @@ class DiscoveryConfig:
             many GFD candidates have been checked — how the benchmarks
             reproduce the paper's "ParGFDn / ParArab fail to complete"
             findings without actually exhausting memory.
-        use_index: run matching, spawning and match-table construction
-            against the graph's frozen CSR :class:`~repro.graph.index.
-            GraphIndex` (vectorized hot paths).  Disabling falls back to the
-            dict-adjacency reference implementation; results are identical
-            (truncated patterns are leaves on both paths, so a binding
-            ``max_matches_per_pattern`` no longer lets the paths diverge).
-            The flag exists for equivalence testing and debugging; the
-            multiprocess backend requires the index.
         parallel_backend: execution backend of ``ParDis`` — ``"serial"``
             runs the worker ops inline under the simulated cluster (exact
             historical semantics, no extra processes), ``"multiprocess"``
@@ -222,7 +214,6 @@ class DiscoveryConfig:
     min_literal_rows: int = 1
     negative_literal_min_rows: Optional[int] = None
     max_candidates: Optional[int] = None
-    use_index: bool = True
     parallel_backend: str = field(default_factory=_default_backend)
     num_workers: Optional[int] = None
     fault: Optional[FaultConfig] = field(default_factory=_default_fault)
@@ -253,9 +244,10 @@ class EnforcementConfig:
     """Parameters of the rule *enforcement* engine (:mod:`repro.enforce`).
 
     Enforcement is the consumer side of discovery: a fixed rule set ``Σ``
-    is validated against a live graph, repeatedly.  The knobs mirror the
-    discovery ones where the machinery is shared (backend, workers, index)
-    and add the delta-maintenance and reporting policies.
+    is validated against a live graph, repeatedly, always over the graph's
+    frozen CSR index.  The knobs mirror the discovery ones where the
+    machinery is shared (backend, workers) and add the delta-maintenance
+    and reporting policies.
 
     Attributes:
         backend: evaluation backend — ``"serial"`` evaluates the compiled
@@ -268,10 +260,6 @@ class EnforcementConfig:
         num_workers: evaluation shards (``None`` = 1 for serial, 4 for
             multiprocess — serial sharding exists for differential testing,
             not speed).
-        use_index: evaluate against the frozen CSR index (the fast path).
-            Disabling falls back to the dict-graph reference tables;
-            results are identical.  The multiprocess backend requires the
-            index.
         max_delta_fraction: on :meth:`~repro.enforce.engine.
             EnforcementEngine.refresh`, fall back to full revalidation when
             more than this fraction of the graph's nodes was touched since
@@ -302,7 +290,6 @@ class EnforcementConfig:
 
     backend: str = field(default_factory=_default_backend)
     num_workers: Optional[int] = None
-    use_index: bool = True
     max_delta_fraction: float = 0.25
     max_violations_per_rule: Optional[int] = None
     max_violation_samples: Optional[int] = 10
@@ -323,8 +310,6 @@ class EnforcementConfig:
             raise ValueError("max_violation_samples must be >= 0")
         if self.max_violations_per_rule is not None and self.max_violations_per_rule < 1:
             raise ValueError("max_violations_per_rule must be >= 1")
-        if self.backend == "multiprocess" and not self.use_index:
-            raise ValueError("the multiprocess backend requires use_index=True")
 
     @property
     def resolved_workers(self) -> int:

@@ -45,7 +45,7 @@ from .spawning import (
     wildcard_extensions_from_counts,
 )
 
-__all__ = ["SequentialDiscovery", "discover"]
+__all__ = ["SequentialDiscovery", "discover", "reference_discover"]
 
 
 class SequentialDiscovery:
@@ -58,8 +58,8 @@ class SequentialDiscovery:
     ``stats`` and ``index`` accept precomputed :class:`GraphStatistics` /
     :class:`GraphIndex` snapshots so repeated runs (parallel workers,
     baseline sweeps, benchmark series) don't rescan the graph per run; by
-    default both come from the graph's cached frozen index (``config.
-    use_index``), or a fresh statistics scan with the index disabled.
+    default both come from the graph's cached frozen index.  The dict-
+    adjacency branches below serve only :func:`reference_discover`.
     """
 
     def __init__(
@@ -71,12 +71,9 @@ class SequentialDiscovery:
     ) -> None:
         self.graph = graph
         self.config = config
-        if index is not None:
-            self.index: Optional[GraphIndex] = index
-        elif config.use_index:
-            self.index = graph.index()
-        else:
-            self.index = None
+        self.index: Optional[GraphIndex] = (
+            index if index is not None else self._default_index()
+        )
         if stats is not None:
             self.graph_stats = stats
         elif self.index is not None:
@@ -91,6 +88,10 @@ class SequentialDiscovery:
         self._found: Dict[Tuple, Tuple[GFD, int]] = {}
         #: How many ``_found`` entries :meth:`_drain_found` has handed out.
         self._drained = 0
+
+    def _default_index(self) -> Optional[GraphIndex]:
+        """The snapshot to match on when the caller passes none."""
+        return self.graph.index()
 
     # ------------------------------------------------------------------
     # engine lifecycle hooks (the parallel engine overrides these; the
@@ -574,3 +575,26 @@ def discover(
     return SequentialDiscovery(
         graph, config or DiscoveryConfig(), stats=stats, index=index
     ).run()
+
+
+class _DictAdjacencyDiscovery(SequentialDiscovery):
+    """``SeqDis`` matching on dict adjacency (see :func:`reference_discover`)."""
+
+    def _default_index(self) -> Optional[GraphIndex]:
+        return None
+
+
+def reference_discover(
+    graph: Graph, config: Optional[DiscoveryConfig] = None
+) -> DiscoveryResult:
+    """The discovery oracle: ``SeqDis`` over the dict graph, no index.
+
+    Matching, spawning tallies and match tables run on the dict adjacency
+    and per-row attribute reads — slow, and independent of the CSR index
+    every other path runs on.  ``SequentialDiscovery`` on the index,
+    ``ParDis`` on either backend and ``Session`` must reproduce its Σ and
+    supports exactly (``tests/test_differential.py``).  This function is
+    the only way to reach it: no config field, environment variable or CLI
+    flag selects the dict path.
+    """
+    return _DictAdjacencyDiscovery(graph, config or DiscoveryConfig()).run()

@@ -5,8 +5,8 @@ to one live graph and serves two entry points:
 
 * :meth:`EnforcementEngine.validate` — full validation: match every group
   pattern against the current graph snapshot in one walk of the plan's
-  join trie (a stem shared by several patterns is joined once; CSR index
-  by default) and evaluate all grouped rules as columnar masks, sharded
+  join trie on the frozen CSR index (a stem shared by several patterns is
+  joined once) and evaluate all grouped rules as columnar masks, sharded
   over the :class:`~repro.parallel.backend.ShardWorker` backend (in-process
   shards, or real worker processes attaching the index via shared memory);
 * :meth:`EnforcementEngine.refresh` — delta-aware revalidation: consume the
@@ -54,7 +54,7 @@ from ..parallel.backend import (
     next_node_key,
     rows_containing,
 )
-from ..pattern.matcher import Match, find_matches
+from ..pattern.matcher import Match
 from .delta import DeltaLog
 from .plan import CompiledRule, EnforcementPlan, PatternGroup, compile_plan
 
@@ -218,7 +218,7 @@ class EnforcementEngine:
         self._report: Optional[EnforcementReport] = None
         #: Exact matching work of the latest pass: search ``plans`` asked
         #: for, ``trie_nodes`` they compile to, ``joins`` (fan-outs) run
-        #: after pruning — 0 on the dict path, which walks no trie.
+        #: after pruning.
         self.last_pass: Dict[str, int] = {}
         self._validated_version: Optional[int] = None
         self._owns_backend = backend is None
@@ -313,7 +313,7 @@ class EnforcementEngine:
             # sees version != _validated_version and consumes them
             version = self.graph.version
             self.delta.drain()
-            index = self.graph.index() if self.config.use_index else None
+            index = self.graph.index()
             self._arrays = self._group_matches(index)
             return self._finish(index, "full", started, version=version)
 
@@ -341,7 +341,7 @@ class EnforcementEngine:
             "refresh", "stage", touched_nodes=len(touched)
         ):
             started = time.perf_counter()
-            index = self.graph.index() if self.config.use_index else None
+            index = self.graph.index()
             nodes = np.fromiter(sorted(touched), dtype=np.int64)
             fresh_of = self._group_matches(index, nodes)
             dirty: List[int] = []
@@ -376,53 +376,38 @@ class EnforcementEngine:
     # internals
     # ------------------------------------------------------------------
     def _group_matches(
-        self, index: Optional[GraphIndex], touched: Optional[np.ndarray] = None
+        self, index: GraphIndex, touched: Optional[np.ndarray] = None
     ) -> List[np.ndarray]:
         """Per pattern group, its canonical matches as an ``(N, vars)`` array.
 
         All of them — or, with ``touched``, every match containing a touched
         node, once: anchored at each variable in turn and kept from the
         anchor of its first touched variable only.  One walk of the plan's
-        join trie on the index path; without an index, the dict backtracker
-        plan by plan — the layer's oracle.
+        join trie; ``find_violations`` is the layer's oracle.
         """
         anchored = touched is not None
         trie = self.plan.anchored_trie if anchored else self.plan.full_trie
-        if index is not None:
-            blocks = trie.match(index, touched)
-        else:
-            seeds = touched.tolist() if anchored else None
-            blocks = (
-                (
-                    plan_id,
-                    np.asarray(
-                        list(find_matches(self.graph, pattern, seeds, root=anchor)),
-                        dtype=np.int64,
-                    ).reshape(-1, pattern.num_nodes),
-                )
-                for plan_id, pattern, anchor in self.plan.search_plans(anchored)
-            )
         # per group ``(anchor, rows)`` blocks; the empty head types the
         # result of a group that matched nothing
         found: List[List[Tuple[int, np.ndarray]]] = [
             [(-1, np.empty((0, group.pattern.num_nodes), dtype=np.int64))]
             for group in self.plan.groups
         ]
-        for (position, anchor), rows in blocks:
+        for (position, anchor), rows in trie.match(index, touched):
             if anchored and anchor:
                 rows = rows[~rows_containing(rows[:, :anchor], touched)]
             found[position].append((anchor, rows))
         self.last_pass = {
             "plans": trie.plans,
             "trie_nodes": trie.nodes,
-            "joins": trie.joins if index is not None else 0,
+            "joins": trie.joins,
         }
         return [
             np.concatenate([rows for _, rows in sorted(group, key=itemgetter(0))])
             for group in found
         ]
 
-    def _ensure_backend(self, index: Optional[GraphIndex]) -> ExecutionBackend:
+    def _ensure_backend(self, index: GraphIndex) -> ExecutionBackend:
         """The evaluation backend for this snapshot.
 
         An existing backend — owned or borrowed — is *re-pointed* at a new
@@ -451,18 +436,9 @@ class EnforcementEngine:
         self._backend_index = index
         return self._backend
 
-    def _shard_matches(
-        self, chunk: np.ndarray, index: Optional[GraphIndex]
-    ) -> Any:
-        """One worker's slice of a match array, in the path's native form."""
-        if index is None:
-            # dict-path tables expect match tuples, not arrays
-            return [tuple(row) for row in chunk.tolist()]
-        return chunk
-
     def _finish(
         self,
-        index: Optional[GraphIndex],
+        index: GraphIndex,
         mode: str,
         started: float,
         positions: Optional[List[int]] = None,
@@ -521,7 +497,7 @@ class EnforcementEngine:
                                 key,
                                 {
                                     "touched": touched,
-                                    "fresh": self._shard_matches(chunk, index),
+                                    "fresh": chunk,
                                 },
                             )
                         )
@@ -540,7 +516,7 @@ class EnforcementEngine:
                                 key,
                                 {
                                     "pattern": group.pattern,
-                                    "matches": self._shard_matches(chunk, index),
+                                    "matches": chunk,
                                     "rules": rules_payload,
                                     "gamma": gamma,
                                     "cap": cap,

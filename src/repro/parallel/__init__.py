@@ -11,13 +11,7 @@ from .backend import (
     make_backend,
     shared_memory_available,
 )
-from .balancer import (
-    assign_units_lpt,
-    is_skewed,
-    rebalance_pivot_group_arrays,
-    rebalance_pivot_groups,
-    rebalance_shards,
-)
+from .balancer import assign_units_lpt, is_skewed, rebalance_pivot_group_arrays
 from .cluster import ClusterMetrics, SimulatedCluster, WorkerMetrics
 from .costs import ChaseCostModel
 from .faults import FaultPlan
@@ -48,7 +42,5 @@ __all__ = [
     "parallel_cover_ungrouped",
     "assign_units_lpt",
     "is_skewed",
-    "rebalance_shards",
-    "rebalance_pivot_groups",
     "rebalance_pivot_group_arrays",
 ]

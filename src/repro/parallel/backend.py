@@ -235,13 +235,9 @@ def rows_containing(rows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return hit
 
 
-def _rows_in(matches: Any) -> int:
-    """Row count of a matches payload (array, list, or ``None``)."""
-    if matches is None:
-        return 0
-    if isinstance(matches, np.ndarray):
-        return int(matches.shape[0])
-    return len(matches)
+def _rows_in(matches: Optional[np.ndarray]) -> int:
+    """Row count of a matches payload (an ``(N, vars)`` array or ``None``)."""
+    return 0 if matches is None else int(matches.shape[0])
 
 
 def _payload_rows(op: str, payload: Dict[str, Any]) -> int:
@@ -337,9 +333,6 @@ class ShardWorker:
         """Dispatch one op (the unit the cluster meters)."""
         return getattr(self, f"op_{op}")(key, payload)
 
-    def _parent_matches(self, table: MatchTable):
-        return table.match_array if self.index is not None else table.matches
-
     # -- VSpawn ---------------------------------------------------------
     def op_install(self, key: int, payload: Dict[str, Any]) -> Tuple:
         """Build this worker's match-table shard (+ column statistics).
@@ -377,7 +370,7 @@ class ShardWorker:
         return extension_counts(
             self.graph,
             table.pattern,
-            self._parent_matches(table),
+            table.match_array,
             payload["can_add"],
             index=self.index,
         )
@@ -393,8 +386,7 @@ class ShardWorker:
         later install adopts — and ``None`` travels in their place, so only
         scalars cross the process boundary.
         """
-        table = self.tables[key]
-        parent_matches = self._parent_matches(table)
+        parent_matches = self.tables[key].match_array
         cap = payload["cap"]
         park = payload.get("park", False)
         results: List[Tuple] = []
@@ -405,16 +397,10 @@ class ShardWorker:
                 extension,
                 max_matches=cap,
                 index=self.index,
-                as_array=self.index is not None,
+                as_array=True,
             )
-            if self.index is not None:
-                count = int(matches.shape[0])
-                support = (
-                    int(np.unique(matches[:, pivot_var]).size) if count else 0
-                )
-            else:
-                count = len(matches)
-                support = len({match[pivot_var] for match in matches})
+            count = int(matches.shape[0])
+            support = int(np.unique(matches[:, pivot_var]).size) if count else 0
             hit_cap = cap is not None and count >= cap
             if park:
                 self.joins[(key, position)] = matches

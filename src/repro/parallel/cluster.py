@@ -17,8 +17,11 @@ This reproduction runs the *same work units* on one machine and reports the
 
 This preserves what the paper's scalability experiments measure — how the
 *dominant per-worker compute* shrinks as workers are added and how skew and
-balancing shift it — without needing 20 physical hosts.  See DESIGN.md
-(substitutions) for the full argument.
+balancing shift it — without needing 20 physical hosts.  The substitution
+is sound for those claims because they compare work per worker, which the
+meter charges exactly; it is not a model of network latency or contention,
+so only ratios and trends of the modeled clock are reproduction targets,
+never its absolute seconds.
 """
 
 from __future__ import annotations

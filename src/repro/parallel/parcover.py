@@ -336,7 +336,3 @@ def parallel_cover_ungrouped(
         elapsed_seconds=time.perf_counter() - started,
     )
     return result, cluster
-
-
-# re-export for the baselines module
-par_cover_no_grouping = parallel_cover_ungrouped

@@ -70,11 +70,7 @@ from .backend import (
     next_node_key,
     warn_standalone_entry_point,
 )
-from .balancer import (
-    is_skewed,
-    rebalance_pivot_group_arrays,
-    rebalance_pivot_groups,
-)
+from .balancer import is_skewed, rebalance_pivot_group_arrays
 from .cluster import SimulatedCluster
 
 __all__ = ["ParallelDiscovery", "discover_parallel"]
@@ -178,11 +174,6 @@ class ParallelDiscovery(SequentialDiscovery):
                 raise ValueError(
                     f"unknown parallel backend {self._backend_name!r} "
                     f"(expected one of {BACKEND_NAMES})"
-                )
-            if self._backend_name == "multiprocess" and self.index is None:
-                raise ValueError(
-                    "parallel_backend='multiprocess' requires the frozen "
-                    "graph index; it cannot run with config.use_index=False"
                 )
             if num_workers is None:
                 num_workers = (
@@ -291,15 +282,8 @@ class ParallelDiscovery(SequentialDiscovery):
             node, created = tree.add(pattern, level=0)
             if not created:
                 continue
-            if self.index is not None:
-                owners = self.index.nodes_with_label(label)
-                shards: List = [
-                    owners[owners % n == worker][:, None] for worker in range(n)
-                ]
-            else:
-                shards = [[] for _ in range(n)]
-                for v in self.graph.nodes_with_label(label):
-                    shards[v % n].append((v,))
+            owners = self.index.nodes_with_label(label)
+            shards = [owners[owners % n == worker][:, None] for worker in range(n)]
             node.support = count
             self._install_shards_many([(node, shards, False, None)])
             self.stats.patterns_spawned += 1
@@ -612,14 +596,9 @@ class ParallelDiscovery(SequentialDiscovery):
                                 step, fetch
                             )
                         adopt = None
-                    if self.index is not None:
-                        new_shards, moved = rebalance_pivot_group_arrays(
-                            new_shards, node.pattern.pivot
-                        )
-                    else:
-                        new_shards, moved = rebalance_pivot_groups(
-                            new_shards, node.pattern.pivot
-                        )
+                    new_shards, moved = rebalance_pivot_group_arrays(
+                        new_shards, node.pattern.pivot
+                    )
                     with self.cluster.superstep() as step:
                         for worker, received in moved.items():
                             step.ship(

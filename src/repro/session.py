@@ -62,7 +62,7 @@ from .gfd.gfd import GFD
 from .gfd.parser import dumps_sigma, loads_sigma
 from .graph.graph import Graph
 from .graph.index import GraphIndex
-from .graph.statistics import GraphStatistics, compute_statistics
+from .graph.statistics import GraphStatistics
 from .graph.store import IndexStoreStale
 from .obs.metrics import MetricsRegistry, registry_from_metrics
 from .obs.tracer import NULL_TRACER
@@ -203,13 +203,13 @@ class Session:
             backend instead of rebuilding it.
         config: the :class:`~repro.core.config.DiscoveryConfig` driving
             discovery *and* the session's execution substrate
-            (``parallel_backend``, ``num_workers``, ``use_index``);
-            ``None`` uses the defaults.
+            (``parallel_backend``, ``num_workers``, ``fault``); ``None``
+            uses the defaults.
         enforcement: enforcement policies (delta thresholds, sample caps,
             the per-rule violation cap, persistent tables).  The execution
-            knobs (``backend``, ``num_workers``, ``use_index``, ``fault``)
-            are overridden by the session's — one backend serves every
-            phase.  ``None`` uses the defaults.
+            knobs (``backend``, ``num_workers``, ``fault``) are overridden
+            by the session's — one backend serves every phase.  ``None``
+            uses the defaults.
         num_workers: worker count ``n`` (overrides ``config.num_workers``;
             default: ``config.num_workers``, else 1 for the serial backend
             and 4 for multiprocess).
@@ -225,8 +225,7 @@ class Session:
             and one gone stale under writes is replaced by the patched
             snapshot (atomic replace, see ``index_autosave``); a *corrupt*
             file raises :class:`~repro.graph.store.IndexStoreError`
-            rather than being silently overwritten.  Ignored when
-            ``config.use_index`` is off.
+            rather than being silently overwritten.
         index_mmap: attach mode for ``index_path`` — ``True`` (default)
             maps the file read-only; ``False`` loads it eagerly into
             process memory (checksums verified).
@@ -279,10 +278,6 @@ class Session:
                 f"unknown parallel backend {self._backend_name!r} "
                 f"(expected one of {BACKEND_NAMES})"
             )
-        if self._backend_name == "multiprocess" and not self.config.use_index:
-            raise ValueError(
-                "the multiprocess backend requires config.use_index=True"
-            )
         if num_workers is None:
             num_workers = self.config.num_workers
         if num_workers is None:
@@ -297,7 +292,6 @@ class Session:
             base,
             backend=self._backend_name,
             num_workers=num_workers,
-            use_index=self.config.use_index,
             fault=self.config.fault,
         )
         self._snapshot_version = graph.version
@@ -307,9 +301,7 @@ class Session:
         self._monitor = monitor
         #: (mtime_ns, size) of the store file last found stale
         self._stale_index_stamp: Optional[Tuple[int, int]] = None
-        self._index: Optional[GraphIndex] = (
-            self._snapshot_index() if self.config.use_index else None
-        )
+        self._index: GraphIndex = self._snapshot_index()
         self._stats: Optional[GraphStatistics] = None
         if self.config.active_attributes is not None:
             self._gamma = list(self.config.active_attributes)
@@ -353,9 +345,8 @@ class Session:
         return self._num_workers
 
     @property
-    def index(self) -> Optional[GraphIndex]:
-        """The session's current frozen index snapshot (``None`` when
-        ``config.use_index`` is off)."""
+    def index(self) -> GraphIndex:
+        """The session's current frozen index snapshot."""
         return self._index
 
     @property
@@ -472,11 +463,7 @@ class Session:
         a session that serves writes and refreshes never pays the scan.
         """
         if self._stats is None:
-            self._stats = (
-                self._index.statistics()
-                if self._index is not None
-                else compute_statistics(self.graph)
-            )
+            self._stats = self._index.statistics()
         return self._stats
 
     def _refresh_snapshot(self) -> None:
@@ -493,17 +480,16 @@ class Session:
         if self.graph.version == self._snapshot_version:
             return
         self._snapshot_version = self.graph.version
-        if self.config.use_index:
-            index = self._snapshot_index()
-            if index is self._index:
-                return
-            self._index = index
+        index = self._snapshot_index()
+        if index is self._index:
+            return
+        self._index = index
         self._stats = None
         if self.config.active_attributes is None:
             self._gamma = self._statistics().top_attributes(
                 self.config.max_active_attributes
             )
-        if self.config.use_index and self._backend is not None:
+        if self._backend is not None:
             self._backend.refresh_index(self._index)
 
     def _count(self, phase: str) -> None:
@@ -767,8 +753,9 @@ class Session:
         ``"state"`` section written by :meth:`save_sigma` warm-starts the
         session: the chase-cost model is restored, and persisted sketches
         (re)attach a :class:`~repro.enforce.monitor.RuleSketchMonitor`.
-        Persisted sketches with an unknown backend or precision raise
-        ``ValueError`` before the session changes.
+        Persisted sketches with an unknown backend or precision, or
+        malformed chase costs, raise ``ValueError`` before the session
+        changes.
         """
         self._check_open()
         text = Path(path).read_text(encoding="utf-8")
@@ -782,10 +769,13 @@ class Session:
             if isinstance(sketches, dict)
             else None
         )
-        self._set_sigma(rules, supports)
         costs = state.get("chase_costs")
-        if isinstance(costs, dict):
-            self.cover_costs = ChaseCostModel.from_state(costs)
+        cover_costs = (
+            ChaseCostModel.from_state(costs) if isinstance(costs, dict) else None
+        )
+        self._set_sigma(rules, supports)
+        if cover_costs is not None:
+            self.cover_costs = cover_costs
         if monitor is not None:
             self._monitor = monitor
             if self._engine is not None:

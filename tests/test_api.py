@@ -94,8 +94,8 @@ EXPECTED_TOP_LEVEL = {
 }
 
 #: The pinned ``repro.parallel`` surface.  One rebalance route (fetch
-#: through the master, :func:`rebalance_pivot_group_arrays`), so no move
-#: planner.
+#: through the master, :func:`rebalance_pivot_group_arrays` on int64
+#: shards), so no move planner and no list rebalancers.
 EXPECTED_PARALLEL = {
     "BACKEND_NAMES",
     "ExecutionBackend",
@@ -119,8 +119,6 @@ EXPECTED_PARALLEL = {
     "parallel_cover_ungrouped",
     "assign_units_lpt",
     "is_skewed",
-    "rebalance_shards",
-    "rebalance_pivot_groups",
     "rebalance_pivot_group_arrays",
 }
 
@@ -166,7 +164,7 @@ class TestSurfaceSnapshot:
             assert getattr(parallel, name, None) is not None, name
 
     def test_config_field_counts_are_pinned(self):
-        """50 knobs in all: adding, deleting or resurrecting one is a
+        """48 knobs in all: adding, deleting or resurrecting one is a
         decision this test makes visible (update the README table too)."""
         import dataclasses
 
@@ -180,11 +178,22 @@ class TestSurfaceSnapshot:
             )
         }
         assert counts == {
-            "DiscoveryConfig": 25,
-            "EnforcementConfig": 8,
+            "DiscoveryConfig": 24,
+            "EnforcementConfig": 7,
             "ServeConfig": 11,
             "FaultConfig": 6,
         }
+
+    def test_discovery_oracle_has_one_entry_point(self):
+        """The dict-adjacency oracle is reached by name only (no config
+        field selects it — the pinned field counts above hold that)."""
+        from repro import core
+        from repro.core.discovery import reference_discover
+
+        assert callable(reference_discover)
+        assert "reference_discover" not in repro.__all__
+        assert "reference_discover" not in core.__all__
+        assert not hasattr(core, "reference_discover")
 
     def test_sketch_surface(self):
         """Two concrete estimators, no plug-in registry."""

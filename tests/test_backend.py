@@ -191,12 +191,6 @@ class TestBackendLifecycle:
         finally:
             backend.shutdown()
 
-    def test_multiprocess_requires_index(self):
-        graph = small_graph()
-        config = small_config(use_index=False, parallel_backend="multiprocess")
-        with pytest.raises(ValueError, match="use_index"):
-            ParallelDiscovery(graph, config, num_workers=2)
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="parallel_backend"):
             small_config(parallel_backend="ray")

@@ -108,8 +108,8 @@ class TestMatchTable:
         assert table.stack_supports(packed) == [2, 0, 0, 1]
         assert table.stack_supports(packed[:0]) == []
 
-    @pytest.mark.parametrize("use_index", [False, True])
-    def test_literal_bits_equal_literal_masks(self, use_index):
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_literal_bits_equal_literal_masks(self, indexed):
         """Constants of several columns (listed contiguously and not),
         variable literals, an absent value, an attribute no row has."""
         graph = Graph()
@@ -120,7 +120,7 @@ class TestMatchTable:
         matches = [(p, (p * 7 + 3) % 15) for p in range(15) for _ in range(p % 3 + 1)]
         table = MatchTable(
             graph, Pattern(["t", "t"], [(0, 1, "e")]), matches, ["a", "b", "c"],
-            index=graph.index() if use_index else None,
+            index=graph.index() if indexed else None,
         )
         assert table.num_rows % 8  # the last packed byte is partial
         literals = [
@@ -266,7 +266,7 @@ class TestRowBitsets:
     @given(pivot_run_cases())
     @settings(max_examples=300, deadline=None)
     def test_bits_support_and_count_equal_mask_support_and_count(self, case):
-        widths, bits, use_index, reverse = case
+        widths, bits, indexed, reverse = case
         matches = [
             (pivot, (pivot + row) % 130)
             for pivot, width in enumerate(widths)
@@ -275,7 +275,7 @@ class TestRowBitsets:
         num_rows = len(matches)
         table = MatchTable(
             self.GRAPH, self.PATTERN, matches[::-1] if reverse else matches, [],
-            index=self.GRAPH.index() if use_index else None,
+            index=self.GRAPH.index() if indexed else None,
         )
         mask = np.array([bits >> row & 1 for row in range(num_rows)], dtype=bool)
         assert to_bits(mask) == bits
@@ -315,8 +315,8 @@ class TestHSpawnKernel:
     def test_eval_and_probe_match_per_candidate_masks(self, case):
         from repro.parallel.backend import ShardWorker
 
-        graph, matches, literals, parent, use_index = case
-        index = graph.index() if use_index else None
+        graph, matches, literals, parent, indexed = case
+        index = graph.index() if indexed else None
         worker = ShardWorker(graph, index, ["a", "b", "c"])
         worker.op_install(
             1, {"pattern": self.PATTERN, "matches": matches, "mined": False}

@@ -6,8 +6,8 @@ label distributions, dense attribute columns, multigraph edges, isolated
 nodes, self-referential structure) and asserts four engine configurations
 agree exactly on every one:
 
+* ``reference_discover`` — ``SeqDis`` over dict adjacency, the oracle,
 * ``SequentialDiscovery`` over the frozen CSR index,
-* ``SequentialDiscovery`` with ``use_index=False`` (dict reference path),
 * ``ParallelDiscovery`` on the ``serial`` backend,
 * ``ParallelDiscovery`` on the ``multiprocess`` backend (2–4 real workers
   over shared-memory graph buffers).
@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core import DiscoveryConfig, discover, gfd_identity, sequential_cover
+from repro.core.discovery import reference_discover
 from repro.core.sketch import DistinctPivotSketch
 from repro.gfd import implies
 from repro.graph import Graph
@@ -135,14 +136,10 @@ class TestDifferentialEngines:
     def test_engines_agree(self, seed):
         graph = _random_graph(seed)
         config = _config(seed)
-        reference = _fingerprint(discover(graph, config))
-
-        from dataclasses import replace
-
-        no_index = _fingerprint(
-            discover(graph, replace(config, use_index=False))
+        reference = _fingerprint(reference_discover(graph, config))
+        assert _fingerprint(discover(graph, config)) == reference, (
+            "SeqDis on the index diverged"
         )
-        assert no_index == reference, "use_index=False diverged"
 
         serial, cluster = discover_parallel(
             graph, config, num_workers=2 + seed % 3, backend="serial"

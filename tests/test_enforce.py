@@ -157,12 +157,6 @@ class TestDifferentialEquivalence:
         ) as engine:
             assert _engine_sets(engine.validate()) == reference
 
-        # the dict-graph fallback path must not change anything
-        with EnforcementEngine(
-            graph, sigma, _uncapped(use_index=False)
-        ) as engine:
-            assert _engine_sets(engine.validate()) == reference
-
     @pytest.mark.parametrize("seed", [2, 11])
     def test_multiprocess_backend_matches_reference(self, seed):
         graph = _random_graph(seed)
@@ -229,7 +223,6 @@ class TestRefreshDifferential:
     CONFIGS = {
         "serial": dict(num_workers=2),
         "multiprocess": dict(backend="multiprocess", num_workers=2),
-        "dict": dict(use_index=False),
     }
 
     @staticmethod
@@ -781,13 +774,6 @@ class TestJoinTrie:
             graph.set_attr(next(iter(graph.edges()))[0], "type", "z")
             engine.refresh()
             assert 0 < engine.last_pass["joins"] < plan.anchored_trie.steps
-        with EnforcementEngine(
-            graph, sigma, _uncapped(use_index=False)
-        ) as oracle:
-            oracle.validate()
-            assert oracle.last_pass == {
-                "plans": len(plan.groups), "trie_nodes": trie.nodes, "joins": 0
-            }
 
     @staticmethod
     def _reached_fanouts(trie, index):

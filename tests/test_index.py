@@ -24,7 +24,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core.config import DiscoveryConfig
-from repro.core.discovery import discover
+from repro.core.discovery import discover, reference_discover
 from repro.core.match_table import MISSING, MatchTable
 from repro.core.reduction import gfd_identity
 from repro.core.spawning import (
@@ -696,12 +696,12 @@ class TestDiscoveryEquivalence:
         graph = synthetic_graph(
             200, 700, num_labels=5, num_values=8, regularity=0.85, seed=seed
         )
-        config_kwargs = dict(
+        config = DiscoveryConfig(
             k=3, sigma=8, max_lhs_size=1,
             active_attributes=list(SYNTHETIC_ATTRIBUTES[:2]),
         )
-        with_index = discover(graph, DiscoveryConfig(use_index=True, **config_kwargs))
-        without = discover(graph, DiscoveryConfig(use_index=False, **config_kwargs))
+        with_index = discover(graph, config)
+        without = reference_discover(graph, config)
         keyed_with = {gfd_identity(g): with_index.supports[g] for g in with_index.gfds}
         keyed_without = {gfd_identity(g): without.supports[g] for g in without.gfds}
         assert keyed_with == keyed_without

@@ -8,8 +8,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import (
     DiscoveryConfig,
@@ -30,8 +28,7 @@ from repro.parallel import (
     is_skewed,
     parallel_cover,
     parallel_cover_ungrouped,
-    rebalance_pivot_groups,
-    rebalance_shards,
+    rebalance_pivot_group_arrays,
 )
 from repro.parallel.backend import ShardWorker, make_backend
 from repro.parallel.parcover import _group_sigma
@@ -97,48 +94,24 @@ class TestBalancer:
         assert not is_skewed([])
         assert not is_skewed([0, 0])
 
-    def test_rebalance_evens_out(self):
-        shards = [[("m", i) for i in range(90)], [], [("x", 1)]]
-        balanced, moved = rebalance_shards(shards)
-        sizes = [len(shard) for shard in balanced]
-        assert max(sizes) - min(sizes) <= 1
-        assert sum(moved.values()) > 0
-
-    def test_rebalance_preserves_items(self):
-        shards = [[1, 2, 3, 4, 5, 6], [7], []]
-        balanced, _ = rebalance_shards(shards)
-        assert sorted(x for shard in balanced for x in shard) == list(range(1, 8))
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        sizes=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=6)
-    )
-    def test_rebalance_property(self, sizes):
-        item = 0
-        shards = []
-        for size in sizes:
-            shards.append(list(range(item, item + size)))
-            item += size
-        balanced, _ = rebalance_shards(shards)
-        assert sorted(x for shard in balanced for x in shard) == list(range(item))
-        lengths = [len(shard) for shard in balanced]
-        assert max(lengths) - min(lengths) <= 1
-
     def test_rebalance_pivot_groups_keeps_groups_together(self):
-        # matches are (pivot, payload) tuples; pivot is position 0
-        shards = [
-            [(p, i) for p in range(6) for i in range(10)],  # 60 matches
-            [],
-            [],
-        ]
-        balanced, moved = rebalance_pivot_groups(shards, pivot_var=0)
+        # (pivot, payload) rows; the pivot is column 0
+        rows = np.array(
+            [(p, i) for p in range(6) for i in range(10)], dtype=np.int64
+        )  # 60 matches
+        empty = np.empty((0, 2), dtype=np.int64)
+        balanced, moved = rebalance_pivot_group_arrays([rows, empty, empty], 0)
         # every pivot's matches stay on one shard
         location = {}
         for worker, shard in enumerate(balanced):
-            for match in shard:
-                location.setdefault(match[0], set()).add(worker)
+            assert shard.dtype == np.int64 and shard.shape[1] == 2
+            for pivot in shard[:, 0].tolist():
+                location.setdefault(pivot, set()).add(worker)
         assert all(len(workers) == 1 for workers in location.values())
-        assert sorted(len(s) for s in balanced) != [0, 0, 60]
+        sizes = [int(shard.shape[0]) for shard in balanced]
+        assert sorted(sizes) != [0, 0, 60] and sum(sizes) == 60
+        # each receiver is charged exactly the rows it gained
+        assert moved == {w: sizes[w] for w in (1, 2) if sizes[w]}
 
     def test_lpt_assignment(self):
         assignment = assign_units_lpt([5, 3, 3, 2, 2, 1], 2)

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import Graph
-from repro.parallel import rebalance_pivot_groups
+from repro.parallel import rebalance_pivot_group_arrays
 from repro.pattern import Extension, Pattern, extend_matches, find_matches
 
 
@@ -57,16 +58,19 @@ def test_extension_preserves_pivot_disjointness(seed, workers):
 def test_rebalance_keeps_disjointness_and_items(seed):
     rng = random.Random(seed)
     workers = rng.randint(2, 5)
-    shards = [[] for _ in range(workers)]
-    total = 0
+    rows = [[] for _ in range(workers)]
     for pivot in range(rng.randint(1, 12)):
-        group_size = rng.randint(1, 10)
         worker = rng.randrange(workers)
-        for item in range(group_size):
-            shards[worker].append((pivot, item))
-            total += 1
-    balanced, moved = rebalance_pivot_groups(shards, pivot_var=0)
-    locations = _pivot_locations(balanced, 0)
+        rows[worker].extend((pivot, item) for item in range(rng.randint(1, 10)))
+    shards = [np.array(r, dtype=np.int64).reshape(-1, 2) for r in rows]
+    balanced, moved = rebalance_pivot_group_arrays(shards, 0)
+    locations = _pivot_locations(
+        [shard.tolist() for shard in balanced], 0
+    )
     assert all(len(where) == 1 for where in locations.values())
-    assert sum(len(shard) for shard in balanced) == total
+    # the same rows, regrouped: nothing lost, duplicated or rewritten
+    assert sorted(map(tuple, np.concatenate(balanced).tolist())) == sorted(
+        map(tuple, np.concatenate(shards).tolist())
+    )
+    total = sum(len(r) for r in rows)
     assert sum(moved.values()) <= total

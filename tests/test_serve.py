@@ -1074,6 +1074,26 @@ class TestSigmaWarmStartPersistence:
             # the failed load left the session untouched
             assert fresh.sigma == [] and fresh.monitor is None
 
+    def test_bad_chase_costs_fail_load_sigma_early(self, film_graph, tmp_path):
+        path = tmp_path / "sigma.json"
+        rules = film_rules()
+        with Session(film_graph) as session:
+            session.set_sigma(rules)
+            session.save_sigma(path)
+        payload = json.loads(path.read_text())
+        payload["state"] = {"chase_costs": {"alpha": 2.0}}
+        path.write_text(json.dumps(payload))
+        with Session(film_graph.copy()) as live:
+            live.set_sigma(rules[:2], {rules[0]: 7})
+            live.cover(update_sigma=False)  # the cost model observes units
+            costs = live.cover_costs
+            before = (live.sigma, live.supports, costs.as_state())
+            with pytest.raises(ValueError, match="alpha"):
+                live.load_sigma(path)
+            # the failed load changed neither Σ, its supports nor the model
+            assert live.cover_costs is costs
+            assert (live.sigma, live.supports, costs.as_state()) == before
+
     def test_sigma_files_without_state_still_load(self, film_graph, tmp_path):
         path = tmp_path / "plain.json"
         with Session(film_graph) as session:

@@ -21,6 +21,7 @@ from repro import (
     parse_gfd,
 )
 from repro.core import gfd_identity
+from repro.core.discovery import reference_discover
 from repro.enforce import RuleSketchMonitor
 from repro.parallel import ChaseCostModel, shared_memory_available
 from repro.quality.detector import detect_gfd_violations
@@ -381,15 +382,13 @@ class TestPostMutationParity:
             gfd_identity(g) for g in fresh.gfds
         }
 
-    def test_dict_path_statistics_follow_mutations(self):
-        # use_index=False has no index snapshot to invalidate; the session
-        # must rescan statistics on version change all the same
-        config = DiscoveryConfig(k=2, sigma=10, max_lhs_size=1, use_index=False)
+    def test_labels_added_after_discovery_are_mined(self):
+        # a node and edge label that did not exist at the first discovery:
+        # the patched snapshot's statistics must seed and extend them
+        config = DiscoveryConfig(k=2, sigma=10, max_lhs_size=1)
         live = self._chain_graph()
-        # the dict reference path is serial by definition (multiprocess
-        # requires the index), whatever REPRO_PARALLEL_BACKEND says
-        with Session(live, config, backend="serial") as session:
-            session.discover()
+        with Session(live, config) as session:
+            first = session.discover()
             robots = [
                 live.add_node("robot", {"a": "r"}) for _ in range(30)
             ]
@@ -400,10 +399,17 @@ class TestPostMutationParity:
         robots = [fresh_graph.add_node("robot", {"a": "r"}) for _ in range(30)]
         for position in range(29):
             fresh_graph.add_edge(robots[position], robots[position + 1], "serves")
-        fresh = discover(fresh_graph, config)
+        fresh = reference_discover(fresh_graph, config)
         assert {gfd_identity(g) for g in second.gfds} == {
             gfd_identity(g) for g in fresh.gfds
         }
+        labels = lambda result: {
+            label for g in result.gfds for label in g.pattern.labels
+        }
+        assert "robot" not in labels(first) and "robot" in labels(second)
+        assert any(
+            edge.label == "serves" for g in second.gfds for edge in g.pattern.edges
+        )
 
     def test_detector_rejects_a_foreign_session(self, film_graph, film_config):
         sigma = discover(film_graph, film_config).gfds
