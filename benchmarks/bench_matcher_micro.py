@@ -1,13 +1,19 @@
 """Micro benchmark isolating the matching hot path (dict vs CSR index).
 
-Measures, on one synthetic graph, the four operations the frozen
+Measures, on one synthetic graph, the operations the frozen
 :class:`~repro.graph.index.GraphIndex` vectorizes:
 
 * ``find_matches``          — full enumeration of a 3-variable pattern,
 * ``extend_matches``        — one-edge incremental join over a match batch,
 * ``extension_statistics``  — the ``VSpawn`` tally scan (dict pivot sets vs
   indexed ``extension_counts``, compared as counts),
-* ``MatchTable``            — columnar table construction.
+* ``closing_tally``         — the same with ``can_add_node=False``: only the
+  closing half, the semi-join over the columns' distinct nodes,
+* ``match_table``           — columnar table construction,
+* ``constant_alphabet``     — the top-5 constants per column of one table:
+  the ``Counter`` oracle (``constant_value_counts`` +
+  ``constant_literals_from_counts``) vs the integer path
+  (``candidate_constant_literals`` on the index).
 
 Run as a script for a throughput table (``--check`` adds an equivalence
 assertion per operation and a wall-clock budget — the CI perf smoke gate),
@@ -28,7 +34,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.match_table import MatchTable  # noqa: E402
+from repro.core.match_table import (  # noqa: E402
+    MatchTable,
+    constant_literals_from_counts,
+)
 from repro.core.spawning import (  # noqa: E402
     counts_from_statistics,
     extension_counts,
@@ -64,7 +73,7 @@ def _timed(function, repeats: int = 3):
 
 
 def run(check: bool = False):
-    """Run all four measurements; return the report lines."""
+    """Run all six measurements; return the report lines."""
     graph = synthetic_graph(NUM_NODES, NUM_EDGES, num_labels=NUM_LABELS, seed=7)
     build_seconds, index = _timed(lambda: GraphIndex.build(graph))
     lines = [
@@ -111,6 +120,12 @@ def run(check: bool = False):
         lambda: extension_counts(graph, PATTERN, matches, True, index=index),
         lambda a, b: counts_key(counts_from_statistics(a)) == counts_key(b),
     )
+    compare(
+        "closing_tally",
+        lambda: extension_statistics(graph, PATTERN, matches, False),
+        lambda: extension_counts(graph, PATTERN, matches, False, index=index),
+        lambda a, b: counts_key(counts_from_statistics(a)) == counts_key(b),
+    )
     attributes = list(SYNTHETIC_ATTRIBUTES[:3])
     compare(
         "match_table",
@@ -121,6 +136,13 @@ def run(check: bool = False):
             for l in a.candidate_constant_literals(5)
         )
         and a.candidate_constant_literals(5) == b.candidate_constant_literals(5),
+    )
+    table = MatchTable.from_index(index, PATTERN, matches, attributes)
+    compare(
+        "constant_alphabet",
+        lambda: constant_literals_from_counts(table.constant_value_counts(), 5, 1),
+        lambda: table.candidate_constant_literals(5),
+        lambda a, b: a == b,
     )
     return lines
 

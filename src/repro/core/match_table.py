@@ -32,7 +32,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Un
 import numpy as np
 
 from ..graph.graph import Graph
-from ..graph.index import MISSING, GraphIndex
+from ..graph.index import MISSING, GraphIndex, run_lengths
 from ..gfd.literals import (
     ConstantLiteral,
     FalseLiteral,
@@ -49,6 +49,7 @@ __all__ = [
     "merge_value_counts",
     "merge_agreement_counts",
     "constant_literals_from_counts",
+    "constant_literals_from_code_counts",
     "variable_literals_from_counts",
 ]
 
@@ -423,11 +424,48 @@ class MatchTable:
     # ------------------------------------------------------------------
     # candidate literals (HSpawn's alphabet)
     # ------------------------------------------------------------------
+    @staticmethod
+    def column_keys(
+        pattern: Pattern, attributes: Iterable[str]
+    ) -> List[Tuple[int, str]]:
+        """The sorted ``(variable, attr)`` columns of a table over ``pattern``.
+
+        A column's position here is its *slot* in
+        :meth:`constant_code_counts`.
+        """
+        return sorted(
+            {(variable, attr) for variable in pattern.variables() for attr in attributes}
+        )
+
+    def constant_code_counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-column value-code frequencies as one integer group-by (index path).
+
+        Returns ``(keys, counts)``: the distinct ``slot · K + code`` over
+        every column's present cells, ascending, and the rows carrying
+        each — ``slot`` is the column's position in :meth:`column_keys`
+        and ``K`` the index's value-code count.  Codes are graph-global on
+        the index, so shards' arrays merge by key
+        (:func:`constant_literals_from_code_counts`).  No value is decoded.
+        """
+        num_codes = len(self.index.value_of_code)
+        columns = [self._codes[column] for column in sorted(self._codes)]
+        # int32 keys whenever they fit: the sort dominates, and sorting
+        # int32 takes half as long
+        dtype = np.int32 if len(columns) * num_codes < 2**31 else np.int64
+        stack = np.stack(columns or [np.empty(0, dtype=np.int64)]).astype(dtype)
+        present = stack != 0
+        stack += (np.arange(len(stack), dtype=dtype) * num_codes)[:, None]
+        keys = stack[present]
+        keys.sort()
+        return run_lengths(keys)
+
     def constant_value_counts(self) -> Dict[Tuple[int, str], Counter]:
         """Per-column value frequencies (mergeable across match shards).
 
-        Computed by a ``np.unique`` group-by over the code column and a
-        decode of the (few) distinct codes — never a per-row Python loop.
+        The ``Counter`` form: the alphabet's oracle, and its only form on a
+        table without an index, whose codes are per table.  Computed by a
+        ``np.unique`` group-by over the code column and a decode of the
+        (few) distinct codes — never a per-row Python loop.
         """
         counts: Dict[Tuple[int, str], Counter] = {}
         decode = (
@@ -481,10 +519,19 @@ class MatchTable:
 
         For each ``(variable, attr)`` column, the ``max_constants`` most
         frequent present values occurring in at least ``min_rows`` rows —
-        the paper's "5 most frequent values" protocol (Section 7).
+        the paper's "5 most frequent values" protocol (Section 7).  On the
+        index the integer path runs; without one, the ``Counter`` oracle.
         """
-        return constant_literals_from_counts(
-            self.constant_value_counts(), max_constants, min_rows
+        if self.index is None:
+            return constant_literals_from_counts(
+                self.constant_value_counts(), max_constants, min_rows
+            )
+        return constant_literals_from_code_counts(
+            [self.constant_code_counts()],
+            sorted(self._codes),
+            self.index.value_of_code,
+            max_constants,
+            min_rows,
         )
 
     def candidate_variable_literals(
@@ -526,13 +573,27 @@ def merge_agreement_counts(
     return merged
 
 
+def _rank(entry: Tuple[Any, int]) -> Tuple[int, str, str, str]:
+    """The alphabet's total order on ``(value, count)``: descending count,
+    then value text.
+
+    Distinct values can print alike (``1`` and ``"1"``), so the type name
+    and ``repr`` break what ``str`` leaves tied — without them the order
+    would fall back to insertion order, which differs between one table
+    and a merge of shards.
+    """
+    value, count = entry
+    return (-count, str(value), type(value).__qualname__, repr(value))
+
+
 def constant_literals_from_counts(
     counts: Dict[Tuple[int, str], Counter], max_constants: int, min_rows: int
 ) -> List[ConstantLiteral]:
     """Build the constant-literal alphabet from (merged) value counts.
 
-    Ranking is deterministic: by descending count, then value text — the
-    sequential and distributed paths therefore produce identical alphabets.
+    The ``Counter`` oracle of :func:`constant_literals_from_code_counts`,
+    for tables without an index.  Ranking is total (:func:`_rank`), so
+    every path produces the same alphabet.
     """
     import heapq
 
@@ -546,10 +607,60 @@ def constant_literals_from_counts(
             pool = [kv for kv in counter.items() if kv[1] >= threshold]
         else:
             pool = list(counter.items())
-        ranked = sorted(pool, key=lambda kv: (-kv[1], str(kv[0])))
+        ranked = sorted(pool, key=_rank)
         for value, count in ranked[:max_constants]:
             if count >= min_rows:
                 literals.append(ConstantLiteral(variable, attr, value))
+    return literals
+
+
+def constant_literals_from_code_counts(
+    parts: Sequence[Tuple[np.ndarray, np.ndarray]],
+    columns: Sequence[Tuple[int, str]],
+    values: Sequence[Any],
+    max_constants: int,
+    min_rows: int,
+) -> List[ConstantLiteral]:
+    """The constant-literal alphabet from shards' integer value counts.
+
+    ``parts`` are :meth:`MatchTable.constant_code_counts` results of one
+    pattern's shards, ``columns`` their slot order and ``values`` the
+    index's ``value_of_code`` (so ``K = len(values)``).  Codes are
+    graph-global on the index, so the merge is a sum per key.  Each
+    column is cut at its ``max_constants``-th largest count (and at
+    ``min_rows``); only the values at or above the cut are decoded and
+    ranked by :func:`_rank`.  Equal to :func:`constant_literals_from_counts`
+    over the decoded, merged counts.
+    """
+    keys = np.concatenate([part[0] for part in parts])
+    counts = np.concatenate([part[1] for part in parts])
+    if len(parts) > 1:
+        order = np.argsort(keys)
+        keys, sizes = run_lengths(keys[order])
+        counts = np.add.reduceat(counts[order], np.cumsum(sizes) - sizes)
+    if keys.size == 0:
+        return []
+    num_codes = len(values)
+    slots = keys // num_codes
+    # per slot, counts descending: the cut is the max_constants-th entry
+    order = np.lexsort((-counts, slots))
+    slots, counts = slots[order], counts[order]
+    codes = keys[order] % num_codes
+    _, sizes = run_lengths(slots)
+    starts = np.cumsum(sizes) - sizes
+    cut = counts[starts + np.minimum(sizes, max_constants) - 1]
+    floor = np.maximum(cut, min_rows)
+    kept = np.flatnonzero(counts >= np.repeat(floor, sizes))
+    literals: List[ConstantLiteral] = []
+    for slot, run in groupby(
+        zip(slots[kept].tolist(), codes[kept].tolist(), counts[kept].tolist()),
+        key=lambda entry: entry[0],
+    ):
+        variable, attr = columns[slot]
+        pool = [(values[code], count) for _, code, count in run]
+        ranked = sorted(pool, key=_rank)
+        for value, _ in ranked[:max_constants]:
+            literals.append(ConstantLiteral(variable, attr, value))
     return literals
 
 

@@ -16,6 +16,12 @@ candidate sources are used:
 The tally is a distinct *count* per extension key, and that is all it ever
 holds: :func:`extension_counts` produces :class:`ExtensionCounts` from one
 sort of ``(key, pivot)`` pairs and a run-length pass — no per-key pivot set.
+Its two halves read the match rows differently.  The new-node half gathers
+every row's neighbourhood off the CSR.  The closing half is a semi-join:
+per variable ``s`` it gathers the out-edges of column ``s``'s *distinct*
+nodes once, keeps per ``d`` those whose endpoint occurs in column ``d`` and
+that are no pattern edge, and binary-searches only the rows whose two
+nodes both occur among them — most pairs keep no edge and touch no row.
 Under ``ParDis``'s pivot-disjoint sharding the per-shard counts add up
 (:func:`merge_extension_counts`), so the distributed runs spawn *exactly*
 the same patterns as ``SeqDis``.  The per-match dict scan
@@ -38,7 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..graph.graph import Graph
-from ..graph.index import GraphIndex, sort_unique
+from ..graph.index import GraphIndex, run_lengths, sort_unique
 from ..graph.statistics import GraphStatistics
 from ..pattern.incremental import Extension, _as_match_array
 from ..pattern.matcher import Match
@@ -155,16 +161,81 @@ def counts_from_statistics(stats: ExtensionStatistics) -> ExtensionCounts:
     return counts
 
 
-def _pivots_per_key(
-    pairs: np.ndarray, num_nodes: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(distinct keys, distinct pivots per key)`` of sorted distinct
-    ``key · |V| + pivot`` pairs — the counts are run lengths."""
-    keys = pairs // num_nodes
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return keys[starts], np.diff(np.append(starts, keys.size))
+def _closing_tally(
+    index: GraphIndex, pattern: Pattern, array: np.ndarray, pivots: np.ndarray
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """``(key, pivot)`` parts of the closing half: a semi-join per variable pair.
+
+    For each variable ``s`` the out-CSR is gathered once over the *distinct*
+    nodes of column ``s``.  For each ``d`` the candidate edges are those
+    whose endpoint occurs in column ``d`` (``d = s``: self-loops) and whose
+    ``(s, d, label)`` is not a pattern edge; an empty candidate set skips
+    the pair without touching rows.  Otherwise only the rows whose ``h(s)``
+    and ``h(d)`` both occur among the candidates' ends are binary-searched
+    in the ``(src, dst, label)``-sorted candidates.  Every edge a row could
+    record joins a node of column ``s`` to a node of column ``d``, so the
+    candidates hold all of them: the tally is exact.  The one |V|-sized
+    scratch table is cleared at exactly the indices each step set.
+    """
+    num_vars = pattern.num_nodes
+    num_nodes = index.num_nodes
+    num_edge_labels = max(1, len(index.edge_label_values))
+    # pattern edges are not candidates (labels absent from the graph can
+    # never be tallied, so unmapped labels are simply dropped)
+    excluded: Dict[Tuple[int, int], List[int]] = defaultdict(list)
+    for src, dst, label in pattern.edge_set():
+        code = index.edge_label_code_of.get(label)
+        if code is not None:
+            excluded[(src, dst)].append(code)
+    columns = [array[:, variable] for variable in range(num_vars)]
+    distinct = [sort_unique(column) for column in columns]
+    mark = np.zeros(num_nodes, dtype=bool)
+    key_parts: List[np.ndarray] = []
+    pivot_parts: List[np.ndarray] = []
+    for s in range(num_vars):
+        position, ends, labels = index.gather_neighborhoods(distinct[s], True)
+        if position.size == 0:
+            continue
+        starts = distinct[s][position]
+        for d in range(num_vars):
+            if d == s:
+                keep = ends == starts
+            else:
+                mark[distinct[d]] = True
+                keep = mark[ends]
+                mark[distinct[d]] = False
+            for code in excluded.get((s, d), ()):
+                keep &= labels != code
+            if not keep.any():
+                continue
+            # the (src, dst, label)-sorted candidates of this pair
+            src, dst, label = starts[keep], ends[keep], labels[keep]
+            mark[src] = True
+            rows = np.flatnonzero(mark[columns[s]])
+            mark[src] = False
+            mark[dst] = True
+            rows = rows[mark[columns[d][rows]]]
+            mark[dst] = False
+            if rows.size == 0:
+                continue
+            pairs = src * num_nodes + dst
+            probe = columns[s][rows] * num_nodes + columns[d][rows]
+            first = np.searchsorted(pairs, probe)
+            found = pairs[np.minimum(first, pairs.size - 1)] == probe
+            if not found.any():
+                continue
+            rows, probe, first = rows[found], probe[found], first[found]
+            width = np.searchsorted(pairs, probe, side="right") - first
+            total = int(width.sum())
+            # one entry per (row, candidate edge between its h(s) and h(d))
+            offsets = np.cumsum(width) - width
+            hits = (
+                np.arange(total, dtype=np.int64)
+                - np.repeat(offsets - first, width)
+            )
+            key_parts.append((s * num_vars + d) * num_edge_labels + label[hits])
+            pivot_parts.append(np.repeat(pivots[rows], width))
+    return key_parts, pivot_parts
 
 
 def extension_counts(
@@ -176,10 +247,12 @@ def extension_counts(
 ) -> ExtensionCounts:
     """The ``VSpawn`` tally of one match batch (the per-worker scan).
 
-    With ``index`` the whole batch is tallied by one ragged CSR gather per
-    (variable, direction) and an integer group-by over ``key · |V| + pivot``;
-    without it the dict oracle :func:`extension_statistics` runs and its
-    sets are collapsed — the results are identical.
+    With ``index`` the closing half is a semi-join over the columns'
+    distinct nodes (:func:`_closing_tally`) and the new-node half one
+    ragged CSR gather per (variable, direction) over the rows; each half
+    is an integer group-by over ``key · |V| + pivot``.  Without ``index``
+    the dict oracle :func:`extension_statistics` runs and its sets are
+    collapsed — the results are identical.
     """
     if index is None:
         return counts_from_statistics(
@@ -198,50 +271,21 @@ def extension_counts(
     num_node_labels = max(1, len(index.node_label_values))
     pivots = array[:, pattern.pivot]
 
-    # pattern edges as excluded closing keys (labels absent from the graph
-    # can never be tallied, so unmapped labels are simply dropped)
-    excluded: List[int] = []
-    for src, dst, label in pattern.edge_set():
-        code = index.edge_label_code_of.get(label)
-        if code is not None:
-            excluded.append((src * num_vars + dst) * num_edge_labels + code)
-    excluded_keys = np.asarray(sorted(excluded), dtype=np.int64)
-
-    closing_key_parts: List[np.ndarray] = []
-    closing_pivot_parts: List[np.ndarray] = []
+    closing_key_parts, closing_pivot_parts = _closing_tally(
+        index, pattern, array, pivots
+    )
     new_key_parts: List[np.ndarray] = []
     new_pivot_parts: List[np.ndarray] = []
-
-    for variable in range(num_vars):
+    for variable in range(num_vars if can_add_node else 0):
         column = array[:, variable]
         for outward in (True, False):
-            if not outward and not can_add_node:
-                break  # in-edges only ever produce new-node tallies
             row, neighbors, labels = index.gather_neighborhoods(column, outward)
             if row.size == 0:
                 continue
-            # which mapped variable (if any) each neighbor hits — matches
-            # are injective, so at most one variable can match
-            other_variable = np.full(row.size, -1, dtype=np.int64)
+            # a neighbor mapped by the match is a closing edge, tallied above
+            free = np.ones(row.size, dtype=bool)
             for candidate in range(num_vars):
-                hit = neighbors == array[row, candidate]
-                if hit.any():
-                    other_variable[hit] = candidate
-            in_match = other_variable >= 0
-            if outward:
-                if in_match.any():
-                    keys = (
-                        variable * num_vars + other_variable[in_match]
-                    ) * num_edge_labels + labels[in_match]
-                    pivs = pivots[row[in_match]]
-                    if excluded_keys.size:
-                        keep = ~np.isin(keys, excluded_keys)
-                        keys, pivs = keys[keep], pivs[keep]
-                    closing_key_parts.append(keys)
-                    closing_pivot_parts.append(pivs)
-                if not can_add_node:
-                    continue
-            free = ~in_match
+                free &= neighbors != array[row, candidate]
             if not free.any():
                 continue
             endpoint = index.node_label_codes[neighbors[free]]
@@ -261,12 +305,14 @@ def extension_counts(
             edge_labels[code % num_edge_labels],
         )
 
+    # the (key, pivot) pairs are distinct, so a key's run length is its
+    # distinct-pivot count
     if closing_key_parts:
         pairs = sort_unique(
             np.concatenate(closing_key_parts) * num_nodes
             + np.concatenate(closing_pivot_parts)
         )
-        keys, sizes = _pivots_per_key(pairs, num_nodes)
+        keys, sizes = run_lengths(pairs // num_nodes)
         for key, size in zip(keys.tolist(), sizes.tolist()):
             pair = key // num_edge_labels
             label = edge_labels[key % num_edge_labels]
@@ -276,7 +322,7 @@ def extension_counts(
             np.concatenate(new_key_parts) * num_nodes
             + np.concatenate(new_pivot_parts)
         )
-        keys, sizes = _pivots_per_key(pairs, num_nodes)
+        keys, sizes = run_lengths(pairs // num_nodes)
         for key, size in zip(keys.tolist(), sizes.tolist()):
             prefix = prefix_of(key // num_node_labels)
             endpoint = index.node_label_values[key % num_node_labels]
@@ -287,7 +333,7 @@ def extension_counts(
             pairs // (num_node_labels * num_nodes) * num_nodes
             + pairs % num_nodes
         )
-        prefixes, sizes = _pivots_per_key(prefix_pairs, num_nodes)
+        prefixes, sizes = run_lengths(prefix_pairs // num_nodes)
         for code, size in zip(prefixes.tolist(), sizes.tolist()):
             counts.prefix_pivots[prefix_of(code)] = size
     return counts

@@ -59,7 +59,7 @@ import numpy as np
 from .graph import Graph
 from .statistics import GraphStatistics
 
-__all__ = ["GraphIndex", "MISSING", "sort_unique"]
+__all__ = ["GraphIndex", "MISSING", "run_lengths", "sort_unique"]
 
 #: Sentinel for "attribute absent at this node" — distinct from stored None.
 #: (Re-exported by :mod:`repro.core.match_table` for backward compatibility.)
@@ -81,6 +81,14 @@ def sort_unique(values: np.ndarray) -> np.ndarray:
     distinct[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
     return ordered[distinct]
+
+
+def run_lengths(ordered: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(distinct values, run lengths)`` of a sorted integer array."""
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return ordered[starts], np.diff(np.append(starts, ordered.size))
 
 
 def _label_slices(codes: np.ndarray, num_labels: int) -> List[np.ndarray]:

@@ -339,7 +339,10 @@ class ShardWorker:
 
         The value/agreement counts feed the master's alphabet generation,
         saving a dedicated round per pattern (only collected when the
-        pattern will be mined).  ``payload["gamma"]`` carries the run's
+        pattern will be mined).  Value counts travel as the two integer
+        arrays of :meth:`MatchTable.constant_code_counts` — codes are
+        graph-global on the index, so the master merges and decodes only
+        the few values it keeps.  ``payload["gamma"]`` carries the run's
         active attributes — the engine's Γ, not the backend-construction
         one, which may predate a graph mutation that changed the top
         attributes.
@@ -354,10 +357,10 @@ class ShardWorker:
             index=self.index,
         )
         self.tables[key] = table
-        values: Dict = {}
+        values = None
         agreements: Dict = {}
         if payload["mined"]:
-            values = table.constant_value_counts()
+            values = table.constant_code_counts()
             if payload["want_variable"]:
                 agreements = table.variable_agreement_counts(
                     payload["same_attr_only"]

@@ -45,9 +45,9 @@ from ..core.config import DiscoveryConfig
 from ..core.discovery import SequentialDiscovery
 from ..core.generation_tree import GenerationTree, TreeNode
 from ..core.match_table import (
-    constant_literals_from_counts,
+    MatchTable,
+    constant_literals_from_code_counts,
     merge_agreement_counts,
-    merge_value_counts,
     variable_literals_from_counts,
 )
 from ..core.results import DiscoveryResult
@@ -645,13 +645,12 @@ class ParallelDiscovery(SequentialDiscovery):
             self._keys[id(node)]
         )
         with self.cluster.master():
-            merged_values = merge_value_counts(value_parts)
-            self.cluster.ship_to_master(
-                sum(len(counter) for part in value_parts for counter in part.values())
-            )
+            self.cluster.ship_to_master(sum(keys.size for keys, _ in value_parts))
             literals: List[Literal] = list(
-                constant_literals_from_counts(
-                    merged_values,
+                constant_literals_from_code_counts(
+                    value_parts,
+                    MatchTable.column_keys(node.pattern, self.gamma),
+                    self.index.value_of_code,
                     self.config.max_constants,
                     self.config.min_literal_rows,
                 )

@@ -29,6 +29,7 @@ from repro.core.discovery import reference_discover
 from repro.core.sketch import DistinctPivotSketch
 from repro.gfd import implies
 from repro.graph import Graph
+from repro.session import Session
 from repro.parallel import (
     discover_parallel,
     parallel_cover,
@@ -154,6 +155,25 @@ class TestDifferentialEngines:
         assert _fingerprint(multiprocess) == reference, (
             f"ParDis(multiprocess, {workers} workers) diverged"
         )
+
+    def test_values_that_print_alike_rank_alike(self):
+        """``1`` and ``"1"`` tie on count and on ``str``: with one constant
+        per column every engine must keep the same one.  The ranking breaks
+        the tie by type name and ``repr``, not by the order values reached
+        a counter — one table's code order on ``SeqDis``, the shards' merge
+        order on ``ParDis``."""
+        graph = Graph()
+        for v, w in [("y", "r"), (1, "p"), ("1", "q"), (1, "p"), ("1", "q")]:
+            graph.add_node("A", {"v": v, "w": w})
+        config = DiscoveryConfig(
+            k=1, sigma=2, max_lhs_size=1, max_constants=1,
+            active_attributes=["v", "w"], variable_literals=False,
+        )
+        reference = _fingerprint(reference_discover(graph, config))
+        assert len(reference[0]) == 2  # x.v = 1 → x.w = 'p' and its converse
+        assert _fingerprint(discover(graph, config)) == reference
+        with Session(graph, config, backend="serial", num_workers=2) as session:
+            assert _fingerprint(session.discover()) == reference
 
     def test_balancing_off_agrees(self):
         """``ParGFDnb`` (no balancing) also matches, on both backends."""

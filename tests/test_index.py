@@ -25,7 +25,13 @@ from hypothesis.stateful import (
 
 from repro.core.config import DiscoveryConfig
 from repro.core.discovery import discover, reference_discover
-from repro.core.match_table import MISSING, MatchTable
+from repro.core.match_table import (
+    MISSING,
+    MatchTable,
+    constant_literals_from_code_counts,
+    constant_literals_from_counts,
+    merge_value_counts,
+)
 from repro.core.reduction import gfd_identity
 from repro.core.spawning import (
     counts_from_statistics,
@@ -76,14 +82,20 @@ def counts_as_dicts(counts):
     )
 
 
-def assert_tally_matches_oracle(graph, pattern, can_add_node):
-    """Indexed ``extension_counts`` ≡ the dict scan's pivot sets, collapsed."""
+def assert_tally_matches_oracle(graph, pattern, can_add_node, tallied=None):
+    """Indexed ``extension_counts`` ≡ the dict scan's pivot sets, collapsed.
+
+    The matches are ``pattern``'s; ``tallied`` (default ``pattern``) is the
+    pattern the tally runs under — one with an extra edge whose label the
+    graph lacks tallies the same matches with that edge excluded.
+    """
     matches = list(find_matches(graph, pattern))
+    tallied = tallied or pattern
     oracle = counts_from_statistics(
-        extension_statistics(graph, pattern, matches, can_add_node)
+        extension_statistics(graph, tallied, matches, can_add_node)
     )
     counted = extension_counts(
-        graph, pattern, matches, can_add_node, index=graph.index()
+        graph, tallied, matches, can_add_node, index=graph.index()
     )
     assert counts_as_dicts(counted) == counts_as_dicts(oracle)
     for value in list(counted.new_node.values()) + list(counted.closing.values()):
@@ -523,8 +535,10 @@ class TestSpawningEquivalence:
     @given(data=st.data())
     def test_extension_counts_random_graphs(self, data):
         """Counts ≡ collapsed oracle sets on hostile little graphs: parallel
-        and antiparallel edges, wildcard node labels, 2-node 2-edge patterns
-        and patterns with no match at all (empty tables)."""
+        and antiparallel edges, self-loops (the closing tally's ``d = s``
+        pairs), wildcard node labels, 2-node 2-edge patterns, patterns with
+        no match at all (empty tables), and a tallied pattern edge whose
+        label the graph lacks."""
         num_nodes = data.draw(st.integers(2, 7), label="nodes")
         graph = Graph()
         for _ in range(num_nodes):
@@ -538,8 +552,7 @@ class TestSpawningEquivalence:
             label="edges",
         )
         for src, dst, label in edges:
-            if src != dst:
-                graph.add_edge(src, dst, label)
+            graph.add_edge(src, dst, label)
         label = st.sampled_from(["A", "B", WILDCARD])
         shape = data.draw(st.sampled_from(["node", "edge", "pair", "path"]))
         if shape == "node":
@@ -557,8 +570,28 @@ class TestSpawningEquivalence:
                 [(0, 1, "p"), (2, 1, data.draw(st.sampled_from(["p", "q"])))],
                 pivot=data.draw(st.integers(0, 2)),
             )
+        variables = st.integers(0, pattern.num_nodes - 1)
+        tallied = (
+            pattern.with_edge(data.draw(variables), data.draw(variables), "r")
+            if data.draw(st.booleans(), label="absent label")
+            else pattern
+        )
         for can_add_node in (True, False):
-            assert_tally_matches_oracle(graph, pattern, can_add_node)
+            assert_tally_matches_oracle(graph, pattern, can_add_node, tallied)
+
+    def test_shared_node_and_self_loop(self):
+        """Node 1 sits in column 0 of one match and column 1 of another and
+        carries a self-loop: the closing tally records ``(v, v, q)`` under
+        each column it occupies, and nothing for the pair the two columns
+        share no edge of."""
+        graph = Graph()
+        for _ in range(3):
+            graph.add_node("A")
+        for src, dst, label in [(0, 1, "p"), (1, 2, "p"), (1, 1, "q"), (2, 0, "q")]:
+            graph.add_edge(src, dst, label)
+        pattern = Pattern(["A", "A"], [(0, 1, "p")])
+        counted = assert_tally_matches_oracle(graph, pattern, False)
+        assert counted.closing == {(0, 0, "q"): 1, (1, 1, "q"): 1}
 
     def test_empty_table_tallies_nothing(self):
         graph = small_graph(0)
@@ -646,6 +679,68 @@ class TestMatchTableEquivalence:
         # per-pattern lifetime reuse: the second sweep is all hits
         assert index_table.mask_cache_misses == misses
         assert index_table.mask_cache_hits >= len(literals)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_integer_alphabet_equals_counter_oracle(self, data):
+        """The shards' integer code counts, merged and cut, give the alphabet
+        the ``Counter`` oracle gives over dict tables: on heavy ties at the
+        cut (a few values drawn many times, ``1`` beside ``"1"``), with
+        ``min_rows > 1``, and with empty columns (a sparse attribute, one no
+        node carries), over 1–3 shards of rows."""
+        num_nodes = data.draw(st.integers(1, 14), label="nodes")
+        values = st.sampled_from([1, "1", 2, "2", "x", "y", "z"])
+        graph = Graph()
+        for _ in range(num_nodes):
+            attrs = {"a": data.draw(values)}
+            if data.draw(st.booleans()):
+                attrs["b"] = data.draw(values)
+            if data.draw(st.integers(0, 9)) == 0:
+                attrs["c"] = data.draw(values)
+            graph.add_node("A", attrs)
+        for _ in range(data.draw(st.integers(0, 2 * num_nodes), label="edges")):
+            src = data.draw(st.integers(0, num_nodes - 1))
+            dst = data.draw(st.integers(0, num_nodes - 1))
+            if src != dst:
+                graph.add_edge(src, dst, "p")
+        pattern = data.draw(
+            st.sampled_from([Pattern(["A"]), Pattern(["A", "A"], [(0, 1, "p")])])
+        )
+        attributes = ["a", "b", "c", "absent"]
+        matches = list(find_matches(graph, pattern))
+        num_shards = data.draw(st.integers(1, 3), label="shards")
+        owner = [data.draw(st.integers(0, num_shards - 1)) for _ in matches]
+        shards = [
+            [match for match, at in zip(matches, owner) if at == shard]
+            for shard in range(num_shards)
+        ]
+        max_constants = data.draw(st.integers(1, 4), label="k")
+        min_rows = data.draw(st.integers(1, 4), label="min_rows")
+
+        index = graph.index()
+        oracle = constant_literals_from_counts(
+            merge_value_counts(
+                MatchTable(graph, pattern, shard, attributes).constant_value_counts()
+                for shard in shards
+            ),
+            max_constants,
+            min_rows,
+        )
+        integer = constant_literals_from_code_counts(
+            [
+                MatchTable.from_index(
+                    index, pattern, shard, attributes
+                ).constant_code_counts()
+                for shard in shards
+            ],
+            MatchTable.column_keys(pattern, attributes),
+            index.value_of_code,
+            max_constants,
+            min_rows,
+        )
+        assert integer == oracle
+        whole = MatchTable.from_index(index, pattern, matches, attributes)
+        assert whole.candidate_constant_literals(max_constants, min_rows) == oracle
 
 
 class TestFreezeLifecycle:

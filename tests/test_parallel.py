@@ -34,8 +34,9 @@ from repro.parallel.backend import ShardWorker, make_backend
 from repro.parallel.parcover import _group_sigma
 from repro.pattern import Pattern, embedding
 from repro.pattern.embedding import is_embedded
-from repro.pattern.incremental import extend_matches
+from repro.pattern.incremental import apply_extension, extend_matches
 from repro.pattern.matcher import match_array
+from repro.pattern.pattern import WILDCARD
 
 
 class TestCluster:
@@ -269,11 +270,13 @@ KB_FIXTURES = ["yago", "dbpedia", "imdb"]
 
 
 class _RecordingDiscovery(ParallelDiscovery):
-    """Records every child ``_leaf_support`` lets skip the join."""
+    """Records every child ``_leaf_support`` lets skip the join, and every
+    child it sends to the join with its parent's merged tally."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.skipped = []
+        self.joined = []
         self._current_parent = None
 
     def _extensions_from_tallies(self, parent, merged):
@@ -282,8 +285,11 @@ class _RecordingDiscovery(ParallelDiscovery):
 
     def _leaf_support(self, merged, extension):
         support = super()._leaf_support(merged, extension)
+        parent = self._current_parent.pattern
         if support is not None:
-            self.skipped.append((self._current_parent.pattern, extension, support))
+            self.skipped.append((parent, extension, support))
+        else:
+            self.joined.append((parent, extension, merged))
         return support
 
 
@@ -334,6 +340,28 @@ class TestTallyFixedLeaves:
         assert result.stats.patterns_zero_support == (
             sequential.stats.patterns_zero_support
         )
+
+    @pytest.mark.parametrize("name", KB_FIXTURES)
+    def test_every_joined_child_is_frequent(self, name):
+        """No infrequent child is ever joined, so a new-node leaf needs no
+        tally shortcut: a concrete-label new-node child's support *is* its
+        merged tally count, and only counts ≥ σ spawn such a child."""
+        graph, sigma = _kb_fixture(name)
+        config = DiscoveryConfig(k=3, sigma=sigma, max_lhs_size=1)
+        engine = _RecordingDiscovery(graph, config, num_workers=2)
+        result = engine.run()
+        new_node = 0
+        for parent, extension, merged in engine.joined:
+            node = result.tree.find(apply_extension(parent, extension))
+            assert node.support >= sigma
+            if not extension.is_closing and extension.new_node_label != WILDCARD:
+                key = (
+                    extension.src, extension.outward,
+                    extension.edge_label, extension.new_node_label,
+                )
+                assert node.support == merged.new_node[key]
+                new_node += 1
+        assert new_node, "the fixture must join new-node children"
 
     @pytest.mark.parametrize("name", KB_FIXTURES)
     def test_only_mined_patterns_are_installed(self, name):
