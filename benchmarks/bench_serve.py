@@ -28,7 +28,10 @@ of the serving subsystem:
 5. **One answer per state** (exact counts, no timing) — one enforcement
    engine build per run (the ``engine_build`` tracer events: read-only
    covers keep the engine), one cover computation per served Σ, memo
-   hits + misses equal to the requests of each kind, and every
+   hits + misses equal to the requests of each kind, ``enforce_install``
+   worker ops equal to workers × plan groups × full passes (a discovery
+   drops only its own worker keys, so resident groups survive it and a
+   refresh never re-installs them), and every
    ``discover`` / ``cover`` answer identical to a fresh single-client
    ``Session`` at the replayed version (``discover_iter`` with the
    clamped budget, ``update_sigma=False``; the cover of Σ).
@@ -197,6 +200,10 @@ async def drive(base, config, sigma, backend: str) -> Dict[str, Any]:
         cover_computations = service.session.metrics().phases.get("cover", 0)
     finally:
         await service.close()
+    full_passes = [
+        event for event in tracer.events
+        if event["type"] == "enforce_pass" and event["mode"] == "full"
+    ]
     replay = check_replay_identity(
         base, sigma, commit_log, load.validate_responses
     )
@@ -216,6 +223,16 @@ async def drive(base, config, sigma, backend: str) -> Dict[str, Any]:
         "answer_memo": answer_memo,
         "engine_builds": sum(
             event["type"] == "engine_build" for event in tracer.events
+        ),
+        "workers": service.session.num_workers,
+        # a full pass revalidates every group of the one engine's plan
+        "plan_groups": (
+            full_passes[0]["groups_revalidated"] if full_passes else 0
+        ),
+        "full_passes": len(full_passes),
+        "enforce_installs": sum(
+            span.kind == "op" and span.name == "enforce_install"
+            for span in tracer.spans
         ),
         "cover_computations": cover_computations,
         "leaked_leases": service.leaked_leases,
@@ -288,6 +305,14 @@ def check(metrics: Dict[str, Any]) -> List[str]:
                 f"{tag} {run['engine_builds']} enforcement engine builds "
                 f"(expected 1: Σ never changes while serving)"
             )
+        installs = run["workers"] * run["plan_groups"] * run["full_passes"]
+        if run["enforce_installs"] != installs:
+            failures.append(
+                f"{tag} {run['enforce_installs']} enforce_install ops, "
+                f"expected {installs} = {run['workers']} workers x "
+                f"{run['plan_groups']} plan groups x {run['full_passes']} "
+                f"full passes (resident groups must survive discoveries)"
+            )
         covers = load["completed"].get("cover", 0)
         if run["cover_computations"] != min(1, covers):
             failures.append(
@@ -348,7 +373,10 @@ def main() -> int:
             f"{run['replay']['responses_checked']} replay-checked over "
             f"{run['replay']['versions_replayed']} versions | "
             f"engine builds {run['engine_builds']}, "
-            f"cover computations {run['cover_computations']}, memo hits "
+            f"cover computations {run['cover_computations']}, "
+            f"enforce_install ops {run['enforce_installs']} = "
+            f"{run['workers']} workers x {run['plan_groups']} groups x "
+            f"{run['full_passes']} full passes, memo hits "
             + ", ".join(
                 f"{kind} {outcomes['hit']}/{sum(outcomes.values())}"
                 for kind, outcomes in sorted(run["answer_memo"].items())

@@ -245,16 +245,6 @@ class EnforcementEngine:
             return self._backend.num_workers
         return self.config.resolved_workers
 
-    def invalidate_residency(self) -> None:
-        """Forget worker-resident shards (a shared backend was reset).
-
-        A session-shared backend is wiped (``op_reset``) whenever a
-        discovery run returns it; the session calls this so the next
-        enforcement pass re-installs its shards instead of updating state
-        that no longer exists.
-        """
-        self._resident.clear()
-
     def _drop_resident(self) -> None:
         """Free this engine's resident groups on a backend that outlives it."""
         if not self._resident or self._backend is None:

@@ -192,7 +192,6 @@ class LifecycleCounters:
         index_refreshes: :meth:`ExecutionBackend.refresh_index` calls —
             snapshot re-points that *reuse* the live pools instead of
             rebuilding them.
-        resets: worker-state wipes (an engine returning a borrowed backend).
         shutdowns: terminal releases (0 while the backend is live, 1 after).
         timeouts: supervised ops that exceeded their ``op_timeout_s``
             deadline (the worker was declared hung and killed).
@@ -211,7 +210,6 @@ class LifecycleCounters:
     #: (attribute columns / CSR deltas) instead of re-exporting the full
     #: index — the delta-aware mutation path.
     delta_refreshes: int = 0
-    resets: int = 0
     shutdowns: int = 0
     timeouts: int = 0
     retries: int = 0
@@ -264,14 +262,18 @@ def _result_rows(op: str, result: Any) -> int:
     return 0
 
 
+def _adopted_key(entry: Tuple[str, int, Dict[str, Any]]) -> Optional[int]:
+    """The key whose parked join an install-log entry adopts, if any."""
+    op, _, payload = entry
+    adopt = payload.get("adopt") if op == "install" else None
+    return None if adopt is None else adopt[0]
+
+
 def _account(backend: "ExecutionBackend", op: str, payload: Dict[str, Any],
              result: Any) -> None:
     """Charge one executed op (with its result) to the backend's ledgers."""
     ledger = backend.transfers
     ledger.rows_to_workers += _payload_rows(op, payload)
-    if op == "reset":
-        backend.lifecycle.resets += 1
-        return
     if op == "sigma":
         ledger.sigma_rules += len(payload.get("sigma", ()))
         return
@@ -300,6 +302,11 @@ class ShardWorker:
     ``op_implication_batch`` / ``op_cover_probe``), and the enforcement
     engine's persistent per-group match arrays with their cached per-rule
     violation masks (``op_enforce_install`` / ``op_enforce_update``).
+
+    Worker state belongs to the engine that made it: keys come from the
+    process-wide :func:`next_node_key`, and each engine releases only its
+    own (discovery ``drop`` / ``drop_store``, cover ``drop_sigma``,
+    enforcement ``enforce_drop``).  No op clears another engine's state.
     """
 
     def __init__(
@@ -668,17 +675,6 @@ class ShardWorker:
             del self.joins[slot]  # un-adopted parks (e.g. truncated children)
         return None
 
-    def op_reset(self, key: int, payload: Dict[str, Any]) -> None:
-        """Clear every shard (an external backend being reused)."""
-        self.tables.clear()
-        self.stores.clear()
-        self.bits.clear()
-        self.joins.clear()
-        self.sigmas.clear()
-        self.checkers.clear()
-        self.enforce_state.clear()
-        return None
-
 
 # ----------------------------------------------------------------------
 # backends
@@ -717,7 +713,7 @@ class ExecutionBackend:
     def run_unmetered(
         self, requests: Sequence[Request], wait: bool = True
     ) -> List[Any]:
-        """Bookkeeping ops (drops/reset) outside the metered supersteps.
+        """Bookkeeping ops (drops, enforcement) outside the metered supersteps.
 
         ``wait=False`` fires and forgets (single-process pools execute
         in-order, so a later op can never overtake a drop) — keeps
@@ -812,8 +808,7 @@ class SerialBackend(ExecutionBackend):
             return
         self._down = True
         self.lifecycle.shutdowns += 1
-        for worker in self.workers:
-            worker.op_reset(0, {})
+        self.workers = []
 
 
 # ----------------------------------------------------------------------
@@ -1443,62 +1438,65 @@ class MultiprocessBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # supervision: journal, recovery, degradation
     # ------------------------------------------------------------------
-    #: State-mutating ops recorded in the per-worker install log.  Replay
-    #: of this journal (against the current index snapshot) reconstructs a
-    #: respawned worker's resident state exactly: every op is a
-    #: deterministic function of (index, installed state, payload).
-    #: Read-only ops (tally, implication_batch, cover_probe) and un-parked
-    #: joins are never journaled.
-    _JOURNALED_OPS = frozenset(
-        {
-            "install",
-            "join",
-            "fetch_join",
-            "scan",
-            "eval",
-            "probe",
-            "sigma",
-            "enforce_install",
-            "enforce_update",
-            "drop",
-            "drop_store",
-        }
-    )
+    #: Release op -> the state-making ops whose entries of its key it
+    #: retires from the install log.  Replaying the log (against the
+    #: current index snapshot) rebuilds a respawned worker exactly: every
+    #: op is a deterministic function of (index, state, payload).
+    _RETIRES = {
+        "drop": frozenset(
+            {"install", "join", "fetch_join", "scan", "eval", "probe"}
+        ),
+        "drop_store": frozenset({"scan", "eval", "probe"}),
+        "drop_sigma": frozenset({"sigma"}),
+        "enforce_drop": frozenset({"enforce_install", "enforce_update"}),
+    }
+    #: The state-making ops.  Read-only ops (tally, implication_batch,
+    #: cover_probe) and un-parked joins are never journaled.
+    _JOURNALED_OPS = frozenset().union(*_RETIRES.values())
 
     def _journal(self, worker: int, op: str, key: int,
                  payload: Dict[str, Any]) -> None:
-        """Append one *completed* op to the worker's install log.
+        """Record one *completed* op in the worker's install log.
 
-        Journal-on-success keeps replay + retry exactly-once for
-        non-idempotent ops (an op that died mid-flight was never recorded,
-        so its retry applies it once on the replayed state).  ``reset``
-        clears the log; released Σ/enforcement keys compact away.
-        Unsupervised backends never replay, so they keep no log.
+        Journal-on-success keeps replay + retry exactly-once (an op that
+        died mid-flight was never recorded, so its retry applies it once on
+        the replayed state).  One compaction rule bounds the log: a release
+        op of key ``K`` retires ``K``'s entries of its family and is not
+        recorded.  The one dependency is adoption: a child's ``install``
+        with ``adopt=(K, position)`` replays only after ``K``'s ``install``
+        and ``join``, so while a live entry adopts from ``K``, ``drop(K)``
+        stays as a tombstone, and ``K``'s entries retire with its last
+        adopter — transitively up to the seed.  Unsupervised backends
+        never replay, so they keep no log.
         """
         if self._fault is None:
             return
         journal = self._journals[worker]
-        if op == "reset":
-            journal.clear()
+        family = self._RETIRES.get(op)
+        if family is None:
+            if op in self._JOURNALED_OPS and (op != "join" or payload.get("park")):
+                journal.append((op, key, payload))
             return
-        if op == "drop_sigma":
+        if op == "drop" and any(_adopted_key(entry) == key for entry in journal):
+            journal.append((op, key, {}))  # the tombstone
+            return
+        family = family | {op}
+        while True:
+            parent = next(
+                (_adopted_key(entry) for entry in journal if entry[1] == key
+                 and _adopted_key(entry) is not None),
+                None,
+            )
             journal[:] = [
-                entry
-                for entry in journal
-                if not (entry[1] == key and entry[0] == "sigma")
+                entry for entry in journal
+                if entry[1] != key or entry[0] not in family
             ]
-            return
-        if op == "enforce_drop":
-            journal[:] = [
-                entry
-                for entry in journal
-                if not (entry[1] == key and entry[0].startswith("enforce"))
-            ]
-            return
-        if op == "join" and not payload.get("park"):
-            return  # nothing parked: the matches returned to the master
-        if op in self._JOURNALED_OPS:
-            journal.append((op, key, payload))
+            # a tombstoned parent retires with its last adopter
+            if not any(
+                entry[0] == "drop" and entry[1] == parent for entry in journal
+            ) or any(_adopted_key(entry) == parent for entry in journal):
+                return
+            key = parent
 
     @staticmethod
     def _is_transport_failure(error: BaseException) -> bool:

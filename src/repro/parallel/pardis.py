@@ -228,21 +228,27 @@ class ParallelDiscovery(SequentialDiscovery):
                 )
 
     def _finish_backend(self) -> None:
-        """Release an owned backend; reset a borrowed one for its owner."""
+        """Drop this run's live worker keys; shut down an owned backend.
+
+        Runs on success, on error and on an abandoned ``run_iter``, so the
+        other engines on a borrowed backend keep their state (an
+        enforcement engine's resident shards survive a discovery).  Best
+        effort: a backend that just broke mid-run must not displace the
+        original error with its cleanup failure.
+        """
+        try:
+            self._backend.run_unmetered(
+                [
+                    (worker, "drop", key, {})
+                    for key in self._keys.values()
+                    for worker in range(self.num_workers)
+                ]
+            )
+        except Exception:
+            pass
         if self._owns_backend:
-            if self._backend is not None:
-                self._backend.shutdown()
-                self._backend = None
-        else:
-            # the caller keeps the backend: clear this run's shard state
-            # (best effort — a backend that just broke mid-run must not
-            # displace the original error with its cleanup failure)
-            try:
-                self._backend.run_unmetered(
-                    [(w, "reset", 0, {}) for w in range(self.num_workers)]
-                )
-            except Exception:
-                pass
+            self._backend.shutdown()
+            self._backend = None
 
     def _master(self):
         return self.cluster.master()

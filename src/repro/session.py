@@ -94,14 +94,14 @@ class SessionMetrics:
     after a full discover → cover → enforce → refresh pipeline,
     ``backend_starts == 1`` and ``lifecycle.index_attaches == 1``.
 
-    :meth:`as_dict` renders the documented **schema v4** (see there) and
+    :meth:`as_dict` renders the documented **schema v5** (see there) and
     :meth:`registry` lifts the same snapshot into a
     :class:`~repro.obs.metrics.MetricsRegistry` for Prometheus-style
     exposition.
     """
 
     #: Version of the :meth:`as_dict` layout.  Bump on any key change.
-    SCHEMA_VERSION = 4
+    SCHEMA_VERSION = 5
 
     backend_name: str
     num_workers: int
@@ -125,7 +125,7 @@ class SessionMetrics:
     def as_dict(self) -> Dict[str, Any]:
         """A JSON-serializable rendering (CI artifacts, ``--metrics``).
 
-        **Schema v4.**  Every top-level key except ``timings`` holds only
+        **Schema v5.**  Every top-level key except ``timings`` holds only
         deterministic values — names, worker counts, event counts — so two
         runs over the same input diff cleanly.  All wall-clock derived
         floats (phase seconds, recovery seconds) are isolated under the
@@ -134,7 +134,7 @@ class SessionMetrics:
         (``benchmarks/bench_session.py --check`` does exactly this).
 
         Keys: ``schema_version``, ``repro_version``, ``backend``,
-        ``num_workers``, ``backend_starts``, ``lifecycle`` (6 lifecycle
+        ``num_workers``, ``backend_starts``, ``lifecycle`` (5 lifecycle
         counts), ``faults`` (4 fault counts), ``transfers`` (3 row/rule
         counts), ``cluster`` (``supersteps``), ``phases``, ``sigma_size``,
         ``cover_cost_observations``, ``timings`` (``parallel_seconds``,
@@ -154,7 +154,6 @@ class SessionMetrics:
                 "index_attaches": self.lifecycle.index_attaches,
                 "index_refreshes": self.lifecycle.index_refreshes,
                 "delta_refreshes": self.lifecycle.delta_refreshes,
-                "resets": self.lifecycle.resets,
                 "shutdowns": self.lifecycle.shutdowns,
             },
             "faults": {
@@ -524,11 +523,6 @@ class Session:
             backend=self.backend(),
         )
 
-    def _after_discovery(self) -> None:
-        """The shared backend was reset by the returning discovery engine."""
-        if self._engine is not None:
-            self._engine.invalidate_residency()
-
     def discover(self) -> DiscoveryResult:
         """Run ``ParDis`` on the session backend; Σ becomes the result.
 
@@ -545,11 +539,7 @@ class Session:
             backend=self._backend_name,
             size=self.graph.num_nodes,
         ):
-            engine = self._discovery_engine()
-            try:
-                result = engine.run()
-            finally:
-                self._after_discovery()
+            result = self._discovery_engine().run()
         self._set_sigma(result.gfds, result.supports)
         return result
 
@@ -607,8 +597,7 @@ class Session:
                 if max_levels is not None and level >= max_levels:
                     break
         finally:
-            levels.close()  # releases the engine's hold on the backend
-            self._after_discovery()
+            levels.close()  # drops the engine's worker state
             if span is not None:
                 self.tracer.end(span)
             if update_sigma:

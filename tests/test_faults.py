@@ -29,7 +29,14 @@ from repro.parallel import (
     shared_memory_available,
 )
 from repro.parallel import janitor
-from repro.parallel.backend import make_backend, next_node_key
+from repro.parallel.backend import (
+    MultiprocessBackend,
+    SerialBackend,
+    ShardWorker,
+    make_backend,
+    next_node_key,
+)
+from repro.parallel.pardis import ParallelDiscovery
 
 needs_mp = pytest.mark.skipif(
     not shared_memory_available(),
@@ -370,6 +377,106 @@ class TestSupervisionPlumbing:
             assert backend.lifecycle.retries == 1
         finally:
             backend.shutdown()
+
+
+def _worker_state(shard: ShardWorker):
+    """Every state family of one worker, in comparable form."""
+    return {
+        "tables": {key: table.num_rows for key, table in shard.tables.items()},
+        "stores": {key: dict(store) for key, store in shard.stores.items()},
+        "bits": {key: dict(bits) for key, bits in shard.bits.items()},
+        "joins": {slot: rows.tolist() for slot, rows in shard.joins.items()},
+        "sigmas": sorted(shard.sigmas),
+        "enforce_state": sorted(shard.enforce_state),
+    }
+
+
+class _ReplayCheckingBackend(SerialBackend):
+    """In-process shards that park joins like remote workers and keep the
+    supervised install log; after every batch, replaying each worker's log
+    onto a fresh shard must rebuild that worker's live state exactly."""
+
+    remote = True
+    _RETIRES = MultiprocessBackend._RETIRES
+    _JOURNALED_OPS = MultiprocessBackend._JOURNALED_OPS
+    _journal = MultiprocessBackend._journal
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._fault = FaultConfig()
+        self._journals = [[] for _ in range(self.num_workers)]
+        self.checks = 0
+        self.tombstones = 0
+
+    def run_superstep(self, step, requests):
+        results = super().run_superstep(step, requests)
+        self._settle(requests)
+        return results
+
+    def run_unmetered(self, requests, wait=True):
+        results = super().run_unmetered(requests, wait)
+        self._settle(requests)
+        return results
+
+    def _settle(self, requests) -> None:
+        for worker, op, key, payload in requests:
+            self._journal(worker, op, key, payload)
+        for worker, shard in enumerate(self.workers):
+            journal = self._journals[worker]
+            self.tombstones = max(
+                self.tombstones, sum(entry[0] == "drop" for entry in journal)
+            )
+            replayed = ShardWorker(shard.graph, shard.index, shard.gamma)
+            for op, key, payload in journal:
+                replayed.execute(op, key, payload)
+            assert _worker_state(replayed) == _worker_state(shard)
+        self.checks += 1
+
+
+class TestJournalCompaction:
+    """The install log's one compaction rule, checked by replay."""
+
+    @pytest.mark.parametrize("abandon", [False, True], ids=["run", "abandoned"])
+    def test_replay_rebuilds_live_state_after_every_batch(
+        self, film_graph, film_config, abandon
+    ):
+        index = film_graph.index()
+        backend = _ReplayCheckingBackend(
+            2, film_graph, index, film_config.active_attributes
+        )
+        engine = ParallelDiscovery(
+            film_graph, film_config, index=index, backend=backend
+        )
+        if abandon:
+            levels = engine.run_iter()
+            next(levels)
+            next(levels)  # level 1: the seeds' children adopted parked joins
+            levels.close()
+        else:
+            assert engine.run().gfds
+        assert backend.checks > 0
+        # a dropped parent stayed as a tombstone while a child adopted from it
+        assert backend.tombstones > 0
+        # a finished (or abandoned) discovery drops every key it made
+        assert backend._journals == [[], []]
+        assert all(
+            _worker_state(shard) == _worker_state(ShardWorker(None, None, []))
+            for shard in backend.workers
+        )
+        backend.shutdown()
+
+    def test_releases_retire_their_family(self):
+        journal_of = _ReplayCheckingBackend(1, None, None, [])
+        key = next_node_key()
+        journal_of._journal(0, "sigma", key, {"sigma": []})
+        journal_of._journal(0, "enforce_install", key, {"matches": None})
+        journal_of._journal(0, "drop_sigma", key, {})
+        assert [entry[0] for entry in journal_of._journals[0]] == [
+            "enforce_install"
+        ]
+        journal_of._journal(0, "enforce_drop", key, {})
+        journal_of._journal(0, "drop", key, {})  # nothing adopts: no tombstone
+        assert journal_of._journals[0] == []
 
 
 # ----------------------------------------------------------------------

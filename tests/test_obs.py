@@ -347,7 +347,7 @@ class TestExports:
 
     def test_metrics_schema(self, traced):
         _, metrics = traced
-        assert metrics["schema_version"] == 4
+        assert metrics["schema_version"] == 5
         assert metrics["repro_version"]
         # every wall-clock float is quarantined under "timings"
         def no_floats(value):
@@ -365,4 +365,9 @@ class TestExports:
         # v4: one rebalance route, so no worker-to-worker staged rows
         assert set(metrics["transfers"]) == {
             "rows_to_workers", "rows_to_master", "sigma_rules"
+        }
+        # v5: engines drop their own worker keys, so no backend-wide reset
+        assert set(metrics["lifecycle"]) == {
+            "pools_started", "index_attaches", "index_refreshes",
+            "delta_refreshes", "shutdowns",
         }

@@ -878,21 +878,20 @@ class TestConcurrentReplayIdentity:
             )
             await service.start()
             try:
-                # a discover resets the shared backend, and with it the
-                # resident shards whose update the plan kills: the chaos
-                # load issues none, and one budgeted discover follows it
+                # a discover before the first commit: the killed update
+                # must replay resident shards that outlived a discovery
+                opening = await service.discover(max_rules=3)
                 load = await run_load(
                     service,
                     clients=3,
                     requests_per_client=8,
-                    mix=TrafficMix(validate=0.7, discover=0.0, cover=0.1,
+                    mix=TrafficMix(validate=0.6, discover=0.1, cover=0.1,
                                    mutate=0.2),
                     seed=5,
                     mutation_attrs=["type"],
+                    discover_budget=3,
                 )
-                load.discover_responses.append(
-                    await service.discover(max_rules=3)
-                )
+                load.discover_responses.append(opening)
                 commit_log = [list(b) for b in service.writer.commit_log]
                 respawns = service.session.metrics().lifecycle.respawns
             finally:

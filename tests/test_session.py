@@ -15,6 +15,7 @@ import pytest
 from repro import (
     DiscoveryConfig,
     EnforcementConfig,
+    FaultConfig,
     Session,
     Tracer,
     discover,
@@ -23,8 +24,11 @@ from repro import (
 from repro.core import gfd_identity
 from repro.core.discovery import reference_discover
 from repro.enforce import RuleSketchMonitor
+from repro.gfd.satisfaction import find_violations
 from repro.parallel import ChaseCostModel, shared_memory_available
+from repro.parallel.pardis import ParallelDiscovery
 from repro.quality.detector import detect_gfd_violations
+from repro.serve import report_payload
 
 BACKENDS = ["serial"]
 if shared_memory_available():
@@ -502,3 +506,205 @@ class TestFusedSession:
             after = session.metrics().lifecycle
             assert after.index_refreshes == before.index_refreshes + 1
             assert after.delta_refreshes == 1
+
+
+# ----------------------------------------------------------------------
+# worker state belongs to the engine that made it
+# ----------------------------------------------------------------------
+def _run_full_discover(session):
+    session.discover()
+
+
+def _run_budgeted_stream(session):
+    assert len(list(session.discover_iter(max_rules=3, update_sigma=False))) == 3
+
+
+def _run_abandoned_stream(session):
+    stream = session.discover_iter(update_sigma=False)
+    next(stream)
+    stream.close()
+
+
+DISCOVERIES = {
+    "discover": _run_full_discover,
+    "budgeted": _run_budgeted_stream,
+    "abandoned": _run_abandoned_stream,
+}
+
+
+def _supervised(config, backend):
+    """Multiprocess runs keep the install log, so journals can be compared."""
+    return replace(config, fault=FaultConfig()) if backend == "multiprocess" else config
+
+
+def _resident_keys(session):
+    engine = session._engine
+    return sorted(engine._group_keys[position] for position in engine._resident)
+
+
+def _assert_only_enforcement_state(session):
+    """Serial workers hold every group of the engine and nothing else."""
+    assert len(_resident_keys(session)) == len(session._engine.plan.groups)
+    for shard in session.backend().workers:
+        assert shard.tables == {} and shard.stores == {} and shard.bits == {}
+        assert shard.joins == {} and shard.sigmas == {} and shard.checkers == {}
+        assert sorted(shard.enforce_state) == _resident_keys(session)
+
+
+def _normalized_journals(session):
+    """Install logs with keys renamed by first use and arrays as lists."""
+    journals = []
+    for journal in session.backend()._journals:
+        names = {}
+        journals.append(
+            [
+                (
+                    op,
+                    names.setdefault(key, len(names)),
+                    {
+                        name: value.tolist() if hasattr(value, "tolist") else value
+                        for name, value in payload.items()
+                    },
+                )
+                for op, key, payload in journal
+            ]
+        )
+    return journals
+
+
+def _assert_reports_agree(report, graph, sigma):
+    """``report`` ≡ a fresh session's full pass ≡ ``find_violations``."""
+    with Session(graph.copy()) as fresh:
+        fresh.set_sigma(sigma)
+        assert report_payload(report) == report_payload(fresh.enforce())
+    assert [rule.violation_count for rule in report.rules] == [
+        len({violation.match for violation in find_violations(graph, gfd)})
+        for gfd in sigma
+    ]
+
+
+class TestWorkerStateOwnership:
+    """A discovery drops exactly its own worker keys: the enforcement
+    engine's resident shards survive it, so the next refresh ships only
+    the delta — the rows a twin session that never discovered ships."""
+
+    @staticmethod
+    def _refresh_after(graph, config, backend, discovery):
+        with Session(graph, config, backend=backend, num_workers=2) as session:
+            session.discover()
+            session.enforce()
+            if discovery is not None:
+                DISCOVERIES[discovery](session)
+            graph.set_attr(0, "type", "gardener")
+            before = session.metrics().transfers.rows_to_workers
+            report = session.refresh()
+            shipped = session.metrics().transfers.rows_to_workers - before
+            return report, shipped, session.sigma
+
+    @pytest.mark.parametrize("discovery", sorted(DISCOVERIES))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_refresh_after_discovery_ships_only_the_delta(
+        self, film_graph, film_config, backend, discovery
+    ):
+        twin_graph = film_graph.copy()
+        report, shipped, sigma = self._refresh_after(
+            film_graph, film_config, backend, discovery
+        )
+        twin, twin_shipped, twin_sigma = self._refresh_after(
+            twin_graph, film_config, backend, None
+        )
+        assert sigma == twin_sigma
+        assert report.mode == twin.mode == "incremental"
+        assert 0 < shipped == twin_shipped
+        assert report_payload(report) == report_payload(twin)
+        assert not report.is_clean
+        _assert_reports_agree(report, film_graph, sigma)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_no_worker_state_leaks_across_cycles(
+        self, film_graph, film_config, backend
+    ):
+        config = _supervised(film_config, backend)
+        sigma = discover(film_graph, film_config).gfds
+        twin_graph = film_graph.copy()
+        with Session(
+            film_graph, config, backend=backend, num_workers=2
+        ) as session, Session(
+            twin_graph, config, backend=backend, num_workers=2
+        ) as twin:
+            for each in (session, twin):
+                each.set_sigma(sigma)
+                each.enforce()
+            for node, discovery in enumerate(sorted(DISCOVERIES)):
+                if discovery == "discover":
+                    # a full run replaces Σ: stream the whole run instead
+                    list(session.discover_iter(update_sigma=False))
+                else:
+                    DISCOVERIES[discovery](session)
+                session.cover(update_sigma=False)
+                for graph, each in ((film_graph, session), (twin_graph, twin)):
+                    graph.set_attr(node, "type", "gardener")
+                    assert each.refresh().mode == "incremental"
+            assert report_payload(session.refresh()) == report_payload(
+                twin.refresh()
+            )
+            if backend == "serial":
+                _assert_only_enforcement_state(session)
+            else:
+                assert _normalized_journals(session) == _normalized_journals(
+                    twin
+                )
+                assert all(
+                    op.startswith("enforce_")
+                    for journal in session.backend()._journals
+                    for op, _, _ in journal
+                )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_failed_discovery_drops_its_keys(
+        self, film_graph, film_config, backend, monkeypatch
+    ):
+        config = _supervised(film_config, backend)
+        twin_graph = film_graph.copy()
+        mine_nodes_batch = ParallelDiscovery._mine_nodes_batch
+
+        def failing(engine, nodes):
+            if any(node.pattern.num_edges for node in nodes):
+                # level 1 is installed: a real op error (a tally of a key no
+                # worker holds), which supervision must not mask
+                with engine.cluster.superstep() as step:
+                    engine._backend.run_superstep(
+                        step, [(0, "tally", -1, {"can_add": False})]
+                    )
+            return mine_nodes_batch(engine, nodes)
+
+        shipped = {}
+        with Session(
+            film_graph, config, backend=backend, num_workers=2
+        ) as session, Session(
+            twin_graph, config, backend=backend, num_workers=2
+        ) as twin:
+            for each in (session, twin):
+                each.discover()
+                each.enforce()
+            with monkeypatch.context() as patch:
+                patch.setattr(ParallelDiscovery, "_mine_nodes_batch", failing)
+                with pytest.raises(KeyError):
+                    session.discover()
+            if backend == "serial":
+                _assert_only_enforcement_state(session)
+            else:
+                assert _normalized_journals(session) == _normalized_journals(
+                    twin
+                )
+            for graph, each in ((film_graph, session), (twin_graph, twin)):
+                graph.set_attr(0, "type", "gardener")
+                before = each.metrics().transfers.rows_to_workers
+                report = each.refresh()
+                assert report.mode == "incremental"
+                shipped[each is twin] = (
+                    each.metrics().transfers.rows_to_workers - before,
+                    report_payload(report),
+                )
+        assert shipped[False] == shipped[True]
+        assert shipped[False][0] > 0
