@@ -36,7 +36,12 @@ of the serving subsystem:
    ``Session`` at the replayed version (``discover_iter`` with the
    clamped budget, ``update_sigma=False``; the cover of Σ).
 
-``--check`` asserts all five; numbers land in
+6. **Exact monitor gauges** — after the run, every rule's
+   distinct-pivots-ever gauge is an ``int`` equal to the size of the union
+   of its ``find_violations`` pivots over every published state (each
+   prefix of the writer's ``commit_log``, the empty one included).
+
+``--check`` asserts all six; numbers land in
 ``benchmarks/results/BENCH_serve.json`` (p50/p99 latency per request
 kind, throughput, commit/batching counters, per-backend).  Usage::
 
@@ -61,6 +66,7 @@ from _harness import record, write_bench  # noqa: E402
 
 from repro import DiscoveryConfig, Session, Tracer, format_gfd  # noqa: E402
 from repro.datasets import KB_ATTRIBUTES, imdb_like  # noqa: E402
+from repro.gfd.satisfaction import find_violations  # noqa: E402
 from repro.parallel import shared_memory_available  # noqa: E402
 from repro.parallel.janitor import live_mappings, live_segments  # noqa: E402
 from repro.serve import (  # noqa: E402
@@ -143,6 +149,32 @@ def check_answer_replay(
     }
 
 
+def check_monitor_gauges(base, sigma, commit_log, gauges) -> Dict[str, Any]:
+    """Compare the monitor's distinct-pivots-ever gauges to the exact union
+    of every rule's violating pivots over every published state (each
+    prefix of ``commit_log``, the empty one included), by
+    ``find_violations``."""
+    ever: Dict[str, set] = {format_gfd(rule): set() for rule in sigma}
+    for version in range(len(commit_log) + 1):
+        graph = replayed_graph(base, commit_log, version)
+        for rule in sigma:
+            ever[format_gfd(rule)].update(
+                violation.match[rule.pattern.pivot]
+                for violation in find_violations(graph, rule)
+            )
+    mismatches = sum(
+        not isinstance(gauges.get(text, 0), int)
+        or gauges.get(text, 0) != len(pivots)
+        for text, pivots in ever.items()
+    )
+    return {
+        "rules_checked": len(ever),
+        "states_replayed": len(commit_log) + 1,
+        "distinct_pivots_ever": sum(len(pivots) for pivots in ever.values()),
+        "mismatches": mismatches,
+    }
+
+
 def check_replay_identity(
     base, sigma, commit_log, validate_responses
 ) -> Dict[str, Any]:
@@ -198,6 +230,7 @@ async def drive(base, config, sigma, backend: str) -> Dict[str, Any]:
         chain = service.chain.stats()
         answer_memo = service.stats()["answer_memo"]
         cover_computations = service.session.metrics().phases.get("cover", 0)
+        gauges = service.monitor.estimates()
     finally:
         await service.close()
     full_passes = [
@@ -211,6 +244,7 @@ async def drive(base, config, sigma, backend: str) -> Dict[str, Any]:
         base, config, sigma, commit_log,
         load.discover_responses, load.cover_responses,
     )
+    monitor = check_monitor_gauges(base, sigma, commit_log, gauges)
     return {
         "backend": backend,
         "load": load.as_dict(),
@@ -220,6 +254,7 @@ async def drive(base, config, sigma, backend: str) -> Dict[str, Any]:
         "chain": chain,
         "replay": replay,
         "answer_replay": answer_replay,
+        "monitor": monitor,
         "answer_memo": answer_memo,
         "engine_builds": sum(
             event["type"] == "engine_build" for event in tracer.events
@@ -332,6 +367,13 @@ def check(metrics: Dict[str, Any]) -> List[str]:
                 f"{tag} {answers['mismatches']} discover/cover answers diverge "
                 f"from single-client replay"
             )
+        monitor = run["monitor"]
+        if monitor["mismatches"]:
+            failures.append(
+                f"{tag} {monitor['mismatches']} of {monitor['rules_checked']} "
+                f"monitor gauges differ from the exact union of violating "
+                f"pivots over {monitor['states_replayed']} published states"
+            )
     return failures
 
 
@@ -376,7 +418,10 @@ def main() -> int:
             f"cover computations {run['cover_computations']}, "
             f"enforce_install ops {run['enforce_installs']} = "
             f"{run['workers']} workers x {run['plan_groups']} groups x "
-            f"{run['full_passes']} full passes, memo hits "
+            f"{run['full_passes']} full passes, "
+            f"monitor {run['monitor']['distinct_pivots_ever']} distinct "
+            f"pivots ever over {run['monitor']['states_replayed']} states, "
+            f"memo hits "
             + ", ".join(
                 f"{kind} {outcomes['hit']}/{sum(outcomes.values())}"
                 for kind, outcomes in sorted(run["answer_memo"].items())

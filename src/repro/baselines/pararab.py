@@ -95,7 +95,6 @@ def run_pararab(
                     config.min_literal_rows,
                 )
             )
-        all_rows = frozenset(table.all_rows())
         for rhs in literals:
             others = [l for l in literals if l != rhs]
             # the full lattice: every LHS subset up to the size cap, with no
@@ -118,11 +117,14 @@ def run_pararab(
                 gfd = GFD(node.pattern, lhs, rhs)
                 if is_trivial(gfd):
                     continue
-                rows_lhs = table.rows_satisfying_all(lhs, all_rows)
-                rows_both = table.rows_satisfying(rhs, rows_lhs)
-                if not rows_lhs or len(rows_both) != len(rows_lhs):
+                rows_lhs = table.full_mask()
+                for literal in lhs:
+                    rows_lhs = rows_lhs & table.literal_mask(literal)
+                rows_both = rows_lhs & table.literal_mask(rhs)
+                count = table.mask_count(rows_lhs)
+                if not count or table.mask_count(rows_both) != count:
                     continue
-                if table.support(rows_both) >= config.sigma:
+                if table.mask_support(rows_both) >= config.sigma:
                     gfds.append(gfd)
     return ParArabResult(
         completed=True,

@@ -513,7 +513,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_deadline_s=args.deadline,
         commit_max_batch=args.commit_batch,
         commit_linger_s=args.commit_linger,
-        monitor_backend=None if args.no_monitor else "hll",
     )
     tracer = _make_tracer(args)
 
@@ -740,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
                "(POST /validate), writes group-commit through the delta "
                "log (POST /mutate), and GET /metrics exposes the "
                "Prometheus gauges including the live per-rule "
-               "distinct-pivot sketches.  Without --rules the service "
+               "distinct-pivots-ever counts.  Without --rules the service "
                "mines its own Σ at startup with the discovery knobs.",
     )
     srv.add_argument("graph", help="graph file (.json or .tsv)")
@@ -778,9 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--commit-linger", type=float, default=0.005,
                      metavar="SECONDS",
                      help="how long a lone mutation waits for company")
-    srv.add_argument("--no-monitor", action="store_true",
-                     help="disable the streaming per-rule distinct-pivot "
-                          "sketches")
     _add_index_argument(srv)
     _add_fault_arguments(srv)
     _add_trace_argument(srv)

@@ -12,7 +12,6 @@ from .reduction import (
     normalize_gfd,
 )
 from .results import DiscoveryResult, MiningStats
-from .sketch import DistinctPivotSketch, ExactCardinalitySketch
 from .support import (
     correlation,
     gfd_support,
@@ -45,6 +44,4 @@ __all__ = [
     "gfd_support_any",
     "correlation",
     "negative_base_support",
-    "DistinctPivotSketch",
-    "ExactCardinalitySketch",
 ]

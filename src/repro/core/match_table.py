@@ -143,8 +143,6 @@ class MatchTable:
         # numpy boolean-mask operations instead of per-row Python loops.
         self._full_mask = np.ones(num_rows, dtype=bool)
         self._literal_masks: Dict[Literal, np.ndarray] = {}
-        self._literal_rows: Dict[Literal, frozenset] = {}
-        self._literal_pivots: Dict[Literal, frozenset] = {}
         # (HI, LO) bitsets of the pivot runs, built by the first bits_support
         self._run_bits: Optional[Tuple[int, int]] = None
         #: literal-mask cache audit: (hits, misses) over the table lifetime.
@@ -381,45 +379,6 @@ class MatchTable:
     def stack_supports(self, packed: np.ndarray) -> List[int]:
         """:meth:`bits_support` of every row of a packed ``(masks × bytes)`` stack."""
         return [self.bits_support(mask) for mask in self.as_bitsets(packed)]
-
-    def literal_rows(self, literal: Literal) -> frozenset:
-        """All rows satisfying ``literal`` (cached)."""
-        cached = self._literal_rows.get(literal)
-        if cached is None:
-            cached = frozenset(np.flatnonzero(self.literal_mask(literal)).tolist())
-            self._literal_rows[literal] = cached
-        return cached
-
-    def literal_pivots(self, literal: Literal) -> frozenset:
-        """Distinct pivots over :meth:`literal_rows` (cached).
-
-        ``|literal_pivots(l)|`` bounds the support of every GFD whose LHS or
-        RHS contains ``l`` at this pattern — the alphabet prefilter of the
-        discovery algorithms.
-        """
-        cached = self._literal_pivots.get(literal)
-        if cached is None:
-            pivots = self._pivots
-            cached = frozenset(pivots[row] for row in self.literal_rows(literal))
-            self._literal_pivots[literal] = cached
-        return cached
-
-    def rows_satisfying(self, literal: Literal, rows: Iterable[int]) -> Set[int]:
-        """Filter ``rows`` down to those whose match satisfies ``literal``."""
-        if not isinstance(rows, (set, frozenset)):
-            rows = set(rows)
-        return rows & self.literal_rows(literal)
-
-    def rows_satisfying_all(
-        self, literals: Iterable[Literal], rows: Optional[Iterable[int]] = None
-    ) -> Set[int]:
-        """Rows satisfying every literal of ``literals``."""
-        current: Set[int] = set(rows) if rows is not None else set(self.all_rows())
-        for literal in literals:
-            current = self.rows_satisfying(literal, current)
-            if not current:
-                break
-        return current
 
     # ------------------------------------------------------------------
     # candidate literals (HSpawn's alphabet)

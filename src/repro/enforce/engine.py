@@ -175,8 +175,9 @@ class EnforcementEngine:
             ``graph`` (session-owned).  ``None`` attaches (and on close
             detaches) a private log.
         monitor: an optional :class:`~repro.enforce.monitor.
-            RuleSketchMonitor`: every evaluated rule's violating pivot ids
-            stream into its per-rule distinct-count sketches as passes run.
+            RuleSketchMonitor`: every evaluated rule's distinct violating
+            pivot ids are unioned into its exact per-rule count as passes
+            run.
 
     Thread-safety: none — one engine serves one caller, like the discovery
     engines.  A serving layer must serialize passes against mutations on
@@ -573,15 +574,14 @@ class EnforcementEngine:
             canonical = np.concatenate(row_arrays)
         else:
             canonical = np.empty((0, width), dtype=np.int64)
-        if self.monitor is not None and canonical.shape[0]:
-            # stream the violating pivot ids into the per-rule sketch;
+        pivots = np.unique(canonical[:, 0])
+        if self.monitor is not None and pivots.size:
+            # union the distinct violating pivots into the monitor;
             # incremental passes re-evaluate only dirty groups, and the
-            # sketch is a monotone union, so clean groups' pivots (absorbed
-            # on earlier passes) stay counted
-            self.monitor.absorb(rule.gfd, canonical[:, 0])
-        distinct_pivots = (
-            int(np.unique(canonical[:, 0]).size) if canonical.shape[0] else 0
-        )
+            # monitor's store is a monotone union, so clean groups' pivots
+            # (absorbed on earlier passes) stay counted
+            self.monitor.absorb(rule.gfd, pivots)
+        distinct_pivots = int(pivots.size)
         # back to the rule's original variable order, then a lexicographic
         # sort: the retained sample must not depend on shard boundaries,
         # backend, or match enumeration order (under the per-rule violation

@@ -106,11 +106,6 @@ class ServeConfig:
     #: node lists by default (requests can override per call).
     include_samples: bool = False
     include_nodes: bool = False
-    #: The streaming violation monitor's estimator (``"hll"`` or
-    #: ``"exact"``; live per-rule distinct-pivot gauges); ``None`` disables
-    #: the monitor.  Checked when the service is constructed.
-    monitor_backend: Optional[str] = "hll"
-    monitor_precision: int = 12
 
 
 def report_payload(
@@ -207,7 +202,7 @@ class EnforcementService:
             the store file on every commit would dominate the write path).
         serve: the :class:`ServeConfig` policies.
         monitor: a pre-built (e.g. warm-started) monitor; default builds
-            one per ``serve.monitor_backend``.
+            an empty one.
 
     Use ``async with`` (or :meth:`start` / :meth:`close`).  All public
     request methods are coroutines and must run on the loop that called
@@ -241,12 +236,7 @@ class EnforcementService:
             tracer=tracer,
         )
         self.serve = serve if serve is not None else ServeConfig()
-        if monitor is None and self.serve.monitor_backend is not None:
-            monitor = RuleSketchMonitor(
-                backend=self.serve.monitor_backend,
-                precision=self.serve.monitor_precision,
-            )
-        self.monitor = monitor
+        self.monitor = monitor if monitor is not None else RuleSketchMonitor()
         self.chain = SnapshotChain()
         self.session: Optional[Session] = None
         self.writer: Optional[GroupCommitWriter] = None
@@ -718,7 +708,7 @@ class EnforcementService:
             self.registry.gauge("repro_serve_current_version").set(
                 current.version
             )
-        if self.monitor is not None and self.session is not None:
+        if self.session is not None:
             names = {
                 format_gfd(gfd): f"sigma[{position}]"
                 for position, gfd in enumerate(self.session.sigma)

@@ -238,8 +238,9 @@ class Session:
             writing.
         monitor: an optional :class:`~repro.enforce.monitor.
             RuleSketchMonitor`; when given (or restored by
-            :meth:`load_sigma`), every enforcement pass streams its
-            violating pivot ids into the monitor's per-rule sketches.
+            :meth:`load_sigma`), every enforcement pass unions its
+            distinct violating pivot ids into the monitor's exact
+            per-rule counts.
         tracer: an optional :class:`~repro.obs.tracer.Tracer`.  When
             given, the session opens a root ``session`` span, wraps every
             phase in a ``phase`` span, and threads the tracer through the
@@ -715,8 +716,9 @@ class Session:
         :class:`~repro.parallel.costs.ChaseCostModel` observations (so a
         fresh process's first :meth:`cover` balances by measured unit
         costs, not the static proxy) and the
-        :class:`~repro.enforce.monitor.RuleSketchMonitor` sketches (so the
-        distinct-pivots-ever gauges survive a restart).  ``loads_sigma``
+        :class:`~repro.enforce.monitor.RuleSketchMonitor` state under the
+        ``"sketches"`` key (so the distinct-pivots-ever gauges survive a
+        restart).  ``loads_sigma``
         ignores unknown top-level keys, so the envelope stays readable by
         every consumer that only wants the rules.
         """
@@ -740,10 +742,10 @@ class Session:
         The loaded set becomes the session's Σ — ready for :meth:`cover`,
         :meth:`enforce` or :meth:`refresh` — and is also returned.  A
         ``"state"`` section written by :meth:`save_sigma` warm-starts the
-        session: the chase-cost model is restored, and persisted sketches
-        (re)attach a :class:`~repro.enforce.monitor.RuleSketchMonitor`.
-        Persisted sketches with an unknown backend or precision, or
-        malformed chase costs, raise ``ValueError`` before the session
+        session: the chase-cost model is restored, and persisted monitor
+        state (re)attaches a :class:`~repro.enforce.monitor.RuleSketchMonitor`.
+        Monitor state of another version or with a malformed rule entry,
+        or malformed chase costs, raise ``ValueError`` before the session
         changes.
         """
         self._check_open()

@@ -164,7 +164,7 @@ class TestSurfaceSnapshot:
             assert getattr(parallel, name, None) is not None, name
 
     def test_config_field_counts_are_pinned(self):
-        """48 knobs in all: adding, deleting or resurrecting one is a
+        """46 knobs in all: adding, deleting or resurrecting one is a
         decision this test makes visible (update the README table too)."""
         import dataclasses
 
@@ -180,7 +180,7 @@ class TestSurfaceSnapshot:
         assert counts == {
             "DiscoveryConfig": 24,
             "EnforcementConfig": 7,
-            "ServeConfig": 11,
+            "ServeConfig": 9,
             "FaultConfig": 6,
         }
 
@@ -196,14 +196,17 @@ class TestSurfaceSnapshot:
         assert not hasattr(core, "reference_discover")
 
     def test_sketch_surface(self):
-        """Two concrete estimators, no plug-in registry."""
-        from repro import core
-        from repro.core.sketch import DistinctPivotSketch
+        """No estimator: ``repro.core`` exports no sketch, and the monitor
+        takes no backend or precision."""
+        import importlib
 
-        assert {
-            name for name in core.__all__ if "Sketch" in name
-        } == {"DistinctPivotSketch", "ExactCardinalitySketch"}
-        assert DistinctPivotSketch(10).precision == 10
+        from repro import core
+
+        assert not [name for name in core.__all__ if "Sketch" in name]
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.core.sketch")
+        with pytest.raises(TypeError):
+            repro.RuleSketchMonitor(backend="hll")
 
 
 def _identity_set(gfds):

@@ -151,9 +151,11 @@ class TestMatchTable:
         matches = list(find_matches(graph, pattern))
         table = MatchTable(graph, pattern, matches, ["u", "v"])
         literal = make_variable_literal(0, "u", 1, "u")
-        assert len(table.rows_satisfying(literal, set(table.all_rows()))) == 2
+        assert table.mask_count(table.literal_mask(literal)) == 2
+        assert table.mask_support(table.literal_mask(literal)) == 2
         other = make_variable_literal(0, "v", 1, "v")
-        assert len(table.rows_satisfying(other, set(table.all_rows()))) == 0
+        assert table.mask_count(table.literal_mask(other)) == 0
+        assert table.mask_support(table.literal_mask(other)) == 0
 
     def test_candidate_constants_ranked(self):
         graph, table = table_fixture()

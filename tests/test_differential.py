@@ -14,7 +14,7 @@ agree exactly on every one:
 
 Agreement is checked on the canonical-keyed GFD sets, the per-rule support
 counts, and the minimal covers.  A companion class locks down the
-``DistinctPivotSketch`` merge semantics over sharded pivot populations.
+serving monitor's union semantics over sharded pivot populations.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import pytest
 
 from repro.core import DiscoveryConfig, discover, gfd_identity, sequential_cover
 from repro.core.discovery import reference_discover
-from repro.core.sketch import DistinctPivotSketch
-from repro.gfd import implies
+from repro.enforce import RuleSketchMonitor
+from repro.gfd import implies, parse_gfd
 from repro.graph import Graph
 from repro.session import Session
 from repro.parallel import (
@@ -265,11 +265,14 @@ class TestParCoverDifferential:
 
 
 class TestSketchMergeSemantics:
-    """``DistinctPivotSketch`` merged over per-worker shards.
+    """The :class:`~repro.enforce.monitor.RuleSketchMonitor` fed per-worker
+    shards, one ``absorb`` each.
 
-    Shards may be pivot-disjoint, but merge correctness must not depend on
-    that: the union bound has to hold for arbitrary overlap.
+    Shards may be pivot-disjoint, but the count must not depend on that:
+    it is the exact union for arbitrary overlap and absorb order.
     """
+
+    RULE = parse_gfd('Q[x] { (x:person) } ( -> x.type="actor")')
 
     def _shard(self, values: np.ndarray, num_workers: int):
         return [values[values % num_workers == w] for w in range(num_workers)]
@@ -278,47 +281,22 @@ class TestSketchMergeSemantics:
     def test_merged_upper_bound_covers_exact_union(self, seed):
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 5_000, size=rng.integers(10, 20_000))
+        exact = len(set(values.tolist()))
         for num_workers in (2, 3, 5):
-            merged = DistinctPivotSketch()
+            merged = RuleSketchMonitor()
             for shard in self._shard(values, num_workers):
-                merged.merge(DistinctPivotSketch().add_array(shard))
-            exact = len(set(values.tolist()))
-            assert merged.upper_bound() >= exact
+                merged.absorb(self.RULE, shard)
+            assert merged.estimate(self.RULE) == exact
 
     def test_merge_equals_single_sketch(self):
-        """Register-wise max over shards == one sketch over the union."""
+        """Overlapping shards absorbed one by one == one absorb of all."""
         rng = np.random.default_rng(42)
         values = rng.integers(0, 100_000, size=50_000)
-        single = DistinctPivotSketch().add_array(values)
-        merged = DistinctPivotSketch()
+        single = RuleSketchMonitor()
+        single.absorb(self.RULE, values)
+        merged = RuleSketchMonitor()
         # overlapping shards: every worker also re-sees a common chunk
         common = values[:5_000]
-        for shard in self._shard(values, 4):
-            merged.merge(
-                DistinctPivotSketch()
-                .add_array(shard)
-                .add_array(common)
-            )
-        assert np.array_equal(merged.registers, single.registers)
-
-    def test_merge_precision_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            DistinctPivotSketch(precision=12).merge(
-                DistinctPivotSketch(precision=13)
-            )
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_prefilter_never_drops_true_support(self, seed):
-        """The sketch bound dominates the exact count on shard unions.
-
-        A threshold test on the (merged) upper bound therefore never drops
-        a population whose exact distinct count reaches the threshold.
-        """
-        rng = np.random.default_rng(100 + seed)
-        values = rng.integers(0, 2_000, size=rng.integers(50, 5_000))
-        exact = len(set(values.tolist()))
-        assert DistinctPivotSketch().add_array(values).upper_bound() >= exact
-        merged = DistinctPivotSketch()
-        for shard in self._shard(values, 3):
-            merged.merge(DistinctPivotSketch().add_array(shard))
-        assert merged.upper_bound() >= exact
+        for shard in self._shard(values, 4)[::-1]:
+            merged.absorb(self.RULE, np.concatenate([shard, common]))
+        assert merged.as_state()["rules"] == single.as_state()["rules"]

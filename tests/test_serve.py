@@ -22,10 +22,10 @@ Plus the answer memos: each read answer is computed once per state it
 reads (validate per snapshot, cover per served Σ, discover per graph
 version and budget), with one engine build while covers are served.
 
-Plus the satellite units: the streaming per-rule sketch monitor, the
+Plus the satellite units: the streaming per-rule exact monitor, the
 engine's start-of-pass version capture (readers on version ``N`` never
 observe ``N+1`` mid-request and racing deltas are never lost), and the
-Σ-adjacent warm-start persistence (chase costs + sketches).
+Σ-adjacent warm-start persistence (chase costs + monitor state).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import pytest
 from repro import DiscoveryConfig, Session, Tracer, format_gfd, parse_gfd
 from repro.core import FaultConfig
 from repro.enforce import RuleSketchMonitor
+from repro.gfd.satisfaction import find_violations
 from repro.graph import load_index, save_index
 from repro.graph.index import GraphIndex
 from repro.parallel import ChaseCostModel, shared_memory_available
@@ -79,6 +80,22 @@ PHI_PARENT = (
     "Q[x, y] { (x:person)-[parent]->(y:person), (y)-[parent]->(x) } "
     "( -> false)"
 )
+
+
+#: A monitor state as the HyperLogLog monitor persisted it (schema v1).
+V1_HLL_STATE = {
+    "version": 1,
+    "backend": "hll",
+    "precision": 4,
+    "absorbed": 1,
+    "rules": {
+        PHI_FILM: {
+            "kind": "registers",
+            "precision": 4,
+            "registers": "AAAAAAAAAAAAAAAAAAAAAA==",
+        }
+    },
+}
 
 
 def film_rules():
@@ -911,7 +928,7 @@ class TestConcurrentReplayIdentity:
 # ---------------------------------------------------------------------------
 class TestRuleSketchMonitor:
     def test_exact_backend_counts_distinct_pivots_ever(self, film_graph):
-        monitor = RuleSketchMonitor(backend="exact")
+        monitor = RuleSketchMonitor()
         rules = film_rules()
         with Session(film_graph, monitor=monitor) as session:
             session.set_sigma(rules)
@@ -920,21 +937,88 @@ class TestRuleSketchMonitor:
             film_graph.set_attr(0, "type", "actor")  # node 0 made violating
             session.refresh()
             estimates = monitor.estimates()
-            assert estimates[format_gfd(rules[0])] == 1.0
-            # repair it, then break a different node: the sketch is a
+            assert estimates[format_gfd(rules[0])] == 1
+            # repair it, then break a different node: the count is a
             # monotone union — "ever", not "currently"
             film_graph.set_attr(0, "type", "producer")
             film_graph.set_attr(1, "type", "actor")
             session.refresh()
-            assert monitor.estimates()[format_gfd(rules[0])] == 2.0
+            assert monitor.estimates()[format_gfd(rules[0])] == 2
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_counts_are_the_exact_union_of_violations(self, film_graph, backend):
+        """After every refresh, each rule's count is the size of the union
+        of its ``find_violations`` pivots over every state so far."""
+        monitor = RuleSketchMonitor()
+        rules = film_rules()
+        rng = random.Random(17)
+        people = film_graph.nodes_with_label("person")
+        products = film_graph.nodes_with_label("product")
+        ever = {format_gfd(rule): set() for rule in rules}
+        with Session(
+            film_graph,
+            monitor=monitor,
+            backend=backend,
+            num_workers=2 if backend == "multiprocess" else None,
+        ) as session:
+            session.set_sigma(rules)
+            for step in range(21):
+                if step == 0:
+                    session.enforce()
+                else:
+                    kind = rng.randrange(3)
+                    if kind == 0:
+                        film_graph.set_attr(
+                            rng.choice(people), "type",
+                            rng.choice(["producer", "actor"]),
+                        )
+                    elif kind == 1:
+                        film_graph.set_attr(
+                            rng.choice(products), "type",
+                            rng.choice(["film", "book"]),
+                        )
+                    else:
+                        film_graph.add_edge(
+                            rng.choice(people), rng.choice(people), "parent"
+                        )
+                    session.refresh()
+                for rule in rules:
+                    ever[format_gfd(rule)].update(
+                        violation.match[rule.pattern.pivot]
+                        for violation in find_violations(film_graph, rule)
+                    )
+                counts = monitor.estimates()
+                for rule in rules:
+                    text = format_gfd(rule)
+                    assert counts.get(text, 0) == len(ever[text])
+                    assert type(monitor.estimate(rule)) is int
+        assert sum(map(len, ever.values())) > 3  # the walk did break rules
+
+    def test_rule_keys_survive_freed_rules(self):
+        """Keys are rule texts, never object ids a freed rule hands on."""
+        monitor = RuleSketchMonitor()
+        for index in range(200):
+            rule = parse_gfd(
+                f'Q[x] {{ (x:person) }} ( -> x.name="n{index}")'
+            )
+            monitor.absorb(rule, np.array([index]))
+            del rule
+        counts = monitor.estimates()
+        assert len(counts) == 200
+        assert set(counts.values()) == {1}
 
     def test_state_roundtrip_and_gauges(self):
-        monitor = RuleSketchMonitor(backend="exact")
+        monitor = RuleSketchMonitor()
         rule = parse_gfd(PHI_FILM)
-        monitor.absorb(rule, np.array([1, 2, 2, 5]))
+        monitor.absorb(rule, np.array([5, 1, 2, 2]))
         state = monitor.as_state()
-        restored = RuleSketchMonitor.from_state(state)
-        assert restored.estimates() == monitor.estimates()
+        assert state == {
+            "version": 2, "absorbed": 1, "rules": {format_gfd(rule): [1, 2, 5]}
+        }
+        restored = RuleSketchMonitor.from_state(json.loads(json.dumps(state)))
+        assert restored.estimates() == monitor.estimates() == {
+            format_gfd(rule): 3
+        }
         assert restored.absorbed == monitor.absorbed
 
         from repro.obs import MetricsRegistry
@@ -945,33 +1029,29 @@ class TestRuleSketchMonitor:
         assert "repro_serve_rule_distinct_pivots_ever" in text
         assert "repro_serve_monitor_absorbed 1" in text
 
-    def test_hll_tracks_exact_at_small_cardinalities(self):
-        exact = RuleSketchMonitor(backend="exact")
-        hll = RuleSketchMonitor(backend="hll")
-        rule = parse_gfd(PHI_FILM)
-        pivots = np.array(random.Random(0).sample(range(10**6), 200))
-        exact.absorb(rule, pivots)
-        hll.absorb(rule, pivots)
-        truth = exact.estimate(rule)
-        assert truth == 200.0
-        assert abs(hll.estimate(rule) - truth) / truth < 0.15
-
     @pytest.mark.parametrize(
-        "bad", [{"backend": "ull"}, {"backend": "hll", "precision": 30}]
+        "bad",
+        [
+            (V1_HLL_STATE, "unsupported monitor state version 1"),
+            (
+                {"version": 2, "rules": {PHI_FILM: {"values": [1, 2]}}},
+                "expected a list of ints",
+            ),
+            (
+                {"version": 2, "rules": {PHI_FILM: [1, "2"]}},
+                "expected a list of ints",
+            ),
+        ],
     )
     def test_bad_state_fails_at_load_not_at_absorb(self, bad):
-        state = RuleSketchMonitor(backend="hll").as_state()
-        state.update(bad)
-        with pytest.raises(ValueError):
+        state, message = bad
+        with pytest.raises(ValueError, match=message):
             RuleSketchMonitor.from_state(state)
 
-    def test_bad_serve_monitor_backend_fails_at_construction(self, film_graph):
-        with pytest.raises(ValueError, match="unknown monitor backend"):
-            EnforcementService(
-                film_graph,
-                sigma=film_rules(),
-                serve=ServeConfig(monitor_backend="bogus"),
-            )
+    def test_service_always_builds_a_monitor(self, film_graph):
+        service = EnforcementService(film_graph, sigma=film_rules())
+        assert isinstance(service.monitor, RuleSketchMonitor)
+        assert len(service.monitor) == 0
 
 
 class TestEngineVersionCapture:
@@ -1024,11 +1104,11 @@ class TestEngineVersionCapture:
 
 
 class TestSigmaWarmStartPersistence:
-    """Satellite 2: chase costs + sketches persist beside Σ."""
+    """Satellite 2: chase costs + monitor state persist beside Σ."""
 
     def test_costs_and_sketches_roundtrip(self, film_graph, tmp_path):
         path = tmp_path / "sigma.json"
-        monitor = RuleSketchMonitor(backend="exact")
+        monitor = RuleSketchMonitor()
         rules = film_rules()
         with Session(film_graph, monitor=monitor) as session:
             session.set_sigma(rules)
@@ -1065,13 +1145,21 @@ class TestSigmaWarmStartPersistence:
             session.refresh()
             session.save_sigma(path)
         payload = json.loads(path.read_text())
-        payload["state"]["sketches"]["backend"] = "ull"
-        path.write_text(json.dumps(payload))
-        with Session(film_graph.copy()) as fresh:
-            with pytest.raises(ValueError, match="unknown monitor backend"):
-                fresh.load_sigma(path)
-            # the failed load left the session untouched
-            assert fresh.sigma == [] and fresh.monitor is None
+        sketches = payload["state"]["sketches"]
+        malformed = dict(
+            sketches, rules={text: [0, "1"] for text in sketches["rules"]}
+        )
+        for bad, message in [
+            (V1_HLL_STATE, "unsupported monitor state version 1"),
+            (malformed, "expected a list of ints"),
+        ]:
+            payload["state"]["sketches"] = bad
+            path.write_text(json.dumps(payload))
+            with Session(film_graph.copy()) as fresh:
+                with pytest.raises(ValueError, match=message):
+                    fresh.load_sigma(path)
+                # the failed load left the session untouched
+                assert fresh.sigma == [] and fresh.monitor is None
 
     def test_bad_chase_costs_fail_load_sigma_early(self, film_graph, tmp_path):
         path = tmp_path / "sigma.json"
