@@ -9,7 +9,11 @@ Measures, on one synthetic graph, the operations the frozen
   indexed ``extension_counts``, compared as counts),
 * ``closing_tally``         — the same with ``can_add_node=False``: only the
   closing half, the semi-join over the columns' distinct nodes,
-* ``match_table``           — columnar table construction,
+* ``match_table``           — a table and the column work ``HSpawn`` runs
+  on it: construction, the constant and variable alphabet, and the
+  alphabet's ``literal_bits`` (the dict table builds its columns up front;
+  the index table gathers each when an op reads it, and ``--check``
+  asserts that it holds no per-row array besides its matches),
 * ``constant_alphabet``     — the top-5 constants per column of one table:
   the ``Counter`` oracle (``constant_value_counts`` +
   ``constant_literals_from_counts``) vs the integer path
@@ -31,6 +35,8 @@ import argparse
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -70,6 +76,27 @@ def _timed(function, repeats: int = 3):
         result = function()
         best = min(best, time.perf_counter() - started)
     return best, result
+
+
+def table_ops(table):
+    """The column work ``HSpawn`` runs on one table: alphabet, then bits."""
+    literals = table.candidate_constant_literals(5)
+    literals += table.candidate_variable_literals()
+    return table, literals, table.literal_bits(literals)
+
+
+def held_row_arrays(table):
+    """Names of per-row arrays a table holds besides its match array."""
+    held = []
+    for name, value in vars(table).items():
+        for array in value.values() if isinstance(value, dict) else [value]:
+            if (
+                isinstance(array, np.ndarray)
+                and array.shape[:1] == (table.num_rows,)
+                and not np.shares_memory(array, table.match_array)
+            ):
+                held.append(name)
+    return held
 
 
 def run(check: bool = False):
@@ -129,13 +156,10 @@ def run(check: bool = False):
     attributes = list(SYNTHETIC_ATTRIBUTES[:3])
     compare(
         "match_table",
-        lambda: MatchTable(graph, PATTERN, matches, attributes),
-        lambda: MatchTable.from_index(index, PATTERN, matches, attributes),
-        lambda a, b: all(
-            a.literal_count(l) == b.literal_count(l)
-            for l in a.candidate_constant_literals(5)
-        )
-        and a.candidate_constant_literals(5) == b.candidate_constant_literals(5),
+        lambda: table_ops(MatchTable(graph, PATTERN, matches, attributes)),
+        lambda: table_ops(MatchTable.from_index(index, PATTERN, matches, attributes)),
+        lambda a, b: a[1] == b[1] and np.array_equal(a[2], b[2])
+        and not held_row_arrays(b[0]),
     )
     table = MatchTable.from_index(index, PATTERN, matches, attributes)
     compare(

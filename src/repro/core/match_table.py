@@ -4,9 +4,11 @@ The paper's key algorithmic idea is to run pattern mining and dependency
 mining *in a single process* (Section 5.1).  Once the matches of a pattern
 ``Q`` are known, checking a dependency ``X → l`` is relational work: treat
 every match ``h(x̄)`` as a row, every pair ``(variable, attribute)`` as a
-column, and evaluate literals column-wise.  :class:`MatchTable` materializes
-exactly that relation, restricted to the *active attributes* ``Γ``
-(Section 4.3), and supports
+column, and evaluate literals column-wise.  :class:`MatchTable` is that
+relation, restricted to the *active attributes* ``Γ`` (Section 4.3).  On
+the index it holds only its rows — the pivot-sorted match array — and
+materializes a column late: each op that reads one gathers it from the
+index's attribute codes, uses it and drops it.  It supports
 
 * literal evaluation over row-index subsets (``HSpawn``'s inner loop),
 * distinct-pivot counting (the support ``|Q(G, Xl, z)|``), and
@@ -62,14 +64,13 @@ class MatchTable:
         pattern: the matched pattern.
         matches: the match tuples (graph node per variable) — or, with
             ``index``, optionally an ``(N, num_vars)`` int64 array.
-        attributes: the active attributes ``Γ`` whose columns to materialize.
+        attributes: the active attributes ``Γ`` — the table's columns.
         truncated: set when ``matches`` is a capped subset — validity
             judgements must not be made from a truncated table.
         index: a frozen :class:`~repro.graph.index.GraphIndex` of ``graph``;
-            when given, columns are gathered from the index's columnar
-            attribute codes (one fancy-indexing per column) instead of the
-            per-row ``get_attr`` loop, and raw-value columns materialize
-            lazily by decoding.
+            when given, the table stores no column: an op gathers the
+            columns it reads from the index's attribute codes (one
+            fancy-indexing each) instead of the per-row ``get_attr`` loop.
     """
 
     def __init__(
@@ -90,12 +91,13 @@ class MatchTable:
         # mask is a run count instead of a sort (stable: preserves relative
         # order within a pivot).
         pivot_var = pattern.pivot
-        # columns are kept twice: raw Python values (for counters and
-        # candidate generation) and factorized integer codes (for literal
-        # masks — a C-speed vector compare instead of a per-row loop).
-        # Code 0 is reserved for MISSING; values share one code space (per
-        # table without an index, graph-global with one) so variable
-        # literals compare codes directly.
+        # Columns are integer value codes (literal masks are C-speed vector
+        # compares), code 0 = MISSING, one code space per table so variable
+        # literals compare codes directly.  With an index the codes are
+        # graph-global and nothing per column is stored: _gather reads a
+        # column from the index when an op needs it (late materialization),
+        # so a row costs 8·|x̄| bytes.  Without one (the oracle) every column
+        # is stored twice, as raw values and as per-table codes.
         self._columns: Dict[Tuple[int, str], List[Any]] = {}
         self._codes: Dict[Tuple[int, str], np.ndarray] = {}
         if index is not None:
@@ -112,15 +114,6 @@ class MatchTable:
             self._pivot_array = array[:, pivot_var]
             self._value_codes: Dict[Any, int] = index.code_of_value
             num_rows = array.shape[0]
-            for variable in pattern.variables():
-                nodes = array[:, variable]
-                for attr in self.attributes:
-                    column_codes = index.attr_code_array(attr)
-                    self._codes[(variable, attr)] = (
-                        column_codes[nodes]
-                        if column_codes is not None
-                        else np.zeros(num_rows, dtype=np.int64)
-                    )
         else:
             self._matches = sorted(matches, key=lambda match: match[pivot_var])
             self._match_array = None
@@ -141,7 +134,7 @@ class MatchTable:
         self._pivots_list: Optional[List[int]] = None
         # lazily-computed row sets per literal: the lattice search reduces to
         # numpy boolean-mask operations instead of per-row Python loops.
-        self._full_mask = np.ones(num_rows, dtype=bool)
+        self._full_mask: Optional[np.ndarray] = None
         self._literal_masks: Dict[Literal, np.ndarray] = {}
         # (HI, LO) bitsets of the pivot runs, built by the first bits_support
         self._run_bits: Optional[Tuple[int, int]] = None
@@ -158,7 +151,7 @@ class MatchTable:
         attributes: Sequence[str],
         truncated: bool = False,
     ) -> "MatchTable":
-        """Fast constructor: columns gathered from a frozen graph index."""
+        """A table over a frozen graph index: its columns are gathered when read."""
         return cls(
             index.graph, pattern, matches, attributes,
             truncated=truncated, index=index,
@@ -201,12 +194,13 @@ class MatchTable:
         return list(range(self._num_rows))
 
     def column(self, variable: int, attr: str) -> List[Any]:
-        """The value column for ``(variable, attr)`` (``MISSING`` sentinel)."""
-        cached = self._columns.get((variable, attr))
-        if cached is None:
-            cached = self.index.decode_values(self._codes[(variable, attr)])
-            self._columns[(variable, attr)] = cached
-        return cached
+        """The value column for ``(variable, attr)`` (``MISSING`` sentinel).
+
+        Decoded afresh on every call on the index; not kept.
+        """
+        if self.index is None:
+            return self._columns[(variable, attr)]
+        return self.index.decode_values(self._gather(variable, attr))
 
     def distinct_pivots(self, rows: Iterable[int]) -> Set[int]:
         """``{h(z) | row ∈ rows}`` — the support set of a row subset."""
@@ -235,9 +229,51 @@ class MatchTable:
             codes[row] = code
         return codes
 
+    def _node_rows(self) -> Optional[np.ndarray]:
+        """The match array as C-ordered ``(|x̄| × N)`` node rows (index
+        only), for an op that gathers several columns: a gather through a
+        contiguous row is about 3× faster than through a column of the
+        match array, and its result's rows are contiguous too."""
+        if self.index is None:
+            return None
+        return np.ascontiguousarray(self._match_array.T)
+
+    def _gather(
+        self, variable: int, attr: str, nodes: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """The value codes of column ``(variable, attr)`` (0 = MISSING).
+
+        Stored without an index; on one, a fresh gather from the index's
+        attribute codes (all zeros for an attribute no node carries),
+        through :meth:`_node_rows` ``nodes`` when given, that the caller
+        drops when done.
+        """
+        if self.index is None:
+            return self._codes[(variable, attr)]
+        codes = self.index.attr_code_array(attr)
+        if codes is None:
+            return np.zeros(self._num_rows, dtype=np.int64)
+        return codes[self._match_array[:, variable] if nodes is None else nodes[variable]]
+
+    def _gather_attribute(self, attr: str, nodes: Optional[np.ndarray]) -> np.ndarray:
+        """One attribute's columns as a C-ordered ``(|x̄| × N)`` code block
+        (row ``v`` is column ``(v, attr)``), gathered through the
+        :meth:`_node_rows` ``nodes`` in one call."""
+        if self.index is None:
+            return np.stack(
+                [self._codes[(variable, attr)] for variable in self.pattern.variables()]
+            )
+        codes = self.index.attr_code_array(attr)
+        if codes is None:
+            return np.zeros(nodes.shape, dtype=np.int64)
+        return codes[nodes]
+
     # -- numpy mask interface (the discovery hot loop) -----------------
     def full_mask(self) -> np.ndarray:
-        """A boolean mask selecting every row (do not mutate)."""
+        """A boolean mask selecting every row (built on first use; do not
+        mutate)."""
+        if self._full_mask is None:
+            self._full_mask = np.ones(self._num_rows, dtype=bool)
         return self._full_mask
 
     def literal_mask(self, literal: Literal) -> np.ndarray:
@@ -245,7 +281,9 @@ class MatchTable:
 
         Missing attributes never satisfy a literal (Section 2.2 semantics):
         code 0 (MISSING) never equals a value code, and two MISSING cells
-        are explicitly excluded from variable-literal equality.
+        are explicitly excluded from variable-literal equality.  The mask
+        is cached (``SeqDis`` and enforcement reuse it); the columns it was
+        computed from are not.
         """
         cached = self._literal_masks.get(literal)
         if cached is not None:
@@ -253,13 +291,12 @@ class MatchTable:
             return cached
         self.mask_cache_misses += 1
         if isinstance(literal, ConstantLiteral):
-            codes = self._codes[(literal.var, literal.attr)]
             wanted = self._value_codes.get(literal.value, -1)
-            mask = codes == wanted
+            mask = self._gather(literal.var, literal.attr) == wanted
         else:
             assert isinstance(literal, VariableLiteral)
-            codes1 = self._codes[(literal.var1, literal.attr1)]
-            codes2 = self._codes[(literal.var2, literal.attr2)]
+            codes1 = self._gather(literal.var1, literal.attr1)
+            codes2 = self._gather(literal.var2, literal.attr2)
             mask = (codes1 == codes2) & (codes1 != 0)
         self._literal_masks[literal] = mask
         return mask
@@ -284,7 +321,7 @@ class MatchTable:
             current = self.literal_mask(literal)
             mask = current if mask is None else mask & current
         if rhs is None or isinstance(rhs, FalseLiteral):
-            return mask if mask is not None else self._full_mask
+            return mask if mask is not None else self.full_mask()
         rhs_mask = self.literal_mask(rhs)
         return ~rhs_mask if mask is None else mask & ~rhs_mask
 
@@ -313,33 +350,61 @@ class MatchTable:
         """The literals' row sets as a packed ``(literals × ⌈N/8⌉)`` uint8 stack.
 
         Row ``i`` of the table is bit ``i`` (little-endian) of a literal's
-        packed row; semantics are :meth:`literal_mask`'s.  Consecutive
-        constants of one ``(variable, attr)`` column — how an alphabet
-        lists them — are compared against the column in one broadcast.
-        Nothing is cached: the caller keeps what it needs.
+        packed row; semantics are :meth:`literal_mask`'s.  The stack is
+        filled one attribute at a time: each column's constants in one
+        broadcast, then the attribute's variable literals (one across two
+        attributes counts under the later).  A column is gathered once and
+        dropped after the attribute that last reads it, so about one
+        attribute's columns are live at a time.  Nothing is cached: the
+        caller keeps what it needs.
         """
         stack = np.empty((len(literals), self._num_rows), dtype=bool)
-        start = 0
-        for column, run in groupby(
-            literals,
-            key=lambda l: (l.var, l.attr) if isinstance(l, ConstantLiteral) else None,
-        ):
-            if column is None:
-                for literal in run:
-                    assert isinstance(literal, VariableLiteral)
-                    codes1 = self._codes[(literal.var1, literal.attr1)]
-                    codes2 = self._codes[(literal.var2, literal.attr2)]
-                    np.equal(codes1, codes2, out=stack[start])
-                    stack[start] &= codes1 != 0
-                    start += 1
+        value_codes = self._value_codes
+        # per attribute: runs of consecutive constants on one column as
+        # (column, first row, wanted codes), and variable-literal rows
+        runs: Dict[str, List[Tuple[Tuple[int, str], int, List[int]]]] = {}
+        variables: Dict[str, List[int]] = {}
+        # a column that a later attribute's variable literal still reads
+        kept_until: Dict[Tuple[int, str], str] = {}
+        column: Optional[Tuple[int, str]] = None
+        for row, literal in enumerate(literals):
+            if isinstance(literal, ConstantLiteral):
+                if (literal.var, literal.attr) != column:
+                    column = (literal.var, literal.attr)
+                    wanted: List[int] = []
+                    runs.setdefault(literal.attr, []).append((column, row, wanted))
+                wanted.append(value_codes.get(literal.value, -1))
                 continue
-            wanted = np.array(
-                [self._value_codes.get(l.value, -1) for l in run], dtype=np.int64
-            )
-            stop = start + wanted.size
-            np.equal(wanted[:, None], self._codes[column][None, :],
-                     out=stack[start:stop])
-            start = stop
+            assert isinstance(literal, VariableLiteral)
+            column = None
+            later = max(literal.attr1, literal.attr2)
+            variables.setdefault(later, []).append(row)
+            for read in ((literal.var1, literal.attr1), (literal.var2, literal.attr2)):
+                if read[1] < later:
+                    kept_until[read] = max(kept_until.get(read, later), later)
+        live: Dict[Tuple[int, str], np.ndarray] = {}
+        nodes = self._node_rows()
+
+        def codes(column: Tuple[int, str]) -> np.ndarray:
+            gathered = live.get(column)
+            if gathered is None:
+                gathered = live[column] = self._gather(*column, nodes)
+            return gathered
+
+        for attr in sorted(runs.keys() | variables.keys()):
+            for column, start, wanted in runs.get(attr, ()):
+                np.equal(
+                    np.array(wanted, dtype=np.int64)[:, None],
+                    codes(column)[None, :],
+                    out=stack[start:start + len(wanted)],
+                )
+            for row in variables.get(attr, ()):
+                literal = literals[row]
+                codes1 = codes((literal.var1, literal.attr1))
+                np.equal(codes1, codes((literal.var2, literal.attr2)), out=stack[row])
+                stack[row] &= codes1 != 0
+            for column in [c for c in live if kept_until.get(c, attr) <= attr]:
+                del live[column]
         return np.packbits(stack, axis=1, bitorder="little")
 
     @staticmethod
@@ -396,8 +461,75 @@ class MatchTable:
             {(variable, attr) for variable in pattern.variables() for attr in attributes}
         )
 
+    def alphabet_counts(
+        self, same_attr_only: Optional[bool] = None, constants: bool = True
+    ) -> Tuple[
+        Optional[Tuple[np.ndarray, np.ndarray]], Dict[Tuple[int, str, int, str], int]
+    ]:
+        """The alphabet's column statistics, reading each column once.
+
+        Returns ``(code counts, agreements)``: :meth:`constant_code_counts`
+        (``None`` unless ``constants``; it needs the index) and — unless
+        ``same_attr_only`` is ``None`` — :meth:`variable_agreement_counts`.
+        The table is read one attribute at a time: one gather of that
+        attribute's ``|x̄|`` columns appends the keys of their present
+        cells and counts their agreeing pairs, then is dropped; one sort
+        of the keys ends it.  Pairs across attributes
+        (``same_attr_only=False``) keep every attribute's columns until
+        the pairs are counted.
+        """
+        columns = self.column_keys(self.pattern, self.attributes)
+        attributes = sorted({attr for _, attr in columns})
+        variables = list(self.pattern.variables())
+        if constants:
+            num_codes = len(self.index.value_of_code)
+            # int32 keys whenever they fit: the sort dominates, and sorting
+            # int32 takes half as long
+            dtype = np.int32 if len(columns) * num_codes < 2**31 else np.int64
+            keys = np.empty(len(columns) * self._num_rows, dtype=dtype)
+            filled = 0
+            # column_keys is variable-major: (v, attributes[j]) is slot
+            # v·|attributes| + j
+            offsets = np.arange(len(columns), dtype=dtype).reshape(
+                len(variables), -1
+            ) * num_codes
+        agreements: Dict[Tuple[int, str, int, str], int] = {}
+        blocks: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        nodes = self._node_rows()
+        for position, attr in enumerate(attributes):
+            block = self._gather_attribute(attr, nodes)
+            present = block != 0
+            if constants:
+                cells = np.add(
+                    block, offsets[:, position:position + 1],
+                    dtype=dtype, casting="unsafe",
+                )[present]
+                keys[filled:filled + cells.size] = cells
+                filled += cells.size
+            if same_attr_only is False:
+                blocks[attr] = (block, present)
+            elif same_attr_only:
+                for var1 in variables:
+                    for var2 in variables[var1 + 1:]:
+                        agreements[(var1, attr, var2, attr)] = int(
+                            np.count_nonzero((block[var1] == block[var2]) & present[var1])
+                        )
+        for first, (var1, attr1) in enumerate(columns if blocks else ()):
+            codes1, present1 = blocks[attr1][0][var1], blocks[attr1][1][var1]
+            for var2, attr2 in columns[first + 1:]:
+                if var1 != var2:
+                    agreements[(var1, attr1, var2, attr2)] = int(
+                        np.count_nonzero((codes1 == blocks[attr2][0][var2]) & present1)
+                    )
+        values = None
+        if constants:
+            keys = keys[:filled]
+            keys.sort()
+            values = run_lengths(keys)
+        return values, dict(sorted(agreements.items()))
+
     def constant_code_counts(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-column value-code frequencies as one integer group-by (index path).
+        """Per-column value-code frequencies as integer group-bys (index path).
 
         Returns ``(keys, counts)``: the distinct ``slot · K + code`` over
         every column's present cells, ascending, and the rows carrying
@@ -406,17 +538,7 @@ class MatchTable:
         the index, so shards' arrays merge by key
         (:func:`constant_literals_from_code_counts`).  No value is decoded.
         """
-        num_codes = len(self.index.value_of_code)
-        columns = [self._codes[column] for column in sorted(self._codes)]
-        # int32 keys whenever they fit: the sort dominates, and sorting
-        # int32 takes half as long
-        dtype = np.int32 if len(columns) * num_codes < 2**31 else np.int64
-        stack = np.stack(columns or [np.empty(0, dtype=np.int64)]).astype(dtype)
-        present = stack != 0
-        stack += (np.arange(len(stack), dtype=dtype) * num_codes)[:, None]
-        keys = stack[present]
-        keys.sort()
-        return run_lengths(keys)
+        return self.alphabet_counts()[0]
 
     def constant_value_counts(self) -> Dict[Tuple[int, str], Counter]:
         """Per-column value frequencies (mergeable across match shards).
@@ -435,7 +557,8 @@ class MatchTable:
             decode = [MISSING] * (len(self._value_codes) + 1)
             for value, code in self._value_codes.items():
                 decode[code] = value
-        for key, codes in self._codes.items():
+        for key in self.column_keys(self.pattern, self.attributes):
+            codes = self._gather(*key)
             counter: Counter = Counter()
             if codes.size:
                 present = codes[codes != 0]
@@ -453,23 +576,9 @@ class MatchTable:
 
         Agreement is a vectorized code compare: codes share one space per
         table (or graph-globally with an index), so value equality is code
-        equality, and code 0 (MISSING) never agrees.
+        equality, and code 0 (MISSING) never agrees.  Keys are ascending.
         """
-        counts: Dict[Tuple[int, str, int, str], int] = {}
-        keys = sorted(self._codes)
-        for index, (var1, attr1) in enumerate(keys):
-            for var2, attr2 in keys[index + 1:]:
-                if var1 == var2:
-                    continue
-                if same_attr_only and attr1 != attr2:
-                    continue
-                codes1 = self._codes[(var1, attr1)]
-                codes2 = self._codes[(var2, attr2)]
-                agreeing = int(
-                    np.count_nonzero((codes1 == codes2) & (codes1 != 0))
-                )
-                counts[(var1, attr1, var2, attr2)] = agreeing
-        return counts
+        return self.alphabet_counts(same_attr_only, constants=False)[1]
 
     def candidate_constant_literals(
         self, max_constants: int, min_rows: int = 1
@@ -487,7 +596,7 @@ class MatchTable:
             )
         return constant_literals_from_code_counts(
             [self.constant_code_counts()],
-            sorted(self._codes),
+            self.column_keys(self.pattern, self.attributes),
             self.index.value_of_code,
             max_constants,
             min_rows,

@@ -466,7 +466,6 @@ class EnforcementEngine:
             backend = self._ensure_backend(index)
             shards = backend.num_workers
             backend_name = backend.name
-            gamma = list(self.plan.attributes())
             cap = self.config.max_violations_per_rule
             requests: List[Tuple[int, str, int, Dict[str, Any]]] = []
             for position in evaluate:
@@ -509,7 +508,6 @@ class EnforcementEngine:
                                     "pattern": group.pattern,
                                     "matches": chunk,
                                     "rules": rules_payload,
-                                    "gamma": gamma,
                                     "cap": cap,
                                 },
                             )

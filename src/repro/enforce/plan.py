@@ -108,9 +108,9 @@ class EnforcementPlan:
         self.anchored_trie: PlanTrie = compile_plans(self.search_plans(True))
 
     def attributes(self) -> Tuple[str, ...]:
-        """Sorted union of attributes across the whole plan (the workers'
-        active-attribute set ``Γ`` — every shard table carries these
-        columns)."""
+        """Sorted union of attributes across the whole plan (the ``Γ`` the
+        engine builds its backend with; a shard table gathers only the
+        columns its own rules name)."""
         names = set()
         for group in self.groups:
             names.update(group.attributes())

@@ -344,15 +344,17 @@ class ShardWorker:
     def op_install(self, key: int, payload: Dict[str, Any]) -> Tuple:
         """Build this worker's match-table shard (+ column statistics).
 
-        The value/agreement counts feed the master's alphabet generation,
-        saving a dedicated round per pattern (only collected when the
-        pattern will be mined).  Value counts travel as the two integer
-        arrays of :meth:`MatchTable.constant_code_counts` — codes are
-        graph-global on the index, so the master merges and decodes only
-        the few values it keeps.  ``payload["gamma"]`` carries the run's
-        active attributes — the engine's Γ, not the backend-construction
-        one, which may predate a graph mutation that changed the top
-        attributes.
+        The shard keeps only its pivot-sorted match array.  The value/
+        agreement counts feed the master's alphabet generation, saving a
+        dedicated round per pattern (only collected when the pattern will
+        be mined); :meth:`MatchTable.alphabet_counts` computes both in one
+        pass that gathers each column once and drops it.  Value counts
+        travel as the two integer arrays of
+        :meth:`MatchTable.constant_code_counts` — codes are graph-global on
+        the index, so the master merges and decodes only the few values it
+        keeps.  ``payload["gamma"]`` carries the run's active attributes —
+        the engine's Γ, not the backend-construction one, which may predate
+        a graph mutation that changed the top attributes.
         """
         adopt = payload.get("adopt")
         matches = self.joins.pop(adopt) if adopt is not None else payload["matches"]
@@ -367,11 +369,9 @@ class ShardWorker:
         values = None
         agreements: Dict = {}
         if payload["mined"]:
-            values = table.constant_code_counts()
-            if payload["want_variable"]:
-                agreements = table.variable_agreement_counts(
-                    payload["same_attr_only"]
-                )
+            values, agreements = table.alphabet_counts(
+                payload["same_attr_only"] if payload["want_variable"] else None
+            )
         return table.num_rows, values, agreements
 
     def op_tally(self, key: int, payload: Dict[str, Any]):
@@ -428,8 +428,10 @@ class ShardWorker:
         """Per-literal row counts and local distinct-pivot supports.
 
         Also opens this pattern's mask store (id 0 = every row) and keeps
-        the alphabet's row bitsets for the lattice levels; the packed stack
-        they are read from is dropped on return.
+        the surviving literals' row bitsets for the lattice levels.
+        :meth:`MatchTable.literal_bits` gathers only the columns those
+        literals read, once each; the columns and the packed stack are
+        dropped on return.
         """
         table = self.tables[key]
         literals = payload["literals"]
@@ -526,21 +528,19 @@ class ShardWorker:
 
         ``payload["rules"]`` entries are ``(lhs literals, rhs literal or
         None)`` over the *canonical* pattern variables (``None`` = negative
-        GFD).  ``payload["gamma"]`` carries the plan's attribute set —
-        enforcement must not inherit the backend-construction ``Γ`` (a
-        session-shared backend was built for *discovery's* attributes) —
-        and ``payload["cap"]`` the optional per-rule violation cap.  The
-        shard rows and the per-rule violation masks stay resident (keyed by
-        the engine's group key) so later :meth:`op_enforce_update` calls
-        can splice deltas instead of receiving the world again; see
-        :meth:`_enforce_results` for the return shape.
+        GFD) and ``payload["cap"]`` the optional per-rule violation cap.
+        The shard's table gathers only the columns the rules' literals
+        name, and keeps none of them.  The shard rows and the per-rule
+        violation masks stay resident (keyed by the engine's group key) so
+        later :meth:`op_enforce_update` calls can splice deltas instead of
+        receiving the world again; see :meth:`_enforce_results` for the
+        return shape.
         """
-        gamma = payload.get("gamma", self.gamma)
         table = MatchTable(
             self.graph,
             payload["pattern"],
             payload["matches"],
-            gamma,
+            (),
             index=self.index,
         )
         rows = table.match_array
@@ -553,7 +553,6 @@ class ShardWorker:
             "rules": list(payload["rules"]),
             "rows": rows,
             "masks": masks,
-            "gamma": list(gamma),
             "cap": payload.get("cap"),
         }
         self.enforce_state[key] = state
@@ -584,7 +583,7 @@ class ShardWorker:
             self.graph,
             state["pattern"],
             payload["fresh"],
-            state.get("gamma", self.gamma),
+            (),
             index=self.index,
         )
         fresh_rows = fresh_table.match_array

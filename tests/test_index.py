@@ -8,8 +8,11 @@ randomized synthetic graphs, that every index-backed operation produces
 lifecycle.
 """
 
+import gc
 import shutil
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +43,7 @@ from repro.core.spawning import (
 )
 from repro.datasets import KB_ATTRIBUTES, dbpedia_like, imdb_like, yago2_like
 from repro.datasets.synthetic import SYNTHETIC_ATTRIBUTES, synthetic_graph
+from repro.gfd.literals import ConstantLiteral, make_variable_literal
 from repro.graph.graph import Graph
 from repro.graph.index import GraphIndex
 from repro.pattern.incremental import Extension, extend_matches
@@ -601,16 +605,113 @@ class TestSpawningEquivalence:
         assert counts_as_dicts(counted) == ({}, {}, {}, {})
 
 
+#: Columns with missing cells (a2, a3 are sparse on ``small_graph``) and one
+#: attribute no node carries, so the index has no code column for it.
+LAZY_ATTRIBUTES = ["a0", "a2", "a3", "absent"]
+
+
+def packed_mask(mask):
+    return np.packbits(np.asarray(mask, dtype=bool), bitorder="little")
+
+
 class TestMatchTableEquivalence:
-    def build_tables(self, seed=1):
+    def build_tables(self, seed=1, attributes=None, limit=None):
         graph = small_graph(seed)
         index = graph.index()
         pattern = Pattern(["L0", "L1", "L2"], [(0, 1, "e0"), (1, 2, "e1")])
-        matches = list(find_matches(graph, pattern))
-        attributes = list(SYNTHETIC_ATTRIBUTES[:3])
+        matches = list(find_matches(graph, pattern))[:limit]
+        if attributes is None:
+            attributes = list(SYNTHETIC_ATTRIBUTES[:3])
         dict_table = MatchTable(graph, pattern, matches, attributes)
         index_table = MatchTable.from_index(index, pattern, matches, attributes)
         return dict_table, index_table
+
+    @staticmethod
+    def probe_literals(table):
+        """The table's alphabet plus literals no alphabet lists: variable
+        literals across attributes, a literal on the attribute no node
+        carries, a value the graph never holds; interleaved so one column's
+        constants are not adjacent."""
+        literals = table.candidate_constant_literals(5) + list(
+            table.candidate_variable_literals(same_attr_only=False)
+        )
+        literals += [
+            make_variable_literal(0, "a0", 2, "a3"),
+            make_variable_literal(1, "absent", 2, "absent"),
+            ConstantLiteral(1, "absent", "v1"),
+            ConstantLiteral(0, "a2", "no such value"),
+        ]
+        return literals[1::2] + literals[::2]
+
+    @pytest.mark.parametrize("limit", [None, 0])
+    def test_lazy_columns_equal_stored_columns(self, limit):
+        """Every op of a table that gathers its columns when read answers as
+        the table that stores them, twice in a row (no stale cache), on
+        missing cells, an attribute the index has no column for and an
+        empty table."""
+        dict_table, index_table = self.build_tables(
+            attributes=LAZY_ATTRIBUTES, limit=limit
+        )
+        assert index_table.num_rows == (0 if limit == 0 else dict_table.num_rows)
+        assert np.array_equal(dict_table.match_array, index_table.match_array)
+        literals = self.probe_literals(dict_table)
+        for _ in range(2):
+            assert index_table.candidate_constant_literals(
+                5
+            ) == dict_table.candidate_constant_literals(5)
+            assert index_table.constant_value_counts() == (
+                dict_table.constant_value_counts()
+            )
+            for same_attr_only in (True, False):
+                expected = dict_table.variable_agreement_counts(same_attr_only)
+                got = index_table.variable_agreement_counts(same_attr_only)
+                assert got == expected
+                assert list(got) == sorted(got)
+                values, agreements = index_table.alphabet_counts(same_attr_only)
+                assert agreements == expected
+                assert all(
+                    np.array_equal(a, b)
+                    for a, b in zip(values, index_table.constant_code_counts())
+                )
+            for variable in range(3):
+                for attr in LAZY_ATTRIBUTES:
+                    assert index_table.column(variable, attr) == dict_table.column(
+                        variable, attr
+                    )
+            for lhs, rhs in [
+                ((), literals[0]),
+                (literals[:2], literals[2]),
+                (literals[3:5], None),
+                ((), None),
+            ]:
+                assert np.array_equal(
+                    index_table.violation_mask(lhs, rhs),
+                    dict_table.violation_mask(lhs, rhs),
+                )
+            packed = index_table.literal_bits(literals)
+            assert packed.shape == (len(literals), (index_table.num_rows + 7) // 8)
+            for row, literal in zip(packed, literals):
+                assert np.array_equal(row, packed_mask(dict_table.literal_mask(literal)))
+                assert np.array_equal(
+                    row, packed_mask(index_table.literal_mask(literal))
+                )
+
+    def test_code_counts_decode_to_value_counts(self):
+        """The integer group-by, decoded, is the ``Counter`` oracle's."""
+        dict_table, index_table = self.build_tables(attributes=LAZY_ATTRIBUTES)
+        keys, counts = index_table.constant_code_counts()
+        assert keys.dtype == np.int32 and counts.dtype == np.int64
+        assert np.all(keys[1:] > keys[:-1])
+        columns = MatchTable.column_keys(index_table.pattern, LAZY_ATTRIBUTES)
+        num_codes = len(index_table.index.value_of_code)
+        decoded = {column: {} for column in columns}
+        for key, count in zip(keys.tolist(), counts.tolist()):
+            value = index_table.index.value_of_code[key % num_codes]
+            decoded[columns[key // num_codes]][value] = count
+        assert decoded == {
+            column: dict(counter)
+            for column, counter in dict_table.constant_value_counts().items()
+        }
 
     def test_rows_and_pivots(self):
         dict_table, index_table = self.build_tables()
@@ -740,6 +841,94 @@ class TestMatchTableEquivalence:
         assert integer == oracle
         whole = MatchTable.from_index(index, pattern, matches, attributes)
         assert whole.candidate_constant_literals(max_constants, min_rows) == oracle
+
+
+def traced_bytes() -> int:
+    """Bytes currently allocated under tracemalloc (numpy reports its
+    buffers there), after a collection."""
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0]
+
+
+class TestWhatATableKeeps:
+    """An index table holds its pivot-sorted match array and nothing else per
+    row: a column is gathered when an op reads it and dropped after."""
+
+    NUM_NODES = 4000
+    NUM_ROWS = 30000
+    ATTRIBUTES = ["a0", "a1", "a2", "a3", "a4"]
+    PATTERN = Pattern(["A", "A", "A"], [(0, 1, "p"), (1, 2, "p")])
+
+    def build(self):
+        rng = np.random.default_rng(5)
+        graph = Graph()
+        for node in range(self.NUM_NODES):
+            graph.add_node(
+                "A",
+                {attr: f"v{(node * (shift + 3)) % 11}"
+                 for shift, attr in enumerate(self.ATTRIBUTES)},
+            )
+        rows = rng.integers(0, self.NUM_NODES, size=(self.NUM_ROWS, 3))
+        return graph.index(), rows
+
+    def test_table_keeps_only_its_match_array(self):
+        index, rows = self.build()
+        # warm-up: one-off allocations (imports, code-object caches)
+        warm = MatchTable.from_index(index, self.PATTERN, rows[:50], self.ATTRIBUTES)
+        warm.constant_code_counts()
+        warm.variable_agreement_counts()
+        del warm
+        tracemalloc.start()
+        try:
+            before = traced_bytes()
+            table = MatchTable.from_index(
+                index, self.PATTERN, rows, self.ATTRIBUTES
+            )
+            built = traced_bytes() - before
+            assert table.constant_code_counts()[0].size
+            assert table.variable_agreement_counts()
+            after_alphabet = traced_bytes() - before
+        finally:
+            tracemalloc.stop()
+        assert table.match_array.nbytes == rows.nbytes
+        assert built <= rows.nbytes + 1024
+        # the ops keep no column (one is 240 KB); the slack is the
+        # interpreter's free lists
+        assert after_alphabet <= rows.nbytes + 2048
+
+    def test_worker_keeps_match_array_and_bitsets(self):
+        from repro.parallel.backend import ShardWorker
+
+        index, rows = self.build()
+        worker = ShardWorker(index.graph, index, self.ATTRIBUTES)
+        install = {
+            "pattern": self.PATTERN,
+            "mined": True,
+            "want_variable": True,
+            "same_attr_only": True,
+        }
+        table = MatchTable.from_index(index, self.PATTERN, rows, self.ATTRIBUTES)
+        literals = table.candidate_constant_literals(5) + list(
+            table.candidate_variable_literals()
+        )
+        del table
+        # warm-up on another key
+        worker.op_install(1, dict(install, matches=rows[:50]))
+        worker.op_scan(1, {"literals": literals})
+        tracemalloc.start()
+        try:
+            before = traced_bytes()
+            worker.op_install(2, dict(install, matches=rows))
+            worker.op_scan(2, {"literals": literals})
+            kept = traced_bytes() - before
+        finally:
+            tracemalloc.stop()
+        bitsets = list(worker.bits[2].values()) + list(worker.stores[2].values())
+        bitsets += list(worker.tables[2]._run_bits)
+        bitset_bytes = sum(sys.getsizeof(bits) for bits in bitsets)
+        assert worker.tables[2].match_array.nbytes == rows.nbytes
+        # the bitsets' dicts and list cells: well under 100 bytes a literal
+        assert kept <= rows.nbytes + bitset_bytes + 100 * len(literals) + 2048
 
 
 class TestFreezeLifecycle:
