@@ -21,7 +21,13 @@ sweep (10⁴ → 10⁶ nodes):
    workers map the store file: its ``index_transport`` must be
    ``"mmap"``).
 
-``--check`` asserts all three; the numbers land in
+4. **Bytes per edge** — the dict ``Graph`` of the gate tier holds at most
+   :data:`GRAPH_BYTES_PER_EDGE_LIMIT` bytes per edge: every byte
+   ``scale_tier_graph`` leaves allocated, counted by ``tracemalloc``, over
+   the edge count.  An exact count, so host noise cannot flip it; the
+   other tiers record it without a gate.
+
+``--check`` asserts all four; the numbers land in
 ``benchmarks/results/BENCH_scale.json`` (the ``write_bench`` envelope)
 plus a text series in ``benchmarks/results/bench_scale.txt``.  Usage::
 
@@ -33,9 +39,11 @@ plus a text series in ``benchmarks/results/bench_scale.txt``.  Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -55,6 +63,12 @@ ATTACH_RATIO_LIMIT = 0.01
 #: run on the 10k tier in seconds, big enough to produce a real Σ.
 DIFF_CONFIG = dict(k=2, sigma=30, max_lhs_size=1)
 
+#: The dict-graph ceiling of gate (4), in bytes per edge at the gate tier.
+#: A node pair's labels are one interned frozenset shared by both
+#: directions, so an edge costs its two adjacency dict slots: the 10⁵ tier
+#: holds ≈ 390 bytes per edge (≈ 820 with a mutable set per direction).
+GRAPH_BYTES_PER_EDGE_LIMIT = 500
+
 
 def _buffers_identical(built: GraphIndex, loaded: GraphIndex) -> bool:
     """Whether every export buffer matches bytewise (dtype included)."""
@@ -69,8 +83,24 @@ def _buffers_identical(built: GraphIndex, loaded: GraphIndex) -> bool:
     )
 
 
+def graph_bytes_per_edge(tier: str, seed: int = 1) -> float:
+    """Bytes the generated dict graph of ``tier`` holds, per edge."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph = scale_tier_graph(tier, seed=seed)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return held / graph.num_edges
+
+
 def measure_tier(tier: str, store_dir: Path, seed: int = 1) -> dict:
     """Generate one tier, persist its index, and time every leg."""
+    # counted on its own generation: tracemalloc slows the timed one down
+    bytes_per_edge = graph_bytes_per_edge(tier, seed=seed)
     started = time.perf_counter()
     graph = scale_tier_graph(tier, seed=seed)
     generate_s = time.perf_counter() - started
@@ -101,6 +131,7 @@ def measure_tier(tier: str, store_dir: Path, seed: int = 1) -> dict:
         "nodes": graph.num_nodes,
         "edges": graph.num_edges,
         "generate_s": round(generate_s, 4),
+        "graph_bytes_per_edge": round(bytes_per_edge, 1),
         "build_s": round(build_s, 4),
         "save_s": round(save_s, 4),
         "attach_mmap_s": round(attach_s, 6),
@@ -162,7 +193,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
         "--check", action="store_true",
-        help="assert the attach-ratio, byte-identity and differential gates",
+        help="assert the attach-ratio, byte-identity, differential and "
+             "bytes-per-edge gates",
     )
     parser.add_argument(
         "--tiers", default="10k,100k,1m",
@@ -198,26 +230,32 @@ def main(argv=None) -> int:
                 f"tier {tier}: build {per_tier[tier]['build_s']}s, "
                 f"attach {per_tier[tier]['attach_mmap_s']}s "
                 f"(ratio {per_tier[tier]['attach_ratio']}), "
-                f"identity {per_tier[tier]['byte_identity']}",
+                f"identity {per_tier[tier]['byte_identity']}, "
+                f"graph {per_tier[tier]['graph_bytes_per_edge']} B/edge",
                 flush=True,
             )
         diff = differential_identity(store_dir)
 
     metrics = {
         "attach_ratio_limit": ATTACH_RATIO_LIMIT,
+        "graph_bytes_per_edge_limit": GRAPH_BYTES_PER_EDGE_LIMIT,
         "gate_tier": args.gate_tier,
         "tiers": per_tier,
         "differential": diff,
     }
     write_bench("scale", metrics)
 
-    lines = ["tier\tnodes\tbuild_s\tattach_s\tratio\tfile_bytes\tidentity"]
+    lines = [
+        "tier\tnodes\tbuild_s\tattach_s\tratio\tfile_bytes\tidentity"
+        "\tgraph_bytes_per_edge"
+    ]
     for tier in tiers:
         row = per_tier[tier]
         lines.append(
             f"{tier}\t{row['nodes']}\t{row['build_s']}\t"
             f"{row['attach_mmap_s']}\t{row['attach_ratio']}\t"
-            f"{row['file_bytes']}\t{row['byte_identity']}"
+            f"{row['file_bytes']}\t{row['byte_identity']}\t"
+            f"{row['graph_bytes_per_edge']}"
         )
     for backend, row in diff.items():
         lines.append(
@@ -236,6 +274,11 @@ def main(argv=None) -> int:
             f"tier {args.gate_tier}: mmap attach took "
             f"{gate['attach_ratio']:.4f} of the rebuild wall-clock "
             f"(limit {ATTACH_RATIO_LIMIT})"
+        )
+        assert gate["graph_bytes_per_edge"] <= GRAPH_BYTES_PER_EDGE_LIMIT, (
+            f"tier {args.gate_tier}: the dict graph holds "
+            f"{gate['graph_bytes_per_edge']} bytes per edge "
+            f"(limit {GRAPH_BYTES_PER_EDGE_LIMIT})"
         )
         for backend, row in diff.items():
             assert row["identical"], (

@@ -107,8 +107,11 @@ class MatchTable:
                 array = np.asarray(matches, dtype=np.int64)
             else:
                 array = np.empty((0, pattern.num_nodes), dtype=np.int64)
-            order = np.argsort(array[:, pivot_var], kind="stable")
-            array = np.ascontiguousarray(array[order])
+            # matches usually arrive pivot-sorted: adopt them as they are
+            pivots = array[:, pivot_var]
+            if bool((pivots[1:] < pivots[:-1]).any()):
+                array = array[np.argsort(pivots, kind="stable")]
+            array = np.ascontiguousarray(array, dtype=np.int64)
             self._match_array: Optional[np.ndarray] = array
             self._matches: Optional[List[Match]] = None
             self._pivot_array = array[:, pivot_var]

@@ -15,13 +15,22 @@ The structure is optimized for the access paths GFD discovery needs:
 * frequent-triple statistics       -> ``edges`` iteration and label indexes.
 
 ``networkx`` was measured to be far too slow for the inner matching loops at
-the scales the benchmarks use, so adjacency is stored directly in
-dict-of-dict-of-set form (per source node: destination -> set of edge labels).
+the scales the benchmarks use, so adjacency is stored directly as one dict per
+node and direction, mapping a neighbour to the immutable ``frozenset`` of edge
+labels between the two.  ``_out[src][dst]`` and ``_in[dst][src]`` are the same
+object, and a pair with one label (nearly every pair in a knowledge graph)
+points at the graph's interned singleton for that label, so an edge costs two
+dict slots and no set of its own.  The mutators replace a pair's set and never
+edit it, so the accessors can hand the shared sets out without copying.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import (
+    Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set,
+    Tuple,
+)
 
 __all__ = ["Graph", "Edge"]
 
@@ -31,6 +40,9 @@ Edge = Tuple[int, int, str]
 #: :meth:`Graph.index` patches the cached snapshot while at most one node in
 #: this many is stale, and rebuilds it in one full scan beyond that.
 _PATCH_CUTOVER = 8
+
+#: The label set of a node pair without edges.
+_NO_LABELS: FrozenSet[str] = frozenset()
 
 
 class Graph:
@@ -45,6 +57,10 @@ class Graph:
     Node attributes are stored per node as a plain ``dict`` mapping attribute
     name to a constant value; graphs are schemaless, so any node may carry any
     attributes (Section 2.1).
+
+    The table of interned single-label sets holds one entry per edge label in
+    use: it gains the label with its first edge and drops it with its last,
+    so label churn cannot grow it.
     """
 
     __slots__ = (
@@ -54,6 +70,7 @@ class Graph:
         "_in",
         "_label_index",
         "_edge_label_count",
+        "_singletons",
         "_num_edges",
         "_version",
         "_index_cache",
@@ -64,11 +81,14 @@ class Graph:
     def __init__(self) -> None:
         self._labels: List[str] = []
         self._attrs: List[Dict[str, Any]] = []
-        # adjacency: per node, dst -> set of edge labels (and the reverse)
-        self._out: List[Dict[int, Set[str]]] = []
-        self._in: List[Dict[int, Set[str]]] = []
+        # adjacency: per node, dst -> frozenset of edge labels (and the
+        # reverse); _out[s][d] is _in[d][s]
+        self._out: List[Dict[int, FrozenSet[str]]] = []
+        self._in: List[Dict[int, FrozenSet[str]]] = []
         self._label_index: Dict[str, List[int]] = {}
         self._edge_label_count: Dict[str, int] = {}
+        # edge label -> its interned singleton; keys = _edge_label_count's
+        self._singletons: Dict[str, FrozenSet[str]] = {}
         self._num_edges = 0
         self._version = 0
         self._index_cache = None
@@ -166,13 +186,18 @@ class Graph:
         """Add edge ``src -[label]-> dst``; return False if it already exists."""
         self._check_node(src)
         self._check_node(dst)
-        out_labels = self._out[src].setdefault(dst, set())
-        if label in out_labels:
+        labels = self._out[src].get(dst)
+        if labels is not None and label in labels:
             return False
         self._touch(src, dst)
-        out_labels.add(label)
-        self._in[dst].setdefault(src, set()).add(label)
-        self._edge_label_count[label] = self._edge_label_count.get(label, 0) + 1
+        count = self._edge_label_count.get(label, 0)
+        if not count:
+            self._singletons[label] = frozenset((label,))
+        self._edge_label_count[label] = count + 1
+        single = self._singletons[label]
+        self._out[src][dst] = self._in[dst][src] = (
+            single if labels is None else labels | single
+        )
         self._num_edges += 1
         return True
 
@@ -182,16 +207,21 @@ class Graph:
         if labels is None or label not in labels:
             return False
         self._touch(src, dst)
-        labels.discard(label)
-        if not labels:
-            del self._out[src][dst]
-        in_labels = self._in[dst][src]
-        in_labels.discard(label)
-        if not in_labels:
-            del self._in[dst][src]
-        self._edge_label_count[label] -= 1
-        if not self._edge_label_count[label]:
+        count = self._edge_label_count[label] - 1
+        if count:
+            self._edge_label_count[label] = count
+        else:
             del self._edge_label_count[label]
+            del self._singletons[label]
+        if len(labels) == 1:
+            del self._out[src][dst]
+            del self._in[dst][src]
+        else:
+            rest = labels.difference((label,))
+            if len(rest) == 1:
+                (other,) = rest
+                rest = self._singletons[other]
+            self._out[src][dst] = self._in[dst][src] = rest
         self._num_edges -= 1
         return True
 
@@ -275,17 +305,17 @@ class Graph:
             return False
         return True if label is None else label in labels
 
-    def edge_labels(self, src: int, dst: int) -> Set[str]:
-        """Labels of edges from ``src`` to ``dst`` (empty set if none)."""
-        return self._out[src].get(dst, set())
+    def edge_labels(self, src: int, dst: int) -> FrozenSet[str]:
+        """Labels of edges from ``src`` to ``dst`` (empty if none); shared."""
+        return self._out[src].get(dst, _NO_LABELS)
 
-    def out_neighbors(self, node: int) -> Dict[int, Set[str]]:
-        """Outgoing adjacency of ``node``: dst -> edge-label set."""
-        return self._out[node]
+    def out_neighbors(self, node: int) -> Mapping[int, FrozenSet[str]]:
+        """Outgoing adjacency of ``node``: a read-only view, dst -> labels."""
+        return MappingProxyType(self._out[node])
 
-    def in_neighbors(self, node: int) -> Dict[int, Set[str]]:
-        """Incoming adjacency of ``node``: src -> edge-label set."""
-        return self._in[node]
+    def in_neighbors(self, node: int) -> Mapping[int, FrozenSet[str]]:
+        """Incoming adjacency of ``node``: a read-only view, src -> labels."""
+        return MappingProxyType(self._in[node])
 
     def out_degree(self, node: int) -> int:
         """Number of outgoing edges of ``node`` (counting parallel labels)."""

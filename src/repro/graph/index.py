@@ -1,6 +1,6 @@
 """Frozen, integer-coded CSR index over a :class:`~repro.graph.graph.Graph`.
 
-The mutable dict-of-dict-of-set :class:`Graph` is the right structure for
+The mutable dict-adjacency :class:`Graph` is the right structure for
 *construction* and for the noise/cleaning workloads that edit graphs in
 place, but it is the wrong structure for the matching hot loop: every
 candidate test chases Python pointers one node at a time.  This module

@@ -896,6 +896,24 @@ class TestWhatATableKeeps:
         # interpreter's free lists
         assert after_alphabet <= rows.nbytes + 2048
 
+    def test_pivot_sorted_rows_are_adopted(self):
+        index, rows = self.build()
+        pivot = self.PATTERN.pivot
+        ordered = np.ascontiguousarray(
+            rows[np.argsort(rows[:, pivot], kind="stable")]
+        )
+        adopted = MatchTable.from_index(index, self.PATTERN, ordered, ())
+        assert np.shares_memory(adopted.match_array, ordered)
+        assert np.array_equal(adopted._pivot_array, ordered[:, pivot])
+
+        sorted_copy = MatchTable.from_index(index, self.PATTERN, rows, ())
+        assert not np.shares_memory(sorted_copy.match_array, rows)
+        # stable: rows of one pivot keep their input order
+        assert np.array_equal(sorted_copy.match_array, ordered)
+        assert np.array_equal(sorted_copy._pivot_array, ordered[:, pivot])
+        assert sorted_copy.match_array.flags.c_contiguous
+        assert sorted_copy.match_array.dtype == np.int64
+
     def test_worker_keeps_match_array_and_bitsets(self):
         from repro.parallel.backend import ShardWorker
 
