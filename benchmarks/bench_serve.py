@@ -33,8 +33,9 @@ of the serving subsystem:
    drops only its own worker keys, so resident groups survive it and a
    refresh never re-installs them), and every
    ``discover`` / ``cover`` answer identical to a fresh single-client
-   ``Session`` at the replayed version (``discover_iter`` with the
-   clamped budget, ``update_sigma=False``; the cover of Σ).
+   ``Session`` at the replayed version (the unbudgeted ``discover_iter``
+   filtered to the clamped ``max_levels`` and cut to ``max_rules`` — an
+   oracle independent of the engine's budgeted mining; the cover of Σ).
 
 6. **Exact monitor gauges** — after the run, every rule's
    distinct-pivots-ever gauge is an ``int`` equal to the size of the union
@@ -120,20 +121,29 @@ def check_answer_replay(
     base, config, sigma, commit_log, discover_responses, cover_responses
 ) -> Dict[str, Any]:
     """Compare every discover / cover answer to a fresh single-client
-    ``Session`` (discover at the replayed version; cover of Σ)."""
+    ``Session`` (discover at the replayed version; cover of Σ).
+
+    The discover oracle is the *unbudgeted* stream at the replayed
+    version, filtered to patterns with at most ``max_levels`` edges and
+    cut to ``max_rules`` — independent of the engine's budgeted mining,
+    which the served answer runs through."""
+    streams: Dict[int, List[Any]] = {}
     truth: Dict[Any, List[str]] = {}
     mismatches = 0
     for response in discover_responses:
-        key = (response["version"], response["max_rules"], response["max_levels"])
-        if key not in truth:
-            graph = replayed_graph(base, commit_log, key[0])
+        version, max_rules, max_levels = key = (
+            response["version"], response["max_rules"], response["max_levels"]
+        )
+        if version not in streams:
+            graph = replayed_graph(base, commit_log, version)
             with Session(graph, config) as session:
-                truth[key] = [
-                    format_gfd(gfd)
-                    for gfd in session.discover_iter(
-                        max_rules=key[1], max_levels=key[2], update_sigma=False
-                    )
-                ]
+                streams[version] = list(session.discover_iter(update_sigma=False))
+        if key not in truth:
+            truth[key] = [
+                format_gfd(gfd)
+                for gfd in streams[version]
+                if max_levels is None or gfd.pattern.num_edges <= max_levels
+            ][:max_rules]
         mismatches += response["rules"] != truth[key]
     with Session(base.copy(), config) as session:
         cover = [format_gfd(gfd) for gfd in session.cover(sigma).cover]

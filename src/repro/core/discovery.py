@@ -45,7 +45,19 @@ from .spawning import (
     wildcard_extensions_from_counts,
 )
 
-__all__ = ["SequentialDiscovery", "discover", "reference_discover"]
+__all__ = [
+    "SequentialDiscovery",
+    "check_budgets",
+    "discover",
+    "reference_discover",
+]
+
+
+def check_budgets(max_rules: Optional[int], max_levels: Optional[int]) -> None:
+    """Reject a negative streaming budget (``None`` means unbudgeted)."""
+    for name, value in (("max_rules", max_rules), ("max_levels", max_levels)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be >= 0 or None, got {value}")
 
 
 class SequentialDiscovery:
@@ -120,12 +132,14 @@ class SequentialDiscovery:
         self._hspawn(node)
 
     def _mine_nodes(self, nodes: Sequence[TreeNode]) -> None:
-        """``HSpawn`` over one level's verified patterns.
+        """``HSpawn`` over a node-order prefix of one level's patterns.
 
         The sequential engine mines them one by one; the parallel engine
-        overrides this to validate all of a level's patterns in joint
+        overrides this to validate all the given patterns in joint
         supersteps — emissions land in ``_found`` in the same per-node
-        order either way.
+        order either way.  Mining a pattern reads only its own table and
+        the covered pairs it inherited from the level above, so a level
+        can be mined in consecutive slices (see :meth:`_levels`).
         """
         for node in nodes:
             self._mine_node(node)
@@ -144,24 +158,61 @@ class SequentialDiscovery:
         return fresh
 
     def _levels(
-        self, tree: GenerationTree
+        self,
+        tree: GenerationTree,
+        max_rules: Optional[int] = None,
+        max_levels: Optional[int] = None,
     ) -> Iterator[Tuple[int, List[Tuple[GFD, int]]]]:
-        """Drive the levelwise search, yielding per-level emission batches.
+        """Drive the levelwise search, yielding ``(level, batch)`` pairs.
 
         The shared core of :meth:`run` and :meth:`run_iter`: seed, mine
-        level 0, then alternate ``VSpawn``/``HSpawn`` up to the edge
-        budget, yielding ``(level, [(gfd, support), ...])`` after each
-        completed level.  Backend lifecycle is the caller's concern.
+        level 0, then alternate ``VSpawn``/``HSpawn`` up to the edge budget
+        or level ``max_levels``, whichever comes first.  A batch is a list
+        of ``(gfd, support)`` emissions.  Backend lifecycle is the
+        caller's concern.
+
+        Without ``max_rules`` each level is mined in one :meth:`_mine_nodes`
+        call and yields one batch.  With it, the level's ``VSpawn``
+        emissions count first; its patterns are then mined in node-order
+        prefixes of doubling size (1, 1, 2, 4, … nodes), each drained as
+        its own batch, and the search stops as soon as ``max_rules`` rules
+        are out (the last batch is cut to the budget).  A level of *n*
+        patterns costs at most ⌈log₂ n⌉ + 1 ``HSpawn`` calls.  Emissions
+        replay in node order, so the batches are exactly a prefix of the
+        unbudgeted stream; ``max_rules=0`` mines nothing.
         """
-        self._seed_level(tree)
-        self._mine_nodes(list(tree.level(0)))
-        yield 0, self._drain_found()
-        for level in range(1, self.config.edge_budget + 1):
-            new_nodes = self._extend_level(tree, level)
-            if not new_nodes:
-                return
-            self._mine_nodes(new_nodes)
-            yield level, self._drain_found()
+        last = self.config.edge_budget
+        if max_levels is not None:
+            last = min(last, max_levels)
+        remaining = max_rules
+        if remaining == 0:
+            return
+        for level in range(last + 1):
+            if level == 0:
+                self._seed_level(tree)
+                nodes = list(tree.level(0))
+            else:
+                nodes = self._extend_level(tree, level)
+                if not nodes:
+                    return
+            if remaining is None:
+                self._mine_nodes(nodes)
+                yield level, self._drain_found()
+                continue
+            batch = self._drain_found()  # VSpawn's negatives come first
+            end = 0
+            while True:
+                if batch:
+                    batch = batch[:remaining]
+                    remaining -= len(batch)
+                    yield level, batch
+                    if remaining == 0:
+                        return
+                if end == len(nodes):
+                    break
+                start, end = end, min(len(nodes), max(1, 2 * end))
+                self._mine_nodes(nodes[start:end])
+                batch = self._drain_found()
 
     def run(self) -> DiscoveryResult:
         """Execute discovery and return the minimum frequent GFDs."""
@@ -187,14 +238,22 @@ class SequentialDiscovery:
             gfds=gfds, supports=supports, stats=self.stats, tree=tree
         )
 
-    def run_iter(self) -> Iterator[Tuple[int, List[Tuple[GFD, int]]]]:
+    def run_iter(
+        self,
+        max_rules: Optional[int] = None,
+        max_levels: Optional[int] = None,
+    ) -> Iterator[Tuple[int, List[Tuple[GFD, int]]]]:
         """Stream discovery: yield ``(level, [(gfd, support), ...])`` batches.
 
-        Rules arrive as their generation-tree level completes, so a
-        consumer can act on (or stop after) early rules without waiting for
-        the full run — the engine behind ``Session.discover_iter`` and its
-        early-stop budgets.  Closing the iterator early releases the
-        engine's execution resources (the ``finally`` below runs on
+        Rules arrive as their generation-tree level (or, under a rule
+        budget, a node-order prefix of it) completes, so a consumer can act
+        on early rules without waiting for the full run — the engine behind
+        ``Session.discover_iter``.  The budgets are enforced here: at most
+        ``max_rules`` rules are yielded, none from a level above
+        ``max_levels`` (level 0 = single-node patterns), and the engine
+        mines only what those rules need (see :meth:`_levels`).  A negative
+        budget raises ``ValueError``.  Closing the iterator early releases
+        the engine's execution resources (the ``finally`` below runs on
         ``GeneratorExit``).
 
         Two deliberate differences from :meth:`run`: the final pairwise
@@ -203,11 +262,12 @@ class SequentialDiscovery:
         support that is later raised for an already-yielded rule is not
         re-reported.
         """
+        check_budgets(max_rules, max_levels)
         self._drained = 0
         self._start_backend()
         tree = GenerationTree()
         try:
-            yield from self._levels(tree)
+            yield from self._levels(tree, max_rules, max_levels)
         finally:
             self._finish_backend()
 

@@ -52,6 +52,7 @@ operation (matching, joins, tallies, match tables, statistics); only
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -109,6 +110,29 @@ def _intern(code_of: Dict[Any, int], values: List[Any], key: Any) -> int:
     return code
 
 
+def _value_counts(
+    label_codes: np.ndarray,
+    label_values: List[str],
+    attr_codes: Dict[str, np.ndarray],
+    value_of_code: List[Any],
+) -> Dict[Tuple[str, str], Counter]:
+    """``(node label, attribute) -> Counter`` of values, one group-by per
+    attribute column (``GraphStatistics.attr_value_counts``)."""
+    num_values = len(value_of_code)
+    result: Dict[Tuple[str, str], Counter] = {}
+    for attr, column in attr_codes.items():
+        present = np.flatnonzero(column)
+        if present.size == 0:
+            continue
+        combined = label_codes[present] * num_values + column[present]
+        keys, counts = np.unique(combined, return_counts=True)
+        for key, count in zip(keys.tolist(), counts.tolist()):
+            label = label_values[key // num_values]
+            value = value_of_code[key % num_values]
+            result.setdefault((label, attr), Counter())[value] += count
+    return result
+
+
 #: :meth:`GraphIndex.patched` interns append-only, so a long-lived process
 #: that keeps writing fresh labels or values accumulates codes no node
 #: carries.  Once the tables hold this many times what the last full build
@@ -162,6 +186,8 @@ class GraphIndex:
         # on-disk persistence (see repro.graph.store)
         "store_path",
         "store_mapping",
+        # tests observe a retired snapshot being freed
+        "__weakref__",
     )
 
     #: Process-local count of full ``__init__`` freezes — a diagnostic the
@@ -823,19 +849,16 @@ class GraphIndex:
             attr: int(np.count_nonzero(column))
             for attr, column in self._attr_codes.items()
         }
-        num_values = len(self.value_of_code)
-        for attr, column in self._attr_codes.items():
-            present = np.flatnonzero(column)
-            if present.size == 0:
-                continue
-            combined = self.node_label_codes[present] * num_values + column[present]
-            keys, counts = np.unique(combined, return_counts=True)
-            for key, count in zip(keys.tolist(), counts.tolist()):
-                label = self.node_label_values[key // num_values]
-                value = self.value_of_code[key % num_values]
-                stats.attr_value_counts.setdefault((label, attr), Counter())[
-                    value
-                ] += count
+        # the per-value counts only feed rule generators: computed on first
+        # read, from the arrays themselves — holding the index would make an
+        # index <-> statistics cycle that outlives the snapshot
+        stats.value_counts_source = partial(
+            _value_counts,
+            self.node_label_codes,
+            self.node_label_values,
+            self._attr_codes,
+            self.value_of_code,
+        )
         degrees = self.out_degrees() + self.in_degrees()
         stats.max_degree = int(degrees.max()) if degrees.size else 0
         self._statistics = stats

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .graph import Graph
 
@@ -20,6 +20,9 @@ __all__ = ["LabelTriple", "GraphStatistics", "compute_statistics"]
 
 #: (source node label, edge label, destination node label)
 LabelTriple = Tuple[str, str, str]
+
+#: (node label, attribute) -> Counter of values
+ValueCounts = Dict[Tuple[str, str], Counter]
 
 
 @dataclass
@@ -31,7 +34,9 @@ class GraphStatistics:
         edge_label_counts: edge label -> count.
         triple_counts: (src label, edge label, dst label) -> count.
         attr_counts: attribute name -> number of nodes carrying it.
-        attr_value_counts: (node label, attribute) -> Counter of values.
+        attr_value_counts: (node label, attribute) -> Counter of values;
+            computed on first read when the statistics carry a
+            ``value_counts_source`` (discovery never reads it).
         max_degree: maximum total degree over nodes.
     """
 
@@ -39,8 +44,22 @@ class GraphStatistics:
     edge_label_counts: Dict[str, int] = field(default_factory=dict)
     triple_counts: Dict[LabelTriple, int] = field(default_factory=dict)
     attr_counts: Dict[str, int] = field(default_factory=dict)
-    attr_value_counts: Dict[Tuple[str, str], Counter] = field(default_factory=dict)
     max_degree: int = 0
+    #: Computes ``attr_value_counts`` on its first read, then is dropped.
+    value_counts_source: Optional[Callable[[], ValueCounts]] = field(
+        default=None, repr=False, compare=False
+    )
+    _attr_value_counts: Optional[ValueCounts] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def attr_value_counts(self) -> ValueCounts:
+        if self._attr_value_counts is None:
+            source = self.value_counts_source
+            self._attr_value_counts = source() if source is not None else {}
+            self.value_counts_source = None
+        return self._attr_value_counts
 
     def frequent_triples(self, threshold: int) -> List[LabelTriple]:
         """Label triples occurring at least ``threshold`` times, most frequent first."""
@@ -71,12 +90,13 @@ def compute_statistics(graph: Graph) -> GraphStatistics:
     stats = GraphStatistics()
     node_labels: Counter = Counter()
     attr_names: Counter = Counter()
+    value_counts: ValueCounts = {}
     for node in graph.nodes():
         label = graph.node_label(node)
         node_labels[label] += 1
         for attr, value in graph.node_attrs(node).items():
             attr_names[attr] += 1
-            stats.attr_value_counts.setdefault((label, attr), Counter())[value] += 1
+            value_counts.setdefault((label, attr), Counter())[value] += 1
         degree = graph.degree(node)
         if degree > stats.max_degree:
             stats.max_degree = degree
@@ -87,4 +107,5 @@ def compute_statistics(graph: Graph) -> GraphStatistics:
     stats.edge_label_counts = graph.edge_label_counts()
     stats.triple_counts = dict(triples)
     stats.attr_counts = dict(attr_names)
+    stats._attr_value_counts = value_counts
     return stats

@@ -671,14 +671,16 @@ class ParallelDiscovery(SequentialDiscovery):
         return literals
 
     def _mine_nodes_batch(self, nodes: List[TreeNode]) -> None:
-        """``HSpawn`` for one level's verified patterns, jointly.
+        """``HSpawn`` for a node-order prefix of one level's verified
+        patterns, jointly — the whole level in an unbudgeted run, a
+        doubling slice of it under a rule budget (``_levels``).
 
         One ``scan`` superstep opens every pattern's mask store; the LHS
         lattices then advance *jointly* — one ``eval`` superstep per
         lattice depth carries every still-active pattern's candidate batch
         (the ``ΣC_{ij}`` rounds of Figure 3, summed over patterns too) —
         and one ``probe`` superstep resolves all NHSpawn bases.  The
-        superstep count per level is therefore bounded by
+        superstep count per call is therefore bounded by
         ``2 + max_lhs_size``, independent of the number of patterns.
 
         Emissions are buffered per node and replayed in node order at the

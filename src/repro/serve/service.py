@@ -30,8 +30,9 @@ Admission control is two checks at the door (and one at execution):
 Per-request budgets reuse the engines' native early-stop seams:
 ``discover`` budgets clamp to ``ServeConfig.discover_max_rules`` /
 ``discover_max_levels`` (the :meth:`~repro.session.Session.discover_iter`
-budgets), and validation reports inherit the session's
-``max_violations_per_rule`` / ``max_violation_samples`` caps.
+budgets, which the discovery engine enforces while it mines; a negative
+one is rejected before admission), and validation reports inherit the
+session's ``max_violations_per_rule`` / ``max_violation_samples`` caps.
 
 Every read answer is computed once per state it reads, with one stored
 answer per kind: the ``validate`` payload per published snapshot and
@@ -51,6 +52,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import DiscoveryConfig, EnforcementConfig
+from ..core.discovery import check_budgets
 from ..enforce.engine import EnforcementReport
 from ..enforce.monitor import RuleSketchMonitor
 from ..gfd.gfd import GFD
@@ -471,7 +473,11 @@ class EnforcementService:
     ) -> Dict[str, Any]:
         """Budgeted, exploratory discovery against the current version.
 
-        The request budgets clamp to the service caps; the served Σ is
+        The request budgets clamp to the service caps and the discovery
+        engine enforces them, mining only the patterns the answer needs
+        (:meth:`~repro.session.Session.discover_iter`); ``max_rules=0``
+        answers with no rules.  A negative budget raises ``ValueError``
+        before admission, so it never reaches the lane.  The served Σ is
         *not* replaced (``update_sigma=False``) — discovery here is a
         read-only analytics op whose answer is tagged with the version it
         ran against.  The answer is a function of the graph state and the
@@ -481,6 +487,7 @@ class EnforcementService:
         ahead of the chain.  The ``rules`` list is shared and read-only.
         """
         started = time.perf_counter()
+        check_budgets(max_rules, max_levels)
         self._admit("discover")
         cap_rules = self.serve.discover_max_rules
         cap_levels = self.serve.discover_max_levels

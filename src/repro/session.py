@@ -54,6 +54,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .core.config import DiscoveryConfig, EnforcementConfig
 from .core.cover import CoverResult
+from .core.discovery import check_budgets
 from .core.results import DiscoveryResult
 from .enforce.delta import DeltaLog
 from .enforce.engine import EnforcementEngine, EnforcementReport
@@ -550,22 +551,40 @@ class Session:
         max_levels: Optional[int] = None,
         update_sigma: bool = True,
     ) -> Iterator[GFD]:
-        """Stream discovery: yield rules as their lattice levels complete.
+        """Stream discovery: yield rules as the engine emits them.
 
-        Early-stop budgets: ``max_rules`` stops after that many rules,
-        ``max_levels`` after the given generation-tree level (level 0 =
-        single-node patterns).  Σ (with supports) is set to everything
-        yielded so far whenever the iteration ends — exhausted, budgeted,
-        or abandoned (the update runs from the generator's ``finally``) —
-        unless ``update_sigma`` is off, which leaves the session's Σ (and
-        its compiled enforcement plan) untouched: the mode a serving layer
-        uses for exploratory, budgeted discovery requests that must not
-        clobber the served rule set.
+        Early-stop budgets: at most ``max_rules`` rules, and none from a
+        generation-tree level above ``max_levels`` (level 0 = single-node
+        patterns).  The discovery engine enforces both
+        (:meth:`~repro.core.discovery.SequentialDiscovery.run_iter`): it
+        mines a level in node-order prefixes and stops once the budget is
+        met, so a small ``max_rules`` mines only the patterns its answer
+        needs, and ``max_rules=0`` mines nothing.  The answer is the
+        unbudgeted stream filtered to patterns with at most ``max_levels``
+        edges and cut to ``max_rules``.  A negative budget raises
+        ``ValueError`` here, before any work.
+
+        Σ (with supports) is set to everything yielded so far whenever the
+        iteration ends — exhausted, budgeted, or abandoned (the update
+        runs from the generator's ``finally``) — unless ``update_sigma`` is
+        off, which leaves the session's Σ (and its compiled enforcement
+        plan) untouched: the mode a serving layer uses for exploratory,
+        budgeted discovery requests that must not clobber the served rule
+        set.
 
         Streaming skips the final pairwise ``≪``-minimality filter — that
         is a global pass over the completed set; run :meth:`cover` (or a
         full :meth:`discover`) for the minimized Σ.
         """
+        check_budgets(max_rules, max_levels)
+        return self._discover_stream(max_rules, max_levels, update_sigma)
+
+    def _discover_stream(
+        self,
+        max_rules: Optional[int],
+        max_levels: Optional[int],
+        update_sigma: bool,
+    ) -> Iterator[GFD]:
         self._check_open()
         self._refresh_snapshot()
         self._count("discover_iter")
@@ -583,20 +602,12 @@ class Session:
         )
         engine = self._discovery_engine()
         emitted: List[Tuple[GFD, int]] = []
-        budget_hit = False
-        levels = engine.run_iter()
+        levels = engine.run_iter(max_rules, max_levels)
         try:
-            for level, batch in levels:
+            for _level, batch in levels:
                 for gfd, support in batch:
                     emitted.append((gfd, support))
                     yield gfd
-                    if max_rules is not None and len(emitted) >= max_rules:
-                        budget_hit = True
-                        break
-                if budget_hit:
-                    break
-                if max_levels is not None and level >= max_levels:
-                    break
         finally:
             levels.close()  # drops the engine's worker state
             if span is not None:

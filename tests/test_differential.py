@@ -13,8 +13,10 @@ agree exactly on every one:
   over shared-memory graph buffers).
 
 Agreement is checked on the canonical-keyed GFD sets, the per-rule support
-counts, and the minimal covers.  A companion class locks down the
-serving monitor's union semantics over sharded pivot populations.
+counts, and the minimal covers.  A second class pins budgeted streaming
+discovery to its oracle, the unbudgeted stream's filtered prefix, on both
+engines.  A companion class locks down the serving monitor's union
+semantics over sharded pivot populations.
 """
 
 from __future__ import annotations
@@ -25,12 +27,14 @@ import numpy as np
 import pytest
 
 from repro.core import DiscoveryConfig, discover, gfd_identity, sequential_cover
-from repro.core.discovery import reference_discover
+from repro.core.discovery import SequentialDiscovery, reference_discover
+from repro.datasets import dbpedia_like, imdb_like, yago2_like
 from repro.enforce import RuleSketchMonitor
-from repro.gfd import implies, parse_gfd
+from repro.gfd import format_gfd, implies, parse_gfd
 from repro.graph import Graph
 from repro.session import Session
 from repro.parallel import (
+    ParallelDiscovery,
     discover_parallel,
     parallel_cover,
     parallel_cover_ungrouped,
@@ -185,6 +189,129 @@ class TestDifferentialEngines:
                 graph, config, num_workers=3, balance=False, backend=backend
             )
             assert _fingerprint(result) == reference
+
+
+def _kb(name):
+    """The yago / dbpedia / imdb fixtures at k = 3."""
+    if name == "yago":
+        graph, sigma = yago2_like(scale=0.35, seed=7), 25
+    elif name == "dbpedia":
+        graph, sigma = dbpedia_like(scale=0.3, seed=7), 40
+    else:
+        graph, sigma = imdb_like(scale=0.3, seed=7), 40
+    return graph, DiscoveryConfig(k=3, sigma=sigma, max_lhs_size=1)
+
+
+KB_FIXTURES = ["yago", "dbpedia", "imdb"]
+#: ``"all"`` stands for len(Σ) of the unbudgeted stream.
+RULE_BUDGETS = [0, 1, 2, 3, 5, 10, 17, "all", None]
+LEVEL_BUDGETS = [None, 0, 1, 2]
+
+
+def _budget_grid(full):
+    """``(max_rules, max_levels, expected prefix)`` over the budget grid:
+    the unbudgeted stream ``full`` of ``(text, support, edges)`` filtered
+    to patterns with at most ``max_levels`` edges, cut to ``max_rules``.
+    The unbudgeted pair itself is left out: it is how ``full`` was made."""
+    for max_levels in LEVEL_BUDGETS:
+        kept = [
+            rule for rule in full
+            if max_levels is None or rule[2] <= max_levels
+        ]
+        for max_rules in RULE_BUDGETS:
+            if max_rules is None and max_levels is None:
+                continue
+            if max_rules == "all":
+                max_rules = len(full)
+            yield max_rules, max_levels, kept[:max_rules]
+
+
+def _rule(gfd, support):
+    return format_gfd(gfd), support, gfd.pattern.num_edges
+
+
+def _engine_stream(engine, max_rules=None, max_levels=None):
+    return [
+        _rule(gfd, support)
+        for _level, batch in engine.run_iter(max_rules, max_levels)
+        for gfd, support in batch
+    ]
+
+
+def _counting(engine_class):
+    """``engine_class`` recording the size of every ``_mine_nodes`` call."""
+
+    class Counting(engine_class):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.mined = []
+
+        def _mine_nodes(self, nodes):
+            self.mined.append(len(nodes))
+            super()._mine_nodes(nodes)
+
+    return Counting
+
+
+class TestBudgetedDiscovery:
+    """A budgeted stream is the unbudgeted stream's prefix.
+
+    ``run_iter`` / ``Session.discover_iter`` mine a level in node-order
+    prefixes and stop once ``max_rules`` is met; ``max_levels`` stops the
+    search after that level.  The oracle is independent of that code: the
+    exhausted unbudgeted stream, filtered to patterns with at most
+    ``max_levels`` edges and cut to ``max_rules`` — as a list, with equal
+    supports.
+    """
+
+    @pytest.mark.parametrize("name", KB_FIXTURES)
+    def test_session_stream_is_a_prefix(self, name):
+        """ParDis on the session backend, with and without a Σ update."""
+        graph, config = _kb(name)
+        with Session(graph, config, num_workers=2) as session:
+            list(session.discover_iter())
+            full = [_rule(gfd, session.supports[gfd]) for gfd in session.sigma]
+            for max_rules, max_levels, expected in _budget_grid(full):
+                budgets = {"max_rules": max_rules, "max_levels": max_levels}
+                served = session.discover_iter(update_sigma=False, **budgets)
+                assert [format_gfd(gfd) for gfd in served] == [
+                    text for text, _, _ in expected
+                ], budgets
+                # Σ := the yielded rules, with their supports
+                list(session.discover_iter(**budgets))
+                assert [
+                    _rule(gfd, session.supports[gfd]) for gfd in session.sigma
+                ] == expected, budgets
+
+    @pytest.mark.parametrize("name", KB_FIXTURES)
+    def test_sequential_stream_is_a_prefix(self, name):
+        graph, config = _kb(name)
+        full = _engine_stream(SequentialDiscovery(graph, config))
+        for max_rules, max_levels, expected in _budget_grid(full):
+            engine = SequentialDiscovery(graph, config)
+            assert _engine_stream(engine, max_rules, max_levels) == expected, (
+                max_rules, max_levels,
+            )
+
+    @pytest.mark.parametrize("engine_class", [SequentialDiscovery, ParallelDiscovery])
+    def test_budget_mines_doubling_prefixes(self, engine_class):
+        """Exact counts on the imdb fixture: ``run()`` mines each level in
+        one ``_mine_nodes`` call; a 10-rule budget mines levels in
+        node-order prefixes of 1, 1, 2, 4, … patterns, stops inside a level,
+        and checks strictly fewer candidates."""
+        graph, config = _kb("imdb")
+        engine_class = _counting(engine_class)
+        full = engine_class(graph, config)
+        result = full.run()
+        assert full.mined == [
+            len(result.tree.level(i)) for i in range(result.tree.num_levels)
+        ] == [2, 10, 35, 56]
+
+        budgeted = engine_class(graph, config)
+        assert len(_engine_stream(budgeted, max_rules=10)) == 10
+        # level 0's two patterns one at a time, then 8 of level 1's 10
+        assert budgeted.mined == [1, 1, 1, 1, 2, 4]
+        assert 0 < budgeted.stats.candidates_checked < full.stats.candidates_checked
 
 
 class TestParCoverDifferential:

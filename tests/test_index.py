@@ -13,6 +13,7 @@ import shutil
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1030,6 +1031,30 @@ class TestDiscoveryEquivalence:
         assert fast.attr_counts == slow.attr_counts
         assert fast.attr_value_counts == slow.attr_value_counts
         assert fast.max_degree == slow.max_degree
+
+    def test_statistics_do_not_keep_a_retired_snapshot_alive(self):
+        """``attr_value_counts`` is computed on first read from arrays the
+        statistics capture, not from the index: with the collector off, a
+        retired snapshot whose statistics were read is freed by reference
+        counting alone, and the statistics still decode afterwards."""
+        from repro.graph.statistics import compute_statistics
+
+        graph = small_graph(3)
+        expected = compute_statistics(graph).attr_value_counts
+        snapshot = graph.index()
+        stats = snapshot.statistics()
+        retired = weakref.ref(snapshot)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            graph.set_attr(0, "a0", "fresh value")
+            assert graph.index() is not snapshot
+            del snapshot
+            assert retired() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert stats.attr_value_counts == expected
 
 
 # ----------------------------------------------------------------------

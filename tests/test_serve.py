@@ -472,6 +472,24 @@ class TestServiceSemantics:
 
         asyncio.run(scenario())
 
+    def test_zero_and_negative_discover_budgets(self, film_graph, film_config):
+        async def scenario():
+            async with _service(
+                film_graph.copy(), config=film_config
+            ) as service:
+                answer = await service.discover(max_rules=0)
+                assert answer["max_rules"] == 0 and answer["rules"] == []
+                memo = dict(service.stats()["answer_memo"]["discover"])
+                streams = service.session.metrics().phases["discover_iter"]
+                for budgets in ({"max_rules": -1}, {"max_levels": -1}):
+                    with pytest.raises(ValueError, match="must be >= 0"):
+                        await service.discover(**budgets)
+                # rejected before admission: never reached the lane
+                assert service.stats()["answer_memo"]["discover"] == memo
+                assert service.session.metrics().phases["discover_iter"] == streams
+
+        asyncio.run(scenario())
+
     def test_startup_discovery_when_no_sigma(self, film_graph, film_config):
         async def scenario():
             async with EnforcementService(
@@ -743,6 +761,26 @@ class TestHttpFront:
 
         asyncio.run(scenario())
 
+    def test_discover_budgets(self, film_graph):
+        async def scenario():
+            async with _service(film_graph.copy()) as service:
+                server = await serve_http(service, port=0)
+                host, port = server.sockets[0].getsockname()[:2]
+                try:
+                    status, answer = await _http_json(
+                        host, port, "POST", "/discover", {"max_rules": 0})
+                    assert status == 200 and answer["rules"] == []
+                    for budgets in ({"max_rules": -1}, {"max_levels": -2}):
+                        status, answer = await _http_json(
+                            host, port, "POST", "/discover", budgets)
+                        assert status == 400, budgets
+                        assert "must be >= 0" in answer["detail"]
+                finally:
+                    server.close()
+                    await server.wait_closed()
+
+        asyncio.run(scenario())
+
     def test_cli_serve_duration(self, film_graph, tmp_path, capsys):
         from repro.cli import main
         from repro.graph.io import save_json
@@ -790,13 +828,15 @@ def _replay(base, sigma, commit_log, version):
 
 
 def _replay_discover(base, commit_log, version, max_rules, max_levels):
+    """The unbudgeted stream at ``version``, filtered to patterns with at
+    most ``max_levels`` edges and cut to ``max_rules`` — an oracle that
+    does not run the engine's budgeted mining."""
     with Session(_replayed_graph(base, commit_log, version)) as session:
         return [
             format_gfd(gfd)
-            for gfd in session.discover_iter(
-                max_rules=max_rules, max_levels=max_levels, update_sigma=False
-            )
-        ]
+            for gfd in session.discover_iter(update_sigma=False)
+            if gfd.pattern.num_edges <= max_levels
+        ][:max_rules]
 
 
 def _assert_replay_identity(base, sigma, commit_log, load):

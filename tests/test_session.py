@@ -150,6 +150,37 @@ class TestStreamingDiscovery:
             # level 0 = single-node patterns only
             assert all(g.pattern.num_edges == 0 for g in level0)
 
+    def test_zero_rule_budget_yields_nothing_and_mines_nothing(
+        self, film_graph, film_config, monkeypatch
+    ):
+        mined = []
+        original = ParallelDiscovery._mine_nodes
+
+        def counting(engine, nodes):
+            mined.append(len(nodes))
+            return original(engine, nodes)
+
+        monkeypatch.setattr(ParallelDiscovery, "_mine_nodes", counting)
+        with Session(film_graph, film_config) as session:
+            assert list(session.discover_iter(max_rules=0)) == []
+            assert session.sigma == []
+            assert mined == []  # no HSpawn at all
+            assert list(session.discover_iter(max_rules=0, max_levels=0)) == []
+            assert mined == []
+
+    @pytest.mark.parametrize(
+        "budgets",
+        [{"max_rules": -1}, {"max_levels": -1}, {"max_rules": -5, "max_levels": 1}],
+    )
+    def test_negative_budgets_raise_before_any_work(
+        self, film_graph, film_config, budgets
+    ):
+        with Session(film_graph, film_config) as session:
+            with pytest.raises(ValueError, match="must be >= 0"):
+                session.discover_iter(**budgets)
+            assert session.metrics().phases.get("discover_iter", 0) == 0
+            assert session.sigma == []
+
     def test_abandoned_stream_releases_cleanly(self, film_graph, film_config):
         with Session(film_graph, film_config) as session:
             iterator = session.discover_iter()
