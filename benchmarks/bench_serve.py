@@ -137,7 +137,9 @@ def check_answer_replay(
         if version not in streams:
             graph = replayed_graph(base, commit_log, version)
             with Session(graph, config) as session:
-                streams[version] = list(session.discover_iter(update_sigma=False))
+                streams[version] = list(
+                    session.discover_iter(update_sigma=False)
+                )
         if key not in truth:
             truth[key] = [
                 format_gfd(gfd)

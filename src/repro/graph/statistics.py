@@ -50,7 +50,7 @@ class GraphStatistics:
         default=None, repr=False, compare=False
     )
     _attr_value_counts: Optional[ValueCounts] = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
 
     @property
@@ -60,6 +60,18 @@ class GraphStatistics:
             self._attr_value_counts = source() if source is not None else {}
             self.value_counts_source = None
         return self._attr_value_counts
+
+    def __eq__(self, other: object) -> bool:
+        """Equal statistics, ``attr_value_counts`` included (computed)."""
+        if not isinstance(other, GraphStatistics):
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name)
+            for name in (
+                "node_label_counts", "edge_label_counts", "triple_counts",
+                "attr_counts", "attr_value_counts", "max_degree",
+            )
+        )
 
     def frequent_triples(self, threshold: int) -> List[LabelTriple]:
         """Label triples occurring at least ``threshold`` times, most frequent first."""

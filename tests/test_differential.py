@@ -293,7 +293,9 @@ class TestBudgetedDiscovery:
                 max_rules, max_levels,
             )
 
-    @pytest.mark.parametrize("engine_class", [SequentialDiscovery, ParallelDiscovery])
+    @pytest.mark.parametrize(
+        "engine_class", [SequentialDiscovery, ParallelDiscovery]
+    )
     def test_budget_mines_doubling_prefixes(self, engine_class):
         """Exact counts on the imdb fixture: ``run()`` mines each level in
         one ``_mine_nodes`` call; a 10-rule budget mines levels in
@@ -311,7 +313,8 @@ class TestBudgetedDiscovery:
         assert len(_engine_stream(budgeted, max_rules=10)) == 10
         # level 0's two patterns one at a time, then 8 of level 1's 10
         assert budgeted.mined == [1, 1, 1, 1, 2, 4]
-        assert 0 < budgeted.stats.candidates_checked < full.stats.candidates_checked
+        checked = budgeted.stats.candidates_checked
+        assert 0 < checked < full.stats.candidates_checked
 
 
 class TestParCoverDifferential:

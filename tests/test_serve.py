@@ -486,7 +486,8 @@ class TestServiceSemantics:
                         await service.discover(**budgets)
                 # rejected before admission: never reached the lane
                 assert service.stats()["answer_memo"]["discover"] == memo
-                assert service.session.metrics().phases["discover_iter"] == streams
+                phases = service.session.metrics().phases
+                assert phases["discover_iter"] == streams
 
         asyncio.run(scenario())
 

@@ -170,7 +170,11 @@ class TestStreamingDiscovery:
 
     @pytest.mark.parametrize(
         "budgets",
-        [{"max_rules": -1}, {"max_levels": -1}, {"max_rules": -5, "max_levels": 1}],
+        [
+            {"max_rules": -1},
+            {"max_levels": -1},
+            {"max_rules": -5, "max_levels": 1},
+        ],
     )
     def test_negative_budgets_raise_before_any_work(
         self, film_graph, film_config, budgets
