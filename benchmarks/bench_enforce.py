@@ -10,16 +10,20 @@ PR 3's differential+performance gate.  On the knowledge-base dataset
   columnar violation masks over the CSR index;
 * **engine (multiprocess)** — the same plan over real worker processes
   (record-only: IPC wins depend on host cores);
-* **incremental** — ``refresh()`` after a small delta (radius-bounded
-  re-matching + untouched-group report reuse) vs a full revalidation of the
-  same state.
+* **incremental** — ``refresh()`` after a small delta vs a full
+  revalidation of the same state, once per delta kind: an attribute-only
+  batch (``set_attr``: stored rows re-judged in place, no re-matching) and
+  a structural batch (edges removed and added: the rows at the touched
+  nodes dropped and re-derived by the anchored join trie).
 
 ``--check`` asserts the PR 3 acceptance criteria: identical violation sets,
 ≥ 3× full-Σ speedup over the reference path, and incremental refresh
-beating full revalidation — plus the exact join counts of the shared plan
-trie (a full pass runs no more joins than the trie has nodes and fewer than
-the per-pattern plans hold; the small delta refreshes incrementally) — the
-CI perf-smoke gate next to ``bench_matcher_micro.py --check``.
+beating full revalidation — plus exact counts: a full pass runs no more
+joins than the shared plan trie has nodes and fewer than the per-pattern
+plans hold; both small deltas refresh incrementally; the attribute-only
+batch runs 0 joins and ships 0 match rows to the workers; the structural
+batch runs more than 0 joins — the CI perf-smoke gate next to
+``bench_matcher_micro.py --check``.
 Machine-readable numbers land in ``benchmarks/results/BENCH_enforce.json``
 so future PRs can track the enforcement hot path.
 
@@ -57,8 +61,10 @@ from repro.gfd.satisfaction import find_violations  # noqa: E402
 #: Exp-5 noise parameters (α fraction of nodes dirtied, β of their slots).
 ALPHA, BETA = 0.05, 0.5
 
-#: Nodes touched by the incremental-refresh delta (≈ 0.2 % of the graph).
+#: Nodes touched by the attribute-only delta (≈ 0.2 % of the graph), and
+#: edges removed (and as many added) by the structural one.
 DELTA_NODES = 6
+DELTA_EDGES = 3
 
 
 def _timed(function):
@@ -106,16 +112,41 @@ def run(check: bool = False, max_rules: int = None, workers: int = 2):
     except (RuntimeError, OSError):  # no shared memory / constrained host
         pass
 
+    def refreshed(mutate):
+        """Time one delta's refresh and the full pass it must equal."""
+        mutate()
+        ledger = engine._backend.transfers
+        shipped = ledger.rows_to_workers
+        refresh_s, refreshed_report = _timed(engine.refresh)
+        counts = dict(engine.last_pass)
+        counts["rows_to_workers"] = ledger.rows_to_workers - shipped
+        full_s, full_report = _timed(engine.validate)
+        if check:
+            got = [frozenset(rule.sample) for rule in refreshed_report.rules]
+            want = [frozenset(rule.sample) for rule in full_report.rules]
+            assert got == want, "incremental refresh diverges from full"
+        return refresh_s, full_s, refreshed_report, counts
+
     rng = random.Random(5)
-    for node in rng.sample(range(dirty.num_nodes), DELTA_NODES):
-        dirty.set_attr(node, "type", "__bench_delta__")
-    incremental_s, inc_report = _timed(engine.refresh)
-    refresh_pass = dict(engine.last_pass)
-    full_after_s, full_report = _timed(engine.validate)
-    if check:
-        got = [frozenset(rule.sample) for rule in inc_report.rules]
-        want = [frozenset(rule.sample) for rule in full_report.rules]
-        assert got == want, "incremental refresh diverges from full"
+
+    def attribute_delta():
+        for node in rng.sample(range(dirty.num_nodes), DELTA_NODES):
+            dirty.set_attr(node, "type", "__bench_delta__")
+
+    def structural_delta():
+        edges = rng.sample(sorted(dirty.edges()), DELTA_EDGES)
+        for src, dst, label in edges:
+            dirty.remove_edge(src, dst, label)
+        for _, _, label in edges:
+            dirty.add_edge(rng.randrange(dirty.num_nodes),
+                           rng.randrange(dirty.num_nodes), label)
+
+    incremental_s, full_after_s, inc_report, refresh_pass = refreshed(
+        attribute_delta
+    )
+    structural_s, structural_full_s, structural_report, structural_pass = (
+        refreshed(structural_delta)
+    )
     engine.close()
 
     metrics = {
@@ -145,7 +176,20 @@ def run(check: bool = False, max_rules: int = None, workers: int = 2):
         "refresh_plans": refresh_pass["plans"],
         "refresh_trie_nodes": refresh_pass["trie_nodes"],
         "refresh_joins": refresh_pass["joins"],
-        "non_incremental_refreshes": int(inc_report.mode != "incremental"),
+        "refresh_rows_rejudged": refresh_pass["rows_rejudged"],
+        "refresh_rows_to_workers": refresh_pass["rows_to_workers"],
+        "structural_delta_edges": DELTA_EDGES,
+        "structural_refresh_s": round(structural_s, 4),
+        "structural_full_after_s": round(structural_full_s, 4),
+        "structural_groups_revalidated": structural_report.groups_revalidated,
+        "structural_refresh_joins": structural_pass["joins"],
+        "structural_rows_dropped": structural_pass["rows_dropped"],
+        "structural_rows_added": structural_pass["rows_added"],
+        "structural_rows_to_workers": structural_pass["rows_to_workers"],
+        "non_incremental_refreshes": sum(
+            report.mode != "incremental"
+            for report in (inc_report, structural_report)
+        ),
     }
     lines = [
         f"graph\tnodes={dirty.num_nodes}\tedges={dirty.num_edges}",
@@ -167,10 +211,21 @@ def run(check: bool = False, max_rules: int = None, workers: int = 2):
         f" {inc_report.groups_revalidated}/{report.patterns_matched}"
         f" groups revalidated, {DELTA_NODES} nodes touched)",
         f"full_after_delta\t{full_after_s:.4f}",
+        f"structural_refresh\t{structural_s:.4f}"
+        f"\t({structural_full_s / structural_s:.2f}x vs full,"
+        f" {structural_report.groups_revalidated}/{report.patterns_matched}"
+        f" groups revalidated, {DELTA_EDGES} edges removed and added)",
+        f"structural_full_after\t{structural_full_s:.4f}",
         f"joins\tfull {full_pass['joins']} of {plan_steps} plan steps"
-        f" ({full_pass['trie_nodes']} trie nodes)\trefresh"
-        f" {refresh_pass['joins']} ({refresh_pass['plans']} anchored plans,"
-        f" {refresh_pass['trie_nodes']} trie nodes)",
+        f" ({full_pass['trie_nodes']} trie nodes)\tattribute refresh"
+        f" {refresh_pass['joins']}\tstructural refresh"
+        f" {structural_pass['joins']} ({structural_pass['plans']} anchored"
+        f" plans, {structural_pass['trie_nodes']} trie nodes)",
+        f"rows\tattribute refresh: {refresh_pass['rows_rejudged']} re-judged,"
+        f" {refresh_pass['rows_to_workers']} shipped\tstructural refresh:"
+        f" {structural_pass['rows_dropped']} dropped,"
+        f" {structural_pass['rows_added']} added,"
+        f" {structural_pass['rows_to_workers']} shipped",
     ]
     write_bench("enforce", metrics)
     return lines, metrics
@@ -183,7 +238,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="assert engine/reference equivalence, the >= 3x full-pass "
              "speedup, the incremental-beats-full criterion and the exact "
-             "join counts of the plan trie",
+             "join and row counts of both delta kinds",
     )
     parser.add_argument(
         "--max-rules", type=int, default=None,
@@ -205,12 +260,24 @@ def main(argv=None) -> int:
             failures.append(
                 f"full-pass speedup {metrics['speedup_vs_reference']}x < 3x"
             )
-        if metrics["incremental_s"] >= metrics["full_after_delta_s"]:
+        for refresh_s, full_s in (
+            ("incremental_s", "full_after_delta_s"),
+            ("structural_refresh_s", "structural_full_after_s"),
+        ):
+            if metrics[refresh_s] >= metrics[full_s]:
+                failures.append(
+                    "incremental refresh did not beat full revalidation "
+                    f"({refresh_s} {metrics[refresh_s]}s vs "
+                    f"{metrics[full_s]}s)"
+                )
+        if metrics["refresh_joins"] or metrics["refresh_rows_to_workers"]:
             failures.append(
-                "incremental refresh did not beat full revalidation "
-                f"({metrics['incremental_s']}s vs "
-                f"{metrics['full_after_delta_s']}s)"
+                f"the attribute-only refresh ran {metrics['refresh_joins']} "
+                f"joins and shipped {metrics['refresh_rows_to_workers']} "
+                "match rows (want 0 and 0)"
             )
+        if not metrics["structural_refresh_joins"]:
+            failures.append("the structural refresh ran no join")
         if not (
             metrics["full_joins"] <= metrics["full_trie_nodes"]
             and metrics["full_joins"] < metrics["plan_steps"]
@@ -221,7 +288,7 @@ def main(argv=None) -> int:
                 f"{metrics['plan_steps']} per-pattern plan steps"
             )
         if metrics["non_incremental_refreshes"]:
-            failures.append("the small-delta refresh fell back to a full pass")
+            failures.append("a small-delta refresh fell back to a full pass")
         if elapsed > args.budget:
             failures.append(f"{elapsed:.1f}s > budget {args.budget:.1f}s")
         if failures:

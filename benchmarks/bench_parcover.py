@@ -135,7 +135,7 @@ def run(check: bool = False, max_rules: int = None):
         ledger = engine._backend.transfers
         installed = ledger.rows_to_workers
         resident_rows = sum(
-            arr.shape[0] for arr in engine._arrays if arr is not None
+            rows.shape[0] for rows in engine.stored_matches()
         )
 
         before = ledger.snapshot()

@@ -16,12 +16,14 @@ results are exactly the per-rule reference results.
 
 **Delta maintenance** (:mod:`~repro.enforce.delta`).  A :class:`~repro.
 enforce.delta.DeltaLog` attached to the graph records the node ids every
-mutation touches.  On :meth:`~repro.enforce.engine.EnforcementEngine.
-refresh`, stored matches containing no touched node are reused verbatim;
-the matches that do contain one are dropped and re-derived by one walk of
-the plan's anchored join trie seeded with the touched nodes, and mask
-evaluation reruns over the spliced tables.  A delta wider than ``EnforcementConfig.
-max_delta_fraction`` of the graph falls back to full revalidation.
+mutation touches, by kind: structural (node and edge inserts, deletes and
+relabels) or attribute-only.  On :meth:`~repro.enforce.engine.
+EnforcementEngine.refresh`, stored matches containing no touched node are
+reused verbatim; those containing a structural node are dropped and
+re-derived by one walk of the plan's anchored join trie seeded with the
+structural nodes; the rest of the touched ones are re-judged in place.
+A delta wider than ``EnforcementConfig.max_delta_fraction`` of the graph
+falls back to full revalidation.
 
 **Backend selection** (:mod:`~repro.enforce.engine`).  Evaluation shards
 match tables over the PR 2 :class:`~repro.parallel.backend.ShardWorker` op

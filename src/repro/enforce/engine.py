@@ -9,20 +9,31 @@ to one live graph and serves two entry points:
   joined once) and evaluate all grouped rules as columnar masks, sharded
   over the :class:`~repro.parallel.backend.ShardWorker` backend (in-process
   shards, or real worker processes attaching the index via shared memory);
-* :meth:`EnforcementEngine.refresh` — delta-aware revalidation: consume the
-  attached :class:`~repro.enforce.delta.DeltaLog`, drop the stored matches
-  that contain a touched node, re-derive the matches that do by one walk
-  of the anchored trie (every group × variable) seeded with the touched
-  nodes, splice them into the stored match arrays, and re-evaluate the
-  masks.  When the delta exceeds ``EnforcementConfig.max_delta_fraction``
-  of the graph the engine falls back to :meth:`validate`.
+* :meth:`EnforcementEngine.refresh` — delta-aware revalidation that costs
+  what the delta touched: consume the attached
+  :class:`~repro.enforce.delta.DeltaLog` by kind.  Stored matches that
+  contain a *structural* node (an edge end, a relabelled or new node) are
+  dropped, and the matches that contain one are re-derived by one walk of
+  the anchored trie (every group × variable) seeded with the structural
+  nodes.  Stored matches whose touched nodes only had attributes written
+  keep their place and are re-judged — a match depends only on labels
+  and edges.  When the delta exceeds
+  ``EnforcementConfig.max_delta_fraction`` of the graph the engine falls
+  back to :meth:`validate`.
 
-The match shards — and the per-rule violation masks computed over them —
-stay *resident in the workers* between passes: a full pass installs them
-once, a dirty incremental pass ships only ``(touched nodes, fresh rows)``
-per dirty group, and a clean pass ships nothing at all (the backend's
-:class:`~repro.parallel.backend.TransferLedger` makes the zero-row claim
-testable).  Graph mutations re-point the backend at the new index snapshot
+The match shards — and each rule's violating slots in them — stay
+*resident in the workers* between passes, each a
+:class:`~repro.parallel.backend.RowStore` the master mirrors slot for slot.
+A full pass installs them once.  A refresh finds the slots its delta
+reaches on the mirrors (one node-kind lookup table per refresh) and ships
+only ``(drop slots, re-judge slots, fresh rows)`` per reached shard:
+dropped rows become tombstones, fresh rows are appended, and nothing
+copies a group's stored rows.  A worker answers with the rules whose
+violating slots changed, and every other rule keeps its report entry
+verbatim, so a report costs its changes.  A clean pass ships nothing at
+all (the backend's :class:`~repro.parallel.backend.TransferLedger` makes
+the zero-row claims testable).  Graph mutations re-point the backend at
+the new index snapshot
 (:meth:`~repro.parallel.backend.ExecutionBackend.refresh_index`) instead of
 rebuilding the worker processes.
 
@@ -50,13 +61,14 @@ from ..graph.index import GraphIndex
 from ..obs.tracer import NULL_TRACER
 from ..parallel.backend import (
     ExecutionBackend,
+    Request,
+    RowStore,
     make_backend,
     next_node_key,
-    rows_containing,
 )
 from ..pattern.matcher import Match
 from .delta import DeltaLog
-from .plan import CompiledRule, EnforcementPlan, PatternGroup, compile_plan
+from .plan import CompiledRule, EnforcementPlan, compile_plan
 
 __all__ = ["RuleReport", "EnforcementReport", "EnforcementEngine"]
 
@@ -103,10 +115,10 @@ class EnforcementReport:
     backend: str
     num_workers: int
     patterns_matched: int
-    #: Pattern groups whose masks were (re-)evaluated this pass — equals
-    #: ``patterns_matched`` on a full pass; on an incremental pass, groups
-    #: with no dropped and no re-derived matches reuse their previous rule
-    #: reports verbatim (no match of theirs contains a touched node, so no
+    #: Pattern groups whose shards this pass installed or spliced — equals
+    #: ``patterns_matched`` on a full pass; on an incremental pass, a group
+    #: the delta reached in no stored row and no re-derived match keeps its
+    #: rule reports verbatim (no match of it contains a touched node, so no
     #: violation status changed).
     groups_revalidated: int
     elapsed_seconds: float
@@ -146,12 +158,12 @@ class EnforcementEngine:
     """Continuous validation of a fixed ``Σ`` against one live graph.
 
     The engine compiles ``Σ`` once, attaches a :class:`DeltaLog` to the
-    graph, and caches per-group canonical match arrays between passes so
-    :meth:`refresh` can splice localized re-matches instead of re-matching
-    the world.  The evaluation backend (``config.backend``) is long-lived:
-    its workers keep each group's match shard and cached violation masks
-    across passes, so repeated refreshes against a mutating graph exchange
-    deltas and scalars only.  Call
+    graph, and mirrors every worker's match shard between passes so
+    :meth:`refresh` can splice localized re-matches by slot instead of
+    re-matching the world.  The evaluation backend (``config.backend``) is
+    long-lived: its workers keep each group's match shard and each rule's
+    violating slots across passes, so repeated refreshes against a
+    mutating graph exchange deltas and changed rules only.  Call
     :meth:`close` (or use as a context manager) to detach the log and
     release backend resources (worker processes, shared memory).
 
@@ -215,12 +227,22 @@ class EnforcementEngine:
         self.delta = delta if delta is not None else DeltaLog()
         if self._owns_delta:
             graph.attach_delta_log(self.delta)
-        self._arrays: List[Optional[np.ndarray]] = [None] * len(self.plan.groups)
+        #: Per pattern group, the master's mirror of each worker shard
+        #: (slot for slot), and each shard's latest per-rule result parts.
+        self._stores: List[List[RowStore]] = [[] for _ in self.plan.groups]
+        self._parts: List[List[List[Optional[Tuple]]]] = [
+            [] for _ in self.plan.groups
+        ]
         self._report: Optional[EnforcementReport] = None
-        #: Exact matching work of the latest pass: search ``plans`` asked
-        #: for, ``trie_nodes`` they compile to, ``joins`` (fan-outs) run
-        #: after pruning.
+        #: Exact work of the latest pass: search ``plans`` asked for,
+        #: ``trie_nodes`` they compile to, ``joins`` (fan-outs) run after
+        #: pruning; the delta's ``structural_nodes`` and ``attribute_nodes``;
+        #: stored rows ``rows_dropped``, ``rows_rejudged`` in place and
+        #: ``rows_added`` (every installed row on a full pass); and
+        #: ``rules_reused``, the rules whose report entry was kept verbatim.
         self.last_pass: Dict[str, int] = {}
+        #: ``backend.lifecycle.respawns`` when the latest pass ended.
+        self._respawns_seen = 0
         self._validated_version: Optional[int] = None
         self._owns_backend = backend is None
         self._backend: Optional[ExecutionBackend] = backend
@@ -305,11 +327,40 @@ class EnforcementEngine:
             version = self.graph.version
             self.delta.drain()
             index = self.graph.index()
-            self._arrays = self._group_matches(index)
-            return self._finish(index, "full", started, version=version)
+            matches = self._group_matches(index)
+            backend = self._ensure_backend(index)
+            shards = backend.num_workers
+            requests: List[Request] = []
+            targets: List[Tuple[int, int]] = []
+            cap = self.config.max_violations_per_rule
+            for position, group in enumerate(self.plan.groups):
+                rules = [(rule.lhs, rule.rhs) for rule in group.rules]
+                chunks = np.array_split(matches[position], shards)
+                self._stores[position] = [RowStore(chunk) for chunk in chunks]
+                self._parts[position] = [[None] * len(rules) for _ in chunks]
+                key = self._group_keys[position]
+                for worker, chunk in enumerate(chunks):
+                    requests.append((worker, "enforce_install", key, {
+                        "pattern": group.pattern,
+                        "matches": chunk,
+                        "rules": rules,
+                        "cap": cap,
+                    }))
+                    targets.append((position, worker))
+                self._resident.add(position)
+            self.last_pass.update(
+                structural_nodes=0,
+                attribute_nodes=0,
+                rows_dropped=0,
+                rows_rejudged=0,
+                rows_added=sum(int(rows.shape[0]) for rows in matches),
+            )
+            del matches
+            return self._finish(backend, requests, targets, "full", started,
+                                version)
 
     def refresh(self) -> EnforcementReport:
-        """Revalidate, reusing stored matches outside the delta's reach.
+        """Revalidate at the cost of what the delta touched.
 
         Returns the cached report when nothing changed; falls back to
         :meth:`validate` on the first call or when the touched-node
@@ -322,61 +373,91 @@ class EnforcementEngine:
         # version + delta are taken atomically at pass start: mutations
         # recorded after the drain belong to the *next* pass
         version = self.graph.version
-        touched = self.delta.drain()
+        structural, attribute = self.delta.drain_kinds()
+        touched = len(structural) + len(attribute)
         limit = self.config.max_delta_fraction * max(1, self.graph.num_nodes)
-        if not touched or len(touched) > limit:
+        if not touched or touched > limit:
             # version moved without touched nodes (cannot happen while the
             # log is attached) or the delta is too wide to localize
             return self.validate()
-        with self.tracer.span(
-            "refresh", "stage", touched_nodes=len(touched)
-        ):
+        with self.tracer.span("refresh", "stage", touched_nodes=touched):
             started = time.perf_counter()
             index = self.graph.index()
-            nodes = np.fromiter(sorted(touched), dtype=np.int64)
-            fresh_of = self._group_matches(index, nodes)
-            dirty: List[int] = []
-            updates: Dict[int, np.ndarray] = {}
-            for position, group in enumerate(self.plan.groups):
-                stored = self._arrays[position]
-                hit = rows_containing(stored, nodes)
-                dropped = hit.any()
-                kept = stored[~hit] if dropped else stored
+            # per node: 2 structural, 1 attribute-only, 0 untouched
+            kinds = np.zeros(index.num_nodes, dtype=np.int8)
+            kinds[list(attribute)] = 1
+            kinds[list(structural)] = 2
+            seeds = np.fromiter(sorted(structural), dtype=np.int64,
+                                count=len(structural))
+            fresh_of = self._group_matches(index, seeds, kinds)
+            shards = self.num_workers
+            requests: List[Request] = []
+            targets: List[Tuple[int, int]] = []
+            dropped = rejudged = added = 0
+            for position, stores in enumerate(self._stores):
+                key = self._group_keys[position]
                 fresh = fresh_of[position]
-                if dropped or fresh.shape[0]:
-                    # a match is gained, lost or re-judged only if it
-                    # contains a touched node: no other group changed
-                    dirty.append(position)
-                    updates[position] = fresh
-                    self._arrays[position] = (
-                        np.concatenate([kept, fresh])
-                        if fresh.shape[0]
-                        else kept
-                    )
-            return self._finish(
-                index,
-                "incremental",
-                started,
-                positions=dirty,
-                updates=updates,
-                touched=nodes,
-                version=version,
+                chunks = (
+                    np.array_split(fresh, shards)
+                    if fresh.shape[0]
+                    else [fresh] * shards
+                )
+                for worker, store in enumerate(stores):
+                    drop, rejudge = store.hits(kinds)
+                    chunk = chunks[worker]
+                    if not (drop.size or rejudge.size or chunk.shape[0]):
+                        continue
+                    # the mirror takes the splice the worker is sent
+                    store.drop(drop)
+                    store.append(chunk)
+                    requests.append((worker, "enforce_update", key, {
+                        "drop": drop,
+                        "rejudge": rejudge,
+                        "fresh": chunk,
+                    }))
+                    targets.append((position, worker))
+                    dropped += drop.size
+                    rejudged += rejudge.size
+                    added += chunk.shape[0]
+            self.last_pass.update(
+                structural_nodes=len(structural),
+                attribute_nodes=len(attribute),
+                rows_dropped=dropped,
+                rows_rejudged=rejudged,
+                rows_added=added,
             )
+            # a delta that reached no stored row leaves the backend alone
+            backend = (
+                self._ensure_backend(index) if requests else self._backend
+            )
+            return self._finish(backend, requests, targets, "incremental",
+                                started, version)
+
+    def stored_matches(self) -> List[np.ndarray]:
+        """Per pattern group, its live stored canonical matches (copies)."""
+        return [
+            np.concatenate([store.live() for store in stores])
+            for stores in self._stores
+        ]
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     def _group_matches(
-        self, index: GraphIndex, touched: Optional[np.ndarray] = None
+        self,
+        index: GraphIndex,
+        seeds: Optional[np.ndarray] = None,
+        kinds: Optional[np.ndarray] = None,
     ) -> List[np.ndarray]:
         """Per pattern group, its canonical matches as an ``(N, vars)`` array.
 
-        All of them — or, with ``touched``, every match containing a touched
-        node, once: anchored at each variable in turn and kept from the
-        anchor of its first touched variable only.  One walk of the plan's
-        join trie; ``find_violations`` is the layer's oracle.
+        All of them — or, with ``seeds`` (the structural nodes; ``kinds``
+        marks them 2), every match containing a seed, once: anchored at
+        each variable in turn and kept from the anchor of its first seeded
+        variable only.  One walk of the plan's join trie;
+        ``find_violations`` is the layer's oracle.
         """
-        anchored = touched is not None
+        anchored = seeds is not None
         trie = self.plan.anchored_trie if anchored else self.plan.full_trie
         # per group ``(anchor, rows)`` blocks; the empty head types the
         # result of a group that matched nothing
@@ -384,9 +465,9 @@ class EnforcementEngine:
             [(-1, np.empty((0, group.pattern.num_nodes), dtype=np.int64))]
             for group in self.plan.groups
         ]
-        for (position, anchor), rows in trie.match(index, touched):
+        for (position, anchor), rows in trie.match(index, seeds):
             if anchored and anchor:
-                rows = rows[~rows_containing(rows[:, :anchor], touched)]
+                rows = rows[(kinds[rows[:, :anchor]] != 2).all(axis=1)]
             found[position].append((anchor, rows))
         self.last_pass = {
             "plans": trie.plans,
@@ -394,7 +475,9 @@ class EnforcementEngine:
             "joins": trie.joins,
         }
         return [
-            np.concatenate([rows for _, rows in sorted(group, key=itemgetter(0))])
+            group[0][1] if len(group) == 1 else np.concatenate(
+                [rows for _, rows in sorted(group, key=itemgetter(0))]
+            )
             for group in found
         ]
 
@@ -405,7 +488,7 @@ class EnforcementEngine:
         index snapshot via :meth:`~repro.parallel.backend.ExecutionBackend.
         refresh_index` (free on the serial backend, one shared-memory index
         export on the multiprocess backend), so the worker-resident match
-        shards and cached violation masks survive graph mutations.
+        shards and violating slots survive graph mutations.
         """
         if self._backend is not None:
             if self._backend_index is not index:
@@ -429,115 +512,76 @@ class EnforcementEngine:
 
     def _finish(
         self,
-        index: GraphIndex,
+        backend: ExecutionBackend,
+        requests: List[Request],
+        targets: List[Tuple[int, int]],
         mode: str,
         started: float,
-        positions: Optional[List[int]] = None,
-        updates: Optional[Dict[int, np.ndarray]] = None,
-        touched: Optional[np.ndarray] = None,
-        version: Optional[int] = None,
+        version: int,
     ) -> EnforcementReport:
-        """Sharded mask evaluation over the stored match arrays + report.
+        """Run one pass's install/update ops and assemble the report.
 
-        ``positions`` (incremental mode) restricts evaluation to the dirty
-        pattern groups; every other rule reuses its previous report entry —
-        none of its matches contained a touched node, so nothing changed.
-        ``updates`` maps a dirty position to its re-derived rows: a group
-        already resident in the workers receives only those and the
-        ``touched`` node ids (``enforce_update``) — the kept rows and their cached violation
-        masks never re-cross the process boundary — while first-time
-        groups receive a full shard install.
+        ``targets[i]`` is the ``(group position, shard)`` of request ``i``.
+        A shard's result lists, per rule of its group, the rule's part — or
+        ``None`` when an update left the rule's violating slots unchanged.
+        A rule gets a new report entry only if some shard shipped a part;
+        every other rule keeps its previous entry verbatim: reports depend
+        only on the violating set (lexsort plus a seeded sample), and the
+        monitor's union already holds its pivots.
+
+        Workers judge "unchanged" against their own prior verdicts, which a
+        respawned worker rebuilt by replaying its journal against the
+        *current* index.  The rows such a replay can judge differently all
+        hold a node of this pass's delta, so after any recovery since the
+        last pass the shards this pass updated are re-read in full
+        (``enforce_results``).
 
         ``version`` is the graph version captured at pass start; the report
         is stamped with it (not with ``graph.version`` at finish time) so a
         mutation racing the pass cannot make the report claim a version it
         does not reflect.
         """
-        if version is None:
-            version = self.graph.version
-        if positions is None:
-            evaluate = list(range(len(self.plan.groups)))
-            rule_reports: List[Optional[RuleReport]] = [None] * len(self.sigma)
-        else:
-            evaluate = positions
-            assert self._report is not None
-            rule_reports = list(self._report.rules)
-        if evaluate:
-            backend = self._ensure_backend(index)
-            shards = backend.num_workers
-            backend_name = backend.name
-            cap = self.config.max_violations_per_rule
-            requests: List[Tuple[int, str, int, Dict[str, Any]]] = []
-            for position in evaluate:
-                group = self.plan.groups[position]
-                key = self._group_keys[position]
-                fresh = (
-                    updates.get(position)
-                    if updates is not None and position in self._resident
-                    else None
+        outcomes = backend.run_unmetered(requests) if requests else []
+        respawns = backend.lifecycle.respawns
+        if mode == "incremental" and respawns != self._respawns_seen:
+            outcomes = backend.run_unmetered([
+                (worker, "enforce_results", self._group_keys[position], {})
+                for position, worker in targets
+            ])
+        self._respawns_seen = respawns
+        moved: Dict[int, Set[int]] = {}
+        for (position, worker), parts in zip(targets, outcomes):
+            held = self._parts[position][worker]
+            changed = moved.setdefault(position, set())
+            for offset, part in enumerate(parts):
+                if part is not None:
+                    held[offset] = part
+                    changed.add(offset)
+        rule_reports: List[Optional[RuleReport]] = (
+            [None] * len(self.sigma)
+            if mode == "full"
+            else list(self._report.rules)
+        )
+        rebuilt = 0
+        for position, changed in moved.items():
+            group = self.plan.groups[position]
+            held = self._parts[position]
+            for offset in sorted(changed):
+                rule = group.rules[offset]
+                rule_reports[rule.position] = self._rule_report(
+                    rule, [shard[offset] for shard in held]
                 )
-                if fresh is not None:
-                    for worker, chunk in enumerate(
-                        np.array_split(fresh, shards)
-                    ):
-                        requests.append(
-                            (
-                                worker,
-                                "enforce_update",
-                                key,
-                                {
-                                    "touched": touched,
-                                    "fresh": chunk,
-                                },
-                            )
-                        )
-                else:
-                    array = self._arrays[position]
-                    rules_payload = [
-                        (rule.lhs, rule.rhs) for rule in group.rules
-                    ]
-                    for worker, chunk in enumerate(
-                        np.array_split(array, shards)
-                    ):
-                        requests.append(
-                            (
-                                worker,
-                                "enforce_install",
-                                key,
-                                {
-                                    "pattern": group.pattern,
-                                    "matches": chunk,
-                                    "rules": rules_payload,
-                                    "cap": cap,
-                                },
-                            )
-                        )
-                    self._resident.add(position)
-            outcomes = backend.run_unmetered(requests)
-            cursor = 0
-            for position in evaluate:
-                group = self.plan.groups[position]
-                shard_results = outcomes[cursor:cursor + shards]
-                cursor += shards
-                for offset, rule in enumerate(group.rules):
-                    parts = [result[offset] for result in shard_results]
-                    rule_reports[rule.position] = self._rule_report(rule, parts)
-        else:
-            # nothing to re-evaluate: keep metadata consistent without
-            # touching (or rebuilding) the backend
-            shards = self.num_workers
-            backend_name = (
-                self._backend.name
-                if self._backend is not None
-                else self.config.backend
-            )
+                rebuilt += 1
+        self.last_pass["rules_reused"] = (
+            0 if mode == "full" else len(self.sigma) - rebuilt
+        )
         report = EnforcementReport(
             rules=rule_reports,
             mode=mode,
-            backend=backend_name,
-            num_workers=shards,
+            backend=backend.name,
+            num_workers=backend.num_workers,
             patterns_matched=len(self.plan.groups),
-            groups_revalidated=len(evaluate),
+            groups_revalidated=len(moved),
             elapsed_seconds=time.perf_counter() - started,
             graph_version=version,
         )
@@ -547,8 +591,8 @@ class EnforcementEngine:
             self.tracer.event(
                 "enforce_pass",
                 mode=mode,
-                backend=backend_name,
-                groups_revalidated=len(evaluate),
+                backend=backend.name,
+                groups_revalidated=len(moved),
                 graph_version=version,
                 **self.last_pass,
             )

@@ -104,25 +104,28 @@ class Graph:
         """Monotone mutation counter; any structural/attribute change bumps it."""
         return self._version
 
-    def _touch(self, *nodes: int) -> None:
+    def _touch(self, *nodes: int, structural: bool = True) -> None:
         """Record a mutation touching ``nodes`` (both ends of an edge).
 
         Bumps the version, marks the nodes stale against the cached index —
         :meth:`index` re-reads exactly those — and reports them to the
-        attached delta logs.  Without a cached index nothing is marked, so
-        bulk construction pays nothing.
+        attached delta logs with the mutation's kind: ``structural`` for a
+        node or edge insert/delete or a relabel, not for an attribute write.
+        Without a cached index nothing is marked, so bulk construction pays
+        nothing.
         """
         self._version += 1
         if self._index_cache is not None:
             self._stale_nodes.update(nodes)
         for log in self._delta_logs:
-            log.record(nodes)
+            log.record(nodes, structural)
 
     def attach_delta_log(self, log) -> None:
         """Subscribe a :class:`~repro.enforce.delta.DeltaLog`-like observer.
 
-        Every mutation reports its touched node ids via ``log.record(nodes)``
-        — the hook incremental enforcement uses to localize revalidation.
+        Every mutation reports its touched node ids and its kind via
+        ``log.record(nodes, structural)`` — the hook incremental enforcement
+        uses to localize revalidation.
         Observers are held strongly; pair with :meth:`detach_delta_log`.
         """
         if log not in self._delta_logs:
@@ -228,13 +231,13 @@ class Graph:
     def set_attr(self, node: int, attr: str, value: Any) -> None:
         """Set attribute ``attr`` of ``node`` to ``value``."""
         self._check_node(node)
-        self._touch(node)
+        self._touch(node, structural=False)
         self._attrs[node][attr] = value
 
     def remove_attr(self, node: int, attr: str) -> None:
         """Delete attribute ``attr`` from ``node`` if present."""
         if attr in self._attrs[node]:
-            self._touch(node)
+            self._touch(node, structural=False)
             del self._attrs[node][attr]
 
     def relabel_node(self, node: int, label: str) -> None:

@@ -92,7 +92,7 @@ __all__ = [
     "LifecycleCounters",
     "make_backend",
     "next_node_key",
-    "rows_containing",
+    "RowStore",
     "shared_memory_available",
     "warn_standalone_entry_point",
 ]
@@ -217,20 +217,93 @@ class LifecycleCounters:
     degraded_workers: int = 0
 
 
-def rows_containing(rows: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Which match ``rows`` hold any of ``nodes`` in some column (bool mask).
+def _spare(rows: int) -> int:
+    """The slot capacity a :class:`RowStore` allocates for ``rows`` rows."""
+    return rows + (rows >> 3) + 8
 
-    The drop rule of incremental enforcement, shared by the master's stored
-    arrays and the workers' resident shards.  One lookup-table gather per
-    column — an order of magnitude under ``np.isin`` on a 10⁵-row array.
+
+class RowStore:
+    """One enforcement shard's match rows, spliced by slot position.
+
+    Rows live in slots ``[0, size)`` of a buffer with spare capacity.  A
+    dropped row becomes a tombstone (its slot stays, ``alive`` clears),
+    appended rows fill the spare slots, and only an append that does not
+    fit compacts the buffer: tombstones are squeezed out in slot order and
+    the new buffer keeps 1/8 spare, so splices cost the rows they touch,
+    amortized.  Slots are a deterministic function of the splice sequence,
+    so the master's mirror of a shard, the worker's shard and a respawned
+    worker replaying its journal agree slot for slot.  The store owns its
+    buffer: rows handed in are copied, never aliased.
     """
-    hit = np.zeros(rows.shape[0], dtype=bool)
-    if hit.size and nodes.size:
-        table = np.zeros(int(max(rows.max(), nodes.max())) + 1, dtype=bool)
-        table[nodes] = True
-        for column in range(rows.shape[1]):
-            hit |= table[rows[:, column]]
-    return hit
+
+    __slots__ = ("rows", "alive", "size")
+
+    def __init__(self, rows: np.ndarray) -> None:
+        count, width = rows.shape
+        self.rows = np.empty((_spare(count), width), dtype=np.int64)
+        self.rows[:count] = rows
+        self.alive = np.zeros(self.rows.shape[0], dtype=bool)
+        self.alive[:count] = True
+        self.size = count
+
+    def live(self) -> np.ndarray:
+        """The live rows in slot order (a copy)."""
+        return self.rows[:self.size][self.alive[:self.size]]
+
+    def drop(self, slots: np.ndarray) -> None:
+        """Tombstone live ``slots``."""
+        self.alive[slots] = False
+
+    def append(self, rows: np.ndarray) -> Optional[np.ndarray]:
+        """Fill the next free slots with ``rows``.
+
+        Returns ``None``, or — when the append compacted the buffer first —
+        the old slots of the surviving rows, sorted: a survivor's new slot
+        is its position in that array.
+        """
+        count = rows.shape[0]
+        survivors = None
+        if self.size + count > self.rows.shape[0]:
+            survivors = np.flatnonzero(self.alive[:self.size])
+            kept = survivors.size
+            buffer = np.empty((_spare(kept + count), self.rows.shape[1]),
+                              dtype=np.int64)
+            buffer[:kept] = self.rows[survivors]
+            self.rows = buffer
+            self.alive = np.zeros(buffer.shape[0], dtype=bool)
+            self.alive[:kept] = True
+            self.size = kept
+        self.rows[self.size:self.size + count] = rows
+        self.alive[self.size:self.size + count] = True
+        self.size += count
+        return survivors
+
+    def hits(self, kinds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Live slots a delta reaches, as ``(drop, rejudge)`` sorted slots.
+
+        ``kinds`` maps a node id to 2 (structural), 1 (attribute-only) or
+        0 (untouched).  A row holding a structural node is dropped; one
+        holding only attribute-only touched nodes is re-judged.
+        """
+        rows = self.rows[:self.size]
+        worst = kinds[rows[:, 0]]
+        for column in range(1, rows.shape[1]):
+            np.maximum(worst, kinds[rows[:, column]], out=worst)
+        slots = worst.nonzero()[0]
+        if slots.size:
+            slots = slots[self.alive[slots]]
+            worst = worst[slots]
+            return slots[worst == 2], slots[worst == 1]
+        return slots, slots
+
+
+def _contains(values: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Which of ``values`` occur in the sorted array ``members`` (bool mask)."""
+    if not members.size:
+        return np.zeros(values.size, dtype=bool)
+    at = np.searchsorted(members, values)
+    at[at == members.size] = 0
+    return members[at] == values
 
 
 def _rows_in(matches: Optional[np.ndarray]) -> int:
@@ -257,8 +330,8 @@ def _result_rows(op: str, result: Any) -> int:
         return sum(_rows_in(part[0]) for part in result)
     if op == "fetch_join":
         return _rows_in(result)
-    if op in ("enforce_install", "enforce_update"):
-        return sum(_rows_in(part[2]) for part in result)
+    if op in ("enforce_install", "enforce_update", "enforce_results"):
+        return sum(_rows_in(part[2]) for part in result if part is not None)
     return 0
 
 
@@ -300,8 +373,8 @@ class ShardWorker:
     worker-resident: the cover phase's rule set ``Σ`` plus its amortized
     :class:`~repro.gfd.implication.ImplicationChecker` (``op_sigma`` /
     ``op_implication_batch`` / ``op_cover_probe``), and the enforcement
-    engine's persistent per-group match arrays with their cached per-rule
-    violation masks (``op_enforce_install`` / ``op_enforce_update``).
+    engine's persistent per-group match shards with each rule's violating
+    slots (``op_enforce_install`` / ``op_enforce_update``).
 
     Worker state belongs to the engine that made it: keys come from the
     process-wide :func:`next_node_key`, and each engine releases only its
@@ -330,9 +403,9 @@ class ShardWorker:
         # cover phase: key -> Σ (list of GFDs) and its shared checker
         self.sigmas: Dict[int, List[Any]] = {}
         self.checkers: Dict[int, ImplicationChecker] = {}
-        # enforcement residency: key -> {"pattern", "rules", "rows", "masks"}
-        # where rows is the resident (N, vars) int64 shard and masks maps
-        # rule offset -> boolean violation mask aligned with rows
+        # enforcement residency: key -> {"pattern", "rules", "cap", "store",
+        # "violating"} where store is the resident RowStore shard and
+        # violating holds, per rule offset, the sorted slots that violate it
         self.enforce_state: Dict[int, Dict[str, Any]] = {}
 
     # ------------------------------------------------------------------
@@ -492,36 +565,54 @@ class ShardWorker:
         ]
 
     # -- enforcement (repro.enforce) ------------------------------------
-    def _enforce_results(self, state: Dict[str, Any]) -> List[Tuple]:
-        """Per-rule ``(count, node ids, violating rows, truncated)`` tuples.
+    def _verdicts(
+        self, pattern: Any, rows: np.ndarray, rules: Sequence[Tuple]
+    ) -> List[np.ndarray]:
+        """Per rule, the violation verdict of each of ``rows``, in their order.
 
-        Derived from the resident rows and cached masks; rows are canonical
-        match tuples as an ``(N, vars)`` int64 array.  Counts are always
-        exact per shard (a mask popcount); with the per-rule violation cap
-        (``state["cap"]``) only the first ``cap`` violating rows of this
-        shard are gathered — the graceful-degradation mode for adversarial
-        rules whose violation set is the whole match table — and
-        ``truncated`` flags that the node set and witness rows cover a
-        subset.  The master merges across shards.
+        A :class:`MatchTable` reads only the columns the rules' literals
+        name and keeps its rows pivot-sorted, so unsorted rows go in sorted
+        and the verdicts come back in the caller's order.
         """
-        rows = state["rows"]
-        cap = state.get("cap")
-        results: List[Tuple] = []
-        for offset in range(len(state["rules"])):
-            mask = state["masks"][offset]
-            count = int(np.count_nonzero(mask))
-            truncated = cap is not None and count > cap
-            if truncated:
-                violating = rows[np.flatnonzero(mask)[:cap]]
-            else:
-                violating = rows[mask]
-            nodes = (
-                np.unique(violating)
-                if violating.size
-                else np.empty(0, dtype=np.int64)
-            )
-            results.append((count, nodes, violating, truncated))
-        return results
+        pivots = rows[:, pattern.pivot]
+        order = None
+        if bool((pivots[1:] < pivots[:-1]).any()):
+            order = np.argsort(pivots, kind="stable")
+            rows = rows[order]
+        table = MatchTable(self.graph, pattern, rows, (), index=self.index)
+        verdicts = [table.violation_mask(lhs, rhs) for lhs, rhs in rules]
+        if order is not None:
+            for offset, sorted_verdict in enumerate(verdicts):
+                verdict = np.empty_like(sorted_verdict)
+                verdict[order] = sorted_verdict
+                verdicts[offset] = verdict
+        return verdicts
+
+    @staticmethod
+    def _rule_result(state: Dict[str, Any], offset: int) -> Tuple:
+        """One rule's ``(count, node ids, violating rows, truncated)``.
+
+        O(violations): read off the rule's violating slots.  The count is
+        always exact; with the per-rule violation cap (``state["cap"]``)
+        only the first ``cap`` violating slots of this shard are gathered —
+        the graceful-degradation mode for adversarial rules whose violation
+        set is the whole match table — and ``truncated`` flags that the
+        node set and witness rows cover a subset.  The master merges across
+        shards.
+        """
+        slots = state["violating"][offset]
+        count = int(slots.size)
+        cap = state["cap"]
+        truncated = cap is not None and count > cap
+        if truncated:
+            slots = slots[:cap]
+        violating = state["store"].rows[slots]
+        nodes = (
+            np.unique(violating)
+            if violating.size
+            else np.empty(0, dtype=np.int64)
+        )
+        return (count, nodes, violating, truncated)
 
     def op_enforce_install(self, key: int, payload: Dict[str, Any]) -> List[Tuple]:
         """Install one pattern group's match shard and evaluate its rules.
@@ -529,72 +620,104 @@ class ShardWorker:
         ``payload["rules"]`` entries are ``(lhs literals, rhs literal or
         None)`` over the *canonical* pattern variables (``None`` = negative
         GFD) and ``payload["cap"]`` the optional per-rule violation cap.
-        The shard's table gathers only the columns the rules' literals
-        name, and keeps none of them.  The shard rows and the per-rule
-        violation masks stay resident (keyed by the engine's group key) so
-        later :meth:`op_enforce_update` calls can splice deltas instead of
-        receiving the world again; see :meth:`_enforce_results` for the
-        return shape.
+        The shard keeps ``payload["matches"]`` in the order given (slot
+        ``i`` = row ``i``, the master mirrors it) as a :class:`RowStore`,
+        plus each rule's violating slots, so later
+        :meth:`op_enforce_update` calls splice deltas by slot instead of
+        receiving the world again.  Returns every rule's
+        :meth:`_rule_result`.
         """
-        table = MatchTable(
-            self.graph,
-            payload["pattern"],
-            payload["matches"],
-            (),
-            index=self.index,
-        )
-        rows = table.match_array
-        masks = {
-            offset: table.violation_mask(lhs, rhs)
-            for offset, (lhs, rhs) in enumerate(payload["rules"])
-        }
+        rules = list(payload["rules"])
+        rows = payload["matches"]
         state = {
             "pattern": payload["pattern"],
-            "rules": list(payload["rules"]),
-            "rows": rows,
-            "masks": masks,
+            "rules": rules,
             "cap": payload.get("cap"),
+            "store": RowStore(rows),
+            "violating": [
+                np.flatnonzero(verdict)
+                for verdict in self._verdicts(payload["pattern"], rows, rules)
+            ],
         }
         self.enforce_state[key] = state
-        return self._enforce_results(state)
+        return [self._rule_result(state, offset) for offset in range(len(rules))]
 
-    def op_enforce_update(self, key: int, payload: Dict[str, Any]) -> List[Tuple]:
-        """Splice a delta into a resident group and re-evaluate its rules.
+    def op_enforce_update(
+        self, key: int, payload: Dict[str, Any]
+    ) -> List[Optional[Tuple]]:
+        """Splice a delta into a resident group, by slot, and re-judge.
 
-        ``payload["touched"]`` holds the node ids the delta touched:
-        resident rows with a touched node in any column are dropped.
-        ``payload["fresh"]`` carries this shard's slice of the re-derived
-        matches; only those rows cross the process boundary.  Cached
-        violation masks of the *kept* rows are reused verbatim — a kept row
+        The master found the slots its delta reaches on its mirror of this
+        shard: ``payload["drop"]`` holds the live slots with a structurally
+        touched node (tombstoned), ``payload["rejudge"]`` the live slots
+        whose touched nodes only had attributes written (kept in place,
+        their verdicts recomputed against the worker's current index from
+        the columns the rules read), and ``payload["fresh"]`` this shard's
+        slice of the re-derived matches (appended; only those rows cross
+        the process boundary).  Every other slot's verdicts stand: its row
         contains no touched node and a literal reads only the match's own
-        nodes, so its per-rule verdicts cannot have changed — and masks are
-        computed fresh only for the incoming rows, against the worker's
-        current index.
+        nodes.
+
+        Returns, per rule, :meth:`_rule_result` if its violating slots
+        changed and ``None`` if they did not — an unchanged rule ships no
+        rows, and the master keeps its previous report entry.  Whether a
+        set changed is judged against this worker's own prior verdicts; a
+        respawned worker replays its journal against the *current* index,
+        so after a recovery the master re-reads the groups it updated with
+        :meth:`op_enforce_results`.
         """
         state = self.enforce_state[key]
-        rows = state["rows"]
-        if rows.shape[0]:
-            keep = ~rows_containing(rows, payload["touched"])
-            kept_rows = rows[keep]
-        else:
-            keep = None
-            kept_rows = rows
-        fresh_table = MatchTable(
-            self.graph,
-            state["pattern"],
-            payload["fresh"],
-            (),
-            index=self.index,
-        )
-        fresh_rows = fresh_table.match_array
-        for offset, (lhs, rhs) in enumerate(state["rules"]):
-            kept_mask = state["masks"][offset]
-            if keep is not None:
-                kept_mask = kept_mask[keep]
-            fresh_mask = fresh_table.violation_mask(lhs, rhs)
-            state["masks"][offset] = np.concatenate([kept_mask, fresh_mask])
-        state["rows"] = np.concatenate([kept_rows, fresh_rows])
-        return self._enforce_results(state)
+        store, violating = state["store"], state["violating"]
+        changed = [False] * len(violating)
+        drop = payload["drop"]
+        if drop.size:
+            store.drop(drop)
+            for offset, slots in enumerate(violating):
+                gone = _contains(slots, drop)
+                if gone.any():
+                    violating[offset] = slots[~gone]
+                    changed[offset] = True
+        rejudge = payload["rejudge"]
+        if rejudge.size:
+            verdicts = self._verdicts(
+                state["pattern"], store.rows[rejudge], state["rules"]
+            )
+            for offset, verdict in enumerate(verdicts):
+                slots = violating[offset]
+                if np.array_equal(_contains(rejudge, slots), verdict):
+                    continue
+                violating[offset] = np.union1d(
+                    slots[~_contains(slots, rejudge)], rejudge[verdict]
+                )
+                changed[offset] = True
+        fresh = payload["fresh"]
+        if fresh.shape[0]:
+            survivors = store.append(fresh)
+            if survivors is not None:
+                violating[:] = [
+                    np.searchsorted(survivors, slots) for slots in violating
+                ]
+            first = store.size - fresh.shape[0]
+            verdicts = self._verdicts(state["pattern"], fresh, state["rules"])
+            for offset, verdict in enumerate(verdicts):
+                added = np.flatnonzero(verdict)
+                if added.size:
+                    violating[offset] = np.concatenate(
+                        [violating[offset], added + first]
+                    )
+                    changed[offset] = True
+        return [
+            self._rule_result(state, offset) if moved else None
+            for offset, moved in enumerate(changed)
+        ]
+
+    def op_enforce_results(self, key: int, payload: Dict[str, Any]) -> List[Tuple]:
+        """Every rule's :meth:`_rule_result` of one resident group (read-only)."""
+        state = self.enforce_state[key]
+        return [
+            self._rule_result(state, offset)
+            for offset in range(len(state["rules"]))
+        ]
 
     def op_enforce_drop(self, key: int, payload: Dict[str, Any]) -> None:
         """Release one resident enforcement group."""
@@ -928,7 +1051,7 @@ def _views_from_layout(
 _SHM_PAYLOAD_KEYS = {
     "install": ("matches",),
     "enforce_install": ("matches",),
-    "enforce_update": ("touched", "fresh"),
+    "enforce_update": ("drop", "rejudge", "fresh"),
 }
 
 #: Arrays below this size pickle faster than a segment round trip.
@@ -1062,7 +1185,7 @@ def _mp_attach_index(spec_blob: bytes, segment_name: Optional[str]) -> bool:
 
     Builds the new detached :class:`GraphIndex` first, then closes the old
     segment chain and mapping — worker-resident state (parked joins,
-    enforcement rows and masks) survives untouched; only the index views
+    enforcement shards) survives untouched; only the index views
     are replaced.
     """
     global _WORKER, _SEGMENTS, _MAPPING

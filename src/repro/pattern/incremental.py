@@ -186,7 +186,9 @@ def _extend_matches_indexed(
         return result
 
     # new-node fan-out: group rows by anchor node, compute each distinct
-    # anchor's filtered candidate list once, then expand per row.
+    # anchor's filtered candidate list once, then expand per row.  Array
+    # methods and an inline unique keep a small batch (a refresh's anchored
+    # joins see a handful of rows) at a few dozen numpy calls.
     edge_code = -1
     if extension.edge_label != WILDCARD:
         edge_code = index.edge_label_code(extension.edge_label)
@@ -198,36 +200,55 @@ def _extend_matches_indexed(
         if node_code < 0:
             return np.empty((0, array.shape[1] + 1), dtype=np.int64)
 
+    width = array.shape[1]
+    empty = np.empty((0, width + 1), dtype=np.int64)
     anchors = array[:, extension.src]
-    unique_anchors, inverse = np.unique(anchors, return_inverse=True)
-    # one ragged gather over the distinct anchors, filtered by label masks;
-    # the boolean keep preserves row-major order, so the flat pool stays
-    # grouped by anchor
-    anchor_row, flat_pool, flat_labels = index.gather_neighborhoods(
-        unique_anchors, extension.outward
-    )
-    keep = np.ones(flat_pool.size, dtype=bool)
+    order = anchors.argsort()
+    ordered = anchors[order]
+    head = np.empty(ordered.size, dtype=bool)
+    head[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    unique_anchors = ordered[head]
+    inverse = np.empty(ordered.size, dtype=np.intp)
+    inverse[order] = head.cumsum() - 1
+    # one ragged gather over the distinct anchors' CSR rows, in row-major
+    # order, so the flat pool stays grouped by anchor
+    if extension.outward:
+        indptr, neighbors, labels = (
+            index.out_indptr, index.out_neighbors, index.out_edge_labels
+        )
+    else:
+        indptr, neighbors, labels = (
+            index.in_indptr, index.in_neighbors, index.in_edge_labels
+        )
+    starts = indptr[unique_anchors]
+    lengths = indptr[unique_anchors + 1] - starts
+    total = int(lengths.sum())
+    if total == 0:
+        return empty
+    anchor_row = np.arange(unique_anchors.size).repeat(lengths)
+    flat = np.arange(total) + (starts - lengths.cumsum() + lengths).repeat(lengths)
+    flat_pool = neighbors[flat]
+    keep = None
     if edge_code >= 0:
-        keep &= flat_labels == edge_code
-    if node_code >= 0:
-        keep &= index.node_label_codes[flat_pool] == node_code
-    anchor_row = anchor_row[keep]
-    flat_pool = flat_pool[keep]
-    if edge_code < 0 and flat_pool.size > 1:
+        keep = labels[flat] == edge_code
+    elif total > 1:
         # wildcard edge label: parallel edges list the same endpoint once
         # per label; dedup per (anchor, neighbor) like dict-adjacency keys
         # (entries stay (anchor, neighbor, label)-sorted, so dups adjoin)
-        distinct = np.empty(flat_pool.size, dtype=bool)
-        distinct[0] = True
-        np.not_equal(flat_pool[1:], flat_pool[:-1], out=distinct[1:])
-        distinct[1:] |= anchor_row[1:] != anchor_row[:-1]
-        anchor_row = anchor_row[distinct]
-        flat_pool = flat_pool[distinct]
-    pool_lengths = np.bincount(anchor_row, minlength=len(unique_anchors))
-    pool_offsets = np.cumsum(pool_lengths) - pool_lengths
+        keep = np.empty(total, dtype=bool)
+        keep[0] = True
+        np.not_equal(flat_pool[1:], flat_pool[:-1], out=keep[1:])
+        keep[1:] |= anchor_row[1:] != anchor_row[:-1]
+    if node_code >= 0:
+        labelled = index.node_label_codes[flat_pool] == node_code
+        keep = labelled if keep is None else keep & labelled
+    if keep is not None:
+        anchor_row = anchor_row[keep]
+        flat_pool = flat_pool[keep]
+    pool_lengths = np.bincount(anchor_row, minlength=unique_anchors.size)
+    pool_offsets = pool_lengths.cumsum() - pool_lengths
     counts = pool_lengths[inverse]
-    width = array.shape[1]
-    empty = np.empty((0, width + 1), dtype=np.int64)
     total = int(counts.sum())
     if total == 0:
         return empty
@@ -238,21 +259,22 @@ def _extend_matches_indexed(
         block_total = int(block_counts.sum())
         if block_total == 0:
             return empty
-        row = np.repeat(np.arange(row_lo, row_hi, dtype=np.int64), block_counts)
-        exclusive = np.cumsum(block_counts) - block_counts
-        position = (
-            np.arange(block_total, dtype=np.int64)
-            - np.repeat(exclusive, block_counts)
-            + np.repeat(pool_offsets[inverse[row_lo:row_hi]], block_counts)
-        )
+        row = np.arange(row_lo, row_hi).repeat(block_counts)
+        position = np.arange(block_total) + (
+            pool_offsets[inverse[row_lo:row_hi]]
+            - block_counts.cumsum()
+            + block_counts
+        ).repeat(block_counts)
         new_nodes = flat_pool[position]
         # injectivity: the new endpoint must differ from every mapped variable
-        valid = np.ones(block_total, dtype=bool)
-        for variable in range(width):
+        valid = new_nodes != array[row, 0]
+        for variable in range(1, width):
             valid &= new_nodes != array[row, variable]
         row = row[valid]
-        new_nodes = new_nodes[valid]
-        return np.concatenate([array[row], new_nodes[:, None]], axis=1)
+        result = np.empty((row.size, width + 1), dtype=np.int64)
+        result[:, :width] = array[row]
+        result[:, width] = new_nodes[valid]
+        return result
 
     # max_matches is a blow-up guard: never materialize a join that is far
     # beyond the cap — expand in bounded blocks and stop once the cap fills

@@ -155,6 +155,29 @@ def report_payload(
     }
 
 
+def check_rule_positions(rules: Any, size: int) -> None:
+    """Reject a ``validate`` rule subset that is not distinct Σ positions.
+
+    ``rules`` must be ``None`` or a list of distinct ints (bools are not
+    positions) in ``range(size)``: a negative index would alias a rule
+    from the end, ``True`` would alias rule 1, and a repeat would count a
+    rule twice in ``total_violations``.
+    """
+    if rules is None:
+        return
+    if isinstance(rules, (str, bytes)) or not isinstance(rules, Sequence):
+        raise ValueError(f"rules must be a list of positions, got {rules!r}")
+    for position in rules:
+        if isinstance(position, bool) or not isinstance(position, int):
+            raise ValueError(f"rule position {position!r} is not an int")
+        if not 0 <= position < size:
+            raise ValueError(
+                f"rule position {position} is outside Σ (size {size})"
+            )
+    if len(set(rules)) != len(rules):
+        raise ValueError(f"rule positions repeat: {list(rules)}")
+
+
 class _OneAnswer:
     """A one-entry memo: the latest answer and the exact state it read.
 
@@ -419,12 +442,15 @@ class EnforcementService:
         whole-Σ payload is rendered once per version and flag pair; each
         response is a shallow copy carrying its own ``kind`` /
         ``version`` / ``graph_version``, and its nested entries are shared
-        and read-only.  A ``rules`` subset is rendered per request.
+        and read-only.  A ``rules`` subset is rendered per request; it must
+        be distinct positions of Σ (:func:`check_rule_positions` raises
+        ``ValueError`` otherwise, before any version is pinned).
         """
         started = time.perf_counter()
         if self._closed or not self._started:
             self._count("validate", "rejected_closed")
             raise ServiceClosed("service is not accepting requests")
+        check_rule_positions(rules, len(self.session.sigma))
         try:
             lease = self.chain.pin(version)
         except LookupError:

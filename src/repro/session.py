@@ -699,10 +699,12 @@ class Session:
     def refresh(self) -> EnforcementReport:
         """Incremental revalidation after graph mutations.
 
-        Consumes the session's delta log: only matches containing a touched
-        node are dropped and re-derived, resident shards receive just that
-        delta, and a clean refresh ships zero match rows (the transfer
-        ledger in :meth:`metrics` proves it).  Falls back to a full
+        Consumes the session's delta log: only matches containing a node
+        a structural write touched are dropped and re-derived, matches
+        whose touched nodes only had attributes written are re-judged in
+        place, resident shards receive just that delta, and a clean or
+        attribute-only refresh ships zero match rows to the workers (the
+        transfer ledger in :meth:`metrics` proves it).  Falls back to a full
         :meth:`enforce` pass on the first call or on a too-wide delta.
         """
         self._check_open()

@@ -414,14 +414,19 @@ class TestGraphFreeAndIndexRefresh:
             assert backend.shm_name != first_segment
             with pytest.raises(FileNotFoundError):
                 _probe_segment(first_segment)
-            # resident state survived the swap: an empty delta re-derives
-            # the rule results from the resident rows and cached masks
+            # resident state survived the swap: the rule results re-read
+            # from the resident rows and violating slots are unchanged
+            after = backend.run_unmetered([(0, "enforce_results", 7, {})])
+            assert after[0][0][0] == before
+            # and an empty delta changes no rule, so it ships nothing
             empty = {
-                "touched": np.empty(0, dtype=np.int64),
+                "drop": np.empty(0, dtype=np.int64),
+                "rejudge": np.empty(0, dtype=np.int64),
                 "fresh": np.empty((0, 2), dtype=np.int64),
             }
-            after = backend.run_unmetered([(0, "enforce_update", 7, empty)])
-            assert after[0][0][0] == before
+            assert backend.run_unmetered(
+                [(0, "enforce_update", 7, empty)]
+            ) == [[None]]
         finally:
             backend.shutdown()
         if backend.shm_name is not None:

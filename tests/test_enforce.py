@@ -16,6 +16,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro import Tracer
 from repro.core import discover, sequential_cover
@@ -271,7 +279,7 @@ class TestRefreshDifferential:
             assert sorted(got.sample) == sorted(want.sample) == reference
             assert got.violation_count == len(reference)
             assert got.nodes == want.nodes
-        for stored, group in zip(engine._arrays, engine.plan.groups):
+        for stored, group in zip(engine.stored_matches(), engine.plan.groups):
             assert sorted(map(tuple, stored.tolist())) == sorted(
                 find_matches(graph, group.pattern)
             )
@@ -468,6 +476,33 @@ class TestDeltaLog:
         assert not engine.delta
 
 
+    def test_drain_kinds_splits_structural_from_attribute_only(self):
+        graph = Graph()
+        a, b, c = (graph.add_node("x", {}) for _ in range(3))
+        log = DeltaLog()
+        graph.attach_delta_log(log)
+        graph.set_attr(a, "k", 1)
+        graph.remove_attr(a, "k")
+        graph.set_attr(b, "k", 1)
+        graph.add_edge(b, c, "e")
+        graph.relabel_edge(b, c, "e", "f")
+        graph.set_attr(c, "k", 2)
+        d = graph.add_node("y", {"k": 3})
+        graph.relabel_node(a, "z")
+        graph.set_attr(d, "k", 4)
+        assert log.touched_nodes() == {a, b, c, d} and len(log) == 4
+        # a node any structural write touched counts as structural
+        assert log.drain_kinds() == ({a, b, c, d}, set())
+        graph.set_attr(b, "k", 5)
+        graph.remove_attr(c, "k")
+        assert log.drain_kinds() == (set(), {b, c})
+        assert not log and log.num_ops == 0
+        graph.set_attr(a, "k", 6)
+        graph.add_edge(c, b, "e")
+        assert log.drain() == {a, b, c}
+        assert log.drain_kinds() == (set(), set())
+
+
 class TestSeededCapRegression:
     """``max_per_gfd`` semantics: seeded, order-independent sampling.
 
@@ -609,20 +644,32 @@ class TestWorkerResidency:
         with EnforcementEngine(graph, sigma, config) as engine:
             full = engine.validate()
             resident_backend = engine._backend
-            before = engine._backend.transfers.snapshot()
+            ledger = engine._backend.transfers
+            before = ledger.snapshot()
             graph.set_attr(people[0], "year", 2001)  # 1 affected match
             report = engine.refresh()
             assert report.mode == "incremental"
             assert report.total_violations == full.total_violations + 1
-            after = engine._backend.transfers
-            # exactly the one re-derived row went master -> workers; the 40
-            # resident rows never traveled again
-            assert after.rows_to_workers - before.rows_to_workers == 1
-            # worker -> master carries only the violating rows of the report
-            assert (
-                after.rows_to_master - before.rows_to_master
-                == report.total_violations
-            )
+            # an attribute write ships no row master -> workers: the one
+            # affected resident row is re-judged in place, with no join
+            assert ledger.rows_to_workers == before.rows_to_workers
+            assert engine.last_pass["joins"] == 0
+            assert engine.last_pass["rows_rejudged"] == 1
+            # worker -> master carries only the violating rows of the one
+            # shard whose violating set changed: people 0..19 live in
+            # shard 0, and 11 of them violate now
+            assert ledger.rows_to_master - before.rows_to_master == 11
+            assert 11 < report.total_violations
+            # a structural write re-derives its matches: exactly the one
+            # re-derived row goes master -> workers, the 40 resident rows
+            # never travel again
+            before = ledger.snapshot()
+            graph.relabel_node(people[2], "city")
+            graph.relabel_node(people[2], "person")
+            report = engine.refresh()
+            assert report.total_violations == full.total_violations + 1
+            assert ledger.rows_to_workers - before.rows_to_workers == 1
+            assert engine.last_pass["joins"] > 0
             # the backend (and with it the resident state) survived the
             # index snapshot change
             assert engine._backend is resident_backend
@@ -747,6 +794,14 @@ class TestJoinTrie:
                 "plans": len(plan.groups),
                 "trie_nodes": trie.nodes,
                 "joins": self._reached_fanouts(trie, index),
+                "structural_nodes": 0,
+                "attribute_nodes": 0,
+                "rows_dropped": 0,
+                "rows_rejudged": 0,
+                "rows_added": sum(
+                    rows.shape[0] for rows in engine.stored_matches()
+                ),
+                "rules_reused": 0,
             }
             # sharing: fewer joins than the plans hold one by one, and (every
             # label pool here fits one root block) than the trie has nodes
@@ -768,10 +823,23 @@ class TestJoinTrie:
                 "plans": sum(g.pattern.num_nodes for g in plan.groups),
                 "trie_nodes": plan.anchored_trie.nodes,
                 "joins": 0,
+                "structural_nodes": 1,
+                "attribute_nodes": 0,
+                "rows_dropped": 0,
+                "rows_rejudged": 0,
+                "rows_added": 0,
+                "rules_reused": len(sigma),
             }
             assert tracer.events[-1]["joins"] == 0
-            # a real delta: only subtrees under a touched label run
-            graph.set_attr(next(iter(graph.edges()))[0], "type", "z")
+            # an attribute write never re-matches: its rows are re-judged
+            src, dst, label = next(iter(graph.edges()))
+            graph.set_attr(src, "type", "z")
+            engine.refresh()
+            assert engine.last_pass["joins"] == 0
+            assert engine.last_pass["attribute_nodes"] == 1
+            assert engine.last_pass["rows_rejudged"] > 0
+            # a real structural delta: only subtrees under a touched label run
+            graph.remove_edge(src, dst, label)
             engine.refresh()
             assert 0 < engine.last_pass["joins"] < plan.anchored_trie.steps
 
@@ -797,3 +865,175 @@ class TestJoinTrie:
             for label, root in trie.roots.items()
             if index.nodes_with_label(label).size
         )
+
+
+class TestPassObservability:
+    """``last_pass`` (and the ``enforce_pass`` event) says what a refresh did,
+    exactly: an attribute-only batch re-judges in place and joins nothing,
+    a structural batch drops and re-derives only the rows it reaches."""
+
+    @staticmethod
+    def _sigma():
+        made = Pattern(["person", "product"], [(0, 1, "create")])
+        parent = Pattern(["person", "person"], [(0, 1, "parent")])
+        return [
+            GFD(made, frozenset({ConstantLiteral(0, "type", "producer")}),
+                ConstantLiteral(1, "type", "film")),
+            GFD(made, frozenset({ConstantLiteral(0, "type", "actor")}),
+                ConstantLiteral(1, "type", "book")),
+            GFD(parent, frozenset({ConstantLiteral(0, "type", "actor")}),
+                ConstantLiteral(1, "type", "actor")),
+        ]
+
+    @pytest.mark.parametrize("backend", ["serial", "multiprocess"])
+    def test_refresh_counts_are_exact(self, film_graph, backend):
+        graph, sigma, tracer = film_graph, self._sigma(), Tracer()
+        config = _uncapped(backend=backend, num_workers=2)
+        with EnforcementEngine(graph, sigma, config, tracer=tracer) as engine:
+            assert engine.validate().is_clean
+            assert engine.last_pass["rows_added"] == 120 + 80
+            film = 120  # producer 0 created it
+            # attribute-only: film 0 becomes a book, so its one create
+            # match now violates rule 0; rule 1 and rule 2 keep their entry
+            graph.set_attr(film, "type", "book")
+            report = engine.refresh()
+            assert [r.violation_count for r in report.rules] == [1, 0, 0]
+            counts = {
+                "joins": 0,
+                "structural_nodes": 0,
+                "attribute_nodes": 1,
+                "rows_dropped": 0,
+                "rows_rejudged": 1,
+                "rows_added": 0,
+                "rules_reused": 2,
+            }
+            assert {key: engine.last_pass[key] for key in counts} == counts
+            event = tracer.events[-1]
+            assert event["type"] == "enforce_pass"
+            assert {key: event[key] for key in counts} == counts
+            # structural: actor 0 (node 60) also creates film 0.  Dropped:
+            # the create matches at 0 / 60 and the parent matches 40 -> 60
+            # and 60 -> 80; re-derived: those four plus (60, film 0)
+            graph.add_edge(60, film, "create")
+            report = engine.refresh()
+            assert [r.violation_count for r in report.rules] == [1, 0, 0]
+            counts = {
+                "structural_nodes": 2,
+                "attribute_nodes": 0,
+                "rows_dropped": 4,
+                "rows_rejudged": 0,
+                "rows_added": 5,
+            }
+            assert {key: engine.last_pass[key] for key in counts} == counts
+            assert engine.last_pass["joins"] > 0
+            # rule 0's violating row was dropped and re-derived, so only
+            # rules 1 and 2 can have kept their entries
+            assert engine.last_pass["rules_reused"] == 2
+            assert {key: tracer.events[-1][key] for key in counts} == counts
+
+
+NODE_LABELS = ["person", "film", "award", "city"]
+EDGE_LABELS = ["create", "win", "like", "live_in"]
+ATTRS = ["kind", "year", "grade"]
+VALUES = ["a", "b", "x", "y", 1999, 2000, 2001]
+PICK = st.integers(0, 10**6)
+
+
+class MixedKindRefreshMachine(RuleBasedStateMachine):
+    """Any interleaving of the seven mutators, each step refreshed.
+
+    After every step ``refresh()`` ≡ a fresh engine's ``validate()`` ≡
+    ``find_violations`` — violating rows as multisets, counts, node sets
+    and distinct pivots — and the live stored rows ≡ ``find_matches`` of
+    every group pattern.  Attribute writes re-judge rows in place and
+    structural ones drop and re-derive, so interleaving them exercises
+    tombstones, appends and compaction against the oracle.
+    """
+
+    backend = "serial"
+
+    def __init__(self):
+        super().__init__()
+        graph, _, _, _, sigma = TestRefreshDifferential._setup()
+        self.graph, self.sigma = graph, sigma
+        config = _uncapped(
+            backend=self.backend, num_workers=2, max_delta_fraction=1.0
+        )
+        self.engine = EnforcementEngine(graph, sigma, config)
+        self.engine.validate()
+
+    def teardown(self):
+        self.engine.close()
+
+    def node(self, pick):
+        return pick % self.graph.num_nodes
+
+    def edge(self, pick):
+        edges = sorted(self.graph.edges())
+        return edges[pick % len(edges)]
+
+    @rule(node=PICK, attr=st.sampled_from(ATTRS), value=st.sampled_from(VALUES))
+    def set_attr(self, node, attr, value):
+        self.graph.set_attr(self.node(node), attr, value)
+
+    @rule(node=PICK, attr=st.sampled_from(ATTRS))
+    def remove_attr(self, node, attr):
+        self.graph.remove_attr(self.node(node), attr)
+
+    @rule(label=st.sampled_from(NODE_LABELS), value=st.sampled_from(VALUES))
+    def add_node(self, label, value):
+        self.graph.add_node(label, {"kind": value})
+
+    @rule(src=PICK, dst=PICK, label=st.sampled_from(EDGE_LABELS))
+    def add_edge(self, src, dst, label):
+        self.graph.add_edge(self.node(src), self.node(dst), label)
+
+    @precondition(lambda self: self.graph.num_edges)
+    @rule(pick=PICK)
+    def remove_edge(self, pick):
+        self.graph.remove_edge(*self.edge(pick))
+
+    @precondition(lambda self: self.graph.num_edges)
+    @rule(pick=PICK, label=st.sampled_from(EDGE_LABELS))
+    def relabel_edge(self, pick, label):
+        src, dst, old = self.edge(pick)
+        self.graph.relabel_edge(src, dst, old, label)
+
+    @rule(node=PICK, label=st.sampled_from(NODE_LABELS))
+    def relabel_node(self, node, label):
+        self.graph.relabel_node(self.node(node), label)
+
+    @invariant()
+    def refresh_is_exact(self):
+        graph, sigma = self.graph, self.sigma
+        report = self.engine.refresh()
+        assert report.mode in ("incremental", "full")
+        with EnforcementEngine(graph, sigma, _uncapped()) as scratch:
+            full = scratch.validate()
+        for gfd, got, want in zip(sigma, report.rules, full.rules):
+            reference = sorted(v.match for v in find_violations(graph, gfd))
+            assert sorted(got.sample) == sorted(want.sample) == reference
+            assert got.violation_count == want.violation_count == len(reference)
+            assert got.nodes == want.nodes == {n for row in reference for n in row}
+            pivots = {row[gfd.pattern.pivot] for row in reference}
+            assert got.distinct_pivots == want.distinct_pivots == len(pivots)
+        for stored, group in zip(
+            self.engine.stored_matches(), self.engine.plan.groups
+        ):
+            assert sorted(map(tuple, stored.tolist())) == sorted(
+                find_matches(graph, group.pattern)
+            )
+
+
+class MultiprocessMixedKindRefreshMachine(MixedKindRefreshMachine):
+    backend = "multiprocess"
+
+
+TestMixedKindRefreshSerial = MixedKindRefreshMachine.TestCase
+TestMixedKindRefreshSerial.settings = settings(
+    max_examples=25, stateful_step_count=25, deadline=None
+)
+TestMixedKindRefreshMultiprocess = MultiprocessMixedKindRefreshMachine.TestCase
+TestMixedKindRefreshMultiprocess.settings = settings(
+    max_examples=6, stateful_step_count=20, deadline=None
+)

@@ -545,6 +545,26 @@ class TestServiceSemantics:
         assert set(live_segments()) <= segments_before
         assert {id(m) for m in live_mappings()} <= mappings_before
 
+    def test_validate_rejects_bad_rule_positions(self, film_graph):
+        """A rule subset is distinct positions of Σ, checked before pinning:
+        no negative alias, no bool alias, no rule counted twice."""
+        async def scenario():
+            async with _service(film_graph.copy()) as service:
+                size = len(service.session.sigma)
+                assert size > 1
+                await service.mutate(_set_attr(0))
+                for rules in ([-1], [True], [False], [0, 0], [size], [1.0]):
+                    with pytest.raises(ValueError):
+                        await service.validate(rules=rules)
+                # nothing was pinned by a rejected request
+                assert service.chain.pinned_leases() == 0
+                answer = await service.validate(rules=[1, 0])
+                assert [e["position"] for e in answer["rules"]] == [1, 0]
+                assert answer["total_violations"] == sum(
+                    e["violations"] for e in answer["rules"])
+
+        asyncio.run(scenario())
+
 
 def _set_attr(node, attr="type", value="actor"):
     return [{"op": "set_attr", "node": node, "attr": attr, "value": value}]
@@ -756,6 +776,30 @@ class TestHttpFront:
                         host, port, "POST", "/mutate",
                         {"ops": [{"op": "drop_table"}]})
                     assert status == 400
+                finally:
+                    server.close()
+                    await server.wait_closed()
+
+        asyncio.run(scenario())
+
+    def test_validate_rejects_bad_rule_positions(self, film_graph):
+        async def scenario():
+            async with _service(film_graph.copy()) as service:
+                size = len(service.session.sigma)
+                server = await serve_http(service, port=0)
+                host, port = server.sockets[0].getsockname()[:2]
+                try:
+                    for rules in ([-1], [True], [0, 0], [size], ["0"], "0"):
+                        status, answer = await _http_json(
+                            host, port, "POST", "/validate", {"rules": rules})
+                        assert status == 400, rules
+                        assert "bad request" in answer["error"]
+                    status, answer = await _http_json(
+                        host, port, "POST", "/validate",
+                        {"rules": [size - 1, 0]})
+                    assert status == 200
+                    assert [e["position"] for e in answer["rules"]] == [
+                        size - 1, 0]
                 finally:
                     server.close()
                     await server.wait_closed()

@@ -612,6 +612,15 @@ def _assert_reports_agree(report, graph, sigma):
     ]
 
 
+def _rewire(graph, node):
+    """A structural write that leaves the graph as it was: drop and restore
+    one out-edge of ``node``, so the matches at both ends re-derive."""
+    dst, labels = next(iter(graph.out_neighbors(node).items()))
+    label = min(labels)
+    graph.remove_edge(node, dst, label)
+    graph.add_edge(node, dst, label)
+
+
 class TestWorkerStateOwnership:
     """A discovery drops exactly its own worker keys: the enforcement
     engine's resident shards survive it, so the next refresh ships only
@@ -626,8 +635,13 @@ class TestWorkerStateOwnership:
                 DISCOVERIES[discovery](session)
             graph.set_attr(0, "type", "gardener")
             before = session.metrics().transfers.rows_to_workers
+            rejudged = session.refresh()
+            # an attribute write re-judges resident rows in place
+            assert session.metrics().transfers.rows_to_workers == before
+            _rewire(graph, 0)
             report = session.refresh()
             shipped = session.metrics().transfers.rows_to_workers - before
+            assert report_payload(report) == report_payload(rejudged)
             return report, shipped, session.sigma
 
     @pytest.mark.parametrize("discovery", sorted(DISCOVERIES))
@@ -729,6 +743,9 @@ class TestWorkerStateOwnership:
             for graph, each in ((film_graph, session), (twin_graph, twin)):
                 graph.set_attr(0, "type", "gardener")
                 before = each.metrics().transfers.rows_to_workers
+                assert each.refresh().mode == "incremental"
+                assert each.metrics().transfers.rows_to_workers == before
+                _rewire(graph, 0)
                 report = each.refresh()
                 assert report.mode == "incremental"
                 shipped[each is twin] = (
