@@ -26,6 +26,7 @@ from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 from repro import __version__
 from repro.core import DiscoveryConfig
 from repro.datasets import KB_ATTRIBUTES, dbpedia_like, imdb_like, yago2_like
+from repro.parallel import make_backend, parallel_cover, parallel_cover_ungrouped
 
 #: Version of the ``BENCH_*.json`` envelope written by :func:`write_bench`.
 BENCH_SCHEMA_VERSION = 1
@@ -73,6 +74,18 @@ def discovery_config(name: str, **overrides) -> DiscoveryConfig:
     )
     defaults.update(overrides)
     return DiscoveryConfig(**defaults)
+
+
+def cover_pair(sigma, workers: int):
+    """``(ParCover cluster, ParCovern cluster)`` of one Σ on ``workers``
+    serial workers — the two series of Figures 5(i)-(l)."""
+    backend = make_backend("serial", workers, None, None)
+    try:
+        _, grouped = parallel_cover(sigma, backend)
+        _, ungrouped = parallel_cover_ungrouped(sigma, backend)
+    finally:
+        backend.shutdown()
+    return grouped, ungrouped
 
 
 def record(name: str, lines: Sequence[str]) -> None:
@@ -150,7 +163,7 @@ def real_backend_sweep(
     make the same discovery finish sooner?  Returns
     ``{workers: (seconds, speedup vs the first count)}``.
     """
-    from repro.parallel import discover_parallel
+    from repro.parallel import ParallelDiscovery
 
     graph = dataset(name)
     config = discovery_config(name)
@@ -159,14 +172,14 @@ def real_backend_sweep(
     rows: Dict[int, Tuple[float, float]] = {}
     base = None
     for workers in worker_counts:
-        result, _ = discover_parallel(
+        result = ParallelDiscovery(
             graph,
             config,
             num_workers=workers,
-            backend="multiprocess",
             stats=stats,
             index=index,
-        )
+            backend="multiprocess",
+        ).run()
         elapsed = result.stats.elapsed_seconds
         if base is None:
             base = elapsed

@@ -12,7 +12,7 @@ from __future__ import annotations
 from _harness import dataset, discovery_config, record, run_once
 
 from repro.baselines import run_pararab, run_pargfd_n
-from repro.parallel import discover_parallel
+from repro.parallel import ParallelDiscovery
 
 BUDGET_MULTIPLIER = 5
 
@@ -20,7 +20,7 @@ BUDGET_MULTIPLIER = 5
 def _ablate():
     graph = dataset("yago2")
     config = discovery_config("yago2", max_lhs_size=2)
-    result, _ = discover_parallel(graph, config, num_workers=4)
+    result = ParallelDiscovery(graph, config, num_workers=4).run()
     baseline_candidates = result.stats.candidates_checked
     budget = baseline_candidates * BUDGET_MULTIPLIER
     unpruned = run_pargfd_n(graph, config, num_workers=4, candidate_budget=budget)

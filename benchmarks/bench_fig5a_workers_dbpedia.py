@@ -20,7 +20,7 @@ from _harness import (
 )
 
 from repro.baselines import run_pargfd_nb
-from repro.parallel import discover_parallel
+from repro.parallel import ParallelDiscovery
 
 DATASET = "dbpedia"
 
@@ -30,7 +30,9 @@ def _sweep():
     config = discovery_config(DATASET)
     rows = {}
     for workers in WORKER_COUNTS:
-        _, balanced = discover_parallel(graph, config, num_workers=workers)
+        runner = ParallelDiscovery(graph, config, num_workers=workers)
+        runner.run()
+        balanced = runner.cluster
         _, unbalanced = run_pargfd_nb(graph, config, num_workers=workers)
         rows[workers] = (
             balanced.metrics.elapsed_parallel,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from _harness import dataset, discovery_config, record, run_once, series_table
 
 from repro.baselines import discover_gcfd_parallel, mine_amie_parallel
-from repro.parallel import discover_parallel
+from repro.parallel import ParallelDiscovery
 
 WORKERS = 8
 
@@ -21,8 +21,9 @@ def _compare():
     graph = dataset("yago2")
     config = discovery_config("yago2")
     rows = {}
-    gfd_result, gfd_cluster = discover_parallel(graph, config, num_workers=WORKERS)
-    rows["DisGFD"] = (gfd_cluster.metrics.elapsed_parallel, len(gfd_result.gfds))
+    runner = ParallelDiscovery(graph, config, num_workers=WORKERS)
+    gfd_result = runner.run()
+    rows["DisGFD"] = (runner.cluster.metrics.elapsed_parallel, len(gfd_result.gfds))
     gcfd_result, gcfd_cluster = discover_gcfd_parallel(
         graph, config, num_workers=WORKERS
     )

@@ -12,7 +12,7 @@ from _harness import record, run_once, series_table
 
 from repro.core import DiscoveryConfig
 from repro.datasets import SYNTHETIC_ATTRIBUTES, synthetic_graph
-from repro.parallel import discover_parallel
+from repro.parallel import ParallelDiscovery
 
 SIZES = [(10_000, 20_000), (15_000, 30_000), (20_000, 40_000),
          (25_000, 50_000), (30_000, 60_000)]
@@ -33,8 +33,9 @@ def _sweep():
             variable_literals=False,
             max_negatives_per_pattern=5,
         )
-        _, cluster = discover_parallel(graph, config, num_workers=WORKERS)
-        rows[f"({nodes},{edges})"] = cluster.metrics.elapsed_parallel
+        runner = ParallelDiscovery(graph, config, num_workers=WORKERS)
+        runner.run()
+        rows[f"({nodes},{edges})"] = runner.cluster.metrics.elapsed_parallel
     return rows
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from _harness import dataset, discovery_config, record, run_once, series_table
 
-from repro.parallel import discover_parallel
+from repro.parallel import ParallelDiscovery
 
 WORKERS = 8
 K_VALUES = [2, 3, 4]
@@ -20,8 +20,9 @@ def _sweep():
     rows = {}
     for k in K_VALUES:
         config = discovery_config("dbpedia", k=k, sigma=120)
-        _, cluster = discover_parallel(graph, config, num_workers=WORKERS)
-        rows[k] = cluster.metrics.elapsed_parallel
+        runner = ParallelDiscovery(graph, config, num_workers=WORKERS)
+        runner.run()
+        rows[k] = runner.cluster.metrics.elapsed_parallel
     return rows
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from _harness import dataset, discovery_config, record, run_once, series_table
 
-from repro.parallel import discover_parallel
+from repro.parallel import ParallelDiscovery
 
 WORKERS = 8
 SIGMAS = [60, 120, 180, 240, 300]
@@ -20,8 +20,9 @@ def _sweep():
     rows = {}
     for sigma in SIGMAS:
         config = discovery_config("dbpedia", sigma=sigma)
-        _, cluster = discover_parallel(graph, config, num_workers=WORKERS)
-        rows[sigma] = cluster.metrics.elapsed_parallel
+        runner = ParallelDiscovery(graph, config, num_workers=WORKERS)
+        runner.run()
+        rows[sigma] = runner.cluster.metrics.elapsed_parallel
     return rows
 
 

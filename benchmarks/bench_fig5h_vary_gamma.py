@@ -11,7 +11,7 @@ from __future__ import annotations
 from _harness import dataset, discovery_config, record, run_once, series_table
 
 from repro.datasets import KB_ATTRIBUTES
-from repro.parallel import discover_parallel
+from repro.parallel import ParallelDiscovery
 
 WORKERS = 8
 GAMMA_SIZES = [2, 3, 4, 5]
@@ -24,8 +24,9 @@ def _sweep():
         config = discovery_config(
             "dbpedia", sigma=120, active_attributes=list(KB_ATTRIBUTES[:size])
         )
-        _, cluster = discover_parallel(graph, config, num_workers=WORKERS)
-        rows[size] = cluster.metrics.elapsed_parallel
+        runner = ParallelDiscovery(graph, config, num_workers=WORKERS)
+        runner.run()
+        rows[size] = runner.cluster.metrics.elapsed_parallel
     return rows
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from _harness import (
     WORKER_COUNTS,
+    cover_pair,
     dataset,
     discovery_config,
     record,
@@ -17,7 +18,6 @@ from _harness import (
 )
 
 from repro.core import discover
-from repro.parallel import parallel_cover, parallel_cover_ungrouped
 
 DATASET = "imdb"
 
@@ -28,8 +28,7 @@ def _sweep():
     sigma_set = discover(graph, config).gfds
     rows = {}
     for workers in WORKER_COUNTS:
-        _, grouped = parallel_cover(sigma_set, num_workers=workers)
-        _, ungrouped = parallel_cover_ungrouped(sigma_set, num_workers=workers)
+        grouped, ungrouped = cover_pair(sigma_set, workers)
         rows[workers] = (
             grouped.metrics.elapsed_parallel,
             ungrouped.metrics.elapsed_parallel,

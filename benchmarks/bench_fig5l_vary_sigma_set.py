@@ -8,10 +8,9 @@ shape targets: growth in |Σ| and a growing gap to ParCovern.
 
 from __future__ import annotations
 
-from _harness import dataset, record, run_once, series_table
+from _harness import cover_pair, dataset, record, run_once, series_table
 
 from repro.datasets import generate_gfds
-from repro.parallel import parallel_cover, parallel_cover_ungrouped
 
 SIZES = [100, 200, 300, 400, 500]
 WORKERS = 4
@@ -22,8 +21,7 @@ def _sweep():
     rows = {}
     for size in SIZES:
         sigma_set = generate_gfds(graph, size, k=3, redundancy=0.5, seed=11)
-        _, grouped = parallel_cover(sigma_set, num_workers=WORKERS)
-        _, ungrouped = parallel_cover_ungrouped(sigma_set, num_workers=WORKERS)
+        grouped, ungrouped = cover_pair(sigma_set, WORKERS)
         rows[size] = (
             grouped.metrics.elapsed_parallel,
             ungrouped.metrics.elapsed_parallel,

@@ -78,9 +78,9 @@ def run(check: bool = False, max_rules: int = None):
 
     # -- 1: the cover phase, sequential vs sharded ---------------------
     seq_s, seq_result = _timed(lambda: sequential_cover(sigma))
-    serial_s, (serial_result, _) = _timed(
-        lambda: parallel_cover(sigma, num_workers=4, backend="serial")
-    )
+    serial = make_backend("serial", 4, None, None)
+    serial_s, (serial_result, _) = _timed(lambda: parallel_cover(sigma, serial))
+    serial.shutdown()
     metrics["seqcover_seconds"] = seq_s
     metrics["parcover_serial_seconds"] = serial_s
     metrics["cover_size"] = len(serial_result.cover)
@@ -94,10 +94,10 @@ def run(check: bool = False, max_rules: int = None):
     metrics["parcover_multiprocess"] = {}
     if shared_memory_available():
         for workers in COVER_WORKERS:
-            backend = make_backend("multiprocess", workers, None, None, [])
+            backend = make_backend("multiprocess", workers, None, None)
             try:
                 mp_s, (mp_result, _) = _timed(
-                    lambda: parallel_cover(sigma, backend=backend)
+                    lambda: parallel_cover(sigma, backend)
                 )
                 ledger = backend.transfers
                 metrics["parcover_multiprocess"][str(workers)] = {

@@ -9,14 +9,13 @@ backend:
    the backend's `LifecycleCounters`); the post-mutation snapshot goes
    through `refresh_index`, never a pool rebuild.
 
-2. **Shim identity** — the Session's discovered Σ, cover and enforcement
-   report are byte-identical to the legacy entry points (`discover`,
-   `parallel_cover`, a standalone `EnforcementEngine`), which now exist as
-   shims over the same engines.
+2. **Oracle identity** — the Session's discovered Σ equals `discover`'s,
+   its cover keeps the same rules as the `sequential_cover` oracle
+   (compared as identity sets), and its enforcement report is
+   byte-identical to a standalone `EnforcementEngine`'s.
 
-3. **Measured-cost LPT** — a second cover in the same session balances by
-   worker-measured chase costs (the cost model has observations) and still
-   produces the identical cover.
+3. **Repeatable covers** — a second cover in the same session produces
+   the byte-identical cover.
 
 4. **Multiprocess never loses** — the per-level superstep protocol is
    the reason multiprocess stops losing to serial at this scale, so the
@@ -36,7 +35,8 @@ backend:
 ``benchmarks/results/BENCH_session.json``, the full metrics view in
 ``benchmarks/results/session_metrics_bench.json``, and a Chrome-trace
 timeline of the traced pipeline in
-``benchmarks/results/session_trace.json``.  Usage::
+``benchmarks/results/session_trace.json`` (rewritten by every run, not
+checked in).  Usage::
 
     PYTHONPATH=src python benchmarks/bench_session.py
     PYTHONPATH=src python benchmarks/bench_session.py --check
@@ -49,7 +49,6 @@ import json
 import os
 import sys
 import time
-import warnings
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -64,11 +63,11 @@ from _harness import (  # noqa: E402
 )
 
 from repro import Session, Tracer, write_chrome_trace  # noqa: E402
-from repro.core import discover, gfd_identity  # noqa: E402
+from repro.core import discover, gfd_identity, sequential_cover  # noqa: E402
 from repro.core.config import EnforcementConfig  # noqa: E402
 from repro.enforce import EnforcementEngine  # noqa: E402
 from repro.obs.tracer import NULL_TRACER  # noqa: E402
-from repro.parallel import parallel_cover, shared_memory_available  # noqa: E402
+from repro.parallel import shared_memory_available  # noqa: E402
 
 #: Session worker count for both backends.
 WORKERS = 2
@@ -134,7 +133,7 @@ def _pipeline(graph, config, backend, tracer=None):
     ) as session:
         result = session.discover()
         cover1 = session.cover(result.gfds)
-        cover2 = session.cover(result.gfds)  # measured-cost LPT this time
+        cover2 = session.cover(result.gfds)
         report = session.enforce()
         touched = graph.add_node("person", {"type": "person"})
         refreshed = session.refresh()
@@ -159,36 +158,33 @@ def run(check: bool = False, max_rules: int = None):
     if shared_memory_available():
         backends.append("multiprocess")
 
-    # the legacy reference path (fresh resources per phase, pristine graph)
-    legacy = discover(dataset("yago2").copy(), config)
+    # the reference path (fresh resources per phase, pristine graph)
+    reference = discover(dataset("yago2").copy(), config)
 
-    lines = [f"|Sigma| = {len(legacy.gfds)}"]
-    metrics = {"num_rules": len(legacy.gfds), "workers": WORKERS}
+    lines = [f"|Sigma| = {len(reference.gfds)}"]
+    metrics = {"num_rules": len(reference.gfds), "workers": WORKERS}
 
     for backend in backends:
         graph = dataset("yago2").copy()  # the pipeline mutates its graph
         outcome = _pipeline(graph, config, backend)
-        # legacy shims over the *same* Σ ordering and an equal pristine
-        # graph — identity must hold byte for byte
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy_cover, _ = parallel_cover(
-                outcome["result"].gfds, num_workers=WORKERS
-            )
+        # the oracles over the *same* Σ and an equal pristine graph
+        oracle_cover = {
+            gfd_identity(g)
+            for g in sequential_cover(outcome["result"].gfds).cover
+        }
         with EnforcementEngine(
             dataset("yago2").copy(),
             outcome["cover2"].cover,
             EnforcementConfig(backend="serial", num_workers=WORKERS),
         ) as engine:
-            legacy_report = engine.validate()
+            engine_report = engine.validate()
         view = outcome["metrics"]
         lines.append(
             f"{backend}: pipeline {outcome['elapsed_s']:.2f}s — backend "
             f"started {view.backend_starts}x, pools {view.lifecycle.pools_started}, "
             f"index attached {view.lifecycle.index_attaches}x "
             f"(+{view.lifecycle.index_refreshes} refresh), "
-            f"{view.cluster.supersteps} supersteps, cost-model "
-            f"observations {view.cover_cost_observations}"
+            f"{view.cluster.supersteps} supersteps"
         )
         metrics[backend] = {
             "elapsed_s": round(outcome["elapsed_s"], 3),
@@ -197,24 +193,23 @@ def run(check: bool = False, max_rules: int = None):
             "index_attaches": view.lifecycle.index_attaches,
             "index_refreshes": view.lifecycle.index_refreshes,
             "supersteps": view.cluster.supersteps,
-            "cover_cost_observations": view.cover_cost_observations,
         }
 
         same_sigma = {gfd_identity(g) for g in outcome["result"].gfds} == {
-            gfd_identity(g) for g in legacy.gfds
+            gfd_identity(g) for g in reference.gfds
         }
-        same_cover = [str(g) for g in outcome["cover1"].cover] == [
-            str(g) for g in legacy_cover.cover
-        ]
+        same_cover = {
+            gfd_identity(g) for g in outcome["cover1"].cover
+        } == oracle_cover
         same_cover_again = [str(g) for g in outcome["cover2"].cover] == [
-            str(g) for g in legacy_cover.cover
+            str(g) for g in outcome["cover1"].cover
         ]
         same_report = [
             (r.violation_count, sorted(r.nodes), r.sample)
             for r in outcome["report"].rules
         ] == [
             (r.violation_count, sorted(r.nodes), r.sample)
-            for r in legacy_report.rules
+            for r in engine_report.rules
         ]
         lines.append(
             f"{backend}: sigma identical {same_sigma}, cover identical "
@@ -229,16 +224,13 @@ def run(check: bool = False, max_rules: int = None):
                 "re-point via refresh_index"
             )
             assert view.lifecycle.index_refreshes >= 1
-            assert view.cover_cost_observations > 0, (
-                "cover timings must feed the chase-cost model"
-            )
-            assert same_sigma and same_cover and same_cover_again, (
-                "Session must equal the legacy entry points"
-            )
+            assert same_sigma, "Session discovery must equal discover()"
+            assert same_cover, "Session cover must keep SeqCover's rules"
+            assert same_cover_again, "a repeated cover must be identical"
             assert same_report, "Session enforcement must equal the engine"
             assert outcome["refreshed"].mode == "incremental"
 
-        # the same documented schema v5 the CLI's --metrics writes
+        # the same documented schema v6 the CLI's --metrics writes
         full_view = RESULTS_DIR / "session_metrics_bench.json"
         RESULTS_DIR.mkdir(exist_ok=True)
         full_view.write_text(
@@ -363,7 +355,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="assert the one-lifecycle, shim-identity and tracing-"
+        help="assert the one-lifecycle, oracle-identity and tracing-"
              "overhead gates",
     )
     parser.add_argument(

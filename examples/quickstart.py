@@ -103,7 +103,7 @@ def main() -> None:
         assert metrics.lifecycle.index_attaches == 1
         RESULTS.mkdir(parents=True, exist_ok=True)
         out = RESULTS / "session_metrics.json"
-        # the same documented schema v5 (sorted keys) bench_session.py
+        # the same documented schema v6 (sorted keys) bench_session.py
         # writes to session_metrics_bench.json — the two artifacts diff
         # cleanly, modulo the "timings" key
         out.write_text(

@@ -80,10 +80,8 @@ from .obs import (
     write_prometheus,
 )
 from .parallel import (
-    ChaseCostModel,
     ParallelDiscovery,
     SimulatedCluster,
-    discover_parallel,
     parallel_cover,
 )
 from .pattern import WILDCARD, Pattern, find_matches, pivot_image
@@ -132,8 +130,6 @@ __all__ = [
     # parallel
     "ParallelDiscovery",
     "SimulatedCluster",
-    "ChaseCostModel",
-    "discover_parallel",
     "parallel_cover",
     # enforcement
     "EnforcementConfig",

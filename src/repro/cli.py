@@ -447,27 +447,27 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     rules = load_rules(args.rules)
     tracer = _make_tracer(args)
     if (args.workers or 0) > 1 or args.backend is not None:
-        import warnings
+        from .obs import NULL_TRACER
+        from .parallel import SimulatedCluster, make_backend, parallel_cover
 
-        from .parallel import SimulatedCluster, parallel_cover
-
-        # the cover verb has no graph, so there is no session to open: a
-        # tracer rides in on a pre-built cluster instead
-        metered = (
-            SimulatedCluster(args.workers or 4, tracer=tracer)
-            if tracer is not None
-            else None
+        # the cover verb has no graph, so there is no session to open: it
+        # borrows a graph-free backend to ParCover and shuts it down after
+        workers = args.workers or 4
+        traced = tracer if tracer is not None else NULL_TRACER
+        backend = make_backend(
+            args.backend or "serial",
+            workers,
+            None,
+            None,
+            fault=_fault_from_args(args),
+            tracer=traced,
         )
-        with warnings.catch_warnings():
-            # the standalone parallel_cover call IS the supported path here
-            warnings.simplefilter("ignore", DeprecationWarning)
+        try:
             result, cluster = parallel_cover(
-                rules,
-                num_workers=args.workers or 4,
-                cluster=metered,
-                backend=args.backend,
-                fault=_fault_from_args(args),
+                rules, backend, SimulatedCluster(workers, tracer=traced)
             )
+        finally:
+            backend.shutdown()
         print(
             f"# backend={args.backend or 'serial'} "
             f"workers={cluster.num_workers} "

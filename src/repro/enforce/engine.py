@@ -503,7 +503,6 @@ class EnforcementEngine:
             self.num_workers,
             self.graph,
             index,
-            self.plan.attributes(),
             fault=self.config.fault,
             tracer=self.tracer,
         )

@@ -13,11 +13,10 @@ from .backend import (
 )
 from .balancer import assign_units_lpt, is_skewed, rebalance_pivot_group_arrays
 from .cluster import ClusterMetrics, SimulatedCluster, WorkerMetrics
-from .costs import ChaseCostModel
 from .faults import FaultPlan
 from .janitor import live_segments, sweep_orphans
 from .parcover import parallel_cover, parallel_cover_ungrouped
-from .pardis import ParallelDiscovery, discover_parallel
+from .pardis import ParallelDiscovery
 
 __all__ = [
     "BACKEND_NAMES",
@@ -27,7 +26,6 @@ __all__ = [
     "SharedIndexBuffers",
     "TransferLedger",
     "LifecycleCounters",
-    "ChaseCostModel",
     "FaultPlan",
     "live_segments",
     "sweep_orphans",
@@ -37,7 +35,6 @@ __all__ = [
     "ClusterMetrics",
     "WorkerMetrics",
     "ParallelDiscovery",
-    "discover_parallel",
     "parallel_cover",
     "parallel_cover_ungrouped",
     "assign_units_lpt",

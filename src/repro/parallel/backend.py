@@ -94,7 +94,6 @@ __all__ = [
     "next_node_key",
     "RowStore",
     "shared_memory_available",
-    "warn_standalone_entry_point",
 ]
 
 #: Recognized values of ``DiscoveryConfig.parallel_backend``.
@@ -111,26 +110,6 @@ _NODE_KEYS = itertools.count()
 def next_node_key() -> int:
     """A fresh process-wide worker-state key (pattern node, Σ slot, ...)."""
     return next(_NODE_KEYS)
-
-
-def warn_standalone_entry_point(function: str, backend: Any) -> None:
-    """Deprecation notice for per-call backend construction.
-
-    The legacy wrappers (``discover_parallel``, ``parallel_cover``) remain
-    supported shims, but a standalone call — one that does not reuse a
-    pre-started :class:`ExecutionBackend` — spins up and tears down a pool
-    set per invocation; sessions share one.  Callers that *have* no graph
-    to open a session over (the ``repro-gfd cover`` verb) suppress this
-    explicitly.
-    """
-    if not isinstance(backend, ExecutionBackend):
-        warnings.warn(
-            f"{function}() builds a fresh execution backend per call; "
-            "prefer repro.session.Session, which starts the worker pools "
-            "once and shares them across discover/cover/enforce",
-            DeprecationWarning,
-            stacklevel=3,
-        )
 
 
 def shared_memory_available() -> bool:
@@ -383,14 +362,10 @@ class ShardWorker:
     """
 
     def __init__(
-        self,
-        graph: Optional[Graph],
-        index: Optional[GraphIndex],
-        gamma: Sequence[str],
+        self, graph: Optional[Graph], index: Optional[GraphIndex]
     ) -> None:
         self.graph = graph
         self.index = index
-        self.gamma = list(gamma)
         self.tables: Dict[int, MatchTable] = {}
         self.stores: Dict[int, Dict[int, int]] = {}
         # HSpawn: key -> {literal: row bitset}, opened by scan beside the
@@ -425,9 +400,8 @@ class ShardWorker:
         travel as the two integer arrays of
         :meth:`MatchTable.constant_code_counts` — codes are graph-global on
         the index, so the master merges and decodes only the few values it
-        keeps.  ``payload["gamma"]`` carries the run's active attributes —
-        the engine's Γ, not the backend-construction one, which may predate
-        a graph mutation that changed the top attributes.
+        keeps.  ``payload["gamma"]`` carries the engine's active
+        attributes Γ.
         """
         adopt = payload.get("adopt")
         matches = self.joins.pop(adopt) if adopt is not None else payload["matches"]
@@ -435,7 +409,7 @@ class ShardWorker:
             self.graph,
             payload["pattern"],
             matches,
-            payload.get("gamma", self.gamma),
+            payload["gamma"],
             index=self.index,
         )
         self.tables[key] = table
@@ -741,26 +715,20 @@ class ShardWorker:
 
     def op_implication_batch(
         self, key: int, payload: Dict[str, Any]
-    ) -> Tuple[List[int], List[float]]:
+    ) -> List[int]:
         """``ParImp`` over a batch of work units ``(group, embedded)``.
 
         Each unit is greedily reduced in isolation (Lemma 6 independence);
-        only the removed Σ-indices return to the master, plus each unit's
-        measured chase seconds — the feedback that lets the master replace
-        the static ``|group| × |embedded|`` LPT weights with observed costs
-        on the next cover (:class:`~repro.parallel.costs.ChaseCostModel`).
+        only the removed Σ-indices return to the master.
         """
         sigma = self.sigmas[key]
         checker = self.checkers[key]
         removed: List[int] = []
-        seconds: List[float] = []
         for group, embedded in payload["units"]:
-            begin = time.perf_counter()
             removed.extend(
                 greedy_group_elimination(sigma, group, embedded, checker=checker)
             )
-            seconds.append(time.perf_counter() - begin)
-        return removed, seconds
+        return removed
 
     def op_cover_probe(self, key: int, payload: Dict[str, Any]) -> List[Tuple[int, bool]]:
         """Leave-one-out implication verdicts for ``ParCovern``.
@@ -869,7 +837,6 @@ class SerialBackend(ExecutionBackend):
         num_workers: int,
         graph: Optional[Graph],
         index: Optional[GraphIndex],
-        gamma: Sequence[str],
         tracer: Any = NULL_TRACER,
     ) -> None:
         self.num_workers = num_workers
@@ -882,9 +849,7 @@ class SerialBackend(ExecutionBackend):
         )
         # in-process shards share the master's index object outright
         self.index_transport = "inprocess" if index is not None else "none"
-        self.workers = [
-            ShardWorker(graph, index, gamma) for _ in range(num_workers)
-        ]
+        self.workers = [ShardWorker(graph, index) for _ in range(num_workers)]
 
     def run_superstep(self, step, requests: Sequence[Request]) -> List[Any]:
         results = []
@@ -1177,7 +1142,7 @@ def _mp_initialize(
     spec = pickle.loads(spec_blob)
     index, _SEGMENTS = _index_from_spec(spec, segment_name)
     _MAPPING = getattr(index, "store_mapping", None)
-    _WORKER = ShardWorker(None, index, spec["gamma"])
+    _WORKER = ShardWorker(None, index)
 
 
 def _mp_attach_index(spec_blob: bytes, segment_name: Optional[str]) -> bool:
@@ -1281,7 +1246,8 @@ class MultiprocessBackend(ExecutionBackend):
 
     ``index=None`` builds *graph-free* workers: the cover phase
     (:func:`~repro.parallel.parcover.parallel_cover`) operates on ``Σ``
-    alone, so a standalone ``ParCover`` run needs processes but no graph.
+    alone, so a ``ParCover`` run without a graph (the ``cover`` CLI verb)
+    needs processes but no index.
     Discovery and enforcement require the index (their engines enforce it).
     """
 
@@ -1292,7 +1258,6 @@ class MultiprocessBackend(ExecutionBackend):
         self,
         num_workers: int,
         index: Optional[GraphIndex],
-        gamma: Sequence[str],
         fault: Optional[FaultConfig] = None,
         tracer: Any = NULL_TRACER,
     ) -> None:
@@ -1307,7 +1272,6 @@ class MultiprocessBackend(ExecutionBackend):
         # stay alive for the backend's lifetime or a recycled id could
         # falsely validate a different graph
         self._index = index
-        self._gamma = list(gamma)
         self._fault = fault
         self._plan = (
             FaultPlan.from_json(fault.fault_plan) if fault is not None else None
@@ -1400,7 +1364,7 @@ class MultiprocessBackend(ExecutionBackend):
         """
         if index is None:
             self.index_transport = "none"
-            spec = {"meta": None, "gamma": self._gamma}
+            spec = {"meta": None}
             return (pickle.dumps(spec), None), None
         store_path = getattr(index, "store_path", None)
         if store_path is not None:
@@ -1410,19 +1374,11 @@ class MultiprocessBackend(ExecutionBackend):
                 store_path, index.num_nodes, index.num_edges, index.version
             ):
                 self.index_transport = "mmap"
-                spec = {
-                    "meta": None,
-                    "mmap_path": str(store_path),
-                    "gamma": self._gamma,
-                }
+                spec = {"meta": None, "mmap_path": str(store_path)}
                 return (pickle.dumps(spec), None), None
         self.index_transport = "shm"
         buffers = SharedIndexBuffers(index)
-        spec = {
-            "meta": buffers.meta,
-            "layout": buffers.layout,
-            "gamma": self._gamma,
-        }
+        spec = {"meta": buffers.meta, "layout": buffers.layout}
         return (pickle.dumps(spec), buffers.name), buffers
 
     @property
@@ -1530,7 +1486,6 @@ class MultiprocessBackend(ExecutionBackend):
         spec_blob = pickle.dumps(
             {
                 "meta": meta,
-                "gamma": self._gamma,
                 "names": sorted(arrays),
                 "layout": pack.layout,
             }
@@ -1695,7 +1650,7 @@ class MultiprocessBackend(ExecutionBackend):
                 f"worker {worker} failed more than max_respawns="
                 f"{self._fault.max_respawns} times"
             )
-        shard = ShardWorker(None, self._index, self._gamma)
+        shard = ShardWorker(None, self._index)
         for op, key, payload in self._journals[worker]:
             shard.execute(op, key, payload)
         self._local[worker] = shard
@@ -1909,7 +1864,6 @@ def make_backend(
     num_workers: int,
     graph: Optional[Graph],
     index: Optional[GraphIndex],
-    gamma: Sequence[str],
     fault: Any = "auto",
     tracer: Any = NULL_TRACER,
 ) -> ExecutionBackend:
@@ -1934,15 +1888,9 @@ def make_backend(
     if fault == "auto":
         fault = _default_fault()
     if name == "serial":
-        return SerialBackend(num_workers, graph, index, gamma, tracer=tracer)
+        return SerialBackend(num_workers, graph, index, tracer=tracer)
     if name == "multiprocess":
-        return MultiprocessBackend(
-            num_workers,
-            index,
-            gamma,
-            fault=fault,
-            tracer=tracer,
-        )
+        return MultiprocessBackend(num_workers, index, fault=fault, tracer=tracer)
     raise ValueError(
         f"unknown parallel backend {name!r} (expected one of {BACKEND_NAMES})"
     )

@@ -19,21 +19,19 @@ test; the grouping speedup of Exp-4 comes precisely from skipping that.
 Execution runs on the same :class:`~repro.parallel.backend.ShardWorker` op
 layer as ``ParDis`` and enforcement: the master broadcasts ``Σ`` once
 (``op_sigma``), ships work units as index lists, and receives removed
-indices / implication verdicts — scalars.  ``backend`` selects ``"serial"``
-(inline under the simulated cluster, the historical semantics and default)
-or ``"multiprocess"`` (real per-worker processes; graph-free workers, since
-implication needs no graph), or accepts a pre-started
-:class:`~repro.parallel.backend.ExecutionBackend` — e.g. the pool a
-discovery run just used — so the cover phase shards over the same worker
-pools as discovery.  Covers are identical across backends and worker counts
-by construction (unit checks are deterministic and independent); the
-differential harness asserts it.
+indices / implication verdicts — scalars.  Both variants borrow a started
+:class:`~repro.parallel.backend.ExecutionBackend` — a session's, so the
+cover phase shards over the same worker pools as discovery, or a
+graph-free one (implication needs no graph) — and take the worker count
+from it; the caller keeps ownership.  Covers are identical across backends
+and worker counts by construction (unit checks are deterministic and
+independent); the differential harness asserts it.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.cover import CoverResult, _scan_order
 from ..gfd.gfd import GFD
@@ -41,19 +39,11 @@ from ..gfd.implication import ImplicationChecker
 from ..pattern.canonical import canonical_key
 from ..pattern.embedding import DistinctPatterns, is_embedded
 from ..pattern.pattern import Pattern
-from .backend import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    make_backend,
-    next_node_key,
-    warn_standalone_entry_point,
-)
+from .backend import ExecutionBackend, next_node_key
 from .balancer import assign_units_lpt
 from .cluster import SimulatedCluster
-from .costs import ChaseCostModel
 
 __all__ = ["parallel_cover", "parallel_cover_ungrouped"]
-
 
 
 def _pattern_group_key(pattern: Pattern) -> Tuple:
@@ -91,42 +81,23 @@ def _embedded_indices(
 
 
 class _CoverSession:
-    """Backend + cluster lifecycle shared by both cover variants.
+    """One cover run's ``Σ`` slot on a borrowed backend.
 
-    Owns the backend when given a name (or ``None`` — the historical
-    serial default) and shuts it down on exit; a supplied
-    :class:`ExecutionBackend` instance is borrowed (the caller keeps
-    ownership — e.g. the pools of a finished discovery run), and only this
-    session's ``Σ`` slot is dropped.
+    The caller keeps ownership of ``backend``; on exit only this run's
+    ``Σ`` slot is dropped.  ``cluster`` (default: a fresh one sized to the
+    backend) meters the run and must match the backend's worker count.
     """
 
     def __init__(
-        self,
-        num_workers: int,
-        cluster: Optional[SimulatedCluster],
-        backend: Union[None, str, ExecutionBackend],
-        fault: Any = "auto",
+        self, backend: ExecutionBackend, cluster: Optional[SimulatedCluster]
     ) -> None:
-        if isinstance(backend, ExecutionBackend):
-            num_workers = backend.num_workers
-        self.cluster = cluster or SimulatedCluster(num_workers)
-        if isinstance(backend, ExecutionBackend):
-            self.backend = backend
-            self.owns = False
-        else:
-            name = backend or "serial"
-            if name not in BACKEND_NAMES:
-                raise ValueError(
-                    f"unknown parallel backend {name!r} "
-                    f"(expected one of {BACKEND_NAMES})"
-                )
-            # graph-free cover workers are supervised like any others —
-            # the install log then holds just the Σ broadcast
-            self.backend = make_backend(
-                name, num_workers, None, None, [], fault=fault,
-                tracer=self.cluster.tracer,
+        if cluster is not None and cluster.num_workers != backend.num_workers:
+            raise ValueError(
+                f"backend has {backend.num_workers} workers but the cluster "
+                f"has {cluster.num_workers}"
             )
-            self.owns = True
+        self.backend = backend
+        self.cluster = cluster or SimulatedCluster(backend.num_workers)
         self.key = next_node_key()
 
     @property
@@ -155,83 +126,48 @@ class _CoverSession:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        try:
-            self.backend.run_unmetered(
-                [
-                    (worker, "drop_sigma", self.key, {})
-                    for worker in range(self.num_workers)
-                ],
-                wait=False,
-            )
-        finally:
-            if self.owns:
-                self.backend.shutdown()
+        self.backend.run_unmetered(
+            [
+                (worker, "drop_sigma", self.key, {})
+                for worker in range(self.num_workers)
+            ],
+            wait=False,
+        )
 
 
 def parallel_cover(
     sigma: Sequence[GFD],
-    num_workers: int = 4,
+    backend: ExecutionBackend,
     cluster: Optional[SimulatedCluster] = None,
-    backend: Union[None, str, ExecutionBackend] = None,
-    cost_model: Optional[ChaseCostModel] = None,
-    fault: Any = "auto",
 ) -> Tuple[CoverResult, SimulatedCluster]:
     """Compute a cover of ``Σ`` with grouping + LPT balancing (``ParCover``).
 
     Args:
         sigma: the rule set to reduce.
-        num_workers: the worker count ``n`` (ignored when ``backend`` is a
-            pre-started instance, which knows its own).
+        backend: a started :class:`~repro.parallel.backend.ExecutionBackend`
+            (the caller keeps ownership); its worker count is ``n``.
         cluster: optionally supply a pre-built metered cluster.
-        backend: a backend name (``"serial"`` — the default — or
-            ``"multiprocess"``), or a pre-started
-            :class:`~repro.parallel.backend.ExecutionBackend` to reuse
-            (the caller keeps ownership).
-        cost_model: a :class:`~repro.parallel.costs.ChaseCostModel` whose
-            measured per-unit chase costs replace the static
-            ``|group| × |embedded|`` LPT weights; the workers' timings for
-            this run are fed back into it afterwards.  ``None`` keeps the
-            paper's static weights.  Weights only shift *which worker* runs
-            a unit — the cover itself is weight-independent.
-        fault: supervision policy for an *owned* multiprocess backend (a
-            :class:`~repro.core.config.FaultConfig`, ``None`` to disable,
-            or the default ``"auto"`` = follow ``REPRO_FAULT_PLAN``); a
-            borrowed backend keeps whatever policy it was built with.
 
-    Returns ``(cover result, metered cluster)``; the cover is identical
-    across backends, worker counts and weight models.
-
-    .. deprecated::
-        Standalone calls (without a pre-started ``backend``) spin up and
-        tear down one worker-pool set per invocation; pipelines should go
-        through :meth:`repro.session.Session.cover`, which also persists
-        the cost model across covers.
+    Work units are balanced by LPT over the paper's static weights
+    ``|group| × max(1, |embedded|)``.  Returns ``(cover result, metered
+    cluster)``; the cover is identical across backends and worker counts.
     """
-    warn_standalone_entry_point("parallel_cover", backend)
     started = time.perf_counter()
     sigma = list(sigma)
-    with _CoverSession(num_workers, cluster, backend, fault=fault) as session:
+    with _CoverSession(backend, cluster) as session:
         cluster = session.cluster
         with cluster.master():
             groups = _group_sigma(sigma)
-            ordered_keys = sorted(groups)
             patterns = DistinctPatterns(gfd.pattern for gfd in sigma)
             units: List[Tuple[List[int], List[int]]] = []
-            for group_key in ordered_keys:
+            for group_key in sorted(groups):
                 group = groups[group_key]
                 representative = sigma[group[0]].pattern
                 embedded = _embedded_indices(patterns, representative, group)
                 units.append((group, embedded))
-            if cost_model is not None:
-                weights = [
-                    cost_model.weight(key, len(group), len(embedded))
-                    for key, (group, embedded) in zip(ordered_keys, units)
-                ]
-            else:
-                weights = [
-                    ChaseCostModel.static_weight(len(group), len(embedded))
-                    for group, embedded in units
-                ]
+            weights = [
+                len(group) * max(1, len(embedded)) for group, embedded in units
+            ]
             assignment = assign_units_lpt(weights, cluster.num_workers)
         removed_indices: Set[int] = set()
         if sigma:
@@ -244,20 +180,8 @@ def parallel_cover(
                 )
                 for worker, unit_ids in enumerate(assignment)
             ]
-            parts = session.run_with_sigma(sigma, requests)
-            for unit_ids, (removed_part, unit_seconds) in zip(
-                assignment, parts
-            ):
+            for removed_part in session.run_with_sigma(sigma, requests):
                 removed_indices.update(removed_part)
-                if cost_model is not None:
-                    for unit_id, seconds in zip(unit_ids, unit_seconds):
-                        group, embedded = units[unit_id]
-                        cost_model.observe(
-                            ordered_keys[unit_id],
-                            len(group),
-                            len(embedded),
-                            seconds,
-                        )
             cluster.ship_to_master(len(removed_indices))
 
     cover = [gfd for index, gfd in enumerate(sigma) if index not in removed_indices]
@@ -273,9 +197,8 @@ def parallel_cover(
 
 def parallel_cover_ungrouped(
     sigma: Sequence[GFD],
-    num_workers: int = 4,
+    backend: ExecutionBackend,
     cluster: Optional[SimulatedCluster] = None,
-    backend: Union[None, str, ExecutionBackend] = None,
 ) -> Tuple[CoverResult, SimulatedCluster]:
     """``ParCovern``: leave-one-out checks against the *full* set, no groups.
 
@@ -284,13 +207,12 @@ def parallel_cover_ungrouped(
     every GFD that precedes it in the scan order and was itself removed —
     matching the sequential semantics, but paying full-``Σ`` embedding
     enumeration per test, distributed round-robin over the workers
-    (``op_cover_probe``).  ``backend`` selects the execution backend as in
+    (``op_cover_probe``).  ``backend`` and ``cluster`` are borrowed as in
     :func:`parallel_cover`.
     """
-    warn_standalone_entry_point("parallel_cover_ungrouped", backend)
     started = time.perf_counter()
     sigma = list(sigma)
-    with _CoverSession(num_workers, cluster, backend) as session:
+    with _CoverSession(backend, cluster) as session:
         cluster = session.cluster
         with cluster.master():
             order = _scan_order(sigma)

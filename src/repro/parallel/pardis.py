@@ -50,7 +50,6 @@ from ..core.match_table import (
     merge_agreement_counts,
     variable_literals_from_counts,
 )
-from ..core.results import DiscoveryResult
 from ..core.spawning import (
     ExtensionCounts,
     extensions_from_counts,
@@ -68,12 +67,11 @@ from .backend import (
     ExecutionBackend,
     make_backend,
     next_node_key,
-    warn_standalone_entry_point,
 )
 from .balancer import is_skewed, rebalance_pivot_group_arrays
 from .cluster import SimulatedCluster
 
-__all__ = ["ParallelDiscovery", "discover_parallel"]
+__all__ = ["ParallelDiscovery"]
 
 
 class _Task:
@@ -210,7 +208,6 @@ class ParallelDiscovery(SequentialDiscovery):
                 self.num_workers,
                 self.graph,
                 self.index,
-                self.gamma,
                 fault=self.config.fault,
                 tracer=self.cluster.tracer,
             )
@@ -335,9 +332,7 @@ class ParallelDiscovery(SequentialDiscovery):
                 "mined": mined,
                 "want_variable": want_variable,
                 "same_attr_only": self.config.variable_literals_same_attr_only,
-                # this run's Γ travels with the install: a session-shared
-                # backend may have been constructed for an older snapshot
-                # whose top attributes differ
+                # Γ is the engine's, so it travels with every install
                 "gamma": self.gamma,
             }
             for worker in range(self.num_workers):
@@ -942,39 +937,3 @@ class ParallelDiscovery(SequentialDiscovery):
                     )
                     emitted_per_base[base_index] = emitted + 1
 
-
-def discover_parallel(
-    graph: Graph,
-    config: Optional[DiscoveryConfig] = None,
-    num_workers: Optional[int] = None,
-    balance: bool = True,
-    stats=None,
-    index=None,
-    backend: Union[None, str, ExecutionBackend] = None,
-) -> Tuple[DiscoveryResult, SimulatedCluster]:
-    """Run ``ParDis`` and return (result, metered cluster).
-
-    ``stats``/``index`` accept precomputed graph snapshots so worker sweeps
-    (Figures 5a-c) don't rescan the same graph once per worker count;
-    ``backend`` overrides ``config.parallel_backend`` (a name) or supplies a
-    pre-started backend to reuse across runs.
-
-    .. deprecated::
-        Standalone calls (without a pre-started ``backend``) spin up and
-        tear down one worker-pool set per invocation.  Pipelines should
-        hold a :class:`repro.session.Session`, whose single backend serves
-        discover → cover → enforce; this wrapper remains as a shim for the
-        one-shot case and is differential-tested against the Session path.
-    """
-    warn_standalone_entry_point("discover_parallel", backend)
-    runner = ParallelDiscovery(
-        graph,
-        config or DiscoveryConfig(),
-        num_workers,
-        balance=balance,
-        stats=stats,
-        index=index,
-        backend=backend,
-    )
-    result = runner.run()
-    return result, runner.cluster

@@ -560,8 +560,7 @@ class EnforcementService:
     ) -> Dict[str, Any]:
         """The minimal cover of the served Σ (read-only analytics).
 
-        Runs ``ParCover`` over the session's chase-cost model (warm-started
-        covers balance by measured unit costs) with ``update_sigma=False``:
+        Runs ``ParCover`` on the session's backend with ``update_sigma=False``:
         the served Σ and its compiled enforcement engine stay as they are —
         minimizing what the service enforces is an operator decision, not
         a request side effect.  A cover is decided by implication over Σ

@@ -2,10 +2,7 @@
 
 The paper's workflow is a single pipeline: ``ParDis`` discovers Σ,
 ``ParCover`` minimizes it, and the rules are then *served* against the live
-graph.  Historically each phase was a separate entry point that built its
-own graph index, spun up its own worker pools and tore everything down on
-return — four pool lifecycles for one pipeline.  A ``Session`` owns those
-resources once:
+graph.  A ``Session`` owns the resources those phases share, once:
 
 * the **frozen graph index** snapshot (patched at the touched nodes when
   the graph mutates — live backends are re-pointed via ``refresh_index``,
@@ -14,8 +11,6 @@ resources once:
   by discover, cover and enforce;
 * one **delta log** attached to the graph for incremental enforcement;
 * the current **Σ** with its supports, flowing from phase to phase;
-* a **chase-cost model** so repeated covers balance by measured unit costs
-  instead of the static proxy weights;
 * a metered **cluster ledger** and the backend's transfer/lifecycle
   counters, unified under :meth:`Session.metrics` — "pools started once,
   index attached once" is asserted there, not assumed.
@@ -39,10 +34,11 @@ Streaming discovery with early-stop budgets::
         for gfd in session.discover_iter(max_rules=25):
             print(gfd)               # rules arrive as lattice levels finish
 
-The legacy entry points (``discover``, ``discover_parallel``,
-``parallel_cover``, a directly-constructed ``EnforcementEngine``) remain as
-thin shims over the same engines and are differential-tested against the
-Session path (``tests/test_api.py``); new code should hold a session.
+The engines a session drives stay public for code that manages its own
+backend: ``ParallelDiscovery(graph, config, backend=...)`` and
+``parallel_cover(sigma, backend)`` borrow a started backend, and a
+directly-constructed ``EnforcementEngine`` owns one.  ``tests/test_api.py``
+pins that they give the session's results byte for byte.
 """
 
 from __future__ import annotations
@@ -75,7 +71,6 @@ from .parallel.backend import (
     make_backend,
 )
 from .parallel.cluster import ClusterMetrics, SimulatedCluster
-from .parallel.costs import ChaseCostModel
 from .parallel.parcover import parallel_cover
 from .parallel.pardis import ParallelDiscovery
 
@@ -95,14 +90,14 @@ class SessionMetrics:
     after a full discover → cover → enforce → refresh pipeline,
     ``backend_starts == 1`` and ``lifecycle.index_attaches == 1``.
 
-    :meth:`as_dict` renders the documented **schema v5** (see there) and
+    :meth:`as_dict` renders the documented **schema v6** (see there) and
     :meth:`registry` lifts the same snapshot into a
     :class:`~repro.obs.metrics.MetricsRegistry` for Prometheus-style
     exposition.
     """
 
     #: Version of the :meth:`as_dict` layout.  Bump on any key change.
-    SCHEMA_VERSION = 5
+    SCHEMA_VERSION = 6
 
     backend_name: str
     num_workers: int
@@ -117,8 +112,6 @@ class SessionMetrics:
     phases: Dict[str, int] = field(default_factory=dict)
     #: Current ``|Σ|`` held by the session.
     sigma_size: int = 0
-    #: Cover-unit chase timings absorbed by the session's cost model.
-    cover_cost_observations: int = 0
     #: Wall-clock seconds the backend spent recovering failed workers
     #: (respawn + install-log replay); 0.0 on fault-free runs.
     recovery_seconds: float = 0.0
@@ -126,7 +119,7 @@ class SessionMetrics:
     def as_dict(self) -> Dict[str, Any]:
         """A JSON-serializable rendering (CI artifacts, ``--metrics``).
 
-        **Schema v5.**  Every top-level key except ``timings`` holds only
+        **Schema v6.**  Every top-level key except ``timings`` holds only
         deterministic values — names, worker counts, event counts — so two
         runs over the same input diff cleanly.  All wall-clock derived
         floats (phase seconds, recovery seconds) are isolated under the
@@ -138,8 +131,8 @@ class SessionMetrics:
         ``num_workers``, ``backend_starts``, ``lifecycle`` (5 lifecycle
         counts), ``faults`` (4 fault counts), ``transfers`` (3 row/rule
         counts), ``cluster`` (``supersteps``), ``phases``, ``sigma_size``,
-        ``cover_cost_observations``, ``timings`` (``parallel_seconds``,
-        ``master_seconds``, ``total_work_seconds``, ``recovery_seconds``,
+        ``timings`` (``parallel_seconds``, ``master_seconds``,
+        ``total_work_seconds``, ``recovery_seconds``,
         ``cluster_recovery_seconds``).
         """
         from repro import __version__
@@ -173,7 +166,6 @@ class SessionMetrics:
             },
             "phases": dict(self.phases),
             "sigma_size": self.sigma_size,
-            "cover_cost_observations": self.cover_cost_observations,
             "timings": {
                 "parallel_seconds": self.cluster.parallel_seconds,
                 "master_seconds": self.cluster.master_seconds,
@@ -304,14 +296,7 @@ class Session:
         self._stale_index_stamp: Optional[Tuple[int, int]] = None
         self._index: GraphIndex = self._snapshot_index()
         self._stats: Optional[GraphStatistics] = None
-        if self.config.active_attributes is not None:
-            self._gamma = list(self.config.active_attributes)
-        else:
-            self._gamma = self._statistics().top_attributes(
-                self.config.max_active_attributes
-            )
         self.cluster = SimulatedCluster(num_workers, tracer=self.tracer)
-        self.cover_costs = ChaseCostModel()
         self._delta = DeltaLog()
         graph.attach_delta_log(self._delta)
         self._backend: Optional[ExecutionBackend] = None
@@ -400,7 +385,6 @@ class Session:
                 self._num_workers,
                 self.graph,
                 self._index,
-                self._gamma,
                 fault=self.config.fault,
                 tracer=self.tracer,
             )
@@ -460,15 +444,15 @@ class Session:
     def _statistics(self) -> GraphStatistics:
         """Statistics of the current snapshot, computed where first read.
 
-        Only discovery (and Γ without ``active_attributes``) reads them, so
-        a session that serves writes and refreshes never pays the scan.
+        Only discovery reads them, so a session that serves writes and
+        refreshes never pays the scan.
         """
         if self._stats is None:
             self._stats = self._index.statistics()
         return self._stats
 
     def _refresh_snapshot(self) -> None:
-        """Re-snapshot the index and Γ after graph mutations.
+        """Re-snapshot the index after graph mutations.
 
         ``graph.index()`` is version-cached, so this is free while the
         graph is unchanged; after a mutation it patches the previous
@@ -486,10 +470,6 @@ class Session:
             return
         self._index = index
         self._stats = None
-        if self.config.active_attributes is None:
-            self._gamma = self._statistics().top_attributes(
-                self.config.max_active_attributes
-            )
         if self._backend is not None:
             self._backend.refresh_index(self._index)
 
@@ -528,9 +508,9 @@ class Session:
     def discover(self) -> DiscoveryResult:
         """Run ``ParDis`` on the session backend; Σ becomes the result.
 
-        Results are identical to the legacy entry points (differential
-        tests pin this); only the resource lifecycle differs — the
-        session's pools and index snapshot are reused, not rebuilt.
+        Results are identical to a directly-run ``ParallelDiscovery``
+        (differential tests pin this); the session's pools and index
+        snapshot are reused, not rebuilt.
         """
         self._check_open()
         self._refresh_snapshot()
@@ -623,9 +603,6 @@ class Session:
     ) -> CoverResult:
         """Reduce Σ to a minimal cover (``ParCover`` on the session pools).
 
-        Uses the session's :class:`~repro.parallel.costs.ChaseCostModel`:
-        the first cover balances by the static proxy weights, later covers
-        by the measured per-unit chase costs fed back from the workers.
         ``sigma`` overrides the input set (default: the session's Σ).  The
         session's Σ becomes the computed cover unless ``update_sigma`` is
         off, which leaves Σ, its supports and the compiled enforcement
@@ -634,7 +611,7 @@ class Session:
 
         The cover is decided by implication over the rules alone (the
         chase never reads the graph), so the same input always gives the
-        same cover; the cost model only moves work between workers.
+        same cover.
         """
         self._check_open()
         self._count("cover")
@@ -642,12 +619,7 @@ class Session:
         with self.tracer.span(
             "cover", "phase", backend=self._backend_name, size=len(rules)
         ):
-            result, _ = parallel_cover(
-                rules,
-                cluster=self.cluster,
-                backend=self.backend(),
-                cost_model=self.cover_costs,
-            )
+            result, _ = parallel_cover(rules, self.backend(), self.cluster)
         if update_sigma:
             self._set_sigma(result.cover, self._supports)
         return result
@@ -726,23 +698,17 @@ class Session:
 
         With ``include_state`` (the default), warm-start state rides along
         under a ``"state"`` key beside the rules: the
-        :class:`~repro.parallel.costs.ChaseCostModel` observations (so a
-        fresh process's first :meth:`cover` balances by measured unit
-        costs, not the static proxy) and the
         :class:`~repro.enforce.monitor.RuleSketchMonitor` state under the
-        ``"sketches"`` key (so the distinct-pivots-ever gauges survive a
-        restart).  ``loads_sigma``
+        ``"sketches"`` key, so the distinct-pivots-ever gauges survive a
+        restart.  ``loads_sigma``
         ignores unknown top-level keys, so the envelope stays readable by
         every consumer that only wants the rules.
         """
         self._check_open()
         payload = json.loads(dumps_sigma(self._sigma, supports=self._supports))
         state: Dict[str, Any] = {}
-        if include_state:
-            if self.cover_costs.observations or len(self.cover_costs):
-                state["chase_costs"] = self.cover_costs.as_state()
-            if self._monitor is not None and len(self._monitor):
-                state["sketches"] = self._monitor.as_state()
+        if include_state and self._monitor is not None and len(self._monitor):
+            state["sketches"] = self._monitor.as_state()
         if state:
             payload["state"] = state
         Path(path).write_text(
@@ -755,11 +721,11 @@ class Session:
         The loaded set becomes the session's Σ — ready for :meth:`cover`,
         :meth:`enforce` or :meth:`refresh` — and is also returned.  A
         ``"state"`` section written by :meth:`save_sigma` warm-starts the
-        session: the chase-cost model is restored, and persisted monitor
-        state (re)attaches a :class:`~repro.enforce.monitor.RuleSketchMonitor`.
-        Monitor state of another version or with a malformed rule entry,
-        or malformed chase costs, raise ``ValueError`` before the session
-        changes.
+        session: persisted monitor state (re)attaches a
+        :class:`~repro.enforce.monitor.RuleSketchMonitor`; other state keys
+        (such as the ``chase_costs`` older versions wrote) are ignored.
+        Monitor state of another version or with a malformed rule entry
+        raises ``ValueError`` before the session changes.
         """
         self._check_open()
         text = Path(path).read_text(encoding="utf-8")
@@ -773,13 +739,7 @@ class Session:
             if isinstance(sketches, dict)
             else None
         )
-        costs = state.get("chase_costs")
-        cover_costs = (
-            ChaseCostModel.from_state(costs) if isinstance(costs, dict) else None
-        )
         self._set_sigma(rules, supports)
-        if cover_costs is not None:
-            self.cover_costs = cover_costs
         if monitor is not None:
             self._monitor = monitor
             if self._engine is not None:
@@ -822,7 +782,6 @@ class Session:
             cluster=replace(self.cluster.metrics),
             phases=dict(self._phases),
             sigma_size=len(self._sigma),
-            cover_cost_observations=self.cover_costs.observations,
             recovery_seconds=recovery,
         )
 

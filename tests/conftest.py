@@ -7,12 +7,30 @@ import pytest
 from repro.core import DiscoveryConfig
 from repro.datasets import load_figure1, yago2_like
 from repro.graph import Graph, GraphBuilder
+from repro.parallel import make_backend
 
 
 @pytest.fixture
 def figure1():
     """The paper's Example 1 artifacts."""
     return load_figure1()
+
+
+@pytest.fixture
+def cover_backend():
+    """``cover_backend(n, name="serial")``: a started graph-free backend
+    for ``parallel_cover`` / ``parallel_cover_ungrouped``, shut down when
+    the test ends."""
+    started = []
+
+    def start(num_workers, name="serial"):
+        backend = make_backend(name, num_workers, None, None)
+        started.append(backend)
+        return backend
+
+    yield start
+    for backend in started:
+        backend.shutdown()
 
 
 @pytest.fixture

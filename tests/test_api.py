@@ -1,20 +1,19 @@
-"""Public-API surface snapshot + legacy-shim differential identity.
+"""Public-API surface snapshot + engine/session differential identity.
 
 Two guarantees:
 
 1. the top-level public surface is *pinned* — adding or removing a name
    from ``repro.__all__`` (or the session/parallel sub-surfaces) is a
    deliberate, test-updating act, never an accident;
-2. the legacy entry points (``discover``, ``discover_parallel``,
-   ``parallel_cover``, a directly-constructed ``EnforcementEngine``, the
-   detector) are now thin shims over the same engines the
-   :class:`repro.session.Session` drives — and produce *byte-identical*
-   results, asserted here rule by rule.
+2. the engines a :class:`repro.session.Session` drives, run without one
+   (``discover``, ``ParallelDiscovery``, ``parallel_cover`` on a borrowed
+   backend, a directly-constructed ``EnforcementEngine``, the detector),
+   produce *byte-identical* results, asserted here rule by rule.
 """
 
 from __future__ import annotations
 
-import warnings
+import inspect
 
 import pytest
 
@@ -23,9 +22,9 @@ from repro import (
     DiscoveryConfig,
     EnforcementConfig,
     EnforcementEngine,
+    ParallelDiscovery,
     Session,
     discover,
-    discover_parallel,
     parallel_cover,
 )
 from repro.core import gfd_identity
@@ -70,8 +69,6 @@ EXPECTED_TOP_LEVEL = {
     # parallel
     "ParallelDiscovery",
     "SimulatedCluster",
-    "ChaseCostModel",
-    "discover_parallel",
     "parallel_cover",
     # enforcement
     "EnforcementConfig",
@@ -104,7 +101,6 @@ EXPECTED_PARALLEL = {
     "SharedIndexBuffers",
     "TransferLedger",
     "LifecycleCounters",
-    "ChaseCostModel",
     "FaultPlan",
     "live_segments",
     "sweep_orphans",
@@ -114,7 +110,6 @@ EXPECTED_PARALLEL = {
     "ClusterMetrics",
     "WorkerMetrics",
     "ParallelDiscovery",
-    "discover_parallel",
     "parallel_cover",
     "parallel_cover_ungrouped",
     "assign_units_lpt",
@@ -158,10 +153,31 @@ class TestSurfaceSnapshot:
             "ExecutionBackend",
             "TransferLedger",
             "LifecycleCounters",
-            "ChaseCostModel",
             "make_backend",
         ):
             assert getattr(parallel, name, None) is not None, name
+
+    def test_backends_are_built_without_gamma(self):
+        """Γ is the discovery engine's and travels with each install; no
+        backend, worker or worker spec holds one."""
+        from repro.parallel import parallel_cover_ungrouped
+        from repro.parallel.backend import (
+            MultiprocessBackend,
+            SerialBackend,
+            ShardWorker,
+            make_backend,
+        )
+
+        for constructor in (
+            make_backend, SerialBackend, MultiprocessBackend, ShardWorker
+        ):
+            assert "gamma" not in inspect.signature(constructor).parameters
+        assert not hasattr(ShardWorker(None, None), "gamma")
+        # both cover variants borrow a started backend
+        for cover in (parallel_cover, parallel_cover_ungrouped):
+            assert list(inspect.signature(cover).parameters) == [
+                "sigma", "backend", "cluster"
+            ]
 
     def test_config_field_counts_are_pinned(self):
         """46 knobs in all: adding, deleting or resurrecting one is a
@@ -230,41 +246,39 @@ def _report_key(report):
 
 
 class TestShimDifferentialIdentity:
-    """Old entry points ≡ Session results, byte for byte."""
+    """Engines run without a session ≡ Session results, byte for byte."""
 
     def test_discover_matches_session(self, film_graph, film_config):
-        legacy = discover(film_graph, film_config)
+        direct = discover(film_graph, film_config)
         with Session(film_graph, film_config) as session:
             result = session.discover()
-        assert _identity_set(result.gfds) == _identity_set(legacy.gfds)
-        legacy_supports = {
-            gfd_identity(g): s for g, s in legacy.supports.items()
+        assert _identity_set(result.gfds) == _identity_set(direct.gfds)
+        direct_supports = {
+            gfd_identity(g): s for g, s in direct.supports.items()
         }
         for gfd in result.gfds:
-            assert result.supports[gfd] == legacy_supports[gfd_identity(gfd)]
+            assert result.supports[gfd] == direct_supports[gfd_identity(gfd)]
 
-    def test_discover_parallel_matches_session(self, film_graph, film_config):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy, _ = discover_parallel(
-                film_graph, film_config, num_workers=3, backend="serial"
-            )
+    def test_parallel_discovery_matches_session(self, film_graph, film_config):
+        direct = ParallelDiscovery(
+            film_graph, film_config, num_workers=3, backend="serial"
+        ).run()
         with Session(
             film_graph, film_config, num_workers=3, backend="serial"
         ) as session:
             result = session.discover()
-        assert _identity_set(result.gfds) == _identity_set(legacy.gfds)
+        assert _identity_set(result.gfds) == _identity_set(direct.gfds)
 
-    def test_parallel_cover_matches_session(self, film_graph, film_config):
+    def test_parallel_cover_matches_session(
+        self, film_graph, film_config, cover_backend
+    ):
         sigma = discover(film_graph, film_config).gfds
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy, _ = parallel_cover(sigma, num_workers=2)
+        direct, _ = parallel_cover(sigma, cover_backend(2))
         with Session(film_graph, film_config, num_workers=2) as session:
             result = session.cover(sigma)
-        assert [str(g) for g in result.cover] == [str(g) for g in legacy.cover]
+        assert [str(g) for g in result.cover] == [str(g) for g in direct.cover]
         assert [str(g) for g in result.removed] == [
-            str(g) for g in legacy.removed
+            str(g) for g in direct.removed
         ]
 
     def test_enforcement_engine_matches_session(self, film_graph, film_config):
@@ -272,7 +286,7 @@ class TestShimDifferentialIdentity:
         film_graph.set_attr(0, "type", "gardener")  # plant a violation
         config = EnforcementConfig(backend="serial", num_workers=2)
         with EnforcementEngine(film_graph, sigma, config) as engine:
-            legacy = engine.validate()
+            direct = engine.validate()
         with Session(
             film_graph,
             film_config,
@@ -281,8 +295,8 @@ class TestShimDifferentialIdentity:
             num_workers=2,
         ) as session:
             report = session.enforce(sigma)
-        assert not legacy.is_clean
-        assert _report_key(report) == _report_key(legacy)
+        assert not direct.is_clean
+        assert _report_key(report) == _report_key(direct)
 
     def test_detector_matches_direct_engine(self, film_graph, film_config):
         sigma = discover(film_graph, film_config).gfds
@@ -300,24 +314,3 @@ class TestShimDifferentialIdentity:
             (str(v.gfd), v.match) for v in direct
         ]
 
-
-class TestDeprecationShims:
-    def test_standalone_discover_parallel_warns(self, film_graph, film_config):
-        with pytest.warns(DeprecationWarning, match="Session"):
-            discover_parallel(film_graph, film_config, num_workers=2)
-
-    def test_standalone_parallel_cover_warns(self, film_graph, film_config):
-        sigma = discover(film_graph, film_config).gfds
-        with pytest.warns(DeprecationWarning, match="Session"):
-            parallel_cover(sigma, num_workers=2)
-
-    def test_prestarted_backend_does_not_warn(self, film_graph, film_config):
-        sigma = discover(film_graph, film_config).gfds
-        with Session(film_graph, film_config) as session:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                parallel_cover(
-                    sigma,
-                    cluster=session.cluster,
-                    backend=session.backend(),
-                )

@@ -22,7 +22,6 @@ from repro.parallel import (
     ParallelDiscovery,
     SerialBackend,
     SharedIndexBuffers,
-    discover_parallel,
     make_backend,
     shared_memory_available,
 )
@@ -117,7 +116,7 @@ class TestBackendLifecycle:
     def test_shutdown_unlinks_segment(self):
         graph = small_graph()
         index = graph.index()
-        backend = MultiprocessBackend(2, index, ["kind", "year"])
+        backend = MultiprocessBackend(2, index)
         name = backend.shm_name
         assert name is not None
         probe = _probe_segment(name)
@@ -169,7 +168,7 @@ class TestBackendLifecycle:
         segments_before = janitor.live_segments()
         mappings_before = len(janitor.live_mappings())
         with pytest.raises(RuntimeError, match="multiprocessing.shared_memory"):
-            make_backend("multiprocess", 2, graph, index, ["kind", "year"])
+            make_backend("multiprocess", 2, graph, index)
         assert pools == []
         assert janitor.live_segments() == segments_before
         assert len(janitor.live_mappings()) == mappings_before
@@ -178,15 +177,10 @@ class TestBackendLifecycle:
         graph = small_graph()
         config = small_config()
         reference = {gfd_identity(g) for g in discover(graph, config).gfds}
-        backend = make_backend(
-            "multiprocess", 2, graph, graph.index(),
-            ["kind", "year"],
-        )
+        backend = make_backend("multiprocess", 2, graph, graph.index())
         try:
             for _ in range(2):
-                result, _ = discover_parallel(
-                    graph, config, num_workers=2, backend=backend
-                )
+                result = ParallelDiscovery(graph, config, backend=backend).run()
                 assert {gfd_identity(g) for g in result.gfds} == reference
         finally:
             backend.shutdown()
@@ -213,7 +207,7 @@ class TestBackendLifecycle:
         )
         assert pinned.backend_name == "serial"
         assert isinstance(
-            make_backend("serial", 2, None, None, []), SerialBackend
+            make_backend("serial", 2, None, None), SerialBackend
         )
 
 
@@ -222,12 +216,10 @@ class TestMatchCapAgreement:
 
     def _engines(self, graph, config):
         runs = {"seq": discover(graph, config)}
-        runs["serial"], _ = discover_parallel(
-            graph, config, num_workers=3, backend="serial"
-        )
-        runs["multiprocess"], _ = discover_parallel(
-            graph, config, num_workers=3, backend="multiprocess"
-        )
+        for backend in ("serial", "multiprocess"):
+            runs[backend] = ParallelDiscovery(
+                graph, config, 3, backend=backend
+            ).run()
         return runs
 
     def test_engines_agree_when_cap_binds(self):
@@ -321,8 +313,7 @@ class TestSkewRebalance:
     def _run(graph, config, backend_name, balance=True):
         """``(rules → supports, transfer ledger)`` of one unsupervised run."""
         backend = make_backend(
-            backend_name, 3, graph, graph.index(),
-            config.active_attributes, fault=None,
+            backend_name, 3, graph, graph.index(), fault=None
         )
         try:
             runner = ParallelDiscovery(
@@ -372,7 +363,7 @@ class TestSkewRebalance:
 class TestGraphFreeAndIndexRefresh:
     def test_graph_free_multiprocess_backend(self):
         """Cover-phase workers need processes but no graph."""
-        backend = make_backend("multiprocess", 2, None, None, [])
+        backend = make_backend("multiprocess", 2, None, None)
         try:
             assert backend.shm_name is None
             results = backend.run_unmetered(
@@ -385,7 +376,7 @@ class TestGraphFreeAndIndexRefresh:
     def test_refresh_index_swaps_segment_and_keeps_state(self):
         graph = small_graph()
         index = graph.index()
-        backend = MultiprocessBackend(2, index, ["kind", "year"])
+        backend = MultiprocessBackend(2, index)
         try:
             first_segment = backend.shm_name
             # park enforcement state worker-side

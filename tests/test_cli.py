@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro.cli import load_rules, main, save_rules
+from repro.core import discover, gfd_identity
 from repro.gfd import parse_gfd
 from repro.graph import save_json, save_tsv
 
@@ -55,7 +58,7 @@ class TestCLI:
         saved = load_rules(str(out_file))
         assert saved
 
-    def test_discover_parallel(self, graph_file, capsys):
+    def test_discover_workers(self, graph_file, capsys):
         assert main(
             ["discover", graph_file, "--k", "2", "--sigma", "30", "--workers", "3"]
         ) == 0
@@ -75,6 +78,27 @@ class TestCLI:
         out_file = tmp_path / "cover.gfd"
         assert main(["cover", rules_file, "--output", str(out_file)]) == 0
         assert len(load_rules(str(out_file))) == 1  # redundant rule removed
+
+    def test_cover_workers_matches_sequential(
+        self, tmp_path, film_graph, film_config
+    ):
+        """``cover --workers 2`` (ParCover on a CLI-owned backend) keeps the
+        same rules as the sequential cover, and warns about nothing."""
+        rules = tmp_path / "rules.gfd"
+        save_rules(discover(film_graph, film_config).gfds, str(rules))
+        covers = {}
+        for name, flags in (("sequential", []), ("parallel", ["--workers", "2"])):
+            out_file = tmp_path / f"{name}.gfd"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["cover", str(rules), "--output", str(out_file)] + flags)
+            assert code == 0
+            assert caught == []
+            covers[name] = {
+                gfd_identity(g) for g in load_rules(str(out_file))
+            }
+        assert covers["parallel"] == covers["sequential"]
+        assert 0 < len(covers["sequential"]) < len(load_rules(str(rules)))
 
     def test_tsv_graph(self, tmp_path, film_graph, capsys):
         path = tmp_path / "graph.tsv"

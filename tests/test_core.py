@@ -319,9 +319,15 @@ class TestHSpawnKernel:
 
         graph, matches, literals, parent, indexed = case
         index = graph.index() if indexed else None
-        worker = ShardWorker(graph, index, ["a", "b", "c"])
+        worker = ShardWorker(graph, index)
         worker.op_install(
-            1, {"pattern": self.PATTERN, "matches": matches, "mined": False}
+            1,
+            {
+                "pattern": self.PATTERN,
+                "matches": matches,
+                "mined": False,
+                "gamma": ["a", "b", "c"],
+            },
         )
         table = worker.tables[1]
         counts, supports = worker.op_scan(1, {"literals": literals})
@@ -382,13 +388,14 @@ class TestHSpawnKernel:
         literals = [
             ConstantLiteral(0, attr, value) for attr in gamma for value in range(values)
         ]
-        worker = ShardWorker(graph, graph.index(), gamma)
+        worker = ShardWorker(graph, graph.index())
         worker.op_install(
             1,
             {
                 "pattern": Pattern(["t"]),
                 "matches": np.arange(num_rows).reshape(-1, 1),
                 "mined": False,
+                "gamma": gamma,
             },
         )
         specs = [

@@ -35,7 +35,6 @@ from repro.graph import Graph
 from repro.session import Session
 from repro.parallel import (
     ParallelDiscovery,
-    discover_parallel,
     parallel_cover,
     parallel_cover_ungrouped,
 )
@@ -146,16 +145,14 @@ class TestDifferentialEngines:
             "SeqDis on the index diverged"
         )
 
-        serial, cluster = discover_parallel(
-            graph, config, num_workers=2 + seed % 3, backend="serial"
-        )
-        assert _fingerprint(serial) == reference, "ParDis(serial) diverged"
-        assert cluster.metrics.supersteps > 0
+        workers = 2 + seed % 3  # 2–4 real processes on multiprocess
+        runner = ParallelDiscovery(graph, config, workers, backend="serial")
+        assert _fingerprint(runner.run()) == reference, "ParDis(serial) diverged"
+        assert runner.cluster.metrics.supersteps > 0
 
-        workers = 2 + seed % 3  # 2–4 real processes
-        multiprocess, _ = discover_parallel(
-            graph, config, num_workers=workers, backend="multiprocess"
-        )
+        multiprocess = ParallelDiscovery(
+            graph, config, workers, backend="multiprocess"
+        ).run()
         assert _fingerprint(multiprocess) == reference, (
             f"ParDis(multiprocess, {workers} workers) diverged"
         )
@@ -185,9 +182,9 @@ class TestDifferentialEngines:
         config = _config(3)
         reference = _fingerprint(discover(graph, config))
         for backend in ("serial", "multiprocess"):
-            result, _ = discover_parallel(
-                graph, config, num_workers=3, balance=False, backend=backend
-            )
+            result = ParallelDiscovery(
+                graph, config, 3, balance=False, backend=backend
+            ).run()
             assert _fingerprint(result) == reference
 
 
@@ -333,16 +330,14 @@ class TestParCoverDifferential:
         return discover(graph, _config(seed)).gfds
 
     @pytest.mark.parametrize("seed", [0, 7, 19])
-    def test_grouped_cover_identical_across_backends(self, seed):
+    def test_grouped_cover_identical_across_backends(self, seed, cover_backend):
         sigma = self._sigma(seed)
-        reference, _ = parallel_cover(sigma, num_workers=2, backend="serial")
+        reference, _ = parallel_cover(sigma, cover_backend(2))
         for workers in (2, 3, 4):
-            serial, _ = parallel_cover(
-                sigma, num_workers=workers, backend="serial"
-            )
-            multiprocess, _ = parallel_cover(
-                sigma, num_workers=workers, backend="multiprocess"
-            )
+            serial, _ = parallel_cover(sigma, cover_backend(workers))
+            pool = cover_backend(workers, "multiprocess")
+            multiprocess, _ = parallel_cover(sigma, pool)
+            pool.shutdown()  # one live pool set at a time
             for result in (serial, multiprocess):
                 assert result.cover == reference.cover
                 assert result.removed == reference.removed
@@ -352,46 +347,42 @@ class TestParCoverDifferential:
             assert implies(reference.cover, removed)
 
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_ungrouped_cover_identical_across_backends(self, seed):
+    def test_ungrouped_cover_identical_across_backends(
+        self, seed, cover_backend
+    ):
         sigma = self._sigma(seed)
-        reference, _ = parallel_cover_ungrouped(
-            sigma, num_workers=2, backend="serial"
-        )
+        reference, _ = parallel_cover_ungrouped(sigma, cover_backend(2))
         for workers, backend in ((2, "multiprocess"), (4, "multiprocess"),
                                  (3, "serial")):
-            result, _ = parallel_cover_ungrouped(
-                sigma, num_workers=workers, backend=backend
-            )
+            pool = cover_backend(workers, backend)
+            result, _ = parallel_cover_ungrouped(sigma, pool)
+            pool.shutdown()  # one live pool set at a time
             assert result.cover == reference.cover
             assert result.removed == reference.removed
 
-    def test_cover_equivalent_to_sequential(self):
+    def test_cover_equivalent_to_sequential(self, cover_backend):
         """Both parallel variants agree with ``SeqCover`` on identity sets."""
         sigma = self._sigma(5)
         sequential = {
             gfd_identity(g) for g in sequential_cover(sigma).cover
         }
+        backend = cover_backend(3, "multiprocess")
         for compute in (parallel_cover, parallel_cover_ungrouped):
-            result, _ = compute(sigma, num_workers=3, backend="multiprocess")
+            result, _ = compute(sigma, backend)
             assert {gfd_identity(g) for g in result.cover} == sequential
 
-    def test_sigma_ships_once_and_no_match_rows(self):
+    def test_sigma_ships_once_and_no_match_rows(self, cover_backend):
         """The cover phase broadcasts Σ and exchanges scalars otherwise."""
-        from repro.parallel.backend import make_backend
-
         sigma = self._sigma(0)
-        backend = make_backend("multiprocess", 3, None, None, [])
-        try:
-            result, cluster = parallel_cover(sigma, backend=backend)
-            # Σ rides the work units' superstep: one metered round in all
-            assert cluster.metrics.supersteps == 1
-            assert backend.transfers.sigma_rules == 3 * len(sigma)
-            assert backend.transfers.rows_to_workers == 0
-            assert backend.transfers.rows_to_master == 0
-            reference, _ = parallel_cover(sigma, num_workers=3)
-            assert result.cover == reference.cover
-        finally:
-            backend.shutdown()
+        backend = cover_backend(3, "multiprocess")
+        result, cluster = parallel_cover(sigma, backend)
+        # Σ rides the work units' superstep: one metered round in all
+        assert cluster.metrics.supersteps == 1
+        assert backend.transfers.sigma_rules == 3 * len(sigma)
+        assert backend.transfers.rows_to_workers == 0
+        assert backend.transfers.rows_to_master == 0
+        reference, _ = parallel_cover(sigma, cover_backend(3))
+        assert result.cover == reference.cover
 
 
 class TestSketchMergeSemantics:

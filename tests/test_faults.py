@@ -331,16 +331,14 @@ class TestJanitor:
 class TestSupervisionPlumbing:
     def test_shutdown_is_idempotent(self):
         for fault in (None, FaultConfig()):
-            backend = make_backend(
-                "multiprocess", 2, None, None, [], fault=fault
-            )
+            backend = make_backend("multiprocess", 2, None, None, fault=fault)
             backend.shutdown()
             backend.shutdown()
             assert backend.lifecycle.shutdowns == 1
 
     def test_journal_compacts_released_sigma(self):
         backend = make_backend(
-            "multiprocess", 1, None, None, [], fault=FaultConfig()
+            "multiprocess", 1, None, None, fault=FaultConfig()
         )
         try:
             key = next_node_key()
@@ -360,7 +358,7 @@ class TestSupervisionPlumbing:
         fault = FaultConfig(
             fault_plan=_plan(kill_on={"op": "drop", "nth": 1}, workers=[0])
         )
-        backend = make_backend("multiprocess", 1, None, None, [], fault=fault)
+        backend = make_backend("multiprocess", 1, None, None, fault=fault)
         try:
             key = next_node_key()
             backend.run_unmetered([(0, "sigma", key, {"sigma": []})])
@@ -426,7 +424,7 @@ class _ReplayCheckingBackend(SerialBackend):
             self.tombstones = max(
                 self.tombstones, sum(entry[0] == "drop" for entry in journal)
             )
-            replayed = ShardWorker(shard.graph, shard.index, shard.gamma)
+            replayed = ShardWorker(shard.graph, shard.index)
             for op, key, payload in journal:
                 replayed.execute(op, key, payload)
             assert _worker_state(replayed) == _worker_state(shard)
@@ -441,9 +439,7 @@ class TestJournalCompaction:
         self, film_graph, film_config, abandon
     ):
         index = film_graph.index()
-        backend = _ReplayCheckingBackend(
-            2, film_graph, index, film_config.active_attributes
-        )
+        backend = _ReplayCheckingBackend(2, film_graph, index)
         engine = ParallelDiscovery(
             film_graph, film_config, index=index, backend=backend
         )
@@ -460,13 +456,13 @@ class TestJournalCompaction:
         # a finished (or abandoned) discovery drops every key it made
         assert backend._journals == [[], []]
         assert all(
-            _worker_state(shard) == _worker_state(ShardWorker(None, None, []))
+            _worker_state(shard) == _worker_state(ShardWorker(None, None))
             for shard in backend.workers
         )
         backend.shutdown()
 
     def test_releases_retire_their_family(self):
-        journal_of = _ReplayCheckingBackend(1, None, None, [])
+        journal_of = _ReplayCheckingBackend(1, None, None)
         key = next_node_key()
         journal_of._journal(0, "sigma", key, {"sigma": []})
         journal_of._journal(0, "enforce_install", key, {"matches": None})
@@ -508,15 +504,17 @@ class TestChaosDifferential:
             assert metrics.recovery_seconds > 0.0
         assert _fingerprint(result) == reference
 
-    def test_kill_mid_parcover_batch(self, film_graph, film_config):
+    def test_kill_mid_parcover_batch(
+        self, film_graph, film_config, cover_backend
+    ):
         sigma = discover(film_graph, film_config).gfds
-        reference, _ = parallel_cover(sigma, num_workers=2, backend="serial")
+        reference, _ = parallel_cover(sigma, cover_backend(2))
         fault = FaultConfig(
             fault_plan=_plan(kill_on={"op": "sigma", "nth": 1}, workers=[1])
         )
-        backend = make_backend("multiprocess", 2, None, None, [], fault=fault)
+        backend = make_backend("multiprocess", 2, None, None, fault=fault)
         try:
-            result, _ = parallel_cover(sigma, backend=backend)
+            result, _ = parallel_cover(sigma, backend)
             assert backend.lifecycle.respawns >= 1
         finally:
             backend.shutdown()

@@ -919,12 +919,13 @@ class TestWhatATableKeeps:
         from repro.parallel.backend import ShardWorker
 
         index, rows = self.build()
-        worker = ShardWorker(index.graph, index, self.ATTRIBUTES)
+        worker = ShardWorker(index.graph, index)
         install = {
             "pattern": self.PATTERN,
             "mined": True,
             "want_variable": True,
             "same_attr_only": True,
+            "gamma": self.ATTRIBUTES,
         }
         table = MatchTable.from_index(index, self.PATTERN, rows, self.ATTRIBUTES)
         literals = table.candidate_constant_literals(5) + list(

@@ -347,7 +347,7 @@ class TestExports:
 
     def test_metrics_schema(self, traced):
         _, metrics = traced
-        assert metrics["schema_version"] == 5
+        assert metrics["schema_version"] == 6
         assert metrics["repro_version"]
         # every wall-clock float is quarantined under "timings"
         def no_floats(value):
@@ -371,3 +371,5 @@ class TestExports:
             "pools_started", "index_attaches", "index_refreshes",
             "delta_refreshes", "shutdowns",
         }
+        # v6: covers balance by the static LPT weights, so no cost model
+        assert "cover_cost_observations" not in metrics

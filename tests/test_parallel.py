@@ -24,7 +24,6 @@ from repro.parallel import (
     ParallelDiscovery,
     SimulatedCluster,
     assign_units_lpt,
-    discover_parallel,
     is_skewed,
     parallel_cover,
     parallel_cover_ungrouped,
@@ -131,7 +130,8 @@ class TestBalancer:
 class TestParDisParity:
     def test_results_equal_sequential(self, film_graph, film_config):
         sequential = discover(film_graph, film_config)
-        parallel, cluster = discover_parallel(film_graph, film_config, num_workers=4)
+        runner = ParallelDiscovery(film_graph, film_config, num_workers=4)
+        parallel, cluster = runner.run(), runner.cluster
         assert {gfd_identity(g) for g in sequential.gfds} == {
             gfd_identity(g) for g in parallel.gfds
         }
@@ -144,38 +144,33 @@ class TestParDisParity:
 
     def test_parity_on_kb(self, yago_small, yago_config):
         sequential = discover(yago_small, yago_config)
-        parallel, _ = discover_parallel(yago_small, yago_config, num_workers=3)
+        parallel = ParallelDiscovery(yago_small, yago_config, num_workers=3).run()
         assert {gfd_identity(g) for g in sequential.gfds} == {
             gfd_identity(g) for g in parallel.gfds
         }
 
     def test_parity_without_balancing(self, film_graph, film_config):
         sequential = discover(film_graph, film_config)
-        parallel, _ = discover_parallel(
+        parallel = ParallelDiscovery(
             film_graph, film_config, num_workers=4, balance=False
-        )
+        ).run()
         assert {gfd_identity(g) for g in sequential.gfds} == {
             gfd_identity(g) for g in parallel.gfds
         }
 
     def test_parity_across_worker_counts(self, film_graph, film_config):
-        baseline = {
-            gfd_identity(g)
-            for g in discover_parallel(film_graph, film_config, num_workers=2)[
-                0
-            ].gfds
-        }
+        def identities(workers):
+            runner = ParallelDiscovery(film_graph, film_config, workers)
+            return {gfd_identity(g) for g in runner.run().gfds}
+
+        baseline = identities(2)
         for workers in (3, 5):
-            other = {
-                gfd_identity(g)
-                for g in discover_parallel(
-                    film_graph, film_config, num_workers=workers
-                )[0].gfds
-            }
-            assert other == baseline
+            assert identities(workers) == baseline
 
     def test_cluster_accounting_positive(self, film_graph, film_config):
-        _, cluster = discover_parallel(film_graph, film_config, num_workers=4)
+        runner = ParallelDiscovery(film_graph, film_config, num_workers=4)
+        runner.run()
+        cluster = runner.cluster
         assert cluster.metrics.elapsed_parallel > 0
         assert cluster.metrics.total_work_seconds > 0
         assert all(w.units_executed > 0 for w in cluster.workers)
@@ -212,47 +207,53 @@ class TestParCover:
         )
         return [base, weaker, extended, other]
 
-    def test_grouped_cover_equivalent(self):
+    def test_grouped_cover_equivalent(self, cover_backend):
         sigma = self.make_sigma()
-        result, cluster = parallel_cover(sigma, num_workers=2)
+        result, cluster = parallel_cover(sigma, cover_backend(2))
         for removed in result.removed:
             assert implies(result.cover, removed)
         assert len(result.cover) == 2  # base + other survive
         assert cluster.metrics.supersteps >= 1
 
-    def test_ungrouped_cover_equivalent(self):
+    def test_ungrouped_cover_equivalent(self, cover_backend):
         sigma = self.make_sigma()
-        result, _ = parallel_cover_ungrouped(sigma, num_workers=2)
+        result, _ = parallel_cover_ungrouped(sigma, cover_backend(2))
         for removed in result.removed:
             assert implies(result.cover, removed)
         assert len(result.cover) == 2
 
-    def test_mutual_implication_keeps_one(self):
+    def test_mutual_implication_keeps_one(self, cover_backend):
         """Pivot variants imply each other; the cover must keep exactly one."""
         pattern = Pattern(["a", "b"], [(0, 1, "e")], pivot=0)
         gfd_x = GFD(pattern, frozenset(), ConstantLiteral(0, "v", 1))
         gfd_y = GFD(pattern.with_pivot(1), frozenset(), ConstantLiteral(0, "v", 1))
         for compute in (
-            lambda s: parallel_cover(s, num_workers=2)[0],
-            lambda s: parallel_cover_ungrouped(s, num_workers=2)[0],
+            lambda s: parallel_cover(s, cover_backend(2))[0],
+            lambda s: parallel_cover_ungrouped(s, cover_backend(2))[0],
             sequential_cover,
         ):
             result = compute([gfd_x, gfd_y])
             assert len(result.cover) == 1
 
-    def test_matches_sequential_on_discovered(self, film_graph, film_config):
+    def test_matches_sequential_on_discovered(
+        self, film_graph, film_config, cover_backend
+    ):
         discovered = discover(film_graph, film_config)
         seq = sequential_cover(discovered.gfds)
-        par, _ = parallel_cover(discovered.gfds, num_workers=3)
+        par, _ = parallel_cover(discovered.gfds, cover_backend(3))
         # both covers are equivalent to Σ (sizes may differ by tie-breaks;
         # here the scan orders coincide, so compare sets)
         assert {gfd_identity(g) for g in par.cover} == {
             gfd_identity(g) for g in seq.cover
         }
 
-    def test_empty_sigma(self):
-        result, _ = parallel_cover([], num_workers=2)
+    def test_empty_sigma(self, cover_backend):
+        result, _ = parallel_cover([], cover_backend(2))
         assert result.cover == []
+
+    def test_cluster_must_match_the_borrowed_backend(self, cover_backend):
+        with pytest.raises(ValueError, match="2 workers but the cluster has 3"):
+            parallel_cover(self.make_sigma(), cover_backend(2), SimulatedCluster(3))
 
 
 # ----------------------------------------------------------------------
@@ -296,10 +297,8 @@ class _RecordingDiscovery(ParallelDiscovery):
 class _CountingBackend:
     """Counts the ops a borrowed serial backend is asked to run."""
 
-    def __init__(self, graph, config, num_workers):
-        index = graph.index()
-        gamma = index.statistics().top_attributes(config.max_active_attributes)
-        self.backend = make_backend("serial", num_workers, graph, index, gamma)
+    def __init__(self, graph, num_workers):
+        self.backend = make_backend("serial", num_workers, graph, graph.index())
         self.ops = {}
         inner = self.backend.run_superstep
 
@@ -368,7 +367,7 @@ class TestTallyFixedLeaves:
         """No join/install for an unmined child; no master-side table."""
         graph, sigma = _kb_fixture(name)
         config = DiscoveryConfig(k=3, sigma=sigma, max_lhs_size=1)
-        counting = _CountingBackend(graph, config, num_workers=2)
+        counting = _CountingBackend(graph, num_workers=2)
         engine = _RecordingDiscovery(graph, config, backend=counting.backend)
         result = engine.run()
         nodes = result.tree.all_nodes()
@@ -393,7 +392,7 @@ class TestTallyFixedLeaves:
     def test_capped_level_drops_every_parent_shard(self, yago_small, yago_config):
         """Parents a binding level cap leaves unextended are dropped too."""
         config = replace(yago_config, max_patterns_per_level=1)
-        counting = _CountingBackend(yago_small, config, num_workers=2)
+        counting = _CountingBackend(yago_small, num_workers=2)
         engine = ParallelDiscovery(yago_small, config, backend=counting.backend)
         engine._start_backend()
         tree = GenerationTree()
@@ -519,9 +518,9 @@ class TestParCoverPerPattern:
         ).gfds
 
     @pytest.mark.parametrize("name", KB_FIXTURES)
-    def test_cover_differential(self, name):
+    def test_cover_differential(self, name, cover_backend):
         sigma = self._sigma(name)
-        result, _ = parallel_cover(sigma, num_workers=2)
+        result, _ = parallel_cover(sigma, cover_backend(2))
         position = {id(gfd): index for index, gfd in enumerate(sigma)}
         removed = sorted(position[id(gfd)] for gfd in result.removed)
         assert set(removed) == _reference_removed(sigma)
@@ -551,7 +550,9 @@ class TestParCoverPerPattern:
             allowed = frozenset(range(len(sigma))) - exclude
             assert checker.implies(sigma[index], allowed=allowed) == expected
 
-    def test_prefilter_runs_per_distinct_pattern(self, monkeypatch):
+    def test_prefilter_runs_per_distinct_pattern(
+        self, monkeypatch, cover_backend
+    ):
         sigma = self._sigma("dbpedia")
         calls = []
 
@@ -569,7 +570,7 @@ class TestParCoverPerPattern:
         monkeypatch.setattr(
             implication, "may_embed", counted(embedding.may_embed), raising=False
         )
-        parallel_cover(sigma, num_workers=2)
+        parallel_cover(sigma, cover_backend(2))
         distinct = len({gfd.pattern for gfd in sigma})
         assert distinct < len(sigma)
         assert 0 < len(calls) <= distinct * distinct

@@ -25,7 +25,7 @@ version and budget), with one engine build while covers are served.
 Plus the satellite units: the streaming per-rule exact monitor, the
 engine's start-of-pass version capture (readers on version ``N`` never
 observe ``N+1`` mid-request and racing deltas are never lost), and the
-Σ-adjacent warm-start persistence (chase costs + monitor state).
+Σ-adjacent warm-start persistence (monitor state).
 """
 
 from __future__ import annotations
@@ -40,10 +40,11 @@ import pytest
 from repro import DiscoveryConfig, Session, Tracer, format_gfd, parse_gfd
 from repro.core import FaultConfig
 from repro.enforce import RuleSketchMonitor
+from repro.gfd.parser import dumps_sigma
 from repro.gfd.satisfaction import find_violations
 from repro.graph import load_index, save_index
 from repro.graph.index import GraphIndex
-from repro.parallel import ChaseCostModel, shared_memory_available
+from repro.parallel import shared_memory_available
 from repro.parallel.janitor import live_mappings, live_segments
 from repro.serve import (
     DeadlineExceeded,
@@ -1189,9 +1190,9 @@ class TestEngineVersionCapture:
 
 
 class TestSigmaWarmStartPersistence:
-    """Satellite 2: chase costs + monitor state persist beside Σ."""
+    """Monitor state persists beside Σ."""
 
-    def test_costs_and_sketches_roundtrip(self, film_graph, tmp_path):
+    def test_sketches_roundtrip(self, film_graph, tmp_path):
         path = tmp_path / "sigma.json"
         monitor = RuleSketchMonitor()
         rules = film_rules()
@@ -1199,25 +1200,58 @@ class TestSigmaWarmStartPersistence:
             session.set_sigma(rules)
             film_graph.set_attr(0, "type", "actor")
             session.refresh()
-            session.cover()  # feeds the chase-cost model
-            assert session.cover_costs.observations > 0
+            session.cover()
             session.save_sigma(path)
-            saved_costs = session.cover_costs.as_state()
             saved_estimates = monitor.estimates()
 
         payload = json.loads(path.read_text())
-        assert "state" in payload
-        assert "chase_costs" in payload["state"]
-        assert "sketches" in payload["state"]
+        assert set(payload["state"]) == {"sketches"}
 
         with Session(film_graph.copy()) as fresh:
             loaded = fresh.load_sigma(path)
             assert {format_gfd(g) for g in loaded} == {
                 format_gfd(g) for g in rules
             }
-            assert fresh.cover_costs.as_state() == saved_costs
             assert fresh.monitor is not None
             assert fresh.monitor.estimates() == saved_estimates
+
+    def test_envelope_with_chase_costs_still_loads(self, film_graph, tmp_path):
+        """Older envelopes carry ``state.chase_costs`` beside the sketches:
+        rules, supports and the monitor restore, the costs are ignored, and
+        a re-save no longer writes them."""
+        rules = film_rules()
+        monitor = RuleSketchMonitor()
+        with Session(film_graph, monitor=monitor) as session:
+            session.set_sigma(rules)
+            film_graph.set_attr(0, "type", "actor")
+            session.refresh()
+            sketches = monitor.as_state()
+        supports = {rules[0]: 7, rules[1]: 3}
+        path = tmp_path / "old.json"
+        for chase_costs in (
+            {
+                "alpha": 0.5,
+                "observations": 3,
+                "rate": 0.002,
+                "seconds": {'[["person", "product"], [[0, 1, "create"]]]': 0.25},
+            },
+            {"alpha": 2.0},  # once a load error; now never read
+        ):
+            payload = json.loads(dumps_sigma(rules, supports=supports))
+            payload["state"] = {"chase_costs": chase_costs, "sketches": sketches}
+            path.write_text(json.dumps(payload))
+            with Session(film_graph.copy()) as fresh:
+                loaded = fresh.load_sigma(path)
+                assert [format_gfd(g) for g in loaded] == [
+                    format_gfd(g) for g in rules
+                ]
+                assert {
+                    format_gfd(g): count for g, count in fresh.supports.items()
+                } == {format_gfd(g): count for g, count in supports.items()}
+                assert fresh.monitor.as_state() == sketches
+                fresh.save_sigma(tmp_path / "resaved.json")
+            resaved = json.loads((tmp_path / "resaved.json").read_text())
+            assert set(resaved["state"]) == {"sketches"}
 
     def test_bad_sketch_state_fails_load_sigma_early(
         self, film_graph, tmp_path
@@ -1246,26 +1280,6 @@ class TestSigmaWarmStartPersistence:
                 # the failed load left the session untouched
                 assert fresh.sigma == [] and fresh.monitor is None
 
-    def test_bad_chase_costs_fail_load_sigma_early(self, film_graph, tmp_path):
-        path = tmp_path / "sigma.json"
-        rules = film_rules()
-        with Session(film_graph) as session:
-            session.set_sigma(rules)
-            session.save_sigma(path)
-        payload = json.loads(path.read_text())
-        payload["state"] = {"chase_costs": {"alpha": 2.0}}
-        path.write_text(json.dumps(payload))
-        with Session(film_graph.copy()) as live:
-            live.set_sigma(rules[:2], {rules[0]: 7})
-            live.cover(update_sigma=False)  # the cost model observes units
-            costs = live.cover_costs
-            before = (live.sigma, live.supports, costs.as_state())
-            with pytest.raises(ValueError, match="alpha"):
-                live.load_sigma(path)
-            # the failed load changed neither Σ, its supports nor the model
-            assert live.cover_costs is costs
-            assert (live.sigma, live.supports, costs.as_state()) == before
-
     def test_sigma_files_without_state_still_load(self, film_graph, tmp_path):
         path = tmp_path / "plain.json"
         with Session(film_graph) as session:
@@ -1275,16 +1289,3 @@ class TestSigmaWarmStartPersistence:
         assert "state" not in payload
         with Session(film_graph.copy()) as fresh:
             assert len(fresh.load_sigma(path)) == 3
-
-    def test_cost_model_state_roundtrip_preserves_canonical_keys(self):
-        model = ChaseCostModel()
-        key_a = (("person", "product"), ((0, 1, "create"),))
-        key_b = (("person",), ())
-        model.observe(key_a, 4, 3, 0.25)
-        model.observe(key_a, 4, 3, 0.35)
-        model.observe(key_b, 2, 1, 0.10)
-        restored = ChaseCostModel.from_state(model.as_state())
-        assert restored.as_state() == model.as_state()
-        # the keys restore to the SAME hashables: measured weights hit
-        assert restored.weight(key_a, 4, 3) == model.weight(key_a, 4, 3)
-        assert restored.weight(key_b, 2, 1) == model.weight(key_b, 2, 1)

@@ -25,7 +25,7 @@ from repro.core import gfd_identity
 from repro.core.discovery import reference_discover
 from repro.enforce import RuleSketchMonitor
 from repro.gfd.satisfaction import find_violations
-from repro.parallel import ChaseCostModel, shared_memory_available
+from repro.parallel import shared_memory_available
 from repro.parallel.pardis import ParallelDiscovery
 from repro.quality.detector import detect_gfd_violations
 from repro.serve import report_payload
@@ -92,6 +92,30 @@ class TestOneBackendLifecycle:
         assert {gfd_identity(g) for g in result.gfds} == {
             gfd_identity(g) for g in legacy.gfds
         }
+
+    def test_enforce_only_session_never_reads_statistics(
+        self, film_graph, film_config, monkeypatch
+    ):
+        """Γ belongs to the discovery engine, so a session that only
+        enforces scans no graph statistics — not when it opens, not after
+        a write."""
+        from repro.graph.index import GraphIndex
+
+        sigma = discover(film_graph, film_config).gfds
+        calls = []
+        original = GraphIndex.statistics
+
+        def counted(index, *args, **kwargs):
+            calls.append(1)
+            return original(index, *args, **kwargs)
+
+        monkeypatch.setattr(GraphIndex, "statistics", counted)
+        with Session(film_graph) as session:
+            assert session.config.active_attributes is None
+            session.enforce(sigma)
+            film_graph.set_attr(0, "name", "renamed")
+            assert session.refresh().mode == "incremental"
+        assert calls == []
 
     def test_clean_refresh_ships_zero_rows(self, film_graph, film_config):
         with Session(film_graph, film_config) as session:
@@ -303,69 +327,6 @@ class TestViolationCap:
             assert second.rules[0].violation_count == 120
             assert second.rules[0].witnesses_truncated
             assert first.rules[0].violation_count == 120
-
-
-class TestChaseCostModel:
-    def test_weight_falls_back_to_static(self):
-        model = ChaseCostModel()
-        assert model.weight("k", 3, 4) == 12.0  # static |group|×|embedded|
-        model.observe("k", 3, 4, seconds=0.5)
-        assert model.weight("k", 3, 4) == 0.5  # measured wins
-        # unseen keys scale by the global seconds-per-static-weight rate
-        assert model.weight("other", 2, 2) == pytest.approx(
-            4 * (0.5 / 12.0)
-        )
-        model.observe("k", 3, 4, seconds=0.1)
-        assert model.weight("k", 3, 4) == pytest.approx(0.3)  # EWMA α=0.5
-
-    def test_repeated_covers_feed_the_model(self, film_graph, film_config):
-        with Session(film_graph, film_config) as session:
-            session.discover()
-            sigma = session.sigma
-            first = session.cover(sigma)
-            seen = session.cover_costs.observations
-            assert seen > 0  # timings came back from the workers
-            second = session.cover(sigma)  # measured-weight LPT this time
-            assert session.cover_costs.observations > seen
-            # weights shift assignment only — never the cover itself
-            assert [str(g) for g in first.cover] == [
-                str(g) for g in second.cover
-            ]
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            ChaseCostModel(alpha=0.0)
-
-
-class TestChaseCostModelZeroWeight:
-    """Regression: an empty leave-out group must not crash the feedback."""
-
-    def test_zero_static_weight_observation_does_not_raise(self):
-        model = ChaseCostModel()
-        model.observe("empty-class", group_size=0, embedded_size=4,
-                      seconds=0.05)
-        assert model.observations == 1
-        # the per-class EWMA still absorbed the timing
-        assert model.weight("empty-class", 0, 4) == pytest.approx(0.05)
-
-    def test_zero_weight_never_calibrates_the_global_rate(self):
-        model = ChaseCostModel()
-        model.observe("empty-class", group_size=0, embedded_size=4,
-                      seconds=123.0)
-        # an unseen class falls back to the *static* weight — the garbage
-        # timing above must not have poisoned the seconds-per-weight rate
-        assert model.weight("unseen", 3, 2) == ChaseCostModel.static_weight(
-            3, 2
-        )
-
-    def test_mixed_observations_keep_rate_from_real_weights(self):
-        model = ChaseCostModel(alpha=1.0)
-        model.observe("real", group_size=2, embedded_size=5, seconds=1.0)
-        model.observe("empty", group_size=0, embedded_size=9, seconds=50.0)
-        # rate == 1.0 s / (2*5) from the real unit only
-        assert model.weight("unseen", 4, 5) == pytest.approx(
-            ChaseCostModel.static_weight(4, 5) * 0.1
-        )
 
 
 class TestSketchPluggability:

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 from repro.core import DiscoveryConfig, discover, gfd_identity
 from repro.graph import Graph
-from repro.parallel import discover_parallel
+from repro.parallel import ParallelDiscovery
 from repro.pattern import WILDCARD
 
 
@@ -77,7 +77,7 @@ class TestWildcardDiscovery:
         graph = diverse_graph()
         config = wildcard_config()
         sequential = discover(graph, config)
-        parallel, _ = discover_parallel(graph, config, num_workers=3)
+        parallel = ParallelDiscovery(graph, config, num_workers=3).run()
         assert {gfd_identity(g) for g in sequential.gfds} == {
             gfd_identity(g) for g in parallel.gfds
         }
