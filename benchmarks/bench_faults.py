@@ -4,9 +4,9 @@ Asserts the robustness PR's acceptance properties on a real dataset:
 
 1. **Fault-free overhead** — running the multiprocess backend *under
    supervision* (per-op deadlines, journaling, retry scaffolding) with no
-   injected faults costs ≤ 5% wall-clock vs the unsupervised fast path
-   (min-of-3 each, with a small absolute floor so tiny baselines don't
-   flake the relative gate).
+   injected faults costs ≤ 5% wall-clock vs the same run unsupervised
+   (one transport either way; min-of-3 each, with a small absolute floor
+   so tiny baselines don't flake the relative gate).
 
 2. **Recovery** — a deterministic chaos plan SIGKILLs one worker
    mid-discovery; the run must finish with results identical to the

@@ -230,7 +230,7 @@ def run(check: bool = False, max_rules: int = None):
             assert same_report, "Session enforcement must equal the engine"
             assert outcome["refreshed"].mode == "incremental"
 
-        # the same documented schema v6 the CLI's --metrics writes
+        # the same documented schema v7 the CLI's --metrics writes
         full_view = RESULTS_DIR / "session_metrics_bench.json"
         RESULTS_DIR.mkdir(exist_ok=True)
         full_view.write_text(

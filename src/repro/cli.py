@@ -187,6 +187,25 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least(kind, low, strict: bool):
+    """An argparse ``type`` taking ``kind`` values ``> low`` (``strict``) or
+    ``>= low``: a bad flag is a usage error (exit 2), not a traceback."""
+
+    def parse(text: str):
+        value, sign = kind(text), ">" if strict else ">="
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(f"must be {sign} {low}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type on ValueError
+    return parse
+
+
+_positive_int = _at_least(int, 0, strict=True)
+_non_negative_int = _at_least(int, 0, strict=False)
+_positive_float = _at_least(float, 0, strict=True)
+
+
 def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
     """The supervision flags shared by the parallel verbs."""
     parser.add_argument(
@@ -195,11 +214,11 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
              "backoff, respawn-and-replay on worker death "
              "(on by default when $REPRO_FAULT_PLAN is set)")
     parser.add_argument(
-        "--op-timeout", type=float, default=None, metavar="SECONDS",
+        "--op-timeout", type=_positive_float, default=None, metavar="SECONDS",
         help="per-op deadline before a worker counts as hung "
              "(implies --supervise; default 30)")
     parser.add_argument(
-        "--max-respawns", type=int, default=None, metavar="N",
+        "--max-respawns", type=_non_negative_int, default=None, metavar="N",
         help="worker respawn budget before degrading the slot to serial "
              "execution (implies --supervise; default 2)")
 
@@ -617,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     disc.add_argument("--k", type=int, default=3, help="pattern-variable bound")
     disc.add_argument("--sigma", type=int, default=10, help="support threshold")
     disc.add_argument("--max-lhs", type=int, default=2, help="LHS literal cap")
-    disc.add_argument("--workers", type=int, default=None,
+    disc.add_argument("--workers", type=_positive_int, default=None,
                       help="ParDis workers (>1 selects the parallel engine; "
                            "unset with --backend multiprocess uses the "
                            "config default of 4)")
@@ -652,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--k", type=int, default=3, help="pattern-variable bound")
     pipe.add_argument("--sigma", type=int, default=10, help="support threshold")
     pipe.add_argument("--max-lhs", type=int, default=2, help="LHS literal cap")
-    pipe.add_argument("--workers", type=int, default=None,
+    pipe.add_argument("--workers", type=_positive_int, default=None,
                       help="session workers (default: 1 serial / "
                            "4 multiprocess)")
     pipe.add_argument("--backend",
@@ -685,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default=None,
                      help="evaluation backend (default: serial, or "
                           "$REPRO_PARALLEL_BACKEND)")
-    enf.add_argument("--workers", type=int, default=None,
+    enf.add_argument("--workers", type=_positive_int, default=None,
                      help="evaluation shards (default: 1 serial / "
                           "4 multiprocess)")
     enf.add_argument("--samples", type=int, default=5,
@@ -721,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
                "LPT-balanced) instead of SeqCover; the cover is identical.",
     )
     cov.add_argument("rules", help="rule file (one GFD per line)")
-    cov.add_argument("--workers", type=int, default=None,
+    cov.add_argument("--workers", type=_positive_int, default=None,
                      help="ParCover workers (>1 selects the parallel cover)")
     cov.add_argument("--backend", choices=["serial", "multiprocess"],
                      default=None,
@@ -753,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="SECONDS",
                      help="serve for a fixed time then exit cleanly "
                           "(default: run until interrupted)")
-    srv.add_argument("--workers", type=int, default=None,
+    srv.add_argument("--workers", type=_positive_int, default=None,
                      help="backend workers (default: 1 serial / "
                           "4 multiprocess)")
     srv.add_argument("--backend",

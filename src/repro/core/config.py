@@ -53,33 +53,30 @@ class FaultConfig:
     With a :class:`FaultConfig` attached (``DiscoveryConfig.fault`` /
     ``EnforcementConfig.fault``), every worker submission is *supervised*:
     a deadline detects hung workers, ``BrokenProcessPool`` detects dead
-    ones, and a failed submission is retried with exponential backoff after
-    the worker is respawned and its **install log** replayed (the
-    per-worker journal of state-mutating ops — installs, parked joins,
-    lattice masks, Σ, enforcement tables — every op is a deterministic
-    function of the index snapshot and that state, so replay reconstructs
-    the worker exactly).  ``None`` (the default) runs unsupervised.
+    ones, and a failed submission is retried (twice at most, with
+    exponential backoff from 0.05 s) after the worker is respawned and its
+    **install log** replayed (the per-worker journal of state-mutating ops
+    — installs, parked joins, lattice masks, Σ, enforcement tables — every
+    op is a deterministic function of the index snapshot and that state,
+    so replay reconstructs the worker exactly).  ``None`` (the default)
+    runs unsupervised.
 
-    A supervised backend keeps everything a respawn must replay: large op
-    payloads travel in the journaled pickle channel instead of short-lived
-    shared segments, and an index refresh re-ships the whole snapshot
-    instead of a delta.  Skew rebalancing needs no special case — its
-    ``fetch_join`` is journaled like any other op.  Results are identical.
+    Supervision is a failure policy, not a second transport: a supervised
+    backend stages large payloads in shared memory and ships index deltas
+    exactly like an unsupervised one.  Its journal keeps the unstaged
+    payloads, and a respawn attaches the current snapshot, so a replay
+    never reads a released segment.  Results are identical.
 
     Attributes:
         op_timeout_s: per-op deadline in seconds — a submission carrying
             ``m`` ops gets ``m × op_timeout_s``; a worker that exceeds it
             is declared hung, killed and respawned (``None`` = no deadline,
             only crash detection).
-        max_retries: attempts per submission after the first failure; each
-            retry waits ``backoff_base * 2**attempt`` seconds.
-        backoff_base: first retry delay in seconds.
-        max_respawns: worker respawns tolerated per worker slot before the
-            degradation ladder ends (see ``degrade_to_serial``).
-        degrade_to_serial: after ``max_respawns``, demote the worker slot
-            to an in-process shard (journal-seeded) instead of failing the
-            phase; recorded in ``LifecycleCounters.degraded_workers`` and
-            announced by a single ``RuntimeWarning``.  ``False`` raises.
+        max_respawns: worker respawns tolerated per worker slot; past it
+            the slot is demoted to an in-process shard (journal-seeded)
+            instead of failing the phase, recorded in
+            ``LifecycleCounters.degraded_workers`` and announced by a
+            single ``RuntimeWarning``.
         fault_plan: JSON fault-injection plan shipped to the workers (see
             :class:`repro.parallel.faults.FaultPlan`); defaults to the
             ``REPRO_FAULT_PLAN`` environment variable.  Production configs
@@ -87,21 +84,21 @@ class FaultConfig:
     """
 
     op_timeout_s: Optional[float] = 30.0
-    max_retries: int = 2
-    backoff_base: float = 0.05
     max_respawns: int = 2
-    degrade_to_serial: bool = True
     fault_plan: Optional[str] = field(default_factory=_default_fault_plan)
 
     def __post_init__(self) -> None:
         if self.op_timeout_s is not None and self.op_timeout_s <= 0:
             raise ValueError("op_timeout_s must be positive (or None)")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_base < 0:
-            raise ValueError("backoff_base must be >= 0")
         if self.max_respawns < 0:
             raise ValueError("max_respawns must be >= 0")
+        if self.fault_plan is not None:
+            from ..parallel.faults import FaultPlan
+
+            try:
+                FaultPlan.from_json(self.fault_plan)
+            except (ValueError, TypeError, KeyError, AttributeError) as error:
+                raise ValueError(f"invalid fault_plan: {error}") from error
 
 
 class CandidateBudgetExceeded(RuntimeError):

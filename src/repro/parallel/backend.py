@@ -48,7 +48,10 @@ whole op sequence travels as **one** ``_mp_execute_fused`` submission — one
 pickle each way per worker — while charging, ledger accounting and
 journaling stay per op.  Large array payloads (install matches, enforcement
 deltas) route through a per-batch shared-memory segment instead of
-the pickle channel.
+the pickle channel, and an index refresh ships only the changed arrays.
+Supervision (a :class:`~repro.core.config.FaultConfig`) is a failure policy
+on this one transport, not a second route: it decides the journal, the
+deadline, the retry, the respawn and the degradation, nothing else.
 """
 
 from __future__ import annotations
@@ -101,6 +104,9 @@ BACKEND_NAMES = ("serial", "multiprocess")
 
 #: One superstep request: ``(worker, op name, pattern node key, payload)``.
 Request = Tuple[int, str, int, Dict[str, Any]]
+
+#: A request as its worker receives it: ``(op name, key, payload)``.
+Element = Tuple[str, int, Dict[str, Any]]
 
 #: Worker-state keys are unique across every engine in this master process,
 #: so engines sharing one backend never collide on worker state.
@@ -314,7 +320,7 @@ def _result_rows(op: str, result: Any) -> int:
     return 0
 
 
-def _adopted_key(entry: Tuple[str, int, Dict[str, Any]]) -> Optional[int]:
+def _adopted_key(entry: Element) -> Optional[int]:
     """The key whose parked join an install-log entry adopts, if any."""
     op, _, payload = entry
     adopt = payload.get("adopt") if op == "install" else None
@@ -1022,6 +1028,12 @@ _SHM_PAYLOAD_KEYS = {
 #: Arrays below this size pickle faster than a segment round trip.
 _SHM_PAYLOAD_MIN_BYTES = 32 * 1024
 
+#: Supervised resubmissions of a failed batch (each after a respawn).
+_MAX_RETRIES = 2
+
+#: First retry delay in seconds; retry ``a`` waits ``base * 2**(a - 1)``.
+_BACKOFF_BASE = 0.05
+
 #: First element of a marker tuple substituted for a staged payload array.
 _SHM_MARKER = "__shm_payload__"
 
@@ -1204,7 +1216,7 @@ def _mp_attach_delta(spec_blob: bytes, segment_name: str) -> bool:
 
 
 def _mp_execute_fused(
-    elements: Sequence[Tuple[str, int, Dict[str, Any]]]
+    elements: Sequence[Element]
 ) -> List[Tuple[Any, float]]:
     """Run one worker's slice of a batch in a single round trip.
 
@@ -1294,13 +1306,13 @@ class MultiprocessBackend(ExecutionBackend):
         # respawn budget, the install log, and demoted in-process shards
         self._generation = [0] * num_workers
         self._respawns = [0] * num_workers
-        self._journals: List[List[Tuple[str, int, Dict[str, Any]]]] = [
+        self._journals: List[List[Element]] = [
             [] for _ in range(num_workers)
         ]
         self._local: Dict[int, ShardWorker] = {}
         self._degrade_warned = False
         self.recovery_seconds = 0.0
-        self.buffers: Optional[SharedIndexBuffers] = None
+        self.buffers: Optional[_SharedArrayPack] = None
         #: How the index snapshot reaches the workers: ``mmap`` (persisted
         #: store file), ``shm`` (shared-memory segment) or ``none``
         #: (graph-free pool).
@@ -1319,13 +1331,15 @@ class MultiprocessBackend(ExecutionBackend):
         self._last_export = (
             index.export_buffers() if index is not None else None
         )
+        # delta refreshes already folded into _base_initargs; once the
+        # lifecycle count moves past it, a respawn must re-export first
+        self._base_deltas = 0
         self._pools: List[Optional[ProcessPoolExecutor]] = []
         try:
             for worker in range(num_workers):
                 self._pools.append(self._spawn_pool(worker, respawn=False))
-            for pool in self._pools:
-                if not pool.submit(_mp_ready).result():
-                    raise RuntimeError("worker failed to initialize")
+            # a failed initializer breaks its pool: the wait raises
+            self._call_all(_mp_ready)
         except Exception:
             self.shutdown()
             raise
@@ -1360,7 +1374,7 @@ class MultiprocessBackend(ExecutionBackend):
         The chosen route is recorded in :attr:`index_transport`.  Both
         routes are replayable from ``_base_initargs`` by a supervised
         respawn (the store file must simply outlive the backend, like the
-        segment does).
+        segment does); after delta refreshes :meth:`_rebase` re-exports.
         """
         if index is None:
             self.index_transport = "none"
@@ -1390,65 +1404,78 @@ class MultiprocessBackend(ExecutionBackend):
     def refresh_index(self, index: GraphIndex) -> None:
         """Ship a new index snapshot to the resident worker processes.
 
-        The new segment is created and attached by every worker *before*
-        the old one is unlinked, so a mid-swap failure leaves the backend
-        on the previous snapshot.  Worker-resident match state survives —
-        this is what lets :meth:`~repro.enforce.engine.EnforcementEngine.
-        refresh` keep its persistent tables across graph mutations instead
-        of re-shipping them.  Costs one index export (O(graph) into shared
-        memory, no pickling of match rows); match-row transfer stays zero.
+        Only the changed arrays travel, in one short-lived segment each
+        worker merges with its views (``_mp_attach_delta``), unless
+        :meth:`_changed_arrays` asks for a full one, which every worker
+        attaches *before* the old segment is unlinked.  Worker-resident
+        match state survives — this is what lets :meth:`~repro.enforce.
+        engine.EnforcementEngine.refresh` keep its persistent tables across
+        graph mutations; match-row transfer stays zero.  After a delta a
+        respawn re-exports the current snapshot first (:meth:`_rebase`).
         """
         if index is None:
             raise ValueError("refresh_index requires a frozen graph index")
-        export = None
-        if self._fault is None and self._last_export is not None:
-            export = index.export_buffers()
-            changed = self._changed_arrays(export)
-            if changed is not None:
-                self._refresh_delta(index, export, changed)
-                return
-        initargs, new_buffers = self._index_initargs(index)
-        try:
-            futures = [
-                pool.submit(_mp_attach_index, *initargs)
-                for worker, pool in enumerate(self._pools)
-                if worker not in self._local
-            ]
-            for future in futures:
-                future.result()
-        except Exception:
-            if new_buffers is not None:
-                new_buffers.close()
-            raise
-        old = self.buffers
-        self.buffers = new_buffers
-        if old is not None:
-            old.close()
+        export = index.export_buffers()
+        changed = self._changed_arrays(export)
+        if changed is None:
+            initargs, buffers = self._index_initargs(index)
+            try:
+                self._call_all(_mp_attach_index, *initargs)
+            except Exception:
+                if buffers is not None:
+                    buffers.close()
+                raise
+            self._set_base(initargs, buffers)
+        else:
+            meta, arrays = export
+            pack = _SharedArrayPack(changed)
+            spec = pickle.dumps(
+                {"meta": meta, "names": sorted(arrays), "layout": pack.layout}
+            )
+            try:
+                self._call_all(_mp_attach_delta, spec, pack.name)
+            finally:
+                pack.close()  # every worker has attached: mappings persist
+            self.lifecycle.delta_refreshes += 1
         self._index = index
-        # respawns must rebuild from the *current* snapshot, and demoted
-        # in-process shards follow the swap like serial workers do
-        self._base_initargs = initargs
+        # demoted in-process shards follow the swap like serial workers do
         for shard in self._local.values():
             shard.index = index
         self.source_token = (id(index.graph), id(index))
-        self._last_export = (
-            export if export is not None else index.export_buffers()
-        )
+        self._last_export = export
         self.lifecycle.index_refreshes += 1
         if self.tracer.enabled:
-            self.tracer.event("index_refresh", mode="full")
+            if changed is None:
+                self.tracer.event("index_refresh", mode="full")
+            else:
+                self.tracer.event(
+                    "index_refresh", mode="delta", changed_arrays=len(changed)
+                )
+
+    def _call_all(self, function, *args) -> None:
+        """Run one call on every live worker process and wait for all."""
+        futures = [
+            pool.submit(function, *args)
+            for worker, pool in enumerate(self._pools)
+            if worker not in self._local
+        ]
+        for future in futures:
+            future.result()
 
     def _changed_arrays(self, export) -> Optional[Dict[str, np.ndarray]]:
         """Arrays that differ from the previous export, or ``None``.
 
-        ``None`` means a full re-export is the better ship: more than half
-        the snapshot's bytes changed, so the delta machinery would cost as
-        much as the plain path while adding a segment to the chain.  An
+        ``None`` means a full re-export is needed (a graph-free pool has no
+        previous export) or the better ship: more than half the snapshot's
+        bytes changed, so the delta machinery would cost as much as the
+        plain path while adding a segment to the chain.  An
         unchanged array is *bytewise* equal — under the new snapshot's
         meta tables it decodes to exactly what a full export would ship,
         so reusing the worker's existing view is sound even when interned
         code tables shifted (a shifted code changes the bytes).
         """
+        if self._last_export is None:
+            return None
         meta, arrays = export
         previous = self._last_export[1]
         changed: Dict[str, np.ndarray] = {}
@@ -1468,49 +1495,6 @@ class MultiprocessBackend(ExecutionBackend):
         if total and changed_bytes * 2 > total:
             return None
         return changed
-
-    def _refresh_delta(
-        self, index: GraphIndex, export, changed: Dict[str, np.ndarray]
-    ) -> None:
-        """Ship only the changed arrays; workers merge with their views.
-
-        The delta segment is released (unlinked) as soon as every worker
-        has attached — their mappings persist — and earlier segments stay
-        mapped worker-side through the attachment chain, so unchanged
-        views never dangle.  Gated on unsupervised backends: a respawn
-        rebuilds from ``_base_initargs``, which a delta chain could not
-        reconstruct.
-        """
-        meta, arrays = export
-        pack = _SharedArrayPack(changed)
-        spec_blob = pickle.dumps(
-            {
-                "meta": meta,
-                "names": sorted(arrays),
-                "layout": pack.layout,
-            }
-        )
-        try:
-            futures = [
-                pool.submit(_mp_attach_delta, spec_blob, pack.name)
-                for worker, pool in enumerate(self._pools)
-                if worker not in self._local
-            ]
-            for future in futures:
-                future.result()
-        finally:
-            pack.close()
-        self._index = index
-        for shard in self._local.values():  # pragma: no cover - fault-only
-            shard.index = index
-        self.source_token = (id(index.graph), id(index))
-        self._last_export = export
-        self.lifecycle.index_refreshes += 1
-        self.lifecycle.delta_refreshes += 1
-        if self.tracer.enabled:
-            self.tracer.event(
-                "index_refresh", mode="delta", changed_arrays=len(changed)
-            )
 
     # ------------------------------------------------------------------
     # supervision: journal, recovery, degradation
@@ -1580,17 +1564,41 @@ class MultiprocessBackend(ExecutionBackend):
         """Worker-death/hang failures (recoverable), vs real op errors."""
         return isinstance(error, (BrokenProcessPool, _FuturesTimeout, OSError))
 
-    def _run_local(self, worker: int, op: str, key: int,
-                   payload: Dict[str, Any]) -> Tuple[Any, float]:
+    def _run_local(self, worker: int,
+                   elements: List[Element]) -> List[Tuple[Any, float]]:
         """Execute inline on a demoted worker slot (the degraded mode)."""
-        started = time.perf_counter()
-        result = self._local[worker].execute(op, key, payload)
-        return result, time.perf_counter() - started
+        outcomes = []
+        for op, key, payload in elements:
+            started = time.perf_counter()
+            result = self._local[worker].execute(op, key, payload)
+            outcomes.append((result, time.perf_counter() - started))
+        return outcomes
 
     def _deadline(self, ops: int) -> Optional[float]:
         """The supervised wait for a submission of ``ops`` ops."""
         timeout = self._fault.op_timeout_s
         return None if timeout is None else timeout * max(1, ops)
+
+    def _rebase(self) -> None:
+        """After delta refreshes, pack the current snapshot's export into a
+        fresh segment and make it what respawns attach (live workers keep
+        their mappings of the old base, so unlinking it is safe)."""
+        if self._base_deltas != self.lifecycle.delta_refreshes:
+            meta, arrays = self._last_export
+            buffers = _SharedArrayPack(arrays)
+            spec = {"meta": meta, "layout": buffers.layout}
+            self.index_transport = "shm"
+            self._set_base((pickle.dumps(spec), buffers.name), buffers)
+
+    def _set_base(
+        self, initargs: Tuple, buffers: Optional[_SharedArrayPack]
+    ) -> None:
+        """Make ``initargs`` (backed by ``buffers``) the respawn snapshot."""
+        old, self.buffers = self.buffers, buffers
+        if old is not None:
+            old.close()
+        self._base_initargs = initargs
+        self._base_deltas = self.lifecycle.delta_refreshes
 
     def _recover(self, worker: int) -> None:
         """Respawn one worker and replay its install log (or degrade).
@@ -1624,6 +1632,7 @@ class MultiprocessBackend(ExecutionBackend):
                 if self._respawns[worker] > self._fault.max_respawns:
                     self._degrade(worker)
                     return
+                self._rebase()
                 pool = self._spawn_pool(worker, respawn=True)
                 journal = self._journals[worker]
                 try:
@@ -1645,11 +1654,6 @@ class MultiprocessBackend(ExecutionBackend):
 
     def _degrade(self, worker: int) -> None:
         """Demote one slot to an in-process shard seeded from its log."""
-        if not self._fault.degrade_to_serial:
-            raise RuntimeError(
-                f"worker {worker} failed more than max_respawns="
-                f"{self._fault.max_respawns} times"
-            )
         shard = ShardWorker(None, self._index)
         for op, key, payload in self._journals[worker]:
             shard.execute(op, key, payload)
@@ -1681,42 +1685,39 @@ class MultiprocessBackend(ExecutionBackend):
             groups.setdefault(request[0], []).append(position)
         return groups
 
-    def _submit_fused(self, worker: int,
-                      elements: List[Tuple[str, int, Dict[str, Any]]]):
+    def _submit_fused(self, worker: int, elements: List[Element],
+                      plain: List[Element]):
         """Dispatch one worker's element list; returns a handle to collect.
 
-        Demoted slots execute inline immediately — every earlier op of a
-        demoted worker already ran inline, so in-order semantics hold.  A
-        supervised pool found broken at submit (its worker died during an
-        uncollected fire-and-forget batch) yields a failed handle, so
-        :meth:`_collect_fused` recovers it like any other crash.
+        ``elements`` is what a pool receives (large arrays staged as segment
+        markers); ``plain`` is the same list unstaged.  Demoted slots run
+        ``plain`` inline immediately — every earlier op of a demoted worker
+        already ran inline, so in-order semantics hold.  A pool found broken
+        at submit (its worker died during an uncollected fire-and-forget
+        batch) yields a failed handle, so :meth:`_collect_fused` treats it
+        like any other crash.
         """
         if worker in self._local:
-            return (
-                "local",
-                [
-                    self._run_local(worker, op, key, payload)
-                    for op, key, payload in elements
-                ],
-            )
+            return "local", self._run_local(worker, plain)
         try:
             future = self._pools[worker].submit(_mp_execute_fused, elements)
         except BrokenProcessPool as error:
-            if self._fault is None:
-                raise
             future = Future()
             future.set_exception(error)
         return self._generation[worker], future
 
-    def _collect_fused(self, worker: int,
-                       elements: List[Tuple[str, int, Dict[str, Any]]],
-                       handle) -> List[Tuple[Any, float]]:
+    def _collect_fused(
+        self, worker: int, elements: List[Element], plain: List[Element],
+        handle,
+    ) -> List[Tuple[Any, float]]:
         """Await one worker's batch; supervised, recover and retry on failure.
 
         The whole batch is the retry unit: a worker that died mid-batch
         discarded every partial effect with its process, and nothing of the
         batch was journaled yet, so respawn + log replay + full-batch retry
-        applies each element exactly once.  The deadline scales with the
+        applies each element exactly once.  A retry resubmits the staged
+        ``elements`` (the payload segment outlives the batch); a slot that
+        degraded runs ``plain`` inline.  The deadline scales with the
         element count.  Unsupervised, any failure propagates.
         """
         tag, future = handle
@@ -1744,12 +1745,9 @@ class MultiprocessBackend(ExecutionBackend):
                 ):
                     self._recover(worker)
                 if worker in self._local:
-                    return [
-                        self._run_local(worker, op, key, payload)
-                        for op, key, payload in elements
-                    ]
+                    return self._run_local(worker, plain)
                 attempts += 1
-                if attempts > self._fault.max_retries:
+                if attempts > _MAX_RETRIES:
                     raise
                 self.lifecycle.retries += 1
                 if self.tracer.enabled:
@@ -1759,7 +1757,7 @@ class MultiprocessBackend(ExecutionBackend):
                         ops=len(elements),
                         attempt=attempts,
                     )
-                time.sleep(self._fault.backoff_base * (2 ** (attempts - 1)))
+                time.sleep(_BACKOFF_BASE * (2 ** (attempts - 1)))
                 generation = self._generation[worker]
                 future = self._pools[worker].submit(
                     _mp_execute_fused, elements
@@ -1776,21 +1774,23 @@ class MultiprocessBackend(ExecutionBackend):
         """
         requests = list(requests)
         staged, pack = requests, None
-        if wait and self._fault is None:
-            # large arrays ride a payload segment.  Not fire-and-forget
+        if wait:
+            # large arrays ride a payload segment — not in fire-and-forget
             # batches (drops carry no arrays, and the segment must outlive
-            # the worker's resolve); not supervised ones (a journal replay
-            # could not reconstruct an unlinked segment, while pickled
-            # payloads are fully replayable)
+            # the worker's resolve).  Ledger, journal and inline slots keep
+            # the unstaged requests
             staged, pack = _stage_payloads(requests)
         try:
             groups = self._worker_groups(requests)
-            elements = {
-                worker: [staged[p][1:] for p in positions]
+            batches = {
+                worker: (
+                    [staged[p][1:] for p in positions],
+                    [requests[p][1:] for p in positions],
+                )
                 for worker, positions in groups.items()
             }
             handles = {
-                worker: self._submit_fused(worker, elements[worker])
+                worker: self._submit_fused(worker, *batches[worker])
                 for worker in groups
             }
             if not wait:
@@ -1804,7 +1804,7 @@ class MultiprocessBackend(ExecutionBackend):
             results: List[Any] = [None] * len(requests)
             for worker, positions in groups.items():
                 outcomes = self._collect_fused(
-                    worker, elements[worker], handles[worker]
+                    worker, *batches[worker], handles[worker]
                 )
                 for position, (result, seconds) in zip(positions, outcomes):
                     _, op, key, payload = requests[position]
@@ -1821,11 +1821,7 @@ class MultiprocessBackend(ExecutionBackend):
                 pack.close()
 
     def run_superstep(self, step, requests: Sequence[Request]) -> List[Any]:
-        before = self.recovery_seconds
-        results = self._dispatch(step, requests)
-        if self.recovery_seconds > before:
-            step.recover(self.recovery_seconds - before)
-        return results
+        return self._dispatch(step, requests)
 
     def run_unmetered(
         self, requests: Sequence[Request], wait: bool = True

@@ -63,11 +63,6 @@ class ClusterMetrics:
     parallel_seconds: float = 0.0
     master_seconds: float = 0.0
     total_work_seconds: float = 0.0
-    #: Real wall-clock the master spent recovering failed workers mid-
-    #: superstep (respawn + install-log replay).  Tracked outside the
-    #: modeled busy/makespan ledger: recovery stalls the master for real,
-    #: it is not simulated worker compute.
-    recovery_seconds: float = 0.0
 
     @property
     def elapsed_parallel(self) -> float:
@@ -190,16 +185,6 @@ class _Superstep:
         tracer = self._cluster.tracer
         if op is not None and tracer.enabled:
             tracer.worker_op(worker, op, seconds)
-
-    def recover(self, seconds: float) -> None:
-        """Record master-side worker-recovery stall time for this step.
-
-        Supervised backends call this after respawning a worker and
-        replaying its install log mid-superstep; the time lands in
-        :attr:`ClusterMetrics.recovery_seconds` so fault-injection runs
-        can report recovery latency without skewing the modeled makespan.
-        """
-        self._cluster.metrics.recovery_seconds += seconds
 
     def ship(self, worker: int, items: int) -> None:
         """Charge ``worker`` for receiving ``items`` shipped records."""

@@ -90,14 +90,14 @@ class SessionMetrics:
     after a full discover → cover → enforce → refresh pipeline,
     ``backend_starts == 1`` and ``lifecycle.index_attaches == 1``.
 
-    :meth:`as_dict` renders the documented **schema v6** (see there) and
+    :meth:`as_dict` renders the documented **schema v7** (see there) and
     :meth:`registry` lifts the same snapshot into a
     :class:`~repro.obs.metrics.MetricsRegistry` for Prometheus-style
     exposition.
     """
 
     #: Version of the :meth:`as_dict` layout.  Bump on any key change.
-    SCHEMA_VERSION = 6
+    SCHEMA_VERSION = 7
 
     backend_name: str
     num_workers: int
@@ -119,7 +119,7 @@ class SessionMetrics:
     def as_dict(self) -> Dict[str, Any]:
         """A JSON-serializable rendering (CI artifacts, ``--metrics``).
 
-        **Schema v6.**  Every top-level key except ``timings`` holds only
+        **Schema v7.**  Every top-level key except ``timings`` holds only
         deterministic values — names, worker counts, event counts — so two
         runs over the same input diff cleanly.  All wall-clock derived
         floats (phase seconds, recovery seconds) are isolated under the
@@ -132,8 +132,7 @@ class SessionMetrics:
         counts), ``faults`` (4 fault counts), ``transfers`` (3 row/rule
         counts), ``cluster`` (``supersteps``), ``phases``, ``sigma_size``,
         ``timings`` (``parallel_seconds``, ``master_seconds``,
-        ``total_work_seconds``, ``recovery_seconds``,
-        ``cluster_recovery_seconds``).
+        ``total_work_seconds``, ``recovery_seconds``).
         """
         from repro import __version__
 
@@ -171,7 +170,6 @@ class SessionMetrics:
                 "master_seconds": self.cluster.master_seconds,
                 "total_work_seconds": self.cluster.total_work_seconds,
                 "recovery_seconds": self.recovery_seconds,
-                "cluster_recovery_seconds": self.cluster.recovery_seconds,
             },
         }
 

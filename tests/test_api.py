@@ -180,7 +180,7 @@ class TestSurfaceSnapshot:
             ]
 
     def test_config_field_counts_are_pinned(self):
-        """46 knobs in all: adding, deleting or resurrecting one is a
+        """43 knobs in all: adding, deleting or resurrecting one is a
         decision this test makes visible (update the README table too)."""
         import dataclasses
 
@@ -197,7 +197,7 @@ class TestSurfaceSnapshot:
             "DiscoveryConfig": 24,
             "EnforcementConfig": 7,
             "ServeConfig": 9,
-            "FaultConfig": 6,
+            "FaultConfig": 3,
         }
 
     def test_discovery_oracle_has_one_entry_point(self):

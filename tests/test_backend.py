@@ -311,10 +311,8 @@ class TestSkewRebalance:
 
     @staticmethod
     def _run(graph, config, backend_name, balance=True):
-        """``(rules → supports, transfer ledger)`` of one unsupervised run."""
-        backend = make_backend(
-            backend_name, 3, graph, graph.index(), fault=None
-        )
+        """``(rules → supports, transfer ledger)`` of one run."""
+        backend = make_backend(backend_name, 3, graph, graph.index())
         try:
             runner = ParallelDiscovery(
                 graph, config, balance=balance, backend=backend
@@ -333,9 +331,7 @@ class TestSkewRebalance:
 
         segments_before = janitor.live_segments()
         graph = skewed_graph()
-        config = small_config(
-            k=3, sigma=3, active_attributes=["kind", "year"], fault=None
-        )
+        config = small_config(k=3, sigma=3, active_attributes=["kind", "year"])
         reference = discover(graph, config)
         expected = {
             gfd_identity(g): reference.supports[g] for g in reference.gfds

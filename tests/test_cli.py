@@ -100,6 +100,29 @@ class TestCLI:
         assert covers["parallel"] == covers["sequential"]
         assert 0 < len(covers["sequential"]) < len(load_rules(str(rules)))
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--op-timeout", "0"), ("--max-respawns", "-1"), ("--workers", "-2")],
+    )
+    def test_bad_flag_value_is_a_usage_error(
+        self, flag, value, graph_file, rules_file, capsys
+    ):
+        """Every verb taking the flag rejects the value at parse time:
+        exit 2 with a usage message naming it, not a traceback."""
+        verbs = {
+            "discover": [graph_file],
+            "pipeline": [graph_file],
+            "enforce": [graph_file, rules_file],
+            "cover": [rules_file],
+        }
+        if flag == "--workers":
+            verbs["serve"] = [graph_file]
+        for verb, positionals in verbs.items():
+            with pytest.raises(SystemExit) as exit_info:
+                main([verb, *positionals, flag, value])
+            assert exit_info.value.code == 2, verb
+            assert flag in capsys.readouterr().err
+
     def test_tsv_graph(self, tmp_path, film_graph, capsys):
         path = tmp_path / "graph.tsv"
         save_tsv(film_graph, path)

@@ -23,11 +23,13 @@ import pytest
 
 from repro import DiscoveryConfig, FaultConfig, Session, discover
 from repro.core import gfd_identity, sequential_cover
+from repro.gfd.satisfaction import find_violations
 from repro.parallel import (
     FaultPlan,
     parallel_cover,
     shared_memory_available,
 )
+from repro.parallel import backend as backend_module
 from repro.parallel import janitor
 from repro.parallel.backend import (
     MultiprocessBackend,
@@ -37,6 +39,7 @@ from repro.parallel.backend import (
     next_node_key,
 )
 from repro.parallel.pardis import ParallelDiscovery
+from repro.serve import report_payload
 
 needs_mp = pytest.mark.skipif(
     not shared_memory_available(),
@@ -140,9 +143,9 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultConfig(op_timeout_s=0)
         with pytest.raises(ValueError):
-            FaultConfig(max_retries=-1)
-        with pytest.raises(ValueError):
             FaultConfig(max_respawns=-1)
+        with pytest.raises(ValueError, match="fault_plan"):
+            FaultConfig(fault_plan="[1]")
 
 
 # ----------------------------------------------------------------------
@@ -592,19 +595,6 @@ class TestChaosDifferential:
                 assert metrics.lifecycle.respawns >= 2
         assert _fingerprint(result) == reference
 
-    def test_degradation_disabled_raises(self, film_graph, film_config):
-        fault = FaultConfig(
-            fault_plan=_plan(kill_every=1, persist=True, workers=[0]),
-            max_respawns=0,
-            degrade_to_serial=False,
-        )
-        config = replace(film_config, fault=fault)
-        with Session(
-            film_graph, config, backend="multiprocess", num_workers=2
-        ) as session:
-            with pytest.raises(RuntimeError, match="max_respawns"):
-                session.discover()
-
     def test_fault_free_supervision_is_transparent(
         self, film_graph, film_config
     ):
@@ -650,3 +640,125 @@ class TestChaosDifferential:
             chaos = chaos_session.metrics().as_dict()["transfers"]
             assert chaos_session.metrics().lifecycle.respawns >= 1
         assert chaos == clean
+
+
+# ----------------------------------------------------------------------
+# supervision is a failure policy: the supervised route is the production one
+# ----------------------------------------------------------------------
+@needs_mp
+class TestOneTransport:
+    """A supervised backend stages large payloads and ships index deltas
+    like an unsupervised one; recovery still yields identical results.
+
+    ``film_graph``'s arrays are far below the staging threshold, so each
+    test lowers it to one byte and the staged route really runs."""
+
+    @pytest.fixture(autouse=True)
+    def stage_everything(self, monkeypatch):
+        monkeypatch.setattr(backend_module, "_SHM_PAYLOAD_MIN_BYTES", 1)
+
+    @staticmethod
+    def _batches(monkeypatch):
+        """Spy on payload staging: per waited batch, whether it was staged
+        and its ``(worker, op)`` pairs."""
+        batches = []
+        original = backend_module._stage_payloads
+
+        def spy(requests):
+            submitted, pack = original(requests)
+            batches.append(
+                (pack is not None, [(worker, op) for worker, op, _, _ in requests])
+            )
+            return submitted, pack
+
+        monkeypatch.setattr(backend_module, "_stage_payloads", spy)
+        return batches
+
+    @staticmethod
+    def _staged(batches, op):
+        """Whether some staged batch carried ``op``."""
+        return any(
+            staged and any(each == op for _, each in pairs)
+            for staged, pairs in batches
+        )
+
+    @staticmethod
+    def _enforce_then_refresh(session, graph):
+        session.discover()
+        assert session.enforce().is_clean
+        graph.set_attr(0, "type", "gardener")
+        assert session.refresh().mode == "incremental"
+
+    def test_delta_refresh_then_kill_recovers_current_snapshot(
+        self, film_graph, film_config, monkeypatch
+    ):
+        """A delta refresh leaves the respawn base on the old snapshot; a
+        worker killed at the next refresh must come back on the current
+        one, or its re-judged rows read stale attributes."""
+        batches = self._batches(monkeypatch)
+        twin_graph = film_graph.copy()
+        with Session(
+            twin_graph, replace(film_config, fault=FaultConfig()),
+            backend="multiprocess", num_workers=2,
+        ) as twin:
+            self._enforce_then_refresh(twin, twin_graph)
+        # worker 0 dies on its first enforce_update of the *next* refresh
+        nth = 1 + sum(
+            pair == (0, "enforce_update") for _, pairs in batches for pair in pairs
+        )
+        batches.clear()
+        fault = FaultConfig(
+            fault_plan=_plan(
+                kill_on={"op": "enforce_update", "nth": nth}, workers=[0]
+            )
+        )
+        config = replace(film_config, fault=fault)
+        with Session(
+            film_graph, config, backend="multiprocess", num_workers=2
+        ) as session:
+            self._enforce_then_refresh(session, film_graph)
+            sigma = session.sigma
+            lifecycle = session.metrics().lifecycle
+            assert lifecycle.delta_refreshes == 1
+            assert lifecycle.respawns == 0
+            for node in range(1, 60, 7):
+                film_graph.set_attr(node, "type", "gardener")
+            report = session.refresh()
+            lifecycle = session.metrics().lifecycle
+            assert lifecycle.respawns == 1
+            assert lifecycle.delta_refreshes == 2
+        assert self._staged(batches, "enforce_install")
+        assert self._staged(batches, "enforce_update")
+        assert report.mode == "incremental"
+        with Session(film_graph.copy()) as fresh:
+            fresh.set_sigma(sigma)
+            assert report_payload(report) == report_payload(fresh.enforce())
+        assert [rule.violation_count for rule in report.rules] == [
+            len({violation.match for violation in find_violations(film_graph, gfd)})
+            for gfd in sigma
+        ]
+        assert report.total_violations > 0
+
+    def test_degraded_slot_runs_a_staged_batch_unstaged(
+        self, film_graph, film_config, monkeypatch
+    ):
+        """Worker 0 dies on every install and has no respawn budget: its
+        slot degrades mid-batch and must run the batch's real arrays, not
+        the segment markers its pool was sent."""
+        batches = self._batches(monkeypatch)
+        reference = discover(film_graph, film_config)
+        fault = FaultConfig(
+            fault_plan=_plan(
+                kill_on={"op": "install", "nth": 1}, persist=True, workers=[0]
+            ),
+            max_respawns=0,
+        )
+        config = replace(film_config, fault=fault)
+        with pytest.warns(RuntimeWarning, match="respawn budget"):
+            with Session(
+                film_graph, config, backend="multiprocess", num_workers=2
+            ) as session:
+                result = session.discover()
+                assert session.metrics().lifecycle.degraded_workers == 1
+        assert self._staged(batches, "install")
+        assert _fingerprint(result) == _fingerprint(reference)

@@ -347,7 +347,7 @@ class TestExports:
 
     def test_metrics_schema(self, traced):
         _, metrics = traced
-        assert metrics["schema_version"] == 6
+        assert metrics["schema_version"] == 7
         assert metrics["repro_version"]
         # every wall-clock float is quarantined under "timings"
         def no_floats(value):
@@ -373,3 +373,5 @@ class TestExports:
         }
         # v6: covers balance by the static LPT weights, so no cost model
         assert "cover_cost_observations" not in metrics
+        # v7: one recovery ledger, the backend's
+        assert "cluster_recovery_seconds" not in metrics["timings"]

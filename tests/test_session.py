@@ -481,12 +481,9 @@ class TestFusedSession:
     def test_mutation_ships_a_delta_refresh(self, film_graph, film_config):
         """A small post-mutation snapshot goes through the delta path:
         only the changed arrays cross into shared memory, counted by
-        ``lifecycle.delta_refreshes``.  Pinned unsupervised: a supervised
-        backend re-ships the whole snapshot (a respawn could not replay a
-        delta chain), so a chaos-env fault plan must not leak in."""
-        config = replace(film_config, fault=None)
+        ``lifecycle.delta_refreshes`` — supervised or not."""
         with Session(
-            film_graph, config, backend="multiprocess", num_workers=2
+            film_graph, film_config, backend="multiprocess", num_workers=2
         ) as session:
             session.discover()
             before = session.metrics().lifecycle
