@@ -3,8 +3,8 @@
 
 The package implements the paper end to end:
 
-* :mod:`repro.graph` — the property-graph substrate (storage, IO,
-  statistics, vertex-cut fragmentation);
+* :mod:`repro.graph` — the property-graph substrate (storage, IO, the
+  frozen CSR index, statistics);
 * :mod:`repro.pattern` — graph patterns with wildcards and pivots,
   canonical forms, subgraph-isomorphism matching, embeddings;
 * :mod:`repro.gfd` — GFDs, their semantics, closure/chase, the FPT

@@ -1,4 +1,4 @@
-"""Property-graph substrate: storage, IO, statistics and fragmentation."""
+"""Property-graph substrate: storage, IO, the frozen index and statistics."""
 
 from .builder import GraphBuilder
 from .graph import Edge, Graph
@@ -11,7 +11,6 @@ from .io import (
     save_tsv,
 )
 from .index import GraphIndex
-from .partition import Fragment, fragment_graph, partition_edges
 from .store import (
     IndexStoreCorrupt,
     IndexStoreError,
@@ -34,10 +33,7 @@ __all__ = [
     "inspect_index",
     "load_index",
     "save_index",
-    "Fragment",
     "compute_statistics",
-    "fragment_graph",
-    "partition_edges",
     "graph_to_json",
     "graph_from_json",
     "save_json",

@@ -9,9 +9,9 @@ engine expresses every worker-side operation as an *op* on a
 verified pattern, its lattice mask store, its resident enforcement tables
 and its cover-phase rule set — and delegates execution to a backend:
 
-* :class:`SerialBackend` runs the ops inline in the master process under the
-  :class:`~repro.parallel.cluster.SimulatedCluster` metering (the historical
-  behavior; deterministic and dependency-free, the default).
+* :class:`SerialBackend` runs the same ops inline in the master process
+  under the :class:`~repro.parallel.cluster.SimulatedCluster` metering
+  (deterministic and dependency-free, the default).
 * :class:`MultiprocessBackend` runs each worker as a dedicated
   single-process :class:`~concurrent.futures.ProcessPoolExecutor` (one pool
   per worker gives task→worker affinity, which the shard state requires).
@@ -24,9 +24,11 @@ and its cover-phase rule set — and delegates execution to a backend:
   so the modeled BSP metrics stay comparable across backends; real
   wall-clock lives in ``DiscoveryResult.stats.elapsed_seconds``.
 
-Both backends execute the same op implementations, so the discovered GFD
-sets are identical by construction — the randomized differential harness
-(``tests/test_differential.py``) asserts it.
+Both backends execute the same op implementations under the same protocol,
+so the discovered GFD sets, the transfer ledgers and the superstep counts are
+identical by construction — the randomized differential harness
+(``tests/test_differential.py``) asserts the first, ``tests/test_backend.py``
+the other two.  The backends differ only in transport and recovery.
 
 Shared-memory lifecycle: the master owns the segment (created in
 :class:`SharedIndexBuffers`), workers attach without tracking (so the
@@ -35,9 +37,9 @@ shutdown` joins the pools, closes and unlinks.  ``tests/test_backend.py``
 asserts no segment survives a shutdown.
 
 Bulk data stays worker-resident by design: join results are *parked*
-worker-side (only a skewed join is fetched through the master, re-dealt in
-whole pivot groups and shipped back out), and enforcement match tables
-persist in the workers across
+worker-side on every backend (only a skewed join is fetched through the
+master, re-dealt in whole pivot groups and shipped back out), and
+enforcement match tables persist in the workers across
 :meth:`~repro.enforce.engine.EnforcementEngine.refresh` calls.  The
 :class:`TransferLedger` on every backend counts exactly which match rows
 cross the master boundary, so tests and benchmarks can *prove* that only
@@ -141,7 +143,7 @@ class TransferLedger:
         rows_to_workers: match rows sent master → worker in op payloads
             (installs, enforcement installs/updates).
         rows_to_master: match rows returned worker → master in op results
-            (un-parked joins, fetched joins, violating rows of enforcement
+            (joins fetched for a rebalance, violating rows of enforcement
             reports).
         sigma_rules: GFDs broadcast to workers for the cover phase
             (manifests, not match rows; tracked for completeness).
@@ -311,8 +313,6 @@ def _payload_rows(op: str, payload: Dict[str, Any]) -> int:
 
 def _result_rows(op: str, result: Any) -> int:
     """Match rows a worker returns *to* the master from one op."""
-    if op == "join":
-        return sum(_rows_in(part[0]) for part in result)
     if op == "fetch_join":
         return _rows_in(result)
     if op in ("enforce_install", "enforce_update", "enforce_results"):
@@ -350,9 +350,11 @@ class ShardWorker:
     row set is one Python int (row ``i`` = bit ``i``), so an intersection
     is ``&``, a count is ``bit_count()`` and the distinct-pivot support is
     :meth:`MatchTable.bits_support`'s carry-add.  Bitsets never leave the
-    worker; results are counts.  The serial backend keeps ``n`` of these
+    worker; results are counts.  A join parks its rows here too, until the
+    child's install adopts them.  The serial backend keeps ``n`` of these
     in-process; the multiprocess backend keeps one per worker process,
-    built around the attached (detached) graph index.
+    built around the attached (detached) graph index; both send them the
+    same ops.
 
     Two further state families live here so *their* bulk data also stays
     worker-resident: the cover phase's rule set ``Σ`` plus its amortized
@@ -441,17 +443,15 @@ class ShardWorker:
     def op_join(self, key: int, payload: Dict[str, Any]) -> List[Tuple]:
         """Join this shard with every extension edge of one parent.
 
-        Returns ``(matches, local support, count, hit_cap)`` per extension;
+        The joined matches stay here under ``(parent key, position)`` — the
+        slot a later install adopts, or a rebalance fetches — and only
+        ``(local support, count, hit_cap)`` per extension travels back;
         ``cap`` bounds the per-shard join (``config.max_matches_per_pattern``
         enforcement — the master combines the flags into the global
-        truncation verdict).  With ``park=True`` (the cross-process mode)
-        the matches stay here under ``(parent key, position)`` — the slot a
-        later install adopts — and ``None`` travels in their place, so only
-        scalars cross the process boundary.
+        truncation verdict).
         """
         parent_matches = self.tables[key].match_array
         cap = payload["cap"]
-        park = payload.get("park", False)
         results: List[Tuple] = []
         for position, (extension, pivot_var) in enumerate(payload["extensions"]):
             matches = extend_matches(
@@ -464,12 +464,8 @@ class ShardWorker:
             )
             count = int(matches.shape[0])
             support = int(np.unique(matches[:, pivot_var]).size) if count else 0
-            hit_cap = cap is not None and count >= cap
-            if park:
-                self.joins[(key, position)] = matches
-                results.append((None, support, count, hit_cap))
-            else:
-                results.append((matches, support, count, hit_cap))
+            self.joins[(key, position)] = matches
+            results.append((support, count, cap is not None and count >= cap))
         return results
 
     def op_fetch_join(self, key: int, payload: Dict[str, Any]):
@@ -776,13 +772,14 @@ class ShardWorker:
 # backends
 # ----------------------------------------------------------------------
 class ExecutionBackend:
-    """Executes superstep request batches against ``n`` shard workers."""
+    """Executes superstep request batches against ``n`` shard workers.
+
+    Every backend runs the same op protocol; they differ only in transport
+    (inline calls, pickled submissions, staged payloads) and recovery.
+    """
 
     name: str = "abstract"
     num_workers: int = 0
-    #: Whether workers live in other processes (payloads cross a pickle
-    #: boundary, so bulk data should stay worker-resident when possible).
-    remote: bool = False
     #: Identity of the graph snapshot the workers were built around; an
     #: engine refuses to run on a backend holding a different snapshot.
     source_token: Tuple = ()
@@ -1264,7 +1261,6 @@ class MultiprocessBackend(ExecutionBackend):
     """
 
     name = "multiprocess"
-    remote = True
 
     def __init__(
         self,
@@ -1512,7 +1508,7 @@ class MultiprocessBackend(ExecutionBackend):
         "enforce_drop": frozenset({"enforce_install", "enforce_update"}),
     }
     #: The state-making ops.  Read-only ops (tally, implication_batch,
-    #: cover_probe) and un-parked joins are never journaled.
+    #: cover_probe) are never journaled.
     _JOURNALED_OPS = frozenset().union(*_RETIRES.values())
 
     def _journal(self, worker: int, op: str, key: int,
@@ -1535,7 +1531,7 @@ class MultiprocessBackend(ExecutionBackend):
         journal = self._journals[worker]
         family = self._RETIRES.get(op)
         if family is None:
-            if op in self._JOURNALED_OPS and (op != "join" or payload.get("park")):
+            if op in self._JOURNALED_OPS:
                 journal.append((op, key, payload))
             return
         if op == "drop" and any(_adopted_key(entry) == key for entry in journal):

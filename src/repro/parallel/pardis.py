@@ -1,15 +1,18 @@
 """``ParDis`` — parallel GFD mining over a fragmented graph (Section 6.2).
 
 The algorithm runs in supersteps on a master + ``n`` workers.  The graph is
-vertex-cut fragmented; each worker *owns* a shard of every verified
-pattern's matches (seeded from the fragment's nodes, then carried along by
-the incremental joins ``Q'(F_s) = Q(F_s) ⋈ e(F_t)``).  Per superstep,
-mirroring Figure 3:
+vertex-cut fragmented: node ``v`` belongs to worker ``v mod n``, every
+worker reads the one shared index, and a join superstep charges the
+extension edges it would ship.  Each worker *owns* a shard of every
+verified pattern's matches (seeded from the fragment's nodes, then carried
+along by the incremental joins ``Q'(F_s) = Q(F_s) ⋈ e(F_t)``).  Per
+superstep, mirroring Figure 3:
 
 1. **Parallel pattern verification** — the master spawns extensions (from
    merged per-worker tally counts, so the spawned patterns equal
    ``SeqDis``'s); workers join their local match shards with the shipped
-   extension edges of *every* parent of the tree level in one round — a
+   extension edges of *every* parent of the tree level in one round and
+   park the joined rows for the children's installs — a
    closing child whose tally count already makes it a leaf is not joined
    at all; skewed shards are re-distributed (``ParGFDnb`` disables this);
 2. **Parallel GFD validation** — the master grows the LHS lattices of all
@@ -302,9 +305,10 @@ class ParallelDiscovery(SequentialDiscovery):
         ``VSpawn`` installs a whole level's children in one round, seeding
         one label at a time.  The column statistics feed
         the master's alphabet generation, saving a dedicated round per
-        pattern.  ``shards`` carries the per-worker matches; on a remote
-        backend ``adopt`` instead names the join slot the matches were
-        parked in worker-side, so no rows cross the process boundary.
+        pattern.  ``adopt`` names the join slot the matches were parked in
+        worker-side, so no rows cross the master boundary; ``shards``
+        carries the per-worker matches instead for a seed and for a child
+        whose skewed join the master re-dealt.
         Truncated patterns are leaves: no worker state is installed, so
         they are skipped by both spawning directions (matching the
         sequential engine's refusal to certify anything from a capped
@@ -433,7 +437,6 @@ class ParallelDiscovery(SequentialDiscovery):
         n = self.num_workers
         cap = self.config.max_matches_per_pattern
         level_cap = self.config.max_patterns_per_level
-        remote = self._backend.remote
 
         eligible: List[Tuple[TreeNode, int]] = []
         for parent in parents:
@@ -509,8 +512,8 @@ class ParallelDiscovery(SequentialDiscovery):
         # round 2 — every parent's incremental joins in one superstep: each
         # worker joins its shard with ALL extension edges still to verify
         # (the (Q, e) work units); positions index the extensions sent.
-        # Remote workers park the joined rows locally (the upcoming install
-        # adopts them in place) and ship scalars only.
+        # Workers park the joined rows locally (the upcoming install adopts
+        # them in place) and ship scalars only.
         join_parents: List[Tuple[int, List[Tuple[TreeNode, Extension]]]] = []
         for _, parent_key, novel in novel_by_parent:
             sent = [(node, ext) for node, ext in novel if ext is not None]
@@ -529,7 +532,6 @@ class ParallelDiscovery(SequentialDiscovery):
                             for node, extension in sent
                         ],
                         "cap": cap,
-                        "park": remote,
                     },
                 )
                 for parent_key, sent in join_parents
@@ -564,42 +566,31 @@ class ParallelDiscovery(SequentialDiscovery):
                 if extension is None:
                     continue  # a leaf by the tally: support already set
                 position += 1
-                per_worker = [joined[worker][position] for worker in range(n)]
-                new_shards = [part[0] for part in per_worker]
-                sizes = [part[2] for part in per_worker]
+                supports, sizes, hit_caps = zip(
+                    *(joined[worker][position] for worker in range(n))
+                )
                 truncated = cap is not None and (
-                    any(part[3] for part in per_worker)
-                    or sum(sizes) >= cap
+                    any(hit_caps) or sum(sizes) >= cap
                 )
                 with self.cluster.master():
                     # pivot-disjoint shards: global support is a plain sum
-                    node.support = sum(part[1] for part in per_worker)
+                    node.support = sum(supports)
                     self.cluster.ship_to_master(n)
-                adopt: Optional[Tuple[int, int]] = (
-                    (parent_key, position) if remote else None
-                )
+                new_shards, adopt = None, (parent_key, position)
                 if not truncated and self.balance and is_skewed(sizes):
+                    # the parked rows visit the master to be re-dealt;
                     # matches move in whole pivot groups, preserving the
                     # pivot-disjointness that makes supports summable
-                    if remote:
-                        # the parked rows visit the master to be re-dealt
-                        fetch = [
-                            (
-                                worker,
-                                "fetch_join",
-                                parent_key,
-                                {"position": position},
-                            )
-                            for worker in range(n)
-                        ]
-                        with self.cluster.superstep() as step:
-                            new_shards = self._backend.run_superstep(
-                                step, fetch
-                            )
-                        adopt = None
+                    fetch = [
+                        (worker, "fetch_join", parent_key, {"position": position})
+                        for worker in range(n)
+                    ]
+                    with self.cluster.superstep() as step:
+                        fetched = self._backend.run_superstep(step, fetch)
                     new_shards, moved = rebalance_pivot_group_arrays(
-                        new_shards, node.pattern.pivot
+                        fetched, node.pattern.pivot
                     )
+                    adopt = None
                     with self.cluster.superstep() as step:
                         for worker, received in moved.items():
                             step.ship(

@@ -311,7 +311,7 @@ class TestSkewRebalance:
 
     @staticmethod
     def _run(graph, config, backend_name, balance=True):
-        """``(rules → supports, transfer ledger)`` of one run."""
+        """``(rules → supports, transfer ledger, supersteps)`` of one run."""
         backend = make_backend(backend_name, 3, graph, graph.index())
         try:
             runner = ParallelDiscovery(
@@ -322,11 +322,12 @@ class TestSkewRebalance:
         finally:
             backend.shutdown()
         supports = {gfd_identity(g): result.supports[g] for g in result.gfds}
-        return supports, ledger
+        return supports, ledger, runner.cluster.metrics.supersteps
 
     def test_rebalance_through_master_matches_serial(self):
         """Same Σ and supports as the serial backend and ``SeqDis``; the
-        rebalance fires, and the ledger counts exactly its round trip."""
+        rebalance fires, the ledger counts exactly its round trip, and the
+        serial backend ships the same rows in the same supersteps."""
         from repro.parallel import janitor
 
         segments_before = janitor.live_segments()
@@ -336,11 +337,15 @@ class TestSkewRebalance:
         expected = {
             gfd_identity(g): reference.supports[g] for g in reference.gfds
         }
-        serial, _ = self._run(graph, config, "serial")
-        balanced, ledger = self._run(graph, config, "multiprocess")
+        serial, serial_ledger, serial_steps = self._run(graph, config, "serial")
+        balanced, ledger, steps = self._run(graph, config, "multiprocess")
         assert serial == expected
         assert balanced == expected
-        unbalanced, plain = self._run(
+        # one join protocol: the serial run parks, fetches and re-deals
+        # exactly as the multiprocess run does
+        assert serial_ledger == ledger
+        assert serial_steps == steps
+        unbalanced, plain, _ = self._run(
             graph, config, "multiprocess", balance=False
         )
         assert unbalanced == expected
@@ -354,6 +359,20 @@ class TestSkewRebalance:
         )
         # every index and payload segment of the three runs is unlinked
         assert janitor.live_segments() == segments_before
+
+    def test_unskewed_run_ships_equal_ledgers(self, yago_small, yago_config):
+        """No rebalance fires: no row returns to the master on either
+        backend, and both ship the same install rows in as many supersteps."""
+        serial, serial_ledger, serial_steps = self._run(
+            yago_small, yago_config, "serial"
+        )
+        parallel, ledger, steps = self._run(
+            yago_small, yago_config, "multiprocess"
+        )
+        assert serial == parallel
+        assert ledger.rows_to_master == 0
+        assert serial_ledger == ledger
+        assert serial_steps == steps
 
 
 class TestGraphFreeAndIndexRefresh:

@@ -40,6 +40,7 @@ from repro.parallel.backend import (
 )
 from repro.parallel.pardis import ParallelDiscovery
 from repro.serve import report_payload
+from test_backend import skewed_graph, small_config
 
 needs_mp = pytest.mark.skipif(
     not shared_memory_available(),
@@ -393,11 +394,10 @@ def _worker_state(shard: ShardWorker):
 
 
 class _ReplayCheckingBackend(SerialBackend):
-    """In-process shards that park joins like remote workers and keep the
-    supervised install log; after every batch, replaying each worker's log
-    onto a fresh shard must rebuild that worker's live state exactly."""
+    """In-process shards that keep the supervised install log; after every
+    batch, replaying each worker's log onto a fresh shard must rebuild that
+    worker's live state exactly."""
 
-    remote = True
     _RETIRES = MultiprocessBackend._RETIRES
     _JOURNALED_OPS = MultiprocessBackend._JOURNALED_OPS
     _journal = MultiprocessBackend._journal
@@ -408,6 +408,7 @@ class _ReplayCheckingBackend(SerialBackend):
         self._journals = [[] for _ in range(self.num_workers)]
         self.checks = 0
         self.tombstones = 0
+        self.journaled = set()
 
     def run_superstep(self, step, requests):
         results = super().run_superstep(step, requests)
@@ -424,6 +425,7 @@ class _ReplayCheckingBackend(SerialBackend):
             self._journal(worker, op, key, payload)
         for worker, shard in enumerate(self.workers):
             journal = self._journals[worker]
+            self.journaled.update(entry[0] for entry in journal)
             self.tombstones = max(
                 self.tombstones, sum(entry[0] == "drop" for entry in journal)
             )
@@ -437,15 +439,26 @@ class _ReplayCheckingBackend(SerialBackend):
 class TestJournalCompaction:
     """The install log's one compaction rule, checked by replay."""
 
-    @pytest.mark.parametrize("abandon", [False, True], ids=["run", "abandoned"])
+    @pytest.mark.parametrize(
+        "skewed, abandon",
+        [(False, False), (False, True), (True, False), (True, True)],
+        ids=["run", "abandoned", "skewed-run", "skewed-abandoned"],
+    )
     def test_replay_rebuilds_live_state_after_every_batch(
-        self, film_graph, film_config, abandon
+        self, film_graph, film_config, skewed, abandon
     ):
-        index = film_graph.index()
-        backend = _ReplayCheckingBackend(2, film_graph, index)
-        engine = ParallelDiscovery(
-            film_graph, film_config, index=index, backend=backend
-        )
+        if skewed:
+            # hub pivots colocated on worker 0 of 3: a join is fetched and
+            # re-dealt, so the replay covers the rebalance route too
+            graph, workers = skewed_graph(), 3
+            config = small_config(
+                k=3, sigma=3, active_attributes=["kind", "year"]
+            )
+        else:
+            graph, config, workers = film_graph, film_config, 2
+        index = graph.index()
+        backend = _ReplayCheckingBackend(workers, graph, index)
+        engine = ParallelDiscovery(graph, config, index=index, backend=backend)
         if abandon:
             levels = engine.run_iter()
             next(levels)
@@ -456,8 +469,9 @@ class TestJournalCompaction:
         assert backend.checks > 0
         # a dropped parent stayed as a tombstone while a child adopted from it
         assert backend.tombstones > 0
+        assert ("fetch_join" in backend.journaled) == skewed
         # a finished (or abandoned) discovery drops every key it made
-        assert backend._journals == [[], []]
+        assert backend._journals == [[]] * workers
         assert all(
             _worker_state(shard) == _worker_state(ShardWorker(None, None))
             for shard in backend.workers

@@ -20,16 +20,13 @@ from repro.graph import (
     Graph,
     GraphBuilder,
     compute_statistics,
-    fragment_graph,
     graph_from_json,
     graph_to_json,
     load_json,
     load_tsv,
-    partition_edges,
     save_json,
     save_tsv,
 )
-from repro.graph.partition import edge_balance, replication_factor
 
 
 def build_sample() -> Graph:
@@ -413,55 +410,6 @@ class TestIO:
         path.write_text("0\tperson\n")
         with pytest.raises(ValueError):
             load_tsv(path)
-
-
-class TestPartition:
-    def test_block_partition_covers_all_edges(self):
-        graph = build_sample()
-        buckets = partition_edges(graph, 2, strategy="block")
-        merged = sorted(edge for bucket in buckets for edge in bucket)
-        assert merged == sorted(graph.edges())
-
-    def test_hash_partition_covers_all_edges(self):
-        graph = build_sample()
-        buckets = partition_edges(graph, 2, strategy="hash")
-        merged = sorted(edge for bucket in buckets for edge in bucket)
-        assert merged == sorted(graph.edges())
-
-    def test_even_balance(self):
-        graph = Graph()
-        nodes = [graph.add_node("n") for _ in range(20)]
-        for index in range(19):
-            graph.add_edge(nodes[index], nodes[index + 1], "e")
-        fragments = fragment_graph(graph, 4)
-        low, high = edge_balance(fragments)
-        assert high - low <= 1
-
-    def test_border_nodes(self):
-        graph = build_sample()
-        fragments = fragment_graph(graph, 3)
-        for fragment in fragments:
-            for src, dst, _ in fragment.edges:
-                assert src in fragment.border_nodes
-                assert dst in fragment.border_nodes
-
-    def test_replication_factor_at_least_one(self):
-        graph = build_sample()
-        fragments = fragment_graph(graph, 2)
-        assert replication_factor(fragments) >= 1.0
-
-    def test_invalid_fragment_count(self):
-        with pytest.raises(ValueError):
-            partition_edges(build_sample(), 0)
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            partition_edges(build_sample(), 2, strategy="magic")
-
-    def test_edges_with_label(self):
-        graph = build_sample()
-        fragments = fragment_graph(graph, 1)
-        assert len(fragments[0].edges_with_label("livesIn")) == 2
 
 
 class TestStatistics:
