@@ -31,7 +31,11 @@ of the serving subsystem:
    hits + misses equal to the requests of each kind, ``enforce_install``
    worker ops equal to workers × plan groups × full passes (a discovery
    drops only its own worker keys, so resident groups survive it and a
-   refresh never re-installs them), and every
+   refresh never re-installs them), ``VSpawn`` rounds equal to the
+   levels recorded per structure version (the session's structural
+   frontier verifies a level once per structure, and every write here
+   is an attribute write: one round per level reached, however many
+   discover misses), and every
    ``discover`` / ``cover`` answer identical to a fresh single-client
    ``Session`` at the replayed version (the unbudgeted ``discover_iter``
    filtered to the clamped ``max_levels`` and cut to ``max_rules`` — an
@@ -249,6 +253,10 @@ async def drive(base, config, sigma, backend: str) -> Dict[str, Any]:
         event for event in tracer.events
         if event["type"] == "enforce_pass" and event["mode"] == "full"
     ]
+    vspawn_levels = [
+        span.args["level"] for span in tracer.spans
+        if span.kind == "level" and span.name.startswith("vspawn")
+    ]
     replay = check_replay_identity(
         base, sigma, commit_log, load.validate_responses
     )
@@ -282,6 +290,15 @@ async def drive(base, config, sigma, backend: str) -> Dict[str, Any]:
             for span in tracer.spans
         ),
         "cover_computations": cover_computations,
+        "vspawn_rounds": len(vspawn_levels),
+        "levels_recorded": len(set(vspawn_levels)),
+        "structure_versions": 1 + sum(
+            event["type"] == "frontier_drop" and event["reason"] == "structure"
+            for event in tracer.events
+        ),
+        "frontier_replays": sum(
+            event["type"] == "frontier_replay" for event in tracer.events
+        ),
         "leaked_leases": service.leaked_leases,
         "leaked_segments": len(live_segments()),
         "leaked_mappings": len(live_mappings()),
@@ -360,6 +377,14 @@ def check(metrics: Dict[str, Any]) -> List[str]:
                 f"{run['plan_groups']} plan groups x {run['full_passes']} "
                 f"full passes (resident groups must survive discoveries)"
             )
+        rounds = run["levels_recorded"] * run["structure_versions"]
+        if run["vspawn_rounds"] != rounds:
+            failures.append(
+                f"{tag} {run['vspawn_rounds']} VSpawn rounds, expected "
+                f"{rounds} = {run['levels_recorded']} levels recorded x "
+                f"{run['structure_versions']} structure versions (a "
+                f"budgeted discover replays the structural frontier)"
+            )
         covers = load["completed"].get("cover", 0)
         if run["cover_computations"] != min(1, covers):
             failures.append(
@@ -431,6 +456,10 @@ def main() -> int:
             f"enforce_install ops {run['enforce_installs']} = "
             f"{run['workers']} workers x {run['plan_groups']} groups x "
             f"{run['full_passes']} full passes, "
+            f"VSpawn rounds {run['vspawn_rounds']} = "
+            f"{run['levels_recorded']} levels x "
+            f"{run['structure_versions']} structure versions "
+            f"({run['frontier_replays']} level replays), "
             f"monitor {run['monitor']['distinct_pivots_ever']} distinct "
             f"pivots ever over {run['monitor']['states_replayed']} states, "
             f"memo hits "

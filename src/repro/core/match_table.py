@@ -27,6 +27,7 @@ carry-add (see :meth:`MatchTable.bits_support`).
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from itertools import groupby
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -666,8 +667,6 @@ def constant_literals_from_counts(
     for tables without an index.  Ranking is total (:func:`_rank`), so
     every path produces the same alphabet.
     """
-    import heapq
-
     literals: List[ConstantLiteral] = []
     for (variable, attr) in sorted(counts):
         counter = counts[(variable, attr)]
@@ -700,8 +699,8 @@ def constant_literals_from_code_counts(
     graph-global on the index, so the merge is a sum per key.  Each
     column is cut at its ``max_constants``-th largest count (and at
     ``min_rows``); only the values at or above the cut are decoded and
-    ranked by :func:`_rank`.  Equal to :func:`constant_literals_from_counts`
-    over the decoded, merged counts.
+    ranked (:func:`_top_ranked`).  Equal to
+    :func:`constant_literals_from_counts` over the decoded, merged counts.
     """
     keys = np.concatenate([part[0] for part in parts])
     counts = np.concatenate([part[1] for part in parts])
@@ -729,10 +728,32 @@ def constant_literals_from_code_counts(
     ):
         variable, attr = columns[slot]
         pool = [(values[code], count) for _, code, count in run]
-        ranked = sorted(pool, key=_rank)
-        for value, _ in ranked[:max_constants]:
+        for value, _ in _top_ranked(pool, max_constants):
             literals.append(ConstantLiteral(variable, attr, value))
     return literals
+
+
+def _top_ranked(
+    pool: List[Tuple[Any, int]], limit: int
+) -> List[Tuple[Any, int]]:
+    """``sorted(pool, key=_rank)[:limit]`` for a count-descending ``pool``.
+
+    Entries above the cut count all make it; of the ties at the cut only
+    the ``need`` smallest by text can, and ``_rank`` orders equal counts
+    by text first.  So the ties whose text is at most the ``need``-th
+    smallest text are the only ones ranked — with a heavy tie (every value
+    seen once) that is ``need`` or a few more entries, not the whole pool.
+    """
+    if len(pool) <= limit:
+        return sorted(pool, key=_rank)
+    cut = pool[limit - 1][1]
+    above = [entry for entry in pool if entry[1] > cut]
+    ties = [entry for entry in pool if entry[1] == cut]
+    need = limit - len(above)
+    texts = [str(value) for value, _ in ties]
+    boundary = heapq.nsmallest(need, texts)[-1]
+    near = [entry for entry, text in zip(ties, texts) if text <= boundary]
+    return sorted(above, key=_rank) + sorted(near, key=_rank)[:need]
 
 
 def variable_literals_from_counts(

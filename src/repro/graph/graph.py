@@ -73,6 +73,7 @@ class Graph:
         "_singletons",
         "_num_edges",
         "_version",
+        "_structure_version",
         "_index_cache",
         "_stale_nodes",
         "_delta_logs",
@@ -91,6 +92,7 @@ class Graph:
         self._singletons: Dict[str, FrozenSet[str]] = {}
         self._num_edges = 0
         self._version = 0
+        self._structure_version = 0
         self._index_cache = None
         # nodes touched since ``_index_cache`` was frozen (empty without one)
         self._stale_nodes: Set[int] = set()
@@ -104,17 +106,31 @@ class Graph:
         """Monotone mutation counter; any structural/attribute change bumps it."""
         return self._version
 
+    @property
+    def structure_version(self) -> int:
+        """Monotone counter of structural mutations only.
+
+        A node or edge insert/delete or a relabel bumps it; ``set_attr`` and
+        ``remove_attr`` do not.  State that depends only on labels and
+        edges — a discovery's verified patterns and their matches — stays
+        valid while it holds still.
+        """
+        return self._structure_version
+
     def _touch(self, *nodes: int, structural: bool = True) -> None:
         """Record a mutation touching ``nodes`` (both ends of an edge).
 
-        Bumps the version, marks the nodes stale against the cached index —
-        :meth:`index` re-reads exactly those — and reports them to the
-        attached delta logs with the mutation's kind: ``structural`` for a
-        node or edge insert/delete or a relabel, not for an attribute write.
+        Bumps the version (and, for a ``structural`` mutation — a node or
+        edge insert/delete or a relabel, not an attribute write — the
+        :attr:`structure_version`), marks the nodes stale against the cached
+        index — :meth:`index` re-reads exactly those — and reports them to
+        the attached delta logs with the mutation's kind.
         Without a cached index nothing is marked, so bulk construction pays
         nothing.
         """
         self._version += 1
+        if structural:
+            self._structure_version += 1
         if self._index_cache is not None:
             self._stale_nodes.update(nodes)
         for log in self._delta_logs:

@@ -410,9 +410,20 @@ class ShardWorker:
         the index, so the master merges and decodes only the few values it
         keeps.  ``payload["gamma"]`` carries the engine's active
         attributes Γ.
+
+        The rows come from ``payload["matches"]``, from the parked join
+        ``payload["adopt"]`` names, or — with ``payload["resident"]`` — from
+        this worker's own table under ``key``: a kept table re-bound to the
+        worker's current index, so its statistics read the current
+        attribute values.
         """
         adopt = payload.get("adopt")
-        matches = self.joins.pop(adopt) if adopt is not None else payload["matches"]
+        if adopt is not None:
+            matches = self.joins.pop(adopt)
+        elif payload.get("resident"):
+            matches = self.tables[key].match_array
+        else:
+            matches = payload["matches"]
         table = MatchTable(
             self.graph,
             payload["pattern"],
@@ -819,9 +830,13 @@ class ExecutionBackend:
 
         Keeps all worker-resident state (notably the persistent enforcement
         tables, whose kept rows stay valid across a delta — see
-        :meth:`ShardWorker.op_enforce_update`).  Callers must not hold
-        discovery-phase tables across a swap; those cache columns of the
-        old snapshot.
+        :meth:`ShardWorker.op_enforce_update`).  A match table caches no
+        column, only its rows, and rows depend on labels and edges alone:
+        resident discovery tables survive an attribute-only swap (a
+        session's structural frontier keeps them), and each is re-bound to
+        the new snapshot by an ``install`` with ``resident`` set before
+        any op reads its attributes.  After a structural swap their rows
+        may be stale, so their owner drops them.
         """
         raise NotImplementedError
 
@@ -1449,14 +1464,30 @@ class MultiprocessBackend(ExecutionBackend):
                 )
 
     def _call_all(self, function, *args) -> None:
-        """Run one call on every live worker process and wait for all."""
-        futures = [
-            pool.submit(function, *args)
-            for worker, pool in enumerate(self._pools)
-            if worker not in self._local
-        ]
-        for future in futures:
-            future.result()
+        """Run one call on every live worker process and wait for all.
+
+        Supervised, a worker found dead — killed during a fire-and-forget
+        batch nobody collected — is recovered (respawned on the previous
+        snapshot, its journal replayed) and the call is retried on it.
+        """
+        futures: Dict[int, Future] = {}
+        for worker, pool in enumerate(self._pools):
+            if worker in self._local:
+                continue
+            try:
+                futures[worker] = pool.submit(function, *args)
+            except BrokenProcessPool as error:
+                futures[worker] = Future()
+                futures[worker].set_exception(error)
+        for worker, future in futures.items():
+            try:
+                future.result()
+            except Exception as error:
+                if self._fault is None or not self._is_transport_failure(error):
+                    raise
+                self._recover(worker)
+                if worker not in self._local:
+                    self._pools[worker].submit(function, *args).result()
 
     def _changed_arrays(self, export) -> Optional[Dict[str, np.ndarray]]:
         """Arrays that differ from the previous export, or ``None``.
@@ -1523,10 +1554,13 @@ class MultiprocessBackend(ExecutionBackend):
         with ``adopt=(K, position)`` replays only after ``K``'s ``install``
         and ``join``, so while a live entry adopts from ``K``, ``drop(K)``
         stays as a tombstone, and ``K``'s entries retire with its last
-        adopter — transitively up to the seed.  Unsupervised backends
-        never replay, so they keep no log.
+        adopter — transitively up to the seed.  A ``resident`` install is
+        not recorded: it only re-binds a kept table to the current index,
+        which replaying the table's original ``install`` (and ``join``)
+        already does, so a table re-bound on every discovery does not grow
+        the log.  Unsupervised backends never replay, so they keep no log.
         """
-        if self._fault is None:
+        if self._fault is None or (op == "install" and payload.get("resident")):
             return
         journal = self._journals[worker]
         family = self._RETIRES.get(op)

@@ -40,7 +40,7 @@ so both engines agree on the discovered set even when the cap binds.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -74,7 +74,54 @@ from .backend import (
 from .balancer import is_skewed, rebalance_pivot_group_arrays
 from .cluster import SimulatedCluster
 
-__all__ = ["ParallelDiscovery"]
+__all__ = ["ParallelDiscovery", "StructuralFrontier"]
+
+#: One verified pattern of a recorded level: ``(primary parent's position
+#: in the level above or -1 for a seed, pattern, support, worker key or
+#: None, per-worker row counts or None)``.
+_Recorded = Tuple[int, Pattern, int, Optional[int], Optional[List[int]]]
+
+
+class StructuralFrontier:
+    """The structural outcome of budgeted discoveries at one graph structure.
+
+    ``VSpawn`` reads labels and edges only, so what it found — the patterns
+    of each level in creation order, their supports, and the worker-
+    resident match tables of the patterns it installed — holds for as long
+    as :attr:`~repro.graph.graph.Graph.structure_version` does.  A
+    :class:`~repro.session.Session` keeps one for its budgeted streams; a
+    ``ParallelDiscovery`` given it records each level once its ``VSpawn``
+    completes and replays a recorded level instead of tallying, joining
+    and installing it again.  Only ``HSpawn`` reads attribute values, and a
+    replayed table is re-bound to the workers' current index by an
+    ``install`` before its first scan.
+
+    The frontier owns the worker keys of its levels: the discovery that
+    recorded them does not drop them, the session drops them (:meth:`drop`)
+    when the structure version moves and on close.
+    """
+
+    def __init__(self, structure_version: int) -> None:
+        self.structure_version = structure_version
+        #: per recorded level: its patterns, and how many were truncated
+        self.levels: List[Tuple[List[_Recorded], int]] = []
+        #: every worker key the recorded levels hold
+        self.keys: Set[int] = set()
+        self.dropped = False
+
+    def drop(self, backend: ExecutionBackend) -> None:
+        """Release every worker key the recorded levels hold."""
+        self.dropped = True
+        if self.keys:
+            backend.run_unmetered(
+                [
+                    (worker, "drop", key, {})
+                    for key in sorted(self.keys)
+                    for worker in range(backend.num_workers)
+                ],
+                wait=False,
+            )
+        self.keys = set()
 
 
 class _Task:
@@ -143,6 +190,10 @@ class ParallelDiscovery(SequentialDiscovery):
             :class:`~repro.parallel.backend.ExecutionBackend` to reuse
             across runs (the caller keeps ownership; worker counts must
             match).
+        frontier: a :class:`StructuralFrontier` of the graph's current
+            structure, shared across runs on the same backend: recorded
+            levels are replayed, new ones recorded, and its worker keys
+            are left to its owner.
     """
 
     def __init__(
@@ -155,6 +206,7 @@ class ParallelDiscovery(SequentialDiscovery):
         stats=None,
         index=None,
         backend: Union[None, str, ExecutionBackend] = None,
+        frontier: Optional[StructuralFrontier] = None,
     ) -> None:
         super().__init__(graph, config, stats=stats, index=index)
         if isinstance(backend, ExecutionBackend):
@@ -188,6 +240,7 @@ class ParallelDiscovery(SequentialDiscovery):
         self._keys: Dict[int, int] = {}
         self._shard_rows: Dict[int, List[int]] = {}
         self._column_stats: Dict[int, tuple] = {}
+        self._frontier = frontier
 
     # ------------------------------------------------------------------
     @property
@@ -232,7 +285,8 @@ class ParallelDiscovery(SequentialDiscovery):
 
         Runs on success, on error and on an abandoned ``run_iter``, so the
         other engines on a borrowed backend keep their state (an
-        enforcement engine's resident shards survive a discovery).  Best
+        enforcement engine's resident shards survive a discovery); the
+        keys of a :class:`StructuralFrontier`'s levels stay too.  Best
         effort: a backend that just broke mid-run must not displace the
         original error with its cleanup failure.
         """
@@ -241,6 +295,7 @@ class ParallelDiscovery(SequentialDiscovery):
                 [
                     (worker, "drop", key, {})
                     for key in self._keys.values()
+                    if not self._in_frontier(key)
                     for worker in range(self.num_workers)
                 ]
             )
@@ -254,21 +309,121 @@ class ParallelDiscovery(SequentialDiscovery):
         return self.cluster.master()
 
     def _seed_level(self, tree: GenerationTree) -> None:
-        with self.cluster.tracer.span("seed", "level", level=0):
-            self._seed_parallel(tree)
+        if self._replay_level(tree, 0) is None:
+            truncated = self.stats.truncated_patterns
+            with self.cluster.tracer.span("seed", "level", level=0):
+                self._seed_parallel(tree)
+            self._record_level(tree, 0, list(tree.level(0)), truncated)
 
     def _extend_level(self, tree: GenerationTree, level: int) -> List[TreeNode]:
-        with self.cluster.tracer.span(
-            f"vspawn level {level}", "level", level=level
-        ):
-            return self._vspawn_level(tree, level)
+        nodes = self._replay_level(tree, level)
+        if nodes is None:
+            truncated = self.stats.truncated_patterns
+            with self.cluster.tracer.span(
+                f"vspawn level {level}", "level", level=level
+            ):
+                nodes = self._vspawn_level(tree, level)
+            self._record_level(tree, level, nodes, truncated)
+        return nodes
 
     def _mine_nodes(self, nodes) -> None:
         nodes = list(nodes)
+        self._check_frontier()
         with self.cluster.tracer.span(
             f"hspawn {len(nodes)} nodes", "level", nodes=len(nodes)
         ):
             self._mine_nodes_batch(nodes)
+
+    # ------------------------------------------------------------------
+    # the structural frontier: record a level once, replay it after
+    # ------------------------------------------------------------------
+    def _in_frontier(self, key: int) -> bool:
+        return self._frontier is not None and key in self._frontier.keys
+
+    def _check_frontier(self) -> None:
+        if self._frontier is not None and self._frontier.dropped:
+            raise RuntimeError(
+                "the graph's structure changed while this budgeted stream "
+                "was open; its recorded patterns are gone — start a new one"
+            )
+
+    def _record_level(
+        self,
+        tree: GenerationTree,
+        level: int,
+        nodes: List[TreeNode],
+        truncated_before: int,
+    ) -> None:
+        """Keep a completed level's structural outcome in the frontier."""
+        if self._frontier is None:
+            return
+        parents = tree.level(level - 1) if level else []
+        positions = {
+            id(parent): position for position, parent in enumerate(parents)
+        }
+        entries: List[_Recorded] = []
+        for node in nodes:
+            key = self._keys.get(id(node))
+            parent = positions[id(node.parents[0])] if level else -1
+            entries.append((
+                parent, node.pattern, node.support, key,
+                None if key is None else self._shard_rows[key],
+            ))
+            if key is not None:
+                self._frontier.keys.add(key)
+        self._frontier.levels.append(
+            (entries, self.stats.truncated_patterns - truncated_before)
+        )
+
+    def _replay_level(
+        self, tree: GenerationTree, level: int
+    ) -> Optional[List[TreeNode]]:
+        """A recorded level rebuilt without a tally, join or install.
+
+        The patterns are added to the tree in their recorded order, so each
+        inherits ``covered`` from its freshly mined parent; the counters
+        and the zero-support negatives follow :meth:`_settle` as in
+        ``VSpawn``.  ``None`` when the level is not recorded.
+        """
+        self._check_frontier()
+        if self._frontier is None or level >= len(self._frontier.levels):
+            return None
+        entries, truncated = self._frontier.levels[level]
+        parents = tree.level(level - 1) if level else []
+        nodes: List[TreeNode] = []
+        for position, pattern, support, key, rows in entries:
+            node, _ = tree.add(
+                pattern, level, parents[position] if position >= 0 else None
+            )
+            node.support = support
+            if key is not None:
+                self._keys[id(node)] = key
+                self._shard_rows[key] = rows
+            nodes.append(node)
+        self.stats.patterns_spawned += len(nodes)
+        self.stats.truncated_patterns += truncated
+        self._settle(nodes)
+        tracer = self.cluster.tracer
+        if tracer.enabled:
+            tracer.event("frontier_replay", level=level, patterns=len(nodes))
+        return nodes
+
+    def _settle(self, nodes: List[TreeNode]) -> None:
+        """Count a level's verified patterns and emit ``NVSpawn``'s
+        zero-support negatives, in node order (``SeqDis``'s order)."""
+        for node in nodes:
+            if node.support >= self.config.sigma:
+                self.stats.patterns_frequent += 1
+            if node.support == 0:
+                self.stats.patterns_zero_support += 1
+                parent = node.parents[0] if node.parents else None
+                if (
+                    self.config.mine_negative
+                    and parent is not None
+                    and parent.support >= self.config.sigma
+                ):
+                    negative = GFD(node.pattern, frozenset(), FALSE)
+                    self._emit(negative, parent.support)
 
     # ------------------------------------------------------------------
     # seeding and vertical spawning
@@ -293,7 +448,7 @@ class ParallelDiscovery(SequentialDiscovery):
             node.support = count
             self._install_shards_many([(node, shards, False, None)])
             self.stats.patterns_spawned += 1
-            self.stats.patterns_frequent += 1
+        self._settle(list(tree.level(0)))
 
     def _install_shards_many(
         self,
@@ -315,58 +470,73 @@ class ParallelDiscovery(SequentialDiscovery):
         table).  The workers hold the only copy of the rows — the master
         keeps no match table (``TreeNode.table`` stays ``None``).
         """
-        pending: List[Tuple[TreeNode, int, bool, Optional[List], Optional[Tuple[int, int]]]] = []
+        pending: List[Tuple[TreeNode, int, List[Dict[str, Any]]]] = []
         for node, shards, truncated, adopt in batch:
             if truncated:
                 self.stats.truncated_patterns += 1
                 continue
             key = next_node_key()
             self._keys[id(node)] = key
-            mined = not self.config.prune or node.support >= self.config.sigma
-            pending.append((node, key, mined, shards, adopt))
+            if adopt is not None:
+                sources = [{"adopt": adopt}] * self.num_workers
+            else:
+                sources = [{"matches": shard} for shard in shards]
+            pending.append((node, key, sources))
+        self._install(pending)
+
+    def _install(
+        self, pending: List[Tuple[TreeNode, int, List[Dict[str, Any]]]]
+    ) -> None:
+        """One ``install`` superstep: ``(node, key, per-worker row source)``
+        entries, a source being ``{"matches": rows}``, ``{"adopt": slot}``
+        or ``{"resident": True}`` (the worker's own table under ``key``,
+        re-bound to its current index)."""
         if not pending:
             return
         requests = []
-        for node, key, mined, shards, adopt in pending:
-            want_variable = (
-                self.config.variable_literals and node.pattern.num_nodes > 1
-            )
+        for node, key, sources in pending:
             base_payload = {
                 "pattern": node.pattern,
-                "mined": mined,
-                "want_variable": want_variable,
+                "mined": self._is_mined(node),
+                "want_variable": (
+                    self.config.variable_literals
+                    and node.pattern.num_nodes > 1
+                ),
                 "same_attr_only": self.config.variable_literals_same_attr_only,
                 # Γ is the engine's, so it travels with every install
                 "gamma": self.gamma,
             }
-            for worker in range(self.num_workers):
-                payload = dict(base_payload)
-                if adopt is not None:
-                    payload["adopt"] = adopt
-                else:
-                    payload["matches"] = shards[worker]
-                requests.append((worker, "install", key, payload))
+            for worker, source in enumerate(sources):
+                requests.append(
+                    (worker, "install", key, {**base_payload, **source})
+                )
         with self.cluster.superstep() as step:
             parts_all = self._backend.run_superstep(step, requests)
         n = self.num_workers
-        for index, (node, key, mined, shards, adopt) in enumerate(pending):
+        for index, (node, key, _) in enumerate(pending):
             parts = parts_all[index * n:(index + 1) * n]
             self._shard_rows[key] = [part[0] for part in parts]
-            if mined:
+            if self._is_mined(node):
                 self._column_stats[key] = (
                     [part[1] for part in parts],
                     [part[2] for part in parts],
                 )
 
+    def _is_mined(self, node: TreeNode) -> bool:
+        """Whether ``HSpawn`` mines the pattern (it needs its alphabet)."""
+        return not self.config.prune or node.support >= self.config.sigma
+
     def _drop_parent(self, parent: TreeNode, parent_key: int) -> None:
-        """Free a finished pattern's worker-side state and master bookkeeping."""
-        self._backend.run_unmetered(
-            [
-                (worker, "drop", parent_key, {})
-                for worker in range(self.num_workers)
-            ],
-            wait=False,
-        )
+        """Free a finished pattern's worker-side state (unless the frontier
+        keeps it) and master bookkeeping."""
+        if not self._in_frontier(parent_key):
+            self._backend.run_unmetered(
+                [
+                    (worker, "drop", parent_key, {})
+                    for worker in range(self.num_workers)
+                ],
+                wait=False,
+            )
         self._keys.pop(id(parent), None)
         self._shard_rows.pop(parent_key, None)
         self._column_stats.pop(parent_key, None)
@@ -557,12 +727,11 @@ class ParallelDiscovery(SequentialDiscovery):
         # per-child support aggregation and (rare) skew rebalancing, in
         # (parent, child) order; installs collect into one batch
         install_batch: List[Tuple[TreeNode, Optional[List], bool, Optional[Tuple[int, int]]]] = []
-        child_meta: List[Tuple[TreeNode, TreeNode]] = []
         for parent, parent_key, novel in novel_by_parent:
             joined = joined_by_parent.get(parent_key)
             position = -1
             for node, extension in novel:
-                child_meta.append((parent, node))
+                created_nodes.append(node)
                 if extension is None:
                     continue  # a leaf by the tally: support already set
                 position += 1
@@ -600,19 +769,7 @@ class ParallelDiscovery(SequentialDiscovery):
 
         # round 3 — every joined child's install in one superstep
         self._install_shards_many(install_batch)
-
-        for parent, node in child_meta:
-            if node.support >= self.config.sigma:
-                self.stats.patterns_frequent += 1
-            if node.support == 0:
-                self.stats.patterns_zero_support += 1
-                if (
-                    self.config.mine_negative
-                    and parent.support >= self.config.sigma
-                ):
-                    negative = GFD(node.pattern, frozenset(), FALSE)
-                    self._emit(negative, parent.support)
-            created_nodes.append(node)
+        self._settle(created_nodes)
 
         # the level's children are joined (installs adopted the parked rows
         # above) and no parent of this level is visited again: free the
@@ -675,15 +832,28 @@ class ParallelDiscovery(SequentialDiscovery):
         the abort *point* of a binding ``max_candidates`` budget differs:
         candidates are charged in lattice-depth-major order across the
         batch instead of node-major; the totals agree.)
+
+        A pattern replayed from the frontier arrives without column
+        statistics: one more ``install`` superstep re-binds its resident
+        table to the workers' current index and collects them, so the
+        alphabet always reads the current attribute values.
         """
         n = self.num_workers
+        mined = [
+            (node, self._keys[id(node)])
+            for node in nodes
+            # not installed: a truncated leaf or a leaf by the tally
+            if id(node) in self._keys and self._is_mined(node)
+        ]
+        self._install(
+            [
+                (node, key, [{"resident": True}] * n)
+                for node, key in mined
+                if key not in self._column_stats
+            ]
+        )
         miners: List[_NodeMining] = []
-        for node in nodes:
-            key = self._keys.get(id(node))
-            if key is None:
-                continue  # truncated leaf or never installed
-            if node.support < self.config.sigma and self.config.prune:
-                continue
+        for node, key in mined:
             literals = self._literal_alphabet_parallel(node)
             if not literals:
                 continue

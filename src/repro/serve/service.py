@@ -511,6 +511,10 @@ class EnforcementService:
         ``(graph.version, max_rules, max_levels)``; the graph version, not
         the published one, because after a failed batch the graph runs
         ahead of the chain.  The ``rules`` list is shared and read-only.
+        A miss after attribute-only commits mines literals only: the
+        session's structural frontier keeps the verified patterns and
+        their worker-resident tables while ``graph.structure_version``
+        holds (see :meth:`~repro.session.Session.discover_iter`).
         """
         started = time.perf_counter()
         check_budgets(max_rules, max_levels)

@@ -72,7 +72,7 @@ from .parallel.backend import (
 )
 from .parallel.cluster import ClusterMetrics, SimulatedCluster
 from .parallel.parcover import parallel_cover
-from .parallel.pardis import ParallelDiscovery
+from .parallel.pardis import ParallelDiscovery, StructuralFrontier
 
 __all__ = ["Session", "SessionMetrics"]
 
@@ -300,6 +300,8 @@ class Session:
         self._backend: Optional[ExecutionBackend] = None
         self._engine: Optional[EnforcementEngine] = None
         self._engine_built = False
+        #: what budgeted streams' VSpawn found at the current structure
+        self._frontier: Optional[StructuralFrontier] = None
         self._sigma: List[GFD] = []
         self._supports: Dict[GFD, int] = {}
         self._phases: Dict[str, int] = {}
@@ -458,11 +460,18 @@ class Session:
         live backend exactly once (``refresh_index`` — worker pools
         survive).  The statistics are dropped with the old snapshot, so a
         post-mutation discovery sees the same label counts a fresh session
-        would.
+        would.  A structural write also drops the structural frontier
+        (with its worker tables) before the swap; an attribute-only one
+        keeps it.
         """
         if self.graph.version == self._snapshot_version:
             return
         self._snapshot_version = self.graph.version
+        if (
+            self._frontier is not None
+            and self._frontier.structure_version != self.graph.structure_version
+        ):
+            self._drop_frontier("structure")
         index = self._snapshot_index()
         if index is self._index:
             return
@@ -470,6 +479,18 @@ class Session:
         self._stats = None
         if self._backend is not None:
             self._backend.refresh_index(self._index)
+
+    def _drop_frontier(self, reason: str) -> None:
+        """Release the structural frontier and its worker keys."""
+        frontier, self._frontier = self._frontier, None
+        if self.tracer.enabled:
+            self.tracer.event(
+                "frontier_drop",
+                reason=reason,
+                levels=len(frontier.levels),
+                keys=len(frontier.keys),
+            )
+        frontier.drop(self._backend)
 
     def _count(self, phase: str) -> None:
         self._phases[phase] = self._phases.get(phase, 0) + 1
@@ -493,7 +514,9 @@ class Session:
     # ------------------------------------------------------------------
     # pipeline phases
     # ------------------------------------------------------------------
-    def _discovery_engine(self) -> ParallelDiscovery:
+    def _discovery_engine(
+        self, frontier: Optional[StructuralFrontier] = None
+    ) -> ParallelDiscovery:
         return ParallelDiscovery(
             self.graph,
             self.config,
@@ -501,6 +524,7 @@ class Session:
             stats=self._statistics(),
             index=self._index,
             backend=self.backend(),
+            frontier=frontier,
         )
 
     def discover(self) -> DiscoveryResult:
@@ -542,6 +566,16 @@ class Session:
         edges and cut to ``max_rules``.  A negative budget raises
         ``ValueError`` here, before any work.
 
+        A stream with a ``max_rules`` budget — the kind a serving layer
+        repeats — shares the session's structural frontier: ``VSpawn``
+        depends only on labels and edges, so each level is verified once
+        per :attr:`~repro.graph.graph.Graph.structure_version` and replayed
+        by later budgeted streams (with its worker-resident match tables),
+        which then only mine literals at the current attribute values.
+        The answer is the same either way.  The frontier's tables live
+        until a structural write or :meth:`close`; an unbudgeted stream,
+        like :meth:`discover`, keeps nothing.
+
         Σ (with supports) is set to everything yielded so far whenever the
         iteration ends — exhausted, budgeted, or abandoned (the update
         runs from the generator's ``finally``) — unless ``update_sigma`` is
@@ -578,7 +612,11 @@ class Session:
             if self.tracer.enabled
             else None
         )
-        engine = self._discovery_engine()
+        if max_rules is not None and self._frontier is None:
+            self._frontier = StructuralFrontier(self.graph.structure_version)
+        engine = self._discovery_engine(
+            self._frontier if max_rules is not None else None
+        )
         emitted: List[Tuple[GFD, int]] = []
         levels = engine.run_iter(max_rules, max_levels)
         try:
@@ -790,8 +828,9 @@ class Session:
         """Release every session resource (idempotent).
 
         Closes the enforcement engine (dropping its resident shards),
-        shuts the backend down (worker processes joined, shared-memory
-        segments unlinked) and detaches the delta log.
+        drops the structural frontier's tables, shuts the backend down
+        (worker processes joined, shared-memory segments unlinked) and
+        detaches the delta log.
         """
         if self._closed:
             return
@@ -799,6 +838,8 @@ class Session:
         if self._engine is not None:
             self._engine.close()
             self._engine = None
+        if self._frontier is not None:
+            self._drop_frontier("close")
         if self._backend is not None:
             # shut down but keep the reference: metrics() stays readable
             # (shutdowns == 1 is part of the lifecycle story) and

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import DiscoveryConfig, FaultConfig, Session, discover
+from repro import DiscoveryConfig, FaultConfig, Session, discover, format_gfd
 from repro.core import gfd_identity, sequential_cover
 from repro.gfd.satisfaction import find_violations
 from repro.parallel import (
@@ -379,6 +379,43 @@ class TestSupervisionPlumbing:
             assert backend.lifecycle.retries == 1
         finally:
             backend.shutdown()
+
+    @needs_mp
+    def test_worker_dead_before_an_index_refresh_recovers(
+        self, film_graph, film_config
+    ):
+        """A budgeted stream can end on a fire-and-forget ``drop_store``:
+        its structural frontier keeps every table, so no waited drop
+        follows.  A worker killed there is recovered by the next index
+        refresh, which then reaches it, instead of raising
+        ``BrokenProcessPool`` out of the refresh."""
+        import time
+
+        # the film stream's first rule comes from its third mining batch,
+        # so worker 0 dies on the stream's last op
+        fault = FaultConfig(
+            fault_plan=_plan(kill_on={"op": "drop_store", "nth": 3}, workers=[0])
+        )
+        budgets = {"max_rules": 1, "update_sigma": False}
+        with Session(
+            film_graph, replace(film_config, fault=fault),
+            backend="multiprocess", num_workers=2,
+        ) as session:
+            assert len(list(session.discover_iter(**budgets))) == 1
+            backend = session.backend()
+            pool = backend._pools[0]
+            deadline = time.monotonic() + 30
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool._broken and backend.lifecycle.respawns == 0
+            film_graph.set_attr(0, "type", "gardener")
+            served = [format_gfd(g) for g in session.discover_iter(**budgets)]
+            assert backend.lifecycle.respawns == 1
+            assert backend.lifecycle.delta_refreshes == 1
+        with Session(film_graph.copy(), film_config) as fresh:
+            assert served == [
+                format_gfd(g) for g in fresh.discover_iter(**budgets)
+            ]
 
 
 def _worker_state(shard: ShardWorker):

@@ -150,6 +150,48 @@ class TestGraphBasics:
             graph.add_edge(0, 99, "x")
 
 
+class TestStructureVersion:
+    """``version`` moves on every write, ``structure_version`` only on the
+    structural ones — one case per mutator."""
+
+    @pytest.mark.parametrize(
+        "mutate, structural",
+        [
+            (lambda g: g.add_node("city", {"name": "Rome"}), True),
+            (lambda g: g.add_edge(1, 0, "knows"), True),
+            (lambda g: g.remove_edge(0, 1, "knows"), True),
+            (lambda g: g.relabel_node(2, "town"), True),
+            (lambda g: g.relabel_edge(0, 1, "knows", "met"), True),
+            (lambda g: g.set_attr(0, "name", "Ada"), False),
+            (lambda g: g.remove_attr(0, "age"), False),
+            # an attribute the node lacked is still an attribute write
+            (lambda g: g.set_attr(1, "age", 41), False),
+        ],
+        ids=[
+            "add_node", "add_edge", "remove_edge", "relabel_node",
+            "relabel_edge", "set_attr", "remove_attr", "set_new_attr",
+        ],
+    )
+    def test_only_structural_writes_move_it(self, mutate, structural):
+        graph = build_sample()
+        graph.index()  # a cached snapshot must not change the counting
+        version, structure = graph.version, graph.structure_version
+        mutate(graph)
+        assert graph.version > version
+        assert (graph.structure_version > structure) == structural
+        # the counter never runs ahead of the version
+        assert graph.structure_version <= graph.version
+
+    def test_no_op_writes_move_neither(self):
+        graph = build_sample()
+        version, structure = graph.version, graph.structure_version
+        assert not graph.add_edge(0, 1, "knows")
+        assert not graph.remove_edge(1, 0, "knows")
+        graph.relabel_node(0, "person")
+        graph.remove_attr(1, "age")
+        assert (graph.version, graph.structure_version) == (version, structure)
+
+
 def assert_pairs_shared(graph: Graph) -> None:
     """Both directions hold one set per pair; a singleton is the interned one."""
     assert set(graph._singletons) == set(graph.edge_label_counts())

@@ -843,6 +843,43 @@ class TestMatchTableEquivalence:
         whole = MatchTable.from_index(index, pattern, matches, attributes)
         assert whole.candidate_constant_literals(max_constants, min_rows) == oracle
 
+    def test_tie_pool_larger_than_the_cut(self):
+        """A cut inside a tie pool far larger than ``max_constants``: the
+        entries above the cut stay, and of the ties only the smallest by
+        text (then type name) make it — ``1`` before ``"1"``, both before
+        ``"10"``, whose text sorts after theirs."""
+        graph = Graph()
+        pool = [1, "1", "10", 2, "2", "b", "a", 3.5, "zz", 30, "0x"]
+        for value in pool:
+            graph.add_node("A", {"a": value})
+        for _ in range(3):
+            graph.add_node("A", {"a": "top"})
+        pattern = Pattern(["A"])
+        matches = [(node,) for node in graph.nodes()]
+        index = graph.index()
+        for max_constants in (1, 2, 3, 4, 6):
+            oracle = constant_literals_from_counts(
+                MatchTable(graph, pattern, matches, ["a"]).constant_value_counts(),
+                max_constants,
+                1,
+            )
+            integer = constant_literals_from_code_counts(
+                [
+                    MatchTable.from_index(
+                        index, pattern, shard, ["a"]
+                    ).constant_code_counts()
+                    for shard in (matches[::2], matches[1::2])
+                ],
+                MatchTable.column_keys(pattern, ["a"]),
+                index.value_of_code,
+                max_constants,
+                1,
+            )
+            assert integer == oracle, max_constants
+        assert [literal.value for literal in integer] == [
+            "top", "0x", 1, "1", "10", 2,
+        ]
+
 
 def traced_bytes() -> int:
     """Bytes currently allocated under tracemalloc (numpy reports its

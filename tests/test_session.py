@@ -8,6 +8,7 @@ the graph index exactly once — read off ``session.metrics()``, not assumed.
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -19,10 +20,12 @@ from repro import (
     Session,
     Tracer,
     discover,
+    format_gfd,
     parse_gfd,
 )
 from repro.core import gfd_identity
 from repro.core.discovery import reference_discover
+from repro.datasets import KB_ATTRIBUTES, imdb_like
 from repro.enforce import RuleSketchMonitor
 from repro.gfd.satisfaction import find_violations
 from repro.parallel import shared_memory_available
@@ -529,19 +532,36 @@ def _resident_keys(session):
     return sorted(engine._group_keys[position] for position in engine._resident)
 
 
+def _frontier_keys(session):
+    """The worker keys the session's structural frontier owns (the tables
+    its budgeted streams verified; none without such a stream)."""
+    return session._frontier.keys if session._frontier is not None else set()
+
+
 def _assert_only_enforcement_state(session):
-    """Serial workers hold every group of the engine and nothing else."""
+    """Serial workers hold every group of the engine, the structural
+    frontier's tables, and nothing else."""
+    frontier = _frontier_keys(session)
     assert len(_resident_keys(session)) == len(session._engine.plan.groups)
     for shard in session.backend().workers:
-        assert shard.tables == {} and shard.stores == {} and shard.bits == {}
-        assert shard.joins == {} and shard.sigmas == {} and shard.checkers == {}
+        assert set(shard.tables) == frontier
+        assert shard.stores == {} and shard.bits == {}
+        # un-adopted parks (truncated children) go with their parent's key
+        assert {slot[0] for slot in shard.joins} <= frontier
+        assert shard.sigmas == {} and shard.checkers == {}
         assert sorted(shard.enforce_state) == _resident_keys(session)
 
 
 def _normalized_journals(session):
-    """Install logs with keys renamed by first use and arrays as lists."""
+    """Install logs with keys renamed by first use and arrays as lists —
+    without the structural frontier's entries, which are its table-making
+    ``install`` / ``join`` ops and nothing else."""
+    frontier = _frontier_keys(session)
     journals = []
     for journal in session.backend()._journals:
+        assert all(
+            op in ("install", "join") for op, key, _ in journal if key in frontier
+        )
         names = {}
         journals.append(
             [
@@ -554,6 +574,7 @@ def _normalized_journals(session):
                     },
                 )
                 for op, key, payload in journal
+                if key not in frontier
             ]
         )
     return journals
@@ -657,7 +678,7 @@ class TestWorkerStateOwnership:
                 )
                 assert all(
                     op.startswith("enforce_")
-                    for journal in session.backend()._journals
+                    for journal in _normalized_journals(session)
                     for op, _, _ in journal
                 )
 
@@ -712,3 +733,177 @@ class TestWorkerStateOwnership:
                 )
         assert shipped[False] == shipped[True]
         assert shipped[False][0] > 0
+
+
+# ----------------------------------------------------------------------
+# the structural frontier: VSpawn once per structure version
+# ----------------------------------------------------------------------
+def _capture_engines(session):
+    """Record every discovery engine ``session`` builds (for its stats)."""
+    engines = []
+    build = session._discovery_engine
+
+    def capture(*args, **kwargs):
+        engines.append(build(*args, **kwargs))
+        return engines[-1]
+
+    session._discovery_engine = capture
+    return engines
+
+
+def _counters(stats):
+    """The non-timing ``MiningStats`` counters."""
+    return {
+        name: value
+        for name, value in vars(stats).items()
+        if not name.endswith("seconds")
+    }
+
+
+def _op_counts(tracer):
+    counts = {}
+    for span in tracer.spans:
+        if span.kind == "op":
+            counts[span.name] = counts.get(span.name, 0) + 1
+        elif span.kind == "level" and span.name.startswith(("seed", "vspawn")):
+            level = span.args["level"]
+            counts[("vspawn", level)] = counts.get(("vspawn", level), 0) + 1
+    return counts
+
+
+def _worker_keys(workers):
+    """Every discovery key a serial backend's workers hold rows under."""
+    return {
+        key
+        for shard in workers
+        for key in set(shard.tables) | {slot[0] for slot in shard.joins}
+    }
+
+
+class TestStructuralFrontier:
+    """A budgeted stream verifies each level once per structure version.
+
+    ``VSpawn`` reads labels and edges only: after attribute-only writes a
+    budgeted stream replays the session's recorded levels — no tally, no
+    join — and mines literals at the current values; a structural write
+    drops them.  The answer is a fresh session's, every time."""
+
+    BUDGETS = {"max_rules": 10, "max_levels": 3, "update_sigma": False}
+
+    @staticmethod
+    def _workload():
+        graph = imdb_like(0.4, seed=1)
+        config = DiscoveryConfig(
+            k=2, sigma=30, max_lhs_size=1,
+            active_attributes=list(KB_ATTRIBUTES),
+        )
+        return graph, config
+
+    def _fresh(self, graph, config, backend):
+        with Session(graph.copy(), config, backend=backend, num_workers=2) as fresh:
+            engines = _capture_engines(fresh)
+            answer = [format_gfd(gfd) for gfd in fresh.discover_iter(**self.BUDGETS)]
+            return answer, _counters(engines[0].stats)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_replays_equal_fresh_sessions(self, backend):
+        graph, config = self._workload()
+        rng = random.Random(7)
+        tracer = Tracer()
+        session = Session(
+            graph, config, backend=backend, num_workers=2, tracer=tracer
+        )
+        try:
+            engines = _capture_engines(session)
+            recorded = []
+            for write in ["none", "attr", "attr", "edge", "attr", "relabel", "attr"]:
+                kept = set(session._frontier.keys) if recorded else set()
+                if write == "attr":
+                    for _ in range(3):
+                        node = rng.randrange(graph.num_nodes)
+                        graph.set_attr(node, "name", f"fresh {rng.random()}")
+                elif write == "edge":
+                    graph.add_edge(0, graph.num_nodes - 1, "actedIn")
+                elif write == "relabel":
+                    graph.relabel_node(5, "genre")
+                before, events = _op_counts(tracer), len(tracer.events)
+                answer = [
+                    format_gfd(gfd) for gfd in session.discover_iter(**self.BUDGETS)
+                ]
+                assert (answer, _counters(engines[-1].stats)) == self._fresh(
+                    graph, config, backend
+                ), write
+                ran = {
+                    name: count - before.get(name, 0)
+                    for name, count in _op_counts(tracer).items()
+                    if count != before.get(name, 0)
+                }
+                verified = [name[1] for name in ran if isinstance(name, tuple)]
+                replayed = [
+                    event["level"] for event in tracer.events[events:]
+                    if event["type"] == "frontier_replay"
+                ]
+                if write == "attr":
+                    # every level replays: no seed, no tally, no join
+                    assert verified == [] and replayed == recorded
+                    assert "tally" not in ran and "join" not in ran
+                else:
+                    # the first stream at a structure verifies each level once
+                    recorded = sorted(verified)
+                    assert replayed == [] and recorded == list(range(len(verified)))
+                    assert len(recorded) > 1 and ran["tally"] == ran["join"] > 0
+                    assert all(ran[("vspawn", level)] == 1 for level in recorded)
+                if backend == "serial":
+                    workers = session.backend().workers
+                    held = _worker_keys(workers)
+                    assert held == session._frontier.keys
+                    assert all(shard.stores == {} for shard in workers)
+                    if write in ("edge", "relabel"):
+                        assert kept and not held & kept
+            kept = set(session._frontier.keys)
+            workers = session.backend().workers if backend == "serial" else []
+        finally:
+            session.close()
+        drops = [e["reason"] for e in tracer.events if e["type"] == "frontier_drop"]
+        assert drops == ["structure", "structure", "close"]
+        assert kept and not _worker_keys(workers) & kept
+
+    @pytest.mark.skipif(
+        not shared_memory_available(), reason="needs shared memory"
+    )
+    def test_supervised_journal_stays_flat(self):
+        graph, config = self._workload()
+        config = replace(config, fault=FaultConfig())
+        with Session(
+            graph, config, backend="multiprocess", num_workers=2
+        ) as session:
+            list(session.discover_iter(**self.BUDGETS))
+            lengths = [len(journal) for journal in session.backend()._journals]
+            assert all(lengths)
+            for step in range(10):
+                graph.set_attr(step, "name", f"fresh {step}")
+                assert len(list(session.discover_iter(**self.BUDGETS))) == 10
+                assert [
+                    len(journal) for journal in session.backend()._journals
+                ] == lengths, step
+
+    def test_unbudgeted_runs_keep_no_frontier(self, film_graph, film_config):
+        with Session(film_graph, film_config, num_workers=2) as session:
+            session.discover()
+            list(session.discover_iter(update_sigma=False))
+            assert session._frontier is None
+            list(session.discover_iter(max_rules=3, update_sigma=False))
+            assert session._frontier.keys
+
+    def test_structural_write_ends_an_open_budgeted_stream(
+        self, film_graph, film_config
+    ):
+        """The stream's recorded tables went with the old structure: it
+        raises instead of mining rows no worker holds any more."""
+        with Session(film_graph, film_config, num_workers=2) as session:
+            stream = session.discover_iter(max_rules=50, update_sigma=False)
+            next(stream)
+            _rewire(film_graph, 0)
+            assert list(session.discover_iter(max_rules=1, update_sigma=False))
+            with pytest.raises(RuntimeError, match="structure changed"):
+                list(stream)
