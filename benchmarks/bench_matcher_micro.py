@@ -164,7 +164,7 @@ def run(check: bool = False):
     table = MatchTable.from_index(index, PATTERN, matches, attributes)
     compare(
         "constant_alphabet",
-        lambda: constant_literals_from_counts(table.constant_value_counts(), 5, 1),
+        lambda: constant_literals_from_counts(table.constant_value_counts(), 5),
         lambda: table.candidate_constant_literals(5),
         lambda a, b: a == b,
     )

@@ -58,12 +58,7 @@ def is_path_pattern(pattern: Pattern) -> bool:
 
 def _path_config(config: DiscoveryConfig) -> DiscoveryConfig:
     """The GCFD restriction of a discovery configuration."""
-    return replace(
-        config,
-        mine_negative=False,
-        speculative_closing_edges=False,
-        enable_wildcards=False,
-    )
+    return replace(config, mine_negative=False, enable_wildcards=False)
 
 
 def _filter_path_extensions(

@@ -24,15 +24,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..core.config import CandidateBudgetExceeded, DiscoveryConfig
+from ..core.config import DiscoveryConfig
 from ..core.discovery import SequentialDiscovery
-from ..core.generation_tree import GenerationTree, TreeNode
-from ..core.match_table import MatchTable
+from ..core.generation_tree import TreeNode
 from ..gfd.gfd import GFD, is_trivial
 from ..graph.graph import Graph
-from ..pattern.incremental import apply_extension, extend_matches
 
 __all__ = ["ParArabResult", "run_pararab"]
 
@@ -84,15 +82,12 @@ def run_pararab(
     for node in frequent:
         table = node.table
         literals = list(
-            table.candidate_constant_literals(
-                config.max_constants, config.min_literal_rows
-            )
+            table.candidate_constant_literals(config.max_constants)
         )
         if config.variable_literals and node.pattern.num_nodes > 1:
             literals.extend(
                 table.candidate_variable_literals(
-                    config.variable_literals_same_attr_only,
-                    config.min_literal_rows,
+                    config.variable_literals_same_attr_only
                 )
             )
         for rhs in literals:

@@ -204,6 +204,7 @@ def _at_least(kind, low, strict: bool):
 _positive_int = _at_least(int, 0, strict=True)
 _non_negative_int = _at_least(int, 0, strict=False)
 _positive_float = _at_least(float, 0, strict=True)
+_non_negative_float = _at_least(float, 0, strict=False)
 
 
 def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
@@ -633,9 +634,12 @@ def build_parser() -> argparse.ArgumentParser:
                "or shared memory).",
     )
     disc.add_argument("graph", help="graph file (.json or .tsv)")
-    disc.add_argument("--k", type=int, default=3, help="pattern-variable bound")
-    disc.add_argument("--sigma", type=int, default=10, help="support threshold")
-    disc.add_argument("--max-lhs", type=int, default=2, help="LHS literal cap")
+    disc.add_argument("--k", type=_positive_int, default=3,
+                     help="pattern-variable bound")
+    disc.add_argument("--sigma", type=_positive_int, default=10,
+                     help="support threshold")
+    disc.add_argument("--max-lhs", type=_non_negative_int, default=2,
+                     help="LHS literal cap")
     disc.add_argument("--workers", type=_positive_int, default=None,
                       help="ParDis workers (>1 selects the parallel engine; "
                            "unset with --backend multiprocess uses the "
@@ -668,9 +672,12 @@ def build_parser() -> argparse.ArgumentParser:
                "graph violates its own rules (it should not).",
     )
     pipe.add_argument("graph", help="graph file (.json or .tsv)")
-    pipe.add_argument("--k", type=int, default=3, help="pattern-variable bound")
-    pipe.add_argument("--sigma", type=int, default=10, help="support threshold")
-    pipe.add_argument("--max-lhs", type=int, default=2, help="LHS literal cap")
+    pipe.add_argument("--k", type=_positive_int, default=3,
+                     help="pattern-variable bound")
+    pipe.add_argument("--sigma", type=_positive_int, default=10,
+                     help="support threshold")
+    pipe.add_argument("--max-lhs", type=_non_negative_int, default=2,
+                     help="LHS literal cap")
     pipe.add_argument("--workers", type=_positive_int, default=None,
                       help="session workers (default: 1 serial / "
                            "4 multiprocess)")
@@ -707,12 +714,13 @@ def build_parser() -> argparse.ArgumentParser:
     enf.add_argument("--workers", type=_positive_int, default=None,
                      help="evaluation shards (default: 1 serial / "
                           "4 multiprocess)")
-    enf.add_argument("--samples", type=int, default=5,
+    enf.add_argument("--samples", type=_non_negative_int, default=5,
                      help="violating matches printed per rule (seeded "
                           "sample when the cap binds)")
     enf.add_argument("--seed", type=int, default=0,
                      help="seed of the capped violation sample")
-    enf.add_argument("--max-violations-per-rule", type=int, default=None,
+    enf.add_argument("--max-violations-per-rule", type=_positive_int,
+                     default=None,
                      help="per-rule cap on materialized violating rows — "
                           "counts stay exact, witness sets degrade "
                           "gracefully on adversarial rules (default: "
@@ -729,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
     val = commands.add_parser("validate", help="check rules against a graph")
     val.add_argument("graph", help="graph file (.json or .tsv)")
     val.add_argument("rules", help="rule file (one GFD per line)")
-    val.add_argument("--limit", type=int, default=100,
+    val.add_argument("--limit", type=_positive_int, default=100,
                      help="max violations reported per GFD")
     val.set_defaults(func=_cmd_validate)
 
@@ -780,21 +788,21 @@ def build_parser() -> argparse.ArgumentParser:
                      default=None,
                      help="execution backend of the single lane "
                           "(default: serial, or $REPRO_PARALLEL_BACKEND)")
-    srv.add_argument("--k", type=int, default=2,
+    srv.add_argument("--k", type=_positive_int, default=2,
                      help="startup-discovery pattern-variable bound")
-    srv.add_argument("--sigma", type=int, default=10,
+    srv.add_argument("--sigma", type=_positive_int, default=10,
                      help="startup-discovery support threshold")
-    srv.add_argument("--max-lhs", type=int, default=1,
+    srv.add_argument("--max-lhs", type=_non_negative_int, default=1,
                      help="startup-discovery LHS literal cap")
-    srv.add_argument("--max-queue-depth", type=int, default=32,
+    srv.add_argument("--max-queue-depth", type=_positive_int, default=32,
                      help="execution-lane admission bound (503 beyond it)")
-    srv.add_argument("--deadline", type=float, default=30.0,
+    srv.add_argument("--deadline", type=_positive_float, default=30.0,
                      help="default per-request deadline in seconds")
-    srv.add_argument("--commit-batch", type=int, default=128,
+    srv.add_argument("--commit-batch", type=_positive_int, default=128,
                      help="mutations per group commit before an early "
                           "flush")
-    srv.add_argument("--commit-linger", type=float, default=0.005,
-                     metavar="SECONDS",
+    srv.add_argument("--commit-linger", type=_non_negative_float,
+                     default=0.005, metavar="SECONDS",
                      help="how long a lone mutation waits for company")
     _add_index_argument(srv)
     _add_fault_arguments(srv)

@@ -123,12 +123,11 @@ class DiscoveryConfig:
 
     Attributes:
         k: bound on pattern variables ``|x̄|`` (k-bounded GFDs, Section 3).
+            It also bounds the pattern edges (the generation-tree depth):
+            the paper iterates up to ``k²``, ``k`` covers all trees plus one
+            cycle-closing edge and is the regime the experiments operate in.
         sigma: support threshold ``σ`` — a GFD is *frequent* when
             ``supp(φ, G) ≥ σ`` (Section 4.2).
-        max_edges: bound on pattern edges (the generation-tree depth).  The
-            paper iterates up to ``k²``; the default ``None`` uses ``k``,
-            which covers all trees plus one cycle-closing edge and is the
-            regime the experiments operate in.
         active_attributes: the attribute set ``Γ`` literals may use; ``None``
             selects the ``max_active_attributes`` most common attributes.
         max_active_attributes: size of the inferred ``Γ`` (paper: 5).
@@ -141,11 +140,15 @@ class DiscoveryConfig:
         variable_literals_same_attr_only: restrict variable literals to the
             same attribute on both sides (all paper examples have this form).
         mine_negative: run ``NVSpawn``/``NHSpawn`` for negative GFDs.
+            ``NVSpawn`` also tries frequent label-triples as closing edges
+            no match witnesses — how zero-match "illegal structure" patterns
+            like ``φ3`` arise — and the literal ``l''`` extending a base
+            into a negative GFD must hold on at least ``sigma`` rows of the
+            pattern's table, so both the base and the conflicting literal
+            are frequent and only their combination never occurs (the
+            paper's Gold Bear / Gold Lion rule).
         max_negatives_per_pattern: cap on negative GFDs emitted per pattern
             (negatives are abundant; the cap keeps covers reviewable).
-        speculative_closing_edges: let ``NVSpawn`` try frequent label-triples
-            as closing edges even when no match witnesses them — this is how
-            zero-match "illegal structure" patterns like ``φ3`` arise.
         enable_wildcards: spawn wildcard-labeled extension nodes when the
             endpoint labels of an extension are diverse (the paper's label
             upgrading); wildcards widen the search considerably.
@@ -157,27 +160,18 @@ class DiscoveryConfig:
             same rule (``ParDis`` enforces the cap per shard and combines
             the verdicts), so the discovered sets agree even when the cap
             binds, although the retained sample differs per engine.
-        max_patterns_per_level: optional cap on spawned patterns per level.
         prune: apply the pruning strategies of Lemma 4 (``ParGFDn``
             disables this to reproduce the paper's infeasibility finding).
-        minimality_filter: run the final pairwise ``≪``-minimality pass.
-        min_literal_rows: a candidate literal must hold on at least this many
-            rows of the match table to enter the alphabet.
-        negative_literal_min_rows: the literal ``l''`` extending a base into
-            a negative GFD must hold on at least this many rows *globally*
-            in the pattern's table (``None`` = ``sigma``).  This keeps
-            negatives meaningful: both the base and the conflicting literal
-            are individually frequent, only their combination never occurs
-            (e.g. the paper's Gold Bear / Gold Lion rule).
         max_candidates: abort with :class:`CandidateBudgetExceeded` once this
             many GFD candidates have been checked — how the benchmarks
             reproduce the paper's "ParGFDn / ParArab fail to complete"
             findings without actually exhausting memory.
         parallel_backend: execution backend of ``ParDis`` — ``"serial"``
-            runs the worker ops inline under the simulated cluster (exact
-            historical semantics, no extra processes), ``"multiprocess"``
-            runs them in real per-worker processes that attach the frozen
-            index zero-copy (its mmap store file, else one shared-memory
+            runs the same worker-op protocol as ``"multiprocess"`` (joins
+            parked worker-side, the same transfer ledger) on in-process
+            shards, with no extra processes; ``"multiprocess"`` runs it in
+            real per-worker processes that attach the frozen index
+            zero-copy (its mmap store file, else one shared-memory
             segment).  Results are identical by construction (the
             differential harness asserts it).  Default ``"serial"``, or the
             ``REPRO_PARALLEL_BACKEND`` environment variable.
@@ -192,7 +186,6 @@ class DiscoveryConfig:
 
     k: int = 3
     sigma: int = 10
-    max_edges: Optional[int] = None
     active_attributes: Optional[List[str]] = None
     max_active_attributes: int = 5
     max_constants: int = 5
@@ -201,15 +194,10 @@ class DiscoveryConfig:
     variable_literals_same_attr_only: bool = True
     mine_negative: bool = True
     max_negatives_per_pattern: int = 20
-    speculative_closing_edges: bool = True
     enable_wildcards: bool = False
     wildcard_min_labels: int = 3
     max_matches_per_pattern: Optional[int] = 500_000
-    max_patterns_per_level: Optional[int] = None
     prune: bool = True
-    minimality_filter: bool = True
-    min_literal_rows: int = 1
-    negative_literal_min_rows: Optional[int] = None
     max_candidates: Optional[int] = None
     parallel_backend: str = field(default_factory=_default_backend)
     num_workers: Optional[int] = None
@@ -222,6 +210,17 @@ class DiscoveryConfig:
             raise ValueError("sigma must be >= 1")
         if self.max_lhs_size < 0:
             raise ValueError("max_lhs_size must be >= 0")
+        if self.max_active_attributes < 1:
+            raise ValueError("max_active_attributes must be >= 1")
+        if self.max_constants < 1:
+            raise ValueError("max_constants must be >= 1")
+        if self.max_negatives_per_pattern < 0:
+            raise ValueError("max_negatives_per_pattern must be >= 0")
+        cap = self.max_matches_per_pattern
+        if cap is not None and cap < 1:
+            raise ValueError("max_matches_per_pattern must be >= 1 (or None)")
+        if self.max_candidates is not None and self.max_candidates < 0:
+            raise ValueError("max_candidates must be >= 0 (or None)")
         if self.parallel_backend not in ("serial", "multiprocess"):
             raise ValueError(
                 "parallel_backend must be 'serial' or 'multiprocess', "
@@ -229,11 +228,6 @@ class DiscoveryConfig:
             )
         if self.num_workers is not None and self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-
-    @property
-    def edge_budget(self) -> int:
-        """The pattern-edge bound actually used (``max_edges`` or ``k``)."""
-        return self.max_edges if self.max_edges is not None else self.k
 
 
 @dataclass

@@ -166,7 +166,7 @@ class SequentialDiscovery:
         """Drive the levelwise search, yielding ``(level, batch)`` pairs.
 
         The shared core of :meth:`run` and :meth:`run_iter`: seed, mine
-        level 0, then alternate ``VSpawn``/``HSpawn`` up to the edge budget
+        level 0, then alternate ``VSpawn``/``HSpawn`` up to level ``k``
         or level ``max_levels``, whichever comes first.  A batch is a list
         of ``(gfd, support)`` emissions.  Backend lifecycle is the
         caller's concern.
@@ -181,7 +181,7 @@ class SequentialDiscovery:
         replay in node order, so the batches are exactly a prefix of the
         unbudgeted stream; ``max_rules=0`` mines nothing.
         """
-        last = self.config.edge_budget
+        last = self.config.k
         if max_levels is not None:
             last = min(last, max_levels)
         remaining = max_rules
@@ -226,9 +226,8 @@ class SequentialDiscovery:
             gfds = [gfd for gfd, _ in self._found.values()]
             supports = {gfd: supp for gfd, supp in self._found.values()}
             with self._master():
-                if self.config.minimality_filter:
-                    gfds = minimal_cover_by_reduction(gfds)
-                    supports = {gfd: supports[gfd] for gfd in gfds}
+                gfds = minimal_cover_by_reduction(gfds)
+                supports = {gfd: supports[gfd] for gfd in gfds}
         finally:
             self._finish_backend()
         self.stats.positives_found = sum(1 for gfd in gfds if gfd.is_positive)
@@ -319,14 +318,6 @@ class SequentialDiscovery:
                 self.stats.patterns_spawned += 1
                 self._verify_pattern(parent, node, extension)
                 created_nodes.append(node)
-                if (
-                    self.config.max_patterns_per_level is not None
-                    and len(created_nodes) >= self.config.max_patterns_per_level
-                ):
-                    self.stats.matching_seconds += (
-                        time.perf_counter() - matching_started
-                    )
-                    return created_nodes
         self.stats.matching_seconds += time.perf_counter() - matching_started
         return created_nodes
 
@@ -350,7 +341,7 @@ class SequentialDiscovery:
         extensions += wildcard_extensions_from_counts(
             parent.pattern, tallies, self.config
         )
-        if self.config.mine_negative and self.config.speculative_closing_edges:
+        if self.config.mine_negative:
             extensions += speculative_closing_extensions(
                 self.graph_stats, parent, self.config
             )
@@ -399,15 +390,12 @@ class SequentialDiscovery:
     def _literal_alphabet(self, table: MatchTable) -> List[Literal]:
         """The candidate literals of a pattern's match table."""
         literals: List[Literal] = list(
-            table.candidate_constant_literals(
-                self.config.max_constants, self.config.min_literal_rows
-            )
+            table.candidate_constant_literals(self.config.max_constants)
         )
         if self.config.variable_literals and table.pattern.num_nodes > 1:
             literals.extend(
                 table.candidate_variable_literals(
-                    self.config.variable_literals_same_attr_only,
-                    self.config.min_literal_rows,
+                    self.config.variable_literals_same_attr_only
                 )
             )
         return literals
@@ -545,9 +533,6 @@ class SequentialDiscovery:
         """
         if not self.config.mine_negative:
             return
-        threshold = self.config.negative_literal_min_rows
-        if threshold is None:
-            threshold = self.config.sigma
         emitted = 0
         for literal in literals:
             if literal == rhs or literal in lhs:
@@ -557,7 +542,7 @@ class SequentialDiscovery:
                 continue  # trivial negative
             if bool((rows_lhs & table.literal_mask(literal)).any()):
                 continue  # some match satisfies X ∪ {l''}: not a negative
-            if table.literal_count(literal) < threshold:
+            if table.literal_count(literal) < self.config.sigma:
                 continue  # l'' itself is rare: the negative is uninteresting
             negative = GFD(node.pattern, extended, FALSE)
             self._emit(negative, base_support)

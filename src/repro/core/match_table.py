@@ -585,38 +585,37 @@ class MatchTable:
         return self.alphabet_counts(same_attr_only, constants=False)[1]
 
     def candidate_constant_literals(
-        self, max_constants: int, min_rows: int = 1
+        self, max_constants: int
     ) -> List[ConstantLiteral]:
         """Frequent constant literals per column.
 
         For each ``(variable, attr)`` column, the ``max_constants`` most
-        frequent present values occurring in at least ``min_rows`` rows —
-        the paper's "5 most frequent values" protocol (Section 7).  On the
-        index the integer path runs; without one, the ``Counter`` oracle.
+        frequent present values — the paper's "5 most frequent values"
+        protocol (Section 7).  On the index the integer path runs; without
+        one, the ``Counter`` oracle.
         """
         if self.index is None:
             return constant_literals_from_counts(
-                self.constant_value_counts(), max_constants, min_rows
+                self.constant_value_counts(), max_constants
             )
         return constant_literals_from_code_counts(
             [self.constant_code_counts()],
             self.column_keys(self.pattern, self.attributes),
             self.index.value_of_code,
             max_constants,
-            min_rows,
         )
 
     def candidate_variable_literals(
-        self, same_attr_only: bool = True, min_rows: int = 1
+        self, same_attr_only: bool = True
     ) -> List[VariableLiteral]:
         """Variable literals ``x.A = y.B`` over distinct variables.
 
-        Only pairs agreeing on at least ``min_rows`` rows are candidates;
+        Only pairs agreeing on at least one row are candidates;
         ``same_attr_only`` restricts to ``A = B`` (the common case in the
         paper's examples, e.g. ``y.name = z.name``).
         """
         return variable_literals_from_counts(
-            self.variable_agreement_counts(same_attr_only), min_rows
+            self.variable_agreement_counts(same_attr_only)
         )
 
 
@@ -659,7 +658,7 @@ def _rank(entry: Tuple[Any, int]) -> Tuple[int, str, str, str]:
 
 
 def constant_literals_from_counts(
-    counts: Dict[Tuple[int, str], Counter], max_constants: int, min_rows: int
+    counts: Dict[Tuple[int, str], Counter], max_constants: int
 ) -> List[ConstantLiteral]:
     """Build the constant-literal alphabet from (merged) value counts.
 
@@ -678,9 +677,8 @@ def constant_literals_from_counts(
         else:
             pool = list(counter.items())
         ranked = sorted(pool, key=_rank)
-        for value, count in ranked[:max_constants]:
-            if count >= min_rows:
-                literals.append(ConstantLiteral(variable, attr, value))
+        for value, _ in ranked[:max_constants]:
+            literals.append(ConstantLiteral(variable, attr, value))
     return literals
 
 
@@ -689,7 +687,6 @@ def constant_literals_from_code_counts(
     columns: Sequence[Tuple[int, str]],
     values: Sequence[Any],
     max_constants: int,
-    min_rows: int,
 ) -> List[ConstantLiteral]:
     """The constant-literal alphabet from shards' integer value counts.
 
@@ -697,10 +694,10 @@ def constant_literals_from_code_counts(
     pattern's shards, ``columns`` their slot order and ``values`` the
     index's ``value_of_code`` (so ``K = len(values)``).  Codes are
     graph-global on the index, so the merge is a sum per key.  Each
-    column is cut at its ``max_constants``-th largest count (and at
-    ``min_rows``); only the values at or above the cut are decoded and
-    ranked (:func:`_top_ranked`).  Equal to
-    :func:`constant_literals_from_counts` over the decoded, merged counts.
+    column is cut at its ``max_constants``-th largest count; only the
+    values at or above the cut are decoded and ranked
+    (:func:`_top_ranked`).  Equal to :func:`constant_literals_from_counts`
+    over the decoded, merged counts.
     """
     keys = np.concatenate([part[0] for part in parts])
     counts = np.concatenate([part[1] for part in parts])
@@ -719,8 +716,7 @@ def constant_literals_from_code_counts(
     _, sizes = run_lengths(slots)
     starts = np.cumsum(sizes) - sizes
     cut = counts[starts + np.minimum(sizes, max_constants) - 1]
-    floor = np.maximum(cut, min_rows)
-    kept = np.flatnonzero(counts >= np.repeat(floor, sizes))
+    kept = np.flatnonzero(counts >= np.repeat(cut, sizes))
     literals: List[ConstantLiteral] = []
     for slot, run in groupby(
         zip(slots[kept].tolist(), codes[kept].tolist(), counts[kept].tolist()),
@@ -757,11 +753,14 @@ def _top_ranked(
 
 
 def variable_literals_from_counts(
-    counts: Dict[Tuple[int, str, int, str], int], min_rows: int
+    counts: Dict[Tuple[int, str, int, str], int],
 ) -> List[VariableLiteral]:
-    """Build the variable-literal alphabet from (merged) agreement counts."""
+    """Build the variable-literal alphabet from (merged) agreement counts.
+
+    A pair that agrees on no row (count 0) is not a candidate.
+    """
     literals: List[VariableLiteral] = []
     for (var1, attr1, var2, attr2) in sorted(counts):
-        if counts[(var1, attr1, var2, attr2)] >= min_rows:
+        if counts[(var1, attr1, var2, attr2)] > 0:
             literals.append(make_variable_literal(var1, attr1, var2, attr2))
     return literals

@@ -549,7 +549,7 @@ class ParallelDiscovery(SequentialDiscovery):
         extensions += wildcard_extensions_from_counts(
             parent.pattern, merged, self.config
         )
-        if self.config.mine_negative and self.config.speculative_closing_edges:
+        if self.config.mine_negative:
             extensions += speculative_closing_extensions(
                 self.graph_stats, parent, self.config
             )
@@ -596,9 +596,7 @@ class ParallelDiscovery(SequentialDiscovery):
         only keeps its slot in the per-child bookkeeping.  Master-side
         dedup, support aggregation and the zero-support negative emissions
         run in ``SeqDis``'s per-parent, per-child order, so the discovered
-        set is identical.  Parents past a binding ``max_patterns_per_level``
-        cap are still tallied (the joint round was already submitted) but
-        never extended or joined.
+        set is identical.
         """
         created_nodes: List[TreeNode] = []
         parents = list(tree.level(level - 1))
@@ -606,7 +604,6 @@ class ParallelDiscovery(SequentialDiscovery):
         total_edges = self.graph.num_edges
         n = self.num_workers
         cap = self.config.max_matches_per_pattern
-        level_cap = self.config.max_patterns_per_level
 
         eligible: List[Tuple[TreeNode, int]] = []
         for parent in parents:
@@ -644,7 +641,6 @@ class ParallelDiscovery(SequentialDiscovery):
         novel_by_parent: List[
             Tuple[TreeNode, int, List[Tuple[TreeNode, Optional[Extension]]]]
         ] = []
-        spawned = 0
         for index, (parent, parent_key) in enumerate(eligible):
             parts = parts_all[index * n:(index + 1) * n]
             novel: List[Tuple[TreeNode, Optional[Extension]]] = []
@@ -669,15 +665,7 @@ class ParallelDiscovery(SequentialDiscovery):
                     else:
                         node.support = leaf_support
                         novel.append((node, None))
-                    if (
-                        level_cap is not None
-                        and spawned + len(novel) >= level_cap
-                    ):
-                        break
             novel_by_parent.append((parent, parent_key, novel))
-            spawned += len(novel)
-            if level_cap is not None and spawned >= level_cap:
-                break
 
         # round 2 — every parent's incremental joins in one superstep: each
         # worker joins its shard with ALL extension edges still to verify
@@ -773,7 +761,7 @@ class ParallelDiscovery(SequentialDiscovery):
 
         # the level's children are joined (installs adopted the parked rows
         # above) and no parent of this level is visited again: free the
-        # worker-side state, also of parents the level cap left unextended
+        # worker-side state, also of parents that spawned no child
         for parent, parent_key in eligible:
             self._drop_parent(parent, parent_key)
         return created_nodes
@@ -801,16 +789,11 @@ class ParallelDiscovery(SequentialDiscovery):
                     MatchTable.column_keys(node.pattern, self.gamma),
                     self.index.value_of_code,
                     self.config.max_constants,
-                    self.config.min_literal_rows,
                 )
             )
             if want_variable:
                 merged_agreements = merge_agreement_counts(agreement_parts)
-                literals.extend(
-                    variable_literals_from_counts(
-                        merged_agreements, self.config.min_literal_rows
-                    )
-                )
+                literals.extend(variable_literals_from_counts(merged_agreements))
         return literals
 
     def _mine_nodes_batch(self, nodes: List[TreeNode]) -> None:
@@ -1038,9 +1021,6 @@ class ParallelDiscovery(SequentialDiscovery):
         """``NHSpawn`` for every base of every batched pattern in one superstep."""
         if not self.config.mine_negative:
             return
-        threshold = self.config.negative_literal_min_rows
-        if threshold is None:
-            threshold = self.config.sigma
         probing: List[Tuple[_NodeMining, List, List]] = []
         for miner in miners:
             if not miner.nh_bases:
@@ -1056,7 +1036,7 @@ class ParallelDiscovery(SequentialDiscovery):
                             continue
                         if self._lhs_unsatisfiable(lhs | {literal}):
                             continue
-                        if miner.literal_count.get(literal, 0) < threshold:
+                        if miner.literal_count.get(literal, 0) < self.config.sigma:
                             continue
                         specs.append((rows_id, literal))
                         meta.append((base_index, lhs, literal, base_support))

@@ -109,6 +109,22 @@ class ServeConfig:
     include_samples: bool = False
     include_nodes: bool = False
 
+    def __post_init__(self) -> None:
+        if self.max_queue_depth < 1:
+            raise ValueError("max_queue_depth must be >= 1")
+        if self.default_deadline_s <= 0:
+            raise ValueError("default_deadline_s must be positive")
+        if self.commit_max_batch < 1:
+            raise ValueError("commit_max_batch must be >= 1")
+        if self.commit_linger_s < 0:
+            raise ValueError("commit_linger_s must be >= 0")
+        if self.max_pending_mutations < 1:
+            raise ValueError("max_pending_mutations must be >= 1")
+        if self.discover_max_rules < 0:
+            raise ValueError("discover_max_rules must be >= 0")
+        if self.discover_max_levels < 0:
+            raise ValueError("discover_max_levels must be >= 0")
+
 
 def report_payload(
     report: EnforcementReport,

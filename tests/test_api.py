@@ -180,9 +180,12 @@ class TestSurfaceSnapshot:
             ]
 
     def test_config_field_counts_are_pinned(self):
-        """43 knobs in all: adding, deleting or resurrecting one is a
-        decision this test makes visible (update the README table too)."""
+        """37 knobs in all: adding, deleting or resurrecting one is a
+        decision this test makes visible, and the README's count of them
+        is read back so it cannot drift from the pin."""
         import dataclasses
+        import re
+        from pathlib import Path
 
         from repro.core import DiscoveryConfig, EnforcementConfig, FaultConfig
         from repro.serve import ServeConfig
@@ -194,11 +197,29 @@ class TestSurfaceSnapshot:
             )
         }
         assert counts == {
-            "DiscoveryConfig": 24,
+            "DiscoveryConfig": 18,
             "EnforcementConfig": 7,
             "ServeConfig": 9,
             "FaultConfig": 3,
         }
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = " ".join(readme.read_text().split())
+        stated = re.search(
+            r"hold (\d+) fields in all: `DiscoveryConfig` (\d+), "
+            r"`EnforcementConfig` (\d+), `ServeConfig` (\d+) and "
+            r"`FaultConfig` (\d+)",
+            text,
+        )
+        assert stated, "README lost its knob-count sentence"
+        total, *per_class = (int(group) for group in stated.groups())
+        assert per_class == [
+            counts[name]
+            for name in (
+                "DiscoveryConfig", "EnforcementConfig", "ServeConfig",
+                "FaultConfig",
+            )
+        ]
+        assert total == sum(counts.values())
 
     def test_discovery_oracle_has_one_entry_point(self):
         """The dict-adjacency oracle is reached by name only (no config
@@ -243,6 +264,47 @@ def _report_key(report):
         )
         for rule in report.rules
     ]
+
+
+class TestConfigValidation:
+    """A bad knob fails when its config is built, naming the field — not
+    later, deep inside the first discover or request that reads it."""
+
+    @pytest.mark.parametrize(
+        "field, bad, lowest",
+        [
+            ("max_constants", 0, 1),
+            ("max_constants", -1, 1),
+            ("max_negatives_per_pattern", -1, 0),
+            ("max_active_attributes", 0, 1),
+            ("max_active_attributes", -2, 1),
+            ("max_matches_per_pattern", 0, 1),
+            ("max_candidates", -1, 0),
+        ],
+    )
+    def test_discovery_config_rejects_bad_counts(self, field, bad, lowest):
+        with pytest.raises(ValueError, match=field):
+            DiscoveryConfig(**{field: bad})
+        assert getattr(DiscoveryConfig(**{field: lowest}), field) == lowest
+
+    @pytest.mark.parametrize(
+        "field, bad, lowest",
+        [
+            ("max_queue_depth", 0, 1),
+            ("default_deadline_s", 0.0, 0.001),
+            ("commit_max_batch", 0, 1),
+            ("commit_linger_s", -0.001, 0.0),
+            ("max_pending_mutations", 0, 1),
+            ("discover_max_rules", -1, 0),
+            ("discover_max_levels", -1, 0),
+        ],
+    )
+    def test_serve_config_rejects_bad_numbers(self, field, bad, lowest):
+        from repro.serve import ServeConfig
+
+        with pytest.raises(ValueError, match=field):
+            ServeConfig(**{field: bad})
+        assert getattr(ServeConfig(**{field: lowest}), field) == lowest
 
 
 class TestShimDifferentialIdentity:

@@ -100,26 +100,62 @@ class TestCLI:
         assert covers["parallel"] == covers["sequential"]
         assert 0 < len(covers["sequential"]) < len(load_rules(str(rules)))
 
+    #: the verbs taking each numeric flag whose bound argparse enforces
+    _BOUNDED_FLAG_VERBS = {
+        "--op-timeout": ("discover", "pipeline", "enforce", "cover", "serve"),
+        "--max-respawns": ("discover", "pipeline", "enforce", "cover", "serve"),
+        "--workers": ("discover", "pipeline", "enforce", "cover", "serve"),
+        "--k": ("discover", "pipeline", "serve"),
+        "--sigma": ("discover", "pipeline", "serve"),
+        "--max-lhs": ("discover", "pipeline", "serve"),
+        "--max-queue-depth": ("serve",),
+        "--commit-batch": ("serve",),
+        "--commit-linger": ("serve",),
+        "--deadline": ("serve",),
+        "--max-violations-per-rule": ("enforce",),
+        "--samples": ("enforce",),
+        "--limit": ("validate",),
+    }
+
     @pytest.mark.parametrize(
         "flag, value",
-        [("--op-timeout", "0"), ("--max-respawns", "-1"), ("--workers", "-2")],
+        [
+            ("--op-timeout", "0"),
+            ("--max-respawns", "-1"),
+            ("--workers", "-2"),
+            ("--k", "0"),
+            ("--sigma", "0"),
+            ("--max-lhs", "-1"),
+            ("--max-queue-depth", "0"),
+            ("--commit-batch", "0"),
+            ("--commit-linger", "-1"),
+            ("--deadline", "0"),
+            ("--max-violations-per-rule", "0"),
+            ("--samples", "-1"),
+            ("--limit", "0"),
+        ],
     )
     def test_bad_flag_value_is_a_usage_error(
         self, flag, value, graph_file, rules_file, capsys
     ):
         """Every verb taking the flag rejects the value at parse time:
-        exit 2 with a usage message naming it, not a traceback."""
-        verbs = {
+        exit 2 with a usage message naming it, not a traceback.  (``serve``
+        gets a served Σ, an ephemeral port and a short duration, so a value
+        that slipped through ends the call instead of serving forever.)"""
+        positionals = {
             "discover": [graph_file],
             "pipeline": [graph_file],
             "enforce": [graph_file, rules_file],
+            "validate": [graph_file, rules_file],
             "cover": [rules_file],
+            "serve": [
+                graph_file, "--rules", rules_file, "--port", "0",
+                "--duration", "0.1",
+            ],
         }
-        if flag == "--workers":
-            verbs["serve"] = [graph_file]
-        for verb, positionals in verbs.items():
+        for verb in self._BOUNDED_FLAG_VERBS[flag]:
             with pytest.raises(SystemExit) as exit_info:
-                main([verb, *positionals, flag, value])
+                main([verb, *positionals[verb], flag, value])
             assert exit_info.value.code == 2, verb
             assert flag in capsys.readouterr().err
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core import (
     DiscoveryConfig,
     MatchTable,
+    SequentialDiscovery,
     correlation,
     discover,
     gfd_identity,
@@ -160,11 +161,6 @@ class TestMatchTable:
     def test_candidate_constants_ranked(self):
         graph, table = table_fixture()
         literals = table.candidate_constant_literals(max_constants=1)
-        assert literals == [ConstantLiteral(0, "color", "red")]
-
-    def test_candidate_min_rows(self):
-        graph, table = table_fixture()
-        literals = table.candidate_constant_literals(max_constants=5, min_rows=2)
         assert literals == [ConstantLiteral(0, "color", "red")]
 
     def test_truncated_flag(self):
@@ -575,9 +571,13 @@ class TestReduction:
         """The per-pattern prefilters drop nothing ``gfd_reduces`` would keep."""
         from dataclasses import replace
 
-        raw = discover(
-            yago_small, replace(yago_config, max_lhs_size=1, minimality_filter=False)
-        ).gfds
+        raw = [
+            gfd
+            for _level, batch in SequentialDiscovery(
+                yago_small, replace(yago_config, max_lhs_size=1)
+            ).run_iter()
+            for gfd, _support in batch
+        ]
         unique = list({gfd_identity(gfd): gfd for gfd in raw}.values())
         expected = [
             gfd

@@ -786,8 +786,8 @@ class TestMatchTableEquivalence:
     def test_integer_alphabet_equals_counter_oracle(self, data):
         """The shards' integer code counts, merged and cut, give the alphabet
         the ``Counter`` oracle gives over dict tables: on heavy ties at the
-        cut (a few values drawn many times, ``1`` beside ``"1"``), with
-        ``min_rows > 1``, and with empty columns (a sparse attribute, one no
+        cut (a few values drawn many times, ``1`` beside ``"1"``) and with
+        empty columns (a sparse attribute, one no
         node carries), over 1–3 shards of rows."""
         num_nodes = data.draw(st.integers(1, 14), label="nodes")
         values = st.sampled_from([1, "1", 2, "2", "x", "y", "z"])
@@ -816,7 +816,6 @@ class TestMatchTableEquivalence:
             for shard in range(num_shards)
         ]
         max_constants = data.draw(st.integers(1, 4), label="k")
-        min_rows = data.draw(st.integers(1, 4), label="min_rows")
 
         index = graph.index()
         oracle = constant_literals_from_counts(
@@ -825,7 +824,6 @@ class TestMatchTableEquivalence:
                 for shard in shards
             ),
             max_constants,
-            min_rows,
         )
         integer = constant_literals_from_code_counts(
             [
@@ -837,11 +835,10 @@ class TestMatchTableEquivalence:
             MatchTable.column_keys(pattern, attributes),
             index.value_of_code,
             max_constants,
-            min_rows,
         )
         assert integer == oracle
         whole = MatchTable.from_index(index, pattern, matches, attributes)
-        assert whole.candidate_constant_literals(max_constants, min_rows) == oracle
+        assert whole.candidate_constant_literals(max_constants) == oracle
 
     def test_tie_pool_larger_than_the_cut(self):
         """A cut inside a tie pool far larger than ``max_constants``: the
@@ -861,7 +858,6 @@ class TestMatchTableEquivalence:
             oracle = constant_literals_from_counts(
                 MatchTable(graph, pattern, matches, ["a"]).constant_value_counts(),
                 max_constants,
-                1,
             )
             integer = constant_literals_from_code_counts(
                 [
@@ -873,7 +869,6 @@ class TestMatchTableEquivalence:
                 MatchTable.column_keys(pattern, ["a"]),
                 index.value_of_code,
                 max_constants,
-                1,
             )
             assert integer == oracle, max_constants
         assert [literal.value for literal in integer] == [

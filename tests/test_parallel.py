@@ -16,7 +16,6 @@ from repro.core import (
     gfd_identity,
     sequential_cover,
 )
-from repro.core.generation_tree import GenerationTree
 from repro.datasets import dbpedia_like, imdb_like, yago2_like
 from repro.gfd import FALSE, GFD, ConstantLiteral, implication, implies
 from repro.gfd.implication import ImplicationChecker
@@ -388,26 +387,6 @@ class TestTallyFixedLeaves:
         assert {gfd_identity(g) for g in result.gfds} == {
             gfd_identity(g) for g in sequential.gfds
         }
-
-    def test_capped_level_drops_every_parent_shard(self, yago_small, yago_config):
-        """Parents a binding level cap leaves unextended are dropped too."""
-        config = replace(yago_config, max_patterns_per_level=1)
-        counting = _CountingBackend(yago_small, num_workers=2)
-        engine = ParallelDiscovery(yago_small, config, backend=counting.backend)
-        engine._start_backend()
-        tree = GenerationTree()
-        engine._seed_level(tree)
-        assert len(tree.level(0)) > 1  # the cap will leave parents unextended
-        children = engine._extend_level(tree, 1)
-        assert len(children) == 1
-        child_keys = {engine._keys[id(node)] for node in children}
-        for worker in counting.backend.workers:
-            assert set(worker.tables) == child_keys
-        for node in children:
-            engine._drop_parent(node, engine._keys[id(node)])
-        for worker in counting.backend.workers:
-            assert worker.tables == {}
-        counting.backend.shutdown()
 
 
 # ----------------------------------------------------------------------

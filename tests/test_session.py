@@ -17,6 +17,7 @@ from repro import (
     DiscoveryConfig,
     EnforcementConfig,
     FaultConfig,
+    SequentialDiscovery,
     Session,
     Tracer,
     discover,
@@ -79,7 +80,7 @@ class TestOneBackendLifecycle:
             # tally + join + install and scan + one eval per lattice depth
             # + probe; the cover adds one (Σ rides the work units' round).
             # No join is skewed on this graph, so no rebalance rounds.
-            levels = film_config.edge_budget
+            levels = film_config.k
             hspawn = 2 + film_config.max_lhs_size
             assert 0 < metrics.cluster.supersteps <= (
                 2 + hspawn + levels * (3 + hspawn) + 1
@@ -148,11 +149,15 @@ class TestStreamingDiscovery:
             assert {gfd_identity(g) for g in streamed} == {
                 gfd_identity(g) for g in session.sigma
             }
-        unfiltered = discover(
-            film_graph, replace(film_config, minimality_filter=False)
-        )
+        unfiltered = [
+            gfd
+            for _level, batch in SequentialDiscovery(
+                film_graph, film_config
+            ).run_iter()
+            for gfd, _support in batch
+        ]
         assert {gfd_identity(g) for g in streamed} == {
-            gfd_identity(g) for g in unfiltered.gfds
+            gfd_identity(g) for g in unfiltered
         }
 
     def test_max_rules_budget_stops_early_and_sets_sigma(
