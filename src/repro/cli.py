@@ -207,6 +207,17 @@ _positive_float = _at_least(float, 0, strict=True)
 _non_negative_float = _at_least(float, 0, strict=False)
 
 
+def _port(text: str) -> int:
+    """A TCP port for ``bind``: an int in [0, 65535] (0 = ephemeral)."""
+    value = _non_negative_int(text)
+    if value > 65535:
+        raise argparse.ArgumentTypeError("must be <= 65535")
+    return value
+
+
+_port.__name__ = "int"
+
+
 def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
     """The supervision flags shared by the parallel verbs."""
     parser.add_argument(
@@ -774,9 +785,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="rule file to serve (default: discover Σ at "
                           "startup)")
     srv.add_argument("--host", default="127.0.0.1", help="bind address")
-    srv.add_argument("--port", type=int, default=8080,
-                     help="bind port (0 picks an ephemeral port)")
-    srv.add_argument("--duration", type=float, default=None,
+    srv.add_argument("--port", type=_port, default=8080,
+                     help="bind port in [0, 65535] (0 picks an ephemeral "
+                          "port)")
+    srv.add_argument("--duration", type=_positive_float, default=None,
                      metavar="SECONDS",
                      help="serve for a fixed time then exit cleanly "
                           "(default: run until interrupted)")

@@ -61,6 +61,7 @@ def sequential_cover(sigma: Sequence[GFD]) -> CoverResult:
     # one checker over Σ serves every leave-one-out test: the dead rules and
     # the tested one are excluded per call, the rest chase in Σ order
     checker = ImplicationChecker(sigma)
+    checker.instantiate(gfd.pattern for gfd in sigma)
     dead: Set[int] = set()
     removed: List[GFD] = []
     for index in _scan_order(sigma):

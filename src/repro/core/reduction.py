@@ -15,12 +15,12 @@ form of :func:`normalize_gfd`).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..gfd.gfd import GFD
 from ..gfd.literals import FalseLiteral, Literal, rename_literal
 from ..pattern.canonical import canonical_key, canonical_ordering
-from ..pattern.embedding import DistinctPatterns, cached_embeddings
+from ..pattern.embedding import DistinctPatterns, embedding_batch, may_embed
 from ..pattern.pattern import WILDCARD, Pattern
 
 __all__ = ["gfd_reduces", "normalize_gfd", "gfd_identity", "minimal_cover_by_reduction"]
@@ -51,17 +51,12 @@ def _strict_topological(inner: Pattern, outer: Pattern, mapping: Tuple[int, ...]
     return False
 
 
-def gfd_reduces(smaller: GFD, larger: GFD) -> bool:
-    """``smaller ≪ larger`` — the reduction ordering on GFDs.
-
-    Both positive and negative GFDs are supported; ``f(l1) = l2`` holds for
-    negatives exactly when both RHS are ``false``.
-    """
-    if isinstance(smaller.rhs, FalseLiteral) != isinstance(larger.rhs, FalseLiteral):
-        return False
-    for mapping in cached_embeddings(
-        smaller.pattern, larger.pattern, pivot_preserving=True
-    ):
+def _reduces_through(
+    smaller: GFD, larger: GFD, mappings: Iterable[Tuple[int, ...]]
+) -> bool:
+    """``smaller ≪ larger`` for two GFDs of the same polarity, given every
+    pivot-preserving embedding of ``smaller.pattern`` into ``larger.pattern``."""
+    for mapping in mappings:
         mapped_lhs = frozenset(rename_literal(l, mapping) for l in smaller.lhs)
         if not mapped_lhs <= larger.lhs:
             continue
@@ -73,6 +68,20 @@ def gfd_reduces(smaller: GFD, larger: GFD) -> bool:
         if mapped_lhs < larger.lhs:
             return True
     return False
+
+
+def gfd_reduces(smaller: GFD, larger: GFD) -> bool:
+    """``smaller ≪ larger`` — the reduction ordering on GFDs.
+
+    Both positive and negative GFDs are supported; ``f(l1) = l2`` holds for
+    negatives exactly when both RHS are ``false``.
+    """
+    if isinstance(smaller.rhs, FalseLiteral) != isinstance(larger.rhs, FalseLiteral):
+        return False
+    if not may_embed(smaller.pattern, larger.pattern):
+        return False
+    (mappings,) = embedding_batch([(smaller.pattern, larger.pattern, True)])
+    return _reduces_through(smaller, larger, mappings)
 
 
 def normalize_gfd(gfd: GFD) -> GFD:
@@ -96,12 +105,21 @@ def normalize_gfd(gfd: GFD) -> GFD:
 
 
 def gfd_identity(gfd: GFD) -> Tuple:
-    """A hashable identity key: equal iff the normalized GFDs are equal."""
-    normalized = normalize_gfd(gfd)
+    """A hashable identity key: equal iff the normalized GFDs are equal.
+
+    It is :func:`normalize_gfd`'s GFD as a key — the pattern's canonical key
+    and the literals renamed onto the canonical ordering — read from the
+    canonical form kept on the pattern, without building the normalized
+    pattern.
+    """
+    ordering = canonical_ordering(gfd.pattern)
+    position = [0] * len(ordering)
+    for new, old in enumerate(ordering):
+        position[old] = new
     return (
-        canonical_key(normalized.pattern),
-        normalized.lhs,
-        normalized.rhs,
+        canonical_key(gfd.pattern),
+        frozenset(rename_literal(l, position) for l in gfd.lhs),
+        rename_literal(gfd.rhs, position),
     )
 
 
@@ -139,7 +157,9 @@ def minimal_cover_by_reduction(gfds: Sequence[GFD]) -> List[GFD]:
     of the patterns, and whether one can exist is decided once per distinct
     pattern (:class:`~repro.pattern.embedding.DistinctPatterns`), not per
     rule; the per-rule half compares renaming-invariant literal signatures
-    (the same RHS signature, the LHS signatures a sub-multiset).
+    (the same RHS signature, the LHS signatures a sub-multiset).  The
+    pattern pairs that survive both go to one embedding-kernel call, whose
+    result is dropped when this function returns.
     """
     unique: Dict[Tuple, GFD] = {}
     for gfd in gfds:
@@ -158,15 +178,37 @@ def minimal_cover_by_reduction(gfds: Sequence[GFD]) -> List[GFD]:
         for index in members:
             buckets.setdefault(rhs_sigs[index], []).append(index)
         by_rhs.append(buckets)
-    dominated = [False] * len(items)
+    # per rule, the (smaller pattern, smaller rule) pairs its patterns and
+    # literal signatures admit (equal RHS signatures: equal polarity); the
+    # pattern pairs any rule pair needs
+    challengers: List[List[Tuple[int, int]]] = [[] for _ in items]
+    needed: Dict[Tuple[int, int], None] = {}
+    candidates = patterns.may_embed_into(patterns.patterns)
     for large, members in enumerate(patterns.members):
-        smaller = list(patterns.may_embed_into(patterns.patterns[large]))
         for index in members:
-            dominated[index] = any(
-                other != index
-                and _multiset_leq(lhs_sigs[other], lhs_sigs[index])
-                and gfd_reduces(items[other], items[index])
-                for small in smaller
-                for other in by_rhs[small].get(rhs_sigs[index], ())
+            for small in candidates[large]:
+                for other in by_rhs[small].get(rhs_sigs[index], ()):
+                    if other != index and _multiset_leq(
+                        lhs_sigs[other], lhs_sigs[index]
+                    ):
+                        challengers[index].append((small, other))
+                        needed[(small, large)] = None
+    found = dict(zip(needed, embedding_batch(
+        (patterns.patterns[small], patterns.patterns[large], True)
+        for small, large in needed
+    )))
+    slot_of = {
+        index: slot
+        for slot, members in enumerate(patterns.members)
+        for index in members
+    }
+    dominated = [
+        any(
+            _reduces_through(
+                items[other], items[index], found[(small, slot_of[index])]
             )
+            for small, other in challengers[index]
+        )
+        for index in range(len(items))
+    ]
     return [gfd for index, gfd in enumerate(items) if not dominated[index]]

@@ -21,10 +21,9 @@ tag them, and a clash of tags is a conflict.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from ..pattern.embedding import cached_embeddings
+from ..pattern.embedding import embedding_batch
 from ..pattern.pattern import Pattern
 from .gfd import GFD
 from .literals import (
@@ -36,7 +35,14 @@ from .literals import (
     rename_literal,
 )
 
-__all__ = ["LiteralClosure", "embedded_rules", "chase", "enforced"]
+__all__ = [
+    "LiteralClosure",
+    "MAX_EMBEDDINGS_PER_GFD",
+    "instantiate",
+    "embedded_rules",
+    "chase",
+    "enforced",
+]
 
 #: A union-find term: attribute ``A`` of pattern variable ``x``.
 Term = Tuple[int, str]
@@ -135,40 +141,45 @@ class LiteralClosure:
         return clone
 
 
+#: Embeddings instantiated per (GFD, host pattern) — a defensive cap; the
+#: theoretical bound is ``k^k`` (Theorem 1).
+MAX_EMBEDDINGS_PER_GFD = 64
+
+
+def instantiate(
+    gfd: GFD, mappings: Iterable[Tuple[int, ...]]
+) -> List[Tuple[frozenset, Literal]]:
+    """``gfd``'s ``(renamed LHS, renamed RHS)`` through each embedding."""
+    return [
+        (
+            frozenset(rename_literal(l, mapping) for l in gfd.lhs),
+            rename_literal(gfd.rhs, mapping),
+        )
+        for mapping in mappings
+    ]
+
+
 def embedded_rules(
-    sigma: Sequence[GFD], pattern: Pattern, max_embeddings_per_gfd: int = 64
+    sigma: Sequence[GFD],
+    pattern: Pattern,
+    max_embeddings_per_gfd: int = MAX_EMBEDDINGS_PER_GFD,
 ) -> List[Tuple[frozenset, Literal]]:
     """Instantiate ``Σ_Q``: every embedding of every GFD of ``Σ`` into ``pattern``.
 
     Each result is the embedded GFD's ``(renamed LHS, renamed RHS)`` over the
     variables of ``pattern`` — a ground implication rule for the chase.
     The per-GFD embedding count is capped defensively; the theoretical bound
-    is ``k^k`` (Theorem 1).
+    is ``k^k`` (Theorem 1).  One kernel call decides every GFD's embeddings
+    (:func:`~repro.pattern.embedding.embedding_batch`); nothing is kept.
     """
+    found = embedding_batch(
+        [(gfd.pattern, pattern, False) for gfd in sigma],
+        max_results=max_embeddings_per_gfd,
+    )
     rules: List[Tuple[frozenset, Literal]] = []
-    for gfd in sigma:
-        rules.extend(
-            _embedded_rules_single(gfd, pattern, max_embeddings_per_gfd)
-        )
+    for gfd, mappings in zip(sigma, found):
+        rules.extend(instantiate(gfd, mappings))
     return rules
-
-
-@lru_cache(maxsize=262144)
-def _embedded_rules_single(
-    gfd: "GFD", pattern: Pattern, cap: int
-) -> Tuple[Tuple[frozenset, Literal], ...]:
-    """Instantiated rules of one GFD over one host pattern (memoized).
-
-    GFDs and patterns are immutable and cover checking revisits the same
-    (GFD, pattern) pairs once per candidate exclusion — global memoization
-    collapses that to one instantiation per pair.
-    """
-    rules: List[Tuple[frozenset, Literal]] = []
-    for mapping in cached_embeddings(gfd.pattern, pattern, max_results=cap):
-        lhs = frozenset(rename_literal(l, mapping) for l in gfd.lhs)
-        rhs = rename_literal(gfd.rhs, mapping)
-        rules.append((lhs, rhs))
-    return tuple(rules)
 
 
 def chase(

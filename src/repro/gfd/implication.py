@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import (
     AbstractSet,
+    Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -19,9 +21,9 @@ from typing import (
     Union,
 )
 
-from ..pattern.embedding import DistinctPatterns
+from ..pattern.embedding import DistinctPatterns, embedding_batch
 from ..pattern.pattern import Pattern
-from .closure import chase, embedded_rules
+from .closure import MAX_EMBEDDINGS_PER_GFD, chase, instantiate
 from .gfd import GFD
 from .literals import FalseLiteral, Literal
 
@@ -57,41 +59,68 @@ class ImplicationChecker:
     """Amortized implication tests against a fixed ``Σ``.
 
     Cover computation tests ``Σ \\ {φ} ⊨ φ`` for many ``φ`` with the same
-    ``Σ``; this caches the embedded-rule instantiation per target pattern so
-    repeated chases over one pattern skip embedding enumeration, and decides
-    which of ``Σ`` can embed at all once per *distinct* rule pattern — only
-    ``Σ̄_Q`` takes part in a derivation over ``Q`` (Lemma 6), and membership
-    depends on the rule's pattern alone.  Rules originating from a GFD are
-    tagged so the "leave one out" variant can exclude them without
-    re-instantiating.
+    ``Σ``.  The checker instantiates ``Σ_Q`` once per target pattern ``Q``
+    and keeps it for its own lifetime, so repeated chases over one pattern
+    skip embedding enumeration.  :meth:`instantiate` takes a whole batch of
+    target patterns: the label prefilter runs over ``Σ``'s *distinct*
+    patterns (only ``Σ̄_Q`` takes part in a derivation over ``Q``, Lemma 6,
+    and membership depends on the rule's pattern alone), every surviving
+    (rule pattern, target) pair goes to one embedding-kernel call, and
+    rules are instantiated only for pairs with an embedding.  Rules are
+    tagged with their GFD's index so the "leave one out" variant can
+    exclude them without re-instantiating.  Everything is freed with the
+    checker.
     """
 
     def __init__(self, sigma: Sequence[GFD]) -> None:
         self._sigma = list(sigma)
         self._patterns = DistinctPatterns(gfd.pattern for gfd in self._sigma)
-        # pattern identity -> list of (source index, lhs, rhs), in Σ order
-        self._cache: dict = {}
+        # target pattern -> list of (source index, lhs, rhs), in Σ order
+        self._rules: Dict[Pattern, List[Tuple[int, frozenset, Literal]]] = {}
 
     @property
     def sigma(self) -> List[GFD]:
         """The GFD set the checker was built over."""
         return list(self._sigma)
 
+    def instantiate(self, targets: Iterable[Pattern]) -> None:
+        """Instantiate ``Σ_Q`` for every target pattern not seen yet.
+
+        One prefilter pass and one embedding-kernel call cover the batch.
+        """
+        pending = [
+            target for target in dict.fromkeys(targets) if target not in self._rules
+        ]
+        if not pending:
+            return
+        candidates = self._patterns.may_embed_into(pending)
+        found = embedding_batch(
+            [
+                (self._patterns.patterns[slot], target, False)
+                for target, slots in zip(pending, candidates)
+                for slot in slots
+            ],
+            max_results=MAX_EMBEDDINGS_PER_GFD,
+        )
+        cursor = 0
+        for target, slots in zip(pending, candidates):
+            rules: List[Tuple[int, frozenset, Literal]] = []
+            for slot in slots:
+                mappings = found[cursor]
+                cursor += 1
+                if mappings:
+                    for index in self._patterns.members[slot]:
+                        rules.extend(
+                            (index, lhs, rhs)
+                            for lhs, rhs in instantiate(self._sigma[index], mappings)
+                        )
+            rules.sort(key=lambda rule: rule[0])  # stable: Σ order
+            self._rules[target] = rules
+
     def _rules_for(self, pattern: Pattern) -> List[Tuple[int, frozenset, Literal]]:
-        rules = self._cache.get(pattern)
-        if rules is None:
-            candidates = sorted(
-                index
-                for slot in self._patterns.may_embed_into(pattern)
-                for index in self._patterns.members[slot]
-            )
-            rules = [
-                (index, lhs, rhs)
-                for index in candidates
-                for lhs, rhs in embedded_rules([self._sigma[index]], pattern)
-            ]
-            self._cache[pattern] = rules
-        return rules
+        if pattern not in self._rules:
+            self.instantiate([pattern])
+        return self._rules[pattern]
 
     def implies(
         self,
@@ -104,7 +133,7 @@ class ImplicationChecker:
         ``exclude`` is an index or a set of indices into the ``Σ`` the
         checker was built over; excluded GFDs contribute no chase rules.
         The set form is what group-wise cover elimination uses: one checker
-        (and its embedded-rule cache) serves every leave-``k``-out test.
+        (and its instantiated rules) serves every leave-``k``-out test.
         ``allowed`` restricts the context the other way round: only GFDs at
         those indices contribute (a ``ParCover`` unit's ``Σ̄_Q``).
         """
@@ -148,8 +177,8 @@ def greedy_group_elimination(
 
     ``checker`` optionally supplies a shared :class:`ImplicationChecker`
     over the *full* ``Σ``; the unit's ``embedded`` set is passed as the
-    ``allowed`` context of each test, so one checker's embedded-rule cache
-    serves every unit of a worker's batch.  Results are identical either
+    ``allowed`` context of each test, so one checker's instantiated rules
+    serve every unit of a worker's batch.  Results are identical either
     way.
     """
     if checker is None:

@@ -715,11 +715,11 @@ class ShardWorker:
     def op_sigma(self, key: int, payload: Dict[str, Any]) -> int:
         """Receive the cover phase's rule set ``Σ`` (broadcast once).
 
-        The worker keeps ``Σ`` and one :class:`ImplicationChecker` over it;
-        the checker's embedded-rule cache is shared by every implication
-        test of this worker's batch, so repeated chases over one pattern
-        skip embedding enumeration — the amortization ``SeqCover`` enjoys,
-        now per worker.
+        The worker keeps ``Σ`` and one :class:`ImplicationChecker` over it
+        until ``op_drop_sigma``; the checker's instantiated rules are shared
+        by every implication test of this worker's batch, so repeated chases
+        over one pattern skip embedding enumeration — the amortization
+        ``SeqCover`` enjoys, now per worker.
         """
         sigma = list(payload["sigma"])
         self.sigmas[key] = sigma
@@ -732,10 +732,15 @@ class ShardWorker:
         """``ParImp`` over a batch of work units ``(group, embedded)``.
 
         Each unit is greedily reduced in isolation (Lemma 6 independence);
-        only the removed Σ-indices return to the master.
+        only the removed Σ-indices return to the master.  The checker first
+        instantiates ``Σ_Q`` for every group member's pattern ``Q`` of the
+        batch in one embedding-kernel call.
         """
         sigma = self.sigmas[key]
         checker = self.checkers[key]
+        checker.instantiate(
+            sigma[index].pattern for group, _ in payload["units"] for index in group
+        )
         removed: List[int] = []
         for group, embedded in payload["units"]:
             removed.extend(
@@ -751,6 +756,8 @@ class ShardWorker:
         verdicts are booleans, reconciled sequentially by the master.
         """
         checker = self.checkers[key]
+        sigma = self.sigmas[key]
+        checker.instantiate(sigma[index].pattern for index in payload["indices"])
         return [
             (index, checker.implied_by_rest(index))
             for index in payload["indices"]

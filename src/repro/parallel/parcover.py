@@ -36,9 +36,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..core.cover import CoverResult, _scan_order
 from ..gfd.gfd import GFD
 from ..gfd.implication import ImplicationChecker
-from ..pattern.canonical import canonical_key
-from ..pattern.embedding import DistinctPatterns, is_embedded
-from ..pattern.pattern import Pattern
+from ..pattern.canonical import pivot_blind_key
+from ..pattern.embedding import DistinctPatterns, embedding_batch
 from .backend import ExecutionBackend, next_node_key
 from .balancer import assign_units_lpt
 from .cluster import SimulatedCluster
@@ -46,38 +45,44 @@ from .cluster import SimulatedCluster
 __all__ = ["parallel_cover", "parallel_cover_ungrouped"]
 
 
-def _pattern_group_key(pattern: Pattern) -> Tuple:
-    """Isomorphism key ignoring the pivot (min over pivot placements)."""
-    return min(
-        canonical_key(pattern.with_pivot(variable))
-        for variable in pattern.variables()
-    )
-
-
 def _group_sigma(sigma: Sequence[GFD]) -> Dict[Tuple, List[int]]:
-    """Partition GFD indices by pattern-isomorphism class."""
+    """Partition GFD indices by pattern isomorphism ignoring the pivot."""
     groups: Dict[Tuple, List[int]] = {}
     for index, gfd in enumerate(sigma):
-        groups.setdefault(_pattern_group_key(gfd.pattern), []).append(index)
+        groups.setdefault(pivot_blind_key(gfd.pattern), []).append(index)
     return groups
 
 
 def _embedded_indices(
-    patterns: DistinctPatterns, representative: Pattern, group: List[int]
-) -> List[int]:
-    """Indices of GFDs whose pattern embeds into ``representative``.
+    sigma: Sequence[GFD], groups: Sequence[List[int]]
+) -> List[List[int]]:
+    """Per group, the indices of GFDs whose pattern embeds into the
+    pattern ``Q`` of its first member (its representative).
 
     This is ``Σ̄_Q`` of Lemma 6 — the only GFDs that can participate in a
-    derivation over ``representative``'s pattern.  Embedding is decided per
-    distinct pattern of ``Σ`` and expanded to the rules carrying it.
+    derivation over ``Q``.  Embedding is decided per distinct pattern of
+    ``Σ``, for every group in one kernel call, and expanded to the rules
+    carrying it.
     """
-    embedded = set(group)
-    for slot in patterns.may_embed_into(representative):
-        if is_embedded(
-            patterns.patterns[slot], representative, pivot_preserving=False
-        ):
-            embedded.update(patterns.members[slot])
-    return sorted(embedded)
+    patterns = DistinctPatterns(gfd.pattern for gfd in sigma)
+    representatives = [sigma[group[0]].pattern for group in groups]
+    candidates = patterns.may_embed_into(representatives)
+    found = iter(embedding_batch(
+        (
+            (patterns.patterns[slot], representative, False)
+            for representative, slots in zip(representatives, candidates)
+            for slot in slots
+        ),
+        max_results=1,
+    ))
+    embedded_sets: List[List[int]] = []
+    for group, slots in zip(groups, candidates):
+        embedded = set(group)
+        for slot in slots:
+            if next(found):
+                embedded.update(patterns.members[slot])
+        embedded_sets.append(sorted(embedded))
+    return embedded_sets
 
 
 class _CoverSession:
@@ -158,13 +163,10 @@ def parallel_cover(
         cluster = session.cluster
         with cluster.master():
             groups = _group_sigma(sigma)
-            patterns = DistinctPatterns(gfd.pattern for gfd in sigma)
-            units: List[Tuple[List[int], List[int]]] = []
-            for group_key in sorted(groups):
-                group = groups[group_key]
-                representative = sigma[group[0]].pattern
-                embedded = _embedded_indices(patterns, representative, group)
-                units.append((group, embedded))
+            ordered = [groups[group_key] for group_key in sorted(groups)]
+            units: List[Tuple[List[int], List[int]]] = list(
+                zip(ordered, _embedded_indices(sigma, ordered))
+            )
             weights = [
                 len(group) * max(1, len(embedded)) for group, embedded in units
             ]

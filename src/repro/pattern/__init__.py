@@ -1,7 +1,13 @@
 """Graph patterns, canonical forms, matching and embeddings."""
 
-from .canonical import are_isomorphic, canonical_key, canonical_ordering, canonicalize
-from .embedding import embeddings, embeds_strictly, is_embedded
+from .canonical import (
+    are_isomorphic,
+    canonical_key,
+    canonical_ordering,
+    canonicalize,
+    pivot_blind_key,
+)
+from .embedding import embedding_batch, embeddings, embeds_strictly, is_embedded
 from .incremental import Extension, apply_extension, extend_match, extend_matches
 from .matcher import (
     Match,
@@ -31,8 +37,10 @@ __all__ = [
     "canonical_key",
     "canonical_ordering",
     "canonicalize",
+    "pivot_blind_key",
     "are_isomorphic",
     "embeddings",
+    "embedding_batch",
     "is_embedded",
     "embeds_strictly",
     "apply_extension",

@@ -14,22 +14,33 @@ into the key.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import permutations
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .pattern import Pattern
 
-__all__ = ["canonical_key", "canonical_ordering", "are_isomorphic", "canonicalize"]
+__all__ = [
+    "canonical_key",
+    "canonical_ordering",
+    "pivot_blind_key",
+    "are_isomorphic",
+    "canonicalize",
+]
 
 #: A canonical key: (labels in canonical order, sorted re-indexed edges).
 CanonicalKey = Tuple[Tuple[str, ...], Tuple[Tuple[int, int, str], ...]]
 
 
-def _refinement_invariant(pattern: Pattern, rounds: int = 2) -> List[str]:
-    """A per-node isomorphism invariant via iterated neighborhood hashing."""
+def _refinement_invariant(
+    pattern: Pattern, pivot: Optional[int], rounds: int = 2
+) -> List[str]:
+    """A per-node isomorphism invariant via iterated neighborhood hashing.
+
+    ``pivot`` (or ``None``: no variable is marked) starts in a color of
+    its own.
+    """
     colors = [
-        f"{label}|p" if v == pattern.pivot else label
+        f"{label}|p" if v == pivot else label
         for v, label in enumerate(pattern.labels)
     ]
     adjacency = pattern.adjacency()
@@ -46,14 +57,14 @@ def _refinement_invariant(pattern: Pattern, rounds: int = 2) -> List[str]:
 
 
 def _class_orderings(
-    pattern: Pattern, invariant: Sequence[str]
+    pattern: Pattern, invariant: Sequence[str], pivot: Optional[int]
 ) -> Iterator[Tuple[int, ...]]:
-    """All node orderings that respect invariant classes, pivot first.
+    """All node orderings that respect invariant classes, ``pivot`` (if
+    any) first.
 
     Classes are sorted by invariant string; orderings permute nodes only
     within a class, which keeps the permutation search small in practice.
     """
-    pivot = pattern.pivot
     others = [v for v in pattern.variables() if v != pivot]
     classes: Dict[str, List[int]] = {}
     for v in others:
@@ -68,7 +79,7 @@ def _class_orderings(
         for perm in permutations(head):
             yield from expand(prefix + perm, tail)
 
-    yield from expand((pivot,), ordered_classes)
+    yield from expand(() if pivot is None else (pivot,), ordered_classes)
 
 
 def _encode(pattern: Pattern, ordering: Sequence[int]) -> CanonicalKey:
@@ -81,21 +92,43 @@ def _encode(pattern: Pattern, ordering: Sequence[int]) -> CanonicalKey:
     return (labels, edges)
 
 
-@lru_cache(maxsize=131072)
+def _search(
+    pattern: Pattern, pivot: Optional[int]
+) -> Tuple[CanonicalKey, Tuple[int, ...]]:
+    """The least encoding over the class-respecting orderings, and the
+    ordering that realizes it."""
+    invariant = _refinement_invariant(pattern, pivot)
+    best: CanonicalKey | None = None
+    best_ordering: Tuple[int, ...] | None = None
+    for ordering in _class_orderings(pattern, invariant, pivot):
+        key = _encode(pattern, ordering)
+        if best is None or key < best:
+            best, best_ordering = key, ordering
+    assert best is not None and best_ordering is not None
+    return best, best_ordering
+
+
+def _canonical_form(pattern: Pattern) -> Tuple[CanonicalKey, Tuple[int, ...]]:
+    """The canonical key and the ordering realizing it, kept on the pattern.
+
+    The search runs once per pattern instance; the result lives in the
+    instance's ``_canonical`` slot and is freed with it.
+    """
+    cached = pattern._canonical
+    if cached is None:
+        cached = _search(pattern, pattern.pivot)
+        object.__setattr__(pattern, "_canonical", cached)
+    return cached
+
+
 def canonical_key(pattern: Pattern) -> CanonicalKey:
     """A key equal for exactly the pivot-preserving-isomorphic patterns.
 
-    Memoized: patterns are immutable and the discovery/cover pipelines ask
-    for the same pattern's key many times (tree merges, grouping, identity).
+    Computed once per pattern instance and kept on it: the discovery and
+    cover pipelines ask for the same pattern's key many times (tree merges,
+    grouping, identity).
     """
-    invariant = _refinement_invariant(pattern)
-    best: CanonicalKey | None = None
-    for ordering in _class_orderings(pattern, invariant):
-        key = _encode(pattern, ordering)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best
+    return _canonical_form(pattern)[0]
 
 
 def canonical_ordering(pattern: Pattern) -> Tuple[int, ...]:
@@ -105,15 +138,21 @@ def canonical_ordering(pattern: Pattern) -> Tuple[int, ...]:
     yields :func:`canonicalize`'s representative.  Used to normalize the
     literals of a GFD together with its pattern.
     """
-    invariant = _refinement_invariant(pattern)
-    best: CanonicalKey | None = None
-    best_ordering: Tuple[int, ...] | None = None
-    for ordering in _class_orderings(pattern, invariant):
-        key = _encode(pattern, ordering)
-        if best is None or key < best:
-            best, best_ordering = key, ordering
-    assert best_ordering is not None
-    return best_ordering
+    return _canonical_form(pattern)[1]
+
+
+def pivot_blind_key(pattern: Pattern) -> CanonicalKey:
+    """A key equal for exactly the patterns isomorphic *ignoring pivots*.
+
+    The same search as :func:`canonical_key` with no variable marked or
+    placed first; kept on the pattern like the canonical form.
+    ``ParCover`` groups rules by it (implication does not see the pivot).
+    """
+    cached = pattern._pivot_blind_key
+    if cached is None:
+        cached = _search(pattern, None)[0]
+        object.__setattr__(pattern, "_pivot_blind_key", cached)
+    return cached
 
 
 def canonicalize(pattern: Pattern) -> Pattern:

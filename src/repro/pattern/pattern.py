@@ -69,9 +69,26 @@ class Pattern:
     Patterns compare equal structurally (same labels, same edge set, same
     pivot) — use :mod:`repro.pattern.canonical` for equality up to
     isomorphism.
+
+    Facts about one pattern are computed on first use and kept in slots of
+    the instance, so they live exactly as long as the pattern: the
+    adjacency, the hash and edge set here, the canonical form and the
+    pivot-blind key (:mod:`repro.pattern.canonical`) and the label profile
+    (:mod:`repro.pattern.embedding`).  Facts about a *pair* of patterns are
+    never stored on either one.
     """
 
-    __slots__ = ("labels", "edges", "pivot", "_adjacency", "_hash", "_edge_set")
+    __slots__ = (
+        "labels",
+        "edges",
+        "pivot",
+        "_adjacency",
+        "_hash",
+        "_edge_set",
+        "_canonical",
+        "_pivot_blind_key",
+        "_profile",
+    )
 
     def __init__(
         self,
@@ -100,6 +117,9 @@ class Pattern:
         object.__setattr__(self, "_adjacency", None)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_edge_set", None)
+        object.__setattr__(self, "_canonical", None)
+        object.__setattr__(self, "_pivot_blind_key", None)
+        object.__setattr__(self, "_profile", None)
 
     # -- the frozen dance: slots + immutability ------------------------------
     def __setattr__(self, name: str, value) -> None:

@@ -115,6 +115,8 @@ class TestCLI:
         "--max-violations-per-rule": ("enforce",),
         "--samples": ("enforce",),
         "--limit": ("validate",),
+        "--port": ("serve",),
+        "--duration": ("serve",),
     }
 
     @pytest.mark.parametrize(
@@ -133,6 +135,9 @@ class TestCLI:
             ("--max-violations-per-rule", "0"),
             ("--samples", "-1"),
             ("--limit", "0"),
+            ("--port", "-1"),
+            ("--port", "70000"),
+            ("--duration", "-1"),
         ],
     )
     def test_bad_flag_value_is_a_usage_error(

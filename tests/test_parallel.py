@@ -29,6 +29,7 @@ from repro.parallel import (
     rebalance_pivot_group_arrays,
 )
 from repro.parallel.backend import ShardWorker, make_backend
+from repro.parallel import parcover
 from repro.parallel.parcover import _group_sigma
 from repro.pattern import Pattern, embedding
 from repro.pattern.embedding import is_embedded
@@ -535,21 +536,20 @@ class TestParCoverPerPattern:
         sigma = self._sigma("dbpedia")
         calls = []
 
-        def counted(function):
-            def counting(inner, outer):
-                calls.append(1)
-                return function(inner, outer)
-            return counting
+        def counting(pairs, max_results=None):
+            pairs = list(pairs)
+            calls.append(pairs)
+            return embedding.embedding_batch(pairs, max_results)
 
-        # every prefilter evaluation goes through ``_profile_fits``; the
-        # per-rule filter this replaced called ``may_embed`` from implication
-        monkeypatch.setattr(
-            embedding, "_profile_fits", counted(embedding._profile_fits)
-        )
-        monkeypatch.setattr(
-            implication, "may_embed", counted(embedding.may_embed), raising=False
-        )
+        # Σ̄_Q on the master and Σ_Q's instantiation on the (serial)
+        # workers each hand the kernel one batch of distinct-pattern pairs;
+        # the per-rule filter this replaced asked once per rule
+        monkeypatch.setattr(parcover, "embedding_batch", counting)
+        monkeypatch.setattr(implication, "embedding_batch", counting)
         parallel_cover(sigma, cover_backend(2))
-        distinct = len({gfd.pattern for gfd in sigma})
-        assert distinct < len(sigma)
-        assert 0 < len(calls) <= distinct * distinct
+        distinct = {gfd.pattern for gfd in sigma}
+        assert len(distinct) < len(sigma)
+        assert calls
+        for pairs in calls:
+            assert 0 < len(pairs) == len(set(pairs)) <= len(distinct) ** 2
+            assert all(inner in distinct for inner, _, _ in pairs)

@@ -13,12 +13,14 @@ from repro.pattern import (
     canonical_key,
     canonical_ordering,
     canonicalize,
+    embedding_batch,
     embeddings,
     embeds_strictly,
     is_embedded,
     label_matches,
     variable_name,
 )
+from repro.pattern.embedding import DistinctPatterns, may_embed
 
 
 def chain(labels, edge_label="e", pivot=0):
@@ -250,3 +252,126 @@ class TestEmbedding:
         inner = Pattern(["a"], [])
         outer = Pattern(["a", "a", "a"], [(0, 1, "e"), (1, 2, "e")])
         assert len(list(embeddings(inner, outer, max_results=2))) == 2
+
+
+# ----------------------------------------------------------------------
+# the vectorized kernel against the backtracking oracle
+# ----------------------------------------------------------------------
+NODE_LABELS = ["a", "b", WILDCARD]
+EDGE_LABELS = ["e", "f", WILDCARD]
+
+
+@st.composite
+def kernel_patterns(draw, max_nodes):
+    """Patterns with wildcard nodes and edges, several labels on one
+    variable pair, loops and (rarely) disconnected variables."""
+    size = draw(st.integers(min_value=1, max_value=max_nodes))
+    labels = draw(
+        st.lists(st.sampled_from(NODE_LABELS), min_size=size, max_size=size)
+    )
+    variable = st.integers(min_value=0, max_value=size - 1)
+    # a random spanning tree keeps most patterns connected, as mined ones are
+    edges = set()
+    for node in range(1, size):
+        parent = draw(st.integers(min_value=0, max_value=node - 1))
+        pair = (parent, node) if draw(st.booleans()) else (node, parent)
+        edges.add(pair + (draw(st.sampled_from(EDGE_LABELS)),))
+    edges |= draw(st.sets(
+        st.tuples(variable, variable, st.sampled_from(EDGE_LABELS)),
+        max_size=size + 1,
+    ))
+    return Pattern(labels, sorted(edges), draw(variable))
+
+
+@st.composite
+def sub_patterns(draw, outer):
+    """A pattern that often embeds into ``outer``: a subset of its edges
+    over renamed variables, some labels relaxed to the wildcard."""
+    edges = []
+    if outer.edges:
+        edges = draw(st.lists(st.sampled_from(outer.edges), unique=True))
+    used = sorted({outer.pivot} | {v for e in edges for v in (e.src, e.dst)})
+    renamed = draw(st.permutations(range(len(used))))
+    name = {old: renamed[position] for position, old in enumerate(used)}
+    labels = [None] * len(used)
+    for old in used:
+        keep = draw(st.booleans()) or draw(st.booleans())
+        labels[name[old]] = outer.labels[old] if keep else WILDCARD
+    relaxed = {
+        (name[e.src], name[e.dst], e.label if draw(st.booleans()) else WILDCARD)
+        for e in edges
+    }
+    return Pattern(labels, sorted(relaxed), name[outer.pivot])
+
+
+@st.composite
+def kernel_batches(draw, max_nodes):
+    """A batch of (inner, outer, pivot-preserving) pairs and a cap."""
+    pairs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        outer = draw(kernel_patterns(max_nodes))
+        inner = draw(st.one_of(kernel_patterns(max_nodes), sub_patterns(outer)))
+        pairs.append((inner, outer, draw(st.booleans())))
+    cap = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=4)))
+    return pairs, cap
+
+
+def _assert_kernel_is_oracle(pairs, cap):
+    found = embedding_batch(pairs, max_results=cap)
+    assert len(found) == len(pairs)
+    for (inner, outer, preserving), got in zip(pairs, found):
+        assert got == tuple(embeddings(inner, outer, preserving, cap))
+
+
+class TestEmbeddingKernel:
+    """``embedding_batch`` is ``embeddings()`` as a sequence, per pair:
+    the same embeddings, in the same order, under the same cap."""
+
+    @given(kernel_batches(max_nodes=4))
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_equals_backtracking(self, batch):
+        _assert_kernel_is_oracle(*batch)
+
+    @pytest.mark.slow
+    @given(kernel_batches(max_nodes=7))
+    @settings(max_examples=400, deadline=None)
+    def test_kernel_equals_backtracking_up_to_seven_nodes(self, batch):
+        _assert_kernel_is_oracle(*batch)
+
+    def test_all_wildcard_pair_keeps_search_order(self):
+        inner = Pattern([WILDCARD] * 3, [(0, 1, WILDCARD), (1, 2, WILDCARD)], 1)
+        outer = Pattern(["a"] * 4, [(0, 1, "e"), (1, 2, "f"), (1, 3, "e"),
+                                    (2, 3, "e")])
+        for preserving in (False, True):
+            for cap in (None, 1, 3):
+                _assert_kernel_is_oracle([(inner, outer, preserving)], cap)
+
+    def test_duplicate_pairs_and_empty_batch(self):
+        inner = chain(["a", "b"])
+        outer = chain(["a", "b", "a", "b"])
+        found = embedding_batch([(inner, outer, False)] * 3 + [(outer, inner, False)])
+        assert found[0] == found[1] == found[2] == ((0, 1), (2, 3))
+        assert found[3] == ()
+        assert embedding_batch([]) == []
+
+    def test_cap_must_be_positive(self):
+        with pytest.raises(ValueError):
+            embedding_batch([(chain(["a"]), chain(["a"]), False)], max_results=0)
+
+    def test_no_label_limit(self):
+        labels = [f"l{index}" for index in range(300)]
+        outer = Pattern(labels, [(i, i + 1, f"e{i}") for i in range(299)])
+        inner = Pattern(labels[150:153], [(0, 1, "e150"), (1, 2, "e151")])
+        assert embedding_batch([(inner, outer, False)]) == [((150, 151, 152),)]
+
+    @given(st.lists(kernel_patterns(max_nodes=4), min_size=1, max_size=8),
+           st.lists(kernel_patterns(max_nodes=4), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_distinct_patterns_prefilter_is_may_embed(self, rules, hosts):
+        patterns = DistinctPatterns(rules)
+        expected = [
+            [slot for slot, inner in enumerate(patterns.patterns)
+             if may_embed(inner, host)]
+            for host in hosts
+        ]
+        assert patterns.may_embed_into(hosts) == expected
