@@ -3,6 +3,10 @@
 Paper's table reports, for DBpedia and YAGO2: SeqDisGFD time, SeqCover
 time, and "#rules / avg support" for GFDs, GCFDs and AMIE.  Shape targets:
 SeqCover ≪ SeqDisGFD, GCFDs ⊆ GFDs in count, and every system completes.
+
+The "SeqDis" row is ParDis at n = 1 on the serial backend: ``discover()``
+and ``discover_gcfd()`` both run the one mining engine on one in-process
+worker (the paper presents ParDis as SeqDis spread over n workers).
 """
 
 from __future__ import annotations

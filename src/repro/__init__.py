@@ -9,8 +9,9 @@ The package implements the paper end to end:
   canonical forms, subgraph-isomorphism matching, embeddings;
 * :mod:`repro.gfd` — GFDs, their semantics, closure/chase, the FPT
   satisfiability and implication analyses (Theorem 1), a textual syntax;
-* :mod:`repro.core` — the discovery problem (Section 4) and the sequential
-  algorithms ``SeqDis``/``SeqCover`` (Section 5);
+* :mod:`repro.core` — the discovery problem (Section 4), ``discover``
+  (``ParDis`` at ``n = 1``, i.e. ``SeqDis``), the dict-adjacency
+  ``SequentialDiscovery`` oracle and ``SeqCover`` (Section 5);
 * :mod:`repro.parallel` — the parallel-scalable ``ParDis``/``ParCover``
   (Section 6) over a metered cluster simulation;
 * :mod:`repro.baselines` — ParAMIE, DisGCFD/ParCGFD, ParArab, and the

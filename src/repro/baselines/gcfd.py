@@ -14,7 +14,9 @@ Here GCFD discovery *is* GFD discovery restricted to that special case:
 
 Both restrictions are enforced by filtering vertical spawning, so the
 machinery (match tables, lattices, pruning, the metered cluster) is shared
-with ``SeqDis``/``ParDis`` — exactly the comparison the paper makes.
+with ``ParDis`` — exactly the comparison the paper makes.  The sequential
+``DisGCFD`` is the same miner at ``n = 1``, as ``SeqDis`` is ``ParDis`` at
+``n = 1``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from ..core.config import DiscoveryConfig
-from ..core.discovery import SequentialDiscovery
 from ..core.generation_tree import TreeNode
 from ..core.results import DiscoveryResult
 from ..graph.graph import Graph
@@ -84,13 +85,6 @@ def _filter_path_extensions(
     ]
 
 
-class _GCFDSequential(SequentialDiscovery):
-    """``DisGCFD``: SeqDis restricted to path patterns."""
-
-    def _generate_extensions(self, parent: TreeNode) -> List[Extension]:
-        return _filter_path_extensions(parent, super()._generate_extensions(parent))
-
-
 class _GCFDParallel(ParallelDiscovery):
     """``ParCGFD``: ParDis restricted to path patterns."""
 
@@ -108,13 +102,18 @@ def discover_gcfd(
     stats=None,
     index=None,
 ) -> DiscoveryResult:
-    """Mine GCFDs (path-pattern CFDs) sequentially.
+    """Mine GCFDs (path-pattern CFDs) sequentially: ``ParCGFD`` at ``n = 1``.
 
     ``stats``/``index`` accept precomputed graph snapshots (shared with the
     GFD run of the same benchmark) so the graph is scanned once per dataset.
     """
-    return _GCFDSequential(
-        graph, _path_config(config or DiscoveryConfig()), stats=stats, index=index
+    return _GCFDParallel(
+        graph,
+        _path_config(config or DiscoveryConfig()),
+        num_workers=1,
+        backend="serial",
+        stats=stats,
+        index=index,
     ).run()
 
 

@@ -26,11 +26,16 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import List, Optional
 
+import numpy as np
+
 from ..core.config import DiscoveryConfig
-from ..core.discovery import SequentialDiscovery
 from ..core.generation_tree import TreeNode
-from ..gfd.gfd import GFD, is_trivial
+from ..core.match_table import MatchTable
+from ..gfd.closure import is_trivial_dependency
+from ..gfd.gfd import GFD
 from ..graph.graph import Graph
+from ..parallel.pardis import ParallelDiscovery
+from ..pattern.matcher import find_matches
 
 __all__ = ["ParArabResult", "run_pararab"]
 
@@ -46,11 +51,26 @@ class ParArabResult:
     elapsed_seconds: float = 0.0
 
 
-class _PatternOnlyMiner(SequentialDiscovery):
+class _PatternOnlyMiner(ParallelDiscovery):
     """Phase 1: frequent-pattern mining with literal processing disabled."""
 
-    def _hspawn(self, node: TreeNode) -> None:  # noqa: D102 - phase 1 skips FD mining
+    def _mine_nodes(self, nodes: List[TreeNode]) -> None:  # phase 1 skips HSpawn
         return
+
+
+def _full_table(miner: _PatternOnlyMiner, node: TreeNode) -> Optional[MatchTable]:
+    """A frequent pattern's whole match table, matched anew from the index
+    (``None`` when the re-match reaches ``max_matches_per_pattern``: a
+    truncated table certifies nothing).  As in the engine, the cap bounds
+    joined patterns, not the single-node seeds."""
+    cap = miner.config.max_matches_per_pattern if node.pattern.num_edges else None
+    rows = list(find_matches(None, node.pattern, max_matches=cap, index=miner.index))
+    if cap is not None and len(rows) >= cap:
+        return None
+    matches = np.array(rows, dtype=np.int64).reshape(-1, node.pattern.num_nodes)
+    return MatchTable(
+        miner.graph, node.pattern, matches, miner.gamma, index=miner.index
+    )
 
 
 def run_pararab(
@@ -65,26 +85,27 @@ def run_pararab(
     config = config or DiscoveryConfig()
 
     # ---- phase 1: pattern mining only --------------------------------
-    miner = _PatternOnlyMiner(graph, config, stats=stats, index=index)
-    phase1 = miner.run()
-    tree = phase1.tree
+    miner = _PatternOnlyMiner(
+        graph, config, num_workers=1, backend="serial", stats=stats, index=index
+    )
+    tree = miner.run().tree
     assert tree is not None
-    frequent = [
-        node
+    # every frequent pattern's full embedding set, materialized up front
+    tables = [
+        _full_table(miner, node)
         for node in tree.all_nodes()
-        if node.support >= config.sigma and node.table is not None
-        and not node.table.truncated
+        if node.support >= config.sigma
     ]
+    frequent = [table for table in tables if table is not None]
 
     # ---- phase 2: exhaustive literal extension and validation --------
     candidates = 0
     gfds: List[GFD] = []
-    for node in frequent:
-        table = node.table
+    for table in frequent:
         literals = list(
             table.candidate_constant_literals(config.max_constants)
         )
-        if config.variable_literals and node.pattern.num_nodes > 1:
+        if config.variable_literals and table.pattern.num_nodes > 1:
             literals.extend(
                 table.candidate_variable_literals(
                     config.variable_literals_same_attr_only
@@ -109,8 +130,7 @@ def run_pararab(
                         elapsed_seconds=time.perf_counter() - started,
                     )
                 lhs = frozenset(subset)
-                gfd = GFD(node.pattern, lhs, rhs)
-                if is_trivial(gfd):
+                if is_trivial_dependency(lhs, rhs):
                     continue
                 rows_lhs = table.full_mask()
                 for literal in lhs:
@@ -120,7 +140,7 @@ def run_pararab(
                 if not count or table.mask_count(rows_both) != count:
                     continue
                 if table.mask_support(rows_both) >= config.sigma:
-                    gfds.append(gfd)
+                    gfds.append(GFD(table.pattern, lhs, rhs))
     return ParArabResult(
         completed=True,
         gfds=gfds,

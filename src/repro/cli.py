@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``stats <graph>`` — dataset statistics (labels, triples, attributes);
-* ``discover <graph>`` — run ``SeqDis`` (or ``ParDis`` with ``--workers``;
+* ``discover <graph>`` — run ``ParDis`` (``--workers`` sets ``n``;
   ``--backend multiprocess`` runs real worker processes over shared-memory
   graph buffers) and print the discovered GFDs with their supports;
 * ``validate <graph> <rules>`` — check a rule file against a graph and

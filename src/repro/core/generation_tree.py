@@ -32,9 +32,9 @@ DependencyPair = Tuple[FrozenSet[Literal], Literal]
 class TreeNode:
     """One pattern in the generation tree.
 
-    ``table`` holds the verified matches under ``SeqDis`` only; ``ParDis``
-    keeps the rows in the workers' shards and leaves it ``None`` on every
-    node, on every backend.
+    ``table`` holds the verified matches under the dict-adjacency oracle
+    only; ``ParDis`` keeps the rows in the workers' shards and leaves it
+    ``None`` on every node, on every backend.
     """
 
     pattern: Pattern

@@ -16,8 +16,9 @@ index's attribute codes, uses it and drops it.  It supports
   column pairs for variable literals).
 
 Row sets have two faces.  The numpy one (``literal_mask`` / ``mask_count`` /
-``mask_support``: a bool array per literal) serves ``SeqDis`` — the
-lattice's reference oracle — and enforcement's ``violation_mask``.  The
+``mask_support``: a bool array per literal) serves the lattices of the
+discovery oracle (``SequentialDiscovery``) and of ``ParArab``, and
+enforcement's ``violation_mask``.  The
 bitset one (``literal_bits`` / ``full_bits`` / ``bits_support`` /
 ``stack_supports``) is the ``ParDis`` worker kernel's: a row set is one
 Python int with row ``i`` at bit ``i``, an intersection is ``&``, a count
@@ -286,7 +287,7 @@ class MatchTable:
         Missing attributes never satisfy a literal (Section 2.2 semantics):
         code 0 (MISSING) never equals a value code, and two MISSING cells
         are explicitly excluded from variable-literal equality.  The mask
-        is cached (``SeqDis`` and enforcement reuse it); the columns it was
+        is cached (the oracle and enforcement reuse it); the columns it was
         computed from are not.
         """
         cached = self._literal_masks.get(literal)

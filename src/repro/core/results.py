@@ -23,8 +23,6 @@ class MiningStats:
     negatives_found: int = 0
     truncated_patterns: int = 0
     elapsed_seconds: float = 0.0
-    matching_seconds: float = 0.0
-    validation_seconds: float = 0.0
 
 
 @dataclass
@@ -38,8 +36,8 @@ class DiscoveryResult:
         stats: run counters.
         tree: the generation tree (kept for ``ParCover`` grouping and for
             inspection; ``None`` when the caller dropped it).  Only the
-            sequential engine's nodes carry match tables — a ``ParDis``
-            tree has patterns, supports and parent links, no rows.
+            oracle's nodes carry match tables — a ``ParDis`` tree has
+            patterns, supports and parent links, no rows.
     """
 
     gfds: List[GFD] = field(default_factory=list)

@@ -24,7 +24,7 @@ that are no pattern edge, and binary-searches only the rows whose two
 nodes both occur among them — most pairs keep no edge and touch no row.
 Under ``ParDis``'s pivot-disjoint sharding the per-shard counts add up
 (:func:`merge_extension_counts`), so the distributed runs spawn *exactly*
-the same patterns as ``SeqDis``.  The per-match dict scan
+the same patterns at every ``n``.  The per-match dict scan
 (:func:`extension_statistics`, pivot *sets*) is the layer's oracle, bridged
 by :func:`counts_from_statistics`.
 

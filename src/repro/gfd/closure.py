@@ -21,7 +21,9 @@ tag them, and a clash of tags is a conflict.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from ..pattern.embedding import embedding_batch
 from ..pattern.pattern import Pattern
@@ -37,6 +39,8 @@ from .literals import (
 
 __all__ = [
     "LiteralClosure",
+    "is_trivial_dependency",
+    "lhs_unsatisfiable",
     "MAX_EMBEDDINGS_PER_GFD",
     "instantiate",
     "embedded_rules",
@@ -59,10 +63,12 @@ class LiteralClosure:
     class or ``false`` is added.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, literals: Iterable[Literal] = ()) -> None:
         self._parent: Dict[Term, Term] = {}
         self._constant: Dict[Term, Any] = {}
         self._conflicting = False
+        for literal in literals:
+            self.add(literal)
 
     # ------------------------------------------------------------------
     @property
@@ -141,6 +147,43 @@ class LiteralClosure:
         return clone
 
 
+def is_trivial_dependency(lhs: FrozenSet[Literal], rhs: Literal) -> bool:
+    """Whether ``X → l`` is trivial (Section 4.1) over any pattern: ``X``
+    is unsatisfiable, or ``l ≠ false`` follows from ``X``.
+
+    :func:`~repro.gfd.gfd.is_trivial` of a GFD, and the test every
+    discovery engine applies to its candidates.  Triviality reads the
+    literals only.  Without a variable literal in ``X`` the closure is the
+    constant bindings themselves, so no union-find is built: a conflict is
+    two constants on one term, and ``l`` follows only by a direct binding
+    (``x.A = c``, or ``x.A = c ∧ y.B = c`` for ``x.A = y.B``).
+    """
+    constants: Dict[Term, Any] = {}
+    for literal in lhs:
+        if not isinstance(literal, ConstantLiteral):
+            closure = LiteralClosure(lhs)
+            return closure.conflicting or (
+                not isinstance(rhs, FalseLiteral) and closure.entails(rhs)
+            )
+        term = (literal.var, literal.attr)
+        if constants.setdefault(term, literal.value) != literal.value:
+            return True  # X is unsatisfiable
+    if isinstance(rhs, ConstantLiteral):
+        return constants.get((rhs.var, rhs.attr), _NO_CONSTANT) == rhs.value
+    if isinstance(rhs, VariableLiteral):
+        left = constants.get((rhs.var1, rhs.attr1), _NO_CONSTANT)
+        right = constants.get((rhs.var2, rhs.attr2), _NO_CONSTANT)
+        reflexive = (rhs.var1, rhs.attr1) == (rhs.var2, rhs.attr2)
+        return reflexive or (left is not _NO_CONSTANT and left == right)
+    return False  # false follows only from an unsatisfiable X
+
+
+def lhs_unsatisfiable(lhs: Iterable[Literal]) -> bool:
+    """Whether ``X`` equates some attribute with two distinct constants
+    (directly or through variable literals): Section 4.1's case (a)."""
+    return LiteralClosure(lhs).conflicting
+
+
 #: Embeddings instantiated per (GFD, host pattern) — a defensive cap; the
 #: theoretical bound is ``k^k`` (Theorem 1).
 MAX_EMBEDDINGS_PER_GFD = 64
@@ -193,9 +236,7 @@ def chase(
     Pass ``rules`` (from :func:`embedded_rules`) to amortize embedding
     enumeration across multiple chases over the same pattern.
     """
-    closure = LiteralClosure()
-    for literal in literals:
-        closure.add(literal)
+    closure = LiteralClosure(literals)
     if rules is None:
         rules = embedded_rules(sigma, pattern)
     pending = list(rules)

@@ -123,17 +123,9 @@ def is_trivial(gfd: GFD) -> bool:
     A GFD ``Q[x̄](X → l)`` is trivial when (a) ``X`` cannot be satisfied
     (it equates one attribute with two distinct constants, directly or via
     the transitivity of equality), or (b) ``l`` is derivable from ``X`` by
-    transitivity of equality.
+    transitivity of equality.  A negative GFD ``Q(X → false)`` is trivial
+    only by (a).  See :func:`~repro.gfd.closure.is_trivial_dependency`.
     """
-    from .closure import LiteralClosure  # local import: closure builds on gfd
+    from .closure import is_trivial_dependency  # closure builds on gfd
 
-    closure = LiteralClosure()
-    for literal in gfd.lhs:
-        closure.add(literal)
-    if closure.conflicting:
-        return True
-    if isinstance(gfd.rhs, FalseLiteral):
-        # Q(X → false) is trivial only when X is unsatisfiable (case (a)),
-        # which was checked above; otherwise it is a genuine negative GFD.
-        return False
-    return closure.entails(gfd.rhs)
+    return is_trivial_dependency(gfd.lhs, gfd.rhs)

@@ -9,8 +9,8 @@ along by the incremental joins ``Q'(F_s) = Q(F_s) ⋈ e(F_t)``).  Per
 superstep, mirroring Figure 3:
 
 1. **Parallel pattern verification** — the master spawns extensions (from
-   merged per-worker tally counts, so the spawned patterns equal
-   ``SeqDis``'s); workers join their local match shards with the shipped
+   merged per-worker tally counts, so the spawned patterns do not depend
+   on ``n``); workers join their local match shards with the shipped
    extension edges of *every* parent of the tree level in one round and
    park the joined rows for the children's installs — a
    closing child whose tally count already makes it a leaf is not joined
@@ -27,25 +27,28 @@ Worker-side execution is delegated to an
 runs the shard ops inline under the metered
 :class:`~repro.parallel.cluster.SimulatedCluster` (the default), while the
 ``multiprocess`` backend runs them in real worker processes over
-shared-memory graph buffers (``config.parallel_backend``).  Either way the
-discovered set equals ``SeqDis``'s output — parallel scalability
+shared-memory graph buffers (``config.parallel_backend``).  This is the one
+mining engine: at ``n = 1`` on the ``serial`` backend it is ``SeqDis``
+(:func:`~repro.core.discovery.discover`).  On any backend and any ``n`` the
+discovered set equals the dict-adjacency oracle's
+(:func:`~repro.core.discovery.reference_discover`) — parallel scalability
 (Theorem 5) is about time, not results — which the randomized differential
-harness (``tests/test_differential.py``) asserts across all backends.
+harness (``tests/test_differential.py``) asserts.
 
 ``config.max_matches_per_pattern`` is enforced per shard: a pattern whose
 global join reaches the cap is marked *truncated* and becomes a leaf — it
-emits no GFDs and spawns no children, exactly like the sequential engine —
-so both engines agree on the discovered set even when the cap binds.
+emits no GFDs and spawns no children, exactly like a capped table of the
+oracle — so the two agree on the discovered set even when the cap binds.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple, Union
+import time
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from ..core.config import DiscoveryConfig
-from ..core.discovery import SequentialDiscovery
+from ..core.config import CandidateBudgetExceeded, DiscoveryConfig
 from ..core.generation_tree import GenerationTree, TreeNode
 from ..core.match_table import (
     MatchTable,
@@ -53,6 +56,8 @@ from ..core.match_table import (
     merge_agreement_counts,
     variable_literals_from_counts,
 )
+from ..core.reduction import gfd_identity, minimal_cover_by_reduction
+from ..core.results import DiscoveryResult, MiningStats
 from ..core.spawning import (
     ExtensionCounts,
     extensions_from_counts,
@@ -60,9 +65,12 @@ from ..core.spawning import (
     speculative_closing_extensions,
     wildcard_extensions_from_counts,
 )
+from ..gfd.closure import is_trivial_dependency, lhs_unsatisfiable
 from ..gfd.gfd import GFD
 from ..gfd.literals import FALSE, Literal
 from ..graph.graph import Graph
+from ..graph.index import GraphIndex
+from ..graph.statistics import GraphStatistics
 from ..pattern.incremental import Extension, apply_extension
 from ..pattern.pattern import WILDCARD, Pattern
 from .backend import (
@@ -74,7 +82,14 @@ from .backend import (
 from .balancer import is_skewed, rebalance_pivot_group_arrays
 from .cluster import SimulatedCluster
 
-__all__ = ["ParallelDiscovery", "StructuralFrontier"]
+__all__ = ["ParallelDiscovery", "StructuralFrontier", "check_budgets"]
+
+
+def check_budgets(max_rules: Optional[int], max_levels: Optional[int]) -> None:
+    """Reject a negative streaming budget (``None`` means unbudgeted)."""
+    for name, value in (("max_rules", max_rules), ("max_levels", max_levels)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be >= 0 or None, got {value}")
 
 #: One verified pattern of a recorded level: ``(primary parent's position
 #: in the level above or -1 for a seed, pattern, support, worker key or
@@ -146,7 +161,8 @@ class _NodeMining:
     Emissions are *buffered* (``emits``) instead of landing in ``_found``
     directly: a level's patterns advance their lattices jointly, so live
     emission would interleave them — replaying the buffers in node order
-    afterwards gives ``SeqDis``'s per-node insertion order.
+    afterwards gives a node-major insertion order that no ``n`` and no
+    budget slicing changes.
     """
 
     __slots__ = (
@@ -174,18 +190,27 @@ class _NodeMining:
         self.done = False
 
 
-class ParallelDiscovery(SequentialDiscovery):
-    """``ParDis``: the parallel variant of :class:`SequentialDiscovery`.
+class ParallelDiscovery:
+    """``ParDis``: GFD discovery on ``n`` workers — the product engine.
+
+    At ``n = 1`` on the ``serial`` backend it is the paper's ``SeqDis``
+    (:func:`~repro.core.discovery.discover` runs it so); the dict-adjacency
+    oracle :class:`~repro.core.discovery.SequentialDiscovery` finds the
+    same Σ with the same supports.
 
     Args:
         graph: the data graph.
-        config: discovery parameters (shared with the sequential algorithm);
-            ``config.parallel_backend`` selects the execution backend.
+        config: discovery parameters; ``config.parallel_backend`` selects
+            the execution backend.
         num_workers: the number ``n`` of workers (``None`` falls back to
             ``config.num_workers``, then 4).
         balance: enable match re-distribution on skew (Section 6.2's load
             balancing; ``False`` gives the paper's ``ParGFDnb`` baseline).
         cluster: optionally supply a pre-built cluster (for shared metering).
+        stats, index: precomputed :class:`GraphStatistics` /
+            :class:`GraphIndex` snapshots, so repeated runs (baseline
+            sweeps, benchmark series) don't rescan the graph per run; by
+            default both come from the graph's cached frozen index.
         backend: a backend name overriding the config, or a pre-started
             :class:`~repro.parallel.backend.ExecutionBackend` to reuse
             across runs (the caller keeps ownership; worker counts must
@@ -203,12 +228,23 @@ class ParallelDiscovery(SequentialDiscovery):
         num_workers: Optional[int] = None,
         balance: bool = True,
         cluster: Optional[SimulatedCluster] = None,
-        stats=None,
-        index=None,
+        stats: Optional[GraphStatistics] = None,
+        index: Optional[GraphIndex] = None,
         backend: Union[None, str, ExecutionBackend] = None,
         frontier: Optional[StructuralFrontier] = None,
     ) -> None:
-        super().__init__(graph, config, stats=stats, index=index)
+        self.graph = graph
+        self.config = config
+        self.index = index if index is not None else graph.index()
+        self.graph_stats = stats if stats is not None else self.index.statistics()
+        if config.active_attributes is not None:
+            self.gamma = list(config.active_attributes)
+        else:
+            self.gamma = self.graph_stats.top_attributes(config.max_active_attributes)
+        self.stats = MiningStats()
+        self._found: Dict[Tuple, Tuple[GFD, int]] = {}
+        #: How many ``_found`` entries :meth:`_drain_found` has handed out.
+        self._drained = 0
         if isinstance(backend, ExecutionBackend):
             if num_workers is not None and num_workers != backend.num_workers:
                 raise ValueError(
@@ -254,7 +290,173 @@ class ParallelDiscovery(SequentialDiscovery):
         return self._backend_name
 
     # ------------------------------------------------------------------
-    # engine lifecycle hooks (plugged into the inherited run()/run_iter())
+    # the level driver
+    # ------------------------------------------------------------------
+    def run(self) -> DiscoveryResult:
+        """Execute discovery and return the minimum frequent GFDs."""
+        started = time.perf_counter()
+        self._drained = 0
+        self._start_backend()
+        tree = GenerationTree()
+        try:
+            for _level, _fresh in self._levels(tree):
+                pass
+            supports = {gfd: supp for gfd, supp in self._found.values()}
+            with self.cluster.master():
+                gfds = minimal_cover_by_reduction(list(supports))
+        finally:
+            self._finish_backend()
+        self.stats.positives_found = sum(1 for gfd in gfds if gfd.is_positive)
+        self.stats.negatives_found = sum(1 for gfd in gfds if gfd.is_negative)
+        self.stats.elapsed_seconds = time.perf_counter() - started
+        return DiscoveryResult(
+            gfds=gfds,
+            supports={gfd: supports[gfd] for gfd in gfds},
+            stats=self.stats,
+            tree=tree,
+        )
+
+    def run_iter(
+        self,
+        max_rules: Optional[int] = None,
+        max_levels: Optional[int] = None,
+    ) -> Iterator[Tuple[int, List[Tuple[GFD, int]]]]:
+        """Stream discovery: yield ``(level, [(gfd, support), ...])`` batches.
+
+        Rules arrive as their generation-tree level (or, under a rule
+        budget, a node-order prefix of it) completes, so a consumer can act
+        on early rules without waiting for the full run — the engine behind
+        ``Session.discover_iter``.  The budgets are enforced here: at most
+        ``max_rules`` rules are yielded, none from a level above
+        ``max_levels`` (level 0 = single-node patterns), and the engine
+        mines only what those rules need (see :meth:`_levels`).  A negative
+        budget raises ``ValueError``.  Closing the iterator early releases
+        the engine's execution resources (the ``finally`` below runs on
+        ``GeneratorExit``).
+
+        Two deliberate differences from :meth:`run`: the final pairwise
+        ``≪``-minimality filter is *not* applied (it is a global pass over
+        the completed set — ``Session.discover`` still applies it), and a
+        support that is later raised for an already-yielded rule is not
+        re-reported.
+        """
+        check_budgets(max_rules, max_levels)
+        self._drained = 0
+        self._start_backend()
+        tree = GenerationTree()
+        try:
+            yield from self._levels(tree, max_rules, max_levels)
+        finally:
+            self._finish_backend()
+
+    def _levels(
+        self,
+        tree: GenerationTree,
+        max_rules: Optional[int] = None,
+        max_levels: Optional[int] = None,
+    ) -> Iterator[Tuple[int, List[Tuple[GFD, int]]]]:
+        """Drive the levelwise search, yielding ``(level, batch)`` pairs.
+
+        The shared core of :meth:`run` and :meth:`run_iter`: seed, mine
+        level 0, then alternate ``VSpawn``/``HSpawn`` up to level ``k``
+        or level ``max_levels``, whichever comes first; a level the
+        structural frontier recorded is replayed instead.  A batch is a
+        list of ``(gfd, support)`` emissions.  Backend lifecycle is the
+        caller's concern.
+
+        Without ``max_rules`` each level is mined in one :meth:`_mine_nodes`
+        call and yields one batch.  With it, the level's ``VSpawn``
+        emissions count first; its patterns are then mined in node-order
+        prefixes of doubling size (1, 1, 2, 4, … nodes), each drained as
+        its own batch, and the search stops as soon as ``max_rules`` rules
+        are out (the last batch is cut to the budget).  A level of *n*
+        patterns costs at most ⌈log₂ n⌉ + 1 ``HSpawn`` calls.  Emissions
+        replay in node order, so the batches are exactly a prefix of the
+        unbudgeted stream; ``max_rules=0`` mines nothing.
+        """
+        last = self.config.k
+        if max_levels is not None:
+            last = min(last, max_levels)
+        remaining = max_rules
+        if remaining == 0:
+            return
+        for level in range(last + 1):
+            nodes = self._replay_level(tree, level)
+            if nodes is None:  # not recorded: seed or VSpawn, then record
+                truncated = self.stats.truncated_patterns
+                if level == 0:
+                    with self.cluster.tracer.span("seed", "level", level=0):
+                        self._seed_parallel(tree)
+                    nodes = list(tree.level(0))
+                else:
+                    with self.cluster.tracer.span(
+                        f"vspawn level {level}", "level", level=level
+                    ):
+                        nodes = self._vspawn_level(tree, level)
+                self._record_level(tree, level, nodes, truncated)
+            if level and not nodes:
+                return
+            if remaining is None:
+                self._mine_nodes(nodes)
+                yield level, self._drain_found()
+                continue
+            batch = self._drain_found()  # VSpawn's negatives come first
+            end = 0
+            while True:
+                if batch:
+                    batch = batch[:remaining]
+                    remaining -= len(batch)
+                    yield level, batch
+                    if remaining == 0:
+                        return
+                if end == len(nodes):
+                    break
+                start, end = end, min(len(nodes), max(1, 2 * end))
+                self._mine_nodes(nodes[start:end])
+                batch = self._drain_found()
+
+    def _mine_nodes(self, nodes: List[TreeNode]) -> None:
+        """``HSpawn`` over a node-order prefix of one level's patterns.
+
+        Mining a pattern reads only its own table and the covered pairs it
+        inherited from the level above, so a level can be mined in
+        consecutive slices (see :meth:`_levels`).
+        """
+        self._check_frontier()
+        with self.cluster.tracer.span(
+            f"hspawn {len(nodes)} nodes", "level", nodes=len(nodes)
+        ):
+            self._mine_nodes_batch(nodes)
+
+    def _drain_found(self) -> List[Tuple[GFD, int]]:
+        """The ``(gfd, support)`` pairs emitted since the previous drain.
+
+        ``_found`` is insertion-ordered by GFD identity; a re-emission that
+        only raises a support does not re-append, so drained batches are
+        exactly the *newly discovered* rules.
+        """
+        items = list(self._found.values())
+        fresh = items[self._drained:]
+        self._drained = len(items)
+        return fresh
+
+    def _emit(self, gfd: GFD, support: int) -> None:
+        key = gfd_identity(gfd)
+        existing = self._found.get(key)
+        if existing is None or existing[1] < support:
+            self._found[key] = (gfd, support)
+
+    def _charge_candidate(self) -> None:
+        """Count one candidate check; abort when over the configured budget."""
+        self.stats.candidates_checked += 1
+        budget = self.config.max_candidates
+        if budget is not None and self.stats.candidates_checked > budget:
+            raise CandidateBudgetExceeded(
+                self.stats.candidates_checked, self.stats.patterns_spawned
+            )
+
+    # ------------------------------------------------------------------
+    # the execution backend
     # ------------------------------------------------------------------
     def _start_backend(self) -> None:
         """Acquire (or validate) the execution backend before level 0."""
@@ -304,35 +506,6 @@ class ParallelDiscovery(SequentialDiscovery):
         if self._owns_backend:
             self._backend.shutdown()
             self._backend = None
-
-    def _master(self):
-        return self.cluster.master()
-
-    def _seed_level(self, tree: GenerationTree) -> None:
-        if self._replay_level(tree, 0) is None:
-            truncated = self.stats.truncated_patterns
-            with self.cluster.tracer.span("seed", "level", level=0):
-                self._seed_parallel(tree)
-            self._record_level(tree, 0, list(tree.level(0)), truncated)
-
-    def _extend_level(self, tree: GenerationTree, level: int) -> List[TreeNode]:
-        nodes = self._replay_level(tree, level)
-        if nodes is None:
-            truncated = self.stats.truncated_patterns
-            with self.cluster.tracer.span(
-                f"vspawn level {level}", "level", level=level
-            ):
-                nodes = self._vspawn_level(tree, level)
-            self._record_level(tree, level, nodes, truncated)
-        return nodes
-
-    def _mine_nodes(self, nodes) -> None:
-        nodes = list(nodes)
-        self._check_frontier()
-        with self.cluster.tracer.span(
-            f"hspawn {len(nodes)} nodes", "level", nodes=len(nodes)
-        ):
-            self._mine_nodes_batch(nodes)
 
     # ------------------------------------------------------------------
     # the structural frontier: record a level once, replay it after
@@ -410,7 +583,7 @@ class ParallelDiscovery(SequentialDiscovery):
 
     def _settle(self, nodes: List[TreeNode]) -> None:
         """Count a level's verified patterns and emit ``NVSpawn``'s
-        zero-support negatives, in node order (``SeqDis``'s order)."""
+        zero-support negatives, in node order."""
         for node in nodes:
             if node.support >= self.config.sigma:
                 self.stats.patterns_frequent += 1
@@ -466,9 +639,9 @@ class ParallelDiscovery(SequentialDiscovery):
         whose skewed join the master re-dealt.
         Truncated patterns are leaves: no worker state is installed, so
         they are skipped by both spawning directions (matching the
-        sequential engine's refusal to certify anything from a capped
-        table).  The workers hold the only copy of the rows — the master
-        keeps no match table (``TreeNode.table`` stays ``None``).
+        oracle's refusal to certify anything from a capped table).  The
+        workers hold the only copy of the rows — the master keeps no match
+        table (``TreeNode.table`` stays ``None``).
         """
         pending: List[Tuple[TreeNode, int, List[Dict[str, Any]]]] = []
         for node, shards, truncated, adopt in batch:
@@ -595,8 +768,8 @@ class ParallelDiscovery(SequentialDiscovery):
         support from the tally: no join, no install, no worker key — it
         only keeps its slot in the per-child bookkeeping.  Master-side
         dedup, support aggregation and the zero-support negative emissions
-        run in ``SeqDis``'s per-parent, per-child order, so the discovered
-        set is identical.
+        run in per-parent, per-child order, so the discovered set does not
+        depend on ``n``.
         """
         created_nodes: List[TreeNode] = []
         parents = list(tree.level(level - 1))
@@ -811,10 +984,11 @@ class ParallelDiscovery(SequentialDiscovery):
 
         Emissions are buffered per node and replayed in node order at the
         end, so ``_found``'s insertion order — which downstream cover
-        ordering observes — equals ``SeqDis``'s node-by-node order.  (Only
-        the abort *point* of a binding ``max_candidates`` budget differs:
-        candidates are charged in lattice-depth-major order across the
-        batch instead of node-major; the totals agree.)
+        ordering observes — is node-major at every ``n``: within a node,
+        its positives in lattice order, then its ``NHSpawn`` negatives.
+        (Candidates are charged lattice-depth-major across the batch, so
+        where a binding ``max_candidates`` budget aborts depends on how the
+        level is sliced; a completed run's total does not.)
 
         A pattern replayed from the frontier arrives without column
         statistics: one more ``install`` superstep re-binds its resident
@@ -919,7 +1093,7 @@ class ParallelDiscovery(SequentialDiscovery):
                                 extended = lhs | {literal}
                                 if any(v <= extended for v in task.valid_sets):
                                     continue
-                                if self._is_trivial(extended, task.rhs):
+                                if is_trivial_dependency(extended, task.rhs):
                                     continue
                                 self._charge_candidate()
                                 mask_id = miner.next_mask_id
@@ -1012,7 +1186,7 @@ class ParallelDiscovery(SequentialDiscovery):
             ],
             wait=False,
         )
-        # replay the buffered emissions in node order (SeqDis's order)
+        # replay the buffered emissions in node order
         for miner in miners:
             for gfd, support in miner.emits:
                 self._emit(gfd, support)
@@ -1034,7 +1208,7 @@ class ParallelDiscovery(SequentialDiscovery):
                     for literal in miner.literals:
                         if literal == rhs or literal in lhs:
                             continue
-                        if self._lhs_unsatisfiable(lhs | {literal}):
+                        if lhs_unsatisfiable(lhs | {literal}):
                             continue
                         if miner.literal_count.get(literal, 0) < self.config.sigma:
                             continue

@@ -92,7 +92,8 @@ def embeddings(
 
     def edges_ok(inner_var: int, outer_var: int) -> bool:
         for other, _, label, is_out in inner_adjacency[inner_var]:
-            image = assignment[other]
+            # a loop's other end is the variable being placed
+            image = outer_var if other == inner_var else assignment[other]
             if image == -1:
                 continue
             pair = (outer_var, image) if is_out else (image, outer_var)
@@ -308,9 +309,10 @@ class _PatternTable:
     Labels are interned per batch, wildcard = 0.  Per pattern: node labels
     by variable and by search position, the variable → position map, the
     pivot, and for every search position its back-edge constraints to
-    earlier positions ``(earlier position, is_out, label)``, where label 0
-    asks for any edge.  Host edges become sorted integer keys ``(pattern,
-    src, dst, label)``; each edge is keyed under its own label and under 0.
+    earlier positions ``(earlier position, is_out, label)`` — a loop's
+    "earlier" position is its own — where label 0 asks for any edge.  Host
+    edges become sorted integer keys ``(pattern, src, dst, label)``; each
+    edge is keyed under its own label and under 0.
     """
 
     def __init__(self, patterns: Sequence[Pattern]) -> None:
@@ -344,12 +346,9 @@ class _PatternTable:
         )
         base = ((index * width + src) * width + dst) * self.num_labels
         self.edge_keys = np.sort(np.concatenate((base + label, base)))
-        # an edge constrains the later-assigned of its endpoints (a loop
-        # constrains nothing: the search checks only assigned neighbours)
+        # an edge constrains the later-assigned of its endpoints; a loop
+        # constrains its one endpoint against itself
         at_src, at_dst = self.position[index, src], self.position[index, dst]
-        kept = at_src != at_dst
-        index, label = index[kept], label[kept]
-        at_src, at_dst = at_src[kept], at_dst[kept]
         step = np.maximum(at_src, at_dst)
         grouped = np.lexsort((step, index))
         index, step, label = index[grouped], step[grouped], label[grouped]
@@ -410,7 +409,13 @@ class _PatternTable:
                 active = label >= 0
                 if not active.any():
                     break
-                other = maps[parent, self.constraint_other[cell]]
+                earlier = self.constraint_other[cell]
+                # a loop's earlier position is its own: the new image
+                other = image if not step else np.where(
+                    earlier == step,
+                    image,
+                    maps[parent, np.minimum(earlier, step - 1)],
+                )
                 is_out = self.constraint_out[cell]
                 src = np.where(is_out, image, other)
                 dst = np.where(is_out, other, image)

@@ -1,6 +1,6 @@
 """Incremental pattern matching: ``Q'(F) = Q(F) ⋈ e``.
 
-Both ``SeqDis`` and ``ParDis`` grow patterns one edge at a time and extend
+``SeqDis`` and ``ParDis`` grow patterns one edge at a time and extend
 the *stored* matches of the parent pattern instead of re-matching from
 scratch (Sections 5.1 and 6.2).  An :class:`Extension` describes the added
 edge; :func:`extend_matches` performs the join against a graph (sequential
@@ -119,7 +119,7 @@ def extend_matches(
     binding ``max_matches`` may keep a different truncated subset.
 
     ``as_array`` (index path only) returns the ``(N, vars)`` int64 array
-    directly — the sequential engine keeps batches in array form end-to-end.
+    directly — the workers keep batches in array form end-to-end.
     """
     if index is not None:
         result_array = _extend_matches_indexed(index, matches, extension, max_matches)

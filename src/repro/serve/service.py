@@ -52,13 +52,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import DiscoveryConfig, EnforcementConfig
-from ..core.discovery import check_budgets
 from ..enforce.engine import EnforcementReport
 from ..enforce.monitor import RuleSketchMonitor
 from ..gfd.gfd import GFD
 from ..gfd.parser import format_gfd
 from ..graph.graph import Graph
 from ..obs.metrics import MetricsRegistry
+from ..parallel.pardis import check_budgets
 from ..session import Session
 from .snapshots import SnapshotChain, SnapshotLease
 from .writer import GroupCommitWriter, MutationOp

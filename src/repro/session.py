@@ -50,7 +50,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .core.config import DiscoveryConfig, EnforcementConfig
 from .core.cover import CoverResult
-from .core.discovery import check_budgets
 from .core.results import DiscoveryResult
 from .enforce.delta import DeltaLog
 from .enforce.engine import EnforcementEngine, EnforcementReport
@@ -72,7 +71,7 @@ from .parallel.backend import (
 )
 from .parallel.cluster import ClusterMetrics, SimulatedCluster
 from .parallel.parcover import parallel_cover
-from .parallel.pardis import ParallelDiscovery, StructuralFrontier
+from .parallel.pardis import ParallelDiscovery, StructuralFrontier, check_budgets
 
 __all__ = ["Session", "SessionMetrics"]
 
@@ -558,7 +557,7 @@ class Session:
         Early-stop budgets: at most ``max_rules`` rules, and none from a
         generation-tree level above ``max_levels`` (level 0 = single-node
         patterns).  The discovery engine enforces both
-        (:meth:`~repro.core.discovery.SequentialDiscovery.run_iter`): it
+        (:meth:`~repro.parallel.pardis.ParallelDiscovery.run_iter`): it
         mines a level in node-order prefixes and stops once the budget is
         met, so a small ``max_rules`` mines only the patterns its answer
         needs, and ``max_rules=0`` mines nothing.  The answer is the

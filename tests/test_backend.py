@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import DiscoveryConfig, discover, gfd_identity
+from repro.core.discovery import reference_discover
 from repro.graph import Graph
 from repro.graph.index import GraphIndex
 from repro.parallel import (
@@ -251,10 +252,11 @@ class TestMatchCapAgreement:
         assert capped <= uncapped
 
     def test_truncated_patterns_are_leaves(self):
-        """A truncated pattern spawns no children on the sequential engine."""
+        """A truncated pattern spawns no children: on the oracle, whose
+        capped tables say so, and on ParDis, whose installs do."""
         graph = small_graph()
-        result = discover(graph, small_config(max_matches_per_pattern=10))
-        tree = result.tree
+        config = small_config(max_matches_per_pattern=10)
+        tree = reference_discover(graph, config).tree
         truncated = {
             id(node)
             for node in tree.all_nodes()
@@ -263,6 +265,27 @@ class TestMatchCapAgreement:
         assert truncated  # the cap did bind
         for node in tree.all_nodes():
             assert not any(id(parent) in truncated for parent in node.parents)
+
+        class Recording(ParallelDiscovery):
+            """ParDis keeping the nodes its installs were told are truncated."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.truncated = set()
+
+            def _install_shards_many(self, batch):
+                self.truncated.update(
+                    id(node) for node, _, capped, _ in batch if capped
+                )
+                super()._install_shards_many(batch)
+
+        engine = Recording(graph, config, 1, backend="serial")
+        tree = engine.run().tree
+        assert len(engine.truncated) == engine.stats.truncated_patterns > 0
+        for node in tree.all_nodes():
+            assert not any(
+                id(parent) in engine.truncated for parent in node.parents
+            )
 
 
 def skewed_graph(num_workers: int = 3) -> Graph:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core import (
     DiscoveryConfig,
     MatchTable,
-    SequentialDiscovery,
     correlation,
     discover,
     gfd_identity,
@@ -24,6 +23,7 @@ from repro.core import (
     sequential_cover,
 )
 from repro.core.config import CandidateBudgetExceeded
+from repro.core.reduction import _reduces_through
 from repro.gfd import (
     FALSE,
     GFD,
@@ -34,7 +34,33 @@ from repro.gfd import (
     validate_set,
 )
 from repro.graph import Graph
-from repro.pattern import WILDCARD, Pattern, find_matches
+from repro.parallel import ParallelDiscovery
+from repro.pattern import WILDCARD, Pattern, embedding_batch, find_matches
+from repro.pattern.embedding import may_embed
+
+
+def reducing_pairs(gfds):
+    """Every ordered pair ``(i, j)``, ``i != j``, with ``gfds[i] ≪ gfds[j]``.
+
+    :func:`gfd_reduces` over all pairs, but with one embedding-kernel call
+    for every pair instead of one call each.
+    """
+    pairs = [
+        (i, j)
+        for i, smaller in enumerate(gfds)
+        for j, larger in enumerate(gfds)
+        if i != j
+        and smaller.is_negative == larger.is_negative
+        and may_embed(smaller.pattern, larger.pattern)
+    ]
+    mappings = embedding_batch(
+        (gfds[i].pattern, gfds[j].pattern, True) for i, j in pairs
+    )
+    return {
+        (i, j)
+        for (i, j), found in zip(pairs, mappings)
+        if _reduces_through(gfds[i], gfds[j], found)
+    }
 
 
 def table_fixture():
@@ -573,19 +599,15 @@ class TestReduction:
 
         raw = [
             gfd
-            for _level, batch in SequentialDiscovery(
-                yago_small, replace(yago_config, max_lhs_size=1)
+            for _level, batch in ParallelDiscovery(
+                yago_small, replace(yago_config, max_lhs_size=1), 1,
+                backend="serial",
             ).run_iter()
             for gfd, _support in batch
         ]
         unique = list({gfd_identity(gfd): gfd for gfd in raw}.values())
-        expected = [
-            gfd
-            for gfd in unique
-            if not any(
-                other is not gfd and gfd_reduces(other, gfd) for other in unique
-            )
-        ]
+        reduced = {larger for _, larger in reducing_pairs(unique)}
+        expected = [gfd for j, gfd in enumerate(unique) if j not in reduced]
         assert len(expected) < len(unique)
         assert minimal_cover_by_reduction(raw) == expected
 
@@ -623,11 +645,7 @@ class TestDiscovery:
 
     def test_results_are_minimal(self, film_graph, film_config):
         result = discover(film_graph, film_config)
-        for gfd in result.gfds:
-            for other in result.gfds:
-                if gfd is other:
-                    continue
-                assert not gfd_reduces(other, gfd)
+        assert not reducing_pairs(result.gfds)
 
     def test_all_positives_hold(self, film_graph, film_config):
         result = discover(film_graph, film_config)

@@ -3,20 +3,21 @@
 The paper's Theorem 5 claims ``ParDis`` changes *time*, never *results*.
 This harness generates a seeded population of adversarial graphs (skewed
 label distributions, dense attribute columns, multigraph edges, isolated
-nodes, self-referential structure) and asserts four engine configurations
-agree exactly on every one:
+nodes, self-referential structure) and asserts the one mining engine agrees
+exactly with the oracle on every one:
 
 * ``reference_discover`` — ``SeqDis`` over dict adjacency, the oracle,
-* ``SequentialDiscovery`` over the frozen CSR index,
-* ``ParallelDiscovery`` on the ``serial`` backend,
+* ``discover`` — ``ParallelDiscovery`` at ``n = 1`` on the ``serial``
+  backend, the paper's ``SeqDis``,
+* ``ParallelDiscovery`` on the ``serial`` backend (2–4 workers),
 * ``ParallelDiscovery`` on the ``multiprocess`` backend (2–4 real workers
   over shared-memory graph buffers).
 
 Agreement is checked on the canonical-keyed GFD sets, the per-rule support
 counts, and the minimal covers.  A second class pins budgeted streaming
-discovery to its oracle, the unbudgeted stream's filtered prefix, on both
-engines.  A companion class locks down the serving monitor's union
-semantics over sharded pivot populations.
+discovery to its oracle, the unbudgeted stream's filtered prefix, at one
+worker and at several.  A companion class locks down the serving
+monitor's union semantics over sharded pivot populations.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.core import DiscoveryConfig, discover, gfd_identity, sequential_cover
-from repro.core.discovery import SequentialDiscovery, reference_discover
+from repro.core.discovery import reference_discover
 from repro.datasets import dbpedia_like, imdb_like, yago2_like
 from repro.enforce import RuleSketchMonitor
 from repro.gfd import format_gfd, implies, parse_gfd
@@ -142,7 +143,7 @@ class TestDifferentialEngines:
         config = _config(seed)
         reference = _fingerprint(reference_discover(graph, config))
         assert _fingerprint(discover(graph, config)) == reference, (
-            "SeqDis on the index diverged"
+            "ParDis(n=1, serial) diverged from the oracle"
         )
 
         workers = 2 + seed % 3  # 2–4 real processes on multiprocess
@@ -235,19 +236,16 @@ def _engine_stream(engine, max_rules=None, max_levels=None):
     ]
 
 
-def _counting(engine_class):
-    """``engine_class`` recording the size of every ``_mine_nodes`` call."""
+class _Counting(ParallelDiscovery):
+    """ParDis recording the size of every ``_mine_nodes`` call."""
 
-    class Counting(engine_class):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.mined = []
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.mined = []
 
-        def _mine_nodes(self, nodes):
-            self.mined.append(len(nodes))
-            super()._mine_nodes(nodes)
-
-    return Counting
+    def _mine_nodes(self, nodes):
+        self.mined.append(len(nodes))
+        super()._mine_nodes(nodes)
 
 
 class TestBudgetedDiscovery:
@@ -282,31 +280,31 @@ class TestBudgetedDiscovery:
 
     @pytest.mark.parametrize("name", KB_FIXTURES)
     def test_sequential_stream_is_a_prefix(self, name):
+        """ParDis at ``n = 1`` on the ``serial`` backend (``SeqDis``)."""
         graph, config = _kb(name)
-        full = _engine_stream(SequentialDiscovery(graph, config))
-        for max_rules, max_levels, expected in _budget_grid(full):
-            engine = SequentialDiscovery(graph, config)
-            assert _engine_stream(engine, max_rules, max_levels) == expected, (
-                max_rules, max_levels,
-            )
 
-    @pytest.mark.parametrize(
-        "engine_class", [SequentialDiscovery, ParallelDiscovery]
-    )
-    def test_budget_mines_doubling_prefixes(self, engine_class):
+        def sequential():
+            return ParallelDiscovery(graph, config, 1, backend="serial")
+
+        full = _engine_stream(sequential())
+        for max_rules, max_levels, expected in _budget_grid(full):
+            streamed = _engine_stream(sequential(), max_rules, max_levels)
+            assert streamed == expected, (max_rules, max_levels)
+
+    @pytest.mark.parametrize("num_workers", [1, 4])
+    def test_budget_mines_doubling_prefixes(self, num_workers):
         """Exact counts on the imdb fixture: ``run()`` mines each level in
         one ``_mine_nodes`` call; a 10-rule budget mines levels in
         node-order prefixes of 1, 1, 2, 4, … patterns, stops inside a level,
         and checks strictly fewer candidates."""
         graph, config = _kb("imdb")
-        engine_class = _counting(engine_class)
-        full = engine_class(graph, config)
+        full = _Counting(graph, config, num_workers)
         result = full.run()
         assert full.mined == [
             len(result.tree.level(i)) for i in range(result.tree.num_levels)
         ] == [2, 10, 35, 56]
 
-        budgeted = engine_class(graph, config)
+        budgeted = _Counting(graph, config, num_workers)
         assert len(_engine_stream(budgeted, max_rules=10)) == 10
         # level 0's two patterns one at a time, then 8 of level 1's 10
         assert budgeted.mined == [1, 1, 1, 1, 2, 4]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gfd import (
     FALSE,
@@ -29,9 +31,25 @@ from repro.gfd import (
     satisfies_literal,
     validate_set,
 )
+from repro.gfd.closure import is_trivial_dependency, lhs_unsatisfiable
 from repro.gfd.implication import ImplicationChecker
 from repro.graph import Graph, GraphBuilder
 from repro.pattern import WILDCARD, Pattern
+
+
+#: Literals over two variables, two attributes and two values: small enough
+#: that random sets often conflict or entail.
+_small_literals = st.one_of(
+    st.builds(
+        ConstantLiteral,
+        st.integers(0, 1), st.sampled_from("ab"), st.integers(1, 2),
+    ),
+    st.builds(
+        make_variable_literal,
+        st.integers(0, 1), st.sampled_from("ab"),
+        st.integers(0, 1), st.sampled_from("ab"),
+    ),
+)
 
 
 def person_product_graph(product_type="film", person_type="producer"):
@@ -136,6 +154,23 @@ class TestGFDClass:
             Q_CREATE, frozenset({ConstantLiteral(0, "a", 1)}), FALSE
         )
         assert not is_trivial(negative)
+
+    @given(
+        st.frozensets(_small_literals, max_size=4),
+        st.one_of(_small_literals, st.just(FALSE)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_closure_free_path_is_the_definition(self, lhs, rhs):
+        """The test without a closure equals Section 4.1 read off the
+        closure: ``X`` conflicting, or ``l ≠ false`` entailed."""
+        closure = LiteralClosure()
+        for literal in lhs:
+            closure.add(literal)
+        definition = closure.conflicting or (
+            rhs != FALSE and closure.entails(rhs)
+        )
+        assert is_trivial_dependency(lhs, rhs) == definition
+        assert lhs_unsatisfiable(lhs) == closure.conflicting
 
 
 class TestSatisfaction:

@@ -346,6 +346,20 @@ class TestEmbeddingKernel:
             for cap in (None, 1, 3):
                 _assert_kernel_is_oracle([(inner, outer, preserving)], cap)
 
+    def test_self_loop_needs_a_host_loop(self):
+        """``x:a -e-> x`` does not embed into ``x:a -e-> y:b``: a loop maps
+        to ``(f(x), f(x))``, which the host lacks — on the oracle and the
+        kernel alike — and embeds once the host has that loop."""
+        loop = Pattern(["a"], [(0, 0, "e")])
+        host = Pattern(["a", "b"], [(0, 1, "e")])
+        assert list(embeddings(loop, host)) == []
+        assert embedding_batch([(loop, host, False)]) == [()]
+        assert not is_embedded(loop, host)
+        looped = Pattern(["a", "b"], [(0, 0, "e"), (0, 1, "e")])
+        assert list(embeddings(loop, looped)) == [(0,)]
+        assert embedding_batch([(loop, looped, False)]) == [((0,),)]
+        assert is_embedded(loop, looped)
+
     def test_duplicate_pairs_and_empty_batch(self):
         inner = chain(["a", "b"])
         outer = chain(["a", "b", "a", "b"])

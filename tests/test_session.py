@@ -17,7 +17,6 @@ from repro import (
     DiscoveryConfig,
     EnforcementConfig,
     FaultConfig,
-    SequentialDiscovery,
     Session,
     Tracer,
     discover,
@@ -151,8 +150,8 @@ class TestStreamingDiscovery:
             }
         unfiltered = [
             gfd
-            for _level, batch in SequentialDiscovery(
-                film_graph, film_config
+            for _level, batch in ParallelDiscovery(
+                film_graph, film_config, 1, backend="serial"
             ).run_iter()
             for gfd, _support in batch
         ]
