@@ -9,9 +9,12 @@ than remembered ones.
 Scale notes: the paper's graphs have 10⁶–10⁷ nodes and run on 20 EC2
 instances for minutes to hours; the reproduction uses ~10³-node scale models
 so the whole suite finishes in minutes.  Shapes (who wins, monotonicity,
-crossovers) are the reproduction target, not absolute times: a one-host
-run of the same work units meters per-worker compute exactly (see
-``repro.parallel.cluster``), but not the paper's hardware or network.
+crossovers) are the reproduction target, not absolute times.  The worker
+sweeps (Figures 5(a)-(c), 5(i)-(k)) read parallel scalability from the
+backend's exact per-worker work counts (``repro.parallel.WorkLedger``): the
+largest per-worker share is what bounds a real cluster's response time, and
+unlike a one-host clock it is free of noise.  The other figures report real
+wall seconds on this host.
 """
 
 from __future__ import annotations
@@ -20,13 +23,21 @@ import functools
 import json
 import os
 import platform
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro import __version__
-from repro.core import DiscoveryConfig
+from repro.baselines import run_pargfd_nb
+from repro.core import CoverResult, DiscoveryConfig, discover
 from repro.datasets import KB_ATTRIBUTES, dbpedia_like, imdb_like, yago2_like
-from repro.parallel import make_backend, parallel_cover, parallel_cover_ungrouped
+from repro.parallel import (
+    ParallelDiscovery,
+    WorkLedger,
+    make_backend,
+    parallel_cover,
+    parallel_cover_ungrouped,
+)
 
 #: Version of the ``BENCH_*.json`` envelope written by :func:`write_bench`.
 BENCH_SCHEMA_VERSION = 1
@@ -76,16 +87,113 @@ def discovery_config(name: str, **overrides) -> DiscoveryConfig:
     return DiscoveryConfig(**defaults)
 
 
-def cover_pair(sigma, workers: int):
-    """``(ParCover cluster, ParCovern cluster)`` of one Σ on ``workers``
-    serial workers — the two series of Figures 5(i)-(l)."""
+def max_rows_per_worker(work: WorkLedger) -> int:
+    """The largest per-worker count of match rows installed plus joined."""
+    return max(
+        installed + joined
+        for installed, joined in zip(work.rows_installed, work.rows_joined)
+    )
+
+
+def worker_sweep(name: str) -> Dict[int, Tuple[int, int, int]]:
+    """Figures 5(a)-(c) in exact counts: per worker count ``n``, the
+    largest per-worker row count of DisGFD and of ParGFDnb, and DisGFD's
+    total (``{n: (DisGFD max, ParGFDnb max, total)}``), on serial workers."""
+    graph = dataset(name)
+    config = replace(discovery_config(name), parallel_backend="serial")
+    index = graph.index()
+    stats = index.statistics()
+    rows = {}
+    for workers in WORKER_COUNTS:
+        runner = ParallelDiscovery(
+            graph, config, num_workers=workers, stats=stats, index=index
+        )
+        runner.run()
+        _, unbalanced = run_pargfd_nb(
+            graph, config, num_workers=workers, stats=stats, index=index
+        )
+        work = runner.work
+        rows[workers] = (
+            max_rows_per_worker(work),
+            max_rows_per_worker(unbalanced),
+            sum(work.rows_installed) + sum(work.rows_joined),
+        )
+    return rows
+
+
+def assert_worker_scaling(rows: Dict[int, Tuple[int, int, int]]) -> None:
+    """The count shape of Figures 5(a)-(c): DisGFD's largest per-worker
+    share falls at every added worker count while the total does not move,
+    and at the largest n balancing leaves no worker more than 1.1× the
+    rows ParGFDnb does.  (Rebalancing is per pattern, so the whole-run
+    largest share may move either way, by a few rows on these models.)"""
+    counts = [rows[workers] for workers in WORKER_COUNTS]
+    for fewer, more in zip(counts, counts[1:]):
+        assert more[0] < fewer[0], "more workers must shrink the largest share"
+        assert more[2] == fewer[2], "the total work must not depend on n"
+    balanced, unbalanced, _ = counts[-1]
+    assert balanced <= unbalanced * 1.10, "balancing should not hurt at n=20"
+
+
+def cover_pair(
+    sigma, workers: int
+) -> Tuple[Tuple[CoverResult, WorkLedger], Tuple[CoverResult, WorkLedger]]:
+    """``(ParCover, ParCovern)`` runs of one Σ on ``workers`` serial
+    workers, each as its cover result and its per-worker work — the two
+    series of Figures 5(i)-(l)."""
     backend = make_backend("serial", workers, None, None)
     try:
-        _, grouped = parallel_cover(sigma, backend)
-        _, ungrouped = parallel_cover_ungrouped(sigma, backend)
+        runs = []
+        for cover in (parallel_cover, parallel_cover_ungrouped):
+            before = backend.work.snapshot()
+            result = cover(sigma, backend)
+            runs.append((result, backend.work.since(before)))
     finally:
         backend.shutdown()
-    return grouped, ungrouped
+    return runs[0], runs[1]
+
+
+@functools.lru_cache(maxsize=None)
+def cover_sweep(name: str) -> Dict[int, Tuple[int, int, int, int]]:
+    """Figures 5(i)-(k) in exact counts: per worker count ``n``, the largest
+    per-worker implication units of ParCover and of ParCovern over the Σ
+    DisGFD finds, and their totals (``{n: (ParCover max, ParCovern max,
+    ParCover total, ParCovern total)}``).  ParCover's largest share cannot
+    fall below its largest indivisible unit (one isomorphism group).
+    Cached per dataset; callers must not mutate the result."""
+    sigma_set = discover(dataset(name), discovery_config(name)).gfds
+    rows = {}
+    for workers in WORKER_COUNTS:
+        (_, grouped), (_, ungrouped) = cover_pair(sigma_set, workers)
+        rows[workers] = (
+            max(grouped.implication_units),
+            max(ungrouped.implication_units),
+            sum(grouped.implication_units),
+            sum(ungrouped.implication_units),
+        )
+    return rows
+
+
+def assert_cover_shape(rows: Dict[int, Tuple[int, int, int, int]]) -> None:
+    """The count shape of Figures 5(i)-(k) short of the per-n claim:
+    grouping needs fewer units in all than ParCovern (Lemma 6), neither
+    total depends on n, and neither variant's largest per-worker share
+    grows with n."""
+    counts = [rows[workers] for workers in WORKER_COUNTS]
+    for fewer, more in zip(counts, counts[1:]):
+        assert more[0] <= fewer[0] and more[1] <= fewer[1]
+        assert more[2:] == fewer[2:], "the total work must not depend on n"
+    assert counts[-1][1] < counts[0][1], "ParCovern must scale with n"
+    grouped_total, ungrouped_total = counts[0][2:]
+    assert grouped_total < ungrouped_total, "grouping must need fewer units"
+
+
+def assert_cover_scaling(rows: Dict[int, Tuple[int, int, int, int]]) -> None:
+    """:func:`assert_cover_shape`, and grouping wins at every n: ParCover's
+    largest per-worker share is at most ParCovern's."""
+    assert_cover_shape(rows)
+    for workers, (grouped, ungrouped, _, _) in rows.items():
+        assert grouped <= ungrouped, f"grouping must win at n={workers}"
 
 
 def record(name: str, lines: Sequence[str]) -> None:
@@ -157,14 +265,12 @@ def real_backend_sweep(
 ) -> Dict[int, Tuple[float, float]]:
     """Real wall-clock of the multiprocess ``ParDis`` backend per worker count.
 
-    Unlike the modeled sweeps, these numbers include every real cost —
+    Unlike the count sweeps, these numbers include every real cost —
     process startup, shared-memory attach, task pickling — so they answer
-    the question the simulation cannot: does adding actual worker processes
-    make the same discovery finish sooner?  Returns
+    the question counts cannot: does adding actual worker processes make
+    the same discovery finish sooner on this host?  Returns
     ``{workers: (seconds, speedup vs the first count)}``.
     """
-    from repro.parallel import ParallelDiscovery
-
     graph = dataset(name)
     config = discovery_config(name)
     index = graph.index()

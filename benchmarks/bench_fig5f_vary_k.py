@@ -1,8 +1,9 @@
 """Figure 5(f): impact of the pattern bound k (DBpedia, n = 8).
 
 Paper sweeps k = 2..6: time grows with k ("pay-as-you-go"), and 5-bounded
-GFDs remain feasible.  The reproduction sweeps k = 2..4 (Python-scale);
-shape target: monotone growth in k.
+GFDs remain feasible.  The reproduction sweeps k = 2..4 (Python-scale)
+and reports real wall seconds of one run on this host; shape target:
+growth in k.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ def _sweep():
     rows = {}
     for k in K_VALUES:
         config = discovery_config("dbpedia", k=k, sigma=120)
-        runner = ParallelDiscovery(graph, config, num_workers=WORKERS)
-        runner.run()
-        rows[k] = runner.cluster.metrics.elapsed_parallel
+        result = ParallelDiscovery(graph, config, num_workers=WORKERS).run()
+        rows[k] = result.stats.elapsed_seconds
     return rows
 
 

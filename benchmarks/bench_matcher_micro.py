@@ -127,8 +127,8 @@ def run(check: bool = False):
     compare(
         "extend_matches",
         lambda: extend_matches(graph, base, EXTENSION),
-        # as_array is the form the discovery engine consumes
-        lambda: extend_matches(graph, base, EXTENSION, index=index, as_array=True),
+        # the index path returns the array the discovery engine consumes
+        lambda: extend_matches(graph, base, EXTENSION, index=index),
         lambda a, b: set(a) == {tuple(row) for row in b.tolist()},
     )
     matches = list(find_matches(graph, PATTERN))

@@ -79,7 +79,7 @@ def run(check: bool = False, max_rules: int = None):
     # -- 1: the cover phase, sequential vs sharded ---------------------
     seq_s, seq_result = _timed(lambda: sequential_cover(sigma))
     serial = make_backend("serial", 4, None, None)
-    serial_s, (serial_result, _) = _timed(lambda: parallel_cover(sigma, serial))
+    serial_s, serial_result = _timed(lambda: parallel_cover(sigma, serial))
     serial.shutdown()
     metrics["seqcover_seconds"] = seq_s
     metrics["parcover_serial_seconds"] = serial_s
@@ -96,7 +96,7 @@ def run(check: bool = False, max_rules: int = None):
         for workers in COVER_WORKERS:
             backend = make_backend("multiprocess", workers, None, None)
             try:
-                mp_s, (mp_result, _) = _timed(
+                mp_s, mp_result = _timed(
                     lambda: parallel_cover(sigma, backend)
                 )
                 ledger = backend.transfers

@@ -184,7 +184,7 @@ def run(check: bool = False, max_rules: int = None):
             f"started {view.backend_starts}x, pools {view.lifecycle.pools_started}, "
             f"index attached {view.lifecycle.index_attaches}x "
             f"(+{view.lifecycle.index_refreshes} refresh), "
-            f"{view.cluster.supersteps} supersteps"
+            f"{view.work.supersteps} supersteps"
         )
         metrics[backend] = {
             "elapsed_s": round(outcome["elapsed_s"], 3),
@@ -192,7 +192,7 @@ def run(check: bool = False, max_rules: int = None):
             "pools_started": view.lifecycle.pools_started,
             "index_attaches": view.lifecycle.index_attaches,
             "index_refreshes": view.lifecycle.index_refreshes,
-            "supersteps": view.cluster.supersteps,
+            "supersteps": view.work.supersteps,
         }
 
         same_sigma = {gfd_identity(g) for g in outcome["result"].gfds} == {
@@ -230,7 +230,7 @@ def run(check: bool = False, max_rules: int = None):
             assert same_report, "Session enforcement must equal the engine"
             assert outcome["refreshed"].mode == "incremental"
 
-        # the same documented schema v7 the CLI's --metrics writes
+        # the same documented schema v8 the CLI's --metrics writes
         full_view = RESULTS_DIR / "session_metrics_bench.json"
         RESULTS_DIR.mkdir(exist_ok=True)
         full_view.write_text(

@@ -97,13 +97,14 @@ def main() -> None:
             f"\nresources: backend started {metrics.backend_starts}x, "
             f"index attached {metrics.lifecycle.index_attaches}x "
             f"(+{metrics.lifecycle.index_refreshes} refresh), "
-            f"{metrics.cluster.supersteps} supersteps"
+            f"{metrics.work.supersteps} supersteps, "
+            f"rows installed per worker {metrics.work.rows_installed}"
         )
         assert metrics.backend_starts == 1
         assert metrics.lifecycle.index_attaches == 1
         RESULTS.mkdir(parents=True, exist_ok=True)
         out = RESULTS / "session_metrics.json"
-        # the same documented schema v7 (sorted keys) bench_session.py
+        # the same documented schema v8 (sorted keys) bench_session.py
         # writes to session_metrics_bench.json — the two artifacts diff
         # cleanly, modulo the "timings" key
         out.write_text(

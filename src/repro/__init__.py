@@ -13,7 +13,8 @@ The package implements the paper end to end:
   (``ParDis`` at ``n = 1``, i.e. ``SeqDis``), the dict-adjacency
   ``SequentialDiscovery`` oracle and ``SeqCover`` (Section 5);
 * :mod:`repro.parallel` — the parallel-scalable ``ParDis``/``ParCover``
-  (Section 6) over a metered cluster simulation;
+  (Section 6) on in-process or multiprocess workers, with exact per-worker
+  work counts;
 * :mod:`repro.baselines` — ParAMIE, DisGCFD/ParCGFD, ParArab, and the
   ablations ParGFDn / ParGFDnb / ParCovern (Section 7);
 * :mod:`repro.datasets` — the Figure-1 examples, the paper's synthetic
@@ -82,7 +83,6 @@ from .obs import (
 )
 from .parallel import (
     ParallelDiscovery,
-    SimulatedCluster,
     parallel_cover,
 )
 from .pattern import WILDCARD, Pattern, find_matches, pivot_image
@@ -130,7 +130,6 @@ __all__ = [
     "gfd_support",
     # parallel
     "ParallelDiscovery",
-    "SimulatedCluster",
     "parallel_cover",
     # enforcement
     "EnforcementConfig",

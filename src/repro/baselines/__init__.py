@@ -6,7 +6,6 @@ from .amie import (
     AmieRule,
     Atom,
     mine_amie,
-    mine_amie_parallel,
 )
 from .gcfd import discover_gcfd, discover_gcfd_parallel, is_path_pattern
 from .pararab import ParArabResult, run_pararab
@@ -23,7 +22,6 @@ __all__ = [
     "AmieRule",
     "Atom",
     "mine_amie",
-    "mine_amie_parallel",
     "discover_gcfd",
     "discover_gcfd_parallel",
     "is_path_pattern",

@@ -18,7 +18,8 @@ This reimplementation covers the rule shapes the comparison needs (rules of
 ≤ 3 atoms over edge labels, closed, no constants — the paper stresses that
 AMIE "supports neither pattern matching via subgraph isomorphism nor
 constant-value binding, ... cannot express negative rules and rules with
-wildcard").  ``ParAMIE`` distributes head relations over the metered cluster.
+wildcard").  ``ParAMIE`` is :func:`mine_amie`: its head relations are
+independent units, so the rules do not depend on how they are split.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ import numpy as np
 
 from ..graph.graph import Graph
 from ..graph.index import sort_unique
-from ..parallel.cluster import SimulatedCluster
 
-__all__ = ["Atom", "AmieRule", "AmieMiner", "AmieResult", "mine_amie", "mine_amie_parallel"]
+__all__ = ["Atom", "AmieRule", "AmieMiner", "AmieResult", "mine_amie"]
 
 
 @dataclass(frozen=True)
@@ -376,34 +376,3 @@ def mine_amie(
         graph, min_head_coverage, min_pca_confidence, min_support
     ).mine()
 
-
-def mine_amie_parallel(
-    graph: Graph,
-    num_workers: int = 4,
-    min_head_coverage: float = 0.01,
-    min_pca_confidence: float = 0.5,
-    min_support: int = 2,
-    cluster: Optional[SimulatedCluster] = None,
-) -> Tuple[AmieResult, SimulatedCluster]:
-    """``ParAMIE``: head relations distributed over the metered cluster."""
-    started = time.perf_counter()
-    cluster = cluster or SimulatedCluster(num_workers)
-    miner = AmieMiner(graph, min_head_coverage, min_pca_confidence, min_support)
-    heads = sorted(miner.relations)
-    weights = [len(miner.relations[head].pairs) for head in heads]
-    from .. import parallel  # local import to avoid a package cycle
-
-    assignment = parallel.assign_units_lpt(weights, cluster.num_workers)
-    rules: List[AmieRule] = []
-    with cluster.superstep() as step:
-        for worker, unit_ids in enumerate(assignment):
-            def work(unit_ids: List[int] = unit_ids) -> List[AmieRule]:
-                found: List[AmieRule] = []
-                for unit_id in unit_ids:
-                    found.extend(miner.mine_head(heads[unit_id]))
-                return found
-            rules.extend(step.run(worker, work))
-    cluster.ship_to_master(len(rules))
-    rules.sort(key=lambda rule: (-rule.support, str(rule)))
-    result = AmieResult(rules=rules, elapsed_seconds=time.perf_counter() - started)
-    return result, cluster

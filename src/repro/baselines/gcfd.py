@@ -13,7 +13,7 @@ Here GCFD discovery *is* GFD discovery restricted to that special case:
 * only positive GFDs are mined (CFDs have no negative form).
 
 Both restrictions are enforced by filtering vertical spawning, so the
-machinery (match tables, lattices, pruning, the metered cluster) is shared
+machinery (match tables, lattices, pruning, the execution backend) is shared
 with ``ParDis`` — exactly the comparison the paper makes.  The sequential
 ``DisGCFD`` is the same miner at ``n = 1``, as ``SeqDis`` is ``ParDis`` at
 ``n = 1``.
@@ -22,13 +22,12 @@ with ``ParDis`` — exactly the comparison the paper makes.  The sequential
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..core.config import DiscoveryConfig
 from ..core.generation_tree import TreeNode
 from ..core.results import DiscoveryResult
 from ..graph.graph import Graph
-from ..parallel.cluster import SimulatedCluster
 from ..parallel.pardis import ParallelDiscovery
 from ..pattern.incremental import Extension
 from ..pattern.pattern import Pattern
@@ -123,14 +122,12 @@ def discover_gcfd_parallel(
     num_workers: int = 4,
     stats=None,
     index=None,
-) -> Tuple[DiscoveryResult, SimulatedCluster]:
-    """Mine GCFDs with the metered cluster (``ParCGFD``)."""
-    runner = _GCFDParallel(
+) -> DiscoveryResult:
+    """Mine GCFDs on ``num_workers`` workers (``ParCGFD``)."""
+    return _GCFDParallel(
         graph,
         _path_config(config or DiscoveryConfig()),
         num_workers,
         stats=stats,
         index=index,
-    )
-    result = runner.run()
-    return result, runner.cluster
+    ).run()

@@ -13,13 +13,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 from ..core.config import CandidateBudgetExceeded, DiscoveryConfig
 from ..core.results import DiscoveryResult
 from ..graph.graph import Graph
-from ..parallel.cluster import SimulatedCluster
+from ..parallel.backend import WorkLedger
 from ..parallel.parcover import parallel_cover_ungrouped
 from ..parallel.pardis import ParallelDiscovery
 
@@ -39,7 +39,6 @@ class UnprunedRun:
     result: Optional[DiscoveryResult] = None
     candidates_checked: int = 0
     patterns_spawned: int = 0
-    cluster: Optional[SimulatedCluster] = None
 
 
 def run_pargfd_n(
@@ -64,14 +63,12 @@ def run_pargfd_n(
             completed=False,
             candidates_checked=blowup.candidates_checked,
             patterns_spawned=blowup.patterns_spawned,
-            cluster=runner.cluster,
         )
     return UnprunedRun(
         completed=True,
         result=result,
         candidates_checked=result.stats.candidates_checked,
         patterns_spawned=result.stats.patterns_spawned,
-        cluster=runner.cluster,
     )
 
 
@@ -81,10 +78,14 @@ def run_pargfd_nb(
     num_workers: int = 4,
     stats=None,
     index=None,
-) -> Tuple[DiscoveryResult, SimulatedCluster]:
-    """``ParGFDnb``: parallel discovery with load balancing disabled."""
+) -> Tuple[DiscoveryResult, WorkLedger]:
+    """``ParGFDnb``: parallel discovery with load balancing disabled.
+
+    Returns the result and the run's per-worker
+    :class:`~repro.parallel.backend.WorkLedger`.
+    """
     runner = ParallelDiscovery(
         graph, config, num_workers, balance=False, stats=stats, index=index
     )
     result = runner.run()
-    return result, runner.cluster
+    return result, runner.work

@@ -320,11 +320,13 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     ) as session:
         result = session.discover()
         if parallel:
+            work = session.metrics().work
             print(
                 f"# backend={session.backend_name} "
                 f"workers={session.num_workers} "
-                f"modeled parallel time "
-                f"{session.cluster.metrics.elapsed_parallel:.3f}s, "
+                f"{work.supersteps} supersteps, rows installed max "
+                f"{max(work.rows_installed)} per worker of "
+                f"{sum(work.rows_installed)}, "
                 f"real {result.stats.elapsed_seconds:.3f}s",
                 file=sys.stderr,
             )
@@ -464,7 +466,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             f"# backend={metrics.backend_name} workers={metrics.num_workers} "
             f"started {metrics.backend_starts}x, index attached "
             f"{metrics.lifecycle.index_attaches}x, "
-            f"{metrics.cluster.supersteps} supersteps",
+            f"{metrics.work.supersteps} supersteps",
             file=sys.stderr,
         )
         if args.output:
@@ -479,7 +481,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     if (args.workers or 0) > 1 or args.backend is not None:
         from .obs import NULL_TRACER
-        from .parallel import SimulatedCluster, make_backend, parallel_cover
+        from .parallel import make_backend, parallel_cover
 
         # the cover verb has no graph, so there is no session to open: it
         # borrows a graph-free backend to ParCover and shuts it down after
@@ -494,15 +496,14 @@ def _cmd_cover(args: argparse.Namespace) -> int:
             tracer=traced,
         )
         try:
-            result, cluster = parallel_cover(
-                rules, backend, SimulatedCluster(workers, tracer=traced)
-            )
+            result = parallel_cover(rules, backend)
         finally:
             backend.shutdown()
+        units = backend.work.implication_units
         print(
-            f"# backend={args.backend or 'serial'} "
-            f"workers={cluster.num_workers} "
-            f"modeled parallel time {cluster.metrics.elapsed_parallel:.3f}s",
+            f"# backend={args.backend or 'serial'} workers={workers} "
+            f"implication units max {max(units)} per worker of {sum(units)}, "
+            f"real {result.elapsed_seconds:.3f}s",
             file=sys.stderr,
         )
     elif tracer is not None:

@@ -1,10 +1,9 @@
 """A small metrics registry: named counters, gauges, and histograms.
 
-The registry unifies the accounting that previously lived in four
-unrelated structures — ``TransferLedger``, ``LifecycleCounters``,
-``ClusterMetrics``, and the fault counters — behind one name +
-label model with a Prometheus-style text exposition
-(:meth:`MetricsRegistry.to_prometheus`) for the future serving layer.
+The registry unifies the accounting of four structures —
+``TransferLedger``, ``WorkLedger``, ``LifecycleCounters`` and the fault
+counters — behind one name + label model with a Prometheus-style text
+exposition (:meth:`MetricsRegistry.to_prometheus`).
 
 :func:`registry_from_metrics` bridges a
 :meth:`repro.session.SessionMetrics.as_dict` payload into a registry, so
@@ -251,8 +250,9 @@ def _render(value: float) -> str:
 def registry_from_metrics(payload: Mapping[str, Any]) -> MetricsRegistry:
     """Bridge a ``SessionMetrics.as_dict()`` payload into a registry.
 
-    Counts become ``repro_*_total`` counters and wall-clock figures become
-    gauges under their ``timings`` names.
+    Counts become ``repro_*_total`` counters — the per-worker ``work``
+    lists as ``repro_work_<name>_total{worker="i"}`` — and wall-clock
+    figures become gauges under their ``timings`` names.
     """
     registry = MetricsRegistry()
     registry.gauge("repro_num_workers").set(payload.get("num_workers", 0))
@@ -269,6 +269,9 @@ def registry_from_metrics(payload: Mapping[str, Any]) -> MetricsRegistry:
         registry.counter(f"repro_transfer_{name}_total").inc(count)
     for name, count in (payload.get("cluster") or {}).items():
         registry.counter(f"repro_cluster_{name}_total").inc(count)
+    for name, counts in (payload.get("work") or {}).items():
+        for worker, count in enumerate(counts):
+            registry.counter(f"repro_work_{name}_total", worker=worker).inc(count)
     registry.gauge("repro_sigma_size").set(payload.get("sigma_size", 0))
     timings = payload.get("timings") or {}
     for name, value in timings.items():

@@ -15,8 +15,8 @@ records two kinds of telemetry:
   per-op compute seconds the workers already ship back on the fused
   response transport (see ``parallel/backend.py``), so tracing adds no
   extra round trips: inside a superstep each worker's ops are stacked
-  end-to-end from the superstep's start on that worker's lane, mirroring
-  how :class:`~repro.parallel.cluster.SimulatedCluster` models makespan.
+  end-to-end from the superstep's start on that worker's lane, so a
+  superstep's longest lane is its slowest worker.
 
 * **Events** — instantaneous typed records (enforcement passes, index
   loads and refreshes, timeouts, retries, respawns, degradations, janitor
@@ -192,7 +192,7 @@ class Tracer:
         """Record one worker-side op from its piggybacked compute seconds.
 
         Inside a superstep span the op is placed end-to-end on ``worker``'s
-        lane starting at the superstep's start; outside one (unmetered
+        lane starting at the superstep's start; outside one (bookkeeping
         paths) it is anchored so it *ends* now.  The span is born closed —
         worker ops never nest.
         """

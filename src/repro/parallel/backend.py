@@ -1,4 +1,4 @@
-"""Execution backends for ``ParDis``/``ParCover``/enforcement — simulated
+"""Execution backends for ``ParDis``/``ParCover``/enforcement — in-process
 workers or real processes.
 
 ``ParDis`` (Section 6.2) is a BSP algorithm: per superstep, the master sends
@@ -10,7 +10,6 @@ verified pattern, its lattice mask store, its resident enforcement tables
 and its cover-phase rule set — and delegates execution to a backend:
 
 * :class:`SerialBackend` runs the same ops inline in the master process
-  under the :class:`~repro.parallel.cluster.SimulatedCluster` metering
   (deterministic and dependency-free, the default).
 * :class:`MultiprocessBackend` runs each worker as a dedicated
   single-process :class:`~concurrent.futures.ProcessPoolExecutor` (one pool
@@ -19,16 +18,22 @@ and its cover-phase rule set — and delegates execution to a backend:
   workers mmap-attach its store file when a valid one exists, otherwise
   attach one ``multiprocessing.shared_memory`` segment of its flat numpy
   buffers — zero-copy either way.  A platform without shared memory cannot
-  run this backend (construction raises).  Per-op compute seconds are
-  measured worker-side and charged back into the simulated-cluster ledger
-  so the modeled BSP metrics stay comparable across backends; real
-  wall-clock lives in ``DiscoveryResult.stats.elapsed_seconds``.
+  run this backend (construction raises).
+
+A superstep is one :meth:`ExecutionBackend.run_superstep` call: the backend
+counts it, and a traced run sees it as one ``superstep`` span with each op
+on its worker's lane.  Nothing is modeled or timed for accounting: the
+:class:`TransferLedger` counts the match rows that cross the master
+boundary and the :class:`WorkLedger` each worker's exact work (ops, rows
+installed and joined, implication units, enforcement rows), both read off
+the payloads and results the master already handles.  Real wall-clock lives
+in ``DiscoveryResult.stats.elapsed_seconds``.
 
 Both backends execute the same op implementations under the same protocol,
-so the discovered GFD sets, the transfer ledgers and the superstep counts are
+so the discovered GFD sets, the ledgers and the superstep counts are
 identical by construction — the randomized differential harness
 (``tests/test_differential.py``) asserts the first, ``tests/test_backend.py``
-the other two.  The backends differ only in transport and recovery.
+the others.  The backends differ only in transport and recovery.
 
 Shared-memory lifecycle: the master owns the segment (created in
 :class:`SharedIndexBuffers`), workers attach without tracking (so the
@@ -47,7 +52,7 @@ manifests and scalars travel.
 
 One transport: a batch's requests are grouped by worker and each worker's
 whole op sequence travels as **one** ``_mp_execute_fused`` submission — one
-pickle each way per worker — while charging, ledger accounting and
+pickle each way per worker — while tracing, ledger accounting and
 journaling stay per op.  Large array payloads (install matches, enforcement
 deltas) route through a per-batch shared-memory segment instead of
 the pickle channel, and an index refresh ships only the changed arrays.
@@ -65,7 +70,7 @@ import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -94,6 +99,7 @@ __all__ = [
     "MultiprocessBackend",
     "SharedIndexBuffers",
     "TransferLedger",
+    "WorkLedger",
     "LifecycleCounters",
     "make_backend",
     "next_node_key",
@@ -158,6 +164,98 @@ class TransferLedger:
         return TransferLedger(
             self.rows_to_workers, self.rows_to_master, self.sigma_rules
         )
+
+
+@dataclass
+class WorkLedger:
+    """Supersteps and each worker's work, counted exactly per backend.
+
+    Filled from the payloads and results the master already handles — no
+    op reports anything extra and nothing is timed — so the counts are the
+    same on every backend and every run.  Parallel scalability reads off
+    them: the largest per-worker entry falls as workers are added while the
+    total stays put.
+
+    Attributes:
+        supersteps: :meth:`ExecutionBackend.run_superstep` calls.
+        ops: ops run, per worker.
+        rows_installed: match-table rows installed (``install``'s row count).
+        rows_joined: rows produced by incremental joins (the sum of
+            ``join``'s per-extension counts).
+        implication_units: implication work in (tested rule, premise rule)
+            pairs — the paper's LPT weight: an ``implication_batch`` unit
+            ``(group, embedded)`` counts ``|group| × |embedded|``, a
+            ``cover_probe`` index the whole ``|Σ|`` it is checked against.
+        enforce_rows: match rows an ``enforce_install`` installs.
+    """
+
+    #: The per-worker count lists, in :meth:`as_dict` order.
+    PER_WORKER = (
+        "ops", "rows_installed", "rows_joined", "implication_units",
+        "enforce_rows",
+    )
+
+    supersteps: int = 0
+    ops: List[int] = field(default_factory=list)
+    rows_installed: List[int] = field(default_factory=list)
+    rows_joined: List[int] = field(default_factory=list)
+    implication_units: List[int] = field(default_factory=list)
+    enforce_rows: List[int] = field(default_factory=list)
+    # |Σ| per live cover key, for weighting ``cover_probe`` indices
+    _sigma_sizes: Dict[int, int] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    @classmethod
+    def for_workers(cls, num_workers: int) -> "WorkLedger":
+        """An all-zero ledger of ``num_workers`` workers."""
+        return cls(0, *([0] * num_workers for _ in cls.PER_WORKER))
+
+    def record(self, worker: int, op: str, key: int,
+               payload: Dict[str, Any], result: Any) -> None:
+        """Count one executed op of ``worker``."""
+        self.ops[worker] += 1
+        if op == "install":
+            self.rows_installed[worker] += result[0]
+        elif op == "join":
+            self.rows_joined[worker] += sum(part[1] for part in result)
+        elif op == "implication_batch":
+            self.implication_units[worker] += sum(
+                len(group) * len(embedded) for group, embedded in payload["units"]
+            )
+        elif op == "cover_probe":
+            self.implication_units[worker] += (
+                len(payload["indices"]) * self._sigma_sizes[key]
+            )
+        elif op == "enforce_install":
+            self.enforce_rows[worker] += _rows_in(payload["matches"])
+        elif op == "sigma":
+            self._sigma_sizes[key] = len(payload["sigma"])
+        elif op == "drop_sigma":
+            self._sigma_sizes.pop(key, None)
+
+    def snapshot(self) -> "WorkLedger":
+        """An independent copy (for before/after deltas)."""
+        return WorkLedger(
+            self.supersteps,
+            *(list(getattr(self, name)) for name in self.PER_WORKER),
+        )
+
+    def since(self, before: "WorkLedger") -> "WorkLedger":
+        """The work counted after the snapshot ``before`` was taken."""
+        return WorkLedger(
+            self.supersteps - before.supersteps,
+            *(
+                [now - then for now, then in zip(
+                    getattr(self, name), getattr(before, name)
+                )]
+                for name in self.PER_WORKER
+            ),
+        )
+
+    def as_dict(self) -> Dict[str, List[int]]:
+        """The per-worker lists, by name (JSON-friendly)."""
+        return {name: list(getattr(self, name)) for name in self.PER_WORKER}
 
 
 @dataclass
@@ -327,9 +425,10 @@ def _adopted_key(entry: Element) -> Optional[int]:
     return None if adopt is None else adopt[0]
 
 
-def _account(backend: "ExecutionBackend", op: str, payload: Dict[str, Any],
-             result: Any) -> None:
-    """Charge one executed op (with its result) to the backend's ledgers."""
+def _account(backend: "ExecutionBackend", worker: int, op: str, key: int,
+             payload: Dict[str, Any], result: Any) -> None:
+    """Count one executed op (with its result) in the backend's ledgers."""
+    backend.work.record(worker, op, key, payload, result)
     ledger = backend.transfers
     ledger.rows_to_workers += _payload_rows(op, payload)
     if op == "sigma":
@@ -393,7 +492,7 @@ class ShardWorker:
 
     # ------------------------------------------------------------------
     def execute(self, op: str, key: int, payload: Dict[str, Any]) -> Any:
-        """Dispatch one op (the unit the cluster meters)."""
+        """Dispatch one op."""
         return getattr(self, f"op_{op}")(key, payload)
 
     # -- VSpawn ---------------------------------------------------------
@@ -471,7 +570,6 @@ class ShardWorker:
                 extension,
                 max_matches=cap,
                 index=self.index,
-                as_array=True,
             )
             count = int(matches.shape[0])
             support = int(np.unique(matches[:, pivot_var]).size) if count else 0
@@ -804,6 +902,9 @@ class ExecutionBackend:
     #: Match rows that crossed the master boundary (see
     #: :class:`TransferLedger`); every run method accounts into this.
     transfers: TransferLedger
+    #: Supersteps and per-worker work (see :class:`WorkLedger`); every run
+    #: method accounts into this too.
+    work: WorkLedger
     #: Resource-lifecycle events (pool starts, index attaches/refreshes);
     #: see :class:`LifecycleCounters` — what ``Session.metrics()`` reads.
     lifecycle: LifecycleCounters
@@ -812,24 +913,44 @@ class ExecutionBackend:
     recovery_seconds: float = 0.0
     #: The session tracer (``NULL_TRACER`` unless a traced session wired
     #: one in).  Backends emit typed events (timeouts, retries, respawns,
-    #: degradations, index refreshes, janitor sweeps) and worker-lane op
-    #: spans for unmetered batches; metered op spans flow through
-    #: ``step.charge`` instead.  Hot paths guard on ``tracer.enabled``.
+    #: degradations, index refreshes, janitor sweeps), ``superstep`` spans
+    #: and a worker-lane span per op.  Hot paths guard on
+    #: ``tracer.enabled``.
     tracer: Any = NULL_TRACER
 
-    def run_superstep(self, step, requests: Sequence[Request]) -> List[Any]:
-        """Run one BSP round of requests; results align with the batch."""
-        raise NotImplementedError
+    def run_superstep(self, requests: Sequence[Request]) -> List[Any]:
+        """Run one BSP round of requests; results align with the batch.
+
+        The one place a superstep happens: it is counted in
+        ``work.supersteps`` and, traced, opens a ``superstep`` span whose
+        ops stack end to end on their workers' lanes.
+        """
+        tracer = self.tracer
+        span = (
+            tracer.begin(f"superstep {self.work.supersteps}", "superstep")
+            if tracer.enabled
+            else None
+        )
+        self.work.supersteps += 1
+        try:
+            return self._run_batch(requests, True)
+        finally:
+            if span is not None:
+                tracer.end(span)
 
     def run_unmetered(
         self, requests: Sequence[Request], wait: bool = True
     ) -> List[Any]:
-        """Bookkeeping ops (drops, enforcement) outside the metered supersteps.
+        """Bookkeeping ops (drops, enforcement) outside the superstep count.
 
         ``wait=False`` fires and forgets (single-process pools execute
         in-order, so a later op can never overtake a drop) — keeps
         per-pattern cleanup off the master's critical path.
         """
+        return self._run_batch(requests, wait)
+
+    def _run_batch(self, requests: Sequence[Request], wait: bool) -> List[Any]:
+        """Execute one batch, tracing and accounting every op."""
         raise NotImplementedError
 
     def refresh_index(self, index: GraphIndex) -> None:
@@ -853,7 +974,7 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """In-process execution under the simulated cluster (the default)."""
+    """In-process execution (the default)."""
 
     name = "serial"
 
@@ -868,6 +989,7 @@ class SerialBackend(ExecutionBackend):
         self.tracer = tracer
         self.source_token = (id(graph), id(index))
         self.transfers = TransferLedger()
+        self.work = WorkLedger.for_workers(num_workers)
         self.lifecycle = LifecycleCounters(
             pools_started=num_workers,
             index_attaches=1 if index is not None else 0,
@@ -876,24 +998,7 @@ class SerialBackend(ExecutionBackend):
         self.index_transport = "inprocess" if index is not None else "none"
         self.workers = [ShardWorker(graph, index) for _ in range(num_workers)]
 
-    def run_superstep(self, step, requests: Sequence[Request]) -> List[Any]:
-        results = []
-        for worker, op, key, payload in requests:
-            shard = self.workers[worker]
-            result = step.run(
-                worker,
-                lambda shard=shard, op=op, key=key, payload=payload: (
-                    shard.execute(op, key, payload)
-                ),
-                op,
-            )
-            _account(self, op, payload, result)
-            results.append(result)
-        return results
-
-    def run_unmetered(
-        self, requests: Sequence[Request], wait: bool = True
-    ) -> List[Any]:
+    def _run_batch(self, requests: Sequence[Request], wait: bool) -> List[Any]:
         tracer = self.tracer
         results = []
         for worker, op, key, payload in requests:
@@ -903,7 +1008,7 @@ class SerialBackend(ExecutionBackend):
                 tracer.worker_op(worker, op, time.perf_counter() - started)
             else:
                 result = self.workers[worker].execute(op, key, payload)
-            _account(self, op, payload, result)
+            _account(self, worker, op, key, payload, result)
             results.append(result)
         return results
 
@@ -1240,7 +1345,7 @@ def _mp_execute_fused(
     """Run one worker's slice of a batch in a single round trip.
 
     Elements execute in order, each producing a ``(result, compute
-    seconds)`` pair — the master charges, accounts and journals per
+    seconds)`` pair — the master traces, accounts and journals per
     element.  Injected faults fire per element, *before* the op runs, so a
     chaos kill never half-applies worker state (replay + retry apply it
     exactly once).
@@ -1307,6 +1412,7 @@ class MultiprocessBackend(ExecutionBackend):
             FaultPlan.from_json(fault.fault_plan) if fault is not None else None
         )
         self.transfers = TransferLedger()
+        self.work = WorkLedger.for_workers(num_workers)
         self.lifecycle = LifecycleCounters(
             pools_started=num_workers,
             index_attaches=1 if index is not None else 0,
@@ -1801,13 +1907,11 @@ class MultiprocessBackend(ExecutionBackend):
                 )
 
     # ------------------------------------------------------------------
-    def _dispatch(
-        self, step, requests: Sequence[Request], wait: bool = True
-    ) -> List[Any]:
+    def _run_batch(self, requests: Sequence[Request], wait: bool) -> List[Any]:
         """Run one batch: stage, submit per worker, collect, settle per op.
 
-        Each collected op is charged to ``step`` (metered) or traced
-        (``step=None``), then accounted into the ledger and journaled.
+        Each collected op is traced from its worker-measured seconds, then
+        accounted into the ledgers and journaled.
         """
         requests = list(requests)
         staged, pack = requests, None
@@ -1832,10 +1936,11 @@ class MultiprocessBackend(ExecutionBackend):
             }
             if not wait:
                 # fire-and-forget is only used for idempotent releases
-                # (drops); journaling at submit time is safe for those, and
-                # replay keeps the submit order, so a lost drop is
-                # re-applied on recovery
+                # (drops, which return nothing); accounting and journaling
+                # at submit time are safe for those, and replay keeps the
+                # submit order, so a lost drop is re-applied on recovery
                 for worker, op, key, payload in requests:
+                    _account(self, worker, op, key, payload, None)
                     self._journal(worker, op, key, payload)
                 return []
             results: List[Any] = [None] * len(requests)
@@ -1845,25 +1950,15 @@ class MultiprocessBackend(ExecutionBackend):
                 )
                 for position, (result, seconds) in zip(positions, outcomes):
                     _, op, key, payload = requests[position]
-                    if step is not None:
-                        step.charge(worker, seconds, op)
-                    elif self.tracer.enabled:
+                    if self.tracer.enabled:
                         self.tracer.worker_op(worker, op, seconds)
-                    _account(self, op, payload, result)
+                    _account(self, worker, op, key, payload, result)
                     self._journal(worker, op, key, payload)
                     results[position] = result
             return results
         finally:
             if pack is not None:
                 pack.close()
-
-    def run_superstep(self, step, requests: Sequence[Request]) -> List[Any]:
-        return self._dispatch(step, requests)
-
-    def run_unmetered(
-        self, requests: Sequence[Request], wait: bool = True
-    ) -> List[Any]:
-        return self._dispatch(None, requests, wait)
 
     def shutdown(self) -> None:
         """Release pools, journals and shared memory (fully idempotent).
@@ -1913,11 +2008,15 @@ def make_backend(
     never mention faults.  The serial backend ignores it (in-process
     execution cannot lose a worker).
 
-    ``tracer`` wires a :class:`repro.obs.Tracer` into the backend (and
-    should match the cluster's): construction/supervision emit typed
-    events and unmetered batches emit worker-lane op spans.  The default
-    ``NULL_TRACER`` keeps every hook a no-op.
+    ``tracer`` wires a :class:`repro.obs.Tracer` into the backend: the
+    engines running on it trace into the same one, construction and
+    supervision emit typed events, and every batch emits worker-lane op
+    spans.  The default ``NULL_TRACER`` keeps every hook a no-op.
+
+    Raises ``ValueError`` unless ``num_workers >= 1``.
     """
+    if num_workers < 1:
+        raise ValueError("num_workers must be >= 1")
     if fault == "auto":
         fault = _default_fault()
     if name == "serial":

@@ -6,8 +6,7 @@ Two balancing problems arise:
   hold far more matches of ``Q'`` than the others ("if Q'(Fs) is skewed, we
   re-distribute Q'(Fs) evenly across workers").
   :func:`rebalance_pivot_group_arrays` moves whole pivot groups from
-  overloaded shards to underloaded ones, returning the move counts so the
-  cluster can charge communication.
+  overloaded shards to underloaded ones.
 * **unit assignment** in ``ParCover``: distribute weighted, indivisible work
   units over workers.  :func:`assign_units_lpt` implements the classic
   longest-processing-time greedy — the factor-2 approximation the paper
@@ -16,7 +15,7 @@ Two balancing problems arise:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -40,7 +39,7 @@ def is_skewed(sizes: Sequence[int], factor: float = 2.0) -> bool:
 
 def rebalance_pivot_group_arrays(
     shards: List[np.ndarray], pivot_col: int
-) -> Tuple[List[np.ndarray], Dict[int, int]]:
+) -> List[np.ndarray]:
     """Re-distribute ``(N, vars)`` int64 match shards at *pivot granularity*.
 
     All matches sharing a pivot node move together, preserving the
@@ -49,8 +48,6 @@ def rebalance_pivot_group_arrays(
     pivot groups (contiguous after a stable sort by the pivot column)
     migrate from overloaded shards to the least-loaded ones, largest group
     first.
-
-    Returns the new shards and ``moved[worker] = rows received``.
     """
     num_shards = len(shards)
     loads = [int(shard.shape[0]) for shard in shards]
@@ -83,15 +80,13 @@ def rebalance_pivot_group_arrays(
         new_shards.append(
             np.concatenate(kept_parts) if kept_parts else shard[:0]
         )
-    moved: Dict[int, int] = {}
     surplus.sort(key=lambda group: group.shape[0], reverse=True)
     for group in surplus:
         worker = min(
             range(num_shards), key=lambda w: (new_shards[w].shape[0], w)
         )
         new_shards[worker] = np.concatenate((new_shards[worker], group))
-        moved[worker] = moved.get(worker, 0) + int(group.shape[0])
-    return new_shards, moved
+    return new_shards
 
 
 def assign_units_lpt(

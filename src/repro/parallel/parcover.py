@@ -31,7 +31,7 @@ independent); the differential harness asserts it.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..core.cover import CoverResult, _scan_order
 from ..gfd.gfd import GFD
@@ -40,7 +40,6 @@ from ..pattern.canonical import pivot_blind_key
 from ..pattern.embedding import DistinctPatterns, embedding_batch
 from .backend import ExecutionBackend, next_node_key
 from .balancer import assign_units_lpt
-from .cluster import SimulatedCluster
 
 __all__ = ["parallel_cover", "parallel_cover_ungrouped"]
 
@@ -89,25 +88,13 @@ class _CoverSession:
     """One cover run's ``Σ`` slot on a borrowed backend.
 
     The caller keeps ownership of ``backend``; on exit only this run's
-    ``Σ`` slot is dropped.  ``cluster`` (default: a fresh one sized to the
-    backend) meters the run and must match the backend's worker count.
+    ``Σ`` slot is dropped.
     """
 
-    def __init__(
-        self, backend: ExecutionBackend, cluster: Optional[SimulatedCluster]
-    ) -> None:
-        if cluster is not None and cluster.num_workers != backend.num_workers:
-            raise ValueError(
-                f"backend has {backend.num_workers} workers but the cluster "
-                f"has {cluster.num_workers}"
-            )
+    def __init__(self, backend: ExecutionBackend) -> None:
         self.backend = backend
-        self.cluster = cluster or SimulatedCluster(backend.num_workers)
+        self.num_workers = backend.num_workers
         self.key = next_node_key()
-
-    @property
-    def num_workers(self) -> int:
-        return self.cluster.num_workers
 
     def run_with_sigma(self, sigma: Sequence[GFD], requests: List) -> List:
         """Ship ``Σ`` and run the cover work units in one superstep.
@@ -120,11 +107,7 @@ class _CoverSession:
             (worker, "sigma", self.key, {"sigma": list(sigma)})
             for worker in range(self.num_workers)
         ]
-        with self.cluster.superstep() as step:
-            step.broadcast(len(sigma))
-            results = self.backend.run_superstep(
-                step, sigma_requests + requests
-            )
+        results = self.backend.run_superstep(sigma_requests + requests)
         return results[len(sigma_requests):]
 
     def __enter__(self) -> "_CoverSession":
@@ -141,36 +124,32 @@ class _CoverSession:
 
 
 def parallel_cover(
-    sigma: Sequence[GFD],
-    backend: ExecutionBackend,
-    cluster: Optional[SimulatedCluster] = None,
-) -> Tuple[CoverResult, SimulatedCluster]:
+    sigma: Sequence[GFD], backend: ExecutionBackend
+) -> CoverResult:
     """Compute a cover of ``Σ`` with grouping + LPT balancing (``ParCover``).
 
     Args:
         sigma: the rule set to reduce.
         backend: a started :class:`~repro.parallel.backend.ExecutionBackend`
             (the caller keeps ownership); its worker count is ``n``.
-        cluster: optionally supply a pre-built metered cluster.
 
     Work units are balanced by LPT over the paper's static weights
-    ``|group| × max(1, |embedded|)``.  Returns ``(cover result, metered
-    cluster)``; the cover is identical across backends and worker counts.
+    ``|group| × |embedded|`` (a group always embeds itself) — what the
+    backend's :class:`~repro.parallel.backend.WorkLedger` counts as
+    ``implication_units``.  The cover is identical across backends and
+    worker counts.
     """
     started = time.perf_counter()
     sigma = list(sigma)
-    with _CoverSession(backend, cluster) as session:
-        cluster = session.cluster
-        with cluster.master():
+    with _CoverSession(backend) as session:
+        with backend.tracer.span("master", "master"):
             groups = _group_sigma(sigma)
             ordered = [groups[group_key] for group_key in sorted(groups)]
             units: List[Tuple[List[int], List[int]]] = list(
                 zip(ordered, _embedded_indices(sigma, ordered))
             )
-            weights = [
-                len(group) * max(1, len(embedded)) for group, embedded in units
-            ]
-            assignment = assign_units_lpt(weights, cluster.num_workers)
+            weights = [len(group) * len(embedded) for group, embedded in units]
+            assignment = assign_units_lpt(weights, session.num_workers)
         removed_indices: Set[int] = set()
         if sigma:
             requests = [
@@ -184,24 +163,20 @@ def parallel_cover(
             ]
             for removed_part in session.run_with_sigma(sigma, requests):
                 removed_indices.update(removed_part)
-            cluster.ship_to_master(len(removed_indices))
 
     cover = [gfd for index, gfd in enumerate(sigma) if index not in removed_indices]
     removed = [sigma[index] for index in sorted(removed_indices)]
-    result = CoverResult(
+    return CoverResult(
         cover=cover,
         removed=removed,
         implication_tests=len(sigma),
         elapsed_seconds=time.perf_counter() - started,
     )
-    return result, cluster
 
 
 def parallel_cover_ungrouped(
-    sigma: Sequence[GFD],
-    backend: ExecutionBackend,
-    cluster: Optional[SimulatedCluster] = None,
-) -> Tuple[CoverResult, SimulatedCluster]:
+    sigma: Sequence[GFD], backend: ExecutionBackend
+) -> CoverResult:
     """``ParCovern``: leave-one-out checks against the *full* set, no groups.
 
     Mutual-implication pairs are resolved by a deterministic tie-break: a
@@ -209,14 +184,13 @@ def parallel_cover_ungrouped(
     every GFD that precedes it in the scan order and was itself removed —
     matching the sequential semantics, but paying full-``Σ`` embedding
     enumeration per test, distributed round-robin over the workers
-    (``op_cover_probe``).  ``backend`` and ``cluster`` are borrowed as in
+    (``op_cover_probe``).  ``backend`` is borrowed as in
     :func:`parallel_cover`.
     """
     started = time.perf_counter()
     sigma = list(sigma)
-    with _CoverSession(backend, cluster) as session:
-        cluster = session.cluster
-        with cluster.master():
+    with _CoverSession(backend) as session:
+        with backend.tracer.span("master", "master"):
             order = _scan_order(sigma)
         # Distribute tests in scan-order round-robin.  Each worker evaluates
         # its share against the full Σ minus the candidate (the expensive
@@ -225,10 +199,10 @@ def parallel_cover_ungrouped(
         verdicts: Dict[int, bool] = {}
         if sigma:
             assignments: List[List[int]] = [
-                [] for _ in range(cluster.num_workers)
+                [] for _ in range(session.num_workers)
             ]
             for position, index in enumerate(order):
-                assignments[position % cluster.num_workers].append(index)
+                assignments[position % session.num_workers].append(index)
             requests = [
                 (worker, "cover_probe", session.key, {"indices": indices})
                 for worker, indices in enumerate(assignments)
@@ -236,10 +210,9 @@ def parallel_cover_ungrouped(
             for part in session.run_with_sigma(sigma, requests):
                 for index, verdict in part:
                     verdicts[index] = verdict
-            cluster.ship_to_master(len(sigma))
 
         removed_indices: Set[int] = set()
-        with cluster.master():
+        with backend.tracer.span("master", "master"):
             for index in order:
                 if not verdicts[index]:
                     continue
@@ -253,10 +226,9 @@ def parallel_cover_ungrouped(
 
     cover = [gfd for index, gfd in enumerate(sigma) if index not in removed_indices]
     removed = [sigma[index] for index in sorted(removed_indices)]
-    result = CoverResult(
+    return CoverResult(
         cover=cover,
         removed=removed,
         implication_tests=len(sigma),
         elapsed_seconds=time.perf_counter() - started,
     )
-    return result, cluster

@@ -1,9 +1,8 @@
 """``ParDis`` — parallel GFD mining over a fragmented graph (Section 6.2).
 
 The algorithm runs in supersteps on a master + ``n`` workers.  The graph is
-vertex-cut fragmented: node ``v`` belongs to worker ``v mod n``, every
-worker reads the one shared index, and a join superstep charges the
-extension edges it would ship.  Each worker *owns* a shard of every
+vertex-cut fragmented: node ``v`` belongs to worker ``v mod n`` and every
+worker reads the one shared index.  Each worker *owns* a shard of every
 verified pattern's matches (seeded from the fragment's nodes, then carried
 along by the incremental joins ``Q'(F_s) = Q(F_s) ⋈ e(F_t)``).  Per
 superstep, mirroring Figure 3:
@@ -24,16 +23,17 @@ superstep, mirroring Figure 3:
 
 Worker-side execution is delegated to an
 :class:`~repro.parallel.backend.ExecutionBackend`: the ``serial`` backend
-runs the shard ops inline under the metered
-:class:`~repro.parallel.cluster.SimulatedCluster` (the default), while the
-``multiprocess`` backend runs them in real worker processes over
-shared-memory graph buffers (``config.parallel_backend``).  This is the one
-mining engine: at ``n = 1`` on the ``serial`` backend it is ``SeqDis``
+runs the shard ops inline (the default), while the ``multiprocess`` backend
+runs them in real worker processes over shared-memory graph buffers
+(``config.parallel_backend``).  The backend counts the supersteps and each
+worker's exact work (:class:`~repro.parallel.backend.WorkLedger`; a run's
+share is :attr:`ParallelDiscovery.work`).  This is the one mining engine:
+at ``n = 1`` on the ``serial`` backend it is ``SeqDis``
 (:func:`~repro.core.discovery.discover`).  On any backend and any ``n`` the
 discovered set equals the dict-adjacency oracle's
 (:func:`~repro.core.discovery.reference_discover`) — parallel scalability
-(Theorem 5) is about time, not results — which the randomized differential
-harness (``tests/test_differential.py``) asserts.
+(Theorem 5) is about the work per worker, not results — which the
+randomized differential harness (``tests/test_differential.py``) asserts.
 
 ``config.max_matches_per_pattern`` is enforced per shard: a pattern whose
 global join reaches the cap is marked *truncated* and becomes a leaf — it
@@ -71,16 +71,17 @@ from ..gfd.literals import FALSE, Literal
 from ..graph.graph import Graph
 from ..graph.index import GraphIndex
 from ..graph.statistics import GraphStatistics
+from ..obs.tracer import NULL_TRACER
 from ..pattern.incremental import Extension, apply_extension
 from ..pattern.pattern import WILDCARD, Pattern
 from .backend import (
     BACKEND_NAMES,
     ExecutionBackend,
+    WorkLedger,
     make_backend,
     next_node_key,
 )
 from .balancer import is_skewed, rebalance_pivot_group_arrays
-from .cluster import SimulatedCluster
 
 __all__ = ["ParallelDiscovery", "StructuralFrontier", "check_budgets"]
 
@@ -206,7 +207,6 @@ class ParallelDiscovery:
             ``config.num_workers``, then 4).
         balance: enable match re-distribution on skew (Section 6.2's load
             balancing; ``False`` gives the paper's ``ParGFDnb`` baseline).
-        cluster: optionally supply a pre-built cluster (for shared metering).
         stats, index: precomputed :class:`GraphStatistics` /
             :class:`GraphIndex` snapshots, so repeated runs (baseline
             sweeps, benchmark series) don't rescan the graph per run; by
@@ -219,6 +219,9 @@ class ParallelDiscovery:
             structure, shared across runs on the same backend: recorded
             levels are replayed, new ones recorded, and its worker keys
             are left to its owner.
+
+    After a run, :attr:`work` holds that run's supersteps and per-worker
+    work; the engine traces into its backend's tracer.
     """
 
     def __init__(
@@ -227,7 +230,6 @@ class ParallelDiscovery:
         config: DiscoveryConfig,
         num_workers: Optional[int] = None,
         balance: bool = True,
-        cluster: Optional[SimulatedCluster] = None,
         stats: Optional[GraphStatistics] = None,
         index: Optional[GraphIndex] = None,
         backend: Union[None, str, ExecutionBackend] = None,
@@ -268,8 +270,11 @@ class ParallelDiscovery:
                 num_workers = (
                     config.num_workers if config.num_workers is not None else 4
                 )
-        self.cluster = cluster or SimulatedCluster(num_workers)
+        self._num_workers = num_workers
         self.balance = balance
+        #: The last run's supersteps and per-worker work (all zero before).
+        self.work = WorkLedger.for_workers(num_workers)
+        self.tracer: Any = NULL_TRACER
         # master-side bookkeeping per tree node (worker state lives in the
         # backend): node identity -> backend key, per-worker row counts,
         # column statistics collected at install time
@@ -282,7 +287,7 @@ class ParallelDiscovery:
     @property
     def num_workers(self) -> int:
         """The worker count ``n``."""
-        return self.cluster.num_workers
+        return self._num_workers
 
     @property
     def backend_name(self) -> str:
@@ -302,7 +307,7 @@ class ParallelDiscovery:
             for _level, _fresh in self._levels(tree):
                 pass
             supports = {gfd: supp for gfd, supp in self._found.values()}
-            with self.cluster.master():
+            with self.tracer.span("master", "master"):
                 gfds = minimal_cover_by_reduction(list(supports))
         finally:
             self._finish_backend()
@@ -385,11 +390,11 @@ class ParallelDiscovery:
             if nodes is None:  # not recorded: seed or VSpawn, then record
                 truncated = self.stats.truncated_patterns
                 if level == 0:
-                    with self.cluster.tracer.span("seed", "level", level=0):
+                    with self.tracer.span("seed", "level", level=0):
                         self._seed_parallel(tree)
                     nodes = list(tree.level(0))
                 else:
-                    with self.cluster.tracer.span(
+                    with self.tracer.span(
                         f"vspawn level {level}", "level", level=level
                     ):
                         nodes = self._vspawn_level(tree, level)
@@ -423,7 +428,7 @@ class ParallelDiscovery:
         consecutive slices (see :meth:`_levels`).
         """
         self._check_frontier()
-        with self.cluster.tracer.span(
+        with self.tracer.span(
             f"hspawn {len(nodes)} nodes", "level", nodes=len(nodes)
         ):
             self._mine_nodes_batch(nodes)
@@ -467,20 +472,14 @@ class ParallelDiscovery:
                 self.graph,
                 self.index,
                 fault=self.config.fault,
-                tracer=self.cluster.tracer,
             )
-        else:
-            if self._backend.num_workers != self.num_workers:
-                raise ValueError(
-                    f"backend has {self._backend.num_workers} workers but "
-                    f"the cluster has {self.num_workers}"
-                )
-            expected = (id(self.graph), id(self.index))
-            if self._backend.source_token != expected:
-                raise ValueError(
-                    "the supplied backend was built for a different graph "
-                    "snapshot; rebuild it from this graph's current index"
-                )
+        elif self._backend.source_token != (id(self.graph), id(self.index)):
+            raise ValueError(
+                "the supplied backend was built for a different graph "
+                "snapshot; rebuild it from this graph's current index"
+            )
+        self.tracer = self._backend.tracer
+        self._work_before = self._backend.work.snapshot()
 
     def _finish_backend(self) -> None:
         """Drop this run's live worker keys; shut down an owned backend.
@@ -490,7 +489,9 @@ class ParallelDiscovery:
         enforcement engine's resident shards survive a discovery); the
         keys of a :class:`StructuralFrontier`'s levels stay too.  Best
         effort: a backend that just broke mid-run must not displace the
-        original error with its cleanup failure.
+        original error with its cleanup failure.  The run's share of the
+        backend's :class:`~repro.parallel.backend.WorkLedger` becomes
+        :attr:`work`.
         """
         try:
             self._backend.run_unmetered(
@@ -503,6 +504,7 @@ class ParallelDiscovery:
             )
         except Exception:
             pass
+        self.work = self._backend.work.since(self._work_before)
         if self._owns_backend:
             self._backend.shutdown()
             self._backend = None
@@ -576,9 +578,10 @@ class ParallelDiscovery:
         self.stats.patterns_spawned += len(nodes)
         self.stats.truncated_patterns += truncated
         self._settle(nodes)
-        tracer = self.cluster.tracer
-        if tracer.enabled:
-            tracer.event("frontier_replay", level=level, patterns=len(nodes))
+        if self.tracer.enabled:
+            self.tracer.event(
+                "frontier_replay", level=level, patterns=len(nodes)
+            )
         return nodes
 
     def _settle(self, nodes: List[TreeNode]) -> None:
@@ -683,8 +686,7 @@ class ParallelDiscovery:
                 requests.append(
                     (worker, "install", key, {**base_payload, **source})
                 )
-        with self.cluster.superstep() as step:
-            parts_all = self._backend.run_superstep(step, requests)
+        parts_all = self._backend.run_superstep(requests)
         n = self.num_workers
         for index, (node, key, _) in enumerate(pending):
             parts = parts_all[index * n:(index + 1) * n]
@@ -773,8 +775,6 @@ class ParallelDiscovery:
         """
         created_nodes: List[TreeNode] = []
         parents = list(tree.level(level - 1))
-        edge_label_counts = self.graph_stats.edge_label_counts
-        total_edges = self.graph.num_edges
         n = self.num_workers
         cap = self.config.max_matches_per_pattern
 
@@ -805,8 +805,7 @@ class ParallelDiscovery:
             for parent, parent_key in eligible
             for worker in range(n)
         ]
-        with self.cluster.superstep() as step:
-            parts_all = self._backend.run_superstep(step, requests)
+        parts_all = self._backend.run_superstep(requests)
 
         # master-side extension generation + dedup, in parent order (the
         # dedup against earlier parents' children is order-sensitive); a
@@ -817,13 +816,10 @@ class ParallelDiscovery:
         for index, (parent, parent_key) in enumerate(eligible):
             parts = parts_all[index * n:(index + 1) * n]
             novel: List[Tuple[TreeNode, Optional[Extension]]] = []
-            with self.cluster.master():
+            with self.tracer.span("master", "master"):
                 # pivot-disjoint sharding makes the aggregation a plain sum,
                 # so only small count dictionaries are shipped
                 merged = merge_extension_counts(parts)
-                self.cluster.ship_to_master(
-                    sum(len(p.new_node) + len(p.closing) for p in parts)
-                )
                 for extension in self._extensions_from_tallies(parent, merged):
                     pattern = apply_extension(parent.pattern, extension)
                     if pattern.num_nodes > self.config.k:
@@ -868,18 +864,7 @@ class ParallelDiscovery:
                 for parent_key, sent in join_parents
                 for worker in range(n)
             ]
-            with self.cluster.superstep() as step:
-                for parent_key, sent in join_parents:
-                    for worker in range(n):
-                        for _, extension in sent:
-                            label = extension.edge_label
-                            label_edges = (
-                                total_edges
-                                if label == WILDCARD
-                                else edge_label_counts.get(label, 0)
-                            )
-                            step.ship(worker, label_edges - label_edges // n)
-                joined_all = self._backend.run_superstep(step, requests)
+            joined_all = self._backend.run_superstep(requests)
             for offset, (parent_key, _) in enumerate(join_parents):
                 joined_by_parent[parent_key] = joined_all[
                     offset * n:(offset + 1) * n
@@ -902,10 +887,8 @@ class ParallelDiscovery:
                 truncated = cap is not None and (
                     any(hit_caps) or sum(sizes) >= cap
                 )
-                with self.cluster.master():
-                    # pivot-disjoint shards: global support is a plain sum
-                    node.support = sum(supports)
-                    self.cluster.ship_to_master(n)
+                # pivot-disjoint shards: global support is a plain sum
+                node.support = sum(supports)
                 new_shards, adopt = None, (parent_key, position)
                 if not truncated and self.balance and is_skewed(sizes):
                     # the parked rows visit the master to be re-dealt;
@@ -915,17 +898,11 @@ class ParallelDiscovery:
                         (worker, "fetch_join", parent_key, {"position": position})
                         for worker in range(n)
                     ]
-                    with self.cluster.superstep() as step:
-                        fetched = self._backend.run_superstep(step, fetch)
-                    new_shards, moved = rebalance_pivot_group_arrays(
+                    fetched = self._backend.run_superstep(fetch)
+                    new_shards = rebalance_pivot_group_arrays(
                         fetched, node.pattern.pivot
                     )
                     adopt = None
-                    with self.cluster.superstep() as step:
-                        for worker, received in moved.items():
-                            step.ship(
-                                worker, received * node.pattern.num_nodes
-                            )
                 install_batch.append((node, new_shards, truncated, adopt))
 
         # round 3 — every joined child's install in one superstep
@@ -954,8 +931,7 @@ class ParallelDiscovery:
         value_parts, agreement_parts = self._column_stats.pop(
             self._keys[id(node)]
         )
-        with self.cluster.master():
-            self.cluster.ship_to_master(sum(keys.size for keys, _ in value_parts))
+        with self.tracer.span("master", "master"):
             literals: List[Literal] = list(
                 constant_literals_from_code_counts(
                     value_parts,
@@ -1027,15 +1003,13 @@ class ParallelDiscovery:
             for miner in miners
             for worker in range(n)
         ]
-        with self.cluster.superstep() as step:
-            parts_all = self._backend.run_superstep(step, requests)
+        parts_all = self._backend.run_superstep(requests)
 
         empty: FrozenSet[Literal] = frozenset()
         for index, miner in enumerate(miners):
             parts = parts_all[index * n:(index + 1) * n]
             count_parts = [part[0] for part in parts]
             support_parts = [part[1] for part in parts]
-            self.cluster.ship_to_master(2 * len(miner.literals) * n)
             literal_support: Dict[Literal, int] = {}
             for position, literal in enumerate(miner.literals):
                 miner.literal_count[literal] = sum(
@@ -1055,7 +1029,7 @@ class ParallelDiscovery:
             miner.indexed = list(enumerate(miner.lattice_literals))
             miner.total_rows = sum(self._shard_rows[miner.key])
             node = miner.node
-            with self.cluster.master():
+            with self.tracer.span("master", "master"):
                 for position, rhs in enumerate(miner.lattice_literals):
                     count_rhs = miner.literal_count[rhs]
                     support_rhs = literal_support[rhs]
@@ -1084,7 +1058,7 @@ class ParallelDiscovery:
                     continue
                 specs: List[Tuple[int, Literal, Literal, int]] = []
                 meta: List[Tuple[_Task, FrozenSet[Literal], int, int]] = []
-                with self.cluster.master():
+                with self.tracer.span("master", "master"):
                     for task in miner.tasks:
                         for lhs, max_index, rows_id in task.frontier:
                             for index, literal in miner.indexed:
@@ -1118,8 +1092,7 @@ class ParallelDiscovery:
                 for miner, specs, meta in round_specs
                 for worker in range(n)
             ]
-            with self.cluster.superstep() as step:
-                results_all = self._backend.run_superstep(step, requests)
+            results_all = self._backend.run_superstep(requests)
             cursor = 0
             for miner, specs, meta in round_specs:
                 miner.pending_drops = []
@@ -1132,9 +1105,8 @@ class ParallelDiscovery:
                     total_lhs += lhs_arr
                     total_both += both_arr
                     total_supp += supp_arr
-                self.cluster.ship_to_master(3 * len(specs) * n)
                 node = miner.node
-                with self.cluster.master():
+                with self.tracer.span("master", "master"):
                     for position, (task, extended, index, mask_id) in enumerate(meta):
                         count_lhs = int(total_lhs[position])
                         count_both = int(total_both[position])
@@ -1201,7 +1173,7 @@ class ParallelDiscovery:
                 continue
             specs: List[Tuple[int, Literal]] = []
             meta: List[Tuple[int, FrozenSet[Literal], Literal, int]] = []
-            with self.cluster.master():
+            with self.tracer.span("master", "master"):
                 for base_index, (lhs, rhs, rows_id, base_support) in enumerate(
                     miner.nh_bases
                 ):
@@ -1229,15 +1201,13 @@ class ParallelDiscovery:
             for miner, specs, meta in probing
             for worker in range(n)
         ]
-        with self.cluster.superstep() as step:
-            parts_all = self._backend.run_superstep(step, requests)
+        parts_all = self._backend.run_superstep(requests)
         cursor = 0
         for miner, specs, meta in probing:
             overlap_parts = parts_all[cursor:cursor + n]
             cursor += n
-            self.cluster.ship_to_master(len(specs) * n)
             node = miner.node
-            with self.cluster.master():
+            with self.tracer.span("master", "master"):
                 emitted_per_base: Dict[int, int] = {}
                 for position, (base_index, lhs, literal, base_support) in enumerate(
                     meta

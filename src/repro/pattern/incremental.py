@@ -107,7 +107,6 @@ def extend_matches(
     extension: Extension,
     max_matches: Optional[int] = None,
     index: Optional[GraphIndex] = None,
-    as_array: bool = False,
 ) -> MatchBatch:
     """Join a batch of base matches with the extension edge.
 
@@ -116,16 +115,12 @@ def extend_matches(
     neighborhood gather + label-mask for a new-node fan-out) instead of the
     per-match Python loop.  The uncapped result *set* equals the dict
     path's; per-match neighbor order differs (CSR vs dict insertion), so a
-    binding ``max_matches`` may keep a different truncated subset.
-
-    ``as_array`` (index path only) returns the ``(N, vars)`` int64 array
-    directly — the workers keep batches in array form end-to-end.
+    binding ``max_matches`` may keep a different truncated subset.  The
+    index path returns the ``(N, vars)`` int64 array — the workers keep
+    batches in array form end-to-end — and the dict path a list of tuples.
     """
     if index is not None:
-        result_array = _extend_matches_indexed(index, matches, extension, max_matches)
-        if as_array:
-            return result_array
-        return [tuple(row) for row in result_array.tolist()]
+        return _extend_matches_indexed(index, matches, extension, max_matches)
     result: List[Match] = []
     for match in matches:
         for extended in extend_match(graph, match, extension):

@@ -11,9 +11,10 @@ graph.  A ``Session`` owns the resources those phases share, once:
   by discover, cover and enforce;
 * one **delta log** attached to the graph for incremental enforcement;
 * the current **Σ** with its supports, flowing from phase to phase;
-* a metered **cluster ledger** and the backend's transfer/lifecycle
-  counters, unified under :meth:`Session.metrics` — "pools started once,
-  index attached once" is asserted there, not assumed.
+* the backend's exact **work ledger** (supersteps, per-worker work) and
+  its transfer/lifecycle counters, unified under :meth:`Session.metrics` —
+  "pools started once, index attached once" is asserted there, not
+  assumed.
 
 Typical use::
 
@@ -67,9 +68,9 @@ from .parallel.backend import (
     ExecutionBackend,
     LifecycleCounters,
     TransferLedger,
+    WorkLedger,
     make_backend,
 )
-from .parallel.cluster import ClusterMetrics, SimulatedCluster
 from .parallel.parcover import parallel_cover
 from .parallel.pardis import ParallelDiscovery, StructuralFrontier, check_budgets
 
@@ -81,22 +82,22 @@ class SessionMetrics:
     """One unified view of a session's resource usage and work.
 
     Combines the backend's :class:`~repro.parallel.backend.LifecycleCounters`
-    (pool starts, index attaches/refreshes) and
+    (pool starts, index attaches/refreshes),
     :class:`~repro.parallel.backend.TransferLedger` (match rows crossing the
-    master boundary) with the :class:`~repro.parallel.cluster.
-    ClusterMetrics` superstep ledger and the session's own phase counters.
+    master boundary) and :class:`~repro.parallel.backend.WorkLedger`
+    (supersteps and per-worker work) with the session's own phase counters.
     The acceptance property of the facade reads directly off this object:
     after a full discover → cover → enforce → refresh pipeline,
     ``backend_starts == 1`` and ``lifecycle.index_attaches == 1``.
 
-    :meth:`as_dict` renders the documented **schema v7** (see there) and
+    :meth:`as_dict` renders the documented **schema v8** (see there) and
     :meth:`registry` lifts the same snapshot into a
     :class:`~repro.obs.metrics.MetricsRegistry` for Prometheus-style
     exposition.
     """
 
     #: Version of the :meth:`as_dict` layout.  Bump on any key change.
-    SCHEMA_VERSION = 7
+    SCHEMA_VERSION = 8
 
     backend_name: str
     num_workers: int
@@ -105,7 +106,8 @@ class SessionMetrics:
     backend_starts: int
     lifecycle: LifecycleCounters
     transfers: TransferLedger
-    cluster: ClusterMetrics
+    #: Supersteps and per-worker work of every phase so far.
+    work: WorkLedger
     #: Executed phase counts: discover / discover_iter / cover / enforce /
     #: refresh.
     phases: Dict[str, int] = field(default_factory=dict)
@@ -118,20 +120,21 @@ class SessionMetrics:
     def as_dict(self) -> Dict[str, Any]:
         """A JSON-serializable rendering (CI artifacts, ``--metrics``).
 
-        **Schema v7.**  Every top-level key except ``timings`` holds only
-        deterministic values — names, worker counts, event counts — so two
-        runs over the same input diff cleanly.  All wall-clock derived
-        floats (phase seconds, recovery seconds) are isolated under the
-        single ``timings`` key; a consumer comparing artifacts drops that
-        one key and compares the rest byte-for-byte
-        (``benchmarks/bench_session.py --check`` does exactly this).
+        **Schema v8.**  Every top-level key except ``timings`` holds only
+        deterministic values — names, worker counts, event and work counts —
+        so two runs over the same input diff cleanly.  The one wall-clock
+        figure (recovery seconds) is isolated under the single ``timings``
+        key; a consumer comparing artifacts drops that one key and compares
+        the rest byte-for-byte (``benchmarks/bench_session.py --check``
+        does exactly this).
 
         Keys: ``schema_version``, ``repro_version``, ``backend``,
         ``num_workers``, ``backend_starts``, ``lifecycle`` (5 lifecycle
         counts), ``faults`` (4 fault counts), ``transfers`` (3 row/rule
-        counts), ``cluster`` (``supersteps``), ``phases``, ``sigma_size``,
-        ``timings`` (``parallel_seconds``, ``master_seconds``,
-        ``total_work_seconds``, ``recovery_seconds``).
+        counts), ``cluster`` (``supersteps``), ``work`` (per-worker lists:
+        ``ops``, ``rows_installed``, ``rows_joined``,
+        ``implication_units``, ``enforce_rows``), ``phases``,
+        ``sigma_size``, ``timings`` (``recovery_seconds``).
         """
         from repro import __version__
 
@@ -160,14 +163,12 @@ class SessionMetrics:
                 "sigma_rules": self.transfers.sigma_rules,
             },
             "cluster": {
-                "supersteps": self.cluster.supersteps,
+                "supersteps": self.work.supersteps,
             },
+            "work": self.work.as_dict(),
             "phases": dict(self.phases),
             "sigma_size": self.sigma_size,
             "timings": {
-                "parallel_seconds": self.cluster.parallel_seconds,
-                "master_seconds": self.cluster.master_seconds,
-                "total_work_seconds": self.cluster.total_work_seconds,
                 "recovery_seconds": self.recovery_seconds,
             },
         }
@@ -234,8 +235,8 @@ class Session:
         tracer: an optional :class:`~repro.obs.tracer.Tracer`.  When
             given, the session opens a root ``session`` span, wraps every
             phase in a ``phase`` span, and threads the tracer through the
-            cluster, the backend and the enforcement engine — one trace
-            covers the whole pipeline.
+            backend (and so the engines running on it) and the enforcement
+            engine — one trace covers the whole pipeline.
             Default: the shared no-op ``NULL_TRACER`` (tracing off; every
             hook is a constant-time no-op and results are byte-identical
             either way).
@@ -293,7 +294,6 @@ class Session:
         self._stale_index_stamp: Optional[Tuple[int, int]] = None
         self._index: GraphIndex = self._snapshot_index()
         self._stats: Optional[GraphStatistics] = None
-        self.cluster = SimulatedCluster(num_workers, tracer=self.tracer)
         self._delta = DeltaLog()
         graph.attach_delta_log(self._delta)
         self._backend: Optional[ExecutionBackend] = None
@@ -519,7 +519,6 @@ class Session:
         return ParallelDiscovery(
             self.graph,
             self.config,
-            cluster=self.cluster,
             stats=self._statistics(),
             index=self._index,
             backend=self.backend(),
@@ -654,7 +653,7 @@ class Session:
         with self.tracer.span(
             "cover", "phase", backend=self._backend_name, size=len(rules)
         ):
-            result, _ = parallel_cover(rules, self.backend(), self.cluster)
+            result = parallel_cover(rules, self.backend())
         if update_sigma:
             self._set_sigma(result.cover, self._supports)
         return result
@@ -801,12 +800,16 @@ class Session:
         """
         backend = self._backend
         if backend is None:
-            lifecycle, transfers, recovery = (
-                LifecycleCounters(), TransferLedger(), 0.0
+            lifecycle, transfers, work, recovery = (
+                LifecycleCounters(),
+                TransferLedger(),
+                WorkLedger.for_workers(self._num_workers),
+                0.0,
             )
         else:
             lifecycle = replace(backend.lifecycle)
             transfers = backend.transfers.snapshot()
+            work = backend.work.snapshot()
             recovery = backend.recovery_seconds
         return SessionMetrics(
             backend_name=self._backend_name,
@@ -814,7 +817,7 @@ class Session:
             backend_starts=int(backend is not None),
             lifecycle=lifecycle,
             transfers=transfers,
-            cluster=replace(self.cluster.metrics),
+            work=work,
             phases=dict(self._phases),
             sigma_size=len(self._sigma),
             recovery_seconds=recovery,

@@ -68,7 +68,6 @@ EXPECTED_TOP_LEVEL = {
     "gfd_support",
     # parallel
     "ParallelDiscovery",
-    "SimulatedCluster",
     "parallel_cover",
     # enforcement
     "EnforcementConfig",
@@ -100,15 +99,13 @@ EXPECTED_PARALLEL = {
     "MultiprocessBackend",
     "SharedIndexBuffers",
     "TransferLedger",
+    "WorkLedger",
     "LifecycleCounters",
     "FaultPlan",
     "live_segments",
     "sweep_orphans",
     "make_backend",
     "shared_memory_available",
-    "SimulatedCluster",
-    "ClusterMetrics",
-    "WorkerMetrics",
     "ParallelDiscovery",
     "parallel_cover",
     "parallel_cover_ungrouped",
@@ -176,7 +173,7 @@ class TestSurfaceSnapshot:
         # both cover variants borrow a started backend
         for cover in (parallel_cover, parallel_cover_ungrouped):
             assert list(inspect.signature(cover).parameters) == [
-                "sigma", "backend", "cluster"
+                "sigma", "backend"
             ]
 
     def test_config_field_counts_are_pinned(self):
@@ -335,7 +332,7 @@ class TestShimDifferentialIdentity:
         self, film_graph, film_config, cover_backend
     ):
         sigma = discover(film_graph, film_config).gfds
-        direct, _ = parallel_cover(sigma, cover_backend(2))
+        direct = parallel_cover(sigma, cover_backend(2))
         with Session(film_graph, film_config, num_workers=2) as session:
             result = session.cover(sigma)
         assert [str(g) for g in result.cover] == [str(g) for g in direct.cover]

@@ -334,7 +334,7 @@ class TestSkewRebalance:
 
     @staticmethod
     def _run(graph, config, backend_name, balance=True):
-        """``(rules → supports, transfer ledger, supersteps)`` of one run."""
+        """``(rules → supports, transfer ledger, work ledger)`` of one run."""
         backend = make_backend(backend_name, 3, graph, graph.index())
         try:
             runner = ParallelDiscovery(
@@ -345,12 +345,13 @@ class TestSkewRebalance:
         finally:
             backend.shutdown()
         supports = {gfd_identity(g): result.supports[g] for g in result.gfds}
-        return supports, ledger, runner.cluster.metrics.supersteps
+        return supports, ledger, runner.work
 
     def test_rebalance_through_master_matches_serial(self):
         """Same Σ and supports as the serial backend and ``SeqDis``; the
         rebalance fires, the ledger counts exactly its round trip, and the
-        serial backend ships the same rows in the same supersteps."""
+        serial backend ships the same rows in the same supersteps and gives
+        every worker the same work."""
         from repro.parallel import janitor
 
         segments_before = janitor.live_segments()
@@ -360,15 +361,16 @@ class TestSkewRebalance:
         expected = {
             gfd_identity(g): reference.supports[g] for g in reference.gfds
         }
-        serial, serial_ledger, serial_steps = self._run(graph, config, "serial")
-        balanced, ledger, steps = self._run(graph, config, "multiprocess")
+        serial, serial_ledger, serial_work = self._run(graph, config, "serial")
+        balanced, ledger, work = self._run(graph, config, "multiprocess")
         assert serial == expected
         assert balanced == expected
         # one join protocol: the serial run parks, fetches and re-deals
-        # exactly as the multiprocess run does
+        # exactly as the multiprocess run does, op for op and row for row
         assert serial_ledger == ledger
-        assert serial_steps == steps
-        unbalanced, plain, _ = self._run(
+        assert serial_work == work
+        assert work.supersteps > 0 and min(work.rows_installed) > 0
+        unbalanced, plain, plain_work = self._run(
             graph, config, "multiprocess", balance=False
         )
         assert unbalanced == expected
@@ -380,6 +382,9 @@ class TestSkewRebalance:
             ledger.rows_to_workers - plain.rows_to_workers
             == ledger.rows_to_master
         )
+        # the re-deal moves installed rows between workers, not in or out
+        assert sum(work.rows_installed) == sum(plain_work.rows_installed)
+        assert work.rows_installed != plain_work.rows_installed
         # every index and payload segment of the three runs is unlinked
         assert janitor.live_segments() == segments_before
 

@@ -12,7 +12,6 @@ from repro.baselines import (
     discover_gcfd_parallel,
     is_path_pattern,
     mine_amie,
-    mine_amie_parallel,
     run_pararab,
     run_pargfd_n,
     run_pargfd_nb,
@@ -98,13 +97,21 @@ class TestAmie:
         assert (pairs[0][1], pairs[0][0]) in missing
 
     def test_parallel_amie_matches_sequential(self):
+        # ParAMIE is mine_amie: head relations are independent units, so a
+        # split of the heads over fresh miners (one per worker) mines the
+        # same rules.
         graph = horn_kb()
         sequential = mine_amie(graph, min_support=4)
-        parallel, cluster = mine_amie_parallel(graph, num_workers=3, min_support=4)
-        assert [str(r) for r in parallel.rules] == [
-            str(r) for r in sequential.rules
+        heads = sorted(AmieMiner(graph, min_support=4).relations)
+        rules = [
+            rule
+            for share in (heads[0::3], heads[1::3], heads[2::3])
+            for head in reversed(share)
+            for rule in AmieMiner(graph, min_support=4).mine_head(head)
         ]
-        assert cluster.metrics.supersteps == 1
+        rules.sort(key=lambda rule: (-rule.support, str(rule)))
+        assert sequential.rules
+        assert [str(r) for r in rules] == [str(r) for r in sequential.rules]
 
     def test_average_support(self):
         result = mine_amie(horn_kb(), min_support=4)
@@ -143,7 +150,7 @@ class TestGCFD:
         # is a path, so film alone cannot tell a lost filter from a kept one
         for graph, config in ((film_graph, film_config), (yago_small, yago_config)):
             sequential = discover_gcfd(graph, config)
-            parallel, _ = discover_gcfd_parallel(graph, config, num_workers=3)
+            parallel = discover_gcfd_parallel(graph, config, num_workers=3)
             assert {gfd_identity(g) for g in sequential.gfds} == {
                 gfd_identity(g) for g in parallel.gfds
             }
@@ -185,8 +192,10 @@ class TestVariants:
 
     def test_pargfd_nb_same_results(self, film_graph, film_config):
         baseline = discover(film_graph, film_config)
-        result, cluster = run_pargfd_nb(film_graph, film_config, num_workers=3)
+        result, work = run_pargfd_nb(film_graph, film_config, num_workers=3)
         assert {gfd_identity(g) for g in result.gfds} == {
             gfd_identity(g) for g in baseline.gfds
         }
-        assert cluster.metrics.elapsed_parallel > 0
+        assert work.supersteps > 0
+        assert all(rows > 0 for rows in work.rows_installed)
+        assert max(work.rows_installed) < sum(work.rows_installed)

@@ -149,7 +149,7 @@ class TestDifferentialEngines:
         workers = 2 + seed % 3  # 2–4 real processes on multiprocess
         runner = ParallelDiscovery(graph, config, workers, backend="serial")
         assert _fingerprint(runner.run()) == reference, "ParDis(serial) diverged"
-        assert runner.cluster.metrics.supersteps > 0
+        assert runner.work.supersteps > 0
 
         multiprocess = ParallelDiscovery(
             graph, config, workers, backend="multiprocess"
@@ -330,16 +330,19 @@ class TestParCoverDifferential:
     @pytest.mark.parametrize("seed", [0, 7, 19])
     def test_grouped_cover_identical_across_backends(self, seed, cover_backend):
         sigma = self._sigma(seed)
-        reference, _ = parallel_cover(sigma, cover_backend(2))
+        reference = parallel_cover(sigma, cover_backend(2))
         for workers in (2, 3, 4):
-            serial, _ = parallel_cover(sigma, cover_backend(workers))
+            serial_pool = cover_backend(workers)
+            serial = parallel_cover(sigma, serial_pool)
             pool = cover_backend(workers, "multiprocess")
-            multiprocess, _ = parallel_cover(sigma, pool)
+            multiprocess = parallel_cover(sigma, pool)
             pool.shutdown()  # one live pool set at a time
             for result in (serial, multiprocess):
                 assert result.cover == reference.cover
                 assert result.removed == reference.removed
                 assert result.implication_tests == reference.implication_tests
+            # the same units land on the same workers on either backend
+            assert serial_pool.work == pool.work
         # the cover is sound: every removed GFD is implied by the survivors
         for removed in reference.removed:
             assert implies(reference.cover, removed)
@@ -349,11 +352,11 @@ class TestParCoverDifferential:
         self, seed, cover_backend
     ):
         sigma = self._sigma(seed)
-        reference, _ = parallel_cover_ungrouped(sigma, cover_backend(2))
+        reference = parallel_cover_ungrouped(sigma, cover_backend(2))
         for workers, backend in ((2, "multiprocess"), (4, "multiprocess"),
                                  (3, "serial")):
             pool = cover_backend(workers, backend)
-            result, _ = parallel_cover_ungrouped(sigma, pool)
+            result = parallel_cover_ungrouped(sigma, pool)
             pool.shutdown()  # one live pool set at a time
             assert result.cover == reference.cover
             assert result.removed == reference.removed
@@ -366,20 +369,20 @@ class TestParCoverDifferential:
         }
         backend = cover_backend(3, "multiprocess")
         for compute in (parallel_cover, parallel_cover_ungrouped):
-            result, _ = compute(sigma, backend)
+            result = compute(sigma, backend)
             assert {gfd_identity(g) for g in result.cover} == sequential
 
     def test_sigma_ships_once_and_no_match_rows(self, cover_backend):
         """The cover phase broadcasts Σ and exchanges scalars otherwise."""
         sigma = self._sigma(0)
         backend = cover_backend(3, "multiprocess")
-        result, cluster = parallel_cover(sigma, backend)
-        # Σ rides the work units' superstep: one metered round in all
-        assert cluster.metrics.supersteps == 1
+        result = parallel_cover(sigma, backend)
+        # Σ rides the work units' superstep: one round in all
+        assert backend.work.supersteps == 1
         assert backend.transfers.sigma_rules == 3 * len(sigma)
         assert backend.transfers.rows_to_workers == 0
         assert backend.transfers.rows_to_master == 0
-        reference, _ = parallel_cover(sigma, cover_backend(3))
+        reference = parallel_cover(sigma, cover_backend(3))
         assert result.cover == reference.cover
 
 

@@ -851,7 +851,7 @@ class TestJoinTrie:
             for op, child in node.children.items():
                 if isinstance(op, Extension):
                     reached += not op.is_closing
-                    out = extend_matches(None, rows, op, index=index, as_array=True)
+                    out = extend_matches(None, rows, op, index=index)
                 else:
                     src, dst, needed = op
                     counts = index.edge_label_counts(rows[:, src], rows[:, dst])

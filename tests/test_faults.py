@@ -447,8 +447,8 @@ class _ReplayCheckingBackend(SerialBackend):
         self.tombstones = 0
         self.journaled = set()
 
-    def run_superstep(self, step, requests):
-        results = super().run_superstep(step, requests)
+    def run_superstep(self, requests):
+        results = super().run_superstep(requests)
         self._settle(requests)
         return results
 
@@ -562,13 +562,13 @@ class TestChaosDifferential:
         self, film_graph, film_config, cover_backend
     ):
         sigma = discover(film_graph, film_config).gfds
-        reference, _ = parallel_cover(sigma, cover_backend(2))
+        reference = parallel_cover(sigma, cover_backend(2))
         fault = FaultConfig(
             fault_plan=_plan(kill_on={"op": "sigma", "nth": 1}, workers=[1])
         )
         backend = make_backend("multiprocess", 2, None, None, fault=fault)
         try:
-            result, _ = parallel_cover(sigma, backend)
+            result = parallel_cover(sigma, backend)
             assert backend.lifecycle.respawns >= 1
         finally:
             backend.shutdown()
@@ -669,7 +669,8 @@ class TestChaosDifferential:
     def test_transfer_ledger_identical_under_faults(
         self, film_graph, film_config
     ):
-        """Retries/replays never double-account master-boundary rows."""
+        """Retries/replays never double-account master-boundary rows,
+        supersteps or per-worker work."""
         with Session(
             film_graph,
             replace(film_config, fault=FaultConfig()),
@@ -677,7 +678,7 @@ class TestChaosDifferential:
             num_workers=2,
         ) as clean_session:
             clean_session.discover()
-            clean = clean_session.metrics().as_dict()["transfers"]
+            clean = _counted(clean_session.metrics().as_dict())
         fault = FaultConfig(
             fault_plan=_plan(kill_on={"op": "eval", "nth": 1}, workers=[0])
         )
@@ -688,9 +689,14 @@ class TestChaosDifferential:
             num_workers=2,
         ) as chaos_session:
             chaos_session.discover()
-            chaos = chaos_session.metrics().as_dict()["transfers"]
+            chaos = _counted(chaos_session.metrics().as_dict())
             assert chaos_session.metrics().lifecycle.respawns >= 1
         assert chaos == clean
+
+
+def _counted(metrics):
+    """The exact-count blocks of a ``SessionMetrics.as_dict()``."""
+    return {key: metrics[key] for key in ("transfers", "cluster", "work")}
 
 
 # ----------------------------------------------------------------------

@@ -469,11 +469,7 @@ class TestIncrementalEquivalence:
         ]
         for extension in extensions:
             dict_result = set(extend_matches(graph, base, extension))
-            index_list = extend_matches(graph, base, extension, index=index)
-            assert dict_result == set(index_list)
-            index_array = extend_matches(
-                graph, base, extension, index=index, as_array=True
-            )
+            index_array = extend_matches(graph, base, extension, index=index)
             assert dict_result == {tuple(row) for row in index_array.tolist()}
 
     def test_wildcard_over_parallel_edges_yields_no_duplicates(self):
@@ -491,9 +487,12 @@ class TestIncrementalEquivalence:
             find_matches(graph, pattern, index=index)
         )
         extension = Extension(0, 1, WILDCARD, "V", True)
-        assert extend_matches(graph, [(u,)], extension) == extend_matches(
-            graph, [(u,)], extension, index=index
-        )
+        assert extend_matches(graph, [(u,)], extension) == [
+            tuple(row)
+            for row in extend_matches(
+                graph, [(u,)], extension, index=index
+            ).tolist()
+        ]
 
     def test_blockwise_capped_expansion_matches_full_join(self):
         from repro.graph.graph import Graph
@@ -507,11 +506,11 @@ class TestIncrementalEquivalence:
         base = [(hub,)] * 400  # 1.2M-row join: exceeds the 1M block budget
         extension = Extension(0, 1, "e", "W", True)
         capped = extend_matches(
-            graph, base, extension, max_matches=500, index=index, as_array=True
+            graph, base, extension, max_matches=500, index=index
         )
         assert capped.shape == (500, 2)
         uncapped_prefix = extend_matches(
-            graph, base[:1], extension, index=index, as_array=True
+            graph, base[:1], extension, index=index
         )
         # block-wise capping returns the same leading rows as the full join
         assert capped.tolist() == uncapped_prefix.tolist()[:500]

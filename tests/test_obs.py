@@ -344,10 +344,11 @@ class TestExports:
         text = path.read_text()
         assert "repro_build_info" in text
         assert "repro_phase_runs_total" in text
+        assert 'repro_work_rows_installed_total{worker="0"}' in text
 
     def test_metrics_schema(self, traced):
         _, metrics = traced
-        assert metrics["schema_version"] == 7
+        assert metrics["schema_version"] == 8
         assert metrics["repro_version"]
         # every wall-clock float is quarantined under "timings"
         def no_floats(value):
@@ -375,3 +376,14 @@ class TestExports:
         assert "cover_cost_observations" not in metrics
         # v7: one recovery ledger, the backend's
         assert "cluster_recovery_seconds" not in metrics["timings"]
+        # v8: no modeled clock; exact per-worker work instead
+        assert set(metrics["timings"]) == {"recovery_seconds"}
+        assert metrics["cluster"]["supersteps"] > 0
+        assert set(metrics["work"]) == {
+            "ops", "rows_installed", "rows_joined", "implication_units",
+            "enforce_rows",
+        }
+        assert all(
+            len(counts) == metrics["num_workers"]
+            for counts in metrics["work"].values()
+        )

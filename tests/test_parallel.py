@@ -1,4 +1,5 @@
-"""Tests for the cluster simulation, balancing, ParDis and ParCover."""
+"""Tests for the worker count, balancing, ParDis, ParCover and the exact
+per-worker work they report."""
 
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from repro.gfd import FALSE, GFD, ConstantLiteral, implication, implies
 from repro.gfd.implication import ImplicationChecker
 from repro.parallel import (
     ParallelDiscovery,
-    SimulatedCluster,
     assign_units_lpt,
     is_skewed,
     parallel_cover,
@@ -39,52 +39,16 @@ from repro.pattern.pattern import WILDCARD
 
 
 class TestCluster:
-    def test_superstep_makespan(self):
-        cluster = SimulatedCluster(2)
-        with cluster.superstep() as step:
-            step.run(0, lambda: sum(range(200_000)))
-            step.run(1, lambda: None)
-        assert cluster.metrics.supersteps == 1
-        assert cluster.metrics.parallel_seconds > 0
-        # makespan equals the slow worker, not the sum
-        assert cluster.metrics.parallel_seconds <= cluster.metrics.total_work_seconds
+    """The ``n`` workers a parallel run gets."""
 
-    def test_ship_charges_receiver(self):
-        cluster = SimulatedCluster(2, seconds_per_item=1e-3)
-        with cluster.superstep() as step:
-            step.ship(1, 100)
-        assert cluster.workers[1].comm_seconds == pytest.approx(0.1)
-        assert cluster.workers[0].comm_seconds == 0
-
-    def test_broadcast_excludes(self):
-        cluster = SimulatedCluster(3, seconds_per_item=1e-3)
-        with cluster.superstep() as step:
-            step.broadcast(10, exclude=0)
-        assert cluster.workers[0].items_received == 0
-        assert cluster.workers[1].items_received == 10
-
-    def test_master_metering(self):
-        cluster = SimulatedCluster(1)
-        with cluster.master():
-            sum(range(10_000))
-        assert cluster.metrics.master_seconds > 0
-
-    def test_ship_to_master(self):
-        cluster = SimulatedCluster(1, seconds_per_item=1e-3)
-        cluster.ship_to_master(50)
-        assert cluster.metrics.master_seconds == pytest.approx(0.05)
-
-    def test_reset(self):
-        cluster = SimulatedCluster(2)
-        with cluster.superstep() as step:
-            step.run(0, lambda: None)
-        cluster.reset()
-        assert cluster.metrics.supersteps == 0
-        assert cluster.workers[0].units_executed == 0
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            SimulatedCluster(0)
+    def test_invalid_worker_count(self, film_graph, film_config):
+        for backend in ("serial", "multiprocess"):
+            with pytest.raises(ValueError, match="num_workers must be >= 1"):
+                make_backend(backend, 0, film_graph, film_graph.index())
+            with pytest.raises(ValueError, match="num_workers must be >= 1"):
+                ParallelDiscovery(
+                    film_graph, film_config, num_workers=0, backend=backend
+                ).run()
 
 
 class TestBalancer:
@@ -100,7 +64,7 @@ class TestBalancer:
             [(p, i) for p in range(6) for i in range(10)], dtype=np.int64
         )  # 60 matches
         empty = np.empty((0, 2), dtype=np.int64)
-        balanced, moved = rebalance_pivot_group_arrays([rows, empty, empty], 0)
+        balanced = rebalance_pivot_group_arrays([rows, empty, empty], 0)
         # every pivot's matches stay on one shard
         location = {}
         for worker, shard in enumerate(balanced):
@@ -110,8 +74,6 @@ class TestBalancer:
         assert all(len(workers) == 1 for workers in location.values())
         sizes = [int(shard.shape[0]) for shard in balanced]
         assert sorted(sizes) != [0, 0, 60] and sum(sizes) == 60
-        # each receiver is charged exactly the rows it gained
-        assert moved == {w: sizes[w] for w in (1, 2) if sizes[w]}
 
     def test_lpt_assignment(self):
         assignment = assign_units_lpt([5, 3, 3, 2, 2, 1], 2)
@@ -131,7 +93,7 @@ class TestParDisParity:
     def test_results_equal_sequential(self, film_graph, film_config):
         sequential = discover(film_graph, film_config)
         runner = ParallelDiscovery(film_graph, film_config, num_workers=4)
-        parallel, cluster = runner.run(), runner.cluster
+        parallel = runner.run()
         assert {gfd_identity(g) for g in sequential.gfds} == {
             gfd_identity(g) for g in parallel.gfds
         }
@@ -140,7 +102,7 @@ class TestParDisParity:
         }
         for gfd in sequential.gfds:
             assert parallel_supports[gfd_identity(gfd)] == sequential.supports[gfd]
-        assert cluster.metrics.supersteps > 0
+        assert runner.work.supersteps > 0
 
     def test_parity_on_kb(self, yago_small, yago_config):
         sequential = discover(yago_small, yago_config)
@@ -168,12 +130,16 @@ class TestParDisParity:
             assert identities(workers) == baseline
 
     def test_cluster_accounting_positive(self, film_graph, film_config):
+        """Every worker runs ops and installs and joins rows; the work is
+        spread, not piled on one worker."""
         runner = ParallelDiscovery(film_graph, film_config, num_workers=4)
         runner.run()
-        cluster = runner.cluster
-        assert cluster.metrics.elapsed_parallel > 0
-        assert cluster.metrics.total_work_seconds > 0
-        assert all(w.units_executed > 0 for w in cluster.workers)
+        work = runner.work
+        assert work.supersteps > 0
+        assert all(ops > 0 for ops in work.ops)
+        assert all(rows > 0 for rows in work.rows_installed)
+        assert all(rows > 0 for rows in work.rows_joined)
+        assert max(work.rows_installed) < sum(work.rows_installed)
 
 
 class TestParCover:
@@ -209,15 +175,17 @@ class TestParCover:
 
     def test_grouped_cover_equivalent(self, cover_backend):
         sigma = self.make_sigma()
-        result, cluster = parallel_cover(sigma, cover_backend(2))
+        backend = cover_backend(2)
+        result = parallel_cover(sigma, backend)
         for removed in result.removed:
             assert implies(result.cover, removed)
         assert len(result.cover) == 2  # base + other survive
-        assert cluster.metrics.supersteps >= 1
+        assert backend.work.supersteps == 1
+        assert sum(backend.work.implication_units) > 0
 
     def test_ungrouped_cover_equivalent(self, cover_backend):
         sigma = self.make_sigma()
-        result, _ = parallel_cover_ungrouped(sigma, cover_backend(2))
+        result = parallel_cover_ungrouped(sigma, cover_backend(2))
         for removed in result.removed:
             assert implies(result.cover, removed)
         assert len(result.cover) == 2
@@ -228,8 +196,8 @@ class TestParCover:
         gfd_x = GFD(pattern, frozenset(), ConstantLiteral(0, "v", 1))
         gfd_y = GFD(pattern.with_pivot(1), frozenset(), ConstantLiteral(0, "v", 1))
         for compute in (
-            lambda s: parallel_cover(s, cover_backend(2))[0],
-            lambda s: parallel_cover_ungrouped(s, cover_backend(2))[0],
+            lambda s: parallel_cover(s, cover_backend(2)),
+            lambda s: parallel_cover_ungrouped(s, cover_backend(2)),
             sequential_cover,
         ):
             result = compute([gfd_x, gfd_y])
@@ -240,7 +208,7 @@ class TestParCover:
     ):
         discovered = discover(film_graph, film_config)
         seq = sequential_cover(discovered.gfds)
-        par, _ = parallel_cover(discovered.gfds, cover_backend(3))
+        par = parallel_cover(discovered.gfds, cover_backend(3))
         # both covers are equivalent to Σ (sizes may differ by tie-breaks;
         # here the scan orders coincide, so compare sets)
         assert {gfd_identity(g) for g in par.cover} == {
@@ -248,12 +216,22 @@ class TestParCover:
         }
 
     def test_empty_sigma(self, cover_backend):
-        result, _ = parallel_cover([], cover_backend(2))
+        result = parallel_cover([], cover_backend(2))
         assert result.cover == []
 
-    def test_cluster_must_match_the_borrowed_backend(self, cover_backend):
-        with pytest.raises(ValueError, match="2 workers but the cluster has 3"):
-            parallel_cover(self.make_sigma(), cover_backend(2), SimulatedCluster(3))
+    def test_grouping_needs_fewer_implication_units(self, cover_backend):
+        """Lemma 6 in exact counts: a grouped unit checks its rules against
+        the embedded set only, a ``ParCovern`` test against the whole Σ."""
+        sigma = self.make_sigma()
+        grouped, ungrouped = cover_backend(2), cover_backend(2)
+        parallel_cover(sigma, grouped)
+        parallel_cover_ungrouped(sigma, ungrouped)
+        # groups {base, weaker} (embedded: themselves), {extended}
+        # (embedded: base, weaker, itself), {other}: 2·2 + 1·3 + 1·1
+        assert sum(grouped.work.implication_units) == 8
+        # four leave-one-out tests against the 4 rules of Σ
+        assert sum(ungrouped.work.implication_units) == 16
+        assert ungrouped.work.implication_units == [8, 8]
 
 
 # ----------------------------------------------------------------------
@@ -268,6 +246,53 @@ def _kb_fixture(name):
 
 
 KB_FIXTURES = ["yago", "dbpedia", "imdb"]
+
+
+class TestPerWorkerWork:
+    """Parallel scalability in exact counts (Theorem 5): as workers are
+    added, the largest per-worker share of the installed and joined rows
+    falls while the total stays put."""
+
+    #: ``{fixture: {n: (max installed, total installed, max joined,
+    #: total joined)}}`` at k = 3, σ of the fixture, |X| <= 1.
+    PINNED = {
+        "yago": {
+            1: (25255, 25255, 24793, 24793),
+            2: (12654, 25255, 12423, 24793),
+            4: (6604, 25255, 6489, 24793),
+        },
+        "dbpedia": {
+            1: (76087, 76087, 75667, 75667),
+            2: (40195, 76087, 39985, 75667),
+            4: (20250, 76087, 20145, 75667),
+        },
+        "imdb": {
+            1: (13583, 13583, 13223, 13223),
+            2: (6809, 13583, 6629, 13223),
+            4: (3496, 13583, 3406, 13223),
+        },
+    }
+
+    @pytest.mark.parametrize("name", KB_FIXTURES)
+    def test_max_rows_per_worker_fall_with_n(self, name):
+        graph, sigma = _kb_fixture(name)
+        config = DiscoveryConfig(k=3, sigma=sigma, max_lhs_size=1)
+        counts = {}
+        for workers in (1, 2, 4):
+            runner = ParallelDiscovery(
+                graph, config, num_workers=workers, backend="serial"
+            )
+            runner.run()
+            work = runner.work
+            counts[workers] = (
+                max(work.rows_installed), sum(work.rows_installed),
+                max(work.rows_joined), sum(work.rows_joined),
+            )
+        assert counts == self.PINNED[name]
+        maxima = [counts[workers] for workers in (1, 2, 4)]
+        for fewer, more in zip(maxima, maxima[1:]):
+            assert more[0] < fewer[0] and more[2] < fewer[2]
+            assert more[1] == fewer[1] and more[3] == fewer[3]
 
 
 class _RecordingDiscovery(ParallelDiscovery):
@@ -302,10 +327,10 @@ class _CountingBackend:
         self.ops = {}
         inner = self.backend.run_superstep
 
-        def run_superstep(step, requests):
+        def run_superstep(requests):
             for _, op, _, _ in requests:
                 self.ops[op] = self.ops.get(op, 0) + 1
-            return inner(step, requests)
+            return inner(requests)
 
         self.backend.run_superstep = run_superstep
 
@@ -327,7 +352,7 @@ class TestTallyFixedLeaves:
         for parent, extension, support in engine.skipped:
             joined = extend_matches(
                 graph, match_array(index, parent), extension,
-                index=index, as_array=True,
+                index=index,
             )
             assert support == np.unique(joined[:, parent.pivot]).size
             assert support < sigma
@@ -501,7 +526,7 @@ class TestParCoverPerPattern:
     @pytest.mark.parametrize("name", KB_FIXTURES)
     def test_cover_differential(self, name, cover_backend):
         sigma = self._sigma(name)
-        result, _ = parallel_cover(sigma, cover_backend(2))
+        result = parallel_cover(sigma, cover_backend(2))
         position = {id(gfd): index for index, gfd in enumerate(sigma)}
         removed = sorted(position[id(gfd)] for gfd in result.removed)
         assert set(removed) == _reference_removed(sigma)

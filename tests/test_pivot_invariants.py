@@ -63,7 +63,7 @@ def test_rebalance_keeps_disjointness_and_items(seed):
         worker = rng.randrange(workers)
         rows[worker].extend((pivot, item) for item in range(rng.randint(1, 10)))
     shards = [np.array(r, dtype=np.int64).reshape(-1, 2) for r in rows]
-    balanced, moved = rebalance_pivot_group_arrays(shards, 0)
+    balanced = rebalance_pivot_group_arrays(shards, 0)
     locations = _pivot_locations(
         [shard.tolist() for shard in balanced], 0
     )
@@ -72,5 +72,3 @@ def test_rebalance_keeps_disjointness_and_items(seed):
     assert sorted(map(tuple, np.concatenate(balanced).tolist())) == sorted(
         map(tuple, np.concatenate(shards).tolist())
     )
-    total = sum(len(r) for r in rows)
-    assert sum(moved.values()) <= total

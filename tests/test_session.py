@@ -81,7 +81,7 @@ class TestOneBackendLifecycle:
             # No join is skewed on this graph, so no rebalance rounds.
             levels = film_config.k
             hspawn = 2 + film_config.max_lhs_size
-            assert 0 < metrics.cluster.supersteps <= (
+            assert 0 < metrics.work.supersteps <= (
                 2 + hspawn + levels * (3 + hspawn) + 1
             )
             assert metrics.sigma_size == len(cover.cover)
@@ -443,7 +443,7 @@ class TestPostMutationParity:
                 after.lifecycle.index_refreshes
                 > before.lifecycle.index_refreshes
             )
-            assert after.cluster.supersteps >= before.cluster.supersteps
+            assert after.work.supersteps >= before.work.supersteps
 
 
 class TestDetectorSessionReuse:
@@ -698,10 +698,9 @@ class TestWorkerStateOwnership:
             if any(node.pattern.num_edges for node in nodes):
                 # level 1 is installed: a real op error (a tally of a key no
                 # worker holds), which supervision must not mask
-                with engine.cluster.superstep() as step:
-                    engine._backend.run_superstep(
-                        step, [(0, "tally", -1, {"can_add": False})]
-                    )
+                engine._backend.run_superstep(
+                    [(0, "tally", -1, {"can_add": False})]
+                )
             return mine_nodes_batch(engine, nodes)
 
         shipped = {}
