@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro import __version__
-from repro.baselines import run_pargfd_nb
 from repro.core import CoverResult, DiscoveryConfig, discover
 from repro.datasets import KB_ATTRIBUTES, dbpedia_like, imdb_like, yago2_like
 from repro.parallel import (
@@ -95,10 +94,10 @@ def max_rows_per_worker(work: WorkLedger) -> int:
     )
 
 
-def worker_sweep(name: str) -> Dict[int, Tuple[int, int, int]]:
-    """Figures 5(a)-(c) in exact counts: per worker count ``n``, the
-    largest per-worker row count of DisGFD and of ParGFDnb, and DisGFD's
-    total (``{n: (DisGFD max, ParGFDnb max, total)}``), on serial workers."""
+def worker_sweep(name: str) -> Dict[int, Tuple[int, int]]:
+    """Figures 5(a)-(c) in exact counts: per worker count ``n``, DisGFD's
+    largest per-worker row count and its total (``{n: (max, total)}``),
+    on serial workers."""
     graph = dataset(name)
     config = replace(discovery_config(name), parallel_backend="serial")
     index = graph.index()
@@ -109,30 +108,21 @@ def worker_sweep(name: str) -> Dict[int, Tuple[int, int, int]]:
             graph, config, num_workers=workers, stats=stats, index=index
         )
         runner.run()
-        _, unbalanced = run_pargfd_nb(
-            graph, config, num_workers=workers, stats=stats, index=index
-        )
         work = runner.work
         rows[workers] = (
             max_rows_per_worker(work),
-            max_rows_per_worker(unbalanced),
             sum(work.rows_installed) + sum(work.rows_joined),
         )
     return rows
 
 
-def assert_worker_scaling(rows: Dict[int, Tuple[int, int, int]]) -> None:
+def assert_worker_scaling(rows: Dict[int, Tuple[int, int]]) -> None:
     """The count shape of Figures 5(a)-(c): DisGFD's largest per-worker
-    share falls at every added worker count while the total does not move,
-    and at the largest n balancing leaves no worker more than 1.1× the
-    rows ParGFDnb does.  (Rebalancing is per pattern, so the whole-run
-    largest share may move either way, by a few rows on these models.)"""
+    share falls at every added worker count while the total does not move."""
     counts = [rows[workers] for workers in WORKER_COUNTS]
     for fewer, more in zip(counts, counts[1:]):
         assert more[0] < fewer[0], "more workers must shrink the largest share"
-        assert more[2] == fewer[2], "the total work must not depend on n"
-    balanced, unbalanced, _ = counts[-1]
-    assert balanced <= unbalanced * 1.10, "balancing should not hurt at n=20"
+        assert more[1] == fewer[1], "the total work must not depend on n"
 
 
 def cover_pair(

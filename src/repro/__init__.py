@@ -16,7 +16,7 @@ The package implements the paper end to end:
   (Section 6) on in-process or multiprocess workers, with exact per-worker
   work counts;
 * :mod:`repro.baselines` — ParAMIE, DisGCFD/ParCGFD, ParArab, and the
-  ablations ParGFDn / ParGFDnb / ParCovern (Section 7);
+  ablations ParGFDn / ParCovern (Section 7);
 * :mod:`repro.datasets` — the Figure-1 examples, the paper's synthetic
   generator, and DBpedia/YAGO2/IMDB scale models with planted rules;
 * :mod:`repro.quality` — violation detection and Exp-5 accuracy metrics;

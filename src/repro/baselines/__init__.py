@@ -13,7 +13,6 @@ from .variants import (
     UnprunedRun,
     parallel_cover_ungrouped,
     run_pargfd_n,
-    run_pargfd_nb,
 )
 
 __all__ = [
@@ -29,6 +28,5 @@ __all__ = [
     "run_pararab",
     "UnprunedRun",
     "run_pargfd_n",
-    "run_pargfd_nb",
     "parallel_cover_ungrouped",
 ]

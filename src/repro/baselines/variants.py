@@ -5,28 +5,30 @@
   n = 20; it quickly consumes the available memory, due to a large number of
   GFD candidates."  Here the un-pruned run aborts through the candidate
   budget and reports how far it got.
-* ``ParGFDnb`` — DisGFD *without load balancing* (skewed match shards stay
-  where the joins produced them), used across Figures 5(a)-(h).
 * ``ParCovern`` — ParCover *without GFD grouping* (Lemma 6 unused), used in
   Figures 5(i)-(l); re-exported from :mod:`repro.parallel.parcover`.
+
+There is no ``ParGFDnb`` (DisGFD *without load balancing*, Figures
+5(a)-(h)): DisGFD itself keeps every joined row on the worker that joined
+it, so the two would be one run.  Re-dealing a skewed join never moved the
+largest per-worker share by more than 0.1 % on the scale models
+(``docs/CLAIMS.md``), so it was dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..core.config import CandidateBudgetExceeded, DiscoveryConfig
 from ..core.results import DiscoveryResult
 from ..graph.graph import Graph
-from ..parallel.backend import WorkLedger
 from ..parallel.parcover import parallel_cover_ungrouped
 from ..parallel.pardis import ParallelDiscovery
 
 __all__ = [
     "UnprunedRun",
     "run_pargfd_n",
-    "run_pargfd_nb",
     "parallel_cover_ungrouped",
 ]
 
@@ -71,21 +73,3 @@ def run_pargfd_n(
         patterns_spawned=result.stats.patterns_spawned,
     )
 
-
-def run_pargfd_nb(
-    graph: Graph,
-    config: DiscoveryConfig,
-    num_workers: int = 4,
-    stats=None,
-    index=None,
-) -> Tuple[DiscoveryResult, WorkLedger]:
-    """``ParGFDnb``: parallel discovery with load balancing disabled.
-
-    Returns the result and the run's per-worker
-    :class:`~repro.parallel.backend.WorkLedger`.
-    """
-    runner = ParallelDiscovery(
-        graph, config, num_workers, balance=False, stats=stats, index=index
-    )
-    result = runner.run()
-    return result, runner.work

@@ -20,10 +20,9 @@ from .backend import (
     make_backend,
     shared_memory_available,
 )
-from .balancer import assign_units_lpt, is_skewed, rebalance_pivot_group_arrays
 from .faults import FaultPlan
 from .janitor import live_segments, sweep_orphans
-from .parcover import parallel_cover, parallel_cover_ungrouped
+from .parcover import assign_units_lpt, parallel_cover, parallel_cover_ungrouped
 from .pardis import ParallelDiscovery
 
 __all__ = [
@@ -44,6 +43,4 @@ __all__ = [
     "parallel_cover",
     "parallel_cover_ungrouped",
     "assign_units_lpt",
-    "is_skewed",
-    "rebalance_pivot_group_arrays",
 ]

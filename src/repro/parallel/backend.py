@@ -42,9 +42,9 @@ shutdown` joins the pools, closes and unlinks.  ``tests/test_backend.py``
 asserts no segment survives a shutdown.
 
 Bulk data stays worker-resident by design: join results are *parked*
-worker-side on every backend (only a skewed join is fetched through the
-master, re-dealt in whole pivot groups and shipped back out), and
-enforcement match tables persist in the workers across
+worker-side on every backend until the child's install adopts them, so no
+mining op returns match rows to the master, and enforcement match tables
+persist in the workers across
 :meth:`~repro.enforce.engine.EnforcementEngine.refresh` calls.  The
 :class:`TransferLedger` on every backend counts exactly which match rows
 cross the master boundary, so tests and benchmarks can *prove* that only
@@ -149,8 +149,8 @@ class TransferLedger:
         rows_to_workers: match rows sent master → worker in op payloads
             (installs, enforcement installs/updates).
         rows_to_master: match rows returned worker → master in op results
-            (joins fetched for a rebalance, violating rows of enforcement
-            reports).
+            (violating rows of enforcement reports; no mining op returns
+            any).
         sigma_rules: GFDs broadcast to workers for the cover phase
             (manifests, not match rows; tracked for completeness).
     """
@@ -411,8 +411,6 @@ def _payload_rows(op: str, payload: Dict[str, Any]) -> int:
 
 def _result_rows(op: str, result: Any) -> int:
     """Match rows a worker returns *to* the master from one op."""
-    if op == "fetch_join":
-        return _rows_in(result)
     if op in ("enforce_install", "enforce_update", "enforce_results"):
         return sum(_rows_in(part[2]) for part in result if part is not None)
     return 0
@@ -479,8 +477,8 @@ class ShardWorker:
         # mask store and freed with it
         self.bits: Dict[int, Dict[Any, int]] = {}
         # join results parked worker-side, keyed (parent key, extension
-        # position), until an install adopts them — matches never cross the
-        # process boundary unless the master orders a rebalance
+        # position), until an install adopts them — joined matches never
+        # cross the process boundary
         self.joins: Dict[Tuple[int, int], Any] = {}
         # cover phase: key -> Σ (list of GFDs) and its shared checker
         self.sigmas: Dict[int, List[Any]] = {}
@@ -554,7 +552,7 @@ class ShardWorker:
         """Join this shard with every extension edge of one parent.
 
         The joined matches stay here under ``(parent key, position)`` — the
-        slot a later install adopts, or a rebalance fetches — and only
+        slot a later install adopts — and only
         ``(local support, count, hit_cap)`` per extension travels back;
         ``cap`` bounds the per-shard join (``config.max_matches_per_pattern``
         enforcement — the master combines the flags into the global
@@ -576,10 +574,6 @@ class ShardWorker:
             self.joins[(key, position)] = matches
             results.append((support, count, cap is not None and count >= cap))
         return results
-
-    def op_fetch_join(self, key: int, payload: Dict[str, Any]):
-        """Surrender one parked join result to the master (for rebalancing)."""
-        return self.joins.pop((key, payload["position"]))
 
     # -- HSpawn ---------------------------------------------------------
     def op_scan(self, key: int, payload: Dict[str, Any]) -> Tuple[List[int], List[int]]:
@@ -1644,9 +1638,7 @@ class MultiprocessBackend(ExecutionBackend):
     #: current index snapshot) rebuilds a respawned worker exactly: every
     #: op is a deterministic function of (index, state, payload).
     _RETIRES = {
-        "drop": frozenset(
-            {"install", "join", "fetch_join", "scan", "eval", "probe"}
-        ),
+        "drop": frozenset({"install", "join", "scan", "eval", "probe"}),
         "drop_store": frozenset({"scan", "eval", "probe"}),
         "drop_sigma": frozenset({"sigma"}),
         "enforce_drop": frozenset({"enforce_install", "enforce_update"}),

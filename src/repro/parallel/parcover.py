@@ -39,9 +39,27 @@ from ..gfd.implication import ImplicationChecker
 from ..pattern.canonical import pivot_blind_key
 from ..pattern.embedding import DistinctPatterns, embedding_batch
 from .backend import ExecutionBackend, next_node_key
-from .balancer import assign_units_lpt
 
-__all__ = ["parallel_cover", "parallel_cover_ungrouped"]
+__all__ = ["parallel_cover", "parallel_cover_ungrouped", "assign_units_lpt"]
+
+
+def assign_units_lpt(
+    weights: Sequence[float], num_workers: int
+) -> List[List[int]]:
+    """Longest-processing-time assignment of weighted units to workers.
+
+    Returns ``assignment[worker] = [unit indices]``; greedy LPT guarantees a
+    makespan within 4/3 − 1/(3n) of optimal (≤ 2, the bound the paper cites).
+    Ties are broken deterministically by unit index.
+    """
+    order = sorted(range(len(weights)), key=lambda index: (-weights[index], index))
+    loads = [0.0] * num_workers
+    assignment: List[List[int]] = [[] for _ in range(num_workers)]
+    for unit in order:
+        worker = min(range(num_workers), key=lambda w: (loads[w], w))
+        assignment[worker].append(unit)
+        loads[worker] += weights[unit]
+    return assignment
 
 
 def _group_sigma(sigma: Sequence[GFD]) -> Dict[Tuple, List[int]]:

@@ -13,7 +13,10 @@ superstep, mirroring Figure 3:
    extension edges of *every* parent of the tree level in one round and
    park the joined rows for the children's installs — a
    closing child whose tally count already makes it a leaf is not joined
-   at all; skewed shards are re-distributed (``ParGFDnb`` disables this);
+   at all.  A child's rows never leave the worker that joined them: the
+   paper's re-distribution of a skewed ``Q'(F_s)`` is not done, since on
+   the scale models it never moves the largest per-worker share by more
+   than 0.1 % (``docs/CLAIMS.md``);
 2. **Parallel GFD validation** — the master grows the LHS lattices of all
    RHS literals level-by-level; each lattice level — of all the tree
    level's patterns jointly — is validated as one batch ``ΣC_{ij}`` in a
@@ -81,7 +84,6 @@ from .backend import (
     make_backend,
     next_node_key,
 )
-from .balancer import is_skewed, rebalance_pivot_group_arrays
 
 __all__ = ["ParallelDiscovery", "StructuralFrontier", "check_budgets"]
 
@@ -205,8 +207,6 @@ class ParallelDiscovery:
             the execution backend.
         num_workers: the number ``n`` of workers (``None`` falls back to
             ``config.num_workers``, then 4).
-        balance: enable match re-distribution on skew (Section 6.2's load
-            balancing; ``False`` gives the paper's ``ParGFDnb`` baseline).
         stats, index: precomputed :class:`GraphStatistics` /
             :class:`GraphIndex` snapshots, so repeated runs (baseline
             sweeps, benchmark series) don't rescan the graph per run; by
@@ -229,7 +229,7 @@ class ParallelDiscovery:
         graph: Graph,
         config: DiscoveryConfig,
         num_workers: Optional[int] = None,
-        balance: bool = True,
+        *,
         stats: Optional[GraphStatistics] = None,
         index: Optional[GraphIndex] = None,
         backend: Union[None, str, ExecutionBackend] = None,
@@ -271,7 +271,6 @@ class ParallelDiscovery:
                     config.num_workers if config.num_workers is not None else 4
                 )
         self._num_workers = num_workers
-        self.balance = balance
         #: The last run's supersteps and per-worker work (all zero before).
         self.work = WorkLedger.for_workers(num_workers)
         self.tracer: Any = NULL_TRACER
@@ -620,26 +619,28 @@ class ParallelDiscovery:
             if not created:
                 continue
             owners = self.index.nodes_with_label(label)
-            shards = [owners[owners % n == worker][:, None] for worker in range(n)]
+            sources = [
+                {"matches": owners[owners % n == worker][:, None]}
+                for worker in range(n)
+            ]
             node.support = count
-            self._install_shards_many([(node, shards, False, None)])
+            self._install_shards_many([(node, False, sources)])
             self.stats.patterns_spawned += 1
         self._settle(list(tree.level(0)))
 
     def _install_shards_many(
-        self,
-        batch: List[Tuple[TreeNode, Optional[List], bool, Optional[Tuple[int, int]]]],
+        self, batch: List[Tuple[TreeNode, bool, List[Dict[str, Any]]]]
     ) -> None:
         """Install per-worker match tables + column statistics in one superstep.
 
-        ``batch`` holds ``(node, shards, truncated, adopt)`` entries —
-        ``VSpawn`` installs a whole level's children in one round, seeding
-        one label at a time.  The column statistics feed
+        ``batch`` holds ``(node, truncated, per-worker row sources)``
+        entries — ``VSpawn`` installs a whole level's children in one
+        round, seeding one label at a time.  The column statistics feed
         the master's alphabet generation, saving a dedicated round per
-        pattern.  ``adopt`` names the join slot the matches were parked in
-        worker-side, so no rows cross the master boundary; ``shards``
-        carries the per-worker matches instead for a seed and for a child
-        whose skewed join the master re-dealt.
+        pattern.  A seed's source ships its fragment's matches
+        (``{"matches": rows}``); a child's names the join slot its rows
+        were parked in worker-side (``{"adopt": slot}``), so no joined row
+        crosses the master boundary.
         Truncated patterns are leaves: no worker state is installed, so
         they are skipped by both spawning directions (matching the
         oracle's refusal to certify anything from a capped table).  The
@@ -647,16 +648,12 @@ class ParallelDiscovery:
         table (``TreeNode.table`` stays ``None``).
         """
         pending: List[Tuple[TreeNode, int, List[Dict[str, Any]]]] = []
-        for node, shards, truncated, adopt in batch:
+        for node, truncated, sources in batch:
             if truncated:
                 self.stats.truncated_patterns += 1
                 continue
             key = next_node_key()
             self._keys[id(node)] = key
-            if adopt is not None:
-                sources = [{"adopt": adopt}] * self.num_workers
-            else:
-                sources = [{"matches": shard} for shard in shards]
             pending.append((node, key, sources))
         self._install(pending)
 
@@ -763,9 +760,9 @@ class ParallelDiscovery:
         """``VSpawn(level)``: three supersteps for the whole level.
 
         Every surviving parent tallies in one superstep, every novel child
-        that will be mined or extended joins in one superstep, every
-        non-truncated joined child installs in one superstep (rare skew
-        rebalances keep their own rounds in between).  A closing child the
+        that will be mined or extended joins in one superstep, and every
+        non-truncated joined child installs in one superstep, adopting the
+        rows its join parked on each worker.  A closing child the
         tally already fixes as a leaf (:meth:`_leaf_support`) takes its
         support from the tally: no join, no install, no worker key — it
         only keeps its slot in the per-child bookkeeping.  Master-side
@@ -870,9 +867,9 @@ class ParallelDiscovery:
                     offset * n:(offset + 1) * n
                 ]
 
-        # per-child support aggregation and (rare) skew rebalancing, in
-        # (parent, child) order; installs collect into one batch
-        install_batch: List[Tuple[TreeNode, Optional[List], bool, Optional[Tuple[int, int]]]] = []
+        # per-child support aggregation in (parent, child) order; installs
+        # collect into one batch
+        install_batch: List[Tuple[TreeNode, bool, List[Dict[str, Any]]]] = []
         for parent, parent_key, novel in novel_by_parent:
             joined = joined_by_parent.get(parent_key)
             position = -1
@@ -889,21 +886,9 @@ class ParallelDiscovery:
                 )
                 # pivot-disjoint shards: global support is a plain sum
                 node.support = sum(supports)
-                new_shards, adopt = None, (parent_key, position)
-                if not truncated and self.balance and is_skewed(sizes):
-                    # the parked rows visit the master to be re-dealt;
-                    # matches move in whole pivot groups, preserving the
-                    # pivot-disjointness that makes supports summable
-                    fetch = [
-                        (worker, "fetch_join", parent_key, {"position": position})
-                        for worker in range(n)
-                    ]
-                    fetched = self._backend.run_superstep(fetch)
-                    new_shards = rebalance_pivot_group_arrays(
-                        fetched, node.pattern.pivot
-                    )
-                    adopt = None
-                install_batch.append((node, new_shards, truncated, adopt))
+                install_batch.append(
+                    (node, truncated, [{"adopt": (parent_key, position)}] * n)
+                )
 
         # round 3 — every joined child's install in one superstep
         self._install_shards_many(install_batch)

@@ -89,9 +89,9 @@ EXPECTED_TOP_LEVEL = {
     "write_prometheus",
 }
 
-#: The pinned ``repro.parallel`` surface.  One rebalance route (fetch
-#: through the master, :func:`rebalance_pivot_group_arrays` on int64
-#: shards), so no move planner and no list rebalancers.
+#: The pinned ``repro.parallel`` surface.  Joined rows never leave their
+#: worker, so there is no rebalancer; ParCover's LPT assignment is the one
+#: balancing helper.
 EXPECTED_PARALLEL = {
     "BACKEND_NAMES",
     "ExecutionBackend",
@@ -110,8 +110,6 @@ EXPECTED_PARALLEL = {
     "parallel_cover",
     "parallel_cover_ungrouped",
     "assign_units_lpt",
-    "is_skewed",
-    "rebalance_pivot_group_arrays",
 }
 
 

@@ -1,12 +1,12 @@
-"""Execution-backend tests: shared-memory lifecycle, skew rebalancing, the cap.
+"""Execution-backend tests: shared-memory lifecycle, skewed shards, the cap.
 
 Covers the multiprocess plumbing the differential harness treats as a black
 box: buffer export/attach round trips, stale-index export refusal, segment
 cleanup after shutdown (name probing — an unlinked segment must not be
-re-attachable), the typed failure on a platform without shared memory, the
-one skew-rebalance route (fetch through the master) with its exact ledger,
-and the per-shard ``max_matches_per_pattern`` enforcement that keeps both
-engines in agreement when the cap binds.
+re-attachable), the typed failure on a platform without shared memory, a
+skewed run's exact ledgers (its joined rows stay on the workers that joined
+them), and the per-shard ``max_matches_per_pattern`` enforcement that keeps
+both engines in agreement when the cap binds.
 """
 
 from __future__ import annotations
@@ -275,7 +275,7 @@ class TestMatchCapAgreement:
 
             def _install_shards_many(self, batch):
                 self.truncated.update(
-                    id(node) for node, _, capped, _ in batch if capped
+                    id(node) for node, capped, _ in batch if capped
                 )
                 super()._install_shards_many(batch)
 
@@ -289,7 +289,7 @@ class TestMatchCapAgreement:
 
 
 def skewed_graph(num_workers: int = 3) -> Graph:
-    """Hub pivots colocated on worker 0 so rebalancing must move groups."""
+    """Hub pivots colocated on worker 0, so hub-pivoted shards are skewed."""
     graph = Graph()
     nodes = []
     for i in range(3 * num_workers):
@@ -310,8 +310,8 @@ def skewed_graph(num_workers: int = 3) -> Graph:
 
 
 class TestWorkerToWorkerStaging:
-    """Rebalanced pivot groups used to be staged worker-to-worker; they now
-    go through the master, and an owned backend still leaves nothing behind."""
+    """An owned multiprocess backend leaves no index or payload segment
+    behind after a skewed run."""
 
     def test_no_segment_leak_after_staged_run(self):
         from repro.parallel import janitor
@@ -328,18 +328,16 @@ class TestWorkerToWorkerStaging:
         assert janitor.live_segments() == segments_before
 
 
-class TestSkewRebalance:
-    """A skewed join is fetched through the master and re-dealt in whole
-    pivot groups — the one rebalance route, on every backend."""
+class TestSkewedShards:
+    """A skewed join stays where it was joined: the child's install adopts
+    the parked rows on every worker, on every backend."""
 
     @staticmethod
-    def _run(graph, config, backend_name, balance=True):
+    def _run(graph, config, backend_name):
         """``(rules → supports, transfer ledger, work ledger)`` of one run."""
         backend = make_backend(backend_name, 3, graph, graph.index())
         try:
-            runner = ParallelDiscovery(
-                graph, config, balance=balance, backend=backend
-            )
+            runner = ParallelDiscovery(graph, config, backend=backend)
             result = runner.run()
             ledger = backend.transfers.snapshot()
         finally:
@@ -347,11 +345,11 @@ class TestSkewRebalance:
         supports = {gfd_identity(g): result.supports[g] for g in result.gfds}
         return supports, ledger, runner.work
 
-    def test_rebalance_through_master_matches_serial(self):
-        """Same Σ and supports as the serial backend and ``SeqDis``; the
-        rebalance fires, the ledger counts exactly its round trip, and the
-        serial backend ships the same rows in the same supersteps and gives
-        every worker the same work."""
+    def test_skewed_run_keeps_rows_on_workers(self):
+        """Same Σ and supports as ``discover`` on both backends; the serial
+        backend ships the same rows in the same supersteps and gives every
+        worker the same work as the multiprocess one, and no match row
+        returns to the master although the hub shards are skewed."""
         from repro.parallel import janitor
 
         segments_before = janitor.live_segments()
@@ -362,35 +360,25 @@ class TestSkewRebalance:
             gfd_identity(g): reference.supports[g] for g in reference.gfds
         }
         serial, serial_ledger, serial_work = self._run(graph, config, "serial")
-        balanced, ledger, work = self._run(graph, config, "multiprocess")
+        parallel, ledger, work = self._run(graph, config, "multiprocess")
         assert serial == expected
-        assert balanced == expected
-        # one join protocol: the serial run parks, fetches and re-deals
-        # exactly as the multiprocess run does, op for op and row for row
+        assert parallel == expected
+        # one join protocol: both backends park and adopt op for op and
+        # row for row
         assert serial_ledger == ledger
         assert serial_work == work
         assert work.supersteps > 0 and min(work.rows_installed) > 0
-        unbalanced, plain, plain_work = self._run(
-            graph, config, "multiprocess", balance=False
-        )
-        assert unbalanced == expected
-        # only the rebalance pulls parked rows to the master, and every
-        # fetched row is shipped back out exactly once
-        assert ledger.rows_to_master > 0
-        assert plain.rows_to_master == 0
-        assert (
-            ledger.rows_to_workers - plain.rows_to_workers
-            == ledger.rows_to_master
-        )
-        # the re-deal moves installed rows between workers, not in or out
-        assert sum(work.rows_installed) == sum(plain_work.rows_installed)
-        assert work.rows_installed != plain_work.rows_installed
-        # every index and payload segment of the three runs is unlinked
+        # the hub-pivoted rows stay on worker 0, which joined them
+        assert work.rows_installed[0] > sum(work.rows_installed[1:])
+        # seeds are the only rows shipped out, and none comes back
+        assert ledger.rows_to_workers == graph.num_nodes
+        assert ledger.rows_to_master == 0
+        # every index and payload segment of both runs is unlinked
         assert janitor.live_segments() == segments_before
 
     def test_unskewed_run_ships_equal_ledgers(self, yago_small, yago_config):
-        """No rebalance fires: no row returns to the master on either
-        backend, and both ship the same install rows in as many supersteps."""
+        """No row returns to the master on either backend, and both ship
+        the same install rows in as many supersteps."""
         serial, serial_ledger, serial_steps = self._run(
             yago_small, yago_config, "serial"
         )

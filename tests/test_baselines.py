@@ -14,7 +14,6 @@ from repro.baselines import (
     mine_amie,
     run_pararab,
     run_pargfd_n,
-    run_pargfd_nb,
 )
 from repro.core import DiscoveryConfig, discover, gfd_identity
 from repro.graph import Graph, GraphBuilder
@@ -189,13 +188,3 @@ class TestVariants:
         # without pruning at least as many candidates are checked
         pruned = discover(film_graph, film_config)
         assert run.candidates_checked >= pruned.stats.candidates_checked
-
-    def test_pargfd_nb_same_results(self, film_graph, film_config):
-        baseline = discover(film_graph, film_config)
-        result, work = run_pargfd_nb(film_graph, film_config, num_workers=3)
-        assert {gfd_identity(g) for g in result.gfds} == {
-            gfd_identity(g) for g in baseline.gfds
-        }
-        assert work.supersteps > 0
-        assert all(rows > 0 for rows in work.rows_installed)
-        assert max(work.rows_installed) < sum(work.rows_installed)

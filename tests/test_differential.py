@@ -52,7 +52,7 @@ def _random_graph(seed: int) -> Graph:
     """One adversarial random graph, deterministic per seed.
 
     Varies along the axes the engines disagree on when buggy: label skew
-    (Zipf-ish weights stress shard imbalance and the load balancer), dense
+    (Zipf-ish weights stress shard imbalance), dense
     vs sparse attribute columns (stresses the MISSING handling), parallel
     edges between one node pair (multigraph CSR dedup), and isolated nodes
     (empty shards, empty neighborhoods).
@@ -176,17 +176,6 @@ class TestDifferentialEngines:
         assert _fingerprint(discover(graph, config)) == reference
         with Session(graph, config, backend="serial", num_workers=2) as session:
             assert _fingerprint(session.discover()) == reference
-
-    def test_balancing_off_agrees(self):
-        """``ParGFDnb`` (no balancing) also matches, on both backends."""
-        graph = _random_graph(3)
-        config = _config(3)
-        reference = _fingerprint(discover(graph, config))
-        for backend in ("serial", "multiprocess"):
-            result = ParallelDiscovery(
-                graph, config, 3, balance=False, backend=backend
-            ).run()
-            assert _fingerprint(result) == reference
 
 
 def _kb(name):

@@ -363,7 +363,7 @@ class TestExports:
         # v3: one backend per session, so no per-phase backend or planner
         assert "phase_backends" not in metrics
         assert "planner" not in metrics["timings"]
-        # v4: one rebalance route, so no worker-to-worker staged rows
+        # v4: no worker-to-worker staged rows
         assert set(metrics["transfers"]) == {
             "rows_to_workers", "rows_to_master", "sigma_rules"
         }

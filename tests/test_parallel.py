@@ -1,5 +1,5 @@
-"""Tests for the worker count, balancing, ParDis, ParCover and the exact
-per-worker work they report."""
+"""Tests for the worker count, LPT balancing, ParDis, ParCover and the
+exact per-worker work they report."""
 
 from __future__ import annotations
 
@@ -23,10 +23,8 @@ from repro.gfd.implication import ImplicationChecker
 from repro.parallel import (
     ParallelDiscovery,
     assign_units_lpt,
-    is_skewed,
     parallel_cover,
     parallel_cover_ungrouped,
-    rebalance_pivot_group_arrays,
 )
 from repro.parallel.backend import ShardWorker, make_backend
 from repro.parallel import parcover
@@ -52,28 +50,7 @@ class TestCluster:
 
 
 class TestBalancer:
-    def test_is_skewed(self):
-        assert is_skewed([100, 1, 1, 1])
-        assert not is_skewed([10, 10, 10, 10])
-        assert not is_skewed([])
-        assert not is_skewed([0, 0])
-
-    def test_rebalance_pivot_groups_keeps_groups_together(self):
-        # (pivot, payload) rows; the pivot is column 0
-        rows = np.array(
-            [(p, i) for p in range(6) for i in range(10)], dtype=np.int64
-        )  # 60 matches
-        empty = np.empty((0, 2), dtype=np.int64)
-        balanced = rebalance_pivot_group_arrays([rows, empty, empty], 0)
-        # every pivot's matches stay on one shard
-        location = {}
-        for worker, shard in enumerate(balanced):
-            assert shard.dtype == np.int64 and shard.shape[1] == 2
-            for pivot in shard[:, 0].tolist():
-                location.setdefault(pivot, set()).add(worker)
-        assert all(len(workers) == 1 for workers in location.values())
-        sizes = [int(shard.shape[0]) for shard in balanced]
-        assert sorted(sizes) != [0, 0, 60] and sum(sizes) == 60
+    """ParCover's LPT assignment of weighted units to workers."""
 
     def test_lpt_assignment(self):
         assignment = assign_units_lpt([5, 3, 3, 2, 2, 1], 2)
@@ -111,14 +88,21 @@ class TestParDisParity:
             gfd_identity(g) for g in parallel.gfds
         }
 
-    def test_parity_without_balancing(self, film_graph, film_config):
-        sequential = discover(film_graph, film_config)
-        parallel = ParallelDiscovery(
-            film_graph, film_config, num_workers=4, balance=False
-        ).run()
-        assert {gfd_identity(g) for g in sequential.gfds} == {
-            gfd_identity(g) for g in parallel.gfds
+    def test_three_workers_same_results_spread_rows(
+        self, film_graph, film_config
+    ):
+        """At n = 3 the rules are ``discover``'s, and every worker installs
+        rows while none installs them all."""
+        baseline = discover(film_graph, film_config)
+        runner = ParallelDiscovery(film_graph, film_config, num_workers=3)
+        result = runner.run()
+        assert {gfd_identity(g) for g in result.gfds} == {
+            gfd_identity(g) for g in baseline.gfds
         }
+        work = runner.work
+        assert work.supersteps > 0
+        assert all(rows > 0 for rows in work.rows_installed)
+        assert max(work.rows_installed) < sum(work.rows_installed)
 
     def test_parity_across_worker_counts(self, film_graph, film_config):
         def identities(workers):

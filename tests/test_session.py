@@ -78,7 +78,6 @@ class TestOneBackendLifecycle:
             # one install per seeded label (2 here), then per level at most
             # tally + join + install and scan + one eval per lattice depth
             # + probe; the cover adds one (Σ rides the work units' round).
-            # No join is skewed on this graph, so no rebalance rounds.
             levels = film_config.k
             hspawn = 2 + film_config.max_lhs_size
             assert 0 < metrics.work.supersteps <= (
