@@ -56,7 +56,7 @@ from repro.core.config import EnforcementConfig  # noqa: E402
 from repro.datasets import KB_ATTRIBUTES  # noqa: E402
 from repro.datasets.noise import inject_noise  # noqa: E402
 from repro.enforce import EnforcementEngine  # noqa: E402
-from repro.gfd.satisfaction import find_violations  # noqa: E402
+from repro.oracle import find_violations  # noqa: E402
 
 #: Exp-5 noise parameters (α fraction of nodes dirtied, β of their slots).
 ALPHA, BETA = 0.05, 0.5

@@ -1,9 +1,11 @@
-"""Micro benchmark isolating the matching hot path (dict vs CSR index).
+"""Micro benchmark isolating the matching hot path (oracle vs CSR index).
 
 Measures, on one synthetic graph, the operations the frozen
-:class:`~repro.graph.index.GraphIndex` vectorizes:
+:class:`~repro.graph.index.GraphIndex` vectorizes, each against its
+dict-graph oracle from :mod:`repro.oracle`:
 
-* ``find_matches``          — full enumeration of a 3-variable pattern,
+* ``find_matches``          — full enumeration of a 3-variable pattern
+  (``reference_matches`` backtracking vs the plan trie),
 * ``extend_matches``        — one-edge incremental join over a match batch,
 * ``extension_statistics``  — the ``VSpawn`` tally scan (dict pivot sets vs
   indexed ``extension_counts``, compared as counts),
@@ -11,13 +13,14 @@ Measures, on one synthetic graph, the operations the frozen
   closing half, the semi-join over the columns' distinct nodes,
 * ``match_table``           — a table and the column work ``HSpawn`` runs
   on it: construction, the constant and variable alphabet, and the
-  alphabet's ``literal_bits`` (the dict table builds its columns up front;
-  the index table gathers each when an op reads it, and ``--check``
-  asserts that it holds no per-row array besides its matches),
+  alphabet's row sets (``ReferenceTable`` builds its columns up front and
+  packs one bool mask per literal; ``MatchTable`` gathers each column when
+  an op reads it, and ``--check`` asserts that it holds no per-row array
+  besides its matches),
 * ``constant_alphabet``     — the top-5 constants per column of one table:
   the ``Counter`` oracle (``constant_value_counts`` +
   ``constant_literals_from_counts``) vs the integer path
-  (``candidate_constant_literals`` on the index).
+  (``constant_code_counts`` + ``constant_literals_from_code_counts``).
 
 Run as a script for a throughput table (``--check`` adds an equivalence
 assertion per operation and a wall-clock budget — the CI perf smoke gate),
@@ -42,15 +45,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.match_table import (  # noqa: E402
     MatchTable,
-    constant_literals_from_counts,
+    constant_literals_from_code_counts,
+    literal_alphabet,
 )
-from repro.core.spawning import (  # noqa: E402
-    counts_from_statistics,
-    extension_counts,
-    extension_statistics,
-)
+from repro.core.spawning import extension_counts  # noqa: E402
 from repro.datasets.synthetic import SYNTHETIC_ATTRIBUTES, synthetic_graph  # noqa: E402
 from repro.graph.index import GraphIndex  # noqa: E402
+from repro.oracle import (  # noqa: E402
+    ReferenceTable,
+    constant_literals_from_counts,
+    counts_from_statistics,
+    extension_statistics,
+    reference_extend_matches,
+    reference_matches,
+)
 from repro.pattern.incremental import Extension, extend_matches  # noqa: E402
 from repro.pattern.matcher import find_matches  # noqa: E402
 from repro.pattern.pattern import Pattern  # noqa: E402
@@ -78,11 +86,35 @@ def _timed(function, repeats: int = 3):
     return best, result
 
 
+def constants_of(table, max_constants=5):
+    """The product table's constant alphabet (the integer path)."""
+    return constant_literals_from_code_counts(
+        [table.constant_code_counts()],
+        MatchTable.column_keys(table.pattern, table.attributes),
+        table.index.value_of_code,
+        max_constants,
+    )
+
+
 def table_ops(table):
-    """The column work ``HSpawn`` runs on one table: alphabet, then bits."""
+    """The column work ``HSpawn`` runs on one product table: the alphabet
+    from one pass of column statistics, then its packed row bitsets."""
+    values, agreements = table.alphabet_counts(same_attr_only=True)
+    literals = literal_alphabet(
+        table.index, table.pattern, table.attributes, [values], agreements, 5
+    )
+    return table, literals, table.literal_bits(literals)
+
+
+def reference_table_ops(table):
+    """The same work on the oracle's table: alphabet, then one bool mask
+    per literal, packed like ``literal_bits``."""
     literals = table.candidate_constant_literals(5)
     literals += table.candidate_variable_literals()
-    return table, literals, table.literal_bits(literals)
+    masks = np.zeros((len(literals), table.num_rows), dtype=bool)
+    for row, literal in enumerate(literals):
+        masks[row] = table.literal_mask(literal)
+    return table, literals, np.packbits(masks, axis=1, bitorder="little")
 
 
 def held_row_arrays(table):
@@ -119,19 +151,19 @@ def run(check: bool = False):
 
     compare(
         "find_matches",
-        lambda: list(find_matches(graph, PATTERN)),
+        lambda: list(reference_matches(graph, PATTERN)),
         lambda: list(find_matches(graph, PATTERN, index=index)),
         lambda a, b: set(a) == {tuple(int(v) for v in m) for m in b},
     )
-    base = list(find_matches(graph, BASE_PATTERN))
+    base = list(reference_matches(graph, BASE_PATTERN))
     compare(
         "extend_matches",
-        lambda: extend_matches(graph, base, EXTENSION),
+        lambda: reference_extend_matches(graph, base, EXTENSION),
         # the index path returns the array the discovery engine consumes
-        lambda: extend_matches(graph, base, EXTENSION, index=index),
+        lambda: extend_matches(index, base, EXTENSION),
         lambda a, b: set(a) == {tuple(row) for row in b.tolist()},
     )
-    matches = list(find_matches(graph, PATTERN))
+    matches = list(reference_matches(graph, PATTERN))
 
     def counts_key(counts):
         return (
@@ -144,28 +176,29 @@ def run(check: bool = False):
     compare(
         "extension_statistics",
         lambda: extension_statistics(graph, PATTERN, matches, True),
-        lambda: extension_counts(graph, PATTERN, matches, True, index=index),
+        lambda: extension_counts(index, PATTERN, matches, True),
         lambda a, b: counts_key(counts_from_statistics(a)) == counts_key(b),
     )
     compare(
         "closing_tally",
         lambda: extension_statistics(graph, PATTERN, matches, False),
-        lambda: extension_counts(graph, PATTERN, matches, False, index=index),
+        lambda: extension_counts(index, PATTERN, matches, False),
         lambda a, b: counts_key(counts_from_statistics(a)) == counts_key(b),
     )
     attributes = list(SYNTHETIC_ATTRIBUTES[:3])
     compare(
         "match_table",
-        lambda: table_ops(MatchTable(graph, PATTERN, matches, attributes)),
+        lambda: reference_table_ops(ReferenceTable(graph, PATTERN, matches, attributes)),
         lambda: table_ops(MatchTable.from_index(index, PATTERN, matches, attributes)),
         lambda a, b: a[1] == b[1] and np.array_equal(a[2], b[2])
         and not held_row_arrays(b[0]),
     )
     table = MatchTable.from_index(index, PATTERN, matches, attributes)
+    reference = ReferenceTable(graph, PATTERN, matches, attributes)
     compare(
         "constant_alphabet",
-        lambda: constant_literals_from_counts(table.constant_value_counts(), 5),
-        lambda: table.candidate_constant_literals(5),
+        lambda: constant_literals_from_counts(reference.constant_value_counts(), 5),
+        lambda: constants_of(table),
         lambda a, b: a == b,
     )
     return lines
@@ -176,7 +209,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="assert dict/index equivalence and enforce the wall-clock budget",
+        help="assert oracle/index equivalence and enforce the wall-clock budget",
     )
     parser.add_argument(
         "--budget",

@@ -43,11 +43,12 @@ from _harness import (  # noqa: E402
     write_bench,
 )
 
-from repro.core import discover, sequential_cover  # noqa: E402
+from repro.core import discover  # noqa: E402
 from repro.core.config import EnforcementConfig  # noqa: E402
 from repro.datasets import KB_ATTRIBUTES  # noqa: E402
 from repro.datasets.noise import inject_noise  # noqa: E402
 from repro.enforce import EnforcementEngine  # noqa: E402
+from repro.oracle import sequential_cover  # noqa: E402
 from repro.parallel import parallel_cover  # noqa: E402
 from repro.parallel.backend import make_backend, shared_memory_available  # noqa: E402
 

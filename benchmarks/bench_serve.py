@@ -71,7 +71,7 @@ from _harness import record, write_bench  # noqa: E402
 
 from repro import DiscoveryConfig, Session, Tracer, format_gfd  # noqa: E402
 from repro.datasets import KB_ATTRIBUTES, imdb_like  # noqa: E402
-from repro.gfd.satisfaction import find_violations  # noqa: E402
+from repro.oracle import find_violations  # noqa: E402
 from repro.parallel import shared_memory_available  # noqa: E402
 from repro.parallel.janitor import live_mappings, live_segments  # noqa: E402
 from repro.serve import (  # noqa: E402

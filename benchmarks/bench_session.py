@@ -63,10 +63,11 @@ from _harness import (  # noqa: E402
 )
 
 from repro import Session, Tracer, write_chrome_trace  # noqa: E402
-from repro.core import discover, gfd_identity, sequential_cover  # noqa: E402
+from repro.core import discover, gfd_identity  # noqa: E402
 from repro.core.config import EnforcementConfig  # noqa: E402
 from repro.enforce import EnforcementEngine  # noqa: E402
 from repro.obs.tracer import NULL_TRACER  # noqa: E402
+from repro.oracle import sequential_cover  # noqa: E402
 from repro.parallel import shared_memory_available  # noqa: E402
 
 #: Session worker count for both backends.

@@ -10,8 +10,8 @@ The package implements the paper end to end:
 * :mod:`repro.gfd` — GFDs, their semantics, closure/chase, the FPT
   satisfiability and implication analyses (Theorem 1), a textual syntax;
 * :mod:`repro.core` — the discovery problem (Section 4), ``discover``
-  (``ParDis`` at ``n = 1``, i.e. ``SeqDis``), the dict-adjacency
-  ``SequentialDiscovery`` oracle and ``SeqCover`` (Section 5);
+  (``ParDis`` at ``n = 1``, i.e. ``SeqDis``), match tables, spawning and
+  cover results (Section 5);
 * :mod:`repro.parallel` — the parallel-scalable ``ParDis``/``ParCover``
   (Section 6) on in-process or multiprocess workers, with exact per-worker
   work counts;
@@ -25,6 +25,10 @@ The package implements the paper end to end:
 * :mod:`repro.session` — the resource-owning :class:`~repro.session.
   Session` facade: one backend and index snapshot shared across the whole
   discover → cover → enforce → refresh pipeline;
+* :mod:`repro.oracle` — the reference oracles every fast path is tested
+  against: backtracking matching, the dict-adjacency
+  ``SequentialDiscovery``, per-rule validation, support by re-matching
+  and ``SeqCover``;
 * :mod:`repro.obs` — unified telemetry: hierarchical span tracing with
   per-worker lanes, a metrics registry, and Chrome-trace / JSONL /
   Prometheus exports;
@@ -50,11 +54,7 @@ from .core import (
     EnforcementConfig,
     FaultConfig,
     MiningStats,
-    SequentialDiscovery,
     discover,
-    gfd_support,
-    pattern_support,
-    sequential_cover,
 )
 from .core.config import CandidateBudgetExceeded
 from .enforce import EnforcementEngine, EnforcementReport, RuleSketchMonitor
@@ -64,13 +64,10 @@ from .gfd import (
     ConstantLiteral,
     VariableLiteral,
     Violation,
-    find_violations,
     format_gfd,
-    graph_satisfies,
     implies,
     is_satisfiable,
     parse_gfd,
-    validate_set,
 )
 from .graph import Graph, GraphBuilder
 from .obs import (
@@ -85,9 +82,21 @@ from .parallel import (
     ParallelDiscovery,
     parallel_cover,
 )
-from .pattern import WILDCARD, Pattern, find_matches, pivot_image
+from .pattern import WILDCARD, Pattern, find_matches
 from .serve import EnforcementService, ServeConfig
 from .session import Session, SessionMetrics
+
+#: Names of :mod:`repro.oracle` this package re-exports.
+_ORACLE_EXPORTS = {
+    "SequentialDiscovery",
+    "find_violations",
+    "gfd_support",
+    "graph_satisfies",
+    "pattern_support",
+    "pivot_image",
+    "sequential_cover",
+    "validate_set",
+}
 
 #: The single source of the package version — ``setup.py`` reads it from
 #: this file, and every telemetry/bench artifact stamps it.
@@ -150,3 +159,13 @@ __all__ = [
     "write_event_log",
     "write_prometheus",
 ]
+
+
+def __getattr__(name: str):
+    """The oracle's public names, re-exported from :mod:`repro.oracle` on
+    first use (the oracle is built on this package's modules)."""
+    if name in _ORACLE_EXPORTS:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,6 +10,9 @@ The paper's first baseline decouples what ``DisGFD`` integrates:
 2. **Phase 2** extends each mined pattern with literals and validates every
    resulting GFD candidate — with none of Lemma 4's early termination,
    because phase 2 sees patterns only after phase 1 has committed to them.
+   It reads the product :class:`~repro.core.match_table.MatchTable`'s
+   mining API: the alphabet as ``ParDis`` builds it, one row bitset per
+   literal, and the bitset distinct-pivot support.
 
 The candidate space is the full per-pattern literal lattice; on real graphs
 the paper reports that the verification step fails outright.  This
@@ -30,12 +33,13 @@ import numpy as np
 
 from ..core.config import DiscoveryConfig
 from ..core.generation_tree import TreeNode
-from ..core.match_table import MatchTable
+from ..core.match_table import MatchTable, literal_alphabet
 from ..gfd.closure import is_trivial_dependency
 from ..gfd.gfd import GFD
+from ..gfd.literals import Literal
 from ..graph.graph import Graph
 from ..parallel.pardis import ParallelDiscovery
-from ..pattern.matcher import find_matches
+from ..pattern.matcher import compile_plans
 
 __all__ = ["ParArabResult", "run_pararab"]
 
@@ -59,17 +63,32 @@ class _PatternOnlyMiner(ParallelDiscovery):
 
 
 def _full_table(miner: _PatternOnlyMiner, node: TreeNode) -> Optional[MatchTable]:
-    """A frequent pattern's whole match table, matched anew from the index
-    (``None`` when the re-match reaches ``max_matches_per_pattern``: a
-    truncated table certifies nothing).  As in the engine, the cap bounds
-    joined patterns, not the single-node seeds."""
+    """A frequent pattern's whole match table, matched anew on the index's
+    plan trie (``None`` when the re-match reaches
+    ``max_matches_per_pattern``: a truncated table certifies nothing).  As
+    in the engine, the cap bounds joined patterns, not the single-node
+    seeds."""
     cap = miner.config.max_matches_per_pattern if node.pattern.num_edges else None
-    rows = list(find_matches(None, node.pattern, max_matches=cap, index=miner.index))
-    if cap is not None and len(rows) >= cap:
-        return None
-    matches = np.array(rows, dtype=np.int64).reshape(-1, node.pattern.num_nodes)
-    return MatchTable(
-        miner.graph, node.pattern, matches, miner.gamma, index=miner.index
+    trie = compile_plans([(None, node.pattern, node.pattern.pivot)])
+    blocks, total = [], 0
+    for _, block in trie.match(miner.index):
+        blocks.append(block)
+        total += block.shape[0]
+        if cap is not None and total >= cap:
+            return None
+    matches = np.concatenate(blocks) if blocks else []
+    return MatchTable(miner.index, node.pattern, matches, miner.gamma)
+
+
+def _alphabet(table: MatchTable, config: DiscoveryConfig) -> List[Literal]:
+    """The pattern's candidate literals, built as ``ParDis`` builds them."""
+    want_variable = config.variable_literals and table.pattern.num_nodes > 1
+    values, agreements = table.alphabet_counts(
+        config.variable_literals_same_attr_only if want_variable else None
+    )
+    return literal_alphabet(
+        table.index, table.pattern, table.attributes, [values], agreements,
+        config.max_constants,
     )
 
 
@@ -102,15 +121,10 @@ def run_pararab(
     candidates = 0
     gfds: List[GFD] = []
     for table in frequent:
-        literals = list(
-            table.candidate_constant_literals(config.max_constants)
-        )
-        if config.variable_literals and table.pattern.num_nodes > 1:
-            literals.extend(
-                table.candidate_variable_literals(
-                    config.variable_literals_same_attr_only
-                )
-            )
+        literals = _alphabet(table, config)
+        packed = table.literal_bits(literals)
+        bits = dict(zip(literals, table.as_bitsets(packed)))
+        all_rows = table.full_bits()
         for rhs in literals:
             others = [l for l in literals if l != rhs]
             # the full lattice: every LHS subset up to the size cap, with no
@@ -132,14 +146,14 @@ def run_pararab(
                 lhs = frozenset(subset)
                 if is_trivial_dependency(lhs, rhs):
                     continue
-                rows_lhs = table.full_mask()
+                rows_lhs = all_rows
                 for literal in lhs:
-                    rows_lhs = rows_lhs & table.literal_mask(literal)
-                rows_both = rows_lhs & table.literal_mask(rhs)
-                count = table.mask_count(rows_lhs)
-                if not count or table.mask_count(rows_both) != count:
+                    rows_lhs &= bits[literal]
+                rows_both = rows_lhs & bits[rhs]
+                count = rows_lhs.bit_count()
+                if not count or rows_both.bit_count() != count:
                     continue
-                if table.mask_support(rows_both) >= config.sigma:
+                if table.bits_support(rows_both) >= config.sigma:
                     gfds.append(GFD(table.pattern, lhs, rhs))
     return ParArabResult(
         completed=True,

@@ -6,14 +6,12 @@ Subcommands:
 * ``discover <graph>`` — run ``ParDis`` (``--workers`` sets ``n``;
   ``--backend multiprocess`` runs real worker processes over shared-memory
   graph buffers) and print the discovered GFDs with their supports;
-* ``validate <graph> <rules>`` — check a rule file against a graph and
-  report violations;
 * ``enforce <graph> <rules>`` — validate a rule set with the compiled
   enforcement plan (grouped patterns, columnar masks, serial or
   multiprocess backend);
-* ``cover <rules>`` — compute a cover of a rule file (``--workers``/
-  ``--backend`` selects the parallel ``ParCover``, sharded over the same
-  worker op layer as discovery);
+* ``cover <rules>`` — compute a cover of a rule file with ``ParCover``
+  (``--workers``/``--backend`` shard it over the same worker op layer as
+  discovery; default: one serial worker);
 * ``index build <graph> -o <file>`` / ``index inspect <file>`` — persist
   a graph's frozen index in the checksummed on-disk format of
   :mod:`repro.graph.store`, and print a persisted file's header facts;
@@ -47,11 +45,10 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .core import DiscoveryConfig, EnforcementConfig, FaultConfig, sequential_cover
+from .core import DiscoveryConfig, EnforcementConfig, FaultConfig
 from .gfd import (
     GFD,
     dumps_sigma,
-    find_violations,
     format_gfd,
     loads_sigma,
     parse_gfd,
@@ -351,19 +348,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    graph = load_graph(args.graph)
-    rules = load_rules(args.rules)
-    clean = True
-    for gfd in rules:
-        violations = find_violations(graph, gfd, max_violations=args.limit)
-        for violation in violations:
-            clean = False
-            nodes = ",".join(str(node) for node in violation.match)
-            print(f"violation\t[{nodes}]\t{format_gfd(gfd)}")
-    return 0 if clean else 1
-
-
 def _cmd_enforce(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
     rules = load_rules(args.rules)
@@ -477,40 +461,32 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
+    from .obs import NULL_TRACER
+    from .parallel import make_backend, parallel_cover
+
     rules = load_rules(args.rules)
     tracer = _make_tracer(args)
-    if (args.workers or 0) > 1 or args.backend is not None:
-        from .obs import NULL_TRACER
-        from .parallel import make_backend, parallel_cover
-
-        # the cover verb has no graph, so there is no session to open: it
-        # borrows a graph-free backend to ParCover and shuts it down after
-        workers = args.workers or 4
-        traced = tracer if tracer is not None else NULL_TRACER
-        backend = make_backend(
-            args.backend or "serial",
-            workers,
-            None,
-            None,
-            fault=_fault_from_args(args),
-            tracer=traced,
-        )
-        try:
+    # the cover verb has no graph, so there is no session to open: it
+    # borrows a graph-free backend to ParCover and shuts it down after
+    backend_name = args.backend or "serial"
+    workers = args.workers or 1
+    traced = tracer if tracer is not None else NULL_TRACER
+    backend = make_backend(
+        backend_name, workers, None, None,
+        fault=_fault_from_args(args), tracer=traced,
+    )
+    try:
+        with traced.span("cover", "phase", backend=backend_name, size=len(rules)):
             result = parallel_cover(rules, backend)
-        finally:
-            backend.shutdown()
-        units = backend.work.implication_units
-        print(
-            f"# backend={args.backend or 'serial'} workers={workers} "
-            f"implication units max {max(units)} per worker of {sum(units)}, "
-            f"real {result.elapsed_seconds:.3f}s",
-            file=sys.stderr,
-        )
-    elif tracer is not None:
-        with tracer.span("cover", "phase", size=len(rules)):
-            result = sequential_cover(rules)
-    else:
-        result = sequential_cover(rules)
+    finally:
+        backend.shutdown()
+    units = backend.work.implication_units
+    print(
+        f"# backend={backend_name} workers={workers} "
+        f"implication units max {max(units)} per worker of {sum(units)}, "
+        f"real {result.elapsed_seconds:.3f}s",
+        file=sys.stderr,
+    )
     for gfd in result.cover:
         print(format_gfd(gfd))
     print(
@@ -746,22 +722,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_argument(enf)
     enf.set_defaults(func=_cmd_enforce)
 
-    val = commands.add_parser("validate", help="check rules against a graph")
-    val.add_argument("graph", help="graph file (.json or .tsv)")
-    val.add_argument("rules", help="rule file (one GFD per line)")
-    val.add_argument("--limit", type=_positive_int, default=100,
-                     help="max violations reported per GFD")
-    val.set_defaults(func=_cmd_validate)
-
     cov = commands.add_parser(
         "cover",
         help="compute a cover of a rule file",
-        epilog="--workers > 1 or --backend runs ParCover (grouped units, "
-               "LPT-balanced) instead of SeqCover; the cover is identical.",
+        epilog="Runs ParCover (grouped units, LPT-balanced) on --workers "
+               "workers of --backend; the cover does not depend on either.",
     )
     cov.add_argument("rules", help="rule file (one GFD per line)")
     cov.add_argument("--workers", type=_positive_int, default=None,
-                     help="ParCover workers (>1 selects the parallel cover)")
+                     help="ParCover workers (default: 1)")
     cov.add_argument("--backend", choices=["serial", "multiprocess"],
                      default=None,
                      help="cover execution backend (default: serial)")

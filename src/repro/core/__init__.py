@@ -1,8 +1,8 @@
 """The paper's primary contribution: GFD discovery and cover computation."""
 
 from .config import DiscoveryConfig, EnforcementConfig, FaultConfig
-from .cover import CoverResult, sequential_cover
-from .discovery import SequentialDiscovery, discover
+from .cover import CoverResult
+from .discovery import discover
 from .generation_tree import GenerationTree, TreeNode
 from .match_table import MatchTable
 from .reduction import (
@@ -12,14 +12,17 @@ from .reduction import (
     normalize_gfd,
 )
 from .results import DiscoveryResult, MiningStats
-from .support import (
-    correlation,
-    gfd_support,
-    gfd_support_any,
-    negative_base_support,
-    pattern_support,
-    support_set,
-)
+
+#: Names of :mod:`repro.oracle` this package re-exports.
+_ORACLE_EXPORTS = {
+    "SequentialDiscovery",
+    "sequential_cover",
+    "pattern_support",
+    "support_set",
+    "gfd_support",
+    "gfd_support_any",
+    "negative_base_support",
+}
 
 __all__ = [
     "DiscoveryConfig",
@@ -42,6 +45,15 @@ __all__ = [
     "support_set",
     "gfd_support",
     "gfd_support_any",
-    "correlation",
     "negative_base_support",
 ]
+
+
+def __getattr__(name: str):
+    """The oracle's public names, re-exported from :mod:`repro.oracle` on
+    first use (the oracle is built on this package's modules)."""
+    if name in _ORACLE_EXPORTS:
+        from .. import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

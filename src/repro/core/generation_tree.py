@@ -52,20 +52,6 @@ class TreeNode:
         """Whether the pattern itself clears zero support (has matches)."""
         return self.support > 0
 
-    def ancestors(self) -> List["TreeNode"]:
-        """All transitive parents (without duplicates), nearest first."""
-        seen: Set[int] = set()
-        ordered: List[TreeNode] = []
-        frontier = list(self.parents)
-        while frontier:
-            node = frontier.pop(0)
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            ordered.append(node)
-            frontier.extend(node.parents)
-        return ordered
-
 
 class GenerationTree:
     """Levelwise container of :class:`TreeNode`, deduplicated by canonical key.
@@ -83,11 +69,6 @@ class GenerationTree:
         if index < len(self._levels):
             return self._levels[index]
         return []
-
-    @property
-    def num_levels(self) -> int:
-        """Number of populated levels."""
-        return len(self._levels)
 
     def all_nodes(self) -> List[TreeNode]:
         """Every node, level by level."""

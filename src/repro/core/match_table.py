@@ -5,37 +5,33 @@ mining *in a single process* (Section 5.1).  Once the matches of a pattern
 ``Q`` are known, checking a dependency ``X → l`` is relational work: treat
 every match ``h(x̄)`` as a row, every pair ``(variable, attribute)`` as a
 column, and evaluate literals column-wise.  :class:`MatchTable` is that
-relation, restricted to the *active attributes* ``Γ`` (Section 4.3).  On
-the index it holds only its rows — the pivot-sorted match array — and
-materializes a column late: each op that reads one gathers it from the
-index's attribute codes, uses it and drops it.  It supports
+relation, restricted to the *active attributes* ``Γ`` (Section 4.3).  It
+holds only its rows — the pivot-sorted match array over a frozen
+:class:`~repro.graph.index.GraphIndex` — and materializes a column late:
+each op that reads one gathers it from the index's attribute codes, uses
+it and drops it.  It serves two roles:
 
-* literal evaluation over row-index subsets (``HSpawn``'s inner loop),
-* distinct-pivot counting (the support ``|Q(G, Xl, z)|``), and
-* candidate-literal generation (frequent constants per column, compatible
-  column pairs for variable literals).
+* mining (``ParDis`` workers and ``ParArab``): the candidate alphabet's
+  column statistics (:meth:`MatchTable.alphabet_counts`), and row sets as
+  packed bitsets (``literal_bits`` / ``full_bits`` / ``bits_support`` /
+  ``stack_supports``) — a row set is one Python int with row ``i`` at bit
+  ``i``, an intersection is ``&``, a count is ``int.bit_count`` and the
+  distinct-pivot support ``|Q(G, Xl, z)|`` one multi-word carry-add (see
+  :meth:`MatchTable.bits_support`);
+* enforcement: one bool mask per literal (``literal_mask``) and per rule
+  (``violation_mask``).
 
-Row sets have two faces.  The numpy one (``literal_mask`` / ``mask_count`` /
-``mask_support``: a bool array per literal) serves the lattices of the
-discovery oracle (``SequentialDiscovery``) and of ``ParArab``, and
-enforcement's ``violation_mask``.  The
-bitset one (``literal_bits`` / ``full_bits`` / ``bits_support`` /
-``stack_supports``) is the ``ParDis`` worker kernel's: a row set is one
-Python int with row ``i`` at bit ``i``, an intersection is ``&``, a count
-is ``int.bit_count`` and the distinct-pivot support is one multi-word
-carry-add (see :meth:`MatchTable.bits_support`).
+Its oracle is the dict-graph table :class:`repro.oracle.ReferenceTable`.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from itertools import groupby
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..graph.graph import Graph
 from ..graph.index import MISSING, GraphIndex, run_lengths
 from ..gfd.literals import (
     ConstantLiteral,
@@ -50,96 +46,62 @@ from ..pattern.pattern import Pattern
 __all__ = [
     "MatchTable",
     "MISSING",
-    "merge_value_counts",
     "merge_agreement_counts",
-    "constant_literals_from_counts",
+    "rank_value",
     "constant_literals_from_code_counts",
+    "literal_alphabet",
     "variable_literals_from_counts",
 ]
 
 
 class MatchTable:
-    """The matches of one pattern as a columnar relation.
+    """The matches of one pattern as a columnar relation over an index.
 
     Args:
-        graph: the data graph (attribute source).
+        index: a frozen :class:`~repro.graph.index.GraphIndex` — the
+            attribute source; an op gathers the columns it reads from the
+            index's attribute codes (one fancy-indexing each).
         pattern: the matched pattern.
-        matches: the match tuples (graph node per variable) — or, with
-            ``index``, optionally an ``(N, num_vars)`` int64 array.
+        matches: the match tuples (graph node per variable), or an
+            ``(N, num_vars)`` int64 array.
         attributes: the active attributes ``Γ`` — the table's columns.
         truncated: set when ``matches`` is a capped subset — validity
             judgements must not be made from a truncated table.
-        index: a frozen :class:`~repro.graph.index.GraphIndex` of ``graph``;
-            when given, the table stores no column: an op gathers the
-            columns it reads from the index's attribute codes (one
-            fancy-indexing each) instead of the per-row ``get_attr`` loop.
     """
 
     def __init__(
         self,
-        graph: Graph,
+        index: GraphIndex,
         pattern: Pattern,
         matches: Union[Sequence[Match], np.ndarray],
         attributes: Sequence[str],
         truncated: bool = False,
-        index: Optional[GraphIndex] = None,
     ) -> None:
-        self.graph = graph
         self.pattern = pattern
         self.index = index
         self.attributes = list(attributes)
         self.truncated = truncated
-        # rows are kept sorted by pivot so distinct-pivot counting over a
-        # mask is a run count instead of a sort (stable: preserves relative
-        # order within a pivot).
-        pivot_var = pattern.pivot
-        # Columns are integer value codes (literal masks are C-speed vector
-        # compares), code 0 = MISSING, one code space per table so variable
-        # literals compare codes directly.  With an index the codes are
-        # graph-global and nothing per column is stored: _gather reads a
-        # column from the index when an op needs it (late materialization),
-        # so a row costs 8·|x̄| bytes.  Without one (the oracle) every column
-        # is stored twice, as raw values and as per-table codes.
-        self._columns: Dict[Tuple[int, str], List[Any]] = {}
-        self._codes: Dict[Tuple[int, str], np.ndarray] = {}
-        if index is not None:
-            if isinstance(matches, np.ndarray):
-                array = matches.reshape(-1, pattern.num_nodes)
-            elif len(matches):
-                array = np.asarray(matches, dtype=np.int64)
-            else:
-                array = np.empty((0, pattern.num_nodes), dtype=np.int64)
-            # matches usually arrive pivot-sorted: adopt them as they are
-            pivots = array[:, pivot_var]
-            if bool((pivots[1:] < pivots[:-1]).any()):
-                array = array[np.argsort(pivots, kind="stable")]
-            array = np.ascontiguousarray(array, dtype=np.int64)
-            self._match_array: Optional[np.ndarray] = array
-            self._matches: Optional[List[Match]] = None
-            self._pivot_array = array[:, pivot_var]
-            self._value_codes: Dict[Any, int] = index.code_of_value
-            num_rows = array.shape[0]
+        # Rows are kept sorted by pivot (stable: preserves relative order
+        # within a pivot), so distinct-pivot counting over a row set is a
+        # run count instead of a sort.  Columns are the index's graph-global
+        # integer value codes, code 0 = MISSING; none is stored — _gather
+        # reads one when an op needs it (late materialization), so a row
+        # costs 8·|x̄| bytes.
+        if isinstance(matches, np.ndarray):
+            array = matches.reshape(-1, pattern.num_nodes)
+        elif len(matches):
+            array = np.asarray(matches, dtype=np.int64)
         else:
-            self._matches = sorted(matches, key=lambda match: match[pivot_var])
-            self._match_array = None
-            self._pivot_array = np.asarray(
-                [match[pivot_var] for match in self._matches], dtype=np.int64
-            )
-            self._value_codes = {}
-            num_rows = len(self._matches)
-            for variable in pattern.variables():
-                for attr in self.attributes:
-                    column = [
-                        graph.get_attr(match[variable], attr, MISSING)
-                        for match in self._matches
-                    ]
-                    self._columns[(variable, attr)] = column
-                    self._codes[(variable, attr)] = self._encode(column)
-        self._num_rows = num_rows
-        self._pivots_list: Optional[List[int]] = None
-        # lazily-computed row sets per literal: the lattice search reduces to
-        # numpy boolean-mask operations instead of per-row Python loops.
-        self._full_mask: Optional[np.ndarray] = None
+            array = np.empty((0, pattern.num_nodes), dtype=np.int64)
+        # matches usually arrive pivot-sorted: adopt them as they are
+        pivots = array[:, pattern.pivot]
+        if bool((pivots[1:] < pivots[:-1]).any()):
+            array = array[np.argsort(pivots, kind="stable")]
+        self.match_array = np.ascontiguousarray(array, dtype=np.int64)
+        self._pivot_array = self.match_array[:, pattern.pivot]
+        self._value_codes: Dict[Any, int] = index.code_of_value
+        self.num_rows = self.match_array.shape[0]
+        # lazily-computed row masks per literal (enforcement reuses them)
         self._literal_masks: Dict[Literal, np.ndarray] = {}
         # (HI, LO) bitsets of the pivot runs, built by the first bits_support
         self._run_bits: Optional[Tuple[int, int]] = None
@@ -156,139 +118,51 @@ class MatchTable:
         attributes: Sequence[str],
         truncated: bool = False,
     ) -> "MatchTable":
-        """A table over a frozen graph index: its columns are gathered when read."""
-        return cls(
-            index.graph, pattern, matches, attributes,
-            truncated=truncated, index=index,
-        )
+        """A table over a frozen graph index (the constructor, by name)."""
+        return cls(index, pattern, matches, attributes, truncated=truncated)
 
     # ------------------------------------------------------------------
-    @property
-    def matches(self) -> List[Match]:
-        """The pivot-sorted match tuples (materialized lazily on the index path)."""
-        if self._matches is None:
-            self._matches = [tuple(row) for row in self._match_array.tolist()]
-        return self._matches
-
-    @property
-    def match_array(self) -> np.ndarray:
-        """The pivot-sorted matches as an ``(N, num_vars)`` int64 array."""
-        if self._match_array is None:
-            if self._matches:
-                self._match_array = np.asarray(self._matches, dtype=np.int64)
-            else:
-                self._match_array = np.empty(
-                    (0, self.pattern.num_nodes), dtype=np.int64
-                )
-        return self._match_array
-
-    @property
-    def _pivots(self) -> List[int]:
-        """The per-row pivot nodes as a plain list (lazy)."""
-        if self._pivots_list is None:
-            self._pivots_list = self._pivot_array.tolist()
-        return self._pivots_list
-
-    @property
-    def num_rows(self) -> int:
-        """Number of matches in the table."""
-        return self._num_rows
-
-    def all_rows(self) -> List[int]:
-        """Every row index."""
-        return list(range(self._num_rows))
-
-    def column(self, variable: int, attr: str) -> List[Any]:
-        """The value column for ``(variable, attr)`` (``MISSING`` sentinel).
-
-        Decoded afresh on every call on the index; not kept.
-        """
-        if self.index is None:
-            return self._columns[(variable, attr)]
-        return self.index.decode_values(self._gather(variable, attr))
-
-    def distinct_pivots(self, rows: Iterable[int]) -> Set[int]:
-        """``{h(z) | row ∈ rows}`` — the support set of a row subset."""
-        pivots = self._pivots
-        return {pivots[row] for row in rows}
-
-    def support(self, rows: Iterable[int]) -> int:
-        """Number of distinct pivots over ``rows``."""
-        return len(self.distinct_pivots(rows))
-
+    # column gathers
     # ------------------------------------------------------------------
-    # literal evaluation
-    # ------------------------------------------------------------------
-    def _encode(self, column: List[Any]) -> np.ndarray:
-        """Factorize a value column into integer codes (0 = MISSING)."""
-        codes = np.empty(len(column), dtype=np.int64)
-        value_codes = self._value_codes
-        for row, cell in enumerate(column):
-            if cell is MISSING:
-                codes[row] = 0
-                continue
-            code = value_codes.get(cell)
-            if code is None:
-                code = len(value_codes) + 1
-                value_codes[cell] = code
-            codes[row] = code
-        return codes
-
-    def _node_rows(self) -> Optional[np.ndarray]:
-        """The match array as C-ordered ``(|x̄| × N)`` node rows (index
-        only), for an op that gathers several columns: a gather through a
-        contiguous row is about 3× faster than through a column of the
-        match array, and its result's rows are contiguous too."""
-        if self.index is None:
-            return None
-        return np.ascontiguousarray(self._match_array.T)
+    def _node_rows(self) -> np.ndarray:
+        """The match array as C-ordered ``(|x̄| × N)`` node rows, for an op
+        that gathers several columns: a gather through a contiguous row is
+        about 3× faster than through a column of the match array, and its
+        result's rows are contiguous too."""
+        return np.ascontiguousarray(self.match_array.T)
 
     def _gather(
         self, variable: int, attr: str, nodes: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """The value codes of column ``(variable, attr)`` (0 = MISSING).
 
-        Stored without an index; on one, a fresh gather from the index's
-        attribute codes (all zeros for an attribute no node carries),
-        through :meth:`_node_rows` ``nodes`` when given, that the caller
-        drops when done.
+        A fresh gather from the index's attribute codes (all zeros for an
+        attribute no node carries), through :meth:`_node_rows` ``nodes``
+        when given, that the caller drops when done.
         """
-        if self.index is None:
-            return self._codes[(variable, attr)]
         codes = self.index.attr_code_array(attr)
         if codes is None:
-            return np.zeros(self._num_rows, dtype=np.int64)
-        return codes[self._match_array[:, variable] if nodes is None else nodes[variable]]
+            return np.zeros(self.num_rows, dtype=np.int64)
+        return codes[self.match_array[:, variable] if nodes is None else nodes[variable]]
 
-    def _gather_attribute(self, attr: str, nodes: Optional[np.ndarray]) -> np.ndarray:
+    def _gather_attribute(self, attr: str, nodes: np.ndarray) -> np.ndarray:
         """One attribute's columns as a C-ordered ``(|x̄| × N)`` code block
         (row ``v`` is column ``(v, attr)``), gathered through the
         :meth:`_node_rows` ``nodes`` in one call."""
-        if self.index is None:
-            return np.stack(
-                [self._codes[(variable, attr)] for variable in self.pattern.variables()]
-            )
         codes = self.index.attr_code_array(attr)
         if codes is None:
             return np.zeros(nodes.shape, dtype=np.int64)
         return codes[nodes]
 
-    # -- numpy mask interface (the discovery hot loop) -----------------
-    def full_mask(self) -> np.ndarray:
-        """A boolean mask selecting every row (built on first use; do not
-        mutate)."""
-        if self._full_mask is None:
-            self._full_mask = np.ones(self._num_rows, dtype=bool)
-        return self._full_mask
-
+    # -- bool row masks (enforcement) -----------------------------------
     def literal_mask(self, literal: Literal) -> np.ndarray:
         """Boolean row mask of ``literal`` (cached; do not mutate).
 
         Missing attributes never satisfy a literal (Section 2.2 semantics):
         code 0 (MISSING) never equals a value code, and two MISSING cells
         are explicitly excluded from variable-literal equality.  The mask
-        is cached (the oracle and enforcement reuse it); the columns it was
-        computed from are not.
+        is cached (enforcement reuses it); the columns it was computed from
+        are not.
         """
         cached = self._literal_masks.get(literal)
         if cached is not None:
@@ -326,31 +200,11 @@ class MatchTable:
             current = self.literal_mask(literal)
             mask = current if mask is None else mask & current
         if rhs is None or isinstance(rhs, FalseLiteral):
-            return mask if mask is not None else self.full_mask()
+            return mask if mask is not None else np.ones(self.num_rows, dtype=bool)
         rhs_mask = self.literal_mask(rhs)
         return ~rhs_mask if mask is None else mask & ~rhs_mask
 
-    def literal_count(self, literal: Literal) -> int:
-        """Number of rows satisfying ``literal``."""
-        return int(np.count_nonzero(self.literal_mask(literal)))
-
-    @staticmethod
-    def mask_count(mask: np.ndarray) -> int:
-        """Number of selected rows."""
-        return int(np.count_nonzero(mask))
-
-    def mask_support(self, mask: np.ndarray) -> int:
-        """Distinct pivots over the selected rows (``|Q(G, ·, z)|``).
-
-        Rows are pivot-sorted, so the distinct count is the number of value
-        runs in the selection — no sort needed.
-        """
-        codes = self._pivot_array[mask]
-        if codes.size == 0:
-            return 0
-        return int(np.count_nonzero(codes[1:] != codes[:-1])) + 1
-
-    # -- row-bitset interface (the ParDis worker kernel) ---------------
+    # -- row bitsets (the mining kernel) -------------------------------
     def literal_bits(self, literals: Sequence[Literal]) -> np.ndarray:
         """The literals' row sets as a packed ``(literals × ⌈N/8⌉)`` uint8 stack.
 
@@ -363,7 +217,7 @@ class MatchTable:
         attribute's columns are live at a time.  Nothing is cached: the
         caller keeps what it needs.
         """
-        stack = np.empty((len(literals), self._num_rows), dtype=bool)
+        stack = np.empty((len(literals), self.num_rows), dtype=bool)
         value_codes = self._value_codes
         # per attribute: runs of consecutive constants on one column as
         # (column, first row, wanted codes), and variable-literal rows
@@ -419,7 +273,7 @@ class MatchTable:
 
     def full_bits(self) -> int:
         """The row bitset selecting every row."""
-        return (1 << self._num_rows) - 1
+        return (1 << self.num_rows) - 1
 
     def bits_support(self, mask: int) -> int:
         """Distinct pivots over a row bitset (``|Q(G, ·, z)|``).
@@ -438,7 +292,7 @@ class MatchTable:
         C, which is what fixed-width numpy words cannot do.
         """
         if self._run_bits is None:
-            last = np.ones(self._num_rows, dtype=bool)
+            last = np.ones(self.num_rows, dtype=bool)
             np.not_equal(self._pivot_array[1:], self._pivot_array[:-1], out=last[:-1])
             packed = np.packbits(last, bitorder="little")
             high = int.from_bytes(packed.tobytes(), "little")
@@ -474,7 +328,7 @@ class MatchTable:
         """The alphabet's column statistics, reading each column once.
 
         Returns ``(code counts, agreements)``: :meth:`constant_code_counts`
-        (``None`` unless ``constants``; it needs the index) and — unless
+        (``None`` unless ``constants``) and — unless
         ``same_attr_only`` is ``None`` — :meth:`variable_agreement_counts`.
         The table is read one attribute at a time: one gather of that
         attribute's ``|x̄|`` columns appends the keys of their present
@@ -491,7 +345,7 @@ class MatchTable:
             # int32 keys whenever they fit: the sort dominates, and sorting
             # int32 takes half as long
             dtype = np.int32 if len(columns) * num_codes < 2**31 else np.int64
-            keys = np.empty(len(columns) * self._num_rows, dtype=dtype)
+            keys = np.empty(len(columns) * self.num_rows, dtype=dtype)
             filled = 0
             # column_keys is variable-major: (v, attributes[j]) is slot
             # v·|attributes| + j
@@ -534,104 +388,27 @@ class MatchTable:
         return values, dict(sorted(agreements.items()))
 
     def constant_code_counts(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-column value-code frequencies as integer group-bys (index path).
+        """Per-column value-code frequencies as integer group-bys.
 
         Returns ``(keys, counts)``: the distinct ``slot · K + code`` over
         every column's present cells, ascending, and the rows carrying
         each — ``slot`` is the column's position in :meth:`column_keys`
-        and ``K`` the index's value-code count.  Codes are graph-global on
-        the index, so shards' arrays merge by key
+        and ``K`` the index's value-code count.  Codes are graph-global,
+        so shards' arrays merge by key
         (:func:`constant_literals_from_code_counts`).  No value is decoded.
         """
         return self.alphabet_counts()[0]
-
-    def constant_value_counts(self) -> Dict[Tuple[int, str], Counter]:
-        """Per-column value frequencies (mergeable across match shards).
-
-        The ``Counter`` form: the alphabet's oracle, and its only form on a
-        table without an index, whose codes are per table.  Computed by a
-        ``np.unique`` group-by over the code column and a decode of the
-        (few) distinct codes — never a per-row Python loop.
-        """
-        counts: Dict[Tuple[int, str], Counter] = {}
-        decode = (
-            self.index.value_of_code if self.index is not None else None
-        )
-        if decode is None:
-            # per-table code space: invert the interning dict once
-            decode = [MISSING] * (len(self._value_codes) + 1)
-            for value, code in self._value_codes.items():
-                decode[code] = value
-        for key in self.column_keys(self.pattern, self.attributes):
-            codes = self._gather(*key)
-            counter: Counter = Counter()
-            if codes.size:
-                present = codes[codes != 0]
-                if present.size:
-                    values, tallies = np.unique(present, return_counts=True)
-                    for code, tally in zip(values.tolist(), tallies.tolist()):
-                        counter[decode[code]] = tally
-            counts[key] = counter
-        return counts
 
     def variable_agreement_counts(
         self, same_attr_only: bool = True
     ) -> Dict[Tuple[int, str, int, str], int]:
         """Per column pair: rows on which both columns agree (mergeable).
 
-        Agreement is a vectorized code compare: codes share one space per
-        table (or graph-globally with an index), so value equality is code
-        equality, and code 0 (MISSING) never agrees.  Keys are ascending.
+        Agreement is a vectorized code compare: codes are graph-global, so
+        value equality is code equality, and code 0 (MISSING) never agrees.
+        Keys are ascending.
         """
         return self.alphabet_counts(same_attr_only, constants=False)[1]
-
-    def candidate_constant_literals(
-        self, max_constants: int
-    ) -> List[ConstantLiteral]:
-        """Frequent constant literals per column.
-
-        For each ``(variable, attr)`` column, the ``max_constants`` most
-        frequent present values — the paper's "5 most frequent values"
-        protocol (Section 7).  On the index the integer path runs; without
-        one, the ``Counter`` oracle.
-        """
-        if self.index is None:
-            return constant_literals_from_counts(
-                self.constant_value_counts(), max_constants
-            )
-        return constant_literals_from_code_counts(
-            [self.constant_code_counts()],
-            self.column_keys(self.pattern, self.attributes),
-            self.index.value_of_code,
-            max_constants,
-        )
-
-    def candidate_variable_literals(
-        self, same_attr_only: bool = True
-    ) -> List[VariableLiteral]:
-        """Variable literals ``x.A = y.B`` over distinct variables.
-
-        Only pairs agreeing on at least one row are candidates;
-        ``same_attr_only`` restricts to ``A = B`` (the common case in the
-        paper's examples, e.g. ``y.name = z.name``).
-        """
-        return variable_literals_from_counts(
-            self.variable_agreement_counts(same_attr_only)
-        )
-
-
-def merge_value_counts(
-    parts: Iterable[Dict[Tuple[int, str], Counter]],
-) -> Dict[Tuple[int, str], Counter]:
-    """Combine per-shard column value counts (``ParDis`` master aggregation)."""
-    merged: Dict[Tuple[int, str], Counter] = {}
-    for part in parts:
-        for key, counter in part.items():
-            if key in merged:
-                merged[key].update(counter)
-            else:
-                merged[key] = Counter(counter)
-    return merged
 
 
 def merge_agreement_counts(
@@ -645,7 +422,7 @@ def merge_agreement_counts(
     return merged
 
 
-def _rank(entry: Tuple[Any, int]) -> Tuple[int, str, str, str]:
+def rank_value(entry: Tuple[Any, int]) -> Tuple[int, str, str, str]:
     """The alphabet's total order on ``(value, count)``: descending count,
     then value text.
 
@@ -656,31 +433,6 @@ def _rank(entry: Tuple[Any, int]) -> Tuple[int, str, str, str]:
     """
     value, count = entry
     return (-count, str(value), type(value).__qualname__, repr(value))
-
-
-def constant_literals_from_counts(
-    counts: Dict[Tuple[int, str], Counter], max_constants: int
-) -> List[ConstantLiteral]:
-    """Build the constant-literal alphabet from (merged) value counts.
-
-    The ``Counter`` oracle of :func:`constant_literals_from_code_counts`,
-    for tables without an index.  Ranking is total (:func:`_rank`), so
-    every path produces the same alphabet.
-    """
-    literals: List[ConstantLiteral] = []
-    for (variable, attr) in sorted(counts):
-        counter = counts[(variable, attr)]
-        if len(counter) > max_constants:
-            # narrow to values at or above the k-th largest count before
-            # paying the str() tie-break key on every value
-            threshold = heapq.nlargest(max_constants, counter.values())[-1]
-            pool = [kv for kv in counter.items() if kv[1] >= threshold]
-        else:
-            pool = list(counter.items())
-        ranked = sorted(pool, key=_rank)
-        for value, _ in ranked[:max_constants]:
-            literals.append(ConstantLiteral(variable, attr, value))
-    return literals
 
 
 def constant_literals_from_code_counts(
@@ -694,10 +446,10 @@ def constant_literals_from_code_counts(
     ``parts`` are :meth:`MatchTable.constant_code_counts` results of one
     pattern's shards, ``columns`` their slot order and ``values`` the
     index's ``value_of_code`` (so ``K = len(values)``).  Codes are
-    graph-global on the index, so the merge is a sum per key.  Each
+    graph-global, so the merge is a sum per key.  Each
     column is cut at its ``max_constants``-th largest count; only the
     values at or above the cut are decoded and ranked
-    (:func:`_top_ranked`).  Equal to :func:`constant_literals_from_counts`
+    (:func:`_top_ranked`).  Equal to :func:`repro.oracle.constant_literals_from_counts`
     over the decoded, merged counts.
     """
     keys = np.concatenate([part[0] for part in parts])
@@ -733,16 +485,16 @@ def constant_literals_from_code_counts(
 def _top_ranked(
     pool: List[Tuple[Any, int]], limit: int
 ) -> List[Tuple[Any, int]]:
-    """``sorted(pool, key=_rank)[:limit]`` for a count-descending ``pool``.
+    """``sorted(pool, key=rank_value)[:limit]`` for a count-descending ``pool``.
 
     Entries above the cut count all make it; of the ties at the cut only
-    the ``need`` smallest by text can, and ``_rank`` orders equal counts
+    the ``need`` smallest by text can, and :func:`rank_value` orders equal counts
     by text first.  So the ties whose text is at most the ``need``-th
     smallest text are the only ones ranked — with a heavy tie (every value
     seen once) that is ``need`` or a few more entries, not the whole pool.
     """
     if len(pool) <= limit:
-        return sorted(pool, key=_rank)
+        return sorted(pool, key=rank_value)
     cut = pool[limit - 1][1]
     above = [entry for entry in pool if entry[1] > cut]
     ties = [entry for entry in pool if entry[1] == cut]
@@ -750,7 +502,35 @@ def _top_ranked(
     texts = [str(value) for value, _ in ties]
     boundary = heapq.nsmallest(need, texts)[-1]
     near = [entry for entry, text in zip(ties, texts) if text <= boundary]
-    return sorted(above, key=_rank) + sorted(near, key=_rank)[:need]
+    return sorted(above, key=rank_value) + sorted(near, key=rank_value)[:need]
+
+
+def literal_alphabet(
+    index: GraphIndex,
+    pattern: Pattern,
+    attributes: Sequence[str],
+    value_parts: Sequence[Tuple[np.ndarray, np.ndarray]],
+    agreements: Dict[Tuple[int, str, int, str], int],
+    max_constants: int,
+) -> List[Literal]:
+    """``HSpawn``'s candidate alphabet from one pattern's column statistics.
+
+    ``value_parts`` are its shards' :meth:`MatchTable.constant_code_counts`
+    and ``agreements`` the merged variable-literal agreement counts (empty
+    when variable literals are off): the constant literals
+    (:func:`constant_literals_from_code_counts`), then the variable
+    literals that agree on some row.
+    """
+    literals: List[Literal] = list(
+        constant_literals_from_code_counts(
+            value_parts,
+            MatchTable.column_keys(pattern, attributes),
+            index.value_of_code,
+            max_constants,
+        )
+    )
+    literals.extend(variable_literals_from_counts(agreements))
+    return literals
 
 
 def variable_literals_from_counts(

@@ -24,9 +24,9 @@ that are no pattern edge, and binary-searches only the rows whose two
 nodes both occur among them — most pairs keep no edge and touch no row.
 Under ``ParDis``'s pivot-disjoint sharding the per-shard counts add up
 (:func:`merge_extension_counts`), so the distributed runs spawn *exactly*
-the same patterns at every ``n``.  The per-match dict scan
-(:func:`extension_statistics`, pivot *sets*) is the layer's oracle, bridged
-by :func:`counts_from_statistics`.
+the same patterns at every ``n``.  The layer's oracle is a per-match scan
+of the dict adjacency that collects pivot *sets*
+(:func:`repro.oracle.extension_statistics`).
 
 A closing tally is more than a spawn filter: pivot ``p`` is recorded under
 ``(s, d, l)`` iff some match ``h`` of ``Q`` with ``h(z) = p`` has the graph
@@ -39,11 +39,10 @@ infrequent closing child a leaf without joining it.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..graph.graph import Graph
 from ..graph.index import GraphIndex, run_lengths, sort_unique
 from ..graph.statistics import GraphStatistics
 from ..pattern.incremental import Extension, _as_match_array
@@ -53,11 +52,8 @@ from .config import DiscoveryConfig
 from .generation_tree import TreeNode
 
 __all__ = [
-    "ExtensionStatistics",
     "ExtensionCounts",
-    "extension_statistics",
     "extension_counts",
-    "counts_from_statistics",
     "merge_extension_counts",
     "extensions_from_counts",
     "wildcard_extensions_from_counts",
@@ -68,62 +64,6 @@ __all__ = [
 NewNodeKey = Tuple[int, bool, str, str]
 #: key: (src variable, dst variable, edge label)
 ClosingKey = Tuple[int, int, str]
-
-
-class ExtensionStatistics:
-    """Pivot-*set* tallies for candidate one-edge extensions (the oracle form).
-
-    ``new_node[key]`` and ``closing[key]`` hold the sets of pivots whose
-    matches witness the extension; the engines only ever need their sizes
-    (:class:`ExtensionCounts`).
-    """
-
-    def __init__(self) -> None:
-        self.new_node: Dict[NewNodeKey, Set[int]] = defaultdict(set)
-        self.closing: Dict[ClosingKey, Set[int]] = defaultdict(set)
-
-
-def extension_statistics(
-    graph: Graph,
-    pattern: Pattern,
-    matches: Iterable[Match],
-    can_add_node: bool,
-) -> ExtensionStatistics:
-    """Collect extension tallies from a batch of matches of ``pattern``.
-
-    The per-match dict scan of ``VSpawn``: for every match, every incident
-    graph edge either closes a pair of matched variables (candidate closing
-    edge, if not already a pattern edge) or reaches an unmatched endpoint
-    (candidate new-node extension).  The index path's
-    :func:`extension_counts` is differential-tested against this.
-    """
-    stats = ExtensionStatistics()
-    pattern_edges = pattern.edge_set()
-    pivot_var = pattern.pivot
-    for match in matches:
-        pivot = match[pivot_var]
-        matched = set(match)
-        position = {graph_node: var for var, graph_node in enumerate(match)}
-        for variable, graph_node in enumerate(match):
-            for neighbor, labels in graph.out_neighbors(graph_node).items():
-                if neighbor in matched:
-                    other = position[neighbor]
-                    for label in labels:
-                        if (variable, other, label) not in pattern_edges:
-                            stats.closing[(variable, other, label)].add(pivot)
-                elif can_add_node:
-                    endpoint = graph.node_label(neighbor)
-                    for label in labels:
-                        stats.new_node[(variable, True, label, endpoint)].add(pivot)
-            if not can_add_node:
-                continue
-            for neighbor, labels in graph.in_neighbors(graph_node).items():
-                if neighbor in matched:
-                    continue  # already tallied from the out side
-                endpoint = graph.node_label(neighbor)
-                for label in labels:
-                    stats.new_node[(variable, False, label, endpoint)].add(pivot)
-    return stats
 
 
 class ExtensionCounts:
@@ -142,23 +82,6 @@ class ExtensionCounts:
         self.closing: Dict[ClosingKey, int] = {}
         self.prefix_pivots: Dict[Tuple[int, bool, str], int] = {}
         self.prefix_labels: Dict[Tuple[int, bool, str], Set[str]] = {}
-
-
-def counts_from_statistics(stats: ExtensionStatistics) -> ExtensionCounts:
-    """Collapse the oracle's pivot sets into counts."""
-    counts = ExtensionCounts()
-    prefix_sets: Dict[Tuple[int, bool, str], Set[int]] = defaultdict(set)
-    for key, pivots in stats.new_node.items():
-        counts.new_node[key] = len(pivots)
-        prefix = (key[0], key[1], key[2])
-        prefix_sets[prefix] |= pivots
-        counts.prefix_labels.setdefault(prefix, set()).add(key[3])
-    for key, pivots in stats.closing.items():
-        counts.closing[key] = len(pivots)
-    counts.prefix_pivots = {
-        prefix: len(pivots) for prefix, pivots in prefix_sets.items()
-    }
-    return counts
 
 
 def _closing_tally(
@@ -239,31 +162,21 @@ def _closing_tally(
 
 
 def extension_counts(
-    graph: Optional[Graph],
+    index: GraphIndex,
     pattern: Pattern,
-    matches: Iterable[Match],
+    matches: Union[Sequence[Match], np.ndarray],
     can_add_node: bool,
-    index: Optional[GraphIndex] = None,
 ) -> ExtensionCounts:
     """The ``VSpawn`` tally of one match batch (the per-worker scan).
 
-    With ``index`` the closing half is a semi-join over the columns'
-    distinct nodes (:func:`_closing_tally`) and the new-node half one
-    ragged CSR gather per (variable, direction) over the rows; each half
-    is an integer group-by over ``key · |V| + pivot``.  Without ``index``
-    the dict oracle :func:`extension_statistics` runs and its sets are
-    collapsed — the results are identical.
+    The closing half is a semi-join over the columns' distinct nodes
+    (:func:`_closing_tally`) and the new-node half one ragged CSR gather
+    per (variable, direction) over the rows; each half is an integer
+    group-by over ``key · |V| + pivot``.
     """
-    if index is None:
-        return counts_from_statistics(
-            extension_statistics(graph, pattern, matches, can_add_node)
-        )
     counts = ExtensionCounts()
     num_vars = pattern.num_nodes
-    array = _as_match_array(
-        matches if isinstance(matches, (np.ndarray, list)) else list(matches),
-        num_vars,
-    )
+    array = _as_match_array(matches, num_vars)
     if array.shape[0] == 0:
         return counts
     num_nodes = index.num_nodes

@@ -54,8 +54,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..core.config import EnforcementConfig
-from ..gfd.gfd import GFD
-from ..gfd.satisfaction import Violation
+from ..gfd.gfd import GFD, Violation
 from ..graph.graph import Graph
 from ..graph.index import GraphIndex
 from ..obs.tracer import NULL_TRACER
@@ -454,8 +453,8 @@ class EnforcementEngine:
         All of them — or, with ``seeds`` (the structural nodes; ``kinds``
         marks them 2), every match containing a seed, once: anchored at
         each variable in turn and kept from the anchor of its first seeded
-        variable only.  One walk of the plan's join trie;
-        ``find_violations`` is the layer's oracle.
+        variable only.  One walk of the plan's join trie; the layer's
+        oracle is per-rule backtracking (:func:`repro.oracle.find_violations`).
         """
         anchored = seeds is not None
         trie = self.plan.anchored_trie if anchored else self.plan.full_trie

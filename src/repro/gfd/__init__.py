@@ -1,8 +1,7 @@
 """GFD model, semantics, closure, implication and satisfiability."""
 
 from .closure import LiteralClosure, chase, embedded_rules, enforced
-from .extensions import ComparisonLiteral, ExtendedGFD, find_extended_violations
-from .gfd import GFD, is_trivial
+from .gfd import GFD, Violation, is_trivial
 from .implication import ImplicationChecker, implies
 from .literals import (
     FALSE,
@@ -22,16 +21,17 @@ from .parser import (
     loads_sigma,
     parse_gfd,
 )
-from .satisfaction import (
-    Violation,
-    find_violations,
-    graph_satisfies,
-    satisfies_all,
-    satisfies_gfd,
-    satisfies_literal,
-    validate_set,
-)
 from .satisfiability import build_model, is_satisfiable, satisfiable_patterns
+
+#: Names of :mod:`repro.oracle` this package re-exports.
+_ORACLE_EXPORTS = {
+    "satisfies_literal",
+    "satisfies_all",
+    "satisfies_gfd",
+    "graph_satisfies",
+    "find_violations",
+    "validate_set",
+}
 
 __all__ = [
     "GFD",
@@ -44,9 +44,6 @@ __all__ = [
     "ImplicationChecker",
     "Violation",
     "GFDSyntaxError",
-    "ComparisonLiteral",
-    "ExtendedGFD",
-    "find_extended_violations",
     "is_trivial",
     "make_variable_literal",
     "rename_literal",
@@ -70,3 +67,13 @@ __all__ = [
     "dumps_sigma",
     "loads_sigma",
 ]
+
+
+def __getattr__(name: str):
+    """The oracle's public names, re-exported from :mod:`repro.oracle` on
+    first use (the oracle is built on this package's modules)."""
+    if name in _ORACLE_EXPORTS:
+        from .. import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

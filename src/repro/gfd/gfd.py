@@ -7,10 +7,10 @@ GFD per RHS literal); negative GFDs have ``l = false``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Tuple
 
-from ..pattern.pattern import Pattern, variable_name
+from ..pattern.pattern import Match, Pattern, variable_name
 from .literals import (
     FALSE,
     ConstantLiteral,
@@ -19,10 +19,9 @@ from .literals import (
     VariableLiteral,
     format_literal_set,
     literal_variables,
-    rename_literal,
 )
 
-__all__ = ["GFD", "is_trivial"]
+__all__ = ["GFD", "Violation", "is_trivial"]
 
 
 @dataclass(frozen=True)
@@ -84,22 +83,6 @@ class GFD:
                 names.add(literal.attr2)
         return frozenset(names)
 
-    def rename(self, mapping) -> "GFD":
-        """The GFD with variables substituted through ``mapping`` (embedding).
-
-        The caller supplies the target pattern implicitly; this only rewrites
-        the literals — use together with :mod:`repro.pattern.embedding`.
-        """
-        return GFD(
-            self.pattern,
-            frozenset(rename_literal(l, mapping) for l in self.lhs),
-            rename_literal(self.rhs, mapping),
-        )
-
-    def with_pattern(self, pattern: Pattern) -> "GFD":
-        """The same dependency re-scoped onto ``pattern``."""
-        return GFD(pattern, self.lhs, self.rhs)
-
     # ------------------------------------------------------------------
     def __str__(self) -> str:
         variables = ",".join(variable_name(v) for v in self.pattern.variables())
@@ -115,6 +98,18 @@ class GFD:
                 for v, label in enumerate(self.pattern.labels)
             )
         return f"Q[{variables}]{{{edges}}}({format_literal_set(self.lhs)} → {self.rhs})"
+
+
+@dataclass(frozen=True)
+class Violation:
+    """A match witnessing ``G ⊭ φ``: ``h ⊨ X`` but ``h ⊭ Y``."""
+
+    gfd: GFD
+    match: Match
+
+    def nodes(self) -> Tuple[int, ...]:
+        """The graph nodes of the violating match (the inconsistent entity)."""
+        return self.match
 
 
 def is_trivial(gfd: GFD) -> bool:

@@ -29,7 +29,6 @@ from .literals import FalseLiteral, Literal
 
 __all__ = [
     "implies",
-    "implies_any",
     "ImplicationChecker",
     "greedy_group_elimination",
 ]
@@ -48,11 +47,6 @@ def implies(sigma: Sequence[GFD], gfd: GFD) -> bool:
     if isinstance(gfd.rhs, FalseLiteral):
         return False
     return closure.entails(gfd.rhs)
-
-
-def implies_any(sigma: Sequence[GFD], candidates: Sequence[GFD]) -> List[bool]:
-    """Vectorized :func:`implies` over several candidates (shared Σ)."""
-    return [implies(sigma, candidate) for candidate in candidates]
 
 
 class ImplicationChecker:

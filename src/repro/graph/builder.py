@@ -62,10 +62,6 @@ class GraphBuilder:
             raise KeyError(f"unknown destination node {dst_key!r}")
         self._graph.add_edge(self._ids[src_key], self._ids[dst_key], label)
 
-    def has_node(self, key: Hashable) -> bool:
-        """Whether a node for ``key`` has been created."""
-        return key in self._ids
-
     def node_id(self, key: Hashable) -> int:
         """The integer id assigned to ``key`` (KeyError if absent)."""
         return self._ids[key]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from types import MappingProxyType
 from typing import (
-    Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set,
+    Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Set,
     Tuple,
 )
 
@@ -362,29 +362,6 @@ class Graph:
     def edge_label_counts(self) -> Dict[str, int]:
         """Edge label -> number of edges with that label."""
         return dict(self._edge_label_count)
-
-    def label_count(self, label: str) -> int:
-        """Number of nodes carrying ``label``."""
-        return len(self._label_index.get(label, ()))
-
-    # ------------------------------------------------------------------
-    # derived views
-    # ------------------------------------------------------------------
-    def induced_subgraph(self, nodes: Iterable[int]) -> "Graph":
-        """The subgraph induced by ``nodes`` (all edges among them), re-indexed.
-
-        Node ids are remapped densely in iteration order of ``nodes``.
-        """
-        subgraph = Graph()
-        mapping: Dict[int, int] = {}
-        for node in nodes:
-            mapping[node] = subgraph.add_node(self._labels[node], self._attrs[node])
-        for old, new in mapping.items():
-            for dst, labels in self._out[old].items():
-                if dst in mapping:
-                    for label in labels:
-                        subgraph.add_edge(new, mapping[dst], label)
-        return subgraph
 
     def copy(self) -> "Graph":
         """A deep, independent copy of the graph."""

@@ -670,15 +670,6 @@ class GraphIndex:
             pool = pool[self.node_label_codes[pool] == node_label_code]
         return pool
 
-    def csr_slice(self, node: int, outward: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """The raw ``(neighbors, edge label codes)`` slice of one node."""
-        if outward:
-            indptr, nbrs, labs = self.out_indptr, self.out_neighbors, self.out_edge_labels
-        else:
-            indptr, nbrs, labs = self.in_indptr, self.in_neighbors, self.in_edge_labels
-        start, end = indptr[node], indptr[node + 1]
-        return nbrs[start:end], labs[start:end]
-
     def edges_exist(
         self,
         src: np.ndarray,
@@ -772,8 +763,7 @@ class GraphIndex:
 
         Returns ``(row, neighbor, edge_label_code)`` where ``row[i]`` is the
         position in ``nodes`` that contributed flat entry ``i``.  This is the
-        ragged-gather primitive behind vectorized ``extend_matches`` and
-        ``extension_statistics``.
+        ragged-gather primitive behind the vectorized ``extension_counts``.
         """
         if outward:
             indptr, nbrs, labs = self.out_indptr, self.out_neighbors, self.out_edge_labels

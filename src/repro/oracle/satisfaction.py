@@ -1,4 +1,4 @@
-"""Match-level satisfaction and graph-level validation of GFDs.
+"""The satisfaction oracle: match-level semantics and per-rule validation.
 
 Semantics (Section 2.2), including the schemaless subtleties:
 
@@ -9,22 +9,23 @@ Semantics (Section 2.2), including the schemaless subtleties:
   literal *requires* the attribute to exist.
 * ``G ⊨ φ`` iff every match of ``Q`` in ``G`` satisfies ``X → Y``.
 
-Validation enumerates matches (``O(|G|^k)``; the problem is co-W[1]-hard —
-Theorem 1(b) — so enumeration is what a sequential algorithm can do).
+Validation enumerates matches one rule at a time with the backtracking
+matcher (``O(|G|^k)``; the problem is co-W[1]-hard — Theorem 1(b)).  The
+product answers the same question with the enforcement engine
+(:mod:`repro.enforce`), which is tested against these functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
+from ..gfd.gfd import GFD, Violation
+from ..gfd.literals import ConstantLiteral, FalseLiteral, Literal
 from ..graph.graph import Graph
-from ..pattern.matcher import Match, find_matches
-from .gfd import GFD
-from .literals import ConstantLiteral, FalseLiteral, Literal, VariableLiteral
+from ..pattern.pattern import Match
+from .matching import reference_matches
 
 __all__ = [
-    "Violation",
     "satisfies_literal",
     "satisfies_all",
     "satisfies_gfd",
@@ -35,18 +36,6 @@ __all__ = [
 
 #: A sentinel distinguishing a missing attribute from a stored None.
 _MISSING = object()
-
-
-@dataclass(frozen=True)
-class Violation:
-    """A match witnessing ``G ⊭ φ``: ``h ⊨ X`` but ``h ⊭ Y``."""
-
-    gfd: GFD
-    match: Match
-
-    def nodes(self) -> Tuple[int, ...]:
-        """The graph nodes of the violating match (the inconsistent entity)."""
-        return self.match
 
 
 def satisfies_literal(graph: Graph, match: Match, literal: Literal) -> bool:
@@ -87,7 +76,7 @@ def find_violations(
     algorithms keep them per pattern).
     """
     violations: List[Violation] = []
-    pool = matches if matches is not None else find_matches(graph, gfd.pattern)
+    pool = matches if matches is not None else reference_matches(graph, gfd.pattern)
     for match in pool:
         if not satisfies_gfd(graph, match, gfd):
             violations.append(Violation(gfd, match))

@@ -1,4 +1,4 @@
-"""Support and correlation of GFDs (Section 4.2).
+"""The support oracle: support of patterns and GFDs by re-matching (Section 4.2).
 
 * ``supp(Q, G) = |Q(G, z)|`` — distinct pivot images over all matches;
 * ``ρ(φ, G) = |Q(G, Xl, z)| / |Q(G, z)|`` — the fraction of pivots whose
@@ -8,8 +8,9 @@
   frequent pattern (edge removed) or valid positive GFD (literal removed)
   it minimally extends.
 
-These standalone functions recompute matches; the discovery engine gets the
-same quantities incrementally from match tables.  Theorem 3
+These standalone functions recompute matches with the backtracking
+matcher; the discovery engine gets the same quantities incrementally from
+match tables and is tested against them.  Theorem 3
 (anti-monotonicity: ``φ1 ≪ φ2 ⇒ supp(φ1) ≥ supp(φ2)``) is exercised by the
 property-based tests.
 """
@@ -18,18 +19,17 @@ from __future__ import annotations
 
 from typing import Set
 
-from ..graph.graph import Graph
 from ..gfd.gfd import GFD
 from ..gfd.literals import FalseLiteral
-from ..gfd.satisfaction import satisfies_all, satisfies_literal
-from ..pattern.matcher import find_matches, pivot_image
+from ..graph.graph import Graph
 from ..pattern.pattern import Pattern
+from .matching import pivot_image, reference_matches
+from .satisfaction import satisfies_all, satisfies_literal
 
 __all__ = [
     "pattern_support",
     "support_set",
     "gfd_support",
-    "correlation",
     "negative_base_support",
     "gfd_support_any",
 ]
@@ -46,7 +46,7 @@ def support_set(graph: Graph, gfd: GFD) -> Set[int]:
         return set()
     pivots: Set[int] = set()
     pivot_var = gfd.pattern.pivot
-    for match in find_matches(graph, gfd.pattern):
+    for match in reference_matches(graph, gfd.pattern):
         node = match[pivot_var]
         if node in pivots:
             continue
@@ -60,14 +60,6 @@ def support_set(graph: Graph, gfd: GFD) -> Set[int]:
 def gfd_support(graph: Graph, gfd: GFD) -> int:
     """``supp(φ, G)`` for a positive GFD (0 for negative — see the base form)."""
     return len(support_set(graph, gfd))
-
-
-def correlation(graph: Graph, gfd: GFD) -> float:
-    """``ρ(φ, G)``: the attribute-correlation factor of the support."""
-    denominator = pattern_support(graph, gfd.pattern)
-    if denominator == 0:
-        return 0.0
-    return len(support_set(graph, gfd)) / denominator
 
 
 def negative_base_support(graph: Graph, gfd: GFD) -> int:
@@ -96,7 +88,7 @@ def negative_base_support(graph: Graph, gfd: GFD) -> int:
     for removed in gfd.lhs:
         remaining = [l for l in gfd.lhs if l != removed]
         pivots: Set[int] = set()
-        for match in find_matches(graph, pattern):
+        for match in reference_matches(graph, pattern):
             node = match[pattern.pivot]
             if node not in pivots and satisfies_all(graph, match, remaining):
                 pivots.add(node)

@@ -521,13 +521,7 @@ class ShardWorker:
             matches = self.tables[key].match_array
         else:
             matches = payload["matches"]
-        table = MatchTable(
-            self.graph,
-            payload["pattern"],
-            matches,
-            payload["gamma"],
-            index=self.index,
-        )
+        table = MatchTable(self.index, payload["pattern"], matches, payload["gamma"])
         self.tables[key] = table
         values = None
         agreements: Dict = {}
@@ -541,11 +535,7 @@ class ShardWorker:
         """This shard's extension tallies as shippable counts."""
         table = self.tables[key]
         return extension_counts(
-            self.graph,
-            table.pattern,
-            table.match_array,
-            payload["can_add"],
-            index=self.index,
+            self.index, table.pattern, table.match_array, payload["can_add"]
         )
 
     def op_join(self, key: int, payload: Dict[str, Any]) -> List[Tuple]:
@@ -563,11 +553,7 @@ class ShardWorker:
         results: List[Tuple] = []
         for position, (extension, pivot_var) in enumerate(payload["extensions"]):
             matches = extend_matches(
-                self.graph,
-                parent_matches,
-                extension,
-                max_matches=cap,
-                index=self.index,
+                self.index, parent_matches, extension, max_matches=cap
             )
             count = int(matches.shape[0])
             support = int(np.unique(matches[:, pivot_var]).size) if count else 0
@@ -658,7 +644,7 @@ class ShardWorker:
         if bool((pivots[1:] < pivots[:-1]).any()):
             order = np.argsort(pivots, kind="stable")
             rows = rows[order]
-        table = MatchTable(self.graph, pattern, rows, (), index=self.index)
+        table = MatchTable(self.index, pattern, rows, ())
         verdicts = [table.violation_mask(lhs, rhs) for lhs, rhs in rules]
         if order is not None:
             for offset, sorted_verdict in enumerate(verdicts):

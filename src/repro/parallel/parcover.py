@@ -33,7 +33,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Sequence, Set, Tuple
 
-from ..core.cover import CoverResult, _scan_order
+from ..core.cover import CoverResult, scan_order
 from ..gfd.gfd import GFD
 from ..gfd.implication import ImplicationChecker
 from ..pattern.canonical import pivot_blind_key
@@ -209,7 +209,7 @@ def parallel_cover_ungrouped(
     sigma = list(sigma)
     with _CoverSession(backend) as session:
         with backend.tracer.span("master", "master"):
-            order = _scan_order(sigma)
+            order = scan_order(sigma)
         # Distribute tests in scan-order round-robin.  Each worker evaluates
         # its share against the full Σ minus the candidate (the expensive
         # part); the master then reconciles mutual implications sequentially

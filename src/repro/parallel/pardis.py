@@ -34,7 +34,7 @@ share is :attr:`ParallelDiscovery.work`).  This is the one mining engine:
 at ``n = 1`` on the ``serial`` backend it is ``SeqDis``
 (:func:`~repro.core.discovery.discover`).  On any backend and any ``n`` the
 discovered set equals the dict-adjacency oracle's
-(:func:`~repro.core.discovery.reference_discover`) — parallel scalability
+(:func:`~repro.oracle.reference_discover`) — parallel scalability
 (Theorem 5) is about the work per worker, not results — which the
 randomized differential harness (``tests/test_differential.py``) asserts.
 
@@ -53,12 +53,7 @@ import numpy as np
 
 from ..core.config import CandidateBudgetExceeded, DiscoveryConfig
 from ..core.generation_tree import GenerationTree, TreeNode
-from ..core.match_table import (
-    MatchTable,
-    constant_literals_from_code_counts,
-    merge_agreement_counts,
-    variable_literals_from_counts,
-)
+from ..core.match_table import literal_alphabet, merge_agreement_counts
 from ..core.reduction import gfd_identity, minimal_cover_by_reduction
 from ..core.results import DiscoveryResult, MiningStats
 from ..core.spawning import (
@@ -198,7 +193,7 @@ class ParallelDiscovery:
 
     At ``n = 1`` on the ``serial`` backend it is the paper's ``SeqDis``
     (:func:`~repro.core.discovery.discover` runs it so); the dict-adjacency
-    oracle :class:`~repro.core.discovery.SequentialDiscovery` finds the
+    oracle :class:`~repro.oracle.SequentialDiscovery` finds the
     same Σ with the same supports.
 
     Args:
@@ -917,18 +912,14 @@ class ParallelDiscovery:
             self._keys[id(node)]
         )
         with self.tracer.span("master", "master"):
-            literals: List[Literal] = list(
-                constant_literals_from_code_counts(
-                    value_parts,
-                    MatchTable.column_keys(node.pattern, self.gamma),
-                    self.index.value_of_code,
-                    self.config.max_constants,
-                )
+            return literal_alphabet(
+                self.index,
+                node.pattern,
+                self.gamma,
+                value_parts,
+                merge_agreement_counts(agreement_parts) if want_variable else {},
+                self.config.max_constants,
             )
-            if want_variable:
-                merged_agreements = merge_agreement_counts(agreement_parts)
-                literals.extend(variable_literals_from_counts(merged_agreements))
-        return literals
 
     def _mine_nodes_batch(self, nodes: List[TreeNode]) -> None:
         """``HSpawn`` for a node-order prefix of one level's verified

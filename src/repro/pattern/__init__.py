@@ -7,18 +7,18 @@ from .canonical import (
     canonicalize,
     pivot_blind_key,
 )
-from .embedding import embedding_batch, embeddings, embeds_strictly, is_embedded
-from .incremental import Extension, apply_extension, extend_match, extend_matches
-from .matcher import (
-    Match,
-    count_matches,
-    find_matches,
-    has_match,
-    match_array,
-    match_exists_at_pivot,
-    pivot_image,
-)
+from .embedding import embedding_batch, embeds_strictly, is_embedded
+from .incremental import Extension, apply_extension, extend_matches
+from .matcher import Match, find_matches, match_array
 from .pattern import WILDCARD, Pattern, PatternEdge, label_matches, variable_name
+
+#: Names of :mod:`repro.oracle` this package re-exports.
+_ORACLE_EXPORTS = {
+    "pivot_image",
+    "match_exists_at_pivot",
+    "extend_match",
+    "embeddings",
+}
 
 __all__ = [
     "WILDCARD",
@@ -30,9 +30,7 @@ __all__ = [
     "variable_name",
     "find_matches",
     "match_array",
-    "count_matches",
     "pivot_image",
-    "has_match",
     "match_exists_at_pivot",
     "canonical_key",
     "canonical_ordering",
@@ -47,3 +45,13 @@ __all__ = [
     "extend_match",
     "extend_matches",
 ]
+
+
+def __getattr__(name: str):
+    """The oracle's public names, re-exported from :mod:`repro.oracle` on
+    first use (the oracle is built on this package's modules)."""
+    if name in _ORACLE_EXPORTS:
+        from .. import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

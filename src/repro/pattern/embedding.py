@@ -11,22 +11,22 @@ node matching ``Q`` also matches ``Q'`` through ``f``.  Concretely, a
 wildcard in the inner (embedded) pattern accepts anything; a wildcard in the
 outer pattern only satisfies a wildcard requirement.
 
-:func:`embeddings` is the backtracking definition and the test oracle.  The
-library asks :func:`embedding_batch` instead: the same embeddings, in the
-same order, for a whole batch of pattern pairs in one vectorized call whose
-result belongs to the caller.  Nothing here keeps state between calls.
+:func:`embedding_batch` finds the embeddings of a whole batch of pattern
+pairs in one vectorized call whose result belongs to the caller; its
+backtracking definition, :func:`repro.oracle.embeddings`, is the test
+oracle and yields the same embeddings in the same order.  Nothing here
+keeps state between calls.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .pattern import WILDCARD, Pattern, label_matches
+from .pattern import WILDCARD, Pattern
 
 __all__ = [
-    "embeddings",
     "embedding_batch",
     "label_profile",
     "may_embed",
@@ -37,105 +37,6 @@ __all__ = [
 
 #: An embedding: image in the outer pattern per inner-pattern variable.
 Embedding = Tuple[int, ...]
-
-
-def embeddings(
-    inner: Pattern,
-    outer: Pattern,
-    pivot_preserving: bool = False,
-    max_results: Optional[int] = None,
-) -> Iterator[Embedding]:
-    """Enumerate injective embeddings of ``inner`` into ``outer``.
-
-    Args:
-        inner: the pattern being embedded (e.g. the pattern of a known GFD).
-        outer: the host pattern.
-        pivot_preserving: require ``f(inner.pivot) == outer.pivot`` — the
-            condition of the GFD ordering ``≪`` (Section 4.1).
-        max_results: stop after this many embeddings.
-
-    Yields tuples ``f`` with ``f[u]`` the outer variable for inner ``u``.
-    """
-    if not may_embed(inner, outer):
-        return
-
-    # adjacency of outer for O(1) edge lookups: (src, dst) -> set of labels
-    outer_edges: Dict[Tuple[int, int], set] = {}
-    for edge in outer.edges:
-        outer_edges.setdefault((edge.src, edge.dst), set()).add(edge.label)
-
-    inner_adjacency = inner.adjacency()
-    order: List[int] = []
-    visited = set()
-    start = inner.pivot
-    # BFS order from the pivot keeps back-edge constraints available early.
-    frontier = [start]
-    visited.add(start)
-    while frontier:
-        node = frontier.pop(0)
-        order.append(node)
-        for other, _, _, _ in inner_adjacency[node]:
-            if other not in visited:
-                visited.add(other)
-                frontier.append(other)
-    # patterns handed to embeddings are connected; defend anyway:
-    for node in inner.variables():
-        if node not in visited:
-            order.append(node)
-
-    assignment: List[int] = [-1] * inner.num_nodes
-    used = [False] * outer.num_nodes
-    emitted = 0
-
-    def label_ok(inner_var: int, outer_var: int) -> bool:
-        return label_matches(outer.labels[outer_var], inner.labels[inner_var])
-
-    def edges_ok(inner_var: int, outer_var: int) -> bool:
-        for other, _, label, is_out in inner_adjacency[inner_var]:
-            # a loop's other end is the variable being placed
-            image = outer_var if other == inner_var else assignment[other]
-            if image == -1:
-                continue
-            pair = (outer_var, image) if is_out else (image, outer_var)
-            labels = outer_edges.get(pair)
-            if not labels:
-                return False
-            if label == WILDCARD:
-                continue
-            # the outer edge label must itself match the inner requirement:
-            # L_outer(e) ⪯ l_inner means equality for concrete inner labels
-            # (a wildcard outer edge only satisfies a wildcard inner edge).
-            if label not in labels:
-                return False
-        return True
-
-    def backtrack(position: int) -> Iterator[Embedding]:
-        nonlocal emitted
-        if position == len(order):
-            emitted += 1
-            yield tuple(assignment)
-            return
-        inner_var = order[position]
-        if pivot_preserving and inner_var == inner.pivot:
-            candidates: Iterator[int] = iter((outer.pivot,))
-        else:
-            candidates = iter(range(outer.num_nodes))
-        for outer_var in candidates:
-            if used[outer_var]:
-                continue
-            if not label_ok(inner_var, outer_var):
-                continue
-            if not edges_ok(inner_var, outer_var):
-                continue
-            assignment[inner_var] = outer_var
-            used[outer_var] = True
-            yield from backtrack(position + 1)
-            used[outer_var] = False
-            assignment[inner_var] = -1
-            if max_results is not None and emitted >= max_results:
-                return
-
-    yield from backtrack(0)
 
 
 def label_profile(pattern: Pattern) -> Tuple[Dict[str, int], Dict[str, int]]:
@@ -286,7 +187,7 @@ def _search_order(pattern: Pattern) -> List[int]:
 
     Breadth-first from the pivot (so back-edge constraints apply early),
     then any variable the search did not reach, in variable order — the
-    order :func:`embeddings` uses.
+    order the backtracking oracle uses.
     """
     adjacency = pattern.adjacency()
     order = [pattern.pivot]
@@ -435,10 +336,13 @@ def embedding_batch(
     pairs: Iterable[Tuple[Pattern, Pattern, bool]],
     max_results: Optional[int] = None,
 ) -> List[Tuple[Embedding, ...]]:
-    """:func:`embeddings` for many ``(inner, outer, pivot_preserving)`` pairs.
+    """The embeddings of many ``(inner, outer, pivot_preserving)`` pairs.
 
-    Returns, per pair, ``tuple(embeddings(inner, outer, pivot_preserving,
-    max_results))`` — the same embeddings in the same order.  The search is
+    Returns, per pair, the tuple of injective embeddings ``f`` (``f[u]``
+    the outer variable of inner ``u``; with ``pivot_preserving``,
+    ``f(inner.pivot) == outer.pivot``), at most ``max_results`` of them —
+    the same embeddings, in the same order, as the backtracking oracle
+    ``repro.oracle.embeddings``.  The search is
     vectorized: pairs are deduplicated, filtered by :func:`may_embed` in
     one numpy pass, grouped by (inner size, outer size), and each group
     extends the partial maps of all its pairs one inner variable at a time.

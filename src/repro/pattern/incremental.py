@@ -3,23 +3,22 @@
 ``SeqDis`` and ``ParDis`` grow patterns one edge at a time and extend
 the *stored* matches of the parent pattern instead of re-matching from
 scratch (Sections 5.1 and 6.2).  An :class:`Extension` describes the added
-edge; :func:`extend_matches` performs the join against a graph (sequential
-case) and :func:`extend_match` against a single base match (the per-work-unit
-operation workers execute).
+edge; :func:`extend_matches` joins a whole batch of matches with it over
+the frozen index by vectorized numpy set-ops.  Its oracle joins one match
+at a time on the dict adjacency (:func:`repro.oracle.extend_match`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..graph.graph import Graph
 from ..graph.index import GraphIndex
 from .pattern import WILDCARD, Match, Pattern
 
-__all__ = ["Extension", "apply_extension", "extend_match", "extend_matches"]
+__all__ = ["Extension", "apply_extension", "extend_matches"]
 
 #: A batch of matches: list of tuples, or an ``(N, num_vars)`` int64 array.
 MatchBatch = Union[Sequence[Match], np.ndarray]
@@ -62,74 +61,6 @@ def apply_extension(pattern: Pattern, extension: Extension) -> Pattern:
     )
 
 
-def extend_match(
-    graph: Graph,
-    match: Match,
-    extension: Extension,
-) -> Iterator[Match]:
-    """Extend one match of ``Q`` to matches of ``Q + e``.
-
-    For a closing edge this filters (yields the unchanged match when the edge
-    exists in the graph); for a new-node extension it fans out over candidate
-    neighbors, enforcing label and injectivity constraints.
-    """
-    if extension.is_closing:
-        source_node = match[extension.src]
-        target_node = match[extension.dst]
-        labels = graph.edge_labels(source_node, target_node)
-        if not labels:
-            return
-        if extension.edge_label != WILDCARD and extension.edge_label not in labels:
-            return
-        yield match
-        return
-
-    anchor_node = match[extension.src]
-    if extension.outward:
-        neighbors = graph.out_neighbors(anchor_node)
-    else:
-        neighbors = graph.in_neighbors(anchor_node)
-    wanted_edge = extension.edge_label
-    wanted_node = extension.new_node_label
-    for neighbor, labels in neighbors.items():
-        if wanted_edge != WILDCARD and wanted_edge not in labels:
-            continue
-        if wanted_node != WILDCARD and graph.node_label(neighbor) != wanted_node:
-            continue
-        if neighbor in match:
-            continue  # injectivity
-        yield match + (neighbor,)
-
-
-def extend_matches(
-    graph: Graph,
-    matches: MatchBatch,
-    extension: Extension,
-    max_matches: Optional[int] = None,
-    index: Optional[GraphIndex] = None,
-) -> MatchBatch:
-    """Join a batch of base matches with the extension edge.
-
-    With ``index`` the whole batch is joined by vectorized numpy set-ops
-    (one edge-existence ``searchsorted`` for a closing edge; one ragged
-    neighborhood gather + label-mask for a new-node fan-out) instead of the
-    per-match Python loop.  The uncapped result *set* equals the dict
-    path's; per-match neighbor order differs (CSR vs dict insertion), so a
-    binding ``max_matches`` may keep a different truncated subset.  The
-    index path returns the ``(N, vars)`` int64 array — the workers keep
-    batches in array form end-to-end — and the dict path a list of tuples.
-    """
-    if index is not None:
-        return _extend_matches_indexed(index, matches, extension, max_matches)
-    result: List[Match] = []
-    for match in matches:
-        for extended in extend_match(graph, match, extension):
-            result.append(extended)
-            if max_matches is not None and len(result) >= max_matches:
-                return result
-    return result
-
-
 def _as_match_array(matches: MatchBatch, width: int) -> np.ndarray:
     """Coerce a match batch into a 2-D int64 array (``width`` is a floor).
 
@@ -145,13 +76,21 @@ def _as_match_array(matches: MatchBatch, width: int) -> np.ndarray:
     return np.asarray(matches, dtype=np.int64)
 
 
-def _extend_matches_indexed(
+def extend_matches(
     index: GraphIndex,
     matches: MatchBatch,
     extension: Extension,
-    max_matches: Optional[int],
+    max_matches: Optional[int] = None,
 ) -> np.ndarray:
-    """Vectorized join of a whole match batch with one extension edge."""
+    """Join a batch of base matches with the extension edge.
+
+    The whole batch is joined at once: one edge-existence ``searchsorted``
+    for a closing edge; one ragged neighborhood gather + label-mask for a
+    new-node fan-out.  Returns the ``(N, vars)`` int64 array — the workers
+    keep batches in array form end to end.  Per match, neighbors come in
+    CSR order, so a binding ``max_matches`` keeps the first joins in that
+    order.
+    """
     # the batch width: a new-node extension's fresh variable is ``dst``, so
     # the parent batch has exactly ``dst`` columns; a closing edge needs at
     # least ``max(src, dst) + 1`` (non-empty batches carry the real width).

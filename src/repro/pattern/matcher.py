@@ -11,8 +11,8 @@ mapping ``h`` from pattern variables to graph nodes such that
 Matches are the non-induced kind: extra graph edges among matched nodes are
 allowed (the match subgraph consists of exactly the images of pattern edges).
 
-Two matchers share one connectivity-driven search plan (:func:`_search_plan`).
-With a frozen :class:`~repro.graph.index.GraphIndex`, a plan is compiled to
+Matching follows a connectivity-driven search plan (:func:`search_plan`)
+over a frozen :class:`~repro.graph.index.GraphIndex`.  A plan is compiled to
 a sequence of ops over plan positions — root label, then per further
 variable one fan-out of the whole batch along a pattern edge (``Q'(G) =
 Q(G) ⋈ e``), one batched ``np.searchsorted`` filter per other edge back to a
@@ -21,23 +21,23 @@ number of plans are inserted into one prefix trie (:func:`compile_plans`).
 :meth:`PlanTrie.match` walks it depth-first one block of the root pool at a
 time: an op shared by many plans runs once on the rows its prefix produced,
 an empty result prunes everything below it, and no Python frame is spent
-per assignment.  :func:`match_array` / :func:`find_matches` ``(index=…)`` are
-the one-plan case of that walk; enforcement inserts all of ``Σ``.  Plans hold
+per assignment.  :func:`match_array` / :func:`find_matches` are the
+one-plan case of that walk; enforcement inserts all of ``Σ``.  Plans hold
 label strings, never codes, so a trie outlives index patches and snapshots.
-Without an index, a VF2-style backtracking search over the mutable graph's
-dict adjacency enumerates the same match multiset; it is the layer's
-reference oracle, and the path for graphs under edit.
+The layer's oracle is a VF2-style backtracking search over the dict
+adjacency that follows the same plan and enumerates the same match
+multiset (:func:`repro.oracle.reference_matches`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..graph.graph import Graph
 from ..graph.index import GraphIndex
-from .incremental import Extension, _extend_matches_indexed
+from .incremental import Extension, extend_matches
 from .pattern import WILDCARD, Match, Pattern
 
 __all__ = [
@@ -46,14 +46,11 @@ __all__ = [
     "match_array",
     "PlanTrie",
     "compile_plans",
-    "count_matches",
-    "pivot_image",
-    "has_match",
-    "match_exists_at_pivot",
+    "search_plan",
 ]
 
-#: Root-pool nodes joined per block by the index path: bounds the joins'
-#: intermediates and lets ``max_matches`` / :func:`has_match` stop early.
+#: Root-pool nodes joined per block: bounds the joins' intermediates and
+#: lets ``max_matches`` stop early.
 _ROOT_BLOCK = 4096
 
 
@@ -85,38 +82,9 @@ def _search_order(pattern: Pattern, root: int) -> List[int]:
     return order
 
 
-def _root_candidates(
-    graph: Graph, pattern: Pattern, root: int, seeds: Optional[Iterable[int]]
-) -> Iterable[int]:
-    """Candidate graph nodes for the first variable of the search plan."""
-    label = pattern.labels[root]
-    if seeds is not None:
-        if label == WILDCARD:
-            return seeds
-        return (v for v in seeds if graph.node_label(v) == label)
-    if label == WILDCARD:
-        return graph.nodes()
-    return graph.nodes_with_label(label)
-
-
-def _parallel_edges_ok(
-    pattern_labels: Sequence[str], graph_labels: Set[str]
-) -> bool:
-    """Injective assignment test for parallel pattern edges on one node pair.
-
-    Concrete pattern labels must all be present; wildcard pattern edges then
-    need enough *distinct remaining* graph labels to map to injectively.
-    """
-    concrete = [l for l in pattern_labels if l != WILDCARD]
-    for label in concrete:
-        if label not in graph_labels:
-            return False
-    wildcards = len(pattern_labels) - len(concrete)
-    return len(graph_labels) - len(concrete) >= wildcards
-
-
-def _search_plan(pattern: Pattern, anchor: int):
-    """The search plan both backends follow from ``anchor``.
+def search_plan(pattern: Pattern, anchor: int):
+    """The search plan of ``pattern`` from ``anchor``: the plan trie's and
+    the backtracking oracle's (:func:`repro.oracle.reference_matches`).
 
     Returns ``(order, position_of, back_edges, parallel_groups)``:
     ``back_edges[p]`` lists, for the variable at plan position ``p``, its
@@ -152,7 +120,7 @@ def find_matches(
     root: Optional[int] = None,
     index: Optional[GraphIndex] = None,
 ) -> Iterator[Match]:
-    """Enumerate matches of ``pattern`` in ``graph``.
+    """Enumerate matches of ``pattern``: the one-plan case of :class:`PlanTrie`.
 
     Args:
         graph: the data graph (unused, and may be ``None``, with ``index``).
@@ -161,111 +129,19 @@ def find_matches(
             graph nodes — used for pivot-local matching.
         max_matches: stop after this many matches (None = all).
         root: which variable anchors the search (default: the pivot).
-        index: optional frozen index of ``graph``; matches then come from
-            :func:`match_array`'s joins, one root block at a time, in join
-            order instead of depth-first order.
+        index: the frozen index to match on (default: ``graph.index()``).
 
-    Yields match tuples (graph node per variable, in variable order).
+    Yields match tuples (graph node per variable, in variable order), one
+    root block at a time in join order.
     """
     anchor = pattern.pivot if root is None else root
-    if index is not None:
-        emitted = 0
-        for block in _match_blocks(index, pattern, seeds, anchor):
-            for row in block.tolist():
-                emitted += 1
-                yield tuple(row)
-                if max_matches is not None and emitted >= max_matches:
-                    return
-        return
-
-    order, position_of, back_edges, parallel_groups = _search_plan(pattern, anchor)
-    labels = pattern.labels
-    assignment: List[int] = [-1] * pattern.num_nodes
-    used: Set[int] = set()
     emitted = 0
-
-    def candidates_for(position: int) -> Iterable[int]:
-        """Graph-node candidates for plan position ``position``."""
-        variable = order[position]
-        required_label = labels[variable]
-        # choose the cheapest back-edge to drive candidate generation
-        best: Optional[Iterable[int]] = None
-        best_size = None
-        for mapped_var, edge_label, is_out in back_edges[position]:
-            mapped_node = assignment[mapped_var]
-            if is_out:
-                # pattern edge variable -> mapped_var, so candidate has an
-                # out-edge to mapped_node: candidates are in-neighbors sources
-                neighbors = graph.in_neighbors(mapped_node)
-            else:
-                neighbors = graph.out_neighbors(mapped_node)
-            if edge_label == WILDCARD:
-                pool = list(neighbors)
-            else:
-                pool = [n for n, ls in neighbors.items() if edge_label in ls]
-            if best_size is None or len(pool) < best_size:
-                best, best_size = pool, len(pool)
-                if best_size == 0:
-                    return ()
-        assert best is not None
-        if required_label == WILDCARD:
-            return best
-        return [n for n in best if graph.node_label(n) == required_label]
-
-    def edges_consistent(position: int, node: int) -> bool:
-        """Verify all back edges from plan position ``position`` map to graph edges."""
-        variable = order[position]
-        for mapped_var, edge_label, is_out in back_edges[position]:
-            mapped_node = assignment[mapped_var]
-            if is_out:
-                graph_labels = graph.edge_labels(node, mapped_node)
-            else:
-                graph_labels = graph.edge_labels(mapped_node, node)
-            if not graph_labels:
-                return False
-            if edge_label != WILDCARD and edge_label not in graph_labels:
-                return False
-        # group check for parallel pattern edges whose endpoints are now mapped
-        for (src, dst), group_labels in parallel_groups.items():
-            if position_of[src] <= position and position_of[dst] <= position:
-                s_node = node if src == variable else assignment[src]
-                d_node = node if dst == variable else assignment[dst]
-                if s_node == -1 or d_node == -1:
-                    continue
-                if not _parallel_edges_ok(
-                    group_labels, graph.edge_labels(s_node, d_node)
-                ):
-                    return False
-        return True
-
-    def backtrack(position: int) -> Iterator[Match]:
-        nonlocal emitted
-        if position == len(order):
+    for block in _match_blocks(index or graph.index(), pattern, seeds, anchor):
+        for row in block.tolist():
             emitted += 1
-            yield tuple(assignment)
-            return
-        variable = order[position]
-        if position == 0:
-            pool: Iterable[int] = _root_candidates(graph, pattern, variable, seeds)
-        else:
-            pool = candidates_for(position)
-        for node in pool:
-            if node in used:
-                continue
-            if position == 0 and labels[variable] != WILDCARD:
-                if graph.node_label(node) != labels[variable]:
-                    continue
-            if position > 0 and not edges_consistent(position, node):
-                continue
-            assignment[variable] = node
-            used.add(node)
-            yield from backtrack(position + 1)
-            used.discard(node)
-            assignment[variable] = -1
+            yield tuple(row)
             if max_matches is not None and emitted >= max_matches:
                 return
-
-    yield from backtrack(0)
 
 
 class _TrieNode:
@@ -298,7 +174,7 @@ class PlanTrie:
 
     def insert(self, plan_id: Any, pattern: Pattern, anchor: int) -> None:
         """Add the search plan of ``pattern`` from ``anchor`` under ``plan_id``."""
-        order, position_of, back_edges, parallel_groups = _search_plan(
+        order, position_of, back_edges, parallel_groups = search_plan(
             pattern, anchor
         )
         ops: List[Any] = []
@@ -383,11 +259,12 @@ class PlanTrie:
         for op, child in node.children.items():
             if isinstance(op, Extension):
                 self.joins += not op.is_closing
-                rows = _extend_matches_indexed(index, array, op, None)
+                rows = extend_matches(index, array, op)
             else:
-                # _parallel_edges_ok, batched: the concrete labels passed
-                # the filters above, so the injective assignment exists iff
-                # the pair carries at least as many labels as pattern edges
+                # parallel pattern edges, batched: the concrete labels
+                # passed the filters above, so the injective assignment
+                # exists iff the pair carries at least as many labels as
+                # pattern edges
                 src, dst, needed = op
                 carried = index.edge_label_counts(array[:, src], array[:, dst])
                 rows = array[carried >= needed]
@@ -422,80 +299,10 @@ def match_array(
     The whole-pattern counterpart of :func:`~repro.pattern.incremental.
     extend_matches`: the same vectorized joins, started from the label pool
     of ``root`` (default: the pivot) — or from ``seeds``, label-filtered —
-    instead of from a parent pattern's stored matches.  Same match multiset
-    as the dict backtracker under the same ``seeds`` and ``root``.
+    instead of from a parent pattern's stored matches.
     """
     anchor = pattern.pivot if root is None else root
     blocks = list(_match_blocks(index, pattern, seeds, anchor))
     if not blocks:
         return np.empty((0, pattern.num_nodes), dtype=np.int64)
     return np.concatenate(blocks)
-
-
-def count_matches(
-    graph: Graph,
-    pattern: Pattern,
-    limit: Optional[int] = None,
-    index: Optional[GraphIndex] = None,
-) -> int:
-    """Number of matches of ``pattern`` in ``graph`` (capped at ``limit``)."""
-    count = 0
-    for _ in find_matches(graph, pattern, max_matches=limit, index=index):
-        count += 1
-    return count
-
-
-def pivot_image(
-    graph: Graph,
-    pattern: Pattern,
-    seeds: Optional[Iterable[int]] = None,
-    index: Optional[GraphIndex] = None,
-) -> Set[int]:
-    """``Q(G, z)``: the distinct graph nodes the pivot maps to over all matches.
-
-    This is the paper's pattern support set (Section 4.2).  The search is
-    anchored at the pivot and stops at the *first* match per pivot candidate,
-    so it is much cheaper than full enumeration.
-    """
-    image: Set[int] = set()
-    if index is not None:
-        if seeds is None:
-            candidates: Iterable[int] = (
-                range(index.num_nodes)
-                if pattern.labels[pattern.pivot] == WILDCARD
-                else index.nodes_with_label(pattern.labels[pattern.pivot])
-            )
-        else:
-            candidates = seeds
-    else:
-        candidates = _root_candidates(graph, pattern, pattern.pivot, seeds)
-    for candidate in candidates:
-        candidate = int(candidate)
-        if candidate in image:
-            continue
-        if match_exists_at_pivot(graph, pattern, candidate, index=index):
-            image.add(candidate)
-    return image
-
-
-def match_exists_at_pivot(
-    graph: Graph,
-    pattern: Pattern,
-    pivot_node: int,
-    index: Optional[GraphIndex] = None,
-) -> bool:
-    """Whether some match maps the pivot to ``pivot_node``."""
-    for _ in find_matches(
-        graph, pattern, seeds=(pivot_node,), max_matches=1, index=index
-    ):
-        return True
-    return False
-
-
-def has_match(
-    graph: Graph, pattern: Pattern, index: Optional[GraphIndex] = None
-) -> bool:
-    """Whether ``pattern`` has at least one match in ``graph``."""
-    for _ in find_matches(graph, pattern, max_matches=1, index=index):
-        return True
-    return False

@@ -188,21 +188,6 @@ class Pattern:
                     frontier.append(other)
         return len(seen) == self.num_nodes
 
-    def radius_at_pivot(self) -> int:
-        """``d_Q``: longest shortest (undirected) path from the pivot (Section 4.1)."""
-        adjacency = self.adjacency()
-        distances = {self.pivot: 0}
-        frontier = [self.pivot]
-        while frontier:
-            next_frontier = []
-            for node in frontier:
-                for other, _, _, _ in adjacency[node]:
-                    if other not in distances:
-                        distances[other] = distances[node] + 1
-                        next_frontier.append(other)
-            frontier = next_frontier
-        return max(distances.values()) if distances else 0
-
     # ------------------------------------------------------------------
     # derivation (used by spawning and the ``≪`` ordering)
     # ------------------------------------------------------------------
@@ -230,12 +215,6 @@ class Pattern:
             [e.as_tuple() for e in self.edges] + [edge],
             self.pivot,
         )
-
-    def with_label(self, variable: int, label: str) -> "Pattern":
-        """A new pattern where ``variable`` carries ``label`` (e.g. wildcard upgrade)."""
-        labels = list(self.labels)
-        labels[variable] = label
-        return Pattern(labels, (e.as_tuple() for e in self.edges), self.pivot)
 
     def with_pivot(self, pivot: int) -> "Pattern":
         """The same pattern re-pivoted at ``pivot``."""

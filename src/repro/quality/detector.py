@@ -40,8 +40,7 @@ from typing import Iterable, List, Optional, Sequence, Set
 
 from ..baselines.amie import AmieMiner, AmieRule
 from ..core.config import EnforcementConfig
-from ..gfd.gfd import GFD
-from ..gfd.satisfaction import Violation
+from ..gfd.gfd import GFD, Violation
 from ..graph.graph import Graph
 from .metrics import DetectionMetrics, detection_metrics
 

@@ -220,7 +220,7 @@ class TestSurfaceSnapshot:
         """The dict-adjacency oracle is reached by name only (no config
         field selects it — the pinned field counts above hold that)."""
         from repro import core
-        from repro.core.discovery import reference_discover
+        from repro.oracle import reference_discover
 
         assert callable(reference_discover)
         assert "reference_discover" not in repro.__all__

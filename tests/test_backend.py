@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import DiscoveryConfig, discover, gfd_identity
-from repro.core.discovery import reference_discover
+from repro.oracle import reference_discover
 from repro.graph import Graph
 from repro.graph.index import GraphIndex
 from repro.parallel import (

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -16,7 +17,10 @@ from repro.baselines import (
     run_pargfd_n,
 )
 from repro.core import DiscoveryConfig, discover, gfd_identity
+from repro.gfd import GFD
+from repro.gfd.closure import is_trivial_dependency
 from repro.graph import Graph, GraphBuilder
+from repro.oracle import reference_discover
 from repro.pattern import Pattern
 
 
@@ -156,7 +160,68 @@ class TestGCFD:
             assert all(is_path_pattern(g.pattern) for g in parallel.gfds)
 
 
+def brute_force_pararab(graph, config):
+    """The split protocol's phase 2 spelled out on the oracle: every
+    frequent pattern of the dict-adjacency ``SeqDis`` tree, its reference
+    table, and the full LHS lattice per RHS checked with bool masks.
+    Returns ``(Σ as gfd_identity set, patterns, candidates)``."""
+    tree = reference_discover(graph, config).tree
+    tables = [
+        node.table
+        for node in tree.all_nodes()
+        if node.support >= config.sigma
+        and node.table is not None
+        and not node.table.truncated
+    ]
+    found, candidates = set(), 0
+    for table in tables:
+        literals = table.candidate_constant_literals(config.max_constants)
+        if config.variable_literals and table.pattern.num_nodes > 1:
+            literals += table.candidate_variable_literals(
+                config.variable_literals_same_attr_only
+            )
+        for rhs in literals:
+            others = [literal for literal in literals if literal != rhs]
+            for size in range(config.max_lhs_size + 1):
+                for subset in combinations(others, size):
+                    candidates += 1
+                    lhs = frozenset(subset)
+                    if is_trivial_dependency(lhs, rhs):
+                        continue
+                    rows = table.full_mask()
+                    for literal in lhs:
+                        rows = rows & table.literal_mask(literal)
+                    both = rows & table.literal_mask(rhs)
+                    count = table.mask_count(rows)
+                    if (
+                        count
+                        and table.mask_count(both) == count
+                        and table.mask_support(both) >= config.sigma
+                    ):
+                        found.add(gfd_identity(GFD(table.pattern, lhs, rhs)))
+    return found, len(tables), candidates
+
+
 class TestParArab:
+    @pytest.mark.parametrize("dataset", ["film", "yago"])
+    def test_output_equals_brute_force_lattice(
+        self, dataset, film_graph, film_config, yago_small, yago_config
+    ):
+        """ParArab's Σ, pattern count and candidate count are the oracle's
+        brute-force lattice over the same frequent patterns (yago at
+        ``k = 2``, one LHS literal: the full lattice grows fast)."""
+        if dataset == "film":
+            graph, config = film_graph, film_config
+        else:
+            graph, config = yago_small, replace(yago_config, k=2, max_lhs_size=1)
+        result = run_pararab(graph, config, candidate_budget=None)
+        assert result.completed
+        found, patterns, candidates = brute_force_pararab(graph, config)
+        assert found and len(result.gfds) == len(found)
+        assert {gfd_identity(g) for g in result.gfds} == found
+        assert result.patterns_mined == patterns
+        assert result.candidates_generated == candidates
+
     def test_completes_on_small_graph(self, film_graph, film_config):
         result = run_pararab(film_graph, film_config, candidate_budget=None)
         assert result.completed

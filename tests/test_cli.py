@@ -10,6 +10,7 @@ from repro.cli import load_rules, main, save_rules
 from repro.core import discover, gfd_identity
 from repro.gfd import parse_gfd
 from repro.graph import save_json, save_tsv
+from repro.oracle import find_violations, sequential_cover
 
 
 @pytest.fixture
@@ -64,15 +65,31 @@ class TestCLI:
         ) == 0
         assert "producer" in capsys.readouterr().out
 
-    def test_validate_clean(self, graph_file, rules_file):
-        assert main(["validate", graph_file, rules_file]) == 0
+    def test_enforce_clean(self, graph_file, rules_file):
+        assert main(["enforce", graph_file, rules_file]) == 0
 
-    def test_validate_dirty(self, tmp_path, film_graph, rules_file, capsys):
+    def test_enforce_dirty_capped(self, tmp_path, film_graph, rules_file, capsys):
+        """A capped run still exits 1 and counts exactly what the per-rule
+        oracle finds."""
         film_graph.set_attr(0, "type", "gardener")  # break the rule
         dirty_path = tmp_path / "dirty.json"
         save_json(film_graph, dirty_path)
-        assert main(["validate", str(dirty_path), rules_file]) == 1
+        report_path = tmp_path / "report.json"
+        code = main(
+            [
+                "enforce", str(dirty_path), rules_file,
+                "--max-violations-per-rule", "1", "--json", str(report_path),
+            ]
+        )
+        assert code == 1
         assert "violation" in capsys.readouterr().out
+        import json
+
+        report = json.loads(report_path.read_text())
+        expected = sum(
+            len(find_violations(film_graph, gfd)) for gfd in load_rules(rules_file)
+        )
+        assert report["total_violations"] == expected > 0
 
     def test_cover(self, rules_file, capsys, tmp_path):
         out_file = tmp_path / "cover.gfd"
@@ -82,12 +99,18 @@ class TestCLI:
     def test_cover_workers_matches_sequential(
         self, tmp_path, film_graph, film_config
     ):
-        """``cover --workers 2`` (ParCover on a CLI-owned backend) keeps the
-        same rules as the sequential cover, and warns about nothing."""
+        """``cover`` (ParCover on a CLI-owned backend, one worker by
+        default) keeps the rules the ``SeqCover`` oracle keeps, at any
+        ``--workers``, and warns about nothing."""
         rules = tmp_path / "rules.gfd"
         save_rules(discover(film_graph, film_config).gfds, str(rules))
-        covers = {}
-        for name, flags in (("sequential", []), ("parallel", ["--workers", "2"])):
+        covers = {
+            "sequential": {
+                gfd_identity(g)
+                for g in sequential_cover(load_rules(str(rules))).cover
+            }
+        }
+        for name, flags in (("default", []), ("parallel", ["--workers", "2"])):
             out_file = tmp_path / f"{name}.gfd"
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -97,7 +120,7 @@ class TestCLI:
             covers[name] = {
                 gfd_identity(g) for g in load_rules(str(out_file))
             }
-        assert covers["parallel"] == covers["sequential"]
+        assert covers["default"] == covers["parallel"] == covers["sequential"]
         assert 0 < len(covers["sequential"]) < len(load_rules(str(rules)))
 
     #: the verbs taking each numeric flag whose bound argparse enforces
@@ -114,7 +137,6 @@ class TestCLI:
         "--deadline": ("serve",),
         "--max-violations-per-rule": ("enforce",),
         "--samples": ("enforce",),
-        "--limit": ("validate",),
         "--port": ("serve",),
         "--duration": ("serve",),
     }
@@ -134,7 +156,6 @@ class TestCLI:
             ("--deadline", "0"),
             ("--max-violations-per-rule", "0"),
             ("--samples", "-1"),
-            ("--limit", "0"),
             ("--port", "-1"),
             ("--port", "70000"),
             ("--duration", "-1"),
@@ -151,7 +172,6 @@ class TestCLI:
             "discover": [graph_file],
             "pipeline": [graph_file],
             "enforce": [graph_file, rules_file],
-            "validate": [graph_file, rules_file],
             "cover": [rules_file],
             "serve": [
                 graph_file, "--rules", rules_file, "--port", "0",
@@ -179,7 +199,7 @@ class TestCLI:
         rules = tmp_path / "bad.gfd"
         rules.write_text("this is not a GFD\n")
         with pytest.raises(SystemExit):
-            main(["validate", graph_file, str(rules)])
+            main(["enforce", graph_file, str(rules)])
 
     def test_round_trip_rules(self, tmp_path):
         rules = [

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core import (
     DiscoveryConfig,
     MatchTable,
-    correlation,
     discover,
     gfd_identity,
     gfd_reduces,
@@ -23,6 +22,7 @@ from repro.core import (
     sequential_cover,
 )
 from repro.core.config import CandidateBudgetExceeded
+from repro.core.match_table import constant_literals_from_code_counts
 from repro.core.reduction import _reduces_through
 from repro.gfd import (
     FALSE,
@@ -37,6 +37,7 @@ from repro.graph import Graph
 from repro.parallel import ParallelDiscovery
 from repro.pattern import WILDCARD, Pattern, embedding_batch, find_matches
 from repro.pattern.embedding import may_embed
+from repro.oracle import ReferenceTable, support_set
 
 
 def reducing_pairs(gfds):
@@ -71,7 +72,12 @@ def table_fixture():
         attrs = {"color": value} if value is not None else {}
         pivots.append(graph.add_node("thing", attrs))
     matches = [(node,) for node in pivots]
-    return graph, MatchTable(graph, Pattern(["thing"]), matches, ["color"])
+    return graph, MatchTable(graph.index(), Pattern(["thing"]), matches, ["color"])
+
+
+def literal_bitset(table, literal) -> int:
+    """One literal's row bitset on a product table."""
+    return table.as_bitsets(table.literal_bits([literal]))[0]
 
 
 def to_bits(mask) -> int:
@@ -80,14 +86,14 @@ def to_bits(mask) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-def assert_bits_equal_masks(table, literals):
-    """``literal_bits`` row by row against the per-literal numpy oracle."""
+def assert_bits_equal_masks(table, literals, masks):
+    """``literal_bits`` row by row against per-literal bool ``masks``."""
     packed = table.literal_bits(literals)
     assert packed.dtype == np.uint8
     assert packed.shape == (len(literals), (table.num_rows + 7) // 8)
     rows = np.unpackbits(packed, axis=1, count=table.num_rows, bitorder="little")
     for row, literal in zip(rows, literals):
-        assert row.astype(bool).tolist() == table.literal_mask(literal).tolist()
+        assert row.astype(bool).tolist() == masks.literal_mask(literal).tolist()
 
 
 class TestMatchTable:
@@ -95,30 +101,30 @@ class TestMatchTable:
         graph, table = table_fixture()
         assert table.num_rows == 4
         red = ConstantLiteral(0, "color", "red")
-        assert table.literal_count(red) == 2
+        assert np.count_nonzero(table.literal_mask(red)) == 2
         missing = ConstantLiteral(0, "color", "green")
-        assert table.literal_count(missing) == 0
+        assert np.count_nonzero(table.literal_mask(missing)) == 0
 
     def test_masks_and_support(self):
         graph, table = table_fixture()
         red = ConstantLiteral(0, "color", "red")
-        mask = table.literal_mask(red)
-        assert table.mask_count(mask) == 2
-        assert table.mask_support(mask) == 2
-        assert table.mask_support(np.zeros(4, dtype=bool)) == 0
+        bits = literal_bitset(table, red)
+        assert bits.bit_count() == 2
+        assert table.bits_support(bits) == 2
+        assert table.bits_support(0) == 0
 
     def test_rows_sorted_by_pivot(self):
         graph = Graph()
         a, b = graph.add_node("t"), graph.add_node("t")
-        table = MatchTable(graph, Pattern(["t"]), [(b,), (a,), (b,)], [])
-        assert [m[0] for m in table.matches] == [a, b, b]
+        table = MatchTable(graph.index(), Pattern(["t"]), [(b,), (a,), (b,)], [])
+        assert table.match_array[:, 0].tolist() == [a, b, b]
 
     def test_stack_supports(self):
         graph = Graph()
         a, b = graph.add_node("t"), graph.add_node("t")
         # two matches share pivot a, one has pivot b
         pattern = Pattern(["t", "t"], [(0, 1, "e")], pivot=0)
-        table = MatchTable(graph, pattern, [(a, b), (a, a), (b, a)], [])
+        table = MatchTable(graph.index(), pattern, [(a, b), (a, a), (b, a)], [])
         # one packed row per candidate, one bit per table row (row i = bit i)
         masks = np.array(
             [[True, True, True],
@@ -135,19 +141,21 @@ class TestMatchTable:
         assert table.stack_supports(packed) == [2, 0, 0, 1]
         assert table.stack_supports(packed[:0]) == []
 
-    @pytest.mark.parametrize("indexed", [False, True])
-    def test_literal_bits_equal_literal_masks(self, indexed):
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_literal_bits_equal_literal_masks(self, oracle):
         """Constants of several columns (listed contiguously and not),
-        variable literals, an absent value, an attribute no row has."""
+        variable literals, an absent value, an attribute no row has —
+        against the table's own bool masks, and the reference table's."""
         graph = Graph()
         for a, b in [("u", "u"), ("v", None), (None, "v"), ("u", "v"), ("v", "v")] * 3:
             graph.add_node(
                 "t", {k: v for k, v in (("a", a), ("b", b)) if v is not None}
             )
         matches = [(p, (p * 7 + 3) % 15) for p in range(15) for _ in range(p % 3 + 1)]
-        table = MatchTable(
-            graph, Pattern(["t", "t"], [(0, 1, "e")]), matches, ["a", "b", "c"],
-            index=graph.index() if indexed else None,
+        pattern = Pattern(["t", "t"], [(0, 1, "e")])
+        table = MatchTable(graph.index(), pattern, matches, ["a", "b", "c"])
+        masks = (
+            ReferenceTable(graph, pattern, matches, ["a", "b", "c"]) if oracle else table
         )
         assert table.num_rows % 8  # the last packed byte is partial
         literals = [
@@ -164,9 +172,9 @@ class TestMatchTable:
         ]
         assert table.literal_bits(literals[:3]).any()
         assert table.mask_cache_misses == 0  # the bitset face caches nothing
-        assert_bits_equal_masks(table, literals)
-        assert_bits_equal_masks(table, literals[::-1])
-        assert_bits_equal_masks(table, [])
+        assert_bits_equal_masks(table, literals, masks)
+        assert_bits_equal_masks(table, literals[::-1], masks)
+        assert_bits_equal_masks(table, [], masks)
 
     def test_rows_satisfying_variable_literal(self):
         graph = Graph()
@@ -176,22 +184,29 @@ class TestMatchTable:
         graph.add_edge(b, a, "e")
         pattern = Pattern(["p", "p"], [(0, 1, "e")])
         matches = list(find_matches(graph, pattern))
-        table = MatchTable(graph, pattern, matches, ["u", "v"])
+        table = MatchTable(graph.index(), pattern, matches, ["u", "v"])
         literal = make_variable_literal(0, "u", 1, "u")
-        assert table.mask_count(table.literal_mask(literal)) == 2
-        assert table.mask_support(table.literal_mask(literal)) == 2
+        bits = literal_bitset(table, literal)
+        assert bits.bit_count() == 2
+        assert table.bits_support(bits) == 2
         other = make_variable_literal(0, "v", 1, "v")
-        assert table.mask_count(table.literal_mask(other)) == 0
-        assert table.mask_support(table.literal_mask(other)) == 0
+        assert literal_bitset(table, other) == 0
 
     def test_candidate_constants_ranked(self):
         graph, table = table_fixture()
-        literals = table.candidate_constant_literals(max_constants=1)
+        literals = constant_literals_from_code_counts(
+            [table.constant_code_counts()],
+            MatchTable.column_keys(table.pattern, table.attributes),
+            table.index.value_of_code,
+            max_constants=1,
+        )
         assert literals == [ConstantLiteral(0, "color", "red")]
+        oracle = ReferenceTable(graph, table.pattern, [(0,), (1,), (2,), (3,)], ["color"])
+        assert oracle.candidate_constant_literals(max_constants=1) == literals
 
     def test_truncated_flag(self):
         graph, _ = table_fixture()
-        table = MatchTable(graph, Pattern(["thing"]), [(0,)], [], truncated=True)
+        table = MatchTable(graph.index(), Pattern(["thing"]), [(0,)], [], truncated=True)
         assert table.truncated
 
 
@@ -237,7 +252,7 @@ def kernel_cases(draw):
             st.lists(st.booleans(), min_size=len(matches), max_size=len(matches)),
         )
     )
-    return graph, matches, literals, np.array(parent, dtype=bool), draw(st.booleans())
+    return graph, matches, literals, np.array(parent, dtype=bool)
 
 
 #: Rows where CPython's 30-bit int digits and 64-bit words begin.
@@ -271,7 +286,7 @@ def pivot_run_cases(draw):
         widths = draw(st.lists(st.integers(1, 9), max_size=20))
     full = (1 << sum(widths)) - 1
     mask = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
-    return widths, mask, draw(st.booleans()), draw(st.booleans())
+    return widths, mask, draw(st.booleans())
 
 
 def bare_graph(num_nodes):
@@ -282,7 +297,7 @@ def bare_graph(num_nodes):
 
 
 class TestRowBitsets:
-    """The bitset face of ``MatchTable`` against its numpy oracle."""
+    """``MatchTable``'s row bitsets against the reference table's bool masks."""
 
     PATTERN = Pattern(["t", "t"], [(0, 1, "e")])
     GRAPH = bare_graph(130)
@@ -290,32 +305,32 @@ class TestRowBitsets:
     @given(pivot_run_cases())
     @settings(max_examples=300, deadline=None)
     def test_bits_support_and_count_equal_mask_support_and_count(self, case):
-        widths, bits, indexed, reverse = case
+        widths, bits, reverse = case
         matches = [
             (pivot, (pivot + row) % 130)
             for pivot, width in enumerate(widths)
             for row in range(width)
         ]
         num_rows = len(matches)
-        table = MatchTable(
-            self.GRAPH, self.PATTERN, matches[::-1] if reverse else matches, [],
-            index=self.GRAPH.index() if indexed else None,
-        )
+        ordered = matches[::-1] if reverse else matches
+        table = MatchTable(self.GRAPH.index(), self.PATTERN, ordered, [])
+        oracle = ReferenceTable(self.GRAPH, self.PATTERN, ordered, [])
         mask = np.array([bits >> row & 1 for row in range(num_rows)], dtype=bool)
         assert to_bits(mask) == bits
-        assert table.full_bits() == to_bits(table.full_mask())
-        assert bits.bit_count() == table.mask_count(mask)
-        assert table.bits_support(bits) == table.mask_support(mask)
+        assert table.full_bits() == to_bits(oracle.full_mask())
+        assert bits.bit_count() == oracle.mask_count(mask)
+        assert table.bits_support(bits) == oracle.mask_support(mask)
         assert table.bits_support(table.full_bits()) == len(widths)
         packed = np.packbits(mask, bitorder="little")[None, :]
-        assert table.stack_supports(packed) == [table.mask_support(mask)]
+        assert table.stack_supports(packed) == [oracle.mask_support(mask)]
 
 
 class TestHSpawnKernel:
     """``ShardWorker.op_eval`` / ``op_probe`` against per-candidate masks.
 
     The worker holds row bitsets (Python ints); the oracle side of every
-    check is the numpy ``literal_mask`` / ``mask_count`` / ``mask_support``.
+    check is the reference table's ``literal_mask`` / ``mask_count`` /
+    ``mask_support``.
     """
 
     PATTERN = Pattern(["t", "t"], [(0, 1, "e")])
@@ -339,9 +354,8 @@ class TestHSpawnKernel:
     def test_eval_and_probe_match_per_candidate_masks(self, case):
         from repro.parallel.backend import ShardWorker
 
-        graph, matches, literals, parent, indexed = case
-        index = graph.index() if indexed else None
-        worker = ShardWorker(graph, index)
+        graph, matches, literals, parent = case
+        worker = ShardWorker(graph, graph.index())
         worker.op_install(
             1,
             {
@@ -351,7 +365,8 @@ class TestHSpawnKernel:
                 "gamma": ["a", "b", "c"],
             },
         )
-        table = worker.tables[1]
+        # same input order, same stable pivot sort: the rows line up
+        table = ReferenceTable(graph, self.PATTERN, matches, ["a", "b", "c"])
         counts, supports = worker.op_scan(1, {"literals": literals})
         for literal, count, support in zip(literals, counts, supports):
             assert count == table.literal_count(literal)
@@ -469,7 +484,9 @@ class TestSupport:
         graph = self.build()
         pattern = Pattern(["person", "product"], [(0, 1, "create")], pivot=0)
         gfd = GFD(pattern, frozenset(), ConstantLiteral(0, "kind", "producer"))
-        assert correlation(graph, gfd) == pytest.approx(0.5)
+        # ρ(φ, G) = |Q(G, Xl, z)| / |Q(G, z)|
+        rho = len(support_set(graph, gfd)) / pattern_support(graph, pattern)
+        assert rho == pytest.approx(0.5)
 
     def test_negative_base_support_structural(self):
         graph = self.build()

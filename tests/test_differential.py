@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.core import DiscoveryConfig, discover, gfd_identity, sequential_cover
-from repro.core.discovery import reference_discover
+from repro.oracle import reference_discover
 from repro.datasets import dbpedia_like, imdb_like, yago2_like
 from repro.enforce import RuleSketchMonitor
 from repro.gfd import format_gfd, implies, parse_gfd
@@ -290,7 +290,8 @@ class TestBudgetedDiscovery:
         full = _Counting(graph, config, num_workers)
         result = full.run()
         assert full.mined == [
-            len(result.tree.level(i)) for i in range(result.tree.num_levels)
+            len(result.tree.level(i))
+            for i in range(1 + max(node.level for node in result.tree.all_nodes()))
         ] == [2, 10, 35, 56]
 
         budgeted = _Counting(graph, config, num_workers)

@@ -3,7 +3,7 @@
 The differential guarantee of PR 3: :class:`EnforcementEngine` — grouped
 and vectorized, on the serial and multiprocess backends, with full and
 incremental refresh — reports exactly the violation sets of the per-rule
-reference :func:`repro.gfd.satisfaction.find_violations`, on a seeded
+reference :func:`repro.oracle.find_violations`, on a seeded
 population of randomized graphs and rule sets covering negative GFDs
 (``X → false``), missing attributes on both literal sides, variable
 literals, wildcard labels, and isomorphic-pattern sharing.
@@ -33,7 +33,7 @@ from repro.datasets.noise import inject_noise
 from repro.enforce import DeltaLog, EnforcementEngine, compile_plan
 from repro.gfd.gfd import GFD
 from repro.gfd.literals import FALSE, ConstantLiteral, make_variable_literal
-from repro.gfd.satisfaction import find_violations
+from repro.oracle import find_violations
 from repro.graph import Graph
 from repro.pattern.incremental import Extension, extend_matches
 from repro.pattern.matcher import find_matches
@@ -851,7 +851,7 @@ class TestJoinTrie:
             for op, child in node.children.items():
                 if isinstance(op, Extension):
                     reached += not op.is_closing
-                    out = extend_matches(None, rows, op, index=index)
+                    out = extend_matches(index, rows, op)
                 else:
                     src, dst, needed = op
                     counts = index.edge_label_counts(rows[:, src], rows[:, dst])

@@ -23,7 +23,7 @@ import pytest
 
 from repro import DiscoveryConfig, FaultConfig, Session, discover, format_gfd
 from repro.core import gfd_identity, sequential_cover
-from repro.gfd.satisfaction import find_violations
+from repro.oracle import find_violations
 from repro.parallel import (
     FaultPlan,
     parallel_cover,

@@ -1,4 +1,8 @@
-"""Matcher tests: semantics, wildcards, pivots, and a brute-force oracle."""
+"""Matcher tests: semantics, wildcards, pivots, and a brute-force oracle.
+
+Every check runs the product matcher (the plan trie on the frozen index)
+and the backtracking oracle on the dict graph, and asks them to agree.
+"""
 
 from __future__ import annotations
 
@@ -10,19 +14,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import Graph
+from repro.oracle import (
+    match_exists_at_pivot,
+    pivot_image,
+    reference_extend_matches,
+    reference_matches,
+)
 from repro.pattern import (
     WILDCARD,
     Extension,
     Pattern,
     apply_extension,
-    count_matches,
     extend_matches,
     find_matches,
-    has_match,
     label_matches,
-    match_exists_at_pivot,
-    pivot_image,
 )
+
+
+def matches_of(graph: Graph, pattern: Pattern, **options):
+    """The oracle's matches, after checking the product finds the same."""
+    oracle = list(reference_matches(graph, pattern, **options))
+    assert sorted(find_matches(graph, pattern, **options)) == sorted(oracle)
+    return oracle
+
+
+def extended_by(graph: Graph, matches, extension: Extension):
+    """The oracle's join, after checking the product's array joins the same."""
+    oracle = reference_extend_matches(graph, matches, extension)
+    product = extend_matches(graph.index(), matches, extension)
+    assert sorted(map(tuple, product.tolist())) == sorted(oracle)
+    return oracle
 
 
 def brute_force_matches(graph: Graph, pattern: Pattern):
@@ -68,41 +89,41 @@ class TestMatcherBasics:
         graph.add_node("a")
         graph.add_node("b")
         pattern = Pattern(["a"])
-        assert list(find_matches(graph, pattern)) == [(0,)]
+        assert matches_of(graph, pattern) == [(0,)]
 
     def test_wildcard_node(self):
         graph = Graph()
         graph.add_node("a")
         graph.add_node("b")
-        assert count_matches(graph, Pattern([WILDCARD])) == 2
+        assert len(matches_of(graph, Pattern([WILDCARD]))) == 2
 
     def test_single_edge(self):
         graph = Graph()
         a, b = graph.add_node("a"), graph.add_node("b")
         graph.add_edge(a, b, "e")
         pattern = Pattern(["a", "b"], [(0, 1, "e")])
-        assert list(find_matches(graph, pattern)) == [(0, 1)]
+        assert matches_of(graph, pattern) == [(0, 1)]
 
     def test_direction_matters(self):
         graph = Graph()
         a, b = graph.add_node("a"), graph.add_node("b")
         graph.add_edge(a, b, "e")
         backward = Pattern(["a", "b"], [(1, 0, "e")])
-        assert not has_match(graph, backward)
+        assert not matches_of(graph, backward)
 
     def test_edge_label_matters(self):
         graph = Graph()
         a, b = graph.add_node("a"), graph.add_node("b")
         graph.add_edge(a, b, "e")
-        assert not has_match(graph, Pattern(["a", "b"], [(0, 1, "f")]))
-        assert has_match(graph, Pattern(["a", "b"], [(0, 1, WILDCARD)]))
+        assert not matches_of(graph, Pattern(["a", "b"], [(0, 1, "f")]))
+        assert matches_of(graph, Pattern(["a", "b"], [(0, 1, WILDCARD)]))
 
     def test_injectivity(self):
         graph = Graph()
         a = graph.add_node("a")
         graph.add_edge(a, a, "e")  # self-loop
         two = Pattern(["a", "a"], [(0, 1, "e")])
-        assert not has_match(graph, two)  # x and y must be distinct nodes
+        assert not matches_of(graph, two)  # x and y must be distinct nodes
 
     def test_non_induced_semantics(self):
         """Extra graph edges among matched nodes are allowed."""
@@ -110,7 +131,7 @@ class TestMatcherBasics:
         a, b = graph.add_node("a"), graph.add_node("b")
         graph.add_edge(a, b, "e")
         graph.add_edge(b, a, "f")  # extra edge
-        assert has_match(graph, Pattern(["a", "b"], [(0, 1, "e")]))
+        assert matches_of(graph, Pattern(["a", "b"], [(0, 1, "e")]))
 
     def test_cycle_pattern(self):
         graph = Graph()
@@ -118,27 +139,28 @@ class TestMatcherBasics:
         graph.add_edge(a, b, "parent")
         graph.add_edge(b, a, "parent")
         mutual = Pattern(["p", "p"], [(0, 1, "parent"), (1, 0, "parent")])
-        assert count_matches(graph, mutual) == 2  # both orientations
+        assert len(matches_of(graph, mutual)) == 2  # both orientations
 
     def test_parallel_pattern_edges_need_distinct_graph_edges(self):
         graph = Graph()
         a, b = graph.add_node("a"), graph.add_node("b")
         graph.add_edge(a, b, "e")
         both = Pattern(["a", "b"], [(0, 1, "e"), (0, 1, WILDCARD)])
-        assert not has_match(graph, both)
+        assert not matches_of(graph, both)
         graph.add_edge(a, b, "f")
-        assert has_match(graph, both)
+        assert matches_of(graph, both)
 
     def test_max_matches_cap(self):
         graph = Graph()
         for _ in range(5):
             graph.add_node("a")
-        assert count_matches(graph, Pattern(["a"]), limit=3) == 3
+        for matcher in (find_matches, reference_matches):
+            assert len(list(matcher(graph, Pattern(["a"]), max_matches=3))) == 3
 
     def test_seeds_restrict_root(self):
         graph = Graph()
         nodes = [graph.add_node("a") for _ in range(4)]
-        found = list(find_matches(graph, Pattern(["a"]), seeds=[nodes[2]]))
+        found = matches_of(graph, Pattern(["a"]), seeds=[nodes[2]])
         assert found == [(nodes[2],)]
 
 
@@ -170,13 +192,13 @@ class TestIncrementalJoin:
         graph.add_edge(a, b, "e")
         graph.add_edge(b, c, "f")
         base = Pattern(["a", "b"], [(0, 1, "e")])
-        base_matches = list(find_matches(graph, base))
+        base_matches = matches_of(graph, base)
         extension = Extension(src=1, dst=2, edge_label="f", new_node_label="c")
-        extended = extend_matches(graph, base_matches, extension)
+        extended = extended_by(graph, base_matches, extension)
         assert extended == [(a, b, c)]
         # equals matching the extended pattern from scratch
         full = apply_extension(base, extension)
-        assert set(extended) == set(find_matches(graph, full))
+        assert set(extended) == set(matches_of(graph, full))
 
     def test_closing_extension_filters(self):
         graph = Graph()
@@ -184,11 +206,11 @@ class TestIncrementalJoin:
         graph.add_edge(a, b, "e")
         graph.add_edge(b, a, "back")
         base = Pattern(["a", "b"], [(0, 1, "e")])
-        base_matches = list(find_matches(graph, base))
+        base_matches = matches_of(graph, base)
         closing = Extension(src=1, dst=0, edge_label="back")
-        assert extend_matches(graph, base_matches, closing) == [(a, b)]
+        assert extended_by(graph, base_matches, closing) == [(a, b)]
         missing = Extension(src=1, dst=0, edge_label="nope")
-        assert extend_matches(graph, base_matches, missing) == []
+        assert extended_by(graph, base_matches, missing) == []
 
     def test_inward_extension(self):
         graph = Graph()
@@ -198,7 +220,7 @@ class TestIncrementalJoin:
         extension = Extension(
             src=0, dst=1, edge_label="e", new_node_label="b", outward=False
         )
-        assert extend_matches(graph, [(a,)], extension) == [(a, b)]
+        assert extended_by(graph, [(a,)], extension) == [(a, b)]
 
     def test_extension_injectivity(self):
         graph = Graph()
@@ -207,20 +229,20 @@ class TestIncrementalJoin:
         graph.add_edge(a, b, "e")
         graph.add_edge(b, a, "e")
         base = Pattern(["a", "a"], [(0, 1, "e")])
-        matches = list(find_matches(graph, base))
+        matches = matches_of(graph, base)
         extension = Extension(src=1, dst=2, edge_label="e", new_node_label="a")
-        for extended in extend_matches(graph, matches, extension):
+        for extended in extended_by(graph, matches, extension):
             assert len(set(extended)) == len(extended)
 
     def test_incremental_equals_scratch(self):
         rng = random.Random(5)
         graph = random_graph(rng)
         base = Pattern(["a", "b"], [(0, 1, "e")])
-        matches = list(find_matches(graph, base))
+        matches = matches_of(graph, base)
         extension = Extension(src=1, dst=2, edge_label="f", new_node_label="c")
         extended = apply_extension(base, extension)
-        incremental = set(extend_matches(graph, matches, extension))
-        scratch = set(find_matches(graph, extended))
+        incremental = set(extended_by(graph, matches, extension))
+        scratch = set(matches_of(graph, extended))
         assert incremental == scratch
 
 
@@ -230,7 +252,7 @@ class TestAgainstBruteForce:
         rng = random.Random(seed)
         graph = random_graph(rng)
         pattern = Pattern(["a", "b"], [(0, 1, "e")])
-        assert set(find_matches(graph, pattern)) == brute_force_matches(
+        assert set(matches_of(graph, pattern)) == brute_force_matches(
             graph, pattern
         )
 
@@ -241,7 +263,7 @@ class TestAgainstBruteForce:
         pattern = Pattern(
             ["a", WILDCARD, "b"], [(0, 1, "e"), (1, 2, WILDCARD)], pivot=1
         )
-        assert set(find_matches(graph, pattern)) == brute_force_matches(
+        assert set(matches_of(graph, pattern)) == brute_force_matches(
             graph, pattern
         )
 
@@ -254,6 +276,6 @@ class TestAgainstBruteForce:
             ["a", "b", WILDCARD],
             [(0, 1, "e"), (1, 2, "f"), (2, 0, WILDCARD)],
         )
-        assert set(find_matches(graph, pattern)) == brute_force_matches(
+        assert set(matches_of(graph, pattern)) == brute_force_matches(
             graph, pattern
         )

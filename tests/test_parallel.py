@@ -334,10 +334,7 @@ class TestTallyFixedLeaves:
         assert any(support > 0 for _, _, support in engine.skipped)
         index = graph.index()
         for parent, extension, support in engine.skipped:
-            joined = extend_matches(
-                graph, match_array(index, parent), extension,
-                index=index,
-            )
+            joined = extend_matches(index, match_array(index, parent), extension)
             assert support == np.unique(joined[:, parent.pivot]).size
             assert support < sigma
         # and the parallel engine still agrees with the sequential oracle

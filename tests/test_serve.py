@@ -41,7 +41,7 @@ from repro import DiscoveryConfig, Session, Tracer, format_gfd, parse_gfd
 from repro.core import FaultConfig
 from repro.enforce import RuleSketchMonitor
 from repro.gfd.parser import dumps_sigma
-from repro.gfd.satisfaction import find_violations
+from repro.oracle import find_violations
 from repro.graph import load_index, save_index
 from repro.graph.index import GraphIndex
 from repro.parallel import shared_memory_available

@@ -24,10 +24,10 @@ from repro import (
     parse_gfd,
 )
 from repro.core import gfd_identity
-from repro.core.discovery import reference_discover
+from repro.oracle import reference_discover
 from repro.datasets import KB_ATTRIBUTES, imdb_like
 from repro.enforce import RuleSketchMonitor
-from repro.gfd.satisfaction import find_violations
+from repro.oracle import find_violations
 from repro.parallel import shared_memory_available
 from repro.parallel.pardis import ParallelDiscovery
 from repro.quality.detector import detect_gfd_violations
