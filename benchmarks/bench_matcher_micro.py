@@ -20,7 +20,7 @@ dict-graph oracle from :mod:`repro.oracle`:
 * ``constant_alphabet``     — the top-5 constants per column of one table:
   the ``Counter`` oracle (``constant_value_counts`` +
   ``constant_literals_from_counts``) vs the integer path
-  (``constant_code_counts`` + ``constant_literals_from_code_counts``).
+  (``alphabet_counts`` + ``constant_literals_from_code_counts``).
 
 Run as a script for a throughput table (``--check`` adds an equivalence
 assertion per operation and a wall-clock budget — the CI perf smoke gate),
@@ -89,7 +89,7 @@ def _timed(function, repeats: int = 3):
 def constants_of(table, max_constants=5):
     """The product table's constant alphabet (the integer path)."""
     return constant_literals_from_code_counts(
-        [table.constant_code_counts()],
+        [table.alphabet_counts()[0]],
         MatchTable.column_keys(table.pattern, table.attributes),
         table.index.value_of_code,
         max_constants,

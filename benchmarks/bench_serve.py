@@ -22,8 +22,9 @@ of the serving subsystem:
    leases, no live shared-memory segments, no live index mmaps.
 
 4. **Group commit batches** — under 8 concurrent clients the writer must
-   commit fewer batches than mutations (the linger window actually
-   groups), and every committed version must be covered by the log.
+   commit fewer batches than mutations (writes that arrive while a commit
+   or a discover/cover holds the lane share the next commit), and every
+   committed version must be covered by the log.
 
 5. **One answer per state** (exact counts, no timing) — one enforcement
    engine build per run (the ``engine_build`` tracer events: read-only

@@ -785,7 +785,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "flush")
     srv.add_argument("--commit-linger", type=_non_negative_float,
                      default=0.005, metavar="SECONDS",
-                     help="how long a lone mutation waits for company")
+                     help="longest a pending mutation batch waits for an "
+                          "in-flight discover/cover; with none in "
+                          "flight it commits at once")
     _add_index_argument(srv)
     _add_fault_arguments(srv)
     _add_trace_argument(srv)

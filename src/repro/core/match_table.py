@@ -313,8 +313,8 @@ class MatchTable:
     ) -> List[Tuple[int, str]]:
         """The sorted ``(variable, attr)`` columns of a table over ``pattern``.
 
-        A column's position here is its *slot* in
-        :meth:`constant_code_counts`.
+        A column's position here is its *slot* in the code counts of
+        :meth:`alphabet_counts`.
         """
         return sorted(
             {(variable, attr) for variable in pattern.variables() for attr in attributes}
@@ -327,9 +327,19 @@ class MatchTable:
     ]:
         """The alphabet's column statistics, reading each column once.
 
-        Returns ``(code counts, agreements)``: :meth:`constant_code_counts`
-        (``None`` unless ``constants``) and — unless
-        ``same_attr_only`` is ``None`` — :meth:`variable_agreement_counts`.
+        Returns ``(code counts, agreements)``.  The code counts (``None``
+        unless ``constants``) are per-column value-code frequencies as one
+        integer group-by: ``(keys, counts)``, the distinct ``slot · K +
+        code`` over every column's present cells, ascending, and the rows
+        carrying each — ``slot`` is the column's position in
+        :meth:`column_keys` and ``K`` the index's value-code count.  Codes
+        are graph-global, so shards' arrays merge by key
+        (:func:`constant_literals_from_code_counts`) and no value is
+        decoded.  The agreements (empty when ``same_attr_only`` is
+        ``None``) map each column pair — same attribute only, unless
+        ``same_attr_only`` is ``False`` — to the rows on which both columns
+        agree: a vectorized code compare, where code 0 (MISSING) never
+        agrees; keys are ascending and merge across shards by sum.
         The table is read one attribute at a time: one gather of that
         attribute's ``|x̄|`` columns appends the keys of their present
         cells and counts their agreeing pairs, then is dropped; one sort
@@ -387,29 +397,6 @@ class MatchTable:
             values = run_lengths(keys)
         return values, dict(sorted(agreements.items()))
 
-    def constant_code_counts(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-column value-code frequencies as integer group-bys.
-
-        Returns ``(keys, counts)``: the distinct ``slot · K + code`` over
-        every column's present cells, ascending, and the rows carrying
-        each — ``slot`` is the column's position in :meth:`column_keys`
-        and ``K`` the index's value-code count.  Codes are graph-global,
-        so shards' arrays merge by key
-        (:func:`constant_literals_from_code_counts`).  No value is decoded.
-        """
-        return self.alphabet_counts()[0]
-
-    def variable_agreement_counts(
-        self, same_attr_only: bool = True
-    ) -> Dict[Tuple[int, str, int, str], int]:
-        """Per column pair: rows on which both columns agree (mergeable).
-
-        Agreement is a vectorized code compare: codes are graph-global, so
-        value equality is code equality, and code 0 (MISSING) never agrees.
-        Keys are ascending.
-        """
-        return self.alphabet_counts(same_attr_only, constants=False)[1]
-
 
 def merge_agreement_counts(
     parts: Iterable[Dict[Tuple[int, str, int, str], int]],
@@ -443,7 +430,7 @@ def constant_literals_from_code_counts(
 ) -> List[ConstantLiteral]:
     """The constant-literal alphabet from shards' integer value counts.
 
-    ``parts`` are :meth:`MatchTable.constant_code_counts` results of one
+    ``parts`` are :meth:`MatchTable.alphabet_counts` code counts of one
     pattern's shards, ``columns`` their slot order and ``values`` the
     index's ``value_of_code`` (so ``K = len(values)``).  Codes are
     graph-global, so the merge is a sum per key.  Each
@@ -515,9 +502,9 @@ def literal_alphabet(
 ) -> List[Literal]:
     """``HSpawn``'s candidate alphabet from one pattern's column statistics.
 
-    ``value_parts`` are its shards' :meth:`MatchTable.constant_code_counts`
-    and ``agreements`` the merged variable-literal agreement counts (empty
-    when variable literals are off): the constant literals
+    ``value_parts`` are its shards' :meth:`MatchTable.alphabet_counts`
+    code counts and ``agreements`` the merged variable-literal agreement
+    counts (empty when variable literals are off): the constant literals
     (:func:`constant_literals_from_code_counts`), then the variable
     literals that agree on some row.
     """

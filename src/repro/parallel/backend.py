@@ -466,10 +466,7 @@ class ShardWorker:
     enforcement ``enforce_drop``).  No op clears another engine's state.
     """
 
-    def __init__(
-        self, graph: Optional[Graph], index: Optional[GraphIndex]
-    ) -> None:
-        self.graph = graph
+    def __init__(self, index: Optional[GraphIndex]) -> None:
         self.index = index
         self.tables: Dict[int, MatchTable] = {}
         self.stores: Dict[int, Dict[int, int]] = {}
@@ -502,11 +499,10 @@ class ShardWorker:
         dedicated round per pattern (only collected when the pattern will
         be mined); :meth:`MatchTable.alphabet_counts` computes both in one
         pass that gathers each column once and drops it.  Value counts
-        travel as the two integer arrays of
-        :meth:`MatchTable.constant_code_counts` — codes are graph-global on
-        the index, so the master merges and decodes only the few values it
-        keeps.  ``payload["gamma"]`` carries the engine's active
-        attributes Γ.
+        travel as its two integer code-count arrays — codes are
+        graph-global on the index, so the master merges and decodes only
+        the few values it keeps.  ``payload["gamma"]`` carries the
+        engine's active attributes Γ.
 
         The rows come from ``payload["matches"]``, from the parked join
         ``payload["adopt"]`` names, or — with ``payload["resident"]`` — from
@@ -976,7 +972,7 @@ class SerialBackend(ExecutionBackend):
         )
         # in-process shards share the master's index object outright
         self.index_transport = "inprocess" if index is not None else "none"
-        self.workers = [ShardWorker(graph, index) for _ in range(num_workers)]
+        self.workers = [ShardWorker(index) for _ in range(num_workers)]
 
     def _run_batch(self, requests: Sequence[Request], wait: bool) -> List[Any]:
         tracer = self.tracer
@@ -1258,7 +1254,7 @@ def _mp_initialize(
     spec = pickle.loads(spec_blob)
     index, _SEGMENTS = _index_from_spec(spec, segment_name)
     _MAPPING = getattr(index, "store_mapping", None)
-    _WORKER = ShardWorker(None, index)
+    _WORKER = ShardWorker(index)
 
 
 def _mp_attach_index(spec_blob: bytes, segment_name: Optional[str]) -> bool:
@@ -1775,7 +1771,7 @@ class MultiprocessBackend(ExecutionBackend):
 
     def _degrade(self, worker: int) -> None:
         """Demote one slot to an in-process shard seeded from its log."""
-        shard = ShardWorker(None, self._index)
+        shard = ShardWorker(self._index)
         for op, key, payload in self._journals[worker]:
             shard.execute(op, key, payload)
         self._local[worker] = shard

@@ -41,6 +41,15 @@ when it retires), the cover per served Σ (commits do not retire it), and
 the budgeted discovery per ``(graph.version, max_rules, max_levels)``.
 Hits and misses are the ``repro_serve_answer_memo_total{kind,outcome}``
 counters and ``stats()["answer_memo"]``.
+
+Writes are batched by group commit.  A batch commits when it reaches
+``ServeConfig.commit_max_batch`` ops (``size``), or as soon as no
+``discover`` / ``cover`` is queued or running on the execution lane
+(``drained``: nothing in flight can add to the batch), or when it has
+waited ``commit_linger_s`` for that lane work (``linger``), or at
+:meth:`EnforcementService.close` (``close``).  Each published commit is
+counted by what fired it: ``repro_serve_commit_triggers_total{trigger}``
+and ``stats()["commit_triggers"]``.
 """
 
 from __future__ import annotations
@@ -73,6 +82,10 @@ __all__ = [
 ]
 
 
+#: What can fire a group commit (see the module docstring).
+COMMIT_TRIGGERS = ("size", "drained", "linger", "close")
+
+
 class ServiceOverloaded(RuntimeError):
     """Rejected at admission: the execution lane's queue is full."""
 
@@ -97,7 +110,10 @@ class ServeConfig:
     #: Mutations buffered before a group commit fires regardless of the
     #: linger timer.
     commit_max_batch: int = 128
-    #: How long a lone mutation waits for company before committing.
+    #: The longest a pending batch waits for company.  It waits only while
+    #: a ``discover`` or ``cover`` is queued or running on the execution
+    #: lane (a client that could still add a mutation); with the lane idle
+    #: it commits at once.
     commit_linger_s: float = 0.005
     #: Pending-mutation buffer bound (admission backpressure for writers).
     max_pending_mutations: int = 1024
@@ -357,7 +373,7 @@ class EnforcementService:
                 await self._flush_task
             except Exception:
                 pass
-        await self._commit_pending()
+        await self._commit_pending("close")
         if self._lane_futures:
             await asyncio.gather(
                 *list(self._lane_futures), return_exceptions=True
@@ -413,6 +429,10 @@ class EnforcementService:
             return await future
         finally:
             self._lane_depth -= 1
+            # the last in-flight request left: a lingering batch can get
+            # no more company
+            if self._lane_depth == 0 and self._pending:
+                self._flush_now.set()
 
     def _count(self, kind: str, outcome: str) -> None:
         self.registry.counter(
@@ -685,24 +705,57 @@ class EnforcementService:
             "batched_ops": len(snapshot.ops),
         }
 
+    def _flush_trigger(self) -> Optional[str]:
+        """What fires the pending batch now, or ``None`` to keep lingering."""
+        if self._closed:
+            return "close"
+        if self._pending_ops >= self.serve.commit_max_batch:
+            return "size"
+        if self._lane_depth == 0:
+            return "drained"
+        if self.serve.commit_linger_s <= 0:
+            return "linger"
+        return None
+
     async def _flush_soon(self) -> None:
-        """The linger timer: wait for company, then commit the batch."""
-        linger = self.serve.commit_linger_s
-        if linger > 0 and self._pending_ops < self.serve.commit_max_batch:
+        """Linger while lane work could still add company, then commit.
+
+        Runs while no commit is on the lane, so ``_lane_depth`` counts the
+        in-flight ``discover`` / ``cover`` requests alone.  The wait ends
+        on ``_flush_now``: set by the size trigger, by :meth:`close`, and
+        by :meth:`_run_on_lane` when the lane drains.
+        """
+        trigger = self._flush_trigger()
+        if trigger is None:
+            # a wake that no flush consumed (the lane drained before this
+            # task ran) must not cut this linger short
+            self._flush_now.clear()
             try:
-                await asyncio.wait_for(self._flush_now.wait(), timeout=linger)
+                await asyncio.wait_for(
+                    self._flush_now.wait(), timeout=self.serve.commit_linger_s
+                )
+                trigger = self._flush_trigger() or "drained"
             except asyncio.TimeoutError:
-                pass
+                trigger = "linger"
         self._flush_now.clear()
-        await self._commit_pending()
+        await self._commit_pending(trigger)
         # mutations that arrived while the commit ran are buffered but have
         # no scheduled flush (this task looked busy to them) — chain the
-        # next linger window so no writer waits on nothing
+        # next flush so no writer waits on nothing
         if self._pending and not self._closed:
             self._flush_task = self._loop.create_task(self._flush_soon())
 
-    async def _commit_pending(self) -> None:
-        """Drain the pending buffer through one group commit on the lane."""
+    def _trigger_counter(self, trigger: str):
+        return self.registry.counter(
+            "repro_serve_commit_triggers_total", trigger=trigger
+        )
+
+    async def _commit_pending(self, trigger: str) -> None:
+        """Drain the pending buffer through one group commit on the lane.
+
+        A published commit counts once under ``trigger``, so the trigger
+        counts sum to ``writer.commits``.
+        """
         if not self._pending:
             return
         drained = self._pending
@@ -731,6 +784,7 @@ class EnforcementService:
                 if not waiter.done():
                     waiter.set_result(snapshot)
             self.registry.counter("repro_serve_commits_total").inc()
+            self._trigger_counter(trigger).inc()
             self.registry.counter("repro_serve_committed_ops_total").inc(
                 len(ops)
             )
@@ -786,6 +840,11 @@ class EnforcementService:
                     for outcome in ("hit", "miss")
                 }
                 for kind in ("validate", "discover", "cover")
+            },
+            # per published commit, what fired it; sums to "commits"
+            "commit_triggers": {
+                trigger: int(self._trigger_counter(trigger).value)
+                for trigger in COMMIT_TRIGGERS
             },
         }
         if self.writer is not None:

@@ -18,7 +18,8 @@ together:
 The whole batch lands in ONE published version: every batched mutation's
 future resolves with that version, which is the version whose report
 first reflects the write (read-your-writes by pinning it).  Batch
-boundaries are policy of the service layer (size trigger + linger timer);
+boundaries are policy of the service layer (a size trigger, and a linger
+that waits only while lane work could still add a mutation);
 the writer is the synchronous commit protocol, run on the service's
 single execution lane — the same lane enforcement passes run on, which is
 what serializes commits against engine-touching reads.

@@ -167,7 +167,7 @@ class TestSurfaceSnapshot:
             make_backend, SerialBackend, MultiprocessBackend, ShardWorker
         ):
             assert "gamma" not in inspect.signature(constructor).parameters
-        assert not hasattr(ShardWorker(None, None), "gamma")
+        assert not hasattr(ShardWorker(None), "gamma")
         # both cover variants borrow a started backend
         for cover in (parallel_cover, parallel_cover_ungrouped):
             assert list(inspect.signature(cover).parameters) == [

@@ -195,7 +195,7 @@ class TestMatchTable:
     def test_candidate_constants_ranked(self):
         graph, table = table_fixture()
         literals = constant_literals_from_code_counts(
-            [table.constant_code_counts()],
+            [table.alphabet_counts()[0]],
             MatchTable.column_keys(table.pattern, table.attributes),
             table.index.value_of_code,
             max_constants=1,
@@ -355,7 +355,7 @@ class TestHSpawnKernel:
         from repro.parallel.backend import ShardWorker
 
         graph, matches, literals, parent = case
-        worker = ShardWorker(graph, graph.index())
+        worker = ShardWorker(graph.index())
         worker.op_install(
             1,
             {
@@ -425,7 +425,7 @@ class TestHSpawnKernel:
         literals = [
             ConstantLiteral(0, attr, value) for attr in gamma for value in range(values)
         ]
-        worker = ShardWorker(graph, graph.index())
+        worker = ShardWorker(graph.index())
         worker.op_install(
             1,
             {

@@ -464,7 +464,7 @@ class _ReplayCheckingBackend(SerialBackend):
             self.tombstones = max(
                 self.tombstones, sum(entry[0] == "drop" for entry in journal)
             )
-            replayed = ShardWorker(shard.graph, shard.index)
+            replayed = ShardWorker(shard.index)
             for op, key, payload in journal:
                 replayed.execute(op, key, payload)
             assert _worker_state(replayed) == _worker_state(shard)
@@ -507,7 +507,7 @@ class TestJournalCompaction:
         # a finished (or abandoned) discovery drops every key it made
         assert backend._journals == [[]] * workers
         assert all(
-            _worker_state(shard) == _worker_state(ShardWorker(None, None))
+            _worker_state(shard) == _worker_state(ShardWorker(None))
             for shard in backend.workers
         )
         backend.shutdown()

@@ -619,7 +619,7 @@ def index_column(table, variable, attr):
 
 def decoded_value_counts(table):
     """A product table's per-column code counts, decoded to values."""
-    keys, counts = table.constant_code_counts()
+    keys, counts = table.alphabet_counts()[0]
     columns = MatchTable.column_keys(table.pattern, table.attributes)
     num_codes = len(table.index.value_of_code)
     decoded = {column: {} for column in columns}
@@ -687,14 +687,16 @@ class TestMatchTableEquivalence:
             )
             for same_attr_only in (True, False):
                 expected = dict_table.variable_agreement_counts(same_attr_only)
-                got = index_table.variable_agreement_counts(same_attr_only)
+                got = index_table.alphabet_counts(
+                    same_attr_only, constants=False
+                )[1]
                 assert got == expected
                 assert list(got) == sorted(got)
                 values, agreements = index_table.alphabet_counts(same_attr_only)
                 assert agreements == expected
                 assert all(
                     np.array_equal(a, b)
-                    for a, b in zip(values, index_table.constant_code_counts())
+                    for a, b in zip(values, index_table.alphabet_counts()[0])
                 )
             for variable in range(3):
                 for attr in LAZY_ATTRIBUTES:
@@ -722,7 +724,7 @@ class TestMatchTableEquivalence:
     def test_code_counts_decode_to_value_counts(self):
         """The integer group-by, decoded, is the ``Counter`` oracle's."""
         dict_table, index_table = self.build_tables(attributes=LAZY_ATTRIBUTES)
-        keys, counts = index_table.constant_code_counts()
+        keys, counts = index_table.alphabet_counts()[0]
         assert keys.dtype == np.int32 and counts.dtype == np.int64
         assert np.all(keys[1:] > keys[:-1])
         assert decoded_value_counts(index_table) == {
@@ -785,7 +787,7 @@ class TestMatchTableEquivalence:
         }
         assert (
             dict_table.variable_agreement_counts()
-            == index_table.variable_agreement_counts()
+            == index_table.alphabet_counts(True, constants=False)[1]
         )
 
     def test_mask_cache_audit(self):
@@ -846,7 +848,7 @@ class TestMatchTableEquivalence:
             [
                 MatchTable.from_index(
                     index, pattern, shard, attributes
-                ).constant_code_counts()
+                ).alphabet_counts()[0]
                 for shard in shards
             ],
             MatchTable.column_keys(pattern, attributes),
@@ -880,7 +882,7 @@ class TestMatchTableEquivalence:
                 [
                     MatchTable.from_index(
                         index, pattern, shard, ["a"]
-                    ).constant_code_counts()
+                    ).alphabet_counts()[0]
                     for shard in (matches[::2], matches[1::2])
                 ],
                 MatchTable.column_keys(pattern, ["a"]),
@@ -925,8 +927,7 @@ class TestWhatATableKeeps:
         index, rows = self.build()
         # warm-up: one-off allocations (imports, code-object caches)
         warm = MatchTable.from_index(index, self.PATTERN, rows[:50], self.ATTRIBUTES)
-        warm.constant_code_counts()
-        warm.variable_agreement_counts()
+        warm.alphabet_counts(True)
         del warm
         tracemalloc.start()
         try:
@@ -935,8 +936,8 @@ class TestWhatATableKeeps:
                 index, self.PATTERN, rows, self.ATTRIBUTES
             )
             built = traced_bytes() - before
-            assert table.constant_code_counts()[0].size
-            assert table.variable_agreement_counts()
+            assert table.alphabet_counts()[0][0].size
+            assert table.alphabet_counts(True, constants=False)[1]
             after_alphabet = traced_bytes() - before
         finally:
             tracemalloc.stop()
@@ -968,7 +969,7 @@ class TestWhatATableKeeps:
         from repro.parallel.backend import ShardWorker
 
         index, rows = self.build()
-        worker = ShardWorker(index.graph, index)
+        worker = ShardWorker(index)
         install = {
             "pattern": self.PATTERN,
             "mined": True,

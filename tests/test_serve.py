@@ -31,8 +31,10 @@ observe ``N+1`` mid-request and racing deltas are never lost), and the
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -396,7 +398,8 @@ class TestServiceSemantics:
                     for node in range(6)
                 ))
                 versions = {a["version"] for a in answers}
-                assert len(versions) < 6  # the linger window grouped some
+                # all six are pending before the flush runs: one commit
+                assert len(versions) < 6
                 assert service.writer.commits == len(versions)
                 assert service.writer.mutations == 6
 
@@ -689,6 +692,141 @@ class TestAnswerMemo:
             'repro_serve_answer_memo_total{kind="cover",outcome="miss"} 1'
             in text
         )
+
+
+class TestCommitTriggers:
+    """A pending batch lingers only while lane work can still add to it.
+
+    Every scenario sets a 30 s linger under a 5 s ``wait_for``: a commit
+    fired by the timer fails the test, so the counts below are exact and
+    no timing decides them.
+    """
+
+    LINGER = ServeConfig(commit_linger_s=30)
+
+    @staticmethod
+    @contextlib.asynccontextmanager
+    async def _busy_lane(service):
+        """Hold the lane thread and queue a discover behind it: one
+        in-flight request until the yielded gate opens (at the latest on
+        exit, so a failed assertion cannot leave the lane held)."""
+        gate = threading.Event()
+        blocker = service._loop.run_in_executor(service._pool, gate.wait)
+        queued = asyncio.ensure_future(service.discover(max_rules=0))
+        try:
+            yield gate
+        finally:
+            gate.set()
+            await queued
+            await blocker
+
+    @staticmethod
+    def _triggers(**counts):
+        return {"size": 0, "drained": 0, "linger": 0, "close": 0, **counts}
+
+    def test_lone_mutation_on_idle_lane_commits_drained(self, film_graph):
+        async def scenario():
+            async with _service(film_graph.copy(), serve=self.LINGER) as service:
+                answer = await asyncio.wait_for(
+                    service.mutate(_set_attr(0, "name", "w")), 5
+                )
+                assert answer["version"] == 1
+                return service.stats()
+
+        stats = asyncio.run(scenario())
+        assert stats["commits"] == 1
+        assert stats["commit_triggers"] == self._triggers(drained=1)
+
+    def test_concurrent_writers_on_idle_lane_share_one_commit(self, film_graph):
+        async def scenario():
+            async with _service(film_graph.copy(), serve=self.LINGER) as service:
+                answers = await asyncio.wait_for(
+                    asyncio.gather(
+                        service.mutate(_set_attr(0, "name", "a")),
+                        service.mutate(_set_attr(1, "name", "b")),
+                    ),
+                    5,
+                )
+                assert [a["version"] for a in answers] == [1, 1]
+                assert [a["batched_ops"] for a in answers] == [2, 2]
+                return service.stats()
+
+        stats = asyncio.run(scenario())
+        assert stats["commits"] == 1 and stats["mutations"] == 2
+        assert stats["commit_triggers"] == self._triggers(drained=1)
+
+    def test_mutation_lingers_while_lane_busy_then_commits_drained(
+        self, film_graph
+    ):
+        async def scenario():
+            async with _service(film_graph.copy(), serve=self.LINGER) as service:
+                for version in (1, 2):
+                    async with self._busy_lane(service) as gate:
+                        if version == 2:
+                            # a drain's wake that no flush consumed must
+                            # not cut a later linger short
+                            service._flush_now.set()
+                        write = asyncio.ensure_future(
+                            service.mutate(_set_attr(0, "name", f"v{version}"))
+                        )
+                        await asyncio.sleep(0.05)
+                        assert not write.done()
+                        assert service.stats()["pending_mutations"] == 1
+                        assert service.writer.commits == version - 1
+                        gate.set()
+                        answer = await asyncio.wait_for(write, 5)
+                        assert answer["version"] == version
+                return service.stats()
+
+        stats = asyncio.run(scenario())
+        assert stats["commit_triggers"] == self._triggers(drained=2)
+
+    def test_size_trigger_fires_while_lane_busy(self, film_graph):
+        async def scenario():
+            config = ServeConfig(commit_max_batch=2, commit_linger_s=30)
+            async with _service(film_graph.copy(), serve=config) as service:
+                async with self._busy_lane(service) as gate:
+                    writes = [
+                        asyncio.ensure_future(
+                            service.mutate(_set_attr(node, "name", "w"))
+                        )
+                        for node in (0, 1)
+                    ]
+                    await asyncio.sleep(0.05)
+                    # the batch left the buffer and waits on the lane
+                    assert service.stats()["pending_mutations"] == 0
+                    gate.set()
+                    answers = await asyncio.wait_for(
+                        asyncio.gather(*writes), 5
+                    )
+                    assert [a["version"] for a in answers] == [1, 1]
+                return service.stats()
+
+        stats = asyncio.run(scenario())
+        assert stats["commit_triggers"] == self._triggers(size=1)
+
+    def test_triggers_sum_to_commits_after_load(self, film_graph):
+        async def scenario():
+            async with _service(
+                film_graph.copy(), serve=ServeConfig(commit_linger_s=0.01)
+            ) as service:
+                load = await run_load(
+                    service, clients=3, requests_per_client=20, seed=4,
+                    mix=TrafficMix(0.4, 0.15, 0.15, 0.3),
+                    mutation_attrs=["name"], discover_budget=3,
+                )
+                return load, service.stats(), service.metrics_text()
+
+        load, stats, text = asyncio.run(scenario())
+        assert load.errors == 0
+        triggers = stats["commit_triggers"]
+        assert stats["commits"] > 0
+        assert sum(triggers.values()) == stats["commits"]
+        for trigger, count in triggers.items():
+            assert (
+                f'repro_serve_commit_triggers_total{{trigger="{trigger}"}} '
+                f"{count}" in text
+            )
 
 
 class TestLoadResult:
