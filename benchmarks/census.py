@@ -12,7 +12,7 @@ Runs, in this process and under a ``sys.setprofile`` hook (threads too):
   with one HTTP request per route.
 
 It then prints every function and method defined in ``src/repro`` —
-outside ``repro/oracle/``, which only tests and ``--check`` scripts call —
+outside ``repro/oracle/``, which only tests and benchmarks call —
 whose code never started, one ``module:line qualname`` per line.  A name
 on the list is a candidate for deletion or for the oracle package, not a
 verdict: grep it across ``src``, ``tests``, ``benchmarks``, ``examples``

@@ -1,4 +1,4 @@
-"""Make the benchmark harness importable when pytest runs this directory."""
+"""Make ``figures.py`` importable when pytest runs this directory."""
 
 import sys
 from pathlib import Path

@@ -104,9 +104,8 @@ def main() -> None:
         assert metrics.lifecycle.index_attaches == 1
         RESULTS.mkdir(parents=True, exist_ok=True)
         out = RESULTS / "session_metrics.json"
-        # the same documented schema v8 (sorted keys) bench_session.py
-        # writes to session_metrics_bench.json — the two artifacts diff
-        # cleanly, modulo the "timings" key
+        # the documented schema v8 with sorted keys: two runs' artifacts
+        # diff cleanly, modulo the "timings" key
         out.write_text(
             json.dumps(metrics.as_dict(), indent=2, sort_keys=True) + "\n"
         )

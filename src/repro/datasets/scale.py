@@ -1,13 +1,13 @@
-"""Scalable synthetic tier: seeded million-node graphs for the store bench.
+"""Scalable synthetic tier: seeded million-node graphs for the index store.
 
 The paper's Section 7 experiments run on graphs of 10⁶–10⁷ nodes; the
-per-figure benches use ~10³-node scale models because the *generator* in
+paper-figure sweeps use ~10³-node scale models because the *generator* in
 :mod:`repro.datasets.synthetic` walks pure-Python RNG loops.  This module
 is the big-tier counterpart: the random draws are vectorized through one
 seeded :class:`numpy.random.Generator`, so the 10⁶ tier generates in
-seconds and the persistence/scale suite (``benchmarks/bench_scale.py``,
-``tests/test_store.py``) has graphs big enough for attach-vs-rebuild
-ratios to mean something.
+seconds and the persistence suite (``tests/test_store.py``) and the
+store-tier record (``benchmarks/figures.py scale``) have graphs big
+enough for attach-vs-rebuild ratios to mean something.
 
 Shape knobs:
 

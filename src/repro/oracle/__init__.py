@@ -2,7 +2,7 @@
 
 Each product layer has one fast path over the frozen CSR index; each has
 one oracle here, over the mutable dict :class:`~repro.graph.graph.Graph`,
-that tests and ``--check`` scripts compare it against:
+that tests and the paper-figure sweeps compare it against:
 
 * matching — :func:`reference_matches` (backtracking),
   :func:`extend_match` / :func:`reference_extend_matches`,

@@ -15,7 +15,8 @@ a concurrent service without giving up its one-backend resource model:
 * :mod:`~repro.serve.http` — a stdlib-only HTTP front with a
   ``/metrics`` Prometheus endpoint;
 * :mod:`~repro.serve.loadgen` — the mixed-traffic load generator behind
-  ``benchmarks/bench_serve.py``.
+  the serving tests and the ``serve_mixed`` workload of
+  ``benchmarks/e2e``.
 
 Quickstart::
 

@@ -4,10 +4,9 @@ Closed-loop clients (each waits for its response before issuing the next
 request — the classic serving-benchmark model, so offered load adapts to
 service capacity instead of open-loop overload) issue a seeded random mix
 of validate / discover / cover / mutate requests directly against the
-in-process service.  Latencies are recorded per request kind; the summary
-reports p50/p99/mean and throughput, and the full run (every response's
-pinned version, every admission rejection) is kept for the bench gate's
-replay-identity verification.
+in-process service.  Latencies are recorded per request kind, and the
+full run (every response's pinned version, every admission rejection) is
+kept for replay-identity verification.
 """
 
 from __future__ import annotations
@@ -43,16 +42,6 @@ class TrafficMix:
         return rng.choices(kinds, weights=weights, k=1)[0]
 
 
-def _quantile(sorted_values: List[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    position = q * (len(sorted_values) - 1)
-    low = int(position)
-    high = min(low + 1, len(sorted_values) - 1)
-    fraction = position - low
-    return sorted_values[low] * (1 - fraction) + sorted_values[high] * fraction
-
-
 @dataclass
 class LoadResult:
     """Everything a gate needs from one load run."""
@@ -67,7 +56,7 @@ class LoadResult:
     #: Per-kind completed-request counts.
     completed: Dict[str, int] = field(default_factory=dict)
     #: Every validate / discover / cover response (for replay-identity
-    #: verification; kept out of ``repr`` and :meth:`as_dict`).
+    #: verification; kept out of ``repr``).
     validate_responses: List[Dict[str, Any]] = field(default_factory=list)
     discover_responses: List[Dict[str, Any]] = field(default_factory=list)
     cover_responses: List[Dict[str, Any]] = field(default_factory=list)
@@ -91,32 +80,6 @@ class LoadResult:
         if self.elapsed_seconds <= 0:
             return 0.0
         return self.requests / self.elapsed_seconds
-
-    def latency_summary(self) -> Dict[str, Dict[str, float]]:
-        """``{kind: {p50, p99, mean, max, count}}`` in seconds."""
-        summary: Dict[str, Dict[str, float]] = {}
-        for kind, values in sorted(self.latencies.items()):
-            ordered = sorted(values)
-            summary[kind] = {
-                "count": float(len(ordered)),
-                "mean": sum(ordered) / len(ordered) if ordered else 0.0,
-                "p50": _quantile(ordered, 0.50),
-                "p99": _quantile(ordered, 0.99),
-                "max": ordered[-1] if ordered else 0.0,
-            }
-        return summary
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "errors": self.errors,
-            "rejected_overload": self.rejected_overload,
-            "rejected_deadline": self.rejected_deadline,
-            "elapsed_seconds": self.elapsed_seconds,
-            "throughput_rps": self.throughput,
-            "completed": dict(sorted(self.completed.items())),
-            "latency": self.latency_summary(),
-        }
 
 
 def _random_mutation(

@@ -125,8 +125,8 @@ class SessionMetrics:
         so two runs over the same input diff cleanly.  The one wall-clock
         figure (recovery seconds) is isolated under the single ``timings``
         key; a consumer comparing artifacts drops that one key and compares
-        the rest byte-for-byte (``benchmarks/bench_session.py --check``
-        does exactly this).
+        the rest byte-for-byte (``tests/test_faults.py`` compares the
+        exact-count blocks of a fault-free and a chaos run this way).
 
         Keys: ``schema_version``, ``repro_version``, ``backend``,
         ``num_workers``, ``backend_starts``, ``lifecycle`` (5 lifecycle

@@ -425,6 +425,26 @@ print(match_array(index, pattern).shape[0])
 """
 
 
+class TestZeroCopyAttach:
+    def test_mmap_attach_builds_nothing_and_copies_nothing(self, tmp_path):
+        """An mmap attach costs no rebuild and no copy: no ``GraphIndex``
+        is built, and every array the attached index exports is a view of
+        the mapped file."""
+        path = save_index(GraphIndex.build(store_graph()), tmp_path / "g.rgix")
+        builds = GraphIndex.builds_performed
+        attached = load_index(path, mmap=True)
+        assert GraphIndex.builds_performed == builds
+        mapped = np.frombuffer(attached.store_mapping.buf, dtype=np.uint8)
+        _, arrays = attached.export_buffers()
+        shared = {
+            name: np.shares_memory(array, mapped)
+            for name, array in arrays.items()
+        }
+        del mapped, arrays
+        attached.store_mapping.close()
+        assert shared and all(shared.values()), shared
+
+
 class TestFreshProcessAttach:
     def test_subprocess_answers_pinned_query_without_rebuild(self, tmp_path):
         graph = scale_graph(100_000, seed=3)
