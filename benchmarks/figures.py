@@ -25,8 +25,10 @@ times.  The worker sweeps (Fig. 5(a)-(c), 5(i)-(k)) read parallel
 scalability from the backend's exact per-worker work counts
 (``repro.parallel.WorkLedger``): the largest per-worker share bounds a real
 cluster's response time, and no host noise moves it, so those tables are
-byte-identical on every host.  The other figures report wall seconds of one
-run on the host that wrote them.
+byte-identical on every host.  The parameter sweeps of Fig. 5(e)-(h) gate
+exact counts too — candidates checked and match rows installed — and
+record one run's wall seconds beside them.  The other figures report wall
+seconds of one run on the host that wrote them.
 """
 
 from __future__ import annotations
@@ -195,6 +197,18 @@ def systems_yago2():
     }
 
 
+def discovery_work(graph, settings: DiscoveryConfig, workers: int):
+    """DisGFD's exact work on ``workers`` workers — candidates checked and
+    match rows installed, neither of which ``n`` changes — and, as a record
+    only, its seconds."""
+    result, work = mine(graph, settings, workers)
+    return (
+        result.stats.candidates_checked,
+        sum(work.rows_installed),
+        result.stats.elapsed_seconds,
+    )
+
+
 def vary_graph_size():
     """Fig. 5(e): synthetic |G| at the paper's 1:2 node:edge ratio, 20
     workers, σ fixed across the sweep (the paper's protocol)."""
@@ -209,19 +223,16 @@ def vary_graph_size():
     rows = {}
     for nodes in (10_000, 15_000, 20_000, 25_000, 30_000):
         graph = synthetic_graph(nodes, 2 * nodes, seed=1)
-        rows[f"({nodes},{2 * nodes})"] = (
-            mine(graph, settings, 20)[0].stats.elapsed_seconds,
-        )
+        rows[f"({nodes},{2 * nodes})"] = discovery_work(graph, settings, 20)
     return rows
 
 
 def vary_dbpedia(overrides: Dict) -> Dict:
-    """Fig. 5(f)-(h): DisGFD seconds on DBpedia (scale 1), 8 workers, per
+    """Fig. 5(f)-(h): DisGFD's work on DBpedia (scale 1), 8 workers, per
     swept value (``{value: its config overrides}``)."""
     graph = dataset("dbpedia", 1.0)
     return {
-        value: (mine(graph, config("dbpedia", **changes), 8)[0]
-                .stats.elapsed_seconds,)
+        value: discovery_work(graph, config("dbpedia", **changes), 8)
         for value, changes in overrides.items()
     }
 
@@ -422,16 +433,33 @@ def systems_gate(rows: Rows) -> None:
     assert all(seconds > 0 for seconds, _ in rows.values())
 
 
+def _work(rows: Rows) -> List[Tuple[int, int]]:
+    """A :func:`discovery_work` table's exact counts, in sweep order (its
+    seconds are a record only)."""
+    return [(cells[0], cells[1]) for cells in rows.values()]
+
+
 def grows(rows: Rows) -> None:
-    """Fig. 5(e), (f), (h): the last setting costs more than the first."""
-    times = [cells[0] for cells in rows.values()]
-    assert times[-1] > times[0], "the cost must grow along the sweep"
+    """Fig. 5(e), (f), (h): neither the candidates checked nor the match
+    rows installed fall at any step, and one of them rises from the first
+    setting to the last."""
+    work = _work(rows)
+    for before, after in zip(work, work[1:]):
+        assert all(a >= b for a, b in zip(after, before)), (
+            "the work must not fall along the sweep"
+        )
+    assert work[-1] != work[0], "the work must grow along the sweep"
 
 
 def falls(rows: Rows) -> None:
-    """Fig. 5(g): a higher σ prunes more, so the last setting is cheaper."""
-    times = [cells[0] for cells in rows.values()]
-    assert times[-1] < times[0], "a higher σ must prune more"
+    """Fig. 5(g): a higher σ prunes more — neither count rises at any step,
+    and one of them falls from the first setting to the last."""
+    work = _work(rows)
+    for before, after in zip(work, work[1:]):
+        assert all(a <= b for a, b in zip(after, before)), (
+            "a higher σ must not add work"
+        )
+    assert work[-1] != work[0], "a higher σ must prune more"
 
 
 def sigma_set_gate(rows: Rows) -> None:
@@ -483,6 +511,8 @@ class Figure:
 
 _WORKERS = "n\tDisGFD_max_rows\ttotal_rows"
 _REAL = "n\treal_seconds\tspeedup_vs_n1"
+#: Fig. 5(e)-(h): the exact work the gates read, then a record of seconds.
+_WORK = "\tDisGFD_candidates\tDisGFD_rows_installed\tDisGFD_seconds"
 _COVER = (
     "n\tParCover_max_units\tParCovern_max_units"
     "\tParCover_total_units\tParCovern_total_units"
@@ -504,17 +534,17 @@ FIGURES: Dict[str, Figure] = {
                          lambda: real_speedup("imdb"), None),
     "fig5d": Figure("fig5d_gcfd_gfd_amie", "system\tseconds\trules",
                     systems_yago2, systems_gate),
-    "fig5e": Figure("fig5e_vary_graph_size", "|G|\tDisGFD_seconds",
+    "fig5e": Figure("fig5e_vary_graph_size", "|G|" + _WORK,
                     vary_graph_size, grows),
-    "fig5f": Figure("fig5f_vary_k", "k\tDisGFD_seconds",
+    "fig5f": Figure("fig5f_vary_k", "k" + _WORK,
                     lambda: vary_dbpedia(
                         {k: dict(k=k, sigma=120) for k in (2, 3, 4)}),
                     grows),
-    "fig5g": Figure("fig5g_vary_sigma", "sigma\tDisGFD_seconds",
+    "fig5g": Figure("fig5g_vary_sigma", "sigma" + _WORK,
                     lambda: vary_dbpedia(
                         {s: dict(sigma=s) for s in (60, 120, 180, 240, 300)}),
                     falls),
-    "fig5h": Figure("fig5h_vary_gamma", "|Gamma|\tDisGFD_seconds",
+    "fig5h": Figure("fig5h_vary_gamma", "|Gamma|" + _WORK,
                     lambda: vary_dbpedia(
                         {size: dict(sigma=120,
                                     active_attributes=list(KB_ATTRIBUTES[:size]))

@@ -5,12 +5,7 @@ from .cover import CoverResult
 from .discovery import discover
 from .generation_tree import GenerationTree, TreeNode
 from .match_table import MatchTable
-from .reduction import (
-    gfd_identity,
-    gfd_reduces,
-    minimal_cover_by_reduction,
-    normalize_gfd,
-)
+from .reduction import gfd_identity
 from .results import DiscoveryResult, MiningStats
 
 #: Names of :mod:`repro.oracle` this package re-exports.
@@ -22,6 +17,9 @@ _ORACLE_EXPORTS = {
     "gfd_support",
     "gfd_support_any",
     "negative_base_support",
+    "gfd_reduces",
+    "normalize_gfd",
+    "minimal_cover_by_reduction",
 }
 
 __all__ = [

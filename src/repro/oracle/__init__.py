@@ -15,6 +15,10 @@ that tests and the paper-figure sweeps compare it against:
   :func:`counts_from_statistics`, for ``extension_counts``;
 * discovery — :class:`SequentialDiscovery` / :func:`reference_discover`,
   for ``ParDis``;
+* reduction — :func:`embeds_strictly`, :func:`gfd_reduces` and
+  :func:`minimal_cover_by_reduction` (the pairwise ``≪``-filter
+  ``SequentialDiscovery`` ends with), for the reduced-at-emission
+  ``ParDis``;
 * validation — :func:`find_violations` and the ``satisfies_*`` family, for
   the enforcement engine;
 * support — :func:`pattern_support`, :func:`gfd_support`, … by re-matching;
@@ -34,6 +38,12 @@ from .matching import (
     pivot_image,
     reference_extend_matches,
     reference_matches,
+)
+from .reduction import (
+    embeds_strictly,
+    gfd_reduces,
+    minimal_cover_by_reduction,
+    normalize_gfd,
 )
 from .satisfaction import (
     find_violations,
@@ -79,4 +89,8 @@ __all__ = [
     "gfd_support_any",
     "negative_base_support",
     "sequential_cover",
+    "embeds_strictly",
+    "gfd_reduces",
+    "normalize_gfd",
+    "minimal_cover_by_reduction",
 ]

@@ -33,7 +33,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.config import DiscoveryConfig
 from ..core.generation_tree import GenerationTree, TreeNode
-from ..core.reduction import gfd_identity, minimal_cover_by_reduction
+from ..core.reduction import gfd_identity
 from ..core.results import DiscoveryResult, MiningStats
 from ..core.spawning import (
     extensions_from_counts,
@@ -48,6 +48,7 @@ from ..graph.statistics import compute_statistics
 from ..pattern.incremental import Extension, apply_extension
 from ..pattern.pattern import Pattern
 from .matching import reference_extend_matches
+from .reduction import minimal_cover_by_reduction
 from .spawning import counts_from_statistics, extension_statistics
 from .table import ReferenceTable
 
@@ -78,19 +79,10 @@ class SequentialDiscovery:
         self._found: Dict[Tuple, Tuple[GFD, int]] = {}
 
     def run(self) -> DiscoveryResult:
-        """Mine level 0, then alternate ``VSpawn``/``HSpawn`` up to level ``k``."""
+        """Mine, then keep the ``≪``-minimal emissions (the reduced GFDs)."""
         started = time.perf_counter()
-        tree = GenerationTree()
-        self._seed_single_nodes(tree)
-        nodes = list(tree.level(0))
-        for level in range(self.config.k + 1):
-            if level:
-                nodes = self._vspawn(tree, level)
-                if not nodes:
-                    break
-            for node in nodes:
-                self._hspawn(node)
-        supports = {gfd: supp for gfd, supp in self._found.values()}
+        tree = self.mine()
+        supports = dict(self.emitted())
         gfds = minimal_cover_by_reduction(list(supports))
         self.stats.positives_found = sum(1 for gfd in gfds if gfd.is_positive)
         self.stats.negatives_found = sum(1 for gfd in gfds if gfd.is_negative)
@@ -101,6 +93,25 @@ class SequentialDiscovery:
             stats=self.stats,
             tree=tree,
         )
+
+    def mine(self) -> GenerationTree:
+        """Mine level 0, then alternate ``VSpawn``/``HSpawn`` up to level
+        ``k``; every emission, reduced or not, is kept in :meth:`emitted`."""
+        tree = GenerationTree()
+        self._seed_single_nodes(tree)
+        nodes = list(tree.level(0))
+        for level in range(self.config.k + 1):
+            if level:
+                nodes = self._vspawn(tree, level)
+                if not nodes:
+                    break
+            for node in nodes:
+                self._hspawn(node)
+        return tree
+
+    def emitted(self) -> List[Tuple[GFD, int]]:
+        """The ``(gfd, support)`` emissions so far, before the ``≪``-filter."""
+        return list(self._found.values())
 
     # ------------------------------------------------------------------
     # vertical spawning

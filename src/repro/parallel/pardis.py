@@ -24,6 +24,11 @@ superstep, mirroring Figure 3:
    masks on their shards, the master aggregates counts and (exactly)
    unions pivot-support sets.
 
+Every emitted GFD is reduced (§4.1): a rule a parent holds, mapped
+through any embedding, is not emitted, nor a negative with a smaller held
+one (:mod:`repro.core.generation_tree`) — so ``run()`` applies no
+``≪``-filter, and an exhausted ``run_iter()`` stream is its Σ.
+
 Worker-side execution is delegated to an
 :class:`~repro.parallel.backend.ExecutionBackend`: the ``serial`` backend
 runs the shard ops inline (the default), while the ``multiprocess`` backend
@@ -52,9 +57,9 @@ from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, U
 import numpy as np
 
 from ..core.config import CandidateBudgetExceeded, DiscoveryConfig
-from ..core.generation_tree import GenerationTree, TreeNode
+from ..core.generation_tree import GenerationTree, TreeNode, generality
 from ..core.match_table import literal_alphabet, merge_agreement_counts
-from ..core.reduction import gfd_identity, minimal_cover_by_reduction
+from ..core.reduction import gfd_identity
 from ..core.results import DiscoveryResult, MiningStats
 from ..core.spawning import (
     ExtensionCounts,
@@ -65,11 +70,12 @@ from ..core.spawning import (
 )
 from ..gfd.closure import is_trivial_dependency, lhs_unsatisfiable
 from ..gfd.gfd import GFD
-from ..gfd.literals import FALSE, Literal
+from ..gfd.literals import FALSE, Literal, rename_literal
 from ..graph.graph import Graph
 from ..graph.index import GraphIndex
 from ..graph.statistics import GraphStatistics
 from ..obs.tracer import NULL_TRACER
+from ..pattern.embedding import embedding_batch
 from ..pattern.incremental import Extension, apply_extension
 from ..pattern.pattern import WILDCARD, Pattern
 from .backend import (
@@ -89,10 +95,10 @@ def check_budgets(max_rules: Optional[int], max_levels: Optional[int]) -> None:
         if value is not None and value < 0:
             raise ValueError(f"{name} must be >= 0 or None, got {value}")
 
-#: One verified pattern of a recorded level: ``(primary parent's position
-#: in the level above or -1 for a seed, pattern, support, worker key or
-#: None, per-worker row counts or None)``.
-_Recorded = Tuple[int, Pattern, int, Optional[int], Optional[List[int]]]
+#: One verified pattern of a recorded level: ``(its parents' positions in
+#: the level above, primary first — empty for a seed —, pattern, support,
+#: worker key or None, per-worker row counts or None)``.
+_Recorded = Tuple[Tuple[int, ...], Pattern, int, Optional[int], Optional[List[int]]]
 
 
 class StructuralFrontier:
@@ -137,6 +143,12 @@ class StructuralFrontier:
         self.keys = set()
 
 
+_EMPTY: FrozenSet[Literal] = frozenset()
+#: ``∅ → false``: held by a zero-support pattern whose negative is emitted
+#: or dominated.
+_NEGATIVE = (_EMPTY, FALSE)
+
+
 class _Task:
     """Master-side lattice state for one RHS literal."""
 
@@ -166,7 +178,7 @@ class _NodeMining:
     __slots__ = (
         "node", "key", "literals", "lattice_literals", "literal_count",
         "total_rows", "indexed", "tasks", "next_mask_id", "pending_drops",
-        "nh_bases", "emits", "done",
+        "nh_bases", "probes", "emits", "done",
     )
 
     def __init__(self, node: TreeNode, key: int, literals: List[Literal]) -> None:
@@ -183,9 +195,22 @@ class _NodeMining:
         self.pending_drops: List[int] = []
         #: NHSpawn bases: (lhs, rhs, rows mask id, base support)
         self.nh_bases: List[Tuple[FrozenSet[Literal], Literal, int, int]] = []
+        #: NHSpawn probes: (base index, lhs, l'', base support, rows mask id)
+        self.probes: List[Tuple[int, FrozenSet[Literal], Literal, int, int]] = []
         #: buffered ``(gfd, support)`` emissions, replayed in node order
         self.emits: List[Tuple[GFD, int]] = []
         self.done = False
+
+    def accept(
+        self, lhs: FrozenSet[Literal], rhs: Literal, rows_id: int, support: int
+    ) -> None:
+        """A valid, σ-frequent ``X → l``: emitted unless inherited (a
+        ``≪``-smaller rule is out), an ``NHSpawn`` base either way — the
+        smaller pattern probed only ``l''`` of ≥ σ match rows, and an edge
+        more can raise that count, so this one's negatives are new."""
+        if (lhs, rhs) not in self.node.inherited:
+            self.emits.append((GFD(self.node.pattern, lhs, rhs), support))
+        self.nh_bases.append((lhs, rhs, rows_id, support))
 
 
 class ParallelDiscovery:
@@ -276,6 +301,9 @@ class ParallelDiscovery:
         self._shard_rows: Dict[int, List[int]] = {}
         self._column_stats: Dict[int, tuple] = {}
         self._frontier = frontier
+        #: the current level's same-level generalizations, per pattern
+        #: (:meth:`GenerationTree.generalizations`)
+        self._generals: Dict[TreeNode, List] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -300,19 +328,15 @@ class ParallelDiscovery:
         try:
             for _level, _fresh in self._levels(tree):
                 pass
-            supports = {gfd: supp for gfd, supp in self._found.values()}
-            with self.tracer.span("master", "master"):
-                gfds = minimal_cover_by_reduction(list(supports))
         finally:
             self._finish_backend()
+        supports = {gfd: supp for gfd, supp in self._found.values()}
+        gfds = list(supports)
         self.stats.positives_found = sum(1 for gfd in gfds if gfd.is_positive)
         self.stats.negatives_found = sum(1 for gfd in gfds if gfd.is_negative)
         self.stats.elapsed_seconds = time.perf_counter() - started
         return DiscoveryResult(
-            gfds=gfds,
-            supports={gfd: supports[gfd] for gfd in gfds},
-            stats=self.stats,
-            tree=tree,
+            gfds=gfds, supports=supports, stats=self.stats, tree=tree
         )
 
     def run_iter(
@@ -333,11 +357,8 @@ class ParallelDiscovery:
         the engine's execution resources (the ``finally`` below runs on
         ``GeneratorExit``).
 
-        Two deliberate differences from :meth:`run`: the final pairwise
-        ``≪``-minimality filter is *not* applied (it is a global pass over
-        the completed set — ``Session.discover`` still applies it), and a
-        support that is later raised for an already-yielded rule is not
-        re-reported.
+        Exhausted, the stream is :meth:`run`'s Σ, in its order and with its
+        supports: every rule is reduced when it is emitted.
         """
         check_budgets(max_rules, max_levels)
         self._drained = 0
@@ -373,6 +394,7 @@ class ParallelDiscovery:
         replay in node order, so the batches are exactly a prefix of the
         unbudgeted stream; ``max_rules=0`` mines nothing.
         """
+        self._tree = tree  # HSpawn reads it: a pattern inherits when mined
         last = self.config.k
         if max_levels is not None:
             last = min(last, max_levels)
@@ -411,15 +433,30 @@ class ParallelDiscovery:
                 if end == len(nodes):
                     break
                 start, end = end, min(len(nodes), max(1, 2 * end))
+                end = self._past_generalizations(nodes, start, end)
                 self._mine_nodes(nodes[start:end])
                 batch = self._drain_found()
+
+    def _past_generalizations(
+        self, nodes: List[TreeNode], start: int, end: int
+    ) -> int:
+        """The end of the prefix slice ``nodes[start:end]`` grown until it
+        holds every same-level generalization of its patterns, which must
+        be mined with them or before (see :meth:`_nhspawn_joint`)."""
+        position = {node: index for index, node in enumerate(nodes)}
+        index = start
+        while index < end:  # the slice grows as generalizations join it
+            for general, _ in self._generals.get(nodes[index], ()):
+                end = max(end, position[general] + 1)
+            index += 1
+        return end
 
     def _mine_nodes(self, nodes: List[TreeNode]) -> None:
         """``HSpawn`` over a node-order prefix of one level's patterns.
 
-        Mining a pattern reads only its own table and the covered pairs it
-        inherited from the level above, so a level can be mined in
-        consecutive slices (see :meth:`_levels`).
+        Mining a pattern reads only its own table, the mined level above
+        and its same-level generalizations (mined with it or before), so a
+        level can be mined in consecutive slices (see :meth:`_levels`).
         """
         self._check_frontier()
         with self.tracer.span(
@@ -533,9 +570,9 @@ class ParallelDiscovery:
         entries: List[_Recorded] = []
         for node in nodes:
             key = self._keys.get(id(node))
-            parent = positions[id(node.parents[0])] if level else -1
             entries.append((
-                parent, node.pattern, node.support, key,
+                tuple(positions[id(parent)] for parent in node.parents),
+                node.pattern, node.support, key,
                 None if key is None else self._shard_rows[key],
             ))
             if key is not None:
@@ -549,10 +586,11 @@ class ParallelDiscovery:
     ) -> Optional[List[TreeNode]]:
         """A recorded level rebuilt without a tally, join or install.
 
-        The patterns are added to the tree in their recorded order, so each
-        inherits ``covered`` from its freshly mined parent; the counters
-        and the zero-support negatives follow :meth:`_settle` as in
-        ``VSpawn``.  ``None`` when the level is not recorded.
+        The patterns are added to the tree in their recorded order and
+        re-linked to every recorded parent, primary first, so each
+        inherits ``covered`` from its freshly mined parents as in
+        ``VSpawn``; the counters and the zero-support negatives follow
+        :meth:`_settle`.  ``None`` when the level is not recorded.
         """
         self._check_frontier()
         if self._frontier is None or level >= len(self._frontier.levels):
@@ -560,10 +598,11 @@ class ParallelDiscovery:
         entries, truncated = self._frontier.levels[level]
         parents = tree.level(level - 1) if level else []
         nodes: List[TreeNode] = []
-        for position, pattern, support, key, rows in entries:
+        for positions, pattern, support, key, rows in entries:
             node, _ = tree.add(
-                pattern, level, parents[position] if position >= 0 else None
+                pattern, level, parents[positions[0]] if positions else None
             )
+            node.parents.extend(parents[position] for position in positions[1:])
             node.support = support
             if key is not None:
                 self._keys[id(node)] = key
@@ -571,29 +610,43 @@ class ParallelDiscovery:
             nodes.append(node)
         self.stats.patterns_spawned += len(nodes)
         self.stats.truncated_patterns += truncated
-        self._settle(nodes)
+        self._settle(tree, nodes)
         if self.tracer.enabled:
             self.tracer.event(
                 "frontier_replay", level=level, patterns=len(nodes)
             )
         return nodes
 
-    def _settle(self, nodes: List[TreeNode]) -> None:
+    def _settle(self, tree: GenerationTree, nodes: List[TreeNode]) -> None:
         """Count a level's verified patterns and emit ``NVSpawn``'s
-        zero-support negatives, in node order."""
+        zero-support negatives, in node order.
+
+        ``Q(∅ → false)`` is not reduced when a pattern holding ``∅ → false``
+        (emitted there, or dominated in turn) embeds in ``Q``: one of a
+        level below — parent or not — or a same-level generalization.  It
+        is skipped, and held here for the patterns above.
+        """
+        self._generals = tree.generalizations(nodes)
+        zero = [n for n in nodes if self.config.mine_negative and not n.support]
+        held = [n for n in tree.all_nodes() if _NEGATIVE in n.valid_pairs]
+        pairs = [(smaller, node) for node in zero for smaller in held]
+        found = embedding_batch([(a.pattern, b.pattern, True) for a, b in pairs], 1)
+        below = {node for (_, node), mappings in zip(pairs, found) if mappings}
+        negated: Set[TreeNode] = set()
+        for node in generality(zero):  # a generalization decides first
+            wider = [general for general, _ in self._generals.get(node, ())]
+            if node in below or any(_NEGATIVE in g.valid_pairs for g in wider):
+                node.valid_pairs.add(_NEGATIVE)
+            elif node.parents[0].support >= self.config.sigma:
+                node.valid_pairs.add(_NEGATIVE)
+                negated.add(node)
         for node in nodes:
             if node.support >= self.config.sigma:
                 self.stats.patterns_frequent += 1
             if node.support == 0:
                 self.stats.patterns_zero_support += 1
-                parent = node.parents[0] if node.parents else None
-                if (
-                    self.config.mine_negative
-                    and parent is not None
-                    and parent.support >= self.config.sigma
-                ):
-                    negative = GFD(node.pattern, frozenset(), FALSE)
-                    self._emit(negative, parent.support)
+            if node in negated:
+                self._emit(GFD(node.pattern, _EMPTY, FALSE), node.parents[0].support)
 
     # ------------------------------------------------------------------
     # seeding and vertical spawning
@@ -621,7 +674,7 @@ class ParallelDiscovery:
             node.support = count
             self._install_shards_many([(node, False, sources)])
             self.stats.patterns_spawned += 1
-        self._settle(list(tree.level(0)))
+        self._settle(tree, list(tree.level(0)))
 
     def _install_shards_many(
         self, batch: List[Tuple[TreeNode, bool, List[Dict[str, Any]]]]
@@ -692,6 +745,11 @@ class ParallelDiscovery:
     def _is_mined(self, node: TreeNode) -> bool:
         """Whether ``HSpawn`` mines the pattern (it needs its alphabet)."""
         return not self.config.prune or node.support >= self.config.sigma
+
+    def _mines(self, node: TreeNode) -> bool:
+        """Whether ``HSpawn`` mines an installed pattern: not a truncated
+        leaf, nor a leaf by the tally."""
+        return id(node) in self._keys and self._is_mined(node)
 
     def _drop_parent(self, parent: TreeNode, parent_key: int) -> None:
         """Free a finished pattern's worker-side state (unless the frontier
@@ -887,7 +945,7 @@ class ParallelDiscovery:
 
         # round 3 — every joined child's install in one superstep
         self._install_shards_many(install_batch)
-        self._settle(created_nodes)
+        self._settle(tree, created_nodes)
 
         # the level's children are joined (installs adopted the parked rows
         # above) and no parent of this level is visited again: free the
@@ -949,11 +1007,9 @@ class ParallelDiscovery:
         """
         n = self.num_workers
         mined = [
-            (node, self._keys[id(node)])
-            for node in nodes
-            # not installed: a truncated leaf or a leaf by the tally
-            if id(node) in self._keys and self._is_mined(node)
+            (node, self._keys[id(node)]) for node in nodes if self._mines(node)
         ]
+        self._tree.inherit([node for node, _ in mined])
         self._install(
             [
                 (node, key, [{"resident": True}] * n)
@@ -1006,23 +1062,30 @@ class ParallelDiscovery:
             miner.total_rows = sum(self._shard_rows[miner.key])
             node = miner.node
             with self.tracer.span("master", "master"):
+                # per RHS, the covered LHS sets a candidate can contain
+                alphabet = set(miner.lattice_literals)
+                covered: Dict[Literal, List[FrozenSet[Literal]]] = {}
+                for lhs, rhs in node.covered:
+                    if rhs in alphabet and lhs <= alphabet:
+                        covered.setdefault(rhs, []).append(lhs)
                 for position, rhs in enumerate(miner.lattice_literals):
                     count_rhs = miner.literal_count[rhs]
                     support_rhs = literal_support[rhs]
                     if self.config.prune and support_rhs < self.config.sigma:
                         continue
                     self._charge_candidate()
-                    if (empty, rhs) in node.covered:
+                    held = covered.get(rhs, [])
+                    if empty in held:
                         continue
                     if count_rhs == miner.total_rows and miner.total_rows:
                         node.valid_pairs.add((empty, rhs))
                         if support_rhs >= self.config.sigma:
-                            miner.emits.append(
-                                (GFD(node.pattern, empty, rhs), support_rhs)
-                            )
-                            miner.nh_bases.append((empty, rhs, 0, support_rhs))
+                            miner.accept(empty, rhs, 0, support_rhs)
                         continue
-                    miner.tasks.append(_Task(rhs, position))
+                    task = _Task(rhs, position)
+                    # a covered LHS and its supersets are never evaluated
+                    task.valid_sets = held
+                    miner.tasks.append(task)
 
         # the joint lattice: one superstep per depth carries every still-
         # active pattern's candidate batch; workers evaluate candidates
@@ -1094,22 +1157,9 @@ class ParallelDiscovery:
                             if count_lhs and count_both == count_lhs:
                                 task.valid_sets.append(extended)
                                 node.valid_pairs.add((extended, task.rhs))
-                                if (extended, task.rhs) not in node.covered:
-                                    if supp >= self.config.sigma:
-                                        miner.emits.append(
-                                            (
-                                                GFD(
-                                                    node.pattern,
-                                                    extended,
-                                                    task.rhs,
-                                                ),
-                                                supp,
-                                            )
-                                        )
-                                        miner.nh_bases.append(
-                                            (extended, task.rhs, mask_id, supp)
-                                        )
-                                        keep = True
+                                if supp >= self.config.sigma:
+                                    miner.accept(extended, task.rhs, mask_id, supp)
+                                    keep = True
                             else:
                                 task._next_frontier.append(
                                     (extended, index, mask_id)
@@ -1140,61 +1190,100 @@ class ParallelDiscovery:
                 self._emit(gfd, support)
 
     def _nhspawn_joint(self, miners: List[_NodeMining]) -> None:
-        """``NHSpawn`` for every base of every batched pattern in one superstep."""
-        if not self.config.mine_negative:
-            return
-        probing: List[Tuple[_NodeMining, List, List]] = []
-        for miner in miners:
-            if not miner.nh_bases:
-                continue
-            specs: List[Tuple[int, Literal]] = []
-            meta: List[Tuple[int, FrozenSet[Literal], Literal, int]] = []
+        """``NHSpawn`` for every base of every batched pattern in one
+        superstep, then each pattern's emissions settled.
+
+        A pattern first absorbs what its same-level generalizations hold
+        (settled before it: in an earlier batch, or in this one, which
+        settles more general patterns first): a positive they hold is not
+        emitted, though it stays a base.  A negative ``X ∪ {l''} → false``
+        is counted against ``max_negatives_per_pattern``, then dropped when
+        a held negative's LHS is a subset of it — one inherited from a
+        smaller pattern, or a proper subset emitted here under some
+        automorphism (bases come in ``|X|`` order, so that one is out).
+        """
+        for miner in miners if self.config.mine_negative else ():
             with self.tracer.span("master", "master"):
-                for base_index, (lhs, rhs, rows_id, base_support) in enumerate(
-                    miner.nh_bases
-                ):
-                    for literal in miner.literals:
-                        if literal == rhs or literal in lhs:
-                            continue
-                        if lhs_unsatisfiable(lhs | {literal}):
-                            continue
-                        if miner.literal_count.get(literal, 0) < self.config.sigma:
-                            continue
-                        specs.append((rows_id, literal))
-                        meta.append((base_index, lhs, literal, base_support))
-            if specs:
-                probing.append((miner, specs, meta))
-        if not probing:
-            return
+                miner.probes = [
+                    (base_index, lhs, literal, base_support, rows_id)
+                    for base_index, (lhs, rhs, rows_id, base_support)
+                    in enumerate(miner.nh_bases)
+                    for literal in miner.literals
+                    if literal != rhs
+                    and literal not in lhs
+                    and not lhs_unsatisfiable(lhs | {literal})
+                    and miner.literal_count.get(literal, 0) >= self.config.sigma
+                ]
+        probed = [miner for miner in miners if miner.probes]
         n = self.num_workers
         requests = [
-            (
-                worker,
-                "probe",
-                miner.key,
-                {"specs": specs, "drop": miner.pending_drops},
-            )
-            for miner, specs, meta in probing
+            (worker, "probe", miner.key, {
+                "specs": [(probe[4], probe[2]) for probe in miner.probes],
+                "drop": miner.pending_drops,
+            })
+            for miner in probed
             for worker in range(n)
         ]
-        parts_all = self._backend.run_superstep(requests)
-        cursor = 0
-        for miner, specs, meta in probing:
-            overlap_parts = parts_all[cursor:cursor + n]
-            cursor += n
-            node = miner.node
+        parts_all = self._backend.run_superstep(requests) if requests else []
+        overlaps = {
+            miner: parts_all[index * n:(index + 1) * n]
+            for index, miner in enumerate(probed)
+        }
+        # another automorphism than the identity needs two alike labels
+        symmetric = [
+            miner for miner in probed
+            if len(set(miner.node.pattern.labels)) < miner.node.pattern.num_nodes
+        ]
+        symmetries = dict(zip(symmetric, embedding_batch(
+            (miner.node.pattern, miner.node.pattern, True) for miner in symmetric
+        )))
+        by_node = {miner.node: miner for miner in miners}
+        for node in generality(list(by_node)):
+            miner = by_node[node]
             with self.tracer.span("master", "master"):
-                emitted_per_base: Dict[int, int] = {}
-                for position, (base_index, lhs, literal, base_support) in enumerate(
-                    meta
-                ):
-                    if any(part[position] for part in overlap_parts):
-                        continue  # some match satisfies X ∪ {l''}
-                    emitted = emitted_per_base.get(base_index, 0)
-                    if emitted >= self.config.max_negatives_per_pattern:
-                        continue
-                    miner.emits.append(
-                        (GFD(node.pattern, lhs | {literal}, FALSE), base_support)
+                for general, mappings in self._generals.get(node, ()):
+                    node.absorb(general, mappings)
+                if node in self._generals:
+                    miner.emits = [
+                        (gfd, support) for gfd, support in miner.emits
+                        if (gfd.lhs, gfd.rhs) not in node.inherited
+                    ]
+                if miner in overlaps:
+                    self._settle_negatives(
+                        miner, overlaps[miner], symmetries.get(miner, ())
                     )
-                    emitted_per_base[base_index] = emitted + 1
 
+    def _settle_negatives(
+        self, miner: _NodeMining, overlaps: List[Any], symmetries: Tuple
+    ) -> None:
+        """Emit one pattern's probed ``NHSpawn`` negatives (see
+        :meth:`_nhspawn_joint`), given its automorphisms (none listed when
+        the identity is the only one)."""
+        node = miner.node
+        inherited = None  # the inherited negatives, read at the first need
+        # the negatives emitted here, under every automorphism
+        own: List[FrozenSet[Literal]] = []
+        emitted_per_base: Dict[int, int] = {}
+        for position, (base_index, lhs, literal, base_support, _) in enumerate(
+            miner.probes
+        ):
+            if any(part[position] for part in overlaps):
+                continue  # some match satisfies X ∪ {l''}
+            emitted = emitted_per_base.get(base_index, 0)
+            if emitted >= self.config.max_negatives_per_pattern:
+                continue
+            emitted_per_base[base_index] = emitted + 1
+            negative = lhs | {literal}
+            if inherited is None:
+                inherited = [y for y, rhs in node.inherited if rhs == FALSE]
+            if any(held <= negative for held in inherited) or any(
+                held < negative for held in own
+            ):
+                continue
+            node.valid_pairs.add((negative, FALSE))
+            own.append(negative)
+            own.extend(
+                frozenset(rename_literal(l, f) for l in negative)
+                for f in symmetries
+            )
+            miner.emits.append((GFD(node.pattern, negative, FALSE), base_support))

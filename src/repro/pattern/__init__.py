@@ -7,7 +7,7 @@ from .canonical import (
     canonicalize,
     pivot_blind_key,
 )
-from .embedding import embedding_batch, embeds_strictly, is_embedded
+from .embedding import embedding_batch, is_embedded
 from .incremental import Extension, apply_extension, extend_matches
 from .matcher import Match, find_matches, match_array
 from .pattern import WILDCARD, Pattern, PatternEdge, label_matches, variable_name
@@ -18,6 +18,7 @@ _ORACLE_EXPORTS = {
     "match_exists_at_pivot",
     "extend_match",
     "embeddings",
+    "embeds_strictly",
 }
 
 __all__ = [

@@ -32,7 +32,6 @@ __all__ = [
     "may_embed",
     "DistinctPatterns",
     "is_embedded",
-    "embeds_strictly",
 ]
 
 #: An embedding: image in the outer pattern per inner-pattern variable.
@@ -399,18 +398,3 @@ def is_embedded(inner: Pattern, outer: Pattern, pivot_preserving: bool = False) 
         embedding_batch([(inner, outer, pivot_preserving)], max_results=1)[0]
     )
 
-
-def embeds_strictly(inner: Pattern, outer: Pattern) -> bool:
-    """Pivot-preserving embedding that is *not* an isomorphism.
-
-    This is the topological half of ``Q ≪ Q'``: ``inner`` removes
-    nodes/edges from ``outer`` or upgrades labels to wildcard.
-    """
-    if not is_embedded(inner, outer, pivot_preserving=True):
-        return False
-    if inner.num_nodes < outer.num_nodes or inner.num_edges < outer.num_edges:
-        return True
-    # same size: strict only if some label is strictly more general
-    from .canonical import canonical_key  # local import avoids a cycle
-
-    return canonical_key(inner) != canonical_key(outer)

@@ -582,9 +582,9 @@ class Session:
         budgeted discovery requests that must not clobber the served rule
         set.
 
-        Streaming skips the final pairwise ``≪``-minimality filter — that
-        is a global pass over the completed set; run :meth:`cover` (or a
-        full :meth:`discover`) for the minimized Σ.
+        Every rule is reduced when the engine emits it, so an exhausted
+        stream yields :meth:`discover`'s Σ, in its order and with its
+        supports.
         """
         check_budgets(max_rules, max_levels)
         return self._discover_stream(max_rules, max_levels, update_sigma)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import DiscoveryConfig
-from repro.datasets import load_figure1, yago2_like
+from repro.datasets import dbpedia_like, imdb_like, load_figure1, yago2_like
 from repro.graph import Graph, GraphBuilder
 from repro.parallel import make_backend
 
@@ -83,6 +83,31 @@ def film_config() -> DiscoveryConfig:
 def yago_small() -> Graph:
     """A small YAGO2-shaped graph shared by integration tests."""
     return yago2_like(scale=0.35, seed=7)
+
+
+#: The knowledge-base fixtures: graph factory and σ.
+KB_FIXTURES = {
+    "yago": (lambda: yago2_like(scale=0.35, seed=7), 25),
+    "dbpedia": (lambda: dbpedia_like(scale=0.3, seed=7), 40),
+    "imdb": (lambda: imdb_like(scale=0.3, seed=7), 40),
+}
+
+
+@pytest.fixture(scope="session")
+def kb_fixture():
+    """``kb_fixture(name, max_lhs_size=1)`` → ``(graph, config)``: the yago /
+    dbpedia / imdb fixtures at k = 3, each graph built once per session
+    (tests only read them)."""
+    graphs = {}
+
+    def make(name, max_lhs_size=1):
+        factory, sigma = KB_FIXTURES[name]
+        if name not in graphs:
+            graphs[name] = factory()
+        config = DiscoveryConfig(k=3, sigma=sigma, max_lhs_size=max_lhs_size)
+        return graphs[name], config
+
+    return make
 
 
 @pytest.fixture(scope="session")

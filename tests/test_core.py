@@ -20,10 +20,11 @@ from repro.core import (
     normalize_gfd,
     pattern_support,
     sequential_cover,
+    SequentialDiscovery,
 )
 from repro.core.config import CandidateBudgetExceeded
 from repro.core.match_table import constant_literals_from_code_counts
-from repro.core.reduction import _reduces_through
+from repro.oracle.reduction import _strict_topological
 from repro.gfd import (
     FALSE,
     GFD,
@@ -33,8 +34,8 @@ from repro.gfd import (
     make_variable_literal,
     validate_set,
 )
+from repro.gfd.literals import rename_literal
 from repro.graph import Graph
-from repro.parallel import ParallelDiscovery
 from repro.pattern import WILDCARD, Pattern, embedding_batch, find_matches
 from repro.pattern.embedding import may_embed
 from repro.oracle import ReferenceTable, support_set
@@ -43,25 +44,49 @@ from repro.oracle import ReferenceTable, support_set
 def reducing_pairs(gfds):
     """Every ordered pair ``(i, j)``, ``i != j``, with ``gfds[i] ≪ gfds[j]``.
 
-    :func:`gfd_reduces` over all pairs, but with one embedding-kernel call
-    for every pair instead of one call each.
+    The definition read off directly, independent of the prefilters of
+    :func:`minimal_cover_by_reduction`: every rule's image under every
+    pivot-preserving embedding of its pattern (one embedding-kernel call
+    for all pattern pairs) is looked up by its RHS among the rules of the
+    outer pattern, and kept where its LHS is a subset, properly so unless
+    the embedding is topologically strict.
     """
+    by_pattern = {}
+    for index, gfd in enumerate(gfds):
+        by_pattern.setdefault(gfd.pattern, []).append(index)
     pairs = [
-        (i, j)
-        for i, smaller in enumerate(gfds)
-        for j, larger in enumerate(gfds)
-        if i != j
-        and smaller.is_negative == larger.is_negative
-        and may_embed(smaller.pattern, larger.pattern)
+        (inner, outer)
+        for inner in by_pattern
+        for outer in by_pattern
+        if may_embed(inner, outer)
     ]
-    mappings = embedding_batch(
-        (gfds[i].pattern, gfds[j].pattern, True) for i, j in pairs
-    )
-    return {
-        (i, j)
-        for (i, j), found in zip(pairs, mappings)
-        if _reduces_through(gfds[i], gfds[j], found)
-    }
+    found = embedding_batch((inner, outer, True) for inner, outer in pairs)
+    reducing = set()
+    for (inner, outer), mappings in zip(pairs, found):
+        by_rhs = {}
+        for j in by_pattern[outer]:
+            by_rhs.setdefault(gfds[j].rhs, []).append(j)
+        for mapping in mappings:
+            proper = _strict_topological(inner, outer, mapping)
+            for i in by_pattern[inner]:
+                lhs = frozenset(rename_literal(l, mapping) for l in gfds[i].lhs)
+                for j in by_rhs.get(rename_literal(gfds[i].rhs, mapping), ()):
+                    larger = gfds[j].lhs
+                    if i != j and lhs <= larger and (proper or lhs < larger):
+                        reducing.add((i, j))
+    return reducing
+
+
+#: ``discover`` on the knowledge-base fixtures, by (name, lattice depth).
+_DISCOVERED = {}
+
+
+def discovered(kb_fixture, name, max_lhs_size):
+    """``discover`` on a knowledge-base fixture, run once per session."""
+    key = (name, max_lhs_size)
+    if key not in _DISCOVERED:
+        _DISCOVERED[key] = discover(*kb_fixture(name, max_lhs_size))
+    return _DISCOVERED[key]
 
 
 def table_fixture():
@@ -611,22 +636,31 @@ class TestReduction:
         assert len(minimal_cover_by_reduction([PHI1, duplicate])) == 1
 
     def test_minimal_cover_prefilters_equal_brute_force(self, yago_small, yago_config):
-        """The per-pattern prefilters drop nothing ``gfd_reduces`` would keep."""
+        """The per-pattern prefilters drop nothing ``gfd_reduces`` would keep.
+
+        Fed the discovery oracle's emissions before its ``≪``-filter: the
+        engine's own stream holds no removable rule any more."""
         from dataclasses import replace
 
-        raw = [
-            gfd
-            for _level, batch in ParallelDiscovery(
-                yago_small, replace(yago_config, max_lhs_size=1), 1,
-                backend="serial",
-            ).run_iter()
-            for gfd, _support in batch
-        ]
+        oracle = SequentialDiscovery(yago_small, replace(yago_config, max_lhs_size=1))
+        oracle.mine()
+        raw = [gfd for gfd, _support in oracle.emitted()]
         unique = list({gfd_identity(gfd): gfd for gfd in raw}.values())
         reduced = {larger for _, larger in reducing_pairs(unique)}
         expected = [gfd for j, gfd in enumerate(unique) if j not in reduced]
         assert len(expected) < len(unique)
         assert minimal_cover_by_reduction(raw) == expected
+
+    @pytest.mark.parametrize("max_lhs_size", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["yago", "dbpedia", "imdb"])
+    def test_discovered_sigma_is_reduced_at_emission(
+        self, kb_fixture, name, max_lhs_size
+    ):
+        """No discovered rule has a ``≪``-smaller one beside it: the engine
+        emits only reduced GFDs, and the oracle's filter removes nothing."""
+        sigma = discovered(kb_fixture, name, max_lhs_size).gfds
+        assert reducing_pairs(sigma) == set()
+        assert minimal_cover_by_reduction(sigma) == sigma
 
 
 class TestDiscovery:
@@ -691,6 +725,25 @@ class TestDiscovery:
         config = replace(film_config, max_candidates=5)
         with pytest.raises(CandidateBudgetExceeded):
             discover(film_graph, config)
+
+    #: ``stats.candidates_checked`` on the knowledge-base fixtures: the LHS
+    #: sets a pattern's primary parent chain holds seed its lattice tasks,
+    #: so no candidate containing one is evaluated.
+    CANDIDATES = {
+        ("yago", 1): 12163,
+        ("yago", 2): 44305,
+        ("dbpedia", 1): 13136,
+        ("dbpedia", 2): 38971,
+        ("imdb", 1): 1047,
+        ("imdb", 2): 5379,
+    }
+
+    @pytest.mark.parametrize("name, max_lhs_size", sorted(CANDIDATES))
+    def test_candidates_checked_is_exact(self, kb_fixture, name, max_lhs_size):
+        result = discovered(kb_fixture, name, max_lhs_size)
+        assert result.stats.candidates_checked == self.CANDIDATES[
+            name, max_lhs_size
+        ]
 
     def test_stats_populated(self, film_graph, film_config):
         result = discover(film_graph, film_config)

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.core import DiscoveryConfig, discover, gfd_identity
+from repro.gfd import format_gfd
+from repro.oracle import minimal_cover_by_reduction, reference_discover
 from repro.graph import Graph
 from repro.parallel import ParallelDiscovery
 from repro.pattern import WILDCARD
@@ -54,7 +56,7 @@ class TestWildcardDiscovery:
         assert best == 80
 
     def test_wildcard_subsumes_specific(self):
-        """The ≪-minimality pass drops per-label copies of the wildcard rule."""
+        """Per-label copies of the wildcard rule are not emitted."""
         result = discover(diverse_graph(), wildcard_config())
         specific = [
             gfd
@@ -81,3 +83,29 @@ class TestWildcardDiscovery:
         assert {gfd_identity(g) for g in sequential.gfds} == {
             gfd_identity(g) for g in parallel.gfds
         }
+
+    def test_reduced_at_emission_with_wildcards(self):
+        """A specific rule is ``≪``-dominated by its wildcard generalization
+        at the same level: the engine does not emit it, and it keeps
+        budgeted streams exact prefixes while doing so."""
+        graph = diverse_graph()
+        config = replace(
+            wildcard_config(), sigma=10, k=3, max_lhs_size=2, mine_negative=True
+        )
+        result = discover(graph, config)
+        reference = reference_discover(graph, config)
+        assert {
+            (gfd_identity(g), result.supports[g]) for g in result.gfds
+        } == {(gfd_identity(g), reference.supports[g]) for g in reference.gfds}
+        assert minimal_cover_by_reduction(result.gfds) == result.gfds
+        assert any(WILDCARD in g.pattern.labels for g in result.gfds)
+        full = [format_gfd(g) for g in result.gfds]
+        for max_rules in range(len(full) + 1):
+            streamed = [
+                format_gfd(gfd)
+                for _level, batch in ParallelDiscovery(
+                    graph, config, 1, backend="serial"
+                ).run_iter(max_rules=max_rules)
+                for gfd, _support in batch
+            ]
+            assert streamed == full[:max_rules], max_rules
