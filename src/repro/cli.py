@@ -54,6 +54,7 @@ from .gfd import (
     parse_gfd,
 )
 from .graph import Graph, compute_statistics, load_json, load_tsv
+from .parallel.backend import BACKEND_ENV, BACKEND_NAMES
 from .session import Session
 
 __all__ = ["main", "load_graph", "load_rules", "save_rules"]
@@ -215,8 +216,19 @@ def _port(text: str) -> int:
 _port.__name__ = "int"
 
 
-def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
-    """The supervision flags shared by the parallel verbs."""
+def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
+    """Where a parallel verb runs: backend, workers and supervision.
+
+    Every verb passes them straight to one resolver
+    (:func:`~repro.parallel.backend.resolve_execution`), so the defaults
+    are the same everywhere.
+    """
+    parser.add_argument(
+        "--backend", choices=list(BACKEND_NAMES), default=None,
+        help=f"execution backend (default: ${BACKEND_ENV}, else serial)")
+    parser.add_argument(
+        "--workers", type=_positive_int, default=None,
+        help="worker count n (default: 1 serial / 4 multiprocess)")
     parser.add_argument(
         "--supervise", action="store_true",
         help="supervise multiprocess workers: per-op timeouts, retry with "
@@ -236,7 +248,7 @@ def _fault_from_args(args: argparse.Namespace):
     """Resolve the fault flags to a ``make_backend``-style ``fault`` value.
 
     Returns ``"auto"`` (follow ``$REPRO_FAULT_PLAN``) when no flag was
-    given, so configs keep their environment-driven default.
+    given, so the backend keeps its environment-driven default.
     """
     if not (args.supervise or args.op_timeout is not None
             or args.max_respawns is not None):
@@ -304,19 +316,13 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         max_lhs_size=args.max_lhs,
         mine_negative=not args.no_negative,
     )
-    fault = _fault_from_args(args)
-    if fault != "auto":
-        config.fault = fault
-    if args.backend is not None:
-        config.parallel_backend = args.backend
-    parallel = (args.workers or 0) > 1 or config.parallel_backend == "multiprocess"
     tracer = _make_tracer(args)
     with Session(
-        graph, config, num_workers=args.workers,
-        index_path=args.index, tracer=tracer,
+        graph, config, num_workers=args.workers, backend=args.backend,
+        fault=_fault_from_args(args), index_path=args.index, tracer=tracer,
     ) as session:
         result = session.discover()
-        if parallel:
+        if session.num_workers > 1 or session.backend_name == "multiprocess":
             work = session.metrics().work
             print(
                 f"# backend={session.backend_name} "
@@ -356,17 +362,13 @@ def _cmd_enforce(args: argparse.Namespace) -> int:
         sample_seed=args.seed,
         max_violations_per_rule=args.max_violations_per_rule,
     )
-    base = DiscoveryConfig()
-    fault = _fault_from_args(args)
-    if fault != "auto":
-        base.fault = fault
     tracer = _make_tracer(args)
     with Session(
         graph,
-        base,
         enforcement=config,
         num_workers=args.workers,
         backend=args.backend,
+        fault=_fault_from_args(args),
         index_path=args.index,
         tracer=tracer,
     ) as session:
@@ -423,15 +425,10 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         max_lhs_size=args.max_lhs,
         mine_negative=not args.no_negative,
     )
-    fault = _fault_from_args(args)
-    if fault != "auto":
-        config.fault = fault
-    if args.backend is not None:
-        config.parallel_backend = args.backend
     tracer = _make_tracer(args)
     with Session(
-        graph, config, num_workers=args.workers,
-        index_path=args.index, tracer=tracer,
+        graph, config, num_workers=args.workers, backend=args.backend,
+        fault=_fault_from_args(args), index_path=args.index, tracer=tracer,
     ) as session:
         result = session.discover()
         cover = session.cover()
@@ -468,21 +465,21 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     # the cover verb has no graph, so there is no session to open: it
     # borrows a graph-free backend to ParCover and shuts it down after
-    backend_name = args.backend or "serial"
-    workers = args.workers or 1
     traced = tracer if tracer is not None else NULL_TRACER
     backend = make_backend(
-        backend_name, workers, None, None,
+        args.backend, args.workers, None, None,
         fault=_fault_from_args(args), tracer=traced,
     )
     try:
-        with traced.span("cover", "phase", backend=backend_name, size=len(rules)):
+        with traced.span(
+            "cover", "phase", backend=backend.name, size=len(rules)
+        ):
             result = parallel_cover(rules, backend)
     finally:
         backend.shutdown()
     units = backend.work.implication_units
     print(
-        f"# backend={backend_name} workers={workers} "
+        f"# backend={backend.name} workers={backend.num_workers} "
         f"implication units max {max(units)} per worker of {sum(units)}, "
         f"real {result.elapsed_seconds:.3f}s",
         file=sys.stderr,
@@ -511,11 +508,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = DiscoveryConfig(
         k=args.k, sigma=args.sigma, max_lhs_size=args.max_lhs,
     )
-    fault = _fault_from_args(args)
-    if fault != "auto":
-        config.fault = fault
-    if args.backend is not None:
-        config.parallel_backend = args.backend
     serve_config = ServeConfig(
         max_queue_depth=args.max_queue_depth,
         default_deadline_s=args.deadline,
@@ -532,6 +524,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             serve=serve_config,
             num_workers=args.workers,
             backend=args.backend,
+            fault=_fault_from_args(args),
             index_path=args.index,
             tracer=tracer,
         )
@@ -578,12 +571,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-gfd",
         description="GFD discovery (SIGMOD'18 reproduction)",
-        epilog="Parallel verbs (discover, enforce, cover) take --backend "
-               "serial|multiprocess — multiprocess runs real worker "
-               "processes attaching the frozen graph index zero-copy (its "
-               "--index store file via mmap, else one shared-memory "
-               "segment).  $REPRO_PARALLEL_BACKEND sets the default "
-               "backend.",
+        epilog="Parallel verbs (discover, pipeline, enforce, cover, serve) "
+               "take --backend serial|multiprocess — multiprocess runs "
+               "real worker processes attaching the frozen graph index "
+               "zero-copy (its --index store file via mmap, else one "
+               "shared-memory segment).  $" + BACKEND_ENV + " sets the "
+               "default backend.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -628,22 +621,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="support threshold")
     disc.add_argument("--max-lhs", type=_non_negative_int, default=2,
                      help="LHS literal cap")
-    disc.add_argument("--workers", type=_positive_int, default=None,
-                      help="ParDis workers (>1 selects the parallel engine; "
-                           "unset with --backend multiprocess uses the "
-                           "config default of 4)")
-    disc.add_argument("--backend",
-                      choices=["serial", "multiprocess"],
-                      default=None,
-                      help="ParDis execution backend (default: serial, or "
-                           "$REPRO_PARALLEL_BACKEND)")
     disc.add_argument("--no-negative", action="store_true",
                       help="skip negative GFDs")
     disc.add_argument("--cover", action="store_true",
                       help="reduce the output to a cover")
     disc.add_argument("--output", help="also write rules to this file")
     _add_index_argument(disc)
-    _add_fault_arguments(disc)
+    _add_execution_arguments(disc)
     disc.add_argument("--metrics", help="write session metrics (backend "
                                         "lifecycle, transfers, supersteps) "
                                         "as JSON to this file")
@@ -666,20 +650,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="support threshold")
     pipe.add_argument("--max-lhs", type=_non_negative_int, default=2,
                      help="LHS literal cap")
-    pipe.add_argument("--workers", type=_positive_int, default=None,
-                      help="session workers (default: 1 serial / "
-                           "4 multiprocess)")
-    pipe.add_argument("--backend",
-                      choices=["serial", "multiprocess"],
-                      default=None,
-                      help="session execution backend (default: serial, or "
-                           "$REPRO_PARALLEL_BACKEND)")
     pipe.add_argument("--no-negative", action="store_true",
                       help="skip negative GFDs")
     pipe.add_argument("--output", help="write the cover to this file "
                                        "(.json keeps supports)")
     _add_index_argument(pipe)
-    _add_fault_arguments(pipe)
+    _add_execution_arguments(pipe)
     pipe.add_argument("--metrics", help="write session metrics as JSON to "
                                         "this file")
     _add_trace_argument(pipe)
@@ -695,13 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     enf.add_argument("graph", help="graph file (.json or .tsv)")
     enf.add_argument("rules", help="rule file (text lines or Σ .json)")
-    enf.add_argument("--backend", choices=["serial", "multiprocess"],
-                     default=None,
-                     help="evaluation backend (default: serial, or "
-                          "$REPRO_PARALLEL_BACKEND)")
-    enf.add_argument("--workers", type=_positive_int, default=None,
-                     help="evaluation shards (default: 1 serial / "
-                          "4 multiprocess)")
     enf.add_argument("--samples", type=_non_negative_int, default=5,
                      help="violating matches printed per rule (seeded "
                           "sample when the cap binds)")
@@ -716,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     enf.add_argument("--json", help="also write a machine-readable report "
                                     "to this file")
     _add_index_argument(enf)
-    _add_fault_arguments(enf)
+    _add_execution_arguments(enf)
     enf.add_argument("--metrics", help="write session metrics as JSON to "
                                        "this file")
     _add_trace_argument(enf)
@@ -729,12 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
                "workers of --backend; the cover does not depend on either.",
     )
     cov.add_argument("rules", help="rule file (one GFD per line)")
-    cov.add_argument("--workers", type=_positive_int, default=None,
-                     help="ParCover workers (default: 1)")
-    cov.add_argument("--backend", choices=["serial", "multiprocess"],
-                     default=None,
-                     help="cover execution backend (default: serial)")
-    _add_fault_arguments(cov)
+    _add_execution_arguments(cov)
     cov.add_argument("--output", help="also write the cover to this file")
     _add_trace_argument(cov)
     cov.set_defaults(func=_cmd_cover)
@@ -762,14 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="SECONDS",
                      help="serve for a fixed time then exit cleanly "
                           "(default: run until interrupted)")
-    srv.add_argument("--workers", type=_positive_int, default=None,
-                     help="backend workers (default: 1 serial / "
-                          "4 multiprocess)")
-    srv.add_argument("--backend",
-                     choices=["serial", "multiprocess"],
-                     default=None,
-                     help="execution backend of the single lane "
-                          "(default: serial, or $REPRO_PARALLEL_BACKEND)")
     srv.add_argument("--k", type=_positive_int, default=2,
                      help="startup-discovery pattern-variable bound")
     srv.add_argument("--sigma", type=_positive_int, default=10,
@@ -789,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "in-flight discover/cover; with none in "
                           "flight it commits at once")
     _add_index_argument(srv)
-    _add_fault_arguments(srv)
+    _add_execution_arguments(srv)
     _add_trace_argument(srv)
     srv.set_defaults(func=_cmd_serve)
     return parser

@@ -4,7 +4,10 @@ The paper's discovery problem takes a graph ``G``, a bound ``k ≥ 2`` on the
 number of pattern variables and a support threshold ``σ > 0``, plus the
 practical knobs of Section 4.3's *Remarks*: the active attributes ``Γ`` and
 the frequent-constant budget.  :class:`DiscoveryConfig` gathers those and the
-engineering limits that keep mining tractable on a laptop.
+engineering limits that keep mining tractable on a laptop.  Where the work
+runs — the backend, Section 6's ``n`` workers, supervision — is how the
+problem is run, not part of it: :func:`repro.parallel.backend.
+resolve_execution` owns those defaults.
 """
 
 from __future__ import annotations
@@ -21,45 +24,26 @@ __all__ = [
 ]
 
 
-def _default_backend() -> str:
-    """The default ``ParDis`` backend; ``REPRO_PARALLEL_BACKEND`` overrides.
-
-    The environment hook lets the CI matrix run the whole suite under the
-    multiprocess backend without touching any call site.
-    """
-    return os.environ.get("REPRO_PARALLEL_BACKEND", "serial")
-
-
 def _default_fault_plan() -> Optional[str]:
     """The JSON fault plan from ``REPRO_FAULT_PLAN`` (``None`` when unset)."""
     return os.environ.get("REPRO_FAULT_PLAN") or None
-
-
-def _default_fault() -> Optional["FaultConfig"]:
-    """Supervision default: off, unless a chaos plan is in the environment.
-
-    With ``REPRO_FAULT_PLAN`` set, every config grows a default
-    :class:`FaultConfig` — the chaos CI job runs the whole differential
-    suite under injected faults without touching any call site, exactly
-    like the ``REPRO_PARALLEL_BACKEND`` hook.
-    """
-    return FaultConfig() if _default_fault_plan() is not None else None
 
 
 @dataclass
 class FaultConfig:
     """Supervision policy of the multiprocess execution backend.
 
-    With a :class:`FaultConfig` attached (``DiscoveryConfig.fault`` /
-    ``EnforcementConfig.fault``), every worker submission is *supervised*:
-    a deadline detects hung workers, ``BrokenProcessPool`` detects dead
-    ones, and a failed submission is retried (twice at most, with
-    exponential backoff from 0.05 s) after the worker is respawned and its
-    **install log** replayed (the per-worker journal of state-mutating ops
-    — installs, parked joins, lattice masks, Σ, enforcement tables — every
-    op is a deterministic function of the index snapshot and that state,
-    so replay reconstructs the worker exactly).  ``None`` (the default)
-    runs unsupervised.
+    With a :class:`FaultConfig` attached (the ``fault`` argument of
+    :class:`~repro.session.Session`, :class:`~repro.serve.
+    EnforcementService` and :func:`~repro.parallel.backend.make_backend`),
+    every worker submission is *supervised*: a deadline detects hung
+    workers, ``BrokenProcessPool`` detects dead ones, and a failed
+    submission is retried (twice at most, with exponential backoff from
+    0.05 s) after the worker is respawned and its **install log** replayed
+    (the per-worker journal of state-mutating ops — installs, parked
+    joins, lattice masks, Σ, enforcement tables — every op is a
+    deterministic function of the index snapshot and that state, so
+    replay reconstructs the worker exactly).  ``None`` runs unsupervised.
 
     Supervision is a failure policy, not a second transport: a supervised
     backend stages large payloads in shared memory and ships index deltas
@@ -166,22 +150,6 @@ class DiscoveryConfig:
             many GFD candidates have been checked — how the benchmarks
             reproduce the paper's "ParGFDn / ParArab fail to complete"
             findings without actually exhausting memory.
-        parallel_backend: execution backend of ``ParDis`` — ``"serial"``
-            runs the same worker-op protocol as ``"multiprocess"`` (joins
-            parked worker-side, the same transfer ledger) on in-process
-            shards, with no extra processes; ``"multiprocess"`` runs it in
-            real per-worker processes that attach the frozen index
-            zero-copy (its mmap store file, else one shared-memory
-            segment).  Results are identical by construction (the
-            differential harness asserts it).  Default ``"serial"``, or the
-            ``REPRO_PARALLEL_BACKEND`` environment variable.
-        num_workers: default worker count ``n`` for parallel runs when the
-            engine call does not pass one (``None`` = the engine default, 4).
-        fault: supervision policy of the multiprocess backend (timeouts,
-            retry/respawn budgets, the degradation ladder) — see
-            :class:`FaultConfig`.  ``None`` (the default) disables
-            supervision; setting ``REPRO_FAULT_PLAN`` enables it with an
-            injected chaos plan.
     """
 
     k: int = 3
@@ -199,9 +167,6 @@ class DiscoveryConfig:
     max_matches_per_pattern: Optional[int] = 500_000
     prune: bool = True
     max_candidates: Optional[int] = None
-    parallel_backend: str = field(default_factory=_default_backend)
-    num_workers: Optional[int] = None
-    fault: Optional[FaultConfig] = field(default_factory=_default_fault)
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -221,13 +186,6 @@ class DiscoveryConfig:
             raise ValueError("max_matches_per_pattern must be >= 1 (or None)")
         if self.max_candidates is not None and self.max_candidates < 0:
             raise ValueError("max_candidates must be >= 0 (or None)")
-        if self.parallel_backend not in ("serial", "multiprocess"):
-            raise ValueError(
-                "parallel_backend must be 'serial' or 'multiprocess', "
-                f"got {self.parallel_backend!r}"
-            )
-        if self.num_workers is not None and self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
 
 
 @dataclass
@@ -236,21 +194,19 @@ class EnforcementConfig:
 
     Enforcement is the consumer side of discovery: a fixed rule set ``Σ``
     is validated against a live graph, repeatedly, always over the graph's
-    frozen CSR index.  The knobs mirror the discovery ones where the
-    machinery is shared (backend, workers) and add the delta-maintenance
-    and reporting policies.
+    frozen CSR index.  The policies below say how a pass reports and when
+    a refresh stays incremental; where it runs is the backend's business.
 
     Attributes:
-        backend: evaluation backend — ``"serial"`` evaluates the compiled
-            plan inline on ``num_workers`` in-process shards,
-            ``"multiprocess"`` on real per-worker processes attaching the
-            frozen graph index zero-copy (mmap store file or shared
-            memory), like discovery's.  The
-            ``REPRO_PARALLEL_BACKEND`` environment variable sets the
-            default, exactly as for discovery.
-        num_workers: evaluation shards (``None`` = 1 for serial, 4 for
-            multiprocess — serial sharding exists for differential testing,
-            not speed).
+        backend, num_workers: the backend a *standalone*
+            :class:`~repro.enforce.engine.EnforcementEngine` builds for
+            itself, resolved by :func:`~repro.parallel.backend.
+            resolve_execution` (``None`` = its defaults).  An engine handed
+            a started backend — a session's — runs on that one, and these
+            must then be ``None`` or agree with it.  Supervision comes with
+            the backend: a standalone engine follows ``$REPRO_FAULT_PLAN``,
+            and a caller that wants another policy passes a backend built
+            with it.
         max_delta_fraction: on :meth:`~repro.enforce.engine.
             EnforcementEngine.refresh`, fall back to full revalidation when
             more than this fraction of the graph's nodes was touched since
@@ -275,36 +231,19 @@ class EnforcementConfig:
             sorted violation set — deterministic and independent of match
             enumeration order, worker count and backend.
         sample_seed: RNG seed of that capped sample.
-        fault: supervision policy of the multiprocess backend (see
-            :class:`FaultConfig`); ``None`` disables supervision.
     """
 
-    backend: str = field(default_factory=_default_backend)
+    backend: Optional[str] = None
     num_workers: Optional[int] = None
     max_delta_fraction: float = 0.25
     max_violations_per_rule: Optional[int] = None
     max_violation_samples: Optional[int] = 10
     sample_seed: int = 0
-    fault: Optional[FaultConfig] = field(default_factory=_default_fault)
 
     def __post_init__(self) -> None:
-        if self.backend not in ("serial", "multiprocess"):
-            raise ValueError(
-                "backend must be 'serial' or 'multiprocess', "
-                f"got {self.backend!r}"
-            )
-        if self.num_workers is not None and self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
         if not 0.0 <= self.max_delta_fraction <= 1.0:
             raise ValueError("max_delta_fraction must be a fraction in [0, 1]")
         if self.max_violation_samples is not None and self.max_violation_samples < 0:
             raise ValueError("max_violation_samples must be >= 0")
         if self.max_violations_per_rule is not None and self.max_violations_per_rule < 1:
             raise ValueError("max_violations_per_rule must be >= 1")
-
-    @property
-    def resolved_workers(self) -> int:
-        """The worker count actually used."""
-        if self.num_workers is not None:
-            return self.num_workers
-        return 4 if self.backend == "multiprocess" else 1

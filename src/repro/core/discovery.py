@@ -27,10 +27,10 @@ def discover(
 ) -> DiscoveryResult:
     """Discover minimum σ-frequent GFDs in ``graph``: ``ParDis`` at ``n = 1``.
 
-    One in-process worker on the ``serial`` backend, whatever
-    ``config.parallel_backend`` and ``config.num_workers`` say — the
-    paper's ``SeqDis``.  ``stats``/``index`` accept precomputed snapshots of
-    the graph (by default both come from its cached frozen index).
+    One in-process worker on the ``serial`` backend, whatever default
+    :func:`~repro.parallel.backend.resolve_execution` would pick — the
+    paper's ``SeqDis``.  ``stats``/``index`` accept precomputed snapshots
+    of the graph (by default both come from its cached frozen index).
     """
     from ..parallel.pardis import ParallelDiscovery  # parallel builds on core
 

@@ -64,6 +64,7 @@ from ..parallel.backend import (
     RowStore,
     make_backend,
     next_node_key,
+    resolve_execution,
 )
 from ..pattern.matcher import Match
 from .delta import DeltaLog
@@ -153,16 +154,32 @@ class EnforcementReport:
         return result
 
 
+def check_execution(
+    config: EnforcementConfig, backend: str, num_workers: int
+) -> None:
+    """Reject a config whose ``backend`` / ``num_workers`` contradict the
+    backend an engine borrows (``None`` fields agree with anything)."""
+    for field, stated, actual in (
+        ("backend", config.backend, backend),
+        ("num_workers", config.num_workers, num_workers),
+    ):
+        if stated is not None and stated != actual:
+            raise ValueError(
+                f"EnforcementConfig.{field}={stated!r} conflicts with the "
+                f"backend in use ({actual!r})"
+            )
+
+
 class EnforcementEngine:
     """Continuous validation of a fixed ``Σ`` against one live graph.
 
     The engine compiles ``Σ`` once, attaches a :class:`DeltaLog` to the
     graph, and mirrors every worker's match shard between passes so
     :meth:`refresh` can splice localized re-matches by slot instead of
-    re-matching the world.  The evaluation backend (``config.backend``) is
-    long-lived: its workers keep each group's match shard and each rule's
-    violating slots across passes, so repeated refreshes against a
-    mutating graph exchange deltas and changed rules only.  Call
+    re-matching the world.  The evaluation backend is long-lived: its
+    workers keep each group's match shard and each rule's violating slots
+    across passes, so repeated refreshes against a mutating graph exchange
+    deltas and changed rules only.  Call
     :meth:`close` (or use as a context manager) to detach the log and
     release backend resources (worker processes, shared memory).
 
@@ -180,8 +197,11 @@ class EnforcementEngine:
             :meth:`close` the engine only drops its resident groups, never
             the pools, and a graph-snapshot change re-points the borrowed
             backend via ``refresh_index`` instead of rebuilding it.
-            ``None`` (the default) makes the engine construct and own a
-            backend per ``config``.
+            ``None`` (the default) makes the engine start and own the
+            backend :func:`~repro.parallel.backend.resolve_execution` picks
+            for ``config.backend`` / ``config.num_workers``, supervised as
+            ``$REPRO_FAULT_PLAN`` says; a borrowed backend must agree with
+            whichever of the two ``config`` sets.
         delta: a :class:`~repro.enforce.delta.DeltaLog` already attached to
             ``graph`` (session-owned).  ``None`` attaches (and on close
             detaches) a private log.
@@ -221,6 +241,13 @@ class EnforcementEngine:
         #: (shared) backend's own instrumentation.
         self.tracer = tracer
         self.config = config if config is not None else EnforcementConfig()
+        if backend is None:
+            self._backend_name, self._num_workers, self._fault = (
+                resolve_execution(self.config.backend, self.config.num_workers)
+            )
+        else:
+            check_execution(self.config, backend.name, backend.num_workers)
+            self._num_workers = backend.num_workers
         self.plan: EnforcementPlan = compile_plan(self.sigma)
         self._owns_delta = delta is None
         self.delta = delta if delta is not None else DeltaLog()
@@ -263,9 +290,7 @@ class EnforcementEngine:
     @property
     def num_workers(self) -> int:
         """The evaluation shard count in effect."""
-        if self._backend is not None:
-            return self._backend.num_workers
-        return self.config.resolved_workers
+        return self._num_workers
 
     def _drop_resident(self) -> None:
         """Free this engine's resident groups on a backend that outlives it."""
@@ -498,11 +523,11 @@ class EnforcementEngine:
                 self._backend_index = index
             return self._backend
         self._backend = make_backend(
-            self.config.backend,
-            self.num_workers,
+            self._backend_name,
+            self._num_workers,
             self.graph,
             index,
-            fault=self.config.fault,
+            fault=self._fault,
             tracer=self.tracer,
         )
         self._backend_index = index

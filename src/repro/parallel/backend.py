@@ -64,6 +64,8 @@ deadline, the retry, the respawn and the degradation, nothing else.
 from __future__ import annotations
 
 import itertools
+import mmap
+import os
 import pickle
 import time
 import warnings
@@ -75,7 +77,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.config import FaultConfig, _default_fault
+from ..core.config import FaultConfig
 from ..core.match_table import MatchTable
 from ..core.spawning import extension_counts
 from ..gfd.implication import ImplicationChecker, greedy_group_elimination
@@ -84,7 +86,7 @@ from ..graph.index import GraphIndex
 from ..obs.tracer import NULL_TRACER
 from ..pattern.incremental import extend_matches
 from . import janitor
-from .faults import FaultPlan
+from .faults import FAULT_PLAN_ENV, FaultPlan
 
 try:  # pragma: no cover - availability depends on the platform
     from multiprocessing import shared_memory as _shared_memory
@@ -102,13 +104,17 @@ __all__ = [
     "WorkLedger",
     "LifecycleCounters",
     "make_backend",
+    "resolve_execution",
     "next_node_key",
     "RowStore",
     "shared_memory_available",
 ]
 
-#: Recognized values of ``DiscoveryConfig.parallel_backend``.
+#: Recognized backend names.
 BACKEND_NAMES = ("serial", "multiprocess")
+
+#: Environment variable naming the default backend (the CI matrix hook).
+BACKEND_ENV = "REPRO_PARALLEL_BACKEND"
 
 #: One superstep request: ``(worker, op name, pattern node key, payload)``.
 Request = Tuple[int, str, int, Dict[str, Any]]
@@ -1011,6 +1017,15 @@ def _align(offset: int) -> int:
     return (offset + 63) & ~63
 
 
+def _pages(size: int) -> int:
+    """``size`` bytes rounded up to whole memory pages."""
+    return -(-size // mmap.PAGESIZE) * mmap.PAGESIZE
+
+
+def _nbytes(arrays: Dict[str, np.ndarray]) -> int:
+    return sum(array.nbytes for array in arrays.values())
+
+
 class _SharedArrayPack:
     """Master-side owner of named arrays packed into one shared segment.
 
@@ -1207,7 +1222,8 @@ _WORKER: Optional[ShardWorker] = None
 #: Segment attachments backing the current index views: the full snapshot
 #: plus any delta segments merged since (views of *unchanged* arrays keep
 #: pointing into earlier segments, so the whole chain must stay mapped
-#: until a full re-attach replaces it).
+#: until a full re-attach replaces it — the master forces one before the
+#: chain's deltas outgrow half the snapshot, see ``_changed_arrays``).
 _SEGMENTS: List[Any] = []
 #: The mmap attachment backing the current index on the on-disk transport
 #: (kept open across delta merges for the same reason as ``_SEGMENTS``;
@@ -1434,6 +1450,9 @@ class MultiprocessBackend(ExecutionBackend):
         # delta refreshes already folded into _base_initargs; once the
         # lifecycle count moves past it, a respawn must re-export first
         self._base_deltas = 0
+        # page-rounded delta bytes every worker has mapped since its last
+        # full attach (each delta segment stays mapped until the next one)
+        self._chain_bytes = 0
         self._pools: List[Optional[ProcessPoolExecutor]] = []
         try:
             for worker in range(num_workers):
@@ -1526,6 +1545,7 @@ class MultiprocessBackend(ExecutionBackend):
                     buffers.close()
                 raise
             self._set_base(initargs, buffers)
+            self._chain_bytes = 0
         else:
             meta, arrays = export
             pack = _SharedArrayPack(changed)
@@ -1536,6 +1556,7 @@ class MultiprocessBackend(ExecutionBackend):
                 self._call_all(_mp_attach_delta, spec, pack.name)
             finally:
                 pack.close()  # every worker has attached: mappings persist
+            self._chain_bytes += _pages(_nbytes(changed))
             self.lifecycle.delta_refreshes += 1
         self._index = index
         # demoted in-process shards follow the swap like serial workers do
@@ -1582,23 +1603,22 @@ class MultiprocessBackend(ExecutionBackend):
         """Arrays that differ from the previous export, or ``None``.
 
         ``None`` means a full re-export is needed (a graph-free pool has no
-        previous export) or the better ship: more than half the snapshot's
-        bytes changed, so the delta machinery would cost as much as the
-        plain path while adding a segment to the chain.  An
-        unchanged array is *bytewise* equal — under the new snapshot's
-        meta tables it decodes to exactly what a full export would ship,
-        so reusing the worker's existing view is sound even when interned
-        code tables shifted (a shifted code changes the bytes).
+        previous export) or the better ship: the delta segments workers
+        keep mapped since their last full attach, this one included and
+        each rounded to whole pages, would exceed half the snapshot's
+        bytes.  That bounds the chain a long run of small writes leaves
+        in every worker.  An unchanged array is *bytewise* equal — under
+        the new snapshot's meta tables it decodes to exactly what a full
+        export would ship, so reusing the worker's existing view is sound
+        even when interned code tables shifted (a shifted code changes the
+        bytes).
         """
         if self._last_export is None:
             return None
         meta, arrays = export
         previous = self._last_export[1]
         changed: Dict[str, np.ndarray] = {}
-        total = 0
-        changed_bytes = 0
         for name, array in arrays.items():
-            total += array.nbytes
             old = previous.get(name)
             if (
                 old is None
@@ -1607,8 +1627,9 @@ class MultiprocessBackend(ExecutionBackend):
                 or not np.array_equal(old, array)
             ):
                 changed[name] = array
-                changed_bytes += array.nbytes
-        if total and changed_bytes * 2 > total:
+        chain = self._chain_bytes + _pages(_nbytes(changed))
+        total = _nbytes(arrays)
+        if total and chain * 2 > total:
             return None
         return changed
 
@@ -1961,42 +1982,62 @@ class MultiprocessBackend(ExecutionBackend):
             pass
 
 
+def resolve_execution(
+    backend: Optional[str] = None,
+    num_workers: Optional[int] = None,
+    fault: Any = "auto",
+) -> Tuple[str, int, Optional[FaultConfig]]:
+    """Where work runs: ``(backend name, worker count, fault policy)``.
+
+    The one owner of the execution defaults; it starts nothing.  A
+    ``None`` name is ``$REPRO_PARALLEL_BACKEND``, else ``"serial"`` (so the
+    CI matrix runs the whole suite under the multiprocess backend without
+    touching a call site).  A ``None`` worker count is 1 on the serial
+    backend, whose sharding exists for differential testing, and 4 on the
+    multiprocess one.  ``fault`` is a :class:`~repro.core.config.
+    FaultConfig`, ``None`` (unsupervised), or ``"auto"``: supervised, with
+    the injected plan, exactly when ``$REPRO_FAULT_PLAN`` is set, so the
+    chaos CI job covers call sites that never mention faults.
+
+    Raises ``ValueError`` on an unknown name or a count below 1.
+    """
+    name = backend if backend is not None else os.environ.get(
+        BACKEND_ENV, "serial"
+    )
+    if name not in BACKEND_NAMES:
+        raise ValueError(
+            f"unknown parallel backend {name!r} (expected one of {BACKEND_NAMES})"
+        )
+    if num_workers is None:
+        num_workers = 1 if name == "serial" else 4
+    if num_workers < 1:
+        raise ValueError("num_workers must be >= 1")
+    if fault == "auto":
+        fault = FaultConfig() if os.environ.get(FAULT_PLAN_ENV) else None
+    return name, num_workers, fault
+
+
 def make_backend(
-    name: str,
-    num_workers: int,
+    name: Optional[str],
+    num_workers: Optional[int],
     graph: Optional[Graph],
     index: Optional[GraphIndex],
     fault: Any = "auto",
     tracer: Any = NULL_TRACER,
 ) -> ExecutionBackend:
-    """Instantiate a backend by config name (``serial`` | ``multiprocess``).
+    """Start the backend :func:`resolve_execution` picks for the arguments.
 
     ``graph``/``index`` may both be ``None`` for graph-free work (the cover
     phase); discovery and enforcement pass the frozen index so multiprocess
-    workers can attach it via shared memory.
-
-    ``fault`` is the supervision policy (a :class:`~repro.core.config.
-    FaultConfig`, or ``None`` to disable).  The default ``"auto"`` follows
-    the environment: supervision turns on — with the injected plan — when
-    ``REPRO_FAULT_PLAN`` is set, so the chaos CI job covers call sites that
-    never mention faults.  The serial backend ignores it (in-process
-    execution cannot lose a worker).
+    workers can attach it via shared memory.  The serial backend ignores
+    ``fault`` (in-process execution cannot lose a worker).
 
     ``tracer`` wires a :class:`repro.obs.Tracer` into the backend: the
     engines running on it trace into the same one, construction and
     supervision emit typed events, and every batch emits worker-lane op
     spans.  The default ``NULL_TRACER`` keeps every hook a no-op.
-
-    Raises ``ValueError`` unless ``num_workers >= 1``.
     """
-    if num_workers < 1:
-        raise ValueError("num_workers must be >= 1")
-    if fault == "auto":
-        fault = _default_fault()
+    name, num_workers, fault = resolve_execution(name, num_workers, fault)
     if name == "serial":
         return SerialBackend(num_workers, graph, index, tracer=tracer)
-    if name == "multiprocess":
-        return MultiprocessBackend(num_workers, index, fault=fault, tracer=tracer)
-    raise ValueError(
-        f"unknown parallel backend {name!r} (expected one of {BACKEND_NAMES})"
-    )
+    return MultiprocessBackend(num_workers, index, fault=fault, tracer=tracer)

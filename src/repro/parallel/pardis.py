@@ -33,9 +33,10 @@ Worker-side execution is delegated to an
 :class:`~repro.parallel.backend.ExecutionBackend`: the ``serial`` backend
 runs the shard ops inline (the default), while the ``multiprocess`` backend
 runs them in real worker processes over shared-memory graph buffers
-(``config.parallel_backend``).  The backend counts the supersteps and each
-worker's exact work (:class:`~repro.parallel.backend.WorkLedger`; a run's
-share is :attr:`ParallelDiscovery.work`).  This is the one mining engine:
+(:func:`~repro.parallel.backend.resolve_execution` picks one).  The
+backend counts the supersteps and each worker's exact work
+(:class:`~repro.parallel.backend.WorkLedger`; a run's share is
+:attr:`ParallelDiscovery.work`).  This is the one mining engine:
 at ``n = 1`` on the ``serial`` backend it is ``SeqDis``
 (:func:`~repro.core.discovery.discover`).  On any backend and any ``n`` the
 discovered set equals the dict-adjacency oracle's
@@ -79,11 +80,11 @@ from ..pattern.embedding import embedding_batch
 from ..pattern.incremental import Extension, apply_extension
 from ..pattern.pattern import WILDCARD, Pattern
 from .backend import (
-    BACKEND_NAMES,
     ExecutionBackend,
     WorkLedger,
     make_backend,
     next_node_key,
+    resolve_execution,
 )
 
 __all__ = ["ParallelDiscovery", "StructuralFrontier", "check_budgets"]
@@ -223,18 +224,21 @@ class ParallelDiscovery:
 
     Args:
         graph: the data graph.
-        config: discovery parameters; ``config.parallel_backend`` selects
-            the execution backend.
-        num_workers: the number ``n`` of workers (``None`` falls back to
-            ``config.num_workers``, then 4).
+        config: discovery parameters.
+        num_workers: the number ``n`` of workers (``None``: the
+            :func:`~repro.parallel.backend.resolve_execution` default of
+            the backend).
         stats, index: precomputed :class:`GraphStatistics` /
             :class:`GraphIndex` snapshots, so repeated runs (baseline
             sweeps, benchmark series) don't rescan the graph per run; by
             default both come from the graph's cached frozen index.
-        backend: a backend name overriding the config, or a pre-started
+        backend: a backend name (``None``: the
+            :func:`~repro.parallel.backend.resolve_execution` default) for
+            a backend the engine starts, supervises as ``$REPRO_FAULT_PLAN``
+            says and shuts down itself, or a pre-started
             :class:`~repro.parallel.backend.ExecutionBackend` to reuse
-            across runs (the caller keeps ownership; worker counts must
-            match).
+            across runs (the caller keeps ownership and its supervision
+            policy; worker counts must match).
         frontier: a :class:`StructuralFrontier` of the graph's current
             structure, shared across runs on the same backend: recorded
             levels are replayed, new ones recorded, and its worker keys
@@ -280,16 +284,9 @@ class ParallelDiscovery:
         else:
             self._backend = None
             self._owns_backend = True
-            self._backend_name = backend or config.parallel_backend
-            if self._backend_name not in BACKEND_NAMES:
-                raise ValueError(
-                    f"unknown parallel backend {self._backend_name!r} "
-                    f"(expected one of {BACKEND_NAMES})"
-                )
-            if num_workers is None:
-                num_workers = (
-                    config.num_workers if config.num_workers is not None else 4
-                )
+            self._backend_name, num_workers, self._fault = resolve_execution(
+                backend, num_workers
+            )
         self._num_workers = num_workers
         #: The last run's supersteps and per-worker work (all zero before).
         self.work = WorkLedger.for_workers(num_workers)
@@ -502,7 +499,7 @@ class ParallelDiscovery:
                 self.num_workers,
                 self.graph,
                 self.index,
-                fault=self.config.fault,
+                fault=self._fault,
             )
         elif self._backend.source_token != (id(self.graph), id(self.index)):
             raise ValueError(

@@ -67,6 +67,7 @@ from ..gfd.gfd import GFD
 from ..gfd.parser import format_gfd
 from ..graph.graph import Graph
 from ..obs.metrics import MetricsRegistry
+from ..parallel.backend import resolve_execution
 from ..parallel.pardis import check_budgets
 from ..session import Session
 from .snapshots import SnapshotChain, SnapshotLease
@@ -252,9 +253,11 @@ class EnforcementService:
         sigma: the served rule set Σ.  ``None`` runs a budgeted discovery
             at startup (``ServeConfig.discover_max_rules``) and serves
             what it finds.
-        config / enforcement / num_workers / backend / index_path /
-            index_mmap / tracer: forwarded to the underlying
-            :class:`~repro.session.Session` (the session is created with
+        config / enforcement / num_workers / backend / fault /
+            index_path / index_mmap / tracer: forwarded to the underlying
+            :class:`~repro.session.Session`; ``backend``, ``num_workers``
+            and ``fault`` are resolved here, by :func:`~repro.parallel.
+            backend.resolve_execution` (the session is created with
             ``index_autosave=False`` — a serving process re-serializing
             the store file on every commit would dominate the write path).
         serve: the :class:`ServeConfig` policies.
@@ -275,6 +278,7 @@ class EnforcementService:
         serve: Optional[ServeConfig] = None,
         num_workers: Optional[int] = None,
         backend: Optional[str] = None,
+        fault: Any = "auto",
         index_path: Optional[Any] = None,
         index_mmap: bool = True,
         tracer: Optional[Any] = None,
@@ -282,11 +286,16 @@ class EnforcementService:
     ) -> None:
         self.graph = graph
         self._initial_sigma = list(sigma) if sigma is not None else None
+        # resolved here, so a bad name fails before start()
+        backend, num_workers, fault = resolve_execution(
+            backend, num_workers, fault
+        )
         self._session_kwargs = dict(
             config=config,
             enforcement=enforcement,
             num_workers=num_workers,
             backend=backend,
+            fault=fault,
             index_path=index_path,
             index_mmap=index_mmap,
             index_autosave=False,

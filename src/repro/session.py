@@ -53,7 +53,11 @@ from .core.config import DiscoveryConfig, EnforcementConfig
 from .core.cover import CoverResult
 from .core.results import DiscoveryResult
 from .enforce.delta import DeltaLog
-from .enforce.engine import EnforcementEngine, EnforcementReport
+from .enforce.engine import (
+    EnforcementEngine,
+    EnforcementReport,
+    check_execution,
+)
 from .enforce.monitor import RuleSketchMonitor
 from .gfd.gfd import GFD
 from .gfd.parser import dumps_sigma, loads_sigma
@@ -64,12 +68,12 @@ from .graph.store import IndexStoreStale
 from .obs.metrics import MetricsRegistry, registry_from_metrics
 from .obs.tracer import NULL_TRACER
 from .parallel.backend import (
-    BACKEND_NAMES,
     ExecutionBackend,
     LifecycleCounters,
     TransferLedger,
     WorkLedger,
     make_backend,
+    resolve_execution,
 )
 from .parallel.parcover import parallel_cover
 from .parallel.pardis import ParallelDiscovery, StructuralFrontier, check_budgets
@@ -191,21 +195,20 @@ class Session:
             index, attaches a delta log, and tracks mutations — a phase
             run after a mutation re-snapshots and re-points the live
             backend instead of rebuilding it.
-        config: the :class:`~repro.core.config.DiscoveryConfig` driving
-            discovery *and* the session's execution substrate
-            (``parallel_backend``, ``num_workers``, ``fault``); ``None``
-            uses the defaults.
-        enforcement: enforcement policies (delta thresholds, sample caps,
-            the per-rule violation cap, persistent tables).  The execution
-            knobs (``backend``, ``num_workers``, ``fault``) are overridden
-            by the session's — one backend serves every phase.  ``None``
-            uses the defaults.
-        num_workers: worker count ``n`` (overrides ``config.num_workers``;
-            default: ``config.num_workers``, else 1 for the serial backend
-            and 4 for multiprocess).
-        backend: backend name overriding ``config.parallel_backend``
-            (``"serial"`` or ``"multiprocess"``).  Every phase runs on
-            this one backend.
+        config: the :class:`~repro.core.config.DiscoveryConfig` — the
+            discovery problem and its mining limits; ``None`` uses the
+            defaults.
+        enforcement: enforcement policies (the delta threshold, sample
+            caps, the per-rule violation cap); ``None`` uses the defaults.
+            Its ``backend`` / ``num_workers`` must be ``None`` or agree
+            with the session's: one backend serves every phase.
+        num_workers, backend, fault: where every phase runs — the worker
+            count ``n``, ``"serial"`` or ``"multiprocess"``, and the
+            supervision policy (a :class:`~repro.core.config.FaultConfig`,
+            ``None`` for none, or ``"auto"``), resolved once by
+            :func:`~repro.parallel.backend.resolve_execution`: by default
+            the environment's backend, 1 serial worker or 4 processes, and
+            supervision only under a ``$REPRO_FAULT_PLAN`` chaos plan.
         index_path: optional path of a persisted index snapshot (the
             ``repro.graph.store`` format).  A valid store file whose
             fingerprint matches the graph attaches via ``mmap`` with
@@ -253,6 +256,7 @@ class Session:
         enforcement: Optional[EnforcementConfig] = None,
         num_workers: Optional[int] = None,
         backend: Optional[str] = None,
+        fault: Any = "auto",
         index_path: Optional[Any] = None,
         index_mmap: bool = True,
         index_autosave: bool = True,
@@ -263,28 +267,13 @@ class Session:
         #: The session tracer — a live ``Tracer`` or the no-op singleton.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.config = config if config is not None else DiscoveryConfig()
-        self._backend_name = backend or self.config.parallel_backend
-        if self._backend_name not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown parallel backend {self._backend_name!r} "
-                f"(expected one of {BACKEND_NAMES})"
-            )
-        if num_workers is None:
-            num_workers = self.config.num_workers
-        if num_workers is None:
-            num_workers = 1 if self._backend_name == "serial" else 4
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        self._num_workers = num_workers
-        base = enforcement if enforcement is not None else EnforcementConfig()
-        #: The enforcement config actually used: session-owned execution
-        #: knobs, caller-owned policies.
-        self.enforcement = replace(
-            base,
-            backend=self._backend_name,
-            num_workers=num_workers,
-            fault=self.config.fault,
+        self._backend_name, self._num_workers, self._fault = (
+            resolve_execution(backend, num_workers, fault)
         )
+        self.enforcement = (
+            enforcement if enforcement is not None else EnforcementConfig()
+        )
+        check_execution(self.enforcement, self._backend_name, self._num_workers)
         self._snapshot_version = graph.version
         self._index_path = Path(index_path) if index_path is not None else None
         self._index_mmap = bool(index_mmap)
@@ -310,7 +299,7 @@ class Session:
                 "session",
                 "session",
                 backend=self._backend_name,
-                num_workers=num_workers,
+                num_workers=self._num_workers,
             )
             if self.tracer.enabled
             else None
@@ -384,7 +373,7 @@ class Session:
                 self._num_workers,
                 self.graph,
                 self._index,
-                fault=self.config.fault,
+                fault=self._fault,
                 tracer=self.tracer,
             )
         return self._backend

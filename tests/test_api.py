@@ -175,7 +175,7 @@ class TestSurfaceSnapshot:
             ]
 
     def test_config_field_counts_are_pinned(self):
-        """37 knobs in all: adding, deleting or resurrecting one is a
+        """33 knobs in all: adding, deleting or resurrecting one is a
         decision this test makes visible, and the README's count of them
         is read back so it cannot drift from the pin."""
         import dataclasses
@@ -192,8 +192,8 @@ class TestSurfaceSnapshot:
             )
         }
         assert counts == {
-            "DiscoveryConfig": 18,
-            "EnforcementConfig": 7,
+            "DiscoveryConfig": 15,
+            "EnforcementConfig": 6,
             "ServeConfig": 9,
             "FaultConfig": 3,
         }

@@ -11,9 +11,18 @@ both engines in agreement when the cap binds.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
+from repro import (
+    EnforcementConfig,
+    EnforcementEngine,
+    EnforcementService,
+    Session,
+)
+from repro.cli import main as cli_main
 from repro.core import DiscoveryConfig, discover, gfd_identity
 from repro.oracle import reference_discover
 from repro.graph import Graph
@@ -26,6 +35,8 @@ from repro.parallel import (
     make_backend,
     shared_memory_available,
 )
+from repro.parallel import backend as backend_module
+from repro.parallel.backend import resolve_execution
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available(), reason="platform lacks shared memory"
@@ -129,8 +140,9 @@ class TestBackendLifecycle:
 
     def test_engine_run_leaves_no_segment(self):
         graph = small_graph()
-        config = small_config(parallel_backend="multiprocess")
-        engine = ParallelDiscovery(graph, config, num_workers=2)
+        engine = ParallelDiscovery(
+            graph, small_config(), num_workers=2, backend="multiprocess"
+        )
         tracked = {}
         original = SharedIndexBuffers.__init__
 
@@ -187,8 +199,10 @@ class TestBackendLifecycle:
             backend.shutdown()
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="parallel_backend"):
-            small_config(parallel_backend="ray")
+        with pytest.raises(ValueError, match="unknown parallel backend"):
+            resolve_execution("ray")
+        with pytest.raises(ValueError, match="num_workers"):
+            resolve_execution("serial", 0)
         graph = small_graph()
         with pytest.raises(ValueError, match="unknown parallel backend"):
             ParallelDiscovery(
@@ -202,14 +216,131 @@ class TestBackendLifecycle:
         engine = ParallelDiscovery(small_graph(), small_config(), num_workers=2)
         assert engine.backend_name == expected
         pinned = ParallelDiscovery(
-            small_graph(),
-            small_config(parallel_backend="serial"),
-            num_workers=2,
+            small_graph(), small_config(), num_workers=2, backend="serial"
         )
         assert pinned.backend_name == "serial"
         assert isinstance(
             make_backend("serial", 2, None, None), SerialBackend
         )
+
+
+def recording_multiprocess(built):
+    """A stand-in for :class:`MultiprocessBackend` that runs in-process
+    shards, so no pool starts, and appends ``(workers, fault)`` of every
+    backend built to ``built``."""
+
+    class Recording(SerialBackend):
+        name = "multiprocess"
+
+        def __init__(self, num_workers, index, fault=None, tracer=None):
+            graph = index.graph if index is not None else None
+            super().__init__(num_workers, graph, index)
+            built.append((num_workers, fault))
+
+    return Recording
+
+
+def _session_resolution(graph, name, workers, _tmp_path, _capsys):
+    with Session(graph, backend=name, num_workers=workers) as session:
+        return session.backend_name, session.num_workers
+
+
+def _pardis_resolution(graph, name, workers, _tmp_path, _capsys):
+    engine = ParallelDiscovery(graph, small_config(), workers, backend=name)
+    return engine.backend_name, engine.num_workers
+
+
+def _engine_resolution(graph, name, workers, _tmp_path, _capsys):
+    config = EnforcementConfig(backend=name, num_workers=workers)
+    with EnforcementEngine(graph, [], config) as engine:
+        return engine._backend_name, engine.num_workers
+
+
+def _service_resolution(graph, name, workers, _tmp_path, _capsys):
+    service = EnforcementService(
+        graph, sigma=[], backend=name, num_workers=workers
+    )
+    return (
+        service._session_kwargs["backend"],
+        service._session_kwargs["num_workers"],
+    )
+
+
+def _cover_verb_resolution(_graph, name, workers, tmp_path, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("")
+    argv = ["cover", str(rules)]
+    if name is not None:
+        argv += ["--backend", name]
+    if workers is not None:
+        argv += ["--workers", str(workers)]
+    assert cli_main(argv) == 0
+    stated = re.search(r"# backend=(\w+) workers=(\d+)", capsys.readouterr().err)
+    return stated.group(1), int(stated.group(2))
+
+
+RESOLUTION_ENTRY_POINTS = {
+    "session": _session_resolution,
+    "pardis": _pardis_resolution,
+    "engine": _engine_resolution,
+    "service": _service_resolution,
+    "cli-cover": _cover_verb_resolution,
+}
+
+
+class TestExecutionResolution:
+    """Every entry point resolves backend and worker count through
+    :func:`resolve_execution`, so all of them agree on every input."""
+
+    @pytest.mark.parametrize("env", [None, "multiprocess"], ids=["no-env", "env"])
+    @pytest.mark.parametrize("workers", [None, 3], ids=["n-default", "n3"])
+    @pytest.mark.parametrize(
+        "name", [None, "serial", "multiprocess"],
+        ids=["name-default", "serial", "multiprocess"],
+    )
+    @pytest.mark.parametrize("entry", sorted(RESOLUTION_ENTRY_POINTS))
+    def test_entry_points_resolve_alike(
+        self, entry, name, workers, env, monkeypatch, tmp_path, capsys
+    ):
+        built = []
+        monkeypatch.setattr(
+            backend_module, "MultiprocessBackend", recording_multiprocess(built)
+        )
+        if env is None:
+            monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_PARALLEL_BACKEND", env)
+        expected_name = name or env or "serial"
+        expected = (
+            expected_name,
+            workers or (1 if expected_name == "serial" else 4),
+        )
+        assert resolve_execution(name, workers)[:2] == expected
+        resolve = RESOLUTION_ENTRY_POINTS[entry]
+        assert resolve(small_graph(), name, workers, tmp_path, capsys) == expected
+        # only the cover verb builds a backend here, and no real pool
+        assert len(built) == (
+            entry == "cli-cover" and expected_name == "multiprocess"
+        )
+
+    def test_borrowing_engine_rejects_a_conflicting_config(self):
+        """An engine on a borrowed backend runs where that backend runs; a
+        config stating otherwise is an error, not silently overridden, and
+        a session reports it when it opens, before any phase runs."""
+        graph = small_graph()
+        backend = make_backend("serial", 2, graph, graph.index())
+        for config in (
+            EnforcementConfig(backend="multiprocess"),
+            EnforcementConfig(num_workers=3),
+        ):
+            with pytest.raises(ValueError, match="conflicts"):
+                EnforcementEngine(graph, [], config, backend=backend)
+            with pytest.raises(ValueError, match="conflicts"):
+                Session(graph, enforcement=config, backend="serial",
+                        num_workers=2)
+        agreeing = EnforcementConfig(backend="serial", num_workers=2)
+        with EnforcementEngine(graph, [], agreeing, backend=backend) as engine:
+            assert engine.num_workers == 2
 
 
 class TestMatchCapAgreement:
@@ -391,7 +522,46 @@ class TestSkewedShards:
         assert serial_steps == steps
 
 
+def _worker_segment_chain():
+    """Inside a worker: the sizes of the segments its index views map."""
+    return [segment.size for segment in backend_module._SEGMENTS]
+
+
 class TestGraphFreeAndIndexRefresh:
+    def test_delta_segment_chain_stays_bounded(self):
+        """Attribute-only writes refresh through deltas, and every delta
+        segment stays mapped in the worker until a full re-attach; the
+        deltas a worker holds, each rounded to whole pages, never exceed
+        half the snapshot, while the delta route stays in use."""
+        import mmap
+
+        from repro.datasets.knowledge_base import imdb_like
+
+        graph = imdb_like(1.0)
+        meta, arrays = graph.index().export_buffers()
+        half = sum(array.nbytes for array in arrays.values()) // 2
+        backend = make_backend("multiprocess", 2, graph, graph.index())
+        lengths = []
+        try:
+            people = [
+                node for node in graph.nodes()
+                if graph.node_label(node) == "person"
+            ]
+            for step in range(40):
+                graph.set_attr(people[step], "name", f"renamed {step}")
+                backend.refresh_index(graph.index())
+                chain = backend._pools[0].submit(_worker_segment_chain).result()
+                deltas = sum(
+                    -(-size // mmap.PAGESIZE) * mmap.PAGESIZE
+                    for size in chain[1:]
+                )
+                assert deltas <= half, (step, len(chain), deltas)
+                lengths.append(len(chain))
+        finally:
+            backend.shutdown()
+        assert backend.lifecycle.delta_refreshes > 20
+        assert max(lengths) > 2 and 1 in lengths
+
     def test_graph_free_multiprocess_backend(self):
         """Cover-phase workers need processes but no graph."""
         backend = make_backend("multiprocess", 2, None, None)

@@ -113,7 +113,6 @@ def _config(seed: int) -> DiscoveryConfig:
         active_attributes=list(ATTRS),
         mine_negative=rng.random() < 0.8,
         variable_literals=rng.random() < 0.8,
-        parallel_backend="serial",
     )
 
 

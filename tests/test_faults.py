@@ -16,12 +16,18 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro import DiscoveryConfig, FaultConfig, Session, discover, format_gfd
+from repro import (
+    EnforcementConfig,
+    EnforcementEngine,
+    FaultConfig,
+    Session,
+    discover,
+    format_gfd,
+)
 from repro.core import gfd_identity, sequential_cover
 from repro.oracle import find_violations
 from repro.parallel import (
@@ -40,7 +46,7 @@ from repro.parallel.backend import (
 )
 from repro.parallel.pardis import ParallelDiscovery
 from repro.serve import report_payload
-from test_backend import skewed_graph, small_config
+from test_backend import recording_multiprocess, skewed_graph, small_config
 
 needs_mp = pytest.mark.skipif(
     not shared_memory_available(),
@@ -131,14 +137,34 @@ class TestFaultPlan:
         monkeypatch.setenv("REPRO_FAULT_PLAN", _plan(kill_every=9))
         assert FaultPlan.from_env().kill_every == 9
 
-    def test_config_follows_env(self, monkeypatch):
-        """``DiscoveryConfig.fault`` arms itself when the chaos env is set."""
-        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-        assert DiscoveryConfig().fault is None
+    def test_config_follows_env(self, monkeypatch, film_graph, film_config):
+        """``$REPRO_FAULT_PLAN`` arms the backends a session, a standalone
+        ParDis and a standalone engine build, with no call site naming a
+        fault policy (the stand-in backend starts no pool)."""
+        built = []
+        monkeypatch.setattr(
+            backend_module, "MultiprocessBackend", recording_multiprocess(built)
+        )
+
+        def build_all():
+            built.clear()
+            with Session(
+                film_graph, film_config, backend="multiprocess", num_workers=2
+            ) as session:
+                session.backend()
+            ParallelDiscovery(
+                film_graph, film_config, 2, backend="multiprocess"
+            ).run()
+            config = EnforcementConfig(backend="multiprocess", num_workers=2)
+            with EnforcementEngine(film_graph, [], config) as engine:
+                engine.validate()
+            return [fault for _, fault in built]
+
+        assert build_all() == [None, None, None]
         monkeypatch.setenv("REPRO_FAULT_PLAN", _plan(kill_every=9))
-        config = DiscoveryConfig()
-        assert config.fault is not None
-        assert config.fault.fault_plan == _plan(kill_every=9)
+        faults = build_all()
+        assert len(faults) == 3
+        assert all(fault.fault_plan == _plan(kill_every=9) for fault in faults)
 
     def test_fault_config_validates(self):
         with pytest.raises(ValueError):
@@ -398,8 +424,8 @@ class TestSupervisionPlumbing:
         )
         budgets = {"max_rules": 1, "update_sigma": False}
         with Session(
-            film_graph, replace(film_config, fault=fault),
-            backend="multiprocess", num_workers=2,
+            film_graph, film_config, backend="multiprocess", num_workers=2,
+            fault=fault,
         ) as session:
             assert len(list(session.discover_iter(**budgets))) == 1
             backend = session.backend()
@@ -545,9 +571,9 @@ class TestChaosDifferential:
         fault = FaultConfig(
             fault_plan=_plan(kill_on={"op": op, "nth": 1}, workers=[worker])
         )
-        config = replace(film_config, fault=fault)
         with Session(
-            film_graph, config, backend="multiprocess", num_workers=2
+            film_graph, film_config, backend="multiprocess", num_workers=2,
+            fault=fault,
         ) as session:
             result = session.discover()
             metrics = session.metrics()
@@ -578,9 +604,9 @@ class TestChaosDifferential:
                 kill_on={"op": "enforce_update", "nth": 1}, workers=[0]
             )
         )
-        config = replace(film_config, fault=fault)
         with Session(
-            film_graph, config, backend="multiprocess", num_workers=2
+            film_graph, film_config, backend="multiprocess", num_workers=2,
+            fault=fault,
         ) as session:
             session.discover()
             sigma = session.cover().cover
@@ -613,9 +639,9 @@ class TestChaosDifferential:
             fault_plan=_plan(delay={"every": 1, "seconds": 30.0}, workers=[0]),
             op_timeout_s=0.5,
         )
-        config = replace(film_config, fault=fault)
         with Session(
-            film_graph, config, backend="multiprocess", num_workers=2
+            film_graph, film_config, backend="multiprocess", num_workers=2,
+            fault=fault,
         ) as session:
             result = session.discover()
             metrics = session.metrics()
@@ -632,10 +658,10 @@ class TestChaosDifferential:
             fault_plan=_plan(kill_every=1, persist=True, workers=[0]),
             max_respawns=1,
         )
-        config = replace(film_config, fault=fault)
         with pytest.warns(RuntimeWarning, match="respawn budget"):
             with Session(
-                film_graph, config, backend="multiprocess", num_workers=2
+                film_graph, film_config, backend="multiprocess", num_workers=2,
+                fault=fault,
             ) as session:
                 result = session.discover()
                 metrics = session.metrics()
@@ -648,9 +674,9 @@ class TestChaosDifferential:
     ):
         """Supervision without injected faults: same results, zero events."""
         reference = _fingerprint(discover(film_graph, film_config))
-        config = replace(film_config, fault=FaultConfig())
         with Session(
-            film_graph, config, backend="multiprocess", num_workers=2
+            film_graph, film_config, backend="multiprocess", num_workers=2,
+            fault=FaultConfig(),
         ) as session:
             result = session.discover()
             data = session.metrics().as_dict()
@@ -670,9 +696,10 @@ class TestChaosDifferential:
         supersteps or per-worker work."""
         with Session(
             film_graph,
-            replace(film_config, fault=FaultConfig()),
+            film_config,
             backend="multiprocess",
             num_workers=2,
+            fault=FaultConfig(),
         ) as clean_session:
             clean_session.discover()
             clean = _counted(clean_session.metrics().as_dict())
@@ -681,9 +708,10 @@ class TestChaosDifferential:
         )
         with Session(
             film_graph,
-            replace(film_config, fault=fault),
+            film_config,
             backend="multiprocess",
             num_workers=2,
+            fault=fault,
         ) as chaos_session:
             chaos_session.discover()
             chaos = _counted(chaos_session.metrics().as_dict())
@@ -752,8 +780,8 @@ class TestOneTransport:
         batches = self._batches(monkeypatch)
         twin_graph = film_graph.copy()
         with Session(
-            twin_graph, replace(film_config, fault=FaultConfig()),
-            backend="multiprocess", num_workers=2,
+            twin_graph, film_config, backend="multiprocess", num_workers=2,
+            fault=FaultConfig(),
         ) as twin:
             self._enforce_then_refresh(twin, twin_graph)
         # worker 0 dies on its first enforce_update of the *next* refresh
@@ -766,9 +794,9 @@ class TestOneTransport:
                 kill_on={"op": "enforce_update", "nth": nth}, workers=[0]
             )
         )
-        config = replace(film_config, fault=fault)
         with Session(
-            film_graph, config, backend="multiprocess", num_workers=2
+            film_graph, film_config, backend="multiprocess", num_workers=2,
+            fault=fault,
         ) as session:
             self._enforce_then_refresh(session, film_graph)
             sigma = session.sigma
@@ -807,10 +835,10 @@ class TestOneTransport:
             ),
             max_respawns=0,
         )
-        config = replace(film_config, fault=fault)
         with pytest.warns(RuntimeWarning, match="respawn budget"):
             with Session(
-                film_graph, config, backend="multiprocess", num_workers=2
+                film_graph, film_config, backend="multiprocess", num_workers=2,
+                fault=fault,
             ) as session:
                 result = session.discover()
                 assert session.metrics().lifecycle.degraded_workers == 1

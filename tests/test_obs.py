@@ -15,12 +15,10 @@ The PR 8 acceptance properties:
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
 from repro import (
-    DiscoveryConfig,
     FaultConfig,
     MetricsRegistry,
     NullTracer,
@@ -44,9 +42,11 @@ def _fingerprint(result):
     return frozenset(gfd_identity(g) for g in result.gfds)
 
 
-def _pipeline(graph, config, tracer=None, backend=None, workers=None):
+def _pipeline(graph, config, tracer=None, backend=None, workers=None,
+              fault="auto"):
     with Session(
-        graph, config, backend=backend, num_workers=workers, tracer=tracer
+        graph, config, backend=backend, num_workers=workers, fault=fault,
+        tracer=tracer,
     ) as session:
         result = session.discover()
         cover = session.cover()
@@ -256,13 +256,13 @@ class TestSessionTracing:
                 {"kill_on": {"op": "eval", "nth": 1}, "workers": [0]}
             )
         )
-        config = replace(film_config, fault=fault)
         tracer = Tracer()
         plain = _pipeline(
             film_graph, film_config, backend="multiprocess", workers=2
         )
         chaos = _pipeline(
-            film_graph, config, tracer, backend="multiprocess", workers=2
+            film_graph, film_config, tracer, backend="multiprocess", workers=2,
+            fault=fault,
         )
         assert _fingerprint(plain[0]) == _fingerprint(chaos[0])
         assert tracer.spans_opened == tracer.spans_closed

@@ -39,7 +39,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import DiscoveryConfig, Session, Tracer, format_gfd, parse_gfd
+from repro import Session, Tracer, format_gfd, parse_gfd
 from repro.core import FaultConfig
 from repro.enforce import RuleSketchMonitor
 from repro.gfd.parser import dumps_sigma
@@ -1143,8 +1143,8 @@ class TestConcurrentReplayIdentity:
         it and every served answer still matches the serial replay."""
         base = film_graph
         sigma = film_rules()
-        # the session builds every phase backend from DiscoveryConfig.fault,
-        # so the plan supervises the enforcement lane too; the first
+        # the service's one backend serves every phase, so the plan
+        # supervises the enforcement lane too; the first
         # incremental refresh op on worker 0 dies and is respawn-replayed
         fault = FaultConfig(
             fault_plan=json.dumps(
@@ -1157,10 +1157,10 @@ class TestConcurrentReplayIdentity:
             service = EnforcementService(
                 base.copy(),
                 sigma=sigma,
-                config=DiscoveryConfig(fault=fault),
                 serve=ServeConfig(commit_linger_s=0.01),
                 backend="multiprocess",
                 num_workers=2,
+                fault=fault,
             )
             await service.start()
             try:

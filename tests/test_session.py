@@ -29,6 +29,7 @@ from repro.datasets import KB_ATTRIBUTES, imdb_like
 from repro.enforce import RuleSketchMonitor
 from repro.oracle import find_violations
 from repro.parallel import shared_memory_available
+from repro.parallel.backend import resolve_execution
 from repro.parallel.pardis import ParallelDiscovery
 from repro.quality.detector import detect_gfd_violations
 from repro.serve import report_payload
@@ -482,8 +483,8 @@ class TestAutoBackendPlanner:
         for name in ("bogus", "auto"):
             with pytest.raises(ValueError, match="unknown parallel backend"):
                 Session(film_graph, film_config, backend=name)
-        with pytest.raises(ValueError, match="parallel_backend"):
-            DiscoveryConfig(parallel_backend="auto")
+            with pytest.raises(ValueError, match="unknown parallel backend"):
+                resolve_execution(name)
 
 
 class TestFusedSession:
@@ -534,9 +535,9 @@ DISCOVERIES = {
 }
 
 
-def _supervised(config, backend):
+def _supervised(backend):
     """Multiprocess runs keep the install log, so journals can be compared."""
-    return replace(config, fault=FaultConfig()) if backend == "multiprocess" else config
+    return FaultConfig() if backend == "multiprocess" else None
 
 
 def _resident_keys(session):
@@ -658,13 +659,15 @@ class TestWorkerStateOwnership:
     def test_no_worker_state_leaks_across_cycles(
         self, film_graph, film_config, backend
     ):
-        config = _supervised(film_config, backend)
+        fault = _supervised(backend)
         sigma = discover(film_graph, film_config).gfds
         twin_graph = film_graph.copy()
         with Session(
-            film_graph, config, backend=backend, num_workers=2
+            film_graph, film_config, backend=backend, num_workers=2,
+            fault=fault,
         ) as session, Session(
-            twin_graph, config, backend=backend, num_workers=2
+            twin_graph, film_config, backend=backend, num_workers=2,
+            fault=fault,
         ) as twin:
             for each in (session, twin):
                 each.set_sigma(sigma)
@@ -698,7 +701,7 @@ class TestWorkerStateOwnership:
     def test_failed_discovery_drops_its_keys(
         self, film_graph, film_config, backend, monkeypatch
     ):
-        config = _supervised(film_config, backend)
+        fault = _supervised(backend)
         twin_graph = film_graph.copy()
         mine_nodes_batch = ParallelDiscovery._mine_nodes_batch
 
@@ -713,9 +716,11 @@ class TestWorkerStateOwnership:
 
         shipped = {}
         with Session(
-            film_graph, config, backend=backend, num_workers=2
+            film_graph, film_config, backend=backend, num_workers=2,
+            fault=fault,
         ) as session, Session(
-            twin_graph, config, backend=backend, num_workers=2
+            twin_graph, film_config, backend=backend, num_workers=2,
+            fault=fault,
         ) as twin:
             for each in (session, twin):
                 each.discover()
@@ -908,9 +913,9 @@ class TestStructuralFrontier:
     )
     def test_supervised_journal_stays_flat(self):
         graph, config = self._workload()
-        config = replace(config, fault=FaultConfig())
         with Session(
-            graph, config, backend="multiprocess", num_workers=2
+            graph, config, backend="multiprocess", num_workers=2,
+            fault=FaultConfig(),
         ) as session:
             list(session.discover_iter(**self.BUDGETS))
             lengths = [len(journal) for journal in session.backend()._journals]
