@@ -104,7 +104,7 @@ def main() -> None:
         assert metrics.lifecycle.index_attaches == 1
         RESULTS.mkdir(parents=True, exist_ok=True)
         out = RESULTS / "session_metrics.json"
-        # the documented schema v8 with sorted keys: two runs' artifacts
+        # the documented schema v9 with sorted keys: two runs' artifacts
         # diff cleanly, modulo the "timings" key
         out.write_text(
             json.dumps(metrics.as_dict(), indent=2, sort_keys=True) + "\n"

@@ -17,7 +17,9 @@ it and drops it.  It serves two roles:
   ``stack_supports``) — a row set is one Python int with row ``i`` at bit
   ``i``, an intersection is ``&``, a count is ``int.bit_count`` and the
   distinct-pivot support ``|Q(G, Xl, z)|`` one multi-word carry-add (see
-  :meth:`MatchTable.bits_support`);
+  :meth:`MatchTable.bits_support`) — or as rows of a uint64 word matrix,
+  whose pairs a lattice depth counts in bulk (``as_words`` /
+  :func:`cross_counts` / ``word_supports``);
 * enforcement: one bool mask per literal (``literal_mask``) and per rule
   (``violation_mask``).
 
@@ -28,7 +30,9 @@ from __future__ import annotations
 
 import heapq
 from itertools import groupby
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -46,6 +50,7 @@ from ..pattern.pattern import Pattern
 __all__ = [
     "MatchTable",
     "MISSING",
+    "cross_counts",
     "merge_agreement_counts",
     "rank_value",
     "constant_literals_from_code_counts",
@@ -105,6 +110,8 @@ class MatchTable:
         self._literal_masks: Dict[Literal, np.ndarray] = {}
         # (HI, LO) bitsets of the pivot runs, built by the first bits_support
         self._run_bits: Optional[Tuple[int, int]] = None
+        # each pivot run's first row, built by the first word_supports
+        self._run_starts: Optional[np.ndarray] = None
         #: literal-mask cache audit: (hits, misses) over the table lifetime.
         self.mask_cache_hits = 0
         self.mask_cache_misses = 0
@@ -304,6 +311,61 @@ class MatchTable:
         """:meth:`bits_support` of every row of a packed ``(masks × bytes)`` stack."""
         return [self.bits_support(mask) for mask in self.as_bitsets(packed)]
 
+    # -- word matrices (the lattice's count kernel) ---------------------
+    @staticmethod
+    def as_words(packed: np.ndarray) -> np.ndarray:
+        """A packed uint8 stack as a zero-padded ``(masks × ⌈N/64⌉)``
+        uint64 word matrix: the same bytes, so row ``i`` is still bit ``i``
+        of the uint8 view."""
+        sets, width = packed.shape
+        words = np.zeros((sets, -(-width // 8)), dtype=np.uint64)
+        words.view(np.uint8)[:, :width] = packed
+        return words
+
+    def full_words(self) -> np.ndarray:
+        """The ``(1 × words)`` matrix selecting every row."""
+        every = np.ones((1, self.num_rows), dtype=bool)
+        return self.as_words(np.packbits(every, axis=1, bitorder="little"))
+
+    def word_supports(self, words: np.ndarray) -> np.ndarray:
+        """:meth:`bits_support` of every row of a word matrix.
+
+        A block of rows is unpacked to one byte a match row, and a pivot
+        run counts when any of its rows is set (``maximum.reduceat`` over
+        the run starts); blocks keep the unpacked bytes near
+        ``_BLOCK_BYTES``.
+        """
+        supports = np.zeros(len(words), dtype=np.int64)
+        if not self.num_rows:
+            return supports
+        if self._run_starts is None:
+            pivots = self._pivot_array
+            self._run_starts = np.flatnonzero(
+                np.concatenate(([True], pivots[1:] != pivots[:-1]))
+            )
+        for block in _blocks(len(words), self.num_rows):
+            rows = np.unpackbits(
+                words[block].view(np.uint8), axis=1,
+                count=self.num_rows, bitorder="little",
+            )
+            supports[block] = np.count_nonzero(
+                np.maximum.reduceat(rows, self._run_starts, axis=1), axis=1
+            )
+        return supports
+
+    def pair_supports(
+        self, sets: np.ndarray, words: np.ndarray,
+        first: np.ndarray, second: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`word_supports` of ``sets[first[i]] & words[second[i]]``
+        for every ``i``, a block of intersections at a time."""
+        supports = np.zeros(len(first), dtype=np.int64)
+        for block in _blocks(len(first), sets.shape[1] * 8):
+            supports[block] = self.word_supports(
+                sets[first[block]] & words[second[block]]
+            )
+        return supports
+
     # ------------------------------------------------------------------
     # candidate literals (HSpawn's alphabet)
     # ------------------------------------------------------------------
@@ -398,6 +460,32 @@ class MatchTable:
         return values, dict(sorted(agreements.items()))
 
 
+#: Transient bytes a word-matrix kernel materializes per block.
+_BLOCK_BYTES = 1 << 17
+
+
+def cross_counts(sets: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """``|sets[i] ∧ words[j]|`` for every pair of rows of two word
+    matrices: a ``(sets × words)`` int64 count matrix, one ``AND`` and
+    popcount over a block of ``sets`` rows at a time (each block's
+    intermediate stays near ``_BLOCK_BYTES``)."""
+    counts = np.empty((len(sets), len(words)), dtype=np.int64)
+    for block in _blocks(len(sets), words.nbytes):
+        np.sum(
+            np.bitwise_count(sets[block, None, :] & words[None, :, :]),
+            axis=2, dtype=np.int64, out=counts[block],
+        )
+    return counts
+
+
+def _blocks(count: int, item_bytes: int) -> Iterator[slice]:
+    """Slices over ``count`` items of ``item_bytes`` each, about
+    ``_BLOCK_BYTES`` per slice (one item at least)."""
+    step = max(1, _BLOCK_BYTES // max(1, item_bytes))
+    for start in range(0, count, step):
+        yield slice(start, start + step)
+
+
 def merge_agreement_counts(
     parts: Iterable[Dict[Tuple[int, str, int, str], int]],
 ) -> Dict[Tuple[int, str, int, str], int]:
@@ -427,17 +515,21 @@ def constant_literals_from_code_counts(
     columns: Sequence[Tuple[int, str]],
     values: Sequence[Any],
     max_constants: int,
+    floor: int = 1,
 ) -> List[ConstantLiteral]:
     """The constant-literal alphabet from shards' integer value counts.
 
     ``parts`` are :meth:`MatchTable.alphabet_counts` code counts of one
     pattern's shards, ``columns`` their slot order and ``values`` the
     index's ``value_of_code`` (so ``K = len(values)``).  Codes are
-    graph-global, so the merge is a sum per key.  Each
-    column is cut at its ``max_constants``-th largest count; only the
-    values at or above the cut are decoded and ranked
-    (:func:`_top_ranked`).  Equal to :func:`repro.oracle.constant_literals_from_counts`
-    over the decoded, merged counts.
+    graph-global, so the merge is a sum per key.  Values on fewer than
+    ``floor`` rows are dropped first; each column is then cut at its
+    ``max_constants``-th largest count, and only the values at or above
+    the cut are decoded and ranked (:func:`_top_ranked`).  The ranking is
+    count-descending, so the floor keeps exactly the unfloored alphabet's
+    literals of ``floor`` rows or more, in their order.  At ``floor=1``
+    equal to :func:`repro.oracle.constant_literals_from_counts` over the
+    decoded, merged counts.
     """
     keys = np.concatenate([part[0] for part in parts])
     counts = np.concatenate([part[1] for part in parts])
@@ -445,6 +537,9 @@ def constant_literals_from_code_counts(
         order = np.argsort(keys)
         keys, sizes = run_lengths(keys[order])
         counts = np.add.reduceat(counts[order], np.cumsum(sizes) - sizes)
+    if floor > 1:
+        alive = counts >= floor
+        keys, counts = keys[alive], counts[alive]
     if keys.size == 0:
         return []
     num_codes = len(values)
@@ -499,6 +594,7 @@ def literal_alphabet(
     value_parts: Sequence[Tuple[np.ndarray, np.ndarray]],
     agreements: Dict[Tuple[int, str, int, str], int],
     max_constants: int,
+    floor: int = 1,
 ) -> List[Literal]:
     """``HSpawn``'s candidate alphabet from one pattern's column statistics.
 
@@ -506,7 +602,12 @@ def literal_alphabet(
     code counts and ``agreements`` the merged variable-literal agreement
     counts (empty when variable literals are off): the constant literals
     (:func:`constant_literals_from_code_counts`), then the variable
-    literals that agree on some row.
+    literals, each holding on at least ``floor`` (and one) rows.
+
+    ``ParDis`` passes ``floor = σ`` under pruning (Lemma 4): a literal's
+    support never exceeds its row count, so a literal on fewer than ``σ``
+    rows is in no frequent LHS or RHS, and ``NHSpawn`` takes no ``l''``
+    of fewer than ``σ`` rows either.
     """
     literals: List[Literal] = list(
         constant_literals_from_code_counts(
@@ -514,21 +615,25 @@ def literal_alphabet(
             MatchTable.column_keys(pattern, attributes),
             index.value_of_code,
             max_constants,
+            floor,
         )
     )
-    literals.extend(variable_literals_from_counts(agreements))
+    literals.extend(variable_literals_from_counts(agreements, floor))
     return literals
 
 
 def variable_literals_from_counts(
     counts: Dict[Tuple[int, str, int, str], int],
+    floor: int = 1,
 ) -> List[VariableLiteral]:
     """Build the variable-literal alphabet from (merged) agreement counts.
 
-    A pair that agrees on no row (count 0) is not a candidate.
+    A pair that agrees on fewer than ``floor`` rows (and one) is not a
+    candidate.
     """
+    floor = max(floor, 1)
     literals: List[VariableLiteral] = []
     for (var1, attr1, var2, attr2) in sorted(counts):
-        if counts[(var1, attr1, var2, attr2)] > 0:
+        if counts[(var1, attr1, var2, attr2)] >= floor:
             literals.append(make_variable_literal(var1, attr1, var2, attr2))
     return literals

@@ -21,8 +21,10 @@ tag them, and a clash of tags is a conflict.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import (
-    Any, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple,
+    Any, Collection, Dict, FrozenSet, Hashable, Iterable, List, Optional,
+    Sequence, Tuple,
 )
 
 from ..pattern.embedding import embedding_batch
@@ -34,11 +36,13 @@ from .literals import (
     FalseLiteral,
     Literal,
     VariableLiteral,
+    make_variable_literal,
     rename_literal,
 )
 
 __all__ = [
     "LiteralClosure",
+    "entailed_literals",
     "is_trivial_dependency",
     "lhs_unsatisfiable",
     "MAX_EMBEDDINGS_PER_GFD",
@@ -147,6 +151,25 @@ class LiteralClosure:
         return clone
 
 
+#: :func:`_constant_bindings`' verdict for two constants on one term.
+_CONFLICT = object()
+
+
+def _constant_bindings(lhs: Collection[Literal]) -> Any:
+    """``X``'s closure without a union-find when ``X`` has no variable
+    literal: the constant binding ``{term: value}`` of each term, or
+    ``_CONFLICT`` when two constants meet on one term.  ``None`` when ``X``
+    has a variable literal, so only a :class:`LiteralClosure` decides it."""
+    constants: Dict[Term, Any] = {}
+    for literal in lhs:
+        if not isinstance(literal, ConstantLiteral):
+            return None
+        term = (literal.var, literal.attr)
+        if constants.setdefault(term, literal.value) != literal.value:
+            return _CONFLICT
+    return constants
+
+
 def is_trivial_dependency(lhs: FrozenSet[Literal], rhs: Literal) -> bool:
     """Whether ``X → l`` is trivial (Section 4.1) over any pattern: ``X``
     is unsatisfiable, or ``l ≠ false`` follows from ``X``.
@@ -154,20 +177,18 @@ def is_trivial_dependency(lhs: FrozenSet[Literal], rhs: Literal) -> bool:
     :func:`~repro.gfd.gfd.is_trivial` of a GFD, and the test every
     discovery engine applies to its candidates.  Triviality reads the
     literals only.  Without a variable literal in ``X`` the closure is the
-    constant bindings themselves, so no union-find is built: a conflict is
-    two constants on one term, and ``l`` follows only by a direct binding
-    (``x.A = c``, or ``x.A = c ∧ y.B = c`` for ``x.A = y.B``).
+    constant bindings themselves (:func:`_constant_bindings`): a conflict
+    is two constants on one term, and ``l`` follows only by a direct
+    binding (``x.A = c``, or ``x.A = c ∧ y.B = c`` for ``x.A = y.B``).
     """
-    constants: Dict[Term, Any] = {}
-    for literal in lhs:
-        if not isinstance(literal, ConstantLiteral):
-            closure = LiteralClosure(lhs)
-            return closure.conflicting or (
-                not isinstance(rhs, FalseLiteral) and closure.entails(rhs)
-            )
-        term = (literal.var, literal.attr)
-        if constants.setdefault(term, literal.value) != literal.value:
-            return True  # X is unsatisfiable
+    constants = _constant_bindings(lhs)
+    if constants is None:
+        closure = LiteralClosure(lhs)
+        return closure.conflicting or (
+            not isinstance(rhs, FalseLiteral) and closure.entails(rhs)
+        )
+    if constants is _CONFLICT:
+        return True  # X is unsatisfiable
     if isinstance(rhs, ConstantLiteral):
         return constants.get((rhs.var, rhs.attr), _NO_CONSTANT) == rhs.value
     if isinstance(rhs, VariableLiteral):
@@ -178,10 +199,50 @@ def is_trivial_dependency(lhs: FrozenSet[Literal], rhs: Literal) -> bool:
     return False  # false follows only from an unsatisfiable X
 
 
-def lhs_unsatisfiable(lhs: Iterable[Literal]) -> bool:
+def lhs_unsatisfiable(lhs: Collection[Literal]) -> bool:
     """Whether ``X`` equates some attribute with two distinct constants
-    (directly or through variable literals): Section 4.1's case (a)."""
-    return LiteralClosure(lhs).conflicting
+    (directly or through variable literals): Section 4.1's case (a).
+    Without a variable literal no union-find is built."""
+    constants = _constant_bindings(lhs)
+    if constants is None:
+        return LiteralClosure(lhs).conflicting
+    return constants is _CONFLICT
+
+
+def entailed_literals(lhs: Collection[Literal]) -> Optional[List[Literal]]:
+    """The literals over ``X``'s terms that ``X`` entails, or ``None`` when
+    ``X`` is unsatisfiable (it then entails every literal).
+
+    For an ``l`` that is not reflexive, ``is_trivial_dependency(X, l)``
+    holds exactly when ``l`` is listed (or ``None`` is returned): a term
+    outside ``X`` is bound to nothing and shares no class, so only ``X``'s
+    terms, pairwise and with their constants, can be entailed.  One call
+    answers every RHS of one LHS.
+    """
+    constants = _constant_bindings(lhs)
+    if constants is _CONFLICT:
+        return None
+    if constants is None:
+        closure = LiteralClosure(lhs)
+        if closure.conflicting:
+            return None
+        roots = {term: closure._find(term) for term in list(closure._parent)}
+        constants = {
+            term: closure._constant[root]
+            for term, root in roots.items() if root in closure._constant
+        }
+    else:
+        roots = {term: term for term in constants}
+    entailed: List[Literal] = [
+        ConstantLiteral(var, attr, value) for (var, attr), value in constants.items()
+    ]
+    for first, second in combinations(sorted(roots), 2):
+        if roots[first] == roots[second] or (
+            first in constants and second in constants
+            and constants[first] == constants[second]
+        ):
+            entailed.append(make_variable_literal(*first, *second))
+    return entailed
 
 
 #: Embeddings instantiated per (GFD, host pattern) — a defensive cap; the

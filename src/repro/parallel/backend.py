@@ -78,7 +78,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.config import FaultConfig
-from ..core.match_table import MatchTable
+from ..core.match_table import MatchTable, cross_counts
 from ..core.spawning import extension_counts
 from ..gfd.implication import ImplicationChecker, greedy_group_elimination
 from ..graph.graph import Graph
@@ -193,12 +193,14 @@ class WorkLedger:
             ``(group, embedded)`` counts ``|group| × |embedded|``, a
             ``cover_probe`` index the whole ``|Σ|`` it is checked against.
         enforce_rows: match rows an ``enforce_install`` installs.
+        literal_cells: ``HSpawn``'s alphabet cells, a ``scan``'s shard rows
+            × alphabet literals.
     """
 
     #: The per-worker count lists, in :meth:`as_dict` order.
     PER_WORKER = (
         "ops", "rows_installed", "rows_joined", "implication_units",
-        "enforce_rows",
+        "enforce_rows", "literal_cells",
     )
 
     supersteps: int = 0
@@ -207,6 +209,7 @@ class WorkLedger:
     rows_joined: List[int] = field(default_factory=list)
     implication_units: List[int] = field(default_factory=list)
     enforce_rows: List[int] = field(default_factory=list)
+    literal_cells: List[int] = field(default_factory=list)
     # |Σ| per live cover key, for weighting ``cover_probe`` indices
     _sigma_sizes: Dict[int, int] = field(
         default_factory=dict, repr=False, compare=False
@@ -235,6 +238,8 @@ class WorkLedger:
             )
         elif op == "enforce_install":
             self.enforce_rows[worker] += _rows_in(payload["matches"])
+        elif op == "scan":
+            self.literal_cells[worker] += result[0] * len(payload["literals"])
         elif op == "sigma":
             self._sigma_sizes[key] = len(payload["sigma"])
         elif op == "drop_sigma":
@@ -448,13 +453,15 @@ class ShardWorker:
     """One worker's shard state plus the op implementations over it.
 
     State per verified pattern (keyed by the master's node key): the shard
-    :class:`MatchTable` and, during ``HSpawn``, the alphabet's row bitsets
-    ``{literal: int}`` plus the lattice mask store ``{mask id: int}`` — a
-    row set is one Python int (row ``i`` = bit ``i``), so an intersection
-    is ``&``, a count is ``bit_count()`` and the distinct-pivot support is
-    :meth:`MatchTable.bits_support`'s carry-add.  Bitsets never leave the
-    worker; results are counts.  A join parks its rows here too, until the
-    child's install adopts them.  The serial backend keeps ``n`` of these
+    :class:`MatchTable` and, during ``HSpawn``, the alphabet's row sets
+    plus the store of the last lattice depth's LHS groups, each a uint64
+    word matrix with one row set a row (match row ``i`` = bit ``i``), so
+    a depth is a few numpy calls: ``&`` of parent and literal rows, a
+    popcount, a ``groups × literals`` count matrix
+    (:func:`~repro.core.match_table.cross_counts`) and the distinct-pivot
+    supports (:meth:`MatchTable.word_supports`).  Row sets never leave
+    the worker; results are counts.  A join parks its rows here too, until
+    the child's install adopts them.  The serial backend keeps ``n`` of these
     in-process; the multiprocess backend keeps one per worker process,
     built around the attached (detached) graph index; both send them the
     same ops.
@@ -475,10 +482,10 @@ class ShardWorker:
     def __init__(self, index: Optional[GraphIndex]) -> None:
         self.index = index
         self.tables: Dict[int, MatchTable] = {}
-        self.stores: Dict[int, Dict[int, int]] = {}
-        # HSpawn: key -> {literal: row bitset}, opened by scan beside the
-        # mask store and freed with it
-        self.bits: Dict[int, Dict[Any, int]] = {}
+        # HSpawn: key -> the last lattice depth's LHS groups and the
+        # alphabet's row sets (word matrices), opened by scan, freed together
+        self.stores: Dict[int, np.ndarray] = {}
+        self.bits: Dict[int, np.ndarray] = {}
         # join results parked worker-side, keyed (parent key, extension
         # position), until an install adopts them — joined matches never
         # cross the process boundary
@@ -564,11 +571,13 @@ class ShardWorker:
         return results
 
     # -- HSpawn ---------------------------------------------------------
-    def op_scan(self, key: int, payload: Dict[str, Any]) -> Tuple[List[int], List[int]]:
-        """Per-literal row counts and local distinct-pivot supports.
+    def op_scan(self, key: int, payload: Dict[str, Any]) -> Tuple:
+        """``(shard rows, per-literal row counts, local distinct-pivot
+        supports)`` of the alphabet ``payload["literals"]``.
 
-        Also opens this pattern's mask store (id 0 = every row) and keeps
-        the surviving literals' row bitsets for the lattice levels.
+        Also opens this pattern's lattice: the alphabet's row sets as one
+        ``(literals × words)`` uint64 matrix, and the level-0 store, the
+        one LHS group ``∅`` (every row).
         :meth:`MatchTable.literal_bits` gathers only the columns those
         literals read, once each; the columns and the packed stack are
         dropped on return.
@@ -576,60 +585,45 @@ class ShardWorker:
         table = self.tables[key]
         literals = payload["literals"]
         packed = table.literal_bits(literals)
-        masks = table.as_bitsets(packed)
-        self.stores[key] = {0: table.full_bits()}
-        self.bits[key] = dict(zip(literals, masks))
         # the supports of the whole stack in one call: it is the span
         # benchmarks/e2e's traced pass puts around MatchTable.stack_supports
-        return [mask.bit_count() for mask in masks], table.stack_supports(packed)
+        supports = table.stack_supports(packed)
+        bits = self.bits[key] = table.as_words(packed)
+        self.stores[key] = table.full_words()
+        counts = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+        return table.num_rows, counts, supports
 
     def op_eval(self, key: int, payload: Dict[str, Any]) -> Tuple:
-        """Evaluate one lattice level's candidate batch on this shard.
+        """Count one lattice depth's LHS groups on this shard.
 
-        ``specs`` entries are ``(parent mask id, lhs literal, rhs literal,
-        new mask id)``.  Candidates sharing ``(parent, lhs)`` share their
-        LHS rows: that bitset and its popcount are computed once and every
-        new mask id of the group aliases the one (immutable) int, which
-        stays in the store for the next level.  Per candidate the RHS is
-        one ``&``, one popcount and one carry-add.  ``drop`` lists mask ids
-        the master retired last level.
+        ``payload["groups"]`` is ``(parents, literals)``: group ``g``'s rows
+        are row ``parents[g]`` of the store (the last depth's groups; the
+        scan's ``∅`` first) ``&`` alphabet literal ``literals[g]``, and the
+        groups become the store.  Returns each group's row count and pivot
+        support and its ``groups × literals`` row-count matrix, which
+        decides every candidate and ``NHSpawn`` ``l''``.  With the bool
+        matrix ``payload["pairs"]`` also each listed pair's local pivot
+        support: the group's where the pair holds on all its rows, else
+        counted on at least ``payload["floor"]`` rows (a pivot support never
+        exceeds its rows), ``0`` below.
         """
-        support_of = self.tables[key].bits_support
-        store = self.stores[key]
+        table = self.tables[key]
         bits = self.bits[key]
-        for dead in payload.get("drop", ()):
-            store.pop(dead, None)
-        specs = payload["specs"]
-        lhs_rows: Dict[Tuple[int, Any], Tuple[int, int]] = {}
-        count_lhs: List[int] = []
-        count_both: List[int] = []
-        supports: List[int] = []
-        for parent, lhs, rhs, new in specs:
-            group = lhs_rows.get((parent, lhs))
-            if group is None:
-                mask = store[parent] & bits[lhs]
-                group = lhs_rows[(parent, lhs)] = (mask, mask.bit_count())
-            mask, count = group
-            store[new] = mask
-            both = mask & bits[rhs]
-            count_lhs.append(count)
-            count_both.append(both.bit_count())
-            supports.append(support_of(both))
-        return tuple(
-            np.array(column, dtype=np.int64)
-            for column in (count_lhs, count_both, supports)
+        parents, literals = payload["groups"]
+        groups = self.stores[key] = self.stores[key][parents] & bits[literals]
+        counts = np.bitwise_count(groups).sum(axis=1, dtype=np.int64)
+        both = cross_counts(groups, bits)
+        supports = table.word_supports(groups)
+        pairs = payload.get("pairs")
+        if pairs is None:
+            return counts, supports, both, None
+        holds = both == counts[:, None]
+        pair_supports = np.where(holds, supports[:, None], 0)
+        rows, columns = np.nonzero(pairs & ~holds & (both >= payload["floor"]))
+        pair_supports[rows, columns] = table.pair_supports(
+            groups, bits, rows, columns
         )
-
-    def op_probe(self, key: int, payload: Dict[str, Any]) -> List[bool]:
-        """``NHSpawn`` batch: does any shard row satisfy ``X ∪ {l''}``?"""
-        store = self.stores[key]
-        bits = self.bits[key]
-        for dead in payload.get("drop", ()):
-            store.pop(dead, None)
-        return [
-            store[rows_id] & bits[literal] != 0
-            for rows_id, literal in payload["specs"]
-        ]
+        return counts, supports, both, pair_supports
 
     # -- enforcement (repro.enforce) ------------------------------------
     def _verdicts(
@@ -1641,8 +1635,8 @@ class MultiprocessBackend(ExecutionBackend):
     #: current index snapshot) rebuilds a respawned worker exactly: every
     #: op is a deterministic function of (index, state, payload).
     _RETIRES = {
-        "drop": frozenset({"install", "join", "scan", "eval", "probe"}),
-        "drop_store": frozenset({"scan", "eval", "probe"}),
+        "drop": frozenset({"install", "join", "scan", "eval"}),
+        "drop_store": frozenset({"scan", "eval"}),
         "drop_sigma": frozenset({"sigma"}),
         "enforce_drop": frozenset({"enforce_install", "enforce_update"}),
     }

@@ -69,7 +69,7 @@ from ..core.spawning import (
     speculative_closing_extensions,
     wildcard_extensions_from_counts,
 )
-from ..gfd.closure import is_trivial_dependency, lhs_unsatisfiable
+from ..gfd.closure import entailed_literals, lhs_unsatisfiable
 from ..gfd.gfd import GFD
 from ..gfd.literals import FALSE, Literal, rename_literal
 from ..graph.graph import Graph
@@ -150,68 +150,182 @@ _EMPTY: FrozenSet[Literal] = frozenset()
 _NEGATIVE = (_EMPTY, FALSE)
 
 
-class _Task:
-    """Master-side lattice state for one RHS literal."""
-
-    __slots__ = ("rhs", "rhs_position", "valid_sets", "frontier", "_next_frontier")
-
-    def __init__(self, rhs: Literal, rhs_position: int) -> None:
-        self.rhs = rhs
-        self.rhs_position = rhs_position
-        self.valid_sets: List[FrozenSet[Literal]] = []
-        # frontier entries: (lhs set, max literal index used, worker mask id)
-        self.frontier: List[Tuple[FrozenSet[Literal], int, int]] = [
-            (frozenset(), -1, 0)
-        ]
-        self._next_frontier: List[Tuple[FrozenSet[Literal], int, int]] = []
-
-
 class _NodeMining:
     """Master-side ``HSpawn`` state for one pattern of a level's batch.
 
-    Emissions are *buffered* (``emits``) instead of landing in ``_found``
-    directly: a level's patterns advance their lattices jointly, so live
-    emission would interleave them — replaying the buffers in node order
-    afterwards gives a node-major insertion order that no ``n`` and no
-    budget slicing changes.
+    The LHS lattice is decided a depth at a time from counts, the way TANE
+    validates a level (Huhtala et al., Comput. J. 1999): an LHS is an int
+    bitmask over the lattice literals, a depth's *groups* are the distinct
+    LHS sets it evaluates, and the workers count each group against every
+    alphabet literal, so validity, support and every ``NHSpawn`` overlap
+    are read off one matrix with numpy.
+
+    Emissions are *buffered* (``emits``): a level's patterns advance their
+    lattices jointly, so replaying the buffers in node order afterwards
+    gives a node-major insertion order that no ``n`` and no budget slicing
+    changes.
     """
 
     __slots__ = (
-        "node", "key", "literals", "lattice_literals", "literal_count",
-        "total_rows", "indexed", "tasks", "next_mask_id", "pending_drops",
-        "nh_bases", "probes", "emits", "done",
+        "node", "key", "literals", "counts", "lattice", "lattice_literals",
+        "valid", "level", "frontier", "groups", "candidates", "nh_bases",
+        "emits",
     )
 
     def __init__(self, node: TreeNode, key: int, literals: List[Literal]) -> None:
         self.node = node
         self.key = key
         self.literals = literals
+        #: the alphabet's global row counts (the scan's)
+        self.counts = np.zeros(0, dtype=np.int64)
+        #: the lattice literals' alphabet positions (σ-frequent ones under
+        #: pruning) and the literals, in RHS column order
+        self.lattice = np.zeros(0, dtype=np.int64)
         self.lattice_literals: List[Literal] = []
-        self.literal_count: Dict[Literal, int] = {}
-        self.total_rows = 0
-        self.indexed: List[Tuple[int, Literal]] = []
-        self.tasks: List[_Task] = []
-        self.next_mask_id = 1
-        #: mask ids retired last level, pruned lazily with the next round
-        self.pending_drops: List[int] = []
-        #: NHSpawn bases: (lhs, rhs, rows mask id, base support)
-        self.nh_bases: List[Tuple[FrozenSet[Literal], Literal, int, int]] = []
-        #: NHSpawn probes: (base index, lhs, l'', base support, rows mask id)
-        self.probes: List[Tuple[int, FrozenSet[Literal], Literal, int, int]] = []
+        #: per LHS bitmask, the RHS it holds for (found valid or covered)
+        self.valid: Dict[int, np.ndarray] = {}
+        #: the last depth's groups ``(bitmask, last lattice position,
+        #: literals)`` in the workers' store order, and groups × RHS: the
+        #: group is on that RHS's frontier
+        self.level: List[Tuple[int, int, Tuple[Literal, ...]]] = [(0, -1, ())]
+        self.frontier = np.zeros((1, 0), dtype=bool)
+        #: the depth under evaluation: ``(bitmask, parent position, lattice
+        #: position, literals)`` per group, and its groups × RHS candidates
+        self.groups: List[Tuple[int, int, int, Tuple[Literal, ...]]] = []
+        self.candidates = np.zeros((0, 0), dtype=bool)
+        #: NHSpawn bases: (lhs, rhs, global row counts of lhs ∧ each
+        #: alphabet literal, base support)
+        self.nh_bases: List[Tuple[FrozenSet[Literal], Literal, np.ndarray, int]] = []
         #: buffered ``(gfd, support)`` emissions, replayed in node order
         self.emits: List[Tuple[GFD, int]] = []
-        self.done = False
 
     def accept(
-        self, lhs: FrozenSet[Literal], rhs: Literal, rows_id: int, support: int
+        self, lhs: FrozenSet[Literal], rhs: Literal, counts: np.ndarray,
+        support: int,
     ) -> None:
         """A valid, σ-frequent ``X → l``: emitted unless inherited (a
         ``≪``-smaller rule is out), an ``NHSpawn`` base either way — the
-        smaller pattern probed only ``l''`` of ≥ σ match rows, and an edge
-        more can raise that count, so this one's negatives are new."""
+        smaller pattern admitted only ``l''`` of ≥ σ match rows, and an
+        edge more can raise that count, so this one's negatives are new."""
         if (lhs, rhs) not in self.node.inherited:
             self.emits.append((GFD(self.node.pattern, lhs, rhs), support))
-        self.nh_bases.append((lhs, rhs, rows_id, support))
+        self.nh_bases.append((lhs, rhs, counts, support))
+
+    def open(self, counts: np.ndarray, supports: np.ndarray, total: int,
+             config: DiscoveryConfig) -> int:
+        """Depth 0 from the scan's global counts; returns the candidates
+        checked, one per lattice literal as an RHS.
+
+        The covered pairs over the lattice literals seed :attr:`valid`, so
+        no candidate containing a covered LHS is evaluated.  An RHS a
+        covered ``∅`` holds gets no lattice, nor one on every row, where
+        ``∅ → l`` is valid; every other RHS's frontier is ``{∅}``.
+        """
+        self.counts = counts
+        self.lattice = (
+            np.flatnonzero(supports >= config.sigma) if config.prune
+            else np.arange(len(self.literals))
+        )
+        lattice = self.lattice_literals = [
+            self.literals[position] for position in self.lattice.tolist()
+        ]
+        position = {literal: index for index, literal in enumerate(lattice)}
+        for lhs, rhs in self.node.covered:
+            if rhs in position and all(literal in position for literal in lhs):
+                self.valid.setdefault(
+                    sum(1 << position[literal] for literal in lhs),
+                    np.zeros(len(lattice), dtype=bool),
+                )[position[rhs]] = True
+        held = self.valid.get(0, np.zeros(len(lattice), dtype=bool))
+        whole = (counts[self.lattice] == total) & (total > 0) & ~held
+        for index in np.flatnonzero(whole).tolist():
+            self.node.valid_pairs.add((_EMPTY, lattice[index]))
+            support = int(supports[self.lattice[index]])
+            if support >= config.sigma:
+                self.accept(_EMPTY, lattice[index], counts, support)
+        self.frontier = (~held & ~whole)[None, :]
+        return len(lattice)
+
+    def expand(self) -> int:
+        """The next depth's :attr:`groups` and :attr:`candidates`; returns
+        the candidates checked.
+
+        A frontier group ``X`` extends by each later lattice literal ``l``
+        to ``X ∧ l`` (lexicographic order, in which the one-at-a-time
+        search met them), a candidate for each RHS whose frontier holds
+        ``X``, except ``l``, an RHS that a valid or covered subset of
+        ``X ∧ l`` holds for (``X`` held none, so only subsets with ``l``
+        are looked up) and one ``X ∧ l`` entails
+        (:func:`~repro.gfd.closure.entailed_literals`).
+        """
+        lattice = self.lattice_literals
+        position = {literal: index for index, literal in enumerate(lattice)}
+        self.groups, rows = [], []
+        for parent in np.flatnonzero(self.frontier.any(axis=1)).tolist():
+            mask, top, literals = self.level[parent]
+            for index in range(top + 1, len(lattice)):
+                bit = 1 << index
+                row = self.frontier[parent].copy()
+                row[index] = False
+                subset = mask
+                while True:
+                    held = self.valid.get(subset | bit)
+                    if held is not None:
+                        row &= ~held
+                    if not subset:
+                        break
+                    subset = (subset - 1) & mask
+                extended = literals + (lattice[index],)
+                if literals:  # one literal entails only itself
+                    entailed = entailed_literals(extended)
+                    if entailed is None:
+                        continue  # unsatisfiable: trivial for every RHS
+                    for literal in entailed:
+                        if literal in position:
+                            row[position[literal]] = False
+                if row.any():
+                    self.groups.append((mask | bit, parent, index, extended))
+                    rows.append(row)
+        self.candidates = np.array(rows, dtype=bool).reshape(len(rows), len(lattice))
+        if not self.groups:
+            self.frontier = self.frontier[:0]
+        return int(self.candidates.sum())
+
+    def decide(self, parts: List[Tuple], config: DiscoveryConfig) -> None:
+        """The depth's outcome from its workers' counts.
+
+        ``X ∧ l → r`` is valid when ``r`` holds on every one of the group's
+        rows (and there is one); its support is then the group's.  Under
+        pruning a candidate below σ is dropped (Lemma 4).  A valid one
+        holds for its RHS from now on and is accepted when σ-frequent, in
+        RHS order then LHS order; an invalid one stays on its RHS's
+        frontier.  The groups become the level the next depth extends.
+        """
+        counts, supports, overlaps = (sum(part[i] for part in parts) for i in range(3))
+        holds = overlaps[:, self.lattice] == counts[:, None]
+        holds &= (counts > 0)[:, None]
+        pair_supports = 0
+        if parts[0][3] is not None:
+            pair_supports = sum(part[3] for part in parts)[:, self.lattice]
+        frequent = np.where(holds, supports[:, None], pair_supports) >= config.sigma
+        kept = self.candidates & frequent if config.prune else self.candidates
+        valid = kept & holds
+        lattice = self.lattice_literals
+        lhs_sets = {}
+        for group in np.flatnonzero(valid.any(axis=1)).tolist():
+            mask, _, _, literals = self.groups[group]
+            held = self.valid.get(mask)
+            self.valid[mask] = valid[group] if held is None else held | valid[group]
+            lhs = lhs_sets[group] = frozenset(literals)
+            self.node.valid_pairs.update(
+                (lhs, lattice[rhs]) for rhs in np.flatnonzero(valid[group]).tolist()
+            )
+        for rhs, group in zip(*np.nonzero((valid & frequent).T)):
+            self.accept(
+                lhs_sets[group], lattice[rhs], overlaps[group], int(supports[group])
+            )
+        self.level = [(mask, top, literals) for mask, _, top, literals in self.groups]
+        self.frontier = kept & ~holds
 
 
 class ParallelDiscovery:
@@ -479,14 +593,16 @@ class ParallelDiscovery:
         if existing is None or existing[1] < support:
             self._found[key] = (gfd, support)
 
-    def _charge_candidate(self) -> None:
-        """Count one candidate check; abort when over the configured budget."""
-        self.stats.candidates_checked += 1
+    def _charge(self, candidates: int) -> None:
+        """Count a batch of candidate checks; abort once the count passes
+        the configured budget, carrying the count a one-at-a-time charge
+        stops at (the budget plus one)."""
+        checked = self.stats.candidates_checked + candidates
         budget = self.config.max_candidates
-        if budget is not None and self.stats.candidates_checked > budget:
-            raise CandidateBudgetExceeded(
-                self.stats.candidates_checked, self.stats.patterns_spawned
-            )
+        if budget is not None and checked > budget:
+            self.stats.candidates_checked = budget + 1
+            raise CandidateBudgetExceeded(budget + 1, self.stats.patterns_spawned)
+        self.stats.candidates_checked = checked
 
     # ------------------------------------------------------------------
     # the execution backend
@@ -958,7 +1074,9 @@ class ParallelDiscovery:
         """The candidate alphabet from merged per-worker column statistics.
 
         The per-worker statistics were collected in the table-building
-        superstep (:meth:`_install_shards_many`).
+        superstep (:meth:`_install_shards_many`).  Under pruning a literal
+        on fewer than σ rows is left out (Lemma 4: its support is lower
+        still, and ``NHSpawn`` takes no ``l''`` of fewer than σ rows).
         """
         want_variable = (
             self.config.variable_literals and node.pattern.num_nodes > 1
@@ -974,6 +1092,7 @@ class ParallelDiscovery:
                 value_parts,
                 merge_agreement_counts(agreement_parts) if want_variable else {},
                 self.config.max_constants,
+                self.config.sigma if self.config.prune else 1,
             )
 
     def _mine_nodes_batch(self, nodes: List[TreeNode]) -> None:
@@ -981,21 +1100,23 @@ class ParallelDiscovery:
         patterns, jointly — the whole level in an unbudgeted run, a
         doubling slice of it under a rule budget (``_levels``).
 
-        One ``scan`` superstep opens every pattern's mask store; the LHS
+        One ``scan`` superstep opens every pattern's lattice; the LHS
         lattices then advance *jointly* — one ``eval`` superstep per
-        lattice depth carries every still-active pattern's candidate batch
-        (the ``ΣC_{ij}`` rounds of Figure 3, summed over patterns too) —
-        and one ``probe`` superstep resolves all NHSpawn bases.  The
-        superstep count per call is therefore bounded by
-        ``2 + max_lhs_size``, independent of the number of patterns.
+        lattice depth carries every still-active pattern's LHS groups (the
+        ``ΣC_{ij}`` rounds of Figure 3, summed over patterns too), and its
+        count matrices decide the depth and every ``NHSpawn`` overlap
+        (:meth:`_decide`, :meth:`_nhspawn_joint`).  The superstep count
+        per call is therefore bounded by ``1 + max_lhs_size``, independent
+        of the number of patterns.
 
         Emissions are buffered per node and replayed in node order at the
         end, so ``_found``'s insertion order — which downstream cover
         ordering observes — is node-major at every ``n``: within a node,
-        its positives in lattice order, then its ``NHSpawn`` negatives.
-        (Candidates are charged lattice-depth-major across the batch, so
-        where a binding ``max_candidates`` budget aborts depends on how the
-        level is sliced; a completed run's total does not.)
+        its positives in lattice order (by depth, then RHS, then LHS), then
+        its ``NHSpawn`` negatives.  (Candidates are charged a depth at a
+        time across the batch, so where a binding ``max_candidates`` budget
+        aborts depends on how the level is sliced; a completed run's total
+        does not.)
 
         A pattern replayed from the frontier arrives without column
         statistics: one more ``install`` superstep re-binds its resident
@@ -1014,169 +1135,62 @@ class ParallelDiscovery:
                 if key not in self._column_stats
             ]
         )
-        miners: List[_NodeMining] = []
-        for node, key in mined:
-            literals = self._literal_alphabet_parallel(node)
-            if not literals:
-                continue
-            miners.append(_NodeMining(node, key, literals))
-        if not miners:
-            return
-
-        # batch 0 — one superstep: per-literal counts and *local* distinct
-        # pivot counts on every shard of every pattern (warms the workers'
-        # mask caches and opens the mask stores); pivot-disjoint sharding
-        # makes the global support a plain sum.
-        requests = [
-            (worker, "scan", miner.key, {"literals": miner.literals})
-            for miner in miners
-            for worker in range(n)
+        miners = [
+            _NodeMining(node, key, self._literal_alphabet_parallel(node))
+            for node, key in mined
         ]
-        parts_all = self._backend.run_superstep(requests)
-
-        empty: FrozenSet[Literal] = frozenset()
-        for index, miner in enumerate(miners):
+        scanned = [miner for miner in miners if miner.literals]
+        # one superstep: per-literal row counts and *local* distinct pivot
+        # counts on every shard of every pattern; pivot-disjoint sharding
+        # makes the global support a plain sum
+        parts_all = self._backend.run_superstep([
+            (worker, "scan", miner.key, {"literals": miner.literals})
+            for miner in scanned
+            for worker in range(n)
+        ]) if scanned else []
+        for index, miner in enumerate(scanned):
             parts = parts_all[index * n:(index + 1) * n]
-            count_parts = [part[0] for part in parts]
-            support_parts = [part[1] for part in parts]
-            literal_support: Dict[Literal, int] = {}
-            for position, literal in enumerate(miner.literals):
-                miner.literal_count[literal] = sum(
-                    part[position] for part in count_parts
-                )
-                literal_support[literal] = sum(
-                    part[position] for part in support_parts
-                )
-            if self.config.prune:
-                miner.lattice_literals = [
-                    literal
-                    for literal in miner.literals
-                    if literal_support[literal] >= self.config.sigma
-                ]
-            else:
-                miner.lattice_literals = miner.literals
-            miner.indexed = list(enumerate(miner.lattice_literals))
-            miner.total_rows = sum(self._shard_rows[miner.key])
-            node = miner.node
             with self.tracer.span("master", "master"):
-                # per RHS, the covered LHS sets a candidate can contain
-                alphabet = set(miner.lattice_literals)
-                covered: Dict[Literal, List[FrozenSet[Literal]]] = {}
-                for lhs, rhs in node.covered:
-                    if rhs in alphabet and lhs <= alphabet:
-                        covered.setdefault(rhs, []).append(lhs)
-                for position, rhs in enumerate(miner.lattice_literals):
-                    count_rhs = miner.literal_count[rhs]
-                    support_rhs = literal_support[rhs]
-                    if self.config.prune and support_rhs < self.config.sigma:
-                        continue
-                    self._charge_candidate()
-                    held = covered.get(rhs, [])
-                    if empty in held:
-                        continue
-                    if count_rhs == miner.total_rows and miner.total_rows:
-                        node.valid_pairs.add((empty, rhs))
-                        if support_rhs >= self.config.sigma:
-                            miner.accept(empty, rhs, 0, support_rhs)
-                        continue
-                    task = _Task(rhs, position)
-                    # a covered LHS and its supersets are never evaluated
-                    task.valid_sets = held
-                    miner.tasks.append(task)
-
-        # the joint lattice: one superstep per depth carries every still-
-        # active pattern's candidate batch; workers evaluate candidates
-        # sharing a parent mask and LHS literal in one numpy pass
-        for _ in range(self.config.max_lhs_size):
-            round_specs: List[Tuple[_NodeMining, List, List]] = []
-            for miner in miners:
-                if miner.done:
-                    continue
-                specs: List[Tuple[int, Literal, Literal, int]] = []
-                meta: List[Tuple[_Task, FrozenSet[Literal], int, int]] = []
-                with self.tracer.span("master", "master"):
-                    for task in miner.tasks:
-                        for lhs, max_index, rows_id in task.frontier:
-                            for index, literal in miner.indexed:
-                                if index <= max_index or literal == task.rhs:
-                                    continue
-                                extended = lhs | {literal}
-                                if any(v <= extended for v in task.valid_sets):
-                                    continue
-                                if is_trivial_dependency(extended, task.rhs):
-                                    continue
-                                self._charge_candidate()
-                                mask_id = miner.next_mask_id
-                                miner.next_mask_id += 1
-                                specs.append(
-                                    (rows_id, literal, task.rhs, mask_id)
-                                )
-                                meta.append((task, extended, index, mask_id))
-                if not specs:
-                    miner.done = True
-                    continue
-                round_specs.append((miner, specs, meta))
-            if not round_specs:
+                self._charge(miner.open(
+                    sum(part[1] for part in parts),
+                    np.sum([part[2] for part in parts], axis=0),
+                    sum(self._shard_rows[miner.key]), self.config,
+                ))
+        for depth in range(1, self.config.max_lhs_size + 1):
+            with self.tracer.span("master", "master"):
+                checked = sum(m.expand() for m in scanned if m.frontier.any())
+                active = [miner for miner in scanned if len(miner.groups)]
+            self._charge(checked)
+            if not active:
                 break
-            requests = [
-                (
-                    worker,
-                    "eval",
-                    miner.key,
-                    {"specs": specs, "drop": miner.pending_drops},
-                )
-                for miner, specs, meta in round_specs
-                for worker in range(n)
-            ]
+            # a lattice that goes on needs each invalid candidate's support
+            goes_on = self.config.prune and depth < self.config.max_lhs_size
+            floor = self.config.sigma if n == 1 else 1
+            requests = []
+            for miner in active:
+                parents, literals = zip(*(group[1:3] for group in miner.groups))
+                payload: Dict[str, Any] = {"groups": (
+                    np.array(parents, dtype=np.int64), miner.lattice[list(literals)]
+                )}
+                if goes_on:
+                    pairs = np.zeros((len(parents), len(miner.literals)), bool)
+                    pairs[:, miner.lattice] = miner.candidates
+                    payload.update(pairs=pairs, floor=floor)
+                requests += [
+                    (worker, "eval", miner.key, payload) for worker in range(n)
+                ]
             results_all = self._backend.run_superstep(requests)
-            cursor = 0
-            for miner, specs, meta in round_specs:
-                miner.pending_drops = []
-                results = results_all[cursor:cursor + n]
-                cursor += n
-                total_lhs = np.zeros(len(specs), dtype=np.int64)
-                total_both = np.zeros(len(specs), dtype=np.int64)
-                total_supp = np.zeros(len(specs), dtype=np.int64)
-                for lhs_arr, both_arr, supp_arr in results:
-                    total_lhs += lhs_arr
-                    total_both += both_arr
-                    total_supp += supp_arr
-                node = miner.node
+            for index, miner in enumerate(active):
                 with self.tracer.span("master", "master"):
-                    for position, (task, extended, index, mask_id) in enumerate(meta):
-                        count_lhs = int(total_lhs[position])
-                        count_both = int(total_both[position])
-                        supp = int(total_supp[position])
-                        keep = False
-                        if not (
-                            self.config.prune and supp < self.config.sigma
-                        ):
-                            if count_lhs and count_both == count_lhs:
-                                task.valid_sets.append(extended)
-                                node.valid_pairs.add((extended, task.rhs))
-                                if supp >= self.config.sigma:
-                                    miner.accept(extended, task.rhs, mask_id, supp)
-                                    keep = True
-                            else:
-                                task._next_frontier.append(
-                                    (extended, index, mask_id)
-                                )
-                                keep = True
-                        if not keep:
-                            miner.pending_drops.append(mask_id)
-                for task in miner.tasks:
-                    task.frontier = task._next_frontier
-                    task._next_frontier = []
-                miner.tasks = [task for task in miner.tasks if task.frontier]
-                if not miner.tasks and not miner.nh_bases:
-                    miner.done = True
+                    miner.decide(results_all[index * n:(index + 1) * n], self.config)
+                miner.groups = []
 
         self._nhspawn_joint(miners)
-        # every lattice is exhausted: free the workers' mask stores
+        # every lattice is exhausted: free the workers' stores
         self._backend.run_unmetered(
             [
                 (worker, "drop_store", miner.key, {})
-                for miner in miners
+                for miner in scanned
                 for worker in range(n)
             ],
             wait=False,
@@ -1187,48 +1201,41 @@ class ParallelDiscovery:
                 self._emit(gfd, support)
 
     def _nhspawn_joint(self, miners: List[_NodeMining]) -> None:
-        """``NHSpawn`` for every base of every batched pattern in one
-        superstep, then each pattern's emissions settled.
+        """``NHSpawn`` for every base of every batched pattern, then each
+        pattern's emissions settled.
 
-        A pattern first absorbs what its same-level generalizations hold
-        (settled before it: in an earlier batch, or in this one, which
-        settles more general patterns first): a positive they hold is not
-        emitted, though it stays a base.  A negative ``X ∪ {l''} → false``
-        is counted against ``max_negatives_per_pattern``, then dropped when
-        a held negative's LHS is a subset of it — one inherited from a
-        smaller pattern, or a proper subset emitted here under some
-        automorphism (bases come in ``|X|`` order, so that one is out).
+        A base ``X → l`` extends by ``l''`` into ``X ∪ {l''} → false`` when
+        ``l''`` holds on ≥ σ rows and on none of ``X``'s — read off the
+        base's count row (the scan's counts for ``X = ∅``), before any
+        satisfiability test — and ``X ∪ {l''}`` is satisfiable.  (``l`` and
+        ``X``'s own literals hold on all of ``X``'s rows, so they never
+        qualify.)
+
+        Every mined pattern first absorbs what its same-level
+        generalizations hold (settled before it: in an earlier batch, or
+        in this one, which settles more general patterns first), also one
+        whose alphabet is empty: a positive they hold is not emitted,
+        though it stays a base.  A negative is counted against
+        ``max_negatives_per_pattern``, then dropped when a held negative's
+        LHS is a subset of it — one inherited from a smaller pattern, or a
+        proper subset emitted here under some automorphism (bases come in
+        ``|X|`` order, so that one is out).
         """
+        found: Dict[_NodeMining, List] = {}
         for miner in miners if self.config.mine_negative else ():
             with self.tracer.span("master", "master"):
-                miner.probes = [
-                    (base_index, lhs, literal, base_support, rows_id)
-                    for base_index, (lhs, rhs, rows_id, base_support)
-                    in enumerate(miner.nh_bases)
-                    for literal in miner.literals
-                    if literal != rhs
-                    and literal not in lhs
-                    and not lhs_unsatisfiable(lhs | {literal})
-                    and miner.literal_count.get(literal, 0) >= self.config.sigma
+                eligible = miner.counts >= self.config.sigma
+                negatives = [
+                    (base, lhs, miner.literals[position], support)
+                    for base, (lhs, _, counts, support) in enumerate(miner.nh_bases)
+                    for position in np.flatnonzero((counts == 0) & eligible).tolist()
+                    if not lhs_unsatisfiable(lhs | {miner.literals[position]})
                 ]
-        probed = [miner for miner in miners if miner.probes]
-        n = self.num_workers
-        requests = [
-            (worker, "probe", miner.key, {
-                "specs": [(probe[4], probe[2]) for probe in miner.probes],
-                "drop": miner.pending_drops,
-            })
-            for miner in probed
-            for worker in range(n)
-        ]
-        parts_all = self._backend.run_superstep(requests) if requests else []
-        overlaps = {
-            miner: parts_all[index * n:(index + 1) * n]
-            for index, miner in enumerate(probed)
-        }
+            if negatives:
+                found[miner] = negatives
         # another automorphism than the identity needs two alike labels
         symmetric = [
-            miner for miner in probed
+            miner for miner in found
             if len(set(miner.node.pattern.labels)) < miner.node.pattern.num_nodes
         ]
         symmetries = dict(zip(symmetric, embedding_batch(
@@ -1245,27 +1252,23 @@ class ParallelDiscovery:
                         (gfd, support) for gfd, support in miner.emits
                         if (gfd.lhs, gfd.rhs) not in node.inherited
                     ]
-                if miner in overlaps:
+                if miner in found:
                     self._settle_negatives(
-                        miner, overlaps[miner], symmetries.get(miner, ())
+                        miner, found[miner], symmetries.get(miner, ())
                     )
 
     def _settle_negatives(
-        self, miner: _NodeMining, overlaps: List[Any], symmetries: Tuple
+        self, miner: _NodeMining, negatives: List[Tuple], symmetries: Tuple
     ) -> None:
-        """Emit one pattern's probed ``NHSpawn`` negatives (see
-        :meth:`_nhspawn_joint`), given its automorphisms (none listed when
-        the identity is the only one)."""
+        """Emit one pattern's ``NHSpawn`` negatives ``(base index, X, l'',
+        base support)`` (see :meth:`_nhspawn_joint`), given its
+        automorphisms (none listed when the identity is the only one)."""
         node = miner.node
         inherited = None  # the inherited negatives, read at the first need
         # the negatives emitted here, under every automorphism
         own: List[FrozenSet[Literal]] = []
         emitted_per_base: Dict[int, int] = {}
-        for position, (base_index, lhs, literal, base_support, _) in enumerate(
-            miner.probes
-        ):
-            if any(part[position] for part in overlaps):
-                continue  # some match satisfies X ∪ {l''}
+        for base_index, lhs, literal, base_support in negatives:
             emitted = emitted_per_base.get(base_index, 0)
             if emitted >= self.config.max_negatives_per_pattern:
                 continue

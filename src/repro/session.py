@@ -94,14 +94,14 @@ class SessionMetrics:
     after a full discover → cover → enforce → refresh pipeline,
     ``backend_starts == 1`` and ``lifecycle.index_attaches == 1``.
 
-    :meth:`as_dict` renders the documented **schema v8** (see there) and
+    :meth:`as_dict` renders the documented **schema v9** (see there) and
     :meth:`registry` lifts the same snapshot into a
     :class:`~repro.obs.metrics.MetricsRegistry` for Prometheus-style
     exposition.
     """
 
     #: Version of the :meth:`as_dict` layout.  Bump on any key change.
-    SCHEMA_VERSION = 8
+    SCHEMA_VERSION = 9
 
     backend_name: str
     num_workers: int
@@ -124,7 +124,7 @@ class SessionMetrics:
     def as_dict(self) -> Dict[str, Any]:
         """A JSON-serializable rendering (CI artifacts, ``--metrics``).
 
-        **Schema v8.**  Every top-level key except ``timings`` holds only
+        **Schema v9.**  Every top-level key except ``timings`` holds only
         deterministic values — names, worker counts, event and work counts —
         so two runs over the same input diff cleanly.  The one wall-clock
         figure (recovery seconds) is isolated under the single ``timings``
@@ -137,7 +137,8 @@ class SessionMetrics:
         counts), ``faults`` (4 fault counts), ``transfers`` (3 row/rule
         counts), ``cluster`` (``supersteps``), ``work`` (per-worker lists:
         ``ops``, ``rows_installed``, ``rows_joined``,
-        ``implication_units``, ``enforce_rows``), ``phases``,
+        ``implication_units``, ``enforce_rows``, ``literal_cells``),
+        ``phases``,
         ``sigma_size``, ``timings`` (``recovery_seconds``).
         """
         from repro import __version__

@@ -254,6 +254,8 @@ def kernel_cases(draw):
         if shape == "one_pivot":
             pivots = [0] * len(pivots)
     matches = [(pivot, draw(nodes)) for pivot in pivots]
+    # repeated, a table spans several 64-bit words
+    matches = matches * draw(st.sampled_from([1, 3, 6]))
     literals = [
         ConstantLiteral(var, attr, val)
         for var in (0, 1)
@@ -350,33 +352,64 @@ class TestRowBitsets:
         assert table.stack_supports(packed) == [oracle.mask_support(mask)]
 
 
-class TestHSpawnKernel:
-    """``ShardWorker.op_eval`` / ``op_probe`` against per-candidate masks.
+def word_masks(words, num_rows):
+    """A word matrix's row sets as bool row masks (row ``i`` = bit ``i``)."""
+    return np.unpackbits(
+        words.view(np.uint8), axis=1, count=num_rows, bitorder="little"
+    ).astype(bool)
 
-    The worker holds row bitsets (Python ints); the oracle side of every
-    check is the reference table's ``literal_mask`` / ``mask_count`` /
-    ``mask_support``.
+
+class TestHSpawnKernel:
+    """``ShardWorker.op_scan`` / ``op_eval`` against per-candidate masks.
+
+    The worker holds row sets as uint64 word matrices and returns counts;
+    the oracle side of every check is the reference table's
+    ``literal_mask`` / ``mask_count`` / ``mask_support``, one candidate at
+    a time.
     """
 
     PATTERN = Pattern(["t", "t"], [(0, 1, "e")])
 
     @staticmethod
-    def check_eval(worker, table, specs, masks, drop=()):
-        lhs, both, supp = worker.op_eval(1, {"specs": specs, "drop": list(drop)})
-        for result in (lhs, both, supp):
-            assert result.dtype == np.int64 and result.shape == (len(specs),)
-        store = worker.stores[1]
-        for position, (parent, lhs_literal, rhs_literal, new) in enumerate(specs):
-            masks[new] = masks[parent] & table.literal_mask(lhs_literal)
-            joint = masks[new] & table.literal_mask(rhs_literal)
-            assert lhs[position] == table.mask_count(masks[new])
-            assert both[position] == table.mask_count(joint)
-            assert supp[position] == table.mask_support(joint)
-            assert type(store[new]) is int and store[new] == to_bits(masks[new])
+    def check_eval(worker, table, literals, parents, groups, pairs=None, floor=1):
+        """One lattice depth: ``groups`` are ``(parent row, literal
+        position)`` over the bool ``parents`` masks (the store's rows).
+        Returns the groups' masks, which the worker must now store."""
+        payload = {"groups": tuple(
+            np.array(column, dtype=np.int64).reshape(-1) for column in zip(*groups)
+        ) if groups else (np.zeros(0, np.int64), np.zeros(0, np.int64))}
+        if pairs is not None:
+            payload.update(pairs=pairs, floor=floor)
+        counts, supports, both, pair_supports = worker.op_eval(1, payload)
+        assert counts.dtype == supports.dtype == both.dtype == np.int64
+        assert counts.shape == supports.shape == (len(groups),)
+        assert both.shape == (len(groups), len(literals))
+        assert (pair_supports is None) == (pairs is None)
+        masks = [parents[parent] & table.literal_mask(literals[l]) for parent, l in groups]
+        for group, mask in enumerate(masks):
+            assert counts[group] == table.mask_count(mask)
+            assert supports[group] == table.mask_support(mask)
+            for position, literal in enumerate(literals):
+                joint = mask & table.literal_mask(literal)
+                assert both[group, position] == table.mask_count(joint)
+                if pairs is None or not pairs[group, position]:
+                    continue
+                # a listed pair's support is counted when it holds on every
+                # group row (then it is the group's) or on ``floor`` rows
+                rows = table.mask_count(joint)
+                counted = rows == counts[group] or rows >= floor
+                expected = table.mask_support(joint) if counted else 0
+                assert pair_supports[group, position] == expected
+        stored = worker.stores[1]
+        assert stored.dtype == np.uint64 and len(stored) == len(groups)
+        assert word_masks(stored, table.num_rows).tolist() == [
+            mask.tolist() for mask in masks
+        ]
+        return masks
 
-    @given(kernel_cases())
+    @given(kernel_cases(), st.randoms(use_true_random=False))
     @settings(max_examples=120, deadline=None)
-    def test_eval_and_probe_match_per_candidate_masks(self, case):
+    def test_scan_and_eval_match_per_candidate_masks(self, case, rng):
         from repro.parallel.backend import ShardWorker
 
         graph, matches, literals, parent = case
@@ -392,49 +425,56 @@ class TestHSpawnKernel:
         )
         # same input order, same stable pivot sort: the rows line up
         table = ReferenceTable(graph, self.PATTERN, matches, ["a", "b", "c"])
-        counts, supports = worker.op_scan(1, {"literals": literals})
-        for literal, count, support in zip(literals, counts, supports):
-            assert count == table.literal_count(literal)
-            assert support == table.mask_support(table.literal_mask(literal))
-            assert worker.bits[1][literal] == to_bits(table.literal_mask(literal))
-        # parent ids: 0 is the scan's full set, 1 an arbitrary earlier level
-        assert worker.stores[1] == {0: to_bits(table.full_mask())}
-        worker.stores[1][1] = to_bits(parent)
-        masks = {0: table.full_mask(), 1: parent}
-        ids = iter(range(2, 10**6))
-        pairs = [(l, r) for l in literals for r in literals if l != r]
-        level1 = [(p, l, r, next(ids)) for p in (0, 1) for l, r in pairs]
-        self.check_eval(worker, table, level1, masks)
-        # next level: parents are level-1 ids, while the master retires
-        # every other one — ids that alias the *same* stored LHS bitset
-        kept = [spec[3] for spec in level1[::2]]
-        retired = [spec[3] for spec in level1[1::2]]
-        level2 = [(p, l, r, next(ids)) for p in kept[:6] for l, r in pairs[:4]]
-        self.check_eval(worker, table, level2, masks, drop=retired)
-        assert not set(retired) & set(worker.stores[1])
-        level3 = [(spec[3], l, r, next(ids)) for spec in level2[:4] for l, r in pairs[:2]]
-        self.check_eval(worker, table, level3, masks)
-        probes = [(p, l) for p in [0, 1] + kept[:6] for l in literals]
-        hits = worker.op_probe(1, {"specs": probes, "drop": kept[6:8]})
-        assert not set(kept[6:8]) & set(worker.stores[1])
-        assert [type(hit) for hit in hits] == [bool] * len(probes)
-        for (p, literal), hit in zip(probes, hits):
-            assert hit == bool((masks[p] & table.literal_mask(literal)).any())
-        # every stored id still reads the rows the oracle derived for it
-        for mask_id, bits in worker.stores[1].items():
-            assert bits == to_bits(masks[mask_id])
+        rows, counts, supports = worker.op_scan(1, {"literals": literals})
+        assert rows == table.num_rows
+        for position, literal in enumerate(literals):
+            assert counts[position] == table.literal_count(literal)
+            assert supports[position] == table.mask_support(table.literal_mask(literal))
+        assert word_masks(worker.bits[1], table.num_rows).tolist() == [
+            table.literal_mask(literal).tolist() for literal in literals
+        ]
+        # level 0 is the one group ∅: every row
+        assert word_masks(worker.stores[1], table.num_rows).tolist() == [
+            table.full_mask().tolist()
+        ]
+        every = list(range(len(literals)))
+        level1 = self.check_eval(
+            worker, table, literals, [table.full_mask()], [(0, l) for l in every],
+            pairs=np.ones((len(literals), len(literals)), dtype=bool),
+        )
+        # next depth: the store's rows plus an arbitrary parent, under a
+        # random pair selection and a floor
+        worker.stores[1] = np.vstack(
+            [worker.stores[1], MatchTable.as_words(
+                np.packbits(parent[None, :], axis=1, bitorder="little")
+            )]
+        )
+        parents = level1 + [parent]
+        groups = [(p, l) for p in range(len(parents)) for l in every if rng.random() < 0.6]
+        pairs = np.array(
+            [[rng.random() < 0.5 for _ in literals] for _ in groups], dtype=bool
+        ).reshape(len(groups), len(literals))
+        level2 = self.check_eval(
+            worker, table, literals, parents, groups, pairs, floor=rng.randint(1, 4)
+        )
+        level3 = self.check_eval(
+            worker, table, literals, level2,
+            [(p, l) for p in range(min(4, len(level2))) for l in every[:2]],
+        )
+        assert len(level3) == len(worker.stores[1])
         worker.op_drop_store(1, {})
         assert 1 not in worker.bits and 1 not in worker.stores
 
     def test_eval_peak_memory_is_linear_in_the_alphabet(self):
-        """One transient ``literals × rows`` bool array, then only bitsets.
+        """One transient ``literals × rows`` bool array, then only words.
 
-        With ``L`` literals a level has ``L·(L−1)`` candidates.  The scan's
-        unpacked literal stack is ``N·L`` bytes and freed once packed; what
-        stays resident — the alphabet's bitsets and the level's ``L``
-        stored LHS bitsets — is ``N·L/8`` each, and nothing is cached on
-        the table.  (A bool mask per literal plus a ``rows × literals``
-        block and its gathers peaked at ``6·N·L``.)
+        With ``L`` literals a level has ``L·(L−1)`` candidates in ``L``
+        groups.  The scan's unpacked literal stack is ``N·L`` bytes and
+        freed once packed; what stays resident — the alphabet's word
+        matrix and the level's ``L`` stored LHS rows — is ``N·L/8`` each,
+        the count matrix and the supports work in bounded blocks, and
+        nothing is cached on the table.  (A bool mask per literal plus a
+        ``rows × literals`` block and its gathers peaked at ``6·N·L``.)
         """
         import tracemalloc
 
@@ -460,16 +500,13 @@ class TestHSpawnKernel:
                 "gamma": gamma,
             },
         )
-        specs = [
-            (0, lhs, rhs, mask_id)
-            for mask_id, (lhs, rhs) in enumerate(
-                ((l, r) for l in literals for r in literals if l != r), start=1
-            )
-        ]
+        # one depth: every literal's group of ∅, counted against every
+        # literal — the L·(L−1) candidates of a level
+        groups = (np.zeros(len(literals), dtype=np.int64), np.arange(len(literals)))
         tracemalloc.start()
         try:
             worker.op_scan(1, {"literals": literals})
-            worker.op_eval(1, {"specs": specs})
+            worker.op_eval(1, {"groups": groups})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

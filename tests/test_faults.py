@@ -448,8 +448,8 @@ def _worker_state(shard: ShardWorker):
     """Every state family of one worker, in comparable form."""
     return {
         "tables": {key: table.num_rows for key, table in shard.tables.items()},
-        "stores": {key: dict(store) for key, store in shard.stores.items()},
-        "bits": {key: dict(bits) for key, bits in shard.bits.items()},
+        "stores": {key: store.tolist() for key, store in shard.stores.items()},
+        "bits": {key: bits.tolist() for key, bits in shard.bits.items()},
         "joins": {slot: rows.tolist() for slot, rows in shard.joins.items()},
         "sigmas": sorted(shard.sigmas),
         "enforce_state": sorted(shard.enforce_state),

@@ -33,6 +33,7 @@ from repro.core.match_table import (
     MISSING,
     MatchTable,
     constant_literals_from_code_counts,
+    merge_agreement_counts,
     variable_literals_from_counts,
 )
 from repro.core.reduction import gfd_identity
@@ -895,6 +896,59 @@ class TestMatchTableEquivalence:
         ]
 
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sigma_floor_filters_the_whole_alphabet(self, data):
+        """The σ floor keeps exactly the unfloored alphabet's literals whose
+        merged row count reaches σ, in the same order — for random
+        per-shard code and agreement counts, with tie-heavy columns whose
+        ``max_constants`` cut falls inside a tie pool (``_top_ranked``)."""
+        values = ["a", "b", "1", 1, 2, "2", "10", "zz"]
+        code = {(type(value), value): at for at, value in enumerate(values)}
+        columns = [(0, "x"), (0, "y"), (1, "x")]
+        weights = data.draw(st.sampled_from([(1, 2), (1, 2, 3, 9), (3,)]))
+        parts, merged = [], {}
+        for _ in range(data.draw(st.integers(1, 3), label="shards")):
+            cells = data.draw(st.lists(
+                st.tuples(
+                    st.integers(0, len(columns) * len(values) - 1),
+                    st.sampled_from(weights),
+                ),
+                unique_by=lambda cell: cell[0], max_size=20,
+            ))
+            cells.sort()
+            parts.append((
+                np.array([key for key, _ in cells], dtype=np.int64),
+                np.array([count for _, count in cells], dtype=np.int64),
+            ))
+            for key, count in cells:
+                merged[key] = merged.get(key, 0) + count
+        sigma = data.draw(st.integers(1, 10), label="sigma")
+        max_constants = data.draw(st.integers(1, 5), label="k")
+        whole = constant_literals_from_code_counts(
+            parts, columns, values, max_constants
+        )
+        floored = constant_literals_from_code_counts(
+            parts, columns, values, max_constants, sigma
+        )
+
+        def rows(literal):
+            slot = columns.index((literal.var, literal.attr))
+            return merged[slot * len(values) + code[type(literal.value), literal.value]]
+
+        assert floored == [l for l in whole if rows(l) >= sigma]
+        pairs = [(0, "x", 1, "x"), (0, "y", 1, "y"), (0, "x", 1, "y")]
+        agreements = merge_agreement_counts(
+            {pair: data.draw(st.integers(0, 6)) for pair in pairs}
+            for _ in range(data.draw(st.integers(1, 3)))
+        )
+        whole_variables = variable_literals_from_counts(agreements)
+        assert variable_literals_from_counts(agreements, sigma) == [
+            l for l in whole_variables
+            if agreements[l.var1, l.attr1, l.var2, l.attr2] >= sigma
+        ]
+
+
 def traced_bytes() -> int:
     """Bytes currently allocated under tracemalloc (numpy reports its
     buffers there), after a collection."""
@@ -991,11 +1045,11 @@ class TestWhatATableKeeps:
             kept = traced_bytes() - before
         finally:
             tracemalloc.stop()
-        bitsets = list(worker.bits[2].values()) + list(worker.stores[2].values())
+        bitsets = [worker.bits[2], worker.stores[2]]  # the word matrices
         bitsets += list(worker.tables[2]._run_bits)
         bitset_bytes = sum(sys.getsizeof(bits) for bits in bitsets)
         assert worker.tables[2].match_array.nbytes == rows.nbytes
-        # the bitsets' dicts and list cells: well under 100 bytes a literal
+        # the scan's count and support lists: well under 100 bytes a literal
         assert kept <= rows.nbytes + bitset_bytes + 100 * len(literals) + 2048
 
 

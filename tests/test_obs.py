@@ -348,7 +348,7 @@ class TestExports:
 
     def test_metrics_schema(self, traced):
         _, metrics = traced
-        assert metrics["schema_version"] == 8
+        assert metrics["schema_version"] == 9
         assert metrics["repro_version"]
         # every wall-clock float is quarantined under "timings"
         def no_floats(value):
@@ -379,9 +379,10 @@ class TestExports:
         # v8: no modeled clock; exact per-worker work instead
         assert set(metrics["timings"]) == {"recovery_seconds"}
         assert metrics["cluster"]["supersteps"] > 0
+        # v9: HSpawn's alphabet cells join the per-worker work
         assert set(metrics["work"]) == {
             "ops", "rows_installed", "rows_joined", "implication_units",
-            "enforce_rows",
+            "enforce_rows", "literal_cells",
         }
         assert all(
             len(counts) == metrics["num_workers"]

@@ -279,6 +279,37 @@ class TestPerWorkerWork:
             assert more[1] == fewer[1] and more[3] == fewer[3]
 
 
+    #: ``{fixture: {n: (supersteps, max literal cells, total literal
+    #: cells)}}`` at k = 3, σ of the fixture, |X| <= 1: one superstep per
+    #: HSpawn depth after the scan (no probe round), and the alphabet's
+    #: cells (scan rows × literals, σ-floored) summing to the same total
+    #: at every n.
+    LITERAL_CELLS = {
+        "yago": {1: (20, 765766, 765766), 2: (20, 386213, 765766),
+                 4: (20, 198293, 765766)},
+        "dbpedia": {1: (20, 1946543, 1946543), 2: (20, 1017337, 1946543),
+                    4: (20, 512700, 1946543)},
+        "imdb": {1: (19, 365123, 365123), 2: (19, 184700, 365123),
+                 4: (19, 96268, 365123)},
+    }
+
+    @pytest.mark.parametrize("name", KB_FIXTURES)
+    def test_literal_cells_total_is_n_invariant(self, name):
+        graph, sigma = _kb_fixture(name)
+        config = DiscoveryConfig(k=3, sigma=sigma, max_lhs_size=1)
+        counts = {}
+        for workers in (1, 2, 4):
+            runner = ParallelDiscovery(
+                graph, config, num_workers=workers, backend="serial"
+            )
+            runner.run()
+            work = runner.work
+            counts[workers] = (
+                work.supersteps, max(work.literal_cells), sum(work.literal_cells)
+            )
+        assert counts == self.LITERAL_CELLS[name]
+
+
 class _RecordingDiscovery(ParallelDiscovery):
     """Records every child ``_leaf_support`` lets skip the join, and every
     child it sends to the join with its parent's merged tally."""
@@ -402,11 +433,11 @@ class TestTallyFixedLeaves:
 class TestHSpawnOnBitsets:
     @pytest.mark.parametrize("name", KB_FIXTURES)
     def test_worker_lattice_builds_no_numpy_mask(self, name, monkeypatch):
-        """``scan`` / ``eval`` / ``probe`` never call ``literal_mask``.
+        """``scan`` / ``eval`` never call ``literal_mask``.
 
         Exact counts over a whole serial-backend ``ParDis`` run: zero
         ``MatchTable.literal_mask`` calls and untouched mask-cache counters
-        on every worker table the three ops read — while Σ and the supports
+        on every worker table the two ops read — while Σ and the supports
         still equal ``SeqDis``'s, whose lattice *is* those numpy masks.
         """
         graph, sigma = _kb_fixture(name)
@@ -432,12 +463,12 @@ class TestHSpawnOnBitsets:
 
         with monkeypatch.context() as patch:
             patch.setattr(MatchTable, "literal_mask", literal_mask)
-            for op in ("op_scan", "op_eval", "op_probe"):
+            for op in ("op_scan", "op_eval"):
                 patch.setattr(ShardWorker, op, recording(op))
             result = ParallelDiscovery(
                 graph, config, num_workers=2, backend="serial"
             ).run()
-        assert set(ops) == {"op_scan", "op_eval", "op_probe"}
+        assert set(ops) == {"op_scan", "op_eval"}
         assert mask_calls == []
         assert touched
         for table in touched.values():

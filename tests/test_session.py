@@ -83,7 +83,7 @@ class TestOneBackendLifecycle:
             # rounds are per level, not per pattern: seed + k levels of
             # VSpawn/HSpawn, then Σ rides the cover's one round;
             # enforcement ops run outside the superstep count
-            assert supersteps == [11, 12, 12, 12]
+            assert supersteps == [10, 11, 11, 11]
             assert metrics.sigma_size == len(cover.cover)
         # after close the pools are gone
         assert session.metrics().lifecycle.shutdowns == 1
