@@ -537,9 +537,8 @@ def constant_literals_from_code_counts(
         order = np.argsort(keys)
         keys, sizes = run_lengths(keys[order])
         counts = np.add.reduceat(counts[order], np.cumsum(sizes) - sizes)
-    if floor > 1:
-        alive = counts >= floor
-        keys, counts = keys[alive], counts[alive]
+    alive = counts >= floor
+    keys, counts = keys[alive], counts[alive]
     if keys.size == 0:
         return []
     num_codes = len(values)

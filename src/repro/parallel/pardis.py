@@ -20,9 +20,9 @@ superstep, mirroring Figure 3:
 2. **Parallel GFD validation** — the master grows the LHS lattices of all
    RHS literals level-by-level; each lattice level — of all the tree
    level's patterns jointly — is validated as one batch ``ΣC_{ij}`` in a
-   single superstep: workers intersect boolean row
-   masks on their shards, the master aggregates counts and (exactly)
-   unions pivot-support sets.
+   single superstep: workers count the depth's LHS groups against every
+   alphabet literal on their shards, and the master sums the counts
+   (pivot-disjoint shards make a support a sum too).
 
 Every emitted GFD is reduced (§4.1): a rule a parent holds, mapped
 through any embedding, is not emitted, nor a negative with a smaller held
@@ -1105,7 +1105,7 @@ class ParallelDiscovery:
         lattice depth carries every still-active pattern's LHS groups (the
         ``ΣC_{ij}`` rounds of Figure 3, summed over patterns too), and its
         count matrices decide the depth and every ``NHSpawn`` overlap
-        (:meth:`_decide`, :meth:`_nhspawn_joint`).  The superstep count
+        (:meth:`_NodeMining.decide`, :meth:`_nhspawn_joint`).  The superstep count
         per call is therefore bounded by ``1 + max_lhs_size``, independent
         of the number of patterns.
 
@@ -1159,7 +1159,7 @@ class ParallelDiscovery:
         for depth in range(1, self.config.max_lhs_size + 1):
             with self.tracer.span("master", "master"):
                 checked = sum(m.expand() for m in scanned if m.frontier.any())
-                active = [miner for miner in scanned if len(miner.groups)]
+                active = [miner for miner in scanned if miner.groups]
             self._charge(checked)
             if not active:
                 break

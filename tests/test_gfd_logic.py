@@ -31,7 +31,9 @@ from repro.gfd import (
     satisfies_literal,
     validate_set,
 )
-from repro.gfd.closure import is_trivial_dependency, lhs_unsatisfiable
+from repro.gfd.closure import (
+    entailed_literals, is_trivial_dependency, lhs_unsatisfiable,
+)
 from repro.gfd.implication import ImplicationChecker
 from repro.graph import Graph, GraphBuilder
 from repro.pattern import WILDCARD, Pattern
@@ -162,7 +164,9 @@ class TestGFDClass:
     @settings(max_examples=300, deadline=None)
     def test_closure_free_path_is_the_definition(self, lhs, rhs):
         """The test without a closure equals Section 4.1 read off the
-        closure: ``X`` conflicting, or ``l ≠ false`` entailed."""
+        closure: ``X`` conflicting, or ``l ≠ false`` entailed — and so does
+        ``entailed_literals``' one list for all RHS of ``X`` (a reflexive
+        ``l`` is trivial on its own)."""
         closure = LiteralClosure()
         for literal in lhs:
             closure.add(literal)
@@ -171,6 +175,13 @@ class TestGFDClass:
         )
         assert is_trivial_dependency(lhs, rhs) == definition
         assert lhs_unsatisfiable(lhs) == closure.conflicting
+        entailed = entailed_literals(lhs)
+        assert (entailed is None) == closure.conflicting
+        reflexive = isinstance(rhs, VariableLiteral) and (
+            (rhs.var1, rhs.attr1) == (rhs.var2, rhs.attr2)
+        )
+        if rhs != FALSE and not reflexive:
+            assert (entailed is None or rhs in entailed) == definition
 
 
 class TestSatisfaction:
