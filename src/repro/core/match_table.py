@@ -19,7 +19,8 @@ it and drops it.  It serves two roles:
   distinct-pivot support ``|Q(G, Xl, z)|`` one multi-word carry-add (see
   :meth:`MatchTable.bits_support`) — or as rows of a uint64 word matrix,
   whose pairs a lattice depth counts in bulk (``as_words`` /
-  :func:`cross_counts` / ``word_supports``);
+  :func:`cross_counts`; a word matrix's ``uint8`` view is a packed stack,
+  so its supports are ``stack_supports`` too);
 * enforcement: one bool mask per literal (``literal_mask``) and per rule
   (``violation_mask``).
 
@@ -51,6 +52,7 @@ __all__ = [
     "MatchTable",
     "MISSING",
     "cross_counts",
+    "row_blocks",
     "merge_agreement_counts",
     "rank_value",
     "constant_literals_from_code_counts",
@@ -110,8 +112,6 @@ class MatchTable:
         self._literal_masks: Dict[Literal, np.ndarray] = {}
         # (HI, LO) bitsets of the pivot runs, built by the first bits_support
         self._run_bits: Optional[Tuple[int, int]] = None
-        # each pivot run's first row, built by the first word_supports
-        self._run_starts: Optional[np.ndarray] = None
         #: literal-mask cache audit: (hits, misses) over the table lifetime.
         self.mask_cache_hits = 0
         self.mask_cache_misses = 0
@@ -327,45 +327,6 @@ class MatchTable:
         every = np.ones((1, self.num_rows), dtype=bool)
         return self.as_words(np.packbits(every, axis=1, bitorder="little"))
 
-    def word_supports(self, words: np.ndarray) -> np.ndarray:
-        """:meth:`bits_support` of every row of a word matrix.
-
-        A block of rows is unpacked to one byte a match row, and a pivot
-        run counts when any of its rows is set (``maximum.reduceat`` over
-        the run starts); blocks keep the unpacked bytes near
-        ``_BLOCK_BYTES``.
-        """
-        supports = np.zeros(len(words), dtype=np.int64)
-        if not self.num_rows:
-            return supports
-        if self._run_starts is None:
-            pivots = self._pivot_array
-            self._run_starts = np.flatnonzero(
-                np.concatenate(([True], pivots[1:] != pivots[:-1]))
-            )
-        for block in _blocks(len(words), self.num_rows):
-            rows = np.unpackbits(
-                words[block].view(np.uint8), axis=1,
-                count=self.num_rows, bitorder="little",
-            )
-            supports[block] = np.count_nonzero(
-                np.maximum.reduceat(rows, self._run_starts, axis=1), axis=1
-            )
-        return supports
-
-    def pair_supports(
-        self, sets: np.ndarray, words: np.ndarray,
-        first: np.ndarray, second: np.ndarray,
-    ) -> np.ndarray:
-        """:meth:`word_supports` of ``sets[first[i]] & words[second[i]]``
-        for every ``i``, a block of intersections at a time."""
-        supports = np.zeros(len(first), dtype=np.int64)
-        for block in _blocks(len(first), sets.shape[1] * 8):
-            supports[block] = self.word_supports(
-                sets[first[block]] & words[second[block]]
-            )
-        return supports
-
     # ------------------------------------------------------------------
     # candidate literals (HSpawn's alphabet)
     # ------------------------------------------------------------------
@@ -470,7 +431,7 @@ def cross_counts(sets: np.ndarray, words: np.ndarray) -> np.ndarray:
     popcount over a block of ``sets`` rows at a time (each block's
     intermediate stays near ``_BLOCK_BYTES``)."""
     counts = np.empty((len(sets), len(words)), dtype=np.int64)
-    for block in _blocks(len(sets), words.nbytes):
+    for block in row_blocks(len(sets), words.nbytes):
         np.sum(
             np.bitwise_count(sets[block, None, :] & words[None, :, :]),
             axis=2, dtype=np.int64, out=counts[block],
@@ -478,7 +439,7 @@ def cross_counts(sets: np.ndarray, words: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _blocks(count: int, item_bytes: int) -> Iterator[slice]:
+def row_blocks(count: int, item_bytes: int) -> Iterator[slice]:
     """Slices over ``count`` items of ``item_bytes`` each, about
     ``_BLOCK_BYTES`` per slice (one item at least)."""
     step = max(1, _BLOCK_BYTES // max(1, item_bytes))

@@ -142,6 +142,18 @@ class LiteralClosure:
         """Whether every literal of ``literals`` is entailed."""
         return all(self.entails(literal) for literal in literals)
 
+    def entailed(self) -> Optional[List[Literal]]:
+        """The literals over this closure's terms that it entails,
+        reflexive ones aside, or ``None`` when it is conflicting (it then
+        entails every literal); see :func:`entailed_literals`."""
+        if self._conflicting:
+            return None
+        roots = {term: self._find(term) for term in list(self._parent)}
+        return _entailed_over(roots, {
+            term: self._constant[root]
+            for term, root in roots.items() if root in self._constant
+        })
+
     def copy(self) -> "LiteralClosure":
         """An independent copy (used by speculative chase steps)."""
         clone = LiteralClosure()
@@ -176,27 +188,17 @@ def is_trivial_dependency(lhs: FrozenSet[Literal], rhs: Literal) -> bool:
 
     :func:`~repro.gfd.gfd.is_trivial` of a GFD, and the test every
     discovery engine applies to its candidates.  Triviality reads the
-    literals only.  Without a variable literal in ``X`` the closure is the
-    constant bindings themselves (:func:`_constant_bindings`): a conflict
-    is two constants on one term, and ``l`` follows only by a direct
-    binding (``x.A = c``, or ``x.A = c ∧ y.B = c`` for ``x.A = y.B``).
+    literals only: a reflexive ``l`` is trivial, any other one when
+    :func:`entailed_literals` lists it.
     """
-    constants = _constant_bindings(lhs)
-    if constants is None:
-        closure = LiteralClosure(lhs)
-        return closure.conflicting or (
-            not isinstance(rhs, FalseLiteral) and closure.entails(rhs)
-        )
-    if constants is _CONFLICT:
-        return True  # X is unsatisfiable
-    if isinstance(rhs, ConstantLiteral):
-        return constants.get((rhs.var, rhs.attr), _NO_CONSTANT) == rhs.value
     if isinstance(rhs, VariableLiteral):
-        left = constants.get((rhs.var1, rhs.attr1), _NO_CONSTANT)
-        right = constants.get((rhs.var2, rhs.attr2), _NO_CONSTANT)
-        reflexive = (rhs.var1, rhs.attr1) == (rhs.var2, rhs.attr2)
-        return reflexive or (left is not _NO_CONSTANT and left == right)
-    return False  # false follows only from an unsatisfiable X
+        if (rhs.var1, rhs.attr1) == (rhs.var2, rhs.attr2):
+            return True
+        rhs = make_variable_literal(rhs.var1, rhs.attr1, rhs.var2, rhs.attr2)
+    entailed = entailed_literals(lhs)
+    return entailed is None or (
+        not isinstance(rhs, FalseLiteral) and rhs in entailed
+    )
 
 
 def lhs_unsatisfiable(lhs: Collection[Literal]) -> bool:
@@ -210,29 +212,32 @@ def lhs_unsatisfiable(lhs: Collection[Literal]) -> bool:
 
 
 def entailed_literals(lhs: Collection[Literal]) -> Optional[List[Literal]]:
-    """The literals over ``X``'s terms that ``X`` entails, or ``None`` when
-    ``X`` is unsatisfiable (it then entails every literal).
+    """The literals over ``X``'s terms that ``X`` entails, reflexive ones
+    aside, or ``None`` when ``X`` is unsatisfiable (it then entails every
+    literal).
 
-    For an ``l`` that is not reflexive, ``is_trivial_dependency(X, l)``
-    holds exactly when ``l`` is listed (or ``None`` is returned): a term
-    outside ``X`` is bound to nothing and shares no class, so only ``X``'s
-    terms, pairwise and with their constants, can be entailed.  One call
-    answers every RHS of one LHS.
+    A term outside ``X`` is bound to nothing and shares no class, so only
+    ``X``'s terms, pairwise and with their constants, can be entailed: one
+    call answers every RHS of one LHS.  Without a variable literal in ``X``
+    the closure is the constant bindings themselves
+    (:func:`_constant_bindings`) and no union-find is built; otherwise
+    :meth:`LiteralClosure.entailed` lists it.
     """
     constants = _constant_bindings(lhs)
+    if constants is None:
+        return LiteralClosure(lhs).entailed()
     if constants is _CONFLICT:
         return None
-    if constants is None:
-        closure = LiteralClosure(lhs)
-        if closure.conflicting:
-            return None
-        roots = {term: closure._find(term) for term in list(closure._parent)}
-        constants = {
-            term: closure._constant[root]
-            for term, root in roots.items() if root in closure._constant
-        }
-    else:
-        roots = {term: term for term in constants}
+    return _entailed_over({term: term for term in constants}, constants)
+
+
+def _entailed_over(
+    roots: Dict[Term, Term], constants: Dict[Term, Any],
+) -> List[Literal]:
+    """The literals a non-conflicting closure entails over the terms of
+    ``roots`` (each term's class root), given each bound term's constant:
+    the bindings, then every pair of terms in one class or bound to one
+    constant."""
     entailed: List[Literal] = [
         ConstantLiteral(var, attr, value) for (var, attr), value in constants.items()
     ]

@@ -78,7 +78,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.config import FaultConfig
-from ..core.match_table import MatchTable, cross_counts
+from ..core.match_table import MatchTable, cross_counts, row_blocks
 from ..core.spawning import extension_counts
 from ..gfd.implication import ImplicationChecker, greedy_group_elimination
 from ..graph.graph import Graph
@@ -459,7 +459,7 @@ class ShardWorker:
     a depth is a few numpy calls: ``&`` of parent and literal rows, a
     popcount, a ``groups × literals`` count matrix
     (:func:`~repro.core.match_table.cross_counts`) and the distinct-pivot
-    supports (:meth:`MatchTable.word_supports`).  Row sets never leave
+    supports (:meth:`MatchTable.stack_supports` of the words' bytes).  Row sets never leave
     the worker; results are counts.  A join parks its rows here too, until
     the child's install adopts them.  The serial backend keeps ``n`` of these
     in-process; the multiprocess backend keeps one per worker process,
@@ -601,11 +601,14 @@ class ShardWorker:
         scan's ``∅`` first) ``&`` alphabet literal ``literals[g]``, and the
         groups become the store.  Returns each group's row count and pivot
         support and its ``groups × literals`` row-count matrix, which
-        decides every candidate and ``NHSpawn`` ``l''``.  With the bool
-        matrix ``payload["pairs"]`` also each listed pair's local pivot
-        support: the group's where the pair holds on all its rows, else
-        counted on at least ``payload["floor"]`` rows (a pivot support never
-        exceeds its rows), ``0`` below.
+        decides every candidate and ``NHSpawn`` ``l''``.  With
+        ``payload["pairs"]``, a ``groups × lattice`` bool matrix and the
+        lattice's alphabet positions, also each listed pair's local pivot
+        support, in the matrix's row-major order: the group's where the pair holds
+        on all its rows, else counted on at least ``payload["floor"]`` rows
+        (a pivot support never exceeds its rows), ``0`` below.  Supports
+        are :meth:`MatchTable.stack_supports` of the word rows' bytes, the
+        pairs' intersections a block at a time.
         """
         table = self.tables[key]
         bits = self.bits[key]
@@ -613,16 +616,23 @@ class ShardWorker:
         groups = self.stores[key] = self.stores[key][parents] & bits[literals]
         counts = np.bitwise_count(groups).sum(axis=1, dtype=np.int64)
         both = cross_counts(groups, bits)
-        supports = table.word_supports(groups)
-        pairs = payload.get("pairs")
-        if pairs is None:
-            return counts, supports, both, None
-        holds = both == counts[:, None]
-        pair_supports = np.where(holds, supports[:, None], 0)
-        rows, columns = np.nonzero(pairs & ~holds & (both >= payload["floor"]))
-        pair_supports[rows, columns] = table.pair_supports(
-            groups, bits, rows, columns
+        supports = np.array(
+            table.stack_supports(groups.view(np.uint8)), dtype=np.int64
         )
+        if "pairs" not in payload:
+            return counts, supports, both, None
+        listed, lattice = payload["pairs"]
+        rows, columns = np.nonzero(listed)
+        columns = lattice[columns]
+        overlaps = both[rows, columns]
+        holds = overlaps == counts[rows]
+        pair_supports = np.where(holds, supports[rows], 0)
+        counted = np.flatnonzero(~holds & (overlaps >= payload["floor"]))
+        for block in row_blocks(len(counted), groups.shape[1] * 8):
+            picked = counted[block]
+            pair_supports[picked] = table.stack_supports(
+                (groups[rows[picked]] & bits[columns[picked]]).view(np.uint8)
+            )
         return counts, supports, both, pair_supports
 
     # -- enforcement (repro.enforce) ------------------------------------

@@ -304,9 +304,9 @@ class _NodeMining:
         counts, supports, overlaps = (sum(part[i] for part in parts) for i in range(3))
         holds = overlaps[:, self.lattice] == counts[:, None]
         holds &= (counts > 0)[:, None]
-        pair_supports = 0
+        pair_supports = np.zeros(self.candidates.shape, dtype=np.int64)
         if parts[0][3] is not None:
-            pair_supports = sum(part[3] for part in parts)[:, self.lattice]
+            pair_supports[np.nonzero(self.candidates)] = sum(part[3] for part in parts)
         frequent = np.where(holds, supports[:, None], pair_supports) >= config.sigma
         kept = self.candidates & frequent if config.prune else self.candidates
         valid = kept & holds
@@ -1173,9 +1173,9 @@ class ParallelDiscovery:
                     np.array(parents, dtype=np.int64), miner.lattice[list(literals)]
                 )}
                 if goes_on:
-                    pairs = np.zeros((len(parents), len(miner.literals)), bool)
-                    pairs[:, miner.lattice] = miner.candidates
-                    payload.update(pairs=pairs, floor=floor)
+                    payload.update(
+                        pairs=(miner.candidates, miner.lattice), floor=floor
+                    )
                 requests += [
                     (worker, "eval", miner.key, payload) for worker in range(n)
                 ]

@@ -379,12 +379,20 @@ class TestHSpawnKernel:
             np.array(column, dtype=np.int64).reshape(-1) for column in zip(*groups)
         ) if groups else (np.zeros(0, np.int64), np.zeros(0, np.int64))}
         if pairs is not None:
-            payload.update(pairs=pairs, floor=floor)
+            # the pairs travel over the columns that list one (the lattice)
+            lattice = np.flatnonzero(pairs.any(axis=0))
+            payload.update(pairs=(pairs[:, lattice], lattice), floor=floor)
         counts, supports, both, pair_supports = worker.op_eval(1, payload)
         assert counts.dtype == supports.dtype == both.dtype == np.int64
         assert counts.shape == supports.shape == (len(groups),)
         assert both.shape == (len(groups), len(literals))
         assert (pair_supports is None) == (pairs is None)
+        if pairs is not None:
+            assert pair_supports.dtype == np.int64
+            assert pair_supports.shape == (int(pairs.sum()),)
+            # the listed pairs' supports, back in a groups × literals matrix
+            pair_supports_at = np.zeros(pairs.shape, dtype=np.int64)
+            pair_supports_at[np.nonzero(pairs)] = pair_supports
         masks = [parents[parent] & table.literal_mask(literals[l]) for parent, l in groups]
         for group, mask in enumerate(masks):
             assert counts[group] == table.mask_count(mask)
@@ -399,7 +407,7 @@ class TestHSpawnKernel:
                 rows = table.mask_count(joint)
                 counted = rows == counts[group] or rows >= floor
                 expected = table.mask_support(joint) if counted else 0
-                assert pair_supports[group, position] == expected
+                assert pair_supports_at[group, position] == expected
         stored = worker.stores[1]
         assert stored.dtype == np.uint64 and len(stored) == len(groups)
         assert word_masks(stored, table.num_rows).tolist() == [
@@ -451,8 +459,11 @@ class TestHSpawnKernel:
         )
         parents = level1 + [parent]
         groups = [(p, l) for p in range(len(parents)) for l in every if rng.random() < 0.6]
+        # RHS columns outside a random lattice list no pair
+        lattice = [rng.random() < 0.7 for _ in literals]
         pairs = np.array(
-            [[rng.random() < 0.5 for _ in literals] for _ in groups], dtype=bool
+            [[on and rng.random() < 0.6 for on in lattice] for _ in groups],
+            dtype=bool,
         ).reshape(len(groups), len(literals))
         level2 = self.check_eval(
             worker, table, literals, parents, groups, pairs, floor=rng.randint(1, 4)
@@ -472,9 +483,11 @@ class TestHSpawnKernel:
         groups.  The scan's unpacked literal stack is ``N·L`` bytes and
         freed once packed; what stays resident — the alphabet's word
         matrix and the level's ``L`` stored LHS rows — is ``N·L/8`` each,
-        the count matrix and the supports work in bounded blocks, and
-        nothing is cached on the table.  (A bool mask per literal plus a
-        ``rows × literals`` block and its gathers peaked at ``6·N·L``.)
+        the count matrix and the supports of every listed pair (each
+        candidate, as below ``max_lhs_size`` under pruning) work in bounded
+        blocks, and nothing is cached on the table.  (A bool mask per
+        literal plus a ``rows × literals`` block and its gathers peaked at
+        ``6·N·L``.)
         """
         import tracemalloc
 
@@ -501,16 +514,22 @@ class TestHSpawnKernel:
             },
         )
         # one depth: every literal's group of ∅, counted against every
-        # literal — the L·(L−1) candidates of a level
+        # literal, and a support for each of the L·(L−1) candidates of a
+        # level (floor 1: every pair on a row is counted)
         groups = (np.zeros(len(literals), dtype=np.int64), np.arange(len(literals)))
+        pairs = (~np.eye(len(literals), dtype=bool), np.arange(len(literals)))
         tracemalloc.start()
         try:
             worker.op_scan(1, {"literals": literals})
-            worker.op_eval(1, {"groups": groups})
+            supported = worker.op_eval(
+                1, {"groups": groups, "pairs": pairs, "floor": 1}
+            )[3]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 * num_rows * len(literals)
+        # the supports were counted, not skipped
+        assert (supported > 0).sum() > len(literals)
 
 
 class TestSupport:
