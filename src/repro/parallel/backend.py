@@ -459,7 +459,7 @@ class ShardWorker:
     a depth is a few numpy calls: ``&`` of parent and literal rows, a
     popcount, a ``groups × literals`` count matrix
     (:func:`~repro.core.match_table.cross_counts`) and the distinct-pivot
-    supports (:meth:`MatchTable.stack_supports` of the words' bytes).  Row sets never leave
+    supports (:meth:`MatchTable.stack_supports`).  Row sets never leave
     the worker; results are counts.  A join parks its rows here too, until
     the child's install adopts them.  The serial backend keeps ``n`` of these
     in-process; the multiprocess backend keeps one per worker process,
@@ -602,13 +602,12 @@ class ShardWorker:
         groups become the store.  Returns each group's row count and pivot
         support and its ``groups × literals`` row-count matrix, which
         decides every candidate and ``NHSpawn`` ``l''``.  With
-        ``payload["pairs"]``, a ``groups × lattice`` bool matrix and the
-        lattice's alphabet positions, also each listed pair's local pivot
-        support, in the matrix's row-major order: the group's where the pair holds
-        on all its rows, else counted on at least ``payload["floor"]`` rows
-        (a pivot support never exceeds its rows), ``0`` below.  Supports
-        are :meth:`MatchTable.stack_supports` of the word rows' bytes, the
-        pairs' intersections a block at a time.
+        ``payload["pairs"]`` (a ``groups × lattice`` bool matrix, the
+        lattice's alphabet positions) also each listed pair's local pivot
+        support, row-major: the group's where the pair holds on all its
+        rows, else counted on at least ``payload["floor"]`` rows (a pivot
+        support never exceeds its rows), ``0`` below.  Every support is
+        :meth:`MatchTable.stack_supports` of word rows' bytes.
         """
         table = self.tables[key]
         bits = self.bits[key]
@@ -616,23 +615,18 @@ class ShardWorker:
         groups = self.stores[key] = self.stores[key][parents] & bits[literals]
         counts = np.bitwise_count(groups).sum(axis=1, dtype=np.int64)
         both = cross_counts(groups, bits)
-        supports = np.array(
-            table.stack_supports(groups.view(np.uint8)), dtype=np.int64
-        )
+        supports = np.fromiter(table.stack_supports(groups.view(np.uint8)), np.int64)
         if "pairs" not in payload:
             return counts, supports, both, None
-        listed, lattice = payload["pairs"]
-        rows, columns = np.nonzero(listed)
-        columns = lattice[columns]
+        rows, columns = np.nonzero(payload["pairs"][0])
+        columns = payload["pairs"][1][columns]
         overlaps = both[rows, columns]
         holds = overlaps == counts[rows]
         pair_supports = np.where(holds, supports[rows], 0)
         counted = np.flatnonzero(~holds & (overlaps >= payload["floor"]))
         for block in row_blocks(len(counted), groups.shape[1] * 8):
-            picked = counted[block]
-            pair_supports[picked] = table.stack_supports(
-                (groups[rows[picked]] & bits[columns[picked]]).view(np.uint8)
-            )
+            pairs = groups[rows[counted[block]]] & bits[columns[counted[block]]]
+            pair_supports[counted[block]] = table.stack_supports(pairs.view(np.uint8))
         return counts, supports, both, pair_supports
 
     # -- enforcement (repro.enforce) ------------------------------------

@@ -1173,9 +1173,7 @@ class ParallelDiscovery:
                     np.array(parents, dtype=np.int64), miner.lattice[list(literals)]
                 )}
                 if goes_on:
-                    payload.update(
-                        pairs=(miner.candidates, miner.lattice), floor=floor
-                    )
+                    payload.update(pairs=(miner.candidates, miner.lattice), floor=floor)
                 requests += [
                     (worker, "eval", miner.key, payload) for worker in range(n)
                 ]
