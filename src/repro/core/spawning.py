@@ -13,20 +13,27 @@ candidate sources are used:
   negative GFDs of the form ``Q'[x̄](∅ → false)`` such as the paper's
   mutual-parent pattern ``φ3`` (Example 8).
 
-The tally is a distinct *count* per extension key, and that is all it ever
-holds: :func:`extension_counts` produces :class:`ExtensionCounts` from one
-sort of ``(key, pivot)`` pairs and a run-length pass — no per-key pivot set.
-Its two halves read the match rows differently.  The new-node half gathers
-every row's neighbourhood off the CSR.  The closing half is a semi-join:
-per variable ``s`` it gathers the out-edges of column ``s``'s *distinct*
-nodes once, keeps per ``d`` those whose endpoint occurs in column ``d`` and
-that are no pattern edge, and binary-searches only the rows whose two
-nodes both occur among them — most pairs keep no edge and touch no row.
-Under ``ParDis``'s pivot-disjoint sharding the per-shard counts add up
-(:func:`merge_extension_counts`), so the distributed runs spawn *exactly*
-the same patterns at every ``n``.  The layer's oracle is a per-match scan
-of the dict adjacency that collects pivot *sets*
-(:func:`repro.oracle.extension_statistics`).
+The tally is integer counts per extension key, never a per-key pivot set:
+:func:`extension_counts` produces :class:`ExtensionCounts` from one sort
+of ``(key, pivot)`` pairs per part and a run-length pass.  Both halves
+start from each column's *distinct* nodes, so they pay for neighbourhoods
+once per node, not once per row.  The new-node half counts each distinct
+anchor's neighbours per ``(edge label, endpoint label)`` key, expands a
+row to its anchor's keys (not its neighbours), and subtracts the row's own
+nodes that are such neighbours — the join's injectivity test.  What is
+left, ``free``, is the number of rows the row adds to that child's join,
+so besides the distinct-pivot count the tally knows each new-node child's
+exact join size and, where it reaches the match cap, the capped join's
+support: ``ParDis`` truncates such a child without joining it.  The
+closing half is a semi-join: per variable ``s`` it gathers the out-edges
+of column ``s``'s distinct nodes once, keeps per ``d`` those whose endpoint
+occurs in column ``d`` and that are no pattern edge, and binary-searches
+only the rows whose two nodes both occur among them — most pairs keep no
+edge and touch no row.  Under ``ParDis``'s pivot-disjoint sharding the
+per-shard counts add up (:func:`merge_extension_counts`), so the
+distributed runs spawn *exactly* the same patterns at every ``n``.  The
+layer's oracle is a per-match scan of the dict adjacency that collects
+pivot *sets* (:func:`repro.oracle.extension_statistics`).
 
 A closing tally is more than a spawn filter: pivot ``p`` is recorded under
 ``(s, d, l)`` iff some match ``h`` of ``Q`` with ``h(z) = p`` has the graph
@@ -39,7 +46,7 @@ infrequent closing child a leaf without joining it.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -72,49 +79,58 @@ class ExtensionCounts:
     When every pivot lives on exactly one worker (``ParDis``'s sharding
     invariant), per-key distinct-pivot counts add up across workers, so only
     integers need shipping.  ``prefix_*`` aggregates feed the wildcard
-    upgrade decision.
+    upgrade decision.  ``rows`` holds each new-node child's join size, and
+    ``capped`` its support under the match cap where that differs from
+    ``new_node`` (a shard whose join reaches the cap keeps only its first
+    ``cap`` rows).
     """
 
-    __slots__ = ("new_node", "closing", "prefix_pivots", "prefix_labels")
+    __slots__ = (
+        "new_node", "closing", "prefix_pivots", "prefix_labels", "rows",
+        "capped",
+    )
 
     def __init__(self) -> None:
         self.new_node: Dict[NewNodeKey, int] = {}
         self.closing: Dict[ClosingKey, int] = {}
         self.prefix_pivots: Dict[Tuple[int, bool, str], int] = {}
         self.prefix_labels: Dict[Tuple[int, bool, str], Set[str]] = {}
+        self.rows: Dict[NewNodeKey, int] = {}
+        self.capped: Dict[NewNodeKey, int] = {}
 
 
-def _closing_tally(
-    index: GraphIndex, pattern: Pattern, array: np.ndarray, pivots: np.ndarray
-) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """``(key, pivot)`` parts of the closing half: a semi-join per variable pair.
+#: One row-internal edge set: ``(s, d, rows, labels)``, an entry per match
+#: row ``rows[i]`` and graph edge ``h(s) -[labels[i]]-> h(d)``.
+RowEdges = Tuple[int, int, np.ndarray, np.ndarray]
 
-    For each variable ``s`` the out-CSR is gathered once over the *distinct*
-    nodes of column ``s``.  For each ``d`` the candidate edges are those
-    whose endpoint occurs in column ``d`` (``d = s``: self-loops) and whose
-    ``(s, d, label)`` is not a pattern edge; an empty candidate set skips
-    the pair without touching rows.  Otherwise only the rows whose ``h(s)``
-    and ``h(d)`` both occur among the candidates' ends are binary-searched
-    in the ``(src, dst, label)``-sorted candidates.  Every edge a row could
-    record joins a node of column ``s`` to a node of column ``d``, so the
-    candidates hold all of them: the tally is exact.  The one |V|-sized
-    scratch table is cleared at exactly the indices each step set.
+
+def _row_edges(
+    index: GraphIndex,
+    array: np.ndarray,
+    distinct: List[np.ndarray],
+    excluded: Dict[Tuple[int, int], List[int]],
+    mark: np.ndarray,
+) -> List[RowEdges]:
+    """The graph edges between each row's own nodes that are no pattern
+    edge (``excluded``: label codes per variable pair): a semi-join per
+    variable pair.
+
+    For each variable ``s`` the out-CSR is gathered once over the distinct
+    nodes ``distinct[s]`` of column ``s``.  For each ``d`` the candidate
+    edges are those whose endpoint occurs in column ``d`` (``d = s``:
+    self-loops) and whose label is not excluded; an empty candidate set
+    skips the pair without touching rows.  Otherwise only the rows whose
+    ``h(s)`` and ``h(d)`` both occur among the candidates' ends are
+    binary-searched in the ``(src, dst, label)``-sorted candidates.  Every
+    edge a row could hold joins a node of column ``s`` to a node of column
+    ``d``, so the candidates hold all of them: the result is exact.  The
+    |V|-sized scratch table ``mark`` comes in clear and is cleared at
+    exactly the indices each step set.
     """
-    num_vars = pattern.num_nodes
+    num_vars = array.shape[1]
     num_nodes = index.num_nodes
-    num_edge_labels = max(1, len(index.edge_label_values))
-    # pattern edges are not candidates (labels absent from the graph can
-    # never be tallied, so unmapped labels are simply dropped)
-    excluded: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-    for src, dst, label in pattern.edge_set():
-        code = index.edge_label_code_of.get(label)
-        if code is not None:
-            excluded[(src, dst)].append(code)
     columns = [array[:, variable] for variable in range(num_vars)]
-    distinct = [sort_unique(column) for column in columns]
-    mark = np.zeros(num_nodes, dtype=bool)
-    key_parts: List[np.ndarray] = []
-    pivot_parts: List[np.ndarray] = []
+    found_edges: List[RowEdges] = []
     for s in range(num_vars):
         position, ends, labels = index.gather_neighborhoods(distinct[s], True)
         if position.size == 0:
@@ -156,60 +172,106 @@ def _closing_tally(
                 np.arange(total, dtype=np.int64)
                 - np.repeat(offsets - first, width)
             )
-            key_parts.append((s * num_vars + d) * num_edge_labels + label[hits])
-            pivot_parts.append(np.repeat(pivots[rows], width))
-    return key_parts, pivot_parts
+            found_edges.append((s, d, np.repeat(rows, width), label[hits]))
+    return found_edges
 
 
-def extension_counts(
+def _new_node_tally(
     index: GraphIndex,
-    pattern: Pattern,
-    matches: Union[Sequence[Match], np.ndarray],
-    can_add_node: bool,
-) -> ExtensionCounts:
-    """The ``VSpawn`` tally of one match batch (the per-worker scan).
+    array: np.ndarray,
+    pivots: np.ndarray,
+    distinct: List[np.ndarray],
+    own_edges: List[RowEdges],
+    cap: Optional[int],
+    counts: ExtensionCounts,
+) -> None:
+    """The new-node half of the tally, into ``counts``.
 
-    The closing half is a semi-join over the columns' distinct nodes
-    (:func:`_closing_tally`) and the new-node half one ragged CSR gather
-    per (variable, direction) over the rows; each half is an integer
-    group-by over ``key · |V| + pivot``.
+    An *anchor* is a distinct node of a column (``distinct[v]`` for
+    variable ``v``).  The anchors' CSR rows are gathered once per direction
+    and counted per key ``(variable, direction, edge label, endpoint
+    label)``: each anchor's neighbours under that key.  Each row then
+    expands, per variable, to its anchor's keys — not to its neighbours —
+    and keeps the count less the row's own nodes that are such neighbours:
+    ``own_edges``, every graph edge between the row's own nodes (self-loops
+    included), each one such neighbour of its source's anchor outward and
+    of its target's anchor inward.  That is the join's injectivity test,
+    so ``free`` is the number of rows the row adds to that child's join.
+    Per key: the distinct pivots of the rows with ``free > 0``, the join
+    size ``Σ free`` and, where that reaches ``cap``, the distinct pivots of
+    the join's first ``cap`` rows — row order, then CSR order, the rows
+    :func:`~repro.pattern.incremental.extend_matches` keeps under the cap.
     """
-    counts = ExtensionCounts()
-    num_vars = pattern.num_nodes
-    array = _as_match_array(matches, num_vars)
-    if array.shape[0] == 0:
-        return counts
+    num_rows, num_vars = array.shape
     num_nodes = index.num_nodes
     num_edge_labels = max(1, len(index.edge_label_values))
     num_node_labels = max(1, len(index.node_label_values))
-    pivots = array[:, pattern.pivot]
-
-    closing_key_parts, closing_pivot_parts = _closing_tally(
-        index, pattern, array, pivots
+    # keys per anchor variable; a key ``v · per_var + local`` is
+    # ``((v · 2 + outward) · |edge labels| + label) · |node labels| + endpoint``
+    per_var = 2 * num_edge_labels * num_node_labels
+    label_codes = index.node_label_codes
+    anchors = np.concatenate(distinct)
+    spans = np.array([nodes.size for nodes in distinct])
+    # item ``r · num_vars + v``: row r's anchor for variable v, as a slot
+    # of ``anchors``
+    slot = np.empty((num_rows, num_vars), dtype=np.int64)
+    for variable, nodes in enumerate(distinct):
+        slot[:, variable] = np.searchsorted(nodes, array[:, variable])
+    slot += np.cumsum(spans) - spans
+    slot = slot.ravel()
+    parts = []
+    for outward in (False, True):
+        position, ends, labels = index.gather_neighborhoods(anchors, outward)
+        parts.append(
+            position * per_var
+            + (labels + outward * num_edge_labels) * num_node_labels
+            + label_codes[ends]
+        )
+    gathered = np.concatenate(parts)
+    if gathered.size == 0:
+        return
+    # per (anchor slot, local key): the anchor's neighbours under that key
+    codes, neighbours = run_lengths(np.sort(gathered))
+    per_slot = np.bincount(codes // per_var, minlength=anchors.size)
+    first = np.cumsum(per_slot) - per_slot
+    widths = per_slot[slot]
+    offsets = np.cumsum(widths) - widths
+    total = int(offsets[-1] + widths[-1])
+    item = np.repeat(np.arange(slot.size, dtype=np.int64), widths)
+    entry = np.arange(total, dtype=np.int64) + np.repeat(
+        first[slot] - offsets, widths
     )
-    new_key_parts: List[np.ndarray] = []
-    new_pivot_parts: List[np.ndarray] = []
-    for variable in range(num_vars if can_add_node else 0):
-        column = array[:, variable]
-        for outward in (True, False):
-            row, neighbors, labels = index.gather_neighborhoods(column, outward)
-            if row.size == 0:
-                continue
-            # a neighbor mapped by the match is a closing edge, tallied above
-            free = np.ones(row.size, dtype=bool)
-            for candidate in range(num_vars):
-                free &= neighbors != array[row, candidate]
-            if not free.any():
-                continue
-            endpoint = index.node_label_codes[neighbors[free]]
-            keys = (
-                (variable * 2 + (1 if outward else 0)) * num_edge_labels
-                + labels[free]
-            ) * num_node_labels + endpoint
-            new_key_parts.append(keys)
-            new_pivot_parts.append(pivots[row[free]])
-
-    edge_labels = index.edge_label_values
+    free = neighbours[entry]
+    # the row's own nodes among its anchors' neighbours join no new node
+    owners, own_keys = [], []
+    for s, d, rows, labels in own_edges:
+        for anchor, other, outward in ((s, d, True), (d, s, False)):
+            owners.append(rows * num_vars + anchor)
+            own_keys.append(
+                (labels + outward * num_edge_labels) * num_node_labels
+                + label_codes[array[rows, other]]
+            )
+    if owners:
+        owner = slot[np.concatenate(owners)]
+        at = np.searchsorted(codes, owner * per_var + np.concatenate(own_keys))
+        free -= np.bincount(
+            offsets[np.concatenate(owners)] + at - first[owner], minlength=total
+        )
+    kept = np.flatnonzero(free > 0)
+    if kept.size == 0:
+        return
+    item = item[kept]
+    key = item % num_vars * per_var + codes[entry[kept]] % per_var
+    pivot = pivots[item // num_vars]
+    free = free[kept]
+    # the (key, pivot) pairs are distinct, so a key's run length is its
+    # distinct-pivot count
+    pairs = sort_unique(key * num_nodes + pivot)
+    keys, sizes = run_lengths(pairs // num_nodes)
+    joined = np.bincount(
+        np.searchsorted(keys, key), weights=free, minlength=keys.size
+    ).astype(np.int64)
+    edge_labels, endpoint_labels = index.edge_label_values, index.node_label_values
 
     def prefix_of(code: int) -> Tuple[int, bool, str]:
         return (
@@ -218,46 +280,117 @@ def extension_counts(
             edge_labels[code % num_edge_labels],
         )
 
-    # the (key, pivot) pairs are distinct, so a key's run length is its
-    # distinct-pivot count
-    if closing_key_parts:
-        pairs = sort_unique(
-            np.concatenate(closing_key_parts) * num_nodes
-            + np.concatenate(closing_pivot_parts)
+    for code, size, join_size in zip(
+        keys.tolist(), sizes.tolist(), joined.tolist()
+    ):
+        prefix = prefix_of(code // num_node_labels)
+        child = prefix + (endpoint_labels[code % num_node_labels],)
+        counts.new_node[child] = size
+        counts.rows[child] = join_size
+        counts.prefix_labels.setdefault(prefix, set()).add(child[3])
+        if cap is not None and join_size >= cap:
+            # a key's entries come in row order, one per row
+            chosen = np.flatnonzero(key == code)
+            stop = int(np.searchsorted(np.cumsum(free[chosen]), cap))
+            counts.capped[child] = int(sort_unique(pivot[chosen[:stop + 1]]).size)
+    # the same pivot may reach one prefix under several endpoint labels
+    prefix_pairs = sort_unique(
+        pairs // (num_node_labels * num_nodes) * num_nodes + pairs % num_nodes
+    )
+    prefixes, sizes = run_lengths(prefix_pairs // num_nodes)
+    for code, size in zip(prefixes.tolist(), sizes.tolist()):
+        counts.prefix_pivots[prefix_of(code)] = size
+
+
+def extension_counts(
+    index: GraphIndex,
+    pattern: Pattern,
+    matches: Union[Sequence[Match], np.ndarray],
+    can_add_node: bool,
+    cap: Optional[int] = None,
+) -> ExtensionCounts:
+    """The ``VSpawn`` tally of one match batch (the per-worker scan).
+
+    Each column's distinct nodes are read once off a |V| mark table.  The
+    graph edges between each row's own nodes that are no pattern edge
+    (:func:`_row_edges`, a semi-join over those distinct nodes) are the
+    closing half; with the pattern's own edges, which every row holds,
+    they are also what the new-node half (:func:`_new_node_tally`)
+    subtracts from each anchor's neighbours.  Each half is an integer
+    group-by over ``key · |V| + pivot``.  ``rows`` is each new-node
+    child's exact join size; where a key's ``rows`` reach ``cap``
+    (``None``: no cap), ``capped`` holds the distinct pivots of that join's
+    first ``cap`` rows.
+    """
+    counts = ExtensionCounts()
+    num_vars = pattern.num_nodes
+    array = _as_match_array(matches, num_vars)
+    num_rows = array.shape[0]
+    if num_rows == 0:
+        return counts
+    num_nodes = index.num_nodes
+    num_edge_labels = max(1, len(index.edge_label_values))
+    pivots = array[:, pattern.pivot]
+    mark = np.zeros(num_nodes, dtype=bool)
+    distinct: List[np.ndarray] = []
+    for variable in range(num_vars):
+        mark[array[:, variable]] = True
+        distinct.append(np.flatnonzero(mark))
+        mark[array[:, variable]] = False
+    # pattern edges are no closing candidates, and every row holds them
+    # (labels absent from the graph hold nowhere, so they are dropped)
+    excluded: Dict[Tuple[int, int], List[int]] = defaultdict(list)
+    for src, dst, label in pattern.edge_set():
+        code = index.edge_label_code_of.get(label)
+        if code is not None:
+            excluded[(src, dst)].append(code)
+    own_edges = _row_edges(index, array, distinct, excluded, mark)
+    if can_add_node:
+        every_row = np.arange(num_rows, dtype=np.int64)
+        pattern_edges = [
+            (src, dst, every_row, np.full(num_rows, code, dtype=np.int64))
+            for (src, dst), codes in excluded.items()
+            for code in codes
+        ]
+        _new_node_tally(
+            index, array, pivots, distinct, own_edges + pattern_edges, cap,
+            counts,
         )
+    if own_edges:
+        # the (key, pivot) pairs are distinct, so a key's run length is its
+        # distinct-pivot count
+        pairs = sort_unique(np.concatenate([
+            ((s * num_vars + d) * num_edge_labels + labels) * num_nodes
+            + pivots[rows]
+            for s, d, rows, labels in own_edges
+        ]))
         keys, sizes = run_lengths(pairs // num_nodes)
+        edge_labels = index.edge_label_values
         for key, size in zip(keys.tolist(), sizes.tolist()):
             pair = key // num_edge_labels
             label = edge_labels[key % num_edge_labels]
             counts.closing[(pair // num_vars, pair % num_vars, label)] = size
-    if new_key_parts:
-        pairs = sort_unique(
-            np.concatenate(new_key_parts) * num_nodes
-            + np.concatenate(new_pivot_parts)
-        )
-        keys, sizes = run_lengths(pairs // num_nodes)
-        for key, size in zip(keys.tolist(), sizes.tolist()):
-            prefix = prefix_of(key // num_node_labels)
-            endpoint = index.node_label_values[key % num_node_labels]
-            counts.new_node[prefix + (endpoint,)] = size
-            counts.prefix_labels.setdefault(prefix, set()).add(endpoint)
-        # the same pivot may reach one prefix under several endpoint labels
-        prefix_pairs = sort_unique(
-            pairs // (num_node_labels * num_nodes) * num_nodes
-            + pairs % num_nodes
-        )
-        prefixes, sizes = run_lengths(prefix_pairs // num_nodes)
-        for code, size in zip(prefixes.tolist(), sizes.tolist()):
-            counts.prefix_pivots[prefix_of(code)] = size
     return counts
 
 
 def merge_extension_counts(parts: Sequence[ExtensionCounts]) -> ExtensionCounts:
-    """Sum per-shard counts (valid under pivot-disjoint sharding)."""
+    """Sum per-shard counts (valid under pivot-disjoint sharding).
+
+    A shard whose join of a key reaches the cap contributes its capped
+    support instead of its full count, so the merged ``capped`` is the
+    merged count corrected by those shards' differences.
+    """
     merged = ExtensionCounts()
+    correction: Dict[NewNodeKey, int] = {}
     for part in parts:
         for key, count in part.new_node.items():
             merged.new_node[key] = merged.new_node.get(key, 0) + count
+        for key, count in part.rows.items():
+            merged.rows[key] = merged.rows.get(key, 0) + count
+        for key, count in part.capped.items():
+            correction[key] = (
+                correction.get(key, 0) + count - part.new_node[key]
+            )
         for key, count in part.closing.items():
             merged.closing[key] = merged.closing.get(key, 0) + count
         for prefix, count in part.prefix_pivots.items():
@@ -266,6 +399,8 @@ def merge_extension_counts(parts: Sequence[ExtensionCounts]) -> ExtensionCounts:
             )
         for prefix, labels in part.prefix_labels.items():
             merged.prefix_labels.setdefault(prefix, set()).update(labels)
+    for key, difference in correction.items():
+        merged.capped[key] = merged.new_node[key] + difference
     return merged
 
 

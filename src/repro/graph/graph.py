@@ -364,12 +364,45 @@ class Graph:
         return dict(self._edge_label_count)
 
     def copy(self) -> "Graph":
-        """A deep, independent copy of the graph."""
+        """A deep, independent copy of the graph.
+
+        The containers are copied, not the mutations replayed, yet the copy
+        is the one a replay (every ``add_node``, then every ``add_edge`` in
+        :meth:`edges` order) would build: versions ``n + m``, the label
+        index in node order, ``_in`` and the edge-label counts in edge
+        order, and a multi-label pair's set grown label by label.  Label
+        sets are immutable, so the copy shares them.
+        """
         clone = Graph()
-        for node in self.nodes():
-            clone.add_node(self._labels[node], self._attrs[node])
-        for src, dst, label in self.edges():
-            clone.add_edge(src, dst, label)
+        clone._labels = list(self._labels)
+        clone._attrs = [dict(attrs) for attrs in self._attrs]
+        for node, label in enumerate(self._labels):
+            clone._label_index.setdefault(label, []).append(node)
+        singletons = self._singletons
+        order: Dict[str, None] = {}  # edge labels by first appearance
+        seen: Set[FrozenSet[str]] = set()
+        clone._out = out = [dict(adjacency) for adjacency in self._out]
+        clone._in = incoming = [{} for _ in self._in]
+        for src, adjacency in enumerate(out):
+            for dst, labels in adjacency.items():
+                if labels not in seen:
+                    seen.add(labels)
+                    order.update(dict.fromkeys(labels))
+                if len(labels) > 1:  # the set add_edge would have grown
+                    grown = None
+                    for label in labels:
+                        single = singletons[label]
+                        grown = single if grown is None else grown | single
+                    adjacency[dst] = labels = grown
+                incoming[dst][src] = labels
+        clone._singletons = {label: singletons[label] for label in order}
+        clone._edge_label_count = {
+            label: self._edge_label_count[label] for label in order
+        }
+        clone._num_edges = self._num_edges
+        clone._version = clone._structure_version = (
+            len(self._labels) + self._num_edges
+        )
         return clone
 
     # ------------------------------------------------------------------

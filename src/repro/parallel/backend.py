@@ -84,7 +84,7 @@ from ..gfd.implication import ImplicationChecker, greedy_group_elimination
 from ..graph.graph import Graph
 from ..graph.index import GraphIndex
 from ..obs.tracer import NULL_TRACER
-from ..pattern.incremental import extend_matches
+from ..pattern.incremental import JoinPrelude, extend_matches, join_prelude
 from . import janitor
 from .faults import FAULT_PLAN_ENV, FaultPlan
 
@@ -541,10 +541,17 @@ class ShardWorker:
         return table.num_rows, values, agreements
 
     def op_tally(self, key: int, payload: Dict[str, Any]):
-        """This shard's extension tallies as shippable counts."""
+        """This shard's extension tallies as shippable counts.
+
+        Besides the distinct-pivot counts, each new-node key carries this
+        shard's join size and, where that reaches ``payload["cap"]``, the
+        support of the shard's capped join: the master truncates such a
+        child from the tally, without a join.
+        """
         table = self.tables[key]
         return extension_counts(
-            self.index, table.pattern, table.match_array, payload["can_add"]
+            self.index, table.pattern, table.match_array, payload["can_add"],
+            payload["cap"],
         )
 
     def op_join(self, key: int, payload: Dict[str, Any]) -> List[Tuple]:
@@ -555,14 +562,35 @@ class ShardWorker:
         ``(local support, count, hit_cap)`` per extension travels back;
         ``cap`` bounds the per-shard join (``config.max_matches_per_pattern``
         enforcement — the master combines the flags into the global
-        truncation verdict).
+        truncation verdict).  The master sends only children it will
+        install (a new-node child the tally truncates is never joined), and
+        the new-node extensions of one ``(anchor variable, direction)``
+        share one :func:`~repro.pattern.incremental.join_prelude`: the
+        anchors are sorted and their CSR rows gathered once per group.
         """
         parent_matches = self.tables[key].match_array
         cap = payload["cap"]
+        extensions = payload["extensions"]
+        # a group's prelude is dropped after the group's last extension
+        last = {
+            (extension.src, extension.outward): position
+            for position, (extension, _) in enumerate(extensions)
+            if not extension.is_closing
+        }
+        preludes: Dict[Tuple[int, bool], JoinPrelude] = {}
         results: List[Tuple] = []
-        for position, (extension, pivot_var) in enumerate(payload["extensions"]):
+        for position, (extension, pivot_var) in enumerate(extensions):
+            prelude = None
+            if not extension.is_closing and parent_matches.shape[0]:
+                group = (extension.src, extension.outward)
+                prelude = preludes.pop(group, None)
+                if prelude is None:
+                    prelude = join_prelude(self.index, parent_matches, *group)
+                if last[group] != position:
+                    preludes[group] = prelude
             matches = extend_matches(
-                self.index, parent_matches, extension, max_matches=cap
+                self.index, parent_matches, extension, max_matches=cap,
+                prelude=prelude,
             )
             count = int(matches.shape[0])
             support = int(np.unique(matches[:, pivot_var]).size) if count else 0

@@ -76,7 +76,7 @@ from ..graph.graph import Graph
 from ..graph.index import GraphIndex
 from ..graph.statistics import GraphStatistics
 from ..obs.tracer import NULL_TRACER
-from ..pattern.embedding import embedding_batch
+from ..pattern.embedding import DistinctPatterns, embedding_batch
 from ..pattern.incremental import Extension, apply_extension
 from ..pattern.pattern import WILDCARD, Pattern
 from .backend import (
@@ -415,6 +415,9 @@ class ParallelDiscovery:
         #: the current level's same-level generalizations, per pattern
         #: (:meth:`GenerationTree.generalizations`)
         self._generals: Dict[TreeNode, List] = {}
+        #: the distinct patterns holding ``∅ → false`` in this run so far
+        #: (:meth:`_settle`)
+        self._held: Dict[Pattern, None] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -506,6 +509,7 @@ class ParallelDiscovery:
         unbudgeted stream; ``max_rules=0`` mines nothing.
         """
         self._tree = tree  # HSpawn reads it: a pattern inherits when mined
+        self._held = {}
         last = self.config.k
         if max_levels is not None:
             last = min(last, max_levels)
@@ -737,14 +741,27 @@ class ParallelDiscovery:
         ``Q(∅ → false)`` is not reduced when a pattern holding ``∅ → false``
         (emitted there, or dominated in turn) embeds in ``Q``: one of a
         level below — parent or not — or a same-level generalization.  It
-        is skipped, and held here for the patterns above.
+        is skipped, and held here for the patterns above.  Only the held
+        patterns that pass the label-count prefilter
+        (:meth:`DistinctPatterns.may_embed_into`) into a zero-support
+        pattern are searched for an embedding.
         """
         self._generals = tree.generalizations(nodes)
         zero = [n for n in nodes if self.config.mine_negative and not n.support]
-        held = [n for n in tree.all_nodes() if _NEGATIVE in n.valid_pairs]
-        pairs = [(smaller, node) for node in zero for smaller in held]
-        found = embedding_batch([(a.pattern, b.pattern, True) for a, b in pairs], 1)
-        below = {node for (_, node), mappings in zip(pairs, found) if mappings}
+        below: Set[TreeNode] = set()
+        if zero and self._held:
+            held = DistinctPatterns(self._held)
+            pairs = [
+                (held.patterns[slot], node)
+                for node, slots in zip(
+                    zero, held.may_embed_into([node.pattern for node in zero])
+                )
+                for slot in slots
+            ]
+            found = embedding_batch(
+                [(smaller, node.pattern, True) for smaller, node in pairs], 1
+            )
+            below = {node for (_, node), mappings in zip(pairs, found) if mappings}
         negated: Set[TreeNode] = set()
         for node in generality(zero):  # a generalization decides first
             wider = [general for general, _ in self._generals.get(node, ())]
@@ -753,6 +770,9 @@ class ParallelDiscovery:
             elif node.parents[0].support >= self.config.sigma:
                 node.valid_pairs.add(_NEGATIVE)
                 negated.add(node)
+        self._held.update(
+            (node.pattern, None) for node in zero if _NEGATIVE in node.valid_pairs
+        )
         for node in nodes:
             if node.support >= self.config.sigma:
                 self.stats.patterns_frequent += 1
@@ -920,6 +940,33 @@ class ParallelDiscovery:
             return count
         return None
 
+    def _truncated_support(
+        self, merged: ExtensionCounts, extension: Extension
+    ) -> Optional[int]:
+        """The support of a new-node child the parent's tally already truncates.
+
+        The tally knows a concrete-label new-node child's exact join size
+        (``merged.rows``, summed over shards).  The capped join truncates
+        the child iff that sum reaches ``max_matches_per_pattern``, and its
+        support is then the sum of each shard's support over its first
+        ``cap`` rows (``merged.capped``; ``merged.new_node`` where no shard
+        reached the cap alone).  Returns ``None`` when the child is not
+        truncated or the tally has no key for it (a closing or wildcard
+        extension).
+        """
+        cap = self.config.max_matches_per_pattern
+        if cap is None or extension.is_closing or (
+            extension.new_node_label == WILDCARD
+        ):
+            return None
+        key = (
+            extension.src, extension.outward, extension.edge_label,
+            extension.new_node_label,
+        )
+        if merged.rows.get(key, 0) < cap:
+            return None
+        return merged.capped.get(key, merged.new_node[key])
+
     def _vspawn_level(
         self, tree: GenerationTree, level: int
     ) -> List[TreeNode]:
@@ -927,14 +974,18 @@ class ParallelDiscovery:
 
         Every surviving parent tallies in one superstep, every novel child
         that will be mined or extended joins in one superstep, and every
-        non-truncated joined child installs in one superstep, adopting the
-        rows its join parked on each worker.  A closing child the
-        tally already fixes as a leaf (:meth:`_leaf_support`) takes its
-        support from the tally: no join, no install, no worker key — it
-        only keeps its slot in the per-child bookkeeping.  Master-side
-        dedup, support aggregation and the zero-support negative emissions
-        run in per-parent, per-child order, so the discovered set does not
-        depend on ``n``.
+        joined child installs in one superstep, adopting the rows its join
+        parked on each worker.  Two kinds of child take their support from
+        the tally and are never joined: a closing child the tally fixes as
+        a leaf (:meth:`_leaf_support`), which gets no install, no worker
+        key and only keeps its slot in the per-child bookkeeping; and a
+        new-node child whose tallied join size reaches the match cap
+        (:meth:`_truncated_support`), which goes to the install batch
+        flagged truncated, as the capped join's verdict did.  So the join
+        superstep carries installable children only.  Master-side dedup,
+        support aggregation and the zero-support negative emissions run in
+        per-parent, per-child order, so the discovered set does not depend
+        on ``n``.
         """
         created_nodes: List[TreeNode] = []
         parents = list(tree.level(level - 1))
@@ -963,7 +1014,10 @@ class ParallelDiscovery:
                 worker,
                 "tally",
                 parent_key,
-                {"can_add": parent.pattern.num_nodes < self.config.k},
+                {
+                    "can_add": parent.pattern.num_nodes < self.config.k,
+                    "cap": cap,
+                },
             )
             for parent, parent_key in eligible
             for worker in range(n)
@@ -972,10 +1026,12 @@ class ParallelDiscovery:
 
         # master-side extension generation + dedup, in parent order (the
         # dedup against earlier parents' children is order-sensitive); a
-        # child the tally makes a leaf carries ``None`` for its extension
+        # child the tally makes a leaf or truncates carries ``None`` for its
+        # extension
         novel_by_parent: List[
             Tuple[TreeNode, int, List[Tuple[TreeNode, Optional[Extension]]]]
         ] = []
+        truncated_by_tally: Set[TreeNode] = set()
         for index, (parent, parent_key) in enumerate(eligible):
             parts = parts_all[index * n:(index + 1) * n]
             novel: List[Tuple[TreeNode, Optional[Extension]]] = []
@@ -991,11 +1047,15 @@ class ParallelDiscovery:
                     if not created:
                         continue
                     self.stats.patterns_spawned += 1
-                    leaf_support = self._leaf_support(merged, extension)
-                    if leaf_support is None:
+                    support = self._leaf_support(merged, extension)
+                    if support is None:
+                        support = self._truncated_support(merged, extension)
+                        if support is not None:
+                            truncated_by_tally.add(node)
+                    if support is None:
                         novel.append((node, extension))
                     else:
-                        node.support = leaf_support
+                        node.support = support
                         novel.append((node, None))
             novel_by_parent.append((parent, parent_key, novel))
 
@@ -1041,8 +1101,10 @@ class ParallelDiscovery:
             position = -1
             for node, extension in novel:
                 created_nodes.append(node)
-                if extension is None:
-                    continue  # a leaf by the tally: support already set
+                if extension is None:  # support already set by the tally
+                    if node in truncated_by_tally:
+                        install_batch.append((node, True, []))
+                    continue
                 position += 1
                 supports, sizes, hit_caps = zip(
                     *(joined[worker][position] for worker in range(n))

@@ -11,14 +11,20 @@ at a time on the dict adjacency (:func:`repro.oracle.extend_match`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from ..graph.index import GraphIndex
 from .pattern import WILDCARD, Match, Pattern
 
-__all__ = ["Extension", "apply_extension", "extend_matches"]
+__all__ = [
+    "Extension",
+    "JoinPrelude",
+    "apply_extension",
+    "extend_matches",
+    "join_prelude",
+]
 
 #: A batch of matches: list of tuples, or an ``(N, num_vars)`` int64 array.
 MatchBatch = Union[Sequence[Match], np.ndarray]
@@ -76,20 +82,82 @@ def _as_match_array(matches: MatchBatch, width: int) -> np.ndarray:
     return np.asarray(matches, dtype=np.int64)
 
 
+class JoinPrelude(NamedTuple):
+    """What every new-node join of one ``(anchor variable, direction)``
+    shares: the rows' distinct anchors and their CSR rows, gathered once.
+
+    ``inverse[i]`` is row ``i``'s anchor position; the flat pool lists the
+    distinct anchors' CSR entries in anchor order, then CSR order:
+    ``anchor_row`` (anchor position), ``neighbors``, ``edge_labels`` (edge
+    label codes) and ``endpoint_labels`` (the neighbours' node label
+    codes).
+    """
+
+    inverse: np.ndarray
+    num_anchors: int
+    anchor_row: np.ndarray
+    neighbors: np.ndarray
+    edge_labels: np.ndarray
+    endpoint_labels: np.ndarray
+
+
+def join_prelude(
+    index: GraphIndex, array: np.ndarray, src: int, outward: bool
+) -> JoinPrelude:
+    """The :class:`JoinPrelude` of a non-empty match array for the new-node
+    extensions anchored at ``src`` in direction ``outward``.
+
+    Array methods and an inline unique keep a small batch (a refresh's
+    anchored joins see a handful of rows) at a few dozen numpy calls.
+    """
+    anchors = array[:, src]
+    order = anchors.argsort()
+    ordered = anchors[order]
+    head = np.empty(ordered.size, dtype=bool)
+    head[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    unique_anchors = ordered[head]
+    inverse = np.empty(ordered.size, dtype=np.intp)
+    inverse[order] = head.cumsum() - 1
+    # one ragged gather over the distinct anchors' CSR rows, in row-major
+    # order, so the flat pool stays grouped by anchor
+    if outward:
+        indptr, neighbors, labels = (
+            index.out_indptr, index.out_neighbors, index.out_edge_labels
+        )
+    else:
+        indptr, neighbors, labels = (
+            index.in_indptr, index.in_neighbors, index.in_edge_labels
+        )
+    starts = indptr[unique_anchors]
+    lengths = indptr[unique_anchors + 1] - starts
+    total = int(lengths.sum())
+    anchor_row = np.arange(unique_anchors.size).repeat(lengths)
+    flat = np.arange(total) + (starts - lengths.cumsum() + lengths).repeat(lengths)
+    pool = neighbors[flat]
+    return JoinPrelude(
+        inverse, int(unique_anchors.size), anchor_row, pool, labels[flat],
+        index.node_label_codes[pool],
+    )
+
+
 def extend_matches(
     index: GraphIndex,
     matches: MatchBatch,
     extension: Extension,
     max_matches: Optional[int] = None,
+    prelude: Optional[JoinPrelude] = None,
 ) -> np.ndarray:
     """Join a batch of base matches with the extension edge.
 
     The whole batch is joined at once: one edge-existence ``searchsorted``
-    for a closing edge; one ragged neighborhood gather + label-mask for a
-    new-node fan-out.  Returns the ``(N, vars)`` int64 array — the workers
-    keep batches in array form end to end.  Per match, neighbors come in
-    CSR order, so a binding ``max_matches`` keeps the first joins in that
-    order.
+    for a closing edge; for a new-node fan-out, the distinct anchors' CSR
+    rows (the :class:`JoinPrelude`, computed here unless the caller passes
+    the one it shares among its extensions of this anchor and direction),
+    a label mask over them, and a per-row expansion.  Returns the
+    ``(N, vars)`` int64 array — the workers keep batches in array form end
+    to end.  Per match, neighbors come in CSR order, so a binding
+    ``max_matches`` keeps the first joins in row order, then CSR order.
     """
     # the batch width: a new-node extension's fresh variable is ``dst``, so
     # the parent batch has exactly ``dst`` columns; a closing edge needs at
@@ -119,10 +187,8 @@ def extend_matches(
             result = result[:max_matches]
         return result
 
-    # new-node fan-out: group rows by anchor node, compute each distinct
-    # anchor's filtered candidate list once, then expand per row.  Array
-    # methods and an inline unique keep a small batch (a refresh's anchored
-    # joins see a handful of rows) at a few dozen numpy calls.
+    # new-node fan-out: each distinct anchor's filtered candidate list is
+    # computed once off the prelude, then expanded per row
     edge_code = -1
     if extension.edge_label != WILDCARD:
         edge_code = index.edge_label_code(extension.edge_label)
@@ -136,36 +202,17 @@ def extend_matches(
 
     width = array.shape[1]
     empty = np.empty((0, width + 1), dtype=np.int64)
-    anchors = array[:, extension.src]
-    order = anchors.argsort()
-    ordered = anchors[order]
-    head = np.empty(ordered.size, dtype=bool)
-    head[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-    unique_anchors = ordered[head]
-    inverse = np.empty(ordered.size, dtype=np.intp)
-    inverse[order] = head.cumsum() - 1
-    # one ragged gather over the distinct anchors' CSR rows, in row-major
-    # order, so the flat pool stays grouped by anchor
-    if extension.outward:
-        indptr, neighbors, labels = (
-            index.out_indptr, index.out_neighbors, index.out_edge_labels
-        )
-    else:
-        indptr, neighbors, labels = (
-            index.in_indptr, index.in_neighbors, index.in_edge_labels
-        )
-    starts = indptr[unique_anchors]
-    lengths = indptr[unique_anchors + 1] - starts
-    total = int(lengths.sum())
+    if prelude is None:
+        prelude = join_prelude(index, array, extension.src, extension.outward)
+    inverse, anchor_row, flat_pool = (
+        prelude.inverse, prelude.anchor_row, prelude.neighbors
+    )
+    total = flat_pool.size
     if total == 0:
         return empty
-    anchor_row = np.arange(unique_anchors.size).repeat(lengths)
-    flat = np.arange(total) + (starts - lengths.cumsum() + lengths).repeat(lengths)
-    flat_pool = neighbors[flat]
     keep = None
     if edge_code >= 0:
-        keep = labels[flat] == edge_code
+        keep = prelude.edge_labels == edge_code
     elif total > 1:
         # wildcard edge label: parallel edges list the same endpoint once
         # per label; dedup per (anchor, neighbor) like dict-adjacency keys
@@ -175,12 +222,12 @@ def extend_matches(
         np.not_equal(flat_pool[1:], flat_pool[:-1], out=keep[1:])
         keep[1:] |= anchor_row[1:] != anchor_row[:-1]
     if node_code >= 0:
-        labelled = index.node_label_codes[flat_pool] == node_code
+        labelled = prelude.endpoint_labels == node_code
         keep = labelled if keep is None else keep & labelled
     if keep is not None:
         anchor_row = anchor_row[keep]
         flat_pool = flat_pool[keep]
-    pool_lengths = np.bincount(anchor_row, minlength=unique_anchors.size)
+    pool_lengths = np.bincount(anchor_row, minlength=prelude.num_anchors)
     pool_offsets = pool_lengths.cumsum() - pool_lengths
     counts = pool_lengths[inverse]
     total = int(counts.sum())

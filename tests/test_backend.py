@@ -418,6 +418,72 @@ class TestMatchCapAgreement:
                 id(parent) in engine.truncated for parent in node.parents
             )
 
+    #: ``{(cap, k, n): {truncated pattern: support}}``: the supports the
+    #: capped joins gave (each shard's distinct pivots over its first
+    #: ``cap`` rows, summed), pinned from the engine that still joined them.
+    TRUNCATED = {
+        (10, 2, 1): {
+            "Pattern[x:city,y:person | y-[live_in]->x | pivot=x]": 4,
+            "Pattern[x:person,y:city | x-[live_in]->y | pivot=x]": 10,
+            "Pattern[x:person,y:person | x-[like]->y | pivot=x]": 10,
+            "Pattern[x:person,y:person | y-[like]->x | pivot=x]": 10,
+        },
+        (10, 2, 3): {
+            "Pattern[x:city,y:person | y-[live_in]->x | pivot=x]": 8,
+            "Pattern[x:person,y:city | x-[live_in]->y | pivot=x]": 24,
+            "Pattern[x:person,y:person | x-[like]->y | pivot=x]": 24,
+            "Pattern[x:person,y:person | y-[like]->x | pivot=x]": 24,
+        },
+        (30, 3, 1): {
+            "Pattern[x:city,y:person,z:person | y-[live_in]->x, "
+            "z-[live_in]->x | pivot=x]": 5,
+            "Pattern[x:person,y:city,z:person | x-[live_in]->y, "
+            "z-[live_in]->y | pivot=x]": 15,
+        },
+        (30, 3, 3): {
+            "Pattern[x:city,y:person,z:person | y-[live_in]->x, "
+            "z-[live_in]->x | pivot=x]": 8,
+            "Pattern[x:person,y:city,z:person | x-[live_in]->y, "
+            "z-[live_in]->y | pivot=x]": 24,
+        },
+    }
+
+    @pytest.mark.parametrize("cap, k, workers", sorted(TRUNCATED))
+    def test_truncation_needs_no_join(self, cap, k, workers):
+        """The tally's row counts truncate a child before any join: every
+        joined row is installed, each truncated child keeps the capped
+        join's support, and serial and multiprocess agree."""
+        config = small_config(max_matches_per_pattern=cap, k=k)
+        outcomes = []
+        for backend in ("serial", "multiprocess"):
+            engine = _TruncationRecorder(
+                small_graph(), config, workers, backend=backend
+            )
+            result = engine.run()
+            seeded = sum(node.support for node in result.tree.level(0))
+            work = engine.work
+            assert sum(work.rows_joined) == sum(work.rows_installed) - seeded
+            truncated = {
+                repr(node.pattern): node.support for node in engine.truncated
+            }
+            assert len(truncated) == result.stats.truncated_patterns
+            assert truncated == self.TRUNCATED[(cap, k, workers)]
+            result.stats.elapsed_seconds = 0.0  # the one field a clock sets
+            outcomes.append((work.supersteps, work.as_dict(), result.stats))
+        assert outcomes[0] == outcomes[1]
+
+
+class _TruncationRecorder(ParallelDiscovery):
+    """ParDis keeping the nodes its installs are told are truncated."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.truncated = []
+
+    def _install_shards_many(self, batch):
+        self.truncated.extend(node for node, capped, _ in batch if capped)
+        super()._install_shards_many(batch)
+
 
 def skewed_graph(num_workers: int = 3) -> Graph:
     """Hub pivots colocated on worker 0, so hub-pivoted shards are skewed."""

@@ -6,7 +6,7 @@ import gc
 import tracemalloc
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -294,6 +294,116 @@ class TestWhatAGraphKeeps:
 EDGE_LABEL_POOL = ["e0", "e1", "e2", "e3"]
 NODE_LABEL_POOL = ["A", "B", "C"]
 ANY_NODE = st.integers(0, 10**6)
+
+
+def replay_copy(graph: Graph) -> Graph:
+    """The copy a replay of the graph through its mutators builds."""
+    clone = Graph()
+    for node in graph.nodes():
+        clone.add_node(graph.node_label(node), graph.node_attrs(node))
+    for src, dst, label in graph.edges():
+        clone.add_edge(src, dst, label)
+    return clone
+
+
+def observed(graph: Graph):
+    """Everything of a graph a caller can tell apart, orders included."""
+    meta, arrays = graph.index().export_buffers()
+    return {
+        "versions": (graph.version, graph.structure_version),
+        "labels": [graph.node_label(node) for node in graph.nodes()],
+        "attrs": [list(graph.node_attrs(node).items()) for node in graph.nodes()],
+        "label_index": [
+            (label, list(graph.nodes_with_label(label)))
+            for label in graph._label_index
+        ],
+        "out": [list(graph.out_neighbors(node).items()) for node in graph.nodes()],
+        "in": [list(graph.in_neighbors(node).items()) for node in graph.nodes()],
+        "edges": list(graph.edges()),
+        "edge_label_counts": list(graph.edge_label_counts().items()),
+        "singletons": list(graph._singletons.items()),
+        "num_edges": graph.num_edges,
+        "meta": {key: value for key, value in meta.items() if key != "values"},
+        "values": [repr(value) for value in meta["values"]],
+        "arrays": {name: array.tobytes() for name, array in arrays.items()},
+    }
+
+
+MUTATION = st.one_of(
+    st.tuples(st.just("add_node"), st.sampled_from(NODE_LABEL_POOL), ANY_NODE),
+    st.tuples(st.just("add_edge"), ANY_NODE, ANY_NODE,
+              st.sampled_from(EDGE_LABEL_POOL)),
+    st.tuples(st.just("remove_edge"), ANY_NODE),
+    st.tuples(st.just("relabel_edge"), ANY_NODE, st.sampled_from(EDGE_LABEL_POOL)),
+    st.tuples(st.just("relabel_node"), ANY_NODE, st.sampled_from(NODE_LABEL_POOL)),
+    st.tuples(st.just("set_attr"), ANY_NODE, st.sampled_from(["a", "b"]),
+              st.integers(0, 3)),
+    st.tuples(st.just("remove_attr"), ANY_NODE, st.sampled_from(["a", "b"])),
+)
+
+
+def apply_mutation(graph: Graph, mutation) -> None:
+    kind, *args = mutation
+    if kind == "add_node":
+        graph.add_node(args[0], {"a": args[1] % 4} if args[1] % 2 else None)
+        return
+    if not graph.num_nodes:
+        return
+    edges = sorted(graph.edges())
+    if kind == "add_edge":
+        graph.add_edge(args[0] % graph.num_nodes, args[1] % graph.num_nodes, args[2])
+    elif kind == "remove_edge" and edges:
+        graph.remove_edge(*edges[args[0] % len(edges)])
+    elif kind == "relabel_edge" and edges:
+        src, dst, old = edges[args[0] % len(edges)]
+        graph.relabel_edge(src, dst, old, args[1])
+    elif kind == "relabel_node":
+        graph.relabel_node(args[0] % graph.num_nodes, args[1])
+    elif kind == "set_attr":
+        graph.set_attr(args[0] % graph.num_nodes, args[1], args[2])
+    elif kind == "remove_attr":
+        graph.remove_attr(args[0] % graph.num_nodes, args[1])
+
+
+class TestCopy:
+    """``Graph.copy`` copies containers, yet equals a mutator replay."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        history=st.lists(MUTATION, max_size=60),
+        later=st.lists(MUTATION, min_size=1, max_size=10),
+    )
+    def test_copy_equals_replay_and_stays_independent(self, history, later):
+        graph = Graph()
+        for mutation in history:
+            apply_mutation(graph, mutation)
+        graph.index()  # a cached index must not leak into the copy
+        before = observed(graph)
+        clone = graph.copy()
+        assert clone._index_cache is None and not clone._stale_nodes
+        assert observed(clone) == observed(replay_copy(graph))
+        assert_pairs_shared(clone)
+        # later writes to either side leave the other as it was
+        reference = replay_copy(graph)
+        for mutation in later:
+            apply_mutation(clone, mutation)
+        assert observed(graph) == before
+        for mutation in later:
+            apply_mutation(reference, mutation)
+        assert observed(clone) == observed(reference)
+        for mutation in later:
+            apply_mutation(graph, mutation)
+        assert observed(clone) == observed(reference)
+        assert_pairs_shared(graph)
+        assert_pairs_shared(clone)
+
+    def test_copy_of_a_knowledge_graph_equals_replay(self):
+        graph = dbpedia_like(0.3, seed=3)
+        graph.relabel_node(5, "film")
+        graph.add_edge(0, 1, "p")
+        graph.add_edge(0, 1, "q")
+        graph.remove_edge(*next(graph.edges()))
+        assert observed(graph.copy()) == observed(replay_copy(graph))
 
 
 class AdjacencyMachine(RuleBasedStateMachine):

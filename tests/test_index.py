@@ -101,7 +101,40 @@ def assert_tally_matches_oracle(graph, pattern, can_add_node, tallied=None):
     assert counts_as_dicts(counted) == counts_as_dicts(oracle)
     for value in list(counted.new_node.values()) + list(counted.closing.values()):
         assert type(value) is int and value > 0
+    if can_add_node:
+        assert_tally_rows_match_joins(graph.index(), tallied, matches)
     return counted
+
+
+#: Caps of the tally-vs-join checks: none, and ones that end a join in the
+#: middle of a row's fan-out as well as at its end.
+CAPS = [None, 1, 2, 3, 5, 8, 13]
+
+
+def assert_tally_rows_match_joins(index, pattern, matches, caps=CAPS):
+    """Per new-node key, the tally's rows are the join's size and, where
+    they reach the cap, its capped support is the capped join's distinct
+    pivots (and no other key carries a capped support)."""
+    array = np.asarray(matches, dtype=np.int64).reshape(-1, pattern.num_nodes)
+    for cap in caps:
+        counted = extension_counts(index, pattern, array, True, cap)
+        assert counted.rows.keys() == counted.new_node.keys()
+        capped_keys = set()
+        for key in counted.new_node:
+            variable, outward, label, endpoint = key
+            extension = Extension(
+                variable, pattern.num_nodes, label, endpoint, outward
+            )
+            joined = extend_matches(index, array, extension)
+            assert counted.rows[key] == len(joined)
+            assert type(counted.rows[key]) is int
+            if cap is not None and len(joined) >= cap:
+                capped_keys.add(key)
+                kept = extend_matches(index, array, extension, max_matches=cap)
+                assert counted.capped[key] == np.unique(
+                    kept[:, pattern.pivot]
+                ).size
+        assert set(counted.capped) == capped_keys
 
 
 class TestMatcherEquivalence:
@@ -582,6 +615,35 @@ class TestSpawningEquivalence:
         pattern = Pattern(["A", "A"], [(0, 1, "p")])
         counted = assert_tally_matches_oracle(graph, pattern, False)
         assert counted.closing == {(0, 0, "q"): 1, (1, 1, "q"): 1}
+
+    def test_hub_rows_and_caps(self):
+        """A hub anchor (node 0) shared by every row, with a self-loop,
+        parallel ``p``/``q`` edges to node 1, and every row's own pivot
+        among the hub's ``(label, endpoint)``-neighbours: rows expand to
+        the hub's keys less their own nodes, and caps end mid-row."""
+        graph = Graph()
+        graph.add_node("A")
+        for _ in range(8):
+            graph.add_node("B")
+        for citizen in range(1, 9):
+            graph.add_edge(citizen, 0, "p")
+            if citizen % 3:
+                graph.add_edge(0, citizen, "q")
+        graph.add_edge(0, 0, "p")
+        graph.add_edge(0, 1, "p")
+        graph.add_edge(2, 5, "q")
+        pattern = Pattern(["B", "A"], [(0, 1, "p")])
+        counted = assert_tally_matches_oracle(graph, pattern, True)
+        # row (i, 0) reaches the seven other citizens over p, inward
+        assert counted.rows[(1, False, "p", "B")] == 8 * 7
+        assert counted.new_node[(1, False, "p", "B")] == 8
+        # the self-loop is the anchor itself: no new node
+        assert (1, False, "p", "A") not in counted.new_node
+        assert (1, True, "p", "A") not in counted.new_node
+        matches = list(reference_matches(graph, pattern))
+        assert_tally_rows_match_joins(
+            graph.index(), pattern, matches[::-1], range(1, 60)
+        )
 
     def test_empty_table_tallies_nothing(self):
         graph = small_graph(0)
