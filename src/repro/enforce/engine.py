@@ -21,19 +21,20 @@ to one live graph and serves two entry points:
   ``EnforcementConfig.max_delta_fraction`` of the graph the engine falls
   back to :meth:`validate`.
 
-The match shards — and each rule's violating slots in them — stay
-*resident in the workers* between passes, each a
-:class:`~repro.parallel.backend.RowStore` the master mirrors slot for slot.
-A full pass installs them once.  A refresh finds the slots its delta
-reaches on the mirrors (one node-kind lookup table per refresh) and ships
-only ``(drop slots, re-judge slots, fresh rows)`` per reached shard:
-dropped rows become tombstones, fresh rows are appended, and nothing
-copies a group's stored rows.  A worker answers with the rules whose
-violating slots changed, and every other rule keeps its report entry
-verbatim, so a report costs its changes.  A clean pass ships nothing at
-all (the backend's :class:`~repro.parallel.backend.TransferLedger` makes
-the zero-row claims testable).  Graph mutations re-point the backend at
-the new index snapshot
+The match shards — and each rule's violating slots in them — live *only
+in the workers*, each a :class:`~repro.parallel.backend.RowStore`; the
+master keeps no copy of a row, only each shard's latest per-rule result
+parts.  A full pass installs the shards once.  A refresh sends every
+worker one ``enforce_update`` holding the delta's structural and
+attribute-only nodes and that worker's slice of each group's re-derived
+matches; the worker finds the slots the delta reaches on its own stores,
+tombstones dropped rows, re-judges attribute-only ones in place and
+appends the fresh rows, so nothing copies a group's stored rows.  A worker
+answers with the rules whose violating slots changed, and every other rule
+keeps its report entry verbatim, so a report costs its changes.  A clean
+pass ships nothing at all (the backend's
+:class:`~repro.parallel.backend.TransferLedger` makes the zero-row claims
+testable).  Graph mutations re-point the backend at the new index snapshot
 (:meth:`~repro.parallel.backend.ExecutionBackend.refresh_index`) instead of
 rebuilding the worker processes.
 
@@ -61,7 +62,6 @@ from ..obs.tracer import NULL_TRACER
 from ..parallel.backend import (
     ExecutionBackend,
     Request,
-    RowStore,
     make_backend,
     next_node_key,
     resolve_execution,
@@ -174,12 +174,12 @@ class EnforcementEngine:
     """Continuous validation of a fixed ``Σ`` against one live graph.
 
     The engine compiles ``Σ`` once, attaches a :class:`DeltaLog` to the
-    graph, and mirrors every worker's match shard between passes so
-    :meth:`refresh` can splice localized re-matches by slot instead of
-    re-matching the world.  The evaluation backend is long-lived: its
-    workers keep each group's match shard and each rule's violating slots
-    across passes, so repeated refreshes against a mutating graph exchange
-    deltas and changed rules only.  Call
+    graph, and leaves every group's match shards in the workers between
+    passes so :meth:`refresh` can splice localized re-matches by slot
+    instead of re-matching the world.  The evaluation backend is
+    long-lived: its workers keep each group's match shard and each rule's
+    violating slots across passes, so repeated refreshes against a
+    mutating graph exchange deltas and changed rules only.  Call
     :meth:`close` (or use as a context manager) to detach the log and
     release backend resources (worker processes, shared memory).
 
@@ -253,9 +253,7 @@ class EnforcementEngine:
         self.delta = delta if delta is not None else DeltaLog()
         if self._owns_delta:
             graph.attach_delta_log(self.delta)
-        #: Per pattern group, the master's mirror of each worker shard
-        #: (slot for slot), and each shard's latest per-rule result parts.
-        self._stores: List[List[RowStore]] = [[] for _ in self.plan.groups]
+        #: Per pattern group, each shard's latest per-rule result parts.
         self._parts: List[List[List[Optional[Tuple]]]] = [
             [] for _ in self.plan.groups
         ]
@@ -279,6 +277,9 @@ class EnforcementEngine:
         self._group_keys: List[int] = [
             next_node_key() for _ in self.plan.groups
         ]
+        #: The key of this engine's ``enforce_update`` ops, which span its
+        #: groups; dropping it retires their journal entries.
+        self._update_key = next_node_key()
         #: Group positions whose match shards are resident in the current
         #: backend's workers (valid only while that backend lives).
         self._resident: set = set()
@@ -296,11 +297,16 @@ class EnforcementEngine:
         """Free this engine's resident groups on a backend that outlives it."""
         if not self._resident or self._backend is None:
             return
+        # the update key first: its journaled updates replay only on top
+        # of the groups' installs
+        keys = [self._update_key] + [
+            self._group_keys[position] for position in sorted(self._resident)
+        ]
         try:
             self._backend.run_unmetered(
                 [
-                    (worker, "enforce_drop", self._group_keys[position], {})
-                    for position in sorted(self._resident)
+                    (worker, "enforce_drop", key, {})
+                    for key in keys
                     for worker in range(self._backend.num_workers)
                 ],
                 wait=False,
@@ -360,7 +366,6 @@ class EnforcementEngine:
             for position, group in enumerate(self.plan.groups):
                 rules = [(rule.lhs, rule.rhs) for rule in group.rules]
                 chunks = np.array_split(matches[position], shards)
-                self._stores[position] = [RowStore(chunk) for chunk in chunks]
                 self._parts[position] = [[None] * len(rules) for _ in chunks]
                 key = self._group_keys[position]
                 for worker, chunk in enumerate(chunks):
@@ -380,8 +385,9 @@ class EnforcementEngine:
                 rows_added=sum(int(rows.shape[0]) for rows in matches),
             )
             del matches
-            return self._finish(backend, requests, targets, "full", started,
-                                version)
+            reached = list(zip(targets, backend.run_unmetered(requests)))
+            del requests
+            return self._finish(backend, reached, "full", started, version)
 
     def refresh(self) -> EnforcementReport:
         """Revalidate at the cost of what the delta touched.
@@ -414,35 +420,46 @@ class EnforcementEngine:
             seeds = np.fromiter(sorted(structural), dtype=np.int64,
                                 count=len(structural))
             fresh_of = self._group_matches(index, seeds, kinds)
-            shards = self.num_workers
-            requests: List[Request] = []
-            targets: List[Tuple[int, int]] = []
-            dropped = rejudged = added = 0
-            for position, stores in enumerate(self._stores):
-                key = self._group_keys[position]
-                fresh = fresh_of[position]
-                chunks = (
-                    np.array_split(fresh, shards)
-                    if fresh.shape[0]
-                    else [fresh] * shards
-                )
-                for worker, store in enumerate(stores):
-                    drop, rejudge = store.hits(kinds)
-                    chunk = chunks[worker]
-                    if not (drop.size or rejudge.size or chunk.shape[0]):
-                        continue
-                    # the mirror takes the splice the worker is sent
-                    store.drop(drop)
-                    store.append(chunk)
-                    requests.append((worker, "enforce_update", key, {
-                        "drop": drop,
-                        "rejudge": rejudge,
-                        "fresh": chunk,
-                    }))
-                    targets.append((position, worker))
-                    dropped += drop.size
-                    rejudged += rejudge.size
-                    added += chunk.shape[0]
+            del kinds
+            backend = self._ensure_backend(index)
+            shards = backend.num_workers
+            # per group, each worker's slice of the re-derived matches
+            chunks_of = [
+                np.array_split(fresh, shards) if fresh.shape[0]
+                else [fresh] * shards
+                for fresh in fresh_of
+            ]
+            delta = {
+                "structural": seeds,
+                "attribute": np.fromiter(sorted(attribute), dtype=np.int64,
+                                         count=len(attribute)),
+            }
+            requests: List[Request] = [
+                (worker, "enforce_update", self._update_key, {
+                    **delta,
+                    "groups": [
+                        (self._group_keys[position],
+                         int(chunks[worker].shape[0]))
+                        for position, chunks in enumerate(chunks_of)
+                    ],
+                    "fresh": np.concatenate(
+                        [chunks[worker].ravel() for chunks in chunks_of]
+                        or [np.empty(0, dtype=np.int64)]
+                    ),
+                })
+                for worker in range(shards)
+            ]
+            del fresh_of, chunks_of
+            outcomes = backend.run_unmetered(requests)
+            reached = [
+                ((position, worker), parts)
+                for worker, (groups, _) in enumerate(outcomes)
+                for position, parts in enumerate(groups)
+                if parts is not None
+            ]
+            dropped, rejudged, added = (
+                sum(column) for column in zip(*(done for _, done in outcomes))
+            )
             self.last_pass.update(
                 structural_nodes=len(structural),
                 attribute_nodes=len(attribute),
@@ -450,18 +467,28 @@ class EnforcementEngine:
                 rows_rejudged=rejudged,
                 rows_added=added,
             )
-            # a delta that reached no stored row leaves the backend alone
-            backend = (
-                self._ensure_backend(index) if requests else self._backend
-            )
-            return self._finish(backend, requests, targets, "incremental",
-                                started, version)
+            return self._finish(backend, reached, "incremental", started,
+                                version)
 
     def stored_matches(self) -> List[np.ndarray]:
-        """Per pattern group, its live stored canonical matches (copies)."""
+        """Per pattern group, its live stored canonical matches, in shard
+        order, read from the workers (a diagnostic read: the transfer
+        ledger does not count these rows)."""
+        backend = self._backend
+        if backend is None or not self._resident:
+            return [
+                np.empty((0, group.pattern.num_nodes), dtype=np.int64)
+                for group in self.plan.groups
+            ]
+        shards = backend.num_workers
+        rows = backend.run_unmetered([
+            (worker, "enforce_rows", key, {})
+            for key in self._group_keys
+            for worker in range(shards)
+        ])
         return [
-            np.concatenate([store.live() for store in stores])
-            for stores in self._stores
+            np.concatenate(rows[start:start + shards])
+            for start in range(0, len(rows), shards)
         ]
 
     # ------------------------------------------------------------------
@@ -536,27 +563,27 @@ class EnforcementEngine:
     def _finish(
         self,
         backend: ExecutionBackend,
-        requests: List[Request],
-        targets: List[Tuple[int, int]],
+        reached: List[Tuple[Tuple[int, int], List]],
         mode: str,
         started: float,
         version: int,
     ) -> EnforcementReport:
-        """Run one pass's install/update ops and assemble the report.
+        """Merge one pass's shard results and assemble the report.
 
-        ``targets[i]`` is the ``(group position, shard)`` of request ``i``.
-        A shard's result lists, per rule of its group, the rule's part — or
-        ``None`` when an update left the rule's violating slots unchanged.
-        A rule gets a new report entry only if some shard shipped a part;
-        every other rule keeps its previous entry verbatim: reports depend
-        only on the violating set (lexsort plus a seeded sample), and the
-        monitor's union already holds its pivots.
+        ``reached`` pairs a ``(group position, shard)`` with the shard's
+        result: per rule of its group, the rule's part — or ``None`` when
+        an update left the rule's violating slots unchanged.  A full pass
+        lists every shard of every group; a refresh the shards its delta
+        reached.  A rule gets a new report entry only if some shard shipped
+        a part; every other rule keeps its previous entry verbatim: reports
+        depend only on the violating set (lexsort plus a seeded sample),
+        and the monitor's union already holds its pivots.
 
         Workers judge "unchanged" against their own prior verdicts, which a
         respawned worker rebuilt by replaying its journal against the
         *current* index.  The rows such a replay can judge differently all
         hold a node of this pass's delta, so after any recovery since the
-        last pass the shards this pass updated are re-read in full
+        last pass the shards this pass reached are re-read in full
         (``enforce_results``).
 
         ``version`` is the graph version captured at pass start; the report
@@ -564,16 +591,16 @@ class EnforcementEngine:
         mutation racing the pass cannot make the report claim a version it
         does not reflect.
         """
-        outcomes = backend.run_unmetered(requests) if requests else []
         respawns = backend.lifecycle.respawns
         if mode == "incremental" and respawns != self._respawns_seen:
-            outcomes = backend.run_unmetered([
+            targets = [target for target, _ in reached]
+            reached = list(zip(targets, backend.run_unmetered([
                 (worker, "enforce_results", self._group_keys[position], {})
                 for position, worker in targets
-            ])
+            ])))
         self._respawns_seen = respawns
         moved: Dict[int, Set[int]] = {}
-        for (position, worker), parts in zip(targets, outcomes):
+        for (position, worker), parts in reached:
             held = self._parts[position][worker]
             changed = moved.setdefault(position, set())
             for offset, part in enumerate(parts):
@@ -586,7 +613,7 @@ class EnforcementEngine:
             else list(self._report.rules)
         )
         rebuilt = 0
-        for position, changed in moved.items():
+        for position, changed in sorted(moved.items()):
             group = self.plan.groups[position]
             held = self._parts[position]
             for offset in sorted(changed):

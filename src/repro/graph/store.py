@@ -52,6 +52,7 @@ import json
 import mmap as _mmap
 import os
 import struct
+import weakref
 import zlib
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
@@ -120,11 +121,12 @@ class IndexMapping:
 
     Unlike a shared-memory segment there is nothing to *unlink*: the
     backing store is an ordinary file that outlives every attachment by
-    design.  The mapping registers with the janitor's cleanup registry so
-    process teardown closes the handle, and :meth:`close` is idempotent —
-    the janitor regression suite pins that neither ``cleanup()`` nor
-    ``sweep_orphans()`` nor a backend shutdown ever unlinks the file or
-    double-closes the mapping.
+    design.  The mapping closes when its index is collected (or at
+    :func:`release_index`), and registers with the janitor's cleanup
+    registry so process teardown closes it if still live.  :meth:`close`
+    is idempotent — the janitor regression suite pins that neither
+    ``cleanup()`` nor ``sweep_orphans()`` nor a backend shutdown ever
+    unlinks the file or double-closes the mapping.
     """
 
     def __init__(self, path: str, file: Any, buf: _mmap.mmap) -> None:
@@ -480,6 +482,10 @@ def load_index(
         index.version = graph.version
     index.store_path = str(path)
     index.store_mapping = mapping
+    if mapping is not None:
+        # the mapping lives as long as its index: an index nobody holds
+        # any more (superseded by a patch, say) lets go of its file
+        weakref.finalize(index, mapping.close)
     if graph is not None:
         # graph.index() now answers with the attached snapshot, and the
         # first one after a write patches it instead of rebuilding

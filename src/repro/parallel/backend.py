@@ -327,9 +327,9 @@ class RowStore:
     fit compacts the buffer: tombstones are squeezed out in slot order and
     the new buffer keeps 1/8 spare, so splices cost the rows they touch,
     amortized.  Slots are a deterministic function of the splice sequence,
-    so the master's mirror of a shard, the worker's shard and a respawned
-    worker replaying its journal agree slot for slot.  The store owns its
-    buffer: rows handed in are copied, never aliased.
+    so a worker's shard and a respawned worker replaying its journal agree
+    slot for slot.  The store owns its buffer: rows handed in are copied,
+    never aliased.
     """
 
     __slots__ = ("rows", "alive", "size")
@@ -416,13 +416,18 @@ def _payload_rows(op: str, payload: Dict[str, Any]) -> int:
     if op == "enforce_install":
         return _rows_in(payload.get("matches"))
     if op == "enforce_update":
-        return _rows_in(payload.get("fresh"))
+        return sum(rows for _, rows in payload["groups"])
     return 0
 
 
 def _result_rows(op: str, result: Any) -> int:
     """Match rows a worker returns *to* the master from one op."""
-    if op in ("enforce_install", "enforce_update", "enforce_results"):
+    if op == "enforce_update":
+        return sum(
+            _result_rows("enforce_results", parts)
+            for parts in result[0] if parts is not None
+        )
+    if op in ("enforce_install", "enforce_results"):
         return sum(_rows_in(part[2]) for part in result if part is not None)
     return 0
 
@@ -559,7 +564,9 @@ class ShardWorker:
 
         The joined matches stay here under ``(parent key, position)`` — the
         slot a later install adopts — and only
-        ``(local support, count, hit_cap)`` per extension travels back;
+        ``(local support, count, hit_cap)`` per extension travels back,
+        the support ``None`` where the extension's pivot variable is sent
+        as ``None`` (the parent's tally already knows the child's support);
         ``cap`` bounds the per-shard join (``config.max_matches_per_pattern``
         enforcement — the master combines the flags into the global
         truncation verdict).  The master sends only children it will
@@ -593,7 +600,11 @@ class ShardWorker:
                 prelude=prelude,
             )
             count = int(matches.shape[0])
-            support = int(np.unique(matches[:, pivot_var]).size) if count else 0
+            support = (
+                None if pivot_var is None
+                else int(np.unique(matches[:, pivot_var]).size) if count
+                else 0
+            )
             self.joins[(key, position)] = matches
             results.append((support, count, cap is not None and count >= cap))
         return results
@@ -714,8 +725,8 @@ class ShardWorker:
         None)`` over the *canonical* pattern variables (``None`` = negative
         GFD) and ``payload["cap"]`` the optional per-rule violation cap.
         The shard keeps ``payload["matches"]`` in the order given (slot
-        ``i`` = row ``i``, the master mirrors it) as a :class:`RowStore`,
-        plus each rule's violating slots, so later
+        ``i`` = row ``i``) as a :class:`RowStore` — the only copy of these
+        rows — plus each rule's violating slots, so later
         :meth:`op_enforce_update` calls splice deltas by slot instead of
         receiving the world again.  Returns every rule's
         :meth:`_rule_result`.
@@ -737,32 +748,74 @@ class ShardWorker:
 
     def op_enforce_update(
         self, key: int, payload: Dict[str, Any]
-    ) -> List[Optional[Tuple]]:
-        """Splice a delta into a resident group, by slot, and re-judge.
+    ) -> Tuple[List[Optional[List[Optional[Tuple]]]], Tuple[int, int, int]]:
+        """Splice one refresh's delta into this worker's resident groups.
 
-        The master found the slots its delta reaches on its mirror of this
-        shard: ``payload["drop"]`` holds the live slots with a structurally
-        touched node (tombstoned), ``payload["rejudge"]`` the live slots
-        whose touched nodes only had attributes written (kept in place,
-        their verdicts recomputed against the worker's current index from
-        the columns the rules read), and ``payload["fresh"]`` this shard's
-        slice of the re-derived matches (appended; only those rows cross
-        the process boundary).  Every other slot's verdicts stand: its row
-        contains no touched node and a literal reads only the match's own
-        nodes.
+        One op per worker and refresh; ``key`` is the engine's update key,
+        which only journaling reads.  ``payload["structural"]`` and
+        ``payload["attribute"]`` are the delta's sorted structurally and
+        attribute-only touched nodes, ``payload["groups"]`` lists every
+        resident group of the engine as ``(group key, fresh rows)`` and
+        ``payload["fresh"]`` holds those rows, raveled group after group:
+        this shard's slice of each group's re-derived matches (only those
+        rows cross the process boundary).
 
-        Returns, per rule, :meth:`_rule_result` if its violating slots
-        changed and ``None`` if they did not — an unchanged rule ships no
-        rows, and the master keeps its previous report entry.  Whether a
+        Per group the worker finds the slots the delta reaches on its own
+        store (:meth:`RowStore.hits`): a live row holding a structural node
+        is tombstoned, one whose touched nodes only had attributes written
+        keeps its slot and is re-judged against the worker's current index
+        from the columns the rules read, and the fresh rows are appended
+        and judged.  Every other slot's verdicts stand: its row contains no
+        touched node and a literal reads only the match's own nodes.
+
+        Returns ``(per group, counts)``.  A group the delta reached in no
+        slot and no fresh row is ``None``; any other lists, per rule,
+        :meth:`_rule_result` if the rule's violating slots changed and
+        ``None`` if they did not — an unchanged rule ships no rows, and the
+        master keeps its previous report entry.  ``counts`` is ``(rows
+        dropped, rows re-judged, rows added)`` over the groups.  Whether a
         set changed is judged against this worker's own prior verdicts; a
         respawned worker replays its journal against the *current* index,
-        so after a recovery the master re-reads the groups it updated with
-        :meth:`op_enforce_results`.
+        so after a recovery the master re-reads the groups this op reached
+        with :meth:`op_enforce_results`.
         """
-        state = self.enforce_state[key]
+        kinds = np.zeros(self.index.num_nodes, dtype=np.int8)
+        kinds[payload["attribute"]] = 1
+        kinds[payload["structural"]] = 2
+        fresh_rows = payload["fresh"]
+        results: List[Optional[List[Optional[Tuple]]]] = []
+        dropped = rejudged = added = start = 0
+        for group_key, rows in payload["groups"]:
+            state = self.enforce_state[group_key]
+            store = state["store"]
+            width = store.rows.shape[1]
+            fresh = fresh_rows[start:start + rows * width].reshape(rows, width)
+            start += rows * width
+            drop, rejudge = store.hits(kinds)
+            if not (drop.size or rejudge.size or rows):
+                results.append(None)
+                continue
+            changed = self._splice(state, drop, rejudge, fresh)
+            results.append([
+                self._rule_result(state, offset) if moved else None
+                for offset, moved in enumerate(changed)
+            ])
+            dropped += drop.size
+            rejudged += rejudge.size
+            added += rows
+        return results, (dropped, rejudged, added)
+
+    def _splice(
+        self,
+        state: Dict[str, Any],
+        drop: np.ndarray,
+        rejudge: np.ndarray,
+        fresh: np.ndarray,
+    ) -> List[bool]:
+        """Tombstone ``drop``, re-judge ``rejudge`` and append ``fresh`` in
+        one resident group; per rule, whether its violating slots moved."""
         store, violating = state["store"], state["violating"]
         changed = [False] * len(violating)
-        drop = payload["drop"]
         if drop.size:
             store.drop(drop)
             for offset, slots in enumerate(violating):
@@ -770,7 +823,6 @@ class ShardWorker:
                 if gone.any():
                     violating[offset] = slots[~gone]
                     changed[offset] = True
-        rejudge = payload["rejudge"]
         if rejudge.size:
             verdicts = self._verdicts(
                 state["pattern"], store.rows[rejudge], state["rules"]
@@ -783,7 +835,6 @@ class ShardWorker:
                     slots[~_contains(slots, rejudge)], rejudge[verdict]
                 )
                 changed[offset] = True
-        fresh = payload["fresh"]
         if fresh.shape[0]:
             survivors = store.append(fresh)
             if survivors is not None:
@@ -799,10 +850,7 @@ class ShardWorker:
                         [violating[offset], added + first]
                     )
                     changed[offset] = True
-        return [
-            self._rule_result(state, offset) if moved else None
-            for offset, moved in enumerate(changed)
-        ]
+        return changed
 
     def op_enforce_results(self, key: int, payload: Dict[str, Any]) -> List[Tuple]:
         """Every rule's :meth:`_rule_result` of one resident group (read-only)."""
@@ -812,8 +860,16 @@ class ShardWorker:
             for offset in range(len(state["rules"]))
         ]
 
+    def op_enforce_rows(self, key: int, payload: Dict[str, Any]) -> np.ndarray:
+        """One resident group's live rows in slot order (read-only)."""
+        return self.enforce_state[key]["store"].live()
+
     def op_enforce_drop(self, key: int, payload: Dict[str, Any]) -> None:
-        """Release one resident enforcement group."""
+        """Release one resident enforcement group.
+
+        Under an engine's update key there is no state to release: the drop
+        only retires that key's journaled ``enforce_update`` entries.
+        """
         self.enforce_state.pop(key, None)
         return None
 
@@ -1163,7 +1219,7 @@ def _views_from_layout(
 _SHM_PAYLOAD_KEYS = {
     "install": ("matches",),
     "enforce_install": ("matches",),
-    "enforce_update": ("drop", "rejudge", "fresh"),
+    "enforce_update": ("structural", "attribute", "fresh"),
 }
 
 #: Arrays below this size pickle faster than a segment round trip.
@@ -1998,6 +2054,7 @@ class MultiprocessBackend(ExecutionBackend):
         self._pools = []
         self._local = {}
         self._journals = [[] for _ in range(self.num_workers)]
+        self._last_export = None  # views into the last snapshot
         if getattr(self, "buffers", None) is not None:
             self.buffers.close()
 

@@ -60,9 +60,11 @@ SEGMENT_PREFIX = "repro_shm_"
 
 _registry: Dict[str, object] = {}
 #: Live mmap attachments of on-disk index stores (``IndexMapping``
-#: objects, keyed by identity).  Mappings share the janitor's exit hooks
-#: but have a strictly *close-only* lifecycle: the backing store is an
-#: ordinary file owned by the user, so neither :func:`cleanup` nor
+#: objects, keyed by identity).  A mapping leaves on close, which its
+#: index runs when collected, so none stays pinned here past its index
+#: and exit closes only the live ones.  Mappings share the janitor's exit
+#: hooks but have a strictly *close-only* lifecycle: the backing store is
+#: an ordinary file owned by the user, so neither :func:`cleanup` nor
 #: :func:`sweep_orphans` may ever unlink it — only shared-memory
 #: *segments* (names under :data:`SEGMENT_PREFIX`) are unlinkable.
 _mappings: Dict[int, object] = {}

@@ -53,6 +53,7 @@ oracle — so the two agree on the discovered set even when the cap binds.
 from __future__ import annotations
 
 import time
+from itertools import combinations
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
@@ -418,6 +419,8 @@ class ParallelDiscovery:
         #: the distinct patterns holding ``∅ → false`` in this run so far
         #: (:meth:`_settle`)
         self._held: Dict[Pattern, None] = {}
+        #: Subset lookups :meth:`_settle_negatives` made (exact work count).
+        self.subset_lookups = 0
 
     # ------------------------------------------------------------------
     @property
@@ -967,6 +970,32 @@ class ParallelDiscovery:
             return None
         return merged.capped.get(key, merged.new_node[key])
 
+    @staticmethod
+    def _tallied_support(
+        merged: ExtensionCounts, extension: Extension
+    ) -> Optional[int]:
+        """The support of a joined, untruncated child, read off the tally.
+
+        A concrete-label new-node child's ``merged.new_node`` count and a
+        concrete-label closing child's ``merged.closing`` count are its
+        distinct-pivot support (see :mod:`repro.core.spawning`); a joined
+        child of either kind is not truncated (:meth:`_truncated_support`,
+        :meth:`_leaf_support`), so its join holds every row.  Returns
+        ``None`` for a wildcard child, whose support its join counts.
+        """
+        if extension.edge_label == WILDCARD:
+            return None
+        if extension.is_closing:
+            return merged.closing.get(
+                (extension.src, extension.dst, extension.edge_label), 0
+            )
+        if extension.new_node_label == WILDCARD:
+            return None
+        return merged.new_node[(
+            extension.src, extension.outward, extension.edge_label,
+            extension.new_node_label,
+        )]
+
     def _vspawn_level(
         self, tree: GenerationTree, level: int
     ) -> List[TreeNode]:
@@ -1032,6 +1061,9 @@ class ParallelDiscovery:
             Tuple[TreeNode, int, List[Tuple[TreeNode, Optional[Extension]]]]
         ] = []
         truncated_by_tally: Set[TreeNode] = set()
+        # joined children whose support the tally already knows: their
+        # joins count rows, not distinct pivots
+        tallied: Dict[TreeNode, int] = {}
         for index, (parent, parent_key) in enumerate(eligible):
             parts = parts_all[index * n:(index + 1) * n]
             novel: List[Tuple[TreeNode, Optional[Extension]]] = []
@@ -1053,6 +1085,9 @@ class ParallelDiscovery:
                         if support is not None:
                             truncated_by_tally.add(node)
                     if support is None:
+                        support = self._tallied_support(merged, extension)
+                        if support is not None:
+                            tallied[node] = support
                         novel.append((node, extension))
                     else:
                         node.support = support
@@ -1078,7 +1113,10 @@ class ParallelDiscovery:
                     parent_key,
                     {
                         "extensions": [
-                            (extension, node.pattern.pivot)
+                            (
+                                extension,
+                                None if node in tallied else node.pattern.pivot,
+                            )
                             for node, extension in sent
                         ],
                         "cap": cap,
@@ -1113,7 +1151,9 @@ class ParallelDiscovery:
                     any(hit_caps) or sum(sizes) >= cap
                 )
                 # pivot-disjoint shards: global support is a plain sum
-                node.support = sum(supports)
+                node.support = (
+                    tallied[node] if node in tallied else sum(supports)
+                )
                 install_batch.append(
                     (node, truncated, [{"adopt": (parent_key, position)}] * n)
                 )
@@ -1324,9 +1364,10 @@ class ParallelDiscovery:
         base support)`` (see :meth:`_nhspawn_joint`), given its
         automorphisms (none listed when the identity is the only one)."""
         node = miner.node
-        inherited = None  # the inherited negatives, read at the first need
+        # the inherited negatives, read at the first need
+        inherited: Optional[Set[FrozenSet[Literal]]] = None
         # the negatives emitted here, under every automorphism
-        own: List[FrozenSet[Literal]] = []
+        own: Set[FrozenSet[Literal]] = set()
         emitted_per_base: Dict[int, int] = {}
         for base_index, lhs, literal, base_support in negatives:
             emitted = emitted_per_base.get(base_index, 0)
@@ -1335,15 +1376,37 @@ class ParallelDiscovery:
             emitted_per_base[base_index] = emitted + 1
             negative = lhs | {literal}
             if inherited is None:
-                inherited = [y for y, rhs in node.inherited if rhs == FALSE]
-            if any(held <= negative for held in inherited) or any(
-                held < negative for held in own
+                inherited = {y for y, rhs in node.inherited if rhs == FALSE}
+            if (inherited or own) and self._holds_subset(
+                negative, inherited, own
             ):
                 continue
             node.valid_pairs.add((negative, FALSE))
-            own.append(negative)
-            own.extend(
+            own.add(negative)
+            own.update(
                 frozenset(rename_literal(l, f) for l in negative)
                 for f in symmetries
             )
             miner.emits.append((GFD(node.pattern, negative, FALSE), base_support))
+
+    def _holds_subset(
+        self,
+        negative: FrozenSet[Literal],
+        inherited: Set[FrozenSet[Literal]],
+        own: Set[FrozenSet[Literal]],
+    ) -> bool:
+        """Whether ``inherited`` holds a subset of ``negative`` or ``own`` a
+        proper one: set lookups of the subsets, smallest size first, so a
+        candidate costs at most ``2^|negative|`` lookups
+        (``|negative| ≤ max_lhs_size + 1``), not a scan of either set.  A
+        size is probed whole, which keeps the count independent of the
+        literals' iteration order."""
+        literals = tuple(negative)
+        for size in range(len(literals) + 1):
+            subsets = [frozenset(chosen) for chosen in combinations(literals, size)]
+            self.subset_lookups += len(subsets)
+            if any(subset in inherited for subset in subsets) or (
+                size < len(literals) and any(subset in own for subset in subsets)
+            ):
+                return True
+        return False

@@ -45,6 +45,7 @@ pins that they give the session's results byte for byte.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -64,7 +65,7 @@ from .gfd.parser import dumps_sigma, loads_sigma
 from .graph.graph import Graph
 from .graph.index import GraphIndex
 from .graph.statistics import GraphStatistics
-from .graph.store import IndexStoreStale
+from .graph.store import IndexStoreStale, release_index
 from .obs.metrics import MetricsRegistry, registry_from_metrics
 from .obs.tracer import NULL_TRACER
 from .parallel.backend import (
@@ -282,7 +283,11 @@ class Session:
         self._monitor = monitor
         #: (mtime_ns, size) of the store file last found stale
         self._stale_index_stamp: Optional[Tuple[int, int]] = None
-        self._index: GraphIndex = self._snapshot_index()
+        #: the snapshots this session attached from ``index_path`` and
+        #: releases at close (held weakly: a superseded one closes its
+        #: mapping when collected)
+        self._attached: "weakref.WeakSet[GraphIndex]" = weakref.WeakSet()
+        self._index: Optional[GraphIndex] = self._snapshot_index()
         self._stats: Optional[GraphStatistics] = None
         self._delta = DeltaLog()
         graph.attach_delta_log(self._delta)
@@ -320,8 +325,9 @@ class Session:
         return self._num_workers
 
     @property
-    def index(self) -> GraphIndex:
-        """The session's current frozen index snapshot."""
+    def index(self) -> Optional[GraphIndex]:
+        """The session's current frozen index snapshot (``None`` once
+        closed)."""
         return self._index
 
     @property
@@ -410,6 +416,7 @@ class Session:
                     graph=self.graph,
                     mmap=self._index_mmap,
                 )
+                self._attached.add(index)
                 if self.tracer.enabled:
                     self.tracer.event(
                         "index_loaded",
@@ -821,8 +828,12 @@ class Session:
 
         Closes the enforcement engine (dropping its resident shards),
         drops the structural frontier's tables, shuts the backend down
-        (worker processes joined, shared-memory segments unlinked) and
-        detaches the delta log.
+        (worker processes joined, shared-memory segments unlinked),
+        detaches the delta log, and releases every index snapshot the
+        session attached from ``index_path``
+        (:func:`~repro.graph.store.release_index`: its ``mmap`` and file
+        descriptors; the graph stops caching it).  A closed session holds
+        no index, so it keeps nothing mapped.
         """
         if self._closed:
             return
@@ -838,6 +849,9 @@ class Session:
             # _check_open prevents any reuse
             self._backend.shutdown()
         self.graph.detach_delta_log(self._delta)
+        for index in list(self._attached):
+            release_index(index)
+        self._index = None
         if self._root_span is not None:
             self.tracer.end(self._root_span)
             self._root_span = None

@@ -676,15 +676,16 @@ class TestGraphFreeAndIndexRefresh:
             # from the resident rows and violating slots are unchanged
             after = backend.run_unmetered([(0, "enforce_results", 7, {})])
             assert after[0][0][0] == before
-            # and an empty delta changes no rule, so it ships nothing
+            # and an empty delta reaches no group, so it ships nothing
             empty = {
-                "drop": np.empty(0, dtype=np.int64),
-                "rejudge": np.empty(0, dtype=np.int64),
-                "fresh": np.empty((0, 2), dtype=np.int64),
+                "structural": np.empty(0, dtype=np.int64),
+                "attribute": np.empty(0, dtype=np.int64),
+                "groups": [(7, 0)],
+                "fresh": np.empty(0, dtype=np.int64),
             }
             assert backend.run_unmetered(
-                [(0, "enforce_update", 7, empty)]
-            ) == [[None]]
+                [(0, "enforce_update", 8, empty)]
+            ) == [([None], (0, 0, 0))]
         finally:
             backend.shutdown()
         if backend.shm_name is not None:

@@ -35,6 +35,7 @@ from repro.gfd.gfd import GFD
 from repro.gfd.literals import FALSE, ConstantLiteral, make_variable_literal
 from repro.oracle import find_violations
 from repro.graph import Graph
+from repro.parallel.backend import RowStore
 from repro.pattern.incremental import Extension, extend_matches
 from repro.pattern.matcher import find_matches
 from repro.pattern.pattern import WILDCARD, Pattern
@@ -930,6 +931,48 @@ class TestPassObservability:
             # rules 1 and 2 can have kept their entries
             assert engine.last_pass["rules_reused"] == 2
             assert {key: tracer.events[-1][key] for key in counts} == counts
+
+    @pytest.mark.parametrize("backend", ["serial", "multiprocess"])
+    def test_rows_live_once_on_their_workers(self, film_graph, backend):
+        """The engine keeps no row of its own: no ``RowStore`` hangs off
+        it, and a refresh is one ``enforce_update`` per worker however
+        many groups and shards its delta reaches."""
+        graph, sigma, tracer = film_graph, self._sigma(), Tracer()
+        config = _uncapped(backend=backend, num_workers=3)
+
+        def updates():
+            return sum(
+                span.kind == "op" and span.name == "enforce_update"
+                for span in tracer.spans
+            )
+
+        def row_stores(value):
+            if isinstance(value, RowStore):
+                return 1
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, (list, tuple, set)):
+                return sum(row_stores(each) for each in value)
+            return 0
+
+        with EnforcementEngine(graph, sigma, config, tracer=tracer) as engine:
+            engine.validate()
+            assert updates() == 0
+            for write in (
+                lambda: graph.set_attr(120, "type", "book"),
+                lambda: graph.add_edge(60, 120, "create"),
+                lambda: graph.add_edge(5, 100, "parent"),
+            ):
+                write()
+                before = updates()
+                engine.refresh()
+                assert engine.last_pass["joins"] or engine.last_pass[
+                    "rows_rejudged"
+                ]
+                assert updates() - before == engine.num_workers
+            assert row_stores(vars(engine)) == 0
+            stored = engine.stored_matches()
+            assert [rows.shape[0] for rows in stored] == [121, 81]
 
 
 NODE_LABELS = ["person", "film", "award", "city"]

@@ -20,6 +20,7 @@ from repro.core import (
 from repro.datasets import dbpedia_like, imdb_like, yago2_like
 from repro.gfd import FALSE, GFD, ConstantLiteral, implication, implies
 from repro.gfd.implication import ImplicationChecker
+from repro.graph import Graph
 from repro.parallel import (
     ParallelDiscovery,
     assign_units_lpt,
@@ -311,14 +312,24 @@ class TestPerWorkerWork:
 
 
 class _RecordingDiscovery(ParallelDiscovery):
-    """Records every child ``_leaf_support`` lets skip the join, and every
-    child it sends to the join with its parent's merged tally."""
+    """Records every child ``_leaf_support`` lets skip the join, every
+    child it sends to the join with its parent's merged tally, and every
+    joined child whose support ``_tallied_support`` reads off the tally."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.skipped = []
         self.joined = []
+        self.tallied = []
         self._current_parent = None
+
+    def _tallied_support(self, merged, extension):
+        support = super()._tallied_support(merged, extension)
+        if support is not None:
+            self.tallied.append(
+                (self._current_parent.pattern, extension, support)
+            )
+        return support
 
     def _extensions_from_tallies(self, parent, merged):
         self._current_parent = parent
@@ -377,6 +388,53 @@ class TestTallyFixedLeaves:
             sequential.stats.patterns_zero_support
         )
 
+    @staticmethod
+    def _assert_tallies_are_join_supports(graph, engine):
+        index = graph.index()
+        for parent, extension, support in engine.tallied:
+            assert WILDCARD not in (
+                extension.edge_label, extension.new_node_label
+            )
+            joined = extend_matches(index, match_array(index, parent), extension)
+            assert support == np.unique(joined[:, parent.pivot]).size
+
+    @pytest.mark.parametrize("name", KB_FIXTURES)
+    def test_tallied_support_equals_join_support(self, name):
+        """A joined child's support comes from the tally, not from its join:
+        for every joined child without a wildcard label the tally count is
+        the distinct pivots of the uncapped join."""
+        graph, sigma = _kb_fixture(name)
+        config = DiscoveryConfig(k=3, sigma=sigma, max_lhs_size=1)
+        engine = _RecordingDiscovery(graph, config, num_workers=2)
+        engine.run()
+        kinds = {extension.is_closing for _, extension, _ in engine.tallied}
+        assert kinds == {False, True}, "the fixture must tally both kinds"
+        self._assert_tallies_are_join_supports(graph, engine)
+
+    def test_wildcard_children_count_their_joins(self):
+        """Persons own things of four labels: the wildcard child is joined
+        and its join counts its support, which no tally key holds."""
+        graph = Graph()
+        for index in range(80):
+            person = graph.add_node("person", {"kind": "owner"})
+            thing = graph.add_node(["car", "house", "boat", "horse"][index % 4])
+            graph.add_edge(person, thing, "owns")
+        config = DiscoveryConfig(
+            k=2, sigma=40, max_lhs_size=1, active_attributes=["kind"],
+            enable_wildcards=True, wildcard_min_labels=3,
+        )
+        engine = _RecordingDiscovery(graph, config, num_workers=2)
+        result = engine.run()
+        wildcard = [
+            extension for _, extension, _ in engine.joined
+            if extension.new_node_label == WILDCARD
+        ]
+        assert wildcard and len(engine.tallied) == len(engine.joined) - len(
+            wildcard
+        )
+        self._assert_tallies_are_join_supports(graph, engine)
+        assert max(node.support for node in result.tree.level(1)) == 80
+
     @pytest.mark.parametrize("name", KB_FIXTURES)
     def test_every_joined_child_is_frequent(self, name):
         """No infrequent child is ever joined, so a new-node leaf needs no
@@ -425,6 +483,32 @@ class TestTallyFixedLeaves:
         assert {gfd_identity(g) for g in result.gfds} == {
             gfd_identity(g) for g in sequential.gfds
         }
+
+
+class _ScanningDiscovery(ParallelDiscovery):
+    """``_settle_negatives``'s subset test as a scan of both sets — the
+    reference the lookup must agree with."""
+
+    def _holds_subset(self, negative, inherited, own):
+        return any(held <= negative for held in inherited) or any(
+            held < negative for held in own
+        )
+
+
+class TestNegativeSubsetLookups:
+    def test_lookups_are_bounded_and_emissions_unchanged(self):
+        """A negative candidate costs at most ``2^|X ∪ {l''}|`` set lookups:
+        6 403 for the run's 1 231 candidates (a scan of the held negatives
+        made 445 892 subset tests), and the emissions equal the scan's, in
+        order."""
+        graph, sigma = _kb_fixture("dbpedia")
+        config = DiscoveryConfig(k=3, sigma=sigma, max_lhs_size=2)
+        runner = ParallelDiscovery(graph, config, backend="serial")
+        result = runner.run()
+        assert runner.subset_lookups == 6403
+        reference = _ScanningDiscovery(graph, config, backend="serial").run()
+        assert result.gfds == reference.gfds
+        assert result.supports == reference.supports
 
 
 # ----------------------------------------------------------------------

@@ -566,9 +566,10 @@ def _assert_only_enforcement_state(session):
 
 
 def _normalized_journals(session):
-    """Install logs with keys renamed by first use and arrays as lists —
-    without the structural frontier's entries, which are its table-making
-    ``install`` / ``join`` ops and nothing else."""
+    """Install logs with keys renamed by first use (also the group keys an
+    ``enforce_update`` lists) and arrays as lists — without the structural
+    frontier's entries, which are its table-making ``install`` / ``join``
+    ops and nothing else."""
     frontier = _frontier_keys(session)
     journals = []
     for journal in session.backend()._journals:
@@ -582,7 +583,13 @@ def _normalized_journals(session):
                     op,
                     names.setdefault(key, len(names)),
                     {
-                        name: value.tolist() if hasattr(value, "tolist") else value
+                        name: (
+                            [(names.setdefault(group, len(names)), rows)
+                             for group, rows in value]
+                            if name == "groups"
+                            else value.tolist() if hasattr(value, "tolist")
+                            else value
+                        )
                         for name, value in payload.items()
                     },
                 )

@@ -571,3 +571,52 @@ class TestJanitorMmapRegression:
         assert path.exists()
         reloaded = load_index(path, mmap=False, verify=True)
         assert reloaded.num_nodes == graph.num_nodes
+
+
+def _descriptors_on(path: Path) -> int:
+    """This process's open file descriptors on ``path`` (from procfs)."""
+    target = os.path.realpath(path)
+    count = 0
+    for entry in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{entry}") == target
+        except OSError:  # closed between listing and reading
+            pass
+    return count
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs procfs descriptors"
+)
+class TestClosedSessionReleasesIndex:
+    """A closed session keeps nothing mapped: after any number of attach →
+    enforce → refresh → close cycles over one persisted index, this
+    process holds as many store mappings and descriptors on the file as
+    before the first."""
+
+    SIGMA = (
+        'Q[x, y] { (x:person)-[create]->(y:product) } '
+        '(y.type="film" -> x.type="producer")'
+    )
+
+    def test_cycles_leave_no_mapping_or_descriptor(self, film_graph, tmp_path):
+        path = save_index(film_graph.copy().index(), tmp_path / "film.rgix")
+        sigma = [parse_gfd(self.SIGMA)]
+        mappings = len(janitor.live_mappings())
+        descriptors = _descriptors_on(path)
+        for cycle in range(10):
+            # every copy has the same version, so the file attaches to each
+            graph = film_graph.copy()
+            with Session(graph, index_path=path, num_workers=2,
+                         index_autosave=False) as session:
+                assert session.index.store_mapping is not None
+                session.set_sigma(sigma)
+                session.enforce()
+                if cycle % 2:
+                    # a write supersedes the attached snapshot with a patch
+                    graph.set_attr(120, "type", "book")
+                report = session.refresh()
+                assert report.mode == ("incremental" if cycle % 2 else "full")
+            assert session.index is None
+            assert len(janitor.live_mappings()) == mappings
+            assert _descriptors_on(path) == descriptors
